@@ -37,10 +37,19 @@ impl Mask {
                 data_len: data.len(),
             });
         }
-        for (index, &value) in data.iter().enumerate() {
-            if !(0.0..1.0).contains(&value) || value.is_nan() {
-                return Err(Error::PixelOutOfRange { value, index });
-            }
+        // Every stored mask passes through here on load. The pass without an
+        // early exit vectorises; the search only runs to name the offender.
+        // (NaN fails both comparisons of `contains`.)
+        let in_domain = |value: &f32| (0.0..1.0).contains(value);
+        if !data.iter().fold(true, |ok, value| ok & in_domain(value)) {
+            let index = data
+                .iter()
+                .position(|value| !in_domain(value))
+                .expect("the pass above saw a pixel outside the domain");
+            return Err(Error::PixelOutOfRange {
+                value: data[index],
+                index,
+            });
         }
         Ok(Self {
             width,
@@ -381,6 +390,49 @@ mod tests {
             Err(Error::PixelOutOfRange { .. })
         ));
         assert!(Mask::new(2, 2, vec![0.0, 0.5, 0.99, 0.2]).is_ok());
+    }
+
+    #[test]
+    fn new_names_the_first_pixel_outside_the_domain() {
+        // The check `Mask::new` made before it became a two-pass check.
+        let reference = |data: &[f32]| {
+            data.iter()
+                .enumerate()
+                .find(|(_, v)| !(0.0..1.0).contains(*v) || v.is_nan())
+                .map(|(index, &value)| (index, value.to_bits()))
+        };
+        let bad = [
+            -0.25,
+            -f32::MIN_POSITIVE,
+            1.0,
+            1.5,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        // 5 x 7 = 35 pixels: not a multiple of any vector width.
+        let clean: Vec<f32> = (0..35).map(|i| i as f32 / 35.0).collect();
+        for value in bad {
+            for at in [vec![0], vec![17], vec![34], vec![17, 3], vec![0, 34]] {
+                let mut data = clean.clone();
+                // A second offender of another kind further on (or before)
+                // must not change which pixel is named.
+                for (k, &index) in at.iter().enumerate() {
+                    data[index] = if k == 0 { value } else { 2.0 };
+                }
+                let expected = reference(&data).unwrap();
+                match Mask::new(5, 7, data) {
+                    Err(Error::PixelOutOfRange { value, index }) => {
+                        assert_eq!((index, value.to_bits()), expected, "{value} at {at:?}");
+                    }
+                    other => panic!("{value} at {at:?}: got {other:?}"),
+                }
+            }
+        }
+        // Boundary values inside the domain, negative zero included.
+        assert!(Mask::new(2, 2, vec![0.0, -0.0, MAX_PIXEL_VALUE, f32::MIN_POSITIVE]).is_ok());
+        assert_eq!(reference(&[0.0, -0.0, MAX_PIXEL_VALUE]), None);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!  └────────┬─────────┘                       └────────────┬──────────────┘
 //!           │ apply under write lock                       │ checkpoint:
 //!           ▼                                              ▼ copy back + truncate
-//!  ┌──────────────────┐     flush dirty       ┌───────────────────────────┐
-//!  │ pager + LRU pool  │ ───────────────────▶ │ page file  masks.db       │
-//!  └────────┬─────────┘                       └───────────────────────────┘
+//!  ┌──────────────────┐  flush, then empty    ┌───────────────────────────┐
+//!  │ pager: write-back │ ───────────────────▶ │ page file  masks.db       │
+//!  │ table of dirty    │ ◀─────────────────── │ (a load = one positioned  │
+//!  │ pages, no cache   │  clean runs of an    │  read of the extent)      │
+//!  └────────┬─────────┘  extent              └───────────────────────────┘
 //!           │ on commit: index inserted /                  │ checkpoint:
 //!           ▼ evict deleted                                ▼ temp + rename
 //!  ┌──────────────────┐                       ┌───────────────────────────┐
@@ -31,7 +33,11 @@
 //!  └──────────────────┘
 //! ```
 //!
-//! * [`pager`] — fixed-size-page file I/O with an LRU buffer pool.
+//! * [`pager`] — the page file plus a write-back table of the pages
+//!   committed since the last checkpoint. No clean-page cache: the OS page
+//!   cache sits below it and the decoded-mask cache above it, so a load is
+//!   one positioned read of the mask's extent (dirty pages are copied from
+//!   the table instead).
 //! * [`wal`] — the write-ahead log: page after-images + commit records,
 //!   checksummed so recovery can cut a torn tail at any byte boundary.
 //! * [`dir`] — the mask directory (blob extents + full catalog records),
@@ -53,7 +59,10 @@
 //! * **Read stability** — readers resolve a mask's pages under the same
 //!   lock generation as its directory entry, so a concurrent commit can
 //!   never tear a single read, and a reader that started before a commit
-//!   never observes half a batch.
+//!   never observes half a batch. Readers do not exclude each other or a
+//!   checkpoint: a checkpoint empties the pager's table only after the page
+//!   file is durable, so a page a reader does not find in the table is
+//!   current in the file.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

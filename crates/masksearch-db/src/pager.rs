@@ -1,56 +1,52 @@
-//! Fixed-size-page file I/O with an LRU buffer pool.
+//! Fixed-size-page file I/O with a write-back table of dirty pages.
 //!
-//! The pager sits between the durable store and the database file. Reads go
-//! through the pool; writes enter the pool as dirty pages and reach the file
-//! only at checkpoint, when [`Pager::flush`] writes all dirty pages and
-//! fsyncs. Dirty pages are **pinned**: eviction only ever drops clean
-//! frames, and when every frame is dirty the pool temporarily grows past
-//! its configured capacity instead. This is the log-ahead rule — the
-//! database file must never see a page whose WAL record might not be
-//! durable (commits may run with `fsync` off), so nothing reaches the file
-//! until the checkpoint has synced the log first. The store bounds pool
-//! growth by checkpointing on a WAL-size threshold.
+//! The pager sits between the durable store and the database file. Writes
+//! enter the **dirty table** and reach the file only at checkpoint, when
+//! [`Pager::flush`] writes every table entry, fsyncs, and only then empties
+//! the table. This is the log-ahead rule — the database file must never see
+//! a page whose WAL record might not be durable (commits may run with
+//! `fsync` off), so nothing reaches the file until the checkpoint has synced
+//! the log first. The store bounds the table by checkpointing on a WAL-size
+//! threshold.
 //!
-//! Reading past the end of the file yields a zero page — that is what a
-//! freshly allocated, never-checkpointed page looks like.
+//! There is no cache of clean pages: the OS page cache sits below the pager
+//! and the decoded-mask cache above it. [`Pager::read_extent`] assembles a
+//! contiguous extent from the table (dirty pages) and the file (everything
+//! else, one positioned read per run of non-dirty pages). Because `flush`
+//! empties the table only after the file is durable, a page missing from the
+//! table is always current in the file. Readers share the table lock, so
+//! they run in parallel with each other and with a flush's file writes.
+//!
+//! A page neither in the table nor backed by the file reads as zeros — that
+//! is what a freshly allocated, never-written page looks like.
 
 use crate::page::PageNo;
+use masksearch_obs::counters;
 use masksearch_storage::{StorageError, StorageResult};
-use std::collections::HashMap;
+use parking_lot::RwLock;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-/// Fewest pool frames a pager will run with; below this, a single mask
-/// spanning a few pages would thrash.
-pub const MIN_POOL_PAGES: usize = 8;
-
-struct Frame {
-    data: Arc<Vec<u8>>,
-    dirty: bool,
-    last_used: u64,
-}
-
-/// A page file with an LRU buffer pool and dirty-page tracking.
-pub struct Pager {
-    file: File,
-    path: PathBuf,
-    page_size: usize,
-    pool: HashMap<PageNo, Frame>,
-    max_frames: usize,
-    clock: u64,
+struct Table {
+    /// Page images written since the last flush.
+    dirty: BTreeMap<PageNo, Vec<u8>>,
     /// Pages currently backed by the file (its length / page size).
     file_pages: u64,
 }
 
+/// A page file plus the table of dirty pages awaiting checkpoint.
+pub struct Pager {
+    file: File,
+    path: PathBuf,
+    page_size: usize,
+    table: RwLock<Table>,
+}
+
 impl Pager {
     /// Opens (creating if needed) the page file at `path`.
-    pub fn open(
-        path: impl Into<PathBuf>,
-        page_size: u32,
-        max_frames: usize,
-    ) -> StorageResult<Self> {
+    pub fn open(path: impl Into<PathBuf>, page_size: u32) -> StorageResult<Self> {
         let path = path.into();
         let file = OpenOptions::new()
             .read(true)
@@ -67,145 +63,116 @@ impl Pager {
             file,
             path,
             page_size: page_size as usize,
-            pool: HashMap::new(),
-            max_frames: max_frames.max(MIN_POOL_PAGES),
-            clock: 0,
-            file_pages: len / page_size as u64,
+            table: RwLock::new(Table {
+                dirty: BTreeMap::new(),
+                file_pages: len / page_size as u64,
+            }),
         })
     }
 
     /// Number of pages currently backed by the file.
     pub fn file_pages(&self) -> u64 {
-        self.file_pages
-    }
-
-    /// Reads a page through the pool.
-    pub fn read_page(&mut self, page_no: PageNo) -> StorageResult<Arc<Vec<u8>>> {
-        masksearch_obs::counters::incr(&masksearch_obs::counters::PAGER_READS);
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(frame) = self.pool.get_mut(&page_no) {
-            frame.last_used = clock;
-            return Ok(Arc::clone(&frame.data));
-        }
-        let data = Arc::new(self.read_from_file(page_no)?);
-        self.evict_to_fit()?;
-        self.pool.insert(
-            page_no,
-            Frame {
-                data: Arc::clone(&data),
-                dirty: false,
-                last_used: clock,
-            },
-        );
-        Ok(data)
-    }
-
-    /// Installs a full page image in the pool as dirty. The image reaches
-    /// the database file only at the next [`Pager::flush`] (after the
-    /// caller has synced the WAL) — never earlier; dirty pages are pinned
-    /// against eviction to uphold the log-ahead rule.
-    pub fn write_page(&mut self, page_no: PageNo, data: Vec<u8>) -> StorageResult<()> {
-        masksearch_obs::counters::incr(&masksearch_obs::counters::PAGER_WRITES);
-        debug_assert_eq!(data.len(), self.page_size);
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(frame) = self.pool.get_mut(&page_no) {
-            frame.data = Arc::new(data);
-            frame.dirty = true;
-            frame.last_used = clock;
-            return Ok(());
-        }
-        self.evict_to_fit()?;
-        self.pool.insert(
-            page_no,
-            Frame {
-                data: Arc::new(data),
-                dirty: true,
-                last_used: clock,
-            },
-        );
-        Ok(())
-    }
-
-    /// Writes every dirty page to the file and fsyncs (the checkpoint step).
-    pub fn flush(&mut self) -> StorageResult<()> {
-        let mut dirty: Vec<PageNo> = self
-            .pool
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        dirty.sort_unstable();
-        for page_no in dirty {
-            let data = Arc::clone(&self.pool[&page_no].data);
-            self.write_to_file(page_no, &data)?;
-            self.pool
-                .get_mut(&page_no)
-                .expect("flushed page is in the pool")
-                .dirty = false;
-        }
-        self.file
-            .sync_all()
-            .map_err(|e| StorageError::io("fsyncing page file", e))
+        self.table.read().file_pages
     }
 
     /// Number of dirty pages waiting for a checkpoint.
     pub fn dirty_pages(&self) -> usize {
-        self.pool.values().filter(|f| f.dirty).count()
+        self.table.read().dirty.len()
     }
 
-    fn read_from_file(&mut self, page_no: PageNo) -> StorageResult<Vec<u8>> {
-        if page_no >= self.file_pages {
-            return Ok(vec![0; self.page_size]);
+    /// Reads the first `bytes` bytes of the `pages`-page extent at `start`:
+    /// dirty pages are copied from the table, every run of pages between
+    /// them comes from the file in one positioned read.
+    pub fn read_extent(&self, start: PageNo, pages: u32, bytes: u64) -> StorageResult<Vec<u8>> {
+        let page_size = self.page_size;
+        let misfit = || {
+            StorageError::corrupt(format!(
+                "extent of {pages} pages at page {start} cannot hold {bytes} bytes"
+            ))
+        };
+        let len = usize::try_from(bytes)
+            .ok()
+            .filter(|&len| len.div_ceil(page_size) <= pages as usize)
+            .ok_or_else(misfit)?;
+        let base = start
+            .checked_mul(page_size as u64)
+            .filter(|base| base.checked_add(bytes).is_some())
+            .ok_or_else(misfit)?;
+        let mut buf = vec![0u8; len];
+        let table = self.table.read();
+        let file_len = table.file_pages * page_size as u64;
+        let mut filled = 0;
+        for (&page_no, image) in table
+            .dirty
+            .range(start..start + len.div_ceil(page_size) as u64)
+        {
+            let offset = (page_no - start) as usize * page_size;
+            self.read_file(base + filled as u64, &mut buf[filled..offset], file_len)?;
+            filled = (offset + page_size).min(len);
+            buf[offset..filled].copy_from_slice(&image[..filled - offset]);
         }
-        let mut buf = vec![0; self.page_size];
-        self.file
-            .seek(SeekFrom::Start(page_no * self.page_size as u64))
-            .and_then(|_| self.file.read_exact(&mut buf))
-            .map_err(|e| {
-                StorageError::io(
-                    format!("reading page {page_no} of {}", self.path.display()),
-                    e,
-                )
-            })?;
+        self.read_file(base + filled as u64, &mut buf[filled..], file_len)?;
         Ok(buf)
     }
 
-    fn write_to_file(&mut self, page_no: PageNo, data: &[u8]) -> StorageResult<()> {
+    /// Fills `out` from the file at byte `offset` with one positioned read.
+    /// Bytes past `file_len` stay as they are (zero).
+    fn read_file(&self, offset: u64, out: &mut [u8], file_len: u64) -> StorageResult<()> {
+        let in_file = file_len.saturating_sub(offset).min(out.len() as u64) as usize;
+        if in_file == 0 {
+            return Ok(());
+        }
+        counters::incr(&counters::PAGER_READS);
+        counters::add(&counters::PAGER_READ_BYTES, in_file as u64);
         self.file
-            .seek(SeekFrom::Start(page_no * self.page_size as u64))
-            .and_then(|_| self.file.write_all(data))
+            .read_exact_at(&mut out[..in_file], offset)
             .map_err(|e| {
                 StorageError::io(
-                    format!("writing page {page_no} of {}", self.path.display()),
+                    format!(
+                        "reading {in_file} bytes at offset {offset} of {}",
+                        self.path.display()
+                    ),
                     e,
                 )
-            })?;
-        self.file_pages = self.file_pages.max(page_no + 1);
-        Ok(())
+            })
     }
 
-    /// Evicts least-recently-used *clean* frames until one slot is free.
-    /// Dirty frames are pinned until [`Pager::flush`]; when nothing is
-    /// evictable the pool grows past its capacity instead — writing a dirty
-    /// page to the file here would break the log-ahead rule whenever the
-    /// covering WAL commit has not been fsynced.
-    fn evict_to_fit(&mut self) -> StorageResult<()> {
-        while self.pool.len() >= self.max_frames {
-            let victim = self
-                .pool
-                .iter()
-                .filter(|(_, f)| !f.dirty)
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(&p, _)| p);
-            match victim {
-                Some(page_no) => {
-                    self.pool.remove(&page_no);
-                }
-                None => break,
+    /// Records a full page image as dirty. The image reaches the database
+    /// file only at the next [`Pager::flush`] (after the caller has synced
+    /// the WAL) — never earlier, to uphold the log-ahead rule.
+    pub fn write_page(&mut self, page_no: PageNo, data: Vec<u8>) {
+        counters::incr(&counters::PAGER_WRITES);
+        assert_eq!(data.len(), self.page_size, "page image of the wrong size");
+        self.table.get_mut().dirty.insert(page_no, data);
+    }
+
+    /// Writes every dirty page to the file, fsyncs, and then empties the
+    /// table (the checkpoint step). Readers keep running throughout: until
+    /// the table is emptied they take dirty pages from it, afterwards from
+    /// the now-durable file.
+    pub fn flush(&self) -> StorageResult<()> {
+        let file_pages = {
+            let table = self.table.read();
+            for (&page_no, image) in &table.dirty {
+                self.file
+                    .write_all_at(image, page_no * self.page_size as u64)
+                    .map_err(|e| {
+                        StorageError::io(
+                            format!("writing page {page_no} of {}", self.path.display()),
+                            e,
+                        )
+                    })?;
             }
-        }
+            self.file
+                .sync_all()
+                .map_err(|e| StorageError::io("fsyncing page file", e))?;
+            table.dirty.keys().next_back().map_or(0, |&last| last + 1)
+        };
+        // `write_page` takes `&mut self`, so no page joined the table since
+        // the read guard above was released.
+        let mut table = self.table.write();
+        table.file_pages = table.file_pages.max(file_pages);
+        table.dirty.clear();
         Ok(())
     }
 }
@@ -224,59 +191,190 @@ mod tests {
         path
     }
 
+    fn read_page(pager: &Pager, page_no: PageNo) -> Vec<u8> {
+        pager
+            .read_extent(page_no, 1, pager.page_size as u64)
+            .unwrap()
+    }
+
     #[test]
-    fn pages_round_trip_through_pool_and_file() {
+    fn pages_round_trip_through_table_and_file() {
         let path = temp_db("roundtrip");
         {
-            let mut pager = Pager::open(&path, 64, 8).unwrap();
-            pager.write_page(0, vec![1; 64]).unwrap();
-            pager.write_page(5, vec![5; 64]).unwrap();
+            let mut pager = Pager::open(&path, 64).unwrap();
+            pager.write_page(0, vec![1; 64]);
+            pager.write_page(5, vec![5; 64]);
             assert_eq!(pager.dirty_pages(), 2);
-            assert_eq!(*pager.read_page(5).unwrap(), vec![5; 64]);
+            assert_eq!(read_page(&pager, 5), vec![5; 64]);
             // Unwritten page within a sparse file reads as zeros.
-            assert_eq!(*pager.read_page(3).unwrap(), vec![0; 64]);
+            assert_eq!(read_page(&pager, 3), vec![0; 64]);
             pager.flush().unwrap();
             assert_eq!(pager.dirty_pages(), 0);
+            assert_eq!(read_page(&pager, 3), vec![0; 64]);
         }
-        let mut pager = Pager::open(&path, 64, 8).unwrap();
+        let pager = Pager::open(&path, 64).unwrap();
         assert_eq!(pager.file_pages(), 6);
-        assert_eq!(*pager.read_page(0).unwrap(), vec![1; 64]);
-        assert_eq!(*pager.read_page(5).unwrap(), vec![5; 64]);
+        assert_eq!(read_page(&pager, 0), vec![1; 64]);
+        assert_eq!(read_page(&pager, 5), vec![5; 64]);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn reads_past_eof_are_zero_pages() {
         let path = temp_db("eof");
-        let mut pager = Pager::open(&path, 32, 8).unwrap();
-        assert_eq!(*pager.read_page(100).unwrap(), vec![0; 32]);
+        let mut pager = Pager::open(&path, 32).unwrap();
+        assert_eq!(read_page(&pager, 100), vec![0; 32]);
+        // An extent that straddles the end of the file: backed pages come
+        // from the file, the rest are zeros.
+        pager.write_page(0, vec![7; 32]);
+        pager.write_page(1, vec![8; 32]);
+        pager.flush().unwrap();
+        let mut expected = vec![7; 32];
+        expected.extend_from_slice(&[8; 32]);
+        expected.extend_from_slice(&[0; 40]);
+        assert_eq!(pager.read_extent(0, 4, 104).unwrap(), expected);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn dirty_pages_are_pinned_until_flush() {
-        let path = temp_db("evict");
-        let mut pager = Pager::open(&path, 32, MIN_POOL_PAGES).unwrap();
-        // Write more dirty pages than the pool holds: the pool must grow
-        // (dirty frames are pinned) and the file must stay untouched — the
+        let path = temp_db("pinned");
+        let mut pager = Pager::open(&path, 32).unwrap();
+        // However many pages are dirty, the file must stay untouched — the
         // log-ahead rule forbids writing pages before the WAL is synced.
-        for i in 0..(MIN_POOL_PAGES as u64 * 3) {
-            pager.write_page(i, vec![i as u8; 32]).unwrap();
+        for i in 0..24u64 {
+            pager.write_page(i, vec![i as u8; 32]);
         }
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        for i in 0..(MIN_POOL_PAGES as u64 * 3) {
-            assert_eq!(*pager.read_page(i).unwrap(), vec![i as u8; 32], "page {i}");
+        for i in 0..24u64 {
+            assert_eq!(read_page(&pager, i), vec![i as u8; 32], "page {i}");
         }
-        // After a flush the frames are clean and evictable again: the next
-        // miss shrinks the pool back to its capacity.
+        // A flush moves them to the file and empties the table; the same
+        // reads are now served from the file.
         pager.flush().unwrap();
-        assert!(std::fs::metadata(&path).unwrap().len() > 0);
-        pager.read_page(1000).unwrap();
-        assert!(pager.pool.len() <= MIN_POOL_PAGES);
-        // Evicted pages re-read correctly from the flushed file.
-        for i in 0..(MIN_POOL_PAGES as u64 * 3) {
-            assert_eq!(*pager.read_page(i).unwrap(), vec![i as u8; 32], "page {i}");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 24 * 32);
+        assert_eq!(pager.dirty_pages(), 0);
+        for i in 0..24u64 {
+            assert_eq!(read_page(&pager, i), vec![i as u8; 32], "page {i}");
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn oversized_byte_counts_are_rejected() {
+        let path = temp_db("oversized");
+        let pager = Pager::open(&path, 32).unwrap();
+        assert!(pager.read_extent(1, 2, 64).is_ok());
+        assert!(pager.read_extent(1, 2, 65).is_err());
+        assert!(pager.read_extent(1, 0, 1).is_err());
+        assert!(pager.read_extent(1, 1, u64::MAX).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The extent read over every layout the store produces — all pages
+    /// dirty, none, or a mix with the dirty page first / in the middle /
+    /// last — with a byte length that is and is not a page multiple, must
+    /// equal page-by-page assembly, before and after a flush.
+    #[test]
+    fn extent_reads_equal_page_by_page_assembly() {
+        for page_size in [256u32, 4096] {
+            let ps = page_size as usize;
+            for pages in [1u32, 2, 5] {
+                let page_image = |page_no: u64, version: u8| -> Vec<u8> {
+                    (0..ps)
+                        .map(|i| (i as u64 * 31 + page_no * 7 + version as u64) as u8)
+                        .collect()
+                };
+                // Which pages of the extent are rewritten (dirty) after the
+                // first flush made all of them clean.
+                let layouts: Vec<Vec<u32>> = vec![
+                    vec![],
+                    (0..pages).collect(),
+                    vec![0],
+                    vec![pages / 2],
+                    vec![pages - 1],
+                    vec![0, pages - 1],
+                ];
+                for (case, dirty) in layouts.iter().enumerate() {
+                    let path = temp_db(&format!("extent-{page_size}-{pages}-{case}"));
+                    let mut pager = Pager::open(&path, page_size).unwrap();
+                    let start: PageNo = 3;
+                    for p in 0..pages as u64 {
+                        pager.write_page(start + p, page_image(start + p, 1));
+                    }
+                    // All-dirty extent straight after the writes.
+                    let full: Vec<u8> = (0..pages as u64)
+                        .flat_map(|p| page_image(start + p, 1))
+                        .collect();
+                    assert_eq!(
+                        pager.read_extent(start, pages, full.len() as u64).unwrap(),
+                        full
+                    );
+                    pager.flush().unwrap();
+                    for &p in dirty {
+                        pager.write_page(start + p as u64, page_image(start + p as u64, 2));
+                    }
+                    let by_page: Vec<u8> = (0..pages as u64)
+                        .flat_map(|p| read_page(&pager, start + p))
+                        .collect();
+                    let expected: Vec<u8> = (0..pages)
+                        .flat_map(|p| page_image(start + p as u64, 1 + dirty.contains(&p) as u8))
+                        .collect();
+                    assert_eq!(by_page, expected);
+                    let extent_reads_match = |pager: &Pager, when: &str| {
+                        for bytes in [pages as usize * ps, pages as usize * ps - ps / 3, 1] {
+                            assert_eq!(
+                                pager.read_extent(start, pages, bytes as u64).unwrap(),
+                                by_page[..bytes],
+                                "{when}: page size {page_size}, {pages} pages, \
+                                 dirty {dirty:?}, {bytes} bytes"
+                            );
+                        }
+                    };
+                    extent_reads_match(&pager, "before flush");
+                    pager.flush().unwrap();
+                    assert_eq!(pager.dirty_pages(), 0);
+                    extent_reads_match(&pager, "after flush");
+                    std::fs::remove_file(&path).unwrap();
+                }
+            }
+        }
+    }
+
+    /// A clean extent costs exactly one positioned read, and a dirty page in
+    /// the middle splits it in two.
+    #[test]
+    fn clean_extents_cost_one_read_and_dirty_pages_split_runs() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let path = temp_db("read-count");
+        let mut pager = Pager::open(&path, 64).unwrap();
+        for p in 0..5u64 {
+            pager.write_page(p, vec![p as u8; 64]);
+        }
+        pager.flush().unwrap();
+        // The counter is process-global and other tests of this binary read
+        // through pagers of their own in parallel: the smallest of several
+        // deltas is the one nobody else added to.
+        let min_reads = |pager: &Pager| {
+            (0..20)
+                .map(|_| {
+                    let before = counters::PAGER_READS.load(Relaxed);
+                    pager.read_extent(0, 5, 300).unwrap();
+                    counters::PAGER_READS.load(Relaxed) - before
+                })
+                .min()
+                .unwrap()
+        };
+        assert_eq!(min_reads(&pager), 1);
+        pager.write_page(2, vec![9; 64]);
+        assert_eq!(min_reads(&pager), 2);
+        pager.write_page(0, vec![9; 64]);
+        pager.write_page(4, vec![9; 64]);
+        assert_eq!(min_reads(&pager), 2);
+        for p in 0..5u64 {
+            pager.write_page(p, vec![9; 64]);
+        }
+        assert_eq!(min_reads(&pager), 0);
         std::fs::remove_file(&path).unwrap();
     }
 }

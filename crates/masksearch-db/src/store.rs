@@ -9,9 +9,9 @@
 //!
 //! 1. all page after-images plus a commit record are appended to the WAL
 //!    (fsynced when [`DbConfig::fsync`] is set): *this* is the commit point;
-//! 2. the images are installed in the buffer pool and the in-memory
-//!    directory is swapped **under the state write lock**, so readers see
-//!    either none or all of the batch;
+//! 2. the images enter the pager's dirty table and the in-memory directory
+//!    is swapped **under the state write lock**, so readers see either none
+//!    or all of the batch;
 //! 3. the CHI store is updated (inserted masks indexed, deleted masks
 //!    already evicted before step 1), preserving the invariant that no index
 //!    entry ever refers to a mask that is not durably present. Tile-summary
@@ -71,8 +71,6 @@ pub fn meta_index_file(column: MetaColumn) -> String {
 pub struct DbConfig {
     /// Page size in bytes (clamped to at least [`MIN_PAGE_SIZE`]).
     pub page_size: u32,
-    /// Buffer-pool capacity in pages.
-    pub pool_pages: usize,
     /// Whether commits fsync the WAL before returning. Turning this off
     /// trades crash durability of the most recent commits for throughput
     /// (atomicity is unaffected: recovery still lands on a committed prefix).
@@ -92,7 +90,6 @@ impl Default for DbConfig {
     fn default() -> Self {
         Self {
             page_size: 4096,
-            pool_pages: 1024,
             fsync: true,
             checkpoint_wal_bytes: 8 * 1024 * 1024,
             chi_config: ChiConfig::default(),
@@ -106,12 +103,6 @@ impl DbConfig {
     /// Sets the page size.
     pub fn page_size(mut self, bytes: u32) -> Self {
         self.page_size = bytes.max(MIN_PAGE_SIZE);
-        self
-    }
-
-    /// Sets the buffer-pool capacity in pages.
-    pub fn pool_pages(mut self, pages: usize) -> Self {
-        self.pool_pages = pages;
         self
     }
 
@@ -148,9 +139,10 @@ impl DbConfig {
 
 /// Mutable state guarded by one `RwLock`: readers resolve a mask's location
 /// and read its pages under a single read guard, so a concurrent commit
-/// (which applies under the write guard) can never tear a read.
+/// (which applies under the write guard) can never tear a read. Readers
+/// share the pager; only a commit's `write_page` needs it exclusively.
 struct State {
-    pager: Mutex<Pager>,
+    pager: Pager,
     dir: Directory,
     free: BTreeSet<PageNo>,
     page_count: u64,
@@ -215,7 +207,7 @@ impl DurableMaskStore {
         let tiles_path = dir.join(TILES_FILE);
         let shape_stats_path = dir.join(SHAPE_STATS_FILE);
 
-        let mut pager = Pager::open(&db_path, config.page_size, config.pool_pages)?;
+        let mut pager = Pager::open(&db_path, config.page_size)?;
         let (mut wal, committed) = Wal::open(&wal_path, config.page_size)?;
         let fresh = pager.file_pages() == 0 && committed.is_empty();
         // Pages rewritten by WAL replay: any mask whose extent intersects
@@ -226,7 +218,7 @@ impl DurableMaskStore {
         for txn in &committed {
             for (page_no, image) in &txn.pages {
                 replayed_pages.insert(*page_no);
-                pager.write_page(*page_no, image.clone())?;
+                pager.write_page(*page_no, image.clone());
             }
         }
 
@@ -250,29 +242,19 @@ impl DurableMaskStore {
             ];
             wal.append_txn(0, &pages, config.fsync)?;
             for (page_no, image) in pages {
-                pager.write_page(page_no, image)?;
+                pager.write_page(page_no, image);
             }
             (meta, directory)
         } else {
-            let meta_page = pager.read_page(0)?;
+            let meta_page = pager.read_extent(0, 1, config.page_size as u64)?;
             let meta = Meta::decode_page(&meta_page, config.page_size)?;
-            let mut dir_blob =
-                Vec::with_capacity((meta.dir_pages as usize) * config.page_size as usize);
-            for page_no in meta.dir_start..meta.dir_start + meta.dir_pages as u64 {
-                dir_blob.extend_from_slice(&pager.read_page(page_no)?);
-            }
-            if (dir_blob.len() as u64) < meta.dir_bytes {
-                return Err(StorageError::corrupt(
-                    "directory extent is shorter than the meta page claims",
-                ));
-            }
-            dir_blob.truncate(meta.dir_bytes as usize);
+            let dir_blob = pager.read_extent(meta.dir_start, meta.dir_pages, meta.dir_bytes)?;
             (meta, Directory::decode(&dir_blob)?)
         };
 
         let free = derive_free_set(&meta, &directory)?;
         let (chi, tiles) =
-            reconcile_indexes(&chi_path, &tiles_path, &config, &directory, &mut pager, {
+            reconcile_indexes(&chi_path, &tiles_path, &config, &directory, &pager, {
                 |entry: &BlobEntry| {
                     (entry.start..entry.start + entry.pages as u64)
                         .any(|p| replayed_pages.contains(&p))
@@ -333,7 +315,7 @@ impl DurableMaskStore {
             chi_path,
             tiles_path,
             state: RwLock::new(State {
-                pager: Mutex::new(pager),
+                pager,
                 dir: directory,
                 free,
                 page_count: meta.page_count,
@@ -441,7 +423,7 @@ impl DurableMaskStore {
         self.wal.lock().sync()?;
         {
             let state = self.state.read();
-            state.pager.lock().flush()?;
+            state.pager.flush()?;
         }
         // CHI and tile-summary rewrites via temp + rename: a crash leaves
         // either the old or the new index file, and recovery reconciles
@@ -614,11 +596,8 @@ impl DurableMaskStore {
         // Publish the batch atomically with respect to readers.
         {
             let mut state = self.state.write();
-            {
-                let mut pager = state.pager.lock();
-                for (page_no, image) in pages {
-                    pager.write_page(page_no, image)?;
-                }
+            for (page_no, image) in pages {
+                state.pager.write_page(page_no, image);
             }
             state.dir = dir;
             state.free = free;
@@ -761,11 +740,8 @@ impl DurableMaskStore {
         let mut masks: Vec<(MaskId, Mask)> = Vec::with_capacity(reindex.len());
         {
             let mut state = self.state.write();
-            {
-                let mut pager = state.pager.lock();
-                for (page_no, image) in &txn.pages {
-                    pager.write_page(*page_no, image.clone())?;
-                }
+            for (page_no, image) in &txn.pages {
+                state.pager.write_page(*page_no, image.clone());
             }
             state.dir = dir;
             state.free = free;
@@ -777,10 +753,12 @@ impl DurableMaskStore {
             // the pixels (the primary does this too); decode each touched
             // mask once and reuse it for the CHI below.
             for &mask_id in &reindex {
-                let entry = state.dir.entries.get(&mask_id).cloned().ok_or_else(|| {
+                let entry = state.dir.entries.get(&mask_id).ok_or_else(|| {
                     StorageError::corrupt(format!("reindexed mask {mask_id} vanished"))
                 })?;
-                let blob = self.read_blob(&entry, &state)?;
+                let blob = state
+                    .pager
+                    .read_extent(entry.start, entry.pages, entry.bytes)?;
                 let (_, mask) = format::decode_mask(&blob)?;
                 self.tiles.insert(mask_id, Arc::new(TileGrid::build(&mask)));
                 masks.push((mask_id, mask));
@@ -835,15 +813,34 @@ impl DurableMaskStore {
         Ok(())
     }
 
-    fn read_blob(&self, entry: &BlobEntry, state: &State) -> StorageResult<Vec<u8>> {
-        let mut pager = state.pager.lock();
-        let page_size = self.config.page_size as usize;
-        let mut blob = Vec::with_capacity(entry.pages as usize * page_size);
-        for page_no in entry.start..entry.start + entry.pages as u64 {
-            blob.extend_from_slice(&pager.read_page(page_no)?);
-        }
-        blob.truncate(entry.bytes as usize);
-        Ok(blob)
+    /// Loads mask `mask_id` and, when `with_grid` is set, its tile grid.
+    /// The blob read and the grid lookup happen under one state read guard:
+    /// commits publish pages and grids under the state write lock, and
+    /// evictions (which precede any republish) only ever *remove* grids, so
+    /// a grid observed here summarises exactly the pixels read here.
+    fn load(
+        &self,
+        mask_id: MaskId,
+        with_grid: bool,
+    ) -> StorageResult<(Mask, Option<Arc<TileGrid>>)> {
+        let (blob, grid) = {
+            let state = self.state.read();
+            let entry = state
+                .dir
+                .entries
+                .get(&mask_id)
+                .ok_or(StorageError::MaskNotFound(mask_id))?;
+            let blob = state
+                .pager
+                .read_extent(entry.start, entry.pages, entry.bytes)?;
+            (blob, with_grid.then(|| self.tiles.get(mask_id)).flatten())
+        };
+        let bytes = blob.len() as u64;
+        self.io
+            .record_read(bytes, self.config.profile.read_cost(bytes, 1));
+        self.io.record_mask_loaded();
+        let (_, mask) = format::decode_mask(&blob)?;
+        Ok((mask, grid))
     }
 }
 
@@ -906,43 +903,11 @@ impl MaskStore for DurableMaskStore {
     }
 
     fn get(&self, mask_id: MaskId) -> StorageResult<Mask> {
-        let (blob, bytes) = {
-            let state = self.state.read();
-            let entry = state
-                .dir
-                .entries
-                .get(&mask_id)
-                .cloned()
-                .ok_or(StorageError::MaskNotFound(mask_id))?;
-            (self.read_blob(&entry, &state)?, entry.bytes)
-        };
-        self.io
-            .record_read(bytes, self.config.profile.read_cost(bytes, 1));
-        self.io.record_mask_loaded();
-        let (_, mask) = format::decode_mask(&blob)?;
-        Ok(mask)
+        Ok(self.load(mask_id, false)?.0)
     }
 
     fn get_tiled(&self, mask_id: MaskId) -> StorageResult<TiledMask> {
-        // Blob read and grid lookup happen under one state read guard:
-        // commits publish pages and grids under the state write lock, and
-        // evictions (which precede any republish) only ever *remove* grids,
-        // so a grid observed here summarises exactly the pixels read here.
-        let (blob, bytes, grid) = {
-            let state = self.state.read();
-            let entry = state
-                .dir
-                .entries
-                .get(&mask_id)
-                .cloned()
-                .ok_or(StorageError::MaskNotFound(mask_id))?;
-            let blob = self.read_blob(&entry, &state)?;
-            (blob, entry.bytes, self.tiles.get(mask_id))
-        };
-        self.io
-            .record_read(bytes, self.config.profile.read_cost(bytes, 1));
-        self.io.record_mask_loaded();
-        let (_, mask) = format::decode_mask(&blob)?;
+        let (mask, grid) = self.load(mask_id, true)?;
         let mask = Arc::new(mask);
         Ok(match grid {
             Some(grid) => TiledMask::with_grid(mask, grid),
@@ -1092,7 +1057,7 @@ fn reconcile_indexes(
     tiles_path: &Path,
     config: &DbConfig,
     dir: &Directory,
-    pager: &mut Pager,
+    pager: &Pager,
     touched_by_replay: impl Fn(&BlobEntry) -> bool,
 ) -> StorageResult<(ChiStore, TileStore)> {
     let chi = match ChiStore::load(chi_path) {
@@ -1121,18 +1086,13 @@ fn reconcile_indexes(
             }
         }
     }
-    let page_size = config.page_size as usize;
     for (mask_id, entry) in &dir.entries {
         let need_chi = !chi.contains(*mask_id);
         let need_tiles = !tiles.contains(*mask_id);
         if !need_chi && !need_tiles {
             continue;
         }
-        let mut blob = Vec::with_capacity(entry.pages as usize * page_size);
-        for page_no in entry.start..entry.start + entry.pages as u64 {
-            blob.extend_from_slice(&pager.read_page(page_no)?);
-        }
-        blob.truncate(entry.bytes as usize);
+        let blob = pager.read_extent(entry.start, entry.pages, entry.bytes)?;
         let (_, mask) = format::decode_mask(&blob)?;
         if need_chi {
             chi.index_mask(*mask_id, &mask);
@@ -1161,7 +1121,6 @@ mod tests {
     fn small_config() -> DbConfig {
         DbConfig::default()
             .page_size(256)
-            .pool_pages(32)
             .chi_config(ChiConfig::new(4, 4, 4).unwrap())
             .checkpoint_wal_bytes(0)
     }

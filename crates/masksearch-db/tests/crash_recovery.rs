@@ -24,7 +24,6 @@ fn temp_dir(name: &str) -> PathBuf {
 fn config() -> DbConfig {
     DbConfig::default()
         .page_size(128)
-        .pool_pages(64)
         .chi_config(ChiConfig::new(2, 2, 4).unwrap())
         .checkpoint_wal_bytes(0)
 }
@@ -244,21 +243,21 @@ fn crash_between_db_flush_and_wal_truncation_is_idempotent() {
 #[test]
 fn fsync_off_under_memory_pressure_still_recovers_a_committed_prefix() {
     // With fsync off, recent commits may be LOST on crash but must never be
-    // TORN. The dangerous interaction is extent reuse + buffer-pool
-    // pressure: if eviction wrote dirty pages to the database file before
-    // the covering WAL record was durable, a lost log tail would leave the
-    // surviving directory pointing at physically overwritten pages. The
-    // log-ahead rule (dirty pages pinned until a WAL-synced checkpoint)
-    // forbids that — the database file must stay untouched between
-    // checkpoints no matter how small the pool is.
+    // TORN. The dangerous interaction is extent reuse + memory pressure:
+    // if dirty pages were written to the database file before the covering
+    // WAL record was durable, a lost log tail would leave the surviving
+    // directory pointing at physically overwritten pages. The log-ahead
+    // rule (dirty pages stay in the pager's table until a WAL-synced
+    // checkpoint) forbids that — the database file must stay untouched
+    // between checkpoints however many pages are dirty.
     let src = temp_dir("nofsync-src");
-    let config = config().fsync(false).pool_pages(1); // clamps to the minimum pool
+    let config = config().fsync(false);
     let expected_states: Vec<BTreeMap<MaskId, Mask>> = {
         let db = MaskDb::open(&src, config).unwrap();
         let mut model = BTreeMap::new();
         let mut states = vec![model.clone()];
         // Repeatedly overwrite a small id set so freed extents get reused
-        // while the pool is far too small to hold the working set. (At most
+        // while their earlier images are still dirty. (At most
         // 10 rounds: the 4x4 mask generator cycles mod 11, and two rounds
         // with identical pixels would make prefix indices ambiguous.)
         for round in 0..8u32 {

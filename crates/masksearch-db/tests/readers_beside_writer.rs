@@ -1,0 +1,183 @@
+//! Readers beside a writer that checkpoints every few commits.
+//!
+//! Loads read a mask's extent from the pager's dirty table and the page
+//! file without any clean-page cache in between, so their correctness rests
+//! on two orderings: a checkpoint empties the dirty table only *after* the
+//! page file holds the pages, and a reader resolves the directory entry and
+//! reads the extent under one state guard. Break either and a reader gets
+//! pages of another mask, another version, or a mix; this test reads
+//! version-stamped masks fast enough to land inside those windows.
+
+use masksearch_core::{Mask, MaskId, MaskRecord};
+use masksearch_db::{DbConfig, DurableMaskStore};
+use masksearch_index::ChiConfig;
+use masksearch_storage::{MaskEncoding, MaskStore};
+use std::fs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
+
+const IDS: u64 = 32;
+const SIDE: u32 = 16;
+const PIXELS: usize = (SIDE * SIDE) as usize;
+const READERS: usize = 4;
+const COMMITS: u64 = 400;
+const BATCH: u64 = 4;
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "masksearch-readers-writer-{}-{}",
+        name,
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Version `version` of mask `id`. The last pixel carries the version; a
+/// version-dependent prefix is noisy and the rest flat, so the compressed
+/// blob — and with it the extent's page count — changes from version to
+/// version and freed extents get reused by other masks.
+fn stamped(id: u64, version: u64) -> Mask {
+    let noisy = (version % 4) as usize * 64;
+    let flat = ((id * 37 + version * 11) % 199) as f32 / 200.0;
+    let mut data: Vec<f32> = (0..PIXELS)
+        .map(|i| {
+            if i < noisy {
+                ((i as u64 * 7919 + id * 104_729 + version * 1_299_709) % 65_521) as f32 / 65_536.0
+            } else {
+                flat
+            }
+        })
+        .collect();
+    data[PIXELS - 1] = version as f32 / 65_536.0;
+    Mask::new(SIDE, SIDE, data).unwrap()
+}
+
+fn version_of(mask: &Mask) -> u64 {
+    (mask.data()[PIXELS - 1] * 65_536.0) as u64
+}
+
+fn record(id: u64) -> MaskRecord {
+    MaskRecord::builder(MaskId::new(id))
+        .shape(SIDE, SIDE)
+        .build()
+}
+
+fn versions(
+    ids: impl Iterator<Item = u64>,
+    version: impl Fn(u64) -> u64,
+) -> Vec<(MaskRecord, Mask)> {
+    ids.map(|id| (record(id), stamped(id, version(id))))
+        .collect()
+}
+
+#[test]
+fn every_read_is_exactly_one_committed_version() {
+    let dir = temp_dir("versions");
+    let config = DbConfig::default()
+        .page_size(256)
+        .fsync(false)
+        .encoding(MaskEncoding::Compressed)
+        .chi_config(ChiConfig::new(4, 4, 4).unwrap())
+        // A commit logs 6-8 KB (4 blobs + the directory): a checkpoint
+        // every two or three commits.
+        .checkpoint_wal_bytes(16 * 1024);
+    let store = DurableMaskStore::open(&dir, config).unwrap();
+    store.insert_masks(&versions(0..IDS, |_| 1)).unwrap();
+
+    // Per id: the version whose commit has started, and the version whose
+    // commit has returned. A read that starts after `committed` says v and
+    // ends before `started` says w must return a version in v..=w.
+    let started: Vec<AtomicU64> = (0..IDS).map(|_| AtomicU64::new(1)).collect();
+    let committed: Vec<AtomicU64> = (0..IDS).map(|_| AtomicU64::new(1)).collect();
+    let done = AtomicBool::new(false);
+    let barrier = Barrier::new(READERS + 1);
+
+    let (reads, grids) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|reader| {
+                let (store, started, committed, done, barrier) =
+                    (&store, &started, &committed, &done, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let (mut reads, mut grids) = (0u64, 0u64);
+                    let mut next = reader as u64 * 7;
+                    while !done.load(Ordering::SeqCst) {
+                        next = (next + 5) % IDS;
+                        let id = next;
+                        let at_least = committed[id as usize].load(Ordering::SeqCst);
+                        let mask = if reads % 2 == 0 {
+                            store.get(MaskId::new(id)).unwrap()
+                        } else {
+                            let tiled = store.get_tiled(MaskId::new(id)).unwrap();
+                            if tiled.has_grid() {
+                                grids += 1;
+                                assert!(
+                                    tiled.grid().verify(tiled.mask()),
+                                    "mask {id}: grid does not summarise the pixels it came with"
+                                );
+                            }
+                            tiled.mask().clone()
+                        };
+                        let at_most = started[id as usize].load(Ordering::SeqCst);
+                        let version = version_of(&mask);
+                        assert!(
+                            mask == stamped(id, version),
+                            "mask {id}: pixels are not version {version} of it"
+                        );
+                        assert!(
+                            (at_least..=at_most).contains(&version),
+                            "mask {id}: read version {version}, committed {at_least}..={at_most}"
+                        );
+                        reads += 1;
+                    }
+                    (reads, grids)
+                })
+            })
+            .collect();
+
+        barrier.wait();
+        for commit in 0..COMMITS {
+            let ids = (0..BATCH).map(|k| (commit * 3 + k * 9) % IDS);
+            let batch = versions(ids, |id| {
+                let version = started[id as usize].load(Ordering::SeqCst) + 1;
+                started[id as usize].store(version, Ordering::SeqCst);
+                version
+            });
+            store.insert_masks(&batch).unwrap();
+            for (record, mask) in &batch {
+                committed[record.mask_id.raw() as usize].store(version_of(mask), Ordering::SeqCst);
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader panicked"))
+            .fold((0, 0), |(r, g), (reads, grids)| (r + reads, g + grids))
+    });
+
+    let checkpoints = store.ingest_stats().unwrap().checkpoints;
+    assert!(store.take_checkpoint_error().is_none());
+    assert!(
+        checkpoints >= COMMITS / 8,
+        "only {checkpoints} checkpoints in {COMMITS} commits"
+    );
+    assert!(
+        reads >= checkpoints && grids > 0,
+        "{reads} reads ({grids} with a grid) beside {checkpoints} checkpoints"
+    );
+
+    // The final state, from memory and again from the files alone.
+    let check_final = |store: &DurableMaskStore| {
+        for id in 0..IDS {
+            let version = committed[id as usize].load(Ordering::SeqCst);
+            assert_eq!(store.get(MaskId::new(id)).unwrap(), stamped(id, version));
+        }
+        assert_eq!(store.verify_tile_summaries().unwrap(), IDS as usize);
+    };
+    check_final(&store);
+    drop(store);
+    check_final(&DurableMaskStore::open(&dir, config).unwrap());
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -49,9 +49,13 @@ global_counters! {
     (DB_CHECKPOINTS, "db_checkpoints"),
     /// Microseconds spent inside checkpoints.
     (DB_CHECKPOINT_US, "db_checkpoint_us"),
-    /// Pages read through the pager.
+    /// Positioned reads the pager issued against the page file (one per run
+    /// of non-dirty pages in an extent; dirty pages are copied, not read).
     (PAGER_READS, "pager_reads"),
-    /// Pages written through the pager.
+    /// Bytes those reads transferred; ÷ `pager_reads` = bytes per read.
+    (PAGER_READ_BYTES, "pager_read_bytes"),
+    /// Page images handed to the pager (they wait in its dirty table until
+    /// the next checkpoint).
     (PAGER_WRITES, "pager_writes"),
     /// Shard requests issued by coordinator scatter rounds.
     (SCATTER_REQUESTS, "scatter_requests"),

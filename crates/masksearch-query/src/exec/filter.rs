@@ -210,8 +210,10 @@ pub fn execute(
     let mut stats = QueryStats {
         candidates: candidates.len() as u64,
         pruned,
-        accepted_without_load: (accepted.len() as u64)
-            .saturating_sub(io_delta.masks_loaded.min(accepted.len() as u64)),
+        // Masks admitted purely from bounds.
+        accepted_without_load: (candidates.len() as u64)
+            .saturating_sub(pruned)
+            .saturating_sub(to_verify.len() as u64),
         verified: to_verify.len() as u64,
         indexes_built: verified.built,
         tiles_pruned: tiles.tiles_pruned,
@@ -225,10 +227,6 @@ pub fn execute(
         total_wall: elapsed(total_start),
         ..Default::default()
     };
-    // accepted_without_load counts masks admitted purely from bounds.
-    stats.accepted_without_load = (candidates.len() as u64)
-        .saturating_sub(pruned)
-        .saturating_sub(to_verify.len() as u64);
     apply_io_delta(&mut stats, &io_delta);
 
     Ok(QueryOutput {

@@ -28,7 +28,6 @@ fn temp_dir(name: &str) -> PathBuf {
 fn config() -> DbConfig {
     DbConfig::default()
         .page_size(128)
-        .pool_pages(64)
         .chi_config(ChiConfig::new(2, 2, 4).unwrap())
         .checkpoint_wal_bytes(0)
 }
