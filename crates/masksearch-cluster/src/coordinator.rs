@@ -865,7 +865,9 @@ impl Coordinator {
             }
             masksearch_sql::Routing::Ranked { k, order } => {
                 self.inner.metrics.record_query();
-                Ok(ClusterReply::Rows(Box::new(self.ranked_query(sql, k, order)?)))
+                Ok(ClusterReply::Rows(Box::new(
+                    self.ranked_query(sql, k, order)?,
+                )))
             }
             masksearch_sql::Routing::ByImage => {
                 let masksearch_sql::Statement::Mutation(Mutation::Insert(batch)) = statement else {

@@ -7,35 +7,44 @@
 //! Replication is **WAL shipping over a shared filesystem**: the replica
 //! reads the primary's `masks.wal` file directly (primary and replica run
 //! on the same host or a shared mount — the deployment this repo's
-//! in-process cluster tests and benchmarks model). The tailer remembers a
-//! byte watermark into that file, and each poll scans forward from it with
-//! the same torn-tail-tolerant scanner crash recovery uses
+//! in-process cluster tests and benchmarks model). The tailer keeps the file
+//! open and remembers a byte watermark into it; each poll reads only what
+//! was appended past the watermark and scans it with the same
+//! torn-tail-tolerant scanner crash recovery uses
 //! ([`masksearch_db::wal::scan_committed`]): a half-written transaction is
 //! simply not there yet, and only whole committed transactions are applied.
 //!
 //! Each applied transaction goes through
-//! [`DurableMaskStore::apply_replicated`](masksearch_db::DurableMaskStore::apply_replicated),
-//! which re-logs it in the replica's own WAL (so the replica crash-recovers
-//! like any database), installs the page after-images, and maintains the
-//! CHI and tile indexes; the serving session then refreshes its catalog and
-//! caches. A query on the replica therefore always sees a committed prefix
-//! of the primary's write history — possibly a beat behind, never torn.
+//! [`DurableMaskStore::apply_replicated`](masksearch_db::DurableMaskStore::apply_replicated).
+//! The transaction's directory delta says which masks it removes and
+//! upserts, and its page images hold the upserted masks' extents; the
+//! replica commits exactly that batch through its *own* WAL, free space and
+//! checkpoints (so it crash-recovers like any database and may checkpoint
+//! whenever it likes — it shares masks with the primary, not page numbers),
+//! and maintains the CHI and tile indexes; the serving session then
+//! refreshes its catalog and caches. A query on the replica therefore always
+//! sees a committed prefix of the primary's write history — possibly a beat
+//! behind, never torn.
 //!
 //! ## Requirements on the primary
 //!
-//! The primary must keep its WAL growing monotonically while replicas tail
-//! it: open it with `checkpoint_wal_bytes(0)` (no automatic truncation) and
-//! do not call `checkpoint()` while a replica is attached. A tailer that
-//! observes the file shrink below its watermark reports a desync error and
-//! stops rather than guessing.
+//! The primary's WAL is the only thing shipped, so it must hold the
+//! primary's whole history and keep growing while replicas tail it: open the
+//! primary with `checkpoint_wal_bytes(0)` (no automatic truncation) and do
+//! not call `checkpoint()` on it. A tailer that finds the log starting with
+//! a commit instead of the database's bootstrap (it was checkpointed before
+//! the replica attached), or observes the file shrink below its watermark,
+//! reports an error and stops rather than serving a partial copy.
 
 use crate::error::{ClusterError, ClusterResult};
 use masksearch_db::wal::{header_page_size, scan_committed, WAL_HEADER_LEN};
 use masksearch_db::{DbConfig, MaskDb, WAL_FILE};
 use masksearch_query::{Session, SessionConfig};
 use masksearch_service::{Engine, Server, ServerHandle, ServiceConfig};
+use std::fs::File;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -74,12 +83,17 @@ impl ReplicaShard {
         let page_size = db.store().config().page_size;
         // Fail fast on a mismatched primary instead of letting the tailer
         // discover it asynchronously.
-        let header = std::fs::read(&primary_wal).map_err(|e| {
+        let wal_error = |e| {
             ClusterError::Internal(format!(
                 "reading primary wal {}: {e}",
                 primary_wal.display()
             ))
-        })?;
+        };
+        let primary_wal_file = File::open(&primary_wal).map_err(wal_error)?;
+        let mut header = [0u8; WAL_HEADER_LEN as usize];
+        primary_wal_file
+            .read_exact_at(&mut header, 0)
+            .map_err(wal_error)?;
         let primary_page_size = header_page_size(&header)
             .map_err(|e| ClusterError::Internal(format!("primary wal header: {e}")))?;
         if primary_page_size != page_size {
@@ -113,7 +127,7 @@ impl ReplicaShard {
                 .name("masksearch-replica-tailer".to_string())
                 .spawn(move || {
                     if let Err(e) =
-                        tail_wal(&primary_wal, page_size, &db, &session, &stop, &applied)
+                        tail_wal(&primary_wal_file, page_size, &db, &session, &stop, &applied)
                     {
                         *error.lock().unwrap() = Some(e);
                     }
@@ -197,33 +211,50 @@ impl Drop for ReplicaShard {
     }
 }
 
-/// The tailer loop: poll the primary's WAL, apply newly committed
-/// transactions, refresh the serving session. Returns `Ok` on a requested
-/// stop and `Err` with a description on desync or an apply failure.
+/// The tailer loop: poll the primary's WAL for bytes past the applied
+/// watermark, apply the transactions committed in them, refresh the serving
+/// session. Returns `Ok` on a requested stop and `Err` with a description on
+/// desync or an apply failure.
 fn tail_wal(
-    primary_wal: &PathBuf,
+    primary_wal: &File,
     page_size: u32,
     db: &MaskDb,
     session: &Session,
     stop: &AtomicBool,
     applied: &AtomicU64,
 ) -> Result<(), String> {
+    let mut watermark = applied.load(Ordering::Acquire);
     while !stop.load(Ordering::Acquire) {
-        let watermark = applied.load(Ordering::Acquire);
-        let bytes = std::fs::read(primary_wal)
-            .map_err(|e| format!("reading primary wal {}: {e}", primary_wal.display()))?;
-        if (bytes.len() as u64) < watermark {
+        let len = primary_wal
+            .metadata()
+            .map_err(|e| format!("reading primary wal length: {e}"))?
+            .len();
+        if len < watermark {
             return Err(format!(
-                "primary wal shrank below the applied watermark ({} < {watermark}): the \
+                "primary wal shrank below the applied watermark ({len} < {watermark}): the \
                  primary checkpointed while replicated; replicas require \
-                 checkpoint_wal_bytes(0)",
-                bytes.len()
+                 checkpoint_wal_bytes(0)"
             ));
         }
-        let (txns, new_watermark) = scan_committed(&bytes, page_size, watermark);
+        // The file may grow between the length and the read; what is past
+        // `len` is picked up by the next poll.
+        let mut bytes = vec![0u8; (len - watermark) as usize];
+        primary_wal
+            .read_exact_at(&mut bytes, watermark)
+            .map_err(|e| format!("reading primary wal at {watermark}: {e}"))?;
+        let (txns, consumed) = scan_committed(&bytes, page_size);
         if txns.is_empty() {
+            // Nothing new, or a transaction still being written.
             std::thread::sleep(POLL_INTERVAL);
             continue;
+        }
+        if watermark == WAL_HEADER_LEN && txns[0].delta.is_some() {
+            return Err(
+                "primary wal starts with a commit, not the database's bootstrap: it was \
+                 checkpointed before this replica attached, and the masks written until \
+                 then are not in it"
+                    .to_string(),
+            );
         }
         let mut changed = Vec::new();
         for txn in &txns {
@@ -237,7 +268,63 @@ fn tail_wal(
         // applied: readers see shard-atomic states, never a half-applied
         // transaction.
         session.sync_replicated(db.catalog(), &changed);
-        applied.store(new_watermark, Ordering::Release);
+        watermark += consumed as u64;
+        applied.store(watermark, Ordering::Release);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use masksearch_core::{Mask, MaskId, MaskRecord};
+    use masksearch_index::ChiConfig;
+    use masksearch_storage::MaskStore;
+
+    #[test]
+    fn a_log_that_lost_its_beginning_is_refused_not_half_applied() {
+        let base =
+            std::env::temp_dir().join(format!("masksearch-replica-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let chi = ChiConfig::new(4, 4, 4).unwrap();
+        let config = DbConfig::default()
+            .page_size(256)
+            .chi_config(chi)
+            .checkpoint_wal_bytes(0);
+        let entry = |id: u64| {
+            (
+                MaskRecord::builder(MaskId::new(id)).shape(8, 8).build(),
+                Mask::from_fn(8, 8, move |x, y| ((x + y + id as u32) % 7) as f32 / 7.0),
+            )
+        };
+        // The primary checkpointed masks 1 and 2 out of its log before the
+        // replica attached; what the log still holds deletes one of them
+        // and adds a third.
+        let primary = MaskDb::open(base.join("primary"), config).unwrap();
+        primary.insert_masks(&[entry(1), entry(2)]).unwrap();
+        primary.checkpoint().unwrap();
+        primary.delete_masks(&[MaskId::new(1)]).unwrap();
+        primary.insert_masks(&[entry(3)]).unwrap();
+
+        let replica = ReplicaShard::start(
+            base.join("primary"),
+            base.join("replica"),
+            config,
+            SessionConfig::new(chi),
+            ServiceConfig::new(1),
+        )
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while replica.tailer_error().is_none() {
+            assert!(Instant::now() < deadline, "the tailer kept going");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let error = replica.tailer_error().unwrap();
+        assert!(error.contains("bootstrap"), "{error}");
+        assert!(replica.db().store().is_empty());
+        assert_eq!(replica.applied_bytes(), WAL_HEADER_LEN);
+        replica.shutdown();
+        drop(primary);
+        std::fs::remove_dir_all(&base).unwrap();
+    }
 }

@@ -249,6 +249,16 @@ impl Mask {
         self.data[(y as usize) * (self.width as usize) + (x as usize)] = v;
     }
 
+    /// Copies `other`'s pixels over this mask's, keeping this mask's
+    /// allocation. Returns `false` (changing nothing) if the shapes differ.
+    pub fn overwrite_with(&mut self, other: &Mask) -> bool {
+        let same_shape = self.shape() == other.shape();
+        if same_shape {
+            self.data.copy_from_slice(&other.data);
+        }
+        same_shape
+    }
+
     /// Returns one row of pixels as a slice.
     #[inline]
     pub fn row(&self, y: u32) -> &[f32] {

@@ -563,6 +563,18 @@ impl TiledMask {
         tiled
     }
 
+    /// Replaces the pixels with `mask`'s, reusing this value's allocation,
+    /// provided nothing else holds the underlying mask and the shapes
+    /// agree; the grid then describes pixels that are gone, so it is dropped
+    /// and rebuilt on next use. Returns whether the pixels were replaced.
+    pub fn overwrite(&mut self, mask: &Mask) -> bool {
+        let replaced = Arc::get_mut(&mut self.mask).is_some_and(|own| own.overwrite_with(mask));
+        if replaced {
+            self.grid = OnceLock::new();
+        }
+        replaced
+    }
+
     /// The underlying mask.
     pub fn mask(&self) -> &Mask {
         &self.mask

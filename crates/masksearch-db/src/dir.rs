@@ -1,10 +1,11 @@
 //! The mask directory: where each mask's pages live, plus its catalog
 //! record.
 //!
-//! The directory is the database's only piece of variable-size metadata. It
-//! is serialised into its own page extent (pointed to by the meta page) and
-//! rewritten through the WAL on every commit, so a mask's pixels and its
-//! metadata can never be separated by a crash. Embedding the full
+//! The directory is the database's only piece of variable-size metadata. A
+//! commit logs what it changes as a [`DirDelta`] in the same WAL transaction
+//! as the pixels, so a mask's pixels and its metadata can never be separated
+//! by a crash; the whole directory is serialised into its own page extent
+//! (pointed to by the meta page) once per checkpoint. Embedding the full
 //! [`MaskRecord`] also lets [`crate::MaskDb::catalog`] rebuild the query
 //! layer's catalog after recovery.
 
@@ -17,6 +18,8 @@ use std::collections::BTreeMap;
 
 /// Magic bytes prefixing a serialised directory.
 pub const DIR_MAGIC: [u8; 4] = *b"MSDE";
+/// Magic bytes prefixing a serialised directory delta.
+pub const DELTA_MAGIC: [u8; 4] = *b"MSDD";
 
 /// Location and metadata of one stored mask.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,10 +42,106 @@ pub struct Directory {
     pub entries: BTreeMap<MaskId, BlobEntry>,
 }
 
+fn write_entry(w: &mut Writer, entry: &BlobEntry) {
+    w.write_u64(entry.start);
+    w.write_u32(entry.pages);
+    w.write_u64(entry.bytes);
+    write_record(w, &entry.record);
+}
+
+fn read_entry(r: &mut Reader<'_>) -> StorageResult<BlobEntry> {
+    Ok(BlobEntry {
+        start: r.read_u64()?,
+        pages: r.read_u32()?,
+        bytes: r.read_u64()?,
+        record: read_record(r)?,
+    })
+}
+
+fn expect_magic(r: &mut Reader<'_>, expected: [u8; 4], what: &str) -> StorageResult<()> {
+    let found = r.read_magic()?;
+    if found != expected {
+        return Err(StorageError::BadMagic {
+            path: format!("<{what}>"),
+            found,
+        });
+    }
+    Ok(())
+}
+
+/// What one commit changes in the directory: the payload of a WAL delta
+/// frame. Applying a log's deltas in order to the directory they started
+/// from — or to any later state of the same history — ends in the state the
+/// last one left, which is what lets recovery replay a log over a page file
+/// that a checkpoint had already brought up to date.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DirDelta {
+    /// Ids whose entries the commit removed (applied before `upserts`, so a
+    /// delete and re-insert of one id in one batch keeps the insert).
+    pub removed: Vec<MaskId>,
+    /// Entries the commit inserted or replaced.
+    pub upserts: Vec<BlobEntry>,
+    /// Pages the database logically spans after the commit.
+    pub page_count: u64,
+}
+
+impl DirDelta {
+    /// Serialises the delta.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.write_bytes(&DELTA_MAGIC);
+        w.write_u64(self.page_count);
+        w.write_u32(self.removed.len() as u32);
+        for id in &self.removed {
+            w.write_u64(id.raw());
+        }
+        w.write_u32(self.upserts.len() as u32);
+        for entry in &self.upserts {
+            write_entry(&mut w, entry);
+        }
+        w.into_bytes()
+    }
+
+    /// Deserialises a delta written by [`DirDelta::encode`].
+    pub fn decode(bytes: &[u8]) -> StorageResult<Self> {
+        let mut r = Reader::new(bytes, "mask database directory delta");
+        expect_magic(&mut r, DELTA_MAGIC, "mask database directory delta")?;
+        let page_count = r.read_u64()?;
+        let removed = (0..r.read_u32()?)
+            .map(|_| r.read_u64().map(MaskId::new))
+            .collect::<StorageResult<_>>()?;
+        let upserts = (0..r.read_u32()?)
+            .map(|_| read_entry(&mut r))
+            .collect::<StorageResult<_>>()?;
+        if r.remaining() != 0 {
+            return Err(StorageError::corrupt(
+                "trailing bytes after a directory delta",
+            ));
+        }
+        Ok(Self {
+            removed,
+            upserts,
+            page_count,
+        })
+    }
+}
+
 impl Directory {
     /// Creates an empty directory.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Applies one commit's changes. Removing an id that is not there is
+    /// not an error: recovery may replay a delta over a directory that
+    /// already reflects it.
+    pub fn apply(&mut self, delta: DirDelta) {
+        for id in &delta.removed {
+            self.entries.remove(id);
+        }
+        for entry in delta.upserts {
+            self.entries.insert(entry.record.mask_id, entry);
+        }
     }
 
     /// Serialises the directory.
@@ -52,10 +151,7 @@ impl Directory {
         w.write_u64(self.entries.len() as u64);
         for (id, entry) in &self.entries {
             debug_assert_eq!(*id, entry.record.mask_id);
-            w.write_u64(entry.start);
-            w.write_u32(entry.pages);
-            w.write_u64(entry.bytes);
-            write_record(&mut w, &entry.record);
+            write_entry(&mut w, entry);
         }
         w.into_bytes()
     }
@@ -63,29 +159,12 @@ impl Directory {
     /// Deserialises a directory written by [`Directory::encode`].
     pub fn decode(bytes: &[u8]) -> StorageResult<Self> {
         let mut r = Reader::new(bytes, "mask database directory");
-        let magic = r.read_magic()?;
-        if magic != DIR_MAGIC {
-            return Err(StorageError::BadMagic {
-                path: "<mask database directory>".to_string(),
-                found: magic,
-            });
-        }
+        expect_magic(&mut r, DIR_MAGIC, "mask database directory")?;
         let count = r.read_u64()?;
         let mut entries = BTreeMap::new();
         for _ in 0..count {
-            let start = r.read_u64()?;
-            let pages = r.read_u32()?;
-            let bytes = r.read_u64()?;
-            let record = read_record(&mut r)?;
-            entries.insert(
-                record.mask_id,
-                BlobEntry {
-                    start,
-                    pages,
-                    bytes,
-                    record,
-                },
-            );
+            let entry = read_entry(&mut r)?;
+            entries.insert(entry.record.mask_id, entry);
         }
         Ok(Self { entries })
     }
@@ -122,6 +201,42 @@ mod tests {
         let decoded = Directory::decode(&dir.encode()).unwrap();
         assert_eq!(decoded, dir);
         assert_eq!(decoded.total_bytes(), 596);
+    }
+
+    #[test]
+    fn delta_round_trips_and_replays_idempotently() {
+        let mut dir = Directory::new();
+        dir.entries.insert(MaskId::new(3), entry(3, 1, 2, 500));
+        dir.entries.insert(MaskId::new(7), entry(7, 3, 1, 96));
+        let deltas = [
+            DirDelta {
+                removed: vec![MaskId::new(7)],
+                upserts: vec![entry(3, 4, 2, 480), entry(9, 6, 1, 90)],
+                page_count: 7,
+            },
+            // Deletes and re-inserts id 9 in one batch: the insert wins.
+            DirDelta {
+                removed: vec![MaskId::new(9), MaskId::new(3)],
+                upserts: vec![entry(9, 1, 1, 70)],
+                page_count: 7,
+            },
+        ];
+        for delta in &deltas {
+            assert_eq!(&DirDelta::decode(&delta.encode()).unwrap(), delta);
+            let bytes = delta.encode();
+            assert!(DirDelta::decode(&bytes[..bytes.len() - 1]).is_err());
+        }
+        for delta in deltas.iter().cloned() {
+            dir.apply(delta);
+        }
+        let mut expected = Directory::new();
+        expected.entries.insert(MaskId::new(9), entry(9, 1, 1, 70));
+        assert_eq!(dir, expected);
+        // Replaying the whole sequence over its own result changes nothing.
+        for delta in deltas {
+            dir.apply(delta);
+        }
+        assert_eq!(dir, expected);
     }
 
     #[test]

@@ -15,36 +15,41 @@
 //!            ▼                                              ▼
 //!  ┌──────────────────┐   page after-images   ┌───────────────────────────┐
 //!  │ commit planner    │ ───────────────────▶ │ WAL  masks.wal            │
-//!  │ (blob extents,    │   + commit record,   │ (checksummed frames;      │
-//!  │  directory, meta) │   fsync              │  torn tails discarded)    │
+//!  │ (blob extents,    │   + directory delta  │ (checksummed frames;      │
+//!  │  directory delta) │   + commit, fsync    │  torn tails discarded)    │
 //!  └────────┬─────────┘                       └────────────┬──────────────┘
-//!           │ apply under write lock                       │ checkpoint:
-//!           ▼                                              ▼ copy back + truncate
+//!           │ apply under write lock                       │ checkpoint: log the
+//!           ▼                                              ▼ directory, copy back, truncate
 //!  ┌──────────────────┐  flush, then empty    ┌───────────────────────────┐
 //!  │ pager: write-back │ ───────────────────▶ │ page file  masks.db       │
 //!  │ table of dirty    │ ◀─────────────────── │ (a load = one positioned  │
 //!  │ pages, no cache   │  clean runs of an    │  read of the extent)      │
 //!  └────────┬─────────┘  extent              └───────────────────────────┘
-//!           │ on commit: index inserted /                  │ checkpoint:
-//!           ▼ evict deleted                                ▼ temp + rename
+//!           │ on commit: index inserted /                  │ checkpoint: append the
+//!           ▼ evict deleted                                ▼ entries that changed
 //!  ┌──────────────────┐                       ┌───────────────────────────┐
 //!  │ ChiStore (shared  │ ───────────────────▶ │ CHI file  masks.chi       │
-//!  │ with the Session) │                      └───────────────────────────┘
-//!  └──────────────────┘
+//!  │ with the Session) │                      │ (checksummed segments)    │
+//!  └──────────────────┘                       └───────────────────────────┘
 //! ```
 //!
 //! * [`pager`] — the page file plus a write-back table of the pages
 //!   committed since the last checkpoint. No clean-page cache: the OS page
 //!   cache sits below it and the decoded-mask cache above it, so a load is
 //!   one positioned read of the mask's extent (dirty pages are copied from
-//!   the table instead).
-//! * [`wal`] — the write-ahead log: page after-images + commit records,
-//!   checksummed so recovery can cut a torn tail at any byte boundary.
-//! * [`dir`] — the mask directory (blob extents + full catalog records),
-//!   itself stored in WAL-protected pages.
-//! * [`store`] — [`DurableMaskStore`]: atomic multi-page commits, snapshot
-//!   batch visibility for concurrent readers, live CHI maintenance,
-//!   checkpointing.
+//!   the table instead), and a flush is one positioned write per run of
+//!   consecutive dirty pages.
+//! * [`wal`] — the write-ahead log: page after-images, one directory delta
+//!   per commit (or the whole directory, as page images, per checkpoint) and
+//!   commit records, checksummed so recovery can cut a torn tail at any byte
+//!   boundary.
+//! * [`dir`] — the mask directory (blob extents + full catalog records) and
+//!   the delta a commit logs against it; the directory itself reaches its
+//!   WAL-protected pages once per checkpoint.
+//! * [`store`] — [`DurableMaskStore`]: atomic multi-page commits that cost
+//!   what they write, snapshot batch visibility for concurrent readers, live
+//!   CHI maintenance, checkpoints that cost what changed since the last one
+//!   (the module docs give the commit, checkpoint and recovery protocols).
 //! * [`db`] — [`MaskDb`], the directory-level handle.
 //!
 //! ## Guarantees
@@ -67,16 +72,19 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod alloc;
+mod atomic;
 pub mod db;
 pub mod dir;
 pub mod page;
 pub mod pager;
+mod snapshot;
 pub mod stats;
 pub mod store;
 pub mod wal;
 
 pub use db::MaskDb;
-pub use dir::{BlobEntry, Directory};
+pub use dir::{BlobEntry, DirDelta, Directory};
 pub use page::{Meta, PageNo};
 pub use pager::Pager;
 pub use stats::IngestStats;

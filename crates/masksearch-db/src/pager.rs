@@ -29,6 +29,10 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
+/// Most bytes [`Pager::flush`] gathers into one write: long runs are split
+/// so the copy buffer stays small beside the table it drains.
+const MAX_WRITE_BYTES: usize = 1 << 20;
+
 struct Table {
     /// Page images written since the last flush.
     dirty: BTreeMap<PageNo, Vec<u8>>,
@@ -146,22 +150,39 @@ impl Pager {
         self.table.get_mut().dirty.insert(page_no, data);
     }
 
-    /// Writes every dirty page to the file, fsyncs, and then empties the
-    /// table (the checkpoint step). Readers keep running throughout: until
-    /// the table is emptied they take dirty pages from it, afterwards from
-    /// the now-durable file.
+    /// Writes every dirty page to the file — each run of consecutive pages
+    /// with one positioned write — fsyncs, and then empties the table (the
+    /// checkpoint step). Readers keep running throughout: until the table is
+    /// emptied they take dirty pages from it, afterwards from the
+    /// now-durable file.
     pub fn flush(&self) -> StorageResult<()> {
         let file_pages = {
             let table = self.table.read();
-            for (&page_no, image) in &table.dirty {
+            let mut run: Vec<u8> = Vec::new();
+            let mut run_start: PageNo = 0;
+            let mut pages = table.dirty.iter().peekable();
+            while let Some((&page_no, image)) = pages.next() {
+                if run.is_empty() {
+                    run_start = page_no;
+                }
+                run.extend_from_slice(image);
+                let run_continues = run.len() < MAX_WRITE_BYTES
+                    && pages.peek().is_some_and(|(&next, _)| next == page_no + 1);
+                if run_continues {
+                    continue;
+                }
                 self.file
-                    .write_all_at(image, page_no * self.page_size as u64)
+                    .write_all_at(&run, run_start * self.page_size as u64)
                     .map_err(|e| {
                         StorageError::io(
-                            format!("writing page {page_no} of {}", self.path.display()),
+                            format!(
+                                "writing pages {run_start}..={page_no} of {}",
+                                self.path.display()
+                            ),
                             e,
                         )
                     })?;
+                run.clear();
             }
             self.file
                 .sync_all()
@@ -335,10 +356,46 @@ mod tests {
                     pager.flush().unwrap();
                     assert_eq!(pager.dirty_pages(), 0);
                     extent_reads_match(&pager, "after flush");
+                    // The run-wise writes left exactly these bytes in the
+                    // file: zeros up to the extent, then its pages.
+                    let mut file_bytes = vec![0u8; start as usize * ps];
+                    file_bytes.extend_from_slice(&by_page);
+                    assert_eq!(
+                        std::fs::read(&path).unwrap(),
+                        file_bytes,
+                        "file after flush: page size {page_size}, {pages} pages, dirty {dirty:?}"
+                    );
                     std::fs::remove_file(&path).unwrap();
                 }
             }
         }
+    }
+
+    /// Runs longer than one write's worth, runs of one page, and gaps
+    /// between runs all land where they belong.
+    #[test]
+    fn flush_writes_long_runs_and_gaps_byte_exactly() {
+        let path = temp_db("flush-runs");
+        let ps = 4096usize;
+        let mut pager = Pager::open(&path, ps as u32).unwrap();
+        let long = (MAX_WRITE_BYTES / ps) as u64 * 2 + 3;
+        let dirty: Vec<PageNo> = (0..long).chain([long + 2, long + 4, long + 5]).collect();
+        let image =
+            |p: PageNo| -> Vec<u8> { (0..ps).map(|i| (i as u64 * 13 + p * 5) as u8).collect() };
+        for &p in &dirty {
+            pager.write_page(p, image(p));
+        }
+        pager.flush().unwrap();
+        let file = std::fs::read(&path).unwrap();
+        assert_eq!(file.len(), (long as usize + 6) * ps);
+        for p in 0..long + 6 {
+            let expected = match dirty.contains(&p) {
+                true => image(p),
+                false => vec![0; ps],
+            };
+            assert_eq!(file[p as usize * ps..][..ps], expected, "page {p}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// A clean extent costs exactly one positioned read, and a dirty page in

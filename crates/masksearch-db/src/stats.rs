@@ -30,6 +30,12 @@ impl IngestStats {
         self.wal_bytes.fetch_add(wal_bytes, Ordering::Relaxed);
     }
 
+    /// Records `wal_bytes` appended to the log outside a commit (a
+    /// checkpoint logging the directory).
+    pub fn record_wal_bytes(&self, wal_bytes: u64) {
+        self.wal_bytes.fetch_add(wal_bytes, Ordering::Relaxed);
+    }
+
     /// Records a completed checkpoint.
     pub fn record_checkpoint(&self) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -57,11 +63,12 @@ mod tests {
         stats.record_commit(3, 0, 1000);
         stats.record_commit(0, 2, 500);
         stats.record_checkpoint();
+        stats.record_wal_bytes(25);
         let snap = stats.snapshot();
         assert_eq!(snap.masks_inserted, 3);
         assert_eq!(snap.masks_deleted, 2);
         assert_eq!(snap.commits, 2);
-        assert_eq!(snap.wal_bytes, 1500);
+        assert_eq!(snap.wal_bytes, 1525);
         assert_eq!(snap.checkpoints, 1);
     }
 }

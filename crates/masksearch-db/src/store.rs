@@ -3,15 +3,19 @@
 //!
 //! ## Commit protocol
 //!
-//! A write transaction (a batch of inserts and/or deletes) is planned
-//! entirely off to the side — new blob extents, a rewritten directory
-//! extent, and an updated meta page — then:
+//! A write transaction (a batch of inserts and/or deletes) costs what it
+//! writes. It is validated, then planned off to the side — new blob extents
+//! from the free-space map and a [`DirDelta`] naming the directory entries
+//! it removes and upserts — then:
 //!
-//! 1. all page after-images plus a commit record are appended to the WAL
-//!    (fsynced when [`DbConfig::fsync`] is set): *this* is the commit point;
-//! 2. the images enter the pager's dirty table and the in-memory directory
-//!    is swapped **under the state write lock**, so readers see either none
-//!    or all of the batch;
+//! 1. the extents' page after-images, the delta and a commit record are
+//!    appended to the WAL (fsynced when [`DbConfig::fsync`] is set): *this*
+//!    is the commit point. Until it succeeds nothing a reader or a later
+//!    commit can see has changed: a validation error touches nothing, and a
+//!    failed append gives the planned extents back;
+//! 2. the images enter the pager's dirty table and the delta is applied to
+//!    the in-memory directory in place, **under the state write lock**, so
+//!    readers see either none or all of the batch;
 //! 3. the CHI store is updated (inserted masks indexed, deleted masks
 //!    already evicted before step 1), preserving the invariant that no index
 //!    entry ever refers to a mask that is not durably present. Tile-summary
@@ -19,16 +23,50 @@
 //!    their insertion happens *inside* step 2's write lock so pixels and
 //!    summaries publish together.
 //!
-//! A checkpoint writes all dirty pages to the database file, fsyncs it,
-//! atomically rewrites the CHI and tile-summary files via temp + rename, and
-//! then truncates the WAL. Recovery replays committed WAL transactions over
-//! the database file, discards any torn tail (see [`crate::wal`]), and drops
-//! persisted index entries for masks whose pages the replay rewrote (their
-//! checkpointed summaries may predate the replayed commits).
+//! ## Checkpoint protocol
+//!
+//! The page file's own directory extent is as of the last checkpoint; the
+//! WAL's deltas lead from it to the present. A checkpoint, in this order:
+//!
+//! 1. serialises the directory into a freshly allocated extent and logs it
+//!    with the meta page that points at it as an ordinary page-image
+//!    transaction, fsyncing the log — the log-ahead rule: every commit (and
+//!    this directory) is durable in the WAL before any of its pages can
+//!    touch the database file, or a crash mid-flush could leave a page mix
+//!    that no committed prefix explains;
+//! 2. writes all dirty pages to the database file and fsyncs it;
+//! 3. brings `masks.chi` and `masks.tiles` up to date durably (see
+//!    [`crate::snapshot`]): an automatic checkpoint appends one segment of
+//!    the entries indexed since the previous one, an explicit
+//!    [`DurableMaskStore::checkpoint`] rewrites each file as a single
+//!    segment with no dead entry. This precedes step 5 because recovery
+//!    treats masks touched by replayed WAL transactions as possibly stale in
+//!    these files: as long as the WAL still names every commit since the
+//!    files were written, old files are safe; truncating first would open a
+//!    window where they are stale and nothing says for which masks;
+//! 4. rewrites the advisory files (shape statistics, secondary-index
+//!    snapshots), whose staleness after a crash is harmless;
+//! 5. truncates the WAL.
+//!
+//! ## Recovery
+//!
+//! One rule: replay the WAL's committed transactions in order (a torn tail
+//! is discarded, see [`crate::wal`]). Page images go to their pages; a
+//! transaction carrying page 0 replaces the directory with the one it
+//! encodes; a delta applies on top. Deltas are idempotent over any later
+//! state of their own history, so replaying a log over a page file that a
+//! crashed checkpoint had already flushed ends in the same state. Free space
+//! is derived from the final directory. Persisted index entries are dropped
+//! for masks the directory no longer holds and for masks whose pages the
+//! replay rewrote (their checkpointed summaries may predate the replayed
+//! commits), and rebuilt from pixels.
 
-use crate::dir::{BlobEntry, Directory};
-use crate::page::{Meta, PageNo, MIN_PAGE_SIZE};
+use crate::alloc::FreeRuns;
+use crate::atomic::replace_file;
+use crate::dir::{BlobEntry, DirDelta, Directory};
+use crate::page::{Meta, PageNo, META_PAGE, MIN_PAGE_SIZE};
 use crate::pager::Pager;
+use crate::snapshot::SnapshotFile;
 use crate::stats::IngestStats;
 use crate::wal::{CommittedTxn, Wal};
 use masksearch_core::{Mask, MaskId, MaskRecord, TileGrid, TiledMask};
@@ -42,7 +80,7 @@ use masksearch_storage::{
     DiskProfile, IoStats, MaskEncoding, MaskStore, StorageError, StorageResult,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -137,29 +175,55 @@ impl DbConfig {
     }
 }
 
-/// Mutable state guarded by one `RwLock`: readers resolve a mask's location
+/// What readers see, guarded by one `RwLock`: they resolve a mask's location
 /// and read its pages under a single read guard, so a concurrent commit
 /// (which applies under the write guard) can never tear a read. Readers
 /// share the pager; only a commit's `write_page` needs it exclusively.
 struct State {
     pager: Pager,
     dir: Directory,
-    free: BTreeSet<PageNo>,
+}
+
+/// What only writers use, guarded by the writer mutex that serialises
+/// commits, replicated applies and checkpoints; reads never take it.
+struct Writer {
+    free: FreeRuns,
     page_count: u64,
     next_txn: u64,
+    /// The directory extent the last checkpoint (or the bootstrap) wrote.
+    /// It stays allocated until the next checkpoint writes another.
     dir_start: PageNo,
     dir_pages: u32,
+    /// Masks (re)indexed since the index files were last brought up to
+    /// date: what the next checkpoint's segments must hold.
+    unsnapshotted: BTreeSet<MaskId>,
+    chi_file: SnapshotFile,
+    tiles_file: SnapshotFile,
+}
+
+impl Writer {
+    /// Undoes a plan whose WAL append failed: gives back `extents` (every
+    /// extent allocated since the database spanned `page_count` pages, in
+    /// allocation order), leaving the free space exactly as it was.
+    fn unallocate(&mut self, page_count: u64, extents: &[(PageNo, u32)]) {
+        // Extents at or past the old end came from extending the database.
+        for &(start, pages) in extents
+            .iter()
+            .rev()
+            .filter(|(start, _)| *start < page_count)
+        {
+            self.free.release(start, pages);
+        }
+        self.page_count = page_count;
+    }
 }
 
 /// A durable, mutable mask store over a pager, WAL, and maintained CHI.
 pub struct DurableMaskStore {
     config: DbConfig,
-    chi_path: PathBuf,
-    tiles_path: PathBuf,
     state: RwLock<State>,
     wal: Mutex<Wal>,
-    /// Serialises commits and checkpoints; reads never take it.
-    writer: Mutex<()>,
+    writer: Mutex<Writer>,
     chi: Arc<ChiStore>,
     /// Tile-summary grids for the verification kernel, maintained like the
     /// CHI: evicted before the commit point for deletes/overwrites and
@@ -215,10 +279,20 @@ impl DurableMaskStore {
         // index entries for it in the persisted CHI/tile files (written at
         // the last checkpoint) may be stale and must be rebuilt from pixels.
         let mut replayed_pages: BTreeSet<PageNo> = BTreeSet::new();
-        for txn in &committed {
-            for (page_no, image) in &txn.pages {
-                replayed_pages.insert(*page_no);
-                pager.write_page(*page_no, image.clone());
+        // The deltas that follow the last transaction carrying the whole
+        // directory (page 0 and the extent it points at); see below.
+        let since_directory = committed
+            .iter()
+            .rposition(|txn| txn.pages.iter().any(|(page_no, _)| *page_no == META_PAGE))
+            .map_or(0, |at| at + 1);
+        let mut deltas: Vec<(u64, DirDelta)> = Vec::new();
+        for (at, txn) in committed.into_iter().enumerate() {
+            for (page_no, image) in txn.pages {
+                replayed_pages.insert(page_no);
+                pager.write_page(page_no, image);
+            }
+            if at >= since_directory {
+                deltas.extend(txn.delta.map(|delta| (txn.txn_id, delta)));
             }
         }
 
@@ -236,30 +310,42 @@ impl DurableMaskStore {
                 dir_pages: 1,
                 dir_bytes: dir_blob.len() as u64,
             };
-            let pages = vec![
-                (0, meta.encode_page()),
-                (1, pad_page(dir_blob, config.page_size)),
-            ];
-            wal.append_txn(0, &pages, config.fsync)?;
+            let pages: Vec<(PageNo, Vec<u8>)> = std::iter::once((META_PAGE, meta.encode_page()))
+                .chain(page_images(&dir_blob, meta.dir_start, config.page_size))
+                .collect();
+            wal.append_txn(0, &pages, None, config.fsync)?;
             for (page_no, image) in pages {
                 pager.write_page(page_no, image);
             }
             (meta, directory)
         } else {
-            let meta_page = pager.read_extent(0, 1, config.page_size as u64)?;
-            let meta = Meta::decode_page(&meta_page, config.page_size)?;
+            // With every page image replayed, page 0 and the extent it
+            // points at are those of the last transaction that carried the
+            // whole directory (or the page file's, if the log has none: no
+            // commit can allocate the current directory extent). The deltas
+            // after that transaction lead from there to the present.
+            let meta_page = pager.read_extent(META_PAGE, 1, config.page_size as u64)?;
+            let mut meta = Meta::decode_page(&meta_page, config.page_size)?;
             let dir_blob = pager.read_extent(meta.dir_start, meta.dir_pages, meta.dir_bytes)?;
-            (meta, Directory::decode(&dir_blob)?)
+            let mut directory = Directory::decode(&dir_blob)?;
+            for (txn_id, delta) in deltas {
+                meta.page_count = delta.page_count;
+                meta.next_txn_id = txn_id + 1;
+                directory.apply(delta);
+            }
+            (meta, directory)
         };
 
-        let free = derive_free_set(&meta, &directory)?;
-        let (chi, tiles) =
-            reconcile_indexes(&chi_path, &tiles_path, &config, &directory, &pager, {
-                |entry: &BlobEntry| {
-                    (entry.start..entry.start + entry.pages as u64)
-                        .any(|p| replayed_pages.contains(&p))
-                }
-            })?;
+        let free = FreeRuns::derive(
+            meta.page_count,
+            std::iter::once((meta.dir_start, meta.dir_pages))
+                .chain(directory.entries.values().map(|e| (e.start, e.pages))),
+        )?;
+        let indexes = reconcile_indexes(&chi_path, &tiles_path, &config, &directory, &pager, {
+            |entry: &BlobEntry| {
+                (entry.start..entry.start + entry.pages as u64).any(|p| replayed_pages.contains(&p))
+            }
+        })?;
 
         // A missing or foreign-format statistics file simply starts fresh;
         // shape statistics are advisory, never load-bearing.
@@ -290,10 +376,11 @@ impl DurableMaskStore {
                             && meta_indexes.create(&def.name, def.column, true).is_ok() =>
                     {
                         if map != meta_index::postings(&catalog, column) {
-                            write_atomic(
+                            replace_file(
                                 &path,
                                 &meta_index::snapshot_bytes(&def, &catalog),
                                 "metadata index rebuild",
+                                false,
                             )?;
                         }
                     }
@@ -304,32 +391,33 @@ impl DurableMaskStore {
             }
         }
 
-        let store = Self {
-            chi: Arc::new(chi),
-            tiles: Arc::new(tiles),
+        Ok(Self {
+            chi: Arc::new(indexes.chi),
+            tiles: Arc::new(indexes.tiles),
             shape_stats: Arc::new(shape_stats),
             shape_stats_path,
             meta_indexes,
             db_dir: dir.to_path_buf(),
             config,
-            chi_path,
-            tiles_path,
             state: RwLock::new(State {
                 pager,
                 dir: directory,
+            }),
+            wal: Mutex::new(wal),
+            writer: Mutex::new(Writer {
                 free,
                 page_count: meta.page_count,
                 next_txn: meta.next_txn_id,
                 dir_start: meta.dir_start,
                 dir_pages: meta.dir_pages,
+                unsnapshotted: indexes.unsnapshotted,
+                chi_file: SnapshotFile::new(chi_path, "chi index", indexes.chi_len),
+                tiles_file: SnapshotFile::new(tiles_path, "tile summary", indexes.tiles_len),
             }),
-            wal: Mutex::new(wal),
-            writer: Mutex::new(()),
             ingest: IngestStats::new(),
             io: IoStats::new_shared(),
             checkpoint_error: Mutex::new(None),
-        };
-        Ok(store)
+        })
     }
 
     /// The store's configuration.
@@ -407,44 +495,82 @@ impl DurableMaskStore {
         self.commit(&[], mask_ids)
     }
 
-    /// Writes all committed pages to the database file, fsyncs it, truncates
-    /// the WAL, and rewrites the CHI file.
+    /// Writes all committed pages (and the directory) to the database file,
+    /// fsyncs it, rewrites the CHI and tile-summary files without dead
+    /// entries, and truncates the WAL.
     pub fn checkpoint(&self) -> StorageResult<()> {
-        let _writer = self.writer.lock();
-        self.checkpoint_locked()
+        self.checkpoint_locked(&mut self.writer.lock(), true)
     }
 
-    fn checkpoint_locked(&self) -> StorageResult<()> {
+    /// The checkpoint protocol of the module docs. `compact` asks for index
+    /// files of exactly one segment each; otherwise they are appended to
+    /// while that is cheaper.
+    fn checkpoint_locked(&self, writer: &mut Writer, compact: bool) -> StorageResult<()> {
         let checkpoint_start = std::time::Instant::now();
-        // Log-ahead: every commit must be durable in the WAL before its
-        // pages can touch the database file — otherwise a crash mid-flush
-        // with an unsynced log (fsync off) could leave a page mix that no
-        // committed prefix explains.
-        self.wal.lock().sync()?;
-        {
-            let state = self.state.read();
-            state.pager.flush()?;
+        let page_size = self.config.page_size as usize;
+        // Nothing logged since the last checkpoint: the page file is
+        // current, directory included.
+        if !self.wal.lock().is_empty() {
+            let dir_blob = self.state.read().dir.encode();
+            let dir_pages = dir_blob.len().div_ceil(page_size).max(1) as u32;
+            let page_count = writer.page_count;
+            let dir_start = writer.free.allocate(&mut writer.page_count, dir_pages);
+            let mut pages: Vec<(PageNo, Vec<u8>)> =
+                page_images(&dir_blob, dir_start, self.config.page_size).collect();
+            let meta = Meta {
+                page_size: self.config.page_size,
+                page_count: writer.page_count,
+                next_txn_id: writer.next_txn + 1,
+                dir_start,
+                dir_pages,
+                dir_bytes: dir_blob.len() as u64,
+            };
+            pages.push((META_PAGE, meta.encode_page()));
+            // Always fsynced, whatever `DbConfig::fsync` says: the flush
+            // below must not outrun the log.
+            let logged = self
+                .wal
+                .lock()
+                .append_txn(writer.next_txn, &pages, None, true);
+            let wal_bytes = match logged {
+                Ok(bytes) => bytes,
+                Err(e) => {
+                    writer.unallocate(page_count, &[(dir_start, dir_pages)]);
+                    return Err(e);
+                }
+            };
+            self.ingest.record_wal_bytes(wal_bytes);
+            writer.free.release(writer.dir_start, writer.dir_pages);
+            (writer.dir_start, writer.dir_pages) = (dir_start, dir_pages);
+            writer.next_txn += 1;
+            let mut state = self.state.write();
+            for (page_no, image) in pages {
+                state.pager.write_page(page_no, image);
+            }
+            drop(state);
+            self.state.read().pager.flush()?;
         }
-        // CHI and tile-summary rewrites via temp + rename: a crash leaves
-        // either the old or the new index file, and recovery reconciles
-        // either against the directory. The rewrites happen *before* the WAL
-        // truncation below: recovery treats masks touched by replayed WAL
-        // transactions as possibly-stale in these files, so as long as the
-        // WAL still names every post-file-write commit, an old file is safe.
-        // (Truncating first would open a window where the files are stale
-        // and the WAL no longer says which masks they are stale for.)
-        write_atomic(&self.chi_path, &self.chi.to_bytes(), "chi checkpoint")?;
-        write_atomic(
-            &self.tiles_path,
-            &self.tiles.to_bytes(),
-            "tile summary checkpoint",
+        let changed = || writer.unsnapshotted.iter().copied();
+        writer.chi_file.persist(
+            self.chi.segment_bytes(changed()),
+            self.chi.encoded_len(),
+            compact,
+            || self.chi.to_bytes(),
         )?;
+        writer.tiles_file.persist(
+            self.tiles.segment_bytes(changed()),
+            self.tiles.encoded_len(),
+            compact,
+            || self.tiles.to_bytes(),
+        )?;
+        writer.unsnapshotted.clear();
         // Shape statistics ride along: they describe the workload, not the
         // data, so staleness after a crash is harmless.
-        write_atomic(
+        replace_file(
             &self.shape_stats_path,
             &self.shape_stats.to_bytes(),
             "shape statistics checkpoint",
+            false,
         )?;
         // Secondary index snapshots too: definitions were already durable
         // (persisted at DDL time), and postings are recomputed from the
@@ -461,100 +587,105 @@ impl DurableMaskStore {
         Ok(())
     }
 
+    /// Checkpoints if the WAL has outgrown [`DbConfig::checkpoint_wal_bytes`].
+    /// The commit that got it there is already durable and published; a
+    /// checkpoint failure must not make it look failed, so the error is
+    /// parked for the caller to observe (and the next threshold crossing or
+    /// explicit checkpoint retries anyway).
+    fn checkpoint_if_due(&self, writer: &mut Writer) {
+        if self.config.checkpoint_wal_bytes > 0
+            && self.wal.lock().len() >= self.config.checkpoint_wal_bytes
+        {
+            if let Err(e) = self.checkpoint_locked(writer, false) {
+                *self.checkpoint_error.lock() = Some(e);
+            }
+        }
+    }
+
     fn commit(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<()> {
+        self.commit_locked(&mut self.writer.lock(), inserts, deletes)
+    }
+
+    fn commit_locked(
+        &self,
+        writer: &mut Writer,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> StorageResult<()> {
         if inserts.is_empty() && deletes.is_empty() {
             return Ok(());
         }
-        let _writer = self.writer.lock();
 
-        // Plan the transaction against a copy of the allocation state. The
-        // writer mutex guarantees nobody else mutates it concurrently.
-        let (mut dir, mut free, mut page_count, txn_id, old_dir_start, old_dir_pages) = {
-            let state = self.state.read();
-            (
-                state.dir.clone(),
-                state.free.clone(),
-                state.page_count,
-                state.next_txn,
-                state.dir_start,
-                state.dir_pages,
-            )
-        };
-        let page_size = self.config.page_size as usize;
-        let mut pages: Vec<(PageNo, Vec<u8>)> = Vec::new();
-
-        let mut deleted_ids: BTreeSet<MaskId> = BTreeSet::new();
-        for &mask_id in deletes {
-            match dir.entries.remove(&mask_id) {
-                Some(entry) => {
-                    free_extent(&mut free, entry.start, entry.pages);
-                    deleted_ids.insert(mask_id);
-                }
-                // A duplicate id in one batch is one delete, not an error.
-                None if deleted_ids.contains(&mask_id) => {}
-                None => return Err(StorageError::MaskNotFound(mask_id)),
-            }
-        }
-
-        let mut blob_bytes = 0u64;
+        // Validate the whole batch, and find the extents it frees, before
+        // anything changes. The writer mutex guarantees nobody else mutates
+        // the directory meanwhile.
+        let mut delta = DirDelta::default();
+        let mut released: Vec<(PageNo, u32)> = Vec::new();
         let mut overwritten: Vec<MaskId> = Vec::new();
-        for (record, mask) in inserts {
-            if record.width != mask.width() || record.height != mask.height() {
-                return Err(StorageError::corrupt(format!(
-                    "record for mask {} declares shape {}x{} but the mask is {}x{}",
-                    record.mask_id,
-                    record.width,
-                    record.height,
-                    mask.width(),
-                    mask.height()
-                )));
+        {
+            let state = self.state.read();
+            // Ids whose current extent is already counted as freed.
+            let mut freed: BTreeSet<MaskId> = BTreeSet::new();
+            for &mask_id in deletes {
+                let entry = state
+                    .dir
+                    .entries
+                    .get(&mask_id)
+                    .ok_or(StorageError::MaskNotFound(mask_id))?;
+                // A duplicate id in one batch is one delete, not an error.
+                if freed.insert(mask_id) {
+                    released.push((entry.start, entry.pages));
+                    delta.removed.push(mask_id);
+                }
             }
-            let blob = format::encode_mask(record.mask_id, mask, self.config.encoding);
-            if let Some(old) = dir.entries.remove(&record.mask_id) {
-                free_extent(&mut free, old.start, old.pages);
-                overwritten.push(record.mask_id);
+            for (record, mask) in inserts {
+                if record.width != mask.width() || record.height != mask.height() {
+                    return Err(StorageError::corrupt(format!(
+                        "record for mask {} declares shape {}x{} but the mask is {}x{}",
+                        record.mask_id,
+                        record.width,
+                        record.height,
+                        mask.width(),
+                        mask.height()
+                    )));
+                }
+                if let Some(old) = state.dir.entries.get(&record.mask_id) {
+                    if freed.insert(record.mask_id) {
+                        released.push((old.start, old.pages));
+                        overwritten.push(record.mask_id);
+                    }
+                }
             }
-            let extent_pages = blob.len().div_ceil(page_size).max(1) as u32;
-            let start = alloc_run(&mut free, &mut page_count, extent_pages);
-            for (i, chunk) in blob.chunks(page_size).enumerate() {
-                pages.push((
-                    start + i as u64,
-                    pad_page(chunk.to_vec(), self.config.page_size),
-                ));
-            }
-            blob_bytes += blob.len() as u64;
-            dir.entries.insert(
-                record.mask_id,
-                BlobEntry {
-                    start,
-                    pages: extent_pages,
-                    bytes: blob.len() as u64,
-                    record: record.clone(),
-                },
-            );
         }
 
-        // Rewrite the directory extent and the meta page.
-        free_extent(&mut free, old_dir_start, old_dir_pages);
-        let dir_blob = dir.encode();
-        let dir_pages = dir_blob.len().div_ceil(page_size).max(1) as u32;
-        let dir_start = alloc_run(&mut free, &mut page_count, dir_pages);
-        for (i, chunk) in dir_blob.chunks(page_size).enumerate() {
-            pages.push((
-                dir_start + i as u64,
-                pad_page(chunk.to_vec(), self.config.page_size),
-            ));
+        // Plan the new extents. Extents this batch frees are not reused by
+        // it: they return to the free space only once it has committed.
+        let page_size = self.config.page_size as usize;
+        let page_count = writer.page_count;
+        let mut pages: Vec<(PageNo, Vec<u8>)> = Vec::new();
+        let mut planned: Vec<(PageNo, u32)> = Vec::with_capacity(inserts.len());
+        let mut blob_bytes = 0u64;
+        // By id, so that the last of several inserts of one id wins.
+        let mut upserts: BTreeMap<MaskId, BlobEntry> = BTreeMap::new();
+        for (record, mask) in inserts {
+            let blob = format::encode_mask(record.mask_id, mask, self.config.encoding);
+            let extent_pages = blob.len().div_ceil(page_size).max(1) as u32;
+            let start = writer.free.allocate(&mut writer.page_count, extent_pages);
+            planned.push((start, extent_pages));
+            pages.extend(page_images(&blob, start, self.config.page_size));
+            blob_bytes += blob.len() as u64;
+            let entry = BlobEntry {
+                start,
+                pages: extent_pages,
+                bytes: blob.len() as u64,
+                record: record.clone(),
+            };
+            if let Some(earlier) = upserts.insert(record.mask_id, entry) {
+                released.push((earlier.start, earlier.pages));
+            }
         }
-        let dir_bytes = dir_blob.len() as u64;
-        let meta = Meta {
-            page_size: self.config.page_size,
-            page_count,
-            next_txn_id: txn_id + 1,
-            dir_start,
-            dir_pages,
-            dir_bytes,
-        };
-        pages.push((0, meta.encode_page()));
+        delta.upserts = upserts.into_values().collect();
+        delta.page_count = writer.page_count;
 
         // Build the tile grids of the incoming masks while nothing is
         // locked: their insertion must happen inside the publish critical
@@ -572,26 +703,37 @@ impl DurableMaskStore {
         // the re-index after it, a query must fall back to verification by
         // loading — stale bounds over the new pixels could accept or prune
         // without ever loading the mask.
-        for &mask_id in &deleted_ids {
-            self.chi.remove(mask_id);
-            self.tiles.remove(mask_id);
-        }
-        for &mask_id in &overwritten {
+        for &mask_id in delta.removed.iter().chain(&overwritten) {
             self.chi.remove(mask_id);
             self.tiles.remove(mask_id);
         }
 
         // Commit point: the WAL append (+ optional fsync).
         let commit_start = std::time::Instant::now();
-        let wal_bytes = self
-            .wal
-            .lock()
-            .append_txn(txn_id, &pages, self.config.fsync)?;
+        let logged =
+            self.wal
+                .lock()
+                .append_txn(writer.next_txn, &pages, Some(&delta), self.config.fsync);
+        let wal_bytes = match logged {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                writer.unallocate(page_count, &planned);
+                return Err(e);
+            }
+        };
         obs_counters::incr(&obs_counters::WAL_COMMITS);
         obs_counters::add(
             &obs_counters::WAL_COMMIT_US,
             commit_start.elapsed().as_micros() as u64,
         );
+        writer.next_txn += 1;
+        for (start, extent_pages) in released {
+            writer.free.release(start, extent_pages);
+        }
+        writer
+            .unsnapshotted
+            .extend(delta.upserts.iter().map(|e| e.record.mask_id));
+        let deleted = delta.removed.len() as u64;
 
         // Publish the batch atomically with respect to readers.
         {
@@ -599,12 +741,7 @@ impl DurableMaskStore {
             for (page_no, image) in pages {
                 state.pager.write_page(page_no, image);
             }
-            state.dir = dir;
-            state.free = free;
-            state.page_count = page_count;
-            state.next_txn = txn_id + 1;
-            state.dir_start = dir_start;
-            state.dir_pages = dir_pages;
+            state.dir.apply(delta);
             // Tile grids publish atomically with the pixels they summarise:
             // still under the state write lock, so a reader's state read
             // guard pins a consistent (pixels, grid) pair.
@@ -625,19 +762,8 @@ impl DurableMaskStore {
                 .write_cost(blob_bytes, inserts.len() as u64),
         );
         self.ingest
-            .record_commit(inserts.len() as u64, deleted_ids.len() as u64, wal_bytes);
-
-        if self.config.checkpoint_wal_bytes > 0
-            && self.wal.lock().len() >= self.config.checkpoint_wal_bytes
-        {
-            // The transaction above is already durable and published; a
-            // checkpoint failure here must not make the commit look failed.
-            // It is deferred for the caller to observe (and the next
-            // threshold crossing or explicit checkpoint retries anyway).
-            if let Err(e) = self.checkpoint_locked() {
-                *self.checkpoint_error.lock() = Some(e);
-            }
-        }
+            .record_commit(inserts.len() as u64, deleted, wal_bytes);
+        self.checkpoint_if_due(writer);
         Ok(())
     }
 
@@ -647,139 +773,66 @@ impl DurableMaskStore {
     /// the transaction inserted, overwrote, or deleted, so the serving
     /// layer can invalidate caches.
     ///
-    /// The transaction is first appended to the replica's *own* WAL, so a
-    /// replica crash-recovers exactly like a primary. Applying relies on
-    /// the commit protocol's invariant that every transaction rewrites the
-    /// entire directory extent plus the meta page: the after-images in the
-    /// transaction fully describe the new catalog state, and any mask whose
-    /// entry changed has its complete new extent among the transaction's
-    /// pages. Re-applying a transaction the replica already holds is
-    /// idempotent (same images to the same pages, same directory).
+    /// The transaction's delta names those masks, and every mask it upserts
+    /// has its whole extent among the transaction's page images; they are
+    /// committed here exactly like a local batch — through this database's
+    /// own WAL, free space and checkpoints — so a replica crash-recovers
+    /// like a primary and shares nothing with it but the masks. A
+    /// transaction without a delta (the primary's bootstrap, or a
+    /// checkpoint's copy of its directory) changes no mask. Re-applying
+    /// transactions the replica already holds, in order, is idempotent:
+    /// removing an id that is not there is skipped and an upsert overwrites
+    /// with the same pixels.
     pub fn apply_replicated(&self, txn: &CommittedTxn) -> StorageResult<Vec<MaskId>> {
-        let _writer = self.writer.lock();
-
-        let page_size = self.config.page_size as usize;
-        let meta_image = txn
+        let Some(delta) = &txn.delta else {
+            return Ok(Vec::new());
+        };
+        let images: BTreeMap<PageNo, &[u8]> = txn
             .pages
             .iter()
-            .rev()
-            .find(|(page_no, _)| *page_no == 0)
-            .map(|(_, image)| image)
-            .ok_or_else(|| {
-                StorageError::corrupt("replicated transaction has no meta page".to_string())
-            })?;
-        let meta = Meta::decode_page(meta_image, self.config.page_size)?;
-        let mut dir_blob = Vec::with_capacity(meta.dir_pages as usize * page_size);
-        for page_no in meta.dir_start..meta.dir_start + meta.dir_pages as u64 {
-            let image = txn
-                .pages
-                .iter()
-                .rev()
-                .find(|(p, _)| *p == page_no)
-                .map(|(_, image)| image)
+            .map(|(page_no, image)| (*page_no, image.as_slice()))
+            .collect();
+        let mut upserts: Vec<(MaskRecord, Mask)> = Vec::with_capacity(delta.upserts.len());
+        for entry in &delta.upserts {
+            let mut blob: Vec<u8> = Vec::new();
+            for page_no in entry.start..entry.start.saturating_add(entry.pages.into()) {
+                blob.extend_from_slice(images.get(&page_no).ok_or_else(|| {
+                    StorageError::corrupt(format!(
+                        "replicated transaction {} misses page {page_no} of mask {}",
+                        txn.txn_id, entry.record.mask_id
+                    ))
+                })?);
+            }
+            let blob = usize::try_from(entry.bytes)
+                .ok()
+                .and_then(|bytes| blob.get(..bytes))
                 .ok_or_else(|| {
                     StorageError::corrupt(format!(
-                        "replicated transaction misses directory page {page_no}"
+                        "replicated extent of mask {} is shorter than its entry claims",
+                        entry.record.mask_id
                     ))
                 })?;
-            dir_blob.extend_from_slice(image);
+            let (_, mask) = format::decode_mask(blob)?;
+            upserts.push((entry.record.clone(), mask));
         }
-        if (dir_blob.len() as u64) < meta.dir_bytes {
-            return Err(StorageError::corrupt(
-                "replicated directory extent is shorter than its meta page claims",
-            ));
-        }
-        dir_blob.truncate(meta.dir_bytes as usize);
-        let dir = Directory::decode(&dir_blob)?;
-        let free = derive_free_set(&meta, &dir)?;
 
-        // Which masks does this transaction touch? An entry present only on
-        // one side was inserted/deleted; an entry on both sides changed iff
-        // any of its pages is among the after-images (live extents are never
-        // reallocated to anything else, so intersection means rewrite).
-        let txn_pages: BTreeSet<PageNo> = txn.pages.iter().map(|(p, _)| *p).collect();
-        let old_entries = {
+        let mut writer = self.writer.lock();
+        let removed: Vec<MaskId> = {
             let state = self.state.read();
-            state.dir.entries.clone()
+            delta
+                .removed
+                .iter()
+                .copied()
+                .filter(|id| state.dir.entries.contains_key(id))
+                .collect()
         };
-        let mut removed: Vec<MaskId> = Vec::new();
-        let mut reindex: Vec<MaskId> = Vec::new();
-        for (mask_id, old) in &old_entries {
-            match dir.entries.get(mask_id) {
-                None => removed.push(*mask_id),
-                Some(new) => {
-                    let rewritten = new != old
-                        || (new.start..new.start + new.pages as u64)
-                            .any(|p| txn_pages.contains(&p));
-                    if rewritten {
-                        reindex.push(*mask_id);
-                    }
-                }
-            }
-        }
-        for (mask_id, entry) in &dir.entries {
-            if !old_entries.contains_key(mask_id) {
-                debug_assert!(
-                    (entry.start..entry.start + entry.pages as u64).all(|p| txn_pages.contains(&p)),
-                    "inserted mask extent must be in its transaction"
-                );
-                reindex.push(*mask_id);
-            }
-        }
-
-        // Durability first (the replica's own log), then eviction before
-        // publish, then the atomic swap — the same order as a local commit.
-        let wal_bytes = self
-            .wal
-            .lock()
-            .append_txn(txn.txn_id, &txn.pages, self.config.fsync)?;
-        for &mask_id in removed.iter().chain(reindex.iter()) {
-            self.chi.remove(mask_id);
-            self.tiles.remove(mask_id);
-        }
-        let mut masks: Vec<(MaskId, Mask)> = Vec::with_capacity(reindex.len());
-        {
-            let mut state = self.state.write();
-            for (page_no, image) in &txn.pages {
-                state.pager.write_page(*page_no, image.clone());
-            }
-            state.dir = dir;
-            state.free = free;
-            state.page_count = meta.page_count;
-            state.next_txn = meta.next_txn_id;
-            state.dir_start = meta.dir_start;
-            state.dir_pages = meta.dir_pages;
-            // Rebuild tile grids under the same write guard that published
-            // the pixels (the primary does this too); decode each touched
-            // mask once and reuse it for the CHI below.
-            for &mask_id in &reindex {
-                let entry = state.dir.entries.get(&mask_id).ok_or_else(|| {
-                    StorageError::corrupt(format!("reindexed mask {mask_id} vanished"))
-                })?;
-                let blob = state
-                    .pager
-                    .read_extent(entry.start, entry.pages, entry.bytes)?;
-                let (_, mask) = format::decode_mask(&blob)?;
-                self.tiles.insert(mask_id, Arc::new(TileGrid::build(&mask)));
-                masks.push((mask_id, mask));
-            }
-        }
-        for (mask_id, mask) in &masks {
-            self.chi.index_mask(*mask_id, mask);
-        }
-        self.ingest
-            .record_commit(reindex.len() as u64, removed.len() as u64, wal_bytes);
-
-        if self.config.checkpoint_wal_bytes > 0
-            && self.wal.lock().len() >= self.config.checkpoint_wal_bytes
-        {
-            // Checkpointing here only touches the replica's own files.
-            if let Err(e) = self.checkpoint_locked() {
-                *self.checkpoint_error.lock() = Some(e);
-            }
-        }
-        let mut changed = removed;
-        changed.extend(reindex);
+        self.commit_locked(&mut writer, &upserts, &removed)?;
+        let mut changed: Vec<MaskId> = delta
+            .removed
+            .iter()
+            .copied()
+            .chain(upserts.iter().map(|(record, _)| record.mask_id))
+            .collect();
         changed.sort_unstable();
         changed.dedup();
         Ok(changed)
@@ -793,10 +846,11 @@ impl DurableMaskStore {
         for column in MetaColumn::ALL {
             let path = self.db_dir.join(meta_index_file(column));
             match self.meta_indexes.on(column) {
-                Some(def) => write_atomic(
+                Some(def) => replace_file(
                     &path,
                     &meta_index::snapshot_bytes(&def, &catalog),
                     "metadata index snapshot",
+                    false,
                 )?,
                 None => {
                     if path.exists() {
@@ -950,96 +1004,32 @@ impl MaskStore for DurableMaskStore {
     }
 }
 
-/// Atomically replaces `path` with `bytes` via a temp file + rename, so a
-/// crash leaves either the old file or the new one, never a torn mix.
-fn write_atomic(path: &Path, bytes: &[u8], what: &str) -> StorageResult<()> {
-    // `masks.chi` -> `masks.chi.tmp` (keep the original extension so two
-    // different index files never share a temp name).
-    let tmp = match path.extension() {
-        Some(ext) => path.with_extension(format!("{}.tmp", ext.to_string_lossy())),
-        None => path.with_extension("tmp"),
-    };
-    fs::write(&tmp, bytes).map_err(|e| StorageError::io(format!("writing {what} file"), e))?;
-    fs::rename(&tmp, path).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        StorageError::io(format!("renaming {what} file"), e)
-    })?;
-    Ok(())
+/// The page images of an extent at `start` holding `blob` (the last one
+/// zero-padded up to the page size).
+fn page_images(
+    blob: &[u8],
+    start: PageNo,
+    page_size: u32,
+) -> impl Iterator<Item = (PageNo, Vec<u8>)> + '_ {
+    blob.chunks(page_size as usize)
+        .zip(start..)
+        .map(move |(chunk, page_no)| {
+            let mut image = chunk.to_vec();
+            image.resize(page_size as usize, 0);
+            (page_no, image)
+        })
 }
 
-/// Zero-pads a partial page image up to the page size.
-fn pad_page(mut bytes: Vec<u8>, page_size: u32) -> Vec<u8> {
-    bytes.resize(page_size as usize, 0);
-    bytes
-}
-
-/// Returns an extent's pages to the free set.
-fn free_extent(free: &mut BTreeSet<PageNo>, start: PageNo, pages: u32) {
-    for page_no in start..start + pages as u64 {
-        free.insert(page_no);
-    }
-}
-
-/// Takes `n` contiguous pages from the free set, extending the database by
-/// fresh pages when no free run is long enough.
-fn alloc_run(free: &mut BTreeSet<PageNo>, page_count: &mut u64, n: u32) -> PageNo {
-    let n = n as u64;
-    let mut run_start: PageNo = 0;
-    let mut run_len: u64 = 0;
-    let mut found: Option<PageNo> = None;
-    for &page_no in free.iter() {
-        if run_len > 0 && page_no == run_start + run_len {
-            run_len += 1;
-        } else {
-            run_start = page_no;
-            run_len = 1;
-        }
-        if run_len == n {
-            found = Some(run_start);
-            break;
-        }
-    }
-    match found {
-        Some(start) => {
-            for page_no in start..start + n {
-                free.remove(&page_no);
-            }
-            start
-        }
-        None => {
-            let start = *page_count;
-            *page_count += n;
-            start
-        }
-    }
-}
-
-/// Builds the free-page set from the meta page and directory, validating
-/// that no extent escapes the database or overlaps another.
-fn derive_free_set(meta: &Meta, dir: &Directory) -> StorageResult<BTreeSet<PageNo>> {
-    let mut used: BTreeSet<PageNo> = BTreeSet::new();
-    used.insert(0);
-    let mut claim = |start: PageNo, pages: u32| -> StorageResult<()> {
-        for page_no in start..start + pages as u64 {
-            if page_no == 0 || page_no >= meta.page_count {
-                return Err(StorageError::corrupt(format!(
-                    "extent page {page_no} escapes the database ({} pages)",
-                    meta.page_count
-                )));
-            }
-            if !used.insert(page_no) {
-                return Err(StorageError::corrupt(format!(
-                    "page {page_no} is claimed by two extents"
-                )));
-            }
-        }
-        Ok(())
-    };
-    claim(meta.dir_start, meta.dir_pages)?;
-    for entry in dir.entries.values() {
-        claim(entry.start, entry.pages)?;
-    }
-    Ok((0..meta.page_count).filter(|p| !used.contains(p)).collect())
+/// The in-memory indexes recovered at open, and how they relate to their
+/// files.
+struct RecoveredIndexes {
+    chi: ChiStore,
+    tiles: TileStore,
+    /// Valid length of each file: where its next segment goes.
+    chi_len: u64,
+    tiles_len: u64,
+    /// Masks whose entries the files do not hold (or may hold stale).
+    unsnapshotted: BTreeSet<MaskId>,
 }
 
 /// Loads the persisted CHI and tile-summary files (if any) and reconciles
@@ -1051,7 +1041,7 @@ fn derive_free_set(meta: &Meta, dir: &Directory) -> StorageResult<BTreeSet<PageN
 ///   the last checkpoint, so they may describe *pre-overwrite* pixels, and a
 ///   stale index over new pixels could mis-prune or mis-accept;
 /// * masks left without an entry are re-indexed from their recovered pixels
-///   (decoded once, shared by both indexes).
+///   (decoded once, shared by both indexes) and noted as not in the files.
 fn reconcile_indexes(
     chi_path: &Path,
     tiles_path: &Path,
@@ -1059,32 +1049,38 @@ fn reconcile_indexes(
     dir: &Directory,
     pager: &Pager,
     touched_by_replay: impl Fn(&BlobEntry) -> bool,
-) -> StorageResult<(ChiStore, TileStore)> {
-    let chi = match ChiStore::load(chi_path) {
-        Ok(store) if *store.config() == config.chi_config => store,
-        // Missing, corrupt, or differently-configured index files are
-        // discarded; the directory is the source of truth.
-        _ => ChiStore::new(config.chi_config),
+) -> StorageResult<RecoveredIndexes> {
+    // Missing, corrupt, or differently-configured index files are discarded;
+    // the directory is the source of truth.
+    let (chi, chi_len) = fs::read(chi_path)
+        .ok()
+        .and_then(|bytes| ChiStore::from_segments(&bytes).ok())
+        .filter(|(store, _)| *store.config() == config.chi_config)
+        .unwrap_or_else(|| (ChiStore::new(config.chi_config), 0));
+    let (tiles, tiles_len) = fs::read(tiles_path)
+        .ok()
+        .and_then(|bytes| TileStore::from_segments(&bytes).ok())
+        .filter(|(store, _)| store.tile() == masksearch_core::DEFAULT_TILE_SIZE)
+        .unwrap_or_else(|| (TileStore::default(), 0));
+    let current = |mask_id: &MaskId| {
+        dir.entries
+            .get(mask_id)
+            .is_some_and(|entry| !touched_by_replay(entry))
     };
-    let tiles = match TileStore::load(tiles_path) {
-        Ok(store) if store.tile() == masksearch_core::DEFAULT_TILE_SIZE => store,
-        _ => TileStore::default(),
-    };
-    for mask_id in chi.ids() {
-        match dir.entries.get(&mask_id) {
-            Some(entry) if !touched_by_replay(entry) => {}
-            _ => {
-                chi.remove(mask_id);
-            }
-        }
+    for mask_id in chi.ids().into_iter().filter(|id| !current(id)) {
+        chi.remove(mask_id);
     }
-    for mask_id in tiles.ids() {
-        match dir.entries.get(&mask_id) {
-            Some(entry) if !touched_by_replay(entry) => {}
-            _ => {
-                tiles.remove(mask_id);
-            }
-        }
+    for mask_id in tiles.ids().into_iter().filter(|id| !current(id)) {
+        tiles.remove(mask_id);
+    }
+    // Nothing can be appended after a pre-segment image (length 0): its
+    // entries must be written again, as the file's first segment.
+    let mut unsnapshotted = BTreeSet::new();
+    if chi_len == 0 {
+        unsnapshotted.extend(chi.ids());
+    }
+    if tiles_len == 0 {
+        unsnapshotted.extend(tiles.ids());
     }
     for (mask_id, entry) in &dir.entries {
         let need_chi = !chi.contains(*mask_id);
@@ -1100,8 +1096,15 @@ fn reconcile_indexes(
         if need_tiles {
             tiles.index_mask(*mask_id, &mask);
         }
+        unsnapshotted.insert(*mask_id);
     }
-    Ok((chi, tiles))
+    Ok(RecoveredIndexes {
+        chi,
+        tiles,
+        chi_len: chi_len as u64,
+        tiles_len: tiles_len as u64,
+        unsnapshotted,
+    })
 }
 
 #[cfg(test)]
@@ -1226,7 +1229,7 @@ mod tests {
         let dir = temp_dir("reuse");
         let store = DurableMaskStore::open(&dir, small_config()).unwrap();
         store.insert_masks(&batch(0..4)).unwrap();
-        let pages_after_first = store.state.read().page_count;
+        let pages_after_first = store.writer.lock().page_count;
         // Overwrite the same ids many times; the file must not grow without
         // bound because freed extents are reused.
         for round in 0..20u32 {
@@ -1235,7 +1238,7 @@ mod tests {
                 .collect();
             store.insert_masks(&rewrite).unwrap();
         }
-        let pages_after_rewrites = store.state.read().page_count;
+        let pages_after_rewrites = store.writer.lock().page_count;
         assert!(
             pages_after_rewrites <= pages_after_first + 8,
             "pages grew from {pages_after_first} to {pages_after_rewrites}"
@@ -1284,6 +1287,146 @@ mod tests {
         assert!(store.insert_masks(&[(wrong, mask(1))]).is_err());
         assert!(store.is_empty());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_commits_leave_directory_and_free_space_exactly_as_they_were() {
+        let dir = temp_dir("failed-commit");
+        let store = DurableMaskStore::open(&dir, small_config()).unwrap();
+        store.insert_masks(&batch(0..8)).unwrap();
+        // Holes of several sizes, so allocation has runs to choose from.
+        store
+            .delete_masks(&[MaskId::new(1), MaskId::new(2), MaskId::new(5)])
+            .unwrap();
+        let snapshot = |store: &DurableMaskStore| {
+            let writer = store.writer.lock();
+            (
+                writer.free.clone(),
+                writer.page_count,
+                writer.next_txn,
+                store.state.read().dir.clone(),
+            )
+        };
+        let before = snapshot(&store);
+
+        // Validation errors, found after valid parts of the same batch.
+        let wrong_shape = MaskRecord::builder(MaskId::new(21)).shape(16, 16).build();
+        let mut bad = batch(20..21);
+        bad.push((wrong_shape, mask(1)));
+        assert!(store.apply_batch(&bad, &[MaskId::new(0)]).is_err());
+        assert!(matches!(
+            store.apply_batch(&batch(20..22), &[MaskId::new(0), MaskId::new(99)]),
+            Err(StorageError::MaskNotFound(_))
+        ));
+        assert!(snapshot(&store) == before);
+
+        // A failed WAL append: the batch was planned (extents from two free
+        // runs and from extending the file, an id inserted twice), then the
+        // disk was full.
+        let healthy = std::mem::replace(
+            &mut *store.wal.lock(),
+            Wal::on_full_disk(store.config.page_size),
+        );
+        let mut planned = batch(20..26);
+        planned.push((record(20), mask(77)));
+        let failed = store.apply_batch(&planned, &[MaskId::new(0), MaskId::new(4)]);
+        assert!(matches!(failed, Err(StorageError::Io { .. })), "{failed:?}");
+        assert!(snapshot(&store) == before);
+        assert_eq!(store.ids().len(), 5);
+        assert_eq!(store.get(MaskId::new(4)).unwrap(), mask(4));
+
+        // With the disk back, the same batch commits into the same extents
+        // it would have had the failure never happened.
+        *store.wal.lock() = healthy;
+        store
+            .apply_batch(&planned, &[MaskId::new(0), MaskId::new(4)])
+            .unwrap();
+        assert_eq!(store.get(MaskId::new(20)).unwrap(), mask(77));
+        let after_retry = snapshot(&store);
+        drop(store);
+        let twin_dir = temp_dir("failed-commit-twin");
+        let twin = DurableMaskStore::open(&twin_dir, small_config()).unwrap();
+        twin.insert_masks(&batch(0..8)).unwrap();
+        twin.delete_masks(&[MaskId::new(1), MaskId::new(2), MaskId::new(5)])
+            .unwrap();
+        twin.apply_batch(&planned, &[MaskId::new(0), MaskId::new(4)])
+            .unwrap();
+        assert!(snapshot(&twin) == after_retry);
+        drop(twin);
+        // And the log holds no trace of the failed attempts.
+        let reopened = DurableMaskStore::open(&dir, small_config()).unwrap();
+        assert!(snapshot(&reopened) == after_retry);
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&twin_dir).unwrap();
+    }
+
+    #[test]
+    fn replicated_transactions_commit_like_local_ones_and_reapply_idempotently() {
+        let primary_dir = temp_dir("repl-primary");
+        let replica_dir = temp_dir("repl-replica");
+        let primary = DurableMaskStore::open(&primary_dir, small_config()).unwrap();
+        primary.insert_masks(&batch(0..6)).unwrap();
+        primary.insert_masks(&batch(4..9)).unwrap();
+        primary
+            .delete_masks(&[MaskId::new(0), MaskId::new(5)])
+            .unwrap();
+        primary
+            .apply_batch(&batch(20..23), &[MaskId::new(1)])
+            .unwrap();
+        primary.put(MaskId::new(2), &mask(40)).unwrap();
+        let log = fs::read(primary_dir.join(WAL_FILE)).unwrap();
+        let (txns, consumed) = crate::wal::scan_committed(&log[12..], 256);
+        assert_eq!(consumed, log.len() - 12);
+        assert_eq!(txns.len(), 6, "bootstrap + five commits");
+
+        // The replica checkpoints on its own schedule — several times while
+        // applying — and allocates its own extents: it shares the primary's
+        // masks, not its page numbers.
+        let replica_config = small_config().checkpoint_wal_bytes(2048);
+        let same_masks = |replica: &DurableMaskStore| {
+            assert_eq!(replica.ids(), primary.ids());
+            for id in primary.ids() {
+                assert_eq!(replica.get(id).unwrap(), primary.get(id).unwrap());
+                assert_eq!(
+                    *replica.chi_store().get(id).unwrap(),
+                    *primary.chi_store().get(id).unwrap()
+                );
+            }
+            assert_eq!(replica.catalog().mask_ids(), primary.catalog().mask_ids());
+            assert_eq!(replica.verify_tile_summaries().unwrap(), primary.len());
+        };
+        let replica = DurableMaskStore::open(&replica_dir, replica_config).unwrap();
+        let mut changed = Vec::new();
+        for txn in &txns {
+            changed.push(replica.apply_replicated(txn).unwrap());
+        }
+        let ids = |raw: &[u64]| raw.iter().map(|&id| MaskId::new(id)).collect::<Vec<_>>();
+        assert_eq!(changed[0], ids(&[]), "the bootstrap changes no mask");
+        assert_eq!(changed[3], ids(&[0, 5]));
+        assert_eq!(changed[4], ids(&[1, 20, 21, 22]));
+        assert_eq!(changed[5], ids(&[2]));
+        assert!(replica.ingest_stats().unwrap().checkpoints >= 2);
+        assert!(replica.take_checkpoint_error().is_none());
+        same_masks(&replica);
+
+        // A restarted tailer starts over from the top of the primary's log.
+        for txn in &txns {
+            replica.apply_replicated(txn).unwrap();
+        }
+        same_masks(&replica);
+        drop(replica);
+        same_masks(&DurableMaskStore::open(&replica_dir, replica_config).unwrap());
+
+        // A transaction that lost part of a mask's extent is refused whole.
+        let mut short = txns[1].clone();
+        short.pages.pop();
+        let fresh_dir = temp_dir("repl-fresh");
+        let fresh = DurableMaskStore::open(&fresh_dir, small_config()).unwrap();
+        assert!(fresh.apply_replicated(&short).is_err());
+        assert!(fresh.is_empty());
+        for dir in [primary_dir, replica_dir, fresh_dir] {
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1359,13 +1502,14 @@ mod tests {
 
     #[test]
     fn alloc_run_prefers_free_runs_and_extends_otherwise() {
-        let mut free: BTreeSet<PageNo> = [1, 2, 4, 5, 6].into_iter().collect();
+        // Pages 1, 2 and 4..=6 of a 7-page database are free.
+        let mut free = FreeRuns::derive(7, [(3, 1)].into_iter()).unwrap();
         let mut page_count = 7u64;
-        assert_eq!(alloc_run(&mut free, &mut page_count, 3), 4);
-        assert_eq!(free, [1, 2].into_iter().collect());
-        assert_eq!(alloc_run(&mut free, &mut page_count, 2), 1);
-        assert!(free.is_empty());
-        assert_eq!(alloc_run(&mut free, &mut page_count, 2), 7);
+        assert_eq!(free.allocate(&mut page_count, 3), 4);
+        assert_eq!(free, FreeRuns::derive(7, [(3, 4)].into_iter()).unwrap());
+        assert_eq!(free.allocate(&mut page_count, 2), 1);
+        assert_eq!(free, FreeRuns::default());
+        assert_eq!(free.allocate(&mut page_count, 2), 7);
         assert_eq!(page_count, 9);
     }
 }

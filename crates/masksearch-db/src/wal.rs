@@ -1,23 +1,36 @@
 //! The write-ahead log: commit durability and crash recovery.
 //!
-//! Every write transaction appends one *page frame* per modified page (the
-//! full after-image) followed by a *commit frame*, then optionally fsyncs.
-//! A transaction is durable exactly when its commit frame is fully on disk:
+//! A commit appends one *page frame* per page it writes (the full
+//! after-image of a mask extent's page), one *delta frame* saying what it
+//! changes in the directory, and a *commit frame*, then optionally fsyncs.
+//! A checkpoint — and the bootstrap of an empty database — instead logs the
+//! whole directory as page frames (directory extent + meta page 0) with no
+//! delta. A transaction is durable exactly when its commit frame is fully on
+//! disk:
 //!
 //! ```text
-//! wal file  = header , frame*
-//! header    = "MSWL" , version u16 , reserved u16 , page_size u32
+//! wal file     = header , frame*
+//! header       = "MSWL" , version u16 , reserved u16 , page_size u32
 //! page frame   = 0x01 , txn_id u64 , page_no u64 , len u32 , checksum u64 , payload
+//! delta frame  = 0x03 , txn_id u64 , len u32 , checksum u64 , payload   (a `DirDelta`)
 //! commit frame = 0x02 , txn_id u64 , frame_count u32 , checksum u64
 //! ```
 //!
-//! All checksums are FNV-1a over the frame's header fields and payload.
-//! Recovery scans the log from the start and replays only transactions whose
-//! every frame (including the commit frame) is intact; the first torn,
-//! checksum-mismatched, or unknown record ends the scan, and the file is
-//! truncated back to the last committed boundary so later appends can never
-//! hide behind garbage.
+//! All checksums are [`checksum64`] over the frame's header fields and
+//! payload. Recovery scans the log from the start and replays only
+//! transactions whose every frame (including the commit frame) is intact;
+//! the first torn, checksum-mismatched, or unknown record ends the scan, and
+//! the file is truncated back to the last committed boundary so later
+//! appends can never hide behind garbage.
+//!
+//! Version 1 logs (no delta frames, every transaction carries the directory
+//! extent and page 0, FNV-1a checksums) are scanned with their own checksum
+//! and rewritten as version 2 when opened — their transactions replay under
+//! the same rule as a checkpoint's. A version 1 build refuses a version 2
+//! log.
 
+use crate::atomic::replace_file;
+use crate::dir::DirDelta;
 use crate::page::{checksum64, PageNo};
 use masksearch_storage::{StorageError, StorageResult};
 use std::fs::{File, OpenOptions};
@@ -27,20 +40,38 @@ use std::path::{Path, PathBuf};
 /// Magic bytes identifying a WAL file.
 pub const WAL_MAGIC: [u8; 4] = *b"MSWL";
 /// WAL format version.
-pub const WAL_VERSION: u16 = 1;
+pub const WAL_VERSION: u16 = 2;
 /// Byte length of the WAL file header.
 pub const WAL_HEADER_LEN: u64 = 12;
 
 const FRAME_PAGE: u8 = 1;
 const FRAME_COMMIT: u8 = 2;
+const FRAME_DELTA: u8 = 3;
+
+type Checksum = fn(&[&[u8]]) -> u64;
+
+/// The checksum of version 1 logs: byte-serial 64-bit FNV-1a.
+fn fnv1a64(parts: &[&[u8]]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in parts {
+        for &byte in *part {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
 
 /// One committed transaction recovered from the log, in commit order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommittedTxn {
     /// Transaction id recorded in the frames.
     pub txn_id: u64,
     /// Page after-images, in append order.
     pub pages: Vec<(PageNo, Vec<u8>)>,
+    /// The commit's directory changes. `None` for a transaction that carries
+    /// the whole directory instead (its pages include page 0).
+    pub delta: Option<DirDelta>,
 }
 
 /// An open write-ahead log positioned for appending.
@@ -60,14 +91,17 @@ impl Wal {
         page_size: u32,
     ) -> StorageResult<(Self, Vec<CommittedTxn>)> {
         let path = path.into();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|e| StorageError::io(format!("opening wal {}", path.display()), e))?;
-        let file_len = file
+        let open = |path: &Path| {
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)
+                .map_err(|e| StorageError::io(format!("opening wal {}", path.display()), e))
+        };
+        let mut file = open(&path)?;
+        let mut file_len = file
             .metadata()
             .map_err(|e| StorageError::io("reading wal metadata", e))?
             .len();
@@ -81,8 +115,29 @@ impl Wal {
             file.seek(SeekFrom::Start(0))
                 .and_then(|_| file.read_to_end(&mut bytes))
                 .map_err(|e| StorageError::io(format!("reading wal {}", path.display()), e))?;
-            verify_header(&bytes, page_size)?;
-            scan_committed(&bytes, page_size, WAL_HEADER_LEN)
+            let (version, stored) = read_header(&bytes)?;
+            if stored != page_size {
+                return Err(StorageError::corrupt(format!(
+                    "wal was written with page size {stored}, opened with {page_size}"
+                )));
+            }
+            let checksum: Checksum = if version < 2 { fnv1a64 } else { checksum64 };
+            let (committed, consumed) =
+                scan(&bytes[WAL_HEADER_LEN as usize..], page_size, checksum);
+            if version < WAL_VERSION {
+                // Upgrade in place: the same transactions under the current
+                // header and checksum, swapped in atomically.
+                let mut image = header_bytes(page_size);
+                for txn in &committed {
+                    encode_txn(&mut image, txn.txn_id, &txn.pages, txn.delta.as_ref());
+                }
+                replace_file(&path, &image, "upgraded wal", true)?;
+                file = open(&path)?;
+                file_len = image.len() as u64;
+                (committed, file_len)
+            } else {
+                (committed, WAL_HEADER_LEN + consumed as u64)
+            }
         };
 
         // Drop the torn tail so future appends are reachable by recovery.
@@ -116,43 +171,39 @@ impl Wal {
         self.len <= WAL_HEADER_LEN
     }
 
-    /// Appends one transaction (page after-images plus the commit frame) and,
-    /// when `fsync` is set, makes it durable before returning. Returns the
-    /// number of bytes appended.
+    /// Appends one transaction (page after-images, the directory delta if
+    /// there is one, and the commit frame) and, when `fsync` is set, makes
+    /// it durable before returning. Returns the number of bytes appended.
     pub fn append_txn(
         &mut self,
         txn_id: u64,
         pages: &[(PageNo, Vec<u8>)],
+        delta: Option<&DirDelta>,
         fsync: bool,
     ) -> StorageResult<u64> {
-        let mut buf = Vec::with_capacity(pages.len() * (29 + self.page_size as usize) + 21);
-        for (page_no, image) in pages {
-            debug_assert_eq!(image.len(), self.page_size as usize);
-            let mut header = Vec::with_capacity(21);
-            header.push(FRAME_PAGE);
-            header.extend_from_slice(&txn_id.to_le_bytes());
-            header.extend_from_slice(&page_no.to_le_bytes());
-            header.extend_from_slice(&(image.len() as u32).to_le_bytes());
-            let checksum = checksum64(&[&header, image]);
-            buf.extend_from_slice(&header);
-            buf.extend_from_slice(&checksum.to_le_bytes());
-            buf.extend_from_slice(image);
-        }
-        let mut commit = Vec::with_capacity(13);
-        commit.push(FRAME_COMMIT);
-        commit.extend_from_slice(&txn_id.to_le_bytes());
-        commit.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-        let checksum = checksum64(&[&commit]);
-        buf.extend_from_slice(&commit);
-        buf.extend_from_slice(&checksum.to_le_bytes());
-
-        self.file
+        let mut buf = Vec::with_capacity(pages.len() * (29 + self.page_size as usize) + 256);
+        debug_assert!(pages
+            .iter()
+            .all(|(_, image)| image.len() == self.page_size as usize));
+        encode_txn(&mut buf, txn_id, pages, delta);
+        let written = self
+            .file
             .write_all(&buf)
-            .map_err(|e| StorageError::io("appending wal transaction", e))?;
-        if fsync {
-            self.file
-                .sync_data()
-                .map_err(|e| StorageError::io("fsyncing wal commit", e))?;
+            .map_err(|e| StorageError::io("appending wal transaction", e))
+            .and_then(|()| match fsync {
+                true => self
+                    .file
+                    .sync_data()
+                    .map_err(|e| StorageError::io("fsyncing wal commit", e)),
+                false => Ok(()),
+            });
+        if let Err(e) = written {
+            // The caller will treat the transaction as not committed, so it
+            // must not stay in the log (whole or in part) for recovery to
+            // replay or for the next append to hide behind.
+            let _ = self.file.set_len(self.len);
+            let _ = self.file.seek(SeekFrom::Start(self.len));
+            return Err(e);
         }
         self.len += buf.len() as u64;
         Ok(buf.len() as u64)
@@ -179,23 +230,65 @@ impl Wal {
     }
 }
 
-fn write_header(file: &mut File, page_size: u32, path: &Path) -> StorageResult<()> {
-    file.seek(SeekFrom::Start(0))
-        .map_err(|e| StorageError::io("seeking wal header", e))?;
+fn header_bytes(page_size: u32) -> Vec<u8> {
     let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
     header.extend_from_slice(&WAL_MAGIC);
     header.extend_from_slice(&WAL_VERSION.to_le_bytes());
     header.extend_from_slice(&0u16.to_le_bytes());
     header.extend_from_slice(&page_size.to_le_bytes());
-    file.write_all(&header)
+    header
+}
+
+fn write_header(file: &mut File, page_size: u32, path: &Path) -> StorageResult<()> {
+    file.seek(SeekFrom::Start(0))
+        .map_err(|e| StorageError::io("seeking wal header", e))?;
+    file.write_all(&header_bytes(page_size))
         .and_then(|_| file.sync_data())
         .map_err(|e| StorageError::io(format!("writing wal header {}", path.display()), e))
 }
 
-/// Validates the header of a WAL byte image and returns the page size it
-/// was written with. Used by replication tailers to check a primary's log
-/// before applying anything from it.
-pub fn header_page_size(bytes: &[u8]) -> StorageResult<u32> {
+/// Appends one frame: kind, transaction id, the kind's own header fields,
+/// the checksum over all of those plus the payload, then the payload.
+fn push_frame(buf: &mut Vec<u8>, kind: u8, txn_id: u64, fields: &[u8], payload: &[u8]) {
+    let start = buf.len();
+    buf.push(kind);
+    buf.extend_from_slice(&txn_id.to_le_bytes());
+    buf.extend_from_slice(fields);
+    let checksum = checksum64(&[&buf[start..], payload]);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
+/// Appends the frames of one whole transaction to `buf`.
+fn encode_txn(
+    buf: &mut Vec<u8>,
+    txn_id: u64,
+    pages: &[(PageNo, Vec<u8>)],
+    delta: Option<&DirDelta>,
+) {
+    let mut fields = [0u8; 12];
+    for (page_no, image) in pages {
+        fields[..8].copy_from_slice(&page_no.to_le_bytes());
+        fields[8..].copy_from_slice(&(image.len() as u32).to_le_bytes());
+        push_frame(buf, FRAME_PAGE, txn_id, &fields, image);
+    }
+    if let Some(delta) = delta {
+        let payload = delta.encode();
+        push_frame(
+            buf,
+            FRAME_DELTA,
+            txn_id,
+            &(payload.len() as u32).to_le_bytes(),
+            &payload,
+        );
+    }
+    let frames = pages.len() as u32 + delta.is_some() as u32;
+    push_frame(buf, FRAME_COMMIT, txn_id, &frames.to_le_bytes(), &[]);
+}
+
+/// Validates magic and version of a WAL byte image; returns the version and
+/// the page size it was written with.
+fn read_header(bytes: &[u8]) -> StorageResult<(u16, u32)> {
     if bytes.len() < WAL_HEADER_LEN as usize {
         return Err(StorageError::corrupt(
             "wal shorter than its header".to_string(),
@@ -208,118 +301,132 @@ pub fn header_page_size(bytes: &[u8]) -> StorageResult<u32> {
         });
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version > WAL_VERSION {
+    if version == 0 || version > WAL_VERSION {
         return Err(StorageError::UnsupportedVersion {
             found: version,
             supported: WAL_VERSION,
         });
     }
-    Ok(u32::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11],
-    ]))
+    let page_size = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+    Ok((version, page_size))
 }
 
-fn verify_header(bytes: &[u8], page_size: u32) -> StorageResult<()> {
-    if bytes[0..4] != WAL_MAGIC {
-        return Err(StorageError::BadMagic {
-            path: "<wal>".to_string(),
-            found: [bytes[0], bytes[1], bytes[2], bytes[3]],
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version > WAL_VERSION {
-        return Err(StorageError::UnsupportedVersion {
+/// Validates the header of a current-version WAL byte image and returns the
+/// page size it was written with. Used by replication tailers to check a
+/// primary's log before applying anything from it ([`scan_committed`] reads
+/// current-version frames only; opening a database upgrades its log).
+pub fn header_page_size(bytes: &[u8]) -> StorageResult<u32> {
+    match read_header(bytes)? {
+        (WAL_VERSION, page_size) => Ok(page_size),
+        (version, _) => Err(StorageError::UnsupportedVersion {
             found: version,
             supported: WAL_VERSION,
-        });
+        }),
     }
-    let stored = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if stored != page_size {
-        return Err(StorageError::corrupt(format!(
-            "wal was written with page size {stored}, opened with {page_size}"
-        )));
-    }
-    Ok(())
 }
 
-/// Scans a WAL byte image for committed transactions starting at byte
-/// `start` (a frame boundary; [`WAL_HEADER_LEN`] scans the whole body),
-/// returning them in commit order together with the offset just past the
-/// last committed frame. Anything after that offset — an unfinished
-/// transaction, a torn record, random garbage — is ignored, so a crash at
-/// *any* byte boundary recovers to a committed prefix. Recovery scans the
-/// whole log this way; replication tailers resume from their applied
-/// watermark.
-pub fn scan_committed(bytes: &[u8], page_size: u32, start: u64) -> (Vec<CommittedTxn>, u64) {
+/// Scans WAL frames (`bytes` starts at a frame boundary: the log's body, or
+/// what a replication tailer read from its applied watermark on) for
+/// committed transactions, returning them in commit order together with the
+/// number of bytes up to the end of the last committed one. Anything after
+/// that — an unfinished transaction, a torn record, random garbage — is
+/// ignored, so a crash at *any* byte boundary recovers to a committed
+/// prefix.
+pub fn scan_committed(bytes: &[u8], page_size: u32) -> (Vec<CommittedTxn>, usize) {
+    scan(bytes, page_size, checksum64)
+}
+
+fn scan(bytes: &[u8], page_size: u32, checksum: Checksum) -> (Vec<CommittedTxn>, usize) {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    // The frame at `pos` with a `header_len`-byte header (whose u32 at
+    // `len_at`, if any, is the payload's length) and a stored checksum, if
+    // it is whole and intact: its payload and the offset just past it.
+    let frame = |pos: usize, header_len: usize, len_at: Option<usize>| {
+        let header = bytes.get(pos..pos + header_len + 8)?;
+        let payload_len = len_at.map_or(0, |at| u32_at(pos + at) as usize);
+        let payload_at = pos + header_len + 8;
+        let payload = bytes.get(payload_at..payload_at.checked_add(payload_len)?)?;
+        (checksum(&[&header[..header_len], payload]) == u64_at(pos + header_len))
+            .then_some((payload, payload_at + payload_len))
+    };
+
     let mut committed = Vec::new();
-    let mut pos = start as usize;
-    let mut valid_len = pos as u64;
-    let mut pending: Vec<(PageNo, Vec<u8>)> = Vec::new();
+    let mut pos = 0usize;
+    let mut valid_len = 0usize;
+    let mut pages: Vec<(PageNo, Vec<u8>)> = Vec::new();
+    let mut delta: Option<DirDelta> = None;
     let mut pending_txn: Option<u64> = None;
 
     while let Some(&frame_type) = bytes.get(pos) {
+        // A frame of another transaction before the pending one committed:
+        // the writer never interleaves, so this is corruption — stop.
+        let joins_pending = |txn_id: u64| pending_txn.is_none_or(|t| t == txn_id);
         match frame_type {
             FRAME_PAGE => {
-                let header_end = pos + 21;
-                let Some(header) = bytes.get(pos..header_end) else {
+                let Some((payload, end)) = frame(pos, 21, Some(17)) else {
                     break;
                 };
-                let txn_id = u64::from_le_bytes(header[1..9].try_into().unwrap());
-                let page_no = u64::from_le_bytes(header[9..17].try_into().unwrap());
-                let len = u32::from_le_bytes(header[17..21].try_into().unwrap());
-                if len != page_size {
-                    break;
-                }
-                let Some(stored) = bytes.get(header_end..header_end + 8) else {
-                    break;
-                };
-                let stored = u64::from_le_bytes(stored.try_into().unwrap());
-                let payload_end = header_end + 8 + len as usize;
-                let Some(payload) = bytes.get(header_end + 8..payload_end) else {
-                    break;
-                };
-                if checksum64(&[header, payload]) != stored {
-                    break;
-                }
-                if pending_txn.is_some_and(|t| t != txn_id) {
-                    // A new transaction started without the previous one
-                    // committing: the writer never interleaves, so this is
-                    // corruption — stop.
+                let txn_id = u64_at(pos + 1);
+                if payload.len() != page_size as usize || !joins_pending(txn_id) || delta.is_some()
+                {
                     break;
                 }
                 pending_txn = Some(txn_id);
-                pending.push((page_no, payload.to_vec()));
-                pos = payload_end;
+                pages.push((u64_at(pos + 9), payload.to_vec()));
+                pos = end;
             }
-            FRAME_COMMIT => {
-                let header_end = pos + 13;
-                let Some(header) = bytes.get(pos..header_end) else {
+            FRAME_DELTA => {
+                let Some((payload, end)) = frame(pos, 13, Some(9)) else {
                     break;
                 };
-                let txn_id = u64::from_le_bytes(header[1..9].try_into().unwrap());
-                let frame_count = u32::from_le_bytes(header[9..13].try_into().unwrap());
-                let Some(stored) = bytes.get(header_end..header_end + 8) else {
+                let txn_id = u64_at(pos + 1);
+                let Ok(decoded) = DirDelta::decode(payload) else {
                     break;
                 };
-                let stored = u64::from_le_bytes(stored.try_into().unwrap());
-                if checksum64(&[header]) != stored {
+                if !joins_pending(txn_id) || delta.is_some() {
                     break;
                 }
-                if pending_txn != Some(txn_id) || pending.len() as u32 != frame_count {
+                pending_txn = Some(txn_id);
+                delta = Some(decoded);
+                pos = end;
+            }
+            FRAME_COMMIT => {
+                let Some((_, end)) = frame(pos, 13, None) else {
+                    break;
+                };
+                let frames = pages.len() + delta.is_some() as usize;
+                if pending_txn != Some(u64_at(pos + 1)) || u32_at(pos + 9) as usize != frames {
                     break;
                 }
                 committed.push(CommittedTxn {
-                    txn_id,
-                    pages: std::mem::take(&mut pending),
+                    txn_id: u64_at(pos + 1),
+                    pages: std::mem::take(&mut pages),
+                    delta: delta.take(),
                 });
                 pending_txn = None;
-                pos = header_end + 8;
-                valid_len = pos as u64;
+                pos = end;
+                valid_len = pos;
             }
             _ => break,
         }
     }
     (committed, valid_len)
+}
+
+#[cfg(test)]
+impl Wal {
+    /// A log on a full disk: every append fails with `ENOSPC`.
+    pub(crate) fn on_full_disk(page_size: u32) -> Self {
+        let path = PathBuf::from("/dev/full");
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        Self {
+            file,
+            path,
+            page_size,
+            len: WAL_HEADER_LEN,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -347,9 +454,10 @@ mod tests {
             let (mut wal, committed) = Wal::open(&path, 64).unwrap();
             assert!(committed.is_empty());
             assert!(wal.is_empty());
-            wal.append_txn(1, &[(0, page(0xaa, 64)), (3, page(0xbb, 64))], true)
+            wal.append_txn(1, &[(0, page(0xaa, 64)), (3, page(0xbb, 64))], None, true)
                 .unwrap();
-            wal.append_txn(2, &[(3, page(0xcc, 64))], true).unwrap();
+            wal.append_txn(2, &[(3, page(0xcc, 64))], None, true)
+                .unwrap();
         }
         let (wal, committed) = Wal::open(&path, 64).unwrap();
         assert!(!wal.is_empty());
@@ -365,10 +473,10 @@ mod tests {
         let path = temp_wal("prefix");
         {
             let (mut wal, _) = Wal::open(&path, 32).unwrap();
-            wal.append_txn(1, &[(0, page(1, 32))], true).unwrap();
-            wal.append_txn(2, &[(1, page(2, 32)), (2, page(3, 32))], true)
+            wal.append_txn(1, &[(0, page(1, 32))], None, true).unwrap();
+            wal.append_txn(2, &[(1, page(2, 32)), (2, page(3, 32))], None, true)
                 .unwrap();
-            wal.append_txn(3, &[(0, page(4, 32))], true).unwrap();
+            wal.append_txn(3, &[(0, page(4, 32))], None, true).unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         let mut seen_counts = std::collections::BTreeSet::new();
@@ -390,8 +498,8 @@ mod tests {
         let path = temp_wal("corrupt");
         {
             let (mut wal, _) = Wal::open(&path, 32).unwrap();
-            wal.append_txn(1, &[(0, page(1, 32))], true).unwrap();
-            wal.append_txn(2, &[(1, page(2, 32))], true).unwrap();
+            wal.append_txn(1, &[(0, page(1, 32))], None, true).unwrap();
+            wal.append_txn(2, &[(1, page(2, 32))], None, true).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a payload byte in the second transaction.
@@ -413,8 +521,8 @@ mod tests {
         let path = temp_wal("append-after-trunc");
         {
             let (mut wal, _) = Wal::open(&path, 32).unwrap();
-            wal.append_txn(1, &[(0, page(1, 32))], true).unwrap();
-            wal.append_txn(2, &[(1, page(2, 32))], true).unwrap();
+            wal.append_txn(1, &[(0, page(1, 32))], None, true).unwrap();
+            wal.append_txn(2, &[(1, page(2, 32))], None, true).unwrap();
         }
         // Tear the second transaction's tail, reopen, append a third.
         let bytes = std::fs::read(&path).unwrap();
@@ -422,7 +530,7 @@ mod tests {
         {
             let (mut wal, committed) = Wal::open(&path, 32).unwrap();
             assert_eq!(committed.len(), 1);
-            wal.append_txn(2, &[(7, page(9, 32))], true).unwrap();
+            wal.append_txn(2, &[(7, page(9, 32))], None, true).unwrap();
         }
         let (_, committed) = Wal::open(&path, 32).unwrap();
         assert_eq!(committed.len(), 2);
@@ -430,11 +538,135 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    fn delta(ids: &[u64], page_count: u64) -> DirDelta {
+        DirDelta {
+            removed: ids
+                .iter()
+                .map(|&id| masksearch_core::MaskId::new(id))
+                .collect(),
+            upserts: Vec::new(),
+            page_count,
+        }
+    }
+
+    #[test]
+    fn delta_frames_round_trip_and_tear_with_their_transaction() {
+        let path = temp_wal("delta");
+        {
+            let (mut wal, _) = Wal::open(&path, 32).unwrap();
+            wal.append_txn(1, &[(3, page(1, 32))], Some(&delta(&[], 4)), true)
+                .unwrap();
+            // A delete-only commit logs no page at all.
+            wal.append_txn(2, &[], Some(&delta(&[7, 9], 4)), true)
+                .unwrap();
+            wal.append_txn(3, &[(0, page(2, 32))], None, true).unwrap();
+        }
+        let full = std::fs::read(&path).unwrap();
+        let (_, committed) = Wal::open(&path, 32).unwrap();
+        assert_eq!(committed.len(), 3);
+        assert_eq!(committed[0].delta, Some(delta(&[], 4)));
+        assert_eq!(committed[1].pages, vec![]);
+        assert_eq!(committed[1].delta, Some(delta(&[7, 9], 4)));
+        assert_eq!(committed[2].delta, None);
+        // The tailer's view: the body scanned from any committed boundary.
+        let body = &full[WAL_HEADER_LEN as usize..];
+        let (all, consumed) = scan_committed(body, 32);
+        assert_eq!((all.len(), consumed), (3, body.len()));
+        let first_len = 29 + 32 + 21 + delta(&[], 4).encode().len() + 21;
+        let (rest, consumed) = scan_committed(&body[first_len..], 32);
+        assert_eq!(rest, committed[1..]);
+        assert_eq!(consumed, body.len() - first_len);
+        // Flipping any byte of the delete-only transaction loses it (and
+        // what follows), never half of it.
+        let second_len = 21 + delta(&[7, 9], 4).encode().len() + 21;
+        for at in first_len..first_len + second_len {
+            let mut corrupt = body.to_vec();
+            corrupt[at] ^= 0x81;
+            let (txns, consumed) = scan_committed(&corrupt, 32);
+            assert_eq!(txns, committed[..1], "flip at {at}");
+            assert_eq!(consumed, first_len);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    type V1Txn = (u64, Vec<(PageNo, Vec<u8>)>);
+
+    /// A version 1 log as the previous build wrote it: FNV-1a checksums,
+    /// version 1 in the header, every transaction carrying page 0.
+    fn v1_log(page_size: u32, txns: &[V1Txn]) -> Vec<u8> {
+        let mut log = header_bytes(page_size);
+        log[4..6].copy_from_slice(&1u16.to_le_bytes());
+        for (txn_id, pages) in txns {
+            for (page_no, image) in pages {
+                let mut header = vec![FRAME_PAGE];
+                header.extend_from_slice(&txn_id.to_le_bytes());
+                header.extend_from_slice(&page_no.to_le_bytes());
+                header.extend_from_slice(&(image.len() as u32).to_le_bytes());
+                let checksum = fnv1a64(&[&header, image]);
+                log.extend_from_slice(&header);
+                log.extend_from_slice(&checksum.to_le_bytes());
+                log.extend_from_slice(image);
+            }
+            let mut commit = vec![FRAME_COMMIT];
+            commit.extend_from_slice(&txn_id.to_le_bytes());
+            commit.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+            let checksum = fnv1a64(&[&commit]);
+            log.extend_from_slice(&commit);
+            log.extend_from_slice(&checksum.to_le_bytes());
+        }
+        log
+    }
+
+    #[test]
+    fn version_1_logs_replay_and_are_rewritten_as_the_current_version() {
+        let path = temp_wal("v1");
+        let txns = vec![
+            (1, vec![(4, page(1, 32)), (0, page(2, 32))]),
+            (2, vec![(5, page(3, 32)), (0, page(4, 32))]),
+        ];
+        let log = v1_log(32, &txns);
+        // Torn anywhere, a v1 log still recovers a committed prefix of its
+        // transactions — checked with its own checksum, never the new one.
+        for cut in (WAL_HEADER_LEN as usize..=log.len()).rev() {
+            std::fs::write(&path, &log[..cut]).unwrap();
+            let (wal, committed) = Wal::open(&path, 32).unwrap();
+            let txn_len = 2 * (29 + 32) + 21;
+            let expected = (cut - WAL_HEADER_LEN as usize) / txn_len;
+            assert_eq!(committed.len(), expected, "cut {cut}");
+            for (txn, (txn_id, pages)) in committed.iter().zip(&txns) {
+                assert_eq!(
+                    (txn.txn_id, &txn.pages, &txn.delta),
+                    (*txn_id, pages, &None)
+                );
+            }
+            // The file is now a version 2 log of the same transactions.
+            drop(wal);
+            let upgraded = std::fs::read(&path).unwrap();
+            assert_eq!(header_page_size(&upgraded).unwrap(), 32);
+            let (again, consumed) = scan_committed(&upgraded[WAL_HEADER_LEN as usize..], 32);
+            assert_eq!(again, committed);
+            assert_eq!(consumed, upgraded.len() - WAL_HEADER_LEN as usize);
+        }
+        // Tailers read current-version logs only, and nobody reads a newer one.
+        assert!(matches!(
+            header_page_size(&log),
+            Err(StorageError::UnsupportedVersion { found: 1, .. })
+        ));
+        let mut future = log.clone();
+        future[4..6].copy_from_slice(&(WAL_VERSION + 1).to_le_bytes());
+        std::fs::write(&path, &future).unwrap();
+        assert!(matches!(
+            Wal::open(&path, 32),
+            Err(StorageError::UnsupportedVersion { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn reset_empties_the_log() {
         let path = temp_wal("reset");
         let (mut wal, _) = Wal::open(&path, 32).unwrap();
-        wal.append_txn(1, &[(0, page(1, 32))], true).unwrap();
+        wal.append_txn(1, &[(0, page(1, 32))], None, true).unwrap();
         wal.reset().unwrap();
         assert!(wal.is_empty());
         assert_eq!(wal.len(), WAL_HEADER_LEN);

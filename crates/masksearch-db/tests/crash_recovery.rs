@@ -452,3 +452,626 @@ fn shape_stats_survive_checkpoint_and_torn_files_fall_back_to_defaults() {
     fs::remove_dir_all(&src).unwrap();
     fs::remove_dir_all(&crash_dir).unwrap();
 }
+
+// ---------------------------------------------------------------------------
+// Directory deltas in the WAL, the directory written at checkpoints, index
+// files appended to: crashes between and inside a checkpoint's steps.
+// ---------------------------------------------------------------------------
+
+/// The four files recovery reads, as they were at one instant. A missing
+/// file is an empty one.
+#[derive(Clone, PartialEq)]
+struct Files {
+    db: Vec<u8>,
+    wal: Vec<u8>,
+    chi: Vec<u8>,
+    tiles: Vec<u8>,
+}
+
+impl Files {
+    fn read(dir: &Path) -> Self {
+        let file = |name: &str| fs::read(dir.join(name)).unwrap_or_default();
+        Self {
+            db: file(DB_FILE),
+            wal: file(WAL_FILE),
+            chi: file(CHI_FILE),
+            tiles: file(TILES_FILE),
+        }
+    }
+
+    fn write(&self, dir: &Path) {
+        let _ = fs::remove_dir_all(dir);
+        fs::create_dir_all(dir).unwrap();
+        for (name, bytes) in [
+            (DB_FILE, &self.db),
+            (WAL_FILE, &self.wal),
+            (CHI_FILE, &self.chi),
+            (TILES_FILE, &self.tiles),
+        ] {
+            if !bytes.is_empty() {
+                fs::write(dir.join(name), bytes).unwrap();
+            }
+        }
+    }
+}
+
+/// One commit of the interleaving history: masks to insert or overwrite
+/// (id, pixel seed) and ids to delete, in one batch.
+struct Op {
+    upserts: &'static [(u64, u32)],
+    deletes: &'static [u64],
+}
+
+const INTERLEAVING_HISTORY: &[Op] = &[
+    Op {
+        upserts: &[(0, 0), (1, 1), (2, 2)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[(3, 3), (4, 4)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[(1, 21), (3, 23)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[],
+        deletes: &[0],
+    },
+    Op {
+        upserts: &[(5, 5), (6, 6), (7, 7)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[(2, 32), (8, 8)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[],
+        deletes: &[4, 5],
+    },
+    Op {
+        upserts: &[(9, 9), (10, 10)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[(6, 46), (7, 47), (8, 48)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[],
+        deletes: &[1],
+    },
+    // Re-inserts an id deleted earlier, and deletes one in the same batch.
+    Op {
+        upserts: &[(11, 0), (12, 1), (0, 5)],
+        deletes: &[9],
+    },
+    Op {
+        upserts: &[(10, 59)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[],
+        deletes: &[10, 12],
+    },
+    Op {
+        upserts: &[(13, 3)],
+        deletes: &[],
+    },
+    Op {
+        upserts: &[(2, 7)],
+        deletes: &[],
+    },
+];
+
+fn apply_op(store: &DurableMaskStore, op: &Op) {
+    let inserts: Vec<(MaskRecord, Mask)> = op
+        .upserts
+        .iter()
+        .map(|&(id, seed)| (record(id), mask(seed)))
+        .collect();
+    let deletes: Vec<MaskId> = op.deletes.iter().map(|&id| MaskId::new(id)).collect();
+    store.apply_batch(&inserts, &deletes).unwrap();
+}
+
+/// Small enough that the history checkpoints automatically every few
+/// commits.
+fn checkpointing_config() -> DbConfig {
+    config().checkpoint_wal_bytes(1200)
+}
+
+/// Reopens `files` as a crashed database and returns the committed prefix
+/// it equals (with every CHI equal to `Chi::build` of its pixels and the
+/// tile summaries verified, see [`matching_prefix`]).
+fn recovered_prefix(files: &Files, crash_dir: &Path, steps: &[HistoryStep]) -> usize {
+    files.write(crash_dir);
+    let store = DurableMaskStore::open(crash_dir, checkpointing_config()).unwrap();
+    matching_prefix(&store, steps)
+}
+
+/// `after`'s pages where `from_after(page)` says so, `before`'s (zeros past
+/// its end, as in a sparse file) elsewhere: a page file caught mid-flush.
+fn mixed_pages(before: &[u8], after: &[u8], from_after: impl Fn(usize) -> bool) -> Vec<u8> {
+    let page = 128;
+    let mut mixed = vec![0u8; after.len().max(before.len())];
+    for (no, chunk) in mixed.chunks_mut(page).enumerate() {
+        let source = if from_after(no) { after } else { before };
+        if let Some(bytes) = source.get(no * page..no * page + chunk.len()) {
+            chunk.copy_from_slice(bytes);
+        }
+    }
+    mixed
+}
+
+/// Every state of a file that is being appended to (or, if `after` does not
+/// extend `before`, replaced by rename): each byte length in between.
+fn append_states(before: &[u8], after: &[u8]) -> Vec<Vec<u8>> {
+    if after.starts_with(before) {
+        (before.len()..=after.len())
+            .map(|len| after[..len].to_vec())
+            .collect()
+    } else {
+        vec![before.to_vec(), after.to_vec()]
+    }
+}
+
+#[test]
+fn crashes_between_and_inside_checkpoint_steps_recover_a_committed_prefix() {
+    let main_dir = temp_dir("interleave-main");
+    let twin_dir = temp_dir("interleave-twin");
+    let crash_dir = temp_dir("interleave-crash");
+
+    // The expected state after every commit (index 0 = empty database).
+    let mut model: BTreeMap<MaskId, Mask> = BTreeMap::new();
+    let mut steps = vec![HistoryStep {
+        expected: model.clone(),
+    }];
+    for op in INTERLEAVING_HISTORY {
+        for id in op.deletes {
+            assert!(model.remove(&MaskId::new(*id)).is_some());
+        }
+        for &(id, seed) in op.upserts {
+            model.insert(MaskId::new(id), mask(seed));
+        }
+        assert!(
+            steps.iter().all(|s| s.expected != model),
+            "history states must be distinct for prefixes to be identifiable"
+        );
+        steps.push(HistoryStep {
+            expected: model.clone(),
+        });
+    }
+
+    let main = DurableMaskStore::open(&main_dir, checkpointing_config()).unwrap();
+    let mut checkpoints = 0u64;
+    for (k, op) in INTERLEAVING_HISTORY
+        .iter()
+        .enumerate()
+        .map(|(i, op)| (i + 1, op))
+    {
+        let before = Files::read(&main_dir);
+        apply_op(&main, op);
+        let after = Files::read(&main_dir);
+        let now = main.ingest_stats().unwrap().checkpoints;
+        if now == checkpoints {
+            continue;
+        }
+        checkpoints = now;
+
+        // This commit checkpointed. The log as it was just before the
+        // checkpoint dropped it is observed on a twin: the same database
+        // reopened from `before`, given the same commit, its checkpoint
+        // stopped after the page-file flush by an index file it cannot
+        // write (a directory is in the way).
+        before.write(&twin_dir);
+        let twin = DurableMaskStore::open(&twin_dir, checkpointing_config()).unwrap();
+        let _ = fs::remove_file(twin_dir.join(CHI_FILE));
+        fs::create_dir(twin_dir.join(CHI_FILE)).unwrap();
+        apply_op(&twin, op);
+        assert!(
+            twin.take_checkpoint_error().is_some(),
+            "commit {k}: the twin's checkpoint should have failed at the chi file"
+        );
+        drop(twin);
+        let log = fs::read(twin_dir.join(WAL_FILE)).unwrap();
+        assert!(log.starts_with(&before.wal) && log.len() > before.wal.len());
+        assert!(
+            fs::read(twin_dir.join(DB_FILE)).unwrap() == after.db,
+            "commit {k}: the twin flushed a different page file than the original"
+        );
+        assert!(after.wal.len() == 12, "commit {k}: checkpoint left a log");
+
+        let expect_k = |files: Files, what: &str| {
+            assert_eq!(
+                recovered_prefix(&files, &crash_dir, &steps),
+                k,
+                "commit {k}: {what}"
+            );
+        };
+
+        // 1. The log is being appended to — first the commit, then the
+        //    checkpoint's copy of the directory: cut at every byte. Nothing
+        //    else has been touched.
+        let mut last = k - 1;
+        for cut in before.wal.len()..=log.len() {
+            let files = Files {
+                wal: log[..cut].to_vec(),
+                ..before.clone()
+            };
+            let prefix = recovered_prefix(&files, &crash_dir, &steps);
+            assert!(
+                prefix == last || (prefix == k && last == k - 1),
+                "commit {k}: log cut at {cut} recovered prefix {prefix} after {last}"
+            );
+            last = prefix;
+        }
+        assert_eq!(last, k, "commit {k}: the whole log must recover the commit");
+
+        // 2. The log is whole and synced; the page file is being flushed, in
+        //    whatever order its pages reach the disk.
+        for (what, db) in [
+            (
+                "flush: even pages written",
+                mixed_pages(&before.db, &after.db, |no| no % 2 == 0),
+            ),
+            (
+                "flush: odd pages written",
+                mixed_pages(&before.db, &after.db, |no| no % 2 == 1),
+            ),
+            (
+                "flush: first half written",
+                mixed_pages(&before.db, &after.db, |no| no < 6),
+            ),
+            (
+                "flush: second half written",
+                mixed_pages(&before.db, &after.db, |no| no >= 6),
+            ),
+            ("flush: all pages written", after.db.clone()),
+        ] {
+            let files = Files {
+                db,
+                wal: log.clone(),
+                ..before.clone()
+            };
+            expect_k(files, what);
+        }
+
+        // 3. and 4. The page file is durable; the chi file, then the tile
+        //    file, is being brought up to date. The log still names every
+        //    mask the old files are stale for.
+        for chi in append_states(&before.chi, &after.chi) {
+            let files = Files {
+                db: after.db.clone(),
+                wal: log.clone(),
+                chi,
+                tiles: before.tiles.clone(),
+            };
+            expect_k(files, "chi file being written");
+        }
+        for tiles in append_states(&before.tiles, &after.tiles) {
+            let files = Files {
+                wal: log.clone(),
+                tiles,
+                ..after.clone()
+            };
+            expect_k(files, "tile file being written");
+        }
+
+        // 5. Everything else is durable; the log is being dropped: still
+        //    whole, truncated to nothing, its new header half written, done.
+        for wal in [
+            log.clone(),
+            Vec::new(),
+            after.wal[..5].to_vec(),
+            after.wal.clone(),
+        ] {
+            let files = Files {
+                wal,
+                ..after.clone()
+            };
+            expect_k(files, "log being reset");
+        }
+    }
+    assert!(checkpoints >= 4, "only {checkpoints} automatic checkpoints");
+    drop(main);
+
+    // The commits since the last checkpoint live in the final log alone: cut
+    // it at every byte over the final files.
+    let last_files = Files::read(&main_dir);
+    let mut last = 0;
+    for cut in 0..=last_files.wal.len() {
+        let files = Files {
+            wal: last_files.wal[..cut].to_vec(),
+            ..last_files.clone()
+        };
+        let prefix = recovered_prefix(&files, &crash_dir, &steps);
+        assert!(
+            prefix >= last,
+            "final log cut at {cut}: {prefix} after {last}"
+        );
+        last = prefix;
+    }
+    assert_eq!(last, steps.len() - 1);
+
+    for dir in [main_dir, twin_dir, crash_dir] {
+        fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+#[test]
+fn a_commit_logs_what_it_writes_however_large_the_database() {
+    // One overwritten mask costs its pages plus a delta naming it, one
+    // deleted mask a delta alone — not the directory of everything stored.
+    let logged = |stored: u64| {
+        let dir = temp_dir(&format!("delta-bytes-{stored}"));
+        let db = MaskDb::open(&dir, config()).unwrap();
+        for first in (0..stored).step_by(64) {
+            let batch: Vec<(MaskRecord, Mask)> = (first..first + 64)
+                .map(|i| (record(i), mask(i as u32)))
+                .collect();
+            db.insert_masks(&batch).unwrap();
+        }
+        assert_eq!(db.store().len() as u64, stored);
+        let wal_bytes = || db.ingest_stats().wal_bytes;
+        let start = wal_bytes();
+        db.insert_masks(&[(record(5), mask(99))]).unwrap();
+        let overwrite = wal_bytes() - start;
+        db.delete_masks(&[MaskId::new(6)]).unwrap();
+        let delete = wal_bytes() - start - overwrite;
+        assert_eq!(db.store().get(MaskId::new(5)).unwrap(), mask(99));
+        assert!(!db.store().contains(MaskId::new(6)));
+        fs::remove_dir_all(&dir).unwrap();
+        (overwrite, delete)
+    };
+    let small = logged(64);
+    assert_eq!(small, logged(2048));
+    let (overwrite, delete) = small;
+    // 128-byte pages: a 4x4 mask is one page; a delete logs none.
+    assert!(delete < 128, "a delete logged {delete} bytes");
+    assert!(overwrite < 3 * 128, "an overwrite logged {overwrite} bytes");
+}
+
+/// The index files of `dir` parsed back, with the length of their valid
+/// prefixes.
+fn load_index_files(
+    dir: &Path,
+) -> (
+    (masksearch_index::ChiStore, usize),
+    (masksearch_index::TileStore, usize),
+) {
+    (
+        masksearch_index::ChiStore::from_segments(&fs::read(dir.join(CHI_FILE)).unwrap()).unwrap(),
+        masksearch_index::TileStore::from_segments(&fs::read(dir.join(TILES_FILE)).unwrap())
+            .unwrap(),
+    )
+}
+
+#[test]
+fn index_files_grow_by_appends_survive_a_torn_segment_and_compact_on_checkpoint() {
+    let dir = temp_dir("segments");
+    let config = config().checkpoint_wal_bytes(1500);
+    let mut model: BTreeMap<MaskId, Mask> = BTreeMap::new();
+    let mut next = 0u64;
+    // Inserts two fresh masks per commit until `target` automatic
+    // checkpoints have run; stops right after one, so the log is empty.
+    let mut insert_until =
+        |store: &DurableMaskStore, model: &mut BTreeMap<MaskId, Mask>, target: u64| {
+            let mut snapshots: Vec<Files> = Vec::new();
+            let mut seen = store.ingest_stats().unwrap().checkpoints;
+            while seen < target {
+                let batch: Vec<(MaskRecord, Mask)> = (next..next + 2)
+                    .map(|i| (record(i), mask(i as u32 * 3)))
+                    .collect();
+                next += 2;
+                store.insert_masks(&batch).unwrap();
+                model.extend(batch.into_iter().map(|(r, m)| (r.mask_id, m)));
+                let now = store.ingest_stats().unwrap().checkpoints;
+                if now > seen {
+                    seen = now;
+                    snapshots.push(Files::read(&dir));
+                }
+            }
+            snapshots
+        };
+
+    let store = DurableMaskStore::open(&dir, config).unwrap();
+    let snapshots = insert_until(&store, &mut model, 4);
+    drop(store);
+    // Appends only: each checkpoint's files extend the previous one's, byte
+    // for byte, and hold every mask.
+    for pair in snapshots.windows(2) {
+        assert!(pair[1].chi.len() > pair[0].chi.len() && pair[1].chi.starts_with(&pair[0].chi));
+        assert!(pair[1].tiles.len() > pair[0].tiles.len());
+        assert!(pair[1].tiles.starts_with(&pair[0].tiles));
+    }
+    let ((chi, chi_len), (tiles, tiles_len)) = load_index_files(&dir);
+    let last = snapshots.last().unwrap();
+    assert_eq!((chi_len, tiles_len), (last.chi.len(), last.tiles.len()));
+    assert_eq!((chi.len(), tiles.len()), (model.len(), model.len()));
+    assert_eq!(last.wal.len(), 12, "the last commit checkpointed");
+
+    // Tear the last segment of both files. The log is empty, so nothing but
+    // the files' own checksums says those entries are gone: they are
+    // dropped, and their masks re-indexed from pixels.
+    let before_last = &snapshots[snapshots.len() - 2];
+    fs::write(dir.join(CHI_FILE), &last.chi[..last.chi.len() - 3]).unwrap();
+    fs::write(
+        dir.join(TILES_FILE),
+        &last.tiles[..before_last.tiles.len() + 9],
+    )
+    .unwrap();
+    let ((chi, chi_len), (_, tiles_len)) = load_index_files(&dir);
+    assert_eq!(
+        (chi_len, tiles_len),
+        (before_last.chi.len(), before_last.tiles.len())
+    );
+    assert!(chi.len() < model.len());
+    let store = DurableMaskStore::open(&dir, config).unwrap();
+    assert_state_matches(&store, &model);
+
+    // The next automatic checkpoint appends where the valid prefix ended,
+    // not behind the torn bytes, and its segment holds the rebuilt entries.
+    insert_until(&store, &mut model, 1);
+    let ((chi, chi_len), (tiles, tiles_len)) = load_index_files(&dir);
+    let files = Files::read(&dir);
+    assert_eq!((chi_len, tiles_len), (files.chi.len(), files.tiles.len()));
+    assert!(files.chi.starts_with(&before_last.chi) && files.tiles.starts_with(&before_last.tiles));
+    assert_eq!((chi.len(), tiles.len()), (model.len(), model.len()));
+
+    // Deletes and overwrites leave dead entries behind; an explicit
+    // checkpoint leaves none: each file is the store's one-segment image.
+    store
+        .delete_masks(&[MaskId::new(0), MaskId::new(3)])
+        .unwrap();
+    model.remove(&MaskId::new(0));
+    model.remove(&MaskId::new(3));
+    store.insert_masks(&[(record(1), mask(100))]).unwrap();
+    model.insert(MaskId::new(1), mask(100));
+    store.checkpoint().unwrap();
+    let files = Files::read(&dir);
+    assert!(files.chi == store.chi_store().to_bytes());
+    assert!(files.tiles == store.tile_store().to_bytes());
+    let ((chi, chi_len), (tiles, tiles_len)) = load_index_files(&dir);
+    assert_eq!((chi_len, tiles_len), (files.chi.len(), files.tiles.len()));
+    assert_eq!((chi.len(), tiles.len()), (store.len(), store.len()));
+    assert_eq!(chi.ids(), store.ids());
+    drop(store);
+    let store = DurableMaskStore::open(&dir, config).unwrap();
+    assert_state_matches(&store, &model);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn overwrite_churn_rewrites_index_files_before_dead_entries_outweigh_live_ones() {
+    let dir = temp_dir("churn");
+    let store = DurableMaskStore::open(&dir, config().checkpoint_wal_bytes(1500)).unwrap();
+    let mut model: BTreeMap<MaskId, Mask> = BTreeMap::new();
+    let mut largest = (0u64, 0u64);
+    for round in 0..60u32 {
+        let batch: Vec<(MaskRecord, Mask)> = (0..6u64)
+            .map(|i| (record(i), mask(i as u32 + round)))
+            .collect();
+        store.insert_masks(&batch).unwrap();
+        model.extend(batch.into_iter().map(|(r, m)| (r.mask_id, m)));
+        let files = Files::read(&dir);
+        largest = (
+            largest.0.max(files.chi.len() as u64),
+            largest.1.max(files.tiles.len() as u64),
+        );
+    }
+    assert!(store.ingest_stats().unwrap().checkpoints >= 10);
+    // Without rewrites ten-odd checkpoints of six entries each would have
+    // piled up; with them a file never reaches twice its live content plus
+    // the segment that tipped it over.
+    let live = (
+        store.chi_store().encoded_len(),
+        store.tile_store().encoded_len(),
+    );
+    assert!(
+        largest.0 < 2 * live.0,
+        "chi file reached {} of {} live bytes",
+        largest.0,
+        live.0
+    );
+    assert!(
+        largest.1 < 2 * live.1,
+        "tile file reached {} of {} live bytes",
+        largest.1,
+        live.1
+    );
+    drop(store);
+    let store = DurableMaskStore::open(&dir, config()).unwrap();
+    assert_state_matches(&store, &model);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Copies a database written by the previous format's build (PR 18:
+/// `WAL_VERSION` 1, `DB_FORMAT_VERSION` 1, bare `MSKI` v1 / `MSKT` v2 index
+/// images) out of `tests/fixtures/` into a scratch directory.
+fn v1_fixture(name: &str) -> PathBuf {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let dst = temp_dir(&format!("fixture-{name}"));
+    fs::create_dir_all(&dst).unwrap();
+    for entry in fs::read_dir(&src).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+    }
+    dst
+}
+
+fn format_version(dir: &Path, file: &str) -> u16 {
+    let bytes = fs::read(dir.join(file)).unwrap();
+    u16::from_le_bytes([bytes[4], bytes[5]])
+}
+
+#[test]
+fn version_1_databases_open_replay_their_log_and_are_upgraded_in_place() {
+    // Both fixtures: masks 0..5 inserted and checkpointed, then masks 1 and
+    // 3 overwritten, mask 0 deleted, mask 7 inserted. `v1_with_wal` stops
+    // there — three committed transactions in a version 1 log over index
+    // files stale for them; `v1_checkpointed` checkpointed once more.
+    let mut expected: BTreeMap<MaskId, Mask> = [
+        (MaskId::new(1), mask(50)),
+        (MaskId::new(2), mask(2)),
+        (MaskId::new(3), mask(51)),
+        (MaskId::new(4), mask(4)),
+        (MaskId::new(7), mask(52)),
+    ]
+    .into_iter()
+    .collect();
+    for (name, logged_frames) in [("v1_with_wal", true), ("v1_checkpointed", false)] {
+        let dir = v1_fixture(name);
+        for file in [DB_FILE, WAL_FILE, CHI_FILE] {
+            assert_eq!(
+                format_version(&dir, file),
+                1,
+                "{name}/{file} is not a v1 fixture"
+            );
+        }
+        assert_eq!(format_version(&dir, TILES_FILE), 2);
+        assert_eq!(
+            fs::read(dir.join(WAL_FILE)).unwrap().len() > 12,
+            logged_frames
+        );
+        {
+            // The v1 log's transactions replay (under their own checksum)
+            // and the log is a version 2 log from here on.
+            let store = DurableMaskStore::open(&dir, config()).unwrap();
+            assert_state_matches(&store, &expected);
+            assert_eq!(format_version(&dir, WAL_FILE), 2);
+            assert_eq!(store.wal_bytes() > 12, logged_frames);
+            // New commits (delta frames) land on top, checkpoint or not.
+            store
+                .insert_masks(&[(record(9), mask(9)), (record(2), mask(60))])
+                .unwrap();
+            store.delete_masks(&[MaskId::new(4)]).unwrap();
+        }
+        let mut expected = expected.clone();
+        expected.insert(MaskId::new(9), mask(9));
+        expected.insert(MaskId::new(2), mask(60));
+        expected.remove(&MaskId::new(4));
+        {
+            let store = DurableMaskStore::open(&dir, config()).unwrap();
+            assert_state_matches(&store, &expected);
+            // The first checkpoint writes every file in the current format,
+            // which a v1 build refuses to open.
+            store.checkpoint().unwrap();
+        }
+        assert_eq!(format_version(&dir, DB_FILE), 2);
+        assert_eq!(format_version(&dir, WAL_FILE), 2);
+        assert_eq!(format_version(&dir, CHI_FILE), 2);
+        assert_eq!(format_version(&dir, TILES_FILE), 3);
+        let store = DurableMaskStore::open(&dir, config()).unwrap();
+        assert_state_matches(&store, &expected);
+        let ((chi, chi_len), (tiles, _)) = load_index_files(&dir);
+        assert_eq!(chi_len, fs::read(dir.join(CHI_FILE)).unwrap().len());
+        assert_eq!((chi.len(), tiles.len()), (expected.len(), expected.len()));
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+    expected.clear();
+}

@@ -23,8 +23,9 @@
 //! * [`compose`] — bound algebra for multi-mask queries: sound `CP` bounds
 //!   over a pixelwise composition (`min`/`max`/`|a−b|`) of two masks,
 //!   derived from the two per-mask CHIs without loading either mask.
-//! * [`store`] — an in-memory collection of CHIs with binary persistence and
-//!   incremental insertion (paper §3.6).
+//! * [`store`] — an in-memory collection of CHIs with binary persistence
+//!   (appendable checksummed segments) and incremental insertion (paper
+//!   §3.6).
 //! * [`builder`] — parallel bulk index construction.
 //! * [`tiles`] — a persistent collection of per-mask tile-summary grids for
 //!   the verification kernel (the within-mask counterpart of the CHI).
@@ -49,6 +50,7 @@ pub mod bounds;
 pub mod builder;
 pub mod chi;
 pub mod compose;
+mod segment;
 pub mod store;
 pub mod tiles;
 

@@ -6,10 +6,23 @@
 //! [`ChiStore`] is that collection: a concurrent map from [`MaskId`] to
 //! [`Chi`], a single-file binary serialisation, and size accounting used to
 //! report index-size/dataset-size ratios (§4.1).
+//!
+//! The file is a sequence of [`crate::segment`]s. Each segment's payload is
+//!
+//! ```text
+//! cell_width u32 , cell_height u32 , bins u32 , count u64 ,
+//! count × ( mask_id u64 , mask_width u32 , mask_height u32 , len u32 , len × u32 )
+//! ```
+//!
+//! and a later segment's entry for a mask replaces an earlier one's, so the
+//! durable store can append what changed since its last checkpoint
+//! ([`ChiStore::segment_bytes`]) and rewrite the file as one segment
+//! ([`ChiStore::to_bytes`]) only when enough of it is dead.
 
 use crate::chi::{Chi, ChiConfig};
+use crate::segment::{self, Format, SEGMENT_HEADER_LEN};
 use masksearch_core::{Mask, MaskId};
-use masksearch_storage::codec::{Reader, Writer};
+use masksearch_storage::codec::Reader;
 use masksearch_storage::{StorageError, StorageResult};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -20,7 +33,24 @@ use std::sync::Arc;
 /// Magic bytes identifying a CHI index file.
 pub const CHI_MAGIC: [u8; 4] = *b"MSKI";
 /// CHI index file format version.
-pub const CHI_FORMAT_VERSION: u16 = 1;
+///
+/// History: v1 — one bare image of every index; v2 — a sequence of
+/// checksummed segments (see [`crate::segment`]) with the same payload.
+pub const CHI_FORMAT_VERSION: u16 = 2;
+
+const FORMAT: Format = Format {
+    magic: CHI_MAGIC,
+    version: CHI_FORMAT_VERSION,
+    segmented_since: 2,
+    what: "chi index file",
+};
+/// Payload bytes before the entries: the configuration and the count.
+const PAYLOAD_HEADER_LEN: usize = 12 + 8;
+
+/// Encoded size of one entry.
+fn entry_len(chi: &Chi) -> usize {
+    8 + 4 + 4 + 4 + 4 * chi.data().len()
+}
 
 /// A thread-safe collection of per-mask CHIs sharing one configuration.
 #[derive(Debug)]
@@ -149,54 +179,80 @@ impl ChiStore {
         self.entries.read().values().map(|c| c.byte_size()).sum()
     }
 
-    /// Serialises the store (configuration + every index) to bytes.
+    /// Serialises the store (configuration + every index) as one segment.
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries = self.entries.read();
-        let mut w = Writer::new();
-        w.write_bytes(&CHI_MAGIC);
-        w.write_u16(CHI_FORMAT_VERSION);
-        w.write_u16(0);
+        self.encode_segment(entries.len(), entries.iter().map(|(id, chi)| (*id, &**chi)))
+    }
+
+    /// Serialises the indexes of those of `ids` that are in the store as one
+    /// segment to append to a file of earlier ones; `None` if none is.
+    pub fn segment_bytes(&self, ids: impl IntoIterator<Item = MaskId>) -> Option<Vec<u8>> {
+        let entries = self.entries.read();
+        let present: Vec<(MaskId, &Chi)> = ids
+            .into_iter()
+            .filter_map(|id| entries.get(&id).map(|chi| (id, &**chi)))
+            .collect();
+        (!present.is_empty()).then(|| self.encode_segment(present.len(), present.into_iter()))
+    }
+
+    /// Exactly `self.to_bytes().len()`, without serialising anything.
+    pub fn encoded_len(&self) -> u64 {
+        let entries = self.entries.read();
+        let entry_bytes: usize = entries.values().map(|chi| entry_len(chi)).sum();
+        (SEGMENT_HEADER_LEN + PAYLOAD_HEADER_LEN + entry_bytes) as u64
+    }
+
+    fn encode_segment<'a>(
+        &self,
+        count: usize,
+        entries: impl Iterator<Item = (MaskId, &'a Chi)>,
+    ) -> Vec<u8> {
+        let mut w = segment::begin(CHI_MAGIC, CHI_FORMAT_VERSION);
         w.write_u32(self.config.cell_width());
         w.write_u32(self.config.cell_height());
         w.write_u32(self.config.bins());
-        w.write_u64(entries.len() as u64);
-        for (id, chi) in entries.iter() {
+        w.write_u64(count as u64);
+        for (id, chi) in entries {
+            let start = w.len();
             w.write_u64(id.raw());
             w.write_u32(chi.mask_width());
             w.write_u32(chi.mask_height());
             w.write_u32_vec(chi.data());
+            debug_assert_eq!(w.len() - start, entry_len(chi));
         }
-        w.into_bytes()
+        segment::finish(w)
     }
 
-    /// Deserialises a store written by [`ChiStore::to_bytes`].
+    /// Deserialises a store from the bytes of a file: one segment written by
+    /// [`ChiStore::to_bytes`], any number appended after it, or a bare v1
+    /// image. A torn or foreign tail is ignored; see
+    /// [`ChiStore::from_segments`] to learn where it starts.
     pub fn from_bytes(bytes: &[u8]) -> StorageResult<Self> {
-        let mut r = Reader::new(bytes, "chi index file");
-        let magic = r.read_magic()?;
-        if magic != CHI_MAGIC {
-            return Err(StorageError::BadMagic {
-                path: "<chi index>".to_string(),
-                found: magic,
-            });
-        }
-        let version = r.read_u16()?;
-        if version > CHI_FORMAT_VERSION {
-            return Err(StorageError::UnsupportedVersion {
-                found: version,
-                supported: CHI_FORMAT_VERSION,
-            });
-        }
-        let _reserved = r.read_u16()?;
-        let cell_width = r.read_u32()?;
-        let cell_height = r.read_u32()?;
-        let bins = r.read_u32()?;
-        let config = ChiConfig::new(cell_width, cell_height, bins).ok_or_else(|| {
-            StorageError::corrupt("chi index file has a zero-sized configuration")
-        })?;
-        let count = r.read_u64()?;
-        let store = ChiStore::new(config);
-        {
-            let mut entries = store.entries.write();
+        Self::from_segments(bytes).map(|(store, _)| store)
+    }
+
+    /// Like [`ChiStore::from_bytes`], also returning the length of the
+    /// prefix of `bytes` that was loaded — the offset at which the next
+    /// segment belongs. It is 0 for a bare v1 image, which cannot be
+    /// appended to. Fails if not even the first segment is readable.
+    pub fn from_segments(bytes: &[u8]) -> StorageResult<(Self, usize)> {
+        let mut store: Option<ChiStore> = None;
+        let valid_len = segment::read(bytes, &FORMAT, |_, payload| {
+            let mut r = Reader::new(payload, FORMAT.what);
+            let cell_width = r.read_u32()?;
+            let cell_height = r.read_u32()?;
+            let bins = r.read_u32()?;
+            let config = ChiConfig::new(cell_width, cell_height, bins).ok_or_else(|| {
+                StorageError::corrupt("chi index file has a zero-sized configuration")
+            })?;
+            if store.as_ref().is_some_and(|s| s.config != config) {
+                return Err(StorageError::corrupt(
+                    "chi index segment of a different configuration",
+                ));
+            }
+            let count = r.read_u64()?;
+            let mut decoded = Vec::new();
             for _ in 0..count {
                 let id = MaskId::new(r.read_u64()?);
                 let width = r.read_u32()?;
@@ -207,10 +263,17 @@ impl ChiStore {
                         "chi payload for mask {id} does not match its declared shape"
                     ))
                 })?;
-                entries.insert(id, Arc::new(chi));
+                decoded.push((id, Arc::new(chi)));
             }
-        }
-        Ok(store)
+            store
+                .get_or_insert_with(|| ChiStore::new(config))
+                .entries
+                .write()
+                .extend(decoded);
+            Ok(())
+        })?;
+        let store = store.ok_or_else(|| StorageError::corrupt("chi index file is empty"))?;
+        Ok((store, valid_len))
     }
 
     /// Persists the store to a file.
@@ -344,5 +407,84 @@ mod tests {
         store.index_mask(MaskId::new(1), &mask(1));
         let bytes = store.to_bytes();
         assert!(ChiStore::from_bytes(&bytes[..bytes.len() - 8]).is_err());
+        assert!(ChiStore::from_bytes(&[]).is_err());
+    }
+
+    /// The file as a v1 build wrote it: no length, no checksum.
+    fn bare_v1_image(store: &ChiStore) -> Vec<u8> {
+        let mut bytes = CHI_MAGIC.to_vec();
+        bytes.extend_from_slice(&[1, 0, 0, 0]);
+        bytes.extend_from_slice(&store.to_bytes()[SEGMENT_HEADER_LEN..]);
+        bytes
+    }
+
+    #[test]
+    fn appended_segments_replace_earlier_entries_and_a_torn_tail_is_dropped() {
+        let store = ChiStore::new(config());
+        for i in 0..4u64 {
+            store.index_mask(MaskId::new(i), &mask(i as u32));
+        }
+        let mut file = store.to_bytes();
+        assert_eq!(file.len() as u64, store.encoded_len());
+        let first_len = file.len();
+
+        // Overwrite mask 1, add mask 9, append both as a second segment (an
+        // id that is not in the store is skipped).
+        store.index_mask(MaskId::new(1), &mask(100));
+        store.index_mask(MaskId::new(9), &mask(9));
+        assert!(store.segment_bytes([MaskId::new(77)]).is_none());
+        let second = store.segment_bytes([1, 9, 77].map(MaskId::new)).unwrap();
+        file.extend_from_slice(&second);
+        let (loaded, valid_len) = ChiStore::from_segments(&file).unwrap();
+        assert_eq!(valid_len, file.len());
+        assert_eq!(loaded.ids(), store.ids());
+        for id in store.ids() {
+            assert_eq!(*loaded.get(id).unwrap(), *store.get(id).unwrap());
+        }
+
+        // Every cut and every flipped byte inside the second segment leaves
+        // exactly the first one.
+        for damage in 0..second.len() {
+            let (cut, _) = ChiStore::from_segments(&file[..first_len + damage]).unwrap();
+            let mut flipped = file.clone();
+            flipped[first_len + damage] ^= 0x40;
+            let (flip, flip_len) = ChiStore::from_segments(&flipped).unwrap();
+            for loaded in [cut, flip] {
+                assert_eq!(loaded.len(), 4, "damage at {damage}");
+                assert_eq!(
+                    *loaded.get(MaskId::new(1)).unwrap(),
+                    Chi::build(&mask(1), &config())
+                );
+            }
+            assert_eq!(flip_len, first_len);
+        }
+        // Damage to the first segment is an error, not an empty store.
+        let mut flipped = file.clone();
+        flipped[first_len - 1] ^= 0x40;
+        assert!(ChiStore::from_segments(&flipped).is_err());
+    }
+
+    #[test]
+    fn bare_v1_images_load_and_cannot_be_appended_to() {
+        let store = ChiStore::new(config());
+        for i in 0..3u64 {
+            store.index_mask(MaskId::new(i), &mask(i as u32));
+        }
+        let v1 = bare_v1_image(&store);
+        let (loaded, valid_len) = ChiStore::from_segments(&v1).unwrap();
+        assert_eq!(valid_len, 0);
+        assert_eq!(loaded.ids(), store.ids());
+        assert_eq!(
+            *loaded.get(MaskId::new(2)).unwrap(),
+            *store.get(MaskId::new(2)).unwrap()
+        );
+        assert!(ChiStore::from_bytes(&v1[..v1.len() - 8]).is_err());
+        // A version from the future is refused, not guessed at.
+        let mut future = store.to_bytes();
+        future[4] = CHI_FORMAT_VERSION as u8 + 1;
+        assert!(matches!(
+            ChiStore::from_bytes(&future),
+            Err(StorageError::UnsupportedVersion { .. })
+        ));
     }
 }

@@ -7,9 +7,19 @@
 //! database maintains a `TileStore` on every commit and persists it at
 //! checkpoints, so reopened databases serve pre-built summaries instead of
 //! rebuilding them from pixels on first verification.
+//!
+//! The file is a sequence of [`crate::segment`]s, like the CHI file's. Each
+//! segment's payload is
+//!
+//! ```text
+//! tile u32 , count u64 ,
+//! count × ( mask_id u64 , mask_width u32 , mask_height u32 ,
+//!           tiles × ( min f32 , max f32 , uncountable u32 , (TILE_BINS + 1) × u32 ) )
+//! ```
 
+use crate::segment::{self, Format, SEGMENT_HEADER_LEN};
 use masksearch_core::{Mask, MaskId, TileGrid, TileSummary, DEFAULT_TILE_SIZE, TILE_BINS};
-use masksearch_storage::codec::{Reader, Writer};
+use masksearch_storage::codec::Reader;
 use masksearch_storage::{StorageError, StorageResult};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -25,8 +35,25 @@ pub const TILE_MAGIC: [u8; 4] = *b"MSKT";
 /// reopened database never serves a summary that would let the kernel
 /// classify a NaN-bearing tile all-in. v1 files (written only from
 /// validated masks, whose uncountable counts are all zero) load as v2 with
-/// zero counts.
-pub const TILE_FORMAT_VERSION: u16 = 2;
+/// zero counts; v3 — a sequence of checksummed segments (see
+/// [`crate::segment`]) with the v2 payload.
+pub const TILE_FORMAT_VERSION: u16 = 3;
+
+const FORMAT: Format = Format {
+    magic: TILE_MAGIC,
+    version: TILE_FORMAT_VERSION,
+    segmented_since: 3,
+    what: "tile summary file",
+};
+/// Payload bytes before the entries: the tile size and the count.
+const PAYLOAD_HEADER_LEN: usize = 4 + 8;
+/// Encoded size of one tile's summary (since v2).
+const SUMMARY_LEN: usize = 8 + 4 + 4 * (TILE_BINS + 1);
+
+/// Encoded size of one entry.
+fn entry_len(grid: &TileGrid) -> usize {
+    8 + 4 + 4 + SUMMARY_LEN * grid.summaries().len()
+}
 
 /// A thread-safe collection of per-mask tile grids sharing one tile size.
 #[derive(Debug)]
@@ -103,16 +130,43 @@ impl TileStore {
         self.entries.read().values().map(|g| g.byte_size()).sum()
     }
 
-    /// Serialises the store (tile size + every grid) to bytes.
+    /// Serialises the store (tile size + every grid) as one segment.
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries = self.entries.read();
-        let mut w = Writer::new();
-        w.write_bytes(&TILE_MAGIC);
-        w.write_u16(TILE_FORMAT_VERSION);
-        w.write_u16(0);
+        self.encode_segment(
+            entries.len(),
+            entries.iter().map(|(id, grid)| (*id, &**grid)),
+        )
+    }
+
+    /// Serialises the grids of those of `ids` that are in the store as one
+    /// segment to append to a file of earlier ones; `None` if none is.
+    pub fn segment_bytes(&self, ids: impl IntoIterator<Item = MaskId>) -> Option<Vec<u8>> {
+        let entries = self.entries.read();
+        let present: Vec<(MaskId, &TileGrid)> = ids
+            .into_iter()
+            .filter_map(|id| entries.get(&id).map(|grid| (id, &**grid)))
+            .collect();
+        (!present.is_empty()).then(|| self.encode_segment(present.len(), present.into_iter()))
+    }
+
+    /// Exactly `self.to_bytes().len()`, without serialising anything.
+    pub fn encoded_len(&self) -> u64 {
+        let entries = self.entries.read();
+        let entry_bytes: usize = entries.values().map(|grid| entry_len(grid)).sum();
+        (SEGMENT_HEADER_LEN + PAYLOAD_HEADER_LEN + entry_bytes) as u64
+    }
+
+    fn encode_segment<'a>(
+        &self,
+        count: usize,
+        entries: impl Iterator<Item = (MaskId, &'a TileGrid)>,
+    ) -> Vec<u8> {
+        let mut w = segment::begin(TILE_MAGIC, TILE_FORMAT_VERSION);
         w.write_u32(self.tile);
-        w.write_u64(entries.len() as u64);
-        for (id, grid) in entries.iter() {
+        w.write_u64(count as u64);
+        for (id, grid) in entries {
+            let start = w.len();
             w.write_u64(id.raw());
             w.write_u32(grid.mask_width());
             w.write_u32(grid.mask_height());
@@ -124,36 +178,38 @@ impl TileStore {
                     w.write_u32(c);
                 }
             }
+            debug_assert_eq!(w.len() - start, entry_len(grid));
         }
-        w.into_bytes()
+        segment::finish(w)
     }
 
-    /// Deserialises a store written by [`TileStore::to_bytes`].
+    /// Deserialises a store from the bytes of a file: one segment written by
+    /// [`TileStore::to_bytes`], any number appended after it, or a bare v1 /
+    /// v2 image. A torn or foreign tail is ignored; see
+    /// [`TileStore::from_segments`] to learn where it starts.
     pub fn from_bytes(bytes: &[u8]) -> StorageResult<Self> {
-        let mut r = Reader::new(bytes, "tile summary file");
-        let magic = r.read_magic()?;
-        if magic != TILE_MAGIC {
-            return Err(StorageError::BadMagic {
-                path: "<tile summaries>".to_string(),
-                found: magic,
-            });
-        }
-        let version = r.read_u16()?;
-        if version > TILE_FORMAT_VERSION {
-            return Err(StorageError::UnsupportedVersion {
-                found: version,
-                supported: TILE_FORMAT_VERSION,
-            });
-        }
-        let _reserved = r.read_u16()?;
-        let tile = r.read_u32()?;
-        if tile == 0 {
-            return Err(StorageError::corrupt("tile summary file has tile size 0"));
-        }
-        let count = r.read_u64()?;
-        let store = TileStore::new(tile);
-        {
-            let mut entries = store.entries.write();
+        Self::from_segments(bytes).map(|(store, _)| store)
+    }
+
+    /// Like [`TileStore::from_bytes`], also returning the length of the
+    /// prefix of `bytes` that was loaded — the offset at which the next
+    /// segment belongs. It is 0 for a bare v1 / v2 image, which cannot be
+    /// appended to. Fails if not even the first segment is readable.
+    pub fn from_segments(bytes: &[u8]) -> StorageResult<(Self, usize)> {
+        let mut store: Option<TileStore> = None;
+        let valid_len = segment::read(bytes, &FORMAT, |version, payload| {
+            let mut r = Reader::new(payload, FORMAT.what);
+            let tile = r.read_u32()?;
+            if tile == 0 {
+                return Err(StorageError::corrupt("tile summary file has tile size 0"));
+            }
+            if store.as_ref().is_some_and(|s| s.tile != tile) {
+                return Err(StorageError::corrupt(
+                    "tile summary segment of a different tile size",
+                ));
+            }
+            let count = r.read_u64()?;
+            let mut decoded = Vec::new();
             for _ in 0..count {
                 let id = MaskId::new(r.read_u64()?);
                 let width = r.read_u32()?;
@@ -169,10 +225,10 @@ impl TileStore {
                 // allocating: a corrupt width/height must surface as a typed
                 // error (so callers can discard and rebuild the file), never
                 // as a capacity-overflow panic or an OOM abort.
-                let summary_bytes: usize = if version >= 2 {
-                    8 + 4 + 4 * (TILE_BINS + 1)
+                let summary_bytes = if version >= 2 {
+                    SUMMARY_LEN
                 } else {
-                    8 + 4 * (TILE_BINS + 1)
+                    SUMMARY_LEN - 4
                 };
                 if tiles
                     .checked_mul(summary_bytes)
@@ -202,10 +258,17 @@ impl TileStore {
                             "tile grid for mask {id} does not match its declared shape"
                         ))
                     })?;
-                entries.insert(id, Arc::new(grid));
+                decoded.push((id, Arc::new(grid)));
             }
-        }
-        Ok(store)
+            store
+                .get_or_insert_with(|| TileStore::new(tile))
+                .entries
+                .write()
+                .extend(decoded);
+            Ok(())
+        })?;
+        let store = store.ok_or_else(|| StorageError::corrupt("tile summary file is empty"))?;
+        Ok((store, valid_len))
     }
 
     /// Persists the store to a file.
@@ -298,7 +361,8 @@ mod tests {
         // rebuilds on Err), not panic or over-allocate.
         let store = TileStore::new(8);
         store.index_mask(MaskId::new(1), &mask(1));
-        let mut bytes = store.to_bytes();
+        // A bare v2 image has no checksum to catch the damage first.
+        let mut bytes = bare_v2_image(&store);
         // Layout: magic(4) version(2) reserved(2) tile(4) count(8) id(8) width(4).
         let width_offset = 4 + 2 + 2 + 4 + 8 + 8;
         bytes[width_offset..width_offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -306,6 +370,44 @@ mod tests {
             TileStore::from_bytes(&bytes),
             Err(StorageError::Corrupt { .. })
         ));
+    }
+
+    /// The file as a v2 build wrote it: no length, no checksum.
+    fn bare_v2_image(store: &TileStore) -> Vec<u8> {
+        let mut bytes = TILE_MAGIC.to_vec();
+        bytes.extend_from_slice(&[2, 0, 0, 0]);
+        bytes.extend_from_slice(&store.to_bytes()[SEGMENT_HEADER_LEN..]);
+        bytes
+    }
+
+    #[test]
+    fn segments_append_and_bare_images_still_load() {
+        let store = TileStore::new(8);
+        for i in 0..3u64 {
+            store.index_mask(MaskId::new(i), &mask(i as u32));
+        }
+        let mut file = store.to_bytes();
+        assert_eq!(file.len() as u64, store.encoded_len());
+        let first_len = file.len();
+        store.index_mask(MaskId::new(1), &mask(50));
+        store.index_mask(MaskId::new(5), &mask(5));
+        file.extend_from_slice(&store.segment_bytes([1, 5].map(MaskId::new)).unwrap());
+        let (loaded, valid_len) = TileStore::from_segments(&file).unwrap();
+        assert_eq!(valid_len, file.len());
+        assert_eq!(loaded.ids(), store.ids());
+        for id in store.ids() {
+            assert_eq!(*loaded.get(id).unwrap(), *store.get(id).unwrap());
+        }
+        // A torn second segment leaves the first.
+        let (torn, valid_len) = TileStore::from_segments(&file[..file.len() - 3]).unwrap();
+        assert_eq!(valid_len, first_len);
+        assert_eq!(torn.len(), 3);
+        assert!(torn.get(MaskId::new(1)).unwrap().verify(&mask(1)));
+
+        let (bare, valid_len) = TileStore::from_segments(&bare_v2_image(&store)).unwrap();
+        assert_eq!(valid_len, 0);
+        assert_eq!(bare.ids(), store.ids());
+        assert!(bare.get(MaskId::new(1)).unwrap().verify(&mask(50)));
     }
 
     #[test]

@@ -49,6 +49,12 @@ global_counters! {
     (DB_CHECKPOINTS, "db_checkpoints"),
     /// Microseconds spent inside checkpoints.
     (DB_CHECKPOINT_US, "db_checkpoint_us"),
+    /// Bytes checkpoints wrote to the index files (`masks.chi`,
+    /// `masks.tiles`): appended segments plus compacting rewrites.
+    (DB_INDEX_SEGMENT_BYTES, "db_index_segment_bytes"),
+    /// Index files rewritten as one segment, because an explicit checkpoint
+    /// asked or dead entries had reached the size of the live ones.
+    (DB_INDEX_COMPACTIONS, "db_index_compactions"),
     /// Positioned reads the pager issued against the page file (one per run
     /// of non-dirty pages in an extent; dirty pages are copied, not read).
     (PAGER_READS, "pager_reads"),

@@ -539,7 +539,7 @@ impl Session {
         }
         self.store.insert_batch(batch)?;
         for (record, mask) in batch {
-            self.cache.invalidate(record.mask_id);
+            self.cache.refresh(record.mask_id, mask);
             if !self.chi_maintained_by_store && self.config.indexing_mode != IndexingMode::Disabled
             {
                 self.chi.index_mask(record.mask_id, mask);
@@ -886,7 +886,7 @@ impl Session {
             self.cache.invalidate(id);
         }
         for (record, mask) in &inserts {
-            self.cache.invalidate(record.mask_id);
+            self.cache.refresh(record.mask_id, mask);
             if !self.chi_maintained_by_store && self.config.indexing_mode != IndexingMode::Disabled
             {
                 self.chi.index_mask(record.mask_id, mask);
@@ -1641,9 +1641,28 @@ mod tests {
             .image_id(ImageId::new(0))
             .shape(16, 16)
             .build();
-        session.insert_masks(&[(record, bright.clone())]).unwrap();
+        let loaded = || session.store().io_stats().snapshot().masks_loaded;
+        let loaded_before = loaded();
+        session
+            .insert_masks(&[(record.clone(), bright.clone())])
+            .unwrap();
         assert_eq!(session.catalog_len(), 3);
-        assert_eq!(*session.load_mask(MaskId::new(1)).unwrap(), bright);
+        // Nobody was reading the cached copy: it took the new pixels in
+        // place, so this is a hit, not a reload.
+        let held = session.load_mask(MaskId::new(1)).unwrap();
+        assert_eq!(*held, bright);
+        assert_eq!(loaded(), loaded_before);
+        // A copy that is being read must keep its pixels: the overwrite
+        // drops the entry instead and the next lookup loads the new ones.
+        let dim = Mask::from_fn(16, 16, |_, _| 0.05);
+        session
+            .insert_masks(&[(record.clone(), dim.clone())])
+            .unwrap();
+        assert_eq!(*held, bright);
+        assert_eq!(*session.load_mask(MaskId::new(1)).unwrap(), dim);
+        assert_eq!(loaded(), loaded_before + 1);
+        drop(held);
+        session.insert_masks(&[(record, bright.clone())]).unwrap();
 
         let query = Query::filter_cp_gt(
             Roi::new(0, 0, 16, 16).unwrap(),

@@ -379,18 +379,53 @@ impl MaskCache {
     /// copy (loads of other masks are unaffected).
     pub fn invalidate(&self, mask_id: MaskId) -> bool {
         let mut inner = self.lock();
-        inner.generation += 1;
-        let generation = inner.generation;
-        if inner.invalidated.len() >= INVALIDATION_LOG_CAP {
+        inner.log_invalidation(mask_id);
+        inner.drop_entry(mask_id)
+    }
+
+    /// Brings the cached copy of a mask in line with `mask`, which the
+    /// backing store now holds in its place: a resident copy that nobody is
+    /// reading is overwritten **in place** (same allocation, so a stream of
+    /// overwrites of hot masks causes no allocator traffic and no reloads);
+    /// one that is shared, or of another shape, is dropped as by
+    /// [`MaskCache::invalidate`]. Never adds an entry. Like an invalidation
+    /// it is recorded, so a load of this mask that was in flight — and may
+    /// have read the old pixels — will not be cached. Returns `true` if the
+    /// cache now holds the new pixels.
+    pub fn refresh(&self, mask_id: MaskId, mask: &Mask) -> bool {
+        let mut inner = self.lock();
+        inner.log_invalidation(mask_id);
+        let refreshed = inner
+            .entries
+            .get_mut(&mask_id)
+            .and_then(|entry| Arc::get_mut(&mut entry.mask))
+            .is_some_and(|tiled| tiled.overwrite(mask));
+        if !refreshed {
+            inner.drop_entry(mask_id);
+        }
+        refreshed
+    }
+}
+
+impl Inner {
+    /// Records that `mask_id` changed in the backing store just now.
+    fn log_invalidation(&mut self, mask_id: MaskId) {
+        self.generation += 1;
+        let generation = self.generation;
+        if self.invalidated.len() >= INVALIDATION_LOG_CAP {
             // Collapse the log: anything still in flight becomes
             // conservatively uncacheable instead of unboundedly tracked.
-            inner.invalidated.clear();
-            inner.invalidated_floor = generation;
+            self.invalidated.clear();
+            self.invalidated_floor = generation;
         }
-        inner.invalidated.insert(mask_id, generation);
-        match inner.entries.remove(&mask_id) {
+        self.invalidated.insert(mask_id, generation);
+    }
+
+    /// Removes the entry of `mask_id`; returns whether there was one.
+    fn drop_entry(&mut self, mask_id: MaskId) -> bool {
+        match self.entries.remove(&mask_id) {
             Some(entry) => {
-                inner.used_bytes -= entry.bytes;
+                self.used_bytes -= entry.bytes;
                 true
             }
             None => false,
@@ -433,6 +468,64 @@ mod tests {
         assert!(cache.peek(id).is_none());
         assert_eq!(cache.used_bytes(), 0);
         assert!(!cache.invalidate(id));
+    }
+
+    #[test]
+    fn refresh_overwrites_unshared_entries_in_place_and_drops_the_rest() {
+        let cache = MaskCache::new(1024 * 1024);
+        let id = MaskId::new(7);
+        // Nothing resident: nothing is added.
+        assert!(!cache.refresh(id, &mask(1)));
+        assert!(cache.is_empty());
+
+        // Resident and unshared: same allocation, new pixels, a grid of the
+        // new pixels, the same budget share.
+        let pixels = cache
+            .get_or_load(id, || Ok(mask(1)))
+            .unwrap()
+            .data()
+            .as_ptr();
+        let used = cache.used_bytes();
+        assert!(cache.refresh(id, &mask(2)));
+        let tiled = cache.peek_tiled(id).unwrap();
+        assert_eq!(*tiled.mask(), mask(2));
+        assert_eq!(tiled.mask().data().as_ptr(), pixels);
+        assert!(tiled.grid().verify(&mask(2)));
+        assert_eq!(cache.used_bytes(), used);
+
+        // A reader still holds the entry (or just its mask): its pixels must
+        // not change under it, so the entry is dropped instead.
+        let held = tiled.mask_arc();
+        drop(tiled);
+        assert!(!cache.refresh(id, &mask(3)));
+        assert_eq!(*held, mask(2));
+        assert!(cache.peek(id).is_none());
+        assert_eq!(cache.used_bytes(), 0);
+
+        // Another shape cannot reuse the allocation.
+        cache.get_or_load(id, || Ok(mask(3))).unwrap();
+        assert!(!cache.refresh(id, &Mask::zeros(4, 4)));
+        assert!(cache.peek(id).is_none());
+    }
+
+    #[test]
+    fn load_racing_a_refresh_is_not_cached() {
+        // A load that may have read the old pixels finishes after the
+        // refresh: it must not replace the refreshed entry (or install
+        // itself where the refresh dropped one).
+        let cache = MaskCache::new(1024 * 1024);
+        let (id, other) = (MaskId::new(3), MaskId::new(4));
+        cache.get_or_load(other, || Ok(mask(9))).unwrap();
+        let stale = cache
+            .get_or_load(id, || {
+                assert!(!cache.refresh(id, &mask(5)));
+                assert!(cache.refresh(other, &mask(6)));
+                Ok(mask(3))
+            })
+            .unwrap();
+        assert_eq!(*stale, mask(3));
+        assert!(cache.peek(id).is_none(), "stale mask must not be cached");
+        assert_eq!(*cache.peek(other).unwrap(), mask(6));
     }
 
     #[test]

@@ -7,6 +7,54 @@
 
 use crate::error::{StorageError, StorageResult};
 
+/// 64-bit checksum of the concatenation-by-parts of `parts`, computed a
+/// 32-byte block (four independent 8-byte lanes) at a time.
+///
+/// Every WAL frame and every index-snapshot segment carries this value over
+/// its header and payload; a record whose checksum does not match is treated
+/// as torn and discarded. Each step is a bijection of its lane for a fixed
+/// input word and of the word for a fixed lane, and so are the length mix
+/// and the final fold, so a change confined to one 8-byte word — any single
+/// flipped bit or byte — always changes the result. Each part is zero-padded
+/// to whole blocks and followed by its own length, which keeps inputs that
+/// differ only in trailing zeros (or in where a part ends) apart.
+pub fn checksum64(parts: &[&[u8]]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    #[inline(always)]
+    fn mix(lane: u64, word: u64) -> u64 {
+        lane.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    #[inline(always)]
+    fn absorb(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(word);
+            *lane = mix(*lane, u64::from_le_bytes(bytes));
+        }
+    }
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    for part in parts {
+        let mut blocks = part.chunks_exact(32);
+        for block in &mut blocks {
+            absorb(&mut lanes, block);
+        }
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            let mut block = [0u8; 32];
+            block[..tail.len()].copy_from_slice(tail);
+            absorb(&mut lanes, &block);
+        }
+        lanes[0] = mix(lanes[0], part.len() as u64);
+    }
+    let mut hash = lanes.iter().fold(P1, |hash, &lane| mix(hash, lane));
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^ (hash >> 29)
+}
+
 /// A cursor over a byte slice with checked little-endian reads.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -225,6 +273,84 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A 4 KiB page of distinct pseudo-random words.
+    fn checksum_page() -> Vec<u8> {
+        let mut state = 0x1234_5678_9abc_def0u64;
+        (0..512)
+            .flat_map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state.to_le_bytes()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_changes_on_any_single_bit_flip() {
+        let page = checksum_page();
+        let base = checksum64(&[&page]);
+        assert_eq!(base, checksum64(&[&page]));
+        let mut flipped = page.clone();
+        for bit in 0..page.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&[&flipped]), base, "bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        // The same holds in a header part and in a part's zero-padded tail.
+        let header = &page[..21];
+        let base = checksum64(&[header, &page]);
+        let mut flipped = header.to_vec();
+        for bit in 0..header.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&[&flipped, &page]), base, "header bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn checksum_changes_on_any_swap_of_two_words() {
+        let page = checksum_page();
+        let base = checksum64(&[&page]);
+        let words = page.len() / 8;
+        let mut swapped = page.clone();
+        let swap = |bytes: &mut [u8], a: usize, b: usize| {
+            for i in 0..8 {
+                bytes.swap(a * 8 + i, b * 8 + i);
+            }
+        };
+        for a in 0..words {
+            for b in a + 1..words {
+                swap(&mut swapped, a, b);
+                assert_ne!(checksum64(&[&swapped]), base, "words {a} and {b}");
+                swap(&mut swapped, a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_changes_with_zero_padding_and_part_boundaries() {
+        let page = checksum_page();
+        let base = checksum64(&[&page]);
+        let mut padded = page.clone();
+        for extra in 1..=64 {
+            padded.push(0);
+            assert_ne!(checksum64(&[&padded]), base, "{extra} zero bytes appended");
+        }
+        // A page that ends in zeros differs from its truncations too.
+        let mut zero_tailed = page.clone();
+        zero_tailed[4000..].fill(0);
+        let base = checksum64(&[&zero_tailed]);
+        for len in 4000..zero_tailed.len() {
+            assert_ne!(checksum64(&[&zero_tailed[..len]]), base, "cut to {len}");
+        }
+        assert_ne!(
+            checksum64(&[&page[..21], &page[21..]]),
+            checksum64(&[&page])
+        );
+        assert_ne!(checksum64(&[]), checksum64(&[&[]]));
+    }
 
     #[test]
     fn round_trip_scalars() {
