@@ -105,6 +105,9 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet split into complete lines.
     rbuf: Vec<u8>,
+    /// Leading bytes of `rbuf` already known to hold no newline, so a long
+    /// line arriving in pieces is searched once, not once per piece.
+    scanned: usize,
     /// Rendered response buffers not yet (fully) written.
     outbox: VecDeque<Vec<u8>>,
     /// Progress into `outbox.front()`.
@@ -130,6 +133,7 @@ impl Conn {
         Self {
             stream,
             rbuf: Vec::new(),
+            scanned: 0,
             outbox: VecDeque::new(),
             out_pos: 0,
             serial_busy: false,
@@ -373,11 +377,14 @@ impl EventLoop {
     }
 }
 
-/// Reads everything currently available, splits complete lines, and routes
-/// each parsed request (dispatch, FIFO queue, or loop-local answer).
+/// Reads what is currently available — pausing once more than a full line
+/// is buffered, so memory held for a peer stays bounded — splits complete
+/// lines, and routes each parsed request (dispatch, FIFO queue, or
+/// loop-local answer). A line longer than [`protocol::MAX_LINE_BYTES`] is
+/// answered with a protocol `ERR` and the connection closes.
 fn read_conn(id: u64, conn: &mut Conn, jobs_tx: &mpsc::Sender<Job>) {
     let mut buf = [0u8; 4096];
-    loop {
+    while conn.rbuf.len() <= protocol::MAX_LINE_BYTES {
         match (&conn.stream).read(&mut buf) {
             Ok(0) => {
                 conn.read_closed = true;
@@ -392,16 +399,35 @@ fn read_conn(id: u64, conn: &mut Conn, jobs_tx: &mpsc::Sender<Job>) {
             }
         }
     }
-    while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
+    while let Some(pos) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
         if conn.closing {
             // Bytes after QUIT are undefined; stop parsing.
             conn.rbuf.clear();
             break;
         }
-        let line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
+        let line: Vec<u8> = conn.rbuf.drain(..=conn.scanned + pos).collect();
+        conn.scanned = 0;
+        if line.len() > protocol::MAX_LINE_BYTES {
+            reject_long_line(conn);
+            return;
+        }
         let line = String::from_utf8_lossy(&line);
         handle_line(id, conn, line.trim_end_matches(['\r', '\n']), jobs_tx);
     }
+    conn.scanned = conn.rbuf.len();
+    if conn.rbuf.len() > protocol::MAX_LINE_BYTES {
+        reject_long_line(conn);
+    }
+}
+
+/// Answers an over-long line and closes: what follows it cannot be framed.
+fn reject_long_line(conn: &mut Conn) {
+    let mut buf = Vec::with_capacity(96);
+    let _ = protocol::write_error(&mut buf, &protocol::line_too_long());
+    conn.outbox.push_back(buf);
+    conn.closing = true;
+    conn.rbuf = Vec::new();
+    conn.scanned = 0;
 }
 
 /// Parses one request line and decides where it goes. Mirrors the shard

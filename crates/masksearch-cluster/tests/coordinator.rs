@@ -314,3 +314,55 @@ fn coordinator_tcp_front_end_speaks_the_protocol() {
     client.quit().unwrap();
     front.shutdown();
 }
+
+/// Neither front end buffers without limit for a peer: a stream with no
+/// newline is cut off at `MAX_LINE_BYTES` with a protocol `ERR` and a closed
+/// connection, while other connections keep being served and an ordinary
+/// long line still gets an ordinary answer.
+#[test]
+fn both_front_ends_bound_a_peers_line() {
+    use masksearch_service::protocol::MAX_LINE_BYTES;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let ids: Vec<u64> = (0..8).collect();
+    let cluster = cluster(1, &ids);
+    let front = CoordinatorServer::bind("127.0.0.1:0", cluster.coordinator.clone())
+        .unwrap()
+        .spawn();
+    for (name, addr) in [
+        ("shard server", cluster.servers[0].local_addr()),
+        ("coordinator", front.local_addr()),
+    ] {
+        let mut bystander = Client::connect(addr).unwrap();
+        assert!(bystander.ping().is_ok(), "{name}");
+
+        // One byte more than a line may hold, and not a byte after it, so
+        // the server has read everything when it hangs up and the reply is
+        // not lost to a reset.
+        let mut flood = TcpStream::connect(addr).unwrap();
+        let chunk = vec![b'A'; 1 << 20];
+        let mut left = MAX_LINE_BYTES + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            flood.write_all(&chunk[..n]).unwrap();
+            left -= n;
+        }
+        let mut reply = String::new();
+        flood.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("ERR ") && reply.contains("request line exceeds"),
+            "{name}: {reply:?}"
+        );
+        assert!(reply.ends_with("END\n"), "{name}: {reply:?}");
+
+        // Everyone else was served throughout, and a long line under the
+        // limit is an SQL error, not a dead connection.
+        assert!(bystander.ping().is_ok(), "{name}");
+        let long = format!("SELECT {} FROM masks", "x".repeat(1 << 20));
+        assert!(bystander.query(&long).is_err(), "{name}");
+        assert!(bystander.ping().is_ok(), "{name}");
+        bystander.quit().unwrap();
+    }
+    front.shutdown();
+}

@@ -13,9 +13,11 @@
 //! (`masksearch-query`) is to avoid calling these on most masks; their
 //! correctness is always defined relative to this module.
 
+use crate::error::{Error, Result};
 use crate::mask::Mask;
 use crate::range::PixelRange;
 use crate::roi::Roi;
+use std::ops::Range;
 
 /// Exact pixel count: number of pixels of `mask` inside `roi` (clipped to the
 /// mask bounds) whose value lies in `range`.
@@ -46,6 +48,100 @@ pub fn cp_full(mask: &Mask, range: &PixelRange) -> u64 {
 /// is noticeably cheaper than one scan per term when masks are loaded from
 /// disk during the verification stage.
 pub fn cp_many(mask: &Mask, terms: &[(Roi, PixelRange)]) -> Vec<u64> {
+    sweep_rows(mask.width(), mask.height(), terms, |y, x0, x1, range| {
+        let mut c = 0u64;
+        for &v in &mask.row(y)[x0..x1] {
+            if range.contains(v) {
+                c += 1;
+            }
+        }
+        c
+    })
+}
+
+/// The rows [`cp_many`] reads on a `width × height` mask: from the first row
+/// of the topmost clipped ROI to the last row of the bottommost one. `None`
+/// when every ROI clips to nothing (all counts are zero, no row is read).
+pub fn cp_row_band(width: u32, height: u32, terms: &[(Roi, PixelRange)]) -> Option<Range<u32>> {
+    terms
+        .iter()
+        .filter_map(|(roi, _)| roi.clamp_to(width, height))
+        .map(|clip| clip.y0()..clip.y1())
+        .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
+}
+
+/// [`cp_many`] over a band of rows as a store holds them — row-major
+/// little-endian `f32`, `bytes` starting at row `first_row` of a
+/// `width × height` mask — without decoding the mask: same ROI clipping,
+/// same `[lo, hi)` comparison, same counts.
+///
+/// A [`Mask`] checks the `[0, 1)` value domain when it is built; nothing has
+/// checked these bytes, so every pixel of the band is checked here and the
+/// first offender (row-major) is reported exactly as [`Mask::new`] would
+/// report it, with its index in whole-mask coordinates. Pixels outside the
+/// band are not read.
+///
+/// # Panics
+/// If `bytes` is not a whole number of rows inside the mask, or does not
+/// cover [`cp_row_band`] of the terms — both are caller bugs.
+pub fn cp_many_le_rows(
+    bytes: &[u8],
+    width: u32,
+    height: u32,
+    first_row: u32,
+    terms: &[(Roi, PixelRange)],
+) -> Result<Vec<u64>> {
+    let row_bytes = width as usize * 4;
+    assert!(
+        row_bytes > 0 && bytes.len().is_multiple_of(row_bytes),
+        "a band of {} bytes is not whole rows of {width} pixels",
+        bytes.len()
+    );
+    let rows = first_row..first_row + (bytes.len() / row_bytes) as u32;
+    assert!(rows.end <= height, "rows {rows:?} exceed height {height}");
+    if let Some(needed) = cp_row_band(width, height, terms) {
+        assert!(
+            rows.start <= needed.start && needed.end <= rows.end,
+            "terms count rows {needed:?}, the band holds {rows:?}"
+        );
+    }
+    let pixel = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    // The same two steps as `Mask::new`: a pass without an early exit
+    // (it vectorises), then a search only to name the offender.
+    let in_domain = |value: f32| (0.0..1.0).contains(&value);
+    let pixels = || bytes.chunks_exact(4).map(pixel);
+    if !pixels().fold(true, |ok, value| ok & in_domain(value)) {
+        let (at, value) = pixels()
+            .enumerate()
+            .find(|(_, value)| !in_domain(*value))
+            .expect("the pass above saw a pixel outside the domain");
+        return Err(Error::PixelOutOfRange {
+            value,
+            index: first_row as usize * width as usize + at,
+        });
+    }
+    Ok(sweep_rows(width, height, terms, |y, x0, x1, range| {
+        let row = &bytes[(y - first_row) as usize * row_bytes..][..row_bytes];
+        let mut c = 0u64;
+        for v in row[x0 * 4..x1 * 4].chunks_exact(4).map(pixel) {
+            if range.contains(v) {
+                c += 1;
+            }
+        }
+        c
+    }))
+}
+
+/// The sweep behind [`cp_many`] and [`cp_many_le_rows`]: clips every ROI to
+/// the `width × height` mask and walks the rows top to bottom, asking
+/// `count_row(y, x0, x1, range)` for the pixels of row `y`, columns
+/// `x0..x1`, that lie in `range` — once per term whose span holds the row.
+fn sweep_rows(
+    width: u32,
+    height: u32,
+    terms: &[(Roi, PixelRange)],
+    mut count_row: impl FnMut(u32, usize, usize, &PixelRange) -> u64,
+) -> Vec<u64> {
     let mut counts = vec![0u64; terms.len()];
     if terms.is_empty() {
         return counts;
@@ -68,7 +164,7 @@ pub fn cp_many(mask: &Mask, terms: &[(Roi, PixelRange)]) -> Vec<u64> {
         .iter()
         .enumerate()
         .filter_map(|(index, (roi, range))| {
-            let clip = mask.clip_roi(roi)?;
+            let clip = roi.clamp_to(width, height)?;
             Some((
                 clip.y0(),
                 PlannedTerm {
@@ -106,15 +202,8 @@ pub fn cp_many(mask: &Mask, terms: &[(Roi, PixelRange)]) -> Vec<u64> {
             }
             break;
         }
-        let row = mask.row(y);
         for term in &active {
-            let mut c = 0u64;
-            for &v in &row[term.x0..term.x1] {
-                if term.range.contains(v) {
-                    c += 1;
-                }
-            }
-            counts[term.index] += c;
+            counts[term.index] += count_row(y, term.x0, term.x1, &term.range);
         }
         y += 1;
     }

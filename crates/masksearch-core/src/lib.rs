@@ -45,7 +45,7 @@ pub use agg::{
     intersect_thresholded, mask_max, mask_mean, union_thresholded, weighted_sum, MaskAgg,
 };
 pub use compose::{check_composable, compose_masks, cp_composed, cp_composed_many, MaskOp};
-pub use cp::{cp, cp_full, cp_many};
+pub use cp::{cp, cp_full, cp_many, cp_many_le_rows, cp_row_band};
 pub use error::{Error, Result};
 pub use mask::Mask;
 pub use range::PixelRange;

@@ -12,7 +12,10 @@
 //! There is no cache of clean pages: the OS page cache sits below the pager
 //! and the decoded-mask cache above it. [`Pager::read_extent`] assembles a
 //! contiguous extent from the table (dirty pages) and the file (everything
-//! else, one positioned read per run of non-dirty pages). Because `flush`
+//! else, one positioned read per run of non-dirty pages);
+//! [`Pager::read_extent_at`] does the same for any byte range of an extent
+//! into a caller's buffer — what a verification that needs only a mask's
+//! ROI rows reads — touching only the pages the range covers. Because `flush`
 //! empties the table only after the file is durable, a page missing from the
 //! table is always current in the file. Readers share the table lock, so
 //! they run in parallel with each other and with a flush's file writes.
@@ -84,45 +87,75 @@ impl Pager {
         self.table.read().dirty.len()
     }
 
-    /// Reads the first `bytes` bytes of the `pages`-page extent at `start`:
-    /// dirty pages are copied from the table, every run of pages between
-    /// them comes from the file in one positioned read.
+    /// Reads the first `bytes` bytes of the `pages`-page extent at `start`
+    /// (see [`Pager::read_extent_at`]).
     pub fn read_extent(&self, start: PageNo, pages: u32, bytes: u64) -> StorageResult<Vec<u8>> {
-        let page_size = self.page_size;
-        let misfit = || {
-            StorageError::corrupt(format!(
-                "extent of {pages} pages at page {start} cannot hold {bytes} bytes"
-            ))
-        };
-        let len = usize::try_from(bytes)
-            .ok()
-            .filter(|&len| len.div_ceil(page_size) <= pages as usize)
-            .ok_or_else(misfit)?;
-        let base = start
-            .checked_mul(page_size as u64)
-            .filter(|base| base.checked_add(bytes).is_some())
-            .ok_or_else(misfit)?;
-        let mut buf = vec![0u8; len];
-        let table = self.table.read();
-        let file_len = table.file_pages * page_size as u64;
-        let mut filled = 0;
-        for (&page_no, image) in table
-            .dirty
-            .range(start..start + len.div_ceil(page_size) as u64)
-        {
-            let offset = (page_no - start) as usize * page_size;
-            self.read_file(base + filled as u64, &mut buf[filled..offset], file_len)?;
-            filled = (offset + page_size).min(len);
-            buf[offset..filled].copy_from_slice(&image[..filled - offset]);
-        }
-        self.read_file(base + filled as u64, &mut buf[filled..], file_len)?;
+        // Checked before allocating: `bytes` comes from a directory entry.
+        self.extent_base(start, pages, 0, bytes)?;
+        let mut buf = vec![0u8; bytes as usize];
+        self.read_extent_at(start, pages, 0, &mut buf)?;
         Ok(buf)
     }
 
-    /// Fills `out` from the file at byte `offset` with one positioned read.
-    /// Bytes past `file_len` stay as they are (zero).
+    /// Fills `out` with the bytes at `offset..offset + out.len()` of the
+    /// `pages`-page extent at `start`: dirty pages are copied from the
+    /// table, every run of pages between them comes from the file in one
+    /// positioned read. Only the pages the range touches are looked at.
+    pub fn read_extent_at(
+        &self,
+        start: PageNo,
+        pages: u32,
+        offset: u64,
+        out: &mut [u8],
+    ) -> StorageResult<()> {
+        let page_size = self.page_size as u64;
+        let base = self.extent_base(start, pages, offset, out.len() as u64)?;
+        let end = offset + out.len() as u64;
+        let table = self.table.read();
+        let file_len = table.file_pages * page_size;
+        // Extent-relative position up to which `out` is filled.
+        let mut filled = offset;
+        for (&page_no, image) in table
+            .dirty
+            .range(start + offset / page_size..start + end.div_ceil(page_size))
+        {
+            let page_lo = (page_no - start) * page_size;
+            let (lo, hi) = (page_lo.max(offset), (page_lo + page_size).min(end));
+            let gap = &mut out[(filled - offset) as usize..(lo - offset) as usize];
+            self.read_file(base + filled, gap, file_len)?;
+            out[(lo - offset) as usize..(hi - offset) as usize]
+                .copy_from_slice(&image[(lo - page_lo) as usize..(hi - page_lo) as usize]);
+            filled = hi;
+        }
+        self.read_file(
+            base + filled,
+            &mut out[(filled - offset) as usize..],
+            file_len,
+        )
+    }
+
+    /// The file offset of the extent at `start`, after checking that its
+    /// `pages` pages hold bytes `offset..offset + len` and that no file
+    /// position in that range overflows.
+    fn extent_base(&self, start: PageNo, pages: u32, offset: u64, len: u64) -> StorageResult<u64> {
+        let page_size = self.page_size as u64;
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= pages as u64 * page_size && usize::try_from(end).is_ok());
+        match (start.checked_mul(page_size), end) {
+            (Some(base), Some(end)) if base.checked_add(end).is_some() => Ok(base),
+            _ => Err(StorageError::corrupt(format!(
+                "extent of {pages} pages at page {start} cannot hold \
+                 {len} bytes at offset {offset}"
+            ))),
+        }
+    }
+
+    /// Fills `out` from the file at byte `offset` with one positioned read;
+    /// bytes past `file_len` are zeros.
     fn read_file(&self, offset: u64, out: &mut [u8], file_len: u64) -> StorageResult<()> {
         let in_file = file_len.saturating_sub(offset).min(out.len() as u64) as usize;
+        out[in_file..].fill(0);
         if in_file == 0 {
             return Ok(());
         }
@@ -367,6 +400,85 @@ mod tests {
                     );
                     std::fs::remove_file(&path).unwrap();
                 }
+            }
+        }
+    }
+
+    /// A ranged read into a reused (non-zero) buffer equals the same slice
+    /// of the whole-extent read — ranges inside one page, across page
+    /// boundaries, ending mid-page and reaching past the end of the file —
+    /// over clean, all-dirty and dirty-first / -middle / -last extents,
+    /// before and after a flush.
+    #[test]
+    fn ranged_reads_equal_slices_of_the_whole_extent() {
+        let ps = 256usize;
+        for pages in [1u32, 2, 5] {
+            let layouts: Vec<Vec<u32>> = vec![
+                vec![],
+                (0..pages).collect(),
+                vec![0],
+                vec![pages / 2],
+                vec![pages - 1],
+            ];
+            for (case, dirty) in layouts.iter().enumerate() {
+                let path = temp_db(&format!("ranged-{pages}-{case}"));
+                let mut pager = Pager::open(&path, ps as u32).unwrap();
+                let start: PageNo = 2;
+                let image = |p: u64, version: u8| -> Vec<u8> {
+                    (0..ps)
+                        .map(|i| (i as u64 * 29 + p * 11 + version as u64) as u8)
+                        .collect()
+                };
+                // All but the last page reach the file; the last one only
+                // when rewritten, so clean layouts also read past the end.
+                let flushed = (pages - 1).max(1);
+                for p in 0..flushed as u64 {
+                    pager.write_page(start + p, image(p, 1));
+                }
+                pager.flush().unwrap();
+                for &p in dirty {
+                    pager.write_page(start + p as u64, image(p as u64, 2));
+                }
+                let len = pages as usize * ps;
+                let whole: Vec<u8> = (0..pages)
+                    .flat_map(|p| match (dirty.contains(&p), p < flushed) {
+                        (true, _) => image(p as u64, 2),
+                        (false, true) => image(p as u64, 1),
+                        (false, false) => vec![0; ps],
+                    })
+                    .collect();
+                let ranged_reads_match = |pager: &Pager, when: &str| {
+                    assert_eq!(pager.read_extent(start, pages, len as u64).unwrap(), whole);
+                    let mut out = Vec::new();
+                    for (offset, bytes) in [
+                        (0, len),
+                        (0, 1),
+                        (len - 1, 1),
+                        (32, ps / 2),
+                        (ps - 7, 20.min(len - (ps - 7))),
+                        (len / 3, len / 2),
+                        (ps.min(len - 1), len - ps.min(len - 1)),
+                    ] {
+                        out.clear();
+                        out.resize(bytes, 0xAA);
+                        pager
+                            .read_extent_at(start, pages, offset as u64, &mut out)
+                            .unwrap();
+                        assert_eq!(
+                            out,
+                            whole[offset..offset + bytes],
+                            "{when}: {pages} pages, dirty {dirty:?}, {bytes} bytes at {offset}"
+                        );
+                    }
+                    let mut past = [0u8; 2];
+                    assert!(pager
+                        .read_extent_at(start, pages, len as u64 - 1, &mut past)
+                        .is_err());
+                };
+                ranged_reads_match(&pager, "before flush");
+                pager.flush().unwrap();
+                ranged_reads_match(&pager, "after flush");
+                std::fs::remove_file(&path).unwrap();
             }
         }
     }

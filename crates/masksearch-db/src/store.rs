@@ -23,6 +23,18 @@
 //!    their insertion happens *inside* step 2's write lock so pixels and
 //!    summaries publish together.
 //!
+//! ## Reads
+//!
+//! A load resolves the mask's directory entry and reads its extent under
+//! one state read guard, so it sees exactly one committed version. Two
+//! reads share that rule: the whole blob (`get` / `get_tiled`: one
+//! positioned read, decoded, with the tile grid that summarises exactly
+//! those pixels), and a band of rows ([`MaskStore::read_rows`]: the 32-byte
+//! header is read and validated, then rows `y0..y1` of a raw blob — one
+//! contiguous byte range of the extent — go into the caller's reused
+//! buffer, undecoded). The second is what in-place verification reads;
+//! compressed blobs decline it and are loaded whole.
+//!
 //! ## Checkpoint protocol
 //!
 //! The page file's own directory extent is as of the last checkpoint; the
@@ -82,6 +94,7 @@ use masksearch_storage::{
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -969,6 +982,58 @@ impl MaskStore for DurableMaskStore {
         })
     }
 
+    /// Two positioned reads under the state read guard a whole load
+    /// takes — the 32-byte blob header, then the rows — so the band is of
+    /// exactly one committed version, dirty pages included.
+    fn read_rows(
+        &self,
+        mask_id: MaskId,
+        rows: Range<u32>,
+        out: &mut Vec<u8>,
+    ) -> StorageResult<Option<(u32, u32)>> {
+        let mut header = [0u8; format::MASK_HEADER_LEN];
+        let header = {
+            let state = self.state.read();
+            let entry = state
+                .dir
+                .entries
+                .get(&mask_id)
+                .ok_or(StorageError::MaskNotFound(mask_id))?;
+            state
+                .pager
+                .read_extent_at(entry.start, entry.pages, 0, &mut header)?;
+            let header = format::decode_header(&header)?;
+            if header.encoding != MaskEncoding::Raw {
+                return Ok(None);
+            }
+            let row_bytes = header.width as u64 * 4;
+            if header.payload_len != row_bytes * header.height as u64
+                || header.file_len() != entry.bytes
+            {
+                return Err(StorageError::corrupt(format!(
+                    "mask {mask_id}: a {}x{} header over a {}-byte raw payload in a {}-byte blob",
+                    header.width, header.height, header.payload_len, entry.bytes
+                )));
+            }
+            if rows.is_empty() || rows.end > header.height {
+                return Ok(None);
+            }
+            // Inside the extent `entry.bytes` was just checked against, so
+            // the length is bounded by a blob this store wrote.
+            out.resize((rows.len() as u64 * row_bytes) as usize, 0);
+            let offset = format::MASK_HEADER_LEN as u64 + rows.start as u64 * row_bytes;
+            state
+                .pager
+                .read_extent_at(entry.start, entry.pages, offset, out)?;
+            header
+        };
+        let bytes = (format::MASK_HEADER_LEN + out.len()) as u64;
+        self.io
+            .record_read(bytes, self.config.profile.read_cost(bytes, 1));
+        self.io.record_mask_loaded();
+        Ok(Some((header.width, header.height)))
+    }
+
     fn contains(&self, mask_id: MaskId) -> bool {
         self.state.read().dir.entries.contains_key(&mask_id)
     }
@@ -1175,6 +1240,70 @@ mod tests {
             .unwrap();
         assert_eq!(store.len(), 2);
         assert_eq!(store.ingest_stats().unwrap().masks_deleted, 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A ranged read returns exactly the stored bytes of the rows asked for
+    /// — from the dirty table before a checkpoint and from the file after —
+    /// into a reused buffer, counts as one mask loaded, and declines
+    /// (`None`) what it cannot serve: rows past the mask, an empty range,
+    /// a compressed blob.
+    #[test]
+    fn ranged_row_reads_return_the_stored_bytes_or_decline() {
+        let dir = temp_dir("read-rows");
+        let store = DurableMaskStore::open(&dir, small_config()).unwrap();
+        store.insert_masks(&batch(0..4)).unwrap();
+        let id = MaskId::new(2);
+        let blob = format::encode_mask(id, &mask(2), MaskEncoding::Raw);
+        let stored_rows = |rows: Range<u32>| {
+            &blob[format::MASK_HEADER_LEN + rows.start as usize * 32..][..rows.len() * 32]
+        };
+        let mut out = vec![0xAA; 7];
+        for checkpointed in [false, true] {
+            if checkpointed {
+                store.checkpoint().unwrap();
+            }
+            for rows in [0..8, 0..1, 7..8, 2..5] {
+                let before = store.io_stats().snapshot();
+                assert_eq!(
+                    store.read_rows(id, rows.clone(), &mut out).unwrap(),
+                    Some((8, 8))
+                );
+                assert_eq!(out, stored_rows(rows.clone()), "rows {rows:?}");
+                let io = store.io_stats().snapshot().delta_since(&before);
+                assert_eq!(io.masks_loaded, 1);
+                assert_eq!(io.bytes_read, (format::MASK_HEADER_LEN + out.len()) as u64);
+            }
+            let before = store.io_stats().snapshot();
+            assert_eq!(store.read_rows(id, 3..9, &mut out).unwrap(), None);
+            assert_eq!(store.read_rows(id, 4..4, &mut out).unwrap(), None);
+            assert_eq!(
+                store
+                    .io_stats()
+                    .snapshot()
+                    .delta_since(&before)
+                    .masks_loaded,
+                0
+            );
+            assert!(matches!(
+                store.read_rows(MaskId::new(99), 0..1, &mut out),
+                Err(StorageError::MaskNotFound(_))
+            ));
+        }
+        drop(store);
+
+        // The same database opened to write compressed blobs: old (raw)
+        // masks still serve rows, new ones decline.
+        let store = DurableMaskStore::open(&dir, small_config().encoding(MaskEncoding::Compressed))
+            .unwrap();
+        store.insert_masks(&batch(10..11)).unwrap();
+        assert_eq!(store.read_rows(id, 2..5, &mut out).unwrap(), Some((8, 8)));
+        assert_eq!(out, stored_rows(2..5));
+        assert_eq!(
+            store.read_rows(MaskId::new(10), 2..5, &mut out).unwrap(),
+            None
+        );
+        assert_eq!(store.get(MaskId::new(10)).unwrap(), mask(10));
         fs::remove_dir_all(&dir).unwrap();
     }
 

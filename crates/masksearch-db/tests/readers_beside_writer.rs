@@ -181,3 +181,97 @@ fn every_read_is_exactly_one_committed_version() {
     check_final(&DurableMaskStore::open(&dir, config).unwrap());
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The same race for ranged reads (`MaskStore::read_rows`, what in-place
+/// verification reads): raw blobs, readers asking for row bands beside the
+/// 400 commits and their checkpoints. A band is read under the state guard
+/// a whole load takes, so its bytes must be those rows of exactly one
+/// version, committed no earlier than the read began and started no later
+/// than it ended — never a mix of two versions' pages, never another mask.
+#[test]
+fn every_band_is_exactly_one_committed_version() {
+    let dir = temp_dir("bands");
+    let config = DbConfig::default()
+        .page_size(256)
+        .fsync(false)
+        .chi_config(ChiConfig::new(4, 4, 4).unwrap())
+        // A raw 16x16 blob is five pages: a checkpoint every few commits.
+        .checkpoint_wal_bytes(16 * 1024);
+    let store = DurableMaskStore::open(&dir, config).unwrap();
+    store.insert_masks(&versions(0..IDS, |_| 1)).unwrap();
+
+    let started: Vec<AtomicU64> = (0..IDS).map(|_| AtomicU64::new(1)).collect();
+    let committed: Vec<AtomicU64> = (0..IDS).map(|_| AtomicU64::new(1)).collect();
+    let done = AtomicBool::new(false);
+    let barrier = Barrier::new(READERS + 1);
+    let rows_of = |mask: &Mask, rows: std::ops::Range<u32>| -> Vec<u8> {
+        mask.data()[(rows.start * SIDE) as usize..(rows.end * SIDE) as usize]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect()
+    };
+
+    let reads = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|reader| {
+                let (store, started, committed, done, barrier) =
+                    (&store, &started, &committed, &done, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let mut reads = 0u64;
+                    let mut next = reader as u64 * 7;
+                    let mut band = Vec::new();
+                    while !done.load(Ordering::SeqCst) {
+                        next = (next + 5) % IDS;
+                        let id = next;
+                        // Bands of one to five rows at every height; a row
+                        // is 64 bytes, so they start and end mid-page.
+                        let y0 = (reads * 3 + id) as u32 % SIDE;
+                        let rows = y0..(y0 + 1 + reads as u32 % 5).min(SIDE);
+                        let at_least = committed[id as usize].load(Ordering::SeqCst);
+                        let shape = store
+                            .read_rows(MaskId::new(id), rows.clone(), &mut band)
+                            .unwrap();
+                        let at_most = started[id as usize].load(Ordering::SeqCst);
+                        assert_eq!(shape, Some((SIDE, SIDE)));
+                        assert!(
+                                (at_least..=at_most)
+                                    .any(|version| band
+                                        == rows_of(&stamped(id, version), rows.clone())),
+                                "mask {id} rows {rows:?}: not a version in {at_least}..={at_most}"
+                            );
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+
+        barrier.wait();
+        for commit in 0..COMMITS {
+            let ids = (0..BATCH).map(|k| (commit * 3 + k * 9) % IDS);
+            let batch = versions(ids, |id| {
+                let version = started[id as usize].load(Ordering::SeqCst) + 1;
+                started[id as usize].store(version, Ordering::SeqCst);
+                version
+            });
+            store.insert_masks(&batch).unwrap();
+            for (record, mask) in &batch {
+                committed[record.mask_id.raw() as usize].store(version_of(mask), Ordering::SeqCst);
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader panicked"))
+            .sum::<u64>()
+    });
+
+    let checkpoints = store.ingest_stats().unwrap().checkpoints;
+    assert!(store.take_checkpoint_error().is_none());
+    assert!(
+        checkpoints >= COMMITS / 8 && reads >= checkpoints,
+        "{reads} band reads beside {checkpoints} checkpoints in {COMMITS} commits"
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -41,6 +41,10 @@ global_counters! {
     (CACHE_LOCK_ACQUIRES, "cache_lock_acquires"),
     /// Verification-kernel invocations (one per mask × predicate batch).
     (KERNEL_CALLS, "kernel_calls"),
+    /// Masks verified in place: the rows of the statement's ROIs read from
+    /// the store and counted off the bytes, with no decode and no cache
+    /// admission (each also counts as a mask loaded).
+    (VERIFY_IN_PLACE, "verify_in_place"),
     /// WAL commits.
     (WAL_COMMITS, "wal_commits"),
     /// Microseconds spent inside WAL commits (serialize + append + fsync).

@@ -78,6 +78,9 @@ pub const ACCEPTED: &str = "accepted";
 pub const VERIFIED: &str = "verified";
 /// Masks loaded from the store.
 pub const LOADED: &str = "loaded";
+/// Of `loaded`, masks verified in place: their ROI rows were read and
+/// counted where the store holds them, nothing was decoded or cached.
+pub const IN_PLACE: &str = "in_place";
 /// Bytes read from the store.
 pub const BYTES_READ: &str = "bytes_read";
 /// CHI indexes built on demand (incremental indexing).

@@ -78,9 +78,40 @@ pub fn term_exact(
     Ok(cp(mask, &roi, &term.range) as f64)
 }
 
-/// Resolves and evaluates a batch of `CP` terms on a loaded tiled mask,
-/// routing through the tiled kernel (or the reference batched scan when the
-/// kernel is disabled) and recording tile classifications into `tiles`.
+/// Resolves a batch of single-mask `CP` terms against one record into
+/// `out` (cleared first), in term order — the first term that cannot be
+/// resolved is the error, whatever evaluates the batch afterwards.
+pub(crate) fn resolve_terms(
+    terms: &[&CpTerm],
+    record: &MaskRecord,
+    object_box_fallback: bool,
+    out: &mut Vec<(Roi, PixelRange)>,
+) -> QueryResult<()> {
+    out.clear();
+    for term in terms {
+        reject_pair_in_single(term)?;
+        out.push((resolve_roi(term, record, object_box_fallback)?, term.range));
+    }
+    Ok(())
+}
+
+/// Counts a batch of resolved terms on a loaded tiled mask, through the
+/// tiled kernel (recording tile classifications into `tiles`) or the
+/// reference batched scan.
+pub(crate) fn count_tiled(
+    resolved: &[(Roi, PixelRange)],
+    tiled: &TiledMask,
+    use_tiled_kernel: bool,
+    tiles: &mut TileStats,
+) -> Vec<u64> {
+    if use_tiled_kernel {
+        tiled.cp_many_with_stats(resolved, tiles)
+    } else {
+        cp_many(tiled.mask(), resolved)
+    }
+}
+
+/// Resolves and evaluates a batch of `CP` terms on a loaded tiled mask.
 fn terms_exact_tiled(
     terms: &[&CpTerm],
     record: &MaskRecord,
@@ -88,21 +119,9 @@ fn terms_exact_tiled(
     opts: &VerifyOptions,
     tiles: &mut TileStats,
 ) -> QueryResult<Vec<f64>> {
-    let resolved: Vec<(Roi, PixelRange)> = terms
-        .iter()
-        .map(|term| {
-            reject_pair_in_single(term)?;
-            Ok((
-                resolve_roi(term, record, opts.object_box_fallback)?,
-                term.range,
-            ))
-        })
-        .collect::<QueryResult<_>>()?;
-    let counts = if opts.use_tiled_kernel {
-        tiled.cp_many_with_stats(&resolved, tiles)
-    } else {
-        cp_many(tiled.mask(), &resolved)
-    };
+    let mut resolved = Vec::with_capacity(terms.len());
+    resolve_terms(terms, record, opts.object_box_fallback, &mut resolved)?;
+    let counts = count_tiled(&resolved, tiled, opts.use_tiled_kernel, tiles);
     Ok(counts.into_iter().map(|c| c as f64).collect())
 }
 
@@ -124,17 +143,31 @@ pub fn term_exact_tiled(
     Ok(count as f64)
 }
 
-/// Exact value of an expression on a loaded tiled mask; all of the
-/// expression's `CP` terms go through the kernel in one batch.
-pub fn expr_exact_tiled(
-    expr: &Expr,
-    record: &MaskRecord,
-    tiled: &TiledMask,
-    opts: &VerifyOptions,
-    tiles: &mut TileStats,
-) -> QueryResult<f64> {
-    let values = terms_exact_tiled(&expr.terms(), record, tiled, opts, tiles)?;
-    Ok(expr.evaluate_exact(&values))
+/// The `CP` terms of every comparison of `predicate`, flattened in written
+/// order — one kernel batch per mask.
+pub(crate) fn predicate_terms(predicate: &Predicate) -> Vec<&CpTerm> {
+    predicate
+        .comparisons()
+        .into_iter()
+        .flat_map(|cmp| cmp.expr.terms())
+        .collect()
+}
+
+/// Exact truth of a predicate from the exact values of its
+/// [`predicate_terms`].
+pub(crate) fn predicate_from_term_values(predicate: &Predicate, term_values: &[f64]) -> bool {
+    let mut offset = 0;
+    let values: Vec<f64> = predicate
+        .comparisons()
+        .into_iter()
+        .map(|cmp| {
+            let count = cmp.expr.terms().len();
+            offset += count;
+            cmp.expr
+                .evaluate_exact(&term_values[offset - count..offset])
+        })
+        .collect();
+    predicate.eval_exact(&values)
 }
 
 /// Exact truth of a predicate on a loaded tiled mask; the `CP` terms of
@@ -146,22 +179,8 @@ pub fn predicate_exact_tiled(
     opts: &VerifyOptions,
     tiles: &mut TileStats,
 ) -> QueryResult<bool> {
-    let comparisons = predicate.comparisons();
-    let mut all_terms: Vec<&CpTerm> = Vec::new();
-    let mut term_counts = Vec::with_capacity(comparisons.len());
-    for cmp in &comparisons {
-        let terms = cmp.expr.terms();
-        term_counts.push(terms.len());
-        all_terms.extend(terms);
-    }
-    let all_values = terms_exact_tiled(&all_terms, record, tiled, opts, tiles)?;
-    let mut values = Vec::with_capacity(comparisons.len());
-    let mut offset = 0;
-    for (cmp, count) in comparisons.iter().zip(term_counts) {
-        values.push(cmp.expr.evaluate_exact(&all_values[offset..offset + count]));
-        offset += count;
-    }
-    Ok(predicate.eval_exact(&values))
+    let values = terms_exact_tiled(&predicate_terms(predicate), record, tiled, opts, tiles)?;
+    Ok(predicate_from_term_values(predicate, &values))
 }
 
 /// Bounds on one term from the mask's CHI.

@@ -16,8 +16,7 @@ use crate::predicate::{CmpOp, Comparison, Truth};
 use crate::result::{QueryOutput, QueryStats, ResultRow};
 use crate::session::Session;
 use crate::spec::{Order, ScalarAgg};
-use masksearch_core::{ImageId, MaskId, TileStats};
-use masksearch_obs::keys as obs_keys;
+use masksearch_core::{ImageId, MaskId};
 use std::time::Instant;
 
 /// Bounds on a scalar aggregate from bounds on its member values.
@@ -67,17 +66,24 @@ pub fn execute(
     let total_start = Instant::now();
     let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
-    let mut tiles = TileStats::default();
-    let mut kernel_on_count = 0u64;
-    let mut kernel_off_count = 0u64;
 
     let groups = session.group_by_image(candidates);
     let mut pruned_groups = 0u64;
     let mut accepted_without_load = 0u64;
     let mut verified_groups = 0u64;
-    let mut indexes_built = 0u64;
-    let mut filter_wall = std::time::Duration::ZERO;
-    let mut verify_wall = std::time::Duration::ZERO;
+
+    // Filter pass: every member's CHI bounds, group after group, before
+    // anything is loaded (a mask's bounds depend on nothing the loop below
+    // changes).
+    let filter_start = Instant::now();
+    let members: Vec<MaskId> = groups
+        .iter()
+        .flat_map(|(_, members)| members.iter().copied())
+        .collect();
+    let bounds = session.bounds_of(&members, |record, chi| {
+        eval::expr_bounds(expr, record, chi, fallback)
+    })?;
+    let filter_wall = elapsed(filter_start);
 
     // For HAVING-only queries: accepted rows (value optional).
     let mut accepted_rows: Vec<ResultRow> = Vec::new();
@@ -88,27 +94,19 @@ pub fn execute(
     };
     let mut top: Vec<(f64, ImageId)> = Vec::new();
 
+    let verify_start = Instant::now();
+    let mut verifier = session.verifier(plan, expr.terms());
+    let mut bounds = bounds.as_slice();
     for (image_id, member_ids) in &groups {
-        // ---- Filter step: bound the aggregate from member CHIs. ----------
-        let filter_start = Instant::now();
-        let mut member_bounds = Vec::with_capacity(member_ids.len());
-        let mut all_indexed = true;
-        for &mask_id in member_ids {
-            let record = session.record(mask_id)?;
-            match session.chi_for(mask_id) {
-                Some(chi) => member_bounds.push(eval::expr_bounds(expr, &record, &chi, fallback)?),
-                None => {
-                    all_indexed = false;
-                    break;
-                }
-            }
-        }
-        let group_bounds = if all_indexed {
-            Some(aggregate_interval(agg, &member_bounds))
-        } else {
-            None
-        };
-        filter_wall += elapsed(filter_start);
+        let (member_bounds, rest) = bounds.split_at(member_ids.len());
+        bounds = rest;
+        // ---- Filter step: the aggregate's bounds, when every member has
+        // an index. ------------------------------------------------------
+        let group_bounds = member_bounds
+            .iter()
+            .copied()
+            .collect::<Option<Vec<Interval>>>()
+            .map(|member_bounds| aggregate_interval(agg, &member_bounds));
 
         // Decide whether the group can be pruned or accepted without loading.
         if let Some(bounds) = &group_bounds {
@@ -141,32 +139,14 @@ pub fn execute(
             }
         }
 
-        // ---- Verification step: load every member and compute exactly. ----
-        let verify_start = Instant::now();
+        // ---- Verification step: every member's exact value. --------------
         verified_groups += 1;
         let mut values = Vec::with_capacity(member_ids.len());
         for &mask_id in member_ids {
             let record = session.record(mask_id)?;
-            let (mask, built) = session.load_and_index(mask_id)?;
-            if built {
-                indexes_built += 1;
-            }
-            let kernel_on = plan.kernel_on_for(&mask);
-            if kernel_on {
-                kernel_on_count += 1;
-            } else {
-                kernel_off_count += 1;
-            }
-            values.push(eval::expr_exact_tiled(
-                expr,
-                &record,
-                &mask,
-                &session.verify_options_with(kernel_on),
-                &mut tiles,
-            )?);
+            values.push(expr.evaluate_exact(verifier.counts(&record)?));
         }
         let value = agg.apply(&values);
-        verify_wall += elapsed(verify_start);
 
         if let Some(order) = order {
             if k == 0 {
@@ -192,6 +172,7 @@ pub fn execute(
             accepted_rows.push(ResultRow::image(*image_id, Some(value)));
         }
     }
+    let verify_wall = elapsed(verify_start);
 
     let rows = if let Some(order) = order {
         let mut ranked = top;
@@ -205,31 +186,23 @@ pub fn execute(
         accepted_rows
     };
 
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
-
-    let io_delta = session
-        .store()
-        .io_stats()
-        .snapshot()
-        .delta_since(&io_before);
     let mut stats = QueryStats {
         candidates: candidates.len() as u64,
         pruned: pruned_groups,
         accepted_without_load,
         verified: verified_groups,
-        indexes_built,
-        planner_kernel_on: kernel_on_count,
-        planner_kernel_off: kernel_off_count,
-        tiles_pruned: tiles.tiles_pruned,
-        tiles_hist: tiles.tiles_hist,
-        tiles_scanned: tiles.tiles_scanned,
         filter_wall,
         verify_wall,
-        total_wall: elapsed(total_start),
         ..Default::default()
     };
+    verifier.stats.record(&mut stats);
+    let io_delta = session
+        .store()
+        .io_stats()
+        .snapshot()
+        .delta_since(&io_before);
     apply_io_delta(&mut stats, &io_delta);
+    stats.total_wall = elapsed(total_start);
 
     Ok(QueryOutput { rows, stats })
 }

@@ -1,27 +1,64 @@
 //! Filter-query execution: the two-stage filter–verification framework of
 //! §3.2 applied to `WHERE <predicate on CP(...)>` queries.
 
-use crate::error::QueryResult;
+use crate::error::{QueryError, QueryResult};
 use crate::eval;
 use crate::exec::{apply_io_delta, chunks_for_threads, elapsed};
 use crate::planner::ExecPlan;
 use crate::predicate::{Predicate, Truth};
 use crate::result::{QueryOutput, QueryStats, ResultRow};
 use crate::session::Session;
-use masksearch_core::{MaskId, TileStats};
+use crate::verify::VerifyStats;
+use masksearch_core::{MaskId, MaskRecord};
 use masksearch_obs::keys as obs_keys;
 use parking_lot::Mutex;
 use std::time::Instant;
 
-/// Per-mask outcome of the filter stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FilterOutcome {
-    /// Guaranteed to satisfy the predicate: goes straight to the result set.
-    Accept,
-    /// Guaranteed to fail the predicate: pruned.
-    Prune,
-    /// Undecided: must be verified by loading the mask.
-    Verify,
+/// Runs `work` over each chunk — inline for a single chunk (spawning a
+/// worker costs more than a small input's work), on scoped threads
+/// otherwise — and folds the chunks' outputs with `merge`. The first error
+/// wins.
+fn for_chunks<T, O: Default + Send>(
+    chunks: &[&[T]],
+    work: impl Fn(&[T]) -> QueryResult<O> + Sync,
+    merge: impl Fn(&mut O, O) + Sync,
+) -> QueryResult<O>
+where
+    T: Sync,
+{
+    match chunks {
+        [] => Ok(O::default()),
+        [chunk] => work(chunk),
+        _ => {
+            let merged: Mutex<QueryResult<O>> = Mutex::new(Ok(O::default()));
+            std::thread::scope(|scope| {
+                for chunk in chunks {
+                    scope.spawn(|| {
+                        let out = work(chunk);
+                        let mut merged = merged.lock();
+                        match (&mut *merged, out) {
+                            (Ok(all), Ok(out)) => merge(all, out),
+                            (Ok(_), Err(e)) => *merged = Err(e),
+                            (Err(_), _) => {}
+                        }
+                    });
+                }
+            });
+            merged.into_inner()
+        }
+    }
+}
+
+/// The filter stage's verdicts over one chunk of candidates.
+#[derive(Default)]
+struct Filtered {
+    /// Guaranteed to satisfy the predicate: straight to the result set.
+    accepted: Vec<MaskId>,
+    /// Guaranteed to fail it.
+    pruned: u64,
+    /// Undecided: must be verified against the pixels. The records ride
+    /// along so verification takes no catalog lock per mask.
+    to_verify: Vec<MaskRecord>,
 }
 
 /// Executes a filter query over `candidates`, following `plan`'s term
@@ -41,79 +78,51 @@ pub fn execute(
     // ---- Filter stage -----------------------------------------------------
     let filter_span = masksearch_obs::span("filter");
     let filter_start = Instant::now();
-    let chunks = chunks_for_threads(candidates, threads);
     // The stage is pure CPU (nothing is loaded), so one catalog guard and
     // one CHI-store guard cover all of it: per-candidate lock round-trips,
     // record clones, and `Arc` bumps used to dominate bounds-decided
     // classification. Both guards drop at the end of this block, before
     // verification starts loading masks.
-    let outcomes: Vec<(MaskId, FilterOutcome)> = {
+    let Filtered {
+        mut accepted,
+        pruned,
+        mut to_verify,
+    } = {
         let catalog = session.catalog_read();
         let chi_reader = session.chi_reader();
-        let classify_chunk = |chunk: &[MaskId]| -> QueryResult<Vec<(MaskId, FilterOutcome)>> {
+        let classify_chunk = |chunk: &[MaskId]| -> QueryResult<Filtered> {
             let mut classifier = eval::BoundsClassifier::new(predicate, plan.term_order());
-            let mut local = Vec::with_capacity(chunk.len());
+            let mut out = Filtered::default();
             for &mask_id in chunk {
                 let record = catalog
                     .get(mask_id)
-                    .ok_or(crate::error::QueryError::UnknownMask(mask_id))?;
-                let outcome = match chi_reader.as_ref().and_then(|r| r.get(mask_id)) {
-                    // No index: incremental and disabled modes verify by
-                    // loading.
-                    None => FilterOutcome::Verify,
-                    Some(chi) => match classifier.classify(record, chi, fallback)? {
-                        Truth::True => FilterOutcome::Accept,
-                        Truth::False => FilterOutcome::Prune,
-                        Truth::Unknown => FilterOutcome::Verify,
-                    },
+                    .ok_or(QueryError::UnknownMask(mask_id))?;
+                // No index (incremental and disabled modes): verify.
+                let truth = match chi_reader.as_ref().and_then(|r| r.get(mask_id)) {
+                    None => Truth::Unknown,
+                    Some(chi) => classifier.classify(record, chi, fallback)?,
                 };
-                local.push((mask_id, outcome));
-            }
-            Ok(local)
-        };
-        if chunks.len() <= 1 {
-            // One chunk (single-threaded session or small input): classify
-            // inline — spawning a worker costs more than the work it does.
-            match chunks.first() {
-                Some(chunk) => classify_chunk(chunk)?,
-                None => Vec::new(),
-            }
-        } else {
-            let results: Mutex<Vec<(MaskId, FilterOutcome)>> =
-                Mutex::new(Vec::with_capacity(candidates.len()));
-            let first_error: Mutex<Option<crate::error::QueryError>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for chunk in &chunks {
-                    scope.spawn(|| match classify_chunk(chunk) {
-                        Ok(local) => results.lock().extend(local),
-                        Err(e) => {
-                            let mut slot = first_error.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                        }
-                    });
+                match truth {
+                    Truth::True => out.accepted.push(mask_id),
+                    Truth::False => out.pruned += 1,
+                    Truth::Unknown => out.to_verify.push(record.clone()),
                 }
-            });
-            if let Some(err) = first_error.into_inner() {
-                return Err(err);
             }
-            results.into_inner()
-        }
+            Ok(out)
+        };
+        for_chunks(
+            &chunks_for_threads(candidates, threads),
+            classify_chunk,
+            |all, out| {
+                all.accepted.extend(out.accepted);
+                all.pruned += out.pruned;
+                all.to_verify.extend(out.to_verify);
+            },
+        )?
     };
     let filter_wall = elapsed(filter_start);
-
-    let mut accepted: Vec<MaskId> = Vec::new();
-    let mut to_verify: Vec<MaskId> = Vec::new();
-    let mut pruned = 0u64;
-    for (id, outcome) in outcomes {
-        match outcome {
-            FilterOutcome::Accept => accepted.push(id),
-            FilterOutcome::Prune => pruned += 1,
-            FilterOutcome::Verify => to_verify.push(id),
-        }
-    }
-    to_verify.sort_unstable();
+    to_verify.sort_unstable_by_key(|record| record.mask_id);
+    let accepted_without_load = accepted.len() as u64;
     masksearch_obs::add_counter(obs_keys::CANDIDATES, candidates.len() as u64);
     masksearch_obs::add_counter(obs_keys::PRUNED, pruned);
     masksearch_obs::add_counter(obs_keys::VERIFIED, to_verify.len() as u64);
@@ -122,112 +131,48 @@ pub fn execute(
     // ---- Verification stage ----------------------------------------------
     let verify_span = masksearch_obs::span("verify");
     let verify_start = Instant::now();
-    let verify_chunks = chunks_for_threads(&to_verify, threads);
-    #[derive(Default)]
-    struct ChunkVerify {
-        hits: Vec<MaskId>,
-        built: u64,
-        tiles: TileStats,
-        kernel: (u64, u64),
-    }
-    let verify_chunk = |chunk: &[MaskId]| -> QueryResult<ChunkVerify> {
-        let mut out = ChunkVerify::default();
-        for &mask_id in chunk {
-            let record = session.record(mask_id)?;
-            let (mask, built) = session.load_and_index(mask_id)?;
-            let kernel_on = plan.kernel_on_for(&mask);
-            if kernel_on {
-                out.kernel.0 += 1;
-            } else {
-                out.kernel.1 += 1;
-            }
-            let satisfied = eval::predicate_exact_tiled(
-                predicate,
-                &record,
-                &mask,
-                &session.verify_options_with(kernel_on),
-                &mut out.tiles,
-            )?;
-            if satisfied {
-                out.hits.push(mask_id);
-            }
-            if built {
-                out.built += 1;
+    let verify_chunk = |chunk: &[MaskRecord]| -> QueryResult<(Vec<MaskId>, VerifyStats)> {
+        let mut verifier = session.verifier(plan, eval::predicate_terms(predicate));
+        let mut hits = Vec::new();
+        for record in chunk {
+            if eval::predicate_from_term_values(predicate, verifier.counts(record)?) {
+                hits.push(record.mask_id);
             }
         }
-        Ok(out)
+        Ok((hits, verifier.stats))
     };
-    let verified = if verify_chunks.len() <= 1 {
-        // Same single-chunk shortcut as the filter stage.
-        match verify_chunks.first() {
-            Some(chunk) => verify_chunk(chunk)?,
-            None => ChunkVerify::default(),
-        }
-    } else {
-        let merged: Mutex<ChunkVerify> = Mutex::new(ChunkVerify::default());
-        let first_error: Mutex<Option<crate::error::QueryError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for chunk in &verify_chunks {
-                scope.spawn(|| match verify_chunk(chunk) {
-                    Ok(out) => {
-                        let mut m = merged.lock();
-                        m.hits.extend(out.hits);
-                        m.built += out.built;
-                        m.tiles.merge(&out.tiles);
-                        m.kernel.0 += out.kernel.0;
-                        m.kernel.1 += out.kernel.1;
-                    }
-                    Err(e) => {
-                        let mut slot = first_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(err) = first_error.into_inner() {
-            return Err(err);
-        }
-        merged.into_inner()
-    };
+    let (hits, verified) = for_chunks(
+        &chunks_for_threads(&to_verify, threads),
+        verify_chunk,
+        |all, (hits, stats)| {
+            all.0.extend(hits);
+            all.1.merge(&stats);
+        },
+    )?;
     let verify_wall = elapsed(verify_start);
-    let (kernel_on_count, kernel_off_count) = verified.kernel;
-    masksearch_obs::add_counter(obs_keys::INDEXES_BUILT, verified.built);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
-    drop(verify_span);
 
-    accepted.extend(verified.hits);
+    accepted.extend(hits);
     accepted.sort_unstable();
 
+    let mut stats = QueryStats {
+        candidates: candidates.len() as u64,
+        pruned,
+        accepted_without_load,
+        verified: to_verify.len() as u64,
+        planner_reorders: plan.plan.reordered() as u64,
+        filter_wall,
+        verify_wall,
+        ..Default::default()
+    };
+    verified.record(&mut stats);
+    drop(verify_span);
     let io_delta = session
         .store()
         .io_stats()
         .snapshot()
         .delta_since(&io_before);
-    let tiles = verified.tiles;
-    let mut stats = QueryStats {
-        candidates: candidates.len() as u64,
-        pruned,
-        // Masks admitted purely from bounds.
-        accepted_without_load: (candidates.len() as u64)
-            .saturating_sub(pruned)
-            .saturating_sub(to_verify.len() as u64),
-        verified: to_verify.len() as u64,
-        indexes_built: verified.built,
-        tiles_pruned: tiles.tiles_pruned,
-        tiles_hist: tiles.tiles_hist,
-        tiles_scanned: tiles.tiles_scanned,
-        planner_kernel_on: kernel_on_count,
-        planner_kernel_off: kernel_off_count,
-        planner_reorders: plan.plan.reordered() as u64,
-        filter_wall,
-        verify_wall,
-        total_wall: elapsed(total_start),
-        ..Default::default()
-    };
     apply_io_delta(&mut stats, &io_delta);
+    stats.total_wall = elapsed(total_start);
 
     Ok(QueryOutput {
         rows: accepted

@@ -15,7 +15,7 @@ use crate::planner::ExecPlan;
 use crate::result::{QueryOutput, QueryStats, ResultRow};
 use crate::session::Session;
 use crate::spec::Order;
-use masksearch_core::{MaskId, TileStats};
+use masksearch_core::MaskId;
 use masksearch_obs::keys as obs_keys;
 use std::time::Instant;
 
@@ -32,71 +32,47 @@ pub fn execute(
     let total_start = Instant::now();
     let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
-    let mut tiles = TileStats::default();
-    let mut kernel_on_count = 0u64;
-    let mut kernel_off_count = 0u64;
 
     if k == 0 {
         return Ok(QueryOutput::default());
     }
 
+    let rank_span = masksearch_obs::span("rank");
+    // Filter pass: a mask's bounds depend on nothing the ranking loop
+    // changes, so all of them are computed up front.
+    let filter_start = Instant::now();
+    let bounds = session.bounds_of(candidates, |record, chi| {
+        eval::expr_bounds(expr, record, chi, fallback)
+    })?;
+    let filter_wall = elapsed(filter_start);
+
     // Current top-k as (value, mask_id); worst entry found by linear scan
     // (k is small — the paper uses k = 25).
-    let rank_span = masksearch_obs::span("rank");
+    let verify_start = Instant::now();
     let mut top: Vec<(f64, MaskId)> = Vec::with_capacity(k + 1);
     let mut pruned = 0u64;
     let mut verified = 0u64;
-    let mut indexes_built = 0u64;
-    let mut filter_wall = std::time::Duration::ZERO;
-    let mut verify_wall = std::time::Duration::ZERO;
-
-    for &mask_id in candidates {
-        let record = session.record(mask_id)?;
-
-        // Filter step: can the bounds already rule this mask out?
-        let filter_start = Instant::now();
-        let prune = if top.len() == k {
-            if let Some(chi) = session.chi_for(mask_id) {
-                let bounds = eval::expr_bounds(expr, &record, &chi, fallback)?;
-                let threshold = worst_value(&top, order);
-                match order {
-                    // Equation 15: a new mask must be strictly better than the
-                    // current k-th value to enter the result.
-                    Order::Desc => bounds.hi <= threshold,
-                    Order::Asc => bounds.lo >= threshold,
-                }
-            } else {
-                false
+    let mut verifier = session.verifier(plan, expr.terms());
+    for (&mask_id, bounds) in candidates.iter().zip(&bounds) {
+        // Can the bounds already rule this mask out? Equation 15: a new
+        // mask must be strictly better than the current k-th value to enter
+        // the result.
+        if let (true, Some(bounds)) = (top.len() == k, bounds) {
+            let threshold = worst_value(&top, order);
+            let cannot_enter = match order {
+                Order::Desc => bounds.hi <= threshold,
+                Order::Asc => bounds.lo >= threshold,
+            };
+            if cannot_enter {
+                pruned += 1;
+                continue;
             }
-        } else {
-            false
-        };
-        filter_wall += elapsed(filter_start);
-        if prune {
-            pruned += 1;
-            continue;
         }
 
-        // Verification step: load the mask and compute the exact value.
-        let verify_start = Instant::now();
-        let (mask, built) = session.load_and_index(mask_id)?;
-        if built {
-            indexes_built += 1;
-        }
+        // Verification step: the exact value from the pixels.
         verified += 1;
-        let kernel_on = plan.kernel_on_for(&mask);
-        if kernel_on {
-            kernel_on_count += 1;
-        } else {
-            kernel_off_count += 1;
-        }
-        let mut value = eval::expr_exact_tiled(
-            expr,
-            &record,
-            &mask,
-            &session.verify_options_with(kernel_on),
-            &mut tiles,
-        )?;
+        let record = session.record(mask_id)?;
+        let mut value = expr.evaluate_exact(verifier.counts(&record)?);
         if value.is_nan() {
             // NaN (e.g. 0/0 ratios) ranks worst under either order.
             value = match order {
@@ -104,26 +80,29 @@ pub fn execute(
                 Order::Asc => f64::INFINITY,
             };
         }
-        verify_wall += elapsed(verify_start);
 
         if top.len() < k {
             top.push((value, mask_id));
-        } else {
-            let threshold = worst_value(&top, order);
-            if order.better(value, threshold) {
-                // Replace the worst entry.
-                let worst_idx = worst_index(&top, order);
-                top[worst_idx] = (value, mask_id);
-            }
+        } else if order.better(value, worst_value(&top, order)) {
+            // Replace the worst entry.
+            let worst_idx = worst_index(&top, order);
+            top[worst_idx] = (value, mask_id);
         }
     }
+    let verify_wall = elapsed(verify_start);
 
+    let mut stats = QueryStats {
+        candidates: candidates.len() as u64,
+        pruned,
+        verified,
+        filter_wall,
+        verify_wall,
+        ..Default::default()
+    };
     masksearch_obs::add_counter(obs_keys::CANDIDATES, candidates.len() as u64);
     masksearch_obs::add_counter(obs_keys::PRUNED, pruned);
     masksearch_obs::add_counter(obs_keys::VERIFIED, verified);
-    masksearch_obs::add_counter(obs_keys::INDEXES_BUILT, indexes_built);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
+    verifier.stats.record(&mut stats);
     drop(rank_span);
     sort_ranked(&mut top, order, k);
 
@@ -132,23 +111,8 @@ pub fn execute(
         .io_stats()
         .snapshot()
         .delta_since(&io_before);
-    let mut stats = QueryStats {
-        candidates: candidates.len() as u64,
-        pruned,
-        accepted_without_load: 0,
-        verified,
-        indexes_built,
-        tiles_pruned: tiles.tiles_pruned,
-        tiles_hist: tiles.tiles_hist,
-        tiles_scanned: tiles.tiles_scanned,
-        planner_kernel_on: kernel_on_count,
-        planner_kernel_off: kernel_off_count,
-        filter_wall,
-        verify_wall,
-        total_wall: elapsed(total_start),
-        ..Default::default()
-    };
     apply_io_delta(&mut stats, &io_delta);
+    stats.total_wall = elapsed(total_start);
 
     Ok(QueryOutput {
         rows: top

@@ -401,6 +401,7 @@ pub fn annotate(mut plan: PlanNode, stats: &QueryStats, rows: u64) -> PlanNode {
     if let Some(verify) = plan.find_mut("verify") {
         verify.set(keys::WALL_US, stats.verify_wall.as_micros() as u64);
         verify.set(keys::LOADED, stats.masks_loaded);
+        verify.set(keys::IN_PLACE, stats.verified_in_place);
         verify.set(keys::BYTES_READ, stats.bytes_read);
         verify.set(keys::INDEXES_BUILT, stats.indexes_built);
         verify.set(keys::TILES_PRUNED, stats.tiles_pruned);

@@ -70,6 +70,7 @@ pub mod query;
 pub mod result;
 pub mod session;
 pub mod spec;
+mod verify;
 
 pub use error::{QueryError, QueryResult as QueryResultExt};
 pub use explain::{shape_key, PlanNode};

@@ -49,6 +49,7 @@ pub fn merge_stats<'a>(partials: impl IntoIterator<Item = &'a QueryStats>) -> Qu
         merged.accepted_without_load += s.accepted_without_load;
         merged.verified += s.verified;
         merged.masks_loaded += s.masks_loaded;
+        merged.verified_in_place += s.verified_in_place;
         merged.bytes_read += s.bytes_read;
         merged.indexes_built += s.indexes_built;
         merged.tiles_pruned += s.tiles_pruned;

@@ -58,6 +58,10 @@ pub struct QueryStats {
     /// Masks actually loaded from storage during the query (the paper's
     /// "number of masks loaded", Table 2).
     pub masks_loaded: u64,
+    /// Of `masks_loaded`, masks verified in place: only the rows of the
+    /// query's ROIs were read, and counted where the store holds them,
+    /// without decoding or caching the mask.
+    pub verified_in_place: u64,
     /// Bytes read from storage during the query.
     pub bytes_read: u64,
     /// CHIs built during the query (incremental indexing, §3.6).

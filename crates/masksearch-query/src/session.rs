@@ -27,6 +27,8 @@ use crate::mutation::{MaskUpdate, Mutation, MutationOutcome};
 use crate::planner::{self, ExecPlan};
 use crate::query::{MaskJoin, Query, QueryKind, Selection};
 use crate::result::{QueryOutput, QueryStats};
+use crate::spec::CpTerm;
+use crate::verify::Verifier;
 use masksearch_core::{ImageId, Mask, MaskAgg, MaskId, MaskRecord, TiledMask};
 use masksearch_index::{build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore};
 use masksearch_obs::counters as obs_counters;
@@ -62,7 +64,9 @@ pub struct SessionConfig {
     /// builds.
     pub threads: usize,
     /// Byte budget of the decoded-mask buffer cache (0 disables caching,
-    /// reproducing the paper's cold-cache setting).
+    /// reproducing the paper's cold-cache setting). Explicit loads are
+    /// always admitted; a verification miss only on the mask's second
+    /// recent miss (see `masksearch_storage::cache`).
     pub cache_bytes: u64,
     /// When a query uses `roi = object` but a mask has no recorded object
     /// box: fall back to the full mask (`true`) or fail the query (`false`).
@@ -71,7 +75,9 @@ pub struct SessionConfig {
     /// kernel (per-tile min/max + histogram summaries; see
     /// `masksearch-core`), the reference batched scan, or — the default —
     /// per mask as the planner decides. Counts are byte-identical under
-    /// every mode; forcing exists for benchmarking and conformance tests.
+    /// every mode; forcing exists for benchmarking and conformance tests,
+    /// and pins the whole load-then-count pipeline: only the default mode
+    /// verifies cache misses in place (see `crate::verify`).
     pub kernel_mode: KernelMode,
     /// How pair (join) queries stage their work: composed-bounds pass first,
     /// load-everything first, or — the default — as the planner decides
@@ -448,6 +454,34 @@ impl Session {
             .ok_or(QueryError::UnknownMask(mask_id))
     }
 
+    /// The filter pass of the ranked executors: `bounds(record, chi)` of
+    /// every id whose mask has a CHI (`None` where it has none), before
+    /// anything is loaded. The record and the CHI are borrowed under their
+    /// guards — no record clone, no `Arc` bump — and the guards are taken
+    /// per candidate on purpose: held across a block of candidates (256
+    /// were tried: ≈0.13 ms) they park a committing writer behind the
+    /// reader, and on a busy host the wake-up cost `ingest_mixed` ≈1 ms per
+    /// commit (`commit_p50_ms` +25%); held for one candidate's ≈0.5 µs of
+    /// arithmetic, the writer gets in while it still spins.
+    pub(crate) fn bounds_of<B>(
+        &self,
+        mask_ids: &[MaskId],
+        mut bounds: impl FnMut(&MaskRecord, &Chi) -> QueryResult<B>,
+    ) -> QueryResult<Vec<Option<B>>> {
+        mask_ids
+            .iter()
+            .map(|&mask_id| {
+                let catalog = self.catalog_read();
+                let record = catalog
+                    .get(mask_id)
+                    .ok_or(QueryError::UnknownMask(mask_id))?;
+                let chi_reader = self.chi_reader();
+                let chi = chi_reader.as_ref().and_then(|reader| reader.get(mask_id));
+                chi.map(|chi| bounds(record, chi)).transpose()
+            })
+            .collect()
+    }
+
     /// The CHI of a mask, if one exists and indexing is enabled.
     pub fn chi_for(&self, mask_id: MaskId) -> Option<Arc<Chi>> {
         if self.config.indexing_mode == IndexingMode::Disabled {
@@ -486,6 +520,17 @@ impl Session {
             object_box_fallback: self.config.object_box_fallback,
             use_tiled_kernel,
         }
+    }
+
+    /// The verification step of a single-mask statement: exact values of
+    /// `terms` mask by mask, counted on the resident copy, in place off the
+    /// stored rows, or on the mask loaded whole (see [`crate::verify`]).
+    pub(crate) fn verifier<'a>(
+        &'a self,
+        plan: &'a ExecPlan,
+        terms: Vec<&'a CpTerm>,
+    ) -> Verifier<'a> {
+        Verifier::new(self, plan, terms)
     }
 
     /// Loads a mask and, in incremental mode, builds and retains its CHI

@@ -78,6 +78,20 @@ pub const DEFAULT_MONITOR_INTERVAL_MS: u64 = 1000;
 /// blocking request on its connection, so its span must be bounded.
 pub const MAX_MONITOR_FRAMES: u32 = 3600;
 
+/// Longest request line (newline included) a front end buffers on behalf of
+/// a peer. Both servers — the shard server's connection threads and the
+/// cluster coordinator's event loop — answer a longer line with a protocol
+/// `ERR` and close the connection instead of growing the buffer. A 16-mask
+/// `INSERT` of 112x112 pixel literals is about 2 MB.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// The error both front ends answer an over-long request line with.
+pub fn line_too_long() -> ServiceError {
+    ServiceError::Protocol(format!(
+        "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+    ))
+}
+
 /// A parsed `RECORD <cmd>` flight-recorder control command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordControl {

@@ -17,7 +17,7 @@ use crate::protocol::{self, ClientRequest};
 use masksearch_query::{Mutation, MutationOutcome};
 use masksearch_sql::{Statement, TxnControl};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -321,8 +321,17 @@ fn serve_connection(
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
+        // One byte past the limit tells "too long" from "exactly fits".
+        let mut bounded = (&mut reader).take(protocol::MAX_LINE_BYTES as u64 + 1);
+        if bounded.read_until(b'\n', &mut buf)? == 0 {
             return Ok(()); // client hung up
+        }
+        if buf.len() > protocol::MAX_LINE_BYTES {
+            // No newline within the limit: memory on behalf of a peer stays
+            // bounded. The rest of the stream cannot be framed; hang up.
+            return respond(&writer, None, |buf| {
+                protocol::write_error(buf, &protocol::line_too_long())
+            });
         }
         let line = String::from_utf8_lossy(&buf);
         let line = line.trim_end_matches(['\r', '\n']);

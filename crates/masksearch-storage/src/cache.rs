@@ -10,12 +10,26 @@
 //! plus the per-tile summaries of the verification kernel, so a cache hit
 //! also skips rebuilding the summaries the kernel prunes with. The byte
 //! budget accounts for both.
+//!
+//! ## Admission
+//!
+//! An explicit load ([`MaskCache::get_or_load_tiled`]) is always admitted.
+//! Verification asks first ([`MaskCache::lookup_for_verify`]): a miss is
+//! admitted only when the same mask already missed once and the masks that
+//! missed since would still fit in the budget beside it — the "ghost" list
+//! of first misses, aged by the bytes that missed after them. A scan larger
+//! than the cache therefore admits nothing and evicts nothing (every mask's
+//! second miss comes a whole scan later), while a working set that fits is
+//! resident after its second lap. A miss that is not admitted costs one
+//! short critical section; the verifier counts the mask's pixels where the
+//! store holds them instead (see `MaskStore::read_rows`).
 
 use crate::error::StorageResult;
 use masksearch_core::{Mask, MaskId, TiledMask};
 use masksearch_obs::counters as obs_counters;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 
 /// Statistics describing cache effectiveness.
@@ -38,6 +52,56 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+/// What the cache answers when the verification stage is about to count
+/// pixels of a mask (see [`MaskCache::lookup_for_verify`]).
+#[derive(Debug)]
+pub enum VerifyLookup {
+    /// Resident: verify on the cached tiled mask.
+    Hit(Arc<TiledMask>),
+    /// Its second recent miss: load it whole through
+    /// [`MaskCache::get_or_load_tiled`], which admits it.
+    Admit,
+    /// Its first recent miss (or it cannot fit): verify without the cache.
+    Bypass,
+}
+
+/// Masks that missed once and were not admitted: what a second miss is
+/// recognised by. Aged in bytes, so "recent" means "could still be
+/// resident, had the misses since all been admitted".
+#[derive(Default)]
+struct Ghosts {
+    /// Bytes of every first miss so far — the clock ghosts age by.
+    missed_bytes: u64,
+    /// `missed_bytes` at each id's first miss.
+    first_miss: HashMap<MaskId, u64>,
+    /// Length at which expired ghosts are next swept out.
+    sweep_at: usize,
+}
+
+impl Ghosts {
+    /// Records a verify miss of a `bytes`-byte mask. `true` when it is the
+    /// mask's second miss and the first misses from its own on add up to at
+    /// most `window` bytes; the ghost is consumed either way.
+    fn second_miss(&mut self, mask_id: MaskId, bytes: u64, window: u64) -> bool {
+        if let Some(at) = self.first_miss.remove(&mask_id) {
+            if self.missed_bytes - at <= window {
+                return true;
+            }
+        }
+        if self.first_miss.len() >= self.sweep_at {
+            // Amortised: each sweep leaves room for as many inserts as it
+            // kept ghosts, so the list stays within twice what `window`
+            // bytes of masks can be.
+            let oldest = self.missed_bytes.saturating_sub(window);
+            self.first_miss.retain(|_, at| *at >= oldest);
+            self.sweep_at = (self.first_miss.len() * 2).max(64);
+        }
+        self.first_miss.insert(mask_id, self.missed_bytes);
+        self.missed_bytes += bytes;
+        false
     }
 }
 
@@ -124,7 +188,7 @@ struct Inner {
     flights: HashMap<MaskId, Arc<Flight>>,
     clock: u64,
     used_bytes: u64,
-    stats: CacheStats,
+    ghosts: Ghosts,
     /// Bumped by every invalidation. `get_or_load` loads outside the lock;
     /// comparing against the per-id log on re-entry keeps a load that raced
     /// with an invalidation of the *same* mask from caching stale pixels,
@@ -147,6 +211,11 @@ struct Inner {
 pub struct MaskCache {
     capacity_bytes: u64,
     inner: Mutex<Inner>,
+    // Statistics only: they publish nothing, so `Relaxed`, and a miss that
+    // bypasses the cache counts itself without the mutex.
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl MaskCache {
@@ -159,11 +228,14 @@ impl MaskCache {
                 flights: HashMap::new(),
                 clock: 0,
                 used_bytes: 0,
-                stats: CacheStats::default(),
+                ghosts: Ghosts::default(),
                 generation: 0,
                 invalidated: HashMap::new(),
                 invalidated_floor: 0,
             }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -205,7 +277,11 @@ impl MaskCache {
 
     /// Current cache statistics.
     pub fn stats(&self) -> CacheStats {
-        self.lock().stats
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
     }
 
     /// Removes every cached mask (statistics are preserved).
@@ -248,7 +324,7 @@ impl MaskCache {
         if self.capacity_bytes == 0 {
             // Caching disabled (the cold-cache experimental setting): every
             // lookup loads for itself; sharing would warm what must be cold.
-            self.lock().stats.misses += 1;
+            self.misses.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::new(load()?));
         }
         let mut load = Some(load);
@@ -260,14 +336,14 @@ impl MaskCache {
                 if let Some(entry) = inner.entries.get_mut(&mask_id) {
                     entry.last_used = clock;
                     let mask = Arc::clone(&entry.mask);
-                    inner.stats.hits += 1;
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(mask);
                 }
                 match inner.flights.get(&mask_id) {
                     Some(flight) => Arc::clone(flight),
                     None => {
                         // This thread is the leader for the id.
-                        inner.stats.misses += 1;
+                        self.misses.fetch_add(1, Ordering::Relaxed);
                         let flight = Arc::new(Flight::new());
                         inner.flights.insert(mask_id, Arc::clone(&flight));
                         let generation = inner.generation;
@@ -284,7 +360,7 @@ impl MaskCache {
             // Another thread is already loading this id; wait for it (off
             // the cache lock) and share its result.
             if let Some(mask) = flight.wait() {
-                self.lock().stats.hits += 1;
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(mask);
             }
             // The leader's load failed, raced an invalidation, or was not
@@ -345,7 +421,7 @@ impl MaskCache {
                 .expect("non-empty cache has a minimum");
             if let Some(evicted) = inner.entries.remove(&victim) {
                 inner.used_bytes -= evicted.bytes;
-                inner.stats.evictions += 1;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         inner.used_bytes += bytes;
@@ -358,6 +434,35 @@ impl MaskCache {
             },
         );
         Ok(mask)
+    }
+
+    /// The verification stage's lookup for a mask of `mask_bytes` pixel
+    /// bytes: the resident copy, or whether this miss should load the mask
+    /// whole and admit it (see the module docs on admission). A miss takes
+    /// the mutex once, briefly — or not at all when the mask could never
+    /// fit (a disabled cache included) — and never evicts.
+    pub fn lookup_for_verify(&self, mask_id: MaskId, mask_bytes: u64) -> VerifyLookup {
+        if self.capacity_bytes == 0 || mask_bytes > self.capacity_bytes {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return VerifyLookup::Bypass;
+        }
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
+        if let Some(entry) = inner.entries.get_mut(&mask_id) {
+            entry.last_used = clock;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return VerifyLookup::Hit(Arc::clone(&entry.mask));
+        }
+        if inner
+            .ghosts
+            .second_miss(mask_id, mask_bytes, self.capacity_bytes)
+        {
+            // The whole-mask load that follows counts this miss.
+            return VerifyLookup::Admit;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        VerifyLookup::Bypass
     }
 
     /// Returns the cached mask without loading, if present.
@@ -587,6 +692,94 @@ mod tests {
         assert!(cache.peek(MaskId::new(0)).is_none());
         assert!(cache.peek(MaskId::new(1)).is_some());
         assert!(cache.peek(MaskId::new(2)).is_some());
+    }
+
+    /// One verification of mask `id` as the executor does it: look up,
+    /// load whole through the cache only when told to admit.
+    fn verify(cache: &MaskCache, id: u64) -> &'static str {
+        match cache.lookup_for_verify(MaskId::new(id), 256) {
+            VerifyLookup::Hit(_) => "hit",
+            VerifyLookup::Bypass => "bypass",
+            VerifyLookup::Admit => {
+                cache
+                    .get_or_load(MaskId::new(id), || Ok(mask(id as u32)))
+                    .unwrap();
+                "admit"
+            }
+        }
+    }
+
+    #[test]
+    fn a_scan_larger_than_the_cache_admits_nothing() {
+        // Room for two 8x8 masks; four are scanned lap after lap. Each
+        // mask's second miss comes a whole lap (1024 missed bytes) after its
+        // first, which the 800-byte budget could not have held on to.
+        let cache = MaskCache::new(800);
+        for lap in 0..5 {
+            for id in 0..4 {
+                assert_eq!(verify(&cache, id), "bypass", "lap {lap} mask {id}");
+            }
+        }
+        assert!(cache.is_empty());
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 20,
+                evictions: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_working_set_that_fits_is_resident_after_its_second_lap() {
+        let cache = MaskCache::new(800);
+        let lap = |cache: &MaskCache| [verify(cache, 0), verify(cache, 1)];
+        assert_eq!(lap(&cache), ["bypass", "bypass"]);
+        assert_eq!(lap(&cache), ["admit", "admit"]);
+        assert_eq!(lap(&cache), ["hit", "hit"]);
+        // Each miss counted once, by the lookup or by the admitting load.
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 2,
+                misses: 4,
+                evictions: 0
+            }
+        );
+        // A scan passing through does not disturb the residents.
+        for id in 10..30 {
+            assert_eq!(verify(&cache, id), "bypass");
+        }
+        assert_eq!(lap(&cache), ["hit", "hit"]);
+        assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn masks_that_cannot_fit_bypass_without_a_ghost() {
+        let disabled = MaskCache::disabled();
+        assert_eq!(verify(&disabled, 1), "bypass");
+        assert_eq!(verify(&disabled, 1), "bypass");
+        assert_eq!(disabled.stats().misses, 2);
+        let small = MaskCache::new(200);
+        assert_eq!(verify(&small, 1), "bypass");
+        assert_eq!(verify(&small, 1), "bypass");
+        assert!(small.inner.lock().ghosts.first_miss.is_empty());
+    }
+
+    #[test]
+    fn the_ghost_list_stays_within_what_the_budget_could_hold() {
+        // Budget for 8 masks of 256 pixel bytes: however many distinct
+        // masks miss, at most twice that many ghosts (and the sweep floor)
+        // are remembered.
+        let cache = MaskCache::new(8 * 256);
+        for id in 0..10_000 {
+            assert_eq!(verify(&cache, id), "bypass");
+        }
+        assert!(cache.inner.lock().ghosts.first_miss.len() <= 64);
+        // The most recent ones are still recognised.
+        assert_eq!(verify(&cache, 9_999), "admit");
+        assert_eq!(verify(&cache, 5_000), "bypass");
     }
 
     #[test]

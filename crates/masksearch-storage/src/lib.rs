@@ -44,7 +44,7 @@ pub mod row_store;
 pub mod store;
 
 pub use array_store::ArrayStore;
-pub use cache::MaskCache;
+pub use cache::{MaskCache, VerifyLookup};
 pub use catalog::Catalog;
 pub use disk::{DiskProfile, IoStats};
 pub use error::{StorageError, StorageResult};

@@ -18,6 +18,7 @@ use masksearch_core::{Mask, MaskId, MaskRecord, TiledMask};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -138,6 +139,28 @@ pub trait MaskStore: Send + Sync {
     /// attach was built from exactly the pixels they return.
     fn get_tiled(&self, mask_id: MaskId) -> StorageResult<TiledMask> {
         Ok(TiledMask::from_mask(self.get(mask_id)?))
+    }
+
+    /// Reads rows `rows` of a mask as it is stored — whole rows of
+    /// row-major little-endian `f32` — into `out`, resized to fit (a caller
+    /// verifying many masks reuses one buffer), and returns the mask's
+    /// `(width, height)`. The read counts as one mask loaded. This is what
+    /// lets verification count an ROI's pixels in place
+    /// (`masksearch_core::cp_many_le_rows`) instead of loading and decoding
+    /// the mask.
+    ///
+    /// `Ok(None)` means "not supported here": the caller loads the mask
+    /// whole. That is the default, and what a store that can serve rows
+    /// answers for a mask it holds in another encoding or whose height does
+    /// not cover `rows`.
+    fn read_rows(
+        &self,
+        mask_id: MaskId,
+        rows: Range<u32>,
+        out: &mut Vec<u8>,
+    ) -> StorageResult<Option<(u32, u32)>> {
+        let _ = (mask_id, rows, out);
+        Ok(None)
     }
 
     /// Returns `true` if the store holds a mask with this id.

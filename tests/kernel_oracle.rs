@@ -7,7 +7,8 @@
 //! the full `[0, 1)` domain).
 
 use masksearch::core::{
-    cp, cp_composed, cp_many, Mask, MaskOp, PixelRange, Roi, TileGrid, TileStats, TiledMask,
+    cp, cp_composed, cp_many, cp_many_le_rows, cp_row_band, Mask, MaskOp, PixelRange, Roi,
+    TileGrid, TileStats, TiledMask,
 };
 use proptest::prelude::*;
 
@@ -279,6 +280,90 @@ fn extreme_boundary_ranges_stay_exact() {
                         "range {range} roi {roi} tile {tile}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The rows `rows` of a mask as a store holds them: little-endian `f32`.
+fn le_rows(mask: &Mask, rows: std::ops::Range<u32>) -> Vec<u8> {
+    let w = mask.width() as usize;
+    mask.data()[rows.start as usize * w..rows.end as usize * w]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The in-place verification kernel against `cp_many`: counting the
+    /// terms straight off the stored bytes of the row band they span (or
+    /// any wider band) gives the counts of the decoded mask, exactly — over
+    /// 1×N / N×1 shapes, clipped, disjoint and multi-term ROIs, bin-aligned
+    /// and one-ULP ranges, and −0.0 pixels. A pixel outside `[0, 1)` (NaN,
+    /// ±∞, ≥ 1, < 0) inside the band is the error `Mask::new` reports for
+    /// the first such pixel of the band, in whole-mask coordinates; outside
+    /// the band it is never read.
+    #[test]
+    fn byte_band_kernel_equals_cp_many(
+        mask in (1u32..72, 1u32..72, any::<u64>(), 0u32..4u32)
+            .prop_map(|(w, h, seed, kind)| mask_of(w, h, seed, kind)),
+        rois in (arb_roi(), arb_roi(), arb_roi()),
+        ranges in (arb_range(), arb_range(), arb_range()),
+        term_count in 1usize..=3,
+        margin in (0u32..4, 0u32..4),
+        poison in 0u32..3,
+        seed in any::<u64>(),
+    ) {
+        let (w, h) = mask.shape();
+        let terms = [(rois.0, ranges.0), (rois.1, ranges.1), (rois.2, ranges.2)];
+        let terms = &terms[..term_count];
+        // Every ROI may miss the mask: zero counts, and no row is needed.
+        let needed = cp_row_band(w, h, terms).unwrap_or(0..0);
+        let band = needed.start.saturating_sub(margin.0)..(needed.end + margin.1).min(h);
+        let in_band = |i: usize| band.contains(&((i / w as usize) as u32));
+
+        // −0.0 is in the domain and must count like 0.0; the poison values
+        // are outside it, placed only outside the band or only inside it.
+        let mut data = mask.into_data();
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for _ in 0..3 {
+            let i = next() % data.len();
+            data[i] = -0.0;
+        }
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0, -0.25, 7.5];
+        if poison > 0 {
+            for _ in 0..4 {
+                let i = next() % data.len();
+                if in_band(i) == (poison == 2) {
+                    data[i] = bad[next() % bad.len()];
+                }
+            }
+        }
+        let mask = Mask::from_data_unchecked(w, h, data.clone()).expect("shape matches");
+        let counted = cp_many_le_rows(&le_rows(&mask, band.clone()), w, h, band.start, terms);
+
+        // What loading the band's pixels as a mask would say.
+        let mut band_only = data;
+        for (i, v) in band_only.iter_mut().enumerate() {
+            if !in_band(i) {
+                *v = 0.0;
+            }
+        }
+        match Mask::new(w, h, band_only) {
+            Ok(_) => prop_assert_eq!(counted, Ok(cp_many(&mask, terms))),
+            Err(expected) => {
+                prop_assert_eq!(poison, 2, "only in-band poison can fail");
+                // NaN != NaN: compare the rendering, which shows both fields.
+                prop_assert_eq!(
+                    format!("{:?}", counted.expect_err("a pixel outside the domain was read")),
+                    format!("{expected:?}")
+                );
             }
         }
     }
