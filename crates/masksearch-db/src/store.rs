@@ -48,7 +48,7 @@
 //!    that no committed prefix explains;
 //! 2. writes all dirty pages to the database file and fsyncs it;
 //! 3. brings `masks.chi` and `masks.tiles` up to date durably (see
-//!    [`crate::snapshot`]): an automatic checkpoint appends one segment of
+//!    `snapshot.rs`): an automatic checkpoint appends one segment of
 //!    the entries indexed since the previous one, an explicit
 //!    [`DurableMaskStore::checkpoint`] rewrites each file as a single
 //!    segment with no dead entry. This precedes step 5 because recovery

@@ -8,9 +8,11 @@
 //! pages of another mask, another version, or a mix; this test reads
 //! version-stamped masks fast enough to land inside those windows.
 
-use masksearch_core::{Mask, MaskId, MaskRecord};
+use masksearch_core::{Mask, MaskId, MaskRecord, PixelRange, Roi};
 use masksearch_db::{DbConfig, DurableMaskStore};
-use masksearch_index::ChiConfig;
+use masksearch_index::{Chi, ChiConfig};
+use masksearch_query::eval::CompiledBounds;
+use masksearch_query::{Expr, Interval};
 use masksearch_storage::{MaskEncoding, MaskStore};
 use std::fs;
 use std::path::PathBuf;
@@ -273,5 +275,147 @@ fn every_band_is_exactly_one_committed_version() {
         checkpoints >= COMMITS / 8 && reads >= checkpoints,
         "{reads} band reads beside {checkpoints} checkpoints in {COMMITS} commits"
     );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same race for the filter stage: readers bound masks through the CHI
+/// store's views — the compiled bounds the executors run — beside a writer
+/// that overwrites and deletes. A mask's cells live in a slab run that the
+/// next index of that length reuses, so a commit of four masks hands their
+/// runs round; a view is taken and read under the store's guard, so the
+/// bounds a reader computes must be those of exactly one version of *that*
+/// mask, committed no earlier than the read began and started no later than
+/// it ended — or the mask has no index just then (deleted, or between an
+/// overwrite's eviction and its re-index).
+#[test]
+fn every_bound_is_of_exactly_one_committed_version() {
+    let dir = temp_dir("bounds");
+    let chi_config = ChiConfig::new(4, 4, 4).unwrap();
+    let config = DbConfig::default()
+        .page_size(256)
+        .fsync(false)
+        .chi_config(chi_config)
+        .checkpoint_wal_bytes(64 * 1024);
+    let store = DurableMaskStore::open(&dir, config).unwrap();
+    store.insert_masks(&versions(0..IDS, |_| 1)).unwrap();
+
+    // Every fifth version of a mask is its absence.
+    let deleted = |version: u64| version.is_multiple_of(5);
+    let started: Vec<AtomicU64> = (0..IDS).map(|_| AtomicU64::new(1)).collect();
+    let committed: Vec<AtomicU64> = (0..IDS).map(|_| AtomicU64::new(1)).collect();
+    let done = AtomicBool::new(false);
+    let barrier = Barrier::new(READERS + 1);
+    let exprs = [
+        Expr::cp(
+            Roi::new(3, 1, 14, 9).unwrap(),
+            PixelRange::new(0.3, 1.0).unwrap(),
+        ),
+        Expr::cp_full(PixelRange::new(0.5, 0.75).unwrap()),
+        Expr::cp(Roi::new(0, 8, 16, 16).unwrap(), PixelRange::full()),
+    ];
+
+    let (bounded, absent) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|reader| {
+                let (store, started, committed, done, barrier, exprs) =
+                    (&store, &started, &committed, &done, &barrier, &exprs);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let mut compiled: Vec<CompiledBounds<'_>> = exprs
+                        .iter()
+                        .map(|expr| CompiledBounds::expr(expr, false))
+                        .collect();
+                    let (mut bounded, mut absent) = (0u64, 0u64);
+                    let mut next = reader as u64 * 7;
+                    while !done.load(Ordering::SeqCst) {
+                        next = (next + 5) % IDS;
+                        let id = next;
+                        let at_least = committed[id as usize].load(Ordering::SeqCst);
+                        let seen = {
+                            let chis = store.chi_store().reader();
+                            chis.get(MaskId::new(id)).map(|chi| {
+                                let bounds: Vec<Interval> = compiled
+                                    .iter_mut()
+                                    .map(|c| c.interval(&record(id), chi).unwrap())
+                                    .collect();
+                                (bounds, chi.to_chi())
+                            })
+                        };
+                        let at_most = started[id as usize].load(Ordering::SeqCst);
+                        let Some((bounds, cells)) = seen else {
+                            assert!(
+                                at_most > at_least || deleted(at_least),
+                                "mask {id}: no index at settled version {at_least}"
+                            );
+                            absent += 1;
+                            continue;
+                        };
+                        let version = (at_least..=at_most)
+                            .filter(|version| !deleted(*version))
+                            .find(|version| {
+                                Chi::build(&stamped(id, *version), &chi_config) == cells
+                            })
+                            .unwrap_or_else(|| {
+                                panic!("mask {id}: cells of no version in {at_least}..={at_most}")
+                            });
+                        let owned = Chi::build(&stamped(id, version), &chi_config);
+                        for (expr, got) in exprs.iter().zip(bounds) {
+                            let expected = CompiledBounds::expr(expr, false)
+                                .interval(&record(id), owned.view())
+                                .unwrap();
+                            assert_eq!(got, expected, "mask {id} version {version}");
+                        }
+                        bounded += 1;
+                    }
+                    (bounded, absent)
+                })
+            })
+            .collect();
+
+        barrier.wait();
+        for commit in 0..COMMITS {
+            let ids: Vec<u64> = (0..BATCH).map(|k| (commit * 3 + k * 9) % IDS).collect();
+            let mut upserts = Vec::new();
+            let mut removals = Vec::new();
+            for &id in &ids {
+                let version = started[id as usize].load(Ordering::SeqCst) + 1;
+                started[id as usize].store(version, Ordering::SeqCst);
+                if deleted(version) {
+                    removals.push(MaskId::new(id));
+                } else {
+                    upserts.push((record(id), stamped(id, version)));
+                }
+            }
+            store.insert_masks(&upserts).unwrap();
+            if !removals.is_empty() {
+                store.delete_masks(&removals).unwrap();
+            }
+            for &id in &ids {
+                let version = started[id as usize].load(Ordering::SeqCst);
+                committed[id as usize].store(version, Ordering::SeqCst);
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader panicked"))
+            .fold((0, 0), |(b, a), (bounded, absent)| {
+                (b + bounded, a + absent)
+            })
+    });
+    assert!(
+        bounded >= COMMITS && absent > 0,
+        "{bounded} bounds and {absent} absences beside {COMMITS} commits"
+    );
+
+    // Settled: every index is its mask's last version, or gone with it.
+    for id in 0..IDS {
+        let version = committed[id as usize].load(Ordering::SeqCst);
+        let expected = (!deleted(version)).then(|| Chi::build(&stamped(id, version), &chi_config));
+        assert_eq!(
+            store.chi_store().get(MaskId::new(id)).as_deref(),
+            expected.as_ref()
+        );
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -20,9 +20,22 @@
 //!
 //! The final bounds are `θ̄ = min(θ̄₁, θ̄₂)` and `θ̲ = max(θ̲₁, θ̲₂)`, clamped to
 //! `[0, |roi|]`.
+//!
+//! ## What depends on the mask
+//!
+//! Only the counts do. Which cells `roi⁺` and `roi⁻` end on, their areas and
+//! the clipped ROI's depend on the ROI and the mask's *shape* (the private
+//! `RoiGeometry`); the four bin indices depend on the range and the bin count
+//! ([`bin_ranges`]). `RoiGeometry::cp_bounds` is the rest — at most sixteen
+//! loads from a mask's cumulative cells and a few additions — and it is the
+//! only place Eqs. 3–4 are written. [`cp_bounds`] builds the geometry and
+//! calls it once; [`TermBounds`], of which the query layer keeps one per
+//! term of a statement, keeps the bin indices for the whole statement and
+//! the geometry of an ROI across every candidate of the same shape.
 
-use crate::chi::Chi;
+use crate::chi::{ChiConfig, ChiOver, ChiView};
 use masksearch_core::{PixelRange, Roi};
+use std::ops::Deref;
 
 /// An upper and lower bound on a `CP` value, plus the ROI area they refer to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,71 +85,214 @@ pub fn bin_ranges(range: &PixelRange, bins: u32) -> (u32, u32, u32, u32) {
     (outer_lo, outer_hi, inner_lo, inner_hi)
 }
 
-/// Count of pixels with bin index in `[lo, hi)` inside an available region,
-/// from two reverse-cumulative lookups. No histogram is materialised: this
-/// runs once per candidate mask in the filter stage, and the per-call
-/// histogram allocations used to dominate a bounds-decided classification.
-fn region_range_count(chi: &Chi, region: (u32, u32, u32, u32), lo: u32, hi: u32) -> u64 {
-    if lo >= hi {
-        return 0;
+/// Offset standing for the empty prefix rectangle (boundary index 0 on
+/// either axis), every count of which is zero.
+const EMPTY_PREFIX: usize = usize::MAX;
+
+/// An available region as Eq. 2 reads it: the offsets, in a mask's
+/// cumulative cells, of bin 0 of its four prefix rectangles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Corners {
+    /// `H(bx1, by1)` and `H(bx0, by0)`.
+    plus: [usize; 2],
+    /// `H(bx0, by1)` and `H(bx1, by0)`.
+    minus: [usize; 2],
+}
+
+impl Corners {
+    fn of(chi: ChiView<'_>, region: (u32, u32, u32, u32)) -> Self {
+        let (bx0, by0, bx1, by1) = region;
+        debug_assert!(bx0 <= bx1 && by0 <= by1);
+        let bins = chi.config().bins() as usize;
+        let prefix = |bx: u32, by: u32| {
+            if bx == 0 || by == 0 {
+                return EMPTY_PREFIX;
+            }
+            let cx = (bx - 1).min(chi.cells_x() - 1) as usize;
+            let cy = (by - 1).min(chi.cells_y() - 1) as usize;
+            (cy * chi.cells_x() as usize + cx) * bins
+        };
+        Corners {
+            plus: [prefix(bx1, by1), prefix(bx0, by0)],
+            minus: [prefix(bx0, by1), prefix(bx1, by0)],
+        }
     }
-    chi.region_count(region, lo)
-        .saturating_sub(chi.region_count(region, hi))
+
+    /// Pixels of the region with bin index `>= bin`; none for `bin >= bins`
+    /// (the implicit `hist[bins] = 0` element).
+    #[inline]
+    fn tail(&self, cells: &[u32], bins: u32, bin: u32) -> u64 {
+        if bin >= bins {
+            return 0;
+        }
+        let at = |offset: usize| match offset {
+            EMPTY_PREFIX => 0,
+            _ => u64::from(cells[offset + bin as usize]),
+        };
+        // Inclusion–exclusion never goes negative for prefix sums of
+        // non-negative data.
+        at(self.plus[0]) + at(self.plus[1]) - at(self.minus[0]) - at(self.minus[1])
+    }
+
+    /// Pixels of the region with bin index in `[lo, hi)`, from two
+    /// reverse-cumulative lookups per corner. No histogram is materialised.
+    #[inline]
+    fn range_count(&self, cells: &[u32], bins: u32, lo: u32, hi: u32) -> u64 {
+        if lo >= hi {
+            return 0;
+        }
+        self.tail(cells, bins, lo)
+            .saturating_sub(self.tail(cells, bins, hi))
+    }
+}
+
+/// Everything Eqs. 3–4 need of one ROI on masks of one shape and index
+/// configuration: the clipped ROI's area and the covering and covered
+/// available regions. Valid for the cells of any mask of that shape under
+/// that configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RoiGeometry {
+    bins: u32,
+    roi_area: u64,
+    covering: Corners,
+    /// Pixels of the covering region outside the ROI.
+    slack: u64,
+    /// The covered region and the ROI pixels it misses; `None` when no
+    /// whole cell fits inside the ROI.
+    covered: Option<(Corners, u64)>,
+}
+
+impl RoiGeometry {
+    /// The geometry of `roi` on `chi`'s grid; `None` when the ROI misses the
+    /// mask (the exact count is then zero: [`CpBounds::empty`]).
+    fn new(chi: ChiView<'_>, roi: &Roi) -> Option<Self> {
+        let clipped = roi.clamp_to(chi.mask_width(), chi.mask_height())?;
+        let roi_area = clipped.area();
+        let covering = chi
+            .covering_region(&clipped)
+            .expect("non-empty clipped ROI always has a covering region");
+        let covered = chi
+            .covered_region(&clipped)
+            .map(|region| (Corners::of(chi, region), roi_area - chi.region_area(region)));
+        Some(Self {
+            bins: chi.config().bins(),
+            roi_area,
+            covering: Corners::of(chi, covering),
+            slack: chi.region_area(covering) - roi_area,
+            covered,
+        })
+    }
+
+    /// [`CpBounds`] of the ROI on the mask whose cumulative `cells` these
+    /// are, for the value range whose [`bin_ranges`] are given.
+    ///
+    /// # Panics
+    /// May panic if `cells` belong to a mask of another shape or
+    /// configuration than the geometry was made for.
+    #[inline]
+    fn cp_bounds(&self, cells: &[u32], bin_ranges: (u32, u32, u32, u32)) -> CpBounds {
+        let (outer_lo, outer_hi, inner_lo, inner_hi) = bin_ranges;
+        let count = |region: &Corners, lo, hi| region.range_count(cells, self.bins, lo, hi);
+
+        // Upper bound 1 (Eq. 3): outer bins over the covering region.
+        let ub1 = count(&self.covering, outer_lo, outer_hi);
+        // Upper bound 2 (Eq. 4): outer bins over the covered region, plus every
+        // ROI pixel the covered region misses.
+        let ub2 = match &self.covered {
+            Some((region, missed)) => count(region, outer_lo, outer_hi) + missed,
+            None => self.roi_area,
+        };
+        let upper = ub1.min(ub2).min(self.roi_area);
+
+        // Lower bound 1: inner bins over the covered region.
+        let lb1 = match &self.covered {
+            Some((region, _)) => count(region, inner_lo, inner_hi),
+            None => 0,
+        };
+        // Lower bound 2: inner bins over the covering region minus the covering
+        // pixels that lie outside the ROI (each could account for one counted
+        // pixel).
+        let lb2 = count(&self.covering, inner_lo, inner_hi).saturating_sub(self.slack);
+        let lower = lb1.max(lb2).min(upper);
+
+        CpBounds {
+            lower,
+            upper,
+            roi_area: self.roi_area,
+        }
+    }
+}
+
+/// Bounds on one `CP(·, roi, range)` term over many masks: what
+/// [`cp_bounds`] computes, keeping between calls what does not depend on
+/// the mask's cells.
+#[derive(Debug, Clone)]
+pub struct TermBounds {
+    range: PixelRange,
+    /// The bin count `bin_ranges` are for; 0 before the first mask.
+    bins: u32,
+    bin_ranges: (u32, u32, u32, u32),
+    /// The grid (configuration and mask shape) and ROI `geometry` is for. It
+    /// is recomputed when either changes: never again for a constant ROI
+    /// over masks of one shape, per mask for an ROI that is the mask's own
+    /// (measured: a path of their own that skips the comparison gains those
+    /// nothing).
+    geometry_of: Option<((ChiConfig, u32, u32), Roi)>,
+    geometry: Option<RoiGeometry>,
+}
+
+impl TermBounds {
+    /// Bounds over `range`, nothing kept yet.
+    pub fn new(range: PixelRange) -> Self {
+        Self {
+            range,
+            bins: 0,
+            bin_ranges: (0, 0, 0, 0),
+            geometry_of: None,
+            geometry: None,
+        }
+    }
+
+    /// Exactly `chi.cp_bounds(roi, range)`.
+    pub fn cp_bounds(&mut self, chi: ChiView<'_>, roi: &Roi) -> CpBounds {
+        let grid = (*chi.config(), chi.mask_width(), chi.mask_height());
+        if self.bins != grid.0.bins() {
+            self.bins = grid.0.bins();
+            self.bin_ranges = bin_ranges(&self.range, self.bins);
+        }
+        if self.geometry_of != Some((grid, *roi)) {
+            self.geometry_of = Some((grid, *roi));
+            self.geometry = RoiGeometry::new(chi, roi);
+        }
+        match &self.geometry {
+            Some(geometry) => geometry.cp_bounds(chi.data(), self.bin_ranges),
+            None => CpBounds::empty(),
+        }
+    }
 }
 
 /// Computes [`CpBounds`] for `CP(mask, roi, range)` from the mask's CHI.
-pub fn cp_bounds(chi: &Chi, roi: &Roi, range: &PixelRange) -> CpBounds {
-    let Some(clipped) = roi.clamp_to(chi.mask_width(), chi.mask_height()) else {
-        return CpBounds::empty();
-    };
-    let roi_area = clipped.area();
-    let bins = chi.config().bins();
-    let (outer_lo, outer_hi, inner_lo, inner_hi) = bin_ranges(range, bins);
-
-    let covering = chi
-        .covering_region(&clipped)
-        .expect("non-empty clipped ROI always has a covering region");
-    let covering_area = chi.region_area(covering);
-
-    let covered = chi.covered_region(&clipped);
-    let covered_area = covered.map_or(0, |region| chi.region_area(region));
-
-    // Upper bound 1 (Eq. 3): outer bins over the covering region.
-    let ub1 = region_range_count(chi, covering, outer_lo, outer_hi);
-    // Upper bound 2 (Eq. 4): outer bins over the covered region, plus every
-    // ROI pixel the covered region misses.
-    let ub2 = match covered {
-        Some(region) => {
-            region_range_count(chi, region, outer_lo, outer_hi) + (roi_area - covered_area)
-        }
-        None => roi_area,
-    };
-    let upper = ub1.min(ub2).min(roi_area);
-
-    // Lower bound 1: inner bins over the covered region.
-    let lb1 = match covered {
-        Some(region) => region_range_count(chi, region, inner_lo, inner_hi),
-        None => 0,
-    };
-    // Lower bound 2: inner bins over the covering region minus the covering
-    // pixels that lie outside the ROI (each could account for one counted
-    // pixel).
-    let slack = covering_area - roi_area;
-    let lb2 = region_range_count(chi, covering, inner_lo, inner_hi).saturating_sub(slack);
-    let lower = lb1.max(lb2).min(upper);
-
-    CpBounds {
-        lower,
-        upper,
-        roi_area,
+pub fn cp_bounds<D: Deref<Target = [u32]>>(
+    chi: &ChiOver<D>,
+    roi: &Roi,
+    range: &PixelRange,
+) -> CpBounds {
+    let chi = chi.view();
+    match RoiGeometry::new(chi, roi) {
+        Some(geometry) => geometry.cp_bounds(chi.data(), bin_ranges(range, chi.config().bins())),
+        None => CpBounds::empty(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chi::ChiConfig;
+    use crate::chi::{Chi, ChiConfig};
     use masksearch_core::{cp, Mask};
+
+    fn region_range_count(chi: &Chi, region: (u32, u32, u32, u32), lo: u32, hi: u32) -> u64 {
+        Corners::of(chi.view(), region).range_count(chi.data(), chi.config().bins(), lo, hi)
+    }
 
     fn blob_mask(w: u32, h: u32, cx: f32, cy: f32, sigma: f32) -> Mask {
         Mask::from_fn(w, h, |x, y| {

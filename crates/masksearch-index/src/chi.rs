@@ -15,9 +15,16 @@
 //! boundaries — follow by inclusion–exclusion (Eq. 2), and bounds on `CP`
 //! over arbitrary ROIs follow from the covering/covered available regions
 //! (see [`crate::bounds`]).
+//!
+//! An index is the same few numbers — configuration, mask shape, grid shape —
+//! beside its cumulative cells wherever the cells live: [`Chi`] owns them,
+//! [`ChiView`] borrows them from whoever does (the [`crate::ChiStore`] keeps
+//! every mask's cells in one slab and hands out views). Both are
+//! [`ChiOver`] some cell storage, so every read method is written once.
 
 use crate::bounds::{self, CpBounds};
 use masksearch_core::{Mask, PixelRange, Roi};
+use std::ops::Deref;
 
 /// Configuration of a CHI: spatial cell size and number of value bins.
 ///
@@ -117,13 +124,13 @@ impl Default for ChiConfig {
     }
 }
 
-/// The Cumulative Histogram Index of a single mask.
+/// The Cumulative Histogram Index of a single mask, over cell storage `D`.
 ///
-/// Internally a flat `Vec<u32>` indexed by `(cy, cx, bin)`; lookups are pure
+/// The cells are a flat `[u32]` indexed by `(cy, cx, bin)`; lookups are pure
 /// offset arithmetic ("rather than building a B-tree index or a hash index
 /// ... an optimized index structure using an array", §3.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Chi {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChiOver<D> {
     config: ChiConfig,
     mask_width: u32,
     mask_height: u32,
@@ -132,8 +139,14 @@ pub struct Chi {
     /// `data[((cy * cells_x) + cx) * bins + bin]` = count of pixels in the
     /// prefix rectangle ending at boundary `(cx+1, cy+1)` with value
     /// `>= bin · Δ`.
-    data: Vec<u32>,
+    data: D,
 }
+
+/// A CHI that owns its cells.
+pub type Chi = ChiOver<Vec<u32>>;
+
+/// A CHI whose cells are borrowed: what every bound is computed from.
+pub type ChiView<'a> = ChiOver<&'a [u32]>;
 
 impl Chi {
     /// Builds the CHI of `mask` under `config`.
@@ -199,29 +212,70 @@ impl Chi {
             data,
         }
     }
+}
 
-    /// Reconstructs a CHI from its raw parts (used by the persistence layer).
+impl<D: Deref<Target = [u32]>> ChiOver<D> {
+    /// Assembles a CHI from its raw parts (used by the persistence layer
+    /// and the store's slab).
     ///
     /// Returns `None` if the data length is inconsistent with the shape.
     pub fn from_parts(
         config: ChiConfig,
         mask_width: u32,
         mask_height: u32,
-        data: Vec<u32>,
+        data: D,
     ) -> Option<Self> {
-        let cells_x = config.cells_x(mask_width);
-        let cells_y = config.cells_y(mask_height);
-        if data.len() != cells_x as usize * cells_y as usize * config.bins() as usize {
-            return None;
-        }
-        Some(Self {
+        let grid = (config.cells_x(mask_width), config.cells_y(mask_height));
+        (data.len() as u64 * 4 == config.index_bytes(mask_width, mask_height))
+            .then(|| Self::from_grid(config, (mask_width, mask_height), grid, data))
+    }
+
+    /// Assembles a CHI whose grid shape the caller already knows (the
+    /// store's slots keep it beside the mask's).
+    pub(crate) fn from_grid(
+        config: ChiConfig,
+        (mask_width, mask_height): (u32, u32),
+        (cells_x, cells_y): (u32, u32),
+        data: D,
+    ) -> Self {
+        debug_assert_eq!(
+            (cells_x, cells_y),
+            (config.cells_x(mask_width), config.cells_y(mask_height))
+        );
+        debug_assert_eq!(
+            data.len() as u64 * 4,
+            config.index_bytes(mask_width, mask_height)
+        );
+        Self {
             config,
             mask_width,
             mask_height,
             cells_x,
             cells_y,
             data,
-        })
+        }
+    }
+
+    /// The same index over other storage holding the same cells.
+    fn over<E>(&self, data: E) -> ChiOver<E> {
+        ChiOver {
+            config: self.config,
+            mask_width: self.mask_width,
+            mask_height: self.mask_height,
+            cells_x: self.cells_x,
+            cells_y: self.cells_y,
+            data,
+        }
+    }
+
+    /// The same index over borrowed cells.
+    pub fn view(&self) -> ChiView<'_> {
+        self.over(&*self.data)
+    }
+
+    /// The same index over cells of its own.
+    pub fn to_chi(&self) -> Chi {
+        self.over(self.data.to_vec())
     }
 
     /// The configuration the index was built with.
@@ -290,34 +344,6 @@ impl Chi {
             .iter()
             .map(|&v| v as u64)
             .collect()
-    }
-
-    /// One element of [`Chi::prefix_hist`] — the count of pixels with bin
-    /// index `>= bin` in the prefix rectangle — without materialising the
-    /// histogram. `bin >= bins` counts zero pixels (the implicit
-    /// `hist[bins] = 0` element).
-    pub fn prefix_count(&self, bx: u32, by: u32, bin: u32) -> u64 {
-        if bx == 0 || by == 0 || bin >= self.config.bins {
-            return 0;
-        }
-        let bins = self.config.bins as usize;
-        let cx = (bx - 1).min(self.cells_x - 1) as usize;
-        let cy = (by - 1).min(self.cells_y - 1) as usize;
-        self.data[(cy * self.cells_x as usize + cx) * bins + bin as usize] as u64
-    }
-
-    /// One element of [`Chi::region_hist`] without materialising the
-    /// histogram: the bounds computation only ever reads two elements per
-    /// region, and the per-call histogram allocations dominated the filter
-    /// stage's per-candidate cost.
-    pub fn region_count(&self, region: (u32, u32, u32, u32), bin: u32) -> u64 {
-        let (bx0, by0, bx1, by1) = region;
-        debug_assert!(bx0 <= bx1 && by0 <= by1);
-        // Same inclusion–exclusion as `region_hist`, which never goes
-        // negative for prefix sums of non-negative data.
-        self.prefix_count(bx1, by1, bin) + self.prefix_count(bx0, by0, bin)
-            - self.prefix_count(bx0, by1, bin)
-            - self.prefix_count(bx1, by0, bin)
     }
 
     /// Reverse-cumulative histogram of an *available region* given by grid

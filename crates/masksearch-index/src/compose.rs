@@ -31,8 +31,9 @@
 //! configurations.
 
 use crate::bounds::{bin_ranges, CpBounds};
-use crate::chi::Chi;
+use crate::chi::{ChiOver, ChiView};
 use masksearch_core::{MaskOp, PixelRange, Roi};
+use std::ops::Deref;
 
 /// Lower/upper bounds on a tail count `G(t)`.
 #[derive(Debug, Clone, Copy)]
@@ -43,7 +44,7 @@ struct Tail {
 
 /// Brackets the marginal tail `G_m(t)` (= `CP(m, roi, [t, 1))` plus pixels
 /// `≥ 1`, which the caller accounts for through the slack term).
-fn marginal_tail(chi: &Chi, roi: &Roi, t: f32, area: u64) -> Tail {
+fn marginal_tail(chi: ChiView<'_>, roi: &Roi, t: f32, area: u64) -> Tail {
     if t >= 1.0 {
         return Tail { lo: 0, hi: 0 };
     }
@@ -62,8 +63,8 @@ fn marginal_tail(chi: &Chi, roi: &Roi, t: f32, area: u64) -> Tail {
 /// When the two CHIs share one grid configuration the global bracket is
 /// refined **per cell** ([`per_cell_tail`]); the tighter of the two wins.
 fn composed_tail(
-    a: &Chi,
-    b: &Chi,
+    a: ChiView<'_>,
+    b: ChiView<'_>,
     op: MaskOp,
     roi: &Roi,
     t: f32,
@@ -144,8 +145,8 @@ fn composed_tail(
 /// Returns `None` when the grids are incompatible or `t` is outside `(0, 1)`
 /// (the global path already handles those exactly enough).
 fn per_cell_tail(
-    a: &Chi,
-    b: &Chi,
+    a: ChiView<'_>,
+    b: ChiView<'_>,
     op: MaskOp,
     roi: &Roi,
     t: f32,
@@ -210,7 +211,7 @@ fn per_cell_tail(
 /// inclusion–exclusion — no histogram materialisation. `bin ≥ bins` counts
 /// zero (the tail above the domain).
 #[inline]
-fn cell_bin_count(chi: &Chi, cx: u32, cy: u32, bin: u32) -> u64 {
+fn cell_bin_count(chi: ChiView<'_>, cx: u32, cy: u32, bin: u32) -> u64 {
     let bins = chi.config().bins();
     if bin >= bins {
         return 0;
@@ -234,13 +235,24 @@ fn cell_bin_count(chi: &Chi, cx: u32, cy: u32, bin: u32) -> u64 {
 }
 
 /// Bounds on `CP(op(a, b), roi, range)` computed purely from the two masks'
-/// CHIs — the multi-mask counterpart of [`Chi::cp_bounds`].
+/// CHIs — the multi-mask counterpart of [`ChiOver::cp_bounds`].
 ///
 /// The two CHIs must describe masks of identical shape (pair executors
 /// enforce this before ever consulting bounds); mismatched shapes fall back
 /// to the trivial `[0, |roi|]` bracket, which is sound and simply prunes
 /// nothing.
-pub fn composed_cp_bounds(a: &Chi, b: &Chi, op: MaskOp, roi: &Roi, range: &PixelRange) -> CpBounds {
+pub fn composed_cp_bounds<A, B>(
+    a: &ChiOver<A>,
+    b: &ChiOver<B>,
+    op: MaskOp,
+    roi: &Roi,
+    range: &PixelRange,
+) -> CpBounds
+where
+    A: Deref<Target = [u32]>,
+    B: Deref<Target = [u32]>,
+{
+    let (a, b) = (a.view(), b.view());
     let Some(clip) = roi.clamp_to(a.mask_width(), a.mask_height()) else {
         return CpBounds::empty();
     };
@@ -273,7 +285,7 @@ pub fn composed_cp_bounds(a: &Chi, b: &Chi, op: MaskOp, roi: &Roi, range: &Pixel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chi::ChiConfig;
+    use crate::chi::{Chi, ChiConfig};
     use masksearch_core::{cp_composed, Mask};
 
     fn check(a: &Mask, b: &Mask, config: &ChiConfig, roi: &Roi, range: &PixelRange, op: MaskOp) {

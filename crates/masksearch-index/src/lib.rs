@@ -23,9 +23,9 @@
 //! * [`compose`] — bound algebra for multi-mask queries: sound `CP` bounds
 //!   over a pixelwise composition (`min`/`max`/`|a−b|`) of two masks,
 //!   derived from the two per-mask CHIs without loading either mask.
-//! * [`store`] — an in-memory collection of CHIs with binary persistence
-//!   (appendable checksummed segments) and incremental insertion (paper
-//!   §3.6).
+//! * [`store`] — an in-memory collection of CHIs (every mask's cells in one
+//!   slab, read through borrowed views) with binary persistence (appendable
+//!   checksummed segments) and incremental insertion (paper §3.6).
 //! * [`builder`] — parallel bulk index construction.
 //! * [`tiles`] — a persistent collection of per-mask tile-summary grids for
 //!   the verification kernel (the within-mask counterpart of the CHI).
@@ -54,9 +54,9 @@ mod segment;
 pub mod store;
 pub mod tiles;
 
-pub use bounds::CpBounds;
+pub use bounds::{CpBounds, TermBounds};
 pub use builder::{build_chi_store, BuildOptions};
-pub use chi::{Chi, ChiConfig};
+pub use chi::{Chi, ChiConfig, ChiOver, ChiView};
 pub use compose::composed_cp_bounds;
-pub use store::{ChiReader, ChiStore};
+pub use store::{ChiCursor, ChiReader, ChiStore};
 pub use tiles::TileStore;

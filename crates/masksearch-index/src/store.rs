@@ -3,11 +3,29 @@
 //!
 //! The paper assumes the CHI of every mask is loaded into memory when a
 //! MaskSearch session starts and persisted to disk when it ends (§3.2, §3.6).
-//! [`ChiStore`] is that collection: a concurrent map from [`MaskId`] to
-//! [`Chi`], a single-file binary serialisation, and size accounting used to
-//! report index-size/dataset-size ratios (§4.1).
+//! [`ChiStore`] is that collection: a concurrent map from [`MaskId`] to the
+//! mask's index, a single-file binary serialisation, and size accounting used
+//! to report index-size/dataset-size ratios (§4.1).
 //!
-//! The file is a sequence of [`crate::segment`]s. Each segment's payload is
+//! ## In memory
+//!
+//! The filter stage reads every candidate's cells, so where they live is its
+//! memory-access pattern. All cells sit in one slab of fixed-size chunks; an
+//! ordered map takes a [`MaskId`] to its slot — mask shape, grid shape, and
+//! the run of the slab holding the cells — and a lookup hands out a
+//! [`ChiView`] borrowing that run: no allocation per mask, no reference
+//! count, one pointer hop after the map. Masks of different shapes share the
+//! slab (a run is as long as its mask's grid needs). A freed run is reused by
+//! the next index of exactly that length, an overwrite whose grid keeps its
+//! length rewrites its run in place, and the slab grows a chunk at a time,
+//! so growth never copies cells. Runs are only reused at their own length:
+//! a store whose masks keep changing shape keeps the chunks its old shapes
+//! filled.
+//!
+//! ## On disk
+//!
+//! The file is a sequence of segments (see `segment.rs`). Each segment's
+//! payload is
 //!
 //! ```text
 //! cell_width u32 , cell_height u32 , bins u32 , count u64 ,
@@ -19,13 +37,13 @@
 //! ([`ChiStore::segment_bytes`]) and rewrite the file as one segment
 //! ([`ChiStore::to_bytes`]) only when enough of it is dead.
 
-use crate::chi::{Chi, ChiConfig};
+use crate::chi::{Chi, ChiConfig, ChiOver, ChiView};
 use crate::segment::{self, Format, SEGMENT_HEADER_LEN};
 use masksearch_core::{Mask, MaskId};
 use masksearch_storage::codec::Reader;
-use masksearch_storage::{StorageError, StorageResult};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use masksearch_storage::{IdCursor, StorageError, StorageResult};
+use parking_lot::{RwLock, RwLockReadGuard};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,7 +53,7 @@ pub const CHI_MAGIC: [u8; 4] = *b"MSKI";
 /// CHI index file format version.
 ///
 /// History: v1 — one bare image of every index; v2 — a sequence of
-/// checksummed segments (see [`crate::segment`]) with the same payload.
+/// checksummed segments (see `segment.rs`) with the same payload.
 pub const CHI_FORMAT_VERSION: u16 = 2;
 
 const FORMAT: Format = Format {
@@ -46,17 +64,139 @@ const FORMAT: Format = Format {
 };
 /// Payload bytes before the entries: the configuration and the count.
 const PAYLOAD_HEADER_LEN: usize = 12 + 8;
+/// Encoded bytes of one entry before its cells.
+const ENTRY_HEADER_LEN: usize = 8 + 4 + 4 + 4;
 
-/// Encoded size of one entry.
-fn entry_len(chi: &Chi) -> usize {
-    8 + 4 + 4 + 4 + 4 * chi.data().len()
+/// Words in a chunk of the slab: 256 KiB, sixty-four 4 KiB indexes. An index
+/// longer than this gets a chunk of its own length.
+const CHUNK_WORDS: usize = 1 << 16;
+
+/// Where a run of cells starts: chunk and word offset inside it.
+type Run = (u32, u32);
+
+/// Every index's cells, in chunks that are never moved or resized.
+#[derive(Debug, Default)]
+struct Slab {
+    chunks: Vec<Box<[u32]>>,
+    /// Words of the last chunk handed out so far.
+    used: usize,
+    /// Freed runs by their length.
+    free: HashMap<usize, Vec<Run>>,
+}
+
+impl Slab {
+    /// A run of `len` words: the last one freed at that length, else the
+    /// next words of the last chunk, else the start of a new chunk. Its
+    /// contents are whatever was there.
+    fn alloc(&mut self, len: usize) -> Run {
+        if let Some(run) = self.free.get_mut(&len).and_then(Vec::pop) {
+            return run;
+        }
+        if self
+            .chunks
+            .last()
+            .is_none_or(|last| self.used + len > last.len())
+        {
+            self.chunks
+                .push(vec![0; len.max(CHUNK_WORDS)].into_boxed_slice());
+            self.used = 0;
+        }
+        let run = ((self.chunks.len() - 1) as u32, self.used as u32);
+        self.used += len;
+        run
+    }
+
+    fn release(&mut self, run: Run, len: usize) {
+        self.free.entry(len).or_default().push(run);
+    }
+
+    fn cells(&self, (chunk, offset): Run, len: usize) -> &[u32] {
+        &self.chunks[chunk as usize][offset as usize..offset as usize + len]
+    }
+
+    fn cells_mut(&mut self, (chunk, offset): Run, len: usize) -> &mut [u32] {
+        &mut self.chunks[chunk as usize][offset as usize..offset as usize + len]
+    }
+}
+
+/// One mask's entry: its shape, its grid's, and where its cells are.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    mask_width: u32,
+    mask_height: u32,
+    cells_x: u32,
+    cells_y: u32,
+    run: Run,
+}
+
+/// What the store's lock guards.
+#[derive(Debug)]
+struct Inner {
+    config: ChiConfig,
+    slots: BTreeMap<MaskId, Slot>,
+    slab: Slab,
+}
+
+impl Inner {
+    fn words(&self, slot: &Slot) -> usize {
+        slot.cells_x as usize * slot.cells_y as usize * self.config.bins() as usize
+    }
+
+    fn view(&self, slot: &Slot) -> ChiView<'_> {
+        ChiOver::from_grid(
+            self.config,
+            (slot.mask_width, slot.mask_height),
+            (slot.cells_x, slot.cells_y),
+            self.slab.cells(slot.run, self.words(slot)),
+        )
+    }
+
+    fn views(&self) -> impl Iterator<Item = (MaskId, ChiView<'_>)> {
+        self.slots.iter().map(|(id, slot)| (*id, self.view(slot)))
+    }
+
+    /// Installs the index of a `mask_width × mask_height` mask for
+    /// `mask_id`; `fill` writes every one of its cells. An index whose grid
+    /// is as long as the one it replaces takes over its run.
+    fn put(
+        &mut self,
+        mask_id: MaskId,
+        (mask_width, mask_height): (u32, u32),
+        fill: impl FnOnce(&mut [u32]),
+    ) {
+        let mut slot = Slot {
+            mask_width,
+            mask_height,
+            cells_x: self.config.cells_x(mask_width),
+            cells_y: self.config.cells_y(mask_height),
+            run: (0, 0),
+        };
+        let words = self.words(&slot);
+        slot.run = match self.slots.get(&mask_id).copied() {
+            Some(old) if self.words(&old) == words => old.run,
+            old => {
+                if let Some(old) = old {
+                    self.slab.release(old.run, self.words(&old));
+                }
+                self.slab.alloc(words)
+            }
+        };
+        fill(self.slab.cells_mut(slot.run, words));
+        self.slots.insert(mask_id, slot);
+    }
+
+    fn put_chi(&mut self, mask_id: MaskId, chi: &Chi) {
+        self.put(mask_id, (chi.mask_width(), chi.mask_height()), |cells| {
+            cells.copy_from_slice(chi.data())
+        });
+    }
 }
 
 /// A thread-safe collection of per-mask CHIs sharing one configuration.
 #[derive(Debug)]
 pub struct ChiStore {
     config: ChiConfig,
-    entries: RwLock<BTreeMap<MaskId, Arc<Chi>>>,
+    entries: RwLock<Inner>,
     /// Bumped (under the entries write lock) by every removal. Lets callers
     /// that built an index from pixels loaded *before* a concurrent
     /// overwrite detect the conflict instead of installing stale bounds —
@@ -68,14 +208,39 @@ pub struct ChiStore {
 /// [`ChiStore::reader`]).
 #[derive(Debug)]
 pub struct ChiReader<'a> {
-    entries: parking_lot::RwLockReadGuard<'a, BTreeMap<MaskId, Arc<Chi>>>,
+    entries: RwLockReadGuard<'a, Inner>,
 }
 
 impl ChiReader<'_> {
-    /// The index of `mask_id`, if present — borrowed from the guard, so no
-    /// reference count is touched.
-    pub fn get(&self, mask_id: MaskId) -> Option<&Chi> {
-        self.entries.get(&mask_id).map(Arc::as_ref)
+    /// The index of `mask_id`, if present — its cells borrowed from the
+    /// guard, so nothing is copied and no reference count is touched.
+    pub fn get(&self, mask_id: MaskId) -> Option<ChiView<'_>> {
+        let slot = self.entries.slots.get(&mask_id)?;
+        Some(self.entries.view(slot))
+    }
+
+    /// A cursor answering [`ChiReader::get`] for a run of ids, cheapest when
+    /// they come ascending (see [`IdCursor`]).
+    pub fn cursor(&self) -> ChiCursor<'_> {
+        ChiCursor {
+            entries: &self.entries,
+            slots: IdCursor::new(&self.entries.slots),
+        }
+    }
+}
+
+/// A lookup cursor over a [`ChiReader`] (see [`ChiReader::cursor`]).
+#[derive(Debug)]
+pub struct ChiCursor<'a> {
+    entries: &'a Inner,
+    slots: IdCursor<'a, Slot>,
+}
+
+impl<'a> ChiCursor<'a> {
+    /// The index of `mask_id`, exactly as [`ChiReader::get`] answers.
+    pub fn seek(&mut self, mask_id: MaskId) -> Option<ChiView<'a>> {
+        let slot = self.slots.seek(mask_id)?;
+        Some(self.entries.view(slot))
     }
 }
 
@@ -84,7 +249,11 @@ impl ChiStore {
     pub fn new(config: ChiConfig) -> Self {
         Self {
             config,
-            entries: RwLock::new(BTreeMap::new()),
+            entries: RwLock::new(Inner {
+                config,
+                slots: BTreeMap::new(),
+                slab: Slab::default(),
+            }),
             removals: AtomicU64::new(0),
         }
     }
@@ -96,28 +265,31 @@ impl ChiStore {
 
     /// Number of indexed masks.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries.read().slots.len()
     }
 
     /// Returns `true` if no masks are indexed.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.entries.read().slots.is_empty()
     }
 
     /// Returns `true` if `mask_id` has an index.
     pub fn contains(&self, mask_id: MaskId) -> bool {
-        self.entries.read().contains_key(&mask_id)
+        self.entries.read().slots.contains_key(&mask_id)
     }
 
-    /// Retrieves the index of `mask_id`, if present.
+    /// A copy of the index of `mask_id`, if present. Bounds are computed
+    /// from a [`ChiStore::reader`]'s views, which copy nothing.
     pub fn get(&self, mask_id: MaskId) -> Option<Arc<Chi>> {
-        self.entries.read().get(&mask_id).cloned()
+        self.reader()
+            .get(mask_id)
+            .map(|view| Arc::new(view.to_chi()))
     }
 
-    /// Takes a read guard for a batch of lookups: one lock acquisition (and
-    /// no `Arc` clone per hit) amortised over a whole candidate chunk — the
-    /// filter stage's hot loop. Writers block while the reader is held, so
-    /// hold it only across CPU-bound work.
+    /// Takes a read guard for a batch of lookups: one lock acquisition
+    /// amortised over a whole candidate chunk — the filter stage's hot loop.
+    /// Writers block while the reader is held, so hold it only across
+    /// CPU-bound work.
     pub fn reader(&self) -> ChiReader<'_> {
         ChiReader {
             entries: self.entries.read(),
@@ -125,23 +297,33 @@ impl ChiStore {
     }
 
     /// Inserts a pre-built index for `mask_id`, replacing any existing one.
+    ///
+    /// # Panics
+    /// Panics if `chi` was built under another configuration than the
+    /// store's.
     pub fn insert(&self, mask_id: MaskId, chi: Chi) {
-        self.entries.write().insert(mask_id, Arc::new(chi));
+        assert_eq!(*chi.config(), self.config, "index of another configuration");
+        self.entries.write().put_chi(mask_id, &chi);
     }
 
     /// Builds and inserts the index of `mask` under the store's
     /// configuration (the §3.6 incremental-indexing step), returning it.
-    pub fn index_mask(&self, mask_id: MaskId, mask: &Mask) -> Arc<Chi> {
-        let chi = Arc::new(Chi::build(mask, &self.config));
-        self.entries.write().insert(mask_id, Arc::clone(&chi));
+    pub fn index_mask(&self, mask_id: MaskId, mask: &Mask) -> Chi {
+        let chi = Chi::build(mask, &self.config);
+        self.entries.write().put_chi(mask_id, &chi);
         chi
     }
 
-    /// Removes the index of `mask_id`, returning it if it existed.
-    pub fn remove(&self, mask_id: MaskId) -> Option<Arc<Chi>> {
+    /// Removes the index of `mask_id`; returns whether it existed.
+    pub fn remove(&self, mask_id: MaskId) -> bool {
         let mut entries = self.entries.write();
         self.removals.fetch_add(1, Ordering::Relaxed);
-        entries.remove(&mask_id)
+        let Some(slot) = entries.slots.remove(&mask_id) else {
+            return false;
+        };
+        let words = entries.words(&slot);
+        entries.slab.release(slot.run, words);
+        true
     }
 
     /// The current removal generation (see [`ChiStore::index_mask_if_current`]).
@@ -160,38 +342,41 @@ impl ChiStore {
     /// corrupt the filter stage. The generation check runs under the same
     /// write lock that removals bump under, so there is no window.
     pub fn index_mask_if_current(&self, mask_id: MaskId, mask: &Mask, generation: u64) -> bool {
-        let chi = Arc::new(Chi::build(mask, &self.config));
+        let chi = Chi::build(mask, &self.config);
         let mut entries = self.entries.write();
-        if self.removals.load(Ordering::Relaxed) != generation || entries.contains_key(&mask_id) {
+        if self.removals.load(Ordering::Relaxed) != generation
+            || entries.slots.contains_key(&mask_id)
+        {
             return false;
         }
-        entries.insert(mask_id, chi);
+        entries.put_chi(mask_id, &chi);
         true
     }
 
     /// Ids of all indexed masks, ascending.
     pub fn ids(&self) -> Vec<MaskId> {
-        self.entries.read().keys().copied().collect()
+        self.entries.read().slots.keys().copied().collect()
     }
 
     /// Total in-memory size of the index payloads in bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.entries.read().values().map(|c| c.byte_size()).sum()
+        let entries = self.entries.read();
+        entries.views().map(|(_, chi)| chi.byte_size()).sum()
     }
 
     /// Serialises the store (configuration + every index) as one segment.
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries = self.entries.read();
-        self.encode_segment(entries.len(), entries.iter().map(|(id, chi)| (*id, &**chi)))
+        self.encode_segment(entries.slots.len(), entries.views())
     }
 
     /// Serialises the indexes of those of `ids` that are in the store as one
     /// segment to append to a file of earlier ones; `None` if none is.
     pub fn segment_bytes(&self, ids: impl IntoIterator<Item = MaskId>) -> Option<Vec<u8>> {
-        let entries = self.entries.read();
-        let present: Vec<(MaskId, &Chi)> = ids
+        let reader = self.reader();
+        let present: Vec<(MaskId, ChiView<'_>)> = ids
             .into_iter()
-            .filter_map(|id| entries.get(&id).map(|chi| (id, &**chi)))
+            .filter_map(|id| reader.get(id).map(|chi| (id, chi)))
             .collect();
         (!present.is_empty()).then(|| self.encode_segment(present.len(), present.into_iter()))
     }
@@ -199,14 +384,16 @@ impl ChiStore {
     /// Exactly `self.to_bytes().len()`, without serialising anything.
     pub fn encoded_len(&self) -> u64 {
         let entries = self.entries.read();
-        let entry_bytes: usize = entries.values().map(|chi| entry_len(chi)).sum();
-        (SEGMENT_HEADER_LEN + PAYLOAD_HEADER_LEN + entry_bytes) as u64
+        let cells: u64 = entries.views().map(|(_, chi)| chi.byte_size()).sum();
+        let headers =
+            SEGMENT_HEADER_LEN + PAYLOAD_HEADER_LEN + ENTRY_HEADER_LEN * entries.slots.len();
+        headers as u64 + cells
     }
 
     fn encode_segment<'a>(
         &self,
         count: usize,
-        entries: impl Iterator<Item = (MaskId, &'a Chi)>,
+        entries: impl Iterator<Item = (MaskId, ChiView<'a>)>,
     ) -> Vec<u8> {
         let mut w = segment::begin(CHI_MAGIC, CHI_FORMAT_VERSION);
         w.write_u32(self.config.cell_width());
@@ -219,7 +406,10 @@ impl ChiStore {
             w.write_u32(chi.mask_width());
             w.write_u32(chi.mask_height());
             w.write_u32_vec(chi.data());
-            debug_assert_eq!(w.len() - start, entry_len(chi));
+            debug_assert_eq!(
+                (w.len() - start) as u64,
+                ENTRY_HEADER_LEN as u64 + chi.byte_size()
+            );
         }
         segment::finish(w)
     }
@@ -251,25 +441,34 @@ impl ChiStore {
                     "chi index segment of a different configuration",
                 ));
             }
+            // A segment loads whole or not at all: check every entry before
+            // the first one reaches the slab.
             let count = r.read_u64()?;
             let mut decoded = Vec::new();
             for _ in 0..count {
                 let id = MaskId::new(r.read_u64()?);
-                let width = r.read_u32()?;
-                let height = r.read_u32()?;
-                let data = r.read_u32_vec()?;
-                let chi = Chi::from_parts(config, width, height, data).ok_or_else(|| {
-                    StorageError::corrupt(format!(
+                let shape = (r.read_u32()?, r.read_u32()?);
+                let words = r.read_u32()? as usize;
+                let cells = r.read_bytes(words.checked_mul(4).ok_or_else(|| {
+                    StorageError::corrupt("chi payload length overflows addressable size")
+                })?)?;
+                let expected = config.index_bytes(shape.0, shape.1);
+                if cells.len() as u64 != expected {
+                    return Err(StorageError::corrupt(format!(
                         "chi payload for mask {id} does not match its declared shape"
-                    ))
-                })?;
-                decoded.push((id, Arc::new(chi)));
+                    )));
+                }
+                decoded.push((id, shape, cells));
             }
-            store
-                .get_or_insert_with(|| ChiStore::new(config))
-                .entries
-                .write()
-                .extend(decoded);
+            let store = store.get_or_insert_with(|| ChiStore::new(config));
+            let mut entries = store.entries.write();
+            for (id, shape, bytes) in decoded {
+                entries.put(id, shape, |cells| {
+                    for (cell, le) in cells.iter_mut().zip(bytes.chunks_exact(4)) {
+                        *cell = u32::from_le_bytes(le.try_into().expect("4 bytes"));
+                    }
+                });
+            }
             Ok(())
         })?;
         let store = store.ok_or_else(|| StorageError::corrupt("chi index file is empty"))?;
@@ -314,8 +513,8 @@ mod tests {
         assert!(!store.contains(MaskId::new(3)));
         assert_eq!(store.ids(), vec![MaskId::new(1), MaskId::new(2)]);
         assert!(store.get(MaskId::new(2)).is_some());
-        assert!(store.remove(MaskId::new(1)).is_some());
-        assert!(store.remove(MaskId::new(1)).is_none());
+        assert!(store.remove(MaskId::new(1)));
+        assert!(!store.remove(MaskId::new(1)));
         assert_eq!(store.len(), 1);
     }
 

@@ -8,7 +8,7 @@
 //! checkpoints, so reopened databases serve pre-built summaries instead of
 //! rebuilding them from pixels on first verification.
 //!
-//! The file is a sequence of [`crate::segment`]s, like the CHI file's. Each
+//! The file is a sequence of segments (see `segment.rs`), like the CHI file's. Each
 //! segment's payload is
 //!
 //! ```text
@@ -36,7 +36,7 @@ pub const TILE_MAGIC: [u8; 4] = *b"MSKT";
 /// classify a NaN-bearing tile all-in. v1 files (written only from
 /// validated masks, whose uncountable counts are all zero) load as v2 with
 /// zero counts; v3 — a sequence of checksummed segments (see
-/// [`crate::segment`]) with the v2 payload.
+/// `segment.rs`) with the v2 payload.
 pub const TILE_FORMAT_VERSION: u16 = 3;
 
 const FORMAT: Format = Format {

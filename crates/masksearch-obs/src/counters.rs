@@ -95,23 +95,28 @@ pub fn incr(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Times the wait for a lock acquisition: runs `acquire`, adds the elapsed
-/// microseconds to `wait_us`, and counts the acquisition in `acquires`.
+/// Acquires a lock, counting the acquisition in `acquires` and charging the
+/// wait to `wait_us` — when there is one: `try_acquire` is tried first, and
+/// only if the lock is held does `acquire` run between two clock reads.
 ///
-/// The fast path (uncontended parking_lot locks) is tens of nanoseconds, so
-/// the `Instant` pair is the dominant cost; it is two `clock_gettime`
-/// vDSO calls and stays comfortably inside the tracing-overhead budget.
+/// The uncontended path is the hot one (the ranked executors take two
+/// guards per candidate), so it pays no `clock_gettime` and touches one
+/// shared counter, not two. A wait it does not see is one that ended
+/// before `try_acquire` returned — nothing a microsecond counter holds.
 #[inline]
 pub fn timed_acquire<T>(
     wait_us: &AtomicU64,
     acquires: &AtomicU64,
+    try_acquire: impl FnOnce() -> Option<T>,
     acquire: impl FnOnce() -> T,
 ) -> T {
-    let started = Instant::now();
-    let guard = acquire();
-    add(wait_us, started.elapsed().as_micros() as u64);
     incr(acquires);
-    guard
+    try_acquire().unwrap_or_else(|| {
+        let started = Instant::now();
+        let guard = acquire();
+        add(wait_us, started.elapsed().as_micros() as u64);
+        guard
+    })
 }
 
 #[cfg(test)]
@@ -133,8 +138,45 @@ mod tests {
     fn timed_acquire_counts_and_returns() {
         let wait = AtomicU64::new(0);
         let acquires = AtomicU64::new(0);
-        let value = timed_acquire(&wait, &acquires, || 42);
+        let value = timed_acquire(&wait, &acquires, || Some(42), || unreachable!());
         assert_eq!(value, 42);
-        assert_eq!(acquires.load(Ordering::Relaxed), 1);
+        assert_eq!(timed_acquire(&wait, &acquires, || None, || 7), 7);
+        assert_eq!(acquires.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn timed_acquire_charges_a_wait_and_nothing_else() {
+        let lock = std::sync::RwLock::new(());
+        let wait = AtomicU64::new(0);
+        let acquires = AtomicU64::new(0);
+        let read = || {
+            timed_acquire(
+                &wait,
+                &acquires,
+                || lock.try_read().ok(),
+                || lock.read().expect("no writer panics"),
+            )
+        };
+        for _ in 0..10_000 {
+            drop(read());
+        }
+        assert_eq!(wait.load(Ordering::Relaxed), 0);
+        assert_eq!(acquires.load(Ordering::Relaxed), 10_000);
+
+        // A writer that holds its guard for two milliseconds from before
+        // the reader asks.
+        let held = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let guard = lock.write().expect("no reader panics");
+                held.wait();
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                drop(guard);
+            });
+            held.wait();
+            drop(read());
+        });
+        assert!(wait.load(Ordering::Relaxed) >= 1_000);
+        assert_eq!(acquires.load(Ordering::Relaxed), 10_001);
     }
 }

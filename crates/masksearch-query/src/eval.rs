@@ -1,14 +1,25 @@
 //! Per-mask evaluation of terms, expressions, and predicates — both exactly
 //! (from the mask pixels) and as bounds (from the mask's CHI).
+//!
+//! The filter stage bounds the *same* statement on every candidate, so the
+//! single-mask bounds have one entry point, [`CompiledBounds`]: built once
+//! per statement (per worker), it keeps everything that no mask changes —
+//! the flattened terms, each term's bin indices, and the covering/covered
+//! regions of an ROI on masks of one shape — and evaluates a candidate into
+//! scratch it owns. What is left per candidate is resolving the ROIs in
+//! written order (so the first term that cannot be resolved is the error,
+//! whatever the cost order skips), a few loads from the mask's cells per
+//! term, and the interval arithmetic of the expression.
 
 use crate::error::{QueryError, QueryResult};
 use crate::expr::{Expr, Interval};
-use crate::predicate::{Comparison, Predicate, Truth};
+use crate::predicate::{Predicate, Truth};
 use crate::spec::{CpTerm, TermSource};
 use masksearch_core::{
     cp, cp_composed, cp_many, Mask, MaskRecord, PixelRange, Roi, TileStats, TiledMask,
 };
-use masksearch_index::{composed_cp_bounds, Chi};
+use masksearch_index::{composed_cp_bounds, ChiView, TermBounds};
+use std::ops::Range;
 
 /// Options controlling exact (verification-stage) evaluation.
 #[derive(Debug, Clone, Copy)]
@@ -183,19 +194,6 @@ pub fn predicate_exact_tiled(
     Ok(predicate_from_term_values(predicate, &values))
 }
 
-/// Bounds on one term from the mask's CHI.
-pub fn term_bounds(
-    term: &CpTerm,
-    record: &MaskRecord,
-    chi: &Chi,
-    object_box_fallback: bool,
-) -> QueryResult<Interval> {
-    reject_pair_in_single(term)?;
-    let roi = resolve_roi(term, record, object_box_fallback)?;
-    let b = chi.cp_bounds(&roi, &term.range);
-    Ok(Interval::new(b.lower as f64, b.upper as f64))
-}
-
 /// Exact value of an expression on a loaded mask.
 pub fn expr_exact(
     expr: &Expr,
@@ -208,20 +206,6 @@ pub fn expr_exact(
         values.push(term_exact(term, record, mask, object_box_fallback)?);
     }
     Ok(expr.evaluate_exact(&values))
-}
-
-/// Bounds on an expression from the mask's CHI.
-pub fn expr_bounds(
-    expr: &Expr,
-    record: &MaskRecord,
-    chi: &Chi,
-    object_box_fallback: bool,
-) -> QueryResult<Interval> {
-    let mut intervals = Vec::new();
-    for term in expr.terms() {
-        intervals.push(term_bounds(term, record, chi, object_box_fallback)?);
-    }
-    Ok(expr.evaluate_bounds(&intervals))
 }
 
 /// Exact truth of a predicate on a loaded mask.
@@ -238,150 +222,171 @@ pub fn predicate_exact(
     Ok(predicate.eval_exact(&values))
 }
 
-/// Three-valued truth of a predicate from the mask's CHI.
-pub fn predicate_bounds(
-    predicate: &Predicate,
-    record: &MaskRecord,
-    chi: &Chi,
+/// The single-mask bounds of one statement — a filter predicate with the
+/// planner's cost order, or one ranked expression — compiled once and
+/// evaluated candidate after candidate without allocating.
+///
+/// The bounds are exactly `Chi::cp_bounds` of every term (the same function
+/// computes them), combined by [`Expr::evaluate_bounds`] and
+/// [`Predicate::eval_bounds`].
+pub struct CompiledBounds<'q> {
     object_box_fallback: bool,
-) -> QueryResult<Truth> {
-    let mut intervals = Vec::new();
-    for cmp in predicate.comparisons() {
-        intervals.push(expr_bounds(&cmp.expr, record, chi, object_box_fallback)?);
-    }
-    Ok(predicate.eval_bounds(&intervals))
-}
-
-/// Three-valued truth of a predicate from the mask's CHI, computing the
-/// comparisons' bounds in the planner's cost `order` and stopping as soon
-/// as the partially-bound predicate is decided.
-///
-/// The result is byte-identical to [`predicate_bounds`]: an uncomputed
-/// comparison contributes the unbounded interval, which evaluates
-/// `Unknown`, and three-valued evaluation is monotone in the information
-/// order — once the partial evaluation returns `True` or `False`, refining
-/// the remaining comparisons cannot change it. Term ROIs are still resolved
-/// in *written* order first, so a resolution error (e.g. a missing object
-/// box without fallback) surfaces from the same comparison it always did.
-///
-/// An `order` that is not a permutation of `0..comparisons` falls back to
-/// evaluating everything (never wrong, just not fast).
-pub fn predicate_bounds_ordered(
-    predicate: &Predicate,
-    record: &MaskRecord,
-    chi: &Chi,
-    object_box_fallback: bool,
-    order: &[usize],
-) -> QueryResult<Truth> {
-    BoundsClassifier::new(predicate, order).classify(record, chi, object_box_fallback)
-}
-
-/// A predicate compiled for repeated bounds classification.
-///
-/// The filter stage classifies every candidate against the *same* predicate
-/// and cost order. Collecting comparison and term references anew for each
-/// mask — plus the per-mask scratch vectors — made heap allocation the
-/// dominant cost of a bounds-decided classification, so the classifier does
-/// that work once and owns the scratch space: classifying another mask
-/// allocates nothing. One classifier is built per worker thread and reused
-/// across its whole chunk.
-///
-/// [`BoundsClassifier::classify`] is byte-identical to
-/// [`predicate_bounds_ordered`] (which is implemented on top of it).
-pub struct BoundsClassifier<'p> {
-    predicate: &'p Predicate,
-    /// Comparisons in written order, each with its terms flattened.
-    comparisons: Vec<(&'p Comparison, Vec<&'p CpTerm>)>,
-    /// The planner's cost order; indices are re-checked per use, matching
-    /// [`predicate_bounds_ordered`]'s fallback rule.
+    /// Every `CP` term of the statement, in written order, with what its
+    /// bounds keep from mask to mask.
+    terms: Vec<(&'q CpTerm, TermBounds)>,
+    /// The statement's expressions in written order — a predicate's
+    /// comparisons, or the one ranked expression — each with its `terms`.
+    exprs: Vec<(&'q Expr, Range<usize>)>,
+    /// The predicate, and the order its comparisons are bounded in.
+    predicate: Option<&'q Predicate>,
     order: Vec<usize>,
-    /// `false` when `order`'s length does not match the predicate: every
-    /// classification then falls back to [`predicate_bounds`].
-    ordered: bool,
-    // Per-mask scratch, cleared on every classification.
-    resolved: Vec<(Roi, PixelRange)>,
-    offsets: Vec<usize>,
-    intervals: Vec<Interval>,
+    // Per-candidate scratch.
+    rois: Vec<Roi>,
     term_intervals: Vec<Interval>,
+    intervals: Vec<Interval>,
+    gaps: Vec<f64>,
 }
 
-impl<'p> BoundsClassifier<'p> {
-    /// Compiles `predicate` with the planner's cost `order`.
-    pub fn new(predicate: &'p Predicate, order: &[usize]) -> Self {
-        let comparisons: Vec<(&Comparison, Vec<&CpTerm>)> = predicate
-            .comparisons()
+impl<'q> CompiledBounds<'q> {
+    fn new(
+        exprs: impl IntoIterator<Item = &'q Expr>,
+        predicate: Option<&'q Predicate>,
+        object_box_fallback: bool,
+    ) -> Self {
+        let mut terms = Vec::new();
+        let exprs: Vec<(&Expr, Range<usize>)> = exprs
             .into_iter()
-            .map(|cmp| {
-                let terms = cmp.expr.terms();
-                (cmp, terms)
+            .map(|expr| {
+                let first = terms.len();
+                let kept = |term: &'q CpTerm| (term, TermBounds::new(term.range));
+                terms.extend(expr.terms().into_iter().map(kept));
+                (expr, first..terms.len())
             })
             .collect();
-        let ordered = order.len() == comparisons.len();
         Self {
+            object_box_fallback,
+            order: (0..exprs.len()).collect(),
+            terms,
+            exprs,
             predicate,
-            order: order.to_vec(),
-            ordered,
-            comparisons,
-            resolved: Vec::new(),
-            offsets: Vec::new(),
-            intervals: Vec::new(),
+            rois: Vec::new(),
             term_intervals: Vec::new(),
+            intervals: Vec::new(),
+            gaps: Vec::new(),
         }
+    }
+
+    /// Compiles a filter predicate whose comparisons are bounded in the
+    /// planner's cost `order`. An `order` that is not a permutation of the
+    /// comparisons is replaced by the written order (never wrong, just not
+    /// the cheapest first).
+    pub fn predicate(predicate: &'q Predicate, order: &[usize], object_box_fallback: bool) -> Self {
+        let comparisons = predicate.comparisons();
+        let mut compiled = Self::new(
+            comparisons.iter().map(|cmp| &cmp.expr),
+            Some(predicate),
+            object_box_fallback,
+        );
+        let mut seen = vec![false; comparisons.len()];
+        if order.len() == seen.len()
+            && order
+                .iter()
+                .all(|&i| i < seen.len() && !std::mem::replace(&mut seen[i], true))
+        {
+            compiled.order = order.to_vec();
+        }
+        compiled
+    }
+
+    /// Compiles one ranked or aggregated expression.
+    pub fn expr(expr: &'q Expr, object_box_fallback: bool) -> Self {
+        Self::new([expr], None, object_box_fallback)
+    }
+
+    /// Resolves every term's ROI for `record`, in written order: the first
+    /// term that cannot be resolved is the error, whichever comparison the
+    /// cost order would have bounded first or an early exit skipped.
+    fn resolve(&mut self, record: &MaskRecord) -> QueryResult<()> {
+        self.rois.clear();
+        for (term, _) in &self.terms {
+            reject_pair_in_single(term)?;
+            self.rois
+                .push(resolve_roi(term, record, self.object_box_fallback)?);
+        }
+        Ok(())
+    }
+
+    /// Bounds on expression `index` over the resolved ROIs.
+    fn expr_interval(&mut self, index: usize, chi: ChiView<'_>) -> Interval {
+        let (expr, terms) = self.exprs[index].clone();
+        self.term_intervals.clear();
+        for term in terms {
+            let b = self.terms[term].1.cp_bounds(chi, &self.rois[term]);
+            self.term_intervals
+                .push(Interval::new(b.lower as f64, b.upper as f64));
+        }
+        expr.evaluate_bounds(&self.term_intervals)
     }
 
     /// Three-valued truth of the compiled predicate from one mask's CHI.
-    pub fn classify(
-        &mut self,
-        record: &MaskRecord,
-        chi: &Chi,
-        object_box_fallback: bool,
-    ) -> QueryResult<Truth> {
-        if !self.ordered {
-            return predicate_bounds(self.predicate, record, chi, object_box_fallback);
-        }
-        let Self {
-            predicate,
-            comparisons,
-            order,
-            resolved,
-            offsets,
-            intervals,
-            term_intervals,
-            ..
-        } = self;
-        // Written-order ROI resolution, exactly as the unordered path
-        // performs it via `expr_bounds`: the first erroring term must not
-        // depend on the cost order (or on an early exit skipping it).
-        resolved.clear();
-        offsets.clear();
-        for (_, terms) in comparisons.iter() {
-            offsets.push(resolved.len());
-            for term in terms {
-                reject_pair_in_single(term)?;
-                resolved.push((resolve_roi(term, record, object_box_fallback)?, term.range));
-            }
-        }
-        offsets.push(resolved.len());
+    ///
+    /// Comparisons are bounded in the cost order and the rest skipped once
+    /// the partly bounded predicate is decided. The result is that of
+    /// bounding them all: a skipped comparison contributes the unbounded
+    /// interval, which evaluates `Unknown`, and three-valued evaluation is
+    /// monotone in the information order — once the partial evaluation
+    /// returns `True` or `False`, refining the rest cannot change it.
+    ///
+    /// # Panics
+    /// Panics if the bounds were compiled from an expression.
+    pub fn classify(&mut self, record: &MaskRecord, chi: ChiView<'_>) -> QueryResult<Truth> {
+        let predicate = self.predicate.expect("compiled from a predicate");
+        self.resolve(record)?;
         let unbounded = Interval::new(f64::NEG_INFINITY, f64::INFINITY);
-        intervals.clear();
-        intervals.resize(comparisons.len(), unbounded);
+        self.intervals.clear();
+        self.intervals.resize(self.exprs.len(), unbounded);
         let mut truth = Truth::Unknown;
-        for &index in order.iter() {
-            let Some((cmp, _)) = comparisons.get(index) else {
-                return predicate_bounds(predicate, record, chi, object_box_fallback);
-            };
-            term_intervals.clear();
-            for (roi, range) in &resolved[offsets[index]..offsets[index + 1]] {
-                let b = chi.cp_bounds(roi, range);
-                term_intervals.push(Interval::new(b.lower as f64, b.upper as f64));
-            }
-            intervals[index] = cmp.expr.evaluate_bounds(term_intervals);
-            truth = predicate.eval_bounds(intervals);
+        for at in 0..self.order.len() {
+            let index = self.order[at];
+            self.intervals[index] = self.expr_interval(index, chi);
+            truth = predicate.eval_bounds(&self.intervals);
             if truth != Truth::Unknown {
-                return Ok(truth);
+                break;
             }
         }
         Ok(truth)
+    }
+
+    /// Bounds on the compiled expression (a predicate's first comparison)
+    /// from one mask's CHI.
+    pub fn interval(&mut self, record: &MaskRecord, chi: ChiView<'_>) -> QueryResult<Interval> {
+        self.resolve(record)?;
+        Ok(self.expr_interval(0, chi))
+    }
+
+    /// For the planner's sampling: every expression's bounds, nothing
+    /// skipped, and beside each the mean over its terms of the bound gap as
+    /// a fraction of the term's (unclipped) ROI area.
+    pub(crate) fn sample(
+        &mut self,
+        record: &MaskRecord,
+        chi: ChiView<'_>,
+    ) -> QueryResult<(&[Interval], &[f64])> {
+        self.resolve(record)?;
+        self.intervals.clear();
+        self.gaps.clear();
+        for index in 0..self.exprs.len() {
+            let interval = self.expr_interval(index, chi);
+            self.intervals.push(interval);
+            // Counts are exact in `f64`, so `hi - lo` is the integer gap.
+            let terms = self.exprs[index].1.clone();
+            let mut gap = 0.0f64;
+            for (bounds, roi) in self.term_intervals.iter().zip(&self.rois[terms.clone()]) {
+                gap += (bounds.hi - bounds.lo) / roi.area() as f64;
+            }
+            self.gaps.push(gap / terms.len().max(1) as f64);
+        }
+        Ok((&self.intervals, &self.gaps))
     }
 }
 
@@ -473,8 +478,8 @@ pub fn predicate_composes(predicate: &Predicate) -> bool {
 pub fn pair_term_bounds(
     term: &CpTerm,
     records: &PairRecords<'_>,
-    chi_left: &Chi,
-    chi_right: &Chi,
+    chi_left: ChiView<'_>,
+    chi_right: ChiView<'_>,
     object_box_fallback: bool,
 ) -> QueryResult<Interval> {
     let roi = records.resolve(term, object_box_fallback)?;
@@ -482,7 +487,7 @@ pub fn pair_term_bounds(
         TermSource::Own => return Err(reject_own_term()),
         TermSource::Left => chi_left.cp_bounds(&roi, &term.range),
         TermSource::Right => chi_right.cp_bounds(&roi, &term.range),
-        TermSource::Compose(op) => composed_cp_bounds(chi_left, chi_right, op, &roi, &term.range),
+        TermSource::Compose(op) => composed_cp_bounds(&chi_left, &chi_right, op, &roi, &term.range),
     };
     Ok(Interval::new(b.lower as f64, b.upper as f64))
 }
@@ -491,8 +496,8 @@ pub fn pair_term_bounds(
 pub fn pair_expr_bounds(
     expr: &Expr,
     records: &PairRecords<'_>,
-    chi_left: &Chi,
-    chi_right: &Chi,
+    chi_left: ChiView<'_>,
+    chi_right: ChiView<'_>,
     object_box_fallback: bool,
 ) -> QueryResult<Interval> {
     let mut intervals = Vec::new();
@@ -512,8 +517,8 @@ pub fn pair_expr_bounds(
 pub fn pair_predicate_bounds(
     predicate: &Predicate,
     records: &PairRecords<'_>,
-    chi_left: &Chi,
-    chi_right: &Chi,
+    chi_left: ChiView<'_>,
+    chi_right: ChiView<'_>,
     object_box_fallback: bool,
 ) -> QueryResult<Truth> {
     let mut intervals = Vec::new();
@@ -614,7 +619,7 @@ mod tests {
     use super::*;
     use crate::spec::RoiSpec;
     use masksearch_core::{MaskId, PixelRange};
-    use masksearch_index::ChiConfig;
+    use masksearch_index::{Chi, ChiConfig};
 
     fn mask() -> Mask {
         Mask::from_fn(32, 32, |x, y| if x < 16 && y < 16 { 0.9 } else { 0.1 })
@@ -661,7 +666,9 @@ mod tests {
         let expr = Expr::cp_object(range).div(Expr::cp_full(range));
         let exact = expr_exact(&expr, &rec, &m, false).unwrap();
         assert!((exact - 1.0).abs() < 1e-12); // all salient pixels are inside the box
-        let bounds = expr_bounds(&expr, &rec, &chi, false).unwrap();
+        let bounds = CompiledBounds::expr(&expr, false)
+            .interval(&rec, chi.view())
+            .unwrap();
         assert!(bounds.contains(exact));
     }
 
@@ -677,15 +684,14 @@ mod tests {
         assert!(predicate_exact(&pred, &rec, &m, false).unwrap());
         // The object box is cell-aligned and the range bin-aligned, so the
         // bounds are exact and the filter stage can accept outright.
-        assert_eq!(
-            predicate_bounds(&pred, &rec, &chi, false).unwrap(),
-            Truth::True
-        );
+        // An order that is no permutation falls back to the written one.
+        for order in [&[1, 0][..], &[0, 1], &[], &[0, 0], &[0, 2]] {
+            let mut bounds = CompiledBounds::predicate(&pred, order, false);
+            assert_eq!(bounds.classify(&rec, chi.view()).unwrap(), Truth::True);
+        }
         let never = Predicate::gt(Expr::cp_object(range), 100_000.0);
-        assert_eq!(
-            predicate_bounds(&never, &rec, &chi, false).unwrap(),
-            Truth::False
-        );
+        let mut bounds = CompiledBounds::predicate(&never, &[0], false);
+        assert_eq!(bounds.classify(&rec, chi.view()).unwrap(), Truth::False);
         assert!(!predicate_exact(&never, &rec, &m, false).unwrap());
     }
 
@@ -699,7 +705,9 @@ mod tests {
             roi: RoiSpec::ObjectBox,
             range: PixelRange::full(),
         };
-        assert!(term_bounds(&term, &rec, &chi, false).is_err());
+        assert!(CompiledBounds::expr(&Expr::Cp(term), false)
+            .interval(&rec, chi.view())
+            .is_err());
         assert!(term_exact(&term, &rec, &m, false).is_err());
     }
 }

@@ -80,9 +80,8 @@ pub fn execute(
         .iter()
         .flat_map(|(_, members)| members.iter().copied())
         .collect();
-    let bounds = session.bounds_of(&members, |record, chi| {
-        eval::expr_bounds(expr, record, chi, fallback)
-    })?;
+    let mut compiled = eval::CompiledBounds::expr(expr, fallback);
+    let bounds = session.bounds_of(&members, |record, chi| compiled.interval(record, chi))?;
     let filter_wall = elapsed(filter_start);
 
     // For HAVING-only queries: accepted rows (value optional).
@@ -97,16 +96,16 @@ pub fn execute(
     let verify_start = Instant::now();
     let mut verifier = session.verifier(plan, expr.terms());
     let mut bounds = bounds.as_slice();
+    let mut indexed: Vec<Interval> = Vec::new();
     for (image_id, member_ids) in &groups {
         let (member_bounds, rest) = bounds.split_at(member_ids.len());
         bounds = rest;
         // ---- Filter step: the aggregate's bounds, when every member has
         // an index. ------------------------------------------------------
-        let group_bounds = member_bounds
-            .iter()
-            .copied()
-            .collect::<Option<Vec<Interval>>>()
-            .map(|member_bounds| aggregate_interval(agg, &member_bounds));
+        indexed.clear();
+        indexed.extend(member_bounds.iter().map_while(|bounds| *bounds));
+        let group_bounds =
+            (indexed.len() == member_bounds.len()).then(|| aggregate_interval(agg, &indexed));
 
         // Decide whether the group can be pruned or accepted without loading.
         if let Some(bounds) = &group_bounds {

@@ -79,10 +79,11 @@ pub fn execute(
     let filter_span = masksearch_obs::span("filter");
     let filter_start = Instant::now();
     // The stage is pure CPU (nothing is loaded), so one catalog guard and
-    // one CHI-store guard cover all of it: per-candidate lock round-trips,
-    // record clones, and `Arc` bumps used to dominate bounds-decided
-    // classification. Both guards drop at the end of this block, before
-    // verification starts loading masks.
+    // one CHI-store guard cover all of it, and under them a cursor over
+    // each map follows the ascending candidate list: per-candidate lock
+    // round-trips, record clones and two tree descents used to dominate
+    // bounds-decided classification. Both guards drop at the end of this
+    // block, before verification starts loading masks.
     let Filtered {
         mut accepted,
         pruned,
@@ -91,16 +92,19 @@ pub fn execute(
         let catalog = session.catalog_read();
         let chi_reader = session.chi_reader();
         let classify_chunk = |chunk: &[MaskId]| -> QueryResult<Filtered> {
-            let mut classifier = eval::BoundsClassifier::new(predicate, plan.term_order());
+            let mut bounds =
+                eval::CompiledBounds::predicate(predicate, plan.term_order(), fallback);
+            let mut records = catalog.cursor();
+            let mut chis = chi_reader.as_ref().map(|reader| reader.cursor());
             let mut out = Filtered::default();
             for &mask_id in chunk {
-                let record = catalog
-                    .get(mask_id)
+                let record = records
+                    .seek(mask_id)
                     .ok_or(QueryError::UnknownMask(mask_id))?;
                 // No index (incremental and disabled modes): verify.
-                let truth = match chi_reader.as_ref().and_then(|r| r.get(mask_id)) {
+                let truth = match chis.as_mut().and_then(|chis| chis.seek(mask_id)) {
                     None => Truth::Unknown,
-                    Some(chi) => classifier.classify(record, chi, fallback)?,
+                    Some(chi) => bounds.classify(record, chi)?,
                 };
                 match truth {
                     Truth::True => out.accepted.push(mask_id),

@@ -66,13 +66,13 @@ pub fn execute(
 
         // ---- Filter step using the aggregated-mask index, if present. -----
         let filter_start = Instant::now();
-        let group_bounds: Option<Interval> = agg_index
-            .as_ref()
-            .and_then(|index| index.get(MaskId::new(image_id.raw())))
-            .map(|chi| {
-                let b = chi.cp_bounds(&roi, &term.range);
-                Interval::new(b.lower as f64, b.upper as f64)
-            });
+        let group_bounds: Option<Interval> = agg_index.as_ref().and_then(|index| {
+            let b = index
+                .reader()
+                .get(MaskId::new(image_id.raw()))?
+                .cp_bounds(&roi, &term.range);
+            Some(Interval::new(b.lower as f64, b.upper as f64))
+        });
         filter_wall += elapsed(filter_start);
 
         if let Some(bounds) = &group_bounds {

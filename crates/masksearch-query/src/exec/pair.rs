@@ -62,11 +62,12 @@ fn classify(
     if composes {
         eval::check_pair_record_shapes(&records)?;
     }
-    let (Some(chi_left), Some(chi_right)) = (session.chi_for(left_id), session.chi_for(right_id))
-    else {
+    let chis = session.chi_reader();
+    let chi_of = |mask_id| chis.as_ref().and_then(|chis| chis.get(mask_id));
+    let (Some(chi_left), Some(chi_right)) = (chi_of(left_id), chi_of(right_id)) else {
         return Ok(FilterOutcome::Verify);
     };
-    let truth = eval::pair_predicate_bounds(predicate, &records, &chi_left, &chi_right, fallback)?;
+    let truth = eval::pair_predicate_bounds(predicate, &records, chi_left, chi_right, fallback)?;
     Ok(match truth {
         Truth::True => FilterOutcome::Accept,
         Truth::False => FilterOutcome::Prune,
@@ -331,11 +332,10 @@ pub fn execute_topk(
             bounds_skipped += 1;
         }
         let prune = if !load_first && top.len() == k {
-            if let (Some(chi_left), Some(chi_right)) =
-                (session.chi_for(left_id), session.chi_for(right_id))
-            {
-                let bounds =
-                    eval::pair_expr_bounds(expr, &records, &chi_left, &chi_right, fallback)?;
+            let chis = session.chi_reader();
+            let chi_of = |mask_id| chis.as_ref().and_then(|chis| chis.get(mask_id));
+            if let (Some(chi_left), Some(chi_right)) = (chi_of(left_id), chi_of(right_id)) {
+                let bounds = eval::pair_expr_bounds(expr, &records, chi_left, chi_right, fallback)?;
                 let threshold = worst_value(&top, order);
                 match order {
                     Order::Desc => bounds.hi <= threshold,

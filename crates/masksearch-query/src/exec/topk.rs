@@ -41,9 +41,8 @@ pub fn execute(
     // Filter pass: a mask's bounds depend on nothing the ranking loop
     // changes, so all of them are computed up front.
     let filter_start = Instant::now();
-    let bounds = session.bounds_of(candidates, |record, chi| {
-        eval::expr_bounds(expr, record, chi, fallback)
-    })?;
+    let mut compiled = eval::CompiledBounds::expr(expr, fallback);
+    let bounds = session.bounds_of(candidates, |record, chi| compiled.interval(record, chi))?;
     let filter_wall = elapsed(filter_start);
 
     // Current top-k as (value, mask_id); worst entry found by linear scan

@@ -15,11 +15,10 @@
 //! itself, on the same candidate, exactly as it does under a fixed plan.
 
 use crate::eval;
-use crate::expr::Interval;
+use crate::expr::Expr;
 use crate::predicate::Predicate;
 use crate::query::{Query, QueryKind};
 use crate::session::Session;
-use crate::spec::CpTerm;
 use masksearch_core::{MaskId, PixelRange, TiledMask};
 use masksearch_plan::{
     choose_kernel, choose_load_first, order_terms, range_is_bin_aligned, QueryPlan, TermStats,
@@ -139,66 +138,39 @@ struct PredicateSample {
 
 /// Samples candidate CHIs against a filter predicate: per comparison, how
 /// the bound interval classified each sampled candidate and how wide the
-/// bounds were relative to the ROI area.
+/// bounds were relative to the ROI area. A candidate without a CHI or a
+/// record, or one of whose terms cannot be bounded from a single CHI (no
+/// object box, a pair-sourced term — the executor rejects the query
+/// itself), is skipped.
 fn sample_predicate(
     session: &Session,
     predicate: &Predicate,
     candidates: &[MaskId],
 ) -> PredicateSample {
     let comparisons = predicate.comparisons();
-    let fallback = session.config().object_box_fallback;
+    let mut bounds =
+        eval::CompiledBounds::predicate(predicate, &[], session.config().object_box_fallback);
     let mut per_comparison = vec![TermStats::default(); comparisons.len()];
     let mut pred_stats = TermStats::default();
-    'candidates: for mask_id in sample_ids(candidates) {
-        let Some(chi) = session.chi_for(mask_id) else {
-            continue;
-        };
-        let Ok(record) = session.record(mask_id) else {
-            continue;
-        };
-        let mut cmp_intervals = Vec::with_capacity(comparisons.len());
-        let mut cmp_gaps = Vec::with_capacity(comparisons.len());
-        for cmp in &comparisons {
-            let terms = cmp.expr.terms();
-            let mut term_intervals = Vec::with_capacity(terms.len());
-            let mut gap = 0.0f64;
-            for &term in &terms {
-                if term.source.is_pair() {
-                    // Pair-sourced terms cannot be bounded from one CHI; the
-                    // executor will reject the query itself.
-                    continue 'candidates;
-                }
-                let Ok(roi) = eval::resolve_roi(term, &record, fallback) else {
-                    continue 'candidates;
-                };
-                let b = chi.cp_bounds(&roi, &term.range);
-                let area = roi.area();
-                if area > 0 {
-                    gap += (b.upper.saturating_sub(b.lower)) as f64 / area as f64;
-                }
-                term_intervals.push(Interval::new(b.lower as f64, b.upper as f64));
+    for mask_id in sample_ids(candidates) {
+        // Errors skip the candidate, whichever kind they are.
+        let _ = session.bounds_of_one(mask_id, |record, chi| {
+            let (intervals, gaps) = bounds.sample(record, chi)?;
+            for (i, cmp) in comparisons.iter().enumerate() {
+                tally(
+                    &mut per_comparison[i],
+                    cmp.eval_bounds(&intervals[i]),
+                    gaps[i],
+                );
             }
-            cmp_intervals.push(cmp.expr.evaluate_bounds(&term_intervals));
-            cmp_gaps.push(if terms.is_empty() {
+            let mean_gap = if gaps.is_empty() {
                 0.0
             } else {
-                gap / terms.len() as f64
-            });
-        }
-        for (i, cmp) in comparisons.iter().enumerate() {
-            let stats = &mut per_comparison[i];
-            tally(stats, cmp.eval_bounds(&cmp_intervals[i]), cmp_gaps[i]);
-        }
-        let mean_gap = if cmp_gaps.is_empty() {
-            0.0
-        } else {
-            cmp_gaps.iter().sum::<f64>() / cmp_gaps.len() as f64
-        };
-        tally(
-            &mut pred_stats,
-            predicate.eval_bounds(&cmp_intervals),
-            mean_gap,
-        );
+                gaps.iter().sum::<f64>() / gaps.len() as f64
+            };
+            tally(&mut pred_stats, predicate.eval_bounds(intervals), mean_gap);
+            Ok(())
+        });
     }
     PredicateSample {
         per_comparison,
@@ -219,33 +191,20 @@ fn tally(stats: &mut TermStats, truth: crate::predicate::Truth, gap: f64) {
 /// Samples candidate CHIs against a ranked/aggregate expression, returning
 /// the mean bound-gap fraction (the kernel's smoothness feature). `None`
 /// when nothing could be sampled.
-fn sample_expr_gap(session: &Session, terms: &[CpTerm], candidates: &[MaskId]) -> Option<f64> {
-    let fallback = session.config().object_box_fallback;
+fn sample_expr_gap(session: &Session, expr: &Expr, candidates: &[MaskId]) -> Option<f64> {
+    if expr.uses_pair_terms() {
+        return None;
+    }
+    let mut bounds = eval::CompiledBounds::expr(expr, session.config().object_box_fallback);
     let mut gap_sum = 0.0f64;
     let mut sampled = 0u32;
-    'candidates: for mask_id in sample_ids(candidates) {
-        let Some(chi) = session.chi_for(mask_id) else {
-            continue;
-        };
-        let Ok(record) = session.record(mask_id) else {
-            continue;
-        };
-        let mut gap = 0.0f64;
-        for term in terms {
-            if term.source.is_pair() {
-                return None;
-            }
-            let Ok(roi) = eval::resolve_roi(term, &record, fallback) else {
-                continue 'candidates;
-            };
-            let b = chi.cp_bounds(&roi, &term.range);
-            let area = roi.area();
-            if area > 0 {
-                gap += (b.upper.saturating_sub(b.lower)) as f64 / area as f64;
-            }
+    for mask_id in sample_ids(candidates) {
+        let gap =
+            session.bounds_of_one(mask_id, |record, chi| Ok(bounds.sample(record, chi)?.1[0]));
+        if let Ok(Some(gap)) = gap {
+            gap_sum += gap;
+            sampled += 1;
         }
-        gap_sum += gap / terms.len().max(1) as f64;
-        sampled += 1;
     }
     (sampled > 0).then(|| (gap_sum / sampled as f64).clamp(0.0, 1.0))
 }
@@ -304,11 +263,7 @@ pub(crate) fn plan_query(session: &Session, query: &Query, candidates: &[MaskId]
             )
         }
         QueryKind::TopK { expr, .. } | QueryKind::Aggregate { expr, .. } => {
-            let gap = sample_expr_gap(
-                session,
-                &expr.terms().into_iter().copied().collect::<Vec<_>>(),
-                candidates,
-            );
+            let gap = sample_expr_gap(session, expr, candidates);
             (Vec::new(), Vec::new(), 0.5, false, gap)
         }
         _ => (Vec::new(), Vec::new(), 0.5, false, None),

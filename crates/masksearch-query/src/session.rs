@@ -30,7 +30,9 @@ use crate::result::{QueryOutput, QueryStats};
 use crate::spec::CpTerm;
 use crate::verify::Verifier;
 use masksearch_core::{ImageId, Mask, MaskAgg, MaskId, MaskRecord, TiledMask};
-use masksearch_index::{build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore};
+use masksearch_index::{
+    build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore, ChiView,
+};
 use masksearch_obs::counters as obs_counters;
 use masksearch_obs::{CatalogStats, ShapeObservation, ShapeStatsRegistry};
 use masksearch_plan::{KernelMode, PairMode};
@@ -358,6 +360,7 @@ impl Session {
         obs_counters::timed_acquire(
             &obs_counters::CATALOG_READ_WAIT_US,
             &obs_counters::CATALOG_LOCK_ACQUIRES,
+            || self.catalog.try_read(),
             || self.catalog.read(),
         )
     }
@@ -374,6 +377,7 @@ impl Session {
         obs_counters::timed_acquire(
             &obs_counters::CATALOG_WRITE_WAIT_US,
             &obs_counters::CATALOG_LOCK_ACQUIRES,
+            || self.catalog.try_write(),
             || self.catalog.write(),
         )
     }
@@ -454,35 +458,46 @@ impl Session {
             .ok_or(QueryError::UnknownMask(mask_id))
     }
 
-    /// The filter pass of the ranked executors: `bounds(record, chi)` of
-    /// every id whose mask has a CHI (`None` where it has none), before
-    /// anything is loaded. The record and the CHI are borrowed under their
-    /// guards — no record clone, no `Arc` bump — and the guards are taken
-    /// per candidate on purpose: held across a block of candidates (256
-    /// were tried: ≈0.13 ms) they park a committing writer behind the
-    /// reader, and on a busy host the wake-up cost `ingest_mixed` ≈1 ms per
-    /// commit (`commit_p50_ms` +25%); held for one candidate's ≈0.5 µs of
-    /// arithmetic, the writer gets in while it still spins.
-    pub(crate) fn bounds_of<B>(
+    /// `bounds(record, chi)` of one mask, its record and its CHI's cells
+    /// borrowed under their guards — no record clone, nothing copied.
+    /// `None` when the mask has no CHI or indexing is disabled.
+    pub fn bounds_of_one<B>(
+        &self,
+        mask_id: MaskId,
+        bounds: impl FnOnce(&MaskRecord, ChiView<'_>) -> QueryResult<B>,
+    ) -> QueryResult<Option<B>> {
+        let catalog = self.catalog_read();
+        let record = catalog
+            .get(mask_id)
+            .ok_or(QueryError::UnknownMask(mask_id))?;
+        let chi_reader = self.chi_reader();
+        let chi = chi_reader.as_ref().and_then(|reader| reader.get(mask_id));
+        chi.map(|chi| bounds(record, chi)).transpose()
+    }
+
+    /// The filter pass of the ranked executors: [`Session::bounds_of_one`]
+    /// of every id, before anything is loaded. The guards are taken per
+    /// candidate on purpose: held across a block of candidates (256 were
+    /// tried: ≈0.13 ms) they park a committing writer behind the reader,
+    /// and on a busy host the wake-up cost `ingest_mixed` ≈1 ms per commit
+    /// (`commit_p50_ms` +25%); held for one candidate's arithmetic, the
+    /// writer gets in while it still spins. An uncontended guard is one
+    /// compare-and-swap (see `obs::counters::timed_acquire`), so what a
+    /// candidate pays is two of those, two map lookups and its bounds.
+    pub fn bounds_of<B>(
         &self,
         mask_ids: &[MaskId],
-        mut bounds: impl FnMut(&MaskRecord, &Chi) -> QueryResult<B>,
+        mut bounds: impl FnMut(&MaskRecord, ChiView<'_>) -> QueryResult<B>,
     ) -> QueryResult<Vec<Option<B>>> {
         mask_ids
             .iter()
-            .map(|&mask_id| {
-                let catalog = self.catalog_read();
-                let record = catalog
-                    .get(mask_id)
-                    .ok_or(QueryError::UnknownMask(mask_id))?;
-                let chi_reader = self.chi_reader();
-                let chi = chi_reader.as_ref().and_then(|reader| reader.get(mask_id));
-                chi.map(|chi| bounds(record, chi)).transpose()
-            })
+            .map(|&mask_id| self.bounds_of_one(mask_id, &mut bounds))
             .collect()
     }
 
-    /// The CHI of a mask, if one exists and indexing is enabled.
+    /// A copy of the CHI of a mask, if one exists and indexing is enabled.
+    /// Executors bound candidates through [`Session::bounds_of`] or a reader
+    /// over the store, which copy nothing.
     pub fn chi_for(&self, mask_id: MaskId) -> Option<Arc<Chi>> {
         if self.config.indexing_mode == IndexingMode::Disabled {
             return None;

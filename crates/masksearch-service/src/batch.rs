@@ -111,13 +111,10 @@ pub fn execute(session: &Session, queries: &[Query]) -> QueryResult<BatchOutput>
             filter_wall: Duration::ZERO,
         };
         let plan_slot = plans.len();
-        for mask_id in candidates {
-            let record = session.record(mask_id)?;
-            let truth = match session.chi_for(mask_id) {
-                Some(chi) => eval::predicate_bounds(&plan.predicate, &record, &chi, fallback)?,
-                None => Truth::Unknown,
-            };
-            match truth {
+        let mut bounds = eval::CompiledBounds::predicate(predicate, &[], fallback);
+        let truths = session.bounds_of(&candidates, |record, chi| bounds.classify(record, chi))?;
+        for (mask_id, truth) in candidates.into_iter().zip(truths) {
+            match truth.unwrap_or(Truth::Unknown) {
                 Truth::True => plan.accepted.push(mask_id),
                 Truth::False => plan.pruned += 1,
                 Truth::Unknown => {

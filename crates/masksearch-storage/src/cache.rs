@@ -251,6 +251,7 @@ impl MaskCache {
         obs_counters::timed_acquire(
             &obs_counters::CACHE_LOCK_WAIT_US,
             &obs_counters::CACHE_LOCK_ACQUIRES,
+            || self.inner.try_lock(),
             || self.inner.lock(),
         )
     }

@@ -7,6 +7,7 @@
 //! candidate set it actually needs to consider.
 
 use crate::codec::{Reader, Writer};
+use crate::cursor::IdCursor;
 use crate::error::{StorageError, StorageResult};
 use masksearch_core::{ImageId, Label, MaskId, MaskRecord, MaskType, ModelId, Roi};
 use std::collections::{BTreeMap, HashMap};
@@ -101,6 +102,12 @@ impl Catalog {
     /// Looks up a record by mask id.
     pub fn get(&self, mask_id: MaskId) -> Option<&MaskRecord> {
         self.records.get(&mask_id)
+    }
+
+    /// A cursor over the records for a run of lookups, cheapest when the
+    /// ids come ascending (see [`IdCursor`]).
+    pub fn cursor(&self) -> IdCursor<'_, MaskRecord> {
+        IdCursor::new(&self.records)
     }
 
     /// All mask ids, ascending.

@@ -27,6 +27,8 @@
 //! * [`cache`] — a byte-budgeted LRU buffer cache of decoded masks.
 //! * [`catalog`] — the metadata catalog (the non-pixel columns of
 //!   `MasksDatabaseView`) with secondary indexes and binary persistence.
+//! * [`cursor`] — a lookup cursor over a map ordered by mask id, for the
+//!   ascending candidate lists of the filter stage.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,6 +38,7 @@ pub mod cache;
 pub mod catalog;
 pub mod codec;
 pub mod compression;
+pub mod cursor;
 pub mod disk;
 pub mod error;
 pub mod format;
@@ -46,6 +49,7 @@ pub mod store;
 pub use array_store::ArrayStore;
 pub use cache::{MaskCache, VerifyLookup};
 pub use catalog::Catalog;
+pub use cursor::IdCursor;
 pub use disk::{DiskProfile, IoStats};
 pub use error::{StorageError, StorageResult};
 pub use format::MaskEncoding;
