@@ -1,7 +1,8 @@
 //! The [`Coordinator`]: scatter-gather execution of the masksearch-sql
-//! dialect over a set of shard servers, plus its own TCP front end speaking
-//! the same line protocol — so a cluster looks exactly like a bigger server
-//! to any client.
+//! dialect over a set of shard servers, plus its TCP front end — the
+//! service crate's one connection server, with the coordinator as its
+//! [`Backend`] — so a cluster looks exactly like a bigger server to any
+//! client.
 //!
 //! Statement routing follows [`masksearch_sql::Statement::routing`]:
 //!
@@ -67,22 +68,23 @@
 //! (possibly slightly stale) shard-atomic states.
 
 use crate::error::{ClusterError, ClusterResult};
-use crate::eventloop::{EventLoop, Handler, Waker};
 use crate::metrics::{ClusterMetrics, ClusterMetricsSnapshot};
 use crate::shard::ShardMap;
 use crate::topk;
 use masksearch_core::{Mask, MaskId, MaskRecord};
 use masksearch_obs::{counters as obs_counters, keys as obs_keys, prom::PromText};
-use masksearch_obs::{ProfileRing, QueryProfile};
+use masksearch_obs::{ProfileRing, QueryProfile, RecorderStatus};
 use masksearch_query::merge::{self, RankedPartial};
 use masksearch_query::{Mutation, MutationOutcome, Order, QueryOutput, QueryStats};
-use masksearch_service::job::{MutationResponse, QueryResponse};
 use masksearch_service::mux::MuxClient;
-use masksearch_service::protocol::{self, ClientRequest, Frame, WireResponse};
-use masksearch_service::ServiceError;
+use masksearch_service::protocol::{Frame, RecordControl, WireResponse};
+use masksearch_service::{
+    Admission, Backend, MutationResponse, PartialResponse, QueryResponse, Response, Server,
+    ServerHandle, ServiceError,
+};
+use masksearch_sql::{Routing, Statement};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -152,11 +154,6 @@ pub enum ClusterReply {
 
 /// Capacity of the coordinator's profile ring.
 const PROFILE_RING_CAPACITY: usize = 128;
-
-/// Worker threads executing requests behind the coordinator front end's
-/// event loop. Each worker blocks on shard round trips for its request's
-/// duration, so this bounds the front end's in-flight statement depth.
-const COORDINATOR_WORKERS: usize = 8;
 
 /// Every `READ_PROBE_INTERVAL`-th read picked for a shard ignores the
 /// down-marks, so an endpoint that recovered (e.g. a restarted primary) is
@@ -517,18 +514,98 @@ impl Coordinator {
     /// [`ClusterReply::Plan`] — the coordinator's scatter root over each
     /// shard's own plan (see [`Coordinator::explain_sql`]).
     pub fn execute_sql(&self, sql: &str) -> ClusterResult<ClusterReply> {
+        self.run(None, sql)
+    }
+
+    /// Executes one SQL statement carrying a client deduplication token
+    /// (`TOKEN <id> <sql>`): reads pass straight through, and a mutation
+    /// whose token already applied is answered from the recorded outcome
+    /// without touching any shard — the coordinator-level half of
+    /// exactly-once client resends.
+    pub fn execute_sql_tokened(&self, token: u64, sql: &str) -> ClusterResult<ClusterReply> {
+        self.run(Some(token), sql)
+    }
+
+    /// The one statement path: traces the statement (when tracing is on),
+    /// routes it, and counts any failure — compilation included — as a
+    /// failed statement.
+    fn run(&self, token: Option<u64>, sql: &str) -> ClusterResult<ClusterReply> {
         let trace = self
             .inner
             .tracing
             .then(|| masksearch_obs::trace("cluster_query"));
         let started = Instant::now();
-        let result = self.execute_sql_inner(sql);
+        let result = self.route(token, sql);
         if result.is_err() {
             self.inner.metrics.record_failed();
         }
         self.observe_series(started.elapsed(), &result);
         self.observe(trace, sql, started, result.is_ok());
         result
+    }
+
+    fn route(&self, token: Option<u64>, sql: &str) -> ClusterResult<ClusterReply> {
+        if let Some((mode, inner)) = masksearch_sql::strip_explain(sql) {
+            // Explains never mutate, so a token is meaningless.
+            let analyze = mode == masksearch_sql::ExplainMode::Analyze;
+            return Ok(ClusterReply::Plan(self.explain_sql(analyze, inner)?));
+        }
+        // A transaction script mutates as one unit, so it dedups as one
+        // unit too (mirroring the shard engine's script path).
+        if let Some((mutations, commit)) =
+            masksearch_sql::compile_transaction_script(sql).map_err(ClusterError::Sql)?
+        {
+            return self
+                .deduped(token, || {
+                    self.run_transaction_script(sql, mutations, commit)
+                })
+                .map(ClusterReply::Mutation);
+        }
+        match masksearch_sql::compile_statement(sql)? {
+            Statement::Mutation(mutation) => self
+                .deduped(token, || self.routed_write(sql, mutation))
+                .map(ClusterReply::Mutation),
+            Statement::Control(_) => Err(ClusterError::Sql(
+                "BEGIN/COMMIT/ROLLBACK control a connection's open transaction; \
+                 on a cluster send the whole transaction as one `BEGIN; ...; COMMIT` script"
+                    .to_string(),
+            )),
+            query => {
+                self.inner.metrics.record_query();
+                let output = match query.routing() {
+                    Routing::Ranked { k, order } => self.ranked_query(sql, k, order)?,
+                    _ => self.broadcast_query(sql)?,
+                };
+                Ok(ClusterReply::Rows(Box::new(output)))
+            }
+        }
+    }
+
+    /// Applies a write at most once per client token: a resend whose
+    /// original already applied is answered from the recorded outcome
+    /// without touching any shard. Without a token the write just applies.
+    fn deduped(
+        &self,
+        token: Option<u64>,
+        apply: impl FnOnce() -> ClusterResult<MutationOutcome>,
+    ) -> ClusterResult<MutationOutcome> {
+        let Some(token) = token else {
+            return apply();
+        };
+        match self.inner.dedup.begin(token) {
+            Admission::Replay(outcome) => {
+                self.inner.metrics.record_deduped();
+                Ok(outcome)
+            }
+            Admission::Execute => {
+                // The permit abandons the token on error or unwind, so a
+                // resend never parks behind a dead execution.
+                let permit = self.inner.dedup.permit(token);
+                let outcome = apply()?;
+                permit.finish(outcome);
+                Ok(outcome)
+            }
+        }
     }
 
     /// Feeds one coordinated statement into the windowed time series.
@@ -565,103 +642,6 @@ impl Coordinator {
         }
     }
 
-    /// Executes one SQL statement carrying a client deduplication token
-    /// (`TOKEN <id> <sql>`): reads pass straight through, and a mutation
-    /// whose token already applied is answered from the recorded outcome
-    /// without touching any shard — the coordinator-level half of
-    /// exactly-once client resends.
-    pub fn execute_sql_tokened(&self, token: u64, sql: &str) -> ClusterResult<ClusterReply> {
-        // Explains never mutate, so the token is meaningless; the plain
-        // path also traces them like any other coordinated statement.
-        if masksearch_sql::strip_explain(sql).is_some() {
-            return self.execute_sql(sql);
-        }
-        let trace = self
-            .inner
-            .tracing
-            .then(|| masksearch_obs::trace("cluster_query"));
-        let started = Instant::now();
-        let result = self.execute_sql_tokened_inner(token, sql);
-        self.observe_series(started.elapsed(), &result);
-        self.observe(trace, sql, started, result.is_ok());
-        result
-    }
-
-    fn execute_sql_tokened_inner(&self, token: u64, sql: &str) -> ClusterResult<ClusterReply> {
-        use masksearch_service::Admission;
-        // A transaction script mutates as one unit, so it dedups as one
-        // unit too (mirroring the shard engine's tokened script path).
-        if let Some((mutations, commit)) = compile_transaction_script(sql)? {
-            return match self.inner.dedup.begin(token) {
-                Admission::Replay(outcome) => {
-                    self.inner.metrics.record_deduped();
-                    Ok(ClusterReply::Mutation(outcome))
-                }
-                Admission::Execute => {
-                    let permit = self.inner.dedup.permit(token);
-                    let outcome = self
-                        .run_transaction_script(sql, mutations, commit)
-                        .inspect_err(|_| self.inner.metrics.record_failed())?;
-                    permit.finish(outcome);
-                    Ok(ClusterReply::Mutation(outcome))
-                }
-            };
-        }
-        let statement = masksearch_sql::compile_statement(sql)?;
-        if !matches!(
-            statement.routing(),
-            masksearch_sql::Routing::ByImage
-                | masksearch_sql::Routing::ByMaskId
-                | masksearch_sql::Routing::Ddl
-        ) {
-            return self.execute_sql_with(sql, statement);
-        }
-        match self.inner.dedup.begin(token) {
-            Admission::Replay(outcome) => {
-                self.inner.metrics.record_deduped();
-                Ok(ClusterReply::Mutation(outcome))
-            }
-            Admission::Execute => {
-                // The permit abandons the token on error or unwind, so a
-                // resend never parks behind a dead execution.
-                let permit = self.inner.dedup.permit(token);
-                let reply = self.execute_sql_with(sql, statement)?;
-                if let ClusterReply::Mutation(outcome) = &reply {
-                    permit.finish(*outcome);
-                }
-                Ok(reply)
-            }
-        }
-    }
-
-    /// [`Coordinator::execute_sql`] over an already compiled statement
-    /// (avoids re-parsing large `INSERT` payloads on the tokened path).
-    fn execute_sql_with(
-        &self,
-        sql: &str,
-        statement: masksearch_sql::Statement,
-    ) -> ClusterResult<ClusterReply> {
-        let result = self.execute_compiled(sql, statement);
-        if result.is_err() {
-            self.inner.metrics.record_failed();
-        }
-        result
-    }
-
-    fn execute_sql_inner(&self, sql: &str) -> ClusterResult<ClusterReply> {
-        if let Some((mode, inner)) = masksearch_sql::strip_explain(sql) {
-            let analyze = mode == masksearch_sql::ExplainMode::Analyze;
-            return Ok(ClusterReply::Plan(self.explain_sql(analyze, inner)?));
-        }
-        if let Some((mutations, commit)) = compile_transaction_script(sql)? {
-            return Ok(ClusterReply::Mutation(
-                self.run_transaction_script(sql, mutations, commit)?,
-            ));
-        }
-        let statement = masksearch_sql::compile_statement(sql)?;
-        self.execute_compiled(sql, statement)
-    }
-
     /// Renders the distributed plan of a query: a `cluster` root naming the
     /// scatter routing, then one `shard <i>` node per shard with the shard's
     /// own plan indented beneath it. With `analyze`, each shard *executes*
@@ -678,16 +658,14 @@ impl Coordinator {
     pub fn explain_sql(&self, analyze: bool, sql: &str) -> ClusterResult<Vec<String>> {
         let statement = masksearch_sql::compile_statement(sql)?;
         let routing = match statement.routing() {
-            masksearch_sql::Routing::Broadcast => "broadcast".to_string(),
-            masksearch_sql::Routing::Ranked { k, .. } => format!("ranked_partial k={k}"),
-            masksearch_sql::Routing::ByImage
-            | masksearch_sql::Routing::ByMaskId
-            | masksearch_sql::Routing::Ddl => {
+            Routing::Broadcast => "broadcast".to_string(),
+            Routing::Ranked { k, .. } => format!("ranked_partial k={k}"),
+            Routing::ByImage | Routing::ByMaskId | Routing::Ddl => {
                 return Err(ClusterError::Sql(
                     "EXPLAIN applies to queries, not writes".to_string(),
                 ))
             }
-            masksearch_sql::Routing::Control => {
+            Routing::Control => {
                 return Err(ClusterError::Sql(
                     "EXPLAIN applies to queries, not transaction control".to_string(),
                 ))
@@ -722,178 +700,14 @@ impl Coordinator {
         Ok(lines)
     }
 
-    /// The most recent `n` coordinated-query profiles, newest first.
-    pub fn recent_profiles(&self, n: usize) -> Vec<QueryProfile> {
-        self.inner.profiles.recent(n)
-    }
-
-    /// The coordinator's own Prometheus text exposition: routing,
-    /// refinement, replica-read and failover counters plus the
-    /// process-global observability counters (scatter width and wait time
-    /// among them). Shard-level metrics are scraped from the shards
-    /// directly — summing histograms across processes is the scraper's job,
-    /// not the coordinator's.
-    pub fn prometheus_text(&self) -> String {
-        let m = self.metrics();
-        let mut p = PromText::new();
-        p.gauge(
-            "masksearch_cluster_shards",
-            "Number of shards this coordinator scatters over.",
-            self.shards() as f64,
-        );
-        p.gauge(
-            "masksearch_cluster_uptime_seconds",
-            "Seconds since the coordinator started.",
-            m.uptime_ms as f64 / 1e3,
-        );
-        p.counter(
-            "masksearch_cluster_queries_total",
-            "Read statements coordinated.",
-            m.queries,
-        );
-        p.counter(
-            "masksearch_cluster_ranked_queries_total",
-            "Distributed top-k statements among them.",
-            m.ranked_queries,
-        );
-        p.counter(
-            "masksearch_cluster_mutations_total",
-            "Write statements routed.",
-            m.mutations,
-        );
-        p.counter(
-            "masksearch_cluster_mutations_deduped_total",
-            "Mutations answered from the coordinator token-dedup registry.",
-            m.mutations_deduped,
-        );
-        p.counter(
-            "masksearch_cluster_failed_total",
-            "Statements that failed.",
-            m.failed,
-        );
-        p.counter(
-            "masksearch_cluster_shard_requests_total",
-            "Shard requests issued by scatter rounds.",
-            m.shard_requests,
-        );
-        p.counter(
-            "masksearch_cluster_replica_reads_total",
-            "Read requests served by a replica endpoint.",
-            m.replica_reads,
-        );
-        p.counter(
-            "masksearch_cluster_failovers_total",
-            "Reads re-routed to another endpoint after a transport error.",
-            m.failovers,
-        );
-        p.counter(
-            "masksearch_cluster_topk_rounds_total",
-            "Distributed top-k scatter rounds.",
-            m.topk_rounds,
-        );
-        p.counter(
-            "masksearch_cluster_topk_refined_requests_total",
-            "Shard re-queries issued by top-k refinement.",
-            m.topk_refined_requests,
-        );
-        p.counter(
-            "masksearch_cluster_topk_single_round_total",
-            "Ranked queries the planner ran in single-round mode.",
-            m.topk_single_round,
-        );
-        p.counter(
-            "masksearch_cluster_masks_inserted_total",
-            "Masks inserted through the coordinator.",
-            m.masks_inserted,
-        );
-        p.counter(
-            "masksearch_cluster_masks_deleted_total",
-            "Masks deleted through the coordinator.",
-            m.masks_deleted,
-        );
-        p.counter(
-            "masksearch_cluster_masks_updated_total",
-            "Masks re-masked in place (UPDATE) through the coordinator.",
-            m.masks_updated,
-        );
-        p.counter(
-            "masksearch_cluster_transactions_total",
-            "BEGIN ... COMMIT scripts applied atomically on a single shard.",
-            m.transactions,
-        );
-        p.counter(
-            "masksearch_cluster_owner_resolutions_total",
-            "Mask-id owners resolved from the in-memory owner index.",
-            m.owner_resolutions,
-        );
-        p.counter(
-            "masksearch_cluster_lookup_broadcasts_total",
-            "LOOKUP broadcasts issued for ids the owner index did not know.",
-            m.lookup_broadcasts,
-        );
-        p.counter(
-            "masksearch_cluster_masks_relocated_total",
-            "Stale replicas evicted by overwrites that moved a mask.",
-            m.masks_relocated,
-        );
-        p.counter(
-            "masksearch_cluster_profiles_recorded_total",
-            "Coordinated-query profiles recorded.",
-            self.inner.profiles.recorded(),
-        );
-        for (name, value) in obs_counters::snapshot() {
-            p.counter(
-                &format!("masksearch_{name}_total"),
-                "Process-global observability counter.",
-                value,
-            );
-        }
-        p.finish()
-    }
-
-    /// Executes an already compiled statement (`sql` is the raw text, still
-    /// needed because read statements are forwarded to shards verbatim).
-    fn execute_compiled(
-        &self,
-        sql: &str,
-        statement: masksearch_sql::Statement,
-    ) -> ClusterResult<ClusterReply> {
-        match statement.routing() {
-            masksearch_sql::Routing::Broadcast => {
-                self.inner.metrics.record_query();
-                Ok(ClusterReply::Rows(Box::new(self.broadcast_query(sql)?)))
-            }
-            masksearch_sql::Routing::Ranked { k, order } => {
-                self.inner.metrics.record_query();
-                Ok(ClusterReply::Rows(Box::new(
-                    self.ranked_query(sql, k, order)?,
-                )))
-            }
-            masksearch_sql::Routing::ByImage => {
-                let masksearch_sql::Statement::Mutation(Mutation::Insert(batch)) = statement else {
-                    return Err(ClusterError::Internal(
-                        "ByImage routing on a non-insert statement".to_string(),
-                    ));
-                };
-                Ok(ClusterReply::Mutation(self.routed_insert(batch)?))
-            }
-            masksearch_sql::Routing::ByMaskId => match statement {
-                masksearch_sql::Statement::Mutation(Mutation::Delete(ids)) => {
-                    Ok(ClusterReply::Mutation(self.routed_delete(ids)?))
-                }
-                masksearch_sql::Statement::Mutation(Mutation::Update(updates)) => {
-                    Ok(ClusterReply::Mutation(self.routed_update(sql, updates)?))
-                }
-                _ => Err(ClusterError::Internal(
-                    "ByMaskId routing on a non-delete, non-update statement".to_string(),
-                )),
-            },
-            masksearch_sql::Routing::Ddl => Ok(ClusterReply::Mutation(self.broadcast_ddl(sql)?)),
-            masksearch_sql::Routing::Control => Err(ClusterError::Sql(
-                "BEGIN/COMMIT/ROLLBACK control a connection's open transaction; \
-                 on a cluster send the whole transaction as one `BEGIN; ...; COMMIT` script"
-                    .to_string(),
-            )),
+    /// Routes one write: `INSERT` by the owner of each tuple's image,
+    /// `DELETE` / `UPDATE` to each mask's owning shard, DDL to every shard.
+    fn routed_write(&self, sql: &str, mutation: Mutation) -> ClusterResult<MutationOutcome> {
+        match mutation {
+            Mutation::Insert(batch) => self.routed_insert(batch),
+            Mutation::Delete(ids) => self.routed_delete(ids),
+            Mutation::Update(updates) => self.routed_update(sql, updates),
+            Mutation::CreateIndex { .. } | Mutation::DropIndex { .. } => self.broadcast_ddl(sql),
         }
     }
 
@@ -981,16 +795,6 @@ impl Coordinator {
         present.sort_unstable();
         present.dedup();
         Ok(present)
-    }
-
-    /// Every mask id the cluster holds (`LOOKUP *` scattered over the
-    /// primaries), ascending; the answer also reseeds the owner index.
-    pub fn lookup_all(&self) -> ClusterResult<Vec<MaskId>> {
-        let owners = self.fetch_all_owners()?;
-        let mut ids: Vec<MaskId> = owners.keys().copied().collect();
-        ids.sort_unstable();
-        *self.inner.owners.lock().expect("owner index lock") = owners;
-        Ok(ids)
     }
 
     /// Resolves the owning shard of each of `ids`. Owner-index hits cost no
@@ -1327,10 +1131,94 @@ impl Coordinator {
         })
     }
 
+    /// Summary of the last `secs` seconds of coordinated statements from
+    /// the coordinator's own windowed time series.
+    pub fn window(&self, secs: u64) -> masksearch_obs::WindowSummary {
+        self.inner.timeseries.window(secs)
+    }
+}
+
+/// Converts a parsed shard wire response into a [`QueryOutput`] for the
+/// merge layer (stage counters travel in the summary; timings stay
+/// shard-local).
+fn wire_to_output(wire: WireResponse) -> QueryOutput {
+    let stats = QueryStats {
+        candidates: wire.summary.candidates,
+        pruned: wire.summary.pruned,
+        verified: wire.summary.verified,
+        masks_loaded: wire.summary.loaded,
+        ..Default::default()
+    };
+    QueryOutput {
+        rows: wire.rows,
+        stats,
+    }
+}
+
+/// Renders a per-shard `INSERT` sub-batch back into the dialect. Pixels use
+/// Rust's shortest round-trip `f32` formatting, which re-parses (via `f64`)
+/// to the identical bits — the shard stores exactly what the client sent.
+fn render_insert(batch: &[(MaskRecord, Mask)]) -> String {
+    let tuples: Vec<String> = batch
+        .iter()
+        .map(|(record, mask)| {
+            let pixels: Vec<String> = mask.data().iter().map(|v| format!("{v}")).collect();
+            format!(
+                "({}, {}, {}, {}, ({}))",
+                record.mask_id.raw(),
+                record.image_id.raw(),
+                record.width,
+                record.height,
+                pixels.join(", ")
+            )
+        })
+        .collect();
+    format!("INSERT INTO masks VALUES {}", tuples.join(", "))
+}
+
+/// Renders a per-shard `DELETE` sub-batch.
+fn render_delete(ids: &[MaskId]) -> String {
+    let list: Vec<String> = ids.iter().map(|id| id.raw().to_string()).collect();
+    format!("DELETE FROM masks WHERE mask_id IN ({})", list.join(", "))
+}
+
+/// The coordinator behind a [`CoordinatorServer`]. A connection keeps no
+/// state of its own, so an interactive `BEGIN` is rejected like any other
+/// statement a cluster cannot route.
+impl Backend for Coordinator {
+    type Conn = ();
+    type Error = ClusterError;
+
+    fn statement(&self, token: Option<u64>, sql: &str) -> ClusterResult<Response> {
+        let started = Instant::now();
+        Ok(match self.run(token, sql)? {
+            ClusterReply::Rows(output) => Response::Single(QueryResponse {
+                output: *output,
+                queue_wait: Duration::ZERO,
+                exec_time: started.elapsed(),
+            }),
+            ClusterReply::Mutation(outcome) => Response::Mutation(MutationResponse {
+                outcome,
+                queue_wait: Duration::ZERO,
+                exec_time: started.elapsed(),
+            }),
+            ClusterReply::Plan(lines) => Response::Plan(lines),
+        })
+    }
+
+    /// `PARTIAL` is a shard-internal request; a coordinator is not a shard
+    /// of another coordinator (no recursive sharding).
+    fn partial(&self, _k: usize, _sql: &str) -> ClusterResult<PartialResponse> {
+        Err(ClusterError::Sql(
+            "PARTIAL is not served by a coordinator".to_string(),
+        ))
+    }
+
     /// One aggregated `STATS` line: shard-primary counters summed (latency
     /// percentiles maxed), plus the coordinator's own scatter/refinement/
-    /// replication counters.
-    pub fn stats_line(&self) -> ClusterResult<String> {
+    /// replication counters. `active_connections` is the shards' sum, as
+    /// every other summed key.
+    fn stats_line(&self, _active_connections: u64) -> ClusterResult<String> {
         let lines = self.scatter_control(self.all("STATS"), Route::Primary)?;
         let mut sums: BTreeMap<&'static str, f64> = BTreeMap::new();
         let mut maxes: BTreeMap<&'static str, f64> = BTreeMap::new();
@@ -1390,79 +1278,165 @@ impl Coordinator {
         Ok(line)
     }
 
-    /// Summary of the last `secs` seconds of coordinated statements from
-    /// the coordinator's own windowed time series.
-    pub fn window(&self, secs: u64) -> masksearch_obs::WindowSummary {
-        self.inner.timeseries.window(secs)
+    /// The coordinator's own Prometheus text exposition: routing,
+    /// refinement, replica-read and failover counters plus the
+    /// process-global observability counters (scatter width and wait time
+    /// among them). Shard-level metrics are scraped from the shards
+    /// directly — summing histograms across processes is the scraper's job,
+    /// not the coordinator's.
+    fn prometheus_text(&self) -> String {
+        let m = self.metrics();
+        let mut p = PromText::new();
+        p.gauge(
+            "masksearch_cluster_shards",
+            "Number of shards this coordinator scatters over.",
+            self.shards() as f64,
+        );
+        p.gauge(
+            "masksearch_cluster_uptime_seconds",
+            "Seconds since the coordinator started.",
+            m.uptime_ms as f64 / 1e3,
+        );
+        p.counter(
+            "masksearch_cluster_queries_total",
+            "Read statements coordinated.",
+            m.queries,
+        );
+        p.counter(
+            "masksearch_cluster_ranked_queries_total",
+            "Distributed top-k statements among them.",
+            m.ranked_queries,
+        );
+        p.counter(
+            "masksearch_cluster_mutations_total",
+            "Write statements routed.",
+            m.mutations,
+        );
+        p.counter(
+            "masksearch_cluster_mutations_deduped_total",
+            "Mutations answered from the coordinator token-dedup registry.",
+            m.mutations_deduped,
+        );
+        p.counter(
+            "masksearch_cluster_failed_total",
+            "Statements that failed.",
+            m.failed,
+        );
+        p.counter(
+            "masksearch_cluster_shard_requests_total",
+            "Shard requests issued by scatter rounds.",
+            m.shard_requests,
+        );
+        p.counter(
+            "masksearch_cluster_replica_reads_total",
+            "Read requests served by a replica endpoint.",
+            m.replica_reads,
+        );
+        p.counter(
+            "masksearch_cluster_failovers_total",
+            "Reads re-routed to another endpoint after a transport error.",
+            m.failovers,
+        );
+        p.counter(
+            "masksearch_cluster_topk_rounds_total",
+            "Distributed top-k scatter rounds.",
+            m.topk_rounds,
+        );
+        p.counter(
+            "masksearch_cluster_topk_refined_requests_total",
+            "Shard re-queries issued by top-k refinement.",
+            m.topk_refined_requests,
+        );
+        p.counter(
+            "masksearch_cluster_topk_single_round_total",
+            "Ranked queries the planner ran in single-round mode.",
+            m.topk_single_round,
+        );
+        p.counter(
+            "masksearch_cluster_masks_inserted_total",
+            "Masks inserted through the coordinator.",
+            m.masks_inserted,
+        );
+        p.counter(
+            "masksearch_cluster_masks_deleted_total",
+            "Masks deleted through the coordinator.",
+            m.masks_deleted,
+        );
+        p.counter(
+            "masksearch_cluster_masks_updated_total",
+            "Masks re-masked in place (UPDATE) through the coordinator.",
+            m.masks_updated,
+        );
+        p.counter(
+            "masksearch_cluster_transactions_total",
+            "BEGIN ... COMMIT scripts applied atomically on a single shard.",
+            m.transactions,
+        );
+        p.counter(
+            "masksearch_cluster_owner_resolutions_total",
+            "Mask-id owners resolved from the in-memory owner index.",
+            m.owner_resolutions,
+        );
+        p.counter(
+            "masksearch_cluster_lookup_broadcasts_total",
+            "LOOKUP broadcasts issued for ids the owner index did not know.",
+            m.lookup_broadcasts,
+        );
+        p.counter(
+            "masksearch_cluster_masks_relocated_total",
+            "Stale replicas evicted by overwrites that moved a mask.",
+            m.masks_relocated,
+        );
+        p.counter(
+            "masksearch_cluster_profiles_recorded_total",
+            "Coordinated-query profiles recorded.",
+            self.inner.profiles.recorded(),
+        );
+        for (name, value) in obs_counters::snapshot() {
+            p.counter(
+                &format!("masksearch_{name}_total"),
+                "Process-global observability counter.",
+                value,
+            );
+        }
+        p.finish()
     }
 
     /// The coordinator's windowed gauges for `secs` as a Prometheus text
     /// exposition (the payload of a `METRICS WINDOW <secs>` frame).
-    pub fn metrics_window_text(&self, secs: u64) -> String {
+    fn metrics_window_text(&self, secs: u64) -> String {
         let mut text = String::new();
         self.inner.timeseries.render_prometheus(&[secs], &mut text);
         text
-    }
-
-    /// Cluster-wide cumulative values of the `MONITOR` counters: every
-    /// shard primary's `STATS` line scattered and the
-    /// [`obs_keys::MONITOR_DELTA_KEYS`] summed, so coordinator `MONITOR`
-    /// deltas sum to the same totals an aggregated `STATS` reports.
-    pub fn monitor_values(&self) -> ClusterResult<Vec<(&'static str, u64)>> {
-        let lines = self.scatter_control(self.all("STATS"), Route::Primary)?;
-        let mut sums = vec![0u64; obs_keys::MONITOR_DELTA_KEYS.len()];
-        for line in &lines {
-            for token in line.split_ascii_whitespace().skip(1) {
-                let Some((key, value)) = token.split_once('=') else {
-                    continue;
-                };
-                let Ok(value) = value.parse::<u64>() else {
-                    continue;
-                };
-                if let Some(pos) = obs_keys::MONITOR_DELTA_KEYS.iter().position(|k| *k == key) {
-                    sums[pos] += value;
-                }
-            }
-        }
-        Ok(obs_keys::MONITOR_DELTA_KEYS
-            .iter()
-            .zip(sums)
-            .map(|(&key, value)| (key, value))
-            .collect())
     }
 
     /// Broadcasts a `RECORD` control to every shard primary and merges the
     /// replies. `START` derives one file per shard (`<path>.shard<i>`) from
     /// the given base path, so a cluster capture replays shard-by-shard;
     /// counters are summed and `active` means *every* shard is recording.
-    pub fn record_control(
-        &self,
-        control: &protocol::RecordControl,
-    ) -> ClusterResult<masksearch_obs::RecorderStatus> {
+    fn record(&self, control: &RecordControl) -> ClusterResult<RecorderStatus> {
         let lines = match control {
-            protocol::RecordControl::Start(Some(base)) => {
+            RecordControl::Start(Some(base)) => {
                 let requests = (0..self.shards())
                     .map(|shard| (shard, format!("RECORD START {base}.shard{shard}")))
                     .collect();
                 self.scatter_control(requests, Route::Primary)?
             }
-            protocol::RecordControl::Start(None) => {
+            RecordControl::Start(None) => {
                 return Err(ClusterError::Sql(
                     "RECORD START needs a path on a coordinator (per-shard \
                      files are derived from it)"
                         .to_string(),
                 ))
             }
-            protocol::RecordControl::Stop => {
-                self.scatter_control(self.all("RECORD STOP"), Route::Primary)?
-            }
-            protocol::RecordControl::Status => {
+            RecordControl::Stop => self.scatter_control(self.all("RECORD STOP"), Route::Primary)?,
+            RecordControl::Status => {
                 self.scatter_control(self.all("RECORD STATUS"), Route::Primary)?
             }
         };
-        let mut merged = masksearch_obs::RecorderStatus {
+        let mut merged = RecorderStatus {
             active: !lines.is_empty(),
-            path: if let protocol::RecordControl::Start(Some(base)) = control {
+            path: if let RecordControl::Start(Some(base)) = control {
                 Some(base.into())
             } else {
                 None
@@ -1492,352 +1466,101 @@ impl Coordinator {
         }
         Ok(merged)
     }
-}
 
-/// Converts a parsed shard wire response into a [`QueryOutput`] for the
-/// merge layer (stage counters travel in the summary; timings stay
-/// shard-local).
-fn wire_to_output(wire: WireResponse) -> QueryOutput {
-    let stats = QueryStats {
-        candidates: wire.summary.candidates,
-        pruned: wire.summary.pruned,
-        verified: wire.summary.verified,
-        masks_loaded: wire.summary.loaded,
-        ..Default::default()
-    };
-    QueryOutput {
-        rows: wire.rows,
-        stats,
+    /// The most recent `n` coordinated-query profiles, newest first.
+    fn profiles(&self, n: usize) -> Vec<QueryProfile> {
+        self.inner.profiles.recent(n)
     }
-}
 
-/// Renders a per-shard `INSERT` sub-batch back into the dialect. Pixels use
-/// Rust's shortest round-trip `f32` formatting, which re-parses (via `f64`)
-/// to the identical bits — the shard stores exactly what the client sent.
-fn render_insert(batch: &[(MaskRecord, Mask)]) -> String {
-    let tuples: Vec<String> = batch
-        .iter()
-        .map(|(record, mask)| {
-            let pixels: Vec<String> = mask.data().iter().map(|v| format!("{v}")).collect();
-            format!(
-                "({}, {}, {}, {}, ({}))",
-                record.mask_id.raw(),
-                record.image_id.raw(),
-                record.width,
-                record.height,
-                pixels.join(", ")
-            )
-        })
-        .collect();
-    format!("INSERT INTO masks VALUES {}", tuples.join(", "))
-}
-
-/// Recognises a multi-statement `BEGIN; …; COMMIT|ROLLBACK` script and
-/// returns its mutations plus whether it commits. `Ok(None)` means `sql` is
-/// a single statement (a lone trailing `;` is fine) and takes the ordinary
-/// routing path. Mirrors the shard engine's script compiler so a script
-/// means exactly the same thing to a cluster and to a single server.
-fn compile_transaction_script(sql: &str) -> ClusterResult<Option<(Vec<Mutation>, bool)>> {
-    use masksearch_sql::{Statement, TxnControl};
-    if !sql.contains(';') {
-        return Ok(None);
-    }
-    let statements = masksearch_sql::compile_script(sql)?;
-    if statements.len() <= 1 {
-        return Ok(None);
-    }
-    let err = |msg: &str| Err(ClusterError::Sql(msg.to_string()));
-    let mut iter = statements.into_iter();
-    if !matches!(iter.next(), Some(Statement::Control(TxnControl::Begin))) {
-        return err("a multi-statement script must be wrapped in BEGIN ... COMMIT");
-    }
-    let mut mutations = Vec::new();
-    let mut finished = None;
-    for statement in iter {
-        if finished.is_some() {
-            return err("statements after COMMIT/ROLLBACK in a transaction script");
+    /// `LOOKUP` asks the primaries ([`Coordinator::lookup`]); `LOOKUP *`
+    /// scatters over them and reseeds the owner index from the answer.
+    fn lookup(&self, ids: Option<&[MaskId]>) -> ClusterResult<Vec<MaskId>> {
+        if let Some(ids) = ids {
+            return Coordinator::lookup(self, ids);
         }
-        match statement {
-            Statement::Mutation(m) => mutations.push(m),
-            Statement::Control(TxnControl::Commit) => finished = Some(true),
-            Statement::Control(TxnControl::Rollback) => finished = Some(false),
-            Statement::Control(TxnControl::Begin) => {
-                return err("nested BEGIN in a transaction script")
-            }
-            Statement::Query(_) => {
-                return err("queries are not allowed inside a transaction script")
+        let owners = self.fetch_all_owners()?;
+        let mut ids: Vec<MaskId> = owners.keys().copied().collect();
+        ids.sort_unstable();
+        *self.inner.owners.lock().expect("owner index lock") = owners;
+        Ok(ids)
+    }
+
+    /// Cluster-wide cumulative values of the `MONITOR` counters: every
+    /// shard primary's `STATS` line scattered and the
+    /// [`obs_keys::MONITOR_DELTA_KEYS`] summed, so coordinator `MONITOR`
+    /// deltas sum to the same totals an aggregated `STATS` reports.
+    fn monitor_values(&self) -> ClusterResult<Vec<(&'static str, u64)>> {
+        let lines = self.scatter_control(self.all("STATS"), Route::Primary)?;
+        let mut sums = vec![0u64; obs_keys::MONITOR_DELTA_KEYS.len()];
+        for line in &lines {
+            for token in line.split_ascii_whitespace().skip(1) {
+                let Some((key, value)) = token.split_once('=') else {
+                    continue;
+                };
+                let Ok(value) = value.parse::<u64>() else {
+                    continue;
+                };
+                if let Some(pos) = obs_keys::MONITOR_DELTA_KEYS.iter().position(|k| *k == key) {
+                    sums[pos] += value;
+                }
             }
         }
-    }
-    match finished {
-        Some(commit) => Ok(Some((mutations, commit))),
-        None => err("a transaction script must end with COMMIT (or ROLLBACK)"),
+        Ok(obs_keys::MONITOR_DELTA_KEYS
+            .iter()
+            .zip(sums)
+            .map(|(&key, value)| (key, value))
+            .collect())
     }
 }
 
-/// Renders a per-shard `DELETE` sub-batch.
-fn render_delete(ids: &[MaskId]) -> String {
-    let list: Vec<String> = ids.iter().map(|id| id.raw().to_string()).collect();
-    format!("DELETE FROM masks WHERE mask_id IN ({})", list.join(", "))
-}
-
-/// The coordinator's TCP front end: accepts the same line protocol as a
-/// shard server (tagged and untagged), so `masksearch_service::Client`,
-/// [`MuxClient`], and anything else speaking the dialect can talk to a
-/// cluster without knowing it is one. Connections are served by a
-/// readiness-driven `poll(2)` event loop — one poller thread plus a small
-/// worker pool — instead of a thread per connection.
-pub struct CoordinatorServer {
-    eventloop: EventLoop,
-    coordinator: Coordinator,
-    addr: SocketAddr,
-}
+/// The coordinator's TCP front end: the service crate's [`Server`] over a
+/// [`Coordinator`] — the same connection loop, dispatch and frames as a
+/// shard server, so `masksearch_service::Client`, [`MuxClient`], and
+/// anything else speaking the dialect can talk to a cluster without knowing
+/// it is one.
+pub struct CoordinatorServer(Server<Coordinator>);
 
 impl CoordinatorServer {
-    /// Binds to `addr` (port 0 for an ephemeral port) and builds the event
-    /// loop without accepting yet.
+    /// Binds to `addr` (port 0 for an ephemeral port) without accepting yet.
     pub fn bind(addr: impl ToSocketAddrs, coordinator: Coordinator) -> ClusterResult<Self> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| ClusterError::Config(format!("bind failed: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ClusterError::Config(format!("local_addr failed: {e}")))?;
-        let handler: Handler = {
-            let coordinator = coordinator.clone();
-            Arc::new(move |tag, request, emit: &mut dyn FnMut(Vec<u8>)| {
-                execute_request(&coordinator, tag, request, emit)
-            })
-        };
-        let eventloop = EventLoop::new(listener, handler, COORDINATOR_WORKERS)
-            .map_err(|e| ClusterError::Config(format!("event loop setup failed: {e}")))?;
-        Ok(Self {
-            eventloop,
-            coordinator,
-            addr,
-        })
+        Server::bind(addr, coordinator)
+            .map(Self)
+            .map_err(|e| ClusterError::Config(format!("bind failed: {e}")))
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// Serves connections until shut down, blocking the calling thread.
     pub fn run(self) {
-        self.eventloop.run()
+        self.0.run()
     }
 
-    /// Starts the event loop on a background thread.
+    /// Starts the accept loop on a background thread.
     pub fn spawn(self) -> CoordinatorHandle {
-        let addr = self.addr;
-        let coordinator = self.coordinator.clone();
-        let shutdown = self.eventloop.shutdown_flag();
-        let waker = self.eventloop.waker();
-        let join = std::thread::Builder::new()
-            .name("masksearch-coordinator".to_string())
-            .spawn(move || self.run())
-            .expect("spawn coordinator event loop");
-        CoordinatorHandle {
-            addr,
-            shutdown,
-            waker,
-            coordinator,
-            join: Some(join),
-        }
+        CoordinatorHandle(self.0.spawn())
     }
 }
 
 /// Control handle for a [`CoordinatorServer::spawn`].
-pub struct CoordinatorHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    waker: Waker,
-    coordinator: Coordinator,
-    join: Option<std::thread::JoinHandle<()>>,
-}
+pub struct CoordinatorHandle(ServerHandle<Coordinator>);
 
 impl CoordinatorHandle {
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// The coordinator behind the front end (e.g. for metrics).
     pub fn coordinator(&self) -> &Coordinator {
-        &self.coordinator
+        self.0.backend()
     }
 
-    /// Stops the event loop and joins it; open connections are dropped.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    /// Stops accepting and joins the accept loop; open connections are
+    /// dropped (the coordinator is the only state that outlives them).
+    pub fn shutdown(self) {
+        self.0.kill()
     }
-
-    fn shutdown_inner(&mut self) {
-        if self.join.is_none() {
-            return;
-        }
-        self.shutdown.store(true, Ordering::Release);
-        self.waker.wake();
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for CoordinatorHandle {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// Executes one parsed front-end request on an event-loop worker, emitting
-/// rendered response frames (each prefixed with the request's `@<id>` tag
-/// when present). `MONITOR` streams one buffer per delta frame; everything
-/// else emits exactly one frame.
-fn execute_request(
-    coordinator: &Coordinator,
-    tag: Option<u64>,
-    request: ClientRequest,
-    emit: &mut dyn FnMut(Vec<u8>),
-) {
-    match request {
-        ClientRequest::Monitor {
-            frames,
-            interval_ms,
-        } => {
-            // Same contract as a single server: baseline zero, one delta
-            // frame per tick, cluster-wide values from a STATS scatter.
-            // (The event loop only dispatches MONITOR untagged.)
-            let mut prev = vec![0u64; obs_keys::MONITOR_DELTA_KEYS.len()];
-            for seq in 0..frames {
-                let mut buf = frame_buf(tag);
-                match coordinator.monitor_values() {
-                    Ok(values) => {
-                        let deltas: Vec<(&str, u64)> = values
-                            .iter()
-                            .zip(prev.iter())
-                            .map(|(&(key, value), &p)| (key, value.saturating_sub(p)))
-                            .collect();
-                        let _ = protocol::write_delta_frame(&mut buf, seq as u64, &deltas);
-                        emit(buf);
-                        for (slot, &(_, value)) in prev.iter_mut().zip(values.iter()) {
-                            *slot = value;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = write_cluster_error(&mut buf, &e);
-                        emit(buf);
-                        return;
-                    }
-                }
-                if seq + 1 < frames {
-                    std::thread::sleep(Duration::from_millis(interval_ms));
-                }
-            }
-        }
-        request => {
-            let mut buf = frame_buf(tag);
-            render_reply(coordinator, request, &mut buf);
-            emit(buf);
-        }
-    }
-}
-
-/// An output buffer pre-seeded with the `@<id>` tag prefix.
-fn frame_buf(tag: Option<u64>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128);
-    if let Some(id) = tag {
-        let _ = write!(buf, "@{id} ");
-    }
-    buf
-}
-
-/// Renders the response frame for every single-frame request kind.
-fn render_reply(coordinator: &Coordinator, request: ClientRequest, buf: &mut Vec<u8>) {
-    // Writes into a Vec<u8> cannot fail.
-    let _ = match request {
-        // QUIT closes in the event loop and MONITOR streams in
-        // `execute_request`; neither reaches this renderer.
-        ClientRequest::Quit | ClientRequest::Monitor { .. } => Ok(()),
-        ClientRequest::Ping => protocol::write_pong(buf),
-        ClientRequest::Metrics => {
-            protocol::write_metrics_response(buf, &coordinator.prometheus_text())
-        }
-        ClientRequest::MetricsWindow(secs) => {
-            protocol::write_metrics_response(buf, &coordinator.metrics_window_text(secs))
-        }
-        ClientRequest::Record(control) => match coordinator.record_control(&control) {
-            Ok(status) => protocol::write_record_status(buf, &status),
-            Err(e) => write_cluster_error(buf, &e),
-        },
-        ClientRequest::Profiles(n) => {
-            let lines: Vec<String> = coordinator
-                .recent_profiles(n)
-                .iter()
-                .flat_map(|p| p.render())
-                .collect();
-            protocol::write_profiles_response(buf, &lines)
-        }
-        ClientRequest::Stats => match coordinator.stats_line() {
-            Ok(line) => {
-                writeln!(buf, "{line}").and_then(|()| writeln!(buf, "{}", protocol::END_MARKER))
-            }
-            Err(e) => write_cluster_error(buf, &e),
-        },
-        ClientRequest::Lookup(ids) => match coordinator.lookup(&ids) {
-            Ok(present) => protocol::write_lookup_response(buf, &present),
-            Err(e) => write_cluster_error(buf, &e),
-        },
-        ClientRequest::LookupAll => match coordinator.lookup_all() {
-            Ok(present) => protocol::write_lookup_response(buf, &present),
-            Err(e) => write_cluster_error(buf, &e),
-        },
-        // PARTIAL is a shard-internal request; a coordinator is not a
-        // shard of another coordinator (no recursive sharding yet).
-        ClientRequest::Partial { .. } => write_cluster_error(
-            buf,
-            &ClusterError::Sql("PARTIAL is not served by a coordinator".to_string()),
-        ),
-        ClientRequest::Tokened { token, sql } => {
-            let started = Instant::now();
-            write_sql_reply(buf, coordinator.execute_sql_tokened(token, &sql), started)
-        }
-        ClientRequest::Sql(sql) => {
-            let started = Instant::now();
-            write_sql_reply(buf, coordinator.execute_sql(&sql), started)
-        }
-    };
-}
-
-/// Writes the outcome of a coordinated SQL statement as one frame.
-fn write_sql_reply(
-    buf: &mut Vec<u8>,
-    result: ClusterResult<ClusterReply>,
-    started: Instant,
-) -> std::io::Result<()> {
-    match result {
-        Ok(ClusterReply::Rows(output)) => {
-            let response = QueryResponse {
-                output: *output,
-                queue_wait: Duration::ZERO,
-                exec_time: started.elapsed(),
-            };
-            protocol::write_response(buf, &response)
-        }
-        Ok(ClusterReply::Mutation(outcome)) => {
-            let response = MutationResponse {
-                outcome,
-                queue_wait: Duration::ZERO,
-                exec_time: started.elapsed(),
-            };
-            protocol::write_mutation_response(buf, &response)
-        }
-        Ok(ClusterReply::Plan(lines)) => protocol::write_plan_response(buf, &lines),
-        Err(e) => write_cluster_error(buf, &e),
-    }
-}
-
-fn write_cluster_error<W: Write>(w: &mut W, error: &ClusterError) -> std::io::Result<()> {
-    writeln!(w, "ERR {}", error.wire_message())?;
-    writeln!(w, "{}", protocol::END_MARKER)
 }

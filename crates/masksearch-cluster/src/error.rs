@@ -60,11 +60,3 @@ impl From<masksearch_sql::SqlError> for ClusterError {
         Self::Sql(e.to_string())
     }
 }
-
-impl ClusterError {
-    /// A stable, single-line rendering used by the coordinator's TCP front
-    /// end (`ERR` frames).
-    pub fn wire_message(&self) -> String {
-        self.to_string().replace(['\r', '\n'], " ")
-    }
-}

@@ -14,14 +14,14 @@
 //!        ▼
 //!   ┌────────────────┐   ShardMap (hash of image id)
 //!   │ Coordinator     │─────────────────────────────┐
-//!   │  · poll(2) event│ pipelined     pipelined     │ route writes
-//!   │    loop front   │ scatter       scatter       │ (primary only)
-//!   │    end          ▼               ▼             ▼
-//!   │  · broadcast +  ┌─────────┐   ┌─────────┐   ┌─────────┐
-//!   │    merge        │ shard 0 │   │ shard 1 │ … │ shard N │
-//!   │  · distributed  │ primary │   │ primary │   │ primary │
-//!   │    top-k        └────┬────┘   └─────────┘   └─────────┘
-//!   │    refinement        │ WAL tail
+//!   │  · the service's│ pipelined     pipelined     │ route writes
+//!   │    Server, one  │ scatter       scatter       │ (primary only)
+//!   │    thread per   ▼               ▼             ▼
+//!   │    connection   ┌─────────┐   ┌─────────┐   ┌─────────┐
+//!   │  · broadcast +  │ shard 0 │   │ shard 1 │ … │ shard N │
+//!   │    merge        │ primary │   │ primary │   │ primary │
+//!   │  · distributed  └────┬────┘   └─────────┘   └─────────┘
+//!   │    top-k             │ WAL tail
 //!   └────────────────┘┌────▼────┐
 //!        ▲            │ replica │◄── reads round-robin here too,
 //!        │            └─────────┘    failover when an endpoint dies
@@ -38,9 +38,11 @@
 //!   multiplexed [`MuxClient`](masksearch_service::mux::MuxClient) link per
 //!   shard endpoint (a whole fan-out is one round trip), read balancing
 //!   across replicas with transport-error failover, write splitting with
-//!   per-shard atomicity, and aggregated `STATS`. The front end serves all
-//!   client connections from a readiness-driven `poll(2)` event loop plus a
-//!   small worker pool instead of a thread per connection.
+//!   per-shard atomicity, and aggregated `STATS`. The front end is the
+//!   service crate's [`Server`](masksearch_service::Server) with the
+//!   coordinator as its [`Backend`](masksearch_service::Backend): one
+//!   connection loop and one request dispatch for shards and coordinator
+//!   alike.
 //! * [`replica`] — a read replica of a shard: a fresh database that tails
 //!   the primary's checksummed WAL and applies committed transactions, kept
 //!   queryable throughout.
@@ -55,7 +57,6 @@
 
 pub mod coordinator;
 pub mod error;
-mod eventloop;
 pub mod metrics;
 pub mod replica;
 pub mod shard;

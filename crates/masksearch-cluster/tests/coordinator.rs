@@ -9,6 +9,7 @@ use masksearch_index::ChiConfig;
 use masksearch_query::{IndexingMode, Session, SessionConfig};
 use masksearch_service::{Client, Engine, Server, ServerHandle, ServiceConfig};
 use masksearch_storage::{Catalog, MaskStore, MemoryMaskStore};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const W: u32 = 16;
@@ -365,4 +366,265 @@ fn both_front_ends_bound_a_peers_line() {
         bystander.quit().unwrap();
     }
     front.shutdown();
+}
+
+/// Every statement that fails counts in `cluster_failed`, whichever entry
+/// point it came through and wherever it failed — compilation included.
+#[test]
+fn failed_statements_count_on_every_entry_point() {
+    let ids: Vec<u64> = (0..8).collect();
+    let cluster = cluster(2, &ids);
+    let coordinator = &cluster.coordinator;
+    assert!(coordinator.execute_sql("SELECT nonsense").is_err());
+    assert_eq!(coordinator.metrics().failed, 1);
+    assert!(coordinator
+        .execute_sql_tokened(5, "SELECT nonsense")
+        .is_err());
+    assert_eq!(coordinator.metrics().failed, 2);
+    assert!(coordinator
+        .execute_sql_tokened(6, "BEGIN; SELECT nonsense; COMMIT")
+        .is_err());
+    assert_eq!(coordinator.metrics().failed, 3);
+}
+
+/// Blocks mask loads while closed: a statement that must verify pixels
+/// stays pinned inside its engine until the gate opens.
+#[derive(Default)]
+struct Gate {
+    closed: std::sync::Mutex<bool>,
+    opened: std::sync::Condvar,
+}
+
+impl Gate {
+    fn set_closed(&self, closed: bool) {
+        *self.closed.lock().unwrap() = closed;
+        self.opened.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut closed = self.closed.lock().unwrap();
+        while *closed {
+            closed = self.opened.wait(closed).unwrap();
+        }
+    }
+}
+
+struct GatedStore {
+    inner: MemoryMaskStore,
+    gate: Arc<Gate>,
+}
+
+impl MaskStore for GatedStore {
+    fn put(&self, id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
+        self.inner.put(id, mask)
+    }
+    fn get(&self, id: MaskId) -> masksearch_storage::StorageResult<Mask> {
+        self.gate.pass();
+        self.inner.get(id)
+    }
+    fn contains(&self, id: MaskId) -> bool {
+        self.inner.contains(id)
+    }
+    fn ids(&self) -> Vec<MaskId> {
+        self.inner.ids()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn stored_bytes(&self, id: MaskId) -> masksearch_storage::StorageResult<u64> {
+        self.inner.stored_bytes(id)
+    }
+    fn total_bytes(&self) -> u64 {
+        self.inner.total_bytes()
+    }
+    fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
+        self.inner.io_stats()
+    }
+    fn disk_profile(&self) -> masksearch_storage::DiskProfile {
+        self.inner.disk_profile()
+    }
+}
+
+/// A shard server over `ids` whose loads pass `gate`, with no mask cache so
+/// every verification loads.
+fn gated_server(ids: &[u64], gate: &Arc<Gate>) -> ServerHandle {
+    let store = GatedStore {
+        inner: MemoryMaskStore::for_tests(),
+        gate: Arc::clone(gate),
+    };
+    let mut catalog = Catalog::new();
+    for &id in ids {
+        store.put(MaskId::new(id), &mask_for(id)).unwrap();
+        catalog.insert(record_for(id));
+    }
+    let session = Session::new(
+        Arc::new(store) as Arc<dyn MaskStore>,
+        catalog,
+        session_config().cache_bytes(0),
+    )
+    .unwrap();
+    Server::bind("127.0.0.1:0", Engine::new(session, ServiceConfig::new(2)))
+        .unwrap()
+        .spawn()
+}
+
+/// Reads `n` frames off a raw connection: tagged answers by tag, untagged
+/// ones in arrival order, each as "kind [rows]".
+fn read_frames(
+    reader: &mut std::io::BufReader<std::net::TcpStream>,
+    n: usize,
+) -> (BTreeMap<u64, String>, Vec<String>, Vec<u64>) {
+    use masksearch_service::protocol::{read_tagged_frame, Frame};
+    let (mut tagged, mut untagged, mut order) = (BTreeMap::new(), Vec::new(), Vec::new());
+    for _ in 0..n {
+        let (tag, frame) = read_tagged_frame(reader).unwrap();
+        let text = match frame {
+            Ok(Frame::Rows(rows)) => format!("ROWS {:?}", rows.rows),
+            Ok(Frame::Control(line)) => line.split(' ').next().unwrap().to_string(),
+            Ok(Frame::Delta(lines)) => format!("DELTA {}", lines.join(" ")),
+            Ok(Frame::Plan(_)) => "PLAN".to_string(),
+            Ok(other) => format!("{other:?}"),
+            Err(e) if e.to_string().contains("cannot be multiplexed") => "ERR multiplex".into(),
+            Err(_) => "ERR".to_string(),
+        };
+        match tag {
+            Some(id) => {
+                order.push(id);
+                tagged.insert(id, text);
+            }
+            None => untagged.push(text),
+        }
+    }
+    (tagged, untagged, order)
+}
+
+/// One front-end contract, run against a shard server and a coordinator
+/// front end over the same masks: pipelined tagged requests are answered
+/// out of order and routed by tag, untagged requests keep FIFO order on the
+/// same connection, a tagged `MONITOR` / `QUIT` is rejected, and `MONITOR`
+/// deltas sum to `STATS`. Rows and frame kinds match between the two.
+#[test]
+fn shard_and_coordinator_front_ends_keep_one_contract() {
+    use masksearch_obs::keys::MONITOR_DELTA_KEYS;
+    use std::io::{BufReader, Write};
+
+    let ids: Vec<u64> = (0..24).collect();
+    let gate = Arc::new(Gate::default());
+    let single = gated_server(&ids, &gate);
+    let map = ShardMap::new(2).unwrap();
+    let shards: Vec<ServerHandle> = (0..2)
+        .map(|shard| {
+            let owned: Vec<u64> = ids
+                .iter()
+                .copied()
+                .filter(|&id| map.shard_for_record(&record_for(id)) == shard)
+                .collect();
+            gated_server(&owned, &gate)
+        })
+        .collect();
+    let addrs = shards.iter().map(|s| s.local_addr().to_string()).collect();
+    let coordinator = Coordinator::connect(ClusterConfig::new(addrs)).unwrap();
+    let front = CoordinatorServer::bind("127.0.0.1:0", coordinator)
+        .unwrap()
+        .spawn();
+
+    // Unaligned ROI and range: the bounds decide nothing, so the statement
+    // loads masks — and waits at the gate.
+    let pinned = "SELECT mask_id FROM masks WHERE CP(mask, (1, 1, 15, 15), (0.55, 1.0)) > 88";
+    let oracle = session_over(&ids);
+    let expected = oracle
+        .execute(&masksearch_sql::compile(pinned).unwrap())
+        .unwrap();
+    assert!(
+        expected.stats.verified > 0,
+        "the pinned statement must load"
+    );
+    let ranked =
+        "SELECT mask_id, CP(mask, full, (0.5, 1.0)) AS s FROM masks ORDER BY s DESC LIMIT 4";
+
+    let mut transcripts = Vec::new();
+    for addr in [single.local_addr(), front.local_addr()] {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        // A frame that never comes fails the test instead of hanging it.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+
+        // Tagged, pipelined: the first request is pinned at the gate, so
+        // every later one overtakes it.
+        gate.set_closed(true);
+        write!(
+            writer,
+            "@1 {pinned}\n@2 PING\n@3 LOOKUP 0 1 999\n@4 MONITOR 1\n@5 QUIT\n@6 EXPLAIN {pinned}\n"
+        )
+        .unwrap();
+        let (early, _, order) = read_frames(&mut reader, 5);
+        assert!(
+            !order.contains(&1),
+            "{addr}: the pinned request answered early"
+        );
+        gate.set_closed(false);
+        let (late, _, _) = read_frames(&mut reader, 1);
+        assert_eq!(
+            late.get(&1),
+            Some(&format!("ROWS {:?}", expected.rows)),
+            "{addr}"
+        );
+        assert_eq!(early[&4], "ERR multiplex", "{addr}");
+        assert_eq!(early[&5], "ERR multiplex", "{addr}");
+
+        // Untagged lines keep FIFO order, with a tagged one in between.
+        write!(
+            writer,
+            "PING\n{ranked}\n@7 LOOKUP 2\nLOOKUP 0 1 999\nSELECT nonsense\n{pinned}\n"
+        )
+        .unwrap();
+        let (between, fifo, _) = read_frames(&mut reader, 6);
+
+        // MONITOR deltas over a subscription sum to the STATS that follows.
+        writeln!(writer, "MONITOR 2 5\nSTATS").unwrap();
+        let (_, monitor, _) = read_frames(&mut reader, 2);
+        let stats = {
+            let mut line = String::new();
+            std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+            let mut end = String::new();
+            std::io::BufRead::read_line(&mut reader, &mut end).unwrap();
+            line
+        };
+        for key in MONITOR_DELTA_KEYS {
+            let summed: u64 = monitor
+                .iter()
+                .flat_map(|frame| frame.split(' '))
+                .filter_map(|token| token.strip_prefix(&format!("{key}=")))
+                .map(|v| v.parse::<u64>().unwrap())
+                .sum();
+            let reported = stats
+                .split_ascii_whitespace()
+                .find_map(|token| token.strip_prefix(&format!("{key}=")))
+                .map(|v| v.parse::<u64>().unwrap());
+            assert_eq!(Some(summed), reported, "{addr}: {key} in {stats}");
+        }
+        writeln!(writer, "QUIT").unwrap();
+        transcripts.push((early, late, between, fifo));
+    }
+    assert_eq!(transcripts[0], transcripts[1]);
+    let (early, _, between, fifo) = &transcripts[0];
+    assert_eq!(early[&2], "PONG");
+    assert_eq!(early[&6], "PLAN");
+    assert_eq!(early[&3], format!("ROWS {:?}", ids_rows(&[0, 1])));
+    assert_eq!(between[&7], format!("ROWS {:?}", ids_rows(&[2])));
+    assert_eq!(fifo[0], "PONG");
+    assert!(fifo[1].starts_with("ROWS"));
+    assert_eq!(fifo[2], format!("ROWS {:?}", ids_rows(&[0, 1])));
+    assert_eq!(fifo[3], "ERR");
+    assert_eq!(fifo[4], format!("ROWS {:?}", expected.rows));
+    front.shutdown();
+}
+
+fn ids_rows(ids: &[u64]) -> Vec<masksearch_query::ResultRow> {
+    ids.iter()
+        .map(|&id| masksearch_query::ResultRow::mask(MaskId::new(id), None))
+        .collect()
 }

@@ -1,14 +1,18 @@
-//! A lock-free log₂-bucket histogram for microsecond durations.
+//! A lock-free log₂-bucket histogram for microsecond durations — the one
+//! histogram of the workspace: the service's latency and queue-wait
+//! distributions and the windowed time series all bucket with it, so
+//! percentiles stay comparable across surfaces.
 //!
 //! Bucket `i` counts observations in `[2^i, 2^(i+1))` µs (bucket 0 also
-//! holds sub-microsecond observations), mirroring the latency histogram the
-//! service has always used so percentiles stay comparable across surfaces.
+//! holds sub-microsecond observations; the last bucket is unbounded above),
+//! and a percentile reports the exclusive upper edge `2^(i+1)` of the bucket
+//! holding its rank.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of buckets: covers up to 2^31 µs ≈ 36 minutes, far beyond any
-/// query.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+/// Number of buckets: the last one starts at 2^30 µs (≈18 minutes) and its
+/// reported edge is 2^31 µs, far beyond any query.
+pub const HISTOGRAM_BUCKETS: usize = 31;
 
 /// A concurrent histogram of microsecond durations with power-of-two
 /// buckets.
@@ -17,6 +21,7 @@ pub struct LogHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     total_us: AtomicU64,
     count: AtomicU64,
+    max_us: AtomicU64,
 }
 
 impl Default for LogHistogram {
@@ -32,10 +37,12 @@ impl LogHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             total_us: AtomicU64::new(0),
             count: AtomicU64::new(0),
+            max_us: AtomicU64::new(0),
         }
     }
 
-    fn bucket_of(micros: u64) -> usize {
+    /// The bucket an observation of `micros` microseconds lands in.
+    pub(crate) fn bucket_of(micros: u64) -> usize {
         if micros == 0 {
             0
         } else {
@@ -43,11 +50,31 @@ impl LogHistogram {
         }
     }
 
+    /// Upper-bound estimate of the `p`-th percentile from raw bucket
+    /// counts: the exclusive upper edge of the bucket holding that rank (0
+    /// when empty).
+    pub(crate) fn percentile_of(counts: &[u64; HISTOGRAM_BUCKETS], p: f64) -> u64 {
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return 1u64 << (i + 1);
+            }
+        }
+        1u64 << HISTOGRAM_BUCKETS
+    }
+
     /// Records one observation of `micros` microseconds.
     pub fn record(&self, micros: u64) {
         self.buckets[Self::bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
         self.total_us.fetch_add(micros, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.max_us.fetch_max(micros, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -60,6 +87,12 @@ impl LogHistogram {
         self.total_us.load(Ordering::Relaxed)
     }
 
+    /// Largest observation in microseconds (0 when empty) — the service
+    /// clamps its reported quantiles to it.
+    pub fn max_us(&self) -> u64 {
+        self.max_us.load(Ordering::Relaxed)
+    }
+
     /// Mean observation in microseconds (0 when empty).
     pub fn mean_us(&self) -> u64 {
         self.total_us().checked_div(self.count()).unwrap_or(0)
@@ -68,20 +101,7 @@ impl LogHistogram {
     /// Upper-bound estimate of the `p`-th percentile in microseconds: the
     /// exclusive upper edge of the bucket holding that rank (0 when empty).
     pub fn percentile_us(&self, p: f64) -> u64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        1u64 << HISTOGRAM_BUCKETS
+        Self::percentile_of(&self.bucket_counts(), p)
     }
 
     /// Point-in-time bucket counts.
@@ -102,7 +122,7 @@ impl LogHistogram {
                 // (cumulative counts make skipped empties recoverable).
                 continue;
             }
-            let le_seconds = (1u64 << (i + 1).min(63)) as f64 / 1e6;
+            let le_seconds = (1u64 << (i + 1)) as f64 / 1e6;
             out.push_str(&format!(
                 "{name}_bucket{{le=\"{le_seconds}\"}} {cumulative}\n"
             ));
@@ -128,6 +148,19 @@ mod tests {
     }
 
     #[test]
+    fn bucket_mapping_covers_the_range() {
+        assert_eq!(LogHistogram::bucket_of(0), 0);
+        assert!(LogHistogram::bucket_of(u64::MAX) < HISTOGRAM_BUCKETS);
+        // Buckets are non-decreasing in the observation.
+        let mut last = 0;
+        for exp in 0..40u32 {
+            let b = LogHistogram::bucket_of(1u64 << exp);
+            assert!(b >= last);
+            last = b;
+        }
+    }
+
+    #[test]
     fn percentiles_and_mean() {
         let h = LogHistogram::new();
         for us in [1u64, 2, 4, 8, 1000] {
@@ -136,6 +169,7 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.total_us(), 1015);
         assert_eq!(h.mean_us(), 203);
+        assert_eq!(h.max_us(), 1000);
         // p50 rank=3 lands in the bucket of 4 -> upper edge 8.
         assert_eq!(h.percentile_us(50.0), 8);
         assert!(h.percentile_us(99.0) >= 1024);

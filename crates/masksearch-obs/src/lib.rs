@@ -18,7 +18,8 @@
 //!   line and the cluster `SUM_KEYS` aggregation, so the two surfaces can
 //!   never drift.
 //! - [`prom`]: a tiny Prometheus text-exposition builder (and validator).
-//! - [`LogHistogram`]: log₂-bucket latency histograms for per-stage walls.
+//! - [`LogHistogram`]: the log₂-bucket latency histogram behind the
+//!   service's latency and queue-wait distributions and the time series.
 //! - [`SlowQueryLog`]: a JSON-lines slow-query log with a configurable
 //!   threshold.
 //! - [`ProfileRing`]: a bounded ring of recent query profiles, queryable

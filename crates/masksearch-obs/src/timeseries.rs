@@ -15,7 +15,7 @@
 //! WAL commits) over its span.
 
 use crate::counters;
-use crate::histogram::HISTOGRAM_BUCKETS;
+use crate::histogram::{LogHistogram, HISTOGRAM_BUCKETS};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -192,7 +192,7 @@ impl TimeSeries {
                 bucket.failed += 1;
             }
             bucket.total_us += wall_us;
-            bucket.latency[log2_bucket(wall_us)] += 1;
+            bucket.latency[LogHistogram::bucket_of(wall_us)] += 1;
             bucket.stages.candidates += stages.candidates;
             bucket.stages.pruned += stages.pruned;
             bucket.stages.verified += stages.verified;
@@ -265,8 +265,8 @@ impl TimeSeries {
             queries,
             failed,
             qps: queries as f64 / secs as f64,
-            p50_us: percentile_from_buckets(&latency, 50.0),
-            p99_us: percentile_from_buckets(&latency, 99.0),
+            p50_us: LogHistogram::percentile_of(&latency, 50.0),
+            p99_us: LogHistogram::percentile_of(&latency, 99.0),
             mean_us: total_us.checked_div(queries).unwrap_or(0),
             stages,
             counter_deltas,
@@ -314,34 +314,6 @@ impl TimeSeries {
             }
         }
     }
-}
-
-/// Log₂ bucket index for a microsecond value; mirrors
-/// [`crate::LogHistogram`] so percentiles stay comparable across surfaces.
-fn log2_bucket(micros: u64) -> usize {
-    if micros == 0 {
-        0
-    } else {
-        ((64 - micros.leading_zeros()) as usize - 1).min(HISTOGRAM_BUCKETS - 1)
-    }
-}
-
-/// Upper-bound percentile (exclusive upper bucket edge) from raw log₂
-/// bucket counts; 0 when empty.
-fn percentile_from_buckets(counts: &[u64; HISTOGRAM_BUCKETS], p: f64) -> u64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return 1u64 << (i + 1).min(63);
-        }
-    }
-    1u64 << HISTOGRAM_BUCKETS
 }
 
 #[cfg(test)]

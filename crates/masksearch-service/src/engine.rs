@@ -8,6 +8,7 @@
 //! state (CHI store, mask cache, aggregated indexes) is behind interior
 //! locks, concurrent execution needs no coordination beyond the queue.
 
+use crate::backend::Backend;
 use crate::batch::{self, BatchOutput};
 use crate::config::{AdmissionPolicy, ServiceConfig};
 use crate::dedup::{Admission, MutationDedup};
@@ -16,6 +17,7 @@ use crate::job::{
     Job, MutationResponse, PartialResponse, QueryResponse, Request, Response, Ticket,
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::protocol::{ClientRequest, RecordControl};
 use crate::queue::{JobQueue, PushError};
 use masksearch_core::MaskId;
 use masksearch_obs::{
@@ -293,10 +295,488 @@ impl Engine {
         snapshot
     }
 
+    /// The engine's slow-query log (threshold set by
+    /// [`ServiceConfig::slow_query`]).
+    pub fn slow_log(&self) -> &SlowQueryLog {
+        &self.shared.slow_log
+    }
+
+    /// Summary of the last `secs` seconds of activity from the windowed
+    /// time series (rates, latency percentiles, stage sums, and global
+    /// counter deltas over the window).
+    pub fn window(&self, secs: u64) -> WindowSummary {
+        self.shared.timeseries.window(secs)
+    }
+
+    /// Opens a flight-recorder capture for one statement, if recording.
+    /// Taken at entry (before compilation) so the arrival timestamp
+    /// reflects when the statement reached the service.
+    fn begin_capture(&self) -> Option<CaptureStart> {
+        if !self.shared.recorder.is_active() {
+            return None;
+        }
+        Some(CaptureStart {
+            arrival_us: self.shared.epoch.elapsed().as_micros() as u64,
+            started: Instant::now(),
+        })
+    }
+
+    /// Writes one captured statement to the flight recorder.
+    fn capture(
+        &self,
+        start: CaptureStart,
+        entry: Entry,
+        sql: &str,
+        result: &ServiceResult<Response>,
+    ) {
+        let (kind, aux) = match entry {
+            Entry::Statement(None) | Entry::Query => (RecordKind::Statement, 0),
+            Entry::Statement(Some(token)) => (RecordKind::Tokened, token),
+            Entry::Partial(k) => (RecordKind::Partial, k as u64),
+        };
+        let query = |r: &QueryResponse, bound: Option<f64>| {
+            let s = &r.output.stats;
+            (
+                true,
+                r.output.rows.len() as u64,
+                [s.candidates, s.pruned, s.verified, s.masks_loaded, 0, 0],
+                crate::protocol::digest_query_response(r, bound),
+                r.exec_time.as_micros() as u64,
+            )
+        };
+        let (ok, rows, counters, digest, wall_us) = match result {
+            Ok(Response::Single(r)) => query(r, None),
+            Ok(Response::Partial(p)) => query(&p.response, p.bound),
+            Ok(Response::Mutation(m)) => (
+                true,
+                0,
+                [
+                    0,
+                    0,
+                    0,
+                    0,
+                    m.outcome.inserted as u64,
+                    m.outcome.deleted as u64,
+                ],
+                crate::protocol::digest_mutation_response(m),
+                m.exec_time.as_micros() as u64,
+            ),
+            Ok(Response::Plan(lines)) => (
+                true,
+                lines.len() as u64,
+                [0; 6],
+                crate::protocol::digest_plan_lines(lines),
+                start.started.elapsed().as_micros() as u64,
+            ),
+            // Batches never come through the statement path.
+            Ok(Response::Batch(_)) => return,
+            Err(e) => (
+                false,
+                0,
+                [0; 6],
+                crate::protocol::digest_error_message(&e.wire_message()),
+                start.started.elapsed().as_micros() as u64,
+            ),
+        };
+        let shape = match result {
+            Err(_) => "error".to_string(),
+            Ok(Response::Plan(_)) => "explain".to_string(),
+            Ok(Response::Mutation(_)) => {
+                let upper = sql.trim_start().to_ascii_uppercase();
+                if upper.starts_with("INSERT") {
+                    "insert".to_string()
+                } else if upper.starts_with("DELETE") {
+                    "delete".to_string()
+                } else if upper.starts_with("UPDATE") {
+                    "update".to_string()
+                } else if upper.starts_with("BEGIN") {
+                    "transaction".to_string()
+                } else {
+                    "mutation".to_string()
+                }
+            }
+            Ok(_) => match masksearch_sql::compile_statement(sql) {
+                Ok(Statement::Query(query)) => {
+                    masksearch_query::shape_key(&query, self.shared.session.config())
+                }
+                _ => "query".to_string(),
+            },
+        };
+        self.shared.recorder.record(&RecordedQuery {
+            arrival_us: start.arrival_us,
+            wall_us,
+            kind,
+            ok,
+            rows,
+            aux,
+            counters,
+            digest,
+            shape,
+            sql: sql.to_string(),
+        });
+    }
+
+    fn submit_request(
+        &self,
+        request: Request,
+        deadline: Option<Duration>,
+    ) -> ServiceResult<Ticket> {
+        self.submit_labeled(request, deadline, None)
+    }
+
+    fn submit_labeled(
+        &self,
+        request: Request,
+        deadline: Option<Duration>,
+        statement: Option<Arc<str>>,
+    ) -> ServiceResult<Ticket> {
+        if self.shared.shutting_down.load(Ordering::Acquire) {
+            return Err(ServiceError::ShuttingDown);
+        }
+        let submitted = Instant::now();
+        let deadline = deadline
+            .or(self.config.default_deadline)
+            .map(|d| submitted + d);
+        let (reply, receiver) = mpsc::channel();
+        let job = Job {
+            request,
+            submitted,
+            deadline,
+            reply,
+            statement,
+        };
+        let pushed = match self.config.admission {
+            AdmissionPolicy::Reject => self.shared.queue.try_push(job),
+            AdmissionPolicy::Block => self.shared.queue.push_blocking(job),
+        };
+        match pushed {
+            Ok(()) => {
+                self.shared.metrics.record_submitted();
+                Ok(Ticket {
+                    submitted,
+                    receiver,
+                })
+            }
+            Err(PushError::Full(_)) => {
+                self.shared.metrics.record_rejected();
+                Err(ServiceError::QueueFull {
+                    depth: self.config.queue_depth,
+                })
+            }
+            Err(PushError::Closed(_)) => Err(ServiceError::ShuttingDown),
+        }
+    }
+
+    /// Submits one query; redeem the returned [`Ticket`] for the result.
+    pub fn submit(&self, query: Query) -> ServiceResult<Ticket> {
+        self.submit_request(Request::Single(query), None)
+    }
+
+    /// Submits one query with an explicit deadline (overrides the default).
+    pub fn submit_with_deadline(&self, query: Query, deadline: Duration) -> ServiceResult<Ticket> {
+        self.submit_request(Request::Single(query), Some(deadline))
+    }
+
+    /// Submits a batch executed with shared filter/verification work.
+    pub fn submit_batch(&self, queries: Vec<Query>) -> ServiceResult<Ticket> {
+        self.submit_request(Request::Batch(queries), None)
+    }
+
+    /// Submits a ranked query in partial (cluster-shard) mode with a
+    /// per-shard `k`; redeem the ticket with [`Ticket::wait_partial`].
+    pub fn submit_partial(&self, query: Query, k: usize) -> ServiceResult<Ticket> {
+        self.submit_request(Request::Partial { query, k }, None)
+    }
+
+    /// Compiles a ranked SQL statement and executes it in partial mode: the
+    /// statement's own `LIMIT` is replaced by `k` and the response reports
+    /// the k-th value as a bound on every unreturned candidate. Non-ranked
+    /// statements execute normally (with no bound); writes are rejected.
+    pub fn execute_partial_sql(&self, sql: &str, k: usize) -> ServiceResult<PartialResponse> {
+        match self.run(sql, Entry::Partial(k))? {
+            Response::Partial(partial) => Ok(partial),
+            _ => unreachable!("a partial statement answers with a partial response"),
+        }
+    }
+
+    /// Submits a write (an atomic INSERT/DELETE batch); redeem the ticket
+    /// with [`Ticket::wait_mutation`].
+    pub fn submit_mutation(&self, mutation: Mutation) -> ServiceResult<Ticket> {
+        self.submit_request(Request::Mutation(mutation), None)
+    }
+
+    /// Submits a write and blocks for its outcome.
+    pub fn execute_mutation(&self, mutation: Mutation) -> ServiceResult<MutationResponse> {
+        self.submit_mutation(mutation)?.wait_mutation()
+    }
+
+    /// Submits a transaction (every mutation lands in one storage commit or
+    /// none do); redeem the ticket with [`Ticket::wait_mutation`].
+    pub fn submit_transaction(&self, mutations: Vec<Mutation>) -> ServiceResult<Ticket> {
+        self.submit_request(Request::Transaction(mutations), None)
+    }
+
+    /// Submits a transaction and blocks for its summed outcome.
+    pub fn execute_transaction(&self, mutations: Vec<Mutation>) -> ServiceResult<MutationResponse> {
+        self.submit_transaction(mutations)?.wait_mutation()
+    }
+
+    /// Compiles any SQL statement — SELECT, INSERT, DELETE, UPDATE, DDL,
+    /// `EXPLAIN [ANALYZE]` or a `BEGIN; …; COMMIT` script — and executes it,
+    /// returning the matching response variant. This is the statement path
+    /// the TCP front end uses, so network clients can ingest masks while
+    /// other clients query.
+    pub fn execute_statement(&self, sql: &str) -> ServiceResult<Response> {
+        self.run(sql, Entry::Statement(None))
+    }
+
+    /// Executes a SQL statement carrying a client deduplication token
+    /// (`TOKEN <id> <sql>`). Queries execute normally (tokens are
+    /// meaningless for side-effect-free reads). A mutation whose token
+    /// already applied is answered from the recorded outcome without
+    /// touching the store — this is what makes a client's
+    /// resend-after-transport-error exactly-once. A duplicate racing the
+    /// original blocks until the original finishes.
+    pub fn execute_statement_tokened(&self, token: u64, sql: &str) -> ServiceResult<Response> {
+        self.run(sql, Entry::Statement(Some(token)))
+    }
+
+    /// Compiles a SQL query in the MaskSearch dialect and executes it.
+    pub fn execute_sql(&self, sql: &str) -> ServiceResult<QueryResponse> {
+        match self.run(sql, Entry::Query)? {
+            Response::Single(response) => Ok(response),
+            _ => unreachable!("a query answers with rows"),
+        }
+    }
+
+    /// The one statement path behind every SQL entry point: compiles `sql`
+    /// as `entry` asks, executes it, and — while the flight recorder is on —
+    /// captures the outcome.
+    fn run(&self, sql: &str, entry: Entry) -> ServiceResult<Response> {
+        let start = self.begin_capture();
+        let result = self.dispatch(sql, entry);
+        if let Some(start) = start {
+            self.capture(start, entry, sql, &result);
+        }
+        result
+    }
+
+    fn dispatch(&self, sql: &str, entry: Entry) -> ServiceResult<Response> {
+        let token = match entry {
+            Entry::Statement(token) => token,
+            Entry::Query => return self.query(Request::Single(masksearch_sql::compile(sql)?), sql),
+            Entry::Partial(k) => {
+                return match masksearch_sql::compile_statement(sql)? {
+                    Statement::Query(query) => self.query(Request::Partial { query, k }, sql),
+                    Statement::Mutation(_) | Statement::Control(_) => Err(ServiceError::Sql(
+                        "PARTIAL applies to queries, not writes".to_string(),
+                    )),
+                }
+            }
+        };
+        if let Some((mode, inner)) = masksearch_sql::strip_explain(sql) {
+            // Dedup tokens are meaningless for side-effect-free explains.
+            return Ok(Response::Plan(
+                self.explain_sql(mode == ExplainMode::Analyze, inner)?,
+            ));
+        }
+        if let Some((mutations, commit)) =
+            masksearch_sql::compile_transaction_script(sql).map_err(ServiceError::Sql)?
+        {
+            // The whole script dedups as one unit; one that ended in
+            // ROLLBACK applies nothing and never touches the queue.
+            return self.deduped(token, || {
+                if commit {
+                    self.execute_transaction(mutations)
+                } else {
+                    Ok(MutationResponse::untimed(MutationOutcome::default()))
+                }
+            });
+        }
+        match masksearch_sql::compile_statement(sql)? {
+            Statement::Query(query) => self.query(Request::Single(query), sql),
+            Statement::Mutation(mutation) => {
+                self.deduped(token, || self.execute_mutation(mutation))
+            }
+            Statement::Control(_) => Err(bare_control_error()),
+        }
+    }
+
+    /// Submits a compiled query labelled with its SQL text (what profiles
+    /// and the slow-query log show) and waits for the answer.
+    fn query(&self, request: Request, sql: &str) -> ServiceResult<Response> {
+        self.submit_labeled(request, None, Some(Arc::from(sql)))?
+            .wait()
+    }
+
+    /// Applies a write at most once per client token: a resend whose
+    /// original already applied is answered from the recorded outcome
+    /// without touching the store. Without a token the write just applies.
+    fn deduped(
+        &self,
+        token: Option<u64>,
+        apply: impl FnOnce() -> ServiceResult<MutationResponse>,
+    ) -> ServiceResult<Response> {
+        let Some(token) = token else {
+            return apply().map(Response::Mutation);
+        };
+        let response = match self.shared.dedup.begin(token) {
+            Admission::Replay(outcome) => {
+                self.shared.metrics.record_mutation_deduped();
+                MutationResponse::untimed(outcome)
+            }
+            Admission::Execute => {
+                // The permit abandons the token on *any* exit — error or
+                // unwind — that does not record an outcome, so a resend can
+                // never park forever behind a dead execution.
+                let permit = self.shared.dedup.permit(token);
+                let response = apply()?;
+                permit.finish(response.outcome);
+                response
+            }
+        };
+        Ok(Response::Mutation(response))
+    }
+
+    /// Compiles a SQL query and returns its rendered plan tree, executing it
+    /// first when `analyze` is set (`EXPLAIN ANALYZE`) so the plan carries
+    /// the measured statistics. Writes cannot be explained.
+    pub fn explain_sql(&self, analyze: bool, sql: &str) -> ServiceResult<Vec<String>> {
+        match masksearch_sql::compile_statement(sql)? {
+            Statement::Query(query) => self
+                .submit_labeled(
+                    Request::Explain { query, analyze },
+                    None,
+                    Some(Arc::from(sql)),
+                )?
+                .wait_plan(),
+            Statement::Mutation(_) | Statement::Control(_) => Err(ServiceError::Sql(
+                "EXPLAIN applies to queries, not writes".to_string(),
+            )),
+        }
+    }
+
+    /// Submits a query and blocks for its result.
+    pub fn execute(&self, query: &Query) -> ServiceResult<QueryResponse> {
+        self.submit(query.clone())?.wait_single()
+    }
+
+    /// Submits a batch and blocks for all of its results.
+    pub fn execute_batch(&self, queries: Vec<Query>) -> ServiceResult<BatchOutput> {
+        self.submit_batch(queries)?.wait_batch()
+    }
+
+    /// Stops accepting work, fails queued-but-unstarted jobs with
+    /// [`ServiceError::ShuttingDown`], and joins the worker pool. Idempotent;
+    /// also happens automatically when the last `Engine` clone drops.
+    pub fn shutdown(&self) {
+        self.pool.shutdown();
+    }
+
+    /// Handles one untagged SQL line that interacts with the connection's
+    /// transaction state: bare `BEGIN` / `COMMIT` / `ROLLBACK`, and — while a
+    /// transaction is open — every statement on the connection. Nothing is
+    /// applied before `COMMIT` reaches the engine.
+    fn transaction_line(
+        &self,
+        txn: &mut Option<Vec<Mutation>>,
+        sql: &str,
+    ) -> ServiceResult<Response> {
+        let fail = |msg: &str| Err(ServiceError::Sql(msg.to_string()));
+        let buffered = || {
+            Ok(Response::Mutation(MutationResponse::untimed(
+                MutationOutcome::default(),
+            )))
+        };
+        // A parse error answers with ERR and leaves any open transaction
+        // open: the client decides whether to retry the line or roll back.
+        let statements = masksearch_sql::compile_script(sql)?;
+        if statements.len() != 1 {
+            if txn.is_some() {
+                return fail("finish the open transaction before sending a multi-statement script");
+            }
+            // No open transaction: the script path owns `BEGIN; ...`.
+            return self.execute_statement(sql);
+        }
+        let statement = statements.into_iter().next().expect("one statement");
+        match (statement, txn.as_mut()) {
+            (Statement::Control(TxnControl::Begin), None) => {
+                *txn = Some(Vec::new());
+                buffered()
+            }
+            (Statement::Control(TxnControl::Begin), Some(_)) => {
+                fail("transaction already open (transactions do not nest)")
+            }
+            (Statement::Control(TxnControl::Commit | TxnControl::Rollback), None) => {
+                fail("no open transaction")
+            }
+            (Statement::Control(TxnControl::Commit), Some(_)) => {
+                let mutations = txn.take().expect("open transaction");
+                self.execute_transaction(mutations).map(Response::Mutation)
+            }
+            (Statement::Control(TxnControl::Rollback), Some(_)) => {
+                *txn = None;
+                buffered()
+            }
+            (Statement::Mutation(mutation), Some(buffer)) => {
+                buffer.push(mutation);
+                buffered()
+            }
+            (Statement::Query(_), Some(_)) => fail(
+                "queries are not allowed inside an open transaction; \
+                 its writes are not visible until COMMIT",
+            ),
+            // No transaction open and not a control statement: ordinary path.
+            (Statement::Mutation(_) | Statement::Query(_), None) => self.execute_statement(sql),
+        }
+    }
+}
+
+/// The engine behind a [`Server`](crate::Server): a connection keeps its
+/// interactive transaction (protocol v7) — a bare `BEGIN` opens a buffer,
+/// DML statements buffer into it (each acknowledged with a zero-outcome
+/// `OK`), `COMMIT` submits it as one atomic transaction whose `OK` reports
+/// the summed outcome, and `ROLLBACK` or the connection closing discards it.
+impl Backend for Engine {
+    type Conn = Option<Vec<Mutation>>;
+    type Error = ServiceError;
+
+    fn connection_request(
+        &self,
+        txn: &mut Self::Conn,
+        request: &ClientRequest,
+    ) -> Option<ServiceResult<Response>> {
+        match request {
+            ClientRequest::Sql(sql) if txn.is_some() || leading_txn_keyword(sql) => {
+                Some(self.transaction_line(txn, sql))
+            }
+            ClientRequest::Tokened { .. } | ClientRequest::Partial { .. } if txn.is_some() => {
+                Some(Err(ServiceError::Protocol(
+                    "not allowed inside an open transaction; COMMIT or ROLLBACK first".to_string(),
+                )))
+            }
+            _ => None,
+        }
+    }
+
+    fn statement(&self, token: Option<u64>, sql: &str) -> ServiceResult<Response> {
+        self.run(sql, Entry::Statement(token))
+    }
+
+    fn partial(&self, k: usize, sql: &str) -> ServiceResult<PartialResponse> {
+        self.execute_partial_sql(sql, k)
+    }
+
+    fn stats_line(&self, active_connections: u64) -> ServiceResult<String> {
+        let mut metrics = self.metrics();
+        metrics.active_connections = active_connections;
+        Ok(crate::protocol::stats_line(&metrics))
+    }
+
     /// Everything the server knows, as a Prometheus text exposition
     /// (version 0.0.4): service counters and gauges, the process-global
     /// observability counters, and the latency/queue-wait histograms.
-    pub fn prometheus_text(&self) -> String {
+    fn prometheus_text(&self) -> String {
         let s = self.metrics();
         let mut p = PromText::new();
         p.counter(
@@ -470,22 +950,17 @@ impl Engine {
                 value,
             );
         }
+        p.histogram(
+            "masksearch_query_latency_seconds",
+            "End-to-end query latency (submission to completion).",
+            self.shared.metrics.latency(),
+        );
+        p.histogram(
+            "masksearch_queue_wait_seconds",
+            "Time jobs spent queued before a worker picked them up.",
+            self.shared.metrics.queue_wait(),
+        );
         let mut text = p.finish();
-        for (name, help, histogram) in [
-            (
-                "masksearch_query_latency_seconds",
-                "End-to-end query latency (submission to completion).",
-                &s.latency,
-            ),
-            (
-                "masksearch_queue_wait_seconds",
-                "Time jobs spent queued before a worker picked them up.",
-                &s.queue_wait,
-            ),
-        ] {
-            text.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-            histogram.render_prometheus(name, &mut text);
-        }
         // Windowed gauges (last minute, last five minutes) from the bounded
         // time-series rings.
         self.shared
@@ -494,72 +969,62 @@ impl Engine {
         text
     }
 
-    /// The most recent `n` traced query profiles, newest first.
-    pub fn recent_profiles(&self, n: usize) -> Vec<QueryProfile> {
-        self.shared.profiles.recent(n)
-    }
-
-    /// The engine's slow-query log (threshold set by
-    /// [`ServiceConfig::slow_query`]).
-    pub fn slow_log(&self) -> &SlowQueryLog {
-        &self.shared.slow_log
-    }
-
-    /// Summary of the last `secs` seconds of activity from the windowed
-    /// time series (rates, latency percentiles, stage sums, and global
-    /// counter deltas over the window).
-    pub fn window(&self, secs: u64) -> WindowSummary {
-        self.shared.timeseries.window(secs)
-    }
-
-    /// The windowed gauges for `secs` as a Prometheus text exposition (the
-    /// payload of a `METRICS WINDOW <secs>` frame).
-    pub fn metrics_window_text(&self, secs: u64) -> String {
+    fn metrics_window_text(&self, secs: u64) -> String {
         let mut text = String::new();
         self.shared.timeseries.render_prometheus(&[secs], &mut text);
         text
     }
 
-    /// Current flight-recorder state.
-    pub fn recorder_status(&self) -> RecorderStatus {
-        self.shared.recorder.status()
+    /// Starts (a missing path means [`ServiceConfig::record_to`]), stops
+    /// (flushing) or reports the flight recorder.
+    fn record(&self, control: &RecordControl) -> ServiceResult<RecorderStatus> {
+        let recorder = &self.shared.recorder;
+        match control {
+            RecordControl::Start(path) => {
+                let path = match path {
+                    Some(p) => std::path::PathBuf::from(p),
+                    None => self.config.record_to.clone().ok_or_else(|| {
+                        ServiceError::Protocol(
+                            "RECORD START needs a path (no recording path configured)".to_string(),
+                        )
+                    })?,
+                };
+                recorder
+                    .start(&path, self.config.recorder_budget)
+                    .map_err(|e| {
+                        ServiceError::Io(format!("cannot record to {}: {e}", path.display()))
+                    })?;
+            }
+            RecordControl::Stop => recorder
+                .stop()
+                .map_err(|e| ServiceError::Io(format!("recorder flush failed: {e}")))?,
+            RecordControl::Status => {}
+        }
+        Ok(recorder.status())
     }
 
-    /// Starts (or resumes) the flight recorder. Without an explicit path the
-    /// configured [`ServiceConfig::record_to`] path is used.
-    pub fn record_start(&self, path: Option<&str>) -> ServiceResult<RecorderStatus> {
-        let path = match path {
-            Some(p) => std::path::PathBuf::from(p),
-            None => self.config.record_to.clone().ok_or_else(|| {
-                ServiceError::Protocol(
-                    "RECORD START needs a path (no recording path configured)".to_string(),
-                )
-            })?,
-        };
-        self.shared
-            .recorder
-            .start(&path, self.config.recorder_budget)
-            .map_err(|e| ServiceError::Io(format!("cannot record to {}: {e}", path.display())))?;
-        Ok(self.shared.recorder.status())
+    fn profiles(&self, n: usize) -> Vec<QueryProfile> {
+        self.shared.profiles.recent(n)
     }
 
-    /// Flushes and stops the flight recorder.
-    pub fn record_stop(&self) -> ServiceResult<RecorderStatus> {
-        self.shared
-            .recorder
-            .stop()
-            .map_err(|e| ServiceError::Io(format!("recorder flush failed: {e}")))?;
-        Ok(self.shared.recorder.status())
+    /// The ids this engine's session holds among `ids`, or all of them — how
+    /// a cluster coordinator resolves and seeds its mask-id → shard owners.
+    fn lookup(&self, ids: Option<&[MaskId]>) -> ServiceResult<Vec<MaskId>> {
+        Ok(match ids {
+            Some(ids) => ids
+                .iter()
+                .copied()
+                .filter(|&id| self.shared.session.record(id).is_ok())
+                .collect(),
+            None => self.shared.session.store().ids(),
+        })
     }
 
-    /// Current cumulative values of the monotonic counters a `MONITOR`
-    /// subscription streams as deltas, keyed by
-    /// [`obs_keys::MONITOR_DELTA_KEYS`]. A subscriber's baseline is zero,
-    /// so deltas summed over a subscription equal these values at its last
-    /// sample — the same numbers `STATS` reports.
-    pub fn monitor_values(&self) -> Vec<(&'static str, u64)> {
+    /// The same numbers `STATS` reports, keyed by
+    /// [`obs_keys::MONITOR_DELTA_KEYS`].
+    fn monitor_values(&self) -> ServiceResult<Vec<(&'static str, u64)>> {
         let m = self.metrics();
-        obs_keys::MONITOR_DELTA_KEYS
+        Ok(obs_keys::MONITOR_DELTA_KEYS
             .iter()
             .map(|&key| {
                 let value = match key {
@@ -590,454 +1055,23 @@ impl Engine {
                 };
                 (key, value)
             })
-            .collect()
+            .collect())
     }
+}
 
-    /// Which of the given mask ids this engine's session currently holds.
-    /// Used by a cluster coordinator to resolve the owning shard of each id
-    /// before routing a `DELETE`.
-    pub fn lookup(&self, ids: &[MaskId]) -> Vec<MaskId> {
-        ids.iter()
-            .copied()
-            .filter(|&id| self.shared.session.record(id).is_ok())
-            .collect()
-    }
-
-    /// Every mask id this engine's session currently holds (the answer to a
-    /// `LOOKUP *`). Used by a cluster coordinator to seed its mask-id →
-    /// shard owner map in one round trip per shard instead of broadcasting
-    /// per-statement lookups.
-    pub fn lookup_all(&self) -> Vec<MaskId> {
-        self.shared.session.store().ids()
-    }
-
-    /// Opens a flight-recorder capture for one statement, if recording.
-    /// Taken at entry (before compilation) so the arrival timestamp
-    /// reflects when the statement reached the service.
-    fn begin_capture(&self) -> Option<CaptureStart> {
-        if !self.shared.recorder.is_active() {
-            return None;
-        }
-        Some(CaptureStart {
-            arrival_us: self.shared.epoch.elapsed().as_micros() as u64,
-            started: Instant::now(),
-        })
-    }
-
-    /// Writes one captured statement to the flight recorder. No-op when
-    /// `start` is `None` (recording was off at arrival).
-    fn capture(
-        &self,
-        start: Option<CaptureStart>,
-        kind: RecordKind,
-        aux: u64,
-        sql: &str,
-        outcome: CapturedOutcome<'_>,
-    ) {
-        let Some(start) = start else { return };
-        let (ok, rows, counters, digest, wall_us) = match outcome {
-            CapturedOutcome::Query(r, bound) => {
-                let s = &r.output.stats;
-                (
-                    true,
-                    r.output.rows.len() as u64,
-                    [s.candidates, s.pruned, s.verified, s.masks_loaded, 0, 0],
-                    crate::protocol::digest_query_response(r, bound),
-                    r.exec_time.as_micros() as u64,
-                )
-            }
-            CapturedOutcome::Mutation(m) => (
-                true,
-                0,
-                [
-                    0,
-                    0,
-                    0,
-                    0,
-                    m.outcome.inserted as u64,
-                    m.outcome.deleted as u64,
-                ],
-                crate::protocol::digest_mutation_response(m),
-                m.exec_time.as_micros() as u64,
-            ),
-            CapturedOutcome::Plan(lines) => (
-                true,
-                lines.len() as u64,
-                [0; 6],
-                crate::protocol::digest_plan_lines(lines),
-                start.started.elapsed().as_micros() as u64,
-            ),
-            CapturedOutcome::Error(e) => (
-                false,
-                0,
-                [0; 6],
-                crate::protocol::digest_error_message(&e.wire_message()),
-                start.started.elapsed().as_micros() as u64,
-            ),
-        };
-        let shape = match &outcome {
-            CapturedOutcome::Error(_) => "error".to_string(),
-            CapturedOutcome::Plan(_) => "explain".to_string(),
-            CapturedOutcome::Mutation(_) => {
-                let upper = sql.trim_start().to_ascii_uppercase();
-                if upper.starts_with("INSERT") {
-                    "insert".to_string()
-                } else if upper.starts_with("DELETE") {
-                    "delete".to_string()
-                } else if upper.starts_with("UPDATE") {
-                    "update".to_string()
-                } else if upper.starts_with("BEGIN") {
-                    "transaction".to_string()
-                } else {
-                    "mutation".to_string()
-                }
-            }
-            CapturedOutcome::Query(..) => match masksearch_sql::compile_statement(sql) {
-                Ok(masksearch_sql::Statement::Query(query)) => {
-                    masksearch_query::shape_key(&query, self.shared.session.config())
-                }
-                _ => "query".to_string(),
-            },
-        };
-        self.shared.recorder.record(&RecordedQuery {
-            arrival_us: start.arrival_us,
-            wall_us,
-            kind,
-            ok,
-            rows,
-            aux,
-            counters,
-            digest,
-            shape,
-            sql: sql.to_string(),
-        });
-    }
-
-    fn submit_request(
-        &self,
-        request: Request,
-        deadline: Option<Duration>,
-    ) -> ServiceResult<Ticket> {
-        self.submit_labeled(request, deadline, None)
-    }
-
-    fn submit_labeled(
-        &self,
-        request: Request,
-        deadline: Option<Duration>,
-        statement: Option<Arc<str>>,
-    ) -> ServiceResult<Ticket> {
-        if self.shared.shutting_down.load(Ordering::Acquire) {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let submitted = Instant::now();
-        let deadline = deadline
-            .or(self.config.default_deadline)
-            .map(|d| submitted + d);
-        let (reply, receiver) = mpsc::channel();
-        let job = Job {
-            request,
-            submitted,
-            deadline,
-            reply,
-            statement,
-        };
-        let pushed = match self.config.admission {
-            AdmissionPolicy::Reject => self.shared.queue.try_push(job),
-            AdmissionPolicy::Block => self.shared.queue.push_blocking(job),
-        };
-        match pushed {
-            Ok(()) => {
-                self.shared.metrics.record_submitted();
-                Ok(Ticket {
-                    submitted,
-                    receiver,
-                })
-            }
-            Err(PushError::Full(_)) => {
-                self.shared.metrics.record_rejected();
-                Err(ServiceError::QueueFull {
-                    depth: self.config.queue_depth,
-                })
-            }
-            Err(PushError::Closed(_)) => Err(ServiceError::ShuttingDown),
-        }
-    }
-
-    /// Submits one query; redeem the returned [`Ticket`] for the result.
-    pub fn submit(&self, query: Query) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Single(query), None)
-    }
-
-    /// Submits one query with an explicit deadline (overrides the default).
-    pub fn submit_with_deadline(&self, query: Query, deadline: Duration) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Single(query), Some(deadline))
-    }
-
-    /// Submits a batch executed with shared filter/verification work.
-    pub fn submit_batch(&self, queries: Vec<Query>) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Batch(queries), None)
-    }
-
-    /// Submits a ranked query in partial (cluster-shard) mode with a
-    /// per-shard `k`; redeem the ticket with [`Ticket::wait_partial`].
-    pub fn submit_partial(&self, query: Query, k: usize) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Partial { query, k }, None)
-    }
-
-    /// Compiles a ranked SQL statement and executes it in partial mode: the
-    /// statement's own `LIMIT` is replaced by `k` and the response reports
-    /// the k-th value as a bound on every unreturned candidate. Non-ranked
-    /// statements execute normally (with no bound); writes are rejected.
-    pub fn execute_partial_sql(&self, sql: &str, k: usize) -> ServiceResult<PartialResponse> {
-        let start = self.begin_capture();
-        let result = self.execute_partial_sql_inner(sql, k);
-        if start.is_some() {
-            let outcome = match &result {
-                Ok(p) => CapturedOutcome::Query(&p.response, p.bound),
-                Err(e) => CapturedOutcome::Error(e),
-            };
-            self.capture(start, RecordKind::Partial, k as u64, sql, outcome);
-        }
-        result
-    }
-
-    fn execute_partial_sql_inner(&self, sql: &str, k: usize) -> ServiceResult<PartialResponse> {
-        match masksearch_sql::compile_statement(sql)? {
-            Statement::Query(query) => self
-                .submit_labeled(Request::Partial { query, k }, None, Some(Arc::from(sql)))?
-                .wait_partial(),
-            Statement::Mutation(_) | Statement::Control(_) => Err(ServiceError::Sql(
-                "PARTIAL applies to queries, not writes".to_string(),
-            )),
-        }
-    }
-
-    /// Submits a write (an atomic INSERT/DELETE batch); redeem the ticket
-    /// with [`Ticket::wait_mutation`].
-    pub fn submit_mutation(&self, mutation: Mutation) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Mutation(mutation), None)
-    }
-
-    /// Submits a write and blocks for its outcome.
-    pub fn execute_mutation(&self, mutation: Mutation) -> ServiceResult<MutationResponse> {
-        self.submit_mutation(mutation)?.wait_mutation()
-    }
-
-    /// Submits a transaction (every mutation lands in one storage commit or
-    /// none do); redeem the ticket with [`Ticket::wait_mutation`].
-    pub fn submit_transaction(&self, mutations: Vec<Mutation>) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Transaction(mutations), None)
-    }
-
-    /// Submits a transaction and blocks for its summed outcome.
-    pub fn execute_transaction(&self, mutations: Vec<Mutation>) -> ServiceResult<MutationResponse> {
-        self.submit_transaction(mutations)?.wait_mutation()
-    }
-
-    /// Runs a parsed transaction script. A script that ended in `ROLLBACK`
-    /// applies nothing and reports a zero outcome without touching the queue.
-    fn run_transaction_script(
-        &self,
-        mutations: Vec<Mutation>,
-        commit: bool,
-    ) -> ServiceResult<MutationResponse> {
-        if !commit {
-            return Ok(MutationResponse {
-                outcome: MutationOutcome::default(),
-                queue_wait: Duration::ZERO,
-                exec_time: Duration::ZERO,
-            });
-        }
-        self.execute_transaction(mutations)
-    }
-
-    /// Compiles any SQL statement — SELECT, INSERT, or DELETE — and executes
-    /// it, returning the matching response variant. This is the entry point
-    /// the TCP front end uses, so network clients can ingest masks while
-    /// other clients query.
-    pub fn execute_statement(&self, sql: &str) -> ServiceResult<Response> {
-        let start = self.begin_capture();
-        let result = self.execute_statement_inner(sql);
-        if start.is_some() {
-            self.capture_response(start, RecordKind::Statement, 0, sql, &result);
-        }
-        result
-    }
-
-    /// Records an `execute_statement`-shaped result (used by both the plain
-    /// and tokened entry points).
-    fn capture_response(
-        &self,
-        start: Option<CaptureStart>,
-        kind: RecordKind,
-        aux: u64,
-        sql: &str,
-        result: &ServiceResult<Response>,
-    ) {
-        let outcome = match result {
-            Ok(Response::Single(r)) => CapturedOutcome::Query(r, None),
-            Ok(Response::Partial(p)) => CapturedOutcome::Query(&p.response, p.bound),
-            Ok(Response::Mutation(m)) => CapturedOutcome::Mutation(m),
-            Ok(Response::Plan(lines)) => CapturedOutcome::Plan(lines),
-            // Batches never come through the statement entry points.
-            Ok(Response::Batch(_)) => return,
-            Err(e) => CapturedOutcome::Error(e),
-        };
-        self.capture(start, kind, aux, sql, outcome);
-    }
-
-    fn execute_statement_inner(&self, sql: &str) -> ServiceResult<Response> {
-        if let Some((mode, inner)) = masksearch_sql::strip_explain(sql) {
-            return Ok(Response::Plan(
-                self.explain_sql(mode == ExplainMode::Analyze, inner)?,
-            ));
-        }
-        if let Some((mutations, commit)) = compile_transaction_script(sql)? {
-            return Ok(Response::Mutation(
-                self.run_transaction_script(mutations, commit)?,
-            ));
-        }
-        match masksearch_sql::compile_statement(sql)? {
-            Statement::Query(query) => Ok(Response::Single(
-                self.submit_labeled(Request::Single(query), None, Some(Arc::from(sql)))?
-                    .wait_single()?,
-            )),
-            Statement::Mutation(mutation) => Ok(Response::Mutation(
-                self.submit_mutation(mutation)?.wait_mutation()?,
-            )),
-            Statement::Control(_) => Err(bare_control_error()),
-        }
-    }
-
-    /// Compiles a SQL query and returns its rendered plan tree, executing it
-    /// first when `analyze` is set (`EXPLAIN ANALYZE`) so the plan carries
-    /// the measured statistics. Writes cannot be explained.
-    pub fn explain_sql(&self, analyze: bool, sql: &str) -> ServiceResult<Vec<String>> {
-        match masksearch_sql::compile_statement(sql)? {
-            Statement::Query(query) => self
-                .submit_labeled(
-                    Request::Explain { query, analyze },
-                    None,
-                    Some(Arc::from(sql)),
-                )?
-                .wait_plan(),
-            Statement::Mutation(_) | Statement::Control(_) => Err(ServiceError::Sql(
-                "EXPLAIN applies to queries, not writes".to_string(),
-            )),
-        }
-    }
-
-    /// Executes a SQL statement carrying a client deduplication token
-    /// (`TOKEN <id> <sql>`). Queries execute normally (tokens are
-    /// meaningless for side-effect-free reads). A mutation whose token
-    /// already applied is answered from the recorded outcome without
-    /// touching the store — this is what makes a client's
-    /// resend-after-transport-error exactly-once. A duplicate racing the
-    /// original blocks until the original finishes.
-    pub fn execute_statement_tokened(&self, token: u64, sql: &str) -> ServiceResult<Response> {
-        let start = self.begin_capture();
-        let result = self.execute_statement_tokened_inner(token, sql);
-        if start.is_some() {
-            self.capture_response(start, RecordKind::Tokened, token, sql, &result);
-        }
-        result
-    }
-
-    fn execute_statement_tokened_inner(&self, token: u64, sql: &str) -> ServiceResult<Response> {
-        if let Some((mode, inner)) = masksearch_sql::strip_explain(sql) {
-            // Dedup tokens are meaningless for side-effect-free explains.
-            return Ok(Response::Plan(
-                self.explain_sql(mode == ExplainMode::Analyze, inner)?,
-            ));
-        }
-        if let Some((mutations, commit)) = compile_transaction_script(sql)? {
-            // The whole script dedups as one unit: a resent script whose
-            // original committed replays the recorded summed outcome.
-            return match self.shared.dedup.begin(token) {
-                Admission::Replay(outcome) => {
-                    self.shared.metrics.record_mutation_deduped();
-                    Ok(Response::Mutation(MutationResponse {
-                        outcome,
-                        queue_wait: Duration::ZERO,
-                        exec_time: Duration::ZERO,
-                    }))
-                }
-                Admission::Execute => {
-                    let permit = self.shared.dedup.permit(token);
-                    let response = self.run_transaction_script(mutations, commit)?;
-                    permit.finish(response.outcome);
-                    Ok(Response::Mutation(response))
-                }
-            };
-        }
-        match masksearch_sql::compile_statement(sql)? {
-            Statement::Query(query) => Ok(Response::Single(
-                self.submit_labeled(Request::Single(query), None, Some(Arc::from(sql)))?
-                    .wait_single()?,
-            )),
-            Statement::Mutation(mutation) => {
-                match self.shared.dedup.begin(token) {
-                    Admission::Replay(outcome) => {
-                        self.shared.metrics.record_mutation_deduped();
-                        Ok(Response::Mutation(MutationResponse {
-                            outcome,
-                            queue_wait: Duration::ZERO,
-                            exec_time: Duration::ZERO,
-                        }))
-                    }
-                    Admission::Execute => {
-                        // The permit abandons the token on *any* exit —
-                        // error or unwind — that does not record an
-                        // outcome, so a resend can never park forever
-                        // behind a dead execution.
-                        let permit = self.shared.dedup.permit(token);
-                        let response = self.execute_mutation(mutation)?;
-                        permit.finish(response.outcome);
-                        Ok(Response::Mutation(response))
-                    }
-                }
-            }
-            Statement::Control(_) => Err(bare_control_error()),
-        }
-    }
-
-    /// Submits a query and blocks for its result.
-    pub fn execute(&self, query: &Query) -> ServiceResult<QueryResponse> {
-        self.submit(query.clone())?.wait_single()
-    }
-
-    /// Compiles a SQL statement in the MaskSearch dialect and executes it.
-    pub fn execute_sql(&self, sql: &str) -> ServiceResult<QueryResponse> {
-        let start = self.begin_capture();
-        let result = self.execute_sql_inner(sql);
-        if start.is_some() {
-            let outcome = match &result {
-                Ok(r) => CapturedOutcome::Query(r, None),
-                Err(e) => CapturedOutcome::Error(e),
-            };
-            self.capture(start, RecordKind::Statement, 0, sql, outcome);
-        }
-        result
-    }
-
-    fn execute_sql_inner(&self, sql: &str) -> ServiceResult<QueryResponse> {
-        let query = masksearch_sql::compile(sql)?;
-        self.submit_labeled(Request::Single(query), None, Some(Arc::from(sql)))?
-            .wait_single()
-    }
-
-    /// Submits a batch and blocks for all of its results.
-    pub fn execute_batch(&self, queries: Vec<Query>) -> ServiceResult<BatchOutput> {
-        self.submit_batch(queries)?.wait_batch()
-    }
-
-    /// Stops accepting work, fails queued-but-unstarted jobs with
-    /// [`ServiceError::ShuttingDown`], and joins the worker pool. Idempotent;
-    /// also happens automatically when the last `Engine` clone drops.
-    pub fn shutdown(&self) {
-        self.pool.shutdown();
-    }
+/// Whether a SQL line's first keyword is `BEGIN` / `COMMIT` / `ROLLBACK` —
+/// the cheap pre-filter deciding if the connection's transaction handler
+/// must compile the line. Everything else skips straight to the statement
+/// path.
+fn leading_txn_keyword(sql: &str) -> bool {
+    let first = sql
+        .trim_start()
+        .split([' ', '\t', ';'])
+        .next()
+        .unwrap_or("");
+    ["BEGIN", "COMMIT", "ROLLBACK"]
+        .iter()
+        .any(|kw| first.eq_ignore_ascii_case(kw))
 }
 
 /// The error a bare interactive `BEGIN` / `COMMIT` / `ROLLBACK` gets at the
@@ -1051,47 +1085,15 @@ fn bare_control_error() -> ServiceError {
     )
 }
 
-/// Recognises a multi-statement `BEGIN; …; COMMIT` (or `… ROLLBACK`) script
-/// and extracts its mutations. Returns `Ok(None)` for anything that is a
-/// single statement (including one with a trailing `;`), which then takes
-/// the ordinary [`masksearch_sql::compile_statement`] path. Multi-statement
-/// scripts that are not a well-formed transaction are rejected loudly —
-/// nothing is ever partially applied.
-fn compile_transaction_script(sql: &str) -> ServiceResult<Option<(Vec<Mutation>, bool)>> {
-    if !sql.contains(';') {
-        return Ok(None);
-    }
-    let statements = masksearch_sql::compile_script(sql)?;
-    if statements.len() <= 1 {
-        return Ok(None);
-    }
-    let err = |msg: &str| Err(ServiceError::Sql(msg.to_string()));
-    let mut iter = statements.into_iter();
-    if !matches!(iter.next(), Some(Statement::Control(TxnControl::Begin))) {
-        return err("a multi-statement script must be wrapped in BEGIN ... COMMIT");
-    }
-    let mut mutations = Vec::new();
-    let mut finished = None;
-    for statement in iter {
-        if finished.is_some() {
-            return err("statements after COMMIT/ROLLBACK in a transaction script");
-        }
-        match statement {
-            Statement::Mutation(m) => mutations.push(m),
-            Statement::Control(TxnControl::Commit) => finished = Some(true),
-            Statement::Control(TxnControl::Rollback) => finished = Some(false),
-            Statement::Control(TxnControl::Begin) => {
-                return err("nested BEGIN in a transaction script");
-            }
-            Statement::Query(_) => {
-                return err("queries are not allowed inside a transaction script");
-            }
-        }
-    }
-    match finished {
-        Some(commit) => Ok(Some((mutations, commit))),
-        None => err("a transaction script must end with COMMIT (or ROLLBACK)"),
-    }
+/// How [`Engine::run`] compiles one SQL text.
+#[derive(Clone, Copy)]
+enum Entry {
+    /// Any statement; a token makes a write's resend exactly-once.
+    Statement(Option<u64>),
+    /// A query only ([`Engine::execute_sql`]).
+    Query,
+    /// A query in partial (cluster-shard) mode with the per-shard `k`.
+    Partial(usize),
 }
 
 /// Arrival timestamp and start instant of one recorded statement.
@@ -1100,249 +1102,136 @@ struct CaptureStart {
     started: Instant,
 }
 
-/// What a captured statement produced, borrowed from the caller's result so
-/// capture adds no allocation or copying when recording is off.
-enum CapturedOutcome<'a> {
-    Query(&'a QueryResponse, Option<f64>),
-    Mutation(&'a MutationResponse),
-    Plan(&'a [String]),
-    Error(&'a ServiceError),
-}
-
 /// One worker thread: pop, check deadline, execute, reply, repeat.
-///
-/// Query execution is wrapped in `catch_unwind` so a panicking query fails
-/// only its own job (the caller sees [`ServiceError::Internal`]) instead of
-/// killing the worker thread — a dead worker on a small pool would leave
-/// later submissions queued forever.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         let picked_up = Instant::now();
         let wait = picked_up.duration_since(job.submitted);
         shared.metrics.record_queue_wait(wait);
-        if job.expired(picked_up) {
+        let result = if job.expired(picked_up) {
             shared.metrics.record_deadline_expired();
-            let _ = job
-                .reply
-                .send(Err(ServiceError::DeadlineExceeded { waited: wait }));
-            continue;
+            Err(ServiceError::DeadlineExceeded { waited: wait })
+        } else {
+            run_job(shared, &job, wait)
+        };
+        let _ = job.reply.send(result);
+    }
+}
+
+/// Executes one job's request and does its success bookkeeping; failures
+/// are [`guarded`].
+fn run_job(shared: &Shared, job: &Job, wait: Duration) -> ServiceResult<Response> {
+    let exec_start = Instant::now();
+    let trace = || shared.tracing.then(|| masksearch_obs::trace("query"));
+    // A completed query: profile, metrics, time series.
+    let completed =
+        |trace: Option<masksearch_obs::TraceGuard>, query: &Query, stats: &QueryStats| {
+            let exec_time = exec_start.elapsed();
+            shared.observe_query(trace, job.statement.as_ref(), query, stats, exec_time);
+            shared
+                .metrics
+                .record_completed(stats, job.submitted.elapsed());
+            shared.observe_series(exec_time, true, Some(stats));
+            exec_time
+        };
+    let applied = |outcome: MutationOutcome| {
+        shared.metrics.record_mutation(&outcome);
+        shared.observe_series(exec_start.elapsed(), true, None);
+        Response::Mutation(MutationResponse {
+            outcome,
+            queue_wait: wait,
+            exec_time: exec_start.elapsed(),
+        })
+    };
+    match &job.request {
+        Request::Single(query) => {
+            let trace = trace();
+            guarded(shared, exec_start, || shared.session.execute(query)).map(|output| {
+                let exec_time = completed(trace, query, &output.stats);
+                Response::Single(QueryResponse {
+                    output,
+                    queue_wait: wait,
+                    exec_time,
+                })
+            })
         }
-        match job.request {
-            Request::Single(query) => {
-                let exec_start = Instant::now();
-                let trace = shared.tracing.then(|| masksearch_obs::trace("query"));
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.session.execute(&query)
-                }));
-                match result {
-                    Ok(Ok(output)) => {
-                        let exec_time = exec_start.elapsed();
-                        shared.observe_query(
-                            trace,
-                            job.statement.as_ref(),
-                            &query,
-                            &output.stats,
-                            exec_time,
-                        );
-                        shared
-                            .metrics
-                            .record_completed(&output.stats, job.submitted.elapsed());
-                        shared.observe_series(exec_time, true, Some(&output.stats));
-                        let _ = job.reply.send(Ok(Response::Single(QueryResponse {
-                            output,
-                            queue_wait: wait,
-                            exec_time,
-                        })));
-                    }
-                    Ok(Err(e)) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job.reply.send(Err(e.into()));
-                    }
-                    Err(panic) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job
-                            .reply
-                            .send(Err(ServiceError::Internal(panic_message(&panic))));
-                    }
+        // Plan shape only: no execution, no stats, no trace.
+        Request::Explain {
+            query,
+            analyze: false,
+        } => Ok(Response::Plan(shared.session.explain(query).render())),
+        Request::Explain {
+            query,
+            analyze: true,
+        } => {
+            let trace = trace();
+            guarded(shared, exec_start, || shared.session.explain_analyze(query)).map(
+                |(plan, output)| {
+                    completed(trace, query, &output.stats);
+                    Response::Plan(plan.render())
+                },
+            )
+        }
+        Request::Partial { query, k } => {
+            let trace = trace();
+            guarded(shared, exec_start, || {
+                shared.session.execute_topk_partial(query, Some(*k))
+            })
+            .map(|partial| {
+                let exec_time = completed(trace, query, &partial.output.stats);
+                Response::Partial(PartialResponse {
+                    response: QueryResponse {
+                        output: partial.output,
+                        queue_wait: wait,
+                        exec_time,
+                    },
+                    bound: partial.bound,
+                })
+            })
+        }
+        Request::Mutation(mutation) => {
+            guarded(shared, exec_start, || shared.session.apply(mutation)).map(applied)
+        }
+        Request::Transaction(mutations) => guarded(shared, exec_start, || {
+            shared.session.apply_transaction(mutations)
+        })
+        .map(applied),
+        Request::Batch(queries) => {
+            shared.metrics.record_batch();
+            guarded(shared, exec_start, || {
+                batch::execute(&shared.session, queries)
+            })
+            .map(|output| {
+                let latency = job.submitted.elapsed();
+                let exec_time = exec_start.elapsed();
+                for out in &output.outputs {
+                    shared.metrics.record_completed(&out.stats, latency);
+                    shared.observe_series(exec_time, true, Some(&out.stats));
                 }
-            }
-            Request::Explain { query, analyze } => {
-                if !analyze {
-                    // Plan shape only: no execution, no stats, no trace.
-                    let plan = shared.session.explain(&query);
-                    let _ = job.reply.send(Ok(Response::Plan(plan.render())));
-                    continue;
-                }
-                let exec_start = Instant::now();
-                let trace = shared.tracing.then(|| masksearch_obs::trace("query"));
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.session.explain_analyze(&query)
-                }));
-                match result {
-                    Ok(Ok((plan, output))) => {
-                        let exec_time = exec_start.elapsed();
-                        shared.observe_query(
-                            trace,
-                            job.statement.as_ref(),
-                            &query,
-                            &output.stats,
-                            exec_time,
-                        );
-                        shared
-                            .metrics
-                            .record_completed(&output.stats, job.submitted.elapsed());
-                        shared.observe_series(exec_time, true, Some(&output.stats));
-                        let _ = job.reply.send(Ok(Response::Plan(plan.render())));
-                    }
-                    Ok(Err(e)) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job.reply.send(Err(e.into()));
-                    }
-                    Err(panic) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job
-                            .reply
-                            .send(Err(ServiceError::Internal(panic_message(&panic))));
-                    }
-                }
-            }
-            Request::Partial { query, k } => {
-                let exec_start = Instant::now();
-                let trace = shared.tracing.then(|| masksearch_obs::trace("query"));
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.session.execute_topk_partial(&query, Some(k))
-                }));
-                match result {
-                    Ok(Ok(partial)) => {
-                        let exec_time = exec_start.elapsed();
-                        shared.observe_query(
-                            trace,
-                            job.statement.as_ref(),
-                            &query,
-                            &partial.output.stats,
-                            exec_time,
-                        );
-                        shared
-                            .metrics
-                            .record_completed(&partial.output.stats, job.submitted.elapsed());
-                        shared.observe_series(exec_time, true, Some(&partial.output.stats));
-                        let _ = job.reply.send(Ok(Response::Partial(PartialResponse {
-                            response: QueryResponse {
-                                output: partial.output,
-                                queue_wait: wait,
-                                exec_time,
-                            },
-                            bound: partial.bound,
-                        })));
-                    }
-                    Ok(Err(e)) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job.reply.send(Err(e.into()));
-                    }
-                    Err(panic) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job
-                            .reply
-                            .send(Err(ServiceError::Internal(panic_message(&panic))));
-                    }
-                }
-            }
-            Request::Mutation(mutation) => {
-                let exec_start = Instant::now();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.session.apply(&mutation)
-                }));
-                match result {
-                    Ok(Ok(outcome)) => {
-                        shared.metrics.record_mutation(&outcome);
-                        shared.observe_series(exec_start.elapsed(), true, None);
-                        let _ = job.reply.send(Ok(Response::Mutation(MutationResponse {
-                            outcome,
-                            queue_wait: wait,
-                            exec_time: exec_start.elapsed(),
-                        })));
-                    }
-                    Ok(Err(e)) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job.reply.send(Err(e.into()));
-                    }
-                    Err(panic) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job
-                            .reply
-                            .send(Err(ServiceError::Internal(panic_message(&panic))));
-                    }
-                }
-            }
-            Request::Transaction(mutations) => {
-                let exec_start = Instant::now();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.session.apply_transaction(&mutations)
-                }));
-                match result {
-                    Ok(Ok(outcome)) => {
-                        shared.metrics.record_mutation(&outcome);
-                        shared.observe_series(exec_start.elapsed(), true, None);
-                        let _ = job.reply.send(Ok(Response::Mutation(MutationResponse {
-                            outcome,
-                            queue_wait: wait,
-                            exec_time: exec_start.elapsed(),
-                        })));
-                    }
-                    Ok(Err(e)) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job.reply.send(Err(e.into()));
-                    }
-                    Err(panic) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job
-                            .reply
-                            .send(Err(ServiceError::Internal(panic_message(&panic))));
-                    }
-                }
-            }
-            Request::Batch(queries) => {
-                shared.metrics.record_batch();
-                let exec_start = Instant::now();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    batch::execute(&shared.session, &queries)
-                }));
-                match result {
-                    Ok(Ok(output)) => {
-                        let latency = job.submitted.elapsed();
-                        let exec_time = exec_start.elapsed();
-                        for out in &output.outputs {
-                            shared.metrics.record_completed(&out.stats, latency);
-                            shared.observe_series(exec_time, true, Some(&out.stats));
-                        }
-                        let _ = job.reply.send(Ok(Response::Batch(output)));
-                    }
-                    Ok(Err(e)) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job.reply.send(Err(e.into()));
-                    }
-                    Err(panic) => {
-                        shared.metrics.record_failed();
-                        shared.observe_series(exec_start.elapsed(), false, None);
-                        let _ = job
-                            .reply
-                            .send(Err(ServiceError::Internal(panic_message(&panic))));
-                    }
-                }
-            }
+                Response::Batch(output)
+            })
         }
     }
+}
+
+/// Runs one job's execution so that a failure fails only that job: an error
+/// — or a panic, answered as [`ServiceError::Internal`] — is counted as
+/// failed and fed to the time series instead of killing the worker thread
+/// (a dead worker on a small pool would leave later submissions queued
+/// forever).
+fn guarded<T>(
+    shared: &Shared,
+    exec_start: Instant,
+    execute: impl FnOnce() -> Result<T, masksearch_query::QueryError>,
+) -> ServiceResult<T> {
+    let error = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(execute)) {
+        Ok(Ok(value)) => return Ok(value),
+        Ok(Err(e)) => e.into(),
+        Err(panic) => ServiceError::Internal(panic_message(&panic)),
+    };
+    shared.metrics.record_failed();
+    shared.observe_series(exec_start.elapsed(), false, None);
+    Err(error)
 }
 
 /// Best-effort extraction of a panic payload's message.

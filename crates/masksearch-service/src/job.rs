@@ -89,6 +89,19 @@ pub struct MutationResponse {
     pub exec_time: Duration,
 }
 
+impl MutationResponse {
+    /// An answer that never reached the queue — a replayed token, a
+    /// `ROLLBACK`, a statement buffered into an open transaction — with zero
+    /// timings.
+    pub(crate) fn untimed(outcome: MutationOutcome) -> Self {
+        Self {
+            outcome,
+            queue_wait: Duration::ZERO,
+            exec_time: Duration::ZERO,
+        }
+    }
+}
+
 /// A unit of queued work.
 pub(crate) struct Job {
     pub(crate) request: Request,

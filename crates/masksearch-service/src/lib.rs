@@ -12,12 +12,12 @@
 //!   TCP clients (masksearch-sql dialect, line protocol)
 //!        │ 1 thread per connection
 //!        ▼
-//!   ┌─────────┐   submit    ┌──────────────────┐   pop    ┌───────────┐
-//!   │ Server   │ ──────────▶ │ bounded JobQueue │ ───────▶ │ worker    │
-//!   └─────────┘   (admission │ + deadlines      │          │ pool      │
-//!   in-process    control)   └──────────────────┘          └────┬──────┘
-//!   callers via                                                 │ &Session
-//!   Engine::execute / execute_batch                             ▼
+//!   ┌──────────────┐   submit    ┌──────────────────┐   pop    ┌───────────┐
+//!   │ Server<B>     │ ──────────▶ │ bounded JobQueue │ ───────▶ │ worker    │
+//!   │ B = Engine    │  (admission │ + deadlines      │          │ pool      │
+//!   └──────────────┘   control)   └──────────────────┘          └────┬──────┘
+//!   in-process callers via                                            │ &Session
+//!   Engine::execute / execute_batch                                   ▼
 //!                                              ┌───────────────────────────┐
 //!                                              │ shared Session            │
 //!                                              │  CHI store · mask cache   │
@@ -31,10 +31,13 @@
 //!   worker pool.
 //! * [`batch`] — multi-query execution that shares CHI bound computation and
 //!   mask loads across a group of queries.
-//! * [`ServiceMetrics`] — QPS, latency histograms, filter rate, cache hit
-//!   rate.
-//! * [`Server`] / [`Client`] — a minimal line-oriented TCP front end over
-//!   `std::net` speaking the `masksearch-sql` dialect.
+//! * [`ServiceMetrics`] — QPS, latency histograms (`masksearch-obs`'s
+//!   `LogHistogram`), filter rate, cache hit rate.
+//! * [`Server`] / [`Client`] — the one line-oriented TCP front end over
+//!   `std::net` speaking the `masksearch-sql` dialect. The server is generic
+//!   over a [`Backend`]: the [`Engine`] here, or a `masksearch-cluster`
+//!   coordinator, so shards and coordinator share one connection loop and
+//!   one request dispatch ([`backend`]).
 //!
 //! ## Quickstart
 //!
@@ -78,6 +81,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod backend;
 pub mod batch;
 pub mod client;
 pub mod config;
@@ -92,6 +96,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
+pub use backend::Backend;
 pub use batch::{BatchOutput, BatchStats};
 pub use client::{Client, MonitorFrame};
 pub use config::{AdmissionPolicy, ServiceConfig};
@@ -99,7 +104,7 @@ pub use dedup::{Admission, MutationDedup};
 pub use engine::Engine;
 pub use error::{ServiceError, ServiceResult};
 pub use job::{MutationResponse, PartialResponse, QueryResponse, Request, Response, Ticket};
-pub use metrics::{LatencyHistogram, LatencySnapshot, MetricsSnapshot, ServiceMetrics};
+pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use mux::{MuxClient, MuxPending};
 pub use pool::{ClientPool, PooledClient};
 pub use protocol::{ClientRequest, WireResponse, WireSummary, PROTOCOL_VERSION};

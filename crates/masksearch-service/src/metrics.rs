@@ -1,141 +1,16 @@
-//! Server-wide metrics: throughput, a log-bucketed latency histogram,
-//! filter effectiveness, and cache efficiency.
+//! Server-wide metrics: throughput, log-bucketed latency and queue-wait
+//! histograms ([`LogHistogram`]), filter effectiveness, and cache
+//! efficiency.
 //!
 //! Everything here is lock-free (`AtomicU64` + `Ordering::Relaxed`): metrics
 //! recording sits on the per-query hot path of every worker thread and must
 //! never contend with query execution.
 
+use masksearch_obs::LogHistogram;
 use masksearch_query::{MutationOutcome, QueryStats};
 use masksearch_storage::IngestSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Number of logarithmic latency buckets. Bucket `i` holds durations in
-/// `[2^i, 2^(i+1))` microseconds; the last bucket is unbounded above.
-pub const LATENCY_BUCKETS: usize = 32;
-
-/// A concurrent latency histogram with power-of-two microsecond buckets.
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
-    total_micros: AtomicU64,
-    max_micros: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_of(micros: u64) -> usize {
-        ((64 - micros.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-    }
-
-    /// Records one observation.
-    pub fn record(&self, latency: Duration) {
-        let micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.buckets[Self::bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough copy of the histogram for reporting.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        LatencySnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            total_micros: self.total_micros.load(Ordering::Relaxed),
-            max_micros: self.max_micros.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-/// Point-in-time view of a [`LatencyHistogram`].
-#[derive(Debug, Clone)]
-pub struct LatencySnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observations in microseconds.
-    pub total_micros: u64,
-    /// Largest observation in microseconds.
-    pub max_micros: u64,
-    /// Per-bucket counts (see [`LATENCY_BUCKETS`]).
-    pub buckets: Vec<u64>,
-}
-
-impl LatencySnapshot {
-    /// Mean latency, zero when empty.
-    pub fn mean(&self) -> Duration {
-        self.total_micros
-            .checked_div(self.count)
-            .map(Duration::from_micros)
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`) from the bucket boundaries.
-    /// The upper edge of the bucket containing the q-th observation is
-    /// returned, so the estimate errs on the conservative (larger) side.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Bucket i holds observations in [2^(i-1), 2^i - 1] us; report
-                // its upper edge, clamped to the largest observation.
-                let upper = 1u64 << i;
-                return Duration::from_micros(upper.min(self.max_micros.max(1)));
-            }
-        }
-        Duration::from_micros(self.max_micros)
-    }
-
-    /// Median (p50).
-    pub fn p50(&self) -> Duration {
-        self.quantile(0.50)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Duration {
-        self.quantile(0.99)
-    }
-
-    /// Renders this snapshot as Prometheus `histogram` sample lines:
-    /// cumulative `_bucket{le=...}` counts with upper edges in **seconds**
-    /// (Prometheus convention), then `_sum` and `_count`. The caller emits
-    /// the `# TYPE name histogram` header.
-    pub fn render_prometheus(&self, name: &str, out: &mut String) {
-        let mut cumulative = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cumulative += c;
-            if c == 0 && i + 1 < self.buckets.len() {
-                // Compact exposition: skip empty buckets (cumulative counts
-                // make them recoverable), but always close with the last.
-                continue;
-            }
-            // Bucket i holds observations in [2^(i-1), 2^i) µs, so its
-            // inclusive upper edge is 2^i µs.
-            let le_seconds = (1u64 << i.min(63)) as f64 / 1e6;
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"{le_seconds}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", self.count));
-        out.push_str(&format!("{name}_sum {}\n", self.total_micros as f64 / 1e6));
-        out.push_str(&format!("{name}_count {}\n", self.count));
-    }
-}
 
 /// Counters and histograms describing everything a server has done since it
 /// started.
@@ -186,9 +61,9 @@ pub struct ServiceMetrics {
     /// Sum of `QueryStats::planner_index_off` over completed queries.
     planner_index_off: AtomicU64,
     /// End-to-end latency (submission to completion).
-    latency: LatencyHistogram,
+    latency: LogHistogram,
     /// Time spent waiting in the queue before a worker picked the job up.
-    queue_wait: LatencyHistogram,
+    queue_wait: LogHistogram,
 }
 
 impl Default for ServiceMetrics {
@@ -228,8 +103,8 @@ impl ServiceMetrics {
             index_rows: AtomicU64::new(0),
             planner_index_on: AtomicU64::new(0),
             planner_index_off: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
-            queue_wait: LatencyHistogram::new(),
+            latency: LogHistogram::new(),
+            queue_wait: LogHistogram::new(),
         }
     }
 
@@ -279,7 +154,7 @@ impl ServiceMetrics {
 
     /// Records how long a job sat in the queue before execution started.
     pub fn record_queue_wait(&self, wait: Duration) {
-        self.queue_wait.record(wait);
+        self.queue_wait.record(micros(wait));
     }
 
     /// Records a successfully completed query with its execution statistics
@@ -315,7 +190,26 @@ impl ServiceMetrics {
             .fetch_add(stats.planner_index_on, Ordering::Relaxed);
         self.planner_index_off
             .fetch_add(stats.planner_index_off, Ordering::Relaxed);
-        self.latency.record(latency);
+        self.latency.record(micros(latency));
+    }
+
+    /// End-to-end latency of completed queries (submission to completion).
+    pub fn latency(&self) -> &LogHistogram {
+        &self.latency
+    }
+
+    /// Time jobs spent queued before a worker picked them up.
+    pub fn queue_wait(&self) -> &LogHistogram {
+        &self.queue_wait
+    }
+
+    /// The `p`-th latency percentile in µs: the upper edge of its log₂
+    /// bucket, clamped to the largest observation so a quantile never
+    /// exceeds what was actually seen.
+    fn latency_quantile(&self, p: f64) -> u64 {
+        self.latency
+            .percentile_us(p)
+            .min(self.latency.max_us().max(1))
     }
 
     /// Point-in-time summary of everything recorded so far.
@@ -371,8 +265,9 @@ impl ServiceMetrics {
             // the queue depth and the TCP front end the connection count.
             active_connections: 0,
             queue_depth: 0,
-            latency: self.latency.snapshot(),
-            queue_wait: self.queue_wait.snapshot(),
+            p50_us: self.latency_quantile(50.0),
+            p99_us: self.latency_quantile(99.0),
+            mean_us: self.latency.mean_us(),
         }
     }
 }
@@ -449,10 +344,19 @@ pub struct MetricsSnapshot {
     /// Jobs waiting in the bounded queue right now (filled by the engine) —
     /// together with `active_connections` the operator's saturation signal.
     pub queue_depth: u64,
-    /// End-to-end latency histogram.
-    pub latency: LatencySnapshot,
-    /// Queue-wait histogram.
-    pub queue_wait: LatencySnapshot,
+    /// Median end-to-end query latency in µs (see
+    /// [`ServiceMetrics::latency`]; log₂ bucket edge clamped to the largest
+    /// observation).
+    pub p50_us: u64,
+    /// 99th-percentile end-to-end query latency in µs.
+    pub p99_us: u64,
+    /// Mean end-to-end query latency in µs.
+    pub mean_us: u64,
+}
+
+/// A duration in whole microseconds, saturating.
+fn micros(duration: Duration) -> u64 {
+    duration.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 #[cfg(test)]
@@ -461,24 +365,56 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_monotone_and_bounded() {
-        let h = LatencyHistogram::new();
+        let m = ServiceMetrics::new();
         for ms in [1u64, 2, 3, 5, 8, 13, 200] {
-            h.record(Duration::from_millis(ms));
+            m.record_completed(&QueryStats::default(), Duration::from_millis(ms));
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 7);
-        assert!(s.p50() <= s.p99());
-        assert!(s.p99() <= Duration::from_micros(s.max_micros.max(1)));
-        assert!(s.mean() >= Duration::from_millis(1));
-        assert_eq!(s.max_micros, 200_000);
+        let s = m.snapshot();
+        assert_eq!(m.latency().count(), 7);
+        assert!(s.p50_us <= s.p99_us);
+        assert!(s.p99_us <= m.latency().max_us().max(1));
+        assert!(s.mean_us >= 1_000);
+        assert_eq!(m.latency().max_us(), 200_000);
     }
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let s = LatencyHistogram::new().snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.p50(), Duration::ZERO);
-        assert_eq!(s.mean(), Duration::ZERO);
+        let m = ServiceMetrics::new();
+        let s = m.snapshot();
+        assert_eq!(m.latency().count(), 0);
+        assert_eq!(s.p50_us, 0);
+        assert_eq!(s.mean_us, 0);
+    }
+
+    /// The `STATS` quantiles and the Prometheus exposition of fixed
+    /// observations, byte for byte: a value in `[2^k, 2^(k+1))` µs reports
+    /// `2^(k+1)`, quantiles are clamped to the largest observation, and the
+    /// exposition closes with the `2^31` µs bucket.
+    #[test]
+    fn latency_reports_keep_the_log2_upper_edge_convention() {
+        let m = ServiceMetrics::new();
+        for us in [1u64, 2, 3, 7, 8, 100, 1_000, 65_536, 3_000_000] {
+            m.record_completed(&QueryStats::default(), Duration::from_micros(us));
+        }
+        let s = m.snapshot();
+        assert_eq!((s.p50_us, s.p99_us, s.mean_us), (16, 3_000_000, 340_739));
+        let mut text = String::new();
+        m.latency().render_prometheus("t", &mut text);
+        assert_eq!(
+            text,
+            "t_bucket{le=\"0.000002\"} 1\n\
+             t_bucket{le=\"0.000004\"} 3\n\
+             t_bucket{le=\"0.000008\"} 4\n\
+             t_bucket{le=\"0.000016\"} 5\n\
+             t_bucket{le=\"0.000128\"} 6\n\
+             t_bucket{le=\"0.001024\"} 7\n\
+             t_bucket{le=\"0.131072\"} 8\n\
+             t_bucket{le=\"4.194304\"} 9\n\
+             t_bucket{le=\"2147.483648\"} 9\n\
+             t_bucket{le=\"+Inf\"} 9\n\
+             t_sum 3.066657\n\
+             t_count 9\n"
+        );
     }
 
     #[test]
@@ -500,18 +436,5 @@ mod tests {
         assert_eq!(s.rejected, 1);
         assert!((s.filter_rate - 0.75).abs() < 1e-12);
         assert!(s.qps > 0.0);
-    }
-
-    #[test]
-    fn bucket_mapping_covers_the_range() {
-        assert_eq!(LatencyHistogram::bucket_of(0), 0);
-        assert!(LatencyHistogram::bucket_of(u64::MAX) < LATENCY_BUCKETS);
-        // Buckets are non-decreasing in the observation.
-        let mut last = 0;
-        for exp in 0..40u32 {
-            let b = LatencyHistogram::bucket_of(1u64 << exp);
-            assert!(b >= last);
-            last = b;
-        }
     }
 }

@@ -78,14 +78,13 @@ pub const DEFAULT_MONITOR_INTERVAL_MS: u64 = 1000;
 /// blocking request on its connection, so its span must be bounded.
 pub const MAX_MONITOR_FRAMES: u32 = 3600;
 
-/// Longest request line (newline included) a front end buffers on behalf of
-/// a peer. Both servers — the shard server's connection threads and the
-/// cluster coordinator's event loop — answer a longer line with a protocol
-/// `ERR` and close the connection instead of growing the buffer. A 16-mask
-/// `INSERT` of 112x112 pixel literals is about 2 MB.
+/// Longest request line (newline included) the front end buffers on behalf
+/// of a peer. The server — shard or coordinator alike — answers a longer
+/// line with a protocol `ERR` and closes the connection instead of growing
+/// the buffer. A 16-mask `INSERT` of 112x112 pixel literals is about 2 MB.
 pub const MAX_LINE_BYTES: usize = 64 << 20;
 
-/// The error both front ends answer an over-long request line with.
+/// The error the front end answers an over-long request line with.
 pub fn line_too_long() -> ServiceError {
     ServiceError::Protocol(format!(
         "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
@@ -490,9 +489,9 @@ fn write_text_frame<'a, W: Write>(
     writeln!(w, "{END_MARKER}")
 }
 
-/// Writes an error frame.
-pub fn write_error<W: Write>(w: &mut W, error: &ServiceError) -> std::io::Result<()> {
-    writeln!(w, "ERR {}", error.wire_message())?;
+/// Writes an error frame: `ERR` and the error's rendering on one line.
+pub fn write_error<W: Write>(w: &mut W, error: &dyn std::fmt::Display) -> std::io::Result<()> {
+    writeln!(w, "ERR {}", error.to_string().replace(['\r', '\n'], " "))?;
     writeln!(w, "{END_MARKER}")
 }
 
@@ -513,12 +512,13 @@ pub fn pong_version(line: &str) -> Option<u32> {
     rest.strip_prefix('v').and_then(|v| v.parse().ok())
 }
 
-/// Writes a server-metrics frame.
+/// The `STATS` line of a server-metrics frame (the frame is this line and
+/// the `END` marker).
 ///
 /// Every aggregatable key is spelled via [`masksearch_obs::keys`], the same
 /// registry the cluster coordinator's sum/max merge reads — renaming a key
 /// there changes writer and aggregator together.
-pub fn write_stats<W: Write>(w: &mut W, m: &MetricsSnapshot) -> std::io::Result<()> {
+pub fn stats_line(m: &MetricsSnapshot) -> String {
     use masksearch_obs::keys as k;
     use std::fmt::Write as _;
     let mut line = format!("STATS {}={:.3}", k::QPS, m.qps);
@@ -534,10 +534,10 @@ pub fn write_stats<W: Write>(w: &mut W, m: &MetricsSnapshot) -> std::io::Result<
         line,
         " {}={} {}={} mean_us={} filter_rate={:.6} cache_hit_rate={:.6} uptime_ms={}",
         k::P50_US,
-        m.latency.p50().as_micros(),
+        m.p50_us,
         k::P99_US,
-        m.latency.p99().as_micros(),
-        m.latency.mean().as_micros(),
+        m.p99_us,
+        m.mean_us,
         m.filter_rate,
         m.cache_hit_rate,
         m.uptime.as_millis(),
@@ -568,8 +568,7 @@ pub fn write_stats<W: Write>(w: &mut W, m: &MetricsSnapshot) -> std::io::Result<
     ] {
         let _ = write!(line, " {key}={value}");
     }
-    writeln!(w, "{line}")?;
-    writeln!(w, "{END_MARKER}")
+    line
 }
 
 /// Summary line of an `OK` frame, as parsed back by the client.

@@ -294,6 +294,65 @@ pub fn compile_script(sql: &str) -> Result<Vec<Statement>, SqlError> {
     Ok(statements)
 }
 
+/// Recognises a multi-statement `BEGIN; …; COMMIT` (or `… ROLLBACK`) script
+/// and returns its mutations plus whether it commits. `Ok(None)` means `sql`
+/// is a single statement (a lone trailing `;` is fine) that takes the
+/// ordinary [`compile_statement`] path. A multi-statement script that is not
+/// a well-formed transaction is rejected loudly — nothing is ever partially
+/// applied. One compiler serves a single server and a cluster coordinator,
+/// so a script means the same thing to both.
+///
+/// The error is the message a server answers with: a parse error's
+/// rendering, or the reason the script is not a transaction.
+///
+/// ```
+/// use masksearch_sql::compile_transaction_script;
+/// let (mutations, commit) =
+///     compile_transaction_script("BEGIN; DELETE FROM masks WHERE mask_id = 1; COMMIT")
+///         .unwrap()
+///         .unwrap();
+/// assert_eq!((mutations.len(), commit), (1, true));
+/// assert!(compile_transaction_script("DELETE FROM masks WHERE mask_id = 1;")
+///     .unwrap()
+///     .is_none());
+/// ```
+pub fn compile_transaction_script(sql: &str) -> Result<Option<(Vec<Mutation>, bool)>, String> {
+    if !sql.contains(';') {
+        return Ok(None);
+    }
+    let statements = compile_script(sql).map_err(|e| e.to_string())?;
+    if statements.len() <= 1 {
+        return Ok(None);
+    }
+    let err = |msg: &str| Err(msg.to_string());
+    let mut iter = statements.into_iter();
+    if !matches!(iter.next(), Some(Statement::Control(TxnControl::Begin))) {
+        return err("a multi-statement script must be wrapped in BEGIN ... COMMIT");
+    }
+    let mut mutations = Vec::new();
+    let mut finished = None;
+    for statement in iter {
+        if finished.is_some() {
+            return err("statements after COMMIT/ROLLBACK in a transaction script");
+        }
+        match statement {
+            Statement::Mutation(m) => mutations.push(m),
+            Statement::Control(TxnControl::Commit) => finished = Some(true),
+            Statement::Control(TxnControl::Rollback) => finished = Some(false),
+            Statement::Control(TxnControl::Begin) => {
+                return err("nested BEGIN in a transaction script");
+            }
+            Statement::Query(_) => {
+                return err("queries are not allowed inside a transaction script");
+            }
+        }
+    }
+    match finished {
+        Some(commit) => Ok(Some((mutations, commit))),
+        None => err("a transaction script must end with COMMIT (or ROLLBACK)"),
+    }
+}
+
 #[cfg(test)]
 mod explain_tests {
     use super::*;
