@@ -35,6 +35,7 @@ pub mod compose;
 pub mod cp;
 pub mod error;
 pub mod mask;
+pub mod pixel_pass;
 pub mod range;
 pub mod record;
 pub mod roi;
@@ -48,6 +49,7 @@ pub use compose::{check_composable, compose_masks, cp_composed, cp_composed_many
 pub use cp::{cp, cp_full, cp_many, cp_many_le_rows, cp_row_band};
 pub use error::{Error, Result};
 pub use mask::Mask;
+pub use pixel_pass::CellGeometry;
 pub use range::PixelRange;
 pub use record::{MaskRecord, MaskRecordBuilder};
 pub use roi::Roi;

@@ -5,12 +5,17 @@
 //! the same cumulative-histogram idea *within* one mask. A [`TileGrid`]
 //! partitions a mask into fixed-size square tiles (default
 //! [`DEFAULT_TILE_SIZE`] = 64×64; edge tiles are smaller when the mask is not
-//! a tile multiple). Each tile carries three summaries computed in a single
-//! pass over its pixels:
+//! a tile multiple). Each tile carries three summaries:
 //!
-//! * the minimum and maximum pixel value of the tile, and
+//! * the minimum and maximum pixel value of the tile,
+//! * the number of its pixels outside `[0, 1)` (uncountable), and
 //! * a small cumulative value histogram over [`TILE_BINS`] equi-width bins:
 //!   `cum[i]` counts the tile's pixels with value `< i / TILE_BINS`.
+//!
+//! This module keeps no pixel loop of its own: [`TileGrid::build_with`] is
+//! `pixel_pass::tiles`, the row-major pass that also builds a
+//! mask's per-cell CHI histograms — the durable store's commit path asks it
+//! for both products of one mask at once.
 //!
 //! When `CP(mask, roi, [lo, hi))` is evaluated through the kernel
 //! ([`TiledMask::cp`]), every tile overlapping the clipped ROI is classified
@@ -139,13 +144,6 @@ impl TileSummary {
     }
 }
 
-/// The bin holding `value`; exact because `value * TILE_BINS` is exact.
-#[inline]
-fn bin_of(value: f32) -> usize {
-    debug_assert!((0.0..1.0).contains(&value));
-    ((value * TILE_BINS as f32) as usize).min(TILE_BINS - 1)
-}
-
 /// If `bound` lies exactly on a bin edge `i / TILE_BINS`, returns `i`.
 #[inline]
 fn bin_edge_index(bound: f32) -> Option<usize> {
@@ -175,88 +173,13 @@ impl TileGrid {
         Self::build_with(mask, DEFAULT_TILE_SIZE)
     }
 
-    /// Builds the grid of `mask` with tiles of `tile × tile` pixels.
+    /// Builds the grid of `mask` with tiles of `tile × tile` pixels, through
+    /// the one pixel pass ([`crate::pixel_pass`]) the CHI is built by too.
     ///
     /// # Panics
     /// Panics if `tile` is zero.
     pub fn build_with(mask: &Mask, tile: u32) -> Self {
-        assert!(tile > 0, "tile size must be non-zero");
-        let (w, h) = mask.shape();
-        let tiles_x = w.div_ceil(tile);
-        let tiles_y = h.div_ceil(tile);
-        let mut summaries = Vec::with_capacity((tiles_x as usize) * (tiles_y as usize));
-        // One tile row at a time, visiting each mask row once: the row's
-        // slices land in the per-tile accumulators of the current tile row.
-        let mut mins = vec![f32::INFINITY; tiles_x as usize];
-        let mut maxs = vec![f32::NEG_INFINITY; tiles_x as usize];
-        let mut uncountables = vec![0u32; tiles_x as usize];
-        let mut hists = vec![[0u32; TILE_BINS]; tiles_x as usize];
-        for ty in 0..tiles_y {
-            for acc in mins.iter_mut() {
-                *acc = f32::INFINITY;
-            }
-            for acc in maxs.iter_mut() {
-                *acc = f32::NEG_INFINITY;
-            }
-            for acc in uncountables.iter_mut() {
-                *acc = 0;
-            }
-            for acc in hists.iter_mut() {
-                *acc = [0u32; TILE_BINS];
-            }
-            let y0 = ty * tile;
-            let y1 = (y0 + tile).min(h);
-            for y in y0..y1 {
-                let row = mask.row(y);
-                for tx in 0..tiles_x {
-                    let x0 = (tx * tile) as usize;
-                    let x1 = ((tx + 1) * tile).min(w) as usize;
-                    let (min, max, uncountable, hist) = (
-                        &mut mins[tx as usize],
-                        &mut maxs[tx as usize],
-                        &mut uncountables[tx as usize],
-                        &mut hists[tx as usize],
-                    );
-                    for &v in &row[x0..x1] {
-                        // NaN fails both comparisons and so never perturbs
-                        // the bounds; finite out-of-domain values widen them,
-                        // which only forbids the all-in fast path.
-                        if v < *min {
-                            *min = v;
-                        }
-                        if v > *max {
-                            *max = v;
-                        }
-                        if (0.0..1.0).contains(&v) {
-                            hist[bin_of(v)] += 1;
-                        } else {
-                            // NaN / ±∞ / out-of-domain: never in any range.
-                            *uncountable += 1;
-                        }
-                    }
-                }
-            }
-            for tx in 0..tiles_x as usize {
-                let mut cum = [0u32; TILE_BINS + 1];
-                for (i, &count) in hists[tx].iter().enumerate() {
-                    cum[i + 1] = cum[i] + count;
-                }
-                summaries.push(TileSummary {
-                    min: mins[tx],
-                    max: maxs[tx],
-                    uncountable: uncountables[tx],
-                    cum,
-                });
-            }
-        }
-        Self {
-            mask_width: w,
-            mask_height: h,
-            tile,
-            tiles_x,
-            tiles_y,
-            summaries,
-        }
+        crate::pixel_pass::tiles(mask, tile)
     }
 
     /// Reassembles a grid from its parts, or `None` if the summary count

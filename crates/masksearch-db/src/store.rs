@@ -23,6 +23,14 @@
 //!    their insertion happens *inside* step 2's write lock so pixels and
 //!    summaries publish together.
 //!
+//! Both indexes of every inserted mask are built before any of this, outside
+//! every lock, by one pass over its pixels (`Chi::build_with_tiles`); a batch
+//! that fails validation or its append just drops them. Each index store is
+//! write-locked once to evict the batch's deleted and overwritten ids and
+//! once to install its new entries, however many masks the batch holds, so
+//! a reader holding a guard across a chunk of candidates waits for a commit
+//! at most twice.
+//!
 //! ## Reads
 //!
 //! A load resolves the mask's directory entry and reads its extent under
@@ -82,7 +90,7 @@ use crate::snapshot::SnapshotFile;
 use crate::stats::IngestStats;
 use crate::wal::{CommittedTxn, Wal};
 use masksearch_core::{Mask, MaskId, MaskRecord, TileGrid, TiledMask};
-use masksearch_index::{ChiConfig, ChiStore, TileStore};
+use masksearch_index::{Chi, ChiConfig, ChiStore, TileStore};
 use masksearch_obs::counters as obs_counters;
 use masksearch_obs::ShapeStatsRegistry;
 use masksearch_storage::format;
@@ -187,6 +195,9 @@ impl DbConfig {
         self
     }
 }
+
+/// The indexes of a batch's inserts, in batch order: CHIs and tile grids.
+type BuiltIndexes = (Vec<(MaskId, Chi)>, Vec<(MaskId, Arc<TileGrid>)>);
 
 /// What readers see, guarded by one `RwLock`: they resolve a mask's location
 /// and read its pages under a single read guard, so a concurrent commit
@@ -616,13 +627,31 @@ impl DurableMaskStore {
     }
 
     fn commit(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<()> {
-        self.commit_locked(&mut self.writer.lock(), inserts, deletes)
+        let built = self.build_indexes(inserts);
+        self.commit_locked(&mut self.writer.lock(), inserts, built, deletes)
     }
 
+    /// The CHI and the tile grid of every mask in `inserts`, both from one
+    /// pass over its pixels. Built before the writer mutex is taken: the
+    /// O(pixels) work holds no lock, and a commit that fails just drops it.
+    fn build_indexes(&self, inserts: &[(MaskRecord, Mask)]) -> BuiltIndexes {
+        inserts
+            .iter()
+            .map(|(record, mask)| {
+                let (chi, grid) =
+                    Chi::build_with_tiles(mask, &self.config.chi_config, self.tiles.tile());
+                ((record.mask_id, chi), (record.mask_id, Arc::new(grid)))
+            })
+            .unzip()
+    }
+
+    /// Commits `inserts` (with the indexes [`Self::build_indexes`] built for
+    /// them) and `deletes` as one transaction; see the module docs.
     fn commit_locked(
         &self,
         writer: &mut Writer,
         inserts: &[(MaskRecord, Mask)],
+        (chis, grids): BuiltIndexes,
         deletes: &[MaskId],
     ) -> StorageResult<()> {
         if inserts.is_empty() && deletes.is_empty() {
@@ -700,26 +729,16 @@ impl DurableMaskStore {
         delta.upserts = upserts.into_values().collect();
         delta.page_count = writer.page_count;
 
-        // Build the tile grids of the incoming masks while nothing is
-        // locked: their insertion must happen inside the publish critical
-        // section below (so grids are never observable ahead of or behind
-        // the pixels they summarise), but the O(pixels) build work should
-        // not extend it.
-        let grids: Vec<(MaskId, Arc<TileGrid>)> = inserts
-            .iter()
-            .map(|(record, mask)| (record.mask_id, Arc::new(TileGrid::build(mask))))
-            .collect();
-
         // Deleted masks leave the indexes before the commit point so the
         // filter stage never holds bounds for a mask that may vanish.
         // Overwritten masks are evicted too: between the publish below and
         // the re-index after it, a query must fall back to verification by
         // loading — stale bounds over the new pixels could accept or prune
-        // without ever loading the mask.
-        for &mask_id in delta.removed.iter().chain(&overwritten) {
-            self.chi.remove(mask_id);
-            self.tiles.remove(mask_id);
-        }
+        // without ever loading the mask. One write guard per store for the
+        // whole batch.
+        let evicted: Vec<MaskId> = delta.removed.iter().chain(&overwritten).copied().collect();
+        self.chi.remove_many(&evicted);
+        self.tiles.remove_many(&evicted);
 
         // Commit point: the WAL append (+ optional fsync).
         let commit_start = std::time::Instant::now();
@@ -758,15 +777,11 @@ impl DurableMaskStore {
             // Tile grids publish atomically with the pixels they summarise:
             // still under the state write lock, so a reader's state read
             // guard pins a consistent (pixels, grid) pair.
-            for (mask_id, grid) in grids {
-                self.tiles.insert(mask_id, grid);
-            }
+            self.tiles.insert_many(grids);
         }
 
         // Inserted masks enter the index only now that they are durable.
-        for (record, mask) in inserts {
-            self.chi.index_mask(record.mask_id, mask);
-        }
+        self.chi.insert_many(chis);
 
         self.io.record_write(
             blob_bytes,
@@ -829,6 +844,7 @@ impl DurableMaskStore {
             upserts.push((entry.record.clone(), mask));
         }
 
+        let built = self.build_indexes(&upserts);
         let mut writer = self.writer.lock();
         let removed: Vec<MaskId> = {
             let state = self.state.read();
@@ -839,7 +855,7 @@ impl DurableMaskStore {
                 .filter(|id| state.dir.entries.contains_key(id))
                 .collect()
         };
-        self.commit_locked(&mut writer, &upserts, &removed)?;
+        self.commit_locked(&mut writer, &upserts, built, &removed)?;
         let mut changed: Vec<MaskId> = delta
             .removed
             .iter()
@@ -853,15 +869,20 @@ impl DurableMaskStore {
 
     /// Snapshots every defined secondary index to its `masks.idx.<col>` file
     /// and removes the files of dropped definitions. Caller holds the writer
-    /// mutex (directly or via a checkpoint).
+    /// mutex (directly or via a checkpoint). The catalog the snapshots are
+    /// taken from — a copy of every directory record — is built only when
+    /// some column has a definition.
     fn persist_meta_indexes_locked(&self) -> StorageResult<()> {
-        let catalog = self.catalog();
+        let mut catalog = None;
         for column in MetaColumn::ALL {
             let path = self.db_dir.join(meta_index_file(column));
             match self.meta_indexes.on(column) {
                 Some(def) => replace_file(
                     &path,
-                    &meta_index::snapshot_bytes(&def, &catalog),
+                    &meta_index::snapshot_bytes(
+                        &def,
+                        catalog.get_or_insert_with(|| self.catalog()),
+                    ),
                     "metadata index snapshot",
                     false,
                 )?,
@@ -1106,7 +1127,8 @@ struct RecoveredIndexes {
 ///   the last checkpoint, so they may describe *pre-overwrite* pixels, and a
 ///   stale index over new pixels could mis-prune or mis-accept;
 /// * masks left without an entry are re-indexed from their recovered pixels
-///   (decoded once, shared by both indexes) and noted as not in the files.
+///   (decoded once, both indexes from one pass) and noted as not in the
+///   files.
 fn reconcile_indexes(
     chi_path: &Path,
     tiles_path: &Path,
@@ -1155,11 +1177,12 @@ fn reconcile_indexes(
         }
         let blob = pager.read_extent(entry.start, entry.pages, entry.bytes)?;
         let (_, mask) = format::decode_mask(&blob)?;
+        let (built, grid) = Chi::build_with_tiles(&mask, &config.chi_config, tiles.tile());
         if need_chi {
-            chi.index_mask(*mask_id, &mask);
+            chi.insert(*mask_id, built);
         }
         if need_tiles {
-            tiles.index_mask(*mask_id, &mask);
+            tiles.insert(*mask_id, Arc::new(grid));
         }
         unsnapshotted.insert(*mask_id);
     }
@@ -1609,6 +1632,33 @@ mod tests {
             let store = DurableMaskStore::open(&dir, small_config()).unwrap();
             assert!(store.meta_indexes().unwrap().is_empty());
         }
+        assert!(!idx_path.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint with no definition left still deletes the snapshot of
+    /// the one just dropped, and a reopen finds no definition.
+    #[test]
+    fn checkpoint_removes_the_snapshot_of_a_dropped_index() {
+        let dir = temp_dir("meta-idx-drop");
+        let idx_path = dir.join(meta_index_file(MetaColumn::ModelId));
+        {
+            let store = DurableMaskStore::open(&dir, small_config()).unwrap();
+            store.insert_masks(&batch(0..4)).unwrap();
+            let registry = store.meta_indexes().unwrap();
+            registry
+                .create("by_model", MetaColumn::ModelId, false)
+                .unwrap();
+            store.checkpoint().unwrap();
+            assert!(idx_path.exists());
+            registry.drop_index("by_model", false).unwrap();
+            store.insert_masks(&batch(4..6)).unwrap();
+            store.checkpoint().unwrap();
+            assert!(!idx_path.exists());
+        }
+        let store = DurableMaskStore::open(&dir, small_config()).unwrap();
+        assert!(store.meta_indexes().unwrap().is_empty());
+        assert_eq!(store.len(), 6);
         assert!(!idx_path.exists());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -21,9 +21,15 @@
 //! [`ChiView`] borrows them from whoever does (the [`crate::ChiStore`] keeps
 //! every mask's cells in one slab and hands out views). Both are
 //! [`ChiOver`] some cell storage, so every read method is written once.
+//!
+//! Building one is the plain per-cell histograms followed by the cumulative
+//! sweeps. The histograms come from the one pass over a mask's pixels in
+//! `masksearch-core` ([`pixel_pass`]) — this module has no pixel loop — and
+//! [`Chi::build_with_tiles`] takes the mask's tile grid from the same pass,
+//! which is how the durable store indexes every mask it commits.
 
 use crate::bounds::{self, CpBounds};
-use masksearch_core::{Mask, PixelRange, Roi};
+use masksearch_core::{pixel_pass, CellGeometry, Mask, PixelRange, Roi, TileGrid};
 use std::ops::Deref;
 
 /// Configuration of a CHI: spatial cell size and number of value bins.
@@ -109,7 +115,16 @@ impl ChiConfig {
     /// Maps a pixel value in `[0, 1)` to its bin index.
     #[inline]
     pub fn bin_of(&self, value: f32) -> u32 {
-        ((value as f64 * self.bins as f64) as u32).min(self.bins - 1)
+        self.geometry().bin_of(value)
+    }
+
+    /// The cell grid and bins of the per-cell histograms the index sweeps.
+    pub fn geometry(&self) -> CellGeometry {
+        CellGeometry {
+            cell_width: self.cell_width,
+            cell_height: self.cell_height,
+            bins: self.bins,
+        }
     }
 }
 
@@ -151,39 +166,42 @@ pub type ChiView<'a> = ChiOver<&'a [u32]>;
 impl Chi {
     /// Builds the CHI of `mask` under `config`.
     ///
-    /// Cost is `O(w · h + cells · bins)` — a single pass over the pixels plus
-    /// the cumulative sweeps.
+    /// Cost is `O(w · h + cells · bins)` — the one pass over the pixels
+    /// ([`pixel_pass::cells`]) plus the cumulative sweeps.
     pub fn build(mask: &Mask, config: &ChiConfig) -> Self {
+        Self::sweep(mask, config, pixel_pass::cells(mask, config.geometry()))
+    }
+
+    /// Builds the CHI of `mask` under `config` and its tile grid with
+    /// `tile × tile` tiles in the same pass over the pixels: each equals
+    /// what [`Chi::build`] and [`TileGrid::build_with`] return.
+    pub fn build_with_tiles(mask: &Mask, config: &ChiConfig, tile: u32) -> (Self, TileGrid) {
+        let (grid, cells) = pixel_pass::tiles_and_cells(mask, tile, config.geometry());
+        (Self::sweep(mask, config, cells), grid)
+    }
+
+    /// The index over `data`, the plain per-cell histograms of `mask`.
+    ///
+    /// Pixels outside the countable [0, 1) domain (NaN, ±∞, out of range —
+    /// reachable only through the unchecked constructor, e.g. on hostile
+    /// blobs) are in no histogram: no `PixelRange` can ever count them, and
+    /// binning a NaN (which casts to bin 0) would inflate lower bounds above
+    /// the exact count, breaking filter-stage soundness.
+    fn sweep(mask: &Mask, config: &ChiConfig, mut data: Vec<u32>) -> Self {
         let (w, h) = mask.shape();
         let cells_x = config.cells_x(w);
         let cells_y = config.cells_y(h);
         let bins = config.bins as usize;
-        let mut data = vec![0u32; cells_x as usize * cells_y as usize * bins];
+        debug_assert_eq!(data.len(), cells_x as usize * cells_y as usize * bins);
 
-        // Pass 1: per-cell plain histograms. Pixels outside the countable
-        // [0, 1) domain (NaN, ±∞, out of range — reachable only through the
-        // unchecked constructor, e.g. on hostile blobs) are skipped: no
-        // `PixelRange` can ever count them, and binning a NaN (which casts
-        // to bin 0) would inflate lower bounds above the exact count,
-        // breaking filter-stage soundness.
-        for (x, y, v) in mask.iter_pixels() {
-            if !(0.0..1.0).contains(&v) {
-                continue;
-            }
-            let cx = (x / config.cell_width) as usize;
-            let cy = (y / config.cell_height) as usize;
-            let bin = config.bin_of(v) as usize;
-            data[(cy * cells_x as usize + cx) * bins + bin] += 1;
-        }
-
-        // Pass 2: reverse-cumulative over bins within each cell.
+        // Reverse-cumulative over bins within each cell.
         for cell in data.chunks_exact_mut(bins) {
             for b in (0..bins - 1).rev() {
                 cell[b] += cell[b + 1];
             }
         }
 
-        // Pass 3: 2-D prefix sums over the cell grid, per bin.
+        // 2-D prefix sums over the cell grid, per bin.
         // First along x...
         for cy in 0..cells_y as usize {
             for cx in 1..cells_x as usize {

@@ -302,8 +302,26 @@ impl ChiStore {
     /// Panics if `chi` was built under another configuration than the
     /// store's.
     pub fn insert(&self, mask_id: MaskId, chi: Chi) {
-        assert_eq!(*chi.config(), self.config, "index of another configuration");
-        self.entries.write().put_chi(mask_id, &chi);
+        self.insert_many([(mask_id, chi)]);
+    }
+
+    /// Inserts pre-built indexes under one write guard, in order (a later
+    /// entry for an id replaces an earlier one): a commit installs its whole
+    /// batch while readers wait once.
+    ///
+    /// # Panics
+    /// Panics if an index was built under another configuration than the
+    /// store's.
+    pub fn insert_many(&self, indexes: impl IntoIterator<Item = (MaskId, Chi)>) {
+        let mut indexes = indexes.into_iter().peekable();
+        if indexes.peek().is_none() {
+            return;
+        }
+        let mut entries = self.entries.write();
+        for (mask_id, chi) in indexes {
+            assert_eq!(*chi.config(), self.config, "index of another configuration");
+            entries.put_chi(mask_id, &chi);
+        }
     }
 
     /// Builds and inserts the index of `mask` under the store's
@@ -316,14 +334,27 @@ impl ChiStore {
 
     /// Removes the index of `mask_id`; returns whether it existed.
     pub fn remove(&self, mask_id: MaskId) -> bool {
+        self.remove_many(&[mask_id]) == 1
+    }
+
+    /// Removes the indexes of `mask_ids` under one write guard, counting as
+    /// one removal for [`ChiStore::index_mask_if_current`]; returns how many
+    /// existed. An empty slice takes no lock.
+    pub fn remove_many(&self, mask_ids: &[MaskId]) -> usize {
+        if mask_ids.is_empty() {
+            return 0;
+        }
         let mut entries = self.entries.write();
         self.removals.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = entries.slots.remove(&mask_id) else {
-            return false;
-        };
-        let words = entries.words(&slot);
-        entries.slab.release(slot.run, words);
-        true
+        let mut removed = 0;
+        for mask_id in mask_ids {
+            if let Some(slot) = entries.slots.remove(mask_id) {
+                let words = entries.words(&slot);
+                entries.slab.release(slot.run, words);
+                removed += 1;
+            }
+        }
+        removed
     }
 
     /// The current removal generation (see [`ChiStore::index_mask_if_current`]).

@@ -108,6 +108,16 @@ impl TileStore {
         self.entries.write().insert(mask_id, grid);
     }
 
+    /// Inserts pre-built grids under one write guard, in order (a later
+    /// entry for an id replaces an earlier one). Nothing to insert takes no
+    /// lock.
+    pub fn insert_many(&self, grids: impl IntoIterator<Item = (MaskId, Arc<TileGrid>)>) {
+        let mut grids = grids.into_iter().peekable();
+        if grids.peek().is_some() {
+            self.entries.write().extend(grids);
+        }
+    }
+
     /// Builds and inserts the grid of `mask`, returning it.
     pub fn index_mask(&self, mask_id: MaskId, mask: &Mask) -> Arc<TileGrid> {
         let grid = Arc::new(TileGrid::build_with(mask, self.tile));
@@ -118,6 +128,17 @@ impl TileStore {
     /// Removes the grid of `mask_id`, returning it if it existed.
     pub fn remove(&self, mask_id: MaskId) -> Option<Arc<TileGrid>> {
         self.entries.write().remove(&mask_id)
+    }
+
+    /// Removes the grids of `mask_ids` under one write guard. An empty slice
+    /// takes no lock.
+    pub fn remove_many(&self, mask_ids: &[MaskId]) {
+        if !mask_ids.is_empty() {
+            let mut entries = self.entries.write();
+            for id in mask_ids {
+                entries.remove(id);
+            }
+        }
     }
 
     /// Ids of all summarised masks, ascending.

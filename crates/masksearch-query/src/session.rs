@@ -621,25 +621,22 @@ impl Session {
     /// `current` when the mask was already rewritten earlier in the same
     /// statement or transaction, the committed catalog + store state
     /// otherwise. Fails with [`QueryError::UnknownMask`] before any side
-    /// effect when the target does not exist.
+    /// effect when the target does not exist. The old pixels are read only
+    /// when the update keeps them: new pixels replace every one.
     fn updated_entry(
         &self,
         current: Option<&(MaskRecord, Mask)>,
         catalog: &Catalog,
         update: &MaskUpdate,
     ) -> QueryResult<(MaskRecord, Mask)> {
-        let (mut record, mut mask) = match current {
-            Some((record, mask)) => (record.clone(), mask.clone()),
-            None => {
-                let record = catalog
-                    .get(update.mask_id)
-                    .cloned()
-                    .ok_or(QueryError::UnknownMask(update.mask_id))?;
-                let mask = self.store.get(update.mask_id)?;
-                (record, mask)
-            }
+        let mut record = match current {
+            Some((record, _)) => record.clone(),
+            None => catalog
+                .get(update.mask_id)
+                .cloned()
+                .ok_or(QueryError::UnknownMask(update.mask_id))?,
         };
-        if let Some(pixels) = &update.pixels {
+        let mask = if let Some(pixels) = &update.pixels {
             let (width, height) = update.shape.unwrap_or((record.width, record.height));
             if (width as usize) * (height as usize) != pixels.len() {
                 return Err(QueryError::invalid(format!(
@@ -662,12 +659,17 @@ impl Session {
             }
             record.width = width;
             record.height = height;
-            mask = Mask::new(width, height, pixels.clone())?;
+            Mask::new(width, height, pixels.clone())?
         } else if update.shape.is_some() {
             return Err(QueryError::invalid(
                 "UPDATE cannot change a mask's shape without new pixels",
             ));
-        }
+        } else {
+            match current {
+                Some((_, mask)) => mask.clone(),
+                None => self.store.get(update.mask_id)?,
+            }
+        };
         if let Some(model_id) = update.model_id {
             record.model_id = model_id;
         }
@@ -1746,6 +1748,139 @@ mod tests {
 
         session.delete_masks(&[MaskId::new(5)]).unwrap();
         assert!(session.aggregate_index(&signature).is_none());
+    }
+
+    /// A memory store that counts the masks read through `get`.
+    struct CountingStore {
+        inner: MemoryMaskStore,
+        gets: std::sync::atomic::AtomicUsize,
+    }
+
+    impl MaskStore for CountingStore {
+        fn put(&self, mask_id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
+            self.inner.put(mask_id, mask)
+        }
+        fn delete(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<()> {
+            self.inner.delete(mask_id)
+        }
+        fn get(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<Mask> {
+            self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.get(mask_id)
+        }
+        fn contains(&self, mask_id: MaskId) -> bool {
+            self.inner.contains(mask_id)
+        }
+        fn ids(&self) -> Vec<MaskId> {
+            self.inner.ids()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn stored_bytes(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<u64> {
+            self.inner.stored_bytes(mask_id)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+        fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
+            self.inner.io_stats()
+        }
+        fn disk_profile(&self) -> masksearch_storage::DiskProfile {
+            self.inner.disk_profile()
+        }
+    }
+
+    /// UPDATE reads the old pixels only when it keeps them, and ends in the
+    /// state the same records and masks inserted outright give.
+    #[test]
+    fn pixel_updates_do_not_read_the_old_mask() {
+        let (plain, catalog) = small_db(6);
+        let inner = MemoryMaskStore::for_tests();
+        for id in plain.ids() {
+            inner.put(id, &plain.get(id).unwrap()).unwrap();
+        }
+        let store = Arc::new(CountingStore {
+            inner,
+            gets: Default::default(),
+        });
+        let session = Session::new(
+            Arc::clone(&store) as Arc<dyn MaskStore>,
+            catalog.clone(),
+            config(),
+        )
+        .unwrap();
+        let gets = || store.gets.load(std::sync::atomic::Ordering::Relaxed);
+        let pixels = |v: f32, n: usize| vec![v; n];
+
+        let mut repaint = MaskUpdate::of(MaskId::new(1));
+        repaint.pixels = Some(pixels(0.9, 256));
+        repaint.model_id = Some(masksearch_core::ModelId::new(7));
+        let mut reshape = MaskUpdate::of(MaskId::new(4));
+        reshape.pixels = Some(pixels(0.3, 8 * 32));
+        reshape.shape = Some((8, 32));
+        let before = gets();
+        session.update_masks(&[repaint, reshape]).unwrap();
+        assert_eq!(gets() - before, 0, "pixel updates read no mask");
+
+        let mut relabel = MaskUpdate::of(MaskId::new(2));
+        relabel.model_id = Some(masksearch_core::ModelId::new(9));
+        relabel.predicted_label = Some(masksearch_core::Label::new(3));
+        let before = gets();
+        session.update_masks(&[relabel]).unwrap();
+        assert_eq!(gets() - before, 1, "a metadata-only update reads its mask");
+
+        // A repaint then a relabel of one mask in one statement: the second
+        // starts from the first's pixels, so nothing is read.
+        let mut repaint = MaskUpdate::of(MaskId::new(3));
+        repaint.pixels = Some(pixels(0.6, 256));
+        let mut relabel = MaskUpdate::of(MaskId::new(3));
+        relabel.true_label = Some(masksearch_core::Label::new(5));
+        let before = gets();
+        session.update_masks(&[repaint, relabel]).unwrap();
+        assert_eq!(gets() - before, 0);
+
+        // The same end state, inserted outright.
+        let (reference_store, _) = small_db(6);
+        let reference = Session::new(reference_store, catalog.clone(), config()).unwrap();
+        let mut expected = Vec::new();
+        let mut record = catalog.get(MaskId::new(1)).unwrap().clone();
+        record.model_id = masksearch_core::ModelId::new(7);
+        expected.push((record, Mask::new(16, 16, pixels(0.9, 256)).unwrap()));
+        let mut record = catalog.get(MaskId::new(4)).unwrap().clone();
+        (record.width, record.height, record.object_box) = (8, 32, None);
+        expected.push((record, Mask::new(8, 32, pixels(0.3, 256)).unwrap()));
+        let mut record = catalog.get(MaskId::new(2)).unwrap().clone();
+        record.model_id = masksearch_core::ModelId::new(9);
+        record.predicted_label = Some(masksearch_core::Label::new(3));
+        expected.push((record, plain.get(MaskId::new(2)).unwrap()));
+        let mut record = catalog.get(MaskId::new(3)).unwrap().clone();
+        record.true_label = Some(masksearch_core::Label::new(5));
+        expected.push((record, Mask::new(16, 16, pixels(0.6, 256)).unwrap()));
+        reference.insert_masks(&expected).unwrap();
+
+        for id in (0..6).map(MaskId::new) {
+            assert_eq!(session.record(id).unwrap(), reference.record(id).unwrap());
+            assert_eq!(
+                session.load_mask(id).unwrap(),
+                reference.load_mask(id).unwrap()
+            );
+        }
+        let full = Roi::new(0, 0, 16, 32).unwrap();
+        let range = PixelRange::new(0.5, 1.0).unwrap();
+        // Image 2 now groups an 8x32 mask with a 16x16 one: the mask
+        // aggregate fails there on both sides, alike.
+        for query in [
+            Query::filter_cp_gt(full, range, 10.0),
+            Query::top_k_cp(full, range, 4, crate::Order::Desc),
+            Query::aggregate(crate::Expr::cp(full, range), crate::ScalarAgg::Avg),
+            Query::mask_aggregate(
+                MaskAgg::IntersectThreshold { threshold: 0.5 },
+                crate::CpTerm::constant_roi(full, range),
+            ),
+        ] {
+            let rows = |session: &Session| format!("{:?}", session.execute(&query).map(|o| o.rows));
+            assert_eq!(rows(&session), rows(&reference), "{query:?}");
+        }
     }
 
     #[test]

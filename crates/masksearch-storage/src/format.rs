@@ -81,19 +81,15 @@ impl MaskHeader {
     }
 }
 
-/// Serialises a mask into the on-disk file format.
+/// Serialises a mask into the on-disk file format. A raw payload is written
+/// straight after the header into the one pre-sized buffer.
 pub fn encode_mask(mask_id: MaskId, mask: &Mask, encoding: MaskEncoding) -> Vec<u8> {
-    let payload = match encoding {
-        MaskEncoding::Raw => {
-            let mut bytes = Vec::with_capacity(mask.data().len() * 4);
-            for &v in mask.data() {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            bytes
-        }
-        MaskEncoding::Compressed => compression::compress(mask.data()),
+    let compressed = match encoding {
+        MaskEncoding::Raw => None,
+        MaskEncoding::Compressed => Some(compression::compress(mask.data())),
     };
-    let mut w = Writer::with_capacity(MASK_HEADER_LEN + payload.len());
+    let payload_len = compressed.as_ref().map_or(mask.data().len() * 4, Vec::len);
+    let mut w = Writer::with_capacity(MASK_HEADER_LEN + payload_len);
     w.write_bytes(&MASK_MAGIC);
     w.write_u16(MASK_FORMAT_VERSION);
     w.write_u8(encoding.to_code());
@@ -101,8 +97,15 @@ pub fn encode_mask(mask_id: MaskId, mask: &Mask, encoding: MaskEncoding) -> Vec<
     w.write_u64(mask_id.raw());
     w.write_u32(mask.width());
     w.write_u32(mask.height());
-    w.write_u64(payload.len() as u64);
-    w.write_bytes(&payload);
+    w.write_u64(payload_len as u64);
+    match compressed {
+        Some(payload) => w.write_bytes(&payload),
+        None => {
+            for &v in mask.data() {
+                w.write_f32(v);
+            }
+        }
+    }
     w.into_bytes()
 }
 
@@ -235,6 +238,48 @@ mod tests {
         assert_eq!((header.width, header.height), (32, 16));
         assert_eq!(decoded, mask);
         assert_eq!(header.file_len(), bytes.len() as u64);
+    }
+
+    /// The raw payload is every pixel's bit pattern, little-endian, after
+    /// the header — NaN payloads, infinities, signed zeros and subnormals
+    /// included — and reads back bit for bit.
+    #[test]
+    fn raw_encoding_keeps_every_bit_pattern() {
+        let bits: [u32; 10] = [
+            0x7fc0_0000, // quiet NaN
+            0x7fa0_0001, // signalling NaN with a payload
+            0xffff_ffff, // negative NaN, all payload bits
+            0x7f80_0000, // +inf
+            0xff80_0000, // -inf
+            0x8000_0000, // -0.0
+            0x0000_0001, // smallest subnormal
+            0x3f7f_ffff, // largest value below 1
+            0x3f80_0000, // 1.0
+            0xbf00_0000, // -0.5
+        ];
+        let data: Vec<f32> = (0..5 * 3).map(|i| f32::from_bits(bits[i % 10])).collect();
+        let mask = Mask::from_data_unchecked(5, 3, data.clone()).unwrap();
+        let bytes = encode_mask(MaskId::new(0x0102_0304_0506_0708), &mask, MaskEncoding::Raw);
+
+        let mut expected = Vec::new();
+        expected.extend_from_slice(b"MSKF");
+        expected.extend_from_slice(&1u16.to_le_bytes());
+        expected.extend_from_slice(&[0, 0]);
+        expected.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+        expected.extend_from_slice(&5u32.to_le_bytes());
+        expected.extend_from_slice(&3u32.to_le_bytes());
+        expected.extend_from_slice(&60u64.to_le_bytes());
+        for v in &data {
+            expected.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        assert_eq!(bytes, expected);
+        assert_eq!(bytes.capacity(), bytes.len());
+
+        let header = decode_header(&bytes).unwrap();
+        let back = decode_raw_rows(&header, &bytes[MASK_HEADER_LEN..], 0, 3).unwrap();
+        let back: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
+        let sent: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back, sent);
     }
 
     #[test]
