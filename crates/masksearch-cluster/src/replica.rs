@@ -30,18 +30,28 @@
 //!
 //! The primary's WAL is the only thing shipped, so it must hold the
 //! primary's whole history and keep growing while replicas tail it: open the
-//! primary with `checkpoint_wal_bytes(0)` (no automatic truncation) and do
-//! not call `checkpoint()` on it. A tailer that finds the log starting with
-//! a commit instead of the database's bootstrap (it was checkpointed before
-//! the replica attached), or observes the file shrink below its watermark,
-//! reports an error and stops rather than serving a partial copy.
+//! primary with `checkpoint_wal_bytes(0)` (no automatic checkpoint) and do
+//! not call `checkpoint()` on it. An explicit checkpoint truncates the log;
+//! an automatic one *recycles* it — same length, the first frame's header
+//! zeroed, new transactions written over the old ones from the head —
+//! so a shrinking file no longer catches every checkpoint. On every poll
+//! the tailer therefore checks, after reading what lies past its watermark,
+//! that the log still starts with the database's bootstrap (a page frame of
+//! transaction 0), and that each transaction it is about to apply has a
+//! greater id than the last one it applied; together with the file
+//! shrinking below the watermark, any of these reports a "checkpointed
+//! while replicated" error and stops the tailer rather than serving a
+//! partial copy or applying a transaction twice.
 
 use crate::error::{ClusterError, ClusterResult};
-use masksearch_db::wal::{header_page_size, scan_committed, WAL_HEADER_LEN};
+use masksearch_db::wal::{
+    header_page_size, scan_committed, starts_with_bootstrap, FRAME_ID_LEN, WAL_HEADER_LEN,
+};
 use masksearch_db::{DbConfig, MaskDb, WAL_FILE};
 use masksearch_query::{Session, SessionConfig};
 use masksearch_service::{Engine, Server, ServerHandle, ServiceConfig};
 use std::fs::File;
+use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -171,7 +181,7 @@ impl ReplicaShard {
     }
 
     /// The tailer's terminal error (e.g. a desync after the primary
-    /// truncated its WAL), if it died.
+    /// checkpointed its WAL), if it died.
     pub fn tailer_error(&self) -> Option<String> {
         self.error.lock().unwrap().clone()
     }
@@ -223,18 +233,23 @@ fn tail_wal(
     stop: &AtomicBool,
     applied: &AtomicU64,
 ) -> Result<(), String> {
+    let checkpointed = |what: String| {
+        format!(
+            "{what}: the primary checkpointed while replicated, and the masks written \
+             until then are not in its log; replicas require checkpoint_wal_bytes(0)"
+        )
+    };
     let mut watermark = applied.load(Ordering::Acquire);
+    let mut last_applied: Option<u64> = None;
     while !stop.load(Ordering::Acquire) {
         let len = primary_wal
             .metadata()
             .map_err(|e| format!("reading primary wal length: {e}"))?
             .len();
         if len < watermark {
-            return Err(format!(
-                "primary wal shrank below the applied watermark ({len} < {watermark}): the \
-                 primary checkpointed while replicated; replicas require \
-                 checkpoint_wal_bytes(0)"
-            ));
+            return Err(checkpointed(format!(
+                "primary wal shrank below the applied watermark ({len} < {watermark})"
+            )));
         }
         // The file may grow between the length and the read; what is past
         // `len` is picked up by the next poll.
@@ -242,19 +257,33 @@ fn tail_wal(
         primary_wal
             .read_exact_at(&mut bytes, watermark)
             .map_err(|e| format!("reading primary wal at {watermark}: {e}"))?;
+        // Read after the bytes: a checkpoint that recycled the log before or
+        // while they were read — its length unchanged, its blocks being
+        // overwritten from the head — has already replaced the bootstrap.
+        let mut head = [0u8; FRAME_ID_LEN];
+        let bootstrapped = match primary_wal.read_exact_at(&mut head, WAL_HEADER_LEN) {
+            Ok(()) => starts_with_bootstrap(&head),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => false,
+            Err(e) => return Err(format!("reading primary wal head: {e}")),
+        };
+        if !bootstrapped {
+            return Err(checkpointed(
+                "primary wal no longer starts with the database's bootstrap".to_string(),
+            ));
+        }
         let (txns, consumed) = scan_committed(&bytes, page_size);
         if txns.is_empty() {
             // Nothing new, or a transaction still being written.
             std::thread::sleep(POLL_INTERVAL);
             continue;
         }
-        if watermark == WAL_HEADER_LEN && txns[0].delta.is_some() {
-            return Err(
-                "primary wal starts with a commit, not the database's bootstrap: it was \
-                 checkpointed before this replica attached, and the masks written until \
-                 then are not in it"
-                    .to_string(),
-            );
+        // The scan keeps the ids of one batch increasing; across batches a
+        // repeated or older id is a transaction of an earlier generation.
+        if let Some(last) = last_applied.filter(|&last| txns[0].txn_id <= last) {
+            return Err(checkpointed(format!(
+                "primary wal holds transaction {} after {last}",
+                txns[0].txn_id
+            )));
         }
         let mut changed = Vec::new();
         for txn in &txns {
@@ -268,6 +297,7 @@ fn tail_wal(
         // applied: readers see shard-atomic states, never a half-applied
         // transaction.
         session.sync_replicated(db.catalog(), &changed);
+        last_applied = txns.last().map(|txn| txn.txn_id);
         watermark += consumed as u64;
         applied.store(watermark, Ordering::Release);
     }
@@ -323,6 +353,77 @@ mod tests {
         assert!(error.contains("bootstrap"), "{error}");
         assert!(replica.db().store().is_empty());
         assert_eq!(replica.applied_bytes(), WAL_HEADER_LEN);
+        replica.shutdown();
+        drop(primary);
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// A primary on the default configuration checkpoints by itself once its
+    /// log passes the threshold, and recycles the log: same length, new
+    /// transactions written over the old ones. The tailer stops with an
+    /// error, its replica holding a committed prefix of the primary's
+    /// history with each transaction applied once.
+    #[test]
+    fn a_recycled_primary_log_stops_the_tailer_at_a_committed_prefix() {
+        let base =
+            std::env::temp_dir().join(format!("masksearch-replica-recycle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let config = DbConfig::default();
+        let primary = MaskDb::open(base.join("primary"), config).unwrap();
+        let replica = ReplicaShard::start(
+            base.join("primary"),
+            base.join("replica"),
+            config,
+            SessionConfig::new(config.chi_config),
+            ServiceConfig::new(1),
+        )
+        .unwrap();
+        // Every commit inserts 16 new 64x64 masks (five 4 KiB pages each),
+        // so the state after `k` commits is masks `0..16k`.
+        let batch = 16u64;
+        let mask = |id: u64| {
+            Mask::from_fn(64, 64, move |x, y| {
+                ((x * 3 + y + id as u32) % 13) as f32 / 13.0
+            })
+        };
+        let mut commits = 0u64;
+        let mut after_checkpoint = 0;
+        while after_checkpoint < 3 {
+            let inserts: Vec<(MaskRecord, Mask)> = (commits * batch..(commits + 1) * batch)
+                .map(|id| {
+                    let record = MaskRecord::builder(MaskId::new(id)).shape(64, 64).build();
+                    (record, mask(id))
+                })
+                .collect();
+            primary.insert_masks(&inserts).unwrap();
+            commits += 1;
+            after_checkpoint += (primary.ingest_stats().checkpoints > 0) as u32;
+        }
+        assert!(primary.store().take_checkpoint_error().is_none());
+
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while replica.tailer_error().is_none() {
+            assert!(Instant::now() < deadline, "the tailer kept going");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let error = replica.tailer_error().unwrap();
+        assert!(error.contains("checkpointed while replicated"), "{error}");
+        let store = replica.db().store();
+        let applied = store.len() as u64;
+        assert_eq!(applied % batch, 0, "a transaction was applied in part");
+        assert!(applied / batch <= commits);
+        assert_eq!(
+            store.ids(),
+            (0..applied).map(MaskId::new).collect::<Vec<_>>()
+        );
+        for id in 0..applied {
+            assert!(store.get(MaskId::new(id)).unwrap() == mask(id), "mask {id}");
+        }
+        assert_eq!(
+            replica.db().ingest_stats().commits,
+            applied / batch,
+            "a transaction was applied twice"
+        );
         replica.shutdown();
         drop(primary);
         std::fs::remove_dir_all(&base).unwrap();

@@ -18,12 +18,12 @@
 //!  │ (blob extents,    │   + directory delta  │ (checksummed frames;      │
 //!  │  directory delta) │   + commit, fsync    │  torn tails discarded)    │
 //!  └────────┬─────────┘                       └────────────┬──────────────┘
-//!           │ apply under write lock                       │ checkpoint: log the
-//!           ▼                                              ▼ directory, copy back, truncate
+//!           │ same buffers, under write lock               │ checkpoint: log the
+//!           ▼                                              ▼ directory, copy back, recycle
 //!  ┌──────────────────┐  flush, then empty    ┌───────────────────────────┐
 //!  │ pager: write-back │ ───────────────────▶ │ page file  masks.db       │
 //!  │ table of dirty    │ ◀─────────────────── │ (a load = one positioned  │
-//!  │ pages, no cache   │  clean runs of an    │  read of the extent)      │
+//!  │ extents, no cache │  clean gaps of an    │  read of the extent)      │
 //!  └────────┬─────────┘  extent              └───────────────────────────┘
 //!           │ on commit: index inserted /                  │ checkpoint: append the
 //!           ▼ evict deleted                                ▼ entries that changed
@@ -33,16 +33,21 @@
 //!  └──────────────────┘                       └───────────────────────────┘
 //! ```
 //!
-//! * [`pager`] — the page file plus a write-back table of the pages
-//!   committed since the last checkpoint. No clean-page cache: the OS page
-//!   cache sits below it and the decoded-mask cache above it, so a load is
-//!   one positioned read of the mask's extent (dirty pages are copied from
-//!   the table instead), and a flush is one positioned write per run of
-//!   consecutive dirty pages.
-//! * [`wal`] — the write-ahead log: page after-images, one directory delta
-//!   per commit (or the whole directory, as page images, per checkpoint) and
+//! * [`pager`] — the page file plus a write-back table of the extents
+//!   committed since the last checkpoint, each the one page-padded buffer
+//!   its blob was encoded into. A new extent drops the dirty extents it
+//!   overlaps: they are dead, since only pages no live extent holds are
+//!   ever allocated. No clean-page cache: the OS page cache sits below it
+//!   and the decoded-mask cache above it, so a load is one positioned read
+//!   of the mask's extent (dirty bytes are copied from the table instead),
+//!   and a flush is one positioned write per dirty extent.
+//! * [`wal`] — the write-ahead log: page after-images, gathered straight
+//!   from the extent buffers by vectored writes, one directory delta per
+//!   commit (or the whole directory, as page images, per checkpoint) and
 //!   commit records, checksummed so recovery can cut a torn tail at any byte
-//!   boundary.
+//!   boundary. An automatic checkpoint recycles the log's blocks instead of
+//!   truncating it; transaction ids only increase, which keeps the frames
+//!   of earlier generations out of replay.
 //! * [`dir`] — the mask directory (blob extents + full catalog records) and
 //!   the delta a commit logs against it; the directory itself reaches its
 //!   WAL-protected pages once per checkpoint.

@@ -1,4 +1,4 @@
-//! Fixed-size-page file I/O with a write-back table of dirty pages.
+//! Fixed-size-page file I/O with a write-back table of dirty extents.
 //!
 //! The pager sits between the durable store and the database file. Writes
 //! enter the **dirty table** and reach the file only at checkpoint, when
@@ -9,10 +9,19 @@
 //! the log first. The store bounds the table by checkpointing on a WAL-size
 //! threshold.
 //!
+//! The table holds each written extent as the one buffer of whole pages it
+//! was committed in, keyed by its first page — the buffer the WAL framed,
+//! moved in rather than copied ([`Pager::write_extent`]; a page is the
+//! one-page case). Entries never overlap: a new extent **drops every dirty
+//! extent it overlaps**, whole. That is sound only because the dropped ones
+//! are dead — the store's allocator hands out only pages that no extent of
+//! the current directory holds, so an extent overlapped by a new one was
+//! freed, and none of its pages will be read again before being rewritten.
+//!
 //! There is no cache of clean pages: the OS page cache sits below the pager
 //! and the decoded-mask cache above it. [`Pager::read_extent`] assembles a
-//! contiguous extent from the table (dirty pages) and the file (everything
-//! else, one positioned read per run of non-dirty pages);
+//! contiguous extent from the table (dirty extents) and the file (everything
+//! else, one positioned read per gap between them);
 //! [`Pager::read_extent_at`] does the same for any byte range of an extent
 //! into a caller's buffer — what a verification that needs only a mask's
 //! ROI rows reads — touching only the pages the range covers. Because `flush`
@@ -32,18 +41,15 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
-/// Most bytes [`Pager::flush`] gathers into one write: long runs are split
-/// so the copy buffer stays small beside the table it drains.
-const MAX_WRITE_BYTES: usize = 1 << 20;
-
 struct Table {
-    /// Page images written since the last flush.
+    /// Extents written since the last flush, by first page: each a whole
+    /// number of pages, no two overlapping.
     dirty: BTreeMap<PageNo, Vec<u8>>,
     /// Pages currently backed by the file (its length / page size).
     file_pages: u64,
 }
 
-/// A page file plus the table of dirty pages awaiting checkpoint.
+/// A page file plus the table of dirty extents awaiting checkpoint.
 pub struct Pager {
     file: File,
     path: PathBuf,
@@ -84,7 +90,8 @@ impl Pager {
 
     /// Number of dirty pages waiting for a checkpoint.
     pub fn dirty_pages(&self) -> usize {
-        self.table.read().dirty.len()
+        let bytes: usize = self.table.read().dirty.values().map(Vec::len).sum();
+        bytes / self.page_size
     }
 
     /// Reads the first `bytes` bytes of the `pages`-page extent at `start`
@@ -98,9 +105,10 @@ impl Pager {
     }
 
     /// Fills `out` with the bytes at `offset..offset + out.len()` of the
-    /// `pages`-page extent at `start`: dirty pages are copied from the
-    /// table, every run of pages between them comes from the file in one
-    /// positioned read. Only the pages the range touches are looked at.
+    /// `pages`-page extent at `start`: what dirty extents hold of the range
+    /// is copied from the table, every gap between them comes from the file
+    /// in one positioned read. Only the pages the range touches are looked
+    /// at.
     pub fn read_extent_at(
         &self,
         start: PageNo,
@@ -110,28 +118,29 @@ impl Pager {
     ) -> StorageResult<()> {
         let page_size = self.page_size as u64;
         let base = self.extent_base(start, pages, offset, out.len() as u64)?;
-        let end = offset + out.len() as u64;
+        // The range as file positions, and the pages it touches.
+        let (lo, hi) = (base + offset, base + offset + out.len() as u64);
+        let (first, last) = (lo / page_size, hi.div_ceil(page_size));
         let table = self.table.read();
         let file_len = table.file_pages * page_size;
-        // Extent-relative position up to which `out` is filled.
-        let mut filled = offset;
-        for (&page_no, image) in table
+        // The one extent that may start before the range and reach into it.
+        let straddling = table
             .dirty
-            .range(start + offset / page_size..start + end.div_ceil(page_size))
-        {
-            let page_lo = (page_no - start) * page_size;
-            let (lo, hi) = (page_lo.max(offset), (page_lo + page_size).min(end));
-            let gap = &mut out[(filled - offset) as usize..(lo - offset) as usize];
-            self.read_file(base + filled, gap, file_len)?;
-            out[(lo - offset) as usize..(hi - offset) as usize]
-                .copy_from_slice(&image[(lo - page_lo) as usize..(hi - page_lo) as usize]);
-            filled = hi;
+            .range(..first)
+            .next_back()
+            .filter(|(&at, bytes)| at * page_size + bytes.len() as u64 > lo);
+        // File position up to which `out` is filled.
+        let mut filled = lo;
+        for (&at, bytes) in straddling.into_iter().chain(table.dirty.range(first..last)) {
+            let at = at * page_size;
+            let (from, to) = (at.max(lo), (at + bytes.len() as u64).min(hi));
+            let gap = &mut out[(filled - lo) as usize..(from - lo) as usize];
+            self.read_file(filled, gap, file_len)?;
+            out[(from - lo) as usize..(to - lo) as usize]
+                .copy_from_slice(&bytes[(from - at) as usize..(to - at) as usize]);
+            filled = to;
         }
-        self.read_file(
-            base + filled,
-            &mut out[(filled - offset) as usize..],
-            file_len,
-        )
+        self.read_file(filled, &mut out[(filled - lo) as usize..], file_len)
     }
 
     /// The file offset of the extent at `start`, after checking that its
@@ -174,56 +183,74 @@ impl Pager {
             })
     }
 
-    /// Records a full page image as dirty. The image reaches the database
-    /// file only at the next [`Pager::flush`] (after the caller has synced
-    /// the WAL) — never earlier, to uphold the log-ahead rule.
+    /// Records a full page image as dirty: [`Pager::write_extent`] of one
+    /// page.
     pub fn write_page(&mut self, page_no: PageNo, data: Vec<u8>) {
-        counters::incr(&counters::PAGER_WRITES);
         assert_eq!(data.len(), self.page_size, "page image of the wrong size");
-        self.table.get_mut().dirty.insert(page_no, data);
+        self.write_extent(page_no, data);
     }
 
-    /// Writes every dirty page to the file — each run of consecutive pages
-    /// with one positioned write — fsyncs, and then empties the table (the
-    /// checkpoint step). Readers keep running throughout: until the table is
-    /// emptied they take dirty pages from it, afterwards from the
-    /// now-durable file.
+    /// Records `data`, a whole number of pages, as the dirty extent starting
+    /// at page `start`, dropping every dirty extent it overlaps (dead, see
+    /// the module docs). It reaches the database file only at the next
+    /// [`Pager::flush`] (after the caller has synced the WAL) — never
+    /// earlier, to uphold the log-ahead rule.
+    pub fn write_extent(&mut self, start: PageNo, data: Vec<u8>) {
+        let pages = (data.len() / self.page_size) as u64;
+        assert!(
+            pages > 0 && data.len().is_multiple_of(self.page_size),
+            "extent of {} bytes is not a whole number of pages",
+            data.len()
+        );
+        counters::add(&counters::PAGER_WRITES, pages);
+        let page_size = self.page_size;
+        let dirty = &mut self.table.get_mut().dirty;
+        // Extents are disjoint, so those ending after `start` among the ones
+        // starting before the new end are consecutive from the last.
+        while let Some((&at, bytes)) = dirty.range(..start + pages).next_back() {
+            if at + (bytes.len() / page_size) as u64 <= start {
+                break;
+            }
+            dirty.remove(&at);
+        }
+        dirty.insert(start, data);
+    }
+
+    /// Writes every dirty extent to the file with one positioned write
+    /// each, fsyncs, and then empties the table (the checkpoint step).
+    /// Readers keep running throughout: until the table is emptied they take
+    /// dirty extents from it, afterwards from the now-durable file.
     pub fn flush(&self) -> StorageResult<()> {
+        let page_size = self.page_size as u64;
         let file_pages = {
             let table = self.table.read();
-            let mut run: Vec<u8> = Vec::new();
-            let mut run_start: PageNo = 0;
-            let mut pages = table.dirty.iter().peekable();
-            while let Some((&page_no, image)) = pages.next() {
-                if run.is_empty() {
-                    run_start = page_no;
-                }
-                run.extend_from_slice(image);
-                let run_continues = run.len() < MAX_WRITE_BYTES
-                    && pages.peek().is_some_and(|(&next, _)| next == page_no + 1);
-                if run_continues {
-                    continue;
-                }
+            for (&start, bytes) in &table.dirty {
                 self.file
-                    .write_all_at(&run, run_start * self.page_size as u64)
+                    .write_all_at(bytes, start * page_size)
                     .map_err(|e| {
                         StorageError::io(
                             format!(
-                                "writing pages {run_start}..={page_no} of {}",
+                                "writing {} pages at page {start} of {}",
+                                bytes.len() as u64 / page_size,
                                 self.path.display()
                             ),
                             e,
                         )
                     })?;
-                run.clear();
             }
+            // fdatasync: a grown file's length is still made durable, the
+            // mtime-only metadata is not.
             self.file
-                .sync_all()
+                .sync_data()
                 .map_err(|e| StorageError::io("fsyncing page file", e))?;
-            table.dirty.keys().next_back().map_or(0, |&last| last + 1)
+            table
+                .dirty
+                .iter()
+                .next_back()
+                .map_or(0, |(&start, bytes)| start + bytes.len() as u64 / page_size)
         };
-        // `write_page` takes `&mut self`, so no page joined the table since
-        // the read guard above was released.
+        // `write_extent` takes `&mut self`, so no extent joined the table
+        // since the read guard above was released.
         let mut table = self.table.write();
         table.file_pages = table.file_pages.max(file_pages);
         table.dirty.clear();
@@ -483,20 +510,22 @@ mod tests {
         }
     }
 
-    /// Runs longer than one write's worth, runs of one page, and gaps
-    /// between runs all land where they belong.
+    /// An extent of several MiB, extents of one page, and gaps between
+    /// them all land where they belong.
     #[test]
     fn flush_writes_long_runs_and_gaps_byte_exactly() {
         let path = temp_db("flush-runs");
         let ps = 4096usize;
         let mut pager = Pager::open(&path, ps as u32).unwrap();
-        let long = (MAX_WRITE_BYTES / ps) as u64 * 2 + 3;
+        let long = 2 * 256 + 3;
         let dirty: Vec<PageNo> = (0..long).chain([long + 2, long + 4, long + 5]).collect();
         let image =
             |p: PageNo| -> Vec<u8> { (0..ps).map(|i| (i as u64 * 13 + p * 5) as u8).collect() };
-        for &p in &dirty {
+        pager.write_extent(0, (0..long).flat_map(image).collect());
+        for &p in &dirty[long as usize..] {
             pager.write_page(p, image(p));
         }
+        assert_eq!(pager.dirty_pages(), dirty.len());
         pager.flush().unwrap();
         let file = std::fs::read(&path).unwrap();
         assert_eq!(file.len(), (long as usize + 6) * ps);
@@ -507,6 +536,120 @@ mod tests {
             };
             assert_eq!(file[p as usize * ps..][..ps], expected, "page {p}");
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn versioned_page(ps: usize, page_no: PageNo, version: u8) -> Vec<u8> {
+        (0..ps)
+            .map(|i| (i as u64 * 7 + page_no * 13 + version as u64 * 101) as u8)
+            .collect()
+    }
+
+    /// Pages `start..start + pages` at `version`, as one buffer.
+    fn versioned_extent(ps: usize, start: PageNo, pages: u64, version: u8) -> Vec<u8> {
+        (start..start + pages)
+            .flat_map(|p| versioned_page(ps, p, version))
+            .collect()
+    }
+
+    /// Writes pages `0..16`, flushes them (version 1), then writes each of
+    /// `extents` (first page, pages, version) as one dirty extent. Returns
+    /// the pager and the version each page must read as.
+    fn pager_over_clean_pages(
+        name: &str,
+        ps: usize,
+        extents: &[(PageNo, u64, u8)],
+    ) -> (Pager, PathBuf, Vec<u8>) {
+        let path = temp_db(name);
+        let mut pager = Pager::open(&path, ps as u32).unwrap();
+        pager.write_extent(0, versioned_extent(ps, 0, 16, 1));
+        pager.flush().unwrap();
+        let mut versions = vec![1u8; 16];
+        for &(start, pages, version) in extents {
+            pager.write_extent(start, versioned_extent(ps, start, pages, version));
+            versions[start as usize..(start + pages) as usize].fill(version);
+        }
+        (pager, path, versions)
+    }
+
+    /// Ranged reads over dirty extents that start before the requested
+    /// range, inside it, and reach across it — beside clean pages — equal
+    /// page-by-page assembly, before and after a flush, whichever extent the
+    /// range is asked through.
+    #[test]
+    fn reads_over_dirty_extents_equal_page_by_page_assembly() {
+        let ps = 64usize;
+        let extents = [(2, 3, 2), (6, 1, 3), (8, 5, 4), (14, 2, 5)];
+        let (pager, path, versions) = pager_over_clean_pages("dirty-extents", ps, &extents);
+        let expected: Vec<u8> = (0..16u64)
+            .flat_map(|p| versioned_page(ps, p, versions[p as usize]))
+            .collect();
+        let by_page =
+            |pager: &Pager| -> Vec<u8> { (0..16).flat_map(|p| read_page(pager, p)).collect() };
+        assert_eq!(by_page(&pager), expected);
+        let reads_match = |pager: &Pager, when: &str| {
+            let mut out = Vec::new();
+            // Asked through extents starting on a clean page, at the start
+            // of a dirty extent and inside one.
+            for (start, pages) in [(0u64, 16u32), (3, 10), (8, 5), (10, 6), (1, 2)] {
+                let len = pages as usize * ps;
+                let base = start as usize * ps;
+                for offset in (0..len).step_by(ps / 2 - 5) {
+                    for bytes in [1, ps - 1, ps, 3 * ps + 7, len - offset] {
+                        let bytes = bytes.min(len - offset);
+                        out.clear();
+                        out.resize(bytes, 0xAA);
+                        pager
+                            .read_extent_at(start, pages, offset as u64, &mut out)
+                            .unwrap();
+                        assert!(
+                            out[..] == expected[base + offset..][..bytes],
+                            "{when}: extent ({start}, {pages}), {bytes} bytes at {offset}"
+                        );
+                    }
+                }
+            }
+        };
+        reads_match(&pager, "before flush");
+        pager.flush().unwrap();
+        assert_eq!(by_page(&pager), expected);
+        reads_match(&pager, "after flush");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A new extent drops, whole, the dirty extents it overlaps — one
+    /// starting before it, one inside it, one reaching past it — and keeps
+    /// the ones that only touch them or it. The dropped extents' other pages
+    /// read from the file again, and a flush writes none of their bytes.
+    #[test]
+    fn a_new_extent_drops_the_dead_extents_it_overlaps() {
+        let ps = 64usize;
+        let dead = [(3, 2, 2), (5, 1, 2), (7, 3, 2)];
+        let live = [(1, 2, 4), (10, 2, 4)];
+        let (mut pager, path, _) =
+            pager_over_clean_pages("drop-dead", ps, &[dead.as_slice(), &live].concat());
+        assert_eq!(pager.dirty_pages(), 10);
+        pager.write_extent(4, versioned_extent(ps, 4, 4, 3));
+        assert_eq!(pager.dirty_pages(), 4 + 4);
+        // Between the new extent and a live one: overlaps nothing.
+        pager.write_extent(8, versioned_extent(ps, 8, 2, 5));
+        assert_eq!(pager.dirty_pages(), 4 + 4 + 2);
+        let version = |p: u64| match p {
+            1..=2 | 10..=11 => 4,
+            4..=7 => 3,
+            8..=9 => 5,
+            _ => 1,
+        };
+        let expected: Vec<u8> = (0..16u64)
+            .flat_map(|p| versioned_page(ps, p, version(p)))
+            .collect();
+        for when in ["before flush", "after flush"] {
+            let by_page: Vec<u8> = (0..16).flat_map(|p| read_page(&pager, p)).collect();
+            assert!(by_page == expected, "{when}");
+            assert_eq!(pager.read_extent(0, 16, 16 * ps as u64).unwrap(), expected);
+            pager.flush().unwrap();
+        }
+        assert!(std::fs::read(&path).unwrap() == expected);
         std::fs::remove_file(&path).unwrap();
     }
 

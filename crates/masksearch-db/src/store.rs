@@ -13,7 +13,7 @@
 //!    is the commit point. Until it succeeds nothing a reader or a later
 //!    commit can see has changed: a validation error touches nothing, and a
 //!    failed append gives the planned extents back;
-//! 2. the images enter the pager's dirty table and the delta is applied to
+//! 2. the extents enter the pager's dirty table and the delta is applied to
 //!    the in-memory directory in place, **under the state write lock**, so
 //!    readers see either none or all of the batch;
 //! 3. the CHI store is updated (inserted masks indexed, deleted masks
@@ -30,6 +30,13 @@
 //! once to install its new entries, however many masks the batch holds, so
 //! a reader holding a guard across a chunk of candidates waits for a commit
 //! at most twice.
+//!
+//! Each inserted mask's blob is encoded once, into a buffer padded to whole
+//! pages. The WAL append gathers its page frames straight from that buffer,
+//! and the buffer itself then becomes the pager's dirty extent: no page is
+//! copied on the way. The pager drops any dirty extent a new one overlaps,
+//! which is sound because the free-space map hands out only pages no live
+//! extent holds (asserted in debug builds).
 //!
 //! ## Reads
 //!
@@ -62,11 +69,18 @@
 //!    segment with no dead entry. This precedes step 5 because recovery
 //!    treats masks touched by replayed WAL transactions as possibly stale in
 //!    these files: as long as the WAL still names every commit since the
-//!    files were written, old files are safe; truncating first would open a
-//!    window where they are stale and nothing says for which masks;
+//!    files were written, old files are safe; dropping the log first would
+//!    open a window where they are stale and nothing says for which masks;
 //! 4. rewrites the advisory files (shape statistics, secondary-index
 //!    snapshots), whose staleness after a crash is harmless;
-//! 5. truncates the WAL.
+//! 5. drops the WAL's transactions. An automatic checkpoint *recycles* the
+//!    log (see [`crate::wal`]): it zeroes the first frame's header and
+//!    syncs, and the next commits overwrite the blocks the file already
+//!    owns, so their fsyncs allocate nothing; the previous generation's
+//!    frames left past the live tail are never replayed, because the
+//!    transaction ids of a log only increase. An explicit checkpoint
+//!    truncates the log to its header, leaving the directory at its
+//!    smallest.
 //!
 //! ## Recovery
 //!
@@ -202,7 +216,7 @@ type BuiltIndexes = (Vec<(MaskId, Chi)>, Vec<(MaskId, Arc<TileGrid>)>);
 /// What readers see, guarded by one `RwLock`: they resolve a mask's location
 /// and read its pages under a single read guard, so a concurrent commit
 /// (which applies under the write guard) can never tear a read. Readers
-/// share the pager; only a commit's `write_page` needs it exclusively.
+/// share the pager; only a commit's `write_extent` needs it exclusively.
 struct State {
     pager: Pager,
     dir: Directory,
@@ -521,7 +535,7 @@ impl DurableMaskStore {
 
     /// Writes all committed pages (and the directory) to the database file,
     /// fsyncs it, rewrites the CHI and tile-summary files without dead
-    /// entries, and truncates the WAL.
+    /// entries, and truncates the WAL to its header.
     pub fn checkpoint(&self) -> StorageResult<()> {
         self.checkpoint_locked(&mut self.writer.lock(), true)
     }
@@ -539,6 +553,10 @@ impl DurableMaskStore {
             let dir_pages = dir_blob.len().div_ceil(page_size).max(1) as u32;
             let page_count = writer.page_count;
             let dir_start = writer.free.allocate(&mut writer.page_count, dir_pages);
+            debug_assert!(
+                holds_no_live_page(&self.state.read().dir, writer, dir_start, dir_pages),
+                "allocated the directory extent over a live page"
+            );
             let mut pages: Vec<(PageNo, Vec<u8>)> =
                 page_images(&dir_blob, dir_start, self.config.page_size).collect();
             let meta = Meta {
@@ -601,7 +619,13 @@ impl DurableMaskStore {
         // recovered catalog at open, so a stale snapshot is harmless.
         self.persist_meta_indexes_locked()?;
         // The database and index files are durable; the log can be dropped.
-        self.wal.lock().reset()?;
+        // An explicit checkpoint leaves the directory at its smallest; an
+        // automatic one keeps the log's blocks for the commits to come.
+        if compact {
+            self.wal.lock().reset()?;
+        } else {
+            self.wal.lock().recycle()?;
+        }
         self.ingest.record_checkpoint();
         obs_counters::incr(&obs_counters::DB_CHECKPOINTS);
         obs_counters::add(
@@ -702,24 +726,25 @@ impl DurableMaskStore {
 
         // Plan the new extents. Extents this batch frees are not reused by
         // it: they return to the free space only once it has committed.
+        // Each blob is encoded once, into the page-padded buffer the WAL
+        // frames and the pager then keeps.
         let page_size = self.config.page_size as usize;
         let page_count = writer.page_count;
-        let mut pages: Vec<(PageNo, Vec<u8>)> = Vec::new();
-        let mut planned: Vec<(PageNo, u32)> = Vec::with_capacity(inserts.len());
+        let mut extents: Vec<(PageNo, Vec<u8>)> = Vec::with_capacity(inserts.len());
         let mut blob_bytes = 0u64;
         // By id, so that the last of several inserts of one id wins.
         let mut upserts: BTreeMap<MaskId, BlobEntry> = BTreeMap::new();
         for (record, mask) in inserts {
-            let blob = format::encode_mask(record.mask_id, mask, self.config.encoding);
-            let extent_pages = blob.len().div_ceil(page_size).max(1) as u32;
+            let (blob, len) =
+                format::encode_mask_padded(record.mask_id, mask, self.config.encoding, page_size);
+            let extent_pages = (blob.len() / page_size) as u32;
             let start = writer.free.allocate(&mut writer.page_count, extent_pages);
-            planned.push((start, extent_pages));
-            pages.extend(page_images(&blob, start, self.config.page_size));
-            blob_bytes += blob.len() as u64;
+            extents.push((start, blob));
+            blob_bytes += len as u64;
             let entry = BlobEntry {
                 start,
                 pages: extent_pages,
-                bytes: blob.len() as u64,
+                bytes: len as u64,
                 record: record.clone(),
             };
             if let Some(earlier) = upserts.insert(record.mask_id, entry) {
@@ -742,13 +767,23 @@ impl DurableMaskStore {
 
         // Commit point: the WAL append (+ optional fsync).
         let commit_start = std::time::Instant::now();
-        let logged =
-            self.wal
-                .lock()
-                .append_txn(writer.next_txn, &pages, Some(&delta), self.config.fsync);
+        let framed: Vec<(PageNo, &[u8])> = extents
+            .iter()
+            .map(|(start, blob)| (*start, blob.as_slice()))
+            .collect();
+        let logged = self.wal.lock().append_extents(
+            writer.next_txn,
+            &framed,
+            Some(&delta),
+            self.config.fsync,
+        );
         let wal_bytes = match logged {
             Ok(bytes) => bytes,
             Err(e) => {
+                let planned: Vec<(PageNo, u32)> = framed
+                    .iter()
+                    .map(|(start, blob)| (*start, (blob.len() / page_size) as u32))
+                    .collect();
                 writer.unallocate(page_count, &planned);
                 return Err(e);
             }
@@ -770,8 +805,15 @@ impl DurableMaskStore {
         // Publish the batch atomically with respect to readers.
         {
             let mut state = self.state.write();
-            for (page_no, image) in pages {
-                state.pager.write_page(page_no, image);
+            debug_assert!(
+                extents.iter().all(|(start, blob)| {
+                    let pages = (blob.len() / page_size) as u32;
+                    holds_no_live_page(&state.dir, writer, *start, pages)
+                }),
+                "allocated an extent over a live page"
+            );
+            for (start, blob) in extents {
+                state.pager.write_extent(start, blob);
             }
             state.dir.apply(delta);
             // Tile grids publish atomically with the pixels they summarise:
@@ -1090,8 +1132,19 @@ impl MaskStore for DurableMaskStore {
     }
 }
 
+/// Whether the `pages`-page extent at `start` is clear of every live page:
+/// the meta page, the directory extent and each mask's extent in `dir`. The
+/// allocator must hand out nothing else — the pager drops every dirty extent
+/// a new one overlaps, as dead.
+fn holds_no_live_page(dir: &Directory, writer: &Writer, start: PageNo, pages: u32) -> bool {
+    let overlaps = |at: PageNo, n: u32| at < start + pages as u64 && start < at + n as u64;
+    !overlaps(META_PAGE, 1)
+        && !overlaps(writer.dir_start, writer.dir_pages)
+        && !dir.entries.values().any(|e| overlaps(e.start, e.pages))
+}
+
 /// The page images of an extent at `start` holding `blob` (the last one
-/// zero-padded up to the page size).
+/// zero-padded up to the page size): the directory's and the bootstrap's.
 fn page_images(
     blob: &[u8],
     start: PageNo,

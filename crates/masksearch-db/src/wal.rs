@@ -23,30 +23,59 @@
 //! the file is truncated back to the last committed boundary so later
 //! appends can never hide behind garbage.
 //!
+//! A commit writes its frames with vectored writes: each page frame's
+//! header is computed beside the caller's extent buffer and the pages are
+//! gathered straight from it ([`Wal::append_extents`]), never copied into a
+//! staging buffer.
+//!
+//! ## Recycling
+//!
+//! An automatic checkpoint does not give the log's blocks back: it zeroes
+//! the first frame's header (its kind byte first: an unknown kind ends the
+//! scan), syncs, and the next commits overwrite the file from offset 12 on,
+//! so their fdatasyncs rewrite blocks the file already owns instead of
+//! allocating new ones ([`Wal::recycle`]). Zeroing the whole header, not
+//! just the kind, means no partly written new frame can complete the old
+//! one's header and checksum and bring the previous generation back. Frames
+//! of earlier generations stay in the file past the live tail. One scan
+//! rule keeps them out: **transaction ids only increase** within a log (the
+//! store's ids survive checkpoints), so a committed transaction whose id is
+//! not greater than the previous one ends the scan, and inside a
+//! transaction a frame of another id already does. Opening the log still
+//! cuts everything past its last committed transaction, a failed append
+//! still truncates, and an explicit checkpoint still empties the file
+//! ([`Wal::reset`]).
+//!
 //! Version 1 logs (no delta frames, every transaction carries the directory
 //! extent and page 0, FNV-1a checksums) are scanned with their own checksum
-//! and rewritten as version 2 when opened — their transactions replay under
-//! the same rule as a checkpoint's. A version 1 build refuses a version 2
-//! log.
+//! and rewritten in the current version when opened — their transactions
+//! replay under the same rule as a checkpoint's. Version 2 logs were never
+//! recycled; they open as they are and are relabelled version 3, the
+//! version whose files may hold stale frames, so a version 2 build refuses
+//! them instead of replaying those. A build refuses any newer log.
 
 use crate::atomic::replace_file;
 use crate::dir::DirDelta;
 use crate::page::{checksum64, PageNo};
 use masksearch_storage::{StorageError, StorageResult};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes identifying a WAL file.
 pub const WAL_MAGIC: [u8; 4] = *b"MSWL";
 /// WAL format version.
-pub const WAL_VERSION: u16 = 2;
+pub const WAL_VERSION: u16 = 3;
 /// Byte length of the WAL file header.
 pub const WAL_HEADER_LEN: u64 = 12;
 
 const FRAME_PAGE: u8 = 1;
 const FRAME_COMMIT: u8 = 2;
 const FRAME_DELTA: u8 = 3;
+/// Bytes of a page frame before its payload: kind, txn id, page number,
+/// length, checksum.
+const PAGE_FRAME_HEADER_LEN: usize = 29;
 
 type Checksum = fn(&[&[u8]]) -> u64;
 
@@ -124,7 +153,7 @@ impl Wal {
             let checksum: Checksum = if version < 2 { fnv1a64 } else { checksum64 };
             let (committed, consumed) =
                 scan(&bytes[WAL_HEADER_LEN as usize..], page_size, checksum);
-            if version < WAL_VERSION {
+            if version < 2 {
                 // Upgrade in place: the same transactions under the current
                 // header and checksum, swapped in atomically.
                 let mut image = header_bytes(page_size);
@@ -136,6 +165,11 @@ impl Wal {
                 file_len = image.len() as u64;
                 (committed, file_len)
             } else {
+                if version < WAL_VERSION {
+                    file.write_all_at(&WAL_VERSION.to_le_bytes(), 4)
+                        .and_then(|()| file.sync_data())
+                        .map_err(|e| StorageError::io("relabelling a version 2 wal", e))?;
+                }
                 (committed, WAL_HEADER_LEN + consumed as u64)
             }
         };
@@ -171,24 +205,49 @@ impl Wal {
         self.len <= WAL_HEADER_LEN
     }
 
-    /// Appends one transaction (page after-images, the directory delta if
-    /// there is one, and the commit frame) and, when `fsync` is set, makes
-    /// it durable before returning. Returns the number of bytes appended.
-    pub fn append_txn(
+    /// Appends one transaction — a page frame for every page of `extents`
+    /// (each a first page and a whole number of pages), the directory delta
+    /// if there is one, and the commit frame — and, when `fsync` is set,
+    /// makes it durable before returning. Returns the number of bytes
+    /// appended.
+    ///
+    /// The frames are the same bytes as page images of those pages would
+    /// give ([`Wal::append_txn`]): headers are computed here, the pages are
+    /// gathered straight from `extents` by vectored writes.
+    pub fn append_extents(
         &mut self,
         txn_id: u64,
-        pages: &[(PageNo, Vec<u8>)],
+        extents: &[(PageNo, &[u8])],
         delta: Option<&DirDelta>,
         fsync: bool,
     ) -> StorageResult<u64> {
-        let mut buf = Vec::with_capacity(pages.len() * (29 + self.page_size as usize) + 256);
-        debug_assert!(pages
-            .iter()
-            .all(|(_, image)| image.len() == self.page_size as usize));
-        encode_txn(&mut buf, txn_id, pages, delta);
-        let written = self
-            .file
-            .write_all(&buf)
+        let page_size = self.page_size as usize;
+        assert!(
+            extents
+                .iter()
+                .all(|(_, bytes)| !bytes.is_empty() && bytes.len().is_multiple_of(page_size)),
+            "wal extents must be whole pages"
+        );
+        let pages = || {
+            extents
+                .iter()
+                .flat_map(move |&(start, bytes)| (start..).zip(bytes.chunks_exact(page_size)))
+        };
+        let page_count = extents.iter().map(|(_, b)| b.len() / page_size).sum();
+        let mut headers = Vec::with_capacity(page_count * PAGE_FRAME_HEADER_LEN);
+        for (page_no, image) in pages() {
+            push_page_frame_header(&mut headers, txn_id, page_no, image);
+        }
+        let mut tail = Vec::new();
+        push_txn_end(&mut tail, txn_id, page_count, delta);
+        let mut slices: Vec<IoSlice<'_>> = headers
+            .chunks_exact(PAGE_FRAME_HEADER_LEN)
+            .zip(pages())
+            .flat_map(|(header, (_, image))| [IoSlice::new(header), IoSlice::new(image)])
+            .chain([IoSlice::new(&tail)])
+            .collect();
+        let len = (headers.len() + page_count * page_size + tail.len()) as u64;
+        let written = write_all_vectored(&mut self.file, &mut slices)
             .map_err(|e| StorageError::io("appending wal transaction", e))
             .and_then(|()| match fsync {
                 true => self
@@ -205,8 +264,27 @@ impl Wal {
             let _ = self.file.seek(SeekFrom::Start(self.len));
             return Err(e);
         }
-        self.len += buf.len() as u64;
-        Ok(buf.len() as u64)
+        self.len += len;
+        Ok(len)
+    }
+
+    /// [`Wal::append_extents`] of one-page extents: the form for page
+    /// images (the bootstrap, a checkpoint's directory and meta page).
+    pub fn append_txn(
+        &mut self,
+        txn_id: u64,
+        pages: &[(PageNo, Vec<u8>)],
+        delta: Option<&DirDelta>,
+        fsync: bool,
+    ) -> StorageResult<u64> {
+        debug_assert!(pages
+            .iter()
+            .all(|(_, image)| image.len() == self.page_size as usize));
+        let extents: Vec<(PageNo, &[u8])> = pages
+            .iter()
+            .map(|(page_no, image)| (*page_no, image.as_slice()))
+            .collect();
+        self.append_extents(txn_id, &extents, delta, fsync)
     }
 
     /// Forces every appended frame to disk. Used by the checkpoint before
@@ -218,8 +296,28 @@ impl Wal {
             .map_err(|e| StorageError::io("fsyncing wal", e))
     }
 
-    /// Empties the log back to a bare header (the checkpoint step). The
-    /// caller must have made the database file durable first.
+    /// Starts the log over in the blocks it already owns (the automatic
+    /// checkpoint's step; see the module docs): zeroes the first frame's
+    /// header, syncs, and appends from offset 12 on again. The caller must
+    /// have made the database file durable first.
+    pub fn recycle(&mut self) -> StorageResult<()> {
+        // A log with no live frame ends at its header or at a zero byte.
+        // One with a live transaction holds more than a page frame's header.
+        if self.len > WAL_HEADER_LEN {
+            self.file
+                .write_all_at(&[0; PAGE_FRAME_HEADER_LEN], WAL_HEADER_LEN)
+                .and_then(|()| self.file.sync_data())
+                .map_err(|e| StorageError::io("recycling wal at checkpoint", e))?;
+        }
+        self.file
+            .seek(SeekFrom::Start(WAL_HEADER_LEN))
+            .map_err(|e| StorageError::io("seeking recycled wal", e))?;
+        self.len = WAL_HEADER_LEN;
+        Ok(())
+    }
+
+    /// Empties the log back to a bare header (the explicit checkpoint's
+    /// step). The caller must have made the database file durable first.
     pub fn reset(&mut self) -> StorageResult<()> {
         self.file
             .set_len(0)
@@ -247,16 +345,37 @@ fn write_header(file: &mut File, page_size: u32, path: &Path) -> StorageResult<(
         .map_err(|e| StorageError::io(format!("writing wal header {}", path.display()), e))
 }
 
-/// Appends one frame: kind, transaction id, the kind's own header fields,
-/// the checksum over all of those plus the payload, then the payload.
-fn push_frame(buf: &mut Vec<u8>, kind: u8, txn_id: u64, fields: &[u8], payload: &[u8]) {
+/// Appends a frame's header: kind, transaction id, the kind's own header
+/// fields, and the checksum over all of those plus the payload that must
+/// follow it.
+fn push_frame_header(buf: &mut Vec<u8>, kind: u8, txn_id: u64, fields: &[u8], payload: &[u8]) {
     let start = buf.len();
     buf.push(kind);
     buf.extend_from_slice(&txn_id.to_le_bytes());
     buf.extend_from_slice(fields);
     let checksum = checksum64(&[&buf[start..], payload]);
     buf.extend_from_slice(&checksum.to_le_bytes());
-    buf.extend_from_slice(payload);
+}
+
+/// Appends the header of the page frame carrying `image` as page `page_no`.
+fn push_page_frame_header(buf: &mut Vec<u8>, txn_id: u64, page_no: PageNo, image: &[u8]) {
+    let mut fields = [0u8; 12];
+    fields[..8].copy_from_slice(&page_no.to_le_bytes());
+    fields[8..].copy_from_slice(&(image.len() as u32).to_le_bytes());
+    push_frame_header(buf, FRAME_PAGE, txn_id, &fields, image);
+}
+
+/// Appends what follows a transaction's `pages` page frames: its delta
+/// frame, if any, and its commit frame.
+fn push_txn_end(buf: &mut Vec<u8>, txn_id: u64, pages: usize, delta: Option<&DirDelta>) {
+    if let Some(delta) = delta {
+        let payload = delta.encode();
+        let fields = (payload.len() as u32).to_le_bytes();
+        push_frame_header(buf, FRAME_DELTA, txn_id, &fields, &payload);
+        buf.extend_from_slice(&payload);
+    }
+    let frames = pages as u32 + delta.is_some() as u32;
+    push_frame_header(buf, FRAME_COMMIT, txn_id, &frames.to_le_bytes(), &[]);
 }
 
 /// Appends the frames of one whole transaction to `buf`.
@@ -266,24 +385,26 @@ fn encode_txn(
     pages: &[(PageNo, Vec<u8>)],
     delta: Option<&DirDelta>,
 ) {
-    let mut fields = [0u8; 12];
     for (page_no, image) in pages {
-        fields[..8].copy_from_slice(&page_no.to_le_bytes());
-        fields[8..].copy_from_slice(&(image.len() as u32).to_le_bytes());
-        push_frame(buf, FRAME_PAGE, txn_id, &fields, image);
+        push_page_frame_header(buf, txn_id, *page_no, image);
+        buf.extend_from_slice(image);
     }
-    if let Some(delta) = delta {
-        let payload = delta.encode();
-        push_frame(
-            buf,
-            FRAME_DELTA,
-            txn_id,
-            &(payload.len() as u32).to_le_bytes(),
-            &payload,
-        );
+    push_txn_end(buf, txn_id, pages.len(), delta);
+}
+
+/// Writes every byte of `slices` at the file's position, however many
+/// vectored writes that takes (each takes at most the system's iovec limit,
+/// and may stop short).
+fn write_all_vectored(file: &mut File, mut slices: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !slices.is_empty() {
+        match file.write_vectored(slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(written) => IoSlice::advance_slices(&mut slices, written),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let frames = pages.len() as u32 + delta.is_some() as u32;
-    push_frame(buf, FRAME_COMMIT, txn_id, &frames.to_le_bytes(), &[]);
+    Ok(())
 }
 
 /// Validates magic and version of a WAL byte image; returns the version and
@@ -325,6 +446,20 @@ pub fn header_page_size(bytes: &[u8]) -> StorageResult<u32> {
     }
 }
 
+/// Bytes of a frame that [`starts_with_bootstrap`] looks at: kind and
+/// transaction id.
+pub const FRAME_ID_LEN: usize = 9;
+
+/// Whether a log's body (the bytes from offset 12 on) begins with a page
+/// frame of transaction 0 — the database's bootstrap, which heads a log
+/// that was never checkpointed. Replication tailers use it to notice a
+/// checkpoint: one truncates the log or zeroes that frame's header, and
+/// what a recycled log holds there next belongs to a later transaction.
+/// Only the first [`FRAME_ID_LEN`] bytes are looked at.
+pub fn starts_with_bootstrap(body: &[u8]) -> bool {
+    body.len() >= FRAME_ID_LEN && body[0] == FRAME_PAGE && body[1..FRAME_ID_LEN] == [0; 8]
+}
+
 /// Scans WAL frames (`bytes` starts at a frame boundary: the log's body, or
 /// what a replication tailer read from its applied watermark on) for
 /// committed transactions, returning them in commit order together with the
@@ -351,7 +486,7 @@ fn scan(bytes: &[u8], page_size: u32, checksum: Checksum) -> (Vec<CommittedTxn>,
             .then_some((payload, payload_at + payload_len))
     };
 
-    let mut committed = Vec::new();
+    let mut committed: Vec<CommittedTxn> = Vec::new();
     let mut pos = 0usize;
     let mut valid_len = 0usize;
     let mut pages: Vec<(PageNo, Vec<u8>)> = Vec::new();
@@ -396,11 +531,15 @@ fn scan(bytes: &[u8], page_size: u32, checksum: Checksum) -> (Vec<CommittedTxn>,
                     break;
                 };
                 let frames = pages.len() + delta.is_some() as usize;
-                if pending_txn != Some(u64_at(pos + 1)) || u32_at(pos + 9) as usize != frames {
+                let txn_id = u64_at(pos + 1);
+                // Ids only increase: one that does not is a transaction of
+                // an earlier generation of a recycled log.
+                let stale = committed.last().is_some_and(|last| last.txn_id >= txn_id);
+                if pending_txn != Some(txn_id) || u32_at(pos + 9) as usize != frames || stale {
                     break;
                 }
                 committed.push(CommittedTxn {
-                    txn_id: u64_at(pos + 1),
+                    txn_id,
                     pages: std::mem::take(&mut pages),
                     delta: delta.take(),
                 });
@@ -639,7 +778,7 @@ mod tests {
                     (*txn_id, pages, &None)
                 );
             }
-            // The file is now a version 2 log of the same transactions.
+            // The file is now a current-version log of the same transactions.
             drop(wal);
             let upgraded = std::fs::read(&path).unwrap();
             assert_eq!(header_page_size(&upgraded).unwrap(), 32);
@@ -660,6 +799,84 @@ mod tests {
             Err(StorageError::UnsupportedVersion { .. })
         ));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A version 2 log was never recycled: it opens as it is, and is
+    /// relabelled version 3 so that a version 2 build refuses it from then
+    /// on.
+    #[test]
+    fn version_2_logs_open_as_they_are_and_are_relabelled() {
+        let path = temp_wal("v2");
+        let mut log = header_bytes(32);
+        log[4..6].copy_from_slice(&2u16.to_le_bytes());
+        encode_txn(&mut log, 1, &[(0, page(1, 32))], None);
+        encode_txn(&mut log, 2, &[], Some(&delta(&[7], 4)));
+        std::fs::write(&path, &log).unwrap();
+        let (wal, committed) = Wal::open(&path, 32).unwrap();
+        let ids: Vec<u64> = committed.iter().map(|txn| txn.txn_id).collect();
+        assert_eq!(ids, [1, 2]);
+        assert_eq!(wal.len(), log.len() as u64);
+        drop(wal);
+        let mut relabelled = log.clone();
+        relabelled[4..6].copy_from_slice(&WAL_VERSION.to_le_bytes());
+        assert!(std::fs::read(&path).unwrap() == relabelled);
+        assert_eq!(header_page_size(&relabelled).unwrap(), 32);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Extents appended as they are give the file `append_txn` gives over
+    /// their page images, and both are the frames `encode_txn` builds: for
+    /// multi-page extents with a delta, a delete-only delta, a one-page meta
+    /// transaction, and more pages than one vectored write takes.
+    #[test]
+    fn appending_extents_writes_the_frames_of_their_page_images() {
+        let ps = 32usize;
+        let extent = |start: PageNo, pages: usize| -> (PageNo, Vec<u8>) {
+            let bytes = (0..pages * ps).map(|i| (i * 7 + start as usize) as u8);
+            (start, bytes.collect())
+        };
+        type Txn = (u64, Vec<(PageNo, Vec<u8>)>, Option<DirDelta>);
+        let txns: Vec<Txn> = vec![
+            (
+                1,
+                vec![extent(3, 2), extent(9, 1), extent(5, 3)],
+                Some(delta(&[], 12)),
+            ),
+            (2, vec![], Some(delta(&[7, 9], 12))),
+            (3, vec![(0, page(4, ps))], None),
+            (4, vec![extent(20, 700)], Some(delta(&[1], 720))),
+        ];
+        let (extents_path, pages_path) = (temp_wal("by-extents"), temp_wal("by-pages"));
+        let mut expected = header_bytes(ps as u32);
+        {
+            let (mut by_extents, _) = Wal::open(&extents_path, ps as u32).unwrap();
+            let (mut by_pages, _) = Wal::open(&pages_path, ps as u32).unwrap();
+            for (txn_id, extents, delta) in &txns {
+                let slices: Vec<(PageNo, &[u8])> = extents
+                    .iter()
+                    .map(|(start, bytes)| (*start, bytes.as_slice()))
+                    .collect();
+                let pages: Vec<(PageNo, Vec<u8>)> = extents
+                    .iter()
+                    .flat_map(|(start, bytes)| (*start..).zip(bytes.chunks(ps).map(<[u8]>::to_vec)))
+                    .collect();
+                let from = expected.len();
+                encode_txn(&mut expected, *txn_id, &pages, delta.as_ref());
+                let framed = (expected.len() - from) as u64;
+                let appended = by_extents.append_extents(*txn_id, &slices, delta.as_ref(), false);
+                assert_eq!(appended.unwrap(), framed);
+                let appended = by_pages.append_txn(*txn_id, &pages, delta.as_ref(), true);
+                assert_eq!(appended.unwrap(), framed);
+            }
+            assert_eq!(by_extents.len(), expected.len() as u64);
+        }
+        assert!(std::fs::read(&extents_path).unwrap() == expected);
+        assert!(std::fs::read(&pages_path).unwrap() == expected);
+        let (_, committed) = Wal::open(&extents_path, ps as u32).unwrap();
+        assert_eq!(committed.len(), txns.len());
+        assert_eq!(committed[3].pages.len(), 700);
+        std::fs::remove_file(&extents_path).unwrap();
+        std::fs::remove_file(&pages_path).unwrap();
     }
 
     #[test]

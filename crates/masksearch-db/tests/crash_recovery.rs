@@ -667,6 +667,9 @@ fn crashes_between_and_inside_checkpoint_steps_recover_a_committed_prefix() {
         // write (a directory is in the way).
         before.write(&twin_dir);
         let twin = DurableMaskStore::open(&twin_dir, checkpointing_config()).unwrap();
+        // Where the log's live frames end: past it, a recycled log holds an
+        // earlier generation's frames, which the new ones overwrite.
+        let live = twin.wal_bytes() as usize;
         let _ = fs::remove_file(twin_dir.join(CHI_FILE));
         fs::create_dir(twin_dir.join(CHI_FILE)).unwrap();
         apply_op(&twin, op);
@@ -676,12 +679,24 @@ fn crashes_between_and_inside_checkpoint_steps_recover_a_committed_prefix() {
         );
         drop(twin);
         let log = fs::read(twin_dir.join(WAL_FILE)).unwrap();
-        assert!(log.starts_with(&before.wal) && log.len() > before.wal.len());
+        assert!(log.starts_with(&before.wal[..live]) && log.len() > live);
+        // The log file after `cut` bytes of it were written: the previous
+        // file's bytes, with the new ones written over them from the live end.
+        let written = |cut: usize| {
+            let mut wal = log[..cut].to_vec();
+            wal.extend_from_slice(before.wal.get(cut..).unwrap_or_default());
+            wal
+        };
         assert!(
             fs::read(twin_dir.join(DB_FILE)).unwrap() == after.db,
             "commit {k}: the twin flushed a different page file than the original"
         );
-        assert!(after.wal.len() == 12, "commit {k}: checkpoint left a log");
+        let mut recycled = written(log.len());
+        recycled[12..41].fill(0);
+        assert!(
+            after.wal == recycled,
+            "commit {k}: checkpoint did not recycle the log"
+        );
 
         let expect_k = |files: Files, what: &str| {
             assert_eq!(
@@ -695,9 +710,9 @@ fn crashes_between_and_inside_checkpoint_steps_recover_a_committed_prefix() {
         //    checkpoint's copy of the directory: cut at every byte. Nothing
         //    else has been touched.
         let mut last = k - 1;
-        for cut in before.wal.len()..=log.len() {
+        for cut in live..=log.len() {
             let files = Files {
-                wal: log[..cut].to_vec(),
+                wal: written(cut),
                 ..before.clone()
             };
             let prefix = recovered_prefix(&files, &crash_dir, &steps);
@@ -759,19 +774,14 @@ fn crashes_between_and_inside_checkpoint_steps_recover_a_committed_prefix() {
             expect_k(files, "tile file being written");
         }
 
-        // 5. Everything else is durable; the log is being dropped: still
-        //    whole, truncated to nothing, its new header half written, done.
-        for wal in [
-            log.clone(),
-            Vec::new(),
-            after.wal[..5].to_vec(),
-            after.wal.clone(),
-        ] {
+        // 5. Everything else is durable; the log is being recycled: still
+        //    whole, then its first frame's header zeroed.
+        for wal in [written(log.len()), after.wal.clone()] {
             let files = Files {
                 wal,
                 ..after.clone()
             };
-            expect_k(files, "log being reset");
+            expect_k(files, "log being recycled");
         }
     }
     assert!(checkpoints >= 4, "only {checkpoints} automatic checkpoints");
@@ -890,7 +900,10 @@ fn index_files_grow_by_appends_survive_a_torn_segment_and_compact_on_checkpoint(
     let last = snapshots.last().unwrap();
     assert_eq!((chi_len, tiles_len), (last.chi.len(), last.tiles.len()));
     assert_eq!((chi.len(), tiles.len()), (model.len(), model.len()));
-    assert_eq!(last.wal.len(), 12, "the last commit checkpointed");
+    assert_eq!(
+        last.wal[12], 0,
+        "the last commit checkpointed: its log is recycled"
+    );
 
     // Tear the last segment of both files. The log is empty, so nothing but
     // the files' own checksums says those entries are gone: they are
@@ -1039,10 +1052,10 @@ fn version_1_databases_open_replay_their_log_and_are_upgraded_in_place() {
         );
         {
             // The v1 log's transactions replay (under their own checksum)
-            // and the log is a version 2 log from here on.
+            // and the log is a version 3 log from here on.
             let store = DurableMaskStore::open(&dir, config()).unwrap();
             assert_state_matches(&store, &expected);
-            assert_eq!(format_version(&dir, WAL_FILE), 2);
+            assert_eq!(format_version(&dir, WAL_FILE), 3);
             assert_eq!(store.wal_bytes() > 12, logged_frames);
             // New commits (delta frames) land on top, checkpoint or not.
             store
@@ -1062,7 +1075,7 @@ fn version_1_databases_open_replay_their_log_and_are_upgraded_in_place() {
             store.checkpoint().unwrap();
         }
         assert_eq!(format_version(&dir, DB_FILE), 2);
-        assert_eq!(format_version(&dir, WAL_FILE), 2);
+        assert_eq!(format_version(&dir, WAL_FILE), 3);
         assert_eq!(format_version(&dir, CHI_FILE), 2);
         assert_eq!(format_version(&dir, TILES_FILE), 3);
         let store = DurableMaskStore::open(&dir, config()).unwrap();

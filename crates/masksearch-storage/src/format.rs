@@ -84,12 +84,26 @@ impl MaskHeader {
 /// Serialises a mask into the on-disk file format. A raw payload is written
 /// straight after the header into the one pre-sized buffer.
 pub fn encode_mask(mask_id: MaskId, mask: &Mask, encoding: MaskEncoding) -> Vec<u8> {
+    encode_mask_padded(mask_id, mask, encoding, 1).0
+}
+
+/// [`encode_mask`] into a buffer zero-padded to a whole number of `block`-byte
+/// blocks (at least one): a blob ready to be written as an extent of pages.
+/// Returns the buffer and the blob's own length.
+pub fn encode_mask_padded(
+    mask_id: MaskId,
+    mask: &Mask,
+    encoding: MaskEncoding,
+    block: usize,
+) -> (Vec<u8>, usize) {
     let compressed = match encoding {
         MaskEncoding::Raw => None,
         MaskEncoding::Compressed => Some(compression::compress(mask.data())),
     };
     let payload_len = compressed.as_ref().map_or(mask.data().len() * 4, Vec::len);
-    let mut w = Writer::with_capacity(MASK_HEADER_LEN + payload_len);
+    let len = MASK_HEADER_LEN + payload_len;
+    let padded = len.div_ceil(block).max(1) * block;
+    let mut w = Writer::with_capacity(padded);
     w.write_bytes(&MASK_MAGIC);
     w.write_u16(MASK_FORMAT_VERSION);
     w.write_u8(encoding.to_code());
@@ -98,15 +112,20 @@ pub fn encode_mask(mask_id: MaskId, mask: &Mask, encoding: MaskEncoding) -> Vec<
     w.write_u32(mask.width());
     w.write_u32(mask.height());
     w.write_u64(payload_len as u64);
-    match compressed {
-        Some(payload) => w.write_bytes(&payload),
-        None => {
-            for &v in mask.data() {
-                w.write_f32(v);
-            }
+    if let Some(payload) = &compressed {
+        w.write_bytes(payload);
+    }
+    let mut blob = w.into_bytes();
+    blob.resize(padded, 0);
+    if compressed.is_none() {
+        for (out, v) in blob[MASK_HEADER_LEN..len]
+            .chunks_exact_mut(4)
+            .zip(mask.data())
+        {
+            out.copy_from_slice(&v.to_le_bytes());
         }
     }
-    w.into_bytes()
+    (blob, len)
 }
 
 /// Parses only the fixed-size header of a mask file.
@@ -280,6 +299,34 @@ mod tests {
         let back: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
         let sent: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
         assert_eq!(back, sent);
+    }
+
+    /// The page-padded form is the same blob followed by zeros up to a
+    /// whole number of blocks, in a buffer that never grew: raw (NaN and
+    /// signed-zero pixels included) and compressed, for blobs shorter than,
+    /// equal to and longer than one block.
+    #[test]
+    fn padded_blobs_are_the_blob_then_zeros() {
+        let hostile = [f32::from_bits(0x7fa0_0001), -0.0, 1.0, f32::NAN, 0.25];
+        let masks = [
+            Mask::from_data_unchecked(5, 3, (0..15).map(|i| hostile[i % 5]).collect()).unwrap(),
+            sample_mask(),
+            Mask::from_fn(7, 1, |x, _| x as f32 / 7.0),
+        ];
+        for mask in &masks {
+            for encoding in [MaskEncoding::Raw, MaskEncoding::Compressed] {
+                let blob = encode_mask(MaskId::new(3), mask, encoding);
+                for block in [1, 64, 92, blob.len(), 4096] {
+                    let (padded, len) = encode_mask_padded(MaskId::new(3), mask, encoding, block);
+                    assert_eq!(len, blob.len());
+                    assert_eq!(padded[..len], blob[..], "{encoding:?}, block {block}");
+                    assert!(padded[len..].iter().all(|&b| b == 0));
+                    assert_eq!(padded.len() % block, 0);
+                    assert!(padded.len() - len < block);
+                    assert_eq!(padded.capacity(), padded.len());
+                }
+            }
+        }
     }
 
     #[test]
