@@ -400,7 +400,7 @@ impl Session {
     /// Caps the filter/verification worker threads (floor 1).
     ///
     /// Embedding layers that multiplex several concurrent queries over one
-    /// session — e.g. a service engine with its own worker pool — use this
+    /// session — e.g. a service engine with several execution slots — use this
     /// to divide the machine's cores among those queries instead of letting
     /// each query claim all of them.
     pub fn set_threads(&mut self, threads: usize) {

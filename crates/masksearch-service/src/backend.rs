@@ -178,8 +178,8 @@ pub(crate) fn write_statement<E: std::fmt::Display>(
         Ok(Response::Single(response)) => protocol::write_response(buf, &response),
         Ok(Response::Mutation(response)) => protocol::write_mutation_response(buf, &response),
         Ok(Response::Plan(lines)) => protocol::write_plan_response(buf, &lines),
-        // The statement path never produces batch or partial responses.
-        Ok(Response::Batch(_) | Response::Partial(_)) => protocol::write_error(
+        // The statement path never produces partial responses.
+        Ok(Response::Partial(_)) => protocol::write_error(
             buf,
             &ServiceError::Protocol("unexpected response kind for a SQL statement".to_string()),
         ),

@@ -1,5 +1,5 @@
-//! Service configuration: worker pool sizing, queue bounds, admission
-//! control, deadlines, and observability sinks.
+//! Service configuration: execution slots, the admission bound, deadlines,
+//! and observability sinks.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -8,35 +8,23 @@ use std::time::Duration;
 /// captured statements while bounding disk use on a forgotten recorder.
 pub const DEFAULT_RECORDER_BUDGET: u64 = 64 << 20;
 
-/// What `submit` does when the bounded job queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Fail fast with [`crate::ServiceError::QueueFull`]. This is the
-    /// production-facing default: back-pressure is surfaced to the caller
-    /// instead of building an unbounded backlog.
-    Reject,
-    /// Block the submitting thread until a slot frees up (or the engine
-    /// shuts down).
-    Block,
-}
-
 /// Configuration of a [`crate::Engine`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of worker threads executing queries. Each worker runs one
-    /// query at a time; the session's own intra-query parallelism is
-    /// controlled separately by `SessionConfig::threads`.
+    /// Statements executing at once, process-wide. Each runs on the thread
+    /// that submitted it (a connection's, for TCP clients); the session's
+    /// own intra-query parallelism is divided across these slots.
     pub workers: usize,
-    /// Maximum number of queries waiting in the job queue (admission
-    /// control). Must be at least 1.
+    /// Callers waiting for a slot at most; the next caller is rejected with
+    /// [`crate::ServiceError::QueueFull`] instead of building an unbounded
+    /// backlog. Must be at least 1.
     pub queue_depth: usize,
-    /// Admission policy when the queue is full.
-    pub admission: AdmissionPolicy,
-    /// Deadline applied to queries that do not carry their own: measured
-    /// from submission; a query whose deadline passes while still queued is
-    /// abandoned without executing. `None` means no deadline.
+    /// Deadline applied to every statement, measured from submission: a
+    /// statement whose deadline passes while it waits for a slot fails with
+    /// [`crate::ServiceError::DeadlineExceeded`] without executing. `None`
+    /// means no deadline.
     pub default_deadline: Option<Duration>,
-    /// Whether workers open a tracing span tree around each query. Traces
+    /// Whether the engine opens a tracing span tree around each query. Traces
     /// feed the profile ring (`STATS PROFILES`) and the slow-query log; with
     /// tracing off the hot path takes the pre-observability code path and
     /// produces byte-identical responses.
@@ -58,13 +46,12 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A configuration with `workers` worker threads and defaults otherwise
-    /// (queue depth 1024, reject-on-full, no deadline).
+    /// A configuration with `workers` execution slots and defaults otherwise
+    /// (up to 1024 waiting callers, no deadline).
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
             queue_depth: 1024,
-            admission: AdmissionPolicy::Reject,
             default_deadline: None,
             tracing: true,
             slow_query: None,
@@ -74,19 +61,13 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets the queue depth (clamped to at least 1).
+    /// Sets how many callers may wait for a slot (clamped to at least 1).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
         self
     }
 
-    /// Sets the admission policy.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
-    }
-
-    /// Sets the default per-query deadline.
+    /// Sets the per-statement deadline.
     pub fn default_deadline(mut self, deadline: Duration) -> Self {
         self.default_deadline = Some(deadline);
         self
@@ -143,7 +124,6 @@ mod tests {
     fn builder_clamps_and_sets() {
         let c = ServiceConfig::new(0)
             .queue_depth(0)
-            .admission(AdmissionPolicy::Block)
             .default_deadline(Duration::from_millis(5))
             .tracing(false)
             .slow_query(Duration::from_millis(100))
@@ -152,7 +132,6 @@ mod tests {
             .recorder_budget(0);
         assert_eq!(c.workers, 1);
         assert_eq!(c.queue_depth, 1);
-        assert_eq!(c.admission, AdmissionPolicy::Block);
         assert_eq!(c.default_deadline, Some(Duration::from_millis(5)));
         assert!(!c.tracing);
         assert_eq!(c.slow_query, Some(Duration::from_millis(100)));
@@ -165,7 +144,6 @@ mod tests {
     fn default_uses_available_parallelism() {
         let c = ServiceConfig::default();
         assert!(c.workers >= 1);
-        assert_eq!(c.admission, AdmissionPolicy::Reject);
         assert!(c.default_deadline.is_none());
         assert!(c.tracing);
         assert!(c.slow_query.is_none());

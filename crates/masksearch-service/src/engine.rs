@@ -1,24 +1,21 @@
 //! The [`Engine`]: a cloneable, thread-safe handle that turns one
 //! [`Session`] into a concurrent query service.
 //!
-//! The engine owns a bounded job queue and a pool of worker threads. Any
-//! number of caller threads (or TCP connections) submit queries through the
-//! same handle; workers pull jobs off the queue and execute them against the
-//! shared session. Because `Session::execute` takes `&self` and all session
-//! state (CHI store, mask cache, aggregated indexes) is behind interior
-//! locks, concurrent execution needs no coordination beyond the queue.
+//! Any number of caller threads (or TCP connections) execute statements
+//! through the same handle, each on its own thread. An admission gate
+//! bounds how many execute at once (`ServiceConfig::workers` slots) and how
+//! many may wait for a slot (`ServiceConfig::queue_depth`). Because
+//! `Session::execute` takes `&self` and all session state (CHI store, mask
+//! cache, aggregated indexes) is behind interior locks, concurrent execution
+//! needs no coordination beyond the gate.
 
 use crate::backend::Backend;
-use crate::batch::{self, BatchOutput};
-use crate::config::{AdmissionPolicy, ServiceConfig};
+use crate::config::ServiceConfig;
 use crate::dedup::{Admission, MutationDedup};
 use crate::error::{ServiceError, ServiceResult};
-use crate::job::{
-    Job, MutationResponse, PartialResponse, QueryResponse, Request, Response, Ticket,
-};
+use crate::job::{Job, MutationResponse, PartialResponse, QueryResponse, Request, Response};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{ClientRequest, RecordControl};
-use crate::queue::{JobQueue, PushError};
 use masksearch_core::MaskId;
 use masksearch_obs::{
     keys as obs_keys, prom::PromText, FlightRecorder, ProfileRing, QueryProfile, RecordKind,
@@ -26,18 +23,16 @@ use masksearch_obs::{
 };
 use masksearch_query::{Mutation, MutationOutcome, Query, QueryStats, Session};
 use masksearch_sql::{ExplainMode, Statement, TxnControl};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How many recent query profiles the engine retains for `STATS PROFILES`.
 const PROFILE_RING_CAPACITY: usize = 128;
 
 // The whole serving layer rests on the session stack being shareable across
-// worker threads; assert it at compile time so a future refactor that breaks
-// thread-safety fails here with a clear message rather than somewhere in a
-// spawn call.
+// connection threads; assert it at compile time so a future refactor that
+// breaks thread-safety fails here with a clear message rather than somewhere
+// in a spawn call.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Session>();
@@ -47,9 +42,130 @@ const _: () = {
     assert_send_sync::<Engine>();
 };
 
+/// Admission into the engine's execution slots. At most `slots` statements
+/// execute at once, each on the thread that submitted it; at most
+/// `max_waiting` callers wait for a slot, and the next one is turned away.
+/// The lock guards three counts and is never held while a statement runs.
+struct Gate {
+    slots: usize,
+    max_waiting: usize,
+    state: Mutex<GateState>,
+    /// Signalled (one waiter) when a slot frees, and (everyone) when the
+    /// gate closes or a closed gate's last statement leaves.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
+    closed: bool,
+}
+
+impl Gate {
+    fn new(slots: usize, max_waiting: usize) -> Self {
+        Self {
+            slots: slots.max(1),
+            max_waiting: max_waiting.max(1),
+            state: Mutex::new(GateState::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a slot, waiting for one while all are busy. A caller arriving
+    /// while others wait queues behind them rather than taking a slot one of
+    /// them was woken for. Fails with [`ServiceError::QueueFull`] when
+    /// `max_waiting` callers already wait, [`ServiceError::DeadlineExceeded`]
+    /// when `deadline` passes before a slot does, and
+    /// [`ServiceError::ShuttingDown`] once the gate is closed.
+    fn enter(&self, submitted: Instant, deadline: Option<Instant>) -> ServiceResult<Slot<'_>> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if state.running < self.slots && state.waiting == 0 {
+            state.running += 1;
+            return Ok(Slot(self));
+        }
+        if state.waiting >= self.max_waiting {
+            return Err(ServiceError::QueueFull {
+                depth: self.max_waiting,
+            });
+        }
+        state.waiting += 1;
+        let admitted = loop {
+            if state.closed {
+                break Err(ServiceError::ShuttingDown);
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                break Err(ServiceError::DeadlineExceeded {
+                    waited: now - submitted,
+                });
+            }
+            if state.running < self.slots {
+                state.running += 1;
+                break Ok(Slot(self));
+            }
+            state = match deadline {
+                Some(d) => {
+                    self.changed
+                        .wait_timeout(state, d - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self
+                    .changed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+        };
+        state.waiting -= 1;
+        // A caller leaving without the slot it may have been woken for
+        // passes the wake-up on, so a free slot never strands a waiter.
+        if admitted.is_err() && state.running < self.slots && state.waiting > 0 {
+            self.changed.notify_one();
+        }
+        admitted
+    }
+
+    /// Closes the gate: waiters and later callers fail with
+    /// [`ServiceError::ShuttingDown`]. Returns once no statement is running.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        self.changed.notify_all();
+        while state.running > 0 {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One held execution slot; dropping it (also while unwinding) frees it.
+struct Slot<'a>(&'a Gate);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.running -= 1;
+        if state.closed {
+            self.0.changed.notify_all();
+        } else if state.waiting > 0 {
+            self.0.changed.notify_one();
+        }
+    }
+}
+
 struct Shared {
     session: Arc<Session>,
-    queue: JobQueue<Job>,
+    gate: Gate,
     metrics: ServiceMetrics,
     /// Recently applied mutation tokens (exactly-once client resends).
     dedup: MutationDedup,
@@ -64,10 +180,9 @@ struct Shared {
     /// When the engine came up; recorded arrival timestamps are offsets
     /// from this instant.
     epoch: Instant,
-    /// Whether workers trace queries (`ServiceConfig::tracing`). With this
+    /// Whether statements are traced (`ServiceConfig::tracing`). With this
     /// off the execution path is exactly the pre-observability one.
     tracing: bool,
-    shutting_down: AtomicBool,
 }
 
 impl Shared {
@@ -77,14 +192,14 @@ impl Shared {
     fn observe_query(
         &self,
         trace: Option<masksearch_obs::TraceGuard>,
-        statement: Option<&Arc<str>>,
+        statement: Option<&str>,
         query: &Query,
         stats: &QueryStats,
         wall: Duration,
     ) {
         let Some(trace) = trace else { return };
         let label: std::borrow::Cow<'_, str> = match statement {
-            Some(s) => std::borrow::Cow::Borrowed(s.as_ref()),
+            Some(s) => std::borrow::Cow::Borrowed(s),
             // Programmatic submissions have no SQL text; the normalized
             // shape key still tells an operator what ran.
             None => {
@@ -134,74 +249,64 @@ impl Shared {
             .unwrap_or_default();
         self.timeseries.observe(wall.as_micros() as u64, ok, stages);
     }
-}
 
-/// Owns the worker handles; its `Drop` (run exactly once, when the last
-/// `Engine` clone goes away) shuts the pool down. Relying on `Arc` dropping
-/// the guard makes last-handle detection atomic — a manual
-/// `strong_count == 1` check in `Engine::drop` would race when two clones
-/// drop concurrently.
-struct PoolGuard {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl PoolGuard {
-    /// Stops admissions, fails queued jobs, and joins workers. Idempotent.
-    fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.queue.close();
-        for job in self.shared.queue.drain() {
-            let _ = job.reply.send(Err(ServiceError::ShuttingDown));
+    /// Takes an execution slot for a statement submitted at `submitted`
+    /// (see [`Gate::enter`]) and counts the outcome: a caller that got past
+    /// the waiting bound is `submitted`, its time to a slot — or to its
+    /// deadline — is its queue wait. Returns the slot and that wait.
+    fn admit(
+        &self,
+        submitted: Instant,
+        deadline: Option<Instant>,
+    ) -> ServiceResult<(Slot<'_>, Duration)> {
+        match self.gate.enter(submitted, deadline) {
+            Ok(slot) => {
+                let wait = submitted.elapsed();
+                self.metrics.record_submitted();
+                self.metrics.record_queue_wait(wait);
+                Ok((slot, wait))
+            }
+            Err(e) => {
+                match e {
+                    ServiceError::QueueFull { .. } => self.metrics.record_rejected(),
+                    ServiceError::DeadlineExceeded { waited } => {
+                        self.metrics.record_submitted();
+                        self.metrics.record_queue_wait(waited);
+                        self.metrics.record_deadline_expired();
+                    }
+                    _ => {}
+                }
+                Err(e)
+            }
         }
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        for handle in workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for PoolGuard {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
 /// A concurrent query-serving handle over one [`Session`].
 ///
 /// Cloning an `Engine` is cheap and produces another handle on the same
-/// worker pool; the pool shuts down when [`Engine::shutdown`] is called or
-/// the last handle is dropped.
+/// session and execution slots. [`Engine::shutdown`] stops every handle.
+#[derive(Clone)]
 pub struct Engine {
     shared: Arc<Shared>,
-    pool: Arc<PoolGuard>,
     config: ServiceConfig,
 }
 
-impl Clone for Engine {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-            pool: Arc::clone(&self.pool),
-            config: self.config.clone(),
-        }
-    }
-}
-
 impl Engine {
-    /// Creates an engine owning `session` and starts its worker pool.
+    /// Creates an engine owning `session`.
     pub fn new(session: Session, config: ServiceConfig) -> Self {
         Self::with_shared_session(Arc::new(session), config)
     }
 
     /// Creates an engine over an already shared session.
     pub fn with_shared_session(mut session: Arc<Session>, config: ServiceConfig) -> Self {
-        // Each worker runs one query at a time, and each query fans out to
-        // `session.config().threads` verify threads — which defaults to all
-        // cores. With several workers the product oversubscribes the machine
-        // and throughput *drops* as workers are added (BENCH_service.json:
-        // 309 -> 302 QPS going 1 -> 2 workers). Divide the verify pool
-        // across workers so total verify concurrency stays ~one machine.
+        // Each execution slot runs one statement at a time, and each query
+        // fans out to `session.config().threads` verify threads — which
+        // defaults to all cores. With several slots the product
+        // oversubscribes the machine and throughput *drops* as slots are
+        // added (BENCH_service.json: 309 -> 302 QPS going 1 -> 2 workers).
+        // Divide the verify pool across slots so total verify concurrency
+        // stays ~one machine.
         // A session already shared with another engine is left untouched.
         if config.workers > 1 {
             if let Some(session) = Arc::get_mut(&mut session) {
@@ -236,7 +341,7 @@ impl Engine {
         }
         let shared = Arc::new(Shared {
             session,
-            queue: JobQueue::new(config.queue_depth),
+            gate: Gate::new(config.workers, config.queue_depth),
             metrics: ServiceMetrics::new(),
             dedup: MutationDedup::new(),
             profiles: ProfileRing::new(PROFILE_RING_CAPACITY),
@@ -245,26 +350,8 @@ impl Engine {
             recorder,
             epoch: Instant::now(),
             tracing: config.tracing,
-            shutting_down: AtomicBool::new(false),
         });
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("masksearch-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread"),
-            );
-        }
-        Self {
-            pool: Arc::new(PoolGuard {
-                shared: Arc::clone(&shared),
-                workers: Mutex::new(workers),
-            }),
-            shared,
-            config,
-        }
+        Self { shared, config }
     }
 
     /// The engine's configuration.
@@ -277,18 +364,13 @@ impl Engine {
         &self.shared.session
     }
 
-    /// Number of jobs currently waiting in the queue.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
-    }
-
     /// Server-wide metrics, with the cache hit rate taken from the session's
     /// shared mask cache and the write-path counters from the store (when it
     /// tracks them).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = self.shared.metrics.snapshot();
         snapshot.cache_hit_rate = self.shared.session.cache().stats().hit_rate();
-        snapshot.queue_depth = self.shared.queue.len() as u64;
+        snapshot.queue_depth = self.shared.gate.lock().waiting as u64;
         if let Some(ingest) = self.shared.session.store().ingest_stats() {
             snapshot.ingest = ingest;
         }
@@ -368,8 +450,6 @@ impl Engine {
                 crate::protocol::digest_plan_lines(lines),
                 start.started.elapsed().as_micros() as u64,
             ),
-            // Batches never come through the statement path.
-            Ok(Response::Batch(_)) => return,
             Err(e) => (
                 false,
                 0,
@@ -416,76 +496,23 @@ impl Engine {
         });
     }
 
-    fn submit_request(
+    /// Admits `request` into an execution slot and runs it on this thread.
+    /// `statement` is the SQL text it came from, when it came through a SQL
+    /// entry point — what profiles and the slow-query log show.
+    fn execute_request(
         &self,
         request: Request,
-        deadline: Option<Duration>,
-    ) -> ServiceResult<Ticket> {
-        self.submit_labeled(request, deadline, None)
-    }
-
-    fn submit_labeled(
-        &self,
-        request: Request,
-        deadline: Option<Duration>,
-        statement: Option<Arc<str>>,
-    ) -> ServiceResult<Ticket> {
-        if self.shared.shutting_down.load(Ordering::Acquire) {
-            return Err(ServiceError::ShuttingDown);
-        }
+        statement: Option<&str>,
+    ) -> ServiceResult<Response> {
         let submitted = Instant::now();
-        let deadline = deadline
-            .or(self.config.default_deadline)
-            .map(|d| submitted + d);
-        let (reply, receiver) = mpsc::channel();
+        let deadline = self.config.default_deadline.map(|d| submitted + d);
+        let (_slot, wait) = self.shared.admit(submitted, deadline)?;
         let job = Job {
             request,
             submitted,
-            deadline,
-            reply,
             statement,
         };
-        let pushed = match self.config.admission {
-            AdmissionPolicy::Reject => self.shared.queue.try_push(job),
-            AdmissionPolicy::Block => self.shared.queue.push_blocking(job),
-        };
-        match pushed {
-            Ok(()) => {
-                self.shared.metrics.record_submitted();
-                Ok(Ticket {
-                    submitted,
-                    receiver,
-                })
-            }
-            Err(PushError::Full(_)) => {
-                self.shared.metrics.record_rejected();
-                Err(ServiceError::QueueFull {
-                    depth: self.config.queue_depth,
-                })
-            }
-            Err(PushError::Closed(_)) => Err(ServiceError::ShuttingDown),
-        }
-    }
-
-    /// Submits one query; redeem the returned [`Ticket`] for the result.
-    pub fn submit(&self, query: Query) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Single(query), None)
-    }
-
-    /// Submits one query with an explicit deadline (overrides the default).
-    pub fn submit_with_deadline(&self, query: Query, deadline: Duration) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Single(query), Some(deadline))
-    }
-
-    /// Submits a batch executed with shared filter/verification work.
-    pub fn submit_batch(&self, queries: Vec<Query>) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Batch(queries), None)
-    }
-
-    /// Submits a ranked query in partial (cluster-shard) mode with a
-    /// per-shard `k`; redeem the ticket with [`Ticket::wait_partial`].
-    pub fn submit_partial(&self, query: Query, k: usize) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Partial { query, k }, None)
+        run_job(&self.shared, &job, wait)
     }
 
     /// Compiles a ranked SQL statement and executes it in partial mode: the
@@ -499,26 +526,22 @@ impl Engine {
         }
     }
 
-    /// Submits a write (an atomic INSERT/DELETE batch); redeem the ticket
-    /// with [`Ticket::wait_mutation`].
-    pub fn submit_mutation(&self, mutation: Mutation) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Mutation(mutation), None)
-    }
-
-    /// Submits a write and blocks for its outcome.
+    /// Applies a write (an atomic INSERT/DELETE batch).
     pub fn execute_mutation(&self, mutation: Mutation) -> ServiceResult<MutationResponse> {
-        self.submit_mutation(mutation)?.wait_mutation()
+        self.apply(Request::Mutation(mutation))
     }
 
-    /// Submits a transaction (every mutation lands in one storage commit or
-    /// none do); redeem the ticket with [`Ticket::wait_mutation`].
-    pub fn submit_transaction(&self, mutations: Vec<Mutation>) -> ServiceResult<Ticket> {
-        self.submit_request(Request::Transaction(mutations), None)
-    }
-
-    /// Submits a transaction and blocks for its summed outcome.
+    /// Applies a transaction: every mutation lands in one storage commit or
+    /// none do. The response carries the summed outcome.
     pub fn execute_transaction(&self, mutations: Vec<Mutation>) -> ServiceResult<MutationResponse> {
-        self.submit_transaction(mutations)?.wait_mutation()
+        self.apply(Request::Transaction(mutations))
+    }
+
+    fn apply(&self, request: Request) -> ServiceResult<MutationResponse> {
+        match self.execute_request(request, None)? {
+            Response::Mutation(response) => Ok(response),
+            _ => unreachable!("a write answers with its outcome"),
+        }
     }
 
     /// Compiles any SQL statement — SELECT, INSERT, DELETE, UPDATE, DDL,
@@ -584,7 +607,7 @@ impl Engine {
             masksearch_sql::compile_transaction_script(sql).map_err(ServiceError::Sql)?
         {
             // The whole script dedups as one unit; one that ended in
-            // ROLLBACK applies nothing and never touches the queue.
+            // ROLLBACK applies nothing and never takes a slot.
             return self.deduped(token, || {
                 if commit {
                     self.execute_transaction(mutations)
@@ -602,11 +625,9 @@ impl Engine {
         }
     }
 
-    /// Submits a compiled query labelled with its SQL text (what profiles
-    /// and the slow-query log show) and waits for the answer.
+    /// Executes a compiled query labelled with its SQL text.
     fn query(&self, request: Request, sql: &str) -> ServiceResult<Response> {
-        self.submit_labeled(request, None, Some(Arc::from(sql)))?
-            .wait()
+        self.execute_request(request, Some(sql))
     }
 
     /// Applies a write at most once per client token: a resend whose
@@ -643,34 +664,32 @@ impl Engine {
     /// the measured statistics. Writes cannot be explained.
     pub fn explain_sql(&self, analyze: bool, sql: &str) -> ServiceResult<Vec<String>> {
         match masksearch_sql::compile_statement(sql)? {
-            Statement::Query(query) => self
-                .submit_labeled(
-                    Request::Explain { query, analyze },
-                    None,
-                    Some(Arc::from(sql)),
-                )?
-                .wait_plan(),
+            Statement::Query(query) => {
+                match self.query(Request::Explain { query, analyze }, sql)? {
+                    Response::Plan(lines) => Ok(lines),
+                    _ => unreachable!("an explain answers with its plan"),
+                }
+            }
             Statement::Mutation(_) | Statement::Control(_) => Err(ServiceError::Sql(
                 "EXPLAIN applies to queries, not writes".to_string(),
             )),
         }
     }
 
-    /// Submits a query and blocks for its result.
+    /// Executes a query.
     pub fn execute(&self, query: &Query) -> ServiceResult<QueryResponse> {
-        self.submit(query.clone())?.wait_single()
+        match self.execute_request(Request::Single(query.clone()), None)? {
+            Response::Single(response) => Ok(response),
+            _ => unreachable!("a query answers with rows"),
+        }
     }
 
-    /// Submits a batch and blocks for all of its results.
-    pub fn execute_batch(&self, queries: Vec<Query>) -> ServiceResult<BatchOutput> {
-        self.submit_batch(queries)?.wait_batch()
-    }
-
-    /// Stops accepting work, fails queued-but-unstarted jobs with
-    /// [`ServiceError::ShuttingDown`], and joins the worker pool. Idempotent;
-    /// also happens automatically when the last `Engine` clone drops.
+    /// Stops admitting statements: callers waiting for a slot, and every
+    /// later call on any clone, fail with [`ServiceError::ShuttingDown`].
+    /// Returns once the statements already executing have finished. Must
+    /// not be called from inside a statement. Idempotent.
     pub fn shutdown(&self) {
-        self.pool.shutdown();
+        self.shared.gate.close();
     }
 
     /// Handles one untagged SQL line that interacts with the connection's
@@ -781,7 +800,7 @@ impl Backend for Engine {
         let mut p = PromText::new();
         p.counter(
             "masksearch_queries_submitted_total",
-            "Queries admitted to the job queue.",
+            "Queries admitted past the waiting bound.",
             s.submitted,
         );
         p.counter(
@@ -801,13 +820,8 @@ impl Backend for Engine {
         );
         p.counter(
             "masksearch_queries_deadline_expired_total",
-            "Queries abandoned on queue-deadline expiry.",
+            "Queries whose deadline passed while waiting for a slot.",
             s.deadline_expired,
-        );
-        p.counter(
-            "masksearch_batches_total",
-            "Batch jobs executed.",
-            s.batches,
         );
         p.counter(
             "masksearch_mutations_total",
@@ -937,7 +951,7 @@ impl Backend for Engine {
         );
         p.gauge(
             "masksearch_queue_depth",
-            "Jobs waiting in the bounded queue.",
+            "Callers waiting for an execution slot.",
             s.queue_depth as f64,
         );
         // Process-global counters: lock waits, kernel calls, WAL/pager
@@ -957,7 +971,7 @@ impl Backend for Engine {
         );
         p.histogram(
             "masksearch_queue_wait_seconds",
-            "Time jobs spent queued before a worker picked them up.",
+            "Time statements spent waiting for an execution slot.",
             self.shared.metrics.queue_wait(),
         );
         let mut text = p.finish();
@@ -1102,32 +1116,16 @@ struct CaptureStart {
     started: Instant,
 }
 
-/// One worker thread: pop, check deadline, execute, reply, repeat.
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        let picked_up = Instant::now();
-        let wait = picked_up.duration_since(job.submitted);
-        shared.metrics.record_queue_wait(wait);
-        let result = if job.expired(picked_up) {
-            shared.metrics.record_deadline_expired();
-            Err(ServiceError::DeadlineExceeded { waited: wait })
-        } else {
-            run_job(shared, &job, wait)
-        };
-        let _ = job.reply.send(result);
-    }
-}
-
 /// Executes one job's request and does its success bookkeeping; failures
 /// are [`guarded`].
-fn run_job(shared: &Shared, job: &Job, wait: Duration) -> ServiceResult<Response> {
+fn run_job(shared: &Shared, job: &Job<'_>, wait: Duration) -> ServiceResult<Response> {
     let exec_start = Instant::now();
     let trace = || shared.tracing.then(|| masksearch_obs::trace("query"));
     // A completed query: profile, metrics, time series.
     let completed =
         |trace: Option<masksearch_obs::TraceGuard>, query: &Query, stats: &QueryStats| {
             let exec_time = exec_start.elapsed();
-            shared.observe_query(trace, job.statement.as_ref(), query, stats, exec_time);
+            shared.observe_query(trace, job.statement, query, stats, exec_time);
             shared
                 .metrics
                 .record_completed(stats, job.submitted.elapsed());
@@ -1196,29 +1194,13 @@ fn run_job(shared: &Shared, job: &Job, wait: Duration) -> ServiceResult<Response
             shared.session.apply_transaction(mutations)
         })
         .map(applied),
-        Request::Batch(queries) => {
-            shared.metrics.record_batch();
-            guarded(shared, exec_start, || {
-                batch::execute(&shared.session, queries)
-            })
-            .map(|output| {
-                let latency = job.submitted.elapsed();
-                let exec_time = exec_start.elapsed();
-                for out in &output.outputs {
-                    shared.metrics.record_completed(&out.stats, latency);
-                    shared.observe_series(exec_time, true, Some(&out.stats));
-                }
-                Response::Batch(output)
-            })
-        }
     }
 }
 
 /// Runs one job's execution so that a failure fails only that job: an error
 /// — or a panic, answered as [`ServiceError::Internal`] — is counted as
-/// failed and fed to the time series instead of killing the worker thread
-/// (a dead worker on a small pool would leave later submissions queued
-/// forever).
+/// failed and fed to the time series instead of unwinding through the
+/// caller's thread (a connection would lose its socket mid-statement).
 fn guarded<T>(
     shared: &Shared,
     exec_start: Instant,
@@ -1340,7 +1322,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_query_does_not_kill_the_worker() {
+    fn a_panicking_query_fails_only_itself() {
         let inner = Arc::new(MemoryMaskStore::for_tests());
         let mut catalog = Catalog::new();
         for i in 0..4u64 {
@@ -1356,8 +1338,8 @@ mod tests {
                 .indexing_mode(IndexingMode::Disabled),
         )
         .unwrap();
-        // Single worker: if the panic killed it, the second submit would
-        // hang forever.
+        // One slot: had the panic leaked it, the second statement would
+        // wait for it forever.
         let engine = Engine::new(session, ServiceConfig::new(1));
         match engine.execute(&sample_query()) {
             // The panic may be rewrapped by the executor's internal thread
@@ -1365,7 +1347,7 @@ mod tests {
             Err(ServiceError::Internal(_)) => {}
             other => panic!("expected Internal error, got {other:?}"),
         }
-        // The worker survived and still serves (and fails) further queries.
+        // The slot was freed, and further queries are served (and fail).
         assert!(matches!(
             engine.execute(&sample_query()),
             Err(ServiceError::Internal(_))
@@ -1406,20 +1388,26 @@ mod tests {
     }
 
     /// A mask store whose reads block until the gate opens — used to pin a
-    /// worker inside a query deterministically.
+    /// statement inside a read deterministically. It also records which
+    /// threads read, and how many reads got past the gate.
     struct GatedStore {
         inner: Arc<MemoryMaskStore>,
-        gate: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-        /// Signalled as soon as any read has started waiting.
-        entered: Arc<(std::sync::Mutex<u64>, std::sync::Condvar)>,
+        gate: (Mutex<bool>, Condvar),
+        /// Reads that have started waiting; signalled on every change.
+        entered: (Mutex<u64>, Condvar),
+        /// Reads that got past the gate.
+        left: std::sync::atomic::AtomicU64,
+        readers: Mutex<Vec<std::thread::ThreadId>>,
     }
 
     impl GatedStore {
         fn new(inner: Arc<MemoryMaskStore>) -> Self {
             Self {
                 inner,
-                gate: Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new())),
-                entered: Arc::new((std::sync::Mutex::new(0), std::sync::Condvar::new())),
+                gate: (Mutex::new(false), Condvar::new()),
+                entered: (Mutex::new(0), Condvar::new()),
+                left: std::sync::atomic::AtomicU64::new(0),
+                readers: Mutex::new(Vec::new()),
             }
         }
 
@@ -1429,11 +1417,42 @@ mod tests {
         }
 
         fn wait_for_reader(&self) {
-            let (lock, cvar) = &*self.entered;
+            let (lock, cvar) = &self.entered;
             let mut count = lock.lock().unwrap();
             while *count == 0 {
                 count = cvar.wait(count).unwrap();
             }
+        }
+
+        fn entered(&self) -> u64 {
+            *self.entered.0.lock().unwrap()
+        }
+
+        fn left(&self) -> u64 {
+            self.left.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn readers(&self) -> Vec<std::thread::ThreadId> {
+            self.readers.lock().unwrap().clone()
+        }
+
+        /// Records the reading thread, then blocks until the gate opens.
+        fn pass(&self) {
+            self.readers
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            {
+                let (lock, cvar) = &self.entered;
+                *lock.lock().unwrap() += 1;
+                cvar.notify_all();
+            }
+            let (lock, cvar) = &self.gate;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cvar.wait(open).unwrap();
+            }
+            self.left.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }
     }
 
@@ -1442,18 +1461,17 @@ mod tests {
             self.inner.put(id, mask)
         }
         fn get(&self, id: MaskId) -> masksearch_storage::StorageResult<Mask> {
-            {
-                let (lock, cvar) = &*self.entered;
-                *lock.lock().unwrap() += 1;
-                cvar.notify_all();
-            }
-            let (lock, cvar) = &*self.gate;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cvar.wait(open).unwrap();
-            }
-            drop(open);
+            self.pass();
             self.inner.get(id)
+        }
+        fn read_rows(
+            &self,
+            id: MaskId,
+            rows: std::ops::Range<u32>,
+            out: &mut Vec<u8>,
+        ) -> masksearch_storage::StorageResult<Option<(u32, u32)>> {
+            self.pass();
+            self.inner.read_rows(id, rows, out)
         }
         fn contains(&self, id: MaskId) -> bool {
             self.inner.contains(id)
@@ -1476,6 +1494,101 @@ mod tests {
         fn disk_profile(&self) -> masksearch_storage::DiskProfile {
             self.inner.disk_profile()
         }
+    }
+
+    /// An engine over four masks in a [`GatedStore`], with indexing off so
+    /// every query reads the store.
+    fn gated_engine(config: ServiceConfig) -> (Engine, Arc<GatedStore>) {
+        let inner = Arc::new(MemoryMaskStore::for_tests());
+        let mut catalog = Catalog::new();
+        for i in 0..4u64 {
+            let mask = Mask::from_fn(16, 16, move |x, y| ((x + y + i as u32) % 10) as f32 / 10.0);
+            inner.put(MaskId::new(i), &mask).unwrap();
+            catalog.insert(MaskRecord::builder(MaskId::new(i)).shape(16, 16).build());
+        }
+        let gated = Arc::new(GatedStore::new(inner));
+        let session = Session::new(
+            Arc::clone(&gated) as Arc<dyn MaskStore>,
+            catalog,
+            SessionConfig::new(ChiConfig::new(4, 4, 8).unwrap())
+                .threads(1)
+                .indexing_mode(IndexingMode::Disabled),
+        )
+        .unwrap();
+        (Engine::new(session, config), gated)
+    }
+
+    /// Runs `sample_query` on a new thread, which `gated` pins inside its
+    /// first read until the gate opens; returns once it is pinned.
+    fn pin_a_statement(
+        engine: &Engine,
+        gated: &GatedStore,
+    ) -> std::thread::JoinHandle<ServiceResult<QueryResponse>> {
+        let holder = {
+            let engine = engine.clone();
+            std::thread::spawn(move || engine.execute(&sample_query()))
+        };
+        gated.wait_for_reader();
+        holder
+    }
+
+    /// Runs `sample_query` on a new thread and returns once it waits for a
+    /// slot.
+    fn start_a_waiter(engine: &Engine) -> std::thread::JoinHandle<ServiceResult<QueryResponse>> {
+        let waiter = {
+            let engine = engine.clone();
+            std::thread::spawn(move || engine.execute(&sample_query()))
+        };
+        while engine.metrics().queue_depth == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        waiter
+    }
+
+    #[test]
+    fn statements_run_on_the_calling_thread() {
+        let (engine, gated) = gated_engine(ServiceConfig::new(2));
+        gated.open_gate();
+        let caller = std::thread::spawn({
+            let engine = engine.clone();
+            move || {
+                let rows = engine
+                    .execute_statement(
+                        "SELECT mask_id FROM masks WHERE CP(mask, (0, 0, 16, 16), (0.5, 1.0)) > 50",
+                    )
+                    .unwrap();
+                assert!(matches!(rows, Response::Single(_)));
+                std::thread::current().id()
+            }
+        })
+        .join()
+        .unwrap();
+        let readers = gated.readers();
+        assert!(!readers.is_empty(), "the statement never read the store");
+        assert!(
+            readers.iter().all(|&reader| reader == caller),
+            "a read ran off the caller's thread"
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_slot_is_freed_when_its_holder_unwinds() {
+        let gate = Gate::new(1, 1);
+        let unwound = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _slot = gate.enter(Instant::now(), None).unwrap();
+                    panic!("statement unwinds while holding its slot");
+                })
+                .join()
+        });
+        assert!(unwound.is_err());
+        assert_eq!(gate.lock().running, 0);
+        // The only slot is free: a caller with an expired deadline still
+        // takes it without waiting.
+        let now = Instant::now();
+        assert!(gate.enter(now, Some(now)).is_ok());
     }
 
     #[test]
@@ -1525,70 +1638,79 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_when_full() {
-        // One worker pinned inside a read, depth-1 queue: the third
-        // submission must be rejected — deterministically.
-        let inner = Arc::new(MemoryMaskStore::for_tests());
-        let mut catalog = Catalog::new();
-        for i in 0..4u64 {
-            let mask = Mask::from_fn(16, 16, move |x, y| ((x + y + i as u32) % 10) as f32 / 10.0);
-            inner.put(MaskId::new(i), &mask).unwrap();
-            catalog.insert(MaskRecord::builder(MaskId::new(i)).shape(16, 16).build());
-        }
-        let gated = Arc::new(GatedStore::new(inner));
-        let session = Session::new(
-            Arc::clone(&gated) as Arc<dyn MaskStore>,
-            catalog,
-            SessionConfig::new(ChiConfig::new(4, 4, 8).unwrap())
-                .threads(1)
-                .indexing_mode(IndexingMode::Disabled),
-        )
-        .unwrap();
-        let engine = Engine::new(session, ServiceConfig::new(1).queue_depth(1));
-
-        let hold = engine.submit(sample_query()).unwrap();
-        gated.wait_for_reader(); // the worker is now blocked inside `get`
-        let queued = engine.submit(sample_query());
-        assert!(queued.is_ok());
-        let overflow = engine.submit(sample_query());
-        assert!(matches!(overflow, Err(ServiceError::QueueFull { .. })));
+        // One slot, held by a statement pinned inside a read; one caller may
+        // wait: the next is rejected — deterministically.
+        let (engine, gated) = gated_engine(ServiceConfig::new(1).queue_depth(1));
+        let holder = pin_a_statement(&engine, &gated);
+        let waiter = start_a_waiter(&engine);
+        assert!(matches!(
+            engine.execute(&sample_query()),
+            Err(ServiceError::QueueFull { depth: 1 })
+        ));
+        assert_eq!(engine.metrics().rejected, 1);
 
         gated.open_gate();
-        hold.wait_single().unwrap();
-        queued.unwrap().wait_single().unwrap();
-        assert_eq!(engine.metrics().rejected, 1);
+        holder.join().unwrap().unwrap();
+        let waited = waiter.join().unwrap().unwrap();
+        assert!(waited.queue_wait > Duration::ZERO);
+        let m = engine.metrics();
+        assert_eq!((m.submitted, m.completed, m.rejected), (2, 2, 1));
+        assert_eq!(m.queue_depth, 0);
         engine.shutdown();
     }
 
     #[test]
     fn queue_deadline_abandons_stale_queries() {
-        let engine = Engine::new(
-            test_session(8, IndexingMode::Eager),
-            ServiceConfig::new(1).default_deadline(Duration::from_nanos(1)),
-        );
-        // Occupy the worker so the next job waits long enough to expire.
-        let first = engine.submit(sample_query()).unwrap();
-        let second = engine.submit(sample_query()).unwrap();
-        let _ = first.wait_single();
-        match second.wait() {
-            Err(ServiceError::DeadlineExceeded { .. }) => {}
-            Ok(_) => {
-                // The worker may have been fast enough; tolerated, but the
-                // deadline machinery is separately asserted below.
+        // The holder takes the free slot at once, so its deadline never
+        // applies; the next caller waits past its 1 ms and is abandoned.
+        let (engine, gated) =
+            gated_engine(ServiceConfig::new(1).default_deadline(Duration::from_millis(1)));
+        let holder = pin_a_statement(&engine, &gated);
+        match engine.execute(&sample_query()) {
+            Err(ServiceError::DeadlineExceeded { waited }) => {
+                assert!(waited >= Duration::from_millis(1))
             }
-            Err(other) => panic!("unexpected error {other}"),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
+        // It never executed: the only read is still the holder's.
+        assert_eq!(gated.entered(), 1);
+        let m = engine.metrics();
+        assert_eq!((m.deadline_expired, m.queue_depth), (1, 0));
+
+        gated.open_gate();
+        holder.join().unwrap().unwrap();
         engine.shutdown();
     }
 
     #[test]
     fn shutdown_fails_pending_work_and_is_idempotent() {
-        let engine = Engine::new(test_session(8, IndexingMode::Eager), ServiceConfig::new(1));
-        engine.shutdown();
-        engine.shutdown();
+        let (engine, gated) = gated_engine(ServiceConfig::new(1));
+        let holder = pin_a_statement(&engine, &gated);
+        let waiter = start_a_waiter(&engine);
+        let shutdown = {
+            let engine = engine.clone();
+            std::thread::spawn(move || engine.shutdown())
+        };
+        // The waiter fails at once; shutdown waits for the pinned statement.
         assert!(matches!(
-            engine.submit(sample_query()),
+            waiter.join().unwrap(),
             Err(ServiceError::ShuttingDown)
         ));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!shutdown.is_finished(), "shutdown returned mid-statement");
+        assert_eq!(gated.left(), 0);
+
+        gated.open_gate();
+        shutdown.join().unwrap();
+        // Shutdown returned only after the in-flight statement's reads, and
+        // it finished normally.
+        assert_eq!(gated.left(), gated.entered());
+        holder.join().unwrap().unwrap();
+        assert!(matches!(
+            engine.execute(&sample_query()),
+            Err(ServiceError::ShuttingDown)
+        ));
+        engine.shutdown();
     }
 
     #[test]
@@ -1602,20 +1724,6 @@ mod tests {
         drop(engine);
         // The surviving clone still works.
         assert!(clone.execute(&sample_query()).is_ok());
-        drop(clone); // last handle joins the pool
-    }
-
-    #[test]
-    fn batch_jobs_flow_through_the_pool() {
-        let engine = Engine::new(
-            test_session(12, IndexingMode::Incremental),
-            ServiceConfig::new(2),
-        );
-        let queries = vec![sample_query(), sample_query()];
-        let batch = engine.execute_batch(queries).unwrap();
-        assert_eq!(batch.outputs.len(), 2);
-        assert_eq!(batch.outputs[0].rows, batch.outputs[1].rows);
-        assert_eq!(engine.metrics().batches, 1);
-        engine.shutdown();
+        drop(clone);
     }
 }

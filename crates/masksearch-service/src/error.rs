@@ -11,15 +11,15 @@ pub type ServiceResult<T> = Result<T, ServiceError>;
 /// itself, which is wrapped as [`ServiceError::Query`]).
 #[derive(Debug)]
 pub enum ServiceError {
-    /// The job queue was at capacity and the admission policy rejected the
-    /// query instead of blocking.
+    /// Every execution slot was busy and `queue_depth` callers were already
+    /// waiting for one.
     QueueFull {
-        /// Configured queue depth at the time of rejection.
+        /// Configured queue depth (waiting callers) at the time of rejection.
         depth: usize,
     },
-    /// The query's deadline expired before a worker could finish it.
+    /// The statement's deadline passed before it got an execution slot.
     DeadlineExceeded {
-        /// How long the query had been in the system when it was abandoned.
+        /// How long the statement had waited when it was abandoned.
         waited: Duration,
     },
     /// The engine is shutting down and no longer accepts work.
@@ -36,8 +36,8 @@ pub enum ServiceError {
     /// peer, but the frame was well-formed and fully consumed — the
     /// connection remains usable.
     Remote(String),
-    /// Query execution panicked inside a worker (the panic was contained and
-    /// the worker kept running).
+    /// Query execution panicked (the panic was contained: the caller's
+    /// thread, and its connection, kept running).
     Internal(String),
 }
 
@@ -47,7 +47,7 @@ impl std::fmt::Display for ServiceError {
             Self::QueueFull { depth } => {
                 write!(
                     f,
-                    "job queue full ({depth} queued queries); admission denied"
+                    "admission queue full ({depth} callers waiting for a slot); admission denied"
                 )
             }
             Self::DeadlineExceeded { waited } => {

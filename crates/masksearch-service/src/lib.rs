@@ -10,27 +10,28 @@
 //!
 //! ```text
 //!   TCP clients (masksearch-sql dialect, line protocol)
-//!        │ 1 thread per connection
+//!        │ 1 thread per connection (+ handler threads for @id-tagged lines)
 //!        ▼
-//!   ┌──────────────┐   submit    ┌──────────────────┐   pop    ┌───────────┐
-//!   │ Server<B>     │ ──────────▶ │ bounded JobQueue │ ───────▶ │ worker    │
-//!   │ B = Engine    │  (admission │ + deadlines      │          │ pool      │
-//!   └──────────────┘   control)   └──────────────────┘          └────┬──────┘
-//!   in-process callers via                                            │ &Session
-//!   Engine::execute / execute_batch                                   ▼
-//!                                              ┌───────────────────────────┐
-//!                                              │ shared Session            │
-//!                                              │  CHI store · mask cache   │
-//!                                              │  catalog · mask store     │
-//!                                              └───────────────────────────┘
+//!   ┌──────────────┐  execute_statement   ┌──────────────────────────┐
+//!   │ Server<B>     │ ───────────────────▶ │ Engine: admission gate   │
+//!   │ B = Engine    │   on the same thread │ `workers` slots, at most │
+//!   └──────────────┘                       │ `queue_depth` waiting,   │
+//!   in-process callers via                 │ deadlines while waiting  │
+//!   Engine::execute / execute_statement ──▶└────────────┬─────────────┘
+//!                                                       │ run on the caller's
+//!                                                       ▼ thread, &Session
+//!                                          ┌───────────────────────────┐
+//!                                          │ shared Session            │
+//!                                          │  CHI store · mask cache   │
+//!                                          │  catalog · mask store     │
+//!                                          └───────────────────────────┘
 //! ```
 //!
-//! * [`Engine`] — a cloneable handle wrapping an `Arc<Session>`; submits
-//!   jobs, enforces admission control and deadlines, and records metrics.
-//! * [`queue::JobQueue`] — the bounded MPMC queue between submitters and the
-//!   worker pool.
-//! * [`batch`] — multi-query execution that shares CHI bound computation and
-//!   mask loads across a group of queries.
+//! * [`Engine`] — a cloneable handle wrapping an `Arc<Session>`. It admits
+//!   each statement into one of `workers` execution slots (a caller past
+//!   `queue_depth` waiters is rejected, one whose deadline passes while it
+//!   waits is abandoned), runs it on the caller's own thread, and records
+//!   metrics.
 //! * [`ServiceMetrics`] — QPS, latency histograms (`masksearch-obs`'s
 //!   `LogHistogram`), filter rate, cache hit rate.
 //! * [`Server`] / [`Client`] — the one line-oriented TCP front end over
@@ -82,7 +83,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod backend;
-pub mod batch;
 pub mod client;
 pub mod config;
 pub mod dedup;
@@ -93,17 +93,15 @@ pub mod metrics;
 pub mod mux;
 pub mod pool;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 
 pub use backend::Backend;
-pub use batch::{BatchOutput, BatchStats};
 pub use client::{Client, MonitorFrame};
-pub use config::{AdmissionPolicy, ServiceConfig};
+pub use config::ServiceConfig;
 pub use dedup::{Admission, MutationDedup};
 pub use engine::Engine;
 pub use error::{ServiceError, ServiceResult};
-pub use job::{MutationResponse, PartialResponse, QueryResponse, Request, Response, Ticket};
+pub use job::{MutationResponse, PartialResponse, QueryResponse, Response};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use mux::{MuxClient, MuxPending};
 pub use pool::{ClientPool, PooledClient};

@@ -3,7 +3,7 @@
 //! efficiency.
 //!
 //! Everything here is lock-free (`AtomicU64` + `Ordering::Relaxed`): metrics
-//! recording sits on the per-query hot path of every worker thread and must
+//! recording sits on the per-query hot path of every executing thread and must
 //! never contend with query execution.
 
 use masksearch_obs::LogHistogram;
@@ -22,7 +22,6 @@ pub struct ServiceMetrics {
     failed: AtomicU64,
     rejected: AtomicU64,
     deadline_expired: AtomicU64,
-    batches: AtomicU64,
     mutations: AtomicU64,
     masks_inserted: AtomicU64,
     masks_deleted: AtomicU64,
@@ -62,7 +61,7 @@ pub struct ServiceMetrics {
     planner_index_off: AtomicU64,
     /// End-to-end latency (submission to completion).
     latency: LogHistogram,
-    /// Time spent waiting in the queue before a worker picked the job up.
+    /// Time spent waiting for an execution slot.
     queue_wait: LogHistogram,
 }
 
@@ -82,7 +81,6 @@ impl ServiceMetrics {
             failed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
             masks_inserted: AtomicU64::new(0),
             masks_deleted: AtomicU64::new(0),
@@ -108,7 +106,7 @@ impl ServiceMetrics {
         }
     }
 
-    /// Records that a query was admitted to the queue.
+    /// Records that a query was admitted past the waiting bound.
     pub fn record_submitted(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
     }
@@ -118,7 +116,8 @@ impl ServiceMetrics {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a query abandoned because its deadline passed in the queue.
+    /// Records a query abandoned because its deadline passed while it
+    /// waited for a slot.
     pub fn record_deadline_expired(&self) {
         self.deadline_expired.fetch_add(1, Ordering::Relaxed);
     }
@@ -126,11 +125,6 @@ impl ServiceMetrics {
     /// Records a query that failed during execution.
     pub fn record_failed(&self) {
         self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a batch job (in addition to its member queries).
-    pub fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a successfully applied write and what it did. Mutation
@@ -152,7 +146,7 @@ impl ServiceMetrics {
         self.mutations_deduped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records how long a job sat in the queue before execution started.
+    /// Records how long a statement waited for an execution slot.
     pub fn record_queue_wait(&self, wait: Duration) {
         self.queue_wait.record(micros(wait));
     }
@@ -198,7 +192,7 @@ impl ServiceMetrics {
         &self.latency
     }
 
-    /// Time jobs spent queued before a worker picked them up.
+    /// Time statements spent waiting for an execution slot.
     pub fn queue_wait(&self) -> &LogHistogram {
         &self.queue_wait
     }
@@ -225,7 +219,6 @@ impl ServiceMetrics {
             failed: self.failed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
             mutations: self.mutations.load(Ordering::Relaxed),
             masks_inserted: self.masks_inserted.load(Ordering::Relaxed),
             masks_deleted: self.masks_deleted.load(Ordering::Relaxed),
@@ -258,7 +251,7 @@ impl ServiceMetrics {
                 1.0 - loaded as f64 / candidates as f64
             },
             // Attributing shared-cache hits to individual queries across
-            // concurrent workers would double count; the engine fills this
+            // concurrent statements would double count; the engine fills this
             // from the session cache's own counters at snapshot time.
             cache_hit_rate: 0.0,
             // Saturation signals live outside the registry: the engine fills
@@ -285,10 +278,8 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Queries rejected by admission control.
     pub rejected: u64,
-    /// Queries abandoned on queue-deadline expiry.
+    /// Queries whose deadline passed while they waited for a slot.
     pub deadline_expired: u64,
-    /// Batch jobs executed.
-    pub batches: u64,
     /// Write statements applied through the service.
     pub mutations: u64,
     /// Masks inserted by served writes.
@@ -341,8 +332,9 @@ pub struct MetricsSnapshot {
     /// Currently open TCP client connections (filled by the server; zero in
     /// a bare [`ServiceMetrics::snapshot`]).
     pub active_connections: u64,
-    /// Jobs waiting in the bounded queue right now (filled by the engine) —
-    /// together with `active_connections` the operator's saturation signal.
+    /// Callers waiting for an execution slot right now (filled by the
+    /// engine) — together with `active_connections` the operator's
+    /// saturation signal.
     pub queue_depth: u64,
     /// Median end-to-end query latency in µs (see
     /// [`ServiceMetrics::latency`]; log₂ bucket edge clamped to the largest

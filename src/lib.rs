@@ -25,8 +25,9 @@
 //!   a snapshot-consistent write path.
 //! * [`sql`](mod@masksearch_sql) — the SQL front end for the paper's dialect.
 //! * [`service`](mod@masksearch_service) — the concurrent query-serving layer:
-//!   engine handle, worker pool with admission control and deadlines,
-//!   batched multi-query execution, metrics, and a TCP front end.
+//!   engine handle that runs each statement on the caller's thread behind an
+//!   admission gate (execution slots, bounded waiting, deadlines), metrics,
+//!   and a TCP front end.
 //! * [`cluster`](mod@masksearch_cluster) — sharded scatter-gather execution:
 //!   the serializable shard map, the coordinator with its own TCP front end,
 //!   and the distributed top-k threshold algorithm.

@@ -7,14 +7,16 @@
 //!    `Incremental` indexing.
 //! 2. The TCP front end serves ≥ 8 concurrent clients running SQL-dialect
 //!    queries with results identical to single-threaded `Session` execution.
-//! 3. The batched multi-query API returns the same rows as serial execution
-//!    while loading each shared mask once.
+//! 3. A statement that panics — it runs on its connection's own thread —
+//!    answers `ERR`, and the same connection serves the next statement.
 
+use masksearch::core::{Mask, MaskId};
 use masksearch::datagen::{DatasetSpec, RandomQueryGenerator};
 use masksearch::index::ChiConfig;
 use masksearch::query::{IndexingMode, Query, QueryOutput, Session, SessionConfig};
 use masksearch::service::{Client, Engine, Server, ServiceConfig};
-use masksearch::storage::{MaskStore, MemoryMaskStore};
+use masksearch::storage::{DiskProfile, IoStats, MaskStore, MemoryMaskStore, StorageResult};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const CLIENTS: usize = 8;
@@ -22,6 +24,15 @@ const QUERIES_PER_CLIENT: usize = 6;
 
 /// Builds a fresh session over a deterministically generated dataset.
 fn fresh_session(mode: IndexingMode) -> Session {
+    session_over(mode, |store| store)
+}
+
+/// Builds a session over the generated dataset, reading it through the
+/// store `wrap` makes of the one it was generated into.
+fn session_over(
+    mode: IndexingMode,
+    wrap: impl FnOnce(Arc<dyn MaskStore>) -> Arc<dyn MaskStore>,
+) -> Session {
     let spec = DatasetSpec {
         name: "service-test".to_string(),
         num_images: 24,
@@ -37,7 +48,7 @@ fn fresh_session(mode: IndexingMode) -> Session {
         .generate_into(store.as_ref())
         .expect("generate dataset");
     Session::new(
-        store as Arc<dyn MaskStore>,
+        wrap(store as Arc<dyn MaskStore>),
         dataset.catalog,
         SessionConfig::new(ChiConfig::new(8, 8, 8).unwrap())
             .threads(2)
@@ -211,29 +222,73 @@ fn tcp_server_reports_sql_errors_without_dropping_the_connection() {
     server.shutdown();
 }
 
-#[test]
-fn batched_workload_matches_serial_and_shares_loads() {
-    // A batch of overlapping filter queries on a cold incremental session:
-    // batching must load each needed mask at most once.
-    let mut generator = RandomQueryGenerator::new(77, 32, 32);
-    let queries: Vec<Query> = (0..6).map(|_| generator.filter_query()).collect();
+/// A store whose next read panics while `armed` — a bug deep in execution.
+struct PanicOnceStore {
+    inner: Arc<dyn MaskStore>,
+    armed: AtomicBool,
+}
 
-    let serial_session = fresh_session(IndexingMode::Incremental);
-    let expected: Vec<QueryOutput> = queries
-        .iter()
-        .map(|q| serial_session.execute(q).expect("serial"))
-        .collect();
-
-    let engine = Engine::new(
-        fresh_session(IndexingMode::Incremental),
-        ServiceConfig::new(2),
-    );
-    let batch = engine.execute_batch(queries).expect("batch");
-    for (i, (got, want)) in batch.outputs.iter().zip(&expected).enumerate() {
-        assert_eq!(got.rows, want.rows, "batched query {i} diverged");
+impl MaskStore for PanicOnceStore {
+    fn put(&self, id: MaskId, mask: &Mask) -> StorageResult<()> {
+        self.inner.put(id, mask)
     }
-    // Sharing bound: the batch never loads more than the whole database.
-    let total_masks = engine.session().catalog().len() as u64;
-    assert!(batch.stats.masks_loaded <= total_masks);
-    engine.shutdown();
+    fn get(&self, id: MaskId) -> StorageResult<Mask> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("simulated executor bug");
+        }
+        self.inner.get(id)
+    }
+    fn contains(&self, id: MaskId) -> bool {
+        self.inner.contains(id)
+    }
+    fn ids(&self) -> Vec<MaskId> {
+        self.inner.ids()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn stored_bytes(&self, id: MaskId) -> StorageResult<u64> {
+        self.inner.stored_bytes(id)
+    }
+    fn total_bytes(&self) -> u64 {
+        self.inner.total_bytes()
+    }
+    fn io_stats(&self) -> Arc<IoStats> {
+        self.inner.io_stats()
+    }
+    fn disk_profile(&self) -> DiskProfile {
+        self.inner.disk_profile()
+    }
+}
+
+#[test]
+fn tcp_statement_that_panics_answers_err_and_the_connection_survives() {
+    // Indexing off: every statement reads the store, so the first one
+    // panics inside execution on the connection's thread.
+    let session = session_over(IndexingMode::Disabled, |inner| {
+        Arc::new(PanicOnceStore {
+            inner,
+            armed: AtomicBool::new(true),
+        })
+    });
+    let engine = Engine::new(session, ServiceConfig::new(1));
+    let server = Server::bind("127.0.0.1:0", engine).expect("bind").spawn();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let sql = "SELECT mask_id FROM masks WHERE CP(mask, (0, 0, 32, 32), (0.5, 1.0)) > 0";
+    let err = client
+        .query(sql)
+        .expect_err("the panicking statement must fail");
+    // The message may be the verify pool's rewrap of the panic, so only
+    // the kind is asserted.
+    assert!(
+        err.to_string().contains("query panicked"),
+        "unexpected error: {err}"
+    );
+    // Same connection, same (only) slot: the next statement is served.
+    let ok = client.query(sql).expect("query after the panic");
+    assert!(!ok.rows.is_empty());
+    let served = server.engine().metrics();
+    assert_eq!((served.failed, served.completed), (1, 1));
+    client.quit().expect("quit");
+    server.shutdown();
 }
