@@ -15,14 +15,13 @@
 
 use masksearch_bench::report::{percentile, Table};
 use masksearch_bench::{scale_from_args, usize_from_args, BenchDataset};
-use masksearch_cluster::{ClusterConfig, Coordinator, CoordinatorServer, ReplicaShard, ShardMap};
-use masksearch_db::{DbConfig, MaskDb};
+use masksearch_cluster::{ClusterConfig, Coordinator, CoordinatorServer, ShardMap};
 use masksearch_query::{IndexingMode, Session, SessionConfig};
 use masksearch_service::{Client, Engine, Server, ServerHandle, ServiceConfig};
 use masksearch_storage::{Catalog, DiskProfile, MaskEncoding, MaskStore, MemoryMaskStore};
 use std::io::Write;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct ShardPoint {
     shards: usize,
@@ -163,150 +162,6 @@ fn run_point(bench: &BenchDataset, shards: usize, clients: usize, queries: usize
     }
 }
 
-/// Measurements from the replicated run: read QPS with one replica per
-/// shard, then a primary killed under load with every read still served.
-struct ReplicaPoint {
-    shards: usize,
-    read_qps: f64,
-    replica_reads: u64,
-    scatter_requests: u64,
-    queries_after_kill: u64,
-    failovers: u64,
-}
-
-fn run_replica_point(
-    bench: &BenchDataset,
-    shards: usize,
-    clients: usize,
-    queries: usize,
-) -> ReplicaPoint {
-    let base = std::env::temp_dir().join(format!(
-        "masksearch-bench-replicas-{}-{shards}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&base);
-    // Primaries must keep their WAL growing for replicas to tail it.
-    let db_config = || {
-        DbConfig::default()
-            .chi_config(bench.chi_config)
-            .checkpoint_wal_bytes(0)
-    };
-
-    let map = ShardMap::new(shards).expect("shard map");
-    let mut batches: Vec<Vec<_>> = vec![Vec::new(); shards];
-    for record in bench.dataset.catalog.records() {
-        let mask = bench.store.get(record.mask_id).expect("mask");
-        batches[map.shard_for_record(record)].push((record.clone(), mask));
-    }
-    let dbs: Vec<MaskDb> = (0..shards)
-        .map(|i| {
-            let db =
-                MaskDb::open(base.join(format!("primary-{i}")), db_config()).expect("open primary");
-            db.insert_masks(&batches[i]).expect("load shard");
-            db
-        })
-        .collect();
-    let mut primaries: Vec<ServerHandle> = dbs
-        .iter()
-        .map(|db| {
-            let session = Session::with_store_maintained_index(
-                db.mask_store(),
-                db.catalog(),
-                SessionConfig::new(bench.chi_config),
-                db.chi_store(),
-            );
-            let engine = Engine::new(session, ServiceConfig::new(2));
-            Server::bind("127.0.0.1:0", engine)
-                .expect("bind primary")
-                .spawn()
-        })
-        .collect();
-    let replicas: Vec<ReplicaShard> = (0..shards)
-        .map(|i| {
-            let replica = ReplicaShard::start(
-                base.join(format!("primary-{i}")),
-                base.join(format!("replica-{i}")),
-                db_config(),
-                SessionConfig::new(bench.chi_config),
-                ServiceConfig::new(2),
-            )
-            .expect("start replica");
-            assert!(
-                replica.wait_applied(dbs[i].store().wal_bytes(), Duration::from_secs(60)),
-                "replica {i} failed to catch up: {:?}",
-                replica.tailer_error()
-            );
-            replica
-        })
-        .collect();
-
-    let coordinator = Coordinator::connect(
-        ClusterConfig::new(
-            primaries
-                .iter()
-                .map(|s| s.local_addr().to_string())
-                .collect(),
-        )
-        .replicas(
-            replicas
-                .iter()
-                .map(|r| vec![r.addr().to_string()])
-                .collect(),
-        ),
-    )
-    .expect("coordinator");
-    let front = CoordinatorServer::bind("127.0.0.1:0", coordinator.clone())
-        .expect("bind front end")
-        .spawn();
-    let addr = front.local_addr();
-    let (width, height) = (bench.spec.mask_width, bench.spec.mask_height);
-
-    let fire = |queries: usize| -> usize {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
-                    scope.spawn(move || {
-                        let mut connection = Client::connect(addr).expect("connect");
-                        for i in 0..queries {
-                            let sql = workload_sql(client as u64, i, width, height);
-                            connection.query(&sql).expect("served query");
-                        }
-                        connection.quit().ok();
-                        queries
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client")).sum()
-        })
-    };
-
-    let start = Instant::now();
-    let served = fire(queries);
-    let wall = start.elapsed();
-    let healthy = coordinator.metrics();
-
-    // Kill one primary and fire the read workload again: every query must
-    // still be answered, now via the surviving replica.
-    primaries.remove(0).kill();
-    let after_kill = fire(queries.div_ceil(2));
-    let killed = coordinator.metrics();
-
-    front.shutdown();
-    drop(primaries);
-    drop(replicas);
-    drop(dbs);
-    let _ = std::fs::remove_dir_all(&base);
-
-    ReplicaPoint {
-        shards,
-        read_qps: served as f64 / wall.as_secs_f64(),
-        replica_reads: healthy.replica_reads,
-        scatter_requests: healthy.shard_requests,
-        queries_after_kill: after_kill as u64,
-        failovers: killed.failovers,
-    }
-}
-
 fn main() {
     let scale = scale_from_args(0.002);
     let clients = usize_from_args("clients", 4);
@@ -342,18 +197,6 @@ fn main() {
     }
     table.print();
 
-    println!("\n== replicated cluster: replica reads and primary-kill failover ==");
-    let replica_point = run_replica_point(&bench, 2, clients, queries);
-    println!(
-        "2 shards + 1 replica each: {:.1} read QPS, {} of {} shard requests \
-         served by replicas; after killing a primary: {} reads served, {} failovers",
-        replica_point.read_qps,
-        replica_point.replica_reads,
-        replica_point.scatter_requests,
-        replica_point.queries_after_kill,
-        replica_point.failovers,
-    );
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"experiment\": \"cluster_scaling\",\n");
@@ -375,20 +218,7 @@ fn main() {
             if i + 1 < points.len() { "," } else { "" },
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"replica_reads\": {{\"shards\": {}, \"replicas_per_shard\": 1, \
-         \"read_qps\": {:.3}, \"replica_reads\": {}, \"shard_requests\": {}}},\n",
-        replica_point.shards,
-        replica_point.read_qps,
-        replica_point.replica_reads,
-        replica_point.scatter_requests,
-    ));
-    json.push_str(&format!(
-        "  \"failover\": {{\"killed_primaries\": 1, \"reads_after_kill\": {}, \
-         \"failovers\": {}, \"read_errors_after_kill\": 0}}\n",
-        replica_point.queries_after_kill, replica_point.failovers,
-    ));
+    json.push_str("  ]\n");
     json.push_str("}\n");
     let path = "BENCH_cluster.json";
     std::fs::File::create(path)
@@ -408,14 +238,5 @@ fn main() {
             );
             std::process::exit(1);
         }
-        if replica_point.replica_reads == 0 || replica_point.failovers == 0 {
-            eprintln!(
-                "FAIL: replication gate — expected replica reads (got {}) and \
-                 failovers (got {}) to both be nonzero",
-                replica_point.replica_reads, replica_point.failovers
-            );
-            std::process::exit(1);
-        }
-        println!("check: replica reads and failover exercised — gate passed");
     }
 }

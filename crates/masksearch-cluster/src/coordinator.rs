@@ -14,7 +14,7 @@
 //! * `ByImage` (`INSERT`) — split the batch by the [`ShardMap`] owner of
 //!   each tuple's image id and apply each sub-batch atomically on its shard;
 //!   overwrites that move a mask to a different image first delete the stale
-//!   replica from its old shard.
+//!   copy from its old shard.
 //! * `ByMaskId` (`DELETE`, `UPDATE`) — resolve each id's owning shard from
 //!   the coordinator's **owner index** (below) and split; an id that exists
 //!   nowhere fails the statement before any side effect, matching
@@ -42,30 +42,26 @@
 //!
 //! ## Shard links: one pipelined connection each
 //!
-//! Each shard endpoint is reached through a single multiplexed
+//! Each shard is reached through a single multiplexed
 //! [`MuxClient`] connection (protocol v6, `@<id>`-tagged frames). A scatter
 //! writes every shard's request before waiting on any response, so a
 //! fan-out over N shards costs **one round trip**, not N — the fix for the
 //! fan-out regression where per-shard synchronous round trips made a
 //! 4-shard cluster slower per-coordinator-thread than one shard.
 //!
-//! ## Replicas and failover
+//! ## One endpoint per shard
 //!
-//! A shard may have read replicas ([`ClusterConfig::replicas`]) tailing its
-//! primary's WAL. Broadcast and `PARTIAL` reads round-robin across the
-//! primary and its replicas; a read that fails with a transport error fails
-//! over to the shard's other endpoints before the statement fails. Writes,
-//! `LOOKUP` (which feeds write routing and must see the latest writes),
-//! `STATS`, `RECORD`, and `EXPLAIN` always address the primary; a write to
-//! a dead primary is an error — failover is reads-only.
+//! A shard is one endpoint: there are no replicas and no failover. A
+//! request that dies with a transport error is resent once by the link's
+//! bounded reconnect (reads as they are, writes `TOKEN`-wrapped so the
+//! resend applies exactly once); if the shard is still unreachable the
+//! statement fails with an error naming the shard and its address.
 //!
 //! Consistency model: each shard applies its sub-batch atomically (and
 //! durably, on a `masksearch-db` backed shard), but there is **no
 //! cross-shard transaction** — a reader racing a multi-shard write can
 //! observe a state where only some shards have applied it. Because a mask
 //! lives on exactly one shard, per-mask reads are still never torn.
-//! Replicas apply whole committed transactions and so only ever serve
-//! (possibly slightly stale) shard-atomic states.
 
 use crate::error::{ClusterError, ClusterResult};
 use crate::metrics::{ClusterMetrics, ClusterMetricsSnapshot};
@@ -85,20 +81,15 @@ use masksearch_service::{
 use masksearch_sql::{Routing, Statement};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cluster topology and tuning.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Shard primary addresses; index in this list is the shard id the
+    /// Shard addresses; index in this list is the shard id the
     /// [`ShardMap`] routes to.
     pub shard_addrs: Vec<String>,
-    /// Read-replica addresses per shard (outer index = shard id). Empty
-    /// means no replicas anywhere; when non-empty it must have one (possibly
-    /// empty) entry per shard.
-    pub replica_addrs: Vec<Vec<String>>,
     /// Hash seed of the shard map (must match what loaded the shards).
     pub shard_seed: u64,
     /// Whether coordinated statements are traced into the coordinator's
@@ -109,11 +100,10 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A configuration over the given shard addresses with defaults
-    /// (seed 0, no replicas, tracing on).
+    /// (seed 0, tracing on).
     pub fn new(shard_addrs: Vec<String>) -> Self {
         Self {
             shard_addrs,
-            replica_addrs: Vec::new(),
             shard_seed: 0,
             tracing: true,
         }
@@ -122,13 +112,6 @@ impl ClusterConfig {
     /// Sets the shard-map hash seed.
     pub fn shard_seed(mut self, seed: u64) -> Self {
         self.shard_seed = seed;
-        self
-    }
-
-    /// Sets the per-shard read-replica addresses (outer index = shard id;
-    /// must match the shard count).
-    pub fn replicas(mut self, replica_addrs: Vec<Vec<String>>) -> Self {
-        self.replica_addrs = replica_addrs;
         self
     }
 
@@ -155,91 +138,14 @@ pub enum ClusterReply {
 /// Capacity of the coordinator's profile ring.
 const PROFILE_RING_CAPACITY: usize = 128;
 
-/// Every `READ_PROBE_INTERVAL`-th read picked for a shard ignores the
-/// down-marks, so an endpoint that recovered (e.g. a restarted primary) is
-/// rediscovered without a background health checker.
-const READ_PROBE_INTERVAL: usize = 16;
-
-/// One shard endpoint: a multiplexed connection plus a health mark used by
-/// read routing.
+/// One shard: its address and one multiplexed connection to it.
 struct Endpoint {
     addr: String,
     client: MuxClient,
-    /// Set when a request to this endpoint failed with a transport error;
-    /// cleared by any success (including probe reads).
-    down: AtomicBool,
-}
-
-impl Endpoint {
-    fn connect(addr: &str) -> Result<Self, ServiceError> {
-        let client = MuxClient::connect(addr)?.with_reconnect(true);
-        Ok(Self {
-            addr: addr.to_string(),
-            client,
-            down: AtomicBool::new(false),
-        })
-    }
-}
-
-/// One shard's endpoints: the primary (index 0) plus its read replicas,
-/// with a round-robin cursor for read balancing.
-struct ShardLink {
-    primary: Endpoint,
-    replicas: Vec<Endpoint>,
-    rr: AtomicUsize,
-}
-
-impl ShardLink {
-    fn endpoints(&self) -> usize {
-        1 + self.replicas.len()
-    }
-
-    /// Endpoint 0 is the primary; `i > 0` is `replicas[i - 1]`.
-    fn endpoint(&self, idx: usize) -> &Endpoint {
-        if idx == 0 {
-            &self.primary
-        } else {
-            &self.replicas[idx - 1]
-        }
-    }
-
-    /// Picks the endpoint for the next read: round-robin over the healthy
-    /// endpoints, with a periodic probe that includes down-marked ones so
-    /// recovery is noticed.
-    fn pick_read(&self) -> usize {
-        let n = self.endpoints();
-        if n == 1 {
-            return 0;
-        }
-        let tick = self.rr.fetch_add(1, Ordering::Relaxed);
-        if tick.is_multiple_of(READ_PROBE_INTERVAL) {
-            return tick % n;
-        }
-        for offset in 0..n {
-            let idx = (tick + offset) % n;
-            if !self.endpoint(idx).down.load(Ordering::Relaxed) {
-                return idx;
-            }
-        }
-        // Everything is marked down; any pick surfaces the real error.
-        tick % n
-    }
-}
-
-/// Where a scatter's requests may be served.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// Any endpoint of the shard (round-robin, with failover on transport
-    /// errors). Only for requests whose answer may lag the primary by a
-    /// replication beat: broadcast queries and `PARTIAL` top-k rounds.
-    Read,
-    /// The primary only. Mutations, `LOOKUP` (feeds write routing),
-    /// `STATS`/`RECORD`/`EXPLAIN` (operate on the authoritative server).
-    Primary,
 }
 
 struct Inner {
-    links: Vec<ShardLink>,
+    links: Vec<Endpoint>,
     map: ShardMap,
     metrics: ClusterMetrics,
     /// The owner index: which shard currently holds each mask id. Seeded
@@ -268,45 +174,32 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Connects one multiplexed link to every shard primary and replica
-    /// (verifying liveness and protocol version via the `PING` handshake)
-    /// and returns a coordinator over them.
+    /// Connects one multiplexed link to every shard (verifying liveness and
+    /// protocol version via the `PING` handshake) and returns a coordinator
+    /// over them.
     pub fn connect(config: ClusterConfig) -> ClusterResult<Self> {
         if config.shard_addrs.is_empty() {
             return Err(ClusterError::Config(
                 "a cluster needs at least one shard".to_string(),
             ));
         }
-        if !config.replica_addrs.is_empty()
-            && config.replica_addrs.len() != config.shard_addrs.len()
-        {
-            return Err(ClusterError::Config(format!(
-                "replica topology lists {} shards, cluster has {}",
-                config.replica_addrs.len(),
-                config.shard_addrs.len()
-            )));
-        }
         let map = ShardMap::with_seed(config.shard_addrs.len(), config.shard_seed)?;
-        let mut links = Vec::with_capacity(config.shard_addrs.len());
-        for (shard, addr) in config.shard_addrs.iter().enumerate() {
-            let connect = |addr: &String| {
-                Endpoint::connect(addr).map_err(|source| ClusterError::Shard {
+        let links = config
+            .shard_addrs
+            .iter()
+            .enumerate()
+            .map(|(shard, addr)| {
+                let client = MuxClient::connect(addr).map_err(|source| ClusterError::Shard {
                     shard,
                     addr: addr.clone(),
                     source,
+                })?;
+                Ok(Endpoint {
+                    addr: addr.clone(),
+                    client: client.with_reconnect(true),
                 })
-            };
-            let primary = connect(addr)?;
-            let replicas = match config.replica_addrs.get(shard) {
-                Some(addrs) => addrs.iter().map(connect).collect::<ClusterResult<_>>()?,
-                None => Vec::new(),
-            };
-            links.push(ShardLink {
-                primary,
-                replicas,
-                rr: AtomicUsize::new(0),
-            });
-        }
+            })
+            .collect::<ClusterResult<Vec<_>>>()?;
         let coordinator = Self {
             inner: Arc::new(Inner {
                 links,
@@ -326,10 +219,10 @@ impl Coordinator {
         Ok(coordinator)
     }
 
-    /// One `LOOKUP *` scatter over the shard primaries: the full
+    /// One `LOOKUP *` scatter over the shards: the full
     /// `mask id → owning shard` map as the shards currently hold it.
     fn fetch_all_owners(&self) -> ClusterResult<HashMap<MaskId, usize>> {
-        let wires = self.scatter_rows(self.all("LOOKUP *"), Route::Primary)?;
+        let wires = self.scatter_rows(self.all("LOOKUP *"))?;
         let mut owners = HashMap::new();
         for (shard, wire) in wires.into_iter().enumerate() {
             for id in wire.mask_ids() {
@@ -357,7 +250,7 @@ impl Coordinator {
     fn shard_err(&self, shard: usize, source: ServiceError) -> ClusterError {
         ClusterError::Shard {
             shard,
-            addr: self.inner.links[shard].primary.addr.clone(),
+            addr: self.inner.links[shard].addr.clone(),
             source,
         }
     }
@@ -367,20 +260,17 @@ impl Coordinator {
         (0..self.shards()).map(|s| (s, line.to_string())).collect()
     }
 
-    /// Pipelined scatter: **phase 1** starts every request on its shard's
-    /// chosen endpoint without waiting (the whole fan-out is in flight after
-    /// one pass), **phase 2** gathers responses in request order. The whole
-    /// scatter therefore costs one round trip to the slowest shard instead
-    /// of one per shard.
-    ///
-    /// `Route::Read` requests that die with a transport error fail over to
-    /// the shard's other endpoints; any other failure (or a transport error
-    /// on the primary route) fails the scatter with that shard's identity.
+    /// Pipelined scatter: **phase 1** starts every request on its shard
+    /// without waiting (the whole fan-out is in flight after one pass),
+    /// **phase 2** gathers responses in request order. The whole scatter
+    /// therefore costs one round trip to the slowest shard instead of one
+    /// per shard. Mutations go out `TOKEN`-wrapped so the link's bounded
+    /// reconnect can resend them exactly-once; any failure fails the
+    /// scatter with that shard's identity.
     fn scatter<T>(
         &self,
         requests: Vec<(usize, String)>,
-        route: Route,
-        parse: impl Fn(usize, Frame) -> Result<T, ServiceError>,
+        parse: impl Fn(Frame) -> Result<T, ServiceError>,
     ) -> ClusterResult<Vec<T>> {
         self.inner.metrics.record_shard_requests(requests.len());
         obs_counters::add(&obs_counters::SCATTER_REQUESTS, requests.len() as u64);
@@ -389,44 +279,19 @@ impl Coordinator {
         let _span = masksearch_obs::span("scatter");
         masksearch_obs::add_counter("shards", requests.len() as u64);
         let started = Instant::now();
-        let mut inflight = Vec::with_capacity(requests.len());
-        for (shard, line) in requests {
-            let link = &self.inner.links[shard];
-            let ep = match route {
-                Route::Primary => 0,
-                Route::Read => link.pick_read(),
-            };
-            let endpoint = link.endpoint(ep);
-            let pending = match route {
-                // The primary route carries mutations: TOKEN-wrap them so
-                // the link's bounded reconnect can resend exactly-once.
-                Route::Primary => endpoint.client.begin_query(&line),
-                Route::Read => endpoint.client.begin(&line),
-            };
-            inflight.push((shard, ep, line, pending));
-        }
-        let gather = || {
-            let mut results = Vec::with_capacity(inflight.len());
-            for (shard, ep, line, pending) in inflight {
-                let frame = match pending.wait() {
-                    Ok(frame) => {
-                        let endpoint = self.inner.links[shard].endpoint(ep);
-                        endpoint.down.store(false, Ordering::Relaxed);
-                        if ep != 0 {
-                            self.inner.metrics.record_replica_read();
-                        }
-                        frame
-                    }
-                    Err(err @ ServiceError::Io(_)) if route == Route::Read => {
-                        self.failover_read(shard, ep, &line, err)?
-                    }
-                    Err(err) => return Err(self.shard_err(shard, err)),
-                };
-                results.push(parse(shard, frame).map_err(|e| self.shard_err(shard, e))?);
-            }
-            Ok(results)
-        };
-        let result = gather();
+        let inflight: Vec<_> = requests
+            .into_iter()
+            .map(|(shard, line)| (shard, self.inner.links[shard].client.begin_query(&line)))
+            .collect();
+        let result = inflight
+            .into_iter()
+            .map(|(shard, pending)| {
+                pending
+                    .wait()
+                    .and_then(&parse)
+                    .map_err(|e| self.shard_err(shard, e))
+            })
+            .collect();
         obs_counters::add(
             &obs_counters::SCATTER_WAIT_US,
             started.elapsed().as_micros() as u64,
@@ -434,49 +299,9 @@ impl Coordinator {
         result
     }
 
-    /// After a read died on `failed` with a transport error, tries the
-    /// shard's other endpoints (primary first) before giving up. A non-
-    /// transport error means a server answered — that is the statement's
-    /// result, not a reason to re-route.
-    fn failover_read(
-        &self,
-        shard: usize,
-        failed: usize,
-        line: &str,
-        original: ServiceError,
-    ) -> ClusterResult<Frame> {
-        let link = &self.inner.links[shard];
-        link.endpoint(failed).down.store(true, Ordering::Relaxed);
-        for idx in 0..link.endpoints() {
-            if idx == failed {
-                continue;
-            }
-            let endpoint = link.endpoint(idx);
-            match endpoint.client.call(line) {
-                Ok(frame) => {
-                    endpoint.down.store(false, Ordering::Relaxed);
-                    self.inner.metrics.record_failover();
-                    if idx != 0 {
-                        self.inner.metrics.record_replica_read();
-                    }
-                    return Ok(frame);
-                }
-                Err(ServiceError::Io(_)) => {
-                    endpoint.down.store(true, Ordering::Relaxed);
-                }
-                Err(err) => return Err(self.shard_err(shard, err)),
-            }
-        }
-        Err(self.shard_err(shard, original))
-    }
-
     /// Scatter expecting a rows frame from every shard.
-    fn scatter_rows(
-        &self,
-        requests: Vec<(usize, String)>,
-        route: Route,
-    ) -> ClusterResult<Vec<WireResponse>> {
-        self.scatter(requests, route, |_, frame| match frame {
+    fn scatter_rows(&self, requests: Vec<(usize, String)>) -> ClusterResult<Vec<WireResponse>> {
+        self.scatter(requests, |frame| match frame {
             Frame::Rows(rows) => Ok(rows),
             other => Err(ServiceError::Protocol(format!(
                 "expected rows, got {other:?}"
@@ -485,12 +310,8 @@ impl Coordinator {
     }
 
     /// Scatter expecting a one-line control reply from every shard.
-    fn scatter_control(
-        &self,
-        requests: Vec<(usize, String)>,
-        route: Route,
-    ) -> ClusterResult<Vec<String>> {
-        self.scatter(requests, route, |_, frame| match frame {
+    fn scatter_control(&self, requests: Vec<(usize, String)>) -> ClusterResult<Vec<String>> {
+        self.scatter(requests, |frame| match frame {
             Frame::Control(line) => Ok(line),
             other => Err(ServiceError::Protocol(format!(
                 "expected a control reply, got {other:?}"
@@ -500,7 +321,7 @@ impl Coordinator {
 
     /// Scatter expecting a plan frame from every shard.
     fn scatter_plans(&self, requests: Vec<(usize, String)>) -> ClusterResult<Vec<Vec<String>>> {
-        self.scatter(requests, Route::Primary, |_, frame| match frame {
+        self.scatter(requests, |frame| match frame {
             Frame::Plan(lines) => Ok(lines),
             other => Err(ServiceError::Protocol(format!(
                 "expected a plan, got {other:?}"
@@ -648,8 +469,7 @@ impl Coordinator {
     /// the query and its sub-tree carries measured stage times and counters
     /// (the single-node `EXPLAIN ANALYZE` contract: counters equal the
     /// shard's `QueryStats` exactly), and the root records the scatter's
-    /// wall time. Plans always come from the primaries, whose state is
-    /// authoritative.
+    /// wall time.
     ///
     /// Ranked queries are explained shard-locally as full queries; at
     /// execution time the coordinator instead issues bounded `PARTIAL`
@@ -691,7 +511,7 @@ impl Coordinator {
         for (shard, plan) in plans.iter().enumerate() {
             lines.push(format!(
                 "  shard {shard} addr={}",
-                self.inner.links[shard].primary.addr
+                self.inner.links[shard].addr
             ));
             for line in plan {
                 lines.push(format!("    {line}"));
@@ -711,11 +531,10 @@ impl Coordinator {
         }
     }
 
-    /// Forwards `sql` to every shard (read-balanced) and merges the
-    /// disjoint row sets.
+    /// Forwards `sql` to every shard and merges the disjoint row sets.
     fn broadcast_query(&self, sql: &str) -> ClusterResult<QueryOutput> {
         let partials = self
-            .scatter_rows(self.all(sql), Route::Read)?
+            .scatter_rows(self.all(sql))?
             .into_iter()
             .map(wire_to_output)
             .collect();
@@ -738,7 +557,7 @@ impl Coordinator {
                 .iter()
                 .map(|&(shard, k_shard)| (shard, format!("PARTIAL K={k_shard} {sql}")))
                 .collect();
-            let wires = self.scatter_rows(lines, Route::Read)?;
+            let wires = self.scatter_rows(lines)?;
             Ok::<Vec<RankedPartial>, ClusterError>(
                 wires
                     .into_iter()
@@ -759,7 +578,7 @@ impl Coordinator {
     }
 
     /// Which shards currently hold each of `ids` (shard → present ids),
-    /// resolved with a `LOOKUP` broadcast to the primaries (authoritative).
+    /// resolved with a `LOOKUP` broadcast.
     /// Write routing goes through [`Coordinator::resolve_owners`] instead,
     /// which only falls back to this broadcast for ids the owner index does
     /// not know.
@@ -772,12 +591,12 @@ impl Coordinator {
             line.push(' ');
             line.push_str(&id.raw().to_string());
         }
-        let wires = self.scatter_rows(self.all(&line), Route::Primary)?;
+        let wires = self.scatter_rows(self.all(&line))?;
         Ok(wires.into_iter().map(|w| w.mask_ids()).collect())
     }
 
     /// Union of the shards' holdings for `ids`, ascending and deduplicated.
-    /// Always asks the primaries; what it learns heals the owner index.
+    /// Always asks the shards; what it learns heals the owner index.
     pub fn lookup(&self, ids: &[MaskId]) -> ClusterResult<Vec<MaskId>> {
         let located = self.locate(ids)?;
         {
@@ -831,7 +650,7 @@ impl Coordinator {
     }
 
     /// Routes an `INSERT` batch: each tuple goes to the shard owning its
-    /// image id; stale replicas of overwritten mask ids that lived on other
+    /// image id; stale copies of overwritten mask ids that lived on other
     /// shards (the overwrite moved the mask to a new image) are deleted
     /// first so no id ever resolves on two shards.
     fn routed_insert(&self, batch: Vec<(MaskRecord, Mask)>) -> ClusterResult<MutationOutcome> {
@@ -853,10 +672,10 @@ impl Coordinator {
             owner.insert(id, shard);
             per_shard[shard].push((record, mask));
         }
-        // Phase 1: evict stale replicas from non-owner shards. The owner
+        // Phase 1: evict stale copies from non-owner shards. The owner
         // index knows each overwritten id's current holder, so this costs
         // no `LOOKUP` broadcast — an id the index does not know is new and
-        // cannot have a stale replica anywhere.
+        // cannot have a stale copy anywhere.
         let mut relocated = 0u64;
         let mut stale_per_shard: Vec<Vec<MaskId>> = vec![Vec::new(); self.shards()];
         {
@@ -877,7 +696,7 @@ impl Coordinator {
             .map(|(shard, stale)| (shard, render_delete(stale)))
             .collect();
         if !stale_work.is_empty() {
-            let deleted = self.scatter_rows(stale_work, Route::Primary)?;
+            let deleted = self.scatter_rows(stale_work)?;
             relocated += deleted.iter().map(|r| r.summary.deleted).sum::<u64>();
         }
 
@@ -888,7 +707,7 @@ impl Coordinator {
             .filter(|(_, batch)| !batch.is_empty())
             .map(|(shard, batch)| (shard, render_insert(batch)))
             .collect();
-        let responses = self.scatter_rows(requests, Route::Primary)?;
+        let responses = self.scatter_rows(requests)?;
         let applied: u64 = responses.iter().map(|r| r.summary.inserted).sum();
         {
             let mut owners = self.inner.owners.lock().expect("owner index lock");
@@ -936,7 +755,7 @@ impl Coordinator {
             .filter(|(_, present)| !present.is_empty())
             .map(|(shard, present)| (shard, render_delete(present)))
             .collect();
-        self.scatter_rows(requests, Route::Primary)?;
+        self.scatter_rows(requests)?;
         {
             let mut map = self.inner.owners.lock().expect("owner index lock");
             for &id in &ids {
@@ -976,7 +795,7 @@ impl Coordinator {
                 "UPDATE statement spans shards".to_string(),
             ));
         };
-        let responses = self.scatter_rows(vec![(shard, sql.to_string())], Route::Primary)?;
+        let responses = self.scatter_rows(vec![(shard, sql.to_string())])?;
         let updated: u64 = responses.iter().map(|r| r.summary.updated).sum();
         self.inner.metrics.record_mutation(0, 0, updated, 0);
         Ok(MutationOutcome {
@@ -987,11 +806,11 @@ impl Coordinator {
     }
 
     /// Applies a DDL statement (`CREATE INDEX` / `DROP INDEX`) on every
-    /// shard primary. Every shard must succeed, so index definitions cannot
+    /// shard. Every shard must succeed, so index definitions cannot
     /// drift between shards; `IF [NOT] EXISTS` makes retries after a
     /// partial failure idempotent.
     fn broadcast_ddl(&self, sql: &str) -> ClusterResult<MutationOutcome> {
-        self.scatter_rows(self.all(sql), Route::Primary)?;
+        self.scatter_rows(self.all(sql))?;
         self.inner.metrics.record_mutation(0, 0, 0, 0);
         Ok(MutationOutcome::default())
     }
@@ -1098,7 +917,7 @@ impl Coordinator {
         let Some(shard) = target else {
             return Ok(MutationOutcome::default());
         };
-        let responses = self.scatter_rows(vec![(shard, sql.to_string())], Route::Primary)?;
+        let responses = self.scatter_rows(vec![(shard, sql.to_string())])?;
         let summary = responses[0].summary;
         // Replay the script's ownership effects into the owner index in
         // statement order, so a later DELETE wins over an earlier INSERT.
@@ -1214,12 +1033,12 @@ impl Backend for Coordinator {
         ))
     }
 
-    /// One aggregated `STATS` line: shard-primary counters summed (latency
+    /// One aggregated `STATS` line: shard counters summed (latency
     /// percentiles maxed), plus the coordinator's own scatter/refinement/
-    /// replication counters. `active_connections` is the shards' sum, as
+    /// routing counters. `active_connections` is the shards' sum, as
     /// every other summed key.
     fn stats_line(&self, _active_connections: u64) -> ClusterResult<String> {
-        let lines = self.scatter_control(self.all("STATS"), Route::Primary)?;
+        let lines = self.scatter_control(self.all("STATS"))?;
         let mut sums: BTreeMap<&'static str, f64> = BTreeMap::new();
         let mut maxes: BTreeMap<&'static str, f64> = BTreeMap::new();
         // The aggregation arrays are the shared registry the shard-side
@@ -1255,17 +1074,15 @@ impl Backend for Coordinator {
         }
         line.push_str(&format!(
             " cluster_queries={} cluster_ranked={} cluster_mutations={} cluster_deduped={} \
-             cluster_failed={} shard_requests={} replica_reads={} failovers={} topk_rounds={} \
-             topk_refined_requests={} topk_single_round={} relocated={} cluster_transactions={} \
-             cluster_updated={} owner_resolutions={} lookup_broadcasts={}",
+             cluster_failed={} shard_requests={} topk_rounds={} topk_refined_requests={} \
+             topk_single_round={} relocated={} cluster_transactions={} cluster_updated={} \
+             owner_resolutions={} lookup_broadcasts={}",
             m.queries,
             m.ranked_queries,
             m.mutations,
             m.mutations_deduped,
             m.failed,
             m.shard_requests,
-            m.replica_reads,
-            m.failovers,
             m.topk_rounds,
             m.topk_refined_requests,
             m.topk_single_round,
@@ -1278,8 +1095,8 @@ impl Backend for Coordinator {
         Ok(line)
     }
 
-    /// The coordinator's own Prometheus text exposition: routing,
-    /// refinement, replica-read and failover counters plus the
+    /// The coordinator's own Prometheus text exposition: routing and
+    /// refinement counters plus the
     /// process-global observability counters (scatter width and wait time
     /// among them). Shard-level metrics are scraped from the shards
     /// directly — summing histograms across processes is the scraper's job,
@@ -1328,16 +1145,6 @@ impl Backend for Coordinator {
             m.shard_requests,
         );
         p.counter(
-            "masksearch_cluster_replica_reads_total",
-            "Read requests served by a replica endpoint.",
-            m.replica_reads,
-        );
-        p.counter(
-            "masksearch_cluster_failovers_total",
-            "Reads re-routed to another endpoint after a transport error.",
-            m.failovers,
-        );
-        p.counter(
             "masksearch_cluster_topk_rounds_total",
             "Distributed top-k scatter rounds.",
             m.topk_rounds,
@@ -1384,7 +1191,7 @@ impl Backend for Coordinator {
         );
         p.counter(
             "masksearch_cluster_masks_relocated_total",
-            "Stale replicas evicted by overwrites that moved a mask.",
+            "Stale copies evicted by overwrites that moved a mask.",
             m.masks_relocated,
         );
         p.counter(
@@ -1410,7 +1217,7 @@ impl Backend for Coordinator {
         text
     }
 
-    /// Broadcasts a `RECORD` control to every shard primary and merges the
+    /// Broadcasts a `RECORD` control to every shard and merges the
     /// replies. `START` derives one file per shard (`<path>.shard<i>`) from
     /// the given base path, so a cluster capture replays shard-by-shard;
     /// counters are summed and `active` means *every* shard is recording.
@@ -1420,7 +1227,7 @@ impl Backend for Coordinator {
                 let requests = (0..self.shards())
                     .map(|shard| (shard, format!("RECORD START {base}.shard{shard}")))
                     .collect();
-                self.scatter_control(requests, Route::Primary)?
+                self.scatter_control(requests)?
             }
             RecordControl::Start(None) => {
                 return Err(ClusterError::Sql(
@@ -1429,10 +1236,8 @@ impl Backend for Coordinator {
                         .to_string(),
                 ))
             }
-            RecordControl::Stop => self.scatter_control(self.all("RECORD STOP"), Route::Primary)?,
-            RecordControl::Status => {
-                self.scatter_control(self.all("RECORD STATUS"), Route::Primary)?
-            }
+            RecordControl::Stop => self.scatter_control(self.all("RECORD STOP"))?,
+            RecordControl::Status => self.scatter_control(self.all("RECORD STATUS"))?,
         };
         let mut merged = RecorderStatus {
             active: !lines.is_empty(),
@@ -1472,7 +1277,7 @@ impl Backend for Coordinator {
         self.inner.profiles.recent(n)
     }
 
-    /// `LOOKUP` asks the primaries ([`Coordinator::lookup`]); `LOOKUP *`
+    /// `LOOKUP` asks the shards ([`Coordinator::lookup`]); `LOOKUP *`
     /// scatters over them and reseeds the owner index from the answer.
     fn lookup(&self, ids: Option<&[MaskId]>) -> ClusterResult<Vec<MaskId>> {
         if let Some(ids) = ids {
@@ -1486,11 +1291,11 @@ impl Backend for Coordinator {
     }
 
     /// Cluster-wide cumulative values of the `MONITOR` counters: every
-    /// shard primary's `STATS` line scattered and the
+    /// shard's `STATS` line scattered and the
     /// [`obs_keys::MONITOR_DELTA_KEYS`] summed, so coordinator `MONITOR`
     /// deltas sum to the same totals an aggregated `STATS` reports.
     fn monitor_values(&self) -> ClusterResult<Vec<(&'static str, u64)>> {
-        let lines = self.scatter_control(self.all("STATS"), Route::Primary)?;
+        let lines = self.scatter_control(self.all("STATS"))?;
         let mut sums = vec![0u64; obs_keys::MONITOR_DELTA_KEYS.len()];
         for line in &lines {
             for token in line.split_ascii_whitespace().skip(1) {

@@ -15,16 +15,15 @@
 //!   ┌────────────────┐   ShardMap (hash of image id)
 //!   │ Coordinator     │─────────────────────────────┐
 //!   │  · the service's│ pipelined     pipelined     │ route writes
-//!   │    Server, one  │ scatter       scatter       │ (primary only)
+//!   │    Server, one  │ scatter       scatter       │ by owner
 //!   │    thread per   ▼               ▼             ▼
 //!   │    connection   ┌─────────┐   ┌─────────┐   ┌─────────┐
 //!   │  · broadcast +  │ shard 0 │   │ shard 1 │ … │ shard N │
-//!   │    merge        │ primary │   │ primary │   │ primary │
-//!   │  · distributed  └────┬────┘   └─────────┘   └─────────┘
-//!   │    top-k             │ WAL tail
-//!   └────────────────┘┌────▼────┐
-//!        ▲            │ replica │◄── reads round-robin here too,
-//!        │            └─────────┘    failover when an endpoint dies
+//!   │    merge        └─────────┘   └─────────┘   └─────────┘
+//!   │  · distributed
+//!   │    top-k        one endpoint per shard: a dead shard fails
+//!   └────────────────┘ the statement, naming the shard
+//!        ▲
 //!        └─ merged rows byte-identical to single-node execution
 //! ```
 //!
@@ -36,16 +35,12 @@
 //!   shards whose bound can still beat the merged k-th row.
 //! * [`Coordinator`] / [`CoordinatorServer`] — statement routing over one
 //!   multiplexed [`MuxClient`](masksearch_service::mux::MuxClient) link per
-//!   shard endpoint (a whole fan-out is one round trip), read balancing
-//!   across replicas with transport-error failover, write splitting with
+//!   shard (a whole fan-out is one round trip), write splitting with
 //!   per-shard atomicity, and aggregated `STATS`. The front end is the
 //!   service crate's [`Server`](masksearch_service::Server) with the
 //!   coordinator as its [`Backend`](masksearch_service::Backend): one
 //!   connection loop and one request dispatch for shards and coordinator
 //!   alike.
-//! * [`replica`] — a read replica of a shard: a fresh database that tails
-//!   the primary's checksummed WAL and applies committed transactions, kept
-//!   queryable throughout.
 //!
 //! The merge rules themselves live in
 //! [`masksearch_query::merge`] so that exactness over *any*
@@ -58,7 +53,6 @@
 pub mod coordinator;
 pub mod error;
 pub mod metrics;
-pub mod replica;
 pub mod shard;
 pub mod topk;
 
@@ -67,6 +61,5 @@ pub use coordinator::{
 };
 pub use error::{ClusterError, ClusterResult};
 pub use metrics::{ClusterMetrics, ClusterMetricsSnapshot};
-pub use replica::ReplicaShard;
 pub use shard::ShardMap;
 pub use topk::{distributed_topk, TopkRun};

@@ -22,8 +22,6 @@ pub struct ClusterMetrics {
     masks_updated: AtomicU64,
     masks_relocated: AtomicU64,
     mutations_deduped: AtomicU64,
-    replica_reads: AtomicU64,
-    failovers: AtomicU64,
     transactions: AtomicU64,
     owner_resolutions: AtomicU64,
     lookup_broadcasts: AtomicU64,
@@ -53,8 +51,6 @@ impl ClusterMetrics {
             masks_updated: AtomicU64::new(0),
             masks_relocated: AtomicU64::new(0),
             mutations_deduped: AtomicU64::new(0),
-            replica_reads: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
             transactions: AtomicU64::new(0),
             owner_resolutions: AtomicU64::new(0),
             lookup_broadcasts: AtomicU64::new(0),
@@ -113,14 +109,6 @@ impl ClusterMetrics {
         self.shard_requests.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_replica_read(&self) {
-        self.replica_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Point-in-time summary.
     pub fn snapshot(&self) -> ClusterMetricsSnapshot {
         ClusterMetricsSnapshot {
@@ -138,8 +126,6 @@ impl ClusterMetrics {
             masks_updated: self.masks_updated.load(Ordering::Relaxed),
             masks_relocated: self.masks_relocated.load(Ordering::Relaxed),
             mutations_deduped: self.mutations_deduped.load(Ordering::Relaxed),
-            replica_reads: self.replica_reads.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
             transactions: self.transactions.load(Ordering::Relaxed),
             owner_resolutions: self.owner_resolutions.load(Ordering::Relaxed),
             lookup_broadcasts: self.lookup_broadcasts.load(Ordering::Relaxed),
@@ -176,19 +162,12 @@ pub struct ClusterMetricsSnapshot {
     pub masks_deleted: u64,
     /// Masks re-masked in place (`UPDATE`) through the coordinator.
     pub masks_updated: u64,
-    /// Stale replicas removed because an overwrite moved a mask to a new
+    /// Stale copies removed because an overwrite moved a mask to a new
     /// image (and therefore possibly a new owning shard).
     pub masks_relocated: u64,
     /// Mutations answered from the coordinator's token-dedup registry
     /// (client resends after transport errors) without re-routing.
     pub mutations_deduped: u64,
-    /// Read requests served by a replica endpoint instead of its shard's
-    /// primary (round-robin selection and failover re-routes both count).
-    pub replica_reads: u64,
-    /// Read requests that failed on their selected endpoint with a
-    /// transport error and were successfully re-routed to another endpoint
-    /// of the same shard.
-    pub failovers: u64,
     /// `BEGIN … COMMIT` scripts applied atomically on a single owning shard.
     pub transactions: u64,
     /// Mask-id owners resolved from the coordinator's in-memory owner index
@@ -213,13 +192,58 @@ impl ClusterMetricsSnapshot {
     /// Mean rounds over *threshold-mode* ranked queries only — single-round
     /// queries take exactly one round by construction and would bias the
     /// planner's convergence feedback towards flapping back to threshold
-    /// mode. `None` until a threshold-mode query has run.
+    /// mode. `None` until a threshold-mode query has run, and for a
+    /// snapshot that caught a concurrent `record_ranked` half-way (its
+    /// counters are loaded one by one, so `topk_single_round` can run
+    /// ahead of `ranked_queries` or `topk_rounds`).
     pub fn mean_threshold_rounds(&self) -> Option<f64> {
-        let threshold_queries = self.ranked_queries - self.topk_single_round;
-        if threshold_queries == 0 {
-            None
-        } else {
-            Some((self.topk_rounds - self.topk_single_round) as f64 / threshold_queries as f64)
-        }
+        let threshold_queries = self
+            .ranked_queries
+            .checked_sub(self.topk_single_round)
+            .filter(|&n| n > 0)?;
+        let threshold_rounds = self.topk_rounds.checked_sub(self.topk_single_round)?;
+        Some(threshold_rounds as f64 / threshold_queries as f64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mean_threshold_rounds_is_none_for_a_torn_snapshot() {
+        // A snapshot taken while a single-round query was being recorded:
+        // its single-round count is ahead of the ranked-query count.
+        let torn = ClusterMetricsSnapshot {
+            ranked_queries: 3,
+            topk_rounds: 4,
+            topk_single_round: 4,
+            ..Default::default()
+        };
+        assert_eq!(torn.mean_threshold_rounds(), None);
+        // Or ahead of the round count only.
+        let torn = ClusterMetricsSnapshot {
+            ranked_queries: 5,
+            topk_rounds: 2,
+            topk_single_round: 3,
+            ..Default::default()
+        };
+        assert_eq!(torn.mean_threshold_rounds(), None);
+        // Only single-round queries so far: no threshold feedback yet.
+        let single = ClusterMetricsSnapshot {
+            ranked_queries: 4,
+            topk_rounds: 4,
+            topk_single_round: 4,
+            ..Default::default()
+        };
+        assert_eq!(single.mean_threshold_rounds(), None);
+        // Two threshold-mode queries took 5 rounds between them.
+        let mixed = ClusterMetricsSnapshot {
+            ranked_queries: 3,
+            topk_rounds: 6,
+            topk_single_round: 1,
+            ..Default::default()
+        };
+        assert_eq!(mixed.mean_threshold_rounds(), Some(2.5));
     }
 }

@@ -41,11 +41,11 @@
 //!   and the decoded-mask cache above it, so a load is one positioned read
 //!   of the mask's extent (dirty bytes are copied from the table instead),
 //!   and a flush is one positioned write per dirty extent.
-//! * [`wal`] — the write-ahead log: page after-images, gathered straight
-//!   from the extent buffers by vectored writes, one directory delta per
-//!   commit (or the whole directory, as page images, per checkpoint) and
-//!   commit records, checksummed so recovery can cut a torn tail at any byte
-//!   boundary. An automatic checkpoint recycles the log's blocks instead of
+//! * `wal` (private) — the write-ahead log: page after-images, gathered
+//!   straight from the extent buffers by vectored writes, one directory
+//!   delta per commit (or the whole directory, as page images, per
+//!   checkpoint) and commit records, checksummed so recovery can cut a torn
+//!   tail at any byte boundary. An automatic checkpoint recycles the log's blocks instead of
 //!   truncating it; transaction ids only increase, which keeps the frames
 //!   of earlier generations out of replay.
 //! * [`dir`] — the mask directory (blob extents + full catalog records) and
@@ -86,7 +86,7 @@ pub mod pager;
 mod snapshot;
 pub mod stats;
 pub mod store;
-pub mod wal;
+mod wal;
 
 pub use db::MaskDb;
 pub use dir::{BlobEntry, DirDelta, Directory};
@@ -96,4 +96,3 @@ pub use stats::IngestStats;
 pub use store::{
     DbConfig, DurableMaskStore, CHI_FILE, DB_FILE, SHAPE_STATS_FILE, TILES_FILE, WAL_FILE,
 };
-pub use wal::{CommittedTxn, Wal};

@@ -102,7 +102,7 @@ use crate::page::{Meta, PageNo, META_PAGE, MIN_PAGE_SIZE};
 use crate::pager::Pager;
 use crate::snapshot::SnapshotFile;
 use crate::stats::IngestStats;
-use crate::wal::{CommittedTxn, Wal};
+use crate::wal::Wal;
 use masksearch_core::{Mask, MaskId, MaskRecord, TileGrid, TiledMask};
 use masksearch_index::{Chi, ChiConfig, ChiStore, TileStore};
 use masksearch_obs::counters as obs_counters;
@@ -223,7 +223,7 @@ struct State {
 }
 
 /// What only writers use, guarded by the writer mutex that serialises
-/// commits, replicated applies and checkpoints; reads never take it.
+/// commits and checkpoints; reads never take it.
 struct Writer {
     free: FreeRuns,
     page_count: u64,
@@ -650,11 +650,6 @@ impl DurableMaskStore {
         }
     }
 
-    fn commit(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<()> {
-        let built = self.build_indexes(inserts);
-        self.commit_locked(&mut self.writer.lock(), inserts, built, deletes)
-    }
-
     /// The CHI and the tile grid of every mask in `inserts`, both from one
     /// pass over its pixels. Built before the writer mutex is taken: the
     /// O(pixels) work holds no lock, and a commit that fails just drops it.
@@ -669,15 +664,13 @@ impl DurableMaskStore {
             .unzip()
     }
 
-    /// Commits `inserts` (with the indexes [`Self::build_indexes`] built for
-    /// them) and `deletes` as one transaction; see the module docs.
-    fn commit_locked(
-        &self,
-        writer: &mut Writer,
-        inserts: &[(MaskRecord, Mask)],
-        (chis, grids): BuiltIndexes,
-        deletes: &[MaskId],
-    ) -> StorageResult<()> {
+    /// Commits `inserts` and `deletes` as one transaction; see the module
+    /// docs. Their indexes are built (by [`Self::build_indexes`]) before the
+    /// writer mutex is taken.
+    fn commit(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<()> {
+        let (chis, grids) = self.build_indexes(inserts);
+        let mut writer = self.writer.lock();
+        let writer = &mut *writer;
         if inserts.is_empty() && deletes.is_empty() {
             return Ok(());
         }
@@ -835,78 +828,6 @@ impl DurableMaskStore {
             .record_commit(inserts.len() as u64, deleted, wal_bytes);
         self.checkpoint_if_due(writer);
         Ok(())
-    }
-
-    /// Applies one committed transaction shipped from another database's
-    /// WAL — the apply half of primary → replica replication (the tailing
-    /// half lives in `masksearch-cluster`). Returns the ids of every mask
-    /// the transaction inserted, overwrote, or deleted, so the serving
-    /// layer can invalidate caches.
-    ///
-    /// The transaction's delta names those masks, and every mask it upserts
-    /// has its whole extent among the transaction's page images; they are
-    /// committed here exactly like a local batch — through this database's
-    /// own WAL, free space and checkpoints — so a replica crash-recovers
-    /// like a primary and shares nothing with it but the masks. A
-    /// transaction without a delta (the primary's bootstrap, or a
-    /// checkpoint's copy of its directory) changes no mask. Re-applying
-    /// transactions the replica already holds, in order, is idempotent:
-    /// removing an id that is not there is skipped and an upsert overwrites
-    /// with the same pixels.
-    pub fn apply_replicated(&self, txn: &CommittedTxn) -> StorageResult<Vec<MaskId>> {
-        let Some(delta) = &txn.delta else {
-            return Ok(Vec::new());
-        };
-        let images: BTreeMap<PageNo, &[u8]> = txn
-            .pages
-            .iter()
-            .map(|(page_no, image)| (*page_no, image.as_slice()))
-            .collect();
-        let mut upserts: Vec<(MaskRecord, Mask)> = Vec::with_capacity(delta.upserts.len());
-        for entry in &delta.upserts {
-            let mut blob: Vec<u8> = Vec::new();
-            for page_no in entry.start..entry.start.saturating_add(entry.pages.into()) {
-                blob.extend_from_slice(images.get(&page_no).ok_or_else(|| {
-                    StorageError::corrupt(format!(
-                        "replicated transaction {} misses page {page_no} of mask {}",
-                        txn.txn_id, entry.record.mask_id
-                    ))
-                })?);
-            }
-            let blob = usize::try_from(entry.bytes)
-                .ok()
-                .and_then(|bytes| blob.get(..bytes))
-                .ok_or_else(|| {
-                    StorageError::corrupt(format!(
-                        "replicated extent of mask {} is shorter than its entry claims",
-                        entry.record.mask_id
-                    ))
-                })?;
-            let (_, mask) = format::decode_mask(blob)?;
-            upserts.push((entry.record.clone(), mask));
-        }
-
-        let built = self.build_indexes(&upserts);
-        let mut writer = self.writer.lock();
-        let removed: Vec<MaskId> = {
-            let state = self.state.read();
-            delta
-                .removed
-                .iter()
-                .copied()
-                .filter(|id| state.dir.entries.contains_key(id))
-                .collect()
-        };
-        self.commit_locked(&mut writer, &upserts, built, &removed)?;
-        let mut changed: Vec<MaskId> = delta
-            .removed
-            .iter()
-            .copied()
-            .chain(upserts.iter().map(|(record, _)| record.mask_id))
-            .collect();
-        changed.sort_unstable();
-        changed.dedup();
-        Ok(changed)
     }
 
     /// Snapshots every defined secondary index to its `masks.idx.<col>` file
@@ -1563,75 +1484,6 @@ mod tests {
         assert!(snapshot(&reopened) == after_retry);
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&twin_dir).unwrap();
-    }
-
-    #[test]
-    fn replicated_transactions_commit_like_local_ones_and_reapply_idempotently() {
-        let primary_dir = temp_dir("repl-primary");
-        let replica_dir = temp_dir("repl-replica");
-        let primary = DurableMaskStore::open(&primary_dir, small_config()).unwrap();
-        primary.insert_masks(&batch(0..6)).unwrap();
-        primary.insert_masks(&batch(4..9)).unwrap();
-        primary
-            .delete_masks(&[MaskId::new(0), MaskId::new(5)])
-            .unwrap();
-        primary
-            .apply_batch(&batch(20..23), &[MaskId::new(1)])
-            .unwrap();
-        primary.put(MaskId::new(2), &mask(40)).unwrap();
-        let log = fs::read(primary_dir.join(WAL_FILE)).unwrap();
-        let (txns, consumed) = crate::wal::scan_committed(&log[12..], 256);
-        assert_eq!(consumed, log.len() - 12);
-        assert_eq!(txns.len(), 6, "bootstrap + five commits");
-
-        // The replica checkpoints on its own schedule — several times while
-        // applying — and allocates its own extents: it shares the primary's
-        // masks, not its page numbers.
-        let replica_config = small_config().checkpoint_wal_bytes(2048);
-        let same_masks = |replica: &DurableMaskStore| {
-            assert_eq!(replica.ids(), primary.ids());
-            for id in primary.ids() {
-                assert_eq!(replica.get(id).unwrap(), primary.get(id).unwrap());
-                assert_eq!(
-                    *replica.chi_store().get(id).unwrap(),
-                    *primary.chi_store().get(id).unwrap()
-                );
-            }
-            assert_eq!(replica.catalog().mask_ids(), primary.catalog().mask_ids());
-            assert_eq!(replica.verify_tile_summaries().unwrap(), primary.len());
-        };
-        let replica = DurableMaskStore::open(&replica_dir, replica_config).unwrap();
-        let mut changed = Vec::new();
-        for txn in &txns {
-            changed.push(replica.apply_replicated(txn).unwrap());
-        }
-        let ids = |raw: &[u64]| raw.iter().map(|&id| MaskId::new(id)).collect::<Vec<_>>();
-        assert_eq!(changed[0], ids(&[]), "the bootstrap changes no mask");
-        assert_eq!(changed[3], ids(&[0, 5]));
-        assert_eq!(changed[4], ids(&[1, 20, 21, 22]));
-        assert_eq!(changed[5], ids(&[2]));
-        assert!(replica.ingest_stats().unwrap().checkpoints >= 2);
-        assert!(replica.take_checkpoint_error().is_none());
-        same_masks(&replica);
-
-        // A restarted tailer starts over from the top of the primary's log.
-        for txn in &txns {
-            replica.apply_replicated(txn).unwrap();
-        }
-        same_masks(&replica);
-        drop(replica);
-        same_masks(&DurableMaskStore::open(&replica_dir, replica_config).unwrap());
-
-        // A transaction that lost part of a mask's extent is refused whole.
-        let mut short = txns[1].clone();
-        short.pages.pop();
-        let fresh_dir = temp_dir("repl-fresh");
-        let fresh = DurableMaskStore::open(&fresh_dir, small_config()).unwrap();
-        assert!(fresh.apply_replicated(&short).is_err());
-        assert!(fresh.is_empty());
-        for dir in [primary_dir, replica_dir, fresh_dir] {
-            fs::remove_dir_all(&dir).unwrap();
-        }
     }
 
     #[test]

@@ -287,15 +287,6 @@ impl Wal {
         self.append_extents(txn_id, &extents, delta, fsync)
     }
 
-    /// Forces every appended frame to disk. Used by the checkpoint before
-    /// any page reaches the database file, so the log-ahead rule holds even
-    /// for commits that ran with fsync off.
-    pub fn sync(&mut self) -> StorageResult<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| StorageError::io("fsyncing wal", e))
-    }
-
     /// Starts the log over in the blocks it already owns (the automatic
     /// checkpoint's step; see the module docs): zeroes the first frame's
     /// header, syncs, and appends from offset 12 on again. The caller must
@@ -432,45 +423,12 @@ fn read_header(bytes: &[u8]) -> StorageResult<(u16, u32)> {
     Ok((version, page_size))
 }
 
-/// Validates the header of a current-version WAL byte image and returns the
-/// page size it was written with. Used by replication tailers to check a
-/// primary's log before applying anything from it ([`scan_committed`] reads
-/// current-version frames only; opening a database upgrades its log).
-pub fn header_page_size(bytes: &[u8]) -> StorageResult<u32> {
-    match read_header(bytes)? {
-        (WAL_VERSION, page_size) => Ok(page_size),
-        (version, _) => Err(StorageError::UnsupportedVersion {
-            found: version,
-            supported: WAL_VERSION,
-        }),
-    }
-}
-
-/// Bytes of a frame that [`starts_with_bootstrap`] looks at: kind and
-/// transaction id.
-pub const FRAME_ID_LEN: usize = 9;
-
-/// Whether a log's body (the bytes from offset 12 on) begins with a page
-/// frame of transaction 0 — the database's bootstrap, which heads a log
-/// that was never checkpointed. Replication tailers use it to notice a
-/// checkpoint: one truncates the log or zeroes that frame's header, and
-/// what a recycled log holds there next belongs to a later transaction.
-/// Only the first [`FRAME_ID_LEN`] bytes are looked at.
-pub fn starts_with_bootstrap(body: &[u8]) -> bool {
-    body.len() >= FRAME_ID_LEN && body[0] == FRAME_PAGE && body[1..FRAME_ID_LEN] == [0; 8]
-}
-
-/// Scans WAL frames (`bytes` starts at a frame boundary: the log's body, or
-/// what a replication tailer read from its applied watermark on) for
-/// committed transactions, returning them in commit order together with the
-/// number of bytes up to the end of the last committed one. Anything after
-/// that — an unfinished transaction, a torn record, random garbage — is
-/// ignored, so a crash at *any* byte boundary recovers to a committed
-/// prefix.
-pub fn scan_committed(bytes: &[u8], page_size: u32) -> (Vec<CommittedTxn>, usize) {
-    scan(bytes, page_size, checksum64)
-}
-
+/// Scans WAL frames (`bytes` starts at a frame boundary: the log's body)
+/// for committed transactions, checking each frame with `checksum`, and
+/// returns them in commit order together with the number of bytes up to
+/// the end of the last committed one. Anything after that — an unfinished
+/// transaction, a torn record, random garbage — is ignored, so a crash at
+/// *any* byte boundary recovers to a committed prefix.
 fn scan(bytes: &[u8], page_size: u32, checksum: Checksum) -> (Vec<CommittedTxn>, usize) {
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
@@ -707,12 +665,12 @@ mod tests {
         assert_eq!(committed[1].pages, vec![]);
         assert_eq!(committed[1].delta, Some(delta(&[7, 9], 4)));
         assert_eq!(committed[2].delta, None);
-        // The tailer's view: the body scanned from any committed boundary.
+        // The body scanned from any committed boundary.
         let body = &full[WAL_HEADER_LEN as usize..];
-        let (all, consumed) = scan_committed(body, 32);
+        let (all, consumed) = scan(body, 32, checksum64);
         assert_eq!((all.len(), consumed), (3, body.len()));
         let first_len = 29 + 32 + 21 + delta(&[], 4).encode().len() + 21;
-        let (rest, consumed) = scan_committed(&body[first_len..], 32);
+        let (rest, consumed) = scan(&body[first_len..], 32, checksum64);
         assert_eq!(rest, committed[1..]);
         assert_eq!(consumed, body.len() - first_len);
         // Flipping any byte of the delete-only transaction loses it (and
@@ -721,7 +679,7 @@ mod tests {
         for at in first_len..first_len + second_len {
             let mut corrupt = body.to_vec();
             corrupt[at] ^= 0x81;
-            let (txns, consumed) = scan_committed(&corrupt, 32);
+            let (txns, consumed) = scan(&corrupt, 32, checksum64);
             assert_eq!(txns, committed[..1], "flip at {at}");
             assert_eq!(consumed, first_len);
         }
@@ -781,16 +739,13 @@ mod tests {
             // The file is now a current-version log of the same transactions.
             drop(wal);
             let upgraded = std::fs::read(&path).unwrap();
-            assert_eq!(header_page_size(&upgraded).unwrap(), 32);
-            let (again, consumed) = scan_committed(&upgraded[WAL_HEADER_LEN as usize..], 32);
+            assert_eq!(read_header(&upgraded).unwrap(), (WAL_VERSION, 32));
+            let (again, consumed) = scan(&upgraded[WAL_HEADER_LEN as usize..], 32, checksum64);
             assert_eq!(again, committed);
             assert_eq!(consumed, upgraded.len() - WAL_HEADER_LEN as usize);
         }
-        // Tailers read current-version logs only, and nobody reads a newer one.
-        assert!(matches!(
-            header_page_size(&log),
-            Err(StorageError::UnsupportedVersion { found: 1, .. })
-        ));
+        // The source log stays version 1, and nobody reads a newer one.
+        assert_eq!(read_header(&log).unwrap(), (1, 32));
         let mut future = log.clone();
         future[4..6].copy_from_slice(&(WAL_VERSION + 1).to_le_bytes());
         std::fs::write(&path, &future).unwrap();
@@ -820,7 +775,7 @@ mod tests {
         let mut relabelled = log.clone();
         relabelled[4..6].copy_from_slice(&WAL_VERSION.to_le_bytes());
         assert!(std::fs::read(&path).unwrap() == relabelled);
-        assert_eq!(header_page_size(&relabelled).unwrap(), 32);
+        assert_eq!(read_header(&relabelled).unwrap(), (WAL_VERSION, 32));
         std::fs::remove_file(&path).unwrap();
     }
 

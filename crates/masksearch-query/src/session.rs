@@ -809,26 +809,6 @@ impl Session {
         Ok(ids.len())
     }
 
-    /// Brings the session in line with a write that was applied *directly
-    /// to the underlying store* — the serving side of replication, where a
-    /// tailer applies shipped transactions to the store (which also
-    /// maintains the shared CHI and tile indexes) and the session only has
-    /// to refresh its own derived state: the catalog snapshot swaps to the
-    /// store's post-apply catalog, the cache entries of the changed masks
-    /// are invalidated, and the aggregated-mask indexes are dropped.
-    ///
-    /// Only meaningful on sessions created with
-    /// [`Session::with_store_maintained_index`]; on others the shared CHI
-    /// would not have been maintained by anyone.
-    pub fn sync_replicated(&self, catalog: Catalog, changed: &[MaskId]) {
-        let _writes = self.writes.lock();
-        *self.catalog_write() = catalog;
-        for &id in changed {
-            self.cache.invalidate(id);
-        }
-        self.agg_indexes.write().clear();
-    }
-
     /// Applies a lowered write statement.
     pub fn apply(&self, mutation: &Mutation) -> QueryResult<MutationOutcome> {
         match mutation {

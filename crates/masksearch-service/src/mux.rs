@@ -410,11 +410,6 @@ impl MuxClient {
         }
     }
 
-    /// One full round trip: `begin` + `wait`.
-    pub fn call(&self, line: &str) -> ServiceResult<Frame> {
-        self.begin(line).wait()
-    }
-
     /// Starts a SQL statement without blocking, wrapping mutations in a
     /// `TOKEN` envelope (see [`Client::query`](crate::Client::query)) so the
     /// bounded reconnect can resend them exactly-once. The scatter path's

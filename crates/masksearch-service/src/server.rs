@@ -208,7 +208,7 @@ impl<B: Backend> ServerHandle<B> {
     /// Kills the server like a process death: stops accepting and severs
     /// every open connection mid-stream, so clients observe an abrupt
     /// disconnect rather than a graceful drain. The database files stay
-    /// intact — a replica or a recovery reopen takes over from here.
+    /// intact — reopening them takes the recovery path.
     pub fn kill(mut self) {
         self.shutdown.store(true, Ordering::Release);
         self.conns.sever_all();
