@@ -34,8 +34,8 @@ use masksearch_bench::usize_from_args;
 use masksearch_core::{ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange};
 use masksearch_index::ChiConfig;
 use masksearch_query::{
-    Expr, IndexingMode, MaskJoin, Order, Predicate, Query, QueryOutput, RoiSpec, Selection,
-    Session, SessionConfig,
+    Expr, IndexingMode, KernelMode, MaskJoin, Order, Predicate, Query, QueryOutput, RoiSpec,
+    Selection, Session, SessionConfig,
 };
 use masksearch_storage::{Catalog, DiskProfile, MaskEncoding, MaskStore, MemoryMaskStore};
 use std::sync::Arc;
@@ -149,7 +149,7 @@ fn main() {
         SessionConfig::new(chi)
             .threads(4)
             .indexing_mode(IndexingMode::Disabled)
-            .tiled_kernel(false),
+            .kernel_mode(KernelMode::ForceOff),
     )
     .unwrap();
 

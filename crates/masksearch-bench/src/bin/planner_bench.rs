@@ -1,38 +1,33 @@
-//! Query-planner benchmark: the cost-based planner (kernel routing, pair
-//! bounds-vs-load, term ordering — all `Auto`) against every fixed strategy
-//! on a mixed workload designed so that **each** fixed strategy loses on at
-//! least one shape:
+//! Kernel-routing benchmark: the `Auto` kernel rule (the tiled kernel
+//! exactly for masks that already carry their tile grid) against both fixed
+//! strategies (kernel forced on, forced off) on a mixed workload:
 //!
 //! * two filters and a top-k on tile-bin-aligned ranges (smooth and noise
 //!   masks), where the tiled kernel answers interior tiles straight from
 //!   their cumulative histograms and a forced scan pays full price;
-//! * a model-drift pair filter where composed bounds prune half the pairs,
-//!   so forcing load-first loads both masks of every image;
+//! * a model-drift pair filter where composed bounds prune half the pairs;
 //! * two noise-pair filters (intersect and union) whose bounds never
-//!   decide, where the planner's feedback loop learns the verified
-//!   fraction is ~1.0 and skips classification to go load-first.
+//!   decide.
 //!
 //! The mixed workload runs against the durable database — loads seed the
-//! *persisted* tile-summary grids from the checkpoint, and time is the
-//! harness's standard metric (`QueryStats::modeled_total`: wall clock plus
-//! the local-NVMe cost model's virtual I/O charge), best-of-N per strategy.
+//! *persisted* tile-summary grids from the checkpoint, so `Auto` takes the
+//! kernel on every mask — and time is the harness's standard metric
+//! (`QueryStats::modeled_total`: wall clock plus the local-NVMe cost
+//! model's virtual I/O charge), best-of-N per strategy.
 //!
 //! A second section replays the kernel's documented noise worst case
 //! (`BENCH_kernel.json`: ≈ 0.85× the reference scan at side 1024 on a
 //! straddling unaligned range) on the serving path — no persisted tile
 //! summaries, cold cache — where a forced kernel re-builds the tile grid
-//! on every query and the planner's sampled bound-gap feature routes the
-//! masks to the scan without ever touching the grid.
+//! on every query and `Auto`, finding no grid, takes the scan.
 //!
-//! Every shape asserts identical rows between the planner and all fixed
-//! strategies before anything is timed — plan choice is a performance
+//! Every shape asserts identical rows between `Auto` and both fixed
+//! strategies before anything is timed — kernel routing is a performance
 //! decision, never a semantic one. Results go to `BENCH_planner.json`;
 //! with `--check` the process exits non-zero unless
 //!
-//! 1. the planner is within 10% of the best fixed strategy on every shape,
-//! 2. the planner strictly beats *every* fixed strategy on the mixed
-//!    aggregate (no fixed choice is safe across the whole workload), and
-//! 3. on the noise worst case the planner is at least as fast as the forced
+//! 1. `Auto` is within 10% of the best fixed strategy on every shape, and
+//! 2. on the noise worst case `Auto` is at least as fast as the forced
 //!    kernel — the 0.85× regression lifted to ≥ 1×.
 //!
 //! ```text
@@ -46,8 +41,8 @@ use masksearch_core::{ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelR
 use masksearch_db::{DbConfig, MaskDb};
 use masksearch_index::ChiConfig;
 use masksearch_query::{
-    Expr, IndexingMode, KernelMode, MaskJoin, Order, PairMode, Predicate, Query, QueryOutput,
-    RoiSpec, Selection, Session, SessionConfig,
+    Expr, IndexingMode, KernelMode, MaskJoin, Order, Predicate, Query, QueryOutput, RoiSpec,
+    Selection, Session, SessionConfig,
 };
 use masksearch_storage::{Catalog, DiskProfile, MaskEncoding, MaskStore, MemoryMaskStore};
 use std::path::PathBuf;
@@ -62,7 +57,6 @@ const NOISE_B: u64 = 4;
 struct Strategy {
     name: &'static str,
     kernel: KernelMode,
-    pair: PairMode,
 }
 
 struct Point {
@@ -93,8 +87,7 @@ fn smooth_mask(side: u32, i: u64, drift: f32) -> Mask {
 
 fn noise_mask(side: u32, seed: u64) -> Mask {
     // Hash noise: every tile spans the full value domain, so tile min/max
-    // can never prune — the kernel's worst case, which the planner must
-    // route to the reference scan.
+    // can never prune — the kernel's worst case.
     Mask::from_fn(side, side, move |x, y| {
         let mut h = (u64::from(x) << 32 | u64::from(y))
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -112,7 +105,7 @@ fn noise_mask(side: u32, seed: u64) -> Mask {
 /// tile-summary grids — the serving setting in which the kernel decision is
 /// a pure routing choice (no lazy grid build on the query path). The local
 /// NVMe cost model keeps I/O and verification CPU on comparable scales, so
-/// both the kernel routing and the pair-mode choice move the total.
+/// the kernel routing moves the total.
 fn build_db(dir: &PathBuf, images: u64, side: u32) -> MaskDb {
     let chi = chi_config(side);
     let db = MaskDb::open(
@@ -149,8 +142,8 @@ fn build_db(dir: &PathBuf, images: u64, side: u32) -> MaskDb {
         }
     }
     db.insert_masks(&batch).expect("ingest benchmark masks");
-    // Persist CHI + tile summaries (+ the shape-stats catalog): the steady
-    // serving state every strategy starts from.
+    // Persist CHI + tile summaries: the steady serving state every strategy
+    // starts from.
     db.checkpoint().expect("checkpoint benchmark database");
     db
 }
@@ -159,14 +152,13 @@ fn chi_config(side: u32) -> ChiConfig {
     ChiConfig::new((side / 16).max(1), (side / 16).max(1), 8).unwrap()
 }
 
-fn session(db: &MaskDb, side: u32, kernel: KernelMode, pair: PairMode) -> Session {
+fn session(db: &MaskDb, side: u32, kernel: KernelMode) -> Session {
     Session::with_store_maintained_index(
         db.mask_store(),
         db.catalog(),
         SessionConfig::new(chi_config(side))
             .threads(4)
-            .kernel_mode(kernel)
-            .pair_mode(pair),
+            .kernel_mode(kernel),
         db.chi_store(),
     )
 }
@@ -175,11 +167,8 @@ fn model(id: u64) -> Selection {
     Selection::all().with_model(ModelId::new(id))
 }
 
-/// Best-of-N on the modeled metric. The warm-up runs double as the
-/// planner's feedback window: by the time timing starts, the `Auto`
-/// session has observed enough queries of the shape to have converged on
-/// its plan, exactly as a production session would after its first few
-/// queries.
+/// Best-of-N on the modeled metric, after warm-up runs that fill the mask
+/// cache.
 fn time_query(session: &Session, query: &Query, iters: usize) -> (f64, QueryOutput) {
     let mut last = session.execute(query).expect("warm-up execution");
     for _ in 0..3 {
@@ -199,38 +188,23 @@ fn main() {
     let iters = usize_from_args("iters", 5).max(1);
     let check = std::env::args().any(|a| a == "--check");
 
-    println!("== query planner: cost-based plan choice vs every fixed strategy ==\n");
+    println!("== kernel routing: the `Auto` grid rule vs both fixed strategies ==\n");
     let dir = std::env::temp_dir().join(format!("masksearch-planner-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = build_db(&dir, images, side);
 
     let fixed = [
         Strategy {
-            name: "kernel-on/bounds",
+            name: "kernel-on",
             kernel: KernelMode::ForceOn,
-            pair: PairMode::ForceBounds,
         },
         Strategy {
-            name: "kernel-on/load",
-            kernel: KernelMode::ForceOn,
-            pair: PairMode::ForceLoad,
-        },
-        Strategy {
-            name: "kernel-off/bounds",
+            name: "kernel-off",
             kernel: KernelMode::ForceOff,
-            pair: PairMode::ForceBounds,
-        },
-        Strategy {
-            name: "kernel-off/load",
-            kernel: KernelMode::ForceOff,
-            pair: PairMode::ForceLoad,
         },
     ];
-    let planner = session(&db, side, KernelMode::Auto, PairMode::Auto);
-    let fixed_sessions: Vec<Session> = fixed
-        .iter()
-        .map(|s| session(&db, side, s.kernel, s.pair))
-        .collect();
+    let planner = session(&db, side, KernelMode::Auto);
+    let fixed_sessions: Vec<Session> = fixed.iter().map(|s| session(&db, side, s.kernel)).collect();
 
     let area = f64::from(side) * f64::from(side);
     let full = Roi::new(0, 0, side, side).unwrap();
@@ -269,15 +243,10 @@ fn main() {
                 ),
             ),
         ),
-        // The noise pairs audit a constant ROI (covering the whole mask, so
-        // results match a full-mask audit) rather than `RoiSpec::FullMask`:
-        // the shape-statistics key distinguishes ROI specs, and these two
-        // workloads — whose bounds never decide — must not share a feedback
-        // aggregate with the drift audit above, where bounds prune half the
-        // pairs. A production workload mixing both shapes gets the same
-        // separation for free.
+        // The noise pairs audit a constant ROI covering the whole mask, so
+        // results match a full-mask audit.
         (
-            "pair noise intersect (load favours)".to_string(),
+            "pair noise intersect".to_string(),
             Query::pair_filter(
                 MaskJoin::new(model(NOISE_A), model(NOISE_B)),
                 Predicate::gt(
@@ -291,7 +260,7 @@ fn main() {
             ),
         ),
         (
-            "pair noise union (load favours)".to_string(),
+            "pair noise union".to_string(),
             Query::pair_filter(
                 MaskJoin::new(model(NOISE_A), model(NOISE_B)),
                 Predicate::gt(
@@ -311,10 +280,9 @@ fn main() {
         let (planner_ms, planner_out) = time_query(&planner, query, iters);
         let plan = planner.plan_signature(query);
         eprintln!(
-            "  [{shape}] plan=\"{plan}\" loaded={} verified={} bounds_skipped={} kernel=({},{})",
+            "  [{shape}] plan=\"{plan}\" loaded={} verified={} kernel=({},{})",
             planner_out.stats.masks_loaded,
             planner_out.stats.verified,
-            planner_out.stats.planner_bounds_skipped,
             planner_out.stats.planner_kernel_on,
             planner_out.stats.planner_kernel_off,
         );
@@ -345,13 +313,11 @@ fn main() {
 
     let mut table = Table::new(&[
         "shape",
-        "planner ms",
-        "on/bounds",
-        "on/load",
-        "off/bounds",
-        "off/load",
+        "auto ms",
+        "kernel-on",
+        "kernel-off",
         "best fixed",
-        "planner/best",
+        "auto/best",
     ]);
     for p in &points {
         let mut row = vec![p.shape.clone(), format!("{:.2}", p.planner_ms)];
@@ -366,10 +332,10 @@ fn main() {
     let fixed_totals: Vec<f64> = (0..fixed.len())
         .map(|i| points.iter().map(|p| p.fixed_ms[i]).sum())
         .collect();
-    println!("\nmixed aggregate: planner {planner_total:.2} ms");
+    println!("\nmixed aggregate: auto {planner_total:.2} ms");
     for (strategy, total) in fixed.iter().zip(&fixed_totals) {
         println!(
-            "                 {:<17} {total:.2} ms ({:.2}x planner)",
+            "                 {:<10} {total:.2} ms ({:.2}x auto)",
             strategy.name,
             total / planner_total.max(1e-9)
         );
@@ -384,9 +350,8 @@ fn main() {
     // workload is even worse for a forced kernel: these masks come from a
     // store without persisted tile summaries and a cold cache, so every
     // query re-builds the tile grid (several times the cost of one scan)
-    // only to then scan every tile anyway. The planner's sampled bound-gap
-    // feature recognises the noise profile and routes these masks to the
-    // scan, never touching the grid.
+    // only to then scan every tile anyway. Under `Auto` a mask without a
+    // grid takes the scan, so the grid is never built.
     let worst_side = usize_from_args("worst-side", 1024) as u32;
     let worst_masks = 6u64;
     let wstore = Arc::new(MemoryMaskStore::for_tests());
@@ -433,11 +398,11 @@ fn main() {
     let worst_lift = worst_on_ms / worst_planner_ms.max(1e-9);
     println!(
         "\nnoise worst case (side {worst_side}, straddling range, CPU-bound): \
-         planner {worst_planner_ms:.2} ms, forced kernel {worst_on_ms:.2} ms, \
-         forced scan {worst_off_ms:.2} ms — planner {worst_lift:.2}x the forced kernel"
+         auto {worst_planner_ms:.2} ms, forced kernel {worst_on_ms:.2} ms, \
+         forced scan {worst_off_ms:.2} ms — auto {worst_lift:.2}x the forced kernel"
     );
     for (name, out) in [
-        ("planner", &worst_planner_out),
+        ("auto", &worst_planner_out),
         ("forced-kernel", &worst_on_out),
         ("forced-scan", &worst_off_out),
     ] {
@@ -520,7 +485,7 @@ fn main() {
     for p in &points {
         if p.planner_ms > p.best_fixed_ms * 1.10 {
             eprintln!(
-                "REGRESSION: planner {:.2}x the best fixed strategy ({}) on `{}`",
+                "REGRESSION: auto {:.2}x the best fixed strategy ({}) on `{}`",
                 p.planner_ms / p.best_fixed_ms.max(1e-9),
                 p.best_fixed,
                 p.shape
@@ -528,22 +493,11 @@ fn main() {
             ok = false;
         }
     }
-    // Gate 2: strictly beats every fixed strategy on the mixed aggregate.
-    for (strategy, total) in fixed.iter().zip(&fixed_totals) {
-        if planner_total >= *total {
-            eprintln!(
-                "REGRESSION: fixed `{}` matched the planner on the mixed aggregate \
-                 ({total:.2} ms vs {planner_total:.2} ms)",
-                strategy.name
-            );
-            ok = false;
-        }
-    }
-    // Gate 3: the kernel's noise worst case is lifted to >= 1x by routing
-    // those masks to the scan.
+    // Gate 2: the kernel's noise worst case is lifted to >= 1x by scanning
+    // the masks that carry no grid.
     if worst_planner_ms > worst_on_ms {
         eprintln!(
-            "REGRESSION: planner did not lift the kernel's noise worst case \
+            "REGRESSION: auto did not lift the kernel's noise worst case \
              ({worst_planner_ms:.2} ms vs forced-kernel {worst_on_ms:.2} ms)"
         );
         ok = false;
@@ -555,8 +509,8 @@ fn main() {
     }
     if check {
         println!(
-            "check passed: planner within 10% of best fixed per shape, beats every fixed \
-             strategy on the mixed aggregate, noise worst case lifted to >= 1x"
+            "check passed: auto within 10% of best fixed per shape, noise worst case \
+             lifted to >= 1x"
         );
     }
 }

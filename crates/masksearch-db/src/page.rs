@@ -18,7 +18,7 @@ pub const DB_MAGIC: [u8; 4] = *b"MSDB";
 ///
 /// History: v1 — every commit rewrote the directory extent and this page;
 /// v2 — same layout, but the directory extent is as of the last checkpoint
-/// and the WAL carries directory deltas on top of it (see [`crate::wal`]).
+/// and the WAL carries directory deltas on top of it (see the `wal` module).
 /// The bump exists so a v1 build, which cannot replay deltas, refuses a v2
 /// database instead of serving a stale directory. v1 files open as they
 /// are and become v2 at their first checkpoint.

@@ -74,7 +74,7 @@
 //! 4. rewrites the advisory files (shape statistics, secondary-index
 //!    snapshots), whose staleness after a crash is harmless;
 //! 5. drops the WAL's transactions. An automatic checkpoint *recycles* the
-//!    log (see [`crate::wal`]): it zeroes the first frame's header and
+//!    log (see the `wal` module): it zeroes the first frame's header and
 //!    syncs, and the next commits overwrite the blocks the file already
 //!    owns, so their fsyncs allocate nothing; the previous generation's
 //!    frames left past the live tail are never replayed, because the
@@ -85,7 +85,7 @@
 //! ## Recovery
 //!
 //! One rule: replay the WAL's committed transactions in order (a torn tail
-//! is discarded, see [`crate::wal`]). Page images go to their pages; a
+//! is discarded, see the `wal` module). Page images go to their pages; a
 //! transaction carrying page 0 replaces the directory with the one it
 //! encodes; a delta applies on top. Deltas are idempotent over any later
 //! state of their own history, so replaying a log over a page file that a

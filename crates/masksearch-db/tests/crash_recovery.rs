@@ -372,7 +372,7 @@ fn commits_after_recovery_continue_the_history() {
 #[test]
 fn shape_stats_survive_checkpoint_and_torn_files_fall_back_to_defaults() {
     use masksearch_db::SHAPE_STATS_FILE;
-    use masksearch_obs::{CatalogStats, ShapeObservation};
+    use masksearch_obs::ShapeObservation;
 
     let src = temp_dir("stats-src");
     let shape = "filter/cp=1/roi=const/kernel=auto/idx=incremental";
@@ -393,25 +393,17 @@ fn shape_stats_survive_checkpoint_and_torn_files_fall_back_to_defaults() {
                 },
             );
         }
-        stats.record_catalog(&CatalogStats {
-            planned: 5,
-            kernel_on: 4,
-            reorders: 1,
-            ..Default::default()
-        });
         db.checkpoint().unwrap();
     }
     assert!(src.join(SHAPE_STATS_FILE).exists());
 
-    // Clean reopen: the persisted aggregates and catalog line survive.
+    // Clean reopen: the persisted aggregates survive.
     {
         let store = DurableMaskStore::open(&src, config()).unwrap();
         let stats = store.shape_stats().unwrap();
         let agg = stats.get(shape).expect("persisted shape aggregate");
         assert_eq!(agg.queries, 5);
         assert_eq!(agg.sums.candidates, 50);
-        assert_eq!(stats.catalog().planned, 5);
-        assert_eq!(stats.catalog().kernel_on, 4);
     }
 
     // A torn stats file (crash mid-write) must never block opening: every
@@ -433,9 +425,12 @@ fn shape_stats_survive_checkpoint_and_torn_files_fall_back_to_defaults() {
         let store = DurableMaskStore::open(&crash_dir, config()).unwrap();
         let stats = store.shape_stats().unwrap();
         // A truncated file may still end on a complete line boundary; the
-        // catalog totals monotonically bound the persisted ones either way,
+        // shape totals monotonically bound the persisted ones either way,
         // and a mid-line tear yields the default registry.
-        assert!(stats.catalog().planned <= 5, "prefix {len}");
+        assert!(
+            stats.get(shape).map_or(0, |a| a.queries) <= 5,
+            "prefix {len}"
+        );
         assert!(store.contains(MaskId::new(0)));
         assert_eq!(store.get(MaskId::new(0)).unwrap(), mask(0));
     }
@@ -446,7 +441,6 @@ fn shape_stats_survive_checkpoint_and_torn_files_fall_back_to_defaults() {
         let store = DurableMaskStore::open(&crash_dir, config()).unwrap();
         let stats = store.shape_stats().unwrap();
         assert!(stats.is_empty());
-        assert_eq!(stats.catalog(), CatalogStats::default());
     }
 
     fs::remove_dir_all(&src).unwrap();

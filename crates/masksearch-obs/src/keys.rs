@@ -42,14 +42,10 @@ pub const TILES_HIST: &str = "tiles_hist";
 pub const TILES_SCANNED: &str = "tiles_scanned";
 /// Mask pairs resolved by composed bounds without loading both masks.
 pub const PAIRS_BOUND: &str = "pairs_bound";
-/// Verified masks the planner routed through the tiled kernel.
+/// Loaded masks the plan routed through the tiled kernel.
 pub const PLANNER_KERNEL_ON: &str = "planner_kernel_on";
-/// Verified masks the planner routed to the reference scan.
+/// Loaded masks the plan routed to the reference scan.
 pub const PLANNER_KERNEL_OFF: &str = "planner_kernel_off";
-/// Pair candidates whose bounds pass the planner skipped (load-first).
-pub const PLANNER_BOUNDS_SKIPPED: &str = "planner_bounds_skipped";
-/// Queries whose CP comparisons the planner evaluated off written order.
-pub const PLANNER_REORDERS: &str = "planner_reorders";
 /// Secondary-index point probes issued during candidate resolution.
 pub const INDEX_PROBES: &str = "index_probes";
 /// Mask ids returned by secondary-index probes (before re-verification).
@@ -94,7 +90,7 @@ pub const WALL_US: &str = "wall_us";
 /// Both the shard-side `STATS` writer and the coordinator's merge draw from
 /// this one array, so a key added or renamed here changes every surface at
 /// once.
-pub const STATS_SUM_KEYS: [&str; 27] = [
+pub const STATS_SUM_KEYS: [&str; 25] = [
     QPS,
     COMPLETED,
     FAILED,
@@ -114,8 +110,6 @@ pub const STATS_SUM_KEYS: [&str; 27] = [
     PAIRS_BOUND,
     PLANNER_KERNEL_ON,
     PLANNER_KERNEL_OFF,
-    PLANNER_BOUNDS_SKIPPED,
-    PLANNER_REORDERS,
     INDEX_PROBES,
     INDEX_ROWS,
     PLANNER_INDEX_ON,
@@ -133,7 +127,7 @@ pub const STATS_MAX_KEYS: [&str; 2] = [P50_US, P99_US];
 /// started at server-zero equal the cumulative `STATS` values. Gauges
 /// (`queue_depth`, `active_connections`), rates (`qps`), percentiles, and
 /// the non-monotonic `wal_bytes` (it shrinks at checkpoint) are excluded.
-pub const MONITOR_DELTA_KEYS: [&str; 23] = [
+pub const MONITOR_DELTA_KEYS: [&str; 21] = [
     COMPLETED,
     FAILED,
     REJECTED,
@@ -151,8 +145,6 @@ pub const MONITOR_DELTA_KEYS: [&str; 23] = [
     PAIRS_BOUND,
     PLANNER_KERNEL_ON,
     PLANNER_KERNEL_OFF,
-    PLANNER_BOUNDS_SKIPPED,
-    PLANNER_REORDERS,
     INDEX_PROBES,
     INDEX_ROWS,
     PLANNER_INDEX_ON,

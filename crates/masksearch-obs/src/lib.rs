@@ -24,10 +24,9 @@
 //!   threshold.
 //! - [`ProfileRing`]: a bounded ring of recent query profiles, queryable
 //!   over the wire via `STATS PROFILES`.
-//! - [`ShapeStatsRegistry`]: per-query-shape aggregate statistics (observed
-//!   selectivity vs CHI decisiveness, kernel tile behaviour, verified
-//!   fraction) that persist at checkpoint alongside the CHI/tiles files —
-//!   the substrate the ROADMAP's cost-based planner will consume.
+//! - [`ShapeStatsRegistry`]: per-query-shape aggregate counters (candidates,
+//!   pruned / accepted / verified, masks loaded, kernel tile behaviour,
+//!   stage times) that persist at checkpoint alongside the CHI/tiles files.
 //! - [`TimeSeries`]: bounded rings of fixed-width time buckets over query
 //!   completions and the global counters, so windows of recent behaviour
 //!   (`METRICS WINDOW <secs>`) can be queried without external scraping.
@@ -56,7 +55,7 @@ pub use recorder::{
     fnv1a, read_recording, FlightRecorder, Fnv64, RecordKind, RecordedQuery, RecorderStatus,
     RECORDER_MAGIC,
 };
-pub use shape::{CatalogStats, ShapeAggregate, ShapeObservation, ShapeStatsRegistry};
+pub use shape::{ShapeAggregate, ShapeObservation, ShapeStatsRegistry};
 pub use slowlog::{escape_json, SlowQueryLog};
 pub use span::{
     add_counter, set_counter, span, trace, trace_active, SpanGuard, SpanNode, TraceGuard,

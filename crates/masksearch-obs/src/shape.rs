@@ -3,14 +3,15 @@
 //! A query *shape* is a normalized description of a query's structure (kind,
 //! number of CP terms, kernel on/off, ...) without its literal constants.
 //! For each shape the registry accumulates the executor's observed counters
-//! — how selective the predicate actually was, how decisive the CHI bounds
-//! were, how the verification kernel's tiles classified — which is exactly
-//! the substrate a cost-based planner needs: "for queries shaped like this,
-//! bounds usually resolve 97% of candidates; don't bother reordering".
+//! — how many candidates the CHI bounds pruned or accepted, how many masks
+//! were verified and loaded, how the verification kernel's tiles
+//! classified — as an observability record of the workload.
 //!
-//! The registry serializes to a versioned, line-oriented text format and is
-//! persisted by the durable store at checkpoint, next to the CHI and tile
-//! files, so the statistics survive restarts.
+//! The registry serializes to a line-oriented text format and is persisted
+//! by the durable store at checkpoint, next to the CHI and tile files, so
+//! the statistics survive restarts. Counters saturate, and loading keeps at
+//! most `MAX_SHAPES` shapes, so a damaged file can neither wrap a sum nor
+//! grow the registry without bound.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -53,114 +54,46 @@ pub struct ShapeAggregate {
 
 impl ShapeAggregate {
     fn add(&mut self, o: &ShapeObservation) {
-        self.queries += 1;
+        self.queries = self.queries.saturating_add(1);
         let s = &mut self.sums;
-        s.candidates += o.candidates;
-        s.rows += o.rows;
-        s.pruned += o.pruned;
-        s.accepted += o.accepted;
-        s.verified += o.verified;
-        s.masks_loaded += o.masks_loaded;
-        s.tiles_pruned += o.tiles_pruned;
-        s.tiles_hist += o.tiles_hist;
-        s.tiles_scanned += o.tiles_scanned;
-        s.filter_wall_us += o.filter_wall_us;
-        s.verify_wall_us += o.verify_wall_us;
-    }
-
-    /// Observed selectivity: result rows per candidate, in `[0, 1]`-ish
-    /// (grouped queries can exceed 1 when groups outnumber candidates;
-    /// callers treat this as a ratio, not a probability).
-    pub fn observed_selectivity(&self) -> f64 {
-        ratio(self.sums.rows, self.sums.candidates)
-    }
-
-    /// CHI decisiveness: fraction of candidates settled by bounds alone
-    /// (pruned or accepted without loading pixels). This is the planner's
-    /// "how often do the paper's bounds make the load unnecessary".
-    pub fn chi_decisiveness(&self) -> f64 {
-        ratio(self.sums.pruned + self.sums.accepted, self.sums.candidates)
-    }
-
-    /// Fraction of candidates that needed pixel verification.
-    pub fn verified_fraction(&self) -> f64 {
-        ratio(self.sums.verified, self.sums.candidates)
-    }
-
-    /// Fraction of kernel tiles resolved without a pixel scan (pruned or
-    /// answered from tile histograms) — the kernel's observed speedup
-    /// surface: 1.0 means no tile was ever scanned.
-    pub fn kernel_tile_ratio(&self) -> f64 {
-        let resolved = self.sums.tiles_pruned + self.sums.tiles_hist;
-        ratio(resolved, resolved + self.sums.tiles_scanned)
+        for (sum, value) in [
+            (&mut s.candidates, o.candidates),
+            (&mut s.rows, o.rows),
+            (&mut s.pruned, o.pruned),
+            (&mut s.accepted, o.accepted),
+            (&mut s.verified, o.verified),
+            (&mut s.masks_loaded, o.masks_loaded),
+            (&mut s.tiles_pruned, o.tiles_pruned),
+            (&mut s.tiles_hist, o.tiles_hist),
+            (&mut s.tiles_scanned, o.tiles_scanned),
+            (&mut s.filter_wall_us, o.filter_wall_us),
+            (&mut s.verify_wall_us, o.verify_wall_us),
+        ] {
+            *sum = sum.saturating_add(value);
+        }
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
-/// Catalog-level planner statistics: which strategies the cost-based
-/// planner chose across the whole catalog, and how far its selectivity
-/// estimates landed from the observed outcomes. Persisted in the same
-/// `masks.stats` file as the per-shape aggregates (the `catalog` line of
-/// the v2 format), so the planner's decision history survives restarts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CatalogStats {
-    /// Queries that went through the planner.
-    pub planned: u64,
-    /// Verified masks routed through the tiled kernel.
-    pub kernel_on: u64,
-    /// Verified masks routed to the reference scan.
-    pub kernel_off: u64,
-    /// Pair candidates whose bounds pass was skipped (load-first).
-    pub bounds_skipped: u64,
-    /// Queries whose comparisons were evaluated off written order.
-    pub reorders: u64,
-    /// Cumulative |estimated - observed| selectivity error, in 1/1000ths
-    /// (divide by `planned` for the mean estimation error; it shrinks as
-    /// the feedback loop refines the estimates).
-    pub est_error_milli: u64,
-}
-
-impl CatalogStats {
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &CatalogStats) {
-        self.planned += other.planned;
-        self.kernel_on += other.kernel_on;
-        self.kernel_off += other.kernel_off;
-        self.bounds_skipped += other.bounds_skipped;
-        self.reorders += other.reorders;
-        self.est_error_milli += other.est_error_milli;
-    }
-
-    /// Mean absolute selectivity-estimation error over planned queries.
-    pub fn mean_est_error(&self) -> f64 {
-        ratio(self.est_error_milli, self.planned) / 1000.0
-    }
-}
-
-const MAGIC_V1: &str = "masksearch-shape-stats v1";
-const MAGIC: &str = "masksearch-shape-stats v2";
-/// Key of the catalog-statistics line in the v2 format. Shape keys from
-/// `shape_key()` always contain `/`, so the bare word cannot collide.
+/// The format this registry writes.
+const MAGIC: &str = "masksearch-shape-stats v1";
+/// The format that added a `catalog` line of planner counters, still read
+/// (the line is skipped).
+const MAGIC_V2: &str = "masksearch-shape-stats v2";
+/// Key of the v2 format's catalog line. Shape keys from `shape_key()`
+/// always contain `/`, so the bare word cannot collide.
 const CATALOG_KEY: &str = "catalog";
+/// Numbers on the v2 catalog line.
+const CATALOG_FIELDS: usize = 6;
 /// Shapes tracked before new (never-seen) shapes are dropped instead of
-/// recorded. Query shapes are structural, so real workloads produce a few
-/// dozen; the cap is a backstop against a key-construction bug consuming
-/// unbounded memory.
+/// recorded or loaded. Query shapes are structural, so real workloads
+/// produce a few dozen; the cap is a backstop against a key-construction
+/// bug or a damaged file consuming unbounded memory.
 const MAX_SHAPES: usize = 4096;
 
-/// A concurrent registry of per-shape aggregates plus catalog-level
-/// planner statistics.
+/// A concurrent registry of per-shape aggregates.
 #[derive(Debug, Default)]
 pub struct ShapeStatsRegistry {
     shapes: Mutex<BTreeMap<String, ShapeAggregate>>,
-    catalog: Mutex<CatalogStats>,
 }
 
 impl ShapeStatsRegistry {
@@ -200,19 +133,6 @@ impl ShapeStatsRegistry {
             .copied()
     }
 
-    /// Folds one query's planner decisions into the catalog statistics.
-    pub fn record_catalog(&self, delta: &CatalogStats) {
-        self.catalog
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(delta);
-    }
-
-    /// The catalog-level planner statistics.
-    pub fn catalog(&self) -> CatalogStats {
-        *self.catalog.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Every shape and its aggregate, sorted by shape key.
     pub fn snapshot(&self) -> Vec<(String, ShapeAggregate)> {
         self.shapes
@@ -227,11 +147,6 @@ impl ShapeStatsRegistry {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = String::from(MAGIC);
         out.push('\n');
-        let c = self.catalog();
-        out.push_str(&format!(
-            "{CATALOG_KEY} {} {} {} {} {} {}\n",
-            c.planned, c.kernel_on, c.kernel_off, c.bounds_skipped, c.reorders, c.est_error_milli,
-        ));
         for (key, a) in self.snapshot() {
             let s = a.sums;
             out.push_str(&format!(
@@ -253,20 +168,19 @@ impl ShapeStatsRegistry {
         out.into_bytes()
     }
 
-    /// Deserializes a registry from [`ShapeStatsRegistry::to_bytes`] output.
-    /// Returns `None` on a magic/format mismatch (callers fall back to a
-    /// fresh registry, exactly like a missing file).
+    /// Deserializes a registry from [`ShapeStatsRegistry::to_bytes`] output
+    /// or from the v2 format, whose `catalog` line is checked and skipped.
+    /// Shapes past `MAX_SHAPES` are dropped. Returns `None` on a
+    /// magic/format mismatch (callers fall back to a fresh registry, exactly
+    /// like a missing file).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let text = std::str::from_utf8(bytes).ok()?;
         let mut lines = text.lines();
         let magic = lines.next()?;
-        // v1 files (written before the planner existed) carry no catalog
-        // line; everything else about the row format is unchanged.
-        if magic != MAGIC && magic != MAGIC_V1 {
+        if magic != MAGIC && magic != MAGIC_V2 {
             return None;
         }
         let mut shapes = BTreeMap::new();
-        let mut catalog = CatalogStats::default();
         for line in lines {
             if line.is_empty() {
                 continue;
@@ -275,14 +189,9 @@ impl ShapeStatsRegistry {
             let key = parts.next()?.to_string();
             let mut next = || parts.next().and_then(|v| v.parse::<u64>().ok());
             if key == CATALOG_KEY {
-                catalog = CatalogStats {
-                    planned: next()?,
-                    kernel_on: next()?,
-                    kernel_off: next()?,
-                    bounds_skipped: next()?,
-                    reorders: next()?,
-                    est_error_milli: next()?,
-                };
+                for _ in 0..CATALOG_FIELDS {
+                    next()?;
+                }
                 continue;
             }
             let aggregate = ShapeAggregate {
@@ -301,34 +210,13 @@ impl ShapeStatsRegistry {
                     verify_wall_us: next()?,
                 },
             };
-            shapes.insert(key, aggregate);
+            if shapes.len() < MAX_SHAPES || shapes.contains_key(&key) {
+                shapes.insert(key, aggregate);
+            }
         }
         Some(Self {
             shapes: Mutex::new(shapes),
-            catalog: Mutex::new(catalog),
         })
-    }
-
-    /// Renders the registry as human/wire-readable lines (one per shape)
-    /// with the derived planner ratios.
-    pub fn render(&self) -> Vec<String> {
-        self.snapshot()
-            .into_iter()
-            .map(|(key, a)| {
-                format!(
-                    "shape {key} queries={} selectivity={:.4} chi_decisiveness={:.4} \
-                     verified_fraction={:.4} kernel_tile_ratio={:.4} mean_filter_us={} \
-                     mean_verify_us={}",
-                    a.queries,
-                    a.observed_selectivity(),
-                    a.chi_decisiveness(),
-                    a.verified_fraction(),
-                    a.kernel_tile_ratio(),
-                    a.sums.filter_wall_us / a.queries.max(1),
-                    a.sums.verify_wall_us / a.queries.max(1),
-                )
-            })
-            .collect()
     }
 }
 
@@ -360,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_accumulate_and_derive_ratios() {
+    fn aggregates_accumulate_per_shape() {
         let reg = ShapeStatsRegistry::new();
         reg.record("filter/cp=1", &observation(100, 10));
         reg.record("filter/cp=1", &observation(100, 30));
@@ -369,9 +257,8 @@ mod tests {
         let a = reg.get("filter/cp=1").unwrap();
         assert_eq!(a.queries, 2);
         assert_eq!(a.sums.candidates, 200);
-        assert!((a.observed_selectivity() - 0.2).abs() < 1e-12);
-        assert!(a.chi_decisiveness() > 0.5);
-        assert!((a.kernel_tile_ratio() - 0.75).abs() < 1e-12);
+        assert_eq!(a.sums.rows, 40);
+        assert_eq!(a.sums.tiles_scanned, 10);
     }
 
     #[test]
@@ -379,36 +266,32 @@ mod tests {
         let reg = ShapeStatsRegistry::new();
         reg.record("filter/cp=1/kernel=on", &observation(100, 10));
         reg.record("pair top-k", &observation(40, 4)); // whitespace in key
-        reg.record_catalog(&CatalogStats {
-            planned: 7,
-            kernel_on: 5,
-            kernel_off: 2,
-            bounds_skipped: 3,
-            reorders: 1,
-            est_error_milli: 450,
-        });
         let bytes = reg.to_bytes();
+        assert!(bytes.starts_with(MAGIC.as_bytes()));
         let back = ShapeStatsRegistry::from_bytes(&bytes).expect("parse back");
         assert_eq!(back.snapshot(), reg.snapshot());
         assert!(back.get("pair_top-k").is_some());
-        assert_eq!(back.catalog(), reg.catalog());
-        assert!((back.catalog().mean_est_error() - 0.45 / 7.0).abs() < 1e-12);
     }
 
     #[test]
-    fn v1_files_load_with_default_catalog_stats() {
-        // A registry persisted before the planner existed: same row format
-        // under the v1 magic, no catalog line.
-        let text = "masksearch-shape-stats v1\n\
+    fn v2_files_load_their_shapes_and_skip_the_catalog_line() {
+        // A registry persisted with the catalog line of planner counters:
+        // same row format under the v2 magic.
+        let text = "masksearch-shape-stats v2\n\
+                    catalog 7 5 2 3 1 450\n\
                     filter/cp=1 1 100 10 88 1 1 1 10 5 5 100 300\n";
-        let back = ShapeStatsRegistry::from_bytes(text.as_bytes()).expect("v1 parses");
+        let back = ShapeStatsRegistry::from_bytes(text.as_bytes()).expect("v2 parses");
         assert_eq!(back.len(), 1);
-        assert_eq!(back.catalog(), CatalogStats::default());
+        let a = back.get("filter/cp=1").unwrap();
+        assert_eq!(
+            (a.queries, a.sums.candidates, a.sums.verify_wall_us),
+            (1, 100, 300)
+        );
     }
 
     #[test]
     fn torn_catalog_lines_reject_the_file() {
-        let text = format!("{MAGIC}\n{CATALOG_KEY} 1 2 3\n");
+        let text = format!("{MAGIC_V2}\n{CATALOG_KEY} 1 2 3\n");
         assert!(ShapeStatsRegistry::from_bytes(text.as_bytes()).is_none());
     }
 
@@ -422,12 +305,24 @@ mod tests {
     }
 
     #[test]
-    fn render_lines_carry_planner_ratios() {
-        let reg = ShapeStatsRegistry::new();
-        reg.record("agg/cp=1", &observation(100, 10));
-        let lines = reg.render();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("shape agg/cp=1 queries=1"));
-        assert!(lines[0].contains("selectivity=0.1000"));
+    fn damaged_files_neither_overflow_sums_nor_exceed_the_shape_cap() {
+        // Counters at u64::MAX: the next record saturates instead of
+        // overflowing.
+        let max = u64::MAX;
+        let text = format!("{MAGIC}\nfilter/cp=1{}\n", format!(" {max}").repeat(12));
+        let reg = ShapeStatsRegistry::from_bytes(text.as_bytes()).expect("parses");
+        reg.record("filter/cp=1", &observation(100, 10));
+        let a = reg.get("filter/cp=1").unwrap();
+        assert_eq!(a.queries, max);
+        assert_eq!(a.sums.candidates, max);
+        assert_eq!(a.sums.verify_wall_us, max);
+
+        // More shape lines than the cap: loading stops at the cap.
+        let mut text = format!("{MAGIC}\n");
+        for i in 0..MAX_SHAPES + 10 {
+            text.push_str(&format!("shape/{i} 1 1 1 1 1 1 1 1 1 1 1 1\n"));
+        }
+        let reg = ShapeStatsRegistry::from_bytes(text.as_bytes()).expect("parses");
+        assert_eq!(reg.len(), MAX_SHAPES);
     }
 }

@@ -1,80 +1,32 @@
-//! The cost-based query planner: selectivity estimation and strategy choice.
+//! The two strategy choices MaskSearch still makes at run time, as pure
+//! functions.
 //!
-//! MaskSearch executors implement several *exact-equivalent* strategies for
-//! the same query: CP comparisons of a predicate can have their CHI bounds
-//! computed in any order (three-valued evaluation is monotone, so an early
-//! `True`/`False` is final), the verification kernel and the reference scan
-//! return byte-identical counts, the pair executor's bounds pass is a pure
-//! pruning optimization over load-everything, and the cluster's single-round
-//! and threshold top-k merges both produce the exact global top-k. Which
-//! strategy is *fastest* depends on the data: the kernel loses ~15% on
-//! noise-like masks with bin-unaligned ranges (every tile falls back to a
-//! pixel scan), and the pair bounds pass loses ~6% when the observed
-//! verified fraction reaches 1.0 (nothing prunes, the pass is pure
-//! overhead).
+//! The paper's execution is filter-verify over the CHI with no cost model
+//! (§3). Two places choose between *byte-identical* strategies: the
+//! verification of a loaded mask (the tiled kernel or the reference scan
+//! return the same counts) and the cluster's top-k merge (single-round and
+//! threshold merges both produce the exact global top-k). Both choices
+//! read only what the code can observe directly — whether a mask already
+//! carries its tile grid, and the request fan-out — so a wrong choice can
+//! cost time but never rows.
 //!
-//! This crate is the *cost model*: pure functions from features — CHI
-//! tail-count bounds, tile-summary alignment, and the observed per-shape
-//! aggregates of [`masksearch_obs::ShapeStatsRegistry`] — to strategy
-//! decisions. It deliberately knows nothing about queries, sessions, or
-//! storage; `masksearch-query` extracts the features and executes whatever
-//! this crate picks. Because every choice selects among byte-identical
-//! strategies, a planner bug can cost time but never correctness (the
-//! differential suite in `masksearch-query` proves this).
-//!
-//! Estimates start from the CHI: a comparison's sampled bound interval
-//! classifies candidates into definitely-true / definitely-false /
-//! unknown, giving both an estimated selectivity (§3.2's filter step run on
-//! a sample) and a *gap fraction* — how wide the bounds are relative to the
-//! ROI area, which is the same smoothness signal that predicts whether tile
-//! min/max summaries will prune. Observed [`ShapeAggregate`]s then refine
-//! the estimates query over query; the aggregates are persisted in
-//! `masks.stats` at checkpoint, so the profile survives restarts.
+//! Grids come from the write path's pixel pass; a durable store seeds each
+//! loaded mask with its persisted grid. Under [`KernelMode::Auto`] a mask
+//! that has one is counted by the kernel and a mask that has none by the
+//! scan, so no statement ever pays to build a grid.
 
-use masksearch_core::{PixelRange, TILE_BINS};
-use masksearch_obs::ShapeAggregate;
-
-/// Feedback below this many observed queries of a shape is ignored: a single
-/// unlucky query must not lock the planner into a strategy.
-pub const MIN_FEEDBACK_QUERIES: u64 = 3;
-
-/// Candidates sampled per query for cold-start estimates. Sampling is a few
-/// CHI region queries per candidate — microseconds against catalogs of
-/// thousands — so a small constant suffices.
-pub const SAMPLE_TARGET: usize = 8;
-
-/// Every this-many queries of a shape, a skippable stage runs anyway so the
-/// observed statistics keep tracking the data (otherwise "skip the bounds
-/// pass" would freeze `verified_fraction` at 1.0 forever).
-pub const REPROBE_PERIOD: u64 = 16;
-
-/// Bound-gap fraction above which a mask is treated as noise-like: its tile
-/// min/max summaries span the whole value domain, so an unaligned range
-/// forces a pixel scan of every tile and the kernel's bookkeeping is pure
-/// overhead (the measured 0.85x worst case).
-pub const NOISE_GAP_THRESHOLD: f64 = 0.5;
-
-/// Observed verified fraction at or above which the pair bounds pass is
-/// predicted useless and skipped (the measured 0.94x worst case).
-pub const LOAD_FIRST_THRESHOLD: f64 = 0.95;
-
-/// Observed fraction of kernel tiles resolved without a pixel scan below
-/// which the kernel is predicted to lose to the reference scan.
-pub const KERNEL_TILE_RATIO_FLOOR: f64 = 0.05;
-
-/// Session-level override for the verification-kernel choice.
+/// Session-level policy for the verification kernel.
 ///
-/// `ForceOn`/`ForceOff` reproduce the old boolean `use_tiled_kernel`
-/// semantics exactly; `Auto` (the default) lets the planner choose per mask.
-/// Counts are byte-identical under every mode — the override exists for
-/// benchmarking, conformance tests, and operators who have already measured
-/// their workload.
+/// Counts are byte-identical under every mode; forcing exists for
+/// benchmarking and conformance tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelMode {
-    /// The planner decides per mask from tile-summary features.
+    /// A mask that already carries its tile grid takes the kernel; any
+    /// other mask takes the scan.
     #[default]
     Auto,
-    /// Always route verification through the tiled kernel.
+    /// Always route verification through the tiled kernel (building a grid
+    /// on a mask that has none).
     ForceOn,
     /// Always use the reference batched scan.
     ForceOff,
@@ -82,7 +34,7 @@ pub enum KernelMode {
 
 impl KernelMode {
     /// Stable lowercase label (`auto` / `on` / `off`) used in shape keys and
-    /// EXPLAIN output.
+    /// plan signatures.
     pub fn label(&self) -> &'static str {
         match self {
             KernelMode::Auto => "auto",
@@ -90,237 +42,15 @@ impl KernelMode {
             KernelMode::ForceOff => "off",
         }
     }
-}
 
-/// Session-level override for the pair executor's stage order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PairMode {
-    /// The planner decides from the estimated verified fraction.
-    #[default]
-    Auto,
-    /// Always run the composed-bounds pass before loading masks.
-    ForceBounds,
-    /// Always load and verify every bound pair (skip the bounds pass).
-    ForceLoad,
-}
-
-/// The planner's kernel decision, resolved per mask at verification time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KernelChoice {
-    /// Forced by [`KernelMode`]: no per-mask resolution.
-    Forced(bool),
-    /// Chosen per mask: `aligned` ranges always take the kernel (interior
-    /// tiles answer from histograms regardless of mask content); unaligned
-    /// ranges consult the mask's own bound-gap fraction against
-    /// [`NOISE_GAP_THRESHOLD`], falling back to `default_on` (the sampled /
-    /// observed estimate) when the mask has no CHI.
-    Auto {
-        /// Every CP range in the query lands on tile-histogram bin edges.
-        aligned: bool,
-        /// Decision when a mask offers no per-mask evidence.
-        default_on: bool,
-    },
-}
-
-impl KernelChoice {
-    /// The decision when it does not depend on the individual mask, if any.
-    pub fn static_decision(&self) -> Option<bool> {
-        match *self {
-            KernelChoice::Forced(on) => Some(on),
-            KernelChoice::Auto { aligned: true, .. } => Some(true),
-            KernelChoice::Auto { aligned: false, .. } => None,
-        }
-    }
-
-    /// Resolves the choice for one mask. `gap_fraction` is the mask's mean
-    /// CHI bound gap relative to ROI area ([`TermStats::mean_gap`]), `None`
-    /// when the mask has no CHI yet.
-    pub fn decide(&self, gap_fraction: Option<f64>) -> bool {
-        match *self {
-            KernelChoice::Forced(on) => on,
-            KernelChoice::Auto {
-                aligned,
-                default_on,
-            } => {
-                if aligned {
-                    true
-                } else {
-                    match gap_fraction {
-                        Some(gap) => gap < NOISE_GAP_THRESHOLD,
-                        None => default_on,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Stable label for EXPLAIN / slow-log signatures.
-    pub fn label(&self) -> &'static str {
+    /// Whether a mask is counted by the tiled kernel under this mode, given
+    /// whether it already carries its tile grid.
+    pub fn kernel_on(&self, has_grid: bool) -> bool {
         match self {
-            KernelChoice::Forced(true) => "tiled",
-            KernelChoice::Forced(false) => "scan",
-            KernelChoice::Auto {
-                default_on: true, ..
-            } => "auto:tiled",
-            KernelChoice::Auto {
-                default_on: false, ..
-            } => "auto:scan",
+            KernelMode::Auto => has_grid,
+            KernelMode::ForceOn => true,
+            KernelMode::ForceOff => false,
         }
-    }
-}
-
-/// Returns `true` if the range's bounds both land exactly on tile-histogram
-/// bin edges `i / TILE_BINS`, which lets every interior tile answer from its
-/// cumulative histogram regardless of mask content. This mirrors the
-/// kernel's own (private) edge test: `bound * TILE_BINS` is exact because
-/// `TILE_BINS` is a power of two.
-pub fn range_is_bin_aligned(range: &PixelRange) -> bool {
-    let edge = |bound: f32| {
-        let scaled = bound * TILE_BINS as f32;
-        scaled >= 0.0 && scaled <= TILE_BINS as f32 && scaled == scaled.floor()
-    };
-    edge(range.lo()) && edge(range.hi())
-}
-
-/// Per-comparison statistics from the plan-time candidate sample: how the
-/// CHI bound interval classified each sampled candidate, plus the mean
-/// bound-gap fraction (interval width over ROI area).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TermStats {
-    /// Sampled candidates the bounds proved satisfying.
-    pub trues: u32,
-    /// Sampled candidates the bounds proved failing.
-    pub falses: u32,
-    /// Sampled candidates the bounds left undecided.
-    pub unknowns: u32,
-    /// Sum of per-candidate `(upper - lower) / roi_area` gap fractions.
-    pub gap_sum: f64,
-}
-
-impl TermStats {
-    /// Number of candidates sampled.
-    pub fn sampled(&self) -> u32 {
-        self.trues + self.falses + self.unknowns
-    }
-
-    /// Estimated selectivity: expected fraction of candidates satisfying the
-    /// comparison, counting undecided candidates as a coin flip. `0.5` when
-    /// nothing was sampled (no evidence, no preference).
-    pub fn est_selectivity(&self) -> f64 {
-        let n = self.sampled();
-        if n == 0 {
-            return 0.5;
-        }
-        (self.trues as f64 + 0.5 * self.unknowns as f64) / n as f64
-    }
-
-    /// Fraction of sampled candidates the bounds decided outright.
-    pub fn decisiveness(&self) -> f64 {
-        let n = self.sampled();
-        if n == 0 {
-            return 0.0;
-        }
-        (self.trues + self.falses) as f64 / n as f64
-    }
-
-    /// Mean bound-gap fraction over the sample: near 0 for smooth masks
-    /// (cells lie wholly in or out of the range), near 1 for noise.
-    pub fn mean_gap(&self) -> f64 {
-        let n = self.sampled();
-        if n == 0 {
-            return 1.0;
-        }
-        (self.gap_sum / n as f64).clamp(0.0, 1.0)
-    }
-}
-
-/// Orders comparison indexes most-selective-first (ascending estimated
-/// selectivity, stable on ties so equal estimates keep written order).
-///
-/// Three-valued predicate evaluation is monotone: once the partially-bound
-/// predicate evaluates `True` or `False`, the remaining comparisons cannot
-/// change it — so computing the comparison most likely to *decide* first
-/// skips the most CHI work. Cost order only: the executor still supplies
-/// values in written order, so results are byte-identical.
-pub fn order_terms(estimates: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..estimates.len()).collect();
-    // Distance from decisive: a comparison near 0 (mostly false) or near 1
-    // (mostly true) is likely to settle an AND / OR early; 0.5 decides
-    // nothing. Most workloads filter (AND of selective comparisons), so ties
-    // between "mostly false" and "mostly true" break toward the smaller
-    // selectivity.
-    order.sort_by(|&a, &b| {
-        let decisive = |s: f64| (s - 0.5).abs();
-        decisive(estimates[b])
-            .partial_cmp(&decisive(estimates[a]))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                estimates[a]
-                    .partial_cmp(&estimates[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then(a.cmp(&b))
-    });
-    order
-}
-
-/// Chooses the kernel strategy from the session override, the query's range
-/// alignment, the sampled gap fraction, and (when mature) the shape's
-/// observed tile-resolution ratio.
-pub fn choose_kernel(
-    mode: KernelMode,
-    aligned: bool,
-    sampled_gap: Option<f64>,
-    feedback: Option<&ShapeAggregate>,
-) -> KernelChoice {
-    match mode {
-        KernelMode::ForceOn => KernelChoice::Forced(true),
-        KernelMode::ForceOff => KernelChoice::Forced(false),
-        KernelMode::Auto => {
-            let default_on = observed_kernel_ratio(feedback)
-                .map(|ratio| ratio >= KERNEL_TILE_RATIO_FLOOR)
-                .or_else(|| sampled_gap.map(|gap| gap < NOISE_GAP_THRESHOLD))
-                .unwrap_or(true);
-            KernelChoice::Auto {
-                aligned,
-                default_on,
-            }
-        }
-    }
-}
-
-/// The observed fraction of kernel tiles resolved without a pixel scan, but
-/// only when the kernel actually ran under this shape: a shape whose queries
-/// all chose the scan has zero tile counters, and reading that as "ratio 0,
-/// keep the kernel off" would lock the decision in forever.
-fn observed_kernel_ratio(feedback: Option<&ShapeAggregate>) -> Option<f64> {
-    let agg = feedback?;
-    let touched = agg.sums.tiles_pruned + agg.sums.tiles_hist + agg.sums.tiles_scanned;
-    if agg.queries >= MIN_FEEDBACK_QUERIES && touched > 0 {
-        Some(agg.kernel_tile_ratio())
-    } else {
-        None
-    }
-}
-
-/// Chooses load-first (skip the pair bounds pass) when the shape's observed
-/// verified fraction predicts the pass will prune nothing. Every
-/// [`REPROBE_PERIOD`]-th query runs bounds-first anyway so the estimate
-/// keeps tracking the data.
-pub fn choose_load_first(mode: PairMode, feedback: Option<&ShapeAggregate>) -> bool {
-    match mode {
-        PairMode::ForceBounds => false,
-        PairMode::ForceLoad => true,
-        PairMode::Auto => match feedback {
-            Some(agg)
-                if agg.queries >= MIN_FEEDBACK_QUERIES
-                    && agg.queries % REPROBE_PERIOD != 0
-                    && agg.sums.candidates > 0 =>
-            {
-                agg.verified_fraction() >= LOAD_FIRST_THRESHOLD
-            }
-            _ => false,
-        },
     }
 }
 
@@ -348,93 +78,9 @@ pub fn choose_single_round(k: usize, shards: usize, observed_avg_rounds: Option<
     }
 }
 
-/// A query's plan: which exact strategy runs at each decision point, plus
-/// the estimates that picked it (surfaced by `EXPLAIN`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryPlan {
-    /// Cost order over the predicate's comparisons (most decisive first);
-    /// identity when nothing was worth reordering.
-    pub term_order: Vec<usize>,
-    /// Estimated selectivity per comparison, in *written* order.
-    pub term_estimates: Vec<f64>,
-    /// Estimated selectivity of the whole predicate over the sample.
-    pub est_selectivity: f64,
-    /// Kernel strategy (decision b).
-    pub kernel: KernelChoice,
-    /// Pair queries: skip the bounds pass and load every pair (decision c).
-    pub load_first: bool,
-}
-
-impl QueryPlan {
-    /// A plan that reproduces the fixed pre-planner pipeline: written term
-    /// order, forced kernel, bounds-first.
-    pub fn fixed(kernel_on: bool) -> Self {
-        Self {
-            term_order: Vec::new(),
-            term_estimates: Vec::new(),
-            est_selectivity: 0.5,
-            kernel: KernelChoice::Forced(kernel_on),
-            load_first: false,
-        }
-    }
-
-    /// Returns `true` if the planner moved any comparison off its written
-    /// position.
-    pub fn reordered(&self) -> bool {
-        self.term_order
-            .iter()
-            .enumerate()
-            .any(|(position, &index)| position != index)
-    }
-
-    /// Compact strategy signature for the slow-query log and EXPLAIN:
-    /// `kernel=<choice> bounds=<first|skipped> order=<permutation|written>`.
-    pub fn signature(&self) -> String {
-        let order = if self.reordered() {
-            self.term_order
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        } else {
-            "written".to_string()
-        };
-        format!(
-            "kernel={} bounds={} order={}",
-            self.kernel.label(),
-            if self.load_first { "skipped" } else { "first" },
-            order,
-        )
-    }
-}
-
-impl Default for QueryPlan {
-    fn default() -> Self {
-        Self {
-            term_order: Vec::new(),
-            term_estimates: Vec::new(),
-            est_selectivity: 0.5,
-            kernel: KernelChoice::Auto {
-                aligned: false,
-                default_on: true,
-            },
-            load_first: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masksearch_obs::{ShapeObservation, ShapeStatsRegistry};
-
-    fn aggregate(queries: u64, observation: ShapeObservation) -> ShapeAggregate {
-        let reg = ShapeStatsRegistry::new();
-        for _ in 0..queries {
-            reg.record("s", &observation);
-        }
-        reg.get("s").unwrap()
-    }
 
     #[test]
     fn kernel_mode_labels_are_stable() {
@@ -445,154 +91,17 @@ mod tests {
     }
 
     #[test]
-    fn bin_alignment_mirrors_the_kernel_edge_test() {
-        let aligned = PixelRange::new(0.5, 0.75).unwrap();
-        assert!(range_is_bin_aligned(&aligned));
-        // 1/16-granular edges are exactly representable.
-        assert!(range_is_bin_aligned(&PixelRange::new(0.0625, 1.0).unwrap()));
-        let unaligned = PixelRange::new(0.3, 0.7).unwrap();
-        assert!(!range_is_bin_aligned(&unaligned));
-        assert!(!range_is_bin_aligned(&PixelRange::new(0.5, 0.71).unwrap()));
-    }
-
-    #[test]
-    fn term_stats_derive_selectivity_decisiveness_and_gap() {
-        let stats = TermStats {
-            trues: 2,
-            falses: 5,
-            unknowns: 1,
-            gap_sum: 0.8,
-        };
-        assert_eq!(stats.sampled(), 8);
-        assert!((stats.est_selectivity() - 2.5 / 8.0).abs() < 1e-12);
-        assert!((stats.decisiveness() - 7.0 / 8.0).abs() < 1e-12);
-        assert!((stats.mean_gap() - 0.1).abs() < 1e-12);
-        // No evidence: neutral selectivity, maximal gap.
-        let empty = TermStats::default();
-        assert_eq!(empty.est_selectivity(), 0.5);
-        assert_eq!(empty.mean_gap(), 1.0);
-    }
-
-    #[test]
-    fn order_puts_decisive_terms_first_and_is_stable() {
-        // 0.9 and 0.1 are equally decisive; the tie breaks toward the
-        // smaller selectivity (prune-first), then written order.
-        assert_eq!(order_terms(&[0.5, 0.9, 0.1]), vec![2, 1, 0]);
-        assert_eq!(order_terms(&[0.4, 0.4, 0.4]), vec![0, 1, 2]);
-        assert_eq!(order_terms(&[]), Vec::<usize>::new());
-        assert_eq!(order_terms(&[0.3]), vec![0]);
-    }
-
-    #[test]
     fn forced_kernel_modes_ignore_every_feature() {
-        let on = choose_kernel(KernelMode::ForceOn, false, Some(1.0), None);
-        assert_eq!(on.static_decision(), Some(true));
-        assert!(on.decide(Some(1.0)));
-        let off = choose_kernel(KernelMode::ForceOff, true, Some(0.0), None);
-        assert_eq!(off.static_decision(), Some(false));
-        assert!(!off.decide(Some(0.0)));
+        for has_grid in [false, true] {
+            assert!(KernelMode::ForceOn.kernel_on(has_grid));
+            assert!(!KernelMode::ForceOff.kernel_on(has_grid));
+        }
     }
 
     #[test]
-    fn auto_kernel_prefers_aligned_ranges_then_gap() {
-        let aligned = choose_kernel(KernelMode::Auto, true, Some(1.0), None);
-        assert_eq!(aligned.static_decision(), Some(true));
-        assert!(aligned.decide(Some(1.0)));
-
-        let unaligned = choose_kernel(KernelMode::Auto, false, Some(0.9), None);
-        assert_eq!(unaligned.static_decision(), None);
-        // Per-mask gap overrides the default; a smooth mask still takes the
-        // kernel under a noise-dominated sample.
-        assert!(unaligned.decide(Some(0.1)));
-        assert!(!unaligned.decide(Some(0.9)));
-        assert!(!unaligned.decide(None), "noisy sample sets default off");
-
-        let smooth = choose_kernel(KernelMode::Auto, false, Some(0.1), None);
-        assert!(smooth.decide(None), "smooth sample sets default on");
-    }
-
-    #[test]
-    fn kernel_feedback_requires_tiles_to_have_run() {
-        // Mature feedback where the kernel scanned everything: default off.
-        let noisy = aggregate(
-            5,
-            ShapeObservation {
-                candidates: 100,
-                verified: 100,
-                tiles_scanned: 1000,
-                ..Default::default()
-            },
-        );
-        let choice = choose_kernel(KernelMode::Auto, false, Some(0.1), Some(&noisy));
-        assert!(!choice.decide(None), "observed ratio 0 beats the sample");
-
-        // Feedback with zero tile counters (kernel never ran): no lock-in,
-        // the sampled gap decides.
-        let scan_only = aggregate(
-            5,
-            ShapeObservation {
-                candidates: 100,
-                verified: 100,
-                ..Default::default()
-            },
-        );
-        let choice = choose_kernel(KernelMode::Auto, false, Some(0.1), Some(&scan_only));
-        assert!(choice.decide(None));
-
-        // Immature feedback is ignored.
-        let young = aggregate(
-            1,
-            ShapeObservation {
-                candidates: 10,
-                tiles_scanned: 100,
-                ..Default::default()
-            },
-        );
-        let choice = choose_kernel(KernelMode::Auto, false, Some(0.1), Some(&young));
-        assert!(choice.decide(None));
-    }
-
-    #[test]
-    fn load_first_needs_mature_saturated_feedback() {
-        assert!(!choose_load_first(PairMode::Auto, None));
-        let saturated = aggregate(
-            5,
-            ShapeObservation {
-                candidates: 100,
-                verified: 100,
-                ..Default::default()
-            },
-        );
-        assert!(choose_load_first(PairMode::Auto, Some(&saturated)));
-        let decisive = aggregate(
-            5,
-            ShapeObservation {
-                candidates: 100,
-                verified: 10,
-                pruned: 90,
-                ..Default::default()
-            },
-        );
-        assert!(!choose_load_first(PairMode::Auto, Some(&decisive)));
-        // Overrides win regardless of evidence.
-        assert!(!choose_load_first(PairMode::ForceBounds, Some(&saturated)));
-        assert!(choose_load_first(PairMode::ForceLoad, None));
-    }
-
-    #[test]
-    fn reprobe_periodically_runs_bounds_first_again() {
-        let observation = ShapeObservation {
-            candidates: 10,
-            verified: 10,
-            ..Default::default()
-        };
-        let at_period = aggregate(REPROBE_PERIOD, observation);
-        assert!(
-            !choose_load_first(PairMode::Auto, Some(&at_period)),
-            "query {REPROBE_PERIOD} re-probes"
-        );
-        let past_period = aggregate(REPROBE_PERIOD + 1, observation);
-        assert!(choose_load_first(PairMode::Auto, Some(&past_period)));
+    fn auto_kernel_follows_the_tile_grid() {
+        assert!(KernelMode::Auto.kernel_on(true));
+        assert!(!KernelMode::Auto.kernel_on(false));
     }
 
     #[test]
@@ -606,23 +115,5 @@ mod tests {
         // ... unless observed rounds say refinement rarely converges.
         assert!(choose_single_round(100, 4, Some(2.0)));
         assert!(!choose_single_round(100, 4, Some(1.1)));
-    }
-
-    #[test]
-    fn plan_signature_and_reorder_flag() {
-        let mut plan = QueryPlan::default();
-        assert!(!plan.reordered());
-        assert_eq!(
-            plan.signature(),
-            "kernel=auto:tiled bounds=first order=written"
-        );
-        plan.term_order = vec![1, 0];
-        plan.load_first = true;
-        plan.kernel = KernelChoice::Forced(false);
-        assert!(plan.reordered());
-        assert_eq!(plan.signature(), "kernel=scan bounds=skipped order=1,0");
-        let fixed = QueryPlan::fixed(true);
-        assert!(!fixed.reordered());
-        assert_eq!(fixed.kernel.static_decision(), Some(true));
     }
 }

@@ -8,7 +8,7 @@
 //! regions of an ROI on masks of one shape — and evaluates a candidate into
 //! scratch it owns. What is left per candidate is resolving the ROIs in
 //! written order (so the first term that cannot be resolved is the error,
-//! whatever the cost order skips), a few loads from the mask's cells per
+//! whatever the bounding order skips), a few loads from the mask's cells per
 //! term, and the interval arithmetic of the expression.
 
 use crate::error::{QueryError, QueryResult};
@@ -222,9 +222,9 @@ pub fn predicate_exact(
     Ok(predicate.eval_exact(&values))
 }
 
-/// The single-mask bounds of one statement — a filter predicate with the
-/// planner's cost order, or one ranked expression — compiled once and
-/// evaluated candidate after candidate without allocating.
+/// The single-mask bounds of one statement — a filter predicate, or one
+/// ranked expression — compiled once and evaluated candidate after
+/// candidate without allocating.
 ///
 /// The bounds are exactly `Chi::cp_bounds` of every term (the same function
 /// computes them), combined by [`Expr::evaluate_bounds`] and
@@ -244,7 +244,6 @@ pub struct CompiledBounds<'q> {
     rois: Vec<Roi>,
     term_intervals: Vec<Interval>,
     intervals: Vec<Interval>,
-    gaps: Vec<f64>,
 }
 
 impl<'q> CompiledBounds<'q> {
@@ -272,14 +271,12 @@ impl<'q> CompiledBounds<'q> {
             rois: Vec::new(),
             term_intervals: Vec::new(),
             intervals: Vec::new(),
-            gaps: Vec::new(),
         }
     }
 
-    /// Compiles a filter predicate whose comparisons are bounded in the
-    /// planner's cost `order`. An `order` that is not a permutation of the
-    /// comparisons is replaced by the written order (never wrong, just not
-    /// the cheapest first).
+    /// Compiles a filter predicate whose comparisons are bounded in
+    /// `order`. An `order` that is not a permutation of the comparisons
+    /// (the filter stage passes none) is replaced by the written order.
     pub fn predicate(predicate: &'q Predicate, order: &[usize], object_box_fallback: bool) -> Self {
         let comparisons = predicate.comparisons();
         let mut compiled = Self::new(
@@ -305,7 +302,7 @@ impl<'q> CompiledBounds<'q> {
 
     /// Resolves every term's ROI for `record`, in written order: the first
     /// term that cannot be resolved is the error, whichever comparison the
-    /// cost order would have bounded first or an early exit skipped.
+    /// compiled order would have bounded first or an early exit skipped.
     fn resolve(&mut self, record: &MaskRecord) -> QueryResult<()> {
         self.rois.clear();
         for (term, _) in &self.terms {
@@ -330,8 +327,8 @@ impl<'q> CompiledBounds<'q> {
 
     /// Three-valued truth of the compiled predicate from one mask's CHI.
     ///
-    /// Comparisons are bounded in the cost order and the rest skipped once
-    /// the partly bounded predicate is decided. The result is that of
+    /// Comparisons are bounded in the compiled order and the rest skipped
+    /// once the partly bounded predicate is decided. The result is that of
     /// bounding them all: a skipped comparison contributes the unbounded
     /// interval, which evaluates `Unknown`, and three-valued evaluation is
     /// monotone in the information order — once the partial evaluation
@@ -362,31 +359,6 @@ impl<'q> CompiledBounds<'q> {
     pub fn interval(&mut self, record: &MaskRecord, chi: ChiView<'_>) -> QueryResult<Interval> {
         self.resolve(record)?;
         Ok(self.expr_interval(0, chi))
-    }
-
-    /// For the planner's sampling: every expression's bounds, nothing
-    /// skipped, and beside each the mean over its terms of the bound gap as
-    /// a fraction of the term's (unclipped) ROI area.
-    pub(crate) fn sample(
-        &mut self,
-        record: &MaskRecord,
-        chi: ChiView<'_>,
-    ) -> QueryResult<(&[Interval], &[f64])> {
-        self.resolve(record)?;
-        self.intervals.clear();
-        self.gaps.clear();
-        for index in 0..self.exprs.len() {
-            let interval = self.expr_interval(index, chi);
-            self.intervals.push(interval);
-            // Counts are exact in `f64`, so `hi - lo` is the integer gap.
-            let terms = self.exprs[index].1.clone();
-            let mut gap = 0.0f64;
-            for (bounds, roi) in self.term_intervals.iter().zip(&self.rois[terms.clone()]) {
-                gap += (bounds.hi - bounds.lo) / roi.area() as f64;
-            }
-            self.gaps.push(gap / terms.len().max(1) as f64);
-        }
-        Ok((&self.intervals, &self.gaps))
     }
 }
 

@@ -61,9 +61,8 @@ struct Filtered {
     to_verify: Vec<MaskRecord>,
 }
 
-/// Executes a filter query over `candidates`, following `plan`'s term
-/// order and per-mask kernel routing (both byte-identical to the fixed
-/// strategies; see `masksearch-plan`).
+/// Executes a filter query over `candidates`, bounding its comparisons in
+/// written order and routing each verified mask as `plan` decides for it.
 pub fn execute(
     session: &Session,
     candidates: &[MaskId],
@@ -92,8 +91,7 @@ pub fn execute(
         let catalog = session.catalog_read();
         let chi_reader = session.chi_reader();
         let classify_chunk = |chunk: &[MaskId]| -> QueryResult<Filtered> {
-            let mut bounds =
-                eval::CompiledBounds::predicate(predicate, plan.term_order(), fallback);
+            let mut bounds = eval::CompiledBounds::predicate(predicate, &[], fallback);
             let mut records = catalog.cursor();
             let mut chis = chi_reader.as_ref().map(|reader| reader.cursor());
             let mut out = Filtered::default();
@@ -163,7 +161,6 @@ pub fn execute(
         pruned,
         accepted_without_load,
         verified: to_verify.len() as u64,
-        planner_reorders: plan.plan.reordered() as u64,
         filter_wall,
         verify_wall,
         ..Default::default()

@@ -75,15 +75,9 @@ fn classify(
     })
 }
 
-/// Executes a pair-filter query over resolved pair candidates.
-///
-/// When `plan` chose load-first, the composed-bounds classify stage is
-/// skipped entirely and every pair goes to verification. The rows are
-/// byte-identical to the bounds-first path: CHI bounds are sound, so a
-/// bounds-accepted pair verifies to `true` and a bounds-pruned pair to
-/// `false`; shape checks under a composing predicate run for every
-/// candidate on either path (here in `classify`, there inside
-/// [`eval::pair_predicate_exact_tiled`]).
+/// Executes a pair-filter query over resolved pair candidates: the
+/// composed-bounds classify stage first, then verification of the pairs it
+/// leaves undecided.
 pub fn execute_filter(
     session: &Session,
     pairs: &[PairCandidate],
@@ -95,64 +89,54 @@ pub fn execute_filter(
     let fallback = session.config().object_box_fallback;
     let threads = session.config().threads;
     let composes = eval::predicate_composes(predicate);
-    let load_first = plan.load_first();
 
     // ---- Filter stage -----------------------------------------------------
     let filter_span = masksearch_obs::span("filter");
     let filter_start = Instant::now();
     let mut accepted: Vec<ImageId> = Vec::new();
-    let mut to_verify: Vec<PairCandidate>;
     let mut pruned = 0u64;
-    if load_first {
-        // Predicted ~everything undecidable from bounds: send every pair
-        // straight to verification.
-        to_verify = pairs.to_vec();
-    } else {
-        let chunks = chunks_for_threads(pairs, threads);
-        let results: Mutex<Vec<(PairCandidate, FilterOutcome)>> =
-            Mutex::new(Vec::with_capacity(pairs.len()));
-        let first_error: Mutex<Option<crate::error::QueryError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for chunk in &chunks {
-                scope.spawn(|| {
-                    let mut local = Vec::with_capacity(chunk.len());
-                    for pair in *chunk {
-                        match classify(session, pair, predicate, fallback, composes) {
-                            Ok(outcome) => local.push((*pair, outcome)),
-                            Err(e) => {
-                                let mut slot = first_error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                return;
+    let chunks = chunks_for_threads(pairs, threads);
+    let results: Mutex<Vec<(PairCandidate, FilterOutcome)>> =
+        Mutex::new(Vec::with_capacity(pairs.len()));
+    let first_error: Mutex<Option<crate::error::QueryError>> = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for chunk in &chunks {
+            scope.spawn(|| {
+                let mut local = Vec::with_capacity(chunk.len());
+                for pair in *chunk {
+                    match classify(session, pair, predicate, fallback, composes) {
+                        Ok(outcome) => local.push((*pair, outcome)),
+                        Err(e) => {
+                            let mut slot = first_error.lock();
+                            if slot.is_none() {
+                                *slot = Some(e);
                             }
+                            return;
                         }
                     }
-                    results.lock().extend(local);
-                });
-            }
-        });
-        if let Some(err) = first_error.into_inner() {
-            return Err(err);
+                }
+                results.lock().extend(local);
+            });
         }
-        let outcomes = results.into_inner();
-        to_verify = Vec::new();
-        for (pair, outcome) in outcomes {
-            match outcome {
-                FilterOutcome::Accept => accepted.push(pair.0),
-                FilterOutcome::Prune => pruned += 1,
-                FilterOutcome::Verify => to_verify.push(pair),
-            }
+    });
+    if let Some(err) = first_error.into_inner() {
+        return Err(err);
+    }
+    let outcomes = results.into_inner();
+    let mut to_verify: Vec<PairCandidate> = Vec::new();
+    for (pair, outcome) in outcomes {
+        match outcome {
+            FilterOutcome::Accept => accepted.push(pair.0),
+            FilterOutcome::Prune => pruned += 1,
+            FilterOutcome::Verify => to_verify.push(pair),
         }
     }
     let filter_wall = elapsed(filter_start);
     to_verify.sort_unstable();
-    let bounds_skipped = if load_first { pairs.len() as u64 } else { 0 };
     masksearch_obs::add_counter(obs_keys::CANDIDATES, pairs.len() as u64);
     masksearch_obs::add_counter(obs_keys::PAIRS_BOUND, pairs.len() as u64);
     masksearch_obs::add_counter(obs_keys::PRUNED, pruned);
     masksearch_obs::add_counter(obs_keys::VERIFIED, to_verify.len() as u64);
-    masksearch_obs::add_counter(obs_keys::PLANNER_BOUNDS_SKIPPED, bounds_skipped);
     drop(filter_span);
 
     // ---- Verification stage ----------------------------------------------
@@ -181,9 +165,8 @@ pub fn execute_filter(
                             left: &left_rec,
                             right: &right_rec,
                         };
-                        // A noisy mask on either side defeats the kernel's
-                        // tile summaries; route to the scan unless both
-                        // sides favour the kernel.
+                        // The composed kernel runs only if both sides
+                        // take the kernel.
                         let kernel_on = plan.kernel_on_for(&left) && plan.kernel_on_for(&right);
                         if kernel_on {
                             local_kernel.0 += 1;
@@ -258,7 +241,6 @@ pub fn execute_filter(
         tiles_scanned: tiles.tiles_scanned,
         planner_kernel_on: kernel_on_count,
         planner_kernel_off: kernel_off_count,
-        planner_bounds_skipped: bounds_skipped,
         filter_wall,
         verify_wall,
         total_wall: elapsed(total_start),
@@ -278,11 +260,6 @@ pub fn execute_filter(
 /// Executes a pair top-k query over resolved pair candidates, pruning
 /// against the running k-th value with composed CHI bounds (§3.5 applied to
 /// the pair's bound algebra).
-///
-/// Under a load-first `plan` the bounds prune check is skipped: a pruned
-/// pair could never displace the current k-th row (the prune condition is
-/// the negation of the strictly-better entry rule), so verifying it instead
-/// yields the same top-k, byte for byte.
 pub fn execute_topk(
     session: &Session,
     pairs: &[PairCandidate],
@@ -295,11 +272,9 @@ pub fn execute_topk(
     let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
     let composes = eval::expr_composes(expr);
-    let load_first = plan.load_first();
     let mut tiles = TileStats::default();
     let mut kernel_on_count = 0u64;
     let mut kernel_off_count = 0u64;
-    let mut bounds_skipped = 0u64;
 
     if k == 0 {
         return Ok(QueryOutput::default());
@@ -328,10 +303,7 @@ pub fn execute_topk(
         // Filter step: both CHIs present and the composed bounds already
         // beaten by the current k-th value?
         let filter_start = Instant::now();
-        if load_first && top.len() == k {
-            bounds_skipped += 1;
-        }
-        let prune = if !load_first && top.len() == k {
+        let prune = if top.len() == k {
             let chis = session.chi_reader();
             let chi_of = |mask_id| chis.as_ref().and_then(|chis| chis.get(mask_id));
             if let (Some(chi_left), Some(chi_right)) = (chi_of(left_id), chi_of(right_id)) {
@@ -397,7 +369,6 @@ pub fn execute_topk(
     sort_ranked(&mut top, order, k);
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
-    masksearch_obs::add_counter(obs_keys::PLANNER_BOUNDS_SKIPPED, bounds_skipped);
 
     let io_delta = session
         .store()
@@ -416,7 +387,6 @@ pub fn execute_topk(
         tiles_scanned: tiles.tiles_scanned,
         planner_kernel_on: kernel_on_count,
         planner_kernel_off: kernel_off_count,
-        planner_bounds_skipped: bounds_skipped,
         filter_wall,
         verify_wall,
         total_wall: elapsed(total_start),

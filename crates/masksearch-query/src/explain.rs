@@ -1,9 +1,9 @@
 //! Query plans: `EXPLAIN` and `EXPLAIN ANALYZE`.
 //!
-//! A [`PlanNode`] tree describes *how* a query will run — the selection, the
-//! CP-term order, whether the CHI bounds pass can classify candidates or
-//! every mask must be loaded, and whether the tiled verification kernel is
-//! routed — before any work happens. `EXPLAIN ANALYZE` executes the query
+//! A [`PlanNode`] tree describes *how* a query will run — the selection and
+//! its access path, the CP terms, whether the CHI bounds pass can classify
+//! candidates or every mask must be loaded, and the verification kernel's
+//! policy — before any work happens. `EXPLAIN ANALYZE` executes the query
 //! and annotates the same tree with the measured [`QueryStats`], copying
 //! each counter verbatim so the annotated plan and the stats can never
 //! disagree (a property the integration tests assert).
@@ -150,9 +150,8 @@ fn describe_term(term: &CpTerm) -> String {
     )
 }
 
-/// The query's `CP` terms in written order (also the planner's feature
-/// universe).
-pub(crate) fn cp_terms(query: &Query) -> Vec<CpTerm> {
+/// The query's `CP` terms in written order.
+fn cp_terms(query: &Query) -> Vec<CpTerm> {
     match &query.kind {
         QueryKind::Filter { predicate } | QueryKind::PairFilter { predicate, .. } => predicate
             .comparisons()
@@ -280,21 +279,10 @@ pub fn plan(query: &Query, config: &SessionConfig) -> PlanNode {
     root
 }
 
-/// [`plan`] plus the cost-based planner's resolved choices and estimates:
-/// the `verify` node's `kernel` becomes the decided routing, the `filter`
-/// node gains the estimated selectivity, term order, and (for pair queries)
-/// whether the bounds pass runs, and each `term` node gains the estimated
-/// selectivity of its comparison (`est_selectivity=`).
-pub fn plan_with(query: &Query, config: &SessionConfig, exec: Option<&ExecPlan>) -> PlanNode {
+/// [`plan`] plus the access path: the `select` node (or, for pair queries,
+/// each `pair.bind` side) gains `index=<name|scan>`.
+pub fn plan_with(query: &Query, config: &SessionConfig, exec: &ExecPlan) -> PlanNode {
     let mut root = plan(query, config);
-    let Some(exec) = exec else {
-        return root;
-    };
-    if let Some(verify) = root.find_mut("verify") {
-        verify.set("kernel", exec.plan.kernel.label());
-    }
-    // Access path: which secondary index the resolution probes, or `scan`.
-    // Pair queries carry one decision per binding side instead.
     if matches!(
         query.kind,
         QueryKind::PairFilter { .. } | QueryKind::PairTopK { .. }
@@ -306,60 +294,6 @@ pub fn plan_with(query: &Query, config: &SessionConfig, exec: Option<&ExecPlan>)
         }
     } else if let Some(select) = root.find_mut("select") {
         select.set("index", exec.index_access.as_deref().unwrap_or("scan"));
-    }
-    if let Some(filter) = root.find_mut("filter") {
-        if exec.sampled {
-            filter.set(
-                "est_selectivity",
-                format!("{:.3}", exec.plan.est_selectivity),
-            );
-        }
-        if !exec.term_order().is_empty() {
-            filter.set(
-                "order",
-                if exec.plan.reordered() {
-                    exec.term_order()
-                        .iter()
-                        .map(|i| i.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                } else {
-                    "written".to_string()
-                },
-            );
-        }
-        if matches!(
-            query.kind,
-            QueryKind::PairFilter { .. } | QueryKind::PairTopK { .. }
-        ) {
-            filter.set(
-                "bounds",
-                if exec.load_first() {
-                    "skipped"
-                } else {
-                    "first"
-                },
-            );
-        }
-        // Per-comparison estimates land on the comparison's term nodes (a
-        // multi-term expression shares its comparison's estimate).
-        if let QueryKind::Filter { predicate } | QueryKind::PairFilter { predicate, .. } =
-            &query.kind
-        {
-            let comparisons = predicate.comparisons();
-            if exec.sampled && exec.plan.term_estimates.len() == comparisons.len() {
-                let mut term_idx = 0;
-                for (ci, cmp) in comparisons.iter().enumerate() {
-                    let est = format!("{:.3}", exec.plan.term_estimates[ci]);
-                    for _ in cmp.expr.terms() {
-                        if let Some(node) = filter.children.get_mut(term_idx) {
-                            node.set("est_selectivity", &est);
-                        }
-                        term_idx += 1;
-                    }
-                }
-            }
-        }
     }
     root
 }
@@ -395,8 +329,6 @@ pub fn annotate(mut plan: PlanNode, stats: &QueryStats, rows: u64) -> PlanNode {
                 format!("{:.3}", rows as f64 / stats.candidates as f64),
             );
         }
-        filter.set(keys::PLANNER_BOUNDS_SKIPPED, stats.planner_bounds_skipped);
-        filter.set(keys::PLANNER_REORDERS, stats.planner_reorders);
     }
     if let Some(verify) = plan.find_mut("verify") {
         verify.set(keys::WALL_US, stats.verify_wall.as_micros() as u64);
@@ -416,9 +348,9 @@ pub fn annotate(mut plan: PlanNode, stats: &QueryStats, rows: u64) -> PlanNode {
 /// The *shape key* of a query: its structure without literal constants,
 /// used to bucket per-shape statistics ([`masksearch_obs::ShapeStatsRegistry`]).
 ///
-/// Two queries share a shape exactly when a cost-based planner would treat
-/// them alike: same kind, same CP-term count and ROI/source mix, same
-/// kernel and indexing configuration.
+/// Two queries share a shape when they have the same kind, the same CP-term
+/// count and ROI mix, and run under the same kernel and indexing
+/// configuration.
 pub fn shape_key(query: &Query, config: &SessionConfig) -> String {
     let terms = cp_terms(query);
     let mut rois: Vec<&str> = terms
@@ -481,10 +413,10 @@ mod tests {
             .prop("cp")
             .unwrap()
             .starts_with("cp(own,box("));
-        // The default kernel policy is the planner's per-mask decision;
-        // forcing resolves it statically.
+        // The default kernel policy follows each mask's grid; forcing
+        // resolves it statically.
         assert_eq!(p.find("verify").unwrap().prop("kernel"), Some("auto"));
-        let forced = plan(&filter_query(), &config().tiled_kernel(true));
+        let forced = plan(&filter_query(), &config().kernel_mode(KernelMode::ForceOn));
         assert_eq!(forced.find("verify").unwrap().prop("kernel"), Some("tiled"));
     }
 
@@ -492,7 +424,7 @@ mod tests {
     fn disabled_indexing_plans_load_all() {
         let cfg = config()
             .indexing_mode(IndexingMode::Disabled)
-            .tiled_kernel(false);
+            .kernel_mode(KernelMode::ForceOff);
         let p = plan(&filter_query(), &cfg);
         assert_eq!(p.find("filter").unwrap().prop("strategy"), Some("load-all"));
         assert_eq!(p.find("verify").unwrap().prop("kernel"), Some("scan"));
@@ -572,7 +504,10 @@ mod tests {
             Order::Desc,
         );
         assert_ne!(shape_key(&a, &cfg), shape_key(&ranked, &cfg));
-        assert_ne!(shape_key(&a, &cfg), shape_key(&a, &cfg.tiled_kernel(false)));
+        assert_ne!(
+            shape_key(&a, &cfg),
+            shape_key(&a, &cfg.kernel_mode(KernelMode::ForceOff))
+        );
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   and CHI store, supports eager or incremental indexing (§3.6), and
 //!   executes queries with the filter–verification framework.
 //! * [`exec`] — the executors themselves.
-//! * [`planner`] — plan-time feature extraction feeding the cost model of
-//!   `masksearch-plan`; every query is planned before dispatch and every
-//!   choice is byte-identical to the fixed strategies it replaces.
+//! * [`planner`] — a statement's plan: the kernel policy (the tiled kernel
+//!   exactly for masks that already carry their tile grid, under `Auto`)
+//!   and the access path of its candidate resolution.
 //! * [`explain`] — `EXPLAIN` / `EXPLAIN ANALYZE` plan trees and normalized
 //!   query-shape keys for persisted per-shape statistics.
 //! * [`result`] — result rows and per-query statistics (masks loaded,
@@ -75,7 +75,7 @@ mod verify;
 pub use error::{QueryError, QueryResult as QueryResultExt};
 pub use explain::{shape_key, PlanNode};
 pub use expr::{Expr, Interval};
-pub use masksearch_plan::{KernelMode, PairMode};
+pub use masksearch_plan::KernelMode;
 pub use masksearch_storage::{MetaColumn, MetaIndexDef, MetaIndexRegistry};
 pub use merge::RankedPartial;
 pub use mutation::{MaskUpdate, Mutation, MutationOutcome};

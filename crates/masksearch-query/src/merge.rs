@@ -58,8 +58,6 @@ pub fn merge_stats<'a>(partials: impl IntoIterator<Item = &'a QueryStats>) -> Qu
         merged.pairs_bound += s.pairs_bound;
         merged.planner_kernel_on += s.planner_kernel_on;
         merged.planner_kernel_off += s.planner_kernel_off;
-        merged.planner_bounds_skipped += s.planner_bounds_skipped;
-        merged.planner_reorders += s.planner_reorders;
         merged.resolve_wall += s.resolve_wall;
         merged.filter_wall += s.filter_wall;
         merged.verify_wall += s.verify_wall;

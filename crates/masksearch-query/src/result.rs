@@ -76,15 +76,10 @@ pub struct QueryStats {
     /// Pair (multi-mask) queries: images where both mask bindings resolved
     /// and the pair entered the candidate set.
     pub pairs_bound: u64,
-    /// Verified masks the planner routed through the tiled kernel.
+    /// Loaded masks the plan routed through the tiled kernel.
     pub planner_kernel_on: u64,
-    /// Verified masks the planner routed to the reference scan.
+    /// Loaded masks the plan routed to the reference scan.
     pub planner_kernel_off: u64,
-    /// Pair candidates whose bounds pass the planner skipped (load-first).
-    pub planner_bounds_skipped: u64,
-    /// 1 when the planner evaluated CP comparisons off written order
-    /// (summed across partials by the cluster merge).
-    pub planner_reorders: u64,
     /// Secondary-index point probes issued during candidate resolution.
     pub index_probes: u64,
     /// Mask ids returned by secondary-index probes before re-verification

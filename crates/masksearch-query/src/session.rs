@@ -34,8 +34,8 @@ use masksearch_index::{
     build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore, ChiView,
 };
 use masksearch_obs::counters as obs_counters;
-use masksearch_obs::{CatalogStats, ShapeObservation, ShapeStatsRegistry};
-use masksearch_plan::{KernelMode, PairMode};
+use masksearch_obs::{ShapeObservation, ShapeStatsRegistry};
+use masksearch_plan::KernelMode;
 use masksearch_storage::{Catalog, MaskCache, MaskStore, MetaColumn, MetaIndexRegistry};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -76,16 +76,12 @@ pub struct SessionConfig {
     /// How verification-stage `CP` terms are routed: through the tiled
     /// kernel (per-tile min/max + histogram summaries; see
     /// `masksearch-core`), the reference batched scan, or — the default —
-    /// per mask as the planner decides. Counts are byte-identical under
-    /// every mode; forcing exists for benchmarking and conformance tests,
-    /// and pins the whole load-then-count pipeline: only the default mode
-    /// verifies cache misses in place (see `crate::verify`).
+    /// the kernel exactly for masks that already carry their tile grid.
+    /// Counts are byte-identical under every mode; forcing exists for
+    /// benchmarking and conformance tests, and pins the whole
+    /// load-then-count pipeline: only the default mode verifies cache
+    /// misses in place (see `crate::verify`).
     pub kernel_mode: KernelMode,
-    /// How pair (join) queries stage their work: composed-bounds pass first,
-    /// load-everything first, or — the default — as the planner decides
-    /// from the shape's observed verified fraction. Results are
-    /// byte-identical under every mode.
-    pub pair_mode: PairMode,
 }
 
 impl SessionConfig {
@@ -101,7 +97,6 @@ impl SessionConfig {
             cache_bytes: 0,
             object_box_fallback: true,
             kernel_mode: KernelMode::Auto,
-            pair_mode: PairMode::Auto,
         }
     }
 
@@ -129,34 +124,12 @@ impl SessionConfig {
         self
     }
 
-    /// Forces the tiled verification kernel on (`true`) or off (`false`).
-    ///
-    /// Deprecated spelling of [`SessionConfig::kernel_mode`] from before the
-    /// planner existed, kept for callers that need a fixed pipeline
-    /// (benchmarks, conformance tests): `true` maps to
-    /// [`KernelMode::ForceOn`], `false` to [`KernelMode::ForceOff`]. New
-    /// code should leave the default [`KernelMode::Auto`] and let the
-    /// planner choose per mask.
-    pub fn tiled_kernel(mut self, enabled: bool) -> Self {
-        self.kernel_mode = if enabled {
-            KernelMode::ForceOn
-        } else {
-            KernelMode::ForceOff
-        };
-        self
-    }
-
-    /// Sets the planner's kernel policy (force on, force off, or decide per
-    /// mask).
+    /// Sets the verification-kernel policy: [`KernelMode::ForceOn`] or
+    /// [`KernelMode::ForceOff`] pin a fixed pipeline; the default
+    /// [`KernelMode::Auto`] takes the kernel exactly for masks that already
+    /// carry their tile grid.
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
-        self
-    }
-
-    /// Sets the planner's pair stage-order policy (force bounds-first,
-    /// force load-first, or decide from observed statistics).
-    pub fn pair_mode(mut self, mode: PairMode) -> Self {
-        self.pair_mode = mode;
         self
     }
 }
@@ -519,17 +492,8 @@ impl Session {
             .map_err(QueryError::from)
     }
 
-    /// Evaluation options for the verification stage with the kernel
-    /// resolved statically from the configuration alone (`ForceOff` scans,
-    /// anything else uses the kernel). Execution paths that hold an
-    /// [`ExecPlan`] resolve per mask via [`Session::verify_options_with`]
-    /// instead.
-    pub fn verify_options(&self) -> eval::VerifyOptions {
-        self.verify_options_with(!matches!(self.config.kernel_mode, KernelMode::ForceOff))
-    }
-
     /// Evaluation options for the verification stage with an explicit
-    /// (planner-resolved) kernel decision.
+    /// kernel decision (see [`ExecPlan::kernel_on_for`]).
     pub fn verify_options_with(&self, use_tiled_kernel: bool) -> eval::VerifyOptions {
         eval::VerifyOptions {
             object_box_fallback: self.config.object_box_fallback,
@@ -1187,33 +1151,24 @@ impl Session {
         Ok(output)
     }
 
-    /// Plans a query without executing it: resolves candidates, extracts
-    /// cost features (sampled CHI bounds, range alignment, shape feedback),
-    /// and returns the strategies the executor would use.
+    /// Plans a query without executing it: the session's kernel policy and
+    /// the access path the candidate resolution would take. Nothing is
+    /// resolved or sampled; execution builds the same plan.
     pub fn plan_query(&self, query: &Query) -> ExecPlan {
-        let candidates = if matches!(
-            query.kind,
-            QueryKind::PairFilter { .. } | QueryKind::PairTopK { .. }
-        ) {
-            Vec::new()
-        } else {
-            self.resolve_selection(&query.selection)
-        };
-        planner::plan_query(self, query, &candidates)
+        planner::plan_query(self, query)
     }
 
-    /// The compact strategy signature the planner would choose for a query
-    /// (`kernel=... bounds=... order=...`) — what the slow-query log
-    /// records.
+    /// The compact strategy signature of a query's plan
+    /// (`kernel=... index=...`) — what the slow-query log records.
     pub fn plan_signature(&self, query: &Query) -> String {
         self.plan_query(query).signature()
     }
 
     /// The query's plan under this session's configuration (`EXPLAIN`): the
     /// stage tree the executor will walk, before anything runs, including
-    /// the cost-based choices and their estimates.
+    /// the access path of its candidate resolution.
     pub fn explain(&self, query: &Query) -> PlanNode {
-        explain::plan_with(query, &self.config, Some(&self.plan_query(query)))
+        explain::plan_with(query, &self.config, &self.plan_query(query))
     }
 
     /// Executes the query and returns its plan annotated with the measured
@@ -1221,13 +1176,11 @@ impl Session {
     /// annotated counters are copied verbatim from the output's
     /// [`QueryStats`], so the two never disagree.
     pub fn explain_analyze(&self, query: &Query) -> QueryResult<(PlanNode, QueryOutput)> {
-        // Plan once up front for display; execution re-plans internally from
-        // the same deterministic sample and feedback state, so the displayed
-        // estimates are the executed ones.
+        // Plan once up front for display; execution builds the same plan.
         let exec_plan = self.plan_query(query);
         let output = self.execute(query)?;
         let plan = explain::annotate(
-            explain::plan_with(query, &self.config, Some(&exec_plan)),
+            explain::plan_with(query, &self.config, &exec_plan),
             &output.stats,
             output.rows.len() as u64,
         );
@@ -1314,10 +1267,9 @@ impl Session {
             let (pairs, left_trace, right_trace) =
                 self.resolve_pairs_traced(&query.selection, join);
             let total = pairs.len();
-            let plan = planner::plan_query(self, &query, &[]);
+            let plan = planner::plan_query(self, &query);
             let mut output = exec::pair::execute_topk(self, &pairs, expr, *k, *order, &plan)?;
             self.record_query(&query, &output);
-            self.record_planner(&plan, &output);
             left_trace.apply(&mut output.stats);
             right_trace.apply(&mut output.stats);
             let bound = if output.rows.len() < total {
@@ -1366,32 +1318,11 @@ impl Session {
     fn execute_resolved(&self, query: &Query, candidates: &[MaskId]) -> QueryResult<QueryOutput> {
         let plan = {
             let _plan = masksearch_obs::span("plan");
-            planner::plan_query(self, query, candidates)
+            planner::plan_query(self, query)
         };
         let output = self.dispatch(query, candidates, &plan)?;
         self.record_query(query, &output);
-        self.record_planner(&plan, &output);
         Ok(output)
-    }
-
-    /// Folds one planned execution into the catalog-level planner
-    /// statistics (persisted with the shape registry at checkpoint).
-    fn record_planner(&self, plan: &ExecPlan, output: &QueryOutput) {
-        let s = &output.stats;
-        let est_error_milli = if plan.sampled && s.candidates > 0 {
-            let actual = output.rows.len() as f64 / s.candidates as f64;
-            ((plan.plan.est_selectivity - actual).abs() * 1000.0).round() as u64
-        } else {
-            0
-        };
-        self.shape_stats.record_catalog(&CatalogStats {
-            planned: 1,
-            kernel_on: s.planner_kernel_on,
-            kernel_off: s.planner_kernel_off,
-            bounds_skipped: s.planner_bounds_skipped,
-            reorders: s.planner_reorders,
-            est_error_milli,
-        });
     }
 
     /// Dispatches on the query kind.

@@ -5,8 +5,9 @@
 //! share (one per statement, or per worker thread of one). Per mask it
 //! decides where the pixels are counted:
 //!
-//! * **resident** in the mask cache — the tiled kernel or the reference
-//!   scan on the cached mask, as the plan routes it;
+//! * **resident** in the mask cache — the tiled kernel if the cached mask
+//!   carries its tile grid, the reference scan if not (under
+//!   [`KernelMode::Auto`]; see [`ExecPlan::kernel_on_for`]);
 //! * **in place** — on a cache miss that is not due for admission, the store
 //!   is asked for just the rows the terms' ROIs span
 //!   ([`MaskStore::read_rows`]) and the terms are counted straight off those
@@ -126,7 +127,8 @@ impl<'a> Verifier<'a> {
         Ok(&self.values)
     }
 
-    /// Counts on a loaded mask, routed as the plan decides for it.
+    /// Counts on a loaded mask, routed as the plan decides for it: no grid
+    /// is built under `Auto`.
     fn count_loaded(&mut self, mask: &TiledMask) -> Vec<u64> {
         let kernel_on = self.plan.kernel_on_for(mask);
         if kernel_on {

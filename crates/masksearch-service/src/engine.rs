@@ -226,11 +226,6 @@ impl Shared {
                 (obs_keys::LOADED, stats.masks_loaded),
                 (obs_keys::PLANNER_KERNEL_ON, stats.planner_kernel_on),
                 (obs_keys::PLANNER_KERNEL_OFF, stats.planner_kernel_off),
-                (
-                    obs_keys::PLANNER_BOUNDS_SKIPPED,
-                    stats.planner_bounds_skipped,
-                ),
-                (obs_keys::PLANNER_REORDERS, stats.planner_reorders),
             ],
         );
     }
@@ -879,16 +874,6 @@ impl Backend for Engine {
             s.planner_kernel_off,
         );
         p.counter(
-            "masksearch_planner_bounds_skipped_total",
-            "Pairs whose bounds classification the planner skipped.",
-            s.planner_bounds_skipped,
-        );
-        p.counter(
-            "masksearch_planner_reorders_total",
-            "Queries whose CP terms the planner reordered.",
-            s.planner_reorders,
-        );
-        p.counter(
             "masksearch_index_probes_total",
             "Secondary-index probes issued by metadata resolution.",
             s.index_probes,
@@ -1059,8 +1044,6 @@ impl Backend for Engine {
                     k if k == obs_keys::PAIRS_BOUND => m.pairs_bound,
                     k if k == obs_keys::PLANNER_KERNEL_ON => m.planner_kernel_on,
                     k if k == obs_keys::PLANNER_KERNEL_OFF => m.planner_kernel_off,
-                    k if k == obs_keys::PLANNER_BOUNDS_SKIPPED => m.planner_bounds_skipped,
-                    k if k == obs_keys::PLANNER_REORDERS => m.planner_reorders,
                     k if k == obs_keys::INDEX_PROBES => m.index_probes,
                     k if k == obs_keys::INDEX_ROWS => m.index_rows,
                     k if k == obs_keys::PLANNER_INDEX_ON => m.planner_index_on,

@@ -47,10 +47,6 @@ pub struct ServiceMetrics {
     planner_kernel_on: AtomicU64,
     /// Sum of `QueryStats::planner_kernel_off` over completed queries.
     planner_kernel_off: AtomicU64,
-    /// Sum of `QueryStats::planner_bounds_skipped` over completed queries.
-    planner_bounds_skipped: AtomicU64,
-    /// Sum of `QueryStats::planner_reorders` over completed queries.
-    planner_reorders: AtomicU64,
     /// Sum of `QueryStats::index_probes` over completed queries.
     index_probes: AtomicU64,
     /// Sum of `QueryStats::index_rows` over completed queries.
@@ -95,8 +91,6 @@ impl ServiceMetrics {
             pairs_bound: AtomicU64::new(0),
             planner_kernel_on: AtomicU64::new(0),
             planner_kernel_off: AtomicU64::new(0),
-            planner_bounds_skipped: AtomicU64::new(0),
-            planner_reorders: AtomicU64::new(0),
             index_probes: AtomicU64::new(0),
             index_rows: AtomicU64::new(0),
             planner_index_on: AtomicU64::new(0),
@@ -172,10 +166,6 @@ impl ServiceMetrics {
             .fetch_add(stats.planner_kernel_on, Ordering::Relaxed);
         self.planner_kernel_off
             .fetch_add(stats.planner_kernel_off, Ordering::Relaxed);
-        self.planner_bounds_skipped
-            .fetch_add(stats.planner_bounds_skipped, Ordering::Relaxed);
-        self.planner_reorders
-            .fetch_add(stats.planner_reorders, Ordering::Relaxed);
         self.index_probes
             .fetch_add(stats.index_probes, Ordering::Relaxed);
         self.index_rows
@@ -230,8 +220,6 @@ impl ServiceMetrics {
             pairs_bound: self.pairs_bound.load(Ordering::Relaxed),
             planner_kernel_on: self.planner_kernel_on.load(Ordering::Relaxed),
             planner_kernel_off: self.planner_kernel_off.load(Ordering::Relaxed),
-            planner_bounds_skipped: self.planner_bounds_skipped.load(Ordering::Relaxed),
-            planner_reorders: self.planner_reorders.load(Ordering::Relaxed),
             index_probes: self.index_probes.load(Ordering::Relaxed),
             index_rows: self.index_rows.load(Ordering::Relaxed),
             planner_index_on: self.planner_index_on.load(Ordering::Relaxed),
@@ -305,10 +293,6 @@ pub struct MetricsSnapshot {
     pub planner_kernel_on: u64,
     /// Masks the planner routed to the reference scan.
     pub planner_kernel_off: u64,
-    /// Pairs whose bounds classification the planner skipped (load-first).
-    pub planner_bounds_skipped: u64,
-    /// Queries whose CP terms the planner evaluated out of written order.
-    pub planner_reorders: u64,
     /// Secondary-index probes issued by metadata resolution.
     pub index_probes: u64,
     /// Candidate rows produced by secondary-index probes.

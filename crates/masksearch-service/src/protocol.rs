@@ -557,8 +557,6 @@ pub fn stats_line(m: &MetricsSnapshot) -> String {
         (k::PAIRS_BOUND, m.pairs_bound),
         (k::PLANNER_KERNEL_ON, m.planner_kernel_on),
         (k::PLANNER_KERNEL_OFF, m.planner_kernel_off),
-        (k::PLANNER_BOUNDS_SKIPPED, m.planner_bounds_skipped),
-        (k::PLANNER_REORDERS, m.planner_reorders),
         (k::INDEX_PROBES, m.index_probes),
         (k::INDEX_ROWS, m.index_rows),
         (k::PLANNER_INDEX_ON, m.planner_index_on),

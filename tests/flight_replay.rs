@@ -20,7 +20,7 @@ use masksearch::core::{ImageId, Mask, MaskId, MaskRecord};
 use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
 use masksearch::obs::{keys, prom, read_recording, RecordedQuery};
-use masksearch::query::{IndexingMode, Session, SessionConfig};
+use masksearch::query::{IndexingMode, KernelMode, Session, SessionConfig};
 use masksearch::service::protocol::{self, Frame};
 use masksearch::service::{Client, Engine, Server, ServerHandle, ServiceConfig, ServiceError};
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
@@ -55,7 +55,11 @@ fn session_config(kernel: bool) -> SessionConfig {
     SessionConfig::new(ChiConfig::new(4, 4, 8).unwrap())
         .threads(2)
         .indexing_mode(IndexingMode::Eager)
-        .tiled_kernel(kernel)
+        .kernel_mode(if kernel {
+            KernelMode::ForceOn
+        } else {
+            KernelMode::ForceOff
+        })
 }
 
 fn session_over(ids: &[u64], kernel: bool) -> Session {

@@ -9,7 +9,7 @@
 use masksearch::core::{ImageId, Mask, MaskId, MaskRecord};
 use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
-use masksearch::query::{Session, SessionConfig};
+use masksearch::query::{KernelMode, Session, SessionConfig};
 use masksearch::service::{Engine, Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -132,7 +132,11 @@ fn run_workload(dir: &Path, kernel: bool) -> Vec<Vec<String>> {
         SessionConfig::new(ChiConfig::new(8, 8, 8).unwrap())
             .threads(2)
             .cache_bytes(1 << 20)
-            .tiled_kernel(kernel),
+            .kernel_mode(if kernel {
+                KernelMode::ForceOn
+            } else {
+                KernelMode::ForceOff
+            }),
         db.chi_store(),
     );
     let engine = Engine::new(session, ServiceConfig::new(2));
@@ -192,7 +196,7 @@ fn kernel_enabled_and_disabled_produce_byte_identical_frames() {
         db.catalog(),
         SessionConfig::new(ChiConfig::new(8, 8, 8).unwrap())
             .threads(2)
-            .tiled_kernel(true),
+            .kernel_mode(KernelMode::ForceOn),
         db.chi_store(),
     );
     let engine = Engine::new(session, ServiceConfig::new(1));

@@ -11,8 +11,8 @@ use masksearch::baselines::BruteForce;
 use masksearch::core::{ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange, Roi};
 use masksearch::index::ChiConfig;
 use masksearch::query::{
-    Expr, IndexingMode, MaskJoin, Order, Predicate, Query, ResultRow, RoiSpec, Selection, Session,
-    SessionConfig, TermSource,
+    Expr, IndexingMode, KernelMode, MaskJoin, Order, Predicate, Query, ResultRow, RoiSpec,
+    Selection, Session, SessionConfig, TermSource,
 };
 use masksearch::sql::{compile_statement, Statement};
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
@@ -174,7 +174,11 @@ fn pair_queries_match_the_load_everything_oracle() {
                 SessionConfig::new(ChiConfig::new(8, 8, 16).unwrap())
                     .threads(3)
                     .indexing_mode(mode)
-                    .tiled_kernel(kernel),
+                    .kernel_mode(if kernel {
+                        KernelMode::ForceOn
+                    } else {
+                        KernelMode::ForceOff
+                    }),
             )
             .unwrap();
             for (name, query) in queries() {

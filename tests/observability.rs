@@ -18,8 +18,8 @@ use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
 use masksearch::obs::prom;
 use masksearch::query::{
-    CpTerm, Expr, IndexingMode, MaskJoin, Order, Query, Selection, Session, SessionConfig,
-    TermSource,
+    CpTerm, Expr, IndexingMode, KernelMode, MaskJoin, Order, Query, Selection, Session,
+    SessionConfig, TermSource,
 };
 use masksearch::service::{Client, Engine, Server, ServerHandle, ServiceConfig};
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
@@ -53,7 +53,11 @@ fn session_config(kernel: bool) -> SessionConfig {
     SessionConfig::new(ChiConfig::new(4, 4, 8).unwrap())
         .threads(2)
         .indexing_mode(IndexingMode::Eager)
-        .tiled_kernel(kernel)
+        .kernel_mode(if kernel {
+            KernelMode::ForceOn
+        } else {
+            KernelMode::ForceOff
+        })
 }
 
 fn session_over(ids: &[u64], kernel: bool) -> Session {

@@ -1,20 +1,21 @@
-//! Differential property tests of the cost-based planner: for arbitrary
-//! data and query shapes, a session planning in `Auto` mode must return
-//! rows **byte-identical** to every fixed-strategy session (kernel forced
-//! on/off × pair bounds-first/load-first), and repeated execution — which
-//! feeds the shape-statistics registry and can flip the planner's choices
-//! mid-stream — must never change a result.
+//! Differential tests of the kernel rule: for arbitrary data and query
+//! shapes, a session in `Auto` mode (the tiled kernel exactly for masks
+//! that already carry their tile grid) must return rows **byte-identical**
+//! to both fixed-strategy sessions (kernel forced on / off), however often
+//! a statement repeats and whatever the cache then holds.
 //!
-//! This is the executable form of the planner's core contract: every plan
-//! choice is a cost decision, never a semantic one.
+//! The deterministic cases pin the rule itself: `Auto` never builds a grid,
+//! takes the scan over a store without persisted grids, and takes the
+//! kernel over the durable store, whose loads carry their grids.
 
 use masksearch::core::{
     ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange, Roi, TILE_BINS,
 };
+use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
 use masksearch::query::{
-    CmpOp, Expr, IndexingMode, KernelMode, MaskJoin, Order, PairMode, Predicate, Query, RoiSpec,
-    ScalarAgg, Selection, Session, SessionConfig,
+    CmpOp, Expr, IndexingMode, KernelMode, MaskJoin, Order, Predicate, Query, RoiSpec, ScalarAgg,
+    Selection, Session, SessionConfig,
 };
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
 use proptest::prelude::*;
@@ -22,14 +23,13 @@ use std::sync::Arc;
 
 const W: u32 = 24;
 const H: u32 = 24;
-/// Executions per query per session: enough that the feedback loop matures
-/// (`MIN_FEEDBACK_QUERIES = 3`) and planner choices can flip mid-run.
+/// Executions per query on the `Auto` session: the cache admits a mask on
+/// its second miss, so later runs verify on resident copies.
 const REPS: usize = 5;
 
-/// Deterministic per-id mask. Even ids are smooth blobs (tight CHI bounds,
-/// kernel-friendly), odd ids are per-pixel noise (loose bounds, where the
-/// planner should prefer the scan) — so auto kernel routing genuinely
-/// diverges across masks within one query.
+/// Deterministic per-id mask. Even ids are smooth blobs (tight CHI bounds),
+/// odd ids are per-pixel noise (loose bounds), so the kernel's tile
+/// classification meets both profiles within one query.
 fn mask_for(id: u64, seed: u64) -> Mask {
     if id.is_multiple_of(2) {
         let r = 3.0 + ((id / 2 + seed) % 9) as f32;
@@ -53,34 +53,36 @@ fn mask_for(id: u64, seed: u64) -> Mask {
     }
 }
 
-fn session_over(images: u64, seed: u64, kernel: KernelMode, pair: PairMode) -> Session {
+fn record_for(id: u64) -> MaskRecord {
+    MaskRecord::builder(MaskId::new(id))
+        .image_id(ImageId::new(id / 2))
+        .model_id(ModelId::new(id % 2 + 1))
+        .shape(W, H)
+        .object_box(Roi::new(4, 4, 20, 20).unwrap())
+        .build()
+}
+
+fn config(kernel: KernelMode) -> SessionConfig {
+    SessionConfig::new(ChiConfig::new(6, 6, 8).unwrap())
+        .threads(1)
+        .indexing_mode(IndexingMode::Eager)
+        .kernel_mode(kernel)
+}
+
+/// A session over a memory store, which persists no tile grids.
+fn session_over(images: u64, seed: u64, config: SessionConfig) -> Session {
     let store = Arc::new(MemoryMaskStore::for_tests());
     let mut catalog = Catalog::new();
     for id in 0..images * 2 {
         store.put(MaskId::new(id), &mask_for(id, seed)).unwrap();
-        catalog.insert(
-            MaskRecord::builder(MaskId::new(id))
-                .image_id(ImageId::new(id / 2))
-                .model_id(ModelId::new(id % 2 + 1))
-                .shape(W, H)
-                .object_box(Roi::new(4, 4, 20, 20).unwrap())
-                .build(),
-        );
+        catalog.insert(record_for(id));
     }
-    Session::new(
-        store as Arc<dyn MaskStore>,
-        catalog,
-        SessionConfig::new(ChiConfig::new(6, 6, 8).unwrap())
-            .threads(1)
-            .indexing_mode(IndexingMode::Eager)
-            .kernel_mode(kernel)
-            .pair_mode(pair),
-    )
-    .unwrap()
+    Session::new(store as Arc<dyn MaskStore>, catalog, config).unwrap()
 }
 
 /// A pixel range that is tile-bin aligned (`i / TILE_BINS`) when `aligned`,
-/// arbitrary hundredths otherwise — both planner branches of decision (b).
+/// arbitrary hundredths otherwise, so the kernel's histogram and boundary
+/// paths both run.
 fn arb_range() -> impl Strategy<Value = PixelRange> {
     (any::<bool>(), 0u32..12, 1u32..=8).prop_filter_map(
         "non-empty range",
@@ -129,8 +131,7 @@ fn arb_comparison() -> impl Strategy<Value = Predicate> {
         })
 }
 
-/// 1–3 comparisons combined with AND / OR / NOT: multi-term predicates give
-/// the term-reordering decision (a) something to reorder.
+/// 1–3 comparisons combined with AND / OR / NOT.
 fn arb_predicate() -> impl Strategy<Value = Predicate> {
     (
         (arb_comparison(), arb_comparison(), arb_comparison()),
@@ -151,23 +152,14 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
         })
 }
 
-/// The fixed-strategy grid the planner must match byte-for-byte.
-fn fixed_modes() -> [(KernelMode, PairMode); 4] {
-    [
-        (KernelMode::ForceOn, PairMode::ForceBounds),
-        (KernelMode::ForceOn, PairMode::ForceLoad),
-        (KernelMode::ForceOff, PairMode::ForceBounds),
-        (KernelMode::ForceOff, PairMode::ForceLoad),
-    ]
-}
-
 /// Runs `query` `REPS` times on the auto session and once per fixed
-/// session; every result's rows must equal the first fixed baseline.
+/// session; every result's rows must equal the first fixed baseline. The
+/// auto session caches what it loads, so later reps verify resident masks.
 fn assert_planner_matches_fixed(images: u64, seed: u64, queries: &[Query]) {
-    let auto = session_over(images, seed, KernelMode::Auto, PairMode::Auto);
-    let fixed: Vec<Session> = fixed_modes()
-        .iter()
-        .map(|&(k, p)| session_over(images, seed, k, p))
+    let auto = session_over(images, seed, config(KernelMode::Auto).cache_bytes(1 << 20));
+    let fixed: Vec<Session> = [KernelMode::ForceOn, KernelMode::ForceOff]
+        .into_iter()
+        .map(|kernel| session_over(images, seed, config(kernel)))
         .collect();
     for query in queries {
         let baseline = fixed[0].execute(query).unwrap();
@@ -178,9 +170,8 @@ fn assert_planner_matches_fixed(images: u64, seed: u64, queries: &[Query]) {
                 "fixed strategies diverged on {query:?}"
             );
         }
-        // Repeated auto executions: the registry matures between runs, so
-        // the planner may reorder terms, flip the kernel, or switch a pair
-        // query to load-first mid-sequence — rows must never move.
+        // Repeated auto executions: masks enter the cache between runs, and
+        // rows must never move.
         for rep in 0..REPS {
             let out = auto.execute(query).unwrap();
             assert_eq!(
@@ -280,68 +271,113 @@ proptest! {
     }
 }
 
-/// Deterministic (non-proptest) check that the feedback loop actually flips
-/// a pair query to load-first and the rows still match: a predicate no
-/// bounds pass can ever decide forces `verified_fraction = 1`, which crosses
-/// `LOAD_FIRST_THRESHOLD` once the shape matures.
+/// A filter over the smooth model's masks.
+fn smooth_filter() -> Query {
+    Query::filter_cp_gt(
+        Roi::new(0, 0, W, H).unwrap(),
+        range(0.5, 1.0),
+        (W * H) as f64 * 0.2,
+    )
+    .with_selection(Selection::all().with_model(ModelId::new(1)))
+}
+
+/// A caching session configuration without CHIs, so every candidate is
+/// verified against its pixels.
+fn verify_all(kernel: KernelMode) -> SessionConfig {
+    config(kernel)
+        .indexing_mode(IndexingMode::Disabled)
+        .cache_bytes(1 << 20)
+}
+
+/// Every mask the session's cache holds, with whether it carries a grid.
+fn cached_grids(session: &Session, masks: u64) -> Vec<bool> {
+    (0..masks)
+        .filter_map(|id| session.cache().peek_tiled(MaskId::new(id)))
+        .map(|tiled| tiled.has_grid())
+        .collect()
+}
+
 #[test]
-fn load_first_flip_mid_sequence_keeps_rows_identical() {
-    // All-noise masks on both join sides: composed CHI bounds over noise
-    // are loose, so a mid-distribution threshold is never decided by the
-    // bounds pass and every pair verifies (verified fraction = 1.0).
-    let noisy_session = |kernel: KernelMode, pair: PairMode| {
-        let store = Arc::new(MemoryMaskStore::for_tests());
-        let mut catalog = Catalog::new();
-        for id in 0..12u64 {
-            store
-                .put(MaskId::new(id), &mask_for(id * 2 + 1, 7))
-                .unwrap();
-            catalog.insert(
-                MaskRecord::builder(MaskId::new(id))
-                    .image_id(ImageId::new(id / 2))
-                    .model_id(ModelId::new(id % 2 + 1))
-                    .shape(W, H)
-                    .object_box(Roi::new(4, 4, 20, 20).unwrap())
-                    .build(),
-            );
-        }
-        Session::new(
-            store.clone() as Arc<dyn MaskStore>,
-            catalog,
-            SessionConfig::new(ChiConfig::new(6, 6, 8).unwrap())
-                .threads(1)
-                .indexing_mode(IndexingMode::Eager)
-                .kernel_mode(kernel)
-                .pair_mode(pair),
-        )
+fn auto_over_a_memory_store_scans_and_builds_no_grid() {
+    let (images, seed) = (8, 11);
+    let query = smooth_filter();
+    let expected = session_over(images, seed, config(KernelMode::ForceOff))
+        .execute(&query)
         .unwrap()
-    };
-    let auto = noisy_session(KernelMode::Auto, PairMode::Auto);
-    let bounds = noisy_session(KernelMode::Auto, PairMode::ForceBounds);
-    let join = MaskJoin::new(
-        Selection::all().with_model(ModelId::new(1)),
-        Selection::all().with_model(ModelId::new(2)),
-    );
-    // Expected CP(min(a,b) in (0.3, 0.7)) over two uniform-noise masks is
-    // ~0.40 of the area; a threshold there sits inside every pair's bound
-    // interval.
-    let query = Query::pair_filter(
-        join,
-        Predicate::gt(
-            Expr::cp_composed(MaskOp::Intersect, RoiSpec::FullMask, range(0.3, 0.7)),
-            (W * H) as f64 * 0.40,
-        ),
-    );
-    let expected = bounds.execute(&query).unwrap();
-    let mut saw_load_first = false;
-    for rep in 0..8 {
-        let plan = auto.plan_query(&query);
-        saw_load_first |= plan.load_first();
+        .rows;
+    let auto = session_over(images, seed, verify_all(KernelMode::Auto));
+    let mut loaded_verifies = 0;
+    for rep in 0..4 {
         let out = auto.execute(&query).unwrap();
-        assert_eq!(out.rows, expected.rows, "rows moved on rep {rep}");
+        assert_eq!(out.rows, expected, "rows moved on rep {rep}");
+        assert_eq!(out.stats.planner_kernel_on, 0, "rep {rep} took the kernel");
+        loaded_verifies += out.stats.planner_kernel_off;
     }
+    assert!(loaded_verifies > 0, "no verify ran on a loaded mask");
+    let grids = cached_grids(&auto, images * 2);
+    assert!(!grids.is_empty(), "nothing was cached");
     assert!(
-        saw_load_first,
-        "feedback never flipped the pair query to load-first"
+        grids.iter().all(|has_grid| !has_grid),
+        "an auto statement built a grid"
     );
+}
+
+#[test]
+fn force_on_still_builds_grids_and_returns_the_same_rows() {
+    let (images, seed) = (8, 11);
+    let query = smooth_filter();
+    let expected = session_over(images, seed, config(KernelMode::Auto))
+        .execute(&query)
+        .unwrap()
+        .rows;
+    let forced = session_over(images, seed, verify_all(KernelMode::ForceOn));
+    let out = forced.execute(&query).unwrap();
+    assert_eq!(out.rows, expected);
+    assert!(out.stats.verified > 0);
+    assert_eq!(out.stats.planner_kernel_on, out.stats.verified);
+    let grids = cached_grids(&forced, images * 2);
+    assert_eq!(grids.len() as u64, out.stats.verified);
+    assert!(grids.iter().all(|has_grid| *has_grid));
+}
+
+#[test]
+fn auto_over_a_durable_store_takes_the_kernel_on_every_whole_mask_verify() {
+    let (images, seed) = (8u64, 11);
+    let dir = std::env::temp_dir().join(format!(
+        "masksearch-planner-differential-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = MaskDb::open(
+        &dir,
+        DbConfig::default().chi_config(ChiConfig::new(6, 6, 8).unwrap()),
+    )
+    .unwrap();
+    let batch: Vec<(MaskRecord, Mask)> = (0..images * 2)
+        .map(|id| (record_for(id), mask_for(id, seed)))
+        .collect();
+    db.insert_masks(&batch).unwrap();
+    let session = |config: SessionConfig| {
+        Session::with_store_maintained_index(db.mask_store(), db.catalog(), config, db.chi_store())
+    };
+    let query = smooth_filter();
+    let expected = session(config(KernelMode::ForceOff))
+        .execute(&query)
+        .unwrap()
+        .rows;
+    let auto = session(verify_all(KernelMode::Auto));
+    // A miss is first counted in place, then admitted and loaded whole,
+    // then verified resident.
+    let mut loaded_verifies = 0;
+    for rep in 0..4 {
+        let out = auto.execute(&query).unwrap();
+        let s = &out.stats;
+        assert_eq!(out.rows, expected, "rows moved on rep {rep}");
+        assert_eq!(s.planner_kernel_off, 0, "rep {rep} scanned a loaded mask");
+        assert_eq!(s.planner_kernel_on, s.verified - s.verified_in_place);
+        loaded_verifies += s.planner_kernel_on;
+    }
+    assert!(loaded_verifies > 0, "no verify ran on a loaded mask");
+    drop((auto, db));
+    let _ = std::fs::remove_dir_all(&dir);
 }
