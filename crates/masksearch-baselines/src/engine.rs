@@ -186,6 +186,9 @@ impl<'a> BruteForce<'a> {
                     .collect())
             }
             QueryKind::TopK { k, order, .. } => {
+                for (value, _) in &mut self.ranked {
+                    *value = ranked_value(*value, *order);
+                }
                 sort_ranked(&mut self.ranked, *order, *k);
                 Ok(self
                     .ranked
@@ -275,16 +278,10 @@ impl<'a> BruteForce<'a> {
                     let left = TiledMask::from_mask(left.clone());
                     let right = TiledMask::from_mask(right.clone());
                     let mut tiles = TileStats::default();
-                    let mut value = eval::pair_expr_exact_tiled(
+                    let value = eval::pair_expr_exact_tiled(
                         expr, &records, &left, &right, &opts, &mut tiles,
                     )?;
-                    if value.is_nan() {
-                        value = match order {
-                            masksearch_query::Order::Desc => f64::NEG_INFINITY,
-                            masksearch_query::Order::Asc => f64::INFINITY,
-                        };
-                    }
-                    rows.push((value, image));
+                    rows.push((ranked_value(value, *order), image));
                     Ok(())
                 })?;
                 sort_ranked(&mut rows, *order, *k);
@@ -306,6 +303,9 @@ fn finish_grouped(
         rows.retain(|(v, _)| op.eval(*v, threshold));
     }
     if let Some((k, order)) = top_k {
+        for (value, _) in rows.iter_mut() {
+            *value = ranked_value(*value, order);
+        }
         sort_ranked(rows, order, k);
         rows.iter()
             .map(|(v, id)| ResultRow::image(*id, Some(*v)))
@@ -318,19 +318,32 @@ fn finish_grouped(
     }
 }
 
+/// A ranked row's value: NaN (e.g. a 0/0 ratio) ranks worst under either
+/// order, as the worst infinity.
+fn ranked_value(value: f64, order: masksearch_query::Order) -> f64 {
+    if !value.is_nan() {
+        return value;
+    }
+    match order {
+        masksearch_query::Order::Desc => f64::NEG_INFINITY,
+        masksearch_query::Order::Asc => f64::INFINITY,
+    }
+}
+
 /// Sorts `(value, key)` pairs under `order` with an ascending key tie-break
-/// and truncates to `k`.
+/// and truncates to `k`. Values compare by `f64::total_cmp` with `-0.0`
+/// folded into `0.0` (zeros tie, as under `==`), a total order even over NaN.
 pub fn sort_ranked<K: Ord + Copy>(
     rows: &mut Vec<(f64, K)>,
     order: masksearch_query::Order,
     k: usize,
 ) {
     rows.sort_by(|a, b| {
+        let (a0, b0) = (a.0 + 0.0, b.0 + 0.0);
         let cmp = match order {
-            masksearch_query::Order::Desc => b.0.partial_cmp(&a.0),
-            masksearch_query::Order::Asc => a.0.partial_cmp(&b.0),
-        }
-        .unwrap_or(std::cmp::Ordering::Equal);
+            masksearch_query::Order::Desc => b0.total_cmp(&a0),
+            masksearch_query::Order::Asc => a0.total_cmp(&b0),
+        };
         cmp.then_with(|| a.1.cmp(&b.1))
     });
     rows.truncate(k);

@@ -5,15 +5,18 @@
 //! Because SUM/AVG/MIN/MAX are monotone in each member value, bounds on the
 //! members propagate to bounds on the aggregate: the executor can prune or
 //! accept an entire group — and skip loading every one of its masks — from
-//! index information alone.
+//! index information alone. Every group's bounds are computed before any
+//! load; the groups then go through `exec::grouped` — the shared
+//! ranked pass (best bound first, `HAVING` applied) under `ORDER BY …
+//! LIMIT`, otherwise a `HAVING` filter in image order.
 
 use crate::error::QueryResult;
 use crate::eval;
-use crate::exec::{apply_io_delta, elapsed, sort_ranked, worst_index, worst_value};
+use crate::exec::{self, apply_io_delta, elapsed};
 use crate::expr::{Expr, Interval};
 use crate::planner::ExecPlan;
-use crate::predicate::{CmpOp, Comparison, Truth};
-use crate::result::{QueryOutput, QueryStats, ResultRow};
+use crate::predicate::CmpOp;
+use crate::result::QueryOutput;
 use crate::session::Session;
 use crate::spec::{Order, ScalarAgg};
 use masksearch_core::{ImageId, MaskId};
@@ -68,13 +71,10 @@ pub fn execute(
     let fallback = session.config().object_box_fallback;
 
     let groups = session.group_by_image(candidates);
-    let mut pruned_groups = 0u64;
-    let mut accepted_without_load = 0u64;
-    let mut verified_groups = 0u64;
 
     // Filter pass: every member's CHI bounds, group after group, before
-    // anything is loaded (a mask's bounds depend on nothing the loop below
-    // changes).
+    // anything is loaded, and from them the aggregate's bounds of every
+    // group whose members all have an index.
     let filter_start = Instant::now();
     let members: Vec<MaskId> = groups
         .iter()
@@ -82,118 +82,39 @@ pub fn execute(
         .collect();
     let mut compiled = eval::CompiledBounds::expr(expr, fallback);
     let bounds = session.bounds_of(&members, |record, chi| compiled.interval(record, chi))?;
+    let mut rest = bounds.as_slice();
+    let mut indexed: Vec<Interval> = Vec::new();
+    let items: Vec<(ImageId, Option<Interval>)> = groups
+        .iter()
+        .map(|(image_id, member_ids)| {
+            let (member_bounds, tail) = rest.split_at(member_ids.len());
+            rest = tail;
+            indexed.clear();
+            indexed.extend(member_bounds.iter().map_while(|bounds| *bounds));
+            let full = indexed.len() == member_bounds.len();
+            (*image_id, full.then(|| aggregate_interval(agg, &indexed)))
+        })
+        .collect();
     let filter_wall = elapsed(filter_start);
 
-    // For HAVING-only queries: accepted rows (value optional).
-    let mut accepted_rows: Vec<ResultRow> = Vec::new();
-    // For top-k queries: the running top-k of (value, image).
-    let (k, order) = match top_k {
-        Some((k, order)) => (k, Some(order)),
-        None => (0, None),
-    };
-    let mut top: Vec<(f64, ImageId)> = Vec::new();
-
+    // Verification: every member's exact value, aggregated.
     let verify_start = Instant::now();
     let mut verifier = session.verifier(plan, expr.terms());
-    let mut bounds = bounds.as_slice();
-    let mut indexed: Vec<Interval> = Vec::new();
-    for (image_id, member_ids) in &groups {
-        let (member_bounds, rest) = bounds.split_at(member_ids.len());
-        bounds = rest;
-        // ---- Filter step: the aggregate's bounds, when every member has
-        // an index. ------------------------------------------------------
-        indexed.clear();
-        indexed.extend(member_bounds.iter().map_while(|bounds| *bounds));
-        let group_bounds =
-            (indexed.len() == member_bounds.len()).then(|| aggregate_interval(agg, &indexed));
-
-        // Decide whether the group can be pruned or accepted without loading.
-        if let Some(bounds) = &group_bounds {
-            if let Some(order) = order {
-                if top.len() == k && k > 0 {
-                    let threshold = worst_value(&top, order);
-                    let cannot_enter = match order {
-                        Order::Desc => bounds.hi <= threshold,
-                        Order::Asc => bounds.lo >= threshold,
-                    };
-                    if cannot_enter {
-                        pruned_groups += 1;
-                        continue;
-                    }
-                }
-            } else if let Some((op, threshold)) = having {
-                let cmp = Comparison::new(Expr::Const(0.0), op, threshold);
-                match cmp.eval_bounds(bounds) {
-                    Truth::False => {
-                        pruned_groups += 1;
-                        continue;
-                    }
-                    Truth::True => {
-                        accepted_without_load += 1;
-                        accepted_rows.push(ResultRow::image(*image_id, None));
-                        continue;
-                    }
-                    Truth::Unknown => {}
-                }
-            }
-        }
-
-        // ---- Verification step: every member's exact value. --------------
-        verified_groups += 1;
-        let mut values = Vec::with_capacity(member_ids.len());
-        for &mask_id in member_ids {
+    let mut verify = |i: usize| -> QueryResult<f64> {
+        let mut values = Vec::with_capacity(groups[i].1.len());
+        for &mask_id in &groups[i].1 {
             let record = session.record(mask_id)?;
             values.push(expr.evaluate_exact(verifier.counts(&record)?));
         }
-        let value = agg.apply(&values);
+        Ok(agg.apply(&values))
+    };
 
-        if let Some(order) = order {
-            if k == 0 {
-                continue;
-            }
-            if top.len() < k {
-                top.push((value, *image_id));
-            } else {
-                let threshold = worst_value(&top, order);
-                if order.better(value, threshold) {
-                    let idx = worst_index(&top, order);
-                    top[idx] = (value, *image_id);
-                }
-            }
-        } else if let Some((op, threshold)) = having {
-            if op.eval(value, threshold) {
-                accepted_rows.push(ResultRow::image(*image_id, Some(value)));
-            } else {
-                pruned_groups += 1;
-            }
-        } else {
-            // Plain aggregation: every group is returned with its value.
-            accepted_rows.push(ResultRow::image(*image_id, Some(value)));
-        }
-    }
+    let (rows, mut stats) = exec::grouped(&items, having, top_k, &mut verify)?;
     let verify_wall = elapsed(verify_start);
 
-    let rows = if let Some(order) = order {
-        let mut ranked = top;
-        sort_ranked(&mut ranked, order, k);
-        ranked
-            .into_iter()
-            .map(|(value, image)| ResultRow::image(image, Some(value)))
-            .collect()
-    } else {
-        accepted_rows.sort_by_key(|r| r.key);
-        accepted_rows
-    };
-
-    let mut stats = QueryStats {
-        candidates: candidates.len() as u64,
-        pruned: pruned_groups,
-        accepted_without_load,
-        verified: verified_groups,
-        filter_wall,
-        verify_wall,
-        ..Default::default()
-    };
+    stats.candidates = candidates.len() as u64;
+    stats.filter_wall = filter_wall;
+    stats.verify_wall = verify_wall;
     verifier.stats.record(&mut stats);
     let io_delta = session
         .store()
@@ -209,6 +130,7 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::sort_ranked;
     use crate::query::Query;
     use crate::session::{IndexingMode, SessionConfig};
     use masksearch_core::{cp, Mask, MaskRecord, ModelId, PixelRange, Roi};

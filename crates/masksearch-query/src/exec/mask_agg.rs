@@ -3,11 +3,14 @@
 //! intersection after thresholding), evaluate a `CP` term on the aggregated
 //! mask, then filter and/or rank the groups.
 //!
-//! If the session holds a pre-built index over the aggregated masks
-//! ([`Session::build_aggregate_index`]), the filter stage bounds the `CP`
-//! value from that index and most groups are never materialised; otherwise
-//! every group is verified by loading its member masks (and, in incremental
-//! mode, the aggregated mask's CHI is built and retained as a side effect).
+//! An up-front pass resolves every group's ROI and, if the session holds a
+//! pre-built index over the aggregated masks
+//! ([`Session::build_aggregate_index`]), bounds the `CP` value from that
+//! index, so most groups are never materialised: the groups then go through
+//! `exec::grouped`, best bound first under `ORDER BY … LIMIT`.
+//! A group without bounds is verified by loading its member masks (and, in
+//! incremental mode, the aggregated mask's CHI is built and retained as a
+//! side effect).
 //!
 //! The planner deliberately leaves this executor on its reference scan: the
 //! aggregated mask is materialised fresh for each group, so a tile-summary
@@ -15,11 +18,11 @@
 //! grids do.
 
 use crate::error::QueryResult;
-use crate::exec::{apply_io_delta, elapsed, sort_ranked, worst_index, worst_value};
+use crate::exec::{self, apply_io_delta, elapsed};
 use crate::expr::Interval;
-use crate::predicate::{CmpOp, Comparison, Truth};
+use crate::predicate::CmpOp;
 use crate::query::Selection;
-use crate::result::{QueryOutput, QueryStats, ResultRow};
+use crate::result::QueryOutput;
 use crate::session::Session;
 use crate::spec::{CpTerm, Order, RoiSpec};
 use masksearch_core::{cp, ImageId, Mask, MaskAgg, MaskId, PixelRange, Roi};
@@ -44,76 +47,36 @@ pub fn execute(
     let signature = Session::aggregate_signature(agg, selection);
     let agg_index = session.aggregate_index(&signature);
 
-    let mut pruned_groups = 0u64;
-    let mut accepted_without_load = 0u64;
-    let mut verified_groups = 0u64;
-    let mut indexes_built = 0u64;
-    let mut filter_wall = std::time::Duration::ZERO;
-    let mut verify_wall = std::time::Duration::ZERO;
-
-    let mut accepted_rows: Vec<ResultRow> = Vec::new();
-    let (k, order) = match top_k {
-        Some((k, order)) => (k, Some(order)),
-        None => (0, None),
-    };
-    let mut top: Vec<(f64, ImageId)> = Vec::new();
-
+    // Filter pass: every group's ROI (object boxes are shared by a group's
+    // masks, so the first record's is used; a missing one fails the
+    // statement here) and, where the aggregated-mask index holds the group,
+    // its bounds.
+    let filter_start = Instant::now();
+    let mut rois = Vec::with_capacity(groups.len());
+    let mut items: Vec<(ImageId, Option<Interval>)> = Vec::with_capacity(groups.len());
     for (image_id, member_ids) in &groups {
-        // Resolve the term's ROI for this group. Object boxes are shared by
-        // the group's masks (they annotate the same image), so the first
-        // record's box is used.
         let roi = group_roi(session, term, member_ids)?;
-
-        // ---- Filter step using the aggregated-mask index, if present. -----
-        let filter_start = Instant::now();
-        let group_bounds: Option<Interval> = agg_index.as_ref().and_then(|index| {
+        let bounds = agg_index.as_ref().and_then(|index| {
             let b = index
                 .reader()
                 .get(MaskId::new(image_id.raw()))?
                 .cp_bounds(&roi, &term.range);
             Some(Interval::new(b.lower as f64, b.upper as f64))
         });
-        filter_wall += elapsed(filter_start);
+        rois.push(roi);
+        items.push((*image_id, bounds));
+    }
+    let filter_wall = elapsed(filter_start);
 
-        if let Some(bounds) = &group_bounds {
-            if let Some(order) = order {
-                if top.len() == k && k > 0 {
-                    let threshold = worst_value(&top, order);
-                    let cannot_enter = match order {
-                        Order::Desc => bounds.hi <= threshold,
-                        Order::Asc => bounds.lo >= threshold,
-                    };
-                    if cannot_enter {
-                        pruned_groups += 1;
-                        continue;
-                    }
-                }
-            } else if let Some((op, threshold)) = having {
-                let cmp = Comparison::new(crate::expr::Expr::Const(0.0), op, threshold);
-                match cmp.eval_bounds(bounds) {
-                    Truth::False => {
-                        pruned_groups += 1;
-                        continue;
-                    }
-                    Truth::True => {
-                        accepted_without_load += 1;
-                        accepted_rows.push(ResultRow::image(*image_id, None));
-                        continue;
-                    }
-                    Truth::Unknown => {}
-                }
-            }
-        }
-
-        // ---- Verification: load the group, aggregate, evaluate exactly. ---
-        let verify_start = Instant::now();
-        verified_groups += 1;
+    // Verification: load the group, aggregate, evaluate exactly.
+    let verify_start = Instant::now();
+    let mut indexes_built = 0u64;
+    let verify = |i: usize| -> QueryResult<f64> {
+        let (image_id, member_ids) = &groups[i];
         let mut loaded = Vec::with_capacity(member_ids.len());
         for &mask_id in member_ids {
             let (mask, built) = session.load_and_index(mask_id)?;
-            if built {
-                indexes_built += 1;
-            }
+            indexes_built += u64::from(built);
             loaded.push(mask);
         }
         let refs: Vec<&Mask> = loaded.iter().map(|m| m.mask()).collect();
@@ -123,72 +86,30 @@ pub fn execute(
         // pass) can never amortise here — the reference ROI scan is
         // strictly cheaper. The kernel covers the per-mask CP terms of the
         // other executors, where cached masks reuse their summaries.
-        let value = cp(&aggregated, &roi, &term.range) as f64;
+        let value = cp(&aggregated, &rois[i], &term.range) as f64;
         // Incremental indexing of the aggregated mask (§3.4): retain its CHI
         // so later queries with the same aggregation shape can prune.
-        if agg_index.is_none()
-            || !agg_index
-                .as_ref()
-                .unwrap()
-                .contains(MaskId::new(image_id.raw()))
+        if !agg_index
+            .as_ref()
+            .is_some_and(|index| index.contains(MaskId::new(image_id.raw())))
         {
             let chi = Chi::build(&aggregated, &session.config().chi_config);
             session.insert_aggregate_chi(&signature, *image_id, chi);
         }
-        verify_wall += elapsed(verify_start);
-
-        if let Some(order) = order {
-            if k == 0 {
-                continue;
-            }
-            if top.len() < k {
-                top.push((value, *image_id));
-            } else {
-                let threshold = worst_value(&top, order);
-                if order.better(value, threshold) {
-                    let idx = worst_index(&top, order);
-                    top[idx] = (value, *image_id);
-                }
-            }
-        } else if let Some((op, threshold)) = having {
-            if op.eval(value, threshold) {
-                accepted_rows.push(ResultRow::image(*image_id, Some(value)));
-            } else {
-                pruned_groups += 1;
-            }
-        } else {
-            accepted_rows.push(ResultRow::image(*image_id, Some(value)));
-        }
-    }
-
-    let rows = if let Some(order) = order {
-        let mut ranked = top;
-        sort_ranked(&mut ranked, order, k);
-        ranked
-            .into_iter()
-            .map(|(value, image)| ResultRow::image(image, Some(value)))
-            .collect()
-    } else {
-        accepted_rows.sort_by_key(|r| r.key);
-        accepted_rows
+        Ok(value)
     };
+    let (rows, mut stats) = exec::grouped(&items, having, top_k, verify)?;
+    stats.verify_wall = elapsed(verify_start);
 
     let io_delta = session
         .store()
         .io_stats()
         .snapshot()
         .delta_since(&io_before);
-    let mut stats = QueryStats {
-        candidates: candidates.len() as u64,
-        pruned: pruned_groups,
-        accepted_without_load,
-        verified: verified_groups,
-        indexes_built,
-        filter_wall,
-        verify_wall,
-        total_wall: elapsed(total_start),
-        ..Default::default()
-    };
+    stats.candidates = candidates.len() as u64;
+    stats.indexes_built = indexes_built;
+    stats.filter_wall = filter_wall;
+    stats.total_wall = elapsed(total_start);
     apply_io_delta(&mut stats, &io_delta);
 
     Ok(QueryOutput { rows, stats })
@@ -222,6 +143,7 @@ pub fn brute_force_group_value(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::sort_ranked;
     use crate::query::Query;
     use crate::session::{IndexingMode, SessionConfig};
     use masksearch_core::{MaskRecord, ModelId};

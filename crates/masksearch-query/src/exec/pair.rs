@@ -7,7 +7,10 @@
 //! the two per-mask CHIs via the bound algebra of
 //! `masksearch_index::compose`, so undecidable candidates are the only ones
 //! that load pixels. Verification loads *both* masks through the buffer
-//! cache and evaluates through the composed tile kernel.
+//! cache and evaluates through the composed tile kernel. Pair top-k bounds
+//! every pair up front and runs the shared ranked pass
+//! (`exec::top_k`): best composed bound first, stopping at the
+//! first that cannot enter.
 //!
 //! Result rows are keyed by image id (ascending for filters, rank order
 //! with an image-id tie-break for top-k), which is exactly the key the
@@ -15,10 +18,8 @@
 
 use crate::error::QueryResult;
 use crate::eval::{self, PairRecords};
-use crate::exec::{
-    apply_io_delta, chunks_for_threads, elapsed, sort_ranked, worst_index, worst_value,
-};
-use crate::expr::Expr;
+use crate::exec::{apply_io_delta, chunks_for_threads, elapsed, top_k, TopK};
+use crate::expr::{Expr, Interval};
 use crate::planner::ExecPlan;
 use crate::predicate::{Predicate, Truth};
 use crate::result::{QueryOutput, QueryStats, ResultRow};
@@ -258,8 +259,8 @@ pub fn execute_filter(
 }
 
 /// Executes a pair top-k query over resolved pair candidates, pruning
-/// against the running k-th value with composed CHI bounds (§3.5 applied to
-/// the pair's bound algebra).
+/// against the k-th value with composed CHI bounds (§3.5 applied to the
+/// pair's bound algebra).
 pub fn execute_topk(
     session: &Session,
     pairs: &[PairCandidate],
@@ -280,93 +281,66 @@ pub fn execute_topk(
         return Ok(QueryOutput::default());
     }
 
-    let mut top: Vec<(f64, ImageId)> = Vec::with_capacity(k + 1);
-    let mut pruned = 0u64;
-    let mut verified = 0u64;
-    let mut indexes_built = 0u64;
-    let mut filter_wall = std::time::Duration::ZERO;
-    let mut verify_wall = std::time::Duration::ZERO;
-
+    // Filter pass: every pair's composed bounds, when both CHIs exist.
+    // Mismatched shapes under a composing expression fail first — before
+    // any bound or rank decision, identically in every indexing mode.
+    let filter_start = Instant::now();
+    let mut items: Vec<(ImageId, Option<Interval>)> = Vec::with_capacity(pairs.len());
+    let mut records = Vec::with_capacity(pairs.len());
     for &(image_id, left_id, right_id) in pairs {
-        let left_rec = session.record(left_id)?;
-        let right_rec = session.record(right_id)?;
-        let records = PairRecords {
-            left: &left_rec,
-            right: &right_rec,
+        let (left, right) = (session.record(left_id)?, session.record(right_id)?);
+        let pair = PairRecords {
+            left: &left,
+            right: &right,
         };
-        // Mismatched shapes under a composing expression fail before any
-        // bound or rank decision — identically in every indexing mode.
         if composes {
-            eval::check_pair_record_shapes(&records)?;
+            eval::check_pair_record_shapes(&pair)?;
         }
-
-        // Filter step: both CHIs present and the composed bounds already
-        // beaten by the current k-th value?
-        let filter_start = Instant::now();
-        let prune = if top.len() == k {
-            let chis = session.chi_reader();
-            let chi_of = |mask_id| chis.as_ref().and_then(|chis| chis.get(mask_id));
-            if let (Some(chi_left), Some(chi_right)) = (chi_of(left_id), chi_of(right_id)) {
-                let bounds = eval::pair_expr_bounds(expr, &records, chi_left, chi_right, fallback)?;
-                let threshold = worst_value(&top, order);
-                match order {
-                    Order::Desc => bounds.hi <= threshold,
-                    Order::Asc => bounds.lo >= threshold,
-                }
-            } else {
-                false
-            }
-        } else {
-            false
+        let chis = session.chi_reader();
+        let chi_of = |mask_id| chis.as_ref().and_then(|chis| chis.get(mask_id));
+        let bounds = match (chi_of(left_id), chi_of(right_id)) {
+            (Some(chi_left), Some(chi_right)) => Some(eval::pair_expr_bounds(
+                expr, &pair, chi_left, chi_right, fallback,
+            )?),
+            _ => None,
         };
-        filter_wall += elapsed(filter_start);
-        if prune {
-            pruned += 1;
-            continue;
-        }
+        items.push((image_id, bounds));
+        records.push((left, right));
+    }
+    let filter_wall = elapsed(filter_start);
 
-        // Verification step: load both masks, evaluate exactly.
-        let verify_start = Instant::now();
+    // Ranked pass: load both masks, evaluate exactly.
+    let verify_start = Instant::now();
+    let mut indexes_built = 0u64;
+    let TopK {
+        rows,
+        verified,
+        pruned,
+    } = top_k(&items, k, order, None, |i| {
+        let (_, left_id, right_id) = pairs[i];
         let (left, built_l) = session.load_and_index(left_id)?;
         let (right, built_r) = session.load_and_index(right_id)?;
         indexes_built += u64::from(built_l) + u64::from(built_r);
-        verified += 1;
         let kernel_on = plan.kernel_on_for(&left) && plan.kernel_on_for(&right);
         if kernel_on {
             kernel_on_count += 1;
         } else {
             kernel_off_count += 1;
         }
-        let mut value = eval::pair_expr_exact_tiled(
+        let (left_rec, right_rec) = &records[i];
+        eval::pair_expr_exact_tiled(
             expr,
-            &records,
+            &PairRecords {
+                left: left_rec,
+                right: right_rec,
+            },
             &left,
             &right,
             &session.verify_options_with(kernel_on),
             &mut tiles,
-        )?;
-        if value.is_nan() {
-            // NaN (e.g. the 0/0 IoU of two empty binarisations) ranks worst
-            // under either order.
-            value = match order {
-                Order::Desc => f64::NEG_INFINITY,
-                Order::Asc => f64::INFINITY,
-            };
-        }
-        verify_wall += elapsed(verify_start);
-
-        if top.len() < k {
-            top.push((value, image_id));
-        } else {
-            let threshold = worst_value(&top, order);
-            if order.better(value, threshold) {
-                let worst_idx = worst_index(&top, order);
-                top[worst_idx] = (value, image_id);
-            }
-        }
-    }
-
-    sort_ranked(&mut top, order, k);
+        )
+    })?;
+    let verify_wall = elapsed(verify_start);
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
 
@@ -395,7 +369,7 @@ pub fn execute_topk(
     apply_io_delta(&mut stats, &io_delta);
 
     Ok(QueryOutput {
-        rows: top
+        rows: rows
             .into_iter()
             .map(|(value, id)| ResultRow::image(id, Some(value)))
             .collect(),
@@ -406,6 +380,7 @@ pub fn execute_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::sort_ranked;
     use crate::query::{MaskJoin, Query, Selection};
     use crate::session::{IndexingMode, SessionConfig};
     use crate::spec::RoiSpec;

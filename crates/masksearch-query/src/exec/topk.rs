@@ -1,16 +1,16 @@
 //! Top-k execution with bound-based pruning (§3.5).
 //!
-//! MaskSearch processes the masks sequentially while maintaining the current
-//! top-k set. For a descending query a mask can be pruned as soon as its
-//! *upper* bound cannot beat the current k-th best value; for ascending
-//! queries the *lower* bound plays that role. Masks that survive the check
-//! are loaded, their exact expression value computed, and the top-k set
-//! updated (Eq. 15).
+//! Every candidate's CHI bounds are computed first. The shared ranked pass
+//! (`exec::top_k`) then visits the masks best optimistic bound
+//! first — the *upper* bound for a descending query, the *lower* bound for
+//! an ascending one — loading each and updating the current top-k, and
+//! stops at the first mask whose bound cannot beat the k-th value (Eq. 15):
+//! every mask after it is pruned without a load.
 
 use crate::error::QueryResult;
 use crate::eval;
-use crate::exec::{apply_io_delta, elapsed, sort_ranked, worst_index, worst_value};
-use crate::expr::Expr;
+use crate::exec::{apply_io_delta, elapsed, top_k, TopK};
+use crate::expr::{Expr, Interval};
 use crate::planner::ExecPlan;
 use crate::result::{QueryOutput, QueryStats, ResultRow};
 use crate::session::Session;
@@ -38,56 +38,25 @@ pub fn execute(
     }
 
     let rank_span = masksearch_obs::span("rank");
-    // Filter pass: a mask's bounds depend on nothing the ranking loop
+    // Filter pass: a mask's bounds depend on nothing the ranked pass
     // changes, so all of them are computed up front.
     let filter_start = Instant::now();
     let mut compiled = eval::CompiledBounds::expr(expr, fallback);
     let bounds = session.bounds_of(candidates, |record, chi| compiled.interval(record, chi))?;
+    let items: Vec<(MaskId, Option<Interval>)> = candidates.iter().copied().zip(bounds).collect();
     let filter_wall = elapsed(filter_start);
 
-    // Current top-k as (value, mask_id); worst entry found by linear scan
-    // (k is small — the paper uses k = 25).
+    // Ranked pass: best bound first, verifying until a bound cannot enter.
     let verify_start = Instant::now();
-    let mut top: Vec<(f64, MaskId)> = Vec::with_capacity(k + 1);
-    let mut pruned = 0u64;
-    let mut verified = 0u64;
     let mut verifier = session.verifier(plan, expr.terms());
-    for (&mask_id, bounds) in candidates.iter().zip(&bounds) {
-        // Can the bounds already rule this mask out? Equation 15: a new
-        // mask must be strictly better than the current k-th value to enter
-        // the result.
-        if let (true, Some(bounds)) = (top.len() == k, bounds) {
-            let threshold = worst_value(&top, order);
-            let cannot_enter = match order {
-                Order::Desc => bounds.hi <= threshold,
-                Order::Asc => bounds.lo >= threshold,
-            };
-            if cannot_enter {
-                pruned += 1;
-                continue;
-            }
-        }
-
-        // Verification step: the exact value from the pixels.
-        verified += 1;
-        let record = session.record(mask_id)?;
-        let mut value = expr.evaluate_exact(verifier.counts(&record)?);
-        if value.is_nan() {
-            // NaN (e.g. 0/0 ratios) ranks worst under either order.
-            value = match order {
-                Order::Desc => f64::NEG_INFINITY,
-                Order::Asc => f64::INFINITY,
-            };
-        }
-
-        if top.len() < k {
-            top.push((value, mask_id));
-        } else if order.better(value, worst_value(&top, order)) {
-            // Replace the worst entry.
-            let worst_idx = worst_index(&top, order);
-            top[worst_idx] = (value, mask_id);
-        }
-    }
+    let TopK {
+        rows,
+        verified,
+        pruned,
+    } = top_k(&items, k, order, None, |i| {
+        let record = session.record(candidates[i])?;
+        Ok(expr.evaluate_exact(verifier.counts(&record)?))
+    })?;
     let verify_wall = elapsed(verify_start);
 
     let mut stats = QueryStats {
@@ -103,7 +72,6 @@ pub fn execute(
     masksearch_obs::add_counter(obs_keys::VERIFIED, verified);
     verifier.stats.record(&mut stats);
     drop(rank_span);
-    sort_ranked(&mut top, order, k);
 
     let io_delta = session
         .store()
@@ -114,7 +82,7 @@ pub fn execute(
     stats.total_wall = elapsed(total_start);
 
     Ok(QueryOutput {
-        rows: top
+        rows: rows
             .into_iter()
             .map(|(value, id)| ResultRow::mask(id, Some(value)))
             .collect(),
@@ -125,6 +93,7 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::sort_ranked;
     use crate::query::Query;
     use crate::session::{IndexingMode, SessionConfig};
     use masksearch_core::{cp, ImageId, Mask, MaskRecord, PixelRange, Roi};

@@ -28,15 +28,21 @@ use crate::spec::Order;
 
 /// A partition's share of a ranked query: its local top-k plus the bound
 /// that any mask (or group) it did *not* return cannot beat.
+///
+/// The invariant comes from the executors' ranked pass, which keeps the
+/// top k under the total order on `(value, key)` — a better value first,
+/// then the smaller key — whatever order it visits candidates in and
+/// wherever it stops: among rows tied on a value, the returned ones carry
+/// the smallest keys.
 #[derive(Debug, Clone)]
 pub struct RankedPartial {
     /// The partition's local top-k rows (with exact values) and stats.
     pub output: QueryOutput,
-    /// The partition's k-th value, present exactly when the partition holds
-    /// more candidates than it returned. Every unreturned candidate on the
-    /// partition ranks no better than this value, and among ties carries a
-    /// larger key than every returned tied row — the two facts
-    /// [`partial_may_improve`] builds on.
+    /// The partition's k-th value, present exactly when the partition
+    /// returned a full `k` rows and holds more candidates than that. Every
+    /// unreturned candidate that qualifies (passes `HAVING`) ranks no better
+    /// than this value, and among ties carries a larger key than every
+    /// returned tied row — the two facts [`partial_may_improve`] builds on.
     pub bound: Option<f64>,
 }
 
@@ -121,8 +127,9 @@ pub fn merge_ranked(partials: &[QueryOutput], k: usize, order: Order) -> QueryOu
 /// so a bound strictly worse than the merged k-th value rules the partition
 /// out, and a strictly better bound rules it in. The tie case is decided
 /// exactly: hidden rows tied with the bound all carry **larger** keys than
-/// every returned row with that value (the executors keep the smallest keys
-/// among ties), so they can displace the k-th row only if the partition's
+/// every returned row with that value (the ranked pass keeps the smallest
+/// keys among ties, in whatever order it visits them), so they can displace
+/// the k-th row only if the partition's
 /// largest returned tied key still precedes the merged k-th key.
 pub fn partial_may_improve(
     partial: &RankedPartial,

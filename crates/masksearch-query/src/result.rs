@@ -48,12 +48,17 @@ impl ResultRow {
 pub struct QueryStats {
     /// Number of masks targeted by the query after the relational selection.
     pub candidates: u64,
-    /// Masks pruned by the filter stage (guaranteed to fail).
+    /// Masks pruned by the filter stage (guaranteed to fail). For a ranked
+    /// statement: the items (masks, groups or pairs) never verified — those
+    /// whose bounds fail `HAVING` and the unvisited tail after the first
+    /// bound that cannot enter the top-k.
     pub pruned: u64,
     /// Masks accepted by the filter stage without loading (guaranteed to
     /// satisfy).
     pub accepted_without_load: u64,
-    /// Masks sent to the verification stage.
+    /// Masks sent to the verification stage. For a ranked statement: the
+    /// items whose exact value was computed (`pruned + verified` is the
+    /// item count).
     pub verified: u64,
     /// Masks actually loaded from storage during the query (the paper's
     /// "number of masks loaded", Table 2).

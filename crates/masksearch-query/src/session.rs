@@ -1217,29 +1217,26 @@ impl Session {
     /// Executes a ranked query in *partial* (cluster-shard) mode: the query's
     /// `k` is optionally overridden, and alongside the local top-k the method
     /// reports the k-th value as a bound on everything it did **not** return
-    /// (Eq. 15's pruning threshold, exported): any unreturned candidate —
-    /// pruned by its CHI bounds or verified and rejected — ranks no better
-    /// than the bound. A distributed top-k coordinator re-queries a shard
-    /// only while its bound could still beat the merged k-th row (see
+    /// (Eq. 15's pruning threshold, exported): any unreturned candidate that
+    /// passes `HAVING` — pruned by its CHI bounds or verified and rejected —
+    /// ranks no better than the bound, and on a tie carries a larger key. A
+    /// distributed top-k coordinator re-queries a shard only while its bound
+    /// could still beat the merged k-th row (see
     /// [`merge::partial_may_improve`]).
     ///
-    /// The bound is `None` when the partition returned *every* candidate it
-    /// holds (nothing is hidden). Non-ranked queries execute normally and
-    /// also carry no bound.
+    /// The bound is `None` when nothing is hidden: the partition returned
+    /// *every* candidate it holds, or fewer rows than its `k` (then every
+    /// candidate passing `HAVING` was returned). Non-ranked queries execute
+    /// normally and also carry no bound.
     pub fn execute_topk_partial(
         &self,
         query: &Query,
         k_override: Option<usize>,
     ) -> QueryResult<merge::RankedPartial> {
         let mut query = query.clone();
-        let ranked = match &mut query.kind {
-            QueryKind::TopK { k, .. } => {
-                if let Some(n) = k_override {
-                    *k = n;
-                }
-                true
-            }
-            QueryKind::Aggregate {
+        let k = match &mut query.kind {
+            QueryKind::TopK { k, .. }
+            | QueryKind::Aggregate {
                 top_k: Some((k, _)),
                 ..
             }
@@ -1251,9 +1248,17 @@ impl Session {
                 if let Some(n) = k_override {
                     *k = n;
                 }
-                true
+                Some(*k)
             }
-            _ => false,
+            _ => None,
+        };
+        // Something is hidden only behind a full top-k: with fewer rows
+        // than `k`, every item that qualifies (passes `HAVING`) was returned.
+        let bound_of = |output: &QueryOutput, total: usize| {
+            let hidden = Some(output.rows.len()) == k && output.rows.len() < total;
+            hidden
+                .then(|| output.rows.last().and_then(|r| r.value))
+                .flatten()
         };
         // Pair top-k resolves its own (image-keyed) candidate set; resolve
         // once and count from the same snapshot the executor uses.
@@ -1272,11 +1277,7 @@ impl Session {
             self.record_query(&query, &output);
             left_trace.apply(&mut output.stats);
             right_trace.apply(&mut output.stats);
-            let bound = if output.rows.len() < total {
-                output.rows.last().and_then(|r| r.value)
-            } else {
-                None
-            };
+            let bound = bound_of(&output, total);
             return Ok(merge::RankedPartial { output, bound });
         }
         if matches!(query.kind, QueryKind::PairFilter { .. }) {
@@ -1288,7 +1289,7 @@ impl Session {
             });
         }
         let (candidates, trace) = self.resolve_selection_traced(&query.selection);
-        if !ranked {
+        if k.is_none() {
             let mut output = self.execute_resolved(&query, &candidates)?;
             trace.apply(&mut output.stats);
             return Ok(merge::RankedPartial {
@@ -1305,11 +1306,7 @@ impl Session {
         };
         let mut output = self.execute_resolved(&query, &candidates)?;
         trace.apply(&mut output.stats);
-        let bound = if output.rows.len() < total {
-            output.rows.last().and_then(|r| r.value)
-        } else {
-            None
-        };
+        let bound = bound_of(&output, total);
         Ok(merge::RankedPartial { output, bound })
     }
 
