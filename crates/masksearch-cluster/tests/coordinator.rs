@@ -387,6 +387,20 @@ fn failed_statements_count_on_every_entry_point() {
     assert_eq!(coordinator.metrics().failed, 3);
 }
 
+/// A multi-byte character where the `EXPLAIN` / `ANALYZE` keywords would
+/// end is an ordinary statement error, not a panic.
+#[test]
+fn a_multi_byte_character_near_the_first_keyword_is_an_error() {
+    let cluster = cluster(2, &[0, 1, 2, 3]);
+    for sql in [
+        "CREAT\u{1D518}E INDEX by_label ON masks (predicted_label)",
+        "EXPLAIN ANALY\u{1D518}ZE SELECT mask_id FROM masks",
+    ] {
+        assert!(cluster.coordinator.execute_sql(sql).is_err(), "{sql}");
+    }
+    assert_eq!(cluster.coordinator.metrics().failed, 2);
+}
+
 /// Blocks mask loads while closed: a statement that must verify pixels
 /// stays pinned inside its engine until the gate opens.
 #[derive(Default)]

@@ -21,17 +21,41 @@
 //! The final bounds are `θ̄ = min(θ̄₁, θ̄₂)` and `θ̲ = max(θ̲₁, θ̲₂)`, clamped to
 //! `[0, |roi|]`.
 //!
+//! ## Per-cell bounds
+//!
+//! Eqs. 3–4 treat the ring of cells between `roi⁺` and `roi⁻` as one block.
+//! The CHI holds each of those cells' histograms too, and bounding each
+//! separately is as tight as they allow: with `R` the clipped ROI, `roi⁻`'s
+//! outer and inner counts are exact for the cells inside, and every ring
+//! cell `c` adds
+//!
+//! * to the upper bound `min(|c ∩ R|, outer(c))`,
+//! * to the lower bound `max(0, inner(c) − |c \ R|)`,
+//!
+//! clamped to `upper ≤ |R|` and `lower ≤ upper`. Each term bounds the
+//! in-range pixels of `c ∩ R`, so the sum is sound; and summed over the
+//! ring, `min` is at most both `Σ |c ∩ R|` (Eq. 4's missed pixels) and
+//! `Σ outer(c)` (Eq. 3's count minus `roi⁻`'s), so it is never looser than
+//! Eqs. 3–4 — the lower bound dominates both of theirs the same way. With
+//! no `roi⁻`, every cell of `roi⁺` is a ring cell. It costs a few loads and
+//! a little arithmetic per ring cell where Eqs. 3–4 cost at most sixteen
+//! loads in all, so the query layer asks for it only for candidates Eqs.
+//! 3–4 leave undecided.
+//!
 //! ## What depends on the mask
 //!
-//! Only the counts do. Which cells `roi⁺` and `roi⁻` end on, their areas and
-//! the clipped ROI's depend on the ROI and the mask's *shape* (the private
-//! `RoiGeometry`); the four bin indices depend on the range and the bin count
-//! ([`bin_ranges`]). `RoiGeometry::cp_bounds` is the rest — at most sixteen
-//! loads from a mask's cumulative cells and a few additions — and it is the
-//! only place Eqs. 3–4 are written. [`cp_bounds`] builds the geometry and
-//! calls it once; [`TermBounds`], of which the query layer keeps one per
-//! term of a statement, keeps the bin indices for the whole statement and
-//! the geometry of an ROI across every candidate of the same shape.
+//! Only the counts do. Which cells `roi⁺` and `roi⁻` end on, their areas
+//! and the clipped ROI's depend on the ROI and the mask's *shape* (the
+//! private `RoiGeometry`); the four bin indices depend on the range and the
+//! bin count ([`bin_ranges`]). `RoiGeometry::cp_bounds` is the rest of
+//! Eqs. 3–4 — at most sixteen loads from a mask's cumulative cells and a
+//! few additions — and it is the only place they are written;
+//! `RoiGeometry::cell_bounds` is the rest of the per-cell bound — a walk
+//! over the ring — and the only place that is written. [`cp_bounds`]
+//! builds the geometry and calls it once; [`TermBounds`], of which the
+//! query layer keeps one per term of a statement, keeps the bin indices for
+//! the whole statement and the geometry of an ROI across every candidate of
+//! the same shape, for both bounds.
 
 use crate::chi::{ChiConfig, ChiOver, ChiView};
 use masksearch_core::{PixelRange, Roi};
@@ -99,19 +123,32 @@ struct Corners {
     minus: [usize; 2],
 }
 
+/// The offset of bin 0 of the prefix rectangle ending at grid boundary
+/// `(bx, by)`; [`EMPTY_PREFIX`] on either axis's boundary 0.
+fn prefix(chi: ChiView<'_>, bx: u32, by: u32) -> usize {
+    if bx == 0 || by == 0 {
+        return EMPTY_PREFIX;
+    }
+    let cx = (bx - 1).min(chi.cells_x() - 1) as usize;
+    let cy = (by - 1).min(chi.cells_y() - 1) as usize;
+    (cy * chi.cells_x() as usize + cx) * chi.config().bins() as usize
+}
+
+/// The count at `offset + bin` of a mask's cumulative cells; zero for the
+/// empty prefix.
+#[inline]
+fn load(cells: &[u32], offset: usize, bin: usize) -> u64 {
+    match offset {
+        EMPTY_PREFIX => 0,
+        _ => u64::from(cells[offset + bin]),
+    }
+}
+
 impl Corners {
     fn of(chi: ChiView<'_>, region: (u32, u32, u32, u32)) -> Self {
         let (bx0, by0, bx1, by1) = region;
         debug_assert!(bx0 <= bx1 && by0 <= by1);
-        let bins = chi.config().bins() as usize;
-        let prefix = |bx: u32, by: u32| {
-            if bx == 0 || by == 0 {
-                return EMPTY_PREFIX;
-            }
-            let cx = (bx - 1).min(chi.cells_x() - 1) as usize;
-            let cy = (by - 1).min(chi.cells_y() - 1) as usize;
-            (cy * chi.cells_x() as usize + cx) * bins
-        };
+        let prefix = |bx, by| prefix(chi, bx, by);
         Corners {
             plus: [prefix(bx1, by1), prefix(bx0, by0)],
             minus: [prefix(bx0, by1), prefix(bx1, by0)],
@@ -125,10 +162,7 @@ impl Corners {
         if bin >= bins {
             return 0;
         }
-        let at = |offset: usize| match offset {
-            EMPTY_PREFIX => 0,
-            _ => u64::from(cells[offset + bin as usize]),
-        };
+        let at = |offset| load(cells, offset, bin as usize);
         // Inclusion–exclusion never goes negative for prefix sums of
         // non-negative data.
         at(self.plus[0]) + at(self.plus[1]) - at(self.minus[0]) - at(self.minus[1])
@@ -160,6 +194,11 @@ struct RoiGeometry {
     /// The covered region and the ROI pixels it misses; `None` when no
     /// whole cell fits inside the ROI.
     covered: Option<(Corners, u64)>,
+    /// The clipped ROI and, in grid boundaries, the covering and covered
+    /// regions: what the per-cell bound walks.
+    clipped: Roi,
+    covering_cells: (u32, u32, u32, u32),
+    covered_cells: Option<(u32, u32, u32, u32)>,
 }
 
 impl RoiGeometry {
@@ -171,8 +210,8 @@ impl RoiGeometry {
         let covering = chi
             .covering_region(&clipped)
             .expect("non-empty clipped ROI always has a covering region");
-        let covered = chi
-            .covered_region(&clipped)
+        let covered_cells = chi.covered_region(&clipped);
+        let covered = covered_cells
             .map(|region| (Corners::of(chi, region), roi_area - chi.region_area(region)));
         Some(Self {
             bins: chi.config().bins(),
@@ -180,6 +219,9 @@ impl RoiGeometry {
             covering: Corners::of(chi, covering),
             slack: chi.region_area(covering) - roi_area,
             covered,
+            clipped,
+            covering_cells: covering,
+            covered_cells,
         })
     }
 
@@ -221,11 +263,97 @@ impl RoiGeometry {
             roi_area: self.roi_area,
         }
     }
+
+    /// The per-cell bound (see the module docs) of the ROI on `chi`, for
+    /// the value range whose [`bin_ranges`] are given.
+    ///
+    /// The ring is walked as strips of neighbouring cells — the partial
+    /// rows above and below the covered region across the whole covering
+    /// width, the partial columns beside it — and along a strip the prefix
+    /// up to a cell boundary (an *edge*) is two loads per bin, a cell the
+    /// difference of its two edges: neighbouring cells share the edge
+    /// between them.
+    ///
+    /// # Panics
+    /// May panic if `chi` is of another shape or configuration than the
+    /// geometry was made for.
+    fn cell_bounds(&self, chi: ChiView<'_>, bin_ranges: (u32, u32, u32, u32)) -> CpBounds {
+        let cells = chi.data();
+        let (outer_lo, outer_hi, inner_lo, inner_hi) = bin_ranges;
+        let (mut upper, mut lower) = match &self.covered {
+            Some((region, _)) => (
+                region.range_count(cells, self.bins, outer_lo, outer_hi),
+                region.range_count(cells, self.bins, inner_lo, inner_hi),
+            ),
+            None => (0, 0),
+        };
+        // An edge's pixels with bin index at least each of the four; none
+        // past the last bin.
+        let tails = [outer_lo, outer_hi, inner_lo, inner_hi];
+        let tails = tails.map(|bin| (bin < self.bins).then_some(bin as usize));
+        let edge = |(plus, minus): (usize, usize)| {
+            tails.map(|bin| bin.map_or(0, |bin| load(cells, plus, bin) - load(cells, minus, bin)))
+        };
+        // A cell's extent on one axis and how much of it the ROI takes.
+        let roi = self.clipped;
+        let span = |lo: u32, hi: u32, from: u32, to: u32| {
+            (
+                u64::from(hi - lo),
+                u64::from(hi.min(to).saturating_sub(lo.max(from))),
+            )
+        };
+        let column = |i| span(chi.x_boundary(i), chi.x_boundary(i + 1), roi.x0(), roi.x1());
+        let row = |j| span(chi.y_boundary(j), chi.y_boundary(j + 1), roi.y0(), roi.y1());
+        // Row `at` across columns `from..to`, or column `at` down rows
+        // `from..to`.
+        let mut strip = |horizontal: bool, at: u32, from: u32, to: u32| {
+            let offsets = |k| match horizontal {
+                true => (prefix(chi, k, at + 1), prefix(chi, k, at)),
+                false => (prefix(chi, at + 1, k), prefix(chi, at, k)),
+            };
+            let mut before = edge(offsets(from));
+            for k in from..to {
+                let after = edge(offsets(k + 1));
+                let tail = |t: usize| after[t] - before[t];
+                let ((width, in_x), (height, in_y)) = match horizontal {
+                    true => (column(k), row(at)),
+                    false => (column(at), row(k)),
+                };
+                let inside = in_x * in_y;
+                // A tail never grows with the bin, so an empty bin range
+                // counts zero.
+                upper += tail(0).saturating_sub(tail(1)).min(inside);
+                lower += tail(2)
+                    .saturating_sub(tail(3))
+                    .saturating_sub(width * height - inside);
+                before = after;
+            }
+        };
+        let (bx0, by0, bx1, by1) = self.covering_cells;
+        match self.covered_cells {
+            Some((cx0, cy0, cx1, cy1)) => {
+                for j in (by0..cy0).chain(cy1..by1) {
+                    strip(true, j, bx0, bx1);
+                }
+                for i in (bx0..cx0).chain(cx1..bx1) {
+                    strip(false, i, cy0, cy1);
+                }
+            }
+            // No covered region: every covering cell is a ring cell.
+            None => (by0..by1).for_each(|j| strip(true, j, bx0, bx1)),
+        }
+        let upper = upper.min(self.roi_area);
+        CpBounds {
+            lower: lower.min(upper),
+            upper,
+            roi_area: self.roi_area,
+        }
+    }
 }
 
 /// Bounds on one `CP(·, roi, range)` term over many masks: what
-/// [`cp_bounds`] computes, keeping between calls what does not depend on
-/// the mask's cells.
+/// [`cp_bounds`] computes, and the per-cell bound, keeping between calls
+/// what does not depend on the mask's cells.
 #[derive(Debug, Clone)]
 pub struct TermBounds {
     range: PixelRange,
@@ -253,8 +381,8 @@ impl TermBounds {
         }
     }
 
-    /// Exactly `chi.cp_bounds(roi, range)`.
-    pub fn cp_bounds(&mut self, chi: ChiView<'_>, roi: &Roi) -> CpBounds {
+    /// Keeps the bin indices and geometry for `chi`'s grid and `roi`.
+    fn refresh(&mut self, chi: ChiView<'_>, roi: &Roi) {
         let grid = (*chi.config(), chi.mask_width(), chi.mask_height());
         if self.bins != grid.0.bins() {
             self.bins = grid.0.bins();
@@ -264,8 +392,23 @@ impl TermBounds {
             self.geometry_of = Some((grid, *roi));
             self.geometry = RoiGeometry::new(chi, roi);
         }
+    }
+
+    /// Exactly `chi.cp_bounds(roi, range)`.
+    pub fn cp_bounds(&mut self, chi: ChiView<'_>, roi: &Roi) -> CpBounds {
+        self.refresh(chi, roi);
         match &self.geometry {
             Some(geometry) => geometry.cp_bounds(chi.data(), self.bin_ranges),
+            None => CpBounds::empty(),
+        }
+    }
+
+    /// The per-cell bound of `CP(mask, roi, range)` (see the module docs):
+    /// sound, and never looser than [`TermBounds::cp_bounds`].
+    pub fn cell_bounds(&mut self, chi: ChiView<'_>, roi: &Roi) -> CpBounds {
+        self.refresh(chi, roi);
+        match &self.geometry {
+            Some(geometry) => geometry.cell_bounds(chi, self.bin_ranges),
             None => CpBounds::empty(),
         }
     }

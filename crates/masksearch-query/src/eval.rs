@@ -9,7 +9,9 @@
 //! scratch it owns. What is left per candidate is resolving the ROIs in
 //! written order (so the first term that cannot be resolved is the error,
 //! whatever the bounding order skips), a few loads from the mask's cells per
-//! term, and the interval arithmetic of the expression.
+//! term, and the interval arithmetic of the expression; a candidate those
+//! region bounds leave undecided is bounded once more per border cell
+//! before it costs a load.
 
 use crate::error::{QueryError, QueryResult};
 use crate::expr::{Expr, Interval};
@@ -227,8 +229,9 @@ pub fn predicate_exact(
 /// candidate without allocating.
 ///
 /// The bounds are exactly `Chi::cp_bounds` of every term (the same function
-/// computes them), combined by [`Expr::evaluate_bounds`] and
-/// [`Predicate::eval_bounds`].
+/// computes them), or, where those leave a candidate undecided, the
+/// per-cell bounds of `TermBounds::cell_bounds`, combined by
+/// [`Expr::evaluate_bounds`] and [`Predicate::eval_bounds`].
 pub struct CompiledBounds<'q> {
     object_box_fallback: bool,
     /// Every `CP` term of the statement, in written order, with what its
@@ -313,25 +316,35 @@ impl<'q> CompiledBounds<'q> {
         Ok(())
     }
 
-    /// Bounds on expression `index` over the resolved ROIs.
-    fn expr_interval(&mut self, index: usize, chi: ChiView<'_>) -> Interval {
+    /// Bounds on expression `index` over the resolved ROIs: the region
+    /// bounds of Eqs. 3–4, or the per-cell bounds when `cells`.
+    fn expr_interval(&mut self, index: usize, chi: ChiView<'_>, cells: bool) -> Interval {
         let (expr, terms) = self.exprs[index].clone();
         self.term_intervals.clear();
         for term in terms {
-            let b = self.terms[term].1.cp_bounds(chi, &self.rois[term]);
+            let (bounds, roi) = (&mut self.terms[term].1, &self.rois[term]);
+            let b = match cells {
+                false => bounds.cp_bounds(chi, roi),
+                true => bounds.cell_bounds(chi, roi),
+            };
             self.term_intervals
                 .push(Interval::new(b.lower as f64, b.upper as f64));
         }
         expr.evaluate_bounds(&self.term_intervals)
     }
 
-    /// Three-valued truth of the compiled predicate from one mask's CHI.
+    /// Three-valued truth of the compiled predicate from one mask's CHI:
+    /// that of bounding every comparison with per-cell bounds.
     ///
-    /// Comparisons are bounded in the compiled order and the rest skipped
-    /// once the partly bounded predicate is decided. The result is that of
-    /// bounding them all: a skipped comparison contributes the unbounded
-    /// interval, which evaluates `Unknown`, and three-valued evaluation is
-    /// monotone in the information order — once the partial evaluation
+    /// Comparisons are bounded with region bounds (Eqs. 3–4) in the
+    /// compiled order and the rest skipped once the partly bounded
+    /// predicate is decided. Only when every comparison is bounded and the
+    /// predicate is still `Unknown` are they bounded again with per-cell
+    /// bounds, in the same order and with the same early exit. The result
+    /// is that of bounding them all with per-cell bounds: a skipped
+    /// comparison contributes the unbounded interval, per-cell bounds lie
+    /// inside region bounds, and three-valued evaluation is monotone in
+    /// the information order — once a partial or coarser evaluation
     /// returns `True` or `False`, refining the rest cannot change it.
     ///
     /// # Panics
@@ -342,23 +355,37 @@ impl<'q> CompiledBounds<'q> {
         let unbounded = Interval::new(f64::NEG_INFINITY, f64::INFINITY);
         self.intervals.clear();
         self.intervals.resize(self.exprs.len(), unbounded);
-        let mut truth = Truth::Unknown;
-        for at in 0..self.order.len() {
-            let index = self.order[at];
-            self.intervals[index] = self.expr_interval(index, chi);
-            truth = predicate.eval_bounds(&self.intervals);
-            if truth != Truth::Unknown {
-                break;
+        for cells in [false, true] {
+            for at in 0..self.order.len() {
+                let index = self.order[at];
+                self.intervals[index] = self.expr_interval(index, chi, cells);
+                let truth = predicate.eval_bounds(&self.intervals);
+                if truth != Truth::Unknown {
+                    return Ok(truth);
+                }
             }
         }
-        Ok(truth)
+        Ok(Truth::Unknown)
     }
 
-    /// Bounds on the compiled expression (a predicate's first comparison)
-    /// from one mask's CHI.
+    /// Region bounds (Eqs. 3–4) on the compiled expression (a predicate's
+    /// first comparison) from one mask's CHI.
     pub fn interval(&mut self, record: &MaskRecord, chi: ChiView<'_>) -> QueryResult<Interval> {
         self.resolve(record)?;
-        Ok(self.expr_interval(0, chi))
+        Ok(self.expr_interval(0, chi, false))
+    }
+
+    /// Per-cell bounds on the compiled expression from one mask's CHI:
+    /// inside [`CompiledBounds::interval`]'s, at the cost of a few loads
+    /// per cell on each ROI's border. The ranked pass asks for them only
+    /// where a load is at stake.
+    pub fn cell_interval(
+        &mut self,
+        record: &MaskRecord,
+        chi: ChiView<'_>,
+    ) -> QueryResult<Interval> {
+        self.resolve(record)?;
+        Ok(self.expr_interval(0, chi, true))
     }
 }
 

@@ -8,7 +8,9 @@
 //! index information alone. Every group's bounds are computed before any
 //! load; the groups then go through `exec::grouped` — the shared
 //! ranked pass (best bound first, `HAVING` applied) under `ORDER BY …
-//! LIMIT`, otherwise a `HAVING` filter in image order.
+//! LIMIT`, otherwise a `HAVING` filter in image order. Before a group costs
+//! a load, its members are bounded again per border cell and the aggregate
+//! of those tighter bounds is tried first.
 
 use crate::error::QueryResult;
 use crate::eval;
@@ -109,7 +111,21 @@ pub fn execute(
         Ok(agg.apply(&values))
     };
 
-    let (rows, mut stats) = exec::grouped(&items, having, top_k, &mut verify)?;
+    // Per-cell bounds on every member, aggregated; none if a member has
+    // no index (any longer).
+    let refine = |i: usize| -> QueryResult<Option<Interval>> {
+        indexed.clear();
+        for &mask_id in &groups[i].1 {
+            match session
+                .bounds_of_one(mask_id, |record, chi| compiled.cell_interval(record, chi))?
+            {
+                Some(bounds) => indexed.push(bounds),
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(aggregate_interval(agg, &indexed)))
+    };
+    let (rows, mut stats) = exec::grouped(&items, having, top_k, refine, &mut verify)?;
     let verify_wall = elapsed(verify_start);
 
     stats.candidates = candidates.len() as u64;

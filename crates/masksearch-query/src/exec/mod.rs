@@ -3,11 +3,14 @@
 //! All executors share the same skeleton (§3.2): a **filter stage** that
 //! classifies each targeted mask from its CHI bounds alone, and a
 //! **verification stage** that loads only the masks the bounds could not
-//! decide. Ranked (top-k) statements bound every item first and then run one
-//! shared pass, `top_k`: best optimistic bound first, stopping at the first
-//! bound that cannot enter the current top-k (§3.5); grouped execution
-//! pushes bounds through monotone scalar aggregates before loading any
-//! member mask (§3.4).
+//! decide. Bounds come in two grades: the region bounds of Eqs. 3–4 for
+//! every candidate, and per-cell bounds (`TermBounds::cell_bounds`) only
+//! for a candidate the region bounds leave undecided, just before it would
+//! cost a load. Ranked (top-k) statements bound every item first and then
+//! run one shared pass, `top_k`: best optimistic bound first, refining an
+//! item once before verifying it, stopping at the first bound that cannot
+//! enter the current top-k (§3.5); grouped execution pushes bounds through
+//! monotone scalar aggregates before loading any member mask (§3.4).
 
 pub mod aggregate;
 pub mod filter;
@@ -79,27 +82,43 @@ pub(crate) struct TopK<K> {
     pub rows: Vec<(f64, K)>,
     /// Items whose exact value was computed.
     pub verified: u64,
-    /// Items never verified: bounds that made `HAVING` false, and the
+    /// Items never verified: bounds (refined or not) that made `HAVING`
+    /// false, refined bounds that fell below the k-th row, and the
     /// unvisited tail.
     pub pruned: u64,
 }
 
+/// Three-valued truth of `HAVING` on a group or item's bounds.
+fn having_bounds((op, threshold): (CmpOp, f64), bounds: &Interval) -> Truth {
+    Comparison::new(Expr::Const(0.0), op, threshold).eval_bounds(bounds)
+}
+
 /// The ranked pass every ranked executor runs (§3.5, Eq. 15): the top `k`
 /// of `items` by exact value under `order`, keeping only values that pass
-/// `having`. `verify(i)` computes the exact value of `items[i]`.
+/// `having`. `verify(i)` computes the exact value of `items[i]`;
+/// `refine(i)` tighter bounds on it than `items[i]`'s, or `None` when it
+/// has none to give.
 ///
 /// Items without a usable bound (`None`, or a NaN optimistic end) are
 /// verified first, in key order; the rest are visited best optimistic end
 /// first (`hi` for `DESC`, `lo` for `ASC`; ties by ascending key). Once the
 /// top holds `k` rows, the first item whose bound ranks below the k-th row
 /// ends the pass: every item after it ranks lower still, so none of them
-/// can enter, and the rows equal a full sort's. A NaN exact value ranks
-/// worst under either order.
+/// can enter, and the rows equal a full sort's. An item reached on its
+/// first bound that can still enter is refined once, before it costs a
+/// load: under a usable refined bound it goes back among the rest, to be
+/// reached again (or never) under its refined optimistic end; otherwise it
+/// is verified. Every entry still bounds its item and the pass still takes
+/// the best entry left, so the stop rule holds. `HAVING` prunes an item
+/// whose bounds — refined, once they are — make it false. A refinement is
+/// neither verified nor pruned. A NaN exact value ranks worst under either
+/// order.
 pub(crate) fn top_k<K: Ord + Copy>(
     items: &[(K, Option<Interval>)],
     k: usize,
     order: Order,
     having: Option<(CmpOp, f64)>,
+    mut refine: impl FnMut(usize) -> QueryResult<Option<Interval>>,
     mut verify: impl FnMut(usize) -> QueryResult<f64>,
 ) -> QueryResult<TopK<K>> {
     if k == 0 {
@@ -121,36 +140,52 @@ pub(crate) fn top_k<K: Ord + Copy>(
     let mut bounded = Vec::with_capacity(items.len());
     for (i, &(key, bounds)) in items.iter().enumerate() {
         match usable(bounds) {
-            Some(end) => bounded.push((rank(end, order, key), i)),
+            Some(end) => bounded.push((rank(end, order, key), i, None)),
             None => unbounded.push((key, i)),
         }
     }
     unbounded.sort_unstable();
-    // Built in O(n); one pop per visit.
-    let mut bounded = BinaryHeap::from(bounded);
-    let visits = unbounded
-        .into_iter()
-        .map(|(_, i)| (None, i))
-        .chain(std::iter::from_fn(|| bounded.pop()).map(|(bound, i)| (Some(bound), i)));
+    let mut unbounded = unbounded.into_iter().map(|(_, i)| i);
+    // Built in O(n); one pop per visit. An entry is `(rank, index,
+    // refined bounds as bits)`: rank and index are unique, so the bits
+    // never decide the order.
+    let mut bounded: BinaryHeap<(Rank<K>, usize, Option<[u64; 2]>)> = BinaryHeap::from(bounded);
 
     // The current top as a min-heap on rank, so its root is the k-th row;
     // the exact value rides along as bits.
     let mut top: BinaryHeap<Reverse<(Rank<K>, u64)>> = BinaryHeap::with_capacity(k + 1);
     let mut verified = 0u64;
-    for (bound, i) in visits {
-        let (key, bounds) = items[i];
-        if let (Some(bound), Some(Reverse((kth, _)))) = (&bound, top.peek()) {
-            if top.len() == k && bound < kth {
-                break;
+    loop {
+        let i = match unbounded.next() {
+            Some(i) => i,
+            None => {
+                let Some((bound, i, refined)) = bounded.pop() else {
+                    break;
+                };
+                if let Some(Reverse((kth, _))) = top.peek() {
+                    if top.len() == k && bound < *kth {
+                        break;
+                    }
+                }
+                let bounds = match refined {
+                    Some([lo, hi]) => Interval::new(f64::from_bits(lo), f64::from_bits(hi)),
+                    None => items[i].1.expect("a bounded item"),
+                };
+                if having.is_some_and(|having| having_bounds(having, &bounds) == Truth::False) {
+                    continue;
+                }
+                if refined.is_none() {
+                    if let Some(b) = refine(i)? {
+                        if let Some(end) = usable(Some(b)) {
+                            let bits = [b.lo.to_bits(), b.hi.to_bits()];
+                            bounded.push((rank(end, order, items[i].0), i, Some(bits)));
+                            continue;
+                        }
+                    }
+                }
+                i
             }
-        }
-        if let (Some(bounds), Some((op, threshold))) = (bounds.filter(|_| bound.is_some()), having)
-        {
-            if Comparison::new(Expr::Const(0.0), op, threshold).eval_bounds(&bounds) == Truth::False
-            {
-                continue;
-            }
-        }
+        };
         verified += 1;
         let mut value = verify(i)?;
         if having.is_some_and(|(op, threshold)| !op.eval(value, threshold)) {
@@ -163,7 +198,7 @@ pub(crate) fn top_k<K: Ord + Copy>(
                 Order::Asc => f64::INFINITY,
             };
         }
-        let entry = (rank(value, order, key), value.to_bits());
+        let entry = (rank(value, order, items[i].0), value.to_bits());
         if top.len() < k {
             top.push(Reverse(entry));
         } else if top.peek().is_some_and(|Reverse(kth)| entry > *kth) {
@@ -185,16 +220,19 @@ pub(crate) fn top_k<K: Ord + Copy>(
 /// The pass of a grouped statement over its groups: through [`top_k`]
 /// under `ORDER BY … LIMIT`; otherwise every group whose value passes
 /// `having`, ascending by image. A group its bounds decide under `HAVING` is
-/// never verified, and an accepted one is returned without a value.
+/// never verified, and an accepted one is returned without a value; one
+/// they leave undecided is decided by `refine(i)`'s bounds if it can be,
+/// as in [`top_k`].
 pub(crate) fn grouped(
     items: &[(ImageId, Option<Interval>)],
     having: Option<(CmpOp, f64)>,
     limit: Option<(usize, Order)>,
+    mut refine: impl FnMut(usize) -> QueryResult<Option<Interval>>,
     mut verify: impl FnMut(usize) -> QueryResult<f64>,
 ) -> QueryResult<(Vec<ResultRow>, QueryStats)> {
     let mut stats = QueryStats::default();
     if let Some((k, order)) = limit {
-        let top = top_k(items, k, order, having, verify)?;
+        let top = top_k(items, k, order, having, refine, verify)?;
         (stats.pruned, stats.verified) = (top.pruned, top.verified);
         let rows = top
             .rows
@@ -204,8 +242,14 @@ pub(crate) fn grouped(
     }
     let mut rows = Vec::new();
     for (i, &(image, bounds)) in items.iter().enumerate() {
-        if let (Some(bounds), Some((op, threshold))) = (bounds, having) {
-            match Comparison::new(Expr::Const(0.0), op, threshold).eval_bounds(&bounds) {
+        if let (Some(bounds), Some(having)) = (bounds, having) {
+            let mut truth = having_bounds(having, &bounds);
+            if truth == Truth::Unknown {
+                if let Some(refined) = refine(i)? {
+                    truth = having_bounds(having, &refined);
+                }
+            }
+            match truth {
                 Truth::False => {
                     stats.pruned += 1;
                     continue;
@@ -276,14 +320,59 @@ mod tests {
         order: Order,
         having: Option<(CmpOp, f64)>,
     ) -> (TopK<u64>, Vec<u64>) {
+        run_refined(items, k, order, having, |_| None)
+    }
+
+    /// [`run`] with `refine` giving an item's refined bounds.
+    fn run_refined(
+        items: &[(u64, Option<Interval>, f64)],
+        k: usize,
+        order: Order,
+        having: Option<(CmpOp, f64)>,
+        refine: impl Fn(&(u64, Option<Interval>, f64)) -> Option<Interval>,
+    ) -> (TopK<u64>, Vec<u64>) {
         let keyed: Vec<(u64, Option<Interval>)> = items.iter().map(|i| (i.0, i.1)).collect();
         let mut visited = Vec::new();
-        let top = top_k(&keyed, k, order, having, |i| {
-            visited.push(items[i].0);
-            Ok(items[i].2)
-        })
+        let top = top_k(
+            &keyed,
+            k,
+            order,
+            having,
+            |i| Ok(refine(&items[i])),
+            |i| {
+                visited.push(items[i].0);
+                Ok(items[i].2)
+            },
+        )
         .unwrap();
         (top, visited)
+    }
+
+    #[test]
+    fn refined_bounds_go_back_into_the_order_and_spare_loads() {
+        let b = |lo, hi| Some(Interval::new(lo, hi));
+        let items = [
+            (1, b(0.0, 10.0), 5.0),
+            (2, b(0.0, 9.0), 8.0),
+            (3, b(0.0, 8.0), 2.0),
+        ];
+        // Keys 1 and 2 are refined to their exact values and go back; key
+        // 2 is verified on its refined 8, and key 3's region bound 8 ties
+        // it with a larger key: the pass ends with one load.
+        let (top, visited) = run_refined(&items, 1, Order::Desc, None, |i| b(i.2, i.2));
+        assert_eq!((top.rows, visited), (vec![(8.0, 2)], vec![2]));
+        assert_eq!((top.verified, top.pruned), (1, 2));
+        // Without a usable refinement an item is verified when reached.
+        for refined in [None, b(f64::NAN, f64::NAN)] {
+            let (top, visited) = run_refined(&items, 1, Order::Desc, None, |_| refined);
+            assert_eq!((top.rows, visited), (vec![(8.0, 2)], vec![1, 2]));
+        }
+        // `HAVING` prunes on the refined bounds.
+        let (top, visited) = run_refined(&items, 3, Order::Desc, Some((CmpOp::Gt, 6.0)), |i| {
+            b(i.2, i.2 + 0.5)
+        });
+        assert_eq!((top.rows, visited), (vec![(8.0, 2)], vec![2]));
+        assert_eq!((top.verified, top.pruned), (1, 2));
     }
 
     #[test]
@@ -402,6 +491,22 @@ mod tests {
             sort_ranked(&mut expected, order, k);
             let (top, _) = run(&items, k, order, having);
             assert_eq!(top.rows, expected, "case {case}: {items:?} k={k} {order:?}");
+            // Refinements inside the bounds — none, exact, narrower or NaN
+            // by key — leave the rows as they are.
+            let refine = |&(key, bounds, exact): &(u64, Option<Interval>, f64)| {
+                let b: Interval = bounds?;
+                match key % 4 {
+                    0 => None,
+                    1 => Some(Interval::point(exact)),
+                    2 => Some(Interval::new(b.lo.max(exact - 1.0), b.hi.min(exact + 1.0))),
+                    _ => Some(Interval::new(f64::NAN, f64::NAN)),
+                }
+            };
+            let (top, _) = run_refined(&items, k, order, having, refine);
+            assert_eq!(
+                top.rows, expected,
+                "case {case} refined: {items:?} k={k} {order:?}"
+            );
         }
     }
 }

@@ -312,11 +312,7 @@ pub fn execute_topk(
     // Ranked pass: load both masks, evaluate exactly.
     let verify_start = Instant::now();
     let mut indexes_built = 0u64;
-    let TopK {
-        rows,
-        verified,
-        pruned,
-    } = top_k(&items, k, order, None, |i| {
+    let verify = |i: usize| {
         let (_, left_id, right_id) = pairs[i];
         let (left, built_l) = session.load_and_index(left_id)?;
         let (right, built_r) = session.load_and_index(right_id)?;
@@ -339,7 +335,13 @@ pub fn execute_topk(
             &session.verify_options_with(kernel_on),
             &mut tiles,
         )
-    })?;
+    };
+    // Composed bounds have no per-cell refinement.
+    let TopK {
+        rows,
+        verified,
+        pruned,
+    } = top_k(&items, k, order, None, |_| Ok(None), verify)?;
     let verify_wall = elapsed(verify_start);
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);

@@ -1,11 +1,14 @@
 //! Top-k execution with bound-based pruning (§3.5).
 //!
-//! Every candidate's CHI bounds are computed first. The shared ranked pass
-//! (`exec::top_k`) then visits the masks best optimistic bound
+//! Every candidate's CHI region bounds are computed first. The shared
+//! ranked pass (`exec::top_k`) then visits the masks best optimistic bound
 //! first — the *upper* bound for a descending query, the *lower* bound for
-//! an ascending one — loading each and updating the current top-k, and
-//! stops at the first mask whose bound cannot beat the k-th value (Eq. 15):
-//! every mask after it is pruned without a load.
+//! an ascending one — and stops at the first mask whose bound cannot beat
+//! the k-th value (Eq. 15): every mask after it is pruned without a load.
+//! A mask reached on its region bound is bounded again per border cell
+//! (`CompiledBounds::cell_interval`) and goes back under the tighter
+//! bound; a mask is loaded, and updates the top-k, only when it is reached
+//! on that (or has none).
 
 use crate::error::QueryResult;
 use crate::eval;
@@ -49,14 +52,20 @@ pub fn execute(
     // Ranked pass: best bound first, verifying until a bound cannot enter.
     let verify_start = Instant::now();
     let mut verifier = session.verifier(plan, expr.terms());
+    let refine = |i: usize| {
+        session.bounds_of_one(candidates[i], |record, chi| {
+            compiled.cell_interval(record, chi)
+        })
+    };
+    let verify = |i: usize| {
+        let record = session.record(candidates[i])?;
+        Ok(expr.evaluate_exact(verifier.counts(&record)?))
+    };
     let TopK {
         rows,
         verified,
         pruned,
-    } = top_k(&items, k, order, None, |i| {
-        let record = session.record(candidates[i])?;
-        Ok(expr.evaluate_exact(verifier.counts(&record)?))
-    })?;
+    } = top_k(&items, k, order, None, refine, verify)?;
     let verify_wall = elapsed(verify_start);
 
     let mut stats = QueryStats {

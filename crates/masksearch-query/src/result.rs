@@ -50,8 +50,10 @@ pub struct QueryStats {
     pub candidates: u64,
     /// Masks pruned by the filter stage (guaranteed to fail). For a ranked
     /// statement: the items (masks, groups or pairs) never verified — those
-    /// whose bounds fail `HAVING` and the unvisited tail after the first
-    /// bound that cannot enter the top-k.
+    /// whose bounds fail `HAVING`, those whose per-cell bounds fell below
+    /// the k-th value, and the unvisited tail after the first bound that
+    /// cannot enter the top-k. A per-cell refinement is counted as neither
+    /// pruned nor verified.
     pub pruned: u64,
     /// Masks accepted by the filter stage without loading (guaranteed to
     /// satisfy).

@@ -1340,6 +1340,20 @@ mod tests {
     }
 
     #[test]
+    fn a_multi_byte_character_near_the_first_keyword_is_an_error() {
+        let engine = Engine::new(test_session(4, IndexingMode::Eager), ServiceConfig::new(1));
+        for sql in [
+            "CREAT\u{1D518}E INDEX by_label ON masks (predicted_label)",
+            "EXPLAIN ANALY\u{1D518}ZE SELECT mask_id FROM masks",
+        ] {
+            assert!(engine.execute_statement(sql).is_err(), "{sql}");
+        }
+        // The slot was released: the engine still serves.
+        assert!(engine.execute(&sample_query()).is_ok());
+        engine.shutdown();
+    }
+
+    #[test]
     fn engine_executes_queries_like_the_session() {
         let reference = test_session(10, IndexingMode::Eager);
         let expected = reference.execute(&sample_query()).unwrap();

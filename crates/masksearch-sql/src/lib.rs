@@ -191,8 +191,10 @@ pub enum ExplainMode {
 pub fn strip_explain(sql: &str) -> Option<(ExplainMode, &str)> {
     fn strip_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
         let trimmed = text.trim_start();
-        if trimmed.len() < keyword.len() || !trimmed[..keyword.len()].eq_ignore_ascii_case(keyword)
-        {
+        // `get`, not indexing: the keyword's length may end inside a
+        // multi-byte character of the statement, which is then no match.
+        let head = trimmed.get(..keyword.len())?;
+        if !head.eq_ignore_ascii_case(keyword) {
             return None;
         }
         let rest = &trimmed[keyword.len()..];
@@ -378,6 +380,28 @@ mod explain_tests {
         // …and must be followed by an actual statement.
         assert!(strip_explain("EXPLAIN").is_none());
         assert!(strip_explain("").is_none());
+    }
+
+    #[test]
+    fn a_multi_byte_character_across_a_keyword_end_is_no_match() {
+        // A four-byte character after each prefix of a keyword: those that
+        // start on the 5th to 7th byte straddle the byte where the 7-byte
+        // keyword would end.
+        let wide = '\u{1D518}';
+        for keyword in ["EXPLAIN", "ANALYZE"] {
+            for split in 1..keyword.len() {
+                let word = format!("{}{wide}{}", &keyword[..split], &keyword[split..]);
+                let text = format!("{word} SELECT mask_id FROM masks");
+                assert!(strip_explain(&text).is_none(), "{text}");
+                let explain = format!("EXPLAIN {text}");
+                assert_eq!(
+                    strip_explain(&explain),
+                    Some((ExplainMode::Plan, text.as_str()))
+                );
+            }
+        }
+        let create = format!("CREAT{wide}E INDEX by_label ON masks (predicted_label)");
+        assert!(strip_explain(&create).is_none());
     }
 
     #[test]

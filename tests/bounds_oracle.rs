@@ -3,14 +3,17 @@
 //! [`ChiStore`], and the ordered lookup cursors.
 //!
 //! The references are the slow, obviously-right forms: `bounds::cp_bounds`
-//! on a freshly built owned [`Chi`], an unordered evaluation of every
-//! comparison, a `BTreeMap<MaskId, Chi>`, and point lookups. Everything is
-//! compared *exactly* — the executors' rows and statistics depend on every
-//! `Truth` and interval being bit-equal to what they were.
+//! on a freshly built owned [`Chi`], per-cell bounds summed from every
+//! border cell's materialised histogram ([`Chi::region_hist`]), an
+//! unordered evaluation of every comparison (region bounds, then per-cell
+//! bounds when those leave it `Unknown`), a `BTreeMap<MaskId, Chi>`, and
+//! point lookups. Everything is compared *exactly* — the executors' rows
+//! and statistics depend on every `Truth` and interval being bit-equal to
+//! what they were.
 
 use masksearch::core::{cp, Mask, MaskId, MaskRecord, PixelRange, Roi};
-use masksearch::index::bounds::cp_bounds;
-use masksearch::index::{Chi, ChiConfig, ChiStore};
+use masksearch::index::bounds::{bin_ranges, cp_bounds};
+use masksearch::index::{Chi, ChiConfig, ChiStore, CpBounds, TermBounds};
 use masksearch::query::eval::{resolve_roi, CompiledBounds};
 use masksearch::query::{
     CpTerm, Expr, Interval, Predicate, QueryError, RoiSpec, TermSource, Truth,
@@ -156,31 +159,184 @@ fn compiled_bounds_equal_cp_bounds_on_an_owned_chi_and_bracket_cp() {
     assert!(compared > 50_000, "{compared} bounds compared");
 }
 
+/// What the per-cell bound of one ROI reads of a mask, materialised: the
+/// clipped ROI's area, the covered region's histogram, and every other
+/// covering cell's histogram with its pixels inside and outside the ROI.
+struct CellParts {
+    roi_area: u64,
+    covered: Option<Vec<u64>>,
+    ring: Vec<(Vec<u64>, u64, u64)>,
+}
+
+fn cell_parts(chi: &Chi, roi: &Roi) -> Option<CellParts> {
+    let clipped = roi.clamp_to(chi.mask_width(), chi.mask_height())?;
+    let covered = chi.covered_region(&clipped);
+    let (bx0, by0, bx1, by1) = chi.covering_region(&clipped).unwrap();
+    let mut ring = Vec::new();
+    for j in by0..by1 {
+        for i in bx0..bx1 {
+            if covered.is_some_and(|(x0, y0, x1, y1)| x0 <= i && i < x1 && y0 <= j && j < y1) {
+                continue;
+            }
+            let cell = Roi::new(
+                chi.x_boundary(i),
+                chi.y_boundary(j),
+                chi.x_boundary(i + 1),
+                chi.y_boundary(j + 1),
+            )
+            .unwrap();
+            let inside = cell.intersect(&clipped).map_or(0, |both| both.area());
+            ring.push((
+                chi.region_hist(i, j, i + 1, j + 1),
+                inside,
+                cell.area() - inside,
+            ));
+        }
+    }
+    Some(CellParts {
+        roi_area: clipped.area(),
+        covered: covered.map(|(x0, y0, x1, y1)| chi.region_hist(x0, y0, x1, y1)),
+        ring,
+    })
+}
+
+/// The per-cell bound from materialised histograms: the covered region's
+/// counts, plus per ring cell `min(|c ∩ R|, outer)` and
+/// `max(0, inner − |c \ R|)`, clamped.
+fn cell_bounds_from(parts: Option<&CellParts>, range: &PixelRange, bins: u32) -> CpBounds {
+    let Some(parts) = parts else {
+        return CpBounds::empty();
+    };
+    let (outer_lo, outer_hi, inner_lo, inner_hi) = bin_ranges(range, bins);
+    let count = |hist: &[u64], lo: u32, hi: u32| {
+        let at = |bin: u32| hist.get(bin as usize).copied().unwrap_or(0);
+        if lo < hi {
+            at(lo) - at(hi)
+        } else {
+            0
+        }
+    };
+    let (mut upper, mut lower) = match &parts.covered {
+        Some(hist) => (
+            count(hist, outer_lo, outer_hi),
+            count(hist, inner_lo, inner_hi),
+        ),
+        None => (0, 0),
+    };
+    for (hist, inside, outside) in &parts.ring {
+        upper += count(hist, outer_lo, outer_hi).min(*inside);
+        lower += count(hist, inner_lo, inner_hi).saturating_sub(*outside);
+    }
+    let upper = upper.min(parts.roi_area);
+    CpBounds {
+        lower: lower.min(upper),
+        upper,
+        roi_area: parts.roi_area,
+    }
+}
+
+fn interval(b: CpBounds) -> Interval {
+    Interval::new(b.lower as f64, b.upper as f64)
+}
+
+#[test]
+fn cell_bounds_are_sound_never_looser_and_equal_a_per_cell_reference() {
+    let data = dataset();
+    let (mut compared, mut tighter) = (0u64, 0u64);
+    for config in configs() {
+        let store = ChiStore::new(config);
+        for (record, mask) in &data {
+            store.index_mask(record.mask_id, mask);
+        }
+        let reader = store.reader();
+        for roi in rois() {
+            let exprs: Vec<Expr> = ranges()
+                .into_iter()
+                .map(|range| {
+                    Expr::Cp(CpTerm {
+                        source: TermSource::Own,
+                        roi,
+                        range,
+                    })
+                })
+                .collect();
+            // One of each per range over every mask, so what they keep per
+            // shape and ROI is kept across changes of either.
+            let mut compiled: Vec<_> = exprs
+                .iter()
+                .map(|expr| CompiledBounds::expr(expr, true))
+                .collect();
+            let mut terms: Vec<_> = ranges().into_iter().map(TermBounds::new).collect();
+            for (record, mask) in data.iter().chain(data.iter().rev()) {
+                let view = reader.get(record.mask_id).unwrap();
+                let resolved = roi.resolve(record).unwrap_or_else(|| mask.full_roi());
+                let owned = Chi::build(mask, &config);
+                let parts = cell_parts(&owned, &resolved);
+                for (at, range) in ranges().iter().enumerate() {
+                    let expected = cell_bounds_from(parts.as_ref(), range, config.bins());
+                    let region = cp_bounds(&owned, &resolved, range);
+                    let what = format!("mask {} {config:?} {roi:?} {range}", record.mask_id);
+                    assert_eq!(terms[at].cp_bounds(view, &resolved), region, "{what}");
+                    assert_eq!(terms[at].cell_bounds(view, &resolved), expected, "{what}");
+                    assert_eq!(
+                        compiled[at].interval(record, view).unwrap(),
+                        interval(region)
+                    );
+                    let cells = compiled[at].cell_interval(record, view).unwrap();
+                    assert_eq!(cells, interval(expected), "{what}");
+                    let exact = cp(mask, &resolved, range);
+                    assert!(expected.lower <= exact && exact <= expected.upper, "{what}");
+                    assert!(region.lower <= expected.lower, "{what}");
+                    assert!(expected.upper <= region.upper, "{what}");
+                    tighter += u64::from(expected.gap() < region.gap());
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 40_000, "{compared} bounds compared");
+    assert!(tighter > compared / 20, "{tighter} of {compared} tighter");
+}
+
 /// The unordered evaluation: every term resolved in written order (the
-/// first failure is the error), every comparison bounded, the predicate
-/// evaluated once.
+/// first failure is the error), every comparison bounded with region
+/// bounds and the predicate evaluated once; if that is `Unknown`, every
+/// comparison bounded with per-cell bounds and the predicate evaluated
+/// again. Also says whether the per-cell bounds decided it.
 fn unordered(
     predicate: &Predicate,
     record: &MaskRecord,
     chi: &Chi,
     fallback: bool,
-) -> Result<Truth, QueryError> {
-    let mut intervals = Vec::new();
-    for cmp in predicate.comparisons() {
-        let mut terms = Vec::new();
-        for term in cmp.expr.terms() {
-            if term.source.is_pair() {
-                return Err(QueryError::invalid(
-                    "CP terms over a.mask / b.mask or a mask composition require a pair (join) query",
-                ));
+) -> Result<(Truth, bool), QueryError> {
+    for cells in [false, true] {
+        let mut intervals = Vec::new();
+        for cmp in predicate.comparisons() {
+            let mut terms = Vec::new();
+            for term in cmp.expr.terms() {
+                if term.source.is_pair() {
+                    return Err(QueryError::invalid(
+                        "CP terms over a.mask / b.mask or a mask composition require a pair (join) query",
+                    ));
+                }
+                let roi = resolve_roi(term, record, fallback)?;
+                terms.push(interval(match cells {
+                    false => cp_bounds(chi, &roi, &term.range),
+                    true => cell_bounds_from(
+                        cell_parts(chi, &roi).as_ref(),
+                        &term.range,
+                        chi.config().bins(),
+                    ),
+                }));
             }
-            let roi = resolve_roi(term, record, fallback)?;
-            let b = cp_bounds(chi, &roi, &term.range);
-            terms.push(Interval::new(b.lower as f64, b.upper as f64));
+            intervals.push(cmp.expr.evaluate_bounds(&terms));
         }
-        intervals.push(cmp.expr.evaluate_bounds(&terms));
+        let truth = predicate.eval_bounds(&intervals);
+        if truth != Truth::Unknown || cells {
+            return Ok((truth, cells && truth != Truth::Unknown));
+        }
     }
-    Ok(predicate.eval_bounds(&intervals))
+    unreachable!("the per-cell pass returns")
 }
 
 fn permutations(n: usize) -> Vec<Vec<usize>> {
@@ -204,6 +360,10 @@ fn compound_predicates_give_the_unordered_truth_and_error_under_every_cost_order
     let salient = PixelRange::new(0.5, 1.0).unwrap();
     let mid = PixelRange::new(0.3, 0.55).unwrap();
     let rect = Roi::new(4, 2, 30, 20).unwrap();
+    let (wide, tall) = (
+        Roi::new(3, 3, 29, 27).unwrap(),
+        Roi::new(2, 5, 22, 38).unwrap(),
+    );
     let object = || Expr::cp_object(salient);
     let pair = || Expr::cp_side(TermSource::Left, RoiSpec::FullMask, mid);
     let predicates = [
@@ -222,13 +382,23 @@ fn compound_predicates_give_the_unordered_truth_and_error_under_every_cost_order
         Predicate::gt(pair(), 1.0)
             .or(Predicate::gt(object(), 10.0))
             .or(Predicate::gt(Expr::cp_full(salient), 0.0)),
+        // Thresholds inside the region bounds' gap, where per-cell bounds
+        // decide some masks.
+        Predicate::gt(Expr::cp(wide, salient), 60.0).or(Predicate::lt(Expr::cp(tall, mid), 80.0)),
+        Predicate::lt(Expr::cp(tall, mid), 80.0)
+            .and(Predicate::le(Expr::cp(wide, salient), 60.0))
+            .and(Predicate::ge(Expr::cp_full(mid), 0.0)),
     ];
-    let (mut truths, mut errors) = ([0u64; 3], 0u64);
+    let (mut truths, mut errors, mut by_cells) = ([0u64; 3], 0u64, 0u64);
     for (record, mask) in dataset() {
         let chi = Chi::build(&mask, &config);
         for predicate in &predicates {
             for fallback in [false, true] {
-                let expected = unordered(predicate, &record, &chi, fallback);
+                let expected =
+                    unordered(predicate, &record, &chi, fallback).map(|(truth, cells)| {
+                        by_cells += u64::from(cells);
+                        truth
+                    });
                 for order in permutations(predicate.comparisons().len()) {
                     let mut compiled = CompiledBounds::predicate(predicate, &order, fallback);
                     match (compiled.classify(&record, chi.view()), &expected) {
@@ -247,8 +417,8 @@ fn compound_predicates_give_the_unordered_truth_and_error_under_every_cost_order
         }
     }
     assert!(
-        truths.iter().all(|n| *n > 0) && errors > 0,
-        "{truths:?} {errors}"
+        truths.iter().all(|n| *n > 0) && errors > 0 && by_cells > 10,
+        "{truths:?} {errors} {by_cells}"
     );
 }
 

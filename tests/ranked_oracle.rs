@@ -8,7 +8,9 @@
 //! {0, 1, 3, n−1, n, n+5}, `HAVING` beside `LIMIT`, and every indexing mode,
 //! so some or all bounds are missing; a share of the cases runs on a
 //! durable store. The deterministic cases pin what the bound-ordered pass
-//! saves, and three regressions: `HAVING` together with `ORDER BY … LIMIT`
+//! and the per-cell refinement of undecided candidates save (exact
+//! `verified` counts for a filter, a top-k and a grouped top-k), and three
+//! regressions: `HAVING` together with `ORDER BY … LIMIT`
 //! (single node, in-process shards, and a 2-shard coordinator over TCP) and
 //! a NaN-valued grouped aggregate.
 
@@ -597,4 +599,110 @@ fn having_with_limit_is_exact_through_a_two_shard_coordinator() {
     for shard in shards {
         shard.shutdown();
     }
+}
+
+/// Masks whose 4×4 cells are each wholly lit (0.9) or wholly dark (0.1),
+/// the lit cells a subset of the centre, the left column, the top row and
+/// the middle right cell chosen by the id's bits; ids 16 and 17 are
+/// checkerboards. Under `(2, 2, 10, 10)` and a bin-aligned range the
+/// per-cell bounds of a lit-or-dark mask are exact — a corner cell counts 4
+/// pixels inside the ROI, an edge cell 8, the centre 16 — while the region
+/// bounds of Eqs. 3–4 leave most of them a wide interval; a checkerboard's
+/// per-cell bounds are its region bounds, [8, 56].
+fn cell_lit_dataset() -> Vec<(MaskRecord, Mask)> {
+    (0..18u64)
+        .map(|id| {
+            let record = MaskRecord::builder(MaskId::new(id))
+                .image_id(ImageId::new(id / 2))
+                .model_id(ModelId::new(id % 2 + 1))
+                .shape(W, H)
+                .build();
+            let lit = move |x: u32, y: u32| {
+                let (cx, cy) = (x / 4, y / 4);
+                match id {
+                    16 | 17 => (x + y).is_multiple_of(2),
+                    _ => {
+                        ((cx, cy) == (1, 1) && id & 1 == 0)
+                            || (cx == 0 && id & 2 != 0)
+                            || (cy == 0 && id & 4 != 0)
+                            || ((cx, cy) == (2, 1) && id & 8 != 0)
+                    }
+                }
+            };
+            let mask = Mask::from_fn(W, H, move |x, y| if lit(x, y) { 0.9 } else { 0.1 });
+            (record, mask)
+        })
+        .collect()
+}
+
+/// `verified` of `items` (the 18 masks, or their 9 groups of two), a load
+/// per verified mask, and every item pruned, accepted from its bounds or
+/// verified.
+fn assert_counts(out: &masksearch::query::QueryOutput, items: u64, verified: u64, what: &str) {
+    let stats = &out.stats;
+    assert_eq!(stats.verified, verified, "{what}: {stats:?}");
+    assert_eq!(
+        stats.masks_loaded,
+        verified * 18 / items,
+        "{what}: {stats:?}"
+    );
+    assert_eq!(
+        stats.pruned + stats.accepted_without_load + stats.verified,
+        items,
+        "{what}: {stats:?}"
+    );
+}
+
+/// A filter the region bounds leave undecided on most of the lit-or-dark
+/// masks (they verify 14 of 18 under `> 20`): their per-cell bounds decide
+/// every one of them, and only the two checkerboards are verified.
+#[test]
+fn per_cell_bounds_decide_what_region_bounds_leave_to_a_filter() {
+    let data = cell_lit_dataset();
+    let session = memory_session(&data, IndexingMode::Eager);
+    let roi = Roi::new(2, 2, 10, 10).unwrap();
+    for threshold in [20.0, 30.0] {
+        let query = Query::filter_cp_gt(roi, range(0.5, 1.0), threshold);
+        let out = session.execute(&query).unwrap();
+        assert_eq!(bits(&out.rows), bits(&oracle(&data, &query)));
+        assert_counts(&out, 18, 2, &format!("> {threshold}"));
+    }
+}
+
+/// Top-k over the same masks: each mask reached on its region bound is
+/// refined to its exact value, so only the k rows and the checkerboards
+/// (whose refined bounds still reach the k-th value) are loaded — 5 and 6
+/// where region bounds alone load 14 and 11.
+#[test]
+fn per_cell_bounds_leave_a_top_k_fewer_loads() {
+    let data = cell_lit_dataset();
+    let session = memory_session(&data, IndexingMode::Eager);
+    let roi = Roi::new(2, 2, 10, 10).unwrap();
+    for (order, k, verified) in [(Order::Desc, 3, 5), (Order::Asc, 4, 6)] {
+        let query = Query::top_k_cp(roi, range(0.5, 1.0), k, order);
+        let out = session.execute(&query).unwrap();
+        assert_eq!(bits(&out.rows), bits(&oracle(&data, &query)));
+        assert_counts(&out, 18, verified, &format!("{order:?} k={k}"));
+    }
+}
+
+/// A grouped top-k and a `HAVING` filter over the images of two masks:
+/// every member of a group reached on its region bound is refined before
+/// the group costs a load. The top 3 verifies 4 groups (7 under region
+/// bounds alone), the filter only the checkerboards' group.
+#[test]
+fn per_cell_bounds_leave_a_grouped_top_k_fewer_loads() {
+    let data = cell_lit_dataset();
+    let session = memory_session(&data, IndexingMode::Eager);
+    let expr = Expr::cp(Roi::new(2, 2, 10, 10).unwrap(), range(0.5, 1.0));
+    let top = Query::aggregate(expr.clone(), ScalarAgg::Avg).with_group_top_k(3, Order::Desc);
+    let having = Query::aggregate(expr, ScalarAgg::Sum).with_having(CmpOp::Gt, 40.0);
+    let out = session.execute(&top).unwrap();
+    assert_eq!(bits(&out.rows), bits(&oracle(&data, &top)));
+    assert_counts(&out, 9, 4, "top 3");
+    // A group its bounds accept comes back without a value.
+    let out = session.execute(&having).unwrap();
+    let keys = |rows: &[ResultRow]| rows.iter().map(|r| r.key).collect::<Vec<_>>();
+    assert_eq!(keys(&out.rows), keys(&oracle(&data, &having)));
+    assert_counts(&out, 9, 1, "having");
 }

@@ -268,7 +268,7 @@ fn admission_follows_reuse_not_arrival() {
     let (dir, db) = build_db("admission", db_config());
     // Verifies most of the 80 masks: 20x what a 5% cache holds.
     let scan =
-        compile("SELECT mask_id FROM masks WHERE CP(mask, (4, 4, 44, 36), (0.3, 1.0)) > 500")
+        compile("SELECT mask_id FROM masks WHERE CP(mask, (4, 4, 44, 36), (0.33, 1.0)) > 300")
             .unwrap();
     let expected = oracle_rows(db.mask_store().as_ref(), &db.catalog(), &scan);
 
