@@ -64,11 +64,11 @@
 //! lives on exactly one shard, per-mask reads are still never torn.
 
 use crate::error::{ClusterError, ClusterResult};
-use crate::metrics::{ClusterMetrics, ClusterMetricsSnapshot};
 use crate::shard::ShardMap;
 use crate::topk;
 use masksearch_core::{Mask, MaskId, MaskRecord};
-use masksearch_obs::{counters as obs_counters, keys as obs_keys, prom::PromText};
+use masksearch_obs::keys::{self as obs_keys, ClusterMetricsSnapshot, MetricsSnapshot};
+use masksearch_obs::{counters as obs_counters, prom::PromText};
 use masksearch_obs::{ProfileRing, QueryProfile, RecorderStatus};
 use masksearch_query::merge::{self, RankedPartial};
 use masksearch_query::{Mutation, MutationOutcome, Order, QueryOutput, QueryStats};
@@ -81,6 +81,7 @@ use masksearch_service::{
 use masksearch_sql::{Routing, Statement};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -147,7 +148,10 @@ struct Endpoint {
 struct Inner {
     links: Vec<Endpoint>,
     map: ShardMap,
-    metrics: ClusterMetrics,
+    /// When the coordinator came up.
+    started: Instant,
+    /// One count per row of [`ClusterMetricsSnapshot::ROWS`].
+    metrics: [AtomicU64; ClusterMetricsSnapshot::N],
     /// The owner index: which shard currently holds each mask id. Seeded
     /// from a `LOOKUP *` scatter at connect and maintained by every routed
     /// write, so steady-state write routing never broadcasts `LOOKUP`s.
@@ -204,7 +208,8 @@ impl Coordinator {
             inner: Arc::new(Inner {
                 links,
                 map,
-                metrics: ClusterMetrics::new(),
+                started: Instant::now(),
+                metrics: [const { AtomicU64::new(0) }; ClusterMetricsSnapshot::N],
                 owners: std::sync::Mutex::new(HashMap::new()),
                 dedup: masksearch_service::MutationDedup::new(),
                 profiles: ProfileRing::new(PROFILE_RING_CAPACITY),
@@ -244,7 +249,17 @@ impl Coordinator {
 
     /// Coordinator-level metrics.
     pub fn metrics(&self) -> ClusterMetricsSnapshot {
-        self.inner.metrics.snapshot()
+        let mut m = ClusterMetricsSnapshot::load(&self.inner.metrics);
+        m.shards = self.shards() as u64;
+        m.uptime_ms = self.inner.started.elapsed().as_millis() as u64;
+        m.profiles_recorded = self.inner.profiles.recorded();
+        m
+    }
+
+    /// Adds the counts `set` writes into a zero snapshot; the rows it
+    /// leaves at zero do not move.
+    fn count(&self, set: impl FnOnce(&mut ClusterMetricsSnapshot)) {
+        ClusterMetricsSnapshot::add(&self.inner.metrics, set);
     }
 
     fn shard_err(&self, shard: usize, source: ServiceError) -> ClusterError {
@@ -272,7 +287,7 @@ impl Coordinator {
         requests: Vec<(usize, String)>,
         parse: impl Fn(Frame) -> Result<T, ServiceError>,
     ) -> ClusterResult<Vec<T>> {
-        self.inner.metrics.record_shard_requests(requests.len());
+        self.count(|m| m.shard_requests = requests.len() as u64);
         obs_counters::add(&obs_counters::SCATTER_REQUESTS, requests.len() as u64);
         // Inert unless a trace is open on this thread (both phases run on
         // the coordinating thread, so the span nests under the query).
@@ -358,7 +373,7 @@ impl Coordinator {
         let started = Instant::now();
         let result = self.route(token, sql);
         if result.is_err() {
-            self.inner.metrics.record_failed();
+            self.count(|m| m.failed = 1);
         }
         self.observe_series(started.elapsed(), &result);
         self.observe(trace, sql, started, result.is_ok());
@@ -392,7 +407,7 @@ impl Coordinator {
                     .to_string(),
             )),
             query => {
-                self.inner.metrics.record_query();
+                self.count(|m| m.queries = 1);
                 let output = match query.routing() {
                     Routing::Ranked { k, order } => self.ranked_query(sql, k, order)?,
                     _ => self.broadcast_query(sql)?,
@@ -415,7 +430,7 @@ impl Coordinator {
         };
         match self.inner.dedup.begin(token) {
             Admission::Replay(outcome) => {
-                self.inner.metrics.record_deduped();
+                self.count(|m| m.mutations_deduped = 1);
                 Ok(outcome)
             }
             Admission::Execute => {
@@ -432,12 +447,7 @@ impl Coordinator {
     /// Feeds one coordinated statement into the windowed time series.
     fn observe_series(&self, wall: Duration, result: &ClusterResult<ClusterReply>) {
         let stages = match result {
-            Ok(ClusterReply::Rows(output)) => masksearch_obs::StageCounts {
-                candidates: output.stats.candidates,
-                pruned: output.stats.pruned,
-                verified: output.stats.verified,
-                loaded: output.stats.masks_loaded,
-            },
+            Ok(ClusterReply::Rows(output)) => masksearch_obs::StageCounts::from(&output.stats),
             _ => masksearch_obs::StageCounts::default(),
         };
         self.inner
@@ -550,7 +560,7 @@ impl Coordinator {
         let single_round = masksearch_plan::choose_single_round(
             k,
             self.shards(),
-            self.inner.metrics.snapshot().mean_threshold_rounds(),
+            ClusterMetricsSnapshot::load(&self.inner.metrics).mean_threshold_rounds(),
         );
         let run = topk::distributed_topk(k, order, self.shards(), single_round, |requests| {
             let lines: Vec<(usize, String)> = requests
@@ -571,9 +581,12 @@ impl Coordinator {
                     .collect(),
             )
         })?;
-        self.inner
-            .metrics
-            .record_ranked(run.rounds, run.refined_requests, single_round);
+        self.count(|m| {
+            m.ranked_queries = 1;
+            m.topk_rounds = run.rounds as u64;
+            m.topk_refined_requests = run.refined_requests as u64;
+            m.topk_single_round = single_round as u64;
+        });
         Ok(run.output)
     }
 
@@ -634,9 +647,11 @@ impl Coordinator {
                 }
             }
         }
-        self.inner.metrics.record_owner_resolutions(resolved.len());
+        self.count(|m| {
+            m.owner_resolutions = resolved.len() as u64;
+            m.lookup_broadcasts = u64::from(!unknown.is_empty());
+        });
         if !unknown.is_empty() {
-            self.inner.metrics.record_lookup_broadcast();
             let located = self.locate(&unknown)?;
             let mut owners = self.inner.owners.lock().expect("owner index lock");
             for (shard, present) in located.into_iter().enumerate() {
@@ -688,7 +703,7 @@ impl Coordinator {
                 }
             }
         }
-        self.inner.metrics.record_owner_resolutions(owner.len());
+        self.count(|m| m.owner_resolutions = owner.len() as u64);
         let stale_work: Vec<(usize, String)> = stale_per_shard
             .iter()
             .enumerate()
@@ -715,7 +730,11 @@ impl Coordinator {
                 owners.insert(id, shard);
             }
         }
-        self.inner.metrics.record_mutation(applied, 0, 0, relocated);
+        self.count(|m| {
+            m.mutations = 1;
+            m.masks_inserted = applied;
+            m.masks_relocated = relocated;
+        });
         // Report the requested tuple count, matching what a single-node
         // server answers for the same statement (duplicate-id tuples count
         // once per tuple there too, the later ones overwriting in place).
@@ -762,9 +781,10 @@ impl Coordinator {
                 map.remove(&id);
             }
         }
-        self.inner
-            .metrics
-            .record_mutation(0, ids.len() as u64, 0, 0);
+        self.count(|m| {
+            m.mutations = 1;
+            m.masks_deleted = ids.len() as u64;
+        });
         Ok(MutationOutcome {
             inserted: 0,
             deleted: ids.len(),
@@ -797,7 +817,10 @@ impl Coordinator {
         };
         let responses = self.scatter_rows(vec![(shard, sql.to_string())])?;
         let updated: u64 = responses.iter().map(|r| r.summary.updated).sum();
-        self.inner.metrics.record_mutation(0, 0, updated, 0);
+        self.count(|m| {
+            m.mutations = 1;
+            m.masks_updated = updated;
+        });
         Ok(MutationOutcome {
             inserted: 0,
             deleted: 0,
@@ -811,7 +834,7 @@ impl Coordinator {
     /// partial failure idempotent.
     fn broadcast_ddl(&self, sql: &str) -> ClusterResult<MutationOutcome> {
         self.scatter_rows(self.all(sql))?;
-        self.inner.metrics.record_mutation(0, 0, 0, 0);
+        self.count(|m| m.mutations = 1);
         Ok(MutationOutcome::default())
     }
 
@@ -939,10 +962,13 @@ impl Coordinator {
                 }
             }
         }
-        self.inner.metrics.record_transaction();
-        self.inner
-            .metrics
-            .record_mutation(summary.inserted, summary.deleted, summary.updated, 0);
+        self.count(|m| {
+            m.transactions = 1;
+            m.mutations = 1;
+            m.masks_inserted = summary.inserted;
+            m.masks_deleted = summary.deleted;
+            m.masks_updated = summary.updated;
+        });
         Ok(MutationOutcome {
             inserted: summary.inserted as usize,
             deleted: summary.deleted as usize,
@@ -1033,179 +1059,22 @@ impl Backend for Coordinator {
         ))
     }
 
-    /// One aggregated `STATS` line: shard counters summed (latency
-    /// percentiles maxed), plus the coordinator's own scatter/refinement/
-    /// routing counters. `active_connections` is the shards' sum, as
-    /// every other summed key.
+    /// One aggregated `STATS` line ([`merged_stats_line`] over every
+    /// shard's).
     fn stats_line(&self, _active_connections: u64) -> ClusterResult<String> {
         let lines = self.scatter_control(self.all("STATS"))?;
-        let mut sums: BTreeMap<&'static str, f64> = BTreeMap::new();
-        let mut maxes: BTreeMap<&'static str, f64> = BTreeMap::new();
-        // The aggregation arrays are the shared registry the shard-side
-        // `STATS` writer spells its keys from, so writer and merge cannot
-        // drift apart.
-        for line in &lines {
-            for token in line.split_ascii_whitespace().skip(1) {
-                let Some((key, value)) = token.split_once('=') else {
-                    continue;
-                };
-                let Ok(value) = value.parse::<f64>() else {
-                    continue;
-                };
-                if let Some(key) = obs_keys::STATS_SUM_KEYS.iter().find(|k| **k == key) {
-                    *sums.entry(key).or_insert(0.0) += value;
-                } else if let Some(key) = obs_keys::STATS_MAX_KEYS.iter().find(|k| **k == key) {
-                    let slot = maxes.entry(key).or_insert(0.0);
-                    *slot = slot.max(value);
-                }
-            }
-        }
-        let m = self.metrics();
-        let mut line = format!("STATS shards={}", self.shards());
-        for (key, value) in sums {
-            if key == obs_keys::QPS {
-                line.push_str(&format!(" {key}={value:.3}"));
-            } else {
-                line.push_str(&format!(" {key}={}", value as u64));
-            }
-        }
-        for (key, value) in maxes {
-            line.push_str(&format!(" {key}={}", value as u64));
-        }
-        line.push_str(&format!(
-            " cluster_queries={} cluster_ranked={} cluster_mutations={} cluster_deduped={} \
-             cluster_failed={} shard_requests={} topk_rounds={} topk_refined_requests={} \
-             topk_single_round={} relocated={} cluster_transactions={} cluster_updated={} \
-             owner_resolutions={} lookup_broadcasts={}",
-            m.queries,
-            m.ranked_queries,
-            m.mutations,
-            m.mutations_deduped,
-            m.failed,
-            m.shard_requests,
-            m.topk_rounds,
-            m.topk_refined_requests,
-            m.topk_single_round,
-            m.masks_relocated,
-            m.transactions,
-            m.masks_updated,
-            m.owner_resolutions,
-            m.lookup_broadcasts,
-        ));
-        Ok(line)
+        Ok(merged_stats_line(&lines, &self.metrics()))
     }
 
-    /// The coordinator's own Prometheus text exposition: routing and
-    /// refinement counters plus the
-    /// process-global observability counters (scatter width and wait time
-    /// among them). Shard-level metrics are scraped from the shards
-    /// directly — summing histograms across processes is the scraper's job,
-    /// not the coordinator's.
+    /// The coordinator's own Prometheus text exposition: its
+    /// [`ClusterMetricsSnapshot::ROWS`] plus the process-global counters
+    /// (scatter width and wait time among them). Shard-level metrics are
+    /// scraped from the shards directly — summing histograms across
+    /// processes is the scraper's job, not the coordinator's.
     fn prometheus_text(&self) -> String {
-        let m = self.metrics();
         let mut p = PromText::new();
-        p.gauge(
-            "masksearch_cluster_shards",
-            "Number of shards this coordinator scatters over.",
-            self.shards() as f64,
-        );
-        p.gauge(
-            "masksearch_cluster_uptime_seconds",
-            "Seconds since the coordinator started.",
-            m.uptime_ms as f64 / 1e3,
-        );
-        p.counter(
-            "masksearch_cluster_queries_total",
-            "Read statements coordinated.",
-            m.queries,
-        );
-        p.counter(
-            "masksearch_cluster_ranked_queries_total",
-            "Distributed top-k statements among them.",
-            m.ranked_queries,
-        );
-        p.counter(
-            "masksearch_cluster_mutations_total",
-            "Write statements routed.",
-            m.mutations,
-        );
-        p.counter(
-            "masksearch_cluster_mutations_deduped_total",
-            "Mutations answered from the coordinator token-dedup registry.",
-            m.mutations_deduped,
-        );
-        p.counter(
-            "masksearch_cluster_failed_total",
-            "Statements that failed.",
-            m.failed,
-        );
-        p.counter(
-            "masksearch_cluster_shard_requests_total",
-            "Shard requests issued by scatter rounds.",
-            m.shard_requests,
-        );
-        p.counter(
-            "masksearch_cluster_topk_rounds_total",
-            "Distributed top-k scatter rounds.",
-            m.topk_rounds,
-        );
-        p.counter(
-            "masksearch_cluster_topk_refined_requests_total",
-            "Shard re-queries issued by top-k refinement.",
-            m.topk_refined_requests,
-        );
-        p.counter(
-            "masksearch_cluster_topk_single_round_total",
-            "Ranked queries the planner ran in single-round mode.",
-            m.topk_single_round,
-        );
-        p.counter(
-            "masksearch_cluster_masks_inserted_total",
-            "Masks inserted through the coordinator.",
-            m.masks_inserted,
-        );
-        p.counter(
-            "masksearch_cluster_masks_deleted_total",
-            "Masks deleted through the coordinator.",
-            m.masks_deleted,
-        );
-        p.counter(
-            "masksearch_cluster_masks_updated_total",
-            "Masks re-masked in place (UPDATE) through the coordinator.",
-            m.masks_updated,
-        );
-        p.counter(
-            "masksearch_cluster_transactions_total",
-            "BEGIN ... COMMIT scripts applied atomically on a single shard.",
-            m.transactions,
-        );
-        p.counter(
-            "masksearch_cluster_owner_resolutions_total",
-            "Mask-id owners resolved from the in-memory owner index.",
-            m.owner_resolutions,
-        );
-        p.counter(
-            "masksearch_cluster_lookup_broadcasts_total",
-            "LOOKUP broadcasts issued for ids the owner index did not know.",
-            m.lookup_broadcasts,
-        );
-        p.counter(
-            "masksearch_cluster_masks_relocated_total",
-            "Stale copies evicted by overwrites that moved a mask.",
-            m.masks_relocated,
-        );
-        p.counter(
-            "masksearch_cluster_profiles_recorded_total",
-            "Coordinated-query profiles recorded.",
-            self.inner.profiles.recorded(),
-        );
-        for (name, value) in obs_counters::snapshot() {
-            p.counter(
-                &format!("masksearch_{name}_total"),
-                "Process-global observability counter.",
-                value,
-            );
-        }
+        p.metrics(&ClusterMetricsSnapshot::ROWS, &self.metrics().values());
+        p.metrics(&obs_counters::ROWS, &obs_counters::values());
         p.finish()
     }
 
@@ -1289,33 +1158,25 @@ impl Backend for Coordinator {
         *self.inner.owners.lock().expect("owner index lock") = owners;
         Ok(ids)
     }
+}
 
-    /// Cluster-wide cumulative values of the `MONITOR` counters: every
-    /// shard's `STATS` line scattered and the
-    /// [`obs_keys::MONITOR_DELTA_KEYS`] summed, so coordinator `MONITOR`
-    /// deltas sum to the same totals an aggregated `STATS` reports.
-    fn monitor_values(&self) -> ClusterResult<Vec<(&'static str, u64)>> {
-        let lines = self.scatter_control(self.all("STATS"))?;
-        let mut sums = vec![0u64; obs_keys::MONITOR_DELTA_KEYS.len()];
-        for line in &lines {
-            for token in line.split_ascii_whitespace().skip(1) {
-                let Some((key, value)) = token.split_once('=') else {
-                    continue;
-                };
-                let Ok(value) = value.parse::<u64>() else {
-                    continue;
-                };
-                if let Some(pos) = obs_keys::MONITOR_DELTA_KEYS.iter().position(|k| *k == key) {
-                    sums[pos] += value;
-                }
-            }
-        }
-        Ok(obs_keys::MONITOR_DELTA_KEYS
-            .iter()
-            .zip(sums)
-            .map(|(&key, value)| (key, value))
-            .collect())
+/// A coordinator's `STATS` line: `shards=`, then its shards' `STATS` lines
+/// merged by each [`MetricsSnapshot::ROWS`] row's rule — summed keys, then
+/// maxed keys, each group alphabetical — then the coordinator's own
+/// [`ClusterMetricsSnapshot::ROWS`].
+pub fn merged_stats_line(shard_lines: &[String], own: &ClusterMetricsSnapshot) -> String {
+    let mut merged: Vec<_> = MetricsSnapshot::ROWS
+        .iter()
+        .zip(obs_keys::merge_stats(shard_lines))
+        .filter(|(row, _)| row.merge != obs_keys::Merge::Own)
+        .collect();
+    merged.sort_by_key(|(row, _)| (row.merge, row.key));
+    let mut line = format!("STATS shards={}", own.shards);
+    for (row, value) in merged {
+        row.write_stat(&mut line, value);
     }
+    obs_keys::write_stats(&mut line, &ClusterMetricsSnapshot::ROWS, &own.values());
+    line
 }
 
 /// The coordinator's TCP front end: the service crate's [`Server`] over a

@@ -52,7 +52,6 @@
 
 pub mod coordinator;
 pub mod error;
-pub mod metrics;
 pub mod shard;
 pub mod topk;
 
@@ -60,6 +59,6 @@ pub use coordinator::{
     ClusterConfig, ClusterReply, Coordinator, CoordinatorHandle, CoordinatorServer,
 };
 pub use error::{ClusterError, ClusterResult};
-pub use metrics::{ClusterMetrics, ClusterMetricsSnapshot};
+pub use masksearch_obs::keys::ClusterMetricsSnapshot;
 pub use shard::ShardMap;
 pub use topk::{distributed_topk, TopkRun};

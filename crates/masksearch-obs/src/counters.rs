@@ -6,15 +6,16 @@
 //! sees none of that. These counters are global, lock-free, and always on —
 //! they answer "how much lock waiting is happening on this server", which
 //! is exactly the question behind the 1→2 worker QPS plateau, and they feed
-//! the `METRICS` Prometheus exposition.
+//! the `METRICS` Prometheus exposition through [`ROWS`].
 
+use crate::keys::{help, Kind, Merge, Metric, Unit};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 macro_rules! global_counters {
-    ($( $(#[$doc:meta])* ($name:ident, $text:expr) ),+ $(,)?) => {
+    ($( $(#[doc = $doc:literal])+ ($name:ident, $text:literal) ),+ $(,)?) => {
         $(
-            $(#[$doc])*
+            $(#[doc = $doc])+
             pub static $name: AtomicU64 = AtomicU64::new(0);
         )+
 
@@ -22,6 +23,24 @@ macro_rules! global_counters {
         /// declaration order. Names are the Prometheus metric suffixes.
         pub fn snapshot() -> Vec<(&'static str, u64)> {
             vec![$( ($text, $name.load(Ordering::Relaxed)) ),+]
+        }
+
+        /// The counters' metric rows, exported as `masksearch_<name>_total`
+        /// with their doc comments as HELP, in declaration order.
+        pub const ROWS: [Metric; [$($text),+].len()] = [$(
+            Metric {
+                key: "",
+                prom: concat!("masksearch_", $text, "_total"),
+                help: help!($($doc)+),
+                kind: Kind::Counter,
+                merge: Merge::Own,
+                unit: Unit::Count,
+            },
+        )+];
+
+        /// Every counter's value, in [`ROWS`] order.
+        pub fn values() -> [f64; ROWS.len()] {
+            [$( $name.load(Ordering::Relaxed) as f64 ),+]
         }
     };
 }

@@ -14,9 +14,9 @@
 //! - [`counters`]: process-global atomic counters for events that happen on
 //!   worker threads a span stack cannot follow (cache lock waits, catalog
 //!   lock waits, WAL commits, kernel invocations). Exposed via `METRICS`.
-//! - [`keys`]: the shared metric-name registry used by the service `STATS`
-//!   line and the cluster `SUM_KEYS` aggregation, so the two surfaces can
-//!   never drift.
+//! - [`keys`]: the metrics registry — every exported metric declared once,
+//!   as a row the `STATS` writers, the Prometheus expositions, `MONITOR`
+//!   and the coordinator's merge all walk.
 //! - [`prom`]: a tiny Prometheus text-exposition builder (and validator).
 //! - [`LogHistogram`]: the log₂-bucket latency histogram behind the
 //!   service's latency and queue-wait distributions and the time series.

@@ -5,6 +5,7 @@
 //! validator is what the protocol tests assert with, so "emits valid
 //! Prometheus text" is a checked property rather than a hope.
 
+use crate::keys::{Kind, Metric, Unit};
 use crate::LogHistogram;
 
 /// Incrementally builds a Prometheus text exposition.
@@ -19,24 +20,26 @@ impl PromText {
         Self::default()
     }
 
-    /// Appends a `counter` metric.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
-        self.header(name, help, "counter");
-        self.out.push_str(&format!("{name} {value}\n"));
-        self
-    }
-
-    /// Appends a `gauge` metric.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) -> &mut Self {
-        self.header(name, help, "gauge");
-        self.out.push_str(&format!("{name} {value}\n"));
-        self
-    }
-
     /// Appends a `histogram` metric from a [`LogHistogram`].
     pub fn histogram(&mut self, name: &str, help: &str, histogram: &LogHistogram) -> &mut Self {
         self.header(name, help, "histogram");
         histogram.render_prometheus(name, &mut self.out);
+        self
+    }
+
+    /// Appends every row of `rows` that has a Prometheus name, with its
+    /// value from `values` (row order).
+    pub fn metrics(&mut self, rows: &[Metric], values: &[f64]) -> &mut Self {
+        for (row, &value) in rows.iter().zip(values) {
+            let (kind, value) = match (row.kind, row.unit) {
+                _ if row.prom.is_empty() => continue,
+                (Kind::Counter, _) => ("counter", value),
+                (Kind::Gauge, Unit::Millis) => ("gauge", value / 1e3),
+                (Kind::Gauge, _) => ("gauge", value),
+            };
+            self.header(row.prom, row.help, kind);
+            self.out.push_str(&format!("{} {value}\n", row.prom));
+        }
         self
     }
 
@@ -123,9 +126,15 @@ mod tests {
 
     #[test]
     fn builder_output_validates() {
+        use crate::keys::MetricsSnapshot;
         let mut p = PromText::new();
-        p.counter("masksearch_queries_total", "Queries served.", 17);
-        p.gauge("masksearch_queue_depth", "Jobs waiting.", 2.0);
+        let snapshot = MetricsSnapshot {
+            completed: 17,
+            queue_depth: 2,
+            uptime_ms: 1_500,
+            ..Default::default()
+        };
+        p.metrics(&MetricsSnapshot::ROWS, &snapshot.values());
         let h = LogHistogram::new();
         h.record(150);
         h.record(9000);
@@ -133,8 +142,12 @@ mod tests {
         let text = p.finish();
         let samples = validate(&text).expect("valid exposition");
         assert!(samples >= 6, "expected counter+gauge+histogram samples");
-        assert!(text.contains("# TYPE masksearch_queries_total counter"));
-        assert!(text.contains("masksearch_queries_total 17"));
+        assert!(text.contains("# TYPE masksearch_queries_completed_total counter"));
+        assert!(text.contains("masksearch_queries_completed_total 17\n"));
+        assert!(text.contains("# TYPE masksearch_queue_depth gauge\nmasksearch_queue_depth 2\n"));
+        assert!(text.contains("masksearch_uptime_seconds 1.5\n"));
+        // A row without a Prometheus name is not exported.
+        assert!(!text.contains("p50_us"));
     }
 
     #[test]

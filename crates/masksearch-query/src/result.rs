@@ -112,6 +112,18 @@ pub struct QueryStats {
     pub io_virtual: Duration,
 }
 
+/// The stage counters a statement feeds into the windowed time series.
+impl From<&QueryStats> for masksearch_obs::StageCounts {
+    fn from(stats: &QueryStats) -> Self {
+        Self {
+            candidates: stats.candidates,
+            pruned: stats.pruned,
+            verified: stats.verified,
+            loaded: stats.masks_loaded,
+        }
+    }
+}
+
 impl QueryStats {
     /// Fraction of targeted masks that were loaded from storage (the paper's
     /// FML, §4.4). Zero when there were no candidates.

@@ -11,7 +11,7 @@ use crate::error::ServiceError;
 use crate::job::{PartialResponse, Response};
 use crate::protocol::{self, ClientRequest, RecordControl};
 use masksearch_core::MaskId;
-use masksearch_obs::{QueryProfile, RecorderStatus};
+use masksearch_obs::{keys, QueryProfile, RecorderStatus};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -63,10 +63,6 @@ pub trait Backend: Clone + Send + Sync + 'static {
     /// Which of `ids` are held (`LOOKUP`), or every held id for `None`
     /// (`LOOKUP *`).
     fn lookup(&self, ids: Option<&[MaskId]>) -> Result<Vec<MaskId>, Self::Error>;
-
-    /// Cumulative values of the [`masksearch_obs::keys::MONITOR_DELTA_KEYS`]
-    /// counters, which `MONITOR` streams as deltas.
-    fn monitor_values(&self) -> Result<Vec<(&'static str, u64)>, Self::Error>;
 }
 
 /// Answers one request, handing each rendered frame — `@<id>`-prefixed when
@@ -88,13 +84,14 @@ pub(crate) fn answer<B: Backend>(
             frames,
             interval_ms,
         } => {
-            // The subscriber's baseline is zero, so frame 0 carries the
-            // cumulative counters and the deltas summed over the
-            // subscription equal the final STATS.
-            let mut prev = vec![0u64; masksearch_obs::keys::MONITOR_DELTA_KEYS.len()];
+            // Each frame reads the counters off the backend's own `STATS`
+            // line, and the subscriber's baseline is zero, so frame 0
+            // carries the cumulative counters and the deltas summed over
+            // the subscription equal the final STATS.
+            let mut prev = vec![0u64; keys::MONITOR_DELTA_KEYS.len()];
             for seq in 0..frames {
-                let values = match backend.monitor_values() {
-                    Ok(values) => values,
+                let values = match backend.stats_line(active_connections.load(Ordering::Relaxed)) {
+                    Ok(line) => keys::monitor_values(&keys::merge_stats(&[line])),
                     Err(e) => return emit(&frame(tag, |buf| protocol::write_error(buf, &e))),
                 };
                 let deltas: Vec<(&str, u64)> = values

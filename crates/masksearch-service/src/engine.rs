@@ -18,8 +18,9 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{ClientRequest, RecordControl};
 use masksearch_core::MaskId;
 use masksearch_obs::{
-    keys as obs_keys, prom::PromText, FlightRecorder, ProfileRing, QueryProfile, RecordKind,
-    RecordedQuery, RecorderStatus, SlowQueryLog, StageCounts, TimeSeries, WindowSummary,
+    counters, keys as obs_keys, prom::PromText, FlightRecorder, ProfileRing, QueryProfile,
+    RecordKind, RecordedQuery, RecorderStatus, SlowQueryLog, StageCounts, TimeSeries,
+    WindowSummary,
 };
 use masksearch_query::{Mutation, MutationOutcome, Query, QueryStats, Session};
 use masksearch_sql::{ExplainMode, Statement, TxnControl};
@@ -234,14 +235,7 @@ impl Shared {
     /// Always on: the rings are bounded and an observation is a short
     /// mutex-protected bucket update.
     fn observe_series(&self, wall: Duration, ok: bool, stats: Option<&QueryStats>) {
-        let stages = stats
-            .map(|s| StageCounts {
-                candidates: s.candidates,
-                pruned: s.pruned,
-                verified: s.verified,
-                loaded: s.masks_loaded,
-            })
-            .unwrap_or_default();
+        let stages = stats.map(StageCounts::from).unwrap_or_default();
         self.timeseries.observe(wall.as_micros() as u64, ok, stages);
     }
 
@@ -257,17 +251,19 @@ impl Shared {
         match self.gate.enter(submitted, deadline) {
             Ok(slot) => {
                 let wait = submitted.elapsed();
-                self.metrics.record_submitted();
+                self.metrics.add(|m| m.submitted = 1);
                 self.metrics.record_queue_wait(wait);
                 Ok((slot, wait))
             }
             Err(e) => {
                 match e {
-                    ServiceError::QueueFull { .. } => self.metrics.record_rejected(),
+                    ServiceError::QueueFull { .. } => self.metrics.add(|m| m.rejected = 1),
                     ServiceError::DeadlineExceeded { waited } => {
-                        self.metrics.record_submitted();
+                        self.metrics.add(|m| {
+                            m.submitted = 1;
+                            m.deadline_expired = 1;
+                        });
                         self.metrics.record_queue_wait(waited);
-                        self.metrics.record_deadline_expired();
                     }
                     _ => {}
                 }
@@ -337,7 +333,7 @@ impl Engine {
         let shared = Arc::new(Shared {
             session,
             gate: Gate::new(config.workers, config.queue_depth),
-            metrics: ServiceMetrics::new(),
+            metrics: ServiceMetrics::default(),
             dedup: MutationDedup::new(),
             profiles: ProfileRing::new(PROFILE_RING_CAPACITY),
             slow_log,
@@ -361,14 +357,18 @@ impl Engine {
 
     /// Server-wide metrics, with the cache hit rate taken from the session's
     /// shared mask cache and the write-path counters from the store (when it
-    /// tracks them).
+    /// tracks them). `active_connections` is the front end's to fill.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = self.shared.metrics.snapshot();
         snapshot.cache_hit_rate = self.shared.session.cache().stats().hit_rate();
         snapshot.queue_depth = self.shared.gate.lock().waiting as u64;
         if let Some(ingest) = self.shared.session.store().ingest_stats() {
-            snapshot.ingest = ingest;
+            snapshot.wal_bytes = ingest.wal_bytes;
+            snapshot.checkpoints = ingest.checkpoints;
+            snapshot.commits = ingest.commits;
         }
+        snapshot.profiles_recorded = self.shared.profiles.recorded();
+        snapshot.slow_queries_logged = self.shared.slow_log.logged();
         snapshot
     }
 
@@ -638,7 +638,7 @@ impl Engine {
         };
         let response = match self.shared.dedup.begin(token) {
             Admission::Replay(outcome) => {
-                self.shared.metrics.record_mutation_deduped();
+                self.shared.metrics.add(|m| m.mutations_deduped = 1);
                 MutationResponse::untimed(outcome)
             }
             Admission::Execute => {
@@ -791,164 +791,9 @@ impl Backend for Engine {
     /// (version 0.0.4): service counters and gauges, the process-global
     /// observability counters, and the latency/queue-wait histograms.
     fn prometheus_text(&self) -> String {
-        let s = self.metrics();
         let mut p = PromText::new();
-        p.counter(
-            "masksearch_queries_submitted_total",
-            "Queries admitted past the waiting bound.",
-            s.submitted,
-        );
-        p.counter(
-            "masksearch_queries_completed_total",
-            "Queries finished successfully.",
-            s.completed,
-        );
-        p.counter(
-            "masksearch_queries_failed_total",
-            "Queries that failed during execution.",
-            s.failed,
-        );
-        p.counter(
-            "masksearch_queries_rejected_total",
-            "Queries rejected by admission control.",
-            s.rejected,
-        );
-        p.counter(
-            "masksearch_queries_deadline_expired_total",
-            "Queries whose deadline passed while waiting for a slot.",
-            s.deadline_expired,
-        );
-        p.counter(
-            "masksearch_mutations_total",
-            "Write statements applied.",
-            s.mutations,
-        );
-        p.counter(
-            "masksearch_masks_inserted_total",
-            "Masks inserted by served writes.",
-            s.masks_inserted,
-        );
-        p.counter(
-            "masksearch_masks_deleted_total",
-            "Masks deleted by served writes.",
-            s.masks_deleted,
-        );
-        p.counter(
-            "masksearch_masks_updated_total",
-            "Masks re-masked in place by served writes.",
-            s.masks_updated,
-        );
-        p.counter(
-            "masksearch_mutations_deduped_total",
-            "Mutations answered from the token-dedup registry.",
-            s.mutations_deduped,
-        );
-        p.counter(
-            "masksearch_tiles_pruned_total",
-            "Verification-kernel tiles decided from min/max summaries.",
-            s.tiles_pruned,
-        );
-        p.counter(
-            "masksearch_tiles_hist_total",
-            "Verification-kernel tiles answered from tile histograms.",
-            s.tiles_hist,
-        );
-        p.counter(
-            "masksearch_tiles_scanned_total",
-            "Verification-kernel tiles scanned pixel by pixel.",
-            s.tiles_scanned,
-        );
-        p.counter(
-            "masksearch_pairs_bound_total",
-            "Pair-query images bound.",
-            s.pairs_bound,
-        );
-        p.counter(
-            "masksearch_planner_kernel_on_total",
-            "Masks the planner routed to the tiled verification kernel.",
-            s.planner_kernel_on,
-        );
-        p.counter(
-            "masksearch_planner_kernel_off_total",
-            "Masks the planner routed to the reference scan.",
-            s.planner_kernel_off,
-        );
-        p.counter(
-            "masksearch_index_probes_total",
-            "Secondary-index probes issued by metadata resolution.",
-            s.index_probes,
-        );
-        p.counter(
-            "masksearch_index_rows_total",
-            "Candidate rows produced by secondary-index probes.",
-            s.index_rows,
-        );
-        p.counter(
-            "masksearch_planner_index_on_total",
-            "Queries whose metadata filter was answered through an index.",
-            s.planner_index_on,
-        );
-        p.counter(
-            "masksearch_planner_index_off_total",
-            "Index-eligible queries the planner kept on the catalog scan.",
-            s.planner_index_off,
-        );
-        p.counter(
-            "masksearch_wal_bytes_total",
-            "Bytes appended to the write-ahead log.",
-            s.ingest.wal_bytes,
-        );
-        p.counter(
-            "masksearch_commits_total",
-            "Committed write transactions.",
-            s.ingest.commits,
-        );
-        p.counter(
-            "masksearch_checkpoints_total",
-            "Checkpoints completed (WAL truncations).",
-            s.ingest.checkpoints,
-        );
-        p.counter(
-            "masksearch_profiles_recorded_total",
-            "Query profiles recorded into the profile ring.",
-            self.shared.profiles.recorded(),
-        );
-        p.counter(
-            "masksearch_slow_queries_logged_total",
-            "Entries written to the slow-query log.",
-            self.shared.slow_log.logged(),
-        );
-        p.gauge(
-            "masksearch_uptime_seconds",
-            "Time since the server started.",
-            s.uptime.as_secs_f64(),
-        );
-        p.gauge("masksearch_qps", "Completed queries per second.", s.qps);
-        p.gauge(
-            "masksearch_filter_rate",
-            "Fraction of candidates the index avoided loading.",
-            s.filter_rate,
-        );
-        p.gauge(
-            "masksearch_cache_hit_rate",
-            "Shared mask-cache hit rate.",
-            s.cache_hit_rate,
-        );
-        p.gauge(
-            "masksearch_queue_depth",
-            "Callers waiting for an execution slot.",
-            s.queue_depth as f64,
-        );
-        // Process-global counters: lock waits, kernel calls, WAL/pager
-        // activity, scatter rounds. Same source the cluster coordinator
-        // aggregates, so names line up across single node and cluster.
-        for (name, value) in masksearch_obs::counters::snapshot() {
-            p.counter(
-                &format!("masksearch_{name}_total"),
-                "Process-global observability counter.",
-                value,
-            );
-        }
+        p.metrics(&MetricsSnapshot::ROWS, &self.metrics().values());
+        p.metrics(&counters::ROWS, &counters::values());
         p.histogram(
             "masksearch_query_latency_seconds",
             "End-to-end query latency (submission to completion).",
@@ -1018,42 +863,6 @@ impl Backend for Engine {
             None => self.shared.session.store().ids(),
         })
     }
-
-    /// The same numbers `STATS` reports, keyed by
-    /// [`obs_keys::MONITOR_DELTA_KEYS`].
-    fn monitor_values(&self) -> ServiceResult<Vec<(&'static str, u64)>> {
-        let m = self.metrics();
-        Ok(obs_keys::MONITOR_DELTA_KEYS
-            .iter()
-            .map(|&key| {
-                let value = match key {
-                    k if k == obs_keys::COMPLETED => m.completed,
-                    k if k == obs_keys::FAILED => m.failed,
-                    k if k == obs_keys::REJECTED => m.rejected,
-                    k if k == obs_keys::DEADLINE_EXPIRED => m.deadline_expired,
-                    k if k == obs_keys::MUTATIONS => m.mutations,
-                    k if k == obs_keys::INSERTED => m.masks_inserted,
-                    k if k == obs_keys::DELETED => m.masks_deleted,
-                    k if k == obs_keys::UPDATED => m.masks_updated,
-                    k if k == obs_keys::DEDUPED => m.mutations_deduped,
-                    k if k == obs_keys::CHECKPOINTS => m.ingest.checkpoints,
-                    k if k == obs_keys::COMMITS => m.ingest.commits,
-                    k if k == obs_keys::TILES_PRUNED => m.tiles_pruned,
-                    k if k == obs_keys::TILES_HIST => m.tiles_hist,
-                    k if k == obs_keys::TILES_SCANNED => m.tiles_scanned,
-                    k if k == obs_keys::PAIRS_BOUND => m.pairs_bound,
-                    k if k == obs_keys::PLANNER_KERNEL_ON => m.planner_kernel_on,
-                    k if k == obs_keys::PLANNER_KERNEL_OFF => m.planner_kernel_off,
-                    k if k == obs_keys::INDEX_PROBES => m.index_probes,
-                    k if k == obs_keys::INDEX_ROWS => m.index_rows,
-                    k if k == obs_keys::PLANNER_INDEX_ON => m.planner_index_on,
-                    k if k == obs_keys::PLANNER_INDEX_OFF => m.planner_index_off,
-                    _ => 0,
-                };
-                (key, value)
-            })
-            .collect())
-    }
 }
 
 /// Whether a SQL line's first keyword is `BEGIN` / `COMMIT` / `ROLLBACK` —
@@ -1116,7 +925,14 @@ fn run_job(shared: &Shared, job: &Job<'_>, wait: Duration) -> ServiceResult<Resp
             exec_time
         };
     let applied = |outcome: MutationOutcome| {
-        shared.metrics.record_mutation(&outcome);
+        // Mutation latencies stay out of the query latency histogram so
+        // ingestion bursts do not distort read p99s.
+        shared.metrics.add(|m| {
+            m.mutations = 1;
+            m.masks_inserted = outcome.inserted as u64;
+            m.masks_deleted = outcome.deleted as u64;
+            m.masks_updated = outcome.updated as u64;
+        });
         shared.observe_series(exec_start.elapsed(), true, None);
         Response::Mutation(MutationResponse {
             outcome,
@@ -1194,7 +1010,7 @@ fn guarded<T>(
         Ok(Err(e)) => e.into(),
         Err(panic) => ServiceError::Internal(panic_message(&panic)),
     };
-    shared.metrics.record_failed();
+    shared.metrics.add(|m| m.failed = 1);
     shared.observe_series(exec_start.elapsed(), false, None);
     Err(error)
 }

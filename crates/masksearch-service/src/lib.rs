@@ -32,8 +32,8 @@
 //!   `queue_depth` waiters is rejected, one whose deadline passes while it
 //!   waits is abandoned), runs it on the caller's own thread, and records
 //!   metrics.
-//! * [`ServiceMetrics`] — QPS, latency histograms (`masksearch-obs`'s
-//!   `LogHistogram`), filter rate, cache hit rate.
+//! * [`ServiceMetrics`] — the counts of the `masksearch-obs` metrics
+//!   registry's service rows, and latency histograms (`LogHistogram`).
 //! * [`Server`] / [`Client`] — the one line-oriented TCP front end over
 //!   `std::net` speaking the `masksearch-sql` dialect. The server is generic
 //!   over a [`Backend`]: the [`Engine`] here, or a `masksearch-cluster`

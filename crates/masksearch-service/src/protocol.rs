@@ -513,59 +513,12 @@ pub fn pong_version(line: &str) -> Option<u32> {
 }
 
 /// The `STATS` line of a server-metrics frame (the frame is this line and
-/// the `END` marker).
-///
-/// Every aggregatable key is spelled via [`masksearch_obs::keys`], the same
-/// registry the cluster coordinator's sum/max merge reads — renaming a key
-/// there changes writer and aggregator together.
+/// the `END` marker): every row of [`MetricsSnapshot::ROWS`] that has a
+/// `STATS` key, in row order — the same rows the cluster coordinator's
+/// merge reads.
 pub fn stats_line(m: &MetricsSnapshot) -> String {
-    use masksearch_obs::keys as k;
-    use std::fmt::Write as _;
-    let mut line = format!("STATS {}={:.3}", k::QPS, m.qps);
-    for (key, value) in [
-        (k::COMPLETED, m.completed),
-        (k::FAILED, m.failed),
-        (k::REJECTED, m.rejected),
-        (k::DEADLINE_EXPIRED, m.deadline_expired),
-    ] {
-        let _ = write!(line, " {key}={value}");
-    }
-    let _ = write!(
-        line,
-        " {}={} {}={} mean_us={} filter_rate={:.6} cache_hit_rate={:.6} uptime_ms={}",
-        k::P50_US,
-        m.p50_us,
-        k::P99_US,
-        m.p99_us,
-        m.mean_us,
-        m.filter_rate,
-        m.cache_hit_rate,
-        m.uptime.as_millis(),
-    );
-    for (key, value) in [
-        (k::MUTATIONS, m.mutations),
-        (k::INSERTED, m.masks_inserted),
-        (k::DELETED, m.masks_deleted),
-        (k::UPDATED, m.masks_updated),
-        (k::DEDUPED, m.mutations_deduped),
-        (k::WAL_BYTES, m.ingest.wal_bytes),
-        (k::CHECKPOINTS, m.ingest.checkpoints),
-        (k::COMMITS, m.ingest.commits),
-        (k::TILES_PRUNED, m.tiles_pruned),
-        (k::TILES_HIST, m.tiles_hist),
-        (k::TILES_SCANNED, m.tiles_scanned),
-        (k::PAIRS_BOUND, m.pairs_bound),
-        (k::PLANNER_KERNEL_ON, m.planner_kernel_on),
-        (k::PLANNER_KERNEL_OFF, m.planner_kernel_off),
-        (k::INDEX_PROBES, m.index_probes),
-        (k::INDEX_ROWS, m.index_rows),
-        (k::PLANNER_INDEX_ON, m.planner_index_on),
-        (k::PLANNER_INDEX_OFF, m.planner_index_off),
-        (k::ACTIVE_CONNECTIONS, m.active_connections),
-        (k::QUEUE_DEPTH, m.queue_depth),
-    ] {
-        let _ = write!(line, " {key}={value}");
-    }
+    let mut line = String::from("STATS");
+    masksearch_obs::keys::write_stats(&mut line, &MetricsSnapshot::ROWS, &m.values());
     line
 }
 

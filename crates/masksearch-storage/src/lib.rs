@@ -18,8 +18,8 @@
 //!   the real file read, so experiments can report the same shape as the
 //!   paper's EBS-bound numbers regardless of the physical disk underneath.
 //! * [`store`] — [`store::MaskStore`], the object-store-like interface used
-//!   by MaskSearch proper (one blob per mask), with the
-//!   [`store::FileMaskStore`] and [`store::MemoryMaskStore`] implementations.
+//!   by MaskSearch proper (one blob per mask), and the in-memory
+//!   [`store::MemoryMaskStore`].
 //! * [`array_store`] — a TileDB-like dense-array layout that can slice a
 //!   constant ROI out of every mask without reading full masks.
 //! * [`row_store`] — a PostgreSQL-like heap-file layout scanned tuple by
@@ -55,4 +55,4 @@ pub use error::{StorageError, StorageResult};
 pub use format::MaskEncoding;
 pub use meta_index::{MetaColumn, MetaIndexDef, MetaIndexRegistry};
 pub use row_store::RowStore;
-pub use store::{FileMaskStore, IngestSnapshot, MaskStore, MemoryMaskStore};
+pub use store::{IngestSnapshot, MaskStore, MemoryMaskStore};

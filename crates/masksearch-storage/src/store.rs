@@ -2,14 +2,9 @@
 //!
 //! This is the layout MaskSearch itself uses (and the layout the NumPy
 //! baseline of the paper uses: "masks are stored as NumPy arrays on disk").
-//! Two implementations are provided:
-//!
-//! * [`FileMaskStore`] — one file per mask in a directory, read through the
-//!   disk cost model.
-//! * [`MemoryMaskStore`] — an in-memory store with the same accounting,
-//!   convenient for tests and small experiments where writing thousands of
-//!   files would slow iteration without changing any measured quantity
-//!   (the cost model charges the same virtual time either way).
+//! [`MaskStore`] is the interface; [`MemoryMaskStore`] keeps the encoded
+//! blobs in memory and charges the disk cost model, for tests and small
+//! experiments. The durable store is `masksearch-db`'s.
 
 use crate::disk::{DiskProfile, IoStats};
 use crate::error::{StorageError, StorageResult};
@@ -17,9 +12,7 @@ use crate::format::{self, MaskEncoding};
 use masksearch_core::{Mask, MaskId, MaskRecord, TiledMask};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::fs;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Point-in-time ingestion counters of a mutable mask store.
@@ -47,8 +40,7 @@ pub struct IngestSnapshot {
 /// A store maps [`MaskId`]s to mask blobs and charges every read/write to a
 /// shared [`IoStats`] according to its [`DiskProfile`]. Query executors only
 /// depend on this trait, so the same executor runs unmodified against the
-/// file-backed store used in experiments and the in-memory store used in
-/// tests.
+/// durable `masksearch-db` store and the in-memory store used in tests.
 pub trait MaskStore: Send + Sync {
     /// Inserts (or overwrites) a mask.
     fn put(&self, mask_id: MaskId, mask: &Mask) -> StorageResult<()>;
@@ -190,186 +182,11 @@ pub trait MaskStore: Send + Sync {
     fn disk_profile(&self) -> DiskProfile;
 }
 
-/// A mask store keeping one encoded file per mask in a directory.
-///
-/// File names are `mask_<id>.msk`. The directory is created on demand.
-pub struct FileMaskStore {
-    dir: PathBuf,
-    encoding: MaskEncoding,
-    profile: DiskProfile,
-    stats: Arc<IoStats>,
-    /// Index of stored masks and their encoded sizes. Maintained in memory so
-    /// `ids`/`len`/`total_bytes` do not touch the file system.
-    index: RwLock<BTreeMap<MaskId, u64>>,
-}
-
-impl FileMaskStore {
-    /// Creates a store rooted at `dir` (created if missing), writing masks
-    /// with `encoding` and charging reads/writes against `profile`.
-    pub fn create(
-        dir: impl Into<PathBuf>,
-        encoding: MaskEncoding,
-        profile: DiskProfile,
-    ) -> StorageResult<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| {
-            StorageError::io(format!("creating store directory {}", dir.display()), e)
-        })?;
-        Ok(Self {
-            dir,
-            encoding,
-            profile,
-            stats: IoStats::new_shared(),
-            index: RwLock::new(BTreeMap::new()),
-        })
-    }
-
-    /// Opens an existing store directory, scanning it for mask files.
-    pub fn open(
-        dir: impl Into<PathBuf>,
-        encoding: MaskEncoding,
-        profile: DiskProfile,
-    ) -> StorageResult<Self> {
-        let dir = dir.into();
-        if !dir.is_dir() {
-            return Err(StorageError::InvalidStorePath(dir));
-        }
-        let mut index = BTreeMap::new();
-        let entries = fs::read_dir(&dir).map_err(|e| {
-            StorageError::io(format!("listing store directory {}", dir.display()), e)
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StorageError::io("reading store directory entry", e))?;
-            let path = entry.path();
-            if let Some(mask_id) = Self::parse_file_name(&path) {
-                let len = entry
-                    .metadata()
-                    .map_err(|e| StorageError::io("reading mask file metadata", e))?
-                    .len();
-                index.insert(mask_id, len);
-            }
-        }
-        Ok(Self {
-            dir,
-            encoding,
-            profile,
-            stats: IoStats::new_shared(),
-            index: RwLock::new(index),
-        })
-    }
-
-    fn parse_file_name(path: &Path) -> Option<MaskId> {
-        let name = path.file_name()?.to_str()?;
-        let id = name.strip_prefix("mask_")?.strip_suffix(".msk")?;
-        id.parse::<u64>().ok().map(MaskId::new)
-    }
-
-    fn mask_path(&self, mask_id: MaskId) -> PathBuf {
-        self.dir.join(format!("mask_{}.msk", mask_id.raw()))
-    }
-
-    /// Directory the store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Encoding used for newly written masks.
-    pub fn encoding(&self) -> MaskEncoding {
-        self.encoding
-    }
-}
-
-impl MaskStore for FileMaskStore {
-    fn put(&self, mask_id: MaskId, mask: &Mask) -> StorageResult<()> {
-        let bytes = format::encode_mask(mask_id, mask, self.encoding);
-        let path = self.mask_path(mask_id);
-        // Write to a temporary file and rename it into place: a crash
-        // mid-write leaves either the old mask or no file, never a truncated
-        // blob under the final name (`fs::write` alone is torn-write-prone).
-        let tmp = path.with_extension("msk.tmp");
-        fs::write(&tmp, &bytes)
-            .map_err(|e| StorageError::io(format!("writing mask file {}", tmp.display()), e))?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            StorageError::io(format!("renaming mask file into {}", path.display()), e)
-        })?;
-        self.stats.record_write(
-            bytes.len() as u64,
-            self.profile.write_cost(bytes.len() as u64, 1),
-        );
-        self.index.write().insert(mask_id, bytes.len() as u64);
-        Ok(())
-    }
-
-    fn delete(&self, mask_id: MaskId) -> StorageResult<()> {
-        if !self.index.read().contains_key(&mask_id) {
-            return Err(StorageError::MaskNotFound(mask_id));
-        }
-        // Unlink before touching the index: a failed unlink must leave the
-        // in-memory view matching the directory, or the "deleted" mask would
-        // be invisible here yet resurrected by the next reopen.
-        let path = self.mask_path(mask_id);
-        fs::remove_file(&path)
-            .map_err(|e| StorageError::io(format!("removing mask file {}", path.display()), e))?;
-        self.index.write().remove(&mask_id);
-        Ok(())
-    }
-
-    fn get(&self, mask_id: MaskId) -> StorageResult<Mask> {
-        if !self.contains(mask_id) {
-            return Err(StorageError::MaskNotFound(mask_id));
-        }
-        let path = self.mask_path(mask_id);
-        let bytes = fs::read(&path)
-            .map_err(|e| StorageError::io(format!("reading mask file {}", path.display()), e))?;
-        self.stats.record_read(
-            bytes.len() as u64,
-            self.profile.read_cost(bytes.len() as u64, 1),
-        );
-        self.stats.record_mask_loaded();
-        let (_, mask) = format::decode_mask(&bytes)?;
-        Ok(mask)
-    }
-
-    fn contains(&self, mask_id: MaskId) -> bool {
-        self.index.read().contains_key(&mask_id)
-    }
-
-    fn ids(&self) -> Vec<MaskId> {
-        self.index.read().keys().copied().collect()
-    }
-
-    fn len(&self) -> usize {
-        self.index.read().len()
-    }
-
-    fn stored_bytes(&self, mask_id: MaskId) -> StorageResult<u64> {
-        self.index
-            .read()
-            .get(&mask_id)
-            .copied()
-            .ok_or(StorageError::MaskNotFound(mask_id))
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.index.read().values().sum()
-    }
-
-    fn io_stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
-    fn disk_profile(&self) -> DiskProfile {
-        self.profile
-    }
-}
-
-/// An in-memory mask store with the same cost accounting as
-/// [`FileMaskStore`].
+/// An in-memory mask store charged against the disk cost model.
 ///
 /// Masks are kept in their *encoded* form so the bytes charged to the cost
-/// model (and hence every reported statistic) are identical to the
-/// file-backed store's.
+/// model (and hence every reported statistic) are those of the encoded
+/// blobs a disk would hold.
 pub struct MemoryMaskStore {
     encoding: MaskEncoding,
     profile: DiskProfile,
@@ -486,16 +303,6 @@ mod tests {
         Mask::from_fn(16, 16, |x, y| ((x + y + seed) % 13) as f32 / 13.0)
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "masksearch-store-test-{}-{}",
-            name,
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
     fn exercise_store(store: &dyn MaskStore) {
         assert!(store.is_empty());
         for i in 0..5u64 {
@@ -530,45 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn file_store_basic_operations_and_reopen() {
-        let dir = temp_dir("basic");
-        let store =
-            FileMaskStore::create(&dir, MaskEncoding::Raw, DiskProfile::unthrottled()).unwrap();
-        exercise_store(&store);
-
-        // Re-open and confirm the index is rebuilt from the directory.
-        let reopened =
-            FileMaskStore::open(&dir, MaskEncoding::Raw, DiskProfile::unthrottled()).unwrap();
-        assert_eq!(reopened.len(), 5);
-        assert_eq!(reopened.get(MaskId::new(4)).unwrap(), sample_mask(4));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_missing_directory_fails() {
-        let missing = temp_dir("missing-never-created");
-        assert!(matches!(
-            FileMaskStore::open(&missing, MaskEncoding::Raw, DiskProfile::unthrottled()),
-            Err(StorageError::InvalidStorePath(_))
-        ));
-    }
-
-    #[test]
-    fn compressed_file_store_round_trips() {
-        let dir = temp_dir("compressed");
-        let store =
-            FileMaskStore::create(&dir, MaskEncoding::Compressed, DiskProfile::unthrottled())
-                .unwrap();
-        // A smooth (piecewise-constant) mask, as saliency maps typically are.
-        let mask = Mask::from_fn(16, 16, |x, _| if x < 8 { 0.1 } else { 0.8 });
-        store.put(MaskId::new(1), &mask).unwrap();
-        assert_eq!(store.get(MaskId::new(1)).unwrap(), mask);
-        // Compressed blob is smaller than the raw payload for this smooth mask.
-        assert!(store.stored_bytes(MaskId::new(1)).unwrap() < 16 * 16 * 4);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn reads_are_charged_to_the_cost_model() {
         let profile = DiskProfile {
             read_bandwidth_bytes_per_sec: 1024, // absurdly slow: 1 KiB/s
@@ -585,43 +353,17 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes_masks_from_both_stores() {
-        let dir = temp_dir("delete");
-        let file_store =
-            FileMaskStore::create(&dir, MaskEncoding::Raw, DiskProfile::unthrottled()).unwrap();
-        let mem_store = MemoryMaskStore::for_tests();
-        for store in [&file_store as &dyn MaskStore, &mem_store as &dyn MaskStore] {
-            store.put(MaskId::new(1), &sample_mask(1)).unwrap();
-            store.put(MaskId::new(2), &sample_mask(2)).unwrap();
-            store.delete(MaskId::new(1)).unwrap();
-            assert!(!store.contains(MaskId::new(1)));
-            assert_eq!(store.ids(), vec![MaskId::new(2)]);
-            assert!(matches!(
-                store.delete(MaskId::new(1)),
-                Err(StorageError::MaskNotFound(_))
-            ));
-        }
-        // The file is really gone (a reopen must not resurrect it).
-        let reopened =
-            FileMaskStore::open(&dir, MaskEncoding::Raw, DiskProfile::unthrottled()).unwrap();
-        assert_eq!(reopened.ids(), vec![MaskId::new(2)]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_store_put_leaves_no_temp_files() {
-        let dir = temp_dir("tmpfiles");
-        let store =
-            FileMaskStore::create(&dir, MaskEncoding::Raw, DiskProfile::unthrottled()).unwrap();
-        store.put(MaskId::new(3), &sample_mask(3)).unwrap();
-        store.put(MaskId::new(3), &sample_mask(4)).unwrap(); // overwrite
-        let names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["mask_3.msk".to_string()]);
-        assert_eq!(store.get(MaskId::new(3)).unwrap(), sample_mask(4));
-        fs::remove_dir_all(&dir).unwrap();
+    fn delete_removes_masks_from_the_memory_store() {
+        let store = MemoryMaskStore::for_tests();
+        store.put(MaskId::new(1), &sample_mask(1)).unwrap();
+        store.put(MaskId::new(2), &sample_mask(2)).unwrap();
+        store.delete(MaskId::new(1)).unwrap();
+        assert!(!store.contains(MaskId::new(1)));
+        assert_eq!(store.ids(), vec![MaskId::new(2)]);
+        assert!(matches!(
+            store.delete(MaskId::new(1)),
+            Err(StorageError::MaskNotFound(_))
+        ));
     }
 
     #[test]
@@ -696,19 +438,5 @@ mod tests {
         )];
         store.apply_batch(&more, &[]).unwrap();
         assert_eq!(store.len(), 3);
-    }
-
-    #[test]
-    fn corrupt_file_is_surfaced_as_error() {
-        let dir = temp_dir("corrupt");
-        let store =
-            FileMaskStore::create(&dir, MaskEncoding::Raw, DiskProfile::unthrottled()).unwrap();
-        store.put(MaskId::new(1), &sample_mask(1)).unwrap();
-        // Truncate the file behind the store's back.
-        let path = dir.join("mask_1.msk");
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(store.get(MaskId::new(1)).is_err());
-        fs::remove_dir_all(&dir).unwrap();
     }
 }
