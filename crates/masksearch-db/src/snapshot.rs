@@ -25,8 +25,8 @@ pub(crate) struct SnapshotFile {
     path: PathBuf,
     what: &'static str,
     /// Where the next segment goes. Anything in the file past this (a torn
-    /// append, a pre-segment image that cannot be appended to) is cut off by
-    /// the next write.
+    /// append, a pre-segment image or an older format that cannot be
+    /// appended to) is cut off by the next write.
     len: u64,
 }
 

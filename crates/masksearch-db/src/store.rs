@@ -104,6 +104,7 @@ use crate::snapshot::SnapshotFile;
 use crate::stats::IngestStats;
 use crate::wal::Wal;
 use masksearch_core::{Mask, MaskId, MaskRecord, TileGrid, TiledMask};
+use masksearch_index::store::outdated_format;
 use masksearch_index::{Chi, ChiConfig, ChiStore, TileStore};
 use masksearch_obs::counters as obs_counters;
 use masksearch_obs::ShapeStatsRegistry;
@@ -1113,9 +1114,16 @@ fn reconcile_indexes(
 ) -> StorageResult<RecoveredIndexes> {
     // Missing, corrupt, or differently-configured index files are discarded;
     // the directory is the source of truth.
+    // A CHI file of an older format (32-bit cells for every shape) loads,
+    // but is not appended to: like a pre-segment image, it is rewritten as
+    // a whole by the next checkpoint, so no build that refuses the current
+    // format is left reading its stale entries beside newer ones it skips.
     let (chi, chi_len) = fs::read(chi_path)
         .ok()
-        .and_then(|bytes| ChiStore::from_segments(&bytes).ok())
+        .and_then(|bytes| {
+            let (store, len) = ChiStore::from_segments(&bytes).ok()?;
+            Some((store, if outdated_format(&bytes) { 0 } else { len }))
+        })
         .filter(|(store, _)| *store.config() == config.chi_config)
         .unwrap_or_else(|| (ChiStore::new(config.chi_config), 0));
     let (tiles, tiles_len) = fs::read(tiles_path)
@@ -1134,8 +1142,9 @@ fn reconcile_indexes(
     for mask_id in tiles.ids().into_iter().filter(|id| !current(id)) {
         tiles.remove(mask_id);
     }
-    // Nothing can be appended after a pre-segment image (length 0): its
-    // entries must be written again, as the file's first segment.
+    // Nothing can be appended after a pre-segment image or an older format
+    // (length 0): its entries must be written again, as the file's first
+    // segment.
     let mut unsnapshotted = BTreeSet::new();
     if chi_len == 0 {
         unsnapshotted.extend(chi.ids());

@@ -1070,7 +1070,7 @@ fn version_1_databases_open_replay_their_log_and_are_upgraded_in_place() {
         }
         assert_eq!(format_version(&dir, DB_FILE), 2);
         assert_eq!(format_version(&dir, WAL_FILE), 3);
-        assert_eq!(format_version(&dir, CHI_FILE), 2);
+        assert_eq!(format_version(&dir, CHI_FILE), 3);
         assert_eq!(format_version(&dir, TILES_FILE), 3);
         let store = DurableMaskStore::open(&dir, config()).unwrap();
         assert_state_matches(&store, &expected);

@@ -51,15 +51,17 @@
 //! Eqs. 3–4 — at most sixteen loads from a mask's cumulative cells and a
 //! few additions — and it is the only place they are written;
 //! `RoiGeometry::cell_bounds` is the rest of the per-cell bound — a walk
-//! over the ring — and the only place that is written. [`cp_bounds`]
+//! over the ring — and the only place that is written. Both are generic
+//! over the count type (16- or 32-bit, as the mask's shape sets; see
+//! [`crate::chi::Cells`]), and each bound call dispatches on the width once
+//! before running them. [`cp_bounds`]
 //! builds the geometry and calls it once; [`TermBounds`], of which the
 //! query layer keeps one per term of a statement, keeps the bin indices for
 //! the whole statement and the geometry of an ROI across every candidate of
 //! the same shape, for both bounds.
 
-use crate::chi::{ChiConfig, ChiOver, ChiView};
+use crate::chi::{with_counts, CellStorage, ChiConfig, ChiOver, ChiView, Count};
 use masksearch_core::{PixelRange, Roi};
-use std::ops::Deref;
 
 /// An upper and lower bound on a `CP` value, plus the ROI area they refer to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,10 +139,10 @@ fn prefix(chi: ChiView<'_>, bx: u32, by: u32) -> usize {
 /// The count at `offset + bin` of a mask's cumulative cells; zero for the
 /// empty prefix.
 #[inline]
-fn load(cells: &[u32], offset: usize, bin: usize) -> u64 {
+fn load<T: Count>(cells: &[T], offset: usize, bin: usize) -> u64 {
     match offset {
         EMPTY_PREFIX => 0,
-        _ => u64::from(cells[offset + bin]),
+        _ => cells[offset + bin].into(),
     }
 }
 
@@ -158,7 +160,7 @@ impl Corners {
     /// Pixels of the region with bin index `>= bin`; none for `bin >= bins`
     /// (the implicit `hist[bins] = 0` element).
     #[inline]
-    fn tail(&self, cells: &[u32], bins: u32, bin: u32) -> u64 {
+    fn tail<T: Count>(&self, cells: &[T], bins: u32, bin: u32) -> u64 {
         if bin >= bins {
             return 0;
         }
@@ -171,7 +173,7 @@ impl Corners {
     /// Pixels of the region with bin index in `[lo, hi)`, from two
     /// reverse-cumulative lookups per corner. No histogram is materialised.
     #[inline]
-    fn range_count(&self, cells: &[u32], bins: u32, lo: u32, hi: u32) -> u64 {
+    fn range_count<T: Count>(&self, cells: &[T], bins: u32, lo: u32, hi: u32) -> u64 {
         if lo >= hi {
             return 0;
         }
@@ -232,7 +234,7 @@ impl RoiGeometry {
     /// May panic if `cells` belong to a mask of another shape or
     /// configuration than the geometry was made for.
     #[inline]
-    fn cp_bounds(&self, cells: &[u32], bin_ranges: (u32, u32, u32, u32)) -> CpBounds {
+    fn cp_bounds<T: Count>(&self, cells: &[T], bin_ranges: (u32, u32, u32, u32)) -> CpBounds {
         let (outer_lo, outer_hi, inner_lo, inner_hi) = bin_ranges;
         let count = |region: &Corners, lo, hi| region.range_count(cells, self.bins, lo, hi);
 
@@ -264,8 +266,9 @@ impl RoiGeometry {
         }
     }
 
-    /// The per-cell bound (see the module docs) of the ROI on `chi`, for
-    /// the value range whose [`bin_ranges`] are given.
+    /// The per-cell bound (see the module docs) of the ROI on `chi`, whose
+    /// cumulative `cells` these are, for the value range whose
+    /// [`bin_ranges`] are given.
     ///
     /// The ring is walked as strips of neighbouring cells — the partial
     /// rows above and below the covered region across the whole covering
@@ -277,8 +280,12 @@ impl RoiGeometry {
     /// # Panics
     /// May panic if `chi` is of another shape or configuration than the
     /// geometry was made for.
-    fn cell_bounds(&self, chi: ChiView<'_>, bin_ranges: (u32, u32, u32, u32)) -> CpBounds {
-        let cells = chi.data();
+    fn cell_bounds<T: Count>(
+        &self,
+        chi: ChiView<'_>,
+        cells: &[T],
+        bin_ranges: (u32, u32, u32, u32),
+    ) -> CpBounds {
         let (outer_lo, outer_hi, inner_lo, inner_hi) = bin_ranges;
         let (mut upper, mut lower) = match &self.covered {
             Some((region, _)) => (
@@ -398,7 +405,9 @@ impl TermBounds {
     pub fn cp_bounds(&mut self, chi: ChiView<'_>, roi: &Roi) -> CpBounds {
         self.refresh(chi, roi);
         match &self.geometry {
-            Some(geometry) => geometry.cp_bounds(chi.data(), self.bin_ranges),
+            Some(geometry) => {
+                with_counts!(chi.cells(), cells => geometry.cp_bounds(cells, self.bin_ranges))
+            }
             None => CpBounds::empty(),
         }
     }
@@ -408,21 +417,22 @@ impl TermBounds {
     pub fn cell_bounds(&mut self, chi: ChiView<'_>, roi: &Roi) -> CpBounds {
         self.refresh(chi, roi);
         match &self.geometry {
-            Some(geometry) => geometry.cell_bounds(chi, self.bin_ranges),
+            Some(geometry) => {
+                with_counts!(chi.cells(), cells => geometry.cell_bounds(chi, cells, self.bin_ranges))
+            }
             None => CpBounds::empty(),
         }
     }
 }
 
 /// Computes [`CpBounds`] for `CP(mask, roi, range)` from the mask's CHI.
-pub fn cp_bounds<D: Deref<Target = [u32]>>(
-    chi: &ChiOver<D>,
-    roi: &Roi,
-    range: &PixelRange,
-) -> CpBounds {
+pub fn cp_bounds<D: CellStorage>(chi: &ChiOver<D>, roi: &Roi, range: &PixelRange) -> CpBounds {
     let chi = chi.view();
     match RoiGeometry::new(chi, roi) {
-        Some(geometry) => geometry.cp_bounds(chi.data(), bin_ranges(range, chi.config().bins())),
+        Some(geometry) => {
+            let bin_ranges = bin_ranges(range, chi.config().bins());
+            with_counts!(chi.cells(), cells => geometry.cp_bounds(cells, bin_ranges))
+        }
         None => CpBounds::empty(),
     }
 }
@@ -434,7 +444,9 @@ mod tests {
     use masksearch_core::{cp, Mask};
 
     fn region_range_count(chi: &Chi, region: (u32, u32, u32, u32), lo: u32, hi: u32) -> u64 {
-        Corners::of(chi.view(), region).range_count(chi.data(), chi.config().bins(), lo, hi)
+        let corners = Corners::of(chi.view(), region);
+        let bins = chi.config().bins();
+        with_counts!(chi.cells(), cells => corners.range_count(cells, bins, lo, hi))
     }
 
     fn blob_mask(w: u32, h: u32, cx: f32, cy: f32, sigma: f32) -> Mask {

@@ -16,11 +16,18 @@
 //! over arbitrary ROIs follow from the covering/covered available regions
 //! (see [`crate::bounds`]).
 //!
+//! No count exceeds its mask's pixel count, so the mask's shape sets how
+//! wide the counts are stored: 16 bits for a mask of at most 65,535 pixels
+//! (a 224×224 ImageNet mask has 50,176), 32 bits otherwise — [`Cells`]. The
+//! paper's space formula charges 4 bytes a count; most masks need 2.
+//!
 //! An index is the same few numbers — configuration, mask shape, grid shape —
 //! beside its cumulative cells wherever the cells live: [`Chi`] owns them,
 //! [`ChiView`] borrows them from whoever does (the [`crate::ChiStore`] keeps
-//! every mask's cells in one slab and hands out views). Both are
-//! [`ChiOver`] some cell storage, so every read method is written once.
+//! every mask's cells in one slab per width and hands out views). Both are
+//! [`ChiOver`] some cell storage, so every read method is written once, and
+//! every read of the counts is written once over either width: a method
+//! dispatches on the width once and runs code generic over the count type.
 //!
 //! Building one is the plain per-cell histograms followed by the cumulative
 //! sweeps. The histograms come from the one pass over a mask's pixels in
@@ -31,6 +38,58 @@
 use crate::bounds::{self, CpBounds};
 use masksearch_core::{pixel_pass, CellGeometry, Mask, PixelRange, Roi, TileGrid};
 use std::ops::Deref;
+
+/// Whether the index of a `width × height` mask keeps 16-bit counts: no
+/// count can exceed the pixel count.
+pub(crate) fn narrow(width: u32, height: u32) -> bool {
+    u64::from(width) * u64::from(height) <= u64::from(u16::MAX)
+}
+
+/// Bytes of one stored count of the index of a `width × height` mask: 2 for
+/// a mask of at most 65,535 pixels, 4 otherwise.
+pub fn count_bytes(width: u32, height: u32) -> u64 {
+    if narrow(width, height) {
+        2
+    } else {
+        4
+    }
+}
+
+/// A stored count: `u16` or `u32`.
+pub(crate) trait Count: Copy + Default + Into<u64> {
+    /// `count` at this width.
+    ///
+    /// # Panics
+    /// Panics if it does not fit: the shape rule ([`count_bytes`]) makes
+    /// every count of a 16-bit index fit, so a wrong rule fails loudly
+    /// instead of serving truncated counts.
+    fn of(count: u32) -> Self;
+}
+
+impl Count for u16 {
+    fn of(count: u32) -> Self {
+        u16::try_from(count).expect("a count of a mask under 65,536 pixels fits 16 bits")
+    }
+}
+
+impl Count for u32 {
+    fn of(count: u32) -> Self {
+        count
+    }
+}
+
+/// Runs `$body` with `$counts` bound to the counts of `$cells` (a [`Cells`])
+/// at their own width: the one dispatch on width of a read, in front of code
+/// written once for both count types.
+macro_rules! with_counts {
+    ($cells:expr, $counts:ident => $body:expr) => {
+        match $cells {
+            $crate::chi::Cells::Narrow($counts) => $body,
+            $crate::chi::Cells::Wide($counts) => $body,
+        }
+    };
+}
+pub(crate) use with_counts;
 
 /// Configuration of a CHI: spatial cell size and number of value bins.
 ///
@@ -106,10 +165,18 @@ impl ChiConfig {
         height.div_ceil(self.cell_height)
     }
 
-    /// Index size in bytes for one mask of the given shape
-    /// (`4 · bins · cells_x · cells_y`, the paper's space formula).
+    /// Number of counts in the index of a mask of the given shape
+    /// (`bins · cells_x · cells_y`).
+    pub fn count_len(&self, width: u32, height: u32) -> u64 {
+        self.bins as u64 * self.cells_x(width) as u64 * self.cells_y(height) as u64
+    }
+
+    /// Index size in bytes for one mask of the given shape:
+    /// `count_bytes · bins · cells_x · cells_y`, the paper's space formula
+    /// (which charges 4 bytes a count) with the count width the shape sets
+    /// ([`count_bytes`]).
     pub fn index_bytes(&self, width: u32, height: u32) -> u64 {
-        4 * self.bins as u64 * self.cells_x(width) as u64 * self.cells_y(height) as u64
+        count_bytes(width, height) * self.count_len(width, height)
     }
 
     /// Maps a pixel value in `[0, 1)` to its bin index.
@@ -139,11 +206,69 @@ impl Default for ChiConfig {
     }
 }
 
+/// An index's cumulative counts at the width its mask's shape sets
+/// ([`count_bytes`]), owned (`Vec`s) or borrowed (slices).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cells<N, W> {
+    /// 16-bit counts: the mask has at most 65,535 pixels.
+    Narrow(N),
+    /// 32-bit counts: the mask has more.
+    Wide(W),
+}
+
+/// Counts borrowed at either width.
+pub type CellsRef<'a> = Cells<&'a [u16], &'a [u32]>;
+
+impl Cells<Vec<u16>, Vec<u32>> {
+    /// `counts` of a `width × height` mask's index, narrowed if its shape
+    /// allows.
+    fn of_shape(width: u32, height: u32, counts: Vec<u32>) -> Self {
+        if narrow(width, height) {
+            Cells::Narrow(counts.into_iter().map(u16::of).collect())
+        } else {
+            Cells::Wide(counts)
+        }
+    }
+}
+
+/// Storage of an index's cells: owned or borrowed, at either width.
+pub trait CellStorage {
+    /// The cells, borrowed.
+    fn cells(&self) -> CellsRef<'_>;
+}
+
+impl<N: Deref<Target = [u16]>, W: Deref<Target = [u32]>> CellStorage for Cells<N, W> {
+    #[inline]
+    fn cells(&self) -> CellsRef<'_> {
+        match self {
+            Cells::Narrow(counts) => Cells::Narrow(counts),
+            Cells::Wide(counts) => Cells::Wide(counts),
+        }
+    }
+}
+
+impl CellsRef<'_> {
+    /// Number of counts.
+    pub(crate) fn len(&self) -> usize {
+        with_counts!(self, counts => counts.len())
+    }
+
+    /// Every count widened to 32 bits, in storage order: what
+    /// [`Chi::from_parts`] takes.
+    pub fn to_wide(&self) -> Vec<u32> {
+        match self {
+            Cells::Narrow(counts) => counts.iter().map(|&c| u32::from(c)).collect(),
+            Cells::Wide(counts) => counts.to_vec(),
+        }
+    }
+}
+
 /// The Cumulative Histogram Index of a single mask, over cell storage `D`.
 ///
-/// The cells are a flat `[u32]` indexed by `(cy, cx, bin)`; lookups are pure
-/// offset arithmetic ("rather than building a B-tree index or a hash index
-/// ... an optimized index structure using an array", §3.1).
+/// The cells are a flat array of counts indexed by `(cy, cx, bin)`, 16 or 32
+/// bits wide as the mask's shape sets ([`Cells`]); lookups are pure offset
+/// arithmetic ("rather than building a B-tree index or a hash index ... an
+/// optimized index structure using an array", §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChiOver<D> {
     config: ChiConfig,
@@ -158,10 +283,10 @@ pub struct ChiOver<D> {
 }
 
 /// A CHI that owns its cells.
-pub type Chi = ChiOver<Vec<u32>>;
+pub type Chi = ChiOver<Cells<Vec<u16>, Vec<u32>>>;
 
 /// A CHI whose cells are borrowed: what every bound is computed from.
-pub type ChiView<'a> = ChiOver<&'a [u32]>;
+pub type ChiView<'a> = ChiOver<CellsRef<'a>>;
 
 impl Chi {
     /// Builds the CHI of `mask` under `config`.
@@ -227,27 +352,33 @@ impl Chi {
             mask_height: h,
             cells_x,
             cells_y,
-            data,
+            data: Cells::of_shape(w, h, data),
         }
     }
-}
 
-impl<D: Deref<Target = [u32]>> ChiOver<D> {
-    /// Assembles a CHI from its raw parts (used by the persistence layer
-    /// and the store's slab).
+    /// Assembles a CHI from its raw parts, 32-bit counts narrowed if the
+    /// mask's shape allows (used by the persistence layer).
     ///
     /// Returns `None` if the data length is inconsistent with the shape.
+    ///
+    /// # Panics
+    /// Panics if the shape allows 16-bit counts and a count exceeds 65,535
+    /// (it cannot exceed the pixel count).
     pub fn from_parts(
         config: ChiConfig,
         mask_width: u32,
         mask_height: u32,
-        data: D,
+        data: Vec<u32>,
     ) -> Option<Self> {
         let grid = (config.cells_x(mask_width), config.cells_y(mask_height));
-        (data.len() as u64 * 4 == config.index_bytes(mask_width, mask_height))
-            .then(|| Self::from_grid(config, (mask_width, mask_height), grid, data))
+        (data.len() as u64 == config.count_len(mask_width, mask_height)).then(|| {
+            let data = Cells::of_shape(mask_width, mask_height, data);
+            Self::from_grid(config, (mask_width, mask_height), grid, data)
+        })
     }
+}
 
+impl<D: CellStorage> ChiOver<D> {
     /// Assembles a CHI whose grid shape the caller already knows (the
     /// store's slots keep it beside the mask's).
     pub(crate) fn from_grid(
@@ -261,8 +392,12 @@ impl<D: Deref<Target = [u32]>> ChiOver<D> {
             (config.cells_x(mask_width), config.cells_y(mask_height))
         );
         debug_assert_eq!(
-            data.len() as u64 * 4,
-            config.index_bytes(mask_width, mask_height)
+            matches!(data.cells(), Cells::Narrow(_)),
+            narrow(mask_width, mask_height)
+        );
+        debug_assert_eq!(
+            data.cells().len() as u64,
+            config.count_len(mask_width, mask_height)
         );
         Self {
             config,
@@ -287,13 +422,17 @@ impl<D: Deref<Target = [u32]>> ChiOver<D> {
     }
 
     /// The same index over borrowed cells.
+    #[inline]
     pub fn view(&self) -> ChiView<'_> {
-        self.over(&*self.data)
+        self.over(self.data.cells())
     }
 
     /// The same index over cells of its own.
     pub fn to_chi(&self) -> Chi {
-        self.over(self.data.to_vec())
+        self.over(match self.data.cells() {
+            Cells::Narrow(counts) => Cells::Narrow(counts.to_vec()),
+            Cells::Wide(counts) => Cells::Wide(counts.to_vec()),
+        })
     }
 
     /// The configuration the index was built with.
@@ -321,14 +460,16 @@ impl<D: Deref<Target = [u32]>> ChiOver<D> {
         self.cells_y
     }
 
-    /// Raw cumulative data (used by the persistence layer).
-    pub fn data(&self) -> &[u32] {
-        &self.data
+    /// The cumulative counts at their stored width (used by the persistence
+    /// layer).
+    #[inline]
+    pub fn cells(&self) -> CellsRef<'_> {
+        self.data.cells()
     }
 
     /// In-memory size of the index payload in bytes.
     pub fn byte_size(&self) -> u64 {
-        self.data.len() as u64 * 4
+        with_counts!(self.cells(), counts => std::mem::size_of_val(counts) as u64)
     }
 
     /// Pixel x-coordinate of grid boundary `i` (`0 ..= cells_x`), clamped to
@@ -358,10 +499,10 @@ impl<D: Deref<Target = [u32]>> ChiOver<D> {
         let cx = (bx - 1).min(self.cells_x - 1) as usize;
         let cy = (by - 1).min(self.cells_y - 1) as usize;
         let start = (cy * self.cells_x as usize + cx) * bins;
-        self.data[start..start + bins]
+        with_counts!(self.cells(), counts => counts[start..start + bins]
             .iter()
-            .map(|&v| v as u64)
-            .collect()
+            .map(|&v| v.into())
+            .collect())
     }
 
     /// Reverse-cumulative histogram of an *available region* given by grid
@@ -465,7 +606,14 @@ mod tests {
         assert_eq!(c.cells_y(224), 8);
         // Ragged: 30 pixels with 28-wide cells -> 2 columns.
         assert_eq!(c.cells_x(30), 2);
-        assert_eq!(c.index_bytes(224, 224), 4 * 16 * 64);
+        // 224x224 = 50,176 pixels: 16-bit counts.
+        assert_eq!(c.index_bytes(224, 224), 2 * 16 * 64);
+        assert_eq!(c.count_len(224, 224), 16 * 64);
+        // 65,535 pixels keep 16-bit counts; one more needs 32 bits.
+        assert_eq!(count_bytes(255, 257), 2);
+        assert_eq!(count_bytes(256, 256), 4);
+        assert_eq!(count_bytes(1, 65_535), 2);
+        assert_eq!(count_bytes(448, 448), 4);
         assert!((c.delta() - 0.0625).abs() < 1e-12);
     }
 
@@ -480,12 +628,13 @@ mod tests {
 
     #[test]
     fn paper_index_sizes_are_about_five_percent() {
-        // ImageNet: 224x224 masks, 28x28 cells, 16 bins -> 4 KiB per mask
-        // vs. 224*224*4 = 196 KiB raw (about 2%; ~5% of the compressed size).
+        // ImageNet: 224x224 masks, 28x28 cells, 16 bins, 16-bit counts ->
+        // 2 KiB per mask vs. 224*224*4 = 196 KiB raw (about 1%; the paper's
+        // 4-byte counts make it 4 KiB, ~5% of the compressed size).
         let c = ChiConfig::paper_imagenet();
         let index = c.index_bytes(224, 224) as f64;
         let raw = (224 * 224 * 4) as f64;
-        assert!(index / raw < 0.03);
+        assert!(index / raw < 0.015);
         // WILDS: 448x448 masks, 64x64 cells, 16 bins.
         let c = ChiConfig::paper_wilds();
         let index = c.index_bytes(448, 448) as f64;
@@ -616,9 +765,56 @@ mod tests {
         let mask = gradient_mask(8, 8);
         let config = ChiConfig::new(4, 4, 4).unwrap();
         let chi = Chi::build(&mask, &config);
-        let rebuilt = Chi::from_parts(config, 8, 8, chi.data().to_vec()).expect("valid parts");
+        let rebuilt = Chi::from_parts(config, 8, 8, chi.cells().to_wide()).expect("valid parts");
         assert_eq!(rebuilt, chi);
         assert!(Chi::from_parts(config, 8, 8, vec![0; 3]).is_none());
+    }
+
+    #[test]
+    fn counts_held_at_either_width_give_identical_bounds() {
+        use crate::{composed_cp_bounds, TermBounds};
+        use masksearch_core::MaskOp;
+        // Narrow shapes' counts, also held at 32 bits (which the shape rule
+        // never does): every read of the counts is one generic routine, so
+        // every bound must be bit-identical.
+        let ranges = [
+            PixelRange::full(),
+            PixelRange::new(0.5, 1.0).unwrap(),
+            PixelRange::new(0.3, 0.71).unwrap(),
+        ];
+        for (w, h) in [(37, 29), (255, 257), (1, 300)] {
+            let config = ChiConfig::new(9, 7, 8).unwrap();
+            let chi = Chi::build(&gradient_mask(w, h), &config);
+            let Cells::Narrow(_) = chi.cells() else {
+                panic!("{w}x{h} keeps 16-bit counts");
+            };
+            let wide = chi.over(Cells::<Vec<u16>, Vec<u32>>::Wide(chi.cells().to_wide()));
+            assert_eq!(wide.byte_size(), 2 * chi.byte_size());
+            let (x1, y1) = (chi.cells_x(), chi.cells_y());
+            assert_eq!(
+                chi.region_hist(0, 1, x1, y1),
+                wide.region_hist(0, 1, x1, y1)
+            );
+            for roi in [
+                Roi::new(0, 0, w, h).unwrap(),
+                Roi::new(w / 8, 2, w / 2 + 1, h - 1).unwrap(),
+                Roi::new(w / 3, h / 4, w, h + 9).unwrap(),
+            ] {
+                for range in &ranges {
+                    assert_eq!(chi.cp_bounds(&roi, range), wide.cp_bounds(&roi, range));
+                    let mut term = TermBounds::new(*range);
+                    assert_eq!(
+                        term.cell_bounds(chi.view(), &roi),
+                        term.cell_bounds(wide.view(), &roi)
+                    );
+                    for op in [MaskOp::Intersect, MaskOp::Union, MaskOp::Diff] {
+                        let both = composed_cp_bounds(&chi, &chi, op, &roi, range);
+                        assert_eq!(both, composed_cp_bounds(&wide, &wide, op, &roi, range));
+                        assert_eq!(both, composed_cp_bounds(&chi, &wide, op, &roi, range));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,8 @@
 //! configurations.
 
 use crate::bounds::{bin_ranges, CpBounds};
-use crate::chi::{ChiOver, ChiView};
+use crate::chi::{with_counts, CellStorage, ChiOver, ChiView, Count};
 use masksearch_core::{MaskOp, PixelRange, Roi};
-use std::ops::Deref;
 
 /// Lower/upper bounds on a tail count `G(t)`.
 #[derive(Debug, Clone, Copy)]
@@ -114,7 +113,10 @@ fn composed_tail(
             }
         }
     };
-    match per_cell_tail(a, b, op, roi, t, (slack_a, slack_b)) {
+    let refined = with_counts!(a.cells(), counts_a => with_counts!(b.cells(), counts_b => {
+        per_cell_tail((a, counts_a), (b, counts_b), op, roi, t)
+    }));
+    match refined {
         Some(refined) => {
             let hi = global.hi.min(refined.hi);
             Tail {
@@ -127,7 +129,8 @@ fn composed_tail(
 }
 
 /// Per-cell refinement of the composed tail: the same set-algebra
-/// inequalities applied **cell by cell** and summed.
+/// inequalities applied **cell by cell** and summed, over each CHI and its
+/// cumulative counts.
 ///
 /// Whole-ROI composition loses all spatial information — `min(ΣA, ΣB)` is a
 /// hopeless upper bound for `Σ min(A_c, B_c)` when two masks are salient in
@@ -144,18 +147,18 @@ fn composed_tail(
 ///
 /// Returns `None` when the grids are incompatible or `t` is outside `(0, 1)`
 /// (the global path already handles those exactly enough).
-fn per_cell_tail(
-    a: ChiView<'_>,
-    b: ChiView<'_>,
+fn per_cell_tail<A: Count, B: Count>(
+    a: (ChiView<'_>, &[A]),
+    b: (ChiView<'_>, &[B]),
     op: MaskOp,
     roi: &Roi,
     t: f32,
-    slack: (u64, u64),
 ) -> Option<Tail> {
+    let ((a, counts_a), (b, counts_b)) = (a, b);
     if a.config() != b.config() || t <= 0.0 || t >= 1.0 {
         return None;
     }
-    let _ = slack; // per-cell slack below subsumes the global terms
+    // The per-cell slack below subsumes the global uncountable terms.
     let bins = a.config().bins();
     let range = PixelRange::new(t, 1.0).ok()?;
     let (outer_lo, _, inner_lo, _) = bin_ranges(&range, bins);
@@ -170,11 +173,11 @@ fn per_cell_tail(
             let cell = cell_w * cell_h;
             // Per-cell uncountable slack: cell pixels the CHI did not bin
             // (NaN / ±∞ / out-of-domain — bin 0 counts the binned ones).
-            let sa = cell - cell_bin_count(a, cx, cy, 0).min(cell);
-            let sb = cell - cell_bin_count(b, cx, cy, 0).min(cell);
+            let sa = cell - cell_bin_count(a, counts_a, cx, cy, 0).min(cell);
+            let sb = cell - cell_bin_count(b, counts_b, cx, cy, 0).min(cell);
             let (ua, ub) = (
-                cell_bin_count(a, cx, cy, outer_lo),
-                cell_bin_count(b, cx, cy, outer_lo),
+                cell_bin_count(a, counts_a, cx, cy, outer_lo),
+                cell_bin_count(b, counts_b, cx, cy, outer_lo),
             );
             upper += match op {
                 // A counted pixel has `a ≥ t` (in the outer tail or
@@ -187,8 +190,8 @@ fn per_cell_tail(
                 .is_some_and(|(bx0, by0, bx1, by1)| cx >= bx0 && cx < bx1 && cy >= by0 && cy < by1);
             if inside {
                 let (la, lb) = (
-                    cell_bin_count(a, cx, cy, inner_lo),
-                    cell_bin_count(b, cx, cy, inner_lo),
+                    cell_bin_count(a, counts_a, cx, cy, inner_lo),
+                    cell_bin_count(b, counts_b, cx, cy, inner_lo),
                 );
                 lower += match op {
                     MaskOp::Intersect => (la + lb).saturating_sub(cell),
@@ -207,20 +210,19 @@ fn per_cell_tail(
 }
 
 /// Reverse-cumulative count of the *single cell* `(cx, cy)` at `bin`, read
-/// straight off the CHI's 2-D-prefix-summed array by four-corner
+/// straight off the CHI's 2-D-prefix-summed `counts` by four-corner
 /// inclusion–exclusion — no histogram materialisation. `bin ≥ bins` counts
 /// zero (the tail above the domain).
 #[inline]
-fn cell_bin_count(chi: ChiView<'_>, cx: u32, cy: u32, bin: u32) -> u64 {
+fn cell_bin_count<T: Count>(chi: ChiView<'_>, counts: &[T], cx: u32, cy: u32, bin: u32) -> u64 {
     let bins = chi.config().bins();
     if bin >= bins {
         return 0;
     }
     let bins = bins as usize;
     let cells_x = chi.cells_x() as usize;
-    let data = chi.data();
     let at = |x: u32, y: u32| -> u64 {
-        u64::from(data[(y as usize * cells_x + x as usize) * bins + bin as usize])
+        counts[(y as usize * cells_x + x as usize) * bins + bin as usize].into()
     };
     let d = at(cx, cy);
     let b = if cx > 0 { at(cx - 1, cy) } else { 0 };
@@ -241,17 +243,13 @@ fn cell_bin_count(chi: ChiView<'_>, cx: u32, cy: u32, bin: u32) -> u64 {
 /// enforce this before ever consulting bounds); mismatched shapes fall back
 /// to the trivial `[0, |roi|]` bracket, which is sound and simply prunes
 /// nothing.
-pub fn composed_cp_bounds<A, B>(
+pub fn composed_cp_bounds<A: CellStorage, B: CellStorage>(
     a: &ChiOver<A>,
     b: &ChiOver<B>,
     op: MaskOp,
     roi: &Roi,
     range: &PixelRange,
-) -> CpBounds
-where
-    A: Deref<Target = [u32]>,
-    B: Deref<Target = [u32]>,
-{
+) -> CpBounds {
     let (a, b) = (a.view(), b.view());
     let Some(clip) = roi.clamp_to(a.mask_width(), a.mask_height()) else {
         return CpBounds::empty();

@@ -56,7 +56,7 @@ pub mod tiles;
 
 pub use bounds::{CpBounds, TermBounds};
 pub use builder::{build_chi_store, BuildOptions};
-pub use chi::{Chi, ChiConfig, ChiOver, ChiView};
+pub use chi::{count_bytes, CellStorage, Cells, CellsRef, Chi, ChiConfig, ChiOver, ChiView};
 pub use compose::composed_cp_bounds;
 pub use store::{ChiCursor, ChiReader, ChiStore};
 pub use tiles::TileStore;

@@ -56,6 +56,12 @@ pub(crate) struct Format {
     pub what: &'static str,
 }
 
+/// The version field of the segment (or bare image) `bytes` starts with,
+/// unchecked.
+pub(crate) fn version(bytes: &[u8]) -> Option<u16> {
+    bytes.get(4..6).map(|v| u16::from_le_bytes([v[0], v[1]]))
+}
+
 /// Feeds `each` the version and payload of every valid segment of `bytes`
 /// in order, and returns the length of the prefix they span — where the
 /// next segment may be appended. A bare pre-segment file is fed whole and

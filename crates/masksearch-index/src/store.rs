@@ -10,17 +10,18 @@
 //! ## In memory
 //!
 //! The filter stage reads every candidate's cells, so where they live is its
-//! memory-access pattern. All cells sit in one slab of fixed-size chunks; an
-//! ordered map takes a [`MaskId`] to its slot — mask shape, grid shape, and
-//! the run of the slab holding the cells — and a lookup hands out a
-//! [`ChiView`] borrowing that run: no allocation per mask, no reference
-//! count, one pointer hop after the map. Masks of different shapes share the
-//! slab (a run is as long as its mask's grid needs). A freed run is reused by
-//! the next index of exactly that length, an overwrite whose grid keeps its
-//! length rewrites its run in place, and the slab grows a chunk at a time,
-//! so growth never copies cells. Runs are only reused at their own length:
-//! a store whose masks keep changing shape keeps the chunks its old shapes
-//! filled.
+//! memory-access pattern. All cells sit in two slabs of fixed-size chunks,
+//! one of 16-bit counts and one of 32-bit counts; an ordered map takes a
+//! [`MaskId`] to its slot — mask shape, grid shape, and the run holding the
+//! cells in the slab of the width its shape sets ([`count_bytes`]) — and a
+//! lookup hands out a [`ChiView`] borrowing that run: no allocation per
+//! mask, no reference count, one pointer hop after the map. Masks of
+//! different shapes share a slab (a run is as long as its mask's grid
+//! needs). A freed run is reused by the next index of exactly that width and
+//! length, an overwrite whose grid keeps its width and length rewrites its
+//! run in place, and a slab grows a chunk at a time, so growth never copies
+//! cells. Runs are only reused at their own length: a store whose masks keep
+//! changing shape keeps the chunks its old shapes filled.
 //!
 //! ## On disk
 //!
@@ -29,15 +30,18 @@
 //!
 //! ```text
 //! cell_width u32 , cell_height u32 , bins u32 , count u64 ,
-//! count × ( mask_id u64 , mask_width u32 , mask_height u32 , len u32 , len × u32 )
+//! count × ( mask_id u64 , mask_width u32 , mask_height u32 , len u32 , len × cell )
 //! ```
 //!
-//! and a later segment's entry for a mask replaces an earlier one's, so the
+//! where a `cell` is a `u16` if `mask_width · mask_height ≤ 65,535` and a
+//! `u32` otherwise (version 3; versions 1 and 2 store every cell as a
+//! `u32`, and load into the width the shape sets). A later segment's entry
+//! for a mask replaces an earlier one's — whatever their versions — so the
 //! durable store can append what changed since its last checkpoint
 //! ([`ChiStore::segment_bytes`]) and rewrite the file as one segment
 //! ([`ChiStore::to_bytes`]) only when enough of it is dead.
 
-use crate::chi::{Chi, ChiConfig, ChiOver, ChiView};
+use crate::chi::{count_bytes, narrow, Cells, Chi, ChiConfig, ChiOver, ChiView, Count};
 use crate::segment::{self, Format, SEGMENT_HEADER_LEN};
 use masksearch_core::{Mask, MaskId};
 use masksearch_storage::codec::Reader;
@@ -53,8 +57,17 @@ pub const CHI_MAGIC: [u8; 4] = *b"MSKI";
 /// CHI index file format version.
 ///
 /// History: v1 — one bare image of every index; v2 — a sequence of
-/// checksummed segments (see `segment.rs`) with the same payload.
-pub const CHI_FORMAT_VERSION: u16 = 2;
+/// checksummed segments (see `segment.rs`) with the same payload; v3 — the
+/// same, each entry's cells 16 or 32 bits wide as its mask's shape sets.
+pub const CHI_FORMAT_VERSION: u16 = 3;
+
+/// Whether the CHI file `bytes` begins in an older format than
+/// [`CHI_FORMAT_VERSION`]: whatever [`ChiStore::from_segments`] loads from
+/// it is then worth writing again in the current one. (A file that begins
+/// in the current format holds nothing older: earlier builds refuse it.)
+pub fn outdated_format(bytes: &[u8]) -> bool {
+    segment::version(bytes).is_some_and(|version| version < CHI_FORMAT_VERSION)
+}
 
 const FORMAT: Format = Format {
     magic: CHI_MAGIC,
@@ -67,24 +80,25 @@ const PAYLOAD_HEADER_LEN: usize = 12 + 8;
 /// Encoded bytes of one entry before its cells.
 const ENTRY_HEADER_LEN: usize = 8 + 4 + 4 + 4;
 
-/// Words in a chunk of the slab: 256 KiB, sixty-four 4 KiB indexes. An index
-/// longer than this gets a chunk of its own length.
+/// Counts in a chunk of a slab: 128 or 256 KiB, sixty-four 2 or 4 KiB
+/// indexes. An index longer than this gets a chunk of its own length.
 const CHUNK_WORDS: usize = 1 << 16;
 
 /// Where a run of cells starts: chunk and word offset inside it.
 type Run = (u32, u32);
 
-/// Every index's cells, in chunks that are never moved or resized.
+/// The cells of every index of one count width, in chunks that are never
+/// moved or resized.
 #[derive(Debug, Default)]
-struct Slab {
-    chunks: Vec<Box<[u32]>>,
+struct Slab<T> {
+    chunks: Vec<Box<[T]>>,
     /// Words of the last chunk handed out so far.
     used: usize,
     /// Freed runs by their length.
     free: HashMap<usize, Vec<Run>>,
 }
 
-impl Slab {
+impl<T: Count> Slab<T> {
     /// A run of `len` words: the last one freed at that length, else the
     /// next words of the last chunk, else the start of a new chunk. Its
     /// contents are whatever was there.
@@ -98,7 +112,7 @@ impl Slab {
             .is_none_or(|last| self.used + len > last.len())
         {
             self.chunks
-                .push(vec![0; len.max(CHUNK_WORDS)].into_boxed_slice());
+                .push(vec![T::default(); len.max(CHUNK_WORDS)].into_boxed_slice());
             self.used = 0;
         }
         let run = ((self.chunks.len() - 1) as u32, self.used as u32);
@@ -110,16 +124,17 @@ impl Slab {
         self.free.entry(len).or_default().push(run);
     }
 
-    fn cells(&self, (chunk, offset): Run, len: usize) -> &[u32] {
+    fn cells(&self, (chunk, offset): Run, len: usize) -> &[T] {
         &self.chunks[chunk as usize][offset as usize..offset as usize + len]
     }
 
-    fn cells_mut(&mut self, (chunk, offset): Run, len: usize) -> &mut [u32] {
+    fn cells_mut(&mut self, (chunk, offset): Run, len: usize) -> &mut [T] {
         &mut self.chunks[chunk as usize][offset as usize..offset as usize + len]
     }
 }
 
-/// One mask's entry: its shape, its grid's, and where its cells are.
+/// One mask's entry: its shape, its grid's, and where its cells are (in the
+/// slab of the width its shape sets).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     mask_width: u32,
@@ -129,12 +144,22 @@ struct Slot {
     run: Run,
 }
 
+impl Slot {
+    fn narrow(&self) -> bool {
+        narrow(self.mask_width, self.mask_height)
+    }
+}
+
+/// A run of cells to fill, at the width of the index being installed.
+type CellsMut<'a> = Cells<&'a mut [u16], &'a mut [u32]>;
+
 /// What the store's lock guards.
 #[derive(Debug)]
 struct Inner {
     config: ChiConfig,
     slots: BTreeMap<MaskId, Slot>,
-    slab: Slab,
+    narrow: Slab<u16>,
+    wide: Slab<u32>,
 }
 
 impl Inner {
@@ -143,12 +168,26 @@ impl Inner {
     }
 
     fn view(&self, slot: &Slot) -> ChiView<'_> {
+        let words = self.words(slot);
+        let cells = match slot.narrow() {
+            true => Cells::Narrow(self.narrow.cells(slot.run, words)),
+            false => Cells::Wide(self.wide.cells(slot.run, words)),
+        };
         ChiOver::from_grid(
             self.config,
             (slot.mask_width, slot.mask_height),
             (slot.cells_x, slot.cells_y),
-            self.slab.cells(slot.run, self.words(slot)),
+            cells,
         )
+    }
+
+    /// Gives `slot`'s run back to its slab.
+    fn release(&mut self, slot: &Slot) {
+        let words = self.words(slot);
+        match slot.narrow() {
+            true => self.narrow.release(slot.run, words),
+            false => self.wide.release(slot.run, words),
+        }
     }
 
     fn views(&self) -> impl Iterator<Item = (MaskId, ChiView<'_>)> {
@@ -157,12 +196,12 @@ impl Inner {
 
     /// Installs the index of a `mask_width × mask_height` mask for
     /// `mask_id`; `fill` writes every one of its cells. An index whose grid
-    /// is as long as the one it replaces takes over its run.
+    /// is as long and as wide as the one it replaces takes over its run.
     fn put(
         &mut self,
         mask_id: MaskId,
         (mask_width, mask_height): (u32, u32),
-        fill: impl FnOnce(&mut [u32]),
+        fill: impl FnOnce(CellsMut<'_>),
     ) {
         let mut slot = Slot {
             mask_width,
@@ -173,22 +212,34 @@ impl Inner {
         };
         let words = self.words(&slot);
         slot.run = match self.slots.get(&mask_id).copied() {
-            Some(old) if self.words(&old) == words => old.run,
+            Some(old) if self.words(&old) == words && old.narrow() == slot.narrow() => old.run,
             old => {
                 if let Some(old) = old {
-                    self.slab.release(old.run, self.words(&old));
+                    self.release(&old);
                 }
-                self.slab.alloc(words)
+                match slot.narrow() {
+                    true => self.narrow.alloc(words),
+                    false => self.wide.alloc(words),
+                }
             }
         };
-        fill(self.slab.cells_mut(slot.run, words));
+        fill(match slot.narrow() {
+            true => Cells::Narrow(self.narrow.cells_mut(slot.run, words)),
+            false => Cells::Wide(self.wide.cells_mut(slot.run, words)),
+        });
         self.slots.insert(mask_id, slot);
     }
 
     fn put_chi(&mut self, mask_id: MaskId, chi: &Chi) {
-        self.put(mask_id, (chi.mask_width(), chi.mask_height()), |cells| {
-            cells.copy_from_slice(chi.data())
-        });
+        self.put(
+            mask_id,
+            (chi.mask_width(), chi.mask_height()),
+            |cells| match (cells, chi.cells()) {
+                (Cells::Narrow(to), Cells::Narrow(from)) => to.copy_from_slice(from),
+                (Cells::Wide(to), Cells::Wide(from)) => to.copy_from_slice(from),
+                _ => unreachable!("a mask's shape sets the width of its index"),
+            },
+        );
     }
 }
 
@@ -252,7 +303,8 @@ impl ChiStore {
             entries: RwLock::new(Inner {
                 config,
                 slots: BTreeMap::new(),
-                slab: Slab::default(),
+                narrow: Slab::default(),
+                wide: Slab::default(),
             }),
             removals: AtomicU64::new(0),
         }
@@ -349,8 +401,7 @@ impl ChiStore {
         let mut removed = 0;
         for mask_id in mask_ids {
             if let Some(slot) = entries.slots.remove(mask_id) {
-                let words = entries.words(&slot);
-                entries.slab.release(slot.run, words);
+                entries.release(&slot);
                 removed += 1;
             }
         }
@@ -436,7 +487,12 @@ impl ChiStore {
             w.write_u64(id.raw());
             w.write_u32(chi.mask_width());
             w.write_u32(chi.mask_height());
-            w.write_u32_vec(chi.data());
+            let cells = chi.cells();
+            w.write_u32(cells.len() as u32);
+            match cells {
+                Cells::Narrow(counts) => counts.iter().for_each(|&c| w.write_u16(c)),
+                Cells::Wide(counts) => counts.iter().for_each(|&c| w.write_u32(c)),
+            }
             debug_assert_eq!(
                 (w.len() - start) as u64,
                 ENTRY_HEADER_LEN as u64 + chi.byte_size()
@@ -459,7 +515,7 @@ impl ChiStore {
     /// appended to. Fails if not even the first segment is readable.
     pub fn from_segments(bytes: &[u8]) -> StorageResult<(Self, usize)> {
         let mut store: Option<ChiStore> = None;
-        let valid_len = segment::read(bytes, &FORMAT, |_, payload| {
+        let valid_len = segment::read(bytes, &FORMAT, |version, payload| {
             let mut r = Reader::new(payload, FORMAT.what);
             let cell_width = r.read_u32()?;
             let cell_height = r.read_u32()?;
@@ -480,24 +536,44 @@ impl ChiStore {
                 let id = MaskId::new(r.read_u64()?);
                 let shape = (r.read_u32()?, r.read_u32()?);
                 let words = r.read_u32()? as usize;
-                let cells = r.read_bytes(words.checked_mul(4).ok_or_else(|| {
+                // Before version 3 every cell is 32 bits wide.
+                let width = match version {
+                    ..=2 => 4,
+                    _ => count_bytes(shape.0, shape.1) as usize,
+                };
+                let cells = r.read_bytes(words.checked_mul(width).ok_or_else(|| {
                     StorageError::corrupt("chi payload length overflows addressable size")
                 })?)?;
-                let expected = config.index_bytes(shape.0, shape.1);
-                if cells.len() as u64 != expected {
-                    return Err(StorageError::corrupt(format!(
+                let mismatch = || {
+                    StorageError::corrupt(format!(
                         "chi payload for mask {id} does not match its declared shape"
-                    )));
+                    ))
+                };
+                if words as u64 != config.count_len(shape.0, shape.1) {
+                    return Err(mismatch());
                 }
-                decoded.push((id, shape, cells));
+                // A 32-bit cell of a mask of 16-bit counts must fit 16 bits.
+                if width == 4
+                    && narrow(shape.0, shape.1)
+                    && cells.chunks_exact(4).any(|le| {
+                        u32::from_le_bytes(le.try_into().expect("4 bytes")) > u32::from(u16::MAX)
+                    })
+                {
+                    return Err(mismatch());
+                }
+                decoded.push((id, shape, width, cells));
+            }
+            if r.remaining() != 0 {
+                return Err(StorageError::corrupt(
+                    "chi index segment has bytes after its last entry",
+                ));
             }
             let store = store.get_or_insert_with(|| ChiStore::new(config));
             let mut entries = store.entries.write();
-            for (id, shape, bytes) in decoded {
-                entries.put(id, shape, |cells| {
-                    for (cell, le) in cells.iter_mut().zip(bytes.chunks_exact(4)) {
-                        *cell = u32::from_le_bytes(le.try_into().expect("4 bytes"));
-                    }
+            for (id, shape, width, bytes) in decoded {
+                entries.put(id, shape, |cells| match cells {
+                    Cells::Narrow(cells) => decode(cells, bytes, width),
+                    Cells::Wide(cells) => decode(cells, bytes, width),
                 });
             }
             Ok(())
@@ -517,6 +593,17 @@ impl ChiStore {
         let bytes = std::fs::read(path.as_ref())
             .map_err(|e| StorageError::io("reading chi index file", e))?;
         Self::from_bytes(&bytes)
+    }
+}
+
+/// Fills `cells` from `bytes`, little-endian cells `width` bytes wide.
+fn decode<T: Count>(cells: &mut [T], bytes: &[u8], width: usize) {
+    for (cell, le) in cells.iter_mut().zip(bytes.chunks_exact(width)) {
+        *cell = T::of(match *le {
+            [a, b] => u32::from(u16::from_le_bytes([a, b])),
+            [a, b, c, d] => u32::from_le_bytes([a, b, c, d]),
+            _ => unreachable!("cells are 2 or 4 bytes wide"),
+        });
     }
 }
 
@@ -587,8 +674,9 @@ mod tests {
         let store = ChiStore::new(config());
         store.index_mask(MaskId::new(1), &mask(1));
         store.index_mask(MaskId::new(2), &mask(2));
-        // 24x24 mask with 8x8 cells -> 3x3 cells x 8 bins x 4 bytes = 288.
-        assert_eq!(store.total_bytes(), 2 * 288);
+        // 24x24 mask with 8x8 cells -> 3x3 cells x 8 bins x 2 bytes (a mask
+        // of 576 pixels keeps 16-bit counts) = 144.
+        assert_eq!(store.total_bytes(), 2 * 144);
     }
 
     #[test]
@@ -640,12 +728,85 @@ mod tests {
         assert!(ChiStore::from_bytes(&[]).is_err());
     }
 
+    /// The payload as versions 1 and 2 wrote it: every cell 32 bits wide.
+    fn wide_payload(store: &ChiStore, w: &mut masksearch_storage::codec::Writer) {
+        let config = store.config();
+        for v in [config.cell_width(), config.cell_height(), config.bins()] {
+            w.write_u32(v);
+        }
+        w.write_u64(store.len() as u64);
+        for (id, chi) in store.reader().entries.views() {
+            w.write_u64(id.raw());
+            w.write_u32(chi.mask_width());
+            w.write_u32(chi.mask_height());
+            w.write_u32_vec(&chi.cells().to_wide());
+        }
+    }
+
     /// The file as a v1 build wrote it: no length, no checksum.
     fn bare_v1_image(store: &ChiStore) -> Vec<u8> {
-        let mut bytes = CHI_MAGIC.to_vec();
-        bytes.extend_from_slice(&[1, 0, 0, 0]);
-        bytes.extend_from_slice(&store.to_bytes()[SEGMENT_HEADER_LEN..]);
-        bytes
+        let mut w = masksearch_storage::codec::Writer::new();
+        w.write_bytes(&CHI_MAGIC);
+        w.write_u16(1);
+        w.write_u16(0);
+        wide_payload(store, &mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_version_2_count_too_wide_for_its_shape_is_an_error() {
+        // One entry of a 24x24 mask whose 32-bit cells all count 65,536: no
+        // 576-pixel mask does, and 16 bits cannot hold it.
+        let mut w = segment::begin(CHI_MAGIC, 2);
+        for v in [8, 8, 8] {
+            w.write_u32(v);
+        }
+        w.write_u64(1);
+        w.write_u64(1);
+        w.write_u32(24);
+        w.write_u32(24);
+        w.write_u32_vec(&[65_536; 3 * 3 * 8]);
+        assert!(ChiStore::from_segments(&segment::finish(w)).is_err());
+    }
+
+    #[test]
+    fn an_overwrite_that_changes_width_moves_slabs_and_frees_its_run() {
+        let config = ChiConfig::new(8, 8, 4).unwrap();
+        let store = ChiStore::new(config);
+        let narrow_mask = Mask::constant(255, 257, 0.99).unwrap();
+        let wide_mask = Mask::constant(256, 256, 0.99).unwrap();
+        let (id, other) = (MaskId::new(1), MaskId::new(2));
+        store.index_mask(id, &narrow_mask);
+        let narrow_run = store.entries.read().slots[&id].run;
+        store.index_mask(id, &wide_mask);
+        {
+            let entries = store.entries.read();
+            let slot = entries.slots[&id];
+            assert!(!slot.narrow());
+            assert_eq!(
+                entries.narrow.free[&(config.count_len(255, 257) as usize)],
+                [narrow_run]
+            );
+            assert!(entries.wide.free.values().all(Vec::is_empty));
+        }
+        assert_eq!(*store.get(id).unwrap(), Chi::build(&wide_mask, &config));
+        // The next narrow index of that length takes the freed run.
+        store.index_mask(other, &narrow_mask);
+        let entries = store.entries.read();
+        assert_eq!(entries.slots[&other].run, narrow_run);
+        assert!(entries.narrow.free.values().all(Vec::is_empty));
+        drop(entries);
+        assert_eq!(
+            *store.get(other).unwrap(),
+            Chi::build(&narrow_mask, &config)
+        );
+        // And back: the wide run is freed, and the narrow one is the
+        // mask's again.
+        store.remove(other);
+        store.index_mask(id, &narrow_mask);
+        let entries = store.entries.read();
+        assert_eq!(entries.slots[&id].run, narrow_run);
+        assert_eq!(entries.wide.free.values().flatten().count(), 1);
     }
 
     #[test]

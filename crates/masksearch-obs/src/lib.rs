@@ -60,4 +60,4 @@ pub use slowlog::{escape_json, SlowQueryLog};
 pub use span::{
     add_counter, set_counter, span, trace, trace_active, SpanGuard, SpanNode, TraceGuard,
 };
-pub use timeseries::{StageCounts, TimeSeries, WindowSummary};
+pub use timeseries::{StageCounts, TimeSeries, WindowGauge, WindowSummary, WINDOW_GAUGES};

@@ -88,6 +88,91 @@ impl Ring {
     }
 }
 
+/// A Prometheus gauge of the windowed exposition: its series, its HELP, and
+/// what it reports of a window.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowGauge {
+    /// Series name.
+    pub prom: &'static str,
+    /// HELP text.
+    pub help: &'static str,
+    /// The sample of a window; `None` for the counter deltas, one sample per
+    /// global counter (labelled `counter`).
+    value: Option<fn(&WindowSummary) -> f64>,
+}
+
+const fn window_gauge(
+    prom: &'static str,
+    help: &'static str,
+    value: fn(&WindowSummary) -> f64,
+) -> WindowGauge {
+    WindowGauge {
+        prom,
+        help,
+        value: Some(value),
+    }
+}
+
+/// Every gauge `METRICS WINDOW` and `METRICS` emit per window (labelled
+/// `window_s`), in emission order: the one place each is named.
+pub const WINDOW_GAUGES: [WindowGauge; 11] = [
+    window_gauge(
+        "masksearch_window_queries",
+        "Statements completed in the window, failed ones included.",
+        |s| s.queries as f64,
+    ),
+    window_gauge(
+        "masksearch_window_failed",
+        "Statements that failed in the window.",
+        |s| s.failed as f64,
+    ),
+    window_gauge(
+        "masksearch_window_qps",
+        "Statements per second over the window.",
+        |s| s.qps,
+    ),
+    window_gauge(
+        "masksearch_window_p50_us",
+        "Median statement wall time in the window, microseconds (upper edge of its log2 bucket).",
+        |s| s.p50_us as f64,
+    ),
+    window_gauge(
+        "masksearch_window_p99_us",
+        "99th-percentile statement wall time in the window, microseconds (upper edge of its log2 bucket).",
+        |s| s.p99_us as f64,
+    ),
+    window_gauge(
+        "masksearch_window_mean_us",
+        "Mean statement wall time in the window, microseconds.",
+        |s| s.mean_us as f64,
+    ),
+    window_gauge(
+        "masksearch_window_candidates",
+        "Candidate masks the filter stage considered in the window.",
+        |s| s.stages.candidates as f64,
+    ),
+    window_gauge(
+        "masksearch_window_pruned",
+        "Candidates CHI bounds decided without a load in the window.",
+        |s| s.stages.pruned as f64,
+    ),
+    window_gauge(
+        "masksearch_window_verified",
+        "Candidates verified pixel by pixel in the window.",
+        |s| s.stages.verified as f64,
+    ),
+    window_gauge(
+        "masksearch_window_loaded",
+        "Masks loaded from the store in the window.",
+        |s| s.stages.loaded as f64,
+    ),
+    WindowGauge {
+        prom: "masksearch_window_counter_delta",
+        help: "Growth of the process-global counter named by the counter label over the window.",
+        value: None,
+    },
+];
+
 /// Summary of activity over one time window, produced by
 /// [`TimeSeries::window`].
 #[derive(Debug, Clone)]
@@ -282,35 +367,27 @@ impl TimeSeries {
     }
 
     /// Renders pre-computed window summaries as Prometheus gauges (split out
-    /// so tests can render deterministic `window_at` results).
+    /// so tests can render deterministic `window_at` results): every row of
+    /// [`WINDOW_GAUGES`], each with its `# HELP` and `# TYPE` headers.
     pub fn render_summaries(&self, summaries: &[WindowSummary], out: &mut String) {
-        let gauge = |out: &mut String, name: &str, f: &dyn Fn(&WindowSummary) -> f64| {
-            out.push_str(&format!("# TYPE masksearch_window_{name} gauge\n"));
+        for gauge in &WINDOW_GAUGES {
+            let name = gauge.prom;
+            out.push_str(&format!("# HELP {name} {}\n", gauge.help));
+            out.push_str(&format!("# TYPE {name} gauge\n"));
             for s in summaries {
-                out.push_str(&format!(
-                    "masksearch_window_{name}{{window_s=\"{}\"}} {}\n",
-                    s.window_s,
-                    f(s)
-                ));
-            }
-        };
-        gauge(out, "queries", &|s| s.queries as f64);
-        gauge(out, "failed", &|s| s.failed as f64);
-        gauge(out, "qps", &|s| s.qps);
-        gauge(out, "p50_us", &|s| s.p50_us as f64);
-        gauge(out, "p99_us", &|s| s.p99_us as f64);
-        gauge(out, "mean_us", &|s| s.mean_us as f64);
-        gauge(out, "candidates", &|s| s.stages.candidates as f64);
-        gauge(out, "pruned", &|s| s.stages.pruned as f64);
-        gauge(out, "verified", &|s| s.stages.verified as f64);
-        gauge(out, "loaded", &|s| s.stages.loaded as f64);
-        out.push_str("# TYPE masksearch_window_counter_delta gauge\n");
-        for s in summaries {
-            for (name, delta) in &s.counter_deltas {
-                out.push_str(&format!(
-                    "masksearch_window_counter_delta{{window_s=\"{}\",counter=\"{name}\"}} {delta}\n",
-                    s.window_s
-                ));
+                let window_s = s.window_s;
+                match gauge.value {
+                    Some(value) => {
+                        out.push_str(&format!("{name}{{window_s=\"{window_s}\"}} {}\n", value(s)));
+                    }
+                    None => {
+                        for (counter, delta) in &s.counter_deltas {
+                            out.push_str(&format!(
+                                "{name}{{window_s=\"{window_s}\",counter=\"{counter}\"}} {delta}\n"
+                            ));
+                        }
+                    }
+                }
             }
         }
     }

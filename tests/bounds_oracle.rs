@@ -11,12 +11,15 @@
 //! and statistics depend on every `Truth` and interval being bit-equal to
 //! what they were.
 
+use masksearch::baselines::BruteForce;
 use masksearch::core::{cp, Mask, MaskId, MaskRecord, PixelRange, Roi};
+use masksearch::db::{DbConfig, MaskDb, CHI_FILE};
 use masksearch::index::bounds::{bin_ranges, cp_bounds};
-use masksearch::index::{Chi, ChiConfig, ChiStore, CpBounds, TermBounds};
+use masksearch::index::{Cells, Chi, ChiConfig, ChiStore, CpBounds, TermBounds};
 use masksearch::query::eval::{resolve_roi, CompiledBounds};
 use masksearch::query::{
-    CpTerm, Expr, Interval, Predicate, QueryError, RoiSpec, TermSource, Truth,
+    CpTerm, Expr, IndexingMode, Interval, Predicate, Query, QueryError, RoiSpec, Session,
+    SessionConfig, TermSource, Truth,
 };
 use masksearch::storage::codec::checksum64;
 use masksearch::storage::Catalog;
@@ -422,8 +425,25 @@ fn compound_predicates_give_the_unordered_truth_and_error_under_every_cost_order
     );
 }
 
-/// What `ChiStore::to_bytes` must produce for `entries`: one v2 segment.
+/// Whether a `width × height` mask's index keeps 16-bit counts: it has at
+/// most 65,535 pixels.
+fn narrow(width: u32, height: u32) -> bool {
+    u64::from(width) * u64::from(height) <= 65_535
+}
+
+/// What `ChiStore::to_bytes` must produce for `entries`: one v3 segment,
+/// whose cells are `u16`s for a mask of at most 65,535 pixels and `u32`s
+/// otherwise.
 fn encode(config: &ChiConfig, entries: &BTreeMap<MaskId, Chi>) -> Vec<u8> {
+    encode_version(3, config, entries)
+}
+
+/// What a v2 build wrote for `entries`: one v2 segment, every cell a `u32`.
+fn encode_v2(config: &ChiConfig, entries: &BTreeMap<MaskId, Chi>) -> Vec<u8> {
+    encode_version(2, config, entries)
+}
+
+fn encode_version(version: u8, config: &ChiConfig, entries: &BTreeMap<MaskId, Chi>) -> Vec<u8> {
     let mut payload = Vec::new();
     for v in [config.cell_width(), config.cell_height(), config.bins()] {
         payload.extend_from_slice(&v.to_le_bytes());
@@ -431,24 +451,52 @@ fn encode(config: &ChiConfig, entries: &BTreeMap<MaskId, Chi>) -> Vec<u8> {
     payload.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for (id, chi) in entries {
         payload.extend_from_slice(&id.raw().to_le_bytes());
-        for v in [chi.mask_width(), chi.mask_height(), chi.data().len() as u32] {
+        let cells = chi.cells().to_wide();
+        for v in [chi.mask_width(), chi.mask_height(), cells.len() as u32] {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        for cell in chi.data() {
-            payload.extend_from_slice(&cell.to_le_bytes());
+        for cell in cells {
+            match version >= 3 && narrow(chi.mask_width(), chi.mask_height()) {
+                true => payload.extend_from_slice(&u16::try_from(cell).unwrap().to_le_bytes()),
+                false => payload.extend_from_slice(&cell.to_le_bytes()),
+            }
         }
     }
-    segment(&payload)
+    segment(version, &payload)
 }
 
-fn segment(payload: &[u8]) -> Vec<u8> {
+fn segment(version: u8, payload: &[u8]) -> Vec<u8> {
     let mut bytes = b"MSKI".to_vec();
-    bytes.extend_from_slice(&[2, 0, 0, 0]);
+    bytes.extend_from_slice(&[version, 0, 0, 0]);
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     let checksum = checksum64(&[&bytes[..16], payload]);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes.extend_from_slice(payload);
     bytes
+}
+
+/// A v1/v2 payload (every cell a `u32`) as v3 writes it: the cells of every
+/// mask of at most 65,535 pixels narrowed to `u16`s, nothing else changed.
+fn narrowed(payload: &[u8]) -> Vec<u8> {
+    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+    let mut out = payload[..20].to_vec();
+    let count = u64::from_le_bytes(payload[12..20].try_into().unwrap());
+    let mut at = 20;
+    for _ in 0..count {
+        let (width, height, len) = (u32_at(at + 8), u32_at(at + 12), u32_at(at + 16) as usize);
+        out.extend_from_slice(&payload[at..at + 20]);
+        at += 20;
+        for i in 0..len {
+            let cell = u32_at(at + 4 * i);
+            match narrow(width, height) {
+                true => out.extend_from_slice(&u16::try_from(cell).unwrap().to_le_bytes()),
+                false => out.extend_from_slice(&cell.to_le_bytes()),
+            }
+        }
+        at += 4 * len;
+    }
+    assert_eq!(at, payload.len());
+    out
 }
 
 fn assert_same(store: &ChiStore, model: &BTreeMap<MaskId, Chi>, step: usize) {
@@ -551,8 +599,8 @@ fn a_store_history_matches_a_map_of_owned_indexes() {
 #[test]
 fn a_version_1_index_image_is_rewritten_as_the_same_payload() {
     // A bare v1 image is `magic, version, reserved` and the payload: loaded
-    // and written back it is that payload in one checksummed segment,
-    // byte for byte what the parent build writes for this fixture.
+    // and written back it is that payload in one checksummed v3 segment,
+    // its cells narrowed to 16 bits (every fixture mask is 4x4).
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("crates/masksearch-db/tests/fixtures/v1_checkpointed/masks.chi");
     let v1 = std::fs::read(fixture).unwrap();
@@ -560,8 +608,9 @@ fn a_version_1_index_image_is_rewritten_as_the_same_payload() {
     let (store, valid_len) = ChiStore::from_segments(&v1).unwrap();
     assert_eq!(valid_len, 0);
     assert_eq!(store.len(), 5);
-    assert!(store.to_bytes() == segment(&v1[8..]));
-    assert_eq!(store.encoded_len(), (v1.len() - 8 + 24) as u64);
+    let expected = segment(3, &narrowed(&v1[8..]));
+    assert!(store.to_bytes() == expected);
+    assert_eq!(store.encoded_len(), expected.len() as u64);
 }
 
 #[test]
@@ -591,4 +640,314 @@ fn cursors_answer_point_lookups_in_any_order() {
             assert_eq!(chis.seek(id), reader.get(id), "chi {id}");
         }
     }
+}
+
+/// Shapes either side of the 16-bit rule — 65,535 pixels (narrow), 65,536
+/// (wide), one column of 65,535 — and the WILDS shape, with the width each
+/// must keep.
+const WIDTH_EDGES: [((u32, u32), bool); 4] = [
+    ((255, 257), true),
+    ((256, 256), false),
+    ((1, 65_535), true),
+    ((448, 448), false),
+];
+
+/// A noisy mask and an all-0.99 mask (every count reaches the pixel count)
+/// of every width-edge shape.
+fn width_edge_masks() -> Vec<(MaskId, Mask, bool)> {
+    let mut masks = Vec::new();
+    for (at, ((w, h), narrow)) in WIDTH_EDGES.into_iter().enumerate() {
+        let at = at as u64 * 2;
+        masks.push((MaskId::new(at), mask(at, w, h), narrow));
+        masks.push((
+            MaskId::new(at + 1),
+            Mask::constant(w, h, 0.99).unwrap(),
+            narrow,
+        ));
+    }
+    masks
+}
+
+#[test]
+fn width_edge_shapes_give_the_same_bounds_from_every_source() {
+    let config = ChiConfig::new(16, 16, 8).unwrap();
+    let masks = width_edge_masks();
+    let store = ChiStore::new(config);
+    for (id, mask, _) in &masks {
+        store.index_mask(*id, mask);
+    }
+    let (loaded, valid_len) = ChiStore::from_segments(&store.to_bytes()).unwrap();
+    assert_eq!(valid_len as u64, store.encoded_len());
+    let reader = loaded.reader();
+    let ranges = [
+        PixelRange::full(),
+        PixelRange::new(0.5, 1.0).unwrap(),
+        PixelRange::new(0.25, step(0.75, false)).unwrap(),
+        PixelRange::new(step(0.4, true), 0.8).unwrap(),
+        PixelRange::new(0.98, 0.995).unwrap(),
+    ];
+    let mut compared = 0;
+    for (id, mask, narrow) in &masks {
+        let (w, h) = mask.shape();
+        let owned = Chi::build(mask, &config);
+        assert_eq!(
+            matches!(owned.cells(), Cells::Narrow(_)),
+            *narrow,
+            "{w}x{h}"
+        );
+        assert_eq!(owned.byte_size(), config.index_bytes(w, h));
+        assert_eq!(
+            owned.byte_size(),
+            config.count_len(w, h) * if *narrow { 2 } else { 4 }
+        );
+        let full = owned.prefix_hist(owned.cells_x(), owned.cells_y());
+        if mask.get(0, 0) == 0.99 {
+            // The full prefix counts every pixel in every bin: 65,535 on
+            // the largest narrow shape, the most 16 bits hold.
+            assert_eq!(full, vec![u64::from(w * h); config.bins() as usize]);
+        }
+        let wide = Chi::from_parts(config, w, h, owned.cells().to_wide()).unwrap();
+        assert_eq!(wide, owned);
+        let view = reader.get(*id).unwrap();
+        assert_eq!(view, owned.view());
+        let sources = [owned.view(), view, wide.view()];
+        for roi in [
+            mask.full_roi(),
+            Roi::new(w / 3, h / 5, w - w / 7, h - h / 9).unwrap(),
+            Roi::new(w / 2, h / 2, w + 5, h + 5).unwrap(),
+            Roi::new(0, 16, w.min(32), 48).unwrap(),
+        ] {
+            let region = owned.covering_region(&roi).unwrap();
+            let (bx0, by0, bx1, by1) = region;
+            let hist = owned.region_hist(bx0, by0, bx1, by1);
+            for range in &ranges {
+                let expected = cp_bounds(&owned, &roi, range);
+                let cells = TermBounds::new(*range).cell_bounds(owned.view(), &roi);
+                for source in &sources {
+                    assert_eq!(cp_bounds(source, &roi, range), expected, "{w}x{h} {roi}");
+                    let mut term = TermBounds::new(*range);
+                    assert_eq!(term.cp_bounds(*source, &roi), expected);
+                    assert_eq!(term.cell_bounds(*source, &roi), cells, "{w}x{h} {roi}");
+                    assert_eq!(source.region_hist(bx0, by0, bx1, by1), hist);
+                    compared += 1;
+                }
+                let exact = cp(mask, &roi, range);
+                assert!(
+                    cells.lower <= exact && exact <= cells.upper,
+                    "{w}x{h} {roi}"
+                );
+                assert!(expected.lower <= cells.lower && cells.upper <= expected.upper);
+            }
+        }
+    }
+    assert_eq!(compared, 8 * 4 * ranges.len() * 3);
+}
+
+#[test]
+fn overwrites_that_change_width_move_between_slabs() {
+    // Masks of both widths overwritten by each other, removed and put back
+    // in random order: the store answers like a map of owned indexes, and
+    // writes what `encode` does.
+    let config = ChiConfig::new(32, 32, 4).unwrap();
+    let shapes = [(255, 257), (256, 256), (1, 65_535), (300, 220), (37, 29)];
+    let store = ChiStore::new(config);
+    let mut model: BTreeMap<MaskId, Chi> = BTreeMap::new();
+    let mut state = 0x5eed_cafeu64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let mut moved = 0;
+    for step in 0..120 {
+        let id = MaskId::new(next() % 6);
+        let (w, h) = shapes[(next() % shapes.len() as u64) as usize];
+        if next() % 4 == 0 {
+            assert_eq!(store.remove(id), model.remove(&id).is_some());
+        } else {
+            let chi = store.index_mask(id, &mask(next(), w, h));
+            if let Some(old) = model.insert(id, chi) {
+                let widths = [&old, &model[&id]].map(|chi| matches!(chi.cells(), Cells::Narrow(_)));
+                moved += usize::from(widths[0] != widths[1]);
+            }
+        }
+        assert_same(&store, &model, step);
+    }
+    assert!(moved > 10, "{moved} overwrites changed width");
+}
+
+/// A model over both widths: the width-edge masks and the mixed shapes.
+fn mixed_model(config: &ChiConfig, seed: u64) -> BTreeMap<MaskId, Chi> {
+    let mut model: BTreeMap<MaskId, Chi> = width_edge_masks()
+        .into_iter()
+        .map(|(id, mask, _)| (id, Chi::build(&mask, config)))
+        .collect();
+    for (at, (w, h)) in SHAPES.into_iter().enumerate() {
+        let id = MaskId::new(20 + at as u64);
+        model.insert(id, Chi::build(&mask(seed + at as u64, w, h), config));
+    }
+    model
+}
+
+#[test]
+fn version_2_segments_load_into_the_same_indexes() {
+    let config = ChiConfig::new(16, 16, 8).unwrap();
+    let model = mixed_model(&config, 1);
+    let v2 = encode_v2(&config, &model);
+    let (loaded, valid_len) = ChiStore::from_segments(&v2).unwrap();
+    assert_eq!(valid_len, v2.len());
+    // Written back, the same indexes are one v3 segment.
+    assert_same(&loaded, &model, 0);
+    assert!(loaded.to_bytes().len() < v2.len());
+}
+
+#[test]
+fn a_version_3_segment_appended_to_a_version_2_file_wins() {
+    let config = ChiConfig::new(16, 16, 8).unwrap();
+    let old = mixed_model(&config, 1);
+    // Every other mask overwritten (some in another shape, so another
+    // width), and a new one.
+    let mut newer: BTreeMap<MaskId, Chi> = old
+        .keys()
+        .step_by(2)
+        .enumerate()
+        .map(|(at, id)| {
+            let (w, h) = WIDTH_EDGES[at % WIDTH_EDGES.len()].0;
+            (*id, Chi::build(&mask(100 + at as u64, w, h), &config))
+        })
+        .collect();
+    newer.insert(MaskId::new(99), Chi::build(&mask(7, 37, 29), &config));
+    let mut file = encode_v2(&config, &old);
+    file.extend_from_slice(&encode(&config, &newer));
+    let (loaded, valid_len) = ChiStore::from_segments(&file).unwrap();
+    assert_eq!(valid_len, file.len());
+    let mut model = old;
+    model.extend(newer);
+    assert_same(&loaded, &model, 0);
+}
+
+#[test]
+fn a_version_3_entry_whose_shape_changes_width_is_an_error() {
+    // 255x257 (narrow) and 256x257 (wide) share a 16x17 grid of 16-pixel
+    // cells, so only the cells' width tells them apart.
+    let config = ChiConfig::new(16, 16, 4).unwrap();
+    let small = Chi::build(&mask(3, 37, 29), &config);
+    for (from, to) in [(255, 256), (256, 255)] {
+        let edge = Chi::build(&mask(5, from, 257), &config);
+        assert_eq!(config.count_len(from, 257), config.count_len(to, 257));
+        for edge_first in [true, false] {
+            let (edge_id, small_id) = match edge_first {
+                true => (MaskId::new(1), MaskId::new(2)),
+                false => (MaskId::new(2), MaskId::new(1)),
+            };
+            let entries = BTreeMap::from([(edge_id, edge.clone()), (small_id, small.clone())]);
+            let file = encode(&config, &entries);
+            assert!(ChiStore::from_segments(&file).is_ok());
+            // The edge entry's width field, in the payload after the
+            // segment header and the payload's own.
+            let small_len = 20 + small.byte_size() as usize;
+            let at = 20 + if edge_first { 0 } else { small_len } + 8;
+            let mut payload = file[24..].to_vec();
+            assert_eq!(payload[at..at + 4], from.to_le_bytes());
+            payload[at..at + 4].copy_from_slice(&to.to_le_bytes());
+            let changed = segment(3, &payload);
+            assert!(
+                ChiStore::from_segments(&changed).is_err(),
+                "{from} -> {to}, first: {edge_first}"
+            );
+            // After a good segment it ends the valid prefix, which keeps
+            // the good segment's indexes only.
+            let mut file = encode(&config, &BTreeMap::from([(small_id, small.clone())]));
+            let good = file.len();
+            file.extend_from_slice(&changed);
+            let (loaded, valid_len) = ChiStore::from_segments(&file).unwrap();
+            assert_eq!((valid_len, loaded.ids()), (good, vec![small_id]));
+        }
+    }
+}
+
+#[test]
+fn a_durable_store_over_a_version_2_index_file_answers_and_rewrites_it() {
+    let chi_config = ChiConfig::new(8, 8, 4).unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "masksearch-bounds-oracle-v2-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let record =
+        |id: u64, (w, h): (u32, u32)| MaskRecord::builder(MaskId::new(id)).shape(w, h).build();
+    let shapes = [(24, 24), (37, 29), (256, 256)];
+    let mut data: Vec<(MaskRecord, Mask)> = (0..9u64)
+        .map(|id| {
+            let shape = shapes[id as usize % shapes.len()];
+            (record(id, shape), mask(id, shape.0, shape.1))
+        })
+        .collect();
+    let config = DbConfig::default()
+        .page_size(1024)
+        .fsync(false)
+        .chi_config(chi_config);
+    {
+        let db = MaskDb::open(&dir, config).unwrap();
+        db.insert_masks(&data).unwrap();
+        db.checkpoint().unwrap();
+    }
+    // The index file as a v2 build wrote it.
+    let model: BTreeMap<MaskId, Chi> = data
+        .iter()
+        .map(|(record, mask)| (record.mask_id, Chi::build(mask, &chi_config)))
+        .collect();
+    let v2 = encode_v2(&chi_config, &model);
+    std::fs::write(dir.join(CHI_FILE), &v2).unwrap();
+
+    // Checkpoint after every commit.
+    let db = MaskDb::open(&dir, config.checkpoint_wal_bytes(1)).unwrap();
+    assert_same(&db.chi_store(), &model, 0);
+    let session = Session::with_store_maintained_index(
+        db.mask_store(),
+        db.catalog(),
+        SessionConfig::new(chi_config)
+            .threads(1)
+            .indexing_mode(IndexingMode::Eager),
+        db.chi_store(),
+    );
+    // The median count is the threshold: some masks pass, some do not.
+    let (roi, range) = (
+        Roi::new(3, 5, 30, 27).unwrap(),
+        PixelRange::new(0.3, 0.7).unwrap(),
+    );
+    let mut counts: Vec<u64> = data
+        .iter()
+        .map(|(_, mask)| cp(mask, &roi, &range))
+        .collect();
+    counts.sort_unstable();
+    let query = Query::filter_cp_gt(roi, range, counts[counts.len() / 2] as f64);
+    let run = |data: &[(MaskRecord, Mask)]| {
+        let catalog = db.catalog();
+        let mut oracle = BruteForce::new(&catalog, &query);
+        for (record, mask) in data {
+            oracle.consume(record.mask_id, mask).unwrap();
+        }
+        let expected = oracle.finish().unwrap();
+        assert!(!expected.is_empty() && expected.len() < data.len());
+        assert_eq!(session.execute(&query).unwrap().rows, expected);
+    };
+    run(&data);
+    assert_eq!(std::fs::read(dir.join(CHI_FILE)).unwrap(), v2);
+
+    // The next automatic checkpoint writes the file as one v3 segment.
+    let checkpoints = db.ingest_stats().checkpoints;
+    let extra = (record(50, (24, 24)), mask(50, 24, 24));
+    db.insert_masks(std::slice::from_ref(&extra)).unwrap();
+    data.push(extra);
+    assert_eq!(db.ingest_stats().checkpoints, checkpoints + 1);
+    let file = std::fs::read(dir.join(CHI_FILE)).unwrap();
+    assert_eq!((&file[..4], file[4]), (&b"MSKI"[..], 3));
+    assert!(file == db.chi_store().to_bytes());
+    assert!(file.len() < v2.len());
+    run(&data);
+    drop(session);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -9,6 +9,7 @@ use masksearch::core::{ImageId, Mask, MaskId, MaskRecord};
 use masksearch::index::ChiConfig;
 use masksearch::obs::counters;
 use masksearch::obs::keys::{Kind, Merge, Metric, MetricsSnapshot, MONITOR_DELTA_KEYS};
+use masksearch::obs::WINDOW_GAUGES;
 use masksearch::query::{Session, SessionConfig};
 use masksearch::service::protocol::stats_line;
 use masksearch::service::{Backend, Engine, Server, ServiceConfig};
@@ -102,6 +103,7 @@ fn registry_rows_are_unique_helped_emitted_and_documented() {
         .filter(|p| !p.is_empty())
         .collect();
     proms.extend(HISTOGRAMS);
+    proms.extend(WINDOW_GAUGES.iter().map(|gauge| gauge.prom));
     for names in [&mut keys, &mut proms] {
         let all = names.len();
         names.sort_unstable();
@@ -196,6 +198,26 @@ fn registry_rows_are_unique_helped_emitted_and_documented() {
         "README's metrics table lacks these rows:\n{}",
         missing.join("\n")
     );
+
+    // The windowed gauges: each has HELP, is emitted with it by a node's
+    // `METRICS` and both front ends' `METRICS WINDOW`, and is in the table.
+    let windows = [
+        node_prom.clone(),
+        engine.metrics_window_text(60),
+        coordinator.metrics_window_text(60),
+    ];
+    for gauge in &WINDOW_GAUGES {
+        assert!(!gauge.help.trim().is_empty(), "{} has no HELP", gauge.prom);
+        let header = format!("# HELP {0} {1}\n# TYPE {0} gauge\n", gauge.prom, gauge.help);
+        for text in &windows {
+            assert!(text.contains(&header), "{} not exported", gauge.prom);
+        }
+        let line = format!(
+            "| `{}` | — | gauge | node `METRICS`; node and coordinator `METRICS WINDOW` | {} |",
+            gauge.prom, gauge.help
+        );
+        assert!(README.lines().any(|l| l == line), "README lacks {line}");
+    }
     shard.shutdown();
 }
 
