@@ -16,20 +16,20 @@
 //! 2. the extents enter the pager's dirty table and the delta is applied to
 //!    the in-memory directory in place, **under the state write lock**, so
 //!    readers see either none or all of the batch;
-//! 3. the CHI store is updated (inserted masks indexed, deleted masks
-//!    already evicted before step 1), preserving the invariant that no index
-//!    entry ever refers to a mask that is not durably present. Tile-summary
-//!    grids for the verification kernel are maintained the same way, except
-//!    their insertion happens *inside* step 2's write lock so pixels and
-//!    summaries publish together.
+//! 3. the CHI store publishes its next version: the batch's deleted and
+//!    overwritten ids evicted and its inserted masks indexed, in one swap
+//!    (see `masksearch_index::store`), so no index entry ever refers to a
+//!    mask that was not durably present when it was published. Tile-summary
+//!    grids for the verification kernel are evicted before step 1 and
+//!    installed *inside* step 2's write lock, so pixels and summaries
+//!    publish together.
 //!
 //! Both indexes of every inserted mask are built before any of this, outside
 //! every lock, by one pass over its pixels (`Chi::build_with_tiles`); a batch
-//! that fails validation or its append just drops them. Each index store is
-//! write-locked once to evict the batch's deleted and overwritten ids and
-//! once to install its new entries, however many masks the batch holds, so
-//! a reader holding a guard across a chunk of candidates waits for a commit
-//! at most twice.
+//! that fails validation or its append just drops them. The CHI store's new
+//! version copies only the map leaves and chunks the batch touches, and a
+//! reader holds a version rather than a lock: no reader ever waits for a
+//! commit's CHI maintenance, and no commit waits for a reader.
 //!
 //! Each inserted mask's blob is encoded once, into a buffer padded to whole
 //! pages. The WAL append gathers its page frames straight from that buffer,
@@ -402,10 +402,9 @@ impl DurableMaskStore {
         // — the directory remains the source of truth, like the CHI).
         let meta_indexes = Arc::new(MetaIndexRegistry::new());
         {
-            let mut catalog = masksearch_storage::Catalog::new();
-            for entry in directory.entries.values() {
-                catalog.insert(entry.record.clone());
-            }
+            let catalog = masksearch_storage::Catalog::from_records(
+                directory.entries.values().map(|entry| entry.record.clone()),
+            );
             for column in MetaColumn::ALL {
                 let path = dir.join(meta_index_file(column));
                 let Ok(bytes) = fs::read(&path) else { continue };
@@ -514,11 +513,9 @@ impl DurableMaskStore {
     /// Rebuilds a metadata catalog from the persisted directory records.
     pub fn catalog(&self) -> masksearch_storage::Catalog {
         let state = self.state.read();
-        let mut catalog = masksearch_storage::Catalog::new();
-        for entry in state.dir.entries.values() {
-            catalog.insert(entry.record.clone());
-        }
-        catalog
+        masksearch_storage::Catalog::from_records(
+            state.dir.entries.values().map(|entry| entry.record.clone()),
+        )
     }
 
     /// Atomically inserts (or overwrites) a batch of masks with their
@@ -748,15 +745,11 @@ impl DurableMaskStore {
         delta.upserts = upserts.into_values().collect();
         delta.page_count = writer.page_count;
 
-        // Deleted masks leave the indexes before the commit point so the
-        // filter stage never holds bounds for a mask that may vanish.
-        // Overwritten masks are evicted too: between the publish below and
-        // the re-index after it, a query must fall back to verification by
-        // loading — stale bounds over the new pixels could accept or prune
-        // without ever loading the mask. One write guard per store for the
-        // whole batch.
+        // Deleted and overwritten masks leave the tile store before the
+        // commit point: a grid must never summarise pixels other than the
+        // ones a load returns. Their CHIs go in the same version that
+        // installs the batch's new ones, after the commit point.
         let evicted: Vec<MaskId> = delta.removed.iter().chain(&overwritten).copied().collect();
-        self.chi.remove_many(&evicted);
         self.tiles.remove_many(&evicted);
 
         // Commit point: the WAL append (+ optional fsync).
@@ -816,8 +809,9 @@ impl DurableMaskStore {
             self.tiles.insert_many(grids);
         }
 
-        // Inserted masks enter the index only now that they are durable.
-        self.chi.insert_many(chis);
+        // The batch's CHIs change only now that it is durable, as one
+        // version: evictions and installs together.
+        self.chi.apply(&evicted, chis);
 
         self.io.record_write(
             blob_bytes,
@@ -1136,9 +1130,8 @@ fn reconcile_indexes(
             .get(mask_id)
             .is_some_and(|entry| !touched_by_replay(entry))
     };
-    for mask_id in chi.ids().into_iter().filter(|id| !current(id)) {
-        chi.remove(mask_id);
-    }
+    let stale: Vec<MaskId> = chi.ids().into_iter().filter(|id| !current(id)).collect();
+    chi.remove_many(&stale);
     for mask_id in tiles.ids().into_iter().filter(|id| !current(id)) {
         tiles.remove(mask_id);
     }
@@ -1152,8 +1145,10 @@ fn reconcile_indexes(
     if tiles_len == 0 {
         unsnapshotted.extend(tiles.ids());
     }
+    let indexed = chi.reader();
+    let mut rebuilt = Vec::new();
     for (mask_id, entry) in &dir.entries {
-        let need_chi = !chi.contains(*mask_id);
+        let need_chi = !indexed.contains(*mask_id);
         let need_tiles = !tiles.contains(*mask_id);
         if !need_chi && !need_tiles {
             continue;
@@ -1162,13 +1157,15 @@ fn reconcile_indexes(
         let (_, mask) = format::decode_mask(&blob)?;
         let (built, grid) = Chi::build_with_tiles(&mask, &config.chi_config, tiles.tile());
         if need_chi {
-            chi.insert(*mask_id, built);
+            rebuilt.push((*mask_id, built));
         }
         if need_tiles {
             tiles.insert(*mask_id, Arc::new(grid));
         }
         unsnapshotted.insert(*mask_id);
     }
+    drop(indexed);
+    chi.insert_many(rebuilt);
     Ok(RecoveredIndexes {
         chi,
         tiles,

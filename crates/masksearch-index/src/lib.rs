@@ -58,5 +58,5 @@ pub use bounds::{CpBounds, TermBounds};
 pub use builder::{build_chi_store, BuildOptions};
 pub use chi::{count_bytes, CellStorage, Cells, CellsRef, Chi, ChiConfig, ChiOver, ChiView};
 pub use compose::composed_cp_bounds;
-pub use store::{ChiCursor, ChiReader, ChiStore};
+pub use store::{ChiCursor, ChiReader, ChiStore, ChiVersion};
 pub use tiles::TileStore;

@@ -11,7 +11,10 @@
 //! the payload. What a payload holds is the index's business; a later
 //! segment's entries replace an earlier one's. A reader keeps the longest
 //! prefix of valid segments: a torn last append costs only its own entries,
-//! which the owner of the file rebuilds.
+//! which the owner of the file rebuilds. A segment of a newer version than
+//! the reader understands is an error wherever it is, once its checksum
+//! shows it whole: taking it for a torn tail would keep the older entries it
+//! replaces.
 //!
 //! Files written before this container existed are one bare image —
 //! `magic , version , reserved` followed by the same payload, to the end of
@@ -66,7 +69,8 @@ pub(crate) fn version(bytes: &[u8]) -> Option<u16> {
 /// in order, and returns the length of the prefix they span — where the
 /// next segment may be appended. A bare pre-segment file is fed whole and
 /// reports a prefix of 0. A file whose *first* segment is unreadable is an
-/// error; anything unreadable after that only ends the prefix.
+/// error, and so is a whole segment of a newer version anywhere; anything
+/// else unreadable after the first segment only ends the prefix.
 pub(crate) fn read(
     bytes: &[u8],
     format: &Format,
@@ -74,7 +78,7 @@ pub(crate) fn read(
 ) -> StorageResult<usize> {
     let mut pos = 0;
     while pos < bytes.len() || pos == 0 {
-        match segment_at(&bytes[pos..], format) {
+        match segment_at(&bytes[pos..], format, pos == 0) {
             Ok((version, payload)) if version < format.segmented_since => {
                 // Only the file as a whole can be a bare image.
                 if pos == 0 {
@@ -87,6 +91,7 @@ pub(crate) fn read(
                 Err(e) if pos == 0 => return Err(e),
                 Err(_) => break,
             },
+            Err(e @ StorageError::UnsupportedVersion { .. }) => return Err(e),
             Err(e) if pos == 0 => return Err(e),
             Err(_) => break,
         }
@@ -95,8 +100,11 @@ pub(crate) fn read(
 }
 
 /// The version and payload of the segment (or bare image) `bytes` starts
-/// with.
-fn segment_at<'a>(bytes: &'a [u8], format: &Format) -> StorageResult<(u16, &'a [u8])> {
+/// with. The version of a `first` segment is checked before anything else
+/// (a newer file may be laid out otherwise); a later segment's only once
+/// its checksum holds, so a torn append of any version is told apart from
+/// a whole newer one.
+fn segment_at<'a>(bytes: &'a [u8], format: &Format, first: bool) -> StorageResult<(u16, &'a [u8])> {
     let truncated = |expected: usize| StorageError::Truncated {
         context: format.what.to_string(),
         expected,
@@ -110,11 +118,12 @@ fn segment_at<'a>(bytes: &'a [u8], format: &Format) -> StorageResult<(u16, &'a [
         });
     }
     let version = u16::from_le_bytes([prefix[4], prefix[5]]);
-    if version > format.version {
-        return Err(StorageError::UnsupportedVersion {
-            found: version,
-            supported: format.version,
-        });
+    let unsupported = StorageError::UnsupportedVersion {
+        found: version,
+        supported: format.version,
+    };
+    if first && version > format.version {
+        return Err(unsupported);
     }
     if version < format.segmented_since {
         return Ok((version, &bytes[8..]));
@@ -135,6 +144,9 @@ fn segment_at<'a>(bytes: &'a [u8], format: &Format) -> StorageResult<(u16, &'a [
             "{} segment fails its checksum",
             format.what
         )));
+    }
+    if version > format.version {
+        return Err(unsupported);
     }
     Ok((version, payload))
 }

@@ -15,13 +15,28 @@
 //! [`MaskId`] to its slot — mask shape, grid shape, and the run holding the
 //! cells in the slab of the width its shape sets ([`count_bytes`]) — and a
 //! lookup hands out a [`ChiView`] borrowing that run: no allocation per
-//! mask, no reference count, one pointer hop after the map. Masks of
+//! mask, no reference count, two pointer hops after the map. Masks of
 //! different shapes share a slab (a run is as long as its mask's grid
 //! needs). A freed run is reused by the next index of exactly that width and
 //! length, an overwrite whose grid keeps its width and length rewrites its
-//! run in place, and a slab grows a chunk at a time, so growth never copies
-//! cells. Runs are only reused at their own length: a store whose masks keep
+//! run, and a slab grows a chunk at a time, so growth never copies cells.
+//! Runs are only reused at their own length: a store whose masks keep
 //! changing shape keeps the chunks its old shapes filled.
+//!
+//! ## Versions
+//!
+//! Readers never lock the entries. What they read is a [`ChiVersion`]: the
+//! slot map (a [`CowMap`]) and the two slabs' chunks and chunk groups, each
+//! behind an `Arc`, pinned by [`ChiStore::reader`] with one `Arc` clone and
+//! immutable from then on. A write (one call: a batch of removals and
+//! installs) clones the current version, which shares every map node,
+//! group and chunk with it, changes the clone — a map leaf, group or chunk
+//! still shared is copied the first time the batch writes to it, and only
+//! then — and swaps it in. So a write costs what its batch touches plus one
+//! pointer per group of chunks, it never waits for a reader, and a reader
+//! sees each write whole or not at all. A version's
+//! chunks and leaves that no later version shares are freed when its last
+//! reader lets go. Writers are serialised among themselves.
 //!
 //! ## On disk
 //!
@@ -45,9 +60,9 @@ use crate::chi::{count_bytes, narrow, Cells, Chi, ChiConfig, ChiOver, ChiView, C
 use crate::segment::{self, Format, SEGMENT_HEADER_LEN};
 use masksearch_core::{Mask, MaskId};
 use masksearch_storage::codec::Reader;
-use masksearch_storage::{IdCursor, StorageError, StorageResult};
-use parking_lot::{RwLock, RwLockReadGuard};
-use std::collections::{BTreeMap, HashMap};
+use masksearch_storage::{CowMap, IdCursor, StorageError, StorageResult};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,42 +95,110 @@ const PAYLOAD_HEADER_LEN: usize = 12 + 8;
 /// Encoded bytes of one entry before its cells.
 const ENTRY_HEADER_LEN: usize = 8 + 4 + 4 + 4;
 
-/// Counts in a chunk of a slab: 128 or 256 KiB, sixty-four 2 or 4 KiB
-/// indexes. An index longer than this gets a chunk of its own length.
-const CHUNK_WORDS: usize = 1 << 16;
+/// Counts in a chunk of a slab: 32 or 64 KiB, sixteen 2 or 4 KiB indexes —
+/// what a write copies when it changes a chunk a pinned version still
+/// shares. An index longer than this gets a chunk of its own length.
+const CHUNK_WORDS: usize = 1 << 14;
+
+/// Chunks per group of a slab's directory: a version holds one pointer per
+/// group, and a write copies the group of each chunk it changes, so neither
+/// grows with the store.
+const GROUP_CHUNKS: usize = 64;
 
 /// Where a run of cells starts: chunk and word offset inside it.
 type Run = (u32, u32);
 
+/// `shared`, copied first if another version still holds it.
+fn unique<U: Clone>(shared: &mut Arc<[U]>) -> &mut [U] {
+    if Arc::get_mut(shared).is_none() {
+        *shared = Arc::from(&shared[..]);
+    }
+    Arc::get_mut(shared).expect("just made unique")
+}
+
 /// The cells of every index of one count width, in chunks that are never
-/// moved or resized.
-#[derive(Debug, Default)]
+/// moved or resized, [`GROUP_CHUNKS`] to a group; chunks and groups are
+/// shared between the versions that have not changed them.
+#[derive(Debug)]
 struct Slab<T> {
-    chunks: Vec<Box<[T]>>,
+    groups: Vec<Arc<[Arc<[T]>]>>,
+}
+
+impl<T> Clone for Slab<T> {
+    fn clone(&self) -> Self {
+        Self {
+            groups: self.groups.clone(),
+        }
+    }
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Self { groups: Vec::new() }
+    }
+}
+
+impl<T: Count> Slab<T> {
+    fn chunk(&self, chunk: u32) -> &Arc<[T]> {
+        let chunk = chunk as usize;
+        &self.groups[chunk / GROUP_CHUNKS][chunk % GROUP_CHUNKS]
+    }
+
+    fn chunk_count(&self) -> usize {
+        self.groups.last().map_or(0, |last| {
+            (self.groups.len() - 1) * GROUP_CHUNKS + last.len()
+        })
+    }
+
+    fn push(&mut self, chunk: Arc<[T]>) {
+        match self.groups.last_mut() {
+            Some(last) if last.len() < GROUP_CHUNKS => {
+                let mut grown = last.to_vec();
+                grown.push(chunk);
+                *last = grown.into();
+            }
+            _ => self.groups.push(Arc::from([chunk])),
+        }
+    }
+
+    fn cells(&self, (chunk, offset): Run, len: usize) -> &[T] {
+        &self.chunk(chunk)[offset as usize..offset as usize + len]
+    }
+
+    /// The run's cells to write, copying their chunk (and its group) first
+    /// if another version still shares it.
+    fn cells_mut(&mut self, (chunk, offset): Run, len: usize) -> &mut [T] {
+        let chunk = chunk as usize;
+        let group = unique(&mut self.groups[chunk / GROUP_CHUNKS]);
+        let chunk = unique(&mut group[chunk % GROUP_CHUNKS]);
+        &mut chunk[offset as usize..offset as usize + len]
+    }
+}
+
+/// Which words of a slab are free: the writer's side of it, never read by
+/// a reader.
+#[derive(Debug, Default)]
+struct Space {
     /// Words of the last chunk handed out so far.
     used: usize,
     /// Freed runs by their length.
     free: HashMap<usize, Vec<Run>>,
 }
 
-impl<T: Count> Slab<T> {
+impl Space {
     /// A run of `len` words: the last one freed at that length, else the
     /// next words of the last chunk, else the start of a new chunk. Its
     /// contents are whatever was there.
-    fn alloc(&mut self, len: usize) -> Run {
+    fn alloc<T: Count>(&mut self, slab: &mut Slab<T>, len: usize) -> Run {
         if let Some(run) = self.free.get_mut(&len).and_then(Vec::pop) {
             return run;
         }
-        if self
-            .chunks
-            .last()
-            .is_none_or(|last| self.used + len > last.len())
-        {
-            self.chunks
-                .push(vec![T::default(); len.max(CHUNK_WORDS)].into_boxed_slice());
+        let chunks = slab.chunk_count();
+        if chunks == 0 || self.used + len > slab.chunk(chunks as u32 - 1).len() {
+            slab.push(vec![T::default(); len.max(CHUNK_WORDS)].into());
             self.used = 0;
         }
-        let run = ((self.chunks.len() - 1) as u32, self.used as u32);
+        let run = ((slab.chunk_count() - 1) as u32, self.used as u32);
         self.used += len;
         run
     }
@@ -123,14 +206,13 @@ impl<T: Count> Slab<T> {
     fn release(&mut self, run: Run, len: usize) {
         self.free.entry(len).or_default().push(run);
     }
+}
 
-    fn cells(&self, (chunk, offset): Run, len: usize) -> &[T] {
-        &self.chunks[chunk as usize][offset as usize..offset as usize + len]
-    }
-
-    fn cells_mut(&mut self, (chunk, offset): Run, len: usize) -> &mut [T] {
-        &mut self.chunks[chunk as usize][offset as usize..offset as usize + len]
-    }
+/// Free space of both slabs (see [`Space`]).
+#[derive(Debug, Default)]
+struct Spaces {
+    narrow: Space,
+    wide: Space,
 }
 
 /// One mask's entry: its shape, its grid's, and where its cells are (in the
@@ -153,16 +235,61 @@ impl Slot {
 /// A run of cells to fill, at the width of the index being installed.
 type CellsMut<'a> = Cells<&'a mut [u16], &'a mut [u32]>;
 
-/// What the store's lock guards.
-#[derive(Debug)]
-struct Inner {
+/// One version of a [`ChiStore`]'s indexes: immutable once published, read
+/// without a lock (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ChiVersion {
     config: ChiConfig,
-    slots: BTreeMap<MaskId, Slot>,
+    slots: CowMap<MaskId, Slot>,
     narrow: Slab<u16>,
     wide: Slab<u32>,
 }
 
-impl Inner {
+/// A pinned version of a [`ChiStore`] for batched lookups (see
+/// [`ChiStore::reader`]).
+pub type ChiReader = Arc<ChiVersion>;
+
+impl ChiVersion {
+    fn new(config: ChiConfig) -> Self {
+        Self {
+            config,
+            slots: CowMap::new(),
+            narrow: Slab::default(),
+            wide: Slab::default(),
+        }
+    }
+
+    /// Number of indexed masks.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Returns `true` if no masks are indexed.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Returns `true` if `mask_id` has an index.
+    pub fn contains(&self, mask_id: MaskId) -> bool {
+        self.slots.contains_key(&mask_id)
+    }
+
+    /// The index of `mask_id`, if present — its cells borrowed from the
+    /// version, so nothing is copied and no reference count is touched.
+    pub fn get(&self, mask_id: MaskId) -> Option<ChiView<'_>> {
+        let slot = self.slots.get(&mask_id)?;
+        Some(self.view(slot))
+    }
+
+    /// A cursor answering [`ChiVersion::get`] for a run of ids, cheapest
+    /// when they come ascending (see [`IdCursor`]).
+    pub fn cursor(&self) -> ChiCursor<'_> {
+        ChiCursor {
+            version: self,
+            slots: IdCursor::new(&self.slots),
+        }
+    }
+
     fn words(&self, slot: &Slot) -> usize {
         slot.cells_x as usize * slot.cells_y as usize * self.config.bins() as usize
     }
@@ -181,17 +308,22 @@ impl Inner {
         )
     }
 
-    /// Gives `slot`'s run back to its slab.
-    fn release(&mut self, slot: &Slot) {
-        let words = self.words(slot);
-        match slot.narrow() {
-            true => self.narrow.release(slot.run, words),
-            false => self.wide.release(slot.run, words),
-        }
-    }
-
     fn views(&self) -> impl Iterator<Item = (MaskId, ChiView<'_>)> {
         self.slots.iter().map(|(id, slot)| (*id, self.view(slot)))
+    }
+
+    /// Removes the index of `mask_id`, giving its run back; returns whether
+    /// it existed.
+    fn remove(&mut self, space: &mut Spaces, mask_id: MaskId) -> bool {
+        let Some(slot) = self.slots.remove(&mask_id) else {
+            return false;
+        };
+        let words = self.words(&slot);
+        match slot.narrow() {
+            true => space.narrow.release(slot.run, words),
+            false => space.wide.release(slot.run, words),
+        }
+        true
     }
 
     /// Installs the index of a `mask_width × mask_height` mask for
@@ -199,6 +331,7 @@ impl Inner {
     /// is as long and as wide as the one it replaces takes over its run.
     fn put(
         &mut self,
+        space: &mut Spaces,
         mask_id: MaskId,
         (mask_width, mask_height): (u32, u32),
         fill: impl FnOnce(CellsMut<'_>),
@@ -214,12 +347,12 @@ impl Inner {
         slot.run = match self.slots.get(&mask_id).copied() {
             Some(old) if self.words(&old) == words && old.narrow() == slot.narrow() => old.run,
             old => {
-                if let Some(old) = old {
-                    self.release(&old);
+                if old.is_some() {
+                    self.remove(space, mask_id);
                 }
                 match slot.narrow() {
-                    true => self.narrow.alloc(words),
-                    false => self.wide.alloc(words),
+                    true => space.narrow.alloc(&mut self.narrow, words),
+                    false => space.wide.alloc(&mut self.wide, words),
                 }
             }
         };
@@ -230,8 +363,10 @@ impl Inner {
         self.slots.insert(mask_id, slot);
     }
 
-    fn put_chi(&mut self, mask_id: MaskId, chi: &Chi) {
+    fn put_chi(&mut self, space: &mut Spaces, mask_id: MaskId, chi: &Chi) {
+        assert_eq!(*chi.config(), self.config, "index of another configuration");
         self.put(
+            space,
             mask_id,
             (chi.mask_width(), chi.mask_height()),
             |cells| match (cells, chi.cells()) {
@@ -243,71 +378,64 @@ impl Inner {
     }
 }
 
+/// A lookup cursor over a [`ChiVersion`] (see [`ChiVersion::cursor`]).
+pub struct ChiCursor<'a> {
+    version: &'a ChiVersion,
+    slots: IdCursor<'a, Slot>,
+}
+
+impl<'a> ChiCursor<'a> {
+    /// The index of `mask_id`, exactly as [`ChiVersion::get`] answers.
+    pub fn seek(&mut self, mask_id: MaskId) -> Option<ChiView<'a>> {
+        let slot = self.slots.seek(mask_id)?;
+        Some(self.version.view(slot))
+    }
+}
+
 /// A thread-safe collection of per-mask CHIs sharing one configuration.
 #[derive(Debug)]
 pub struct ChiStore {
     config: ChiConfig,
-    entries: RwLock<Inner>,
-    /// Bumped (under the entries write lock) by every removal. Lets callers
-    /// that built an index from pixels loaded *before* a concurrent
+    /// The published version. The lock is held only to clone or swap the
+    /// pointer, never across a read or a write of the entries.
+    current: RwLock<Arc<ChiVersion>>,
+    /// Serialises writers, and holds the free space they allocate from.
+    writer: Mutex<Spaces>,
+    /// Bumped (under the writer lock) by every write that removes. Lets
+    /// callers that built an index from pixels loaded *before* a concurrent
     /// overwrite detect the conflict instead of installing stale bounds —
     /// see [`ChiStore::index_mask_if_current`].
     removals: AtomicU64,
 }
 
-/// A read guard over a [`ChiStore`] for batched lookups (see
-/// [`ChiStore::reader`]).
-#[derive(Debug)]
-pub struct ChiReader<'a> {
-    entries: RwLockReadGuard<'a, Inner>,
-}
-
-impl ChiReader<'_> {
-    /// The index of `mask_id`, if present — its cells borrowed from the
-    /// guard, so nothing is copied and no reference count is touched.
-    pub fn get(&self, mask_id: MaskId) -> Option<ChiView<'_>> {
-        let slot = self.entries.slots.get(&mask_id)?;
-        Some(self.entries.view(slot))
-    }
-
-    /// A cursor answering [`ChiReader::get`] for a run of ids, cheapest when
-    /// they come ascending (see [`IdCursor`]).
-    pub fn cursor(&self) -> ChiCursor<'_> {
-        ChiCursor {
-            entries: &self.entries,
-            slots: IdCursor::new(&self.entries.slots),
-        }
-    }
-}
-
-/// A lookup cursor over a [`ChiReader`] (see [`ChiReader::cursor`]).
-#[derive(Debug)]
-pub struct ChiCursor<'a> {
-    entries: &'a Inner,
-    slots: IdCursor<'a, Slot>,
-}
-
-impl<'a> ChiCursor<'a> {
-    /// The index of `mask_id`, exactly as [`ChiReader::get`] answers.
-    pub fn seek(&mut self, mask_id: MaskId) -> Option<ChiView<'a>> {
-        let slot = self.slots.seek(mask_id)?;
-        Some(self.entries.view(slot))
-    }
-}
-
 impl ChiStore {
     /// Creates an empty store for indexes built with `config`.
     pub fn new(config: ChiConfig) -> Self {
+        Self::from_version(ChiVersion::new(config), Spaces::default())
+    }
+
+    fn from_version(version: ChiVersion, space: Spaces) -> Self {
         Self {
-            config,
-            entries: RwLock::new(Inner {
-                config,
-                slots: BTreeMap::new(),
-                narrow: Slab::default(),
-                wide: Slab::default(),
-            }),
+            config: version.config,
+            current: RwLock::new(Arc::new(version)),
+            writer: Mutex::new(space),
             removals: AtomicU64::new(0),
         }
+    }
+
+    /// Applies one write to a clone of the current version and publishes
+    /// it; `write` returns whether it changed anything.
+    fn write(&self, write: impl FnOnce(&mut ChiVersion, &mut Spaces) -> bool) -> bool {
+        let mut space = self.writer.lock();
+        let mut next = ChiVersion::clone(&self.current.read());
+        if !write(&mut next, &mut space) {
+            return false;
+        }
+        let superseded = std::mem::replace(&mut *self.current.write(), Arc::new(next));
+        // What only the superseded version held is freed here, outside the
+        // pointer's lock, or by its last reader.
+        drop(superseded);
+        true
     }
 
     /// The configuration shared by every index in the store.
@@ -317,17 +445,17 @@ impl ChiStore {
 
     /// Number of indexed masks.
     pub fn len(&self) -> usize {
-        self.entries.read().slots.len()
+        self.reader().len()
     }
 
     /// Returns `true` if no masks are indexed.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().slots.is_empty()
+        self.reader().is_empty()
     }
 
     /// Returns `true` if `mask_id` has an index.
     pub fn contains(&self, mask_id: MaskId) -> bool {
-        self.entries.read().slots.contains_key(&mask_id)
+        self.reader().contains(mask_id)
     }
 
     /// A copy of the index of `mask_id`, if present. Bounds are computed
@@ -338,14 +466,11 @@ impl ChiStore {
             .map(|view| Arc::new(view.to_chi()))
     }
 
-    /// Takes a read guard for a batch of lookups: one lock acquisition
-    /// amortised over a whole candidate chunk — the filter stage's hot loop.
-    /// Writers block while the reader is held, so hold it only across
-    /// CPU-bound work.
-    pub fn reader(&self) -> ChiReader<'_> {
-        ChiReader {
-            entries: self.entries.read(),
-        }
+    /// Pins the current version for a batch of lookups: one `Arc` clone.
+    /// Nothing a writer does afterwards changes what it reads, and holding
+    /// it blocks no writer (see the module docs).
+    pub fn reader(&self) -> ChiReader {
+        self.current.read().clone()
     }
 
     /// Inserts a pre-built index for `mask_id`, replacing any existing one.
@@ -357,30 +482,52 @@ impl ChiStore {
         self.insert_many([(mask_id, chi)]);
     }
 
-    /// Inserts pre-built indexes under one write guard, in order (a later
-    /// entry for an id replaces an earlier one): a commit installs its whole
-    /// batch while readers wait once.
+    /// Inserts pre-built indexes as one version, in order (a later entry
+    /// for an id replaces an earlier one).
     ///
     /// # Panics
     /// Panics if an index was built under another configuration than the
     /// store's.
     pub fn insert_many(&self, indexes: impl IntoIterator<Item = (MaskId, Chi)>) {
-        let mut indexes = indexes.into_iter().peekable();
-        if indexes.peek().is_none() {
+        self.apply(&[], indexes);
+    }
+
+    /// Removes the indexes of `removed`, then installs `installed` (in
+    /// order; a later entry for an id replaces an earlier one), and
+    /// publishes the result as one version: a reader sees all of the batch
+    /// or none of it. A non-empty `removed` counts as one removal for
+    /// [`ChiStore::index_mask_if_current`].
+    ///
+    /// # Panics
+    /// Panics if an index was built under another configuration than the
+    /// store's.
+    pub fn apply(&self, removed: &[MaskId], installed: impl IntoIterator<Item = (MaskId, Chi)>) {
+        let mut installed = installed.into_iter().peekable();
+        if removed.is_empty() && installed.peek().is_none() {
             return;
         }
-        let mut entries = self.entries.write();
-        for (mask_id, chi) in indexes {
-            assert_eq!(*chi.config(), self.config, "index of another configuration");
-            entries.put_chi(mask_id, &chi);
-        }
+        self.write(|next, space| {
+            if !removed.is_empty() {
+                self.removals.fetch_add(1, Ordering::Relaxed);
+            }
+            for &mask_id in removed {
+                next.remove(space, mask_id);
+            }
+            for (mask_id, chi) in installed {
+                next.put_chi(space, mask_id, &chi);
+            }
+            true
+        });
     }
 
     /// Builds and inserts the index of `mask` under the store's
     /// configuration (the §3.6 incremental-indexing step), returning it.
     pub fn index_mask(&self, mask_id: MaskId, mask: &Mask) -> Chi {
         let chi = Chi::build(mask, &self.config);
-        self.entries.write().put_chi(mask_id, &chi);
+        self.write(|next, space| {
+            next.put_chi(space, mask_id, &chi);
+            true
+        });
         chi
     }
 
@@ -389,22 +536,22 @@ impl ChiStore {
         self.remove_many(&[mask_id]) == 1
     }
 
-    /// Removes the indexes of `mask_ids` under one write guard, counting as
-    /// one removal for [`ChiStore::index_mask_if_current`]; returns how many
-    /// existed. An empty slice takes no lock.
+    /// Removes the indexes of `mask_ids` as one version, counting as one
+    /// removal for [`ChiStore::index_mask_if_current`]; returns how many
+    /// existed. An empty slice changes nothing.
     pub fn remove_many(&self, mask_ids: &[MaskId]) -> usize {
         if mask_ids.is_empty() {
             return 0;
         }
-        let mut entries = self.entries.write();
-        self.removals.fetch_add(1, Ordering::Relaxed);
         let mut removed = 0;
-        for mask_id in mask_ids {
-            if let Some(slot) = entries.slots.remove(mask_id) {
-                entries.release(&slot);
-                removed += 1;
-            }
-        }
+        self.write(|next, space| {
+            self.removals.fetch_add(1, Ordering::Relaxed);
+            removed = mask_ids
+                .iter()
+                .filter(|&&mask_id| next.remove(space, mask_id))
+                .count();
+            removed > 0
+        });
         removed
     }
 
@@ -422,34 +569,32 @@ impl ChiStore {
     /// generation snapshot and this call means the loaded pixels may predate
     /// an overwrite or delete, so installing bounds built from them could
     /// corrupt the filter stage. The generation check runs under the same
-    /// write lock that removals bump under, so there is no window.
+    /// writer lock that removals bump under, so there is no window.
     pub fn index_mask_if_current(&self, mask_id: MaskId, mask: &Mask, generation: u64) -> bool {
         let chi = Chi::build(mask, &self.config);
-        let mut entries = self.entries.write();
-        if self.removals.load(Ordering::Relaxed) != generation
-            || entries.slots.contains_key(&mask_id)
-        {
-            return false;
-        }
-        entries.put_chi(mask_id, &chi);
-        true
+        self.write(|next, space| {
+            if self.removals.load(Ordering::Relaxed) != generation || next.contains(mask_id) {
+                return false;
+            }
+            next.put_chi(space, mask_id, &chi);
+            true
+        })
     }
 
     /// Ids of all indexed masks, ascending.
     pub fn ids(&self) -> Vec<MaskId> {
-        self.entries.read().slots.keys().copied().collect()
+        self.reader().slots.keys().copied().collect()
     }
 
     /// Total in-memory size of the index payloads in bytes.
     pub fn total_bytes(&self) -> u64 {
-        let entries = self.entries.read();
-        entries.views().map(|(_, chi)| chi.byte_size()).sum()
+        self.reader().views().map(|(_, chi)| chi.byte_size()).sum()
     }
 
     /// Serialises the store (configuration + every index) as one segment.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let entries = self.entries.read();
-        self.encode_segment(entries.slots.len(), entries.views())
+        let version = self.reader();
+        self.encode_segment(version.len(), version.views())
     }
 
     /// Serialises the indexes of those of `ids` that are in the store as one
@@ -465,10 +610,9 @@ impl ChiStore {
 
     /// Exactly `self.to_bytes().len()`, without serialising anything.
     pub fn encoded_len(&self) -> u64 {
-        let entries = self.entries.read();
-        let cells: u64 = entries.views().map(|(_, chi)| chi.byte_size()).sum();
-        let headers =
-            SEGMENT_HEADER_LEN + PAYLOAD_HEADER_LEN + ENTRY_HEADER_LEN * entries.slots.len();
+        let version = self.reader();
+        let cells: u64 = version.views().map(|(_, chi)| chi.byte_size()).sum();
+        let headers = SEGMENT_HEADER_LEN + PAYLOAD_HEADER_LEN + ENTRY_HEADER_LEN * version.len();
         headers as u64 + cells
     }
 
@@ -514,7 +658,8 @@ impl ChiStore {
     /// segment belongs. It is 0 for a bare v1 image, which cannot be
     /// appended to. Fails if not even the first segment is readable.
     pub fn from_segments(bytes: &[u8]) -> StorageResult<(Self, usize)> {
-        let mut store: Option<ChiStore> = None;
+        // Built in place: nothing shares the version until it is returned.
+        let mut store: Option<(ChiVersion, Spaces)> = None;
         let valid_len = segment::read(bytes, &FORMAT, |version, payload| {
             let mut r = Reader::new(payload, FORMAT.what);
             let cell_width = r.read_u32()?;
@@ -523,7 +668,7 @@ impl ChiStore {
             let config = ChiConfig::new(cell_width, cell_height, bins).ok_or_else(|| {
                 StorageError::corrupt("chi index file has a zero-sized configuration")
             })?;
-            if store.as_ref().is_some_and(|s| s.config != config) {
+            if store.as_ref().is_some_and(|(s, _)| s.config != config) {
                 return Err(StorageError::corrupt(
                     "chi index segment of a different configuration",
                 ));
@@ -568,18 +713,19 @@ impl ChiStore {
                     "chi index segment has bytes after its last entry",
                 ));
             }
-            let store = store.get_or_insert_with(|| ChiStore::new(config));
-            let mut entries = store.entries.write();
+            let (version, space) =
+                store.get_or_insert_with(|| (ChiVersion::new(config), Spaces::default()));
             for (id, shape, width, bytes) in decoded {
-                entries.put(id, shape, |cells| match cells {
+                version.put(space, id, shape, |cells| match cells {
                     Cells::Narrow(cells) => decode(cells, bytes, width),
                     Cells::Wide(cells) => decode(cells, bytes, width),
                 });
             }
             Ok(())
         })?;
-        let store = store.ok_or_else(|| StorageError::corrupt("chi index file is empty"))?;
-        Ok((store, valid_len))
+        let (version, space) =
+            store.ok_or_else(|| StorageError::corrupt("chi index file is empty"))?;
+        Ok((Self::from_version(version, space), valid_len))
     }
 
     /// Persists the store to a file.
@@ -735,7 +881,7 @@ mod tests {
             w.write_u32(v);
         }
         w.write_u64(store.len() as u64);
-        for (id, chi) in store.reader().entries.views() {
+        for (id, chi) in store.reader().views() {
             w.write_u64(id.raw());
             w.write_u32(chi.mask_width());
             w.write_u32(chi.mask_height());
@@ -777,25 +923,23 @@ mod tests {
         let wide_mask = Mask::constant(256, 256, 0.99).unwrap();
         let (id, other) = (MaskId::new(1), MaskId::new(2));
         store.index_mask(id, &narrow_mask);
-        let narrow_run = store.entries.read().slots[&id].run;
+        let run = |id| store.reader().slots.get(&id).unwrap().run;
+        let narrow_run = run(id);
         store.index_mask(id, &wide_mask);
         {
-            let entries = store.entries.read();
-            let slot = entries.slots[&id];
-            assert!(!slot.narrow());
+            assert!(!store.reader().slots.get(&id).unwrap().narrow());
+            let space = store.writer.lock();
             assert_eq!(
-                entries.narrow.free[&(config.count_len(255, 257) as usize)],
+                space.narrow.free[&(config.count_len(255, 257) as usize)],
                 [narrow_run]
             );
-            assert!(entries.wide.free.values().all(Vec::is_empty));
+            assert!(space.wide.free.values().all(Vec::is_empty));
         }
         assert_eq!(*store.get(id).unwrap(), Chi::build(&wide_mask, &config));
         // The next narrow index of that length takes the freed run.
         store.index_mask(other, &narrow_mask);
-        let entries = store.entries.read();
-        assert_eq!(entries.slots[&other].run, narrow_run);
-        assert!(entries.narrow.free.values().all(Vec::is_empty));
-        drop(entries);
+        assert_eq!(run(other), narrow_run);
+        assert!(store.writer.lock().narrow.free.values().all(Vec::is_empty));
         assert_eq!(
             *store.get(other).unwrap(),
             Chi::build(&narrow_mask, &config)
@@ -804,9 +948,44 @@ mod tests {
         // mask's again.
         store.remove(other);
         store.index_mask(id, &narrow_mask);
-        let entries = store.entries.read();
-        assert_eq!(entries.slots[&id].run, narrow_run);
-        assert_eq!(entries.wide.free.values().flatten().count(), 1);
+        assert_eq!(run(id), narrow_run);
+        assert_eq!(store.writer.lock().wide.free.values().flatten().count(), 1);
+    }
+
+    #[test]
+    fn a_write_copies_only_the_chunks_it_touches_and_a_pin_keeps_the_old_ones() {
+        let store = ChiStore::new(config());
+        // 72 counts an index: 300 of them fill two chunks.
+        store.insert_many(
+            (0..300u64).map(|i| (MaskId::new(i), Chi::build(&mask(i as u32), &config()))),
+        );
+        let pinned = store.reader();
+        assert_eq!(pinned.narrow.chunk_count(), 2);
+        let first = Arc::downgrade(pinned.narrow.chunk(0));
+
+        store.index_mask(MaskId::new(3), &mask(300));
+        store.remove(MaskId::new(7));
+        let now = store.reader();
+        assert!(!Arc::ptr_eq(pinned.narrow.chunk(0), now.narrow.chunk(0)));
+        assert!(Arc::ptr_eq(pinned.narrow.chunk(1), now.narrow.chunk(1)));
+        // The pinned version answers as it did; the store moved on.
+        assert_eq!(
+            pinned.get(MaskId::new(3)).unwrap().to_chi(),
+            Chi::build(&mask(3), &config())
+        );
+        assert!(pinned.contains(MaskId::new(7)) && !now.contains(MaskId::new(7)));
+        assert_eq!(
+            now.get(MaskId::new(3)).unwrap().to_chi(),
+            Chi::build(&mask(300), &config())
+        );
+
+        drop(now);
+        assert!(first.upgrade().is_some());
+        drop(pinned);
+        assert!(
+            first.upgrade().is_none(),
+            "a superseded chunk outlived its last pin"
+        );
     }
 
     #[test]
@@ -853,6 +1032,52 @@ mod tests {
         let mut flipped = file.clone();
         flipped[first_len - 1] ^= 0x40;
         assert!(ChiStore::from_segments(&flipped).is_err());
+    }
+
+    /// `file` with a segment of version 4 appended, its payload that of a
+    /// one-entry segment.
+    fn with_v4_segment(file: &[u8]) -> (Vec<u8>, usize) {
+        let next = ChiStore::new(config());
+        next.index_mask(MaskId::new(1), &mask(77));
+        let mut v4 = next.to_bytes();
+        v4[4..6].copy_from_slice(&4u16.to_le_bytes());
+        let checksum =
+            masksearch_storage::codec::checksum64(&[&v4[..16], &v4[SEGMENT_HEADER_LEN..]]);
+        v4[16..24].copy_from_slice(&checksum.to_le_bytes());
+        ([file, &v4].concat(), v4.len())
+    }
+
+    #[test]
+    fn a_whole_newer_segment_after_a_valid_prefix_is_an_error() {
+        let store = ChiStore::new(config());
+        store.index_mask(MaskId::new(1), &mask(1));
+        let (file, _) = with_v4_segment(&store.to_bytes());
+        assert!(matches!(
+            ChiStore::from_segments(&file),
+            Err(StorageError::UnsupportedVersion {
+                found: 4,
+                supported: CHI_FORMAT_VERSION
+            })
+        ));
+    }
+
+    #[test]
+    fn a_torn_newer_segment_after_a_valid_prefix_ends_it() {
+        let store = ChiStore::new(config());
+        store.index_mask(MaskId::new(1), &mask(1));
+        let first = store.to_bytes();
+        let (file, v4_len) = with_v4_segment(&first);
+        for cut in [1, 8, SEGMENT_HEADER_LEN, v4_len - 1] {
+            let (loaded, valid_len) = ChiStore::from_segments(&file[..first.len() + cut]).unwrap();
+            assert_eq!(valid_len, first.len(), "cut at {cut}");
+            assert_eq!(
+                *loaded.get(MaskId::new(1)).unwrap(),
+                Chi::build(&mask(1), &config())
+            );
+        }
+        let mut flipped = file.clone();
+        *flipped.last_mut().unwrap() ^= 0x40;
+        assert_eq!(ChiStore::from_segments(&flipped).unwrap().1, first.len());
     }
 
     #[test]

@@ -118,8 +118,8 @@ pub fn incr(counter: &AtomicU64) {
 /// wait to `wait_us` — when there is one: `try_acquire` is tried first, and
 /// only if the lock is held does `acquire` run between two clock reads.
 ///
-/// The uncontended path is the hot one (the ranked executors take two
-/// guards per candidate), so it pays no `clock_gettime` and touches one
+/// The uncontended path is the hot one (every statement pins its read
+/// version through one), so it pays no `clock_gettime` and touches one
 /// shared counter, not two. A wait it does not see is one that ended
 /// before `try_acquire` returned — nothing a microsecond counter holds.
 #[inline]

@@ -5,23 +5,24 @@
 //! Because SUM/AVG/MIN/MAX are monotone in each member value, bounds on the
 //! members propagate to bounds on the aggregate: the executor can prune or
 //! accept an entire group — and skip loading every one of its masks — from
-//! index information alone. Every group's bounds are computed before any
-//! load; the groups then go through `exec::grouped` — the shared
-//! ranked pass (best bound first, `HAVING` applied) under `ORDER BY …
-//! LIMIT`, otherwise a `HAVING` filter in image order. Before a group costs
-//! a load, its members are bounded again per border cell and the aggregate
-//! of those tighter bounds is tried first.
+//! index information alone. Every member's bounds are computed before any
+//! load, in one walk of the statement's version with the filter stage's
+//! cursors, and one sort groups them; the groups then go through
+//! `exec::grouped` — the shared ranked pass (best bound first, `HAVING`
+//! applied) under `ORDER BY … LIMIT`, otherwise a `HAVING` filter in image
+//! order. Before a group costs a load, its members are bounded again per
+//! border cell and the aggregate of those tighter bounds is tried first.
 
-use crate::error::QueryResult;
+use crate::error::{QueryError, QueryResult};
 use crate::eval;
-use crate::exec::{self, apply_io_delta, elapsed};
+use crate::exec::{self, elapsed};
 use crate::expr::{Expr, Interval};
 use crate::planner::ExecPlan;
 use crate::predicate::CmpOp;
 use crate::result::QueryOutput;
-use crate::session::Session;
+use crate::session::{ReadVersion, Session};
 use crate::spec::{Order, ScalarAgg};
-use masksearch_core::{ImageId, MaskId};
+use masksearch_core::{ImageId, MaskId, MaskRecord};
 use std::time::Instant;
 
 /// Bounds on a scalar aggregate from bounds on its member values.
@@ -59,8 +60,10 @@ fn aggregate_interval(agg: ScalarAgg, members: &[Interval]) -> Interval {
 }
 
 /// Executes an aggregation query over `candidates`.
+#[allow(clippy::too_many_arguments)]
 pub fn execute(
     session: &Session,
+    version: &ReadVersion,
     candidates: &[MaskId],
     expr: &Expr,
     agg: ScalarAgg,
@@ -69,57 +72,68 @@ pub fn execute(
     plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
-    let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
 
-    let groups = session.group_by_image(candidates);
-
-    // Filter pass: every member's CHI bounds, group after group, before
-    // anything is loaded, and from them the aggregate's bounds of every
-    // group whose members all have an index.
+    // Filter pass: every candidate's record and CHI bounds in one walk of
+    // the statement's version with the filter stage's cursors, before
+    // anything is loaded; then the candidates grouped by image with one
+    // sort, and the aggregate's bounds of every group whose members all
+    // have an index.
     let filter_start = Instant::now();
-    let members: Vec<MaskId> = groups
-        .iter()
-        .flat_map(|(_, members)| members.iter().copied())
-        .collect();
     let mut compiled = eval::CompiledBounds::expr(expr, fallback);
-    let bounds = session.bounds_of(&members, |record, chi| compiled.interval(record, chi))?;
-    let mut rest = bounds.as_slice();
+    let chis = version.chi();
+    let mut members: Vec<(&MaskRecord, Option<Interval>)> = Vec::with_capacity(candidates.len());
+    {
+        let mut record_cursor = version.catalog().cursor();
+        let mut chi_cursor = chis.map(|chi| chi.cursor());
+        for &mask_id in candidates {
+            let record = record_cursor
+                .seek(mask_id)
+                .ok_or(QueryError::UnknownMask(mask_id))?;
+            let chi = chi_cursor.as_mut().and_then(|chis| chis.seek(mask_id));
+            let bounds = chi.map(|chi| compiled.interval(record, chi)).transpose()?;
+            members.push((record, bounds));
+        }
+    }
+    // Candidate positions by (image, position): a group is a run of them,
+    // its members ascending by mask id.
+    let mut order: Vec<usize> = (0..members.len()).collect();
+    order.sort_unstable_by_key(|&i| (members[i].0.image_id, i));
+    let groups: Vec<&[usize]> = order
+        .chunk_by(|&a, &b| members[a].0.image_id == members[b].0.image_id)
+        .collect();
     let mut indexed: Vec<Interval> = Vec::new();
     let items: Vec<(ImageId, Option<Interval>)> = groups
         .iter()
-        .map(|(image_id, member_ids)| {
-            let (member_bounds, tail) = rest.split_at(member_ids.len());
-            rest = tail;
+        .map(|group| {
             indexed.clear();
-            indexed.extend(member_bounds.iter().map_while(|bounds| *bounds));
-            let full = indexed.len() == member_bounds.len();
-            (*image_id, full.then(|| aggregate_interval(agg, &indexed)))
+            indexed.extend(group.iter().map_while(|&i| members[i].1));
+            let full = indexed.len() == group.len();
+            let image_id = members[group[0]].0.image_id;
+            (image_id, full.then(|| aggregate_interval(agg, &indexed)))
         })
         .collect();
     let filter_wall = elapsed(filter_start);
 
     // Verification: every member's exact value, aggregated.
     let verify_start = Instant::now();
-    let mut verifier = session.verifier(plan, expr.terms());
-    let mut verify = |i: usize| -> QueryResult<f64> {
-        let mut values = Vec::with_capacity(groups[i].1.len());
-        for &mask_id in &groups[i].1 {
-            let record = session.record(mask_id)?;
-            values.push(expr.evaluate_exact(verifier.counts(&record)?));
+    let mut verifier = session.verifier(version, plan, expr.terms());
+    let mut verify = |g: usize| -> QueryResult<f64> {
+        let mut values = Vec::with_capacity(groups[g].len());
+        for &i in groups[g] {
+            values.push(expr.evaluate_exact(verifier.counts(members[i].0)?));
         }
         Ok(agg.apply(&values))
     };
 
     // Per-cell bounds on every member, aggregated; none if a member has
-    // no index (any longer).
-    let refine = |i: usize| -> QueryResult<Option<Interval>> {
+    // no index.
+    let refine = |g: usize| -> QueryResult<Option<Interval>> {
         indexed.clear();
-        for &mask_id in &groups[i].1 {
-            match session
-                .bounds_of_one(mask_id, |record, chi| compiled.cell_interval(record, chi))?
-            {
-                Some(bounds) => indexed.push(bounds),
+        for &i in groups[g] {
+            let record = members[i].0;
+            match chis.and_then(|chis| chis.get(record.mask_id)) {
+                Some(chi) => indexed.push(compiled.cell_interval(record, chi)?),
                 None => return Ok(None),
             }
         }
@@ -132,12 +146,6 @@ pub fn execute(
     stats.filter_wall = filter_wall;
     stats.verify_wall = verify_wall;
     verifier.stats.record(&mut stats);
-    let io_delta = session
-        .store()
-        .io_stats()
-        .snapshot()
-        .delta_since(&io_before);
-    apply_io_delta(&mut stats, &io_delta);
     stats.total_wall = elapsed(total_start);
 
     Ok(QueryOutput { rows, stats })

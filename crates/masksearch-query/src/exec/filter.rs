@@ -3,11 +3,11 @@
 
 use crate::error::{QueryError, QueryResult};
 use crate::eval;
-use crate::exec::{apply_io_delta, chunks_for_threads, elapsed};
+use crate::exec::{chunks_for_threads, elapsed};
 use crate::planner::ExecPlan;
 use crate::predicate::{Predicate, Truth};
 use crate::result::{QueryOutput, QueryStats, ResultRow};
-use crate::session::Session;
+use crate::session::{ReadVersion, Session};
 use crate::verify::VerifyStats;
 use masksearch_core::{MaskId, MaskRecord};
 use masksearch_obs::keys as obs_keys;
@@ -51,49 +51,45 @@ where
 
 /// The filter stage's verdicts over one chunk of candidates.
 #[derive(Default)]
-struct Filtered {
+struct Filtered<'v> {
     /// Guaranteed to satisfy the predicate: straight to the result set.
     accepted: Vec<MaskId>,
     /// Guaranteed to fail it.
     pruned: u64,
-    /// Undecided: must be verified against the pixels. The records ride
-    /// along so verification takes no catalog lock per mask.
-    to_verify: Vec<MaskRecord>,
+    /// Undecided: must be verified against the pixels. Their records,
+    /// borrowed from the statement's version, ride along.
+    to_verify: Vec<&'v MaskRecord>,
 }
 
 /// Executes a filter query over `candidates`, bounding its comparisons in
 /// written order and routing each verified mask as `plan` decides for it.
 pub fn execute(
     session: &Session,
+    version: &ReadVersion,
     candidates: &[MaskId],
     predicate: &Predicate,
     plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
-    let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
     let threads = session.config().threads;
 
     // ---- Filter stage -----------------------------------------------------
     let filter_span = masksearch_obs::span("filter");
     let filter_start = Instant::now();
-    // The stage is pure CPU (nothing is loaded), so one catalog guard and
-    // one CHI-store guard cover all of it, and under them a cursor over
-    // each map follows the ascending candidate list: per-candidate lock
-    // round-trips, record clones and two tree descents used to dominate
-    // bounds-decided classification. Both guards drop at the end of this
-    // block, before verification starts loading masks.
+    // The stage is pure CPU (nothing is loaded) over the statement's
+    // version: a cursor over each of its maps follows the ascending
+    // candidate list, with no lock, no record clone and no tree descent
+    // per candidate.
     let Filtered {
         mut accepted,
         pruned,
         mut to_verify,
     } = {
-        let catalog = session.catalog_read();
-        let chi_reader = session.chi_reader();
-        let classify_chunk = |chunk: &[MaskId]| -> QueryResult<Filtered> {
+        let classify_chunk = |chunk: &[MaskId]| -> QueryResult<Filtered<'_>> {
             let mut bounds = eval::CompiledBounds::predicate(predicate, &[], fallback);
-            let mut records = catalog.cursor();
-            let mut chis = chi_reader.as_ref().map(|reader| reader.cursor());
+            let mut records = version.catalog().cursor();
+            let mut chis = version.chi().map(|chi| chi.cursor());
             let mut out = Filtered::default();
             for &mask_id in chunk {
                 let record = records
@@ -107,7 +103,7 @@ pub fn execute(
                 match truth {
                     Truth::True => out.accepted.push(mask_id),
                     Truth::False => out.pruned += 1,
-                    Truth::Unknown => out.to_verify.push(record.clone()),
+                    Truth::Unknown => out.to_verify.push(record),
                 }
             }
             Ok(out)
@@ -133,8 +129,8 @@ pub fn execute(
     // ---- Verification stage ----------------------------------------------
     let verify_span = masksearch_obs::span("verify");
     let verify_start = Instant::now();
-    let verify_chunk = |chunk: &[MaskRecord]| -> QueryResult<(Vec<MaskId>, VerifyStats)> {
-        let mut verifier = session.verifier(plan, eval::predicate_terms(predicate));
+    let verify_chunk = |chunk: &[&MaskRecord]| -> QueryResult<(Vec<MaskId>, VerifyStats)> {
+        let mut verifier = session.verifier(version, plan, eval::predicate_terms(predicate));
         let mut hits = Vec::new();
         for record in chunk {
             if eval::predicate_from_term_values(predicate, verifier.counts(record)?) {
@@ -167,12 +163,6 @@ pub fn execute(
     };
     verified.record(&mut stats);
     drop(verify_span);
-    let io_delta = session
-        .store()
-        .io_stats()
-        .snapshot()
-        .delta_since(&io_before);
-    apply_io_delta(&mut stats, &io_delta);
     stats.total_wall = elapsed(total_start);
 
     Ok(QueryOutput {

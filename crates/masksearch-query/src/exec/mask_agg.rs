@@ -3,10 +3,12 @@
 //! intersection after thresholding), evaluate a `CP` term on the aggregated
 //! mask, then filter and/or rank the groups.
 //!
-//! An up-front pass resolves every group's ROI and, if the session holds a
-//! pre-built index over the aggregated masks
+//! An up-front pass groups the candidates by image with one sort, resolves
+//! every group's ROI from the statement's version and, if the session holds
+//! a pre-built index over the aggregated masks
 //! ([`Session::build_aggregate_index`]), bounds the `CP` value from that
-//! index, so most groups are never materialised: the groups then go through
+//! index through one reader and one `TermBounds`, so most groups are never
+//! materialised: the groups then go through
 //! `exec::grouped`, best bound first under `ORDER BY … LIMIT`.
 //! A group without bounds is verified by loading its member masks (and, in
 //! incremental mode, the aggregated mask's CHI is built and retained as a
@@ -18,21 +20,23 @@
 //! grids do.
 
 use crate::error::QueryResult;
-use crate::exec::{self, apply_io_delta, elapsed};
+use crate::exec::{self, apply_reads, elapsed};
 use crate::expr::Interval;
 use crate::predicate::CmpOp;
 use crate::query::Selection;
 use crate::result::QueryOutput;
-use crate::session::Session;
+use crate::session::{IndexingMode, ReadVersion, Session};
 use crate::spec::{CpTerm, Order, RoiSpec};
 use masksearch_core::{cp, ImageId, Mask, MaskAgg, MaskId, PixelRange, Roi};
-use masksearch_index::Chi;
+use masksearch_index::{Chi, TermBounds};
+use masksearch_storage::disk::Reads;
 use std::time::Instant;
 
 /// Executes a mask-aggregation query over `candidates`.
 #[allow(clippy::too_many_arguments)]
 pub fn execute(
     session: &Session,
+    version: &ReadVersion,
     selection: &Selection,
     candidates: &[MaskId],
     agg: &MaskAgg,
@@ -41,9 +45,10 @@ pub fn execute(
     top_k: Option<(usize, Order)>,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
-    let io_before = session.store().io_stats().snapshot();
 
-    let groups = session.group_by_image(candidates);
+    // One sort of the candidates by image: a group is a run of the list.
+    let keyed = version.catalog().by_image(candidates);
+    let groups: Vec<&[(ImageId, MaskId)]> = keyed.chunk_by(|a, b| a.0 == b.0).collect();
     let signature = Session::aggregate_signature(agg, selection);
     let agg_index = session.aggregate_index(&signature);
 
@@ -52,30 +57,33 @@ pub fn execute(
     // statement here) and, where the aggregated-mask index holds the group,
     // its bounds.
     let filter_start = Instant::now();
+    let agg_chis = agg_index.as_ref().map(|index| index.reader());
+    let mut term_bounds = TermBounds::new(term.range);
     let mut rois = Vec::with_capacity(groups.len());
     let mut items: Vec<(ImageId, Option<Interval>)> = Vec::with_capacity(groups.len());
-    for (image_id, member_ids) in &groups {
-        let roi = group_roi(session, term, member_ids)?;
-        let bounds = agg_index.as_ref().and_then(|index| {
-            let b = index
-                .reader()
-                .get(MaskId::new(image_id.raw()))?
-                .cp_bounds(&roi, &term.range);
+    for group in &groups {
+        let image_id = group[0].0;
+        let roi = group_roi(session, version, term, group[0].1)?;
+        let bounds = agg_chis.as_ref().and_then(|chis| {
+            let b = term_bounds.cp_bounds(chis.get(MaskId::new(image_id.raw()))?, &roi);
             Some(Interval::new(b.lower as f64, b.upper as f64))
         });
         rois.push(roi);
-        items.push((*image_id, bounds));
+        items.push((image_id, bounds));
     }
     let filter_wall = elapsed(filter_start);
 
     // Verification: load the group, aggregate, evaluate exactly.
     let verify_start = Instant::now();
     let mut indexes_built = 0u64;
+    let mut reads = Reads::default();
+    let incremental = session.config().indexing_mode == IndexingMode::Incremental;
+    let mut aggregated_chis: Vec<(ImageId, Chi)> = Vec::new();
     let verify = |i: usize| -> QueryResult<f64> {
-        let (image_id, member_ids) = &groups[i];
-        let mut loaded = Vec::with_capacity(member_ids.len());
-        for &mask_id in member_ids {
-            let (mask, built) = session.load_and_index(mask_id)?;
+        let image_id = groups[i][0].0;
+        let mut loaded = Vec::with_capacity(groups[i].len());
+        for &(_, mask_id) in groups[i] {
+            let (mask, built) = reads.count(|| session.load_and_index(mask_id))?;
             indexes_built += u64::from(built);
             loaded.push(mask);
         }
@@ -89,43 +97,42 @@ pub fn execute(
         let value = cp(&aggregated, &rois[i], &term.range) as f64;
         // Incremental indexing of the aggregated mask (§3.4): retain its CHI
         // so later queries with the same aggregation shape can prune.
-        if !agg_index
-            .as_ref()
-            .is_some_and(|index| index.contains(MaskId::new(image_id.raw())))
+        if incremental
+            && !agg_chis
+                .as_ref()
+                .is_some_and(|chis| chis.contains(MaskId::new(image_id.raw())))
         {
             let chi = Chi::build(&aggregated, &session.config().chi_config);
-            session.insert_aggregate_chi(&signature, *image_id, chi);
+            aggregated_chis.push((image_id, chi));
         }
         Ok(value)
     };
     // Aggregate-index bounds have no per-cell refinement.
     let (rows, mut stats) = exec::grouped(&items, having, top_k, |_| Ok(None), verify)?;
+    session.insert_aggregate_chis(&signature, aggregated_chis);
     stats.verify_wall = elapsed(verify_start);
 
-    let io_delta = session
-        .store()
-        .io_stats()
-        .snapshot()
-        .delta_since(&io_before);
     stats.candidates = candidates.len() as u64;
     stats.indexes_built = indexes_built;
     stats.filter_wall = filter_wall;
     stats.total_wall = elapsed(total_start);
-    apply_io_delta(&mut stats, &io_delta);
+    apply_reads(&mut stats, &reads);
 
     Ok(QueryOutput { rows, stats })
 }
 
 /// Resolves the query term's ROI for a group of masks.
-fn group_roi(session: &Session, term: &CpTerm, member_ids: &[MaskId]) -> QueryResult<Roi> {
+fn group_roi(
+    session: &Session,
+    version: &ReadVersion,
+    term: &CpTerm,
+    first: MaskId,
+) -> QueryResult<Roi> {
     let fallback = session.config().object_box_fallback;
-    let first = member_ids
-        .first()
-        .ok_or_else(|| crate::error::QueryError::invalid("empty group"))?;
-    let record = session.record(*first)?;
+    let record = version.record(first)?;
     match term.roi {
         RoiSpec::Constant(roi) => Ok(roi),
-        RoiSpec::FullMask | RoiSpec::ObjectBox => crate::eval::resolve_roi(term, &record, fallback),
+        RoiSpec::FullMask | RoiSpec::ObjectBox => crate::eval::resolve_roi(term, record, fallback),
     }
 }
 

@@ -24,16 +24,17 @@ use crate::predicate::{CmpOp, Comparison, Truth};
 use crate::result::{QueryStats, ResultRow};
 use crate::spec::Order;
 use masksearch_core::ImageId;
-use masksearch_storage::disk::IoSnapshot;
+use masksearch_storage::disk::Reads;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 
-/// Fills the I/O-derived fields of [`QueryStats`] from a snapshot delta.
-pub(crate) fn apply_io_delta(stats: &mut QueryStats, delta: &IoSnapshot) {
-    stats.masks_loaded = delta.masks_loaded;
-    stats.bytes_read = delta.bytes_read;
-    stats.io_virtual = delta.virtual_read + delta.virtual_write;
+/// Fills the I/O-derived fields of [`QueryStats`] from what the statement's
+/// own threads read.
+pub(crate) fn apply_reads(stats: &mut QueryStats, reads: &Reads) {
+    stats.masks_loaded = reads.masks_loaded;
+    stats.bytes_read = reads.bytes_read;
+    stats.io_virtual = reads.virtual_read;
 }
 
 /// Splits a slice into `parts` nearly equal chunks (at least one element per

@@ -6,7 +6,8 @@
 //! including terms over the pixelwise composition of the two masks — from
 //! the two per-mask CHIs via the bound algebra of
 //! `masksearch_index::compose`, so undecidable candidates are the only ones
-//! that load pixels. Verification loads *both* masks through the buffer
+//! that load pixels. Records and CHIs come from the statement's version,
+//! through one cursor per side over each of its maps. Verification loads *both* masks through the buffer
 //! cache and evaluates through the composed tile kernel. Pair top-k bounds
 //! every pair up front and runs the shared ranked pass
 //! (`exec::top_k`): best composed bound first, stopping at the
@@ -16,17 +17,20 @@
 //! with an image-id tie-break for top-k), which is exactly the key the
 //! cluster's shard map hashes — so pair partials merge exactly.
 
-use crate::error::QueryResult;
+use crate::error::{QueryError, QueryResult};
 use crate::eval::{self, PairRecords};
-use crate::exec::{apply_io_delta, chunks_for_threads, elapsed, top_k, TopK};
+use crate::exec::{apply_reads, chunks_for_threads, elapsed, top_k, TopK};
 use crate::expr::{Expr, Interval};
 use crate::planner::ExecPlan;
 use crate::predicate::{Predicate, Truth};
 use crate::result::{QueryOutput, QueryStats, ResultRow};
-use crate::session::Session;
+use crate::session::{ReadVersion, Session};
 use crate::spec::Order;
-use masksearch_core::{ImageId, MaskId, TileStats};
+use masksearch_core::{ImageId, MaskId, MaskRecord, TileStats};
+use masksearch_index::{ChiCursor, ChiView};
 use masksearch_obs::keys as obs_keys;
+use masksearch_storage::disk::Reads;
+use masksearch_storage::IdCursor;
 use parking_lot::Mutex;
 use std::time::Instant;
 
@@ -40,6 +44,38 @@ enum FilterOutcome {
     Verify,
 }
 
+/// Both sides' records and indexes for a run of pairs ascending by image:
+/// one cursor per side over each map of the statement's version.
+struct PairLookup<'v> {
+    records: [IdCursor<'v, MaskRecord>; 2],
+    chis: Option<[ChiCursor<'v>; 2]>,
+}
+
+impl<'v> PairLookup<'v> {
+    fn new(version: &'v ReadVersion) -> Self {
+        Self {
+            records: [version.catalog().cursor(), version.catalog().cursor()],
+            chis: version.chi().map(|chi| [chi.cursor(), chi.cursor()]),
+        }
+    }
+
+    /// The records of a pair's two masks.
+    fn records(&mut self, &(_, left, right): &PairCandidate) -> QueryResult<PairRecords<'v>> {
+        let [left_records, right_records] = &mut self.records;
+        let missing = QueryError::UnknownMask;
+        Ok(PairRecords {
+            left: left_records.seek(left).ok_or(missing(left))?,
+            right: right_records.seek(right).ok_or(missing(right))?,
+        })
+    }
+
+    /// The indexes of a pair's two masks, when both have one.
+    fn chis(&mut self, &(_, left, right): &PairCandidate) -> Option<(ChiView<'v>, ChiView<'v>)> {
+        let [left_chis, right_chis] = self.chis.as_mut()?;
+        Some((left_chis.seek(left)?, right_chis.seek(right)?))
+    }
+}
+
 /// Classifies one pair candidate from bounds alone (when both CHIs exist).
 ///
 /// `composes` is whether the predicate composes the two masks: then the
@@ -47,25 +83,17 @@ enum FilterOutcome {
 /// candidate — so a mismatched pair fails identically whether or not the
 /// CHI would have been decisive (and in every indexing mode).
 fn classify(
-    session: &Session,
+    lookup: &mut PairLookup<'_>,
     pair: &PairCandidate,
     predicate: &Predicate,
     fallback: bool,
     composes: bool,
 ) -> QueryResult<FilterOutcome> {
-    let (_, left_id, right_id) = *pair;
-    let left = session.record(left_id)?;
-    let right = session.record(right_id)?;
-    let records = PairRecords {
-        left: &left,
-        right: &right,
-    };
+    let records = lookup.records(pair)?;
     if composes {
         eval::check_pair_record_shapes(&records)?;
     }
-    let chis = session.chi_reader();
-    let chi_of = |mask_id| chis.as_ref().and_then(|chis| chis.get(mask_id));
-    let (Some(chi_left), Some(chi_right)) = (chi_of(left_id), chi_of(right_id)) else {
+    let Some((chi_left, chi_right)) = lookup.chis(pair) else {
         return Ok(FilterOutcome::Verify);
     };
     let truth = eval::pair_predicate_bounds(predicate, &records, chi_left, chi_right, fallback)?;
@@ -81,12 +109,12 @@ fn classify(
 /// leaves undecided.
 pub fn execute_filter(
     session: &Session,
+    version: &ReadVersion,
     pairs: &[PairCandidate],
     predicate: &Predicate,
     plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
-    let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
     let threads = session.config().threads;
     let composes = eval::predicate_composes(predicate);
@@ -104,8 +132,9 @@ pub fn execute_filter(
         for chunk in &chunks {
             scope.spawn(|| {
                 let mut local = Vec::with_capacity(chunk.len());
+                let mut lookup = PairLookup::new(version);
                 for pair in *chunk {
-                    match classify(session, pair, predicate, fallback, composes) {
+                    match classify(&mut lookup, pair, predicate, fallback, composes) {
                         Ok(outcome) => local.push((*pair, outcome)),
                         Err(e) => {
                             let mut slot = first_error.lock();
@@ -148,6 +177,7 @@ pub fn execute_filter(
     let indexes_built: Mutex<u64> = Mutex::new(0);
     let tile_stats: Mutex<TileStats> = Mutex::new(TileStats::default());
     let kernel_routing: Mutex<(u64, u64)> = Mutex::new((0, 0));
+    let reads: Mutex<Reads> = Mutex::new(Reads::default());
     let first_error: Mutex<Option<crate::error::QueryError>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for chunk in &verify_chunks {
@@ -156,16 +186,17 @@ pub fn execute_filter(
                 let mut local_built = 0u64;
                 let mut local_tiles = TileStats::default();
                 let mut local_kernel = (0u64, 0u64);
+                let mut local_reads = Reads::default();
                 for &(image_id, left_id, right_id) in *chunk {
                     let mut step = || -> QueryResult<(bool, u64)> {
-                        let left_rec = session.record(left_id)?;
-                        let right_rec = session.record(right_id)?;
-                        let (left, built_l) = session.load_and_index(left_id)?;
-                        let (right, built_r) = session.load_and_index(right_id)?;
                         let records = PairRecords {
-                            left: &left_rec,
-                            right: &right_rec,
+                            left: version.record(left_id)?,
+                            right: version.record(right_id)?,
                         };
+                        let (left, built_l) =
+                            local_reads.count(|| session.load_and_index(left_id))?;
+                        let (right, built_r) =
+                            local_reads.count(|| session.load_and_index(right_id))?;
                         // The composed kernel runs only if both sides
                         // take the kernel.
                         let kernel_on = plan.kernel_on_for(&left) && plan.kernel_on_for(&right);
@@ -202,6 +233,7 @@ pub fn execute_filter(
                 }
                 verified_hits.lock().extend(local_hits);
                 *indexes_built.lock() += local_built;
+                reads.lock().add(&local_reads);
                 tile_stats.lock().merge(&local_tiles);
                 let mut routing = kernel_routing.lock();
                 routing.0 += local_kernel.0;
@@ -222,11 +254,6 @@ pub fn execute_filter(
     accepted.extend(verified_hits.into_inner());
     accepted.sort_unstable();
 
-    let io_delta = session
-        .store()
-        .io_stats()
-        .snapshot()
-        .delta_since(&io_before);
     let tiles = *tile_stats.lock();
     let mut stats = QueryStats {
         candidates: pairs.len() as u64,
@@ -247,7 +274,7 @@ pub fn execute_filter(
         total_wall: elapsed(total_start),
         ..Default::default()
     };
-    apply_io_delta(&mut stats, &io_delta);
+    apply_reads(&mut stats, &reads.into_inner());
 
     Ok(QueryOutput {
         rows: accepted
@@ -263,6 +290,7 @@ pub fn execute_filter(
 /// pair's bound algebra).
 pub fn execute_topk(
     session: &Session,
+    version: &ReadVersion,
     pairs: &[PairCandidate],
     expr: &Expr,
     k: usize,
@@ -270,7 +298,6 @@ pub fn execute_topk(
     plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
-    let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
     let composes = eval::expr_composes(expr);
     let mut tiles = TileStats::default();
@@ -287,35 +314,35 @@ pub fn execute_topk(
     let filter_start = Instant::now();
     let mut items: Vec<(ImageId, Option<Interval>)> = Vec::with_capacity(pairs.len());
     let mut records = Vec::with_capacity(pairs.len());
-    for &(image_id, left_id, right_id) in pairs {
-        let (left, right) = (session.record(left_id)?, session.record(right_id)?);
-        let pair = PairRecords {
-            left: &left,
-            right: &right,
-        };
+    let mut lookup = PairLookup::new(version);
+    for pair in pairs {
+        let pair_records = lookup.records(pair)?;
         if composes {
-            eval::check_pair_record_shapes(&pair)?;
+            eval::check_pair_record_shapes(&pair_records)?;
         }
-        let chis = session.chi_reader();
-        let chi_of = |mask_id| chis.as_ref().and_then(|chis| chis.get(mask_id));
-        let bounds = match (chi_of(left_id), chi_of(right_id)) {
-            (Some(chi_left), Some(chi_right)) => Some(eval::pair_expr_bounds(
-                expr, &pair, chi_left, chi_right, fallback,
+        let bounds = match lookup.chis(pair) {
+            Some((chi_left, chi_right)) => Some(eval::pair_expr_bounds(
+                expr,
+                &pair_records,
+                chi_left,
+                chi_right,
+                fallback,
             )?),
-            _ => None,
+            None => None,
         };
-        items.push((image_id, bounds));
-        records.push((left, right));
+        items.push((pair.0, bounds));
+        records.push(pair_records);
     }
     let filter_wall = elapsed(filter_start);
 
     // Ranked pass: load both masks, evaluate exactly.
     let verify_start = Instant::now();
     let mut indexes_built = 0u64;
+    let mut reads = Reads::default();
     let verify = |i: usize| {
         let (_, left_id, right_id) = pairs[i];
-        let (left, built_l) = session.load_and_index(left_id)?;
-        let (right, built_r) = session.load_and_index(right_id)?;
+        let (left, built_l) = reads.count(|| session.load_and_index(left_id))?;
+        let (right, built_r) = reads.count(|| session.load_and_index(right_id))?;
         indexes_built += u64::from(built_l) + u64::from(built_r);
         let kernel_on = plan.kernel_on_for(&left) && plan.kernel_on_for(&right);
         if kernel_on {
@@ -323,13 +350,9 @@ pub fn execute_topk(
         } else {
             kernel_off_count += 1;
         }
-        let (left_rec, right_rec) = &records[i];
         eval::pair_expr_exact_tiled(
             expr,
-            &PairRecords {
-                left: left_rec,
-                right: right_rec,
-            },
+            &records[i],
             &left,
             &right,
             &session.verify_options_with(kernel_on),
@@ -346,11 +369,6 @@ pub fn execute_topk(
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
     masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
 
-    let io_delta = session
-        .store()
-        .io_stats()
-        .snapshot()
-        .delta_since(&io_before);
     let mut stats = QueryStats {
         candidates: pairs.len() as u64,
         pairs_bound: pairs.len() as u64,
@@ -368,7 +386,7 @@ pub fn execute_topk(
         total_wall: elapsed(total_start),
         ..Default::default()
     };
-    apply_io_delta(&mut stats, &io_delta);
+    apply_reads(&mut stats, &reads);
 
     Ok(QueryOutput {
         rows: rows

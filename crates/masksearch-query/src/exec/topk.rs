@@ -1,6 +1,7 @@
 //! Top-k execution with bound-based pruning (§3.5).
 //!
-//! Every candidate's CHI region bounds are computed first. The shared
+//! Every candidate's CHI region bounds are computed first, in one walk of
+//! the statement's version with the filter stage's cursors. The shared
 //! ranked pass (`exec::top_k`) then visits the masks best optimistic bound
 //! first — the *upper* bound for a descending query, the *lower* bound for
 //! an ascending one — and stops at the first mask whose bound cannot beat
@@ -10,15 +11,15 @@
 //! bound; a mask is loaded, and updates the top-k, only when it is reached
 //! on that (or has none).
 
-use crate::error::QueryResult;
+use crate::error::{QueryError, QueryResult};
 use crate::eval;
-use crate::exec::{apply_io_delta, elapsed, top_k, TopK};
+use crate::exec::{elapsed, top_k, TopK};
 use crate::expr::{Expr, Interval};
 use crate::planner::ExecPlan;
 use crate::result::{QueryOutput, QueryStats, ResultRow};
-use crate::session::Session;
+use crate::session::{ReadVersion, Session};
 use crate::spec::Order;
-use masksearch_core::MaskId;
+use masksearch_core::{MaskId, MaskRecord};
 use masksearch_obs::keys as obs_keys;
 use std::time::Instant;
 
@@ -26,6 +27,7 @@ use std::time::Instant;
 /// verification through the kernel as `plan` decides.
 pub fn execute(
     session: &Session,
+    version: &ReadVersion,
     candidates: &[MaskId],
     expr: &Expr,
     k: usize,
@@ -33,7 +35,6 @@ pub fn execute(
     plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
-    let io_before = session.store().io_stats().snapshot();
     let fallback = session.config().object_box_fallback;
 
     if k == 0 {
@@ -45,22 +46,35 @@ pub fn execute(
     // changes, so all of them are computed up front.
     let filter_start = Instant::now();
     let mut compiled = eval::CompiledBounds::expr(expr, fallback);
-    let bounds = session.bounds_of(candidates, |record, chi| compiled.interval(record, chi))?;
-    let items: Vec<(MaskId, Option<Interval>)> = candidates.iter().copied().zip(bounds).collect();
+    let chis = version.chi();
+    let mut records: Vec<&MaskRecord> = Vec::with_capacity(candidates.len());
+    let items = {
+        let mut record_cursor = version.catalog().cursor();
+        let mut chi_cursor = chis.map(|chi| chi.cursor());
+        candidates
+            .iter()
+            .map(|&mask_id| {
+                let record = record_cursor
+                    .seek(mask_id)
+                    .ok_or(QueryError::UnknownMask(mask_id))?;
+                records.push(record);
+                let chi = chi_cursor.as_mut().and_then(|chis| chis.seek(mask_id));
+                let bounds = chi.map(|chi| compiled.interval(record, chi)).transpose()?;
+                Ok((mask_id, bounds))
+            })
+            .collect::<QueryResult<Vec<(MaskId, Option<Interval>)>>>()?
+    };
     let filter_wall = elapsed(filter_start);
 
     // Ranked pass: best bound first, verifying until a bound cannot enter.
     let verify_start = Instant::now();
-    let mut verifier = session.verifier(plan, expr.terms());
+    let mut verifier = session.verifier(version, plan, expr.terms());
     let refine = |i: usize| {
-        session.bounds_of_one(candidates[i], |record, chi| {
-            compiled.cell_interval(record, chi)
-        })
+        chis.and_then(|chis| chis.get(candidates[i]))
+            .map(|chi| compiled.cell_interval(records[i], chi))
+            .transpose()
     };
-    let verify = |i: usize| {
-        let record = session.record(candidates[i])?;
-        Ok(expr.evaluate_exact(verifier.counts(&record)?))
-    };
+    let verify = |i: usize| Ok(expr.evaluate_exact(verifier.counts(records[i])?));
     let TopK {
         rows,
         verified,
@@ -81,13 +95,6 @@ pub fn execute(
     masksearch_obs::add_counter(obs_keys::VERIFIED, verified);
     verifier.stats.record(&mut stats);
     drop(rank_span);
-
-    let io_delta = session
-        .store()
-        .io_stats()
-        .snapshot()
-        .delta_since(&io_before);
-    apply_io_delta(&mut stats, &io_delta);
     stats.total_wall = elapsed(total_start);
 
     Ok(QueryOutput {

@@ -83,5 +83,5 @@ pub use planner::ExecPlan;
 pub use predicate::{CmpOp, Comparison, Predicate, Truth};
 pub use query::{MaskJoin, Query, QueryKind, Selection};
 pub use result::{QueryOutput, QueryStats, ResultRow, RowKey};
-pub use session::{IndexingMode, Session, SessionConfig};
+pub use session::{IndexingMode, ReadVersion, Session, SessionConfig};
 pub use spec::{CpTerm, Order, RoiSpec, ScalarAgg, TermSource};

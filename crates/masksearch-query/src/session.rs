@@ -8,15 +8,32 @@
 //! (*MS-II*), or not at all (which makes the session behave like the NumPy
 //! baseline — useful for cost comparisons inside one API).
 //!
-//! Sessions are also *writable*: [`Session::insert_masks`] and
-//! [`Session::delete_masks`] push batches through the store (durably, when
-//! the store supports it), keep the CHI store and mask cache consistent, and
-//! publish the batch's catalog records atomically. Candidate resolution
-//! happens under one catalog guard, so a query's *candidate set* reflects
-//! whole batches only — never half of one. Per-mask record lookups during
-//! verification are read-committed: a query racing a batch that overwrites
-//! its candidates' metadata may see some records from before and some from
-//! after that batch.
+//! Sessions are also *writable*: [`Session::insert_masks`],
+//! [`Session::update_masks`], [`Session::delete_masks`] and
+//! [`Session::apply_transaction`] push batches through the store (durably,
+//! when the store supports it), keep the CHI store and mask cache
+//! consistent, and then publish a new [`ReadVersion`].
+//!
+//! ## What a statement sees
+//!
+//! A [`ReadVersion`] is the catalog plus the CHI store's indexes as of one
+//! write batch, immutable once published. A statement pins the current one
+//! when it starts (one `Arc` clone) and reads nothing else of either:
+//! candidate resolution, grouping, every record and every CHI bound come
+//! from that version, through cursors over its maps and without a lock, so
+//! a statement sees each write batch whole or not at all, however long it
+//! runs. Pixels are not versioned: a mask a statement loads is read as the
+//! store holds it then (read-committed per mask), so a mask overwritten
+//! after the statement pinned its version is bounded by its old index and,
+//! if it still needs a load, counted on its new pixels; one deleted since
+//! fails the statement with a load error.
+//!
+//! Writers never wait for readers. A write builds the next version off to
+//! the side — the catalog and the CHI store copy only the map leaves and
+//! chunks its batch touches (see `masksearch_storage::cow_map` and
+//! `masksearch_index::store`) — and swaps it in; the version a reader still
+//! holds is freed when its last reader lets go. Writers are serialised
+//! among themselves.
 
 use crate::error::{QueryError, QueryResult};
 use crate::eval;
@@ -31,13 +48,13 @@ use crate::spec::CpTerm;
 use crate::verify::Verifier;
 use masksearch_core::{ImageId, Mask, MaskAgg, MaskId, MaskRecord, TiledMask};
 use masksearch_index::{
-    build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore, ChiView,
+    build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore, ChiVersion,
 };
 use masksearch_obs::counters as obs_counters;
 use masksearch_obs::{ShapeObservation, ShapeStatsRegistry};
 use masksearch_plan::KernelMode;
 use masksearch_storage::{Catalog, MaskCache, MaskStore, MetaColumn, MetaIndexRegistry};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
@@ -140,14 +157,51 @@ impl Default for SessionConfig {
     }
 }
 
+/// What a statement reads: the catalog and the CHI store's indexes as of one
+/// write batch (see the module docs). Pinned with
+/// [`Session::read_version`]; nothing a later write does changes it.
+#[derive(Debug)]
+pub struct ReadVersion {
+    catalog: Catalog,
+    /// `None` when indexing is disabled.
+    chi: Option<ChiReader>,
+    /// Write batches published before this version.
+    writes: u64,
+}
+
+impl ReadVersion {
+    /// The catalog as of this version.
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    /// The per-mask indexes as of this version; `None` when indexing is
+    /// disabled.
+    pub fn chi(&self) -> Option<&ChiVersion> {
+        self.chi.as_deref()
+    }
+
+    /// How many write batches the session had published when this version
+    /// was: the committed prefix it reflects.
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
+
+    /// The catalog record of a mask, or an error if this version has none.
+    pub fn record(&self, mask_id: MaskId) -> QueryResult<&MaskRecord> {
+        self.catalog
+            .get(mask_id)
+            .ok_or(QueryError::UnknownMask(mask_id))
+    }
+}
+
 /// A MaskSearch session: storage + catalog + indexes + query execution +
 /// write path.
 pub struct Session {
     store: Arc<dyn MaskStore>,
-    /// The catalog lives behind a lock so writes publish whole batches
-    /// atomically; every accessor copies out what it needs, so no lock guard
-    /// ever escapes.
-    catalog: RwLock<Catalog>,
+    /// The published read version. Its lock is held only to clone or swap
+    /// the pointer.
+    version: RwLock<Arc<ReadVersion>>,
     config: SessionConfig,
     chi: Arc<ChiStore>,
     /// When the store maintains `chi` itself on commit (the durable mask
@@ -161,7 +215,7 @@ pub struct Session {
     /// Serialises whole write operations. Without it, two concurrent writes
     /// to the same mask id could commit to the store in one order and
     /// publish their catalog records in the other, leaving a record that
-    /// describes a different write's pixels.
+    /// describes a different write's pixels. Readers never take it.
     writes: Mutex<()>,
     /// Per-query-shape aggregate statistics. Shared with the store when the
     /// store persists one across restarts (the durable mask database);
@@ -265,18 +319,33 @@ impl Session {
             }
             _ => ChiStore::new(config.chi_config),
         };
-        Ok(Self {
+        Ok(Self::assemble(store, catalog, config, Arc::new(chi), false))
+    }
+
+    fn assemble(
+        store: Arc<dyn MaskStore>,
+        catalog: Catalog,
+        config: SessionConfig,
+        chi: Arc<ChiStore>,
+        chi_maintained_by_store: bool,
+    ) -> Self {
+        let version = ReadVersion {
+            catalog,
+            chi: (config.indexing_mode != IndexingMode::Disabled).then(|| chi.reader()),
+            writes: 0,
+        };
+        Self {
             cache: MaskCache::new(config.cache_bytes),
             shape_stats: store.shape_stats().unwrap_or_default(),
             meta_indexes: store.meta_indexes().unwrap_or_default(),
             store,
-            catalog: RwLock::new(catalog),
+            version: RwLock::new(Arc::new(version)),
             config,
-            chi: Arc::new(chi),
-            chi_maintained_by_store: false,
+            chi,
+            chi_maintained_by_store,
             agg_indexes: RwLock::new(HashMap::new()),
             writes: Mutex::new(()),
-        })
+        }
     }
 
     /// Creates a session around an existing CHI store (e.g. loaded from a
@@ -287,18 +356,7 @@ impl Session {
         config: SessionConfig,
         chi: ChiStore,
     ) -> Self {
-        Self {
-            cache: MaskCache::new(config.cache_bytes),
-            shape_stats: store.shape_stats().unwrap_or_default(),
-            meta_indexes: store.meta_indexes().unwrap_or_default(),
-            store,
-            catalog: RwLock::new(catalog),
-            config,
-            chi: Arc::new(chi),
-            chi_maintained_by_store: false,
-            agg_indexes: RwLock::new(HashMap::new()),
-            writes: Mutex::new(()),
-        }
+        Self::assemble(store, catalog, config, Arc::new(chi), false)
     }
 
     /// Creates a session over a store that maintains the shared CHI store
@@ -311,58 +369,51 @@ impl Session {
         config: SessionConfig,
         chi: Arc<ChiStore>,
     ) -> Self {
-        Self {
-            cache: MaskCache::new(config.cache_bytes),
-            shape_stats: store.shape_stats().unwrap_or_default(),
-            meta_indexes: store.meta_indexes().unwrap_or_default(),
-            store,
-            catalog: RwLock::new(catalog),
-            config,
-            chi,
-            chi_maintained_by_store: true,
-            agg_indexes: RwLock::new(HashMap::new()),
-            writes: Mutex::new(()),
-        }
+        Self::assemble(store, catalog, config, chi, true)
     }
 
-    /// Acquires the catalog lock for reading, charging the wait to the
-    /// global lock-contention counters so serving-layer profiles can see
-    /// catalog contention directly (the suspected shape of multi-worker
-    /// scaling plateaus).
-    pub(crate) fn catalog_read(&self) -> RwLockReadGuard<'_, Catalog> {
+    /// Pins the current read version (see the module docs): one `Arc`
+    /// clone under a lock held only that long by readers and only for a
+    /// pointer swap by a writer. Any wait is charged to the catalog
+    /// lock-contention counters.
+    pub fn read_version(&self) -> Arc<ReadVersion> {
         obs_counters::timed_acquire(
             &obs_counters::CATALOG_READ_WAIT_US,
             &obs_counters::CATALOG_LOCK_ACQUIRES,
-            || self.catalog.try_read(),
-            || self.catalog.read(),
+            || self.version.try_read(),
+            || self.version.read(),
         )
+        .clone()
     }
 
-    /// One read guard over the per-mask CHI store for a batch of lookups —
-    /// the filter stage's hot loop. `None` when indexing is disabled (every
-    /// candidate then goes to verification, as in [`Session::chi_for`]).
-    pub(crate) fn chi_reader(&self) -> Option<ChiReader<'_>> {
-        (self.config.indexing_mode != IndexingMode::Disabled).then(|| self.chi.reader())
-    }
-
-    /// Acquires the catalog lock for writing (see [`Session::catalog_read`]).
-    fn catalog_write(&self) -> RwLockWriteGuard<'_, Catalog> {
-        obs_counters::timed_acquire(
-            &obs_counters::CATALOG_WRITE_WAIT_US,
-            &obs_counters::CATALOG_LOCK_ACQUIRES,
-            || self.catalog.try_write(),
-            || self.catalog.write(),
-        )
+    /// Publishes `catalog`, with the CHI store's current indexes, as the
+    /// next read version. The superseded one is freed by its last reader.
+    fn publish(&self, catalog: Catalog, writes: u64) {
+        let next = Arc::new(ReadVersion {
+            catalog,
+            chi: (self.config.indexing_mode != IndexingMode::Disabled).then(|| self.chi.reader()),
+            writes,
+        });
+        let superseded = {
+            let mut slot = obs_counters::timed_acquire(
+                &obs_counters::CATALOG_WRITE_WAIT_US,
+                &obs_counters::CATALOG_LOCK_ACQUIRES,
+                || self.version.try_write(),
+                || self.version.write(),
+            );
+            std::mem::replace(&mut *slot, next)
+        };
+        drop(superseded);
     }
 
     /// A point-in-time copy of the session's catalog.
     pub fn catalog(&self) -> Catalog {
-        self.catalog_read().clone()
+        self.read_version().catalog.clone()
     }
 
     /// Number of catalogued masks.
     pub fn catalog_len(&self) -> usize {
-        self.catalog_read().len()
+        self.read_version().catalog.len()
     }
 
     /// The session's mask store.
@@ -423,54 +474,15 @@ impl Session {
         ChiStore::load(path).map_err(QueryError::from)
     }
 
-    /// The catalog record of a mask, or an error if unknown.
+    /// The current catalog record of a mask, or an error if unknown.
+    /// Executors borrow records from the version their statement pinned.
     pub fn record(&self, mask_id: MaskId) -> QueryResult<MaskRecord> {
-        self.catalog_read()
-            .get(mask_id)
-            .cloned()
-            .ok_or(QueryError::UnknownMask(mask_id))
-    }
-
-    /// `bounds(record, chi)` of one mask, its record and its CHI's cells
-    /// borrowed under their guards — no record clone, nothing copied.
-    /// `None` when the mask has no CHI or indexing is disabled.
-    pub fn bounds_of_one<B>(
-        &self,
-        mask_id: MaskId,
-        bounds: impl FnOnce(&MaskRecord, ChiView<'_>) -> QueryResult<B>,
-    ) -> QueryResult<Option<B>> {
-        let catalog = self.catalog_read();
-        let record = catalog
-            .get(mask_id)
-            .ok_or(QueryError::UnknownMask(mask_id))?;
-        let chi_reader = self.chi_reader();
-        let chi = chi_reader.as_ref().and_then(|reader| reader.get(mask_id));
-        chi.map(|chi| bounds(record, chi)).transpose()
-    }
-
-    /// The filter pass of the ranked executors: [`Session::bounds_of_one`]
-    /// of every id, before anything is loaded. The guards are taken per
-    /// candidate on purpose: held across a block of candidates (256 were
-    /// tried: ≈0.13 ms) they park a committing writer behind the reader,
-    /// and on a busy host the wake-up cost `ingest_mixed` ≈1 ms per commit
-    /// (`commit_p50_ms` +25%); held for one candidate's arithmetic, the
-    /// writer gets in while it still spins. An uncontended guard is one
-    /// compare-and-swap (see `obs::counters::timed_acquire`), so what a
-    /// candidate pays is two of those, two map lookups and its bounds.
-    pub fn bounds_of<B>(
-        &self,
-        mask_ids: &[MaskId],
-        mut bounds: impl FnMut(&MaskRecord, ChiView<'_>) -> QueryResult<B>,
-    ) -> QueryResult<Vec<Option<B>>> {
-        mask_ids
-            .iter()
-            .map(|&mask_id| self.bounds_of_one(mask_id, &mut bounds))
-            .collect()
+        self.read_version().record(mask_id).cloned()
     }
 
     /// A copy of the CHI of a mask, if one exists and indexing is enabled.
-    /// Executors bound candidates through [`Session::bounds_of`] or a reader
-    /// over the store, which copy nothing.
+    /// Executors bound candidates through their pinned version's cursors,
+    /// which copy nothing.
     pub fn chi_for(&self, mask_id: MaskId) -> Option<Arc<Chi>> {
         if self.config.indexing_mode == IndexingMode::Disabled {
             return None;
@@ -506,10 +518,11 @@ impl Session {
     /// stored rows, or on the mask loaded whole (see [`crate::verify`]).
     pub(crate) fn verifier<'a>(
         &'a self,
+        version: &'a ReadVersion,
         plan: &'a ExecPlan,
         terms: Vec<&'a CpTerm>,
     ) -> Verifier<'a> {
-        Verifier::new(self, plan, terms)
+        Verifier::new(self, version, plan, terms)
     }
 
     /// Loads a mask and, in incremental mode, builds and retains its CHI
@@ -520,65 +533,97 @@ impl Session {
         // guarded install below refuses to put stale bounds in the index.
         let chi_generation = self.chi.removal_generation();
         let mask = self.load_tiled(mask_id)?;
-        let built = if self.config.indexing_mode == IndexingMode::Incremental
+        let built = self.config.indexing_mode == IndexingMode::Incremental
             && !self.chi.contains(mask_id)
-        {
-            self.chi
-                .index_mask_if_current(mask_id, mask.mask(), chi_generation)
-        } else {
-            false
-        };
+            && self
+                .chi
+                .index_mask_if_current(mask_id, mask.mask(), chi_generation);
+        if built {
+            self.republish_indexes();
+        }
         Ok((mask, built))
+    }
+
+    /// Publishes the current catalog with the CHI store's latest indexes,
+    /// so the next statement bounds what this one indexed. Skipped while a
+    /// write is in progress: its own publication carries them.
+    fn republish_indexes(&self) {
+        let Some(_writes) = self.writes.try_lock() else {
+            return;
+        };
+        let current = self.read_version();
+        self.publish(current.catalog.clone(), current.writes);
+    }
+
+    /// Commits a write batch — upserts and deletes, disjoint — to the
+    /// store (in one commit when the store supports it), then refreshes the
+    /// mask cache, installs the batch's indexes when the session maintains
+    /// them (one CHI version: evictions and installs together), and
+    /// publishes the next read version. The caller holds the write lock;
+    /// `current` is the version the batch was planned on.
+    fn commit_batch(
+        &self,
+        current: &ReadVersion,
+        upserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> QueryResult<()> {
+        // Indexes are built before the commit, outside every lock.
+        let built: Vec<(MaskId, Chi)> = if !self.chi_maintained_by_store
+            && self.config.indexing_mode != IndexingMode::Disabled
+        {
+            upserts
+                .iter()
+                .map(|(record, mask)| (record.mask_id, Chi::build(mask, &self.config.chi_config)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        self.store.apply_batch(upserts, deletes)?;
+        for &id in deletes {
+            self.cache.invalidate(id);
+        }
+        for (record, mask) in upserts {
+            self.cache.refresh(record.mask_id, mask);
+        }
+        if !self.chi_maintained_by_store {
+            // Overwritten ids are evicted with the deleted ones: the
+            // generation bump keeps an incremental build from pixels loaded
+            // before this commit out of the index.
+            let evicted: Vec<MaskId> = upserts
+                .iter()
+                .map(|(record, _)| record.mask_id)
+                .chain(deletes.iter().copied())
+                .collect();
+            self.chi.apply(&evicted, built);
+        }
+        let mut catalog = current.catalog.clone();
+        for &id in deletes {
+            catalog.remove(id);
+        }
+        for (record, _) in upserts {
+            catalog.insert(record.clone());
+        }
+        self.publish(catalog, current.writes + 1);
+        // Aggregated-mask indexes are built over group contents; any write
+        // can invalidate them, so they are dropped and rebuilt on demand.
+        self.agg_indexes.write().clear();
+        Ok(())
     }
 
     /// Inserts (or overwrites) a batch of masks with their catalog records.
     ///
     /// The store commit happens first (atomically and durably when the store
     /// supports it), then the CHI store and mask cache are brought up to
-    /// date, and finally the records are published to the catalog under one
-    /// write guard — so a concurrent query's *candidate set* includes either
-    /// none or all of the batch (per-mask record lookups afterwards are
-    /// read-committed; see the module docs).
+    /// date, and finally the next read version is published — so a
+    /// statement sees either none or all of the batch (see the module
+    /// docs).
     pub fn insert_masks(&self, batch: &[(MaskRecord, Mask)]) -> QueryResult<usize> {
         if batch.is_empty() {
             return Ok(0);
         }
         let _writes = self.writes.lock();
-        self.insert_batch_locked(batch)?;
+        self.commit_batch(&self.read_version(), batch, &[])?;
         Ok(batch.len())
-    }
-
-    /// The body of [`Session::insert_masks`], assuming the caller already
-    /// holds the write lock (shared with the UPDATE path, which rides the
-    /// same evict-then-publish sequence).
-    fn insert_batch_locked(&self, batch: &[(MaskRecord, Mask)]) -> QueryResult<()> {
-        if !self.chi_maintained_by_store {
-            // Evict the CHIs of overwritten ids before the new pixels can
-            // become visible: stale bounds over new pixels could accept or
-            // prune a mask without verification. Until the re-index below,
-            // queries fall back to loading the mask.
-            for (record, _) in batch {
-                self.chi.remove(record.mask_id);
-            }
-        }
-        self.store.insert_batch(batch)?;
-        for (record, mask) in batch {
-            self.cache.refresh(record.mask_id, mask);
-            if !self.chi_maintained_by_store && self.config.indexing_mode != IndexingMode::Disabled
-            {
-                self.chi.index_mask(record.mask_id, mask);
-            }
-        }
-        {
-            let mut catalog = self.catalog_write();
-            for (record, _) in batch {
-                catalog.insert(record.clone());
-            }
-        }
-        // Aggregated-mask indexes are built over group contents; any write
-        // can invalidate them, so they are dropped and rebuilt on demand.
-        self.agg_indexes.write().clear();
-        Ok(())
     }
 
     /// The post-image of one update applied to the mask's current state —
@@ -650,25 +695,26 @@ impl Session {
     }
 
     /// Updates masks in place: re-masked pixels and/or new metadata ride the
-    /// insert path (CHI evict → store commit → cache invalidate → catalog
-    /// publish), so tiles, CHI, stats, and secondary indexes stay atomic
-    /// with the pixels. Unknown targets fail before any side effect;
+    /// insert path (store commit → cache refresh → CHI and catalog published
+    /// as one version), so tiles, CHI, stats, and secondary indexes stay
+    /// atomic with the pixels. Unknown targets fail before any side effect;
     /// repeated updates of one mask within the slice compose in order.
     pub fn update_masks(&self, updates: &[MaskUpdate]) -> QueryResult<usize> {
         if updates.is_empty() {
             return Ok(0);
         }
         let _writes = self.writes.lock();
+        let current = self.read_version();
         let batch: Vec<(MaskRecord, Mask)> = {
-            let catalog = self.catalog_read();
             let mut pending: BTreeMap<MaskId, (MaskRecord, Mask)> = BTreeMap::new();
             for update in updates {
-                let entry = self.updated_entry(pending.get(&update.mask_id), &catalog, update)?;
+                let entry =
+                    self.updated_entry(pending.get(&update.mask_id), &current.catalog, update)?;
                 pending.insert(update.mask_id, entry);
             }
             pending.into_values().collect()
         };
-        self.insert_batch_locked(&batch)?;
+        self.commit_batch(&current, &batch, &[])?;
         Ok(updates.len())
     }
 
@@ -715,17 +761,15 @@ impl Session {
     ///
     /// The ids are deduplicated and validated against the catalog first
     /// (failing with [`QueryError::UnknownMask`] before any side effect).
-    /// Then: CHI entries are evicted (the filter stage must never hold
-    /// bounds for a mask that is about to vanish), the store delete commits,
-    /// and only then are the catalog records removed — so a store failure
-    /// leaves catalog and store consistent, at the cost of a short window
-    /// where a new query can still resolve a deleted id and fail on load.
+    /// Then the store delete commits, and only then is a version without
+    /// the masks (records and indexes) published — so a store failure
+    /// changes nothing a reader sees.
     ///
-    /// Isolation note: a query that resolved its candidates *before* the
-    /// delete may still try to load a deleted mask and fail with
-    /// [`QueryError::UnknownMask`] or a storage not-found error. That is
-    /// deliberate — failing loudly and letting the caller retry beats
-    /// silently returning a result that mixes pre- and post-delete state.
+    /// Isolation note: a statement that pinned a version *before* the
+    /// delete may still try to load a deleted mask and fail with a storage
+    /// not-found error. That is deliberate — failing loudly and letting the
+    /// caller retry beats silently returning a result that mixes pre- and
+    /// post-delete state.
     pub fn delete_masks(&self, mask_ids: &[MaskId]) -> QueryResult<usize> {
         if mask_ids.is_empty() {
             return Ok(0);
@@ -742,34 +786,14 @@ impl Session {
                 .filter(|id| seen.insert(*id))
                 .collect()
         };
-        {
-            let catalog = self.catalog_read();
-            for &id in &ids {
-                if catalog.get(id).is_none() {
-                    return Err(QueryError::UnknownMask(id));
-                }
-            }
-        }
-        if !self.chi_maintained_by_store {
-            for &id in &ids {
-                self.chi.remove(id);
-            }
-        }
-        // Store first, catalog second: if the store delete fails, the
-        // catalog still matches the store (the evicted CHI entries merely
-        // cost a re-index). Removing catalog records first would leave
-        // permanently orphaned pixels on a store error.
-        self.store.delete_batch(&ids)?;
-        {
-            let mut catalog = self.catalog_write();
-            for &id in &ids {
-                catalog.remove(id);
-            }
-        }
+        let current = self.read_version();
         for &id in &ids {
-            self.cache.invalidate(id);
+            current.record(id)?;
         }
-        self.agg_indexes.write().clear();
+        // Store first, version second: if the store delete fails, readers
+        // still see what the store holds. Publishing first would leave
+        // permanently orphaned pixels on a store error.
+        self.commit_batch(&current, &[], &ids)?;
         Ok(ids.len())
     }
 
@@ -819,11 +843,12 @@ impl Session {
             return Ok(MutationOutcome::default());
         }
         let _writes = self.writes.lock();
+        let current = self.read_version();
         let mut outcome = MutationOutcome::default();
         let mut upserts: BTreeMap<MaskId, (MaskRecord, Mask)> = BTreeMap::new();
         let mut deletes: BTreeSet<MaskId> = BTreeSet::new();
         {
-            let catalog = self.catalog_read();
+            let catalog = &current.catalog;
             for mutation in mutations {
                 match mutation {
                     Mutation::Insert(batch) => {
@@ -861,7 +886,7 @@ impl Session {
                                 return Err(QueryError::UnknownMask(update.mask_id));
                             }
                             let entry =
-                                self.updated_entry(upserts.get(&update.mask_id), &catalog, update)?;
+                                self.updated_entry(upserts.get(&update.mask_id), catalog, update)?;
                             upserts.insert(update.mask_id, entry);
                         }
                         outcome.updated += updates.len();
@@ -879,35 +904,7 @@ impl Session {
         if inserts.is_empty() && delete_ids.is_empty() {
             return Ok(outcome);
         }
-        if !self.chi_maintained_by_store {
-            for (record, _) in &inserts {
-                self.chi.remove(record.mask_id);
-            }
-            for &id in &delete_ids {
-                self.chi.remove(id);
-            }
-        }
-        self.store.apply_batch(&inserts, &delete_ids)?;
-        for &id in &delete_ids {
-            self.cache.invalidate(id);
-        }
-        for (record, mask) in &inserts {
-            self.cache.refresh(record.mask_id, mask);
-            if !self.chi_maintained_by_store && self.config.indexing_mode != IndexingMode::Disabled
-            {
-                self.chi.index_mask(record.mask_id, mask);
-            }
-        }
-        {
-            let mut catalog = self.catalog_write();
-            for &id in &delete_ids {
-                catalog.remove(id);
-            }
-            for (record, _) in &inserts {
-                catalog.insert(record.clone());
-            }
-        }
-        self.agg_indexes.write().clear();
+        self.commit_batch(&current, &inserts, &delete_ids)?;
         Ok(outcome)
     }
 
@@ -953,8 +950,11 @@ impl Session {
     /// selections — the `EXPLAIN` face of [`Session::choose_index`], so the
     /// displayed access path and the executed one come from one decision.
     pub(crate) fn index_access_for(&self, selections: &[&Selection]) -> Option<String> {
-        let catalog = self.catalog_read();
-        self.choose_index(&catalog, selections).map(|c| c.name)
+        if self.meta_indexes.is_empty() {
+            return None;
+        }
+        self.choose_index(&self.read_version().catalog, selections)
+            .map(|c| c.name)
     }
 
     /// Resolves a conjunction of selections to the ascending list of
@@ -1004,58 +1004,59 @@ impl Session {
         }
     }
 
-    /// Resolves a selection into the sorted list of targeted mask ids.
-    ///
-    /// The whole resolution happens under one catalog read guard, so the
-    /// candidate set reflects a single committed state — concurrent write
-    /// batches are observed entirely or not at all.
+    /// Resolves a selection into the sorted list of targeted mask ids, on
+    /// the current read version: concurrent write batches are observed
+    /// entirely or not at all.
     pub fn resolve_selection(&self, selection: &Selection) -> Vec<MaskId> {
-        self.resolve_selection_traced(selection).0
+        self.resolve_selection_at(&self.read_version(), selection).0
     }
 
-    /// [`Session::resolve_selection`] plus how the resolution was answered
-    /// (index probe vs catalog scan), for the query's statistics.
-    pub(crate) fn resolve_selection_traced(
+    /// [`Session::resolve_selection`] on a pinned version, plus how the
+    /// resolution was answered (index probe vs catalog scan), for the
+    /// query's statistics.
+    pub(crate) fn resolve_selection_at(
         &self,
+        version: &ReadVersion,
         selection: &Selection,
     ) -> (Vec<MaskId>, ResolveTrace) {
-        let catalog = self.catalog_read();
-        self.resolve_conjunction(&catalog, &[selection])
+        self.resolve_conjunction(&version.catalog, &[selection])
     }
 
-    /// Groups targeted masks by image id.
+    /// Groups targeted masks by image id, on the current read version.
     pub fn group_by_image(&self, mask_ids: &[MaskId]) -> Vec<(ImageId, Vec<MaskId>)> {
-        self.catalog_read().group_by_image(mask_ids)
+        self.read_version().catalog.group_by_image(mask_ids)
     }
 
     /// Resolves a pair query's candidates: for each image, the smallest mask
     /// id matching `selection ∧ join.left` and the smallest matching
     /// `selection ∧ join.right`; images where either side fails to bind are
-    /// skipped. Ascending by image id, under one catalog read guard (the
+    /// skipped. Ascending by image id, on the current read version (the
     /// candidate set reflects whole write batches only).
     pub fn resolve_pairs(
         &self,
         selection: &Selection,
         join: &MaskJoin,
     ) -> Vec<(ImageId, MaskId, MaskId)> {
-        self.resolve_pairs_traced(selection, join).0
+        self.resolve_pairs_at(&self.read_version(), selection, join)
+            .0
     }
 
-    /// [`Session::resolve_pairs`] plus how each side's resolution was
-    /// answered (index probe vs catalog scan), for the query's statistics.
-    pub(crate) fn resolve_pairs_traced(
+    /// [`Session::resolve_pairs`] on a pinned version, plus how each side's
+    /// resolution was answered (index probe vs catalog scan), for the
+    /// query's statistics.
+    pub(crate) fn resolve_pairs_at(
         &self,
+        version: &ReadVersion,
         selection: &Selection,
         join: &MaskJoin,
     ) -> (Vec<(ImageId, MaskId, MaskId)>, ResolveTrace, ResolveTrace) {
-        let catalog = self.catalog_read();
+        let catalog = &version.catalog;
         // Each side resolves `selection ∧ join.side`; the lists come back
         // ascending by mask id (from the scan or the re-verified probe), so
         // the first id seen per image is the smallest — the deterministic
         // binding rule.
-        let (left_ids, left_trace) = self.resolve_conjunction(&catalog, &[selection, &join.left]);
-        let (right_ids, right_trace) =
-            self.resolve_conjunction(&catalog, &[selection, &join.right]);
+        let (left_ids, left_trace) = self.resolve_conjunction(catalog, &[selection, &join.left]);
+        let (right_ids, right_trace) = self.resolve_conjunction(catalog, &[selection, &join.right]);
         let mut left: BTreeMap<ImageId, MaskId> = BTreeMap::new();
         let mut right: BTreeMap<ImageId, MaskId> = BTreeMap::new();
         for id in left_ids {
@@ -1086,8 +1087,9 @@ impl Session {
     /// of time or incrementally built"). The inner store is keyed by image
     /// id (as a raw [`MaskId`]).
     pub fn build_aggregate_index(&self, agg: &MaskAgg, selection: &Selection) -> QueryResult<()> {
-        let ids = self.resolve_selection(selection);
-        let groups = self.group_by_image(&ids);
+        let version = self.read_version();
+        let ids = self.resolve_selection_at(&version, selection).0;
+        let groups = version.catalog.group_by_image(&ids);
         let agg_store = ChiStore::new(self.config.chi_config);
         for (image_id, member_ids) in groups {
             let mut masks = Vec::with_capacity(member_ids.len());
@@ -1113,35 +1115,48 @@ impl Session {
         self.agg_indexes.read().get(signature).cloned()
     }
 
-    /// Registers (or replaces) an aggregated-mask index under a signature.
-    pub(crate) fn insert_aggregate_chi(&self, signature: &str, image_id: ImageId, chi: Chi) {
-        if self.config.indexing_mode != IndexingMode::Incremental {
+    /// Adds aggregated-mask indexes (keyed by image id) to the index of a
+    /// signature, creating it if needed: the incremental build of §3.4,
+    /// installed as one version per statement.
+    pub(crate) fn insert_aggregate_chis(&self, signature: &str, chis: Vec<(ImageId, Chi)>) {
+        if chis.is_empty() {
             return;
         }
         let mut indexes = self.agg_indexes.write();
         let store = indexes
             .entry(signature.to_string())
             .or_insert_with(|| Arc::new(ChiStore::new(self.config.chi_config)));
-        store.insert(MaskId::new(image_id.raw()), chi);
+        store.insert_many(
+            chis.into_iter()
+                .map(|(image_id, chi)| (MaskId::new(image_id.raw()), chi)),
+        );
     }
 
-    /// Executes a query, dispatching on its kind.
+    /// Executes a query on the current read version, dispatching on its
+    /// kind.
     pub fn execute(&self, query: &Query) -> QueryResult<QueryOutput> {
+        self.execute_at(&self.read_version(), query)
+    }
+
+    /// Executes a query on a pinned read version (see
+    /// [`Session::read_version`]): its candidates, records and bounds are
+    /// that version's whatever has been written since.
+    pub fn execute_at(&self, version: &ReadVersion, query: &Query) -> QueryResult<QueryOutput> {
         // Pair queries resolve their own image-keyed candidate set; don't
         // pay a full catalog scan for a mask-id list they never read.
         if matches!(
             query.kind,
             QueryKind::PairFilter { .. } | QueryKind::PairTopK { .. }
         ) {
-            return self.execute_resolved(query, &[]);
+            return self.execute_resolved(version, query, &[]);
         }
         let resolve_start = std::time::Instant::now();
         let (candidates, trace) = {
             let _resolve = masksearch_obs::span("resolve");
-            self.resolve_selection_traced(&query.selection)
+            self.resolve_selection_at(version, &query.selection)
         };
         let resolve_wall = resolve_start.elapsed();
-        let mut output = self.execute_resolved(query, &candidates)?;
+        let mut output = self.execute_resolved(version, query, &candidates)?;
         trace.apply(&mut output.stats);
         // Resolution runs before the executor starts its clock; charge it
         // so `total_wall` (and the modelled query time) covers the stage a
@@ -1260,6 +1275,7 @@ impl Session {
                 .then(|| output.rows.last().and_then(|r| r.value))
                 .flatten()
         };
+        let version = self.read_version();
         // Pair top-k resolves its own (image-keyed) candidate set; resolve
         // once and count from the same snapshot the executor uses.
         if let QueryKind::PairTopK {
@@ -1270,10 +1286,11 @@ impl Session {
         } = &query.kind
         {
             let (pairs, left_trace, right_trace) =
-                self.resolve_pairs_traced(&query.selection, join);
+                self.resolve_pairs_at(&version, &query.selection, join);
             let total = pairs.len();
             let plan = planner::plan_query(self, &query);
-            let mut output = exec::pair::execute_topk(self, &pairs, expr, *k, *order, &plan)?;
+            let mut output =
+                exec::pair::execute_topk(self, &version, &pairs, expr, *k, *order, &plan)?;
             self.record_query(&query, &output);
             left_trace.apply(&mut output.stats);
             right_trace.apply(&mut output.stats);
@@ -1284,13 +1301,13 @@ impl Session {
             // Non-ranked pair statement: no bound, and no mask-id
             // candidate scan either (see `execute`).
             return Ok(merge::RankedPartial {
-                output: self.execute_resolved(&query, &[])?,
+                output: self.execute_resolved(&version, &query, &[])?,
                 bound: None,
             });
         }
-        let (candidates, trace) = self.resolve_selection_traced(&query.selection);
+        let (candidates, trace) = self.resolve_selection_at(&version, &query.selection);
         if k.is_none() {
-            let mut output = self.execute_resolved(&query, &candidates)?;
+            let mut output = self.execute_resolved(&version, &query, &candidates)?;
             trace.apply(&mut output.stats);
             return Ok(merge::RankedPartial {
                 output,
@@ -1300,11 +1317,15 @@ impl Session {
         // Count ranked items from the same candidate snapshot the executor
         // receives, so "did we return everything" cannot race a write.
         let total = if query.is_grouped() {
-            self.group_by_image(&candidates).len()
+            version
+                .catalog
+                .by_image(&candidates)
+                .chunk_by(|a, b| a.0 == b.0)
+                .count()
         } else {
             candidates.len()
         };
-        let mut output = self.execute_resolved(&query, &candidates)?;
+        let mut output = self.execute_resolved(&version, &query, &candidates)?;
         trace.apply(&mut output.stats);
         let bound = bound_of(&output, total);
         Ok(merge::RankedPartial { output, bound })
@@ -1312,12 +1333,17 @@ impl Session {
 
     /// Executes a query against an already resolved candidate set:
     /// plan, dispatch, record.
-    fn execute_resolved(&self, query: &Query, candidates: &[MaskId]) -> QueryResult<QueryOutput> {
+    fn execute_resolved(
+        &self,
+        version: &ReadVersion,
+        query: &Query,
+        candidates: &[MaskId],
+    ) -> QueryResult<QueryOutput> {
         let plan = {
             let _plan = masksearch_obs::span("plan");
             planner::plan_query(self, query)
         };
-        let output = self.dispatch(query, candidates, &plan)?;
+        let output = self.dispatch(version, query, candidates, &plan)?;
         self.record_query(query, &output);
         Ok(output)
     }
@@ -1325,23 +1351,26 @@ impl Session {
     /// Dispatches on the query kind.
     fn dispatch(
         &self,
+        version: &ReadVersion,
         query: &Query,
         candidates: &[MaskId],
         plan: &ExecPlan,
     ) -> QueryResult<QueryOutput> {
         match &query.kind {
             QueryKind::Filter { predicate } => {
-                exec::filter::execute(self, candidates, predicate, plan)
+                exec::filter::execute(self, version, candidates, predicate, plan)
             }
             QueryKind::TopK { expr, k, order } => {
-                exec::topk::execute(self, candidates, expr, *k, *order, plan)
+                exec::topk::execute(self, version, candidates, expr, *k, *order, plan)
             }
             QueryKind::Aggregate {
                 expr,
                 agg,
                 having,
                 top_k,
-            } => exec::aggregate::execute(self, candidates, expr, *agg, *having, *top_k, plan),
+            } => exec::aggregate::execute(
+                self, version, candidates, expr, *agg, *having, *top_k, plan,
+            ),
             QueryKind::MaskAggregate {
                 agg,
                 term,
@@ -1349,6 +1378,7 @@ impl Session {
                 top_k,
             } => exec::mask_agg::execute(
                 self,
+                version,
                 &query.selection,
                 candidates,
                 agg,
@@ -1361,8 +1391,9 @@ impl Session {
             // apply).
             QueryKind::PairFilter { join, predicate } => {
                 let (pairs, left_trace, right_trace) =
-                    self.resolve_pairs_traced(&query.selection, join);
-                let mut output = exec::pair::execute_filter(self, &pairs, predicate, plan)?;
+                    self.resolve_pairs_at(version, &query.selection, join);
+                let mut output =
+                    exec::pair::execute_filter(self, version, &pairs, predicate, plan)?;
                 left_trace.apply(&mut output.stats);
                 right_trace.apply(&mut output.stats);
                 Ok(output)
@@ -1374,8 +1405,9 @@ impl Session {
                 order,
             } => {
                 let (pairs, left_trace, right_trace) =
-                    self.resolve_pairs_traced(&query.selection, join);
-                let mut output = exec::pair::execute_topk(self, &pairs, expr, *k, *order, plan)?;
+                    self.resolve_pairs_at(version, &query.selection, join);
+                let mut output =
+                    exec::pair::execute_topk(self, version, &pairs, expr, *k, *order, plan)?;
                 left_trace.apply(&mut output.stats);
                 right_trace.apply(&mut output.stats);
                 Ok(output)

@@ -21,12 +21,16 @@
 //!   ([`KernelMode::ForceOn`] / [`KernelMode::ForceOff`] pin the whole
 //!   load-then-count pipeline, which is what benchmarks and conformance
 //!   tests force them for).
+//!
+//! What a verifier reads from the store is counted on the thread that reads
+//! it ([`Reads`]), so a statement reports its own loads and bytes, not those
+//! of the statements running beside it.
 
 use crate::error::{QueryError, QueryResult};
 use crate::eval;
 use crate::planner::ExecPlan;
 use crate::result::QueryStats;
-use crate::session::{IndexingMode, Session};
+use crate::session::{IndexingMode, ReadVersion, Session};
 use crate::spec::CpTerm;
 use masksearch_core::{
     cp_many_le_rows, cp_row_band, MaskRecord, PixelRange, Roi, TileStats, TiledMask,
@@ -34,6 +38,7 @@ use masksearch_core::{
 use masksearch_obs::counters as obs_counters;
 use masksearch_obs::keys as obs_keys;
 use masksearch_plan::KernelMode;
+use masksearch_storage::disk::{thread_reads, Reads};
 use masksearch_storage::{StorageError, VerifyLookup};
 
 /// What a [`Verifier`]'s verifications did, for the statement's statistics.
@@ -48,6 +53,8 @@ pub(crate) struct VerifyStats {
     pub kernel_off: u64,
     /// Tile classifications of the tiled kernel.
     pub tiles: TileStats,
+    /// What the verifications read from the store.
+    pub reads: Reads,
 }
 
 impl VerifyStats {
@@ -58,11 +65,13 @@ impl VerifyStats {
         self.kernel_on += other.kernel_on;
         self.kernel_off += other.kernel_off;
         self.tiles.merge(&other.tiles);
+        self.reads.add(&other.reads);
     }
 
-    /// Writes the verification fields of `stats` and emits the matching
-    /// span and global counters.
+    /// Writes the verification fields of `stats`, its reads included, and
+    /// emits the matching span and global counters.
     pub fn record(&self, stats: &mut QueryStats) {
+        crate::exec::apply_reads(stats, &self.reads);
         stats.indexes_built = self.indexes_built;
         stats.verified_in_place = self.in_place;
         stats.planner_kernel_on = self.kernel_on;
@@ -81,6 +90,7 @@ impl VerifyStats {
 /// stage could not decide. Created by [`Session::verifier`].
 pub(crate) struct Verifier<'a> {
     session: &'a Session,
+    version: &'a ReadVersion,
     plan: &'a ExecPlan,
     terms: Vec<&'a CpTerm>,
     // Per-mask scratch, reused for the whole statement.
@@ -92,9 +102,15 @@ pub(crate) struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    pub(crate) fn new(session: &'a Session, plan: &'a ExecPlan, terms: Vec<&'a CpTerm>) -> Self {
+    pub(crate) fn new(
+        session: &'a Session,
+        version: &'a ReadVersion,
+        plan: &'a ExecPlan,
+        terms: Vec<&'a CpTerm>,
+    ) -> Self {
         Self {
             session,
+            version,
             plan,
             terms,
             resolved: Vec::new(),
@@ -114,17 +130,23 @@ impl<'a> Verifier<'a> {
             session.config().object_box_fallback,
             &mut self.resolved,
         )?;
-        let counts = match self.count_in_place(record)? {
-            Some(counts) => counts,
-            None => {
-                let (mask, built) = session.load_and_index(record.mask_id)?;
-                self.stats.indexes_built += built as u64;
-                self.count_loaded(&mask)
-            }
-        };
+        let before = thread_reads();
+        let counts = self.count(record);
+        self.stats.reads.add(&thread_reads().since(&before));
         self.values.clear();
-        self.values.extend(counts.into_iter().map(|c| c as f64));
+        self.values.extend(counts?.into_iter().map(|c| c as f64));
         Ok(&self.values)
+    }
+
+    /// The counts of the resolved terms: in place when possible, on the
+    /// mask loaded whole otherwise.
+    fn count(&mut self, record: &MaskRecord) -> QueryResult<Vec<u64>> {
+        if let Some(counts) = self.count_in_place(record)? {
+            return Ok(counts);
+        }
+        let (mask, built) = self.session.load_and_index(record.mask_id)?;
+        self.stats.indexes_built += built as u64;
+        Ok(self.count_loaded(&mask))
     }
 
     /// Counts on a loaded mask, routed as the plan decides for it: no grid
@@ -151,6 +173,7 @@ impl<'a> Verifier<'a> {
         // no row at all, and the whole-mask path already answers them.
         if config.kernel_mode != KernelMode::Auto
             || (config.indexing_mode == IndexingMode::Incremental
+                && !self.version.chi().is_some_and(|chi| chi.contains(mask_id))
                 && !session.chi_store().contains(mask_id))
         {
             return Ok(None);

@@ -7,10 +7,10 @@
 //! candidate set it actually needs to consider.
 
 use crate::codec::{Reader, Writer};
+use crate::cow_map::CowMap;
 use crate::cursor::IdCursor;
 use crate::error::{StorageError, StorageResult};
 use masksearch_core::{ImageId, Label, MaskId, MaskRecord, MaskType, ModelId, Roi};
-use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 /// Magic bytes identifying a catalog file.
@@ -18,14 +18,38 @@ pub const CATALOG_MAGIC: [u8; 4] = *b"MSKC";
 /// Catalog file format version.
 pub const CATALOG_FORMAT_VERSION: u16 = 1;
 
+/// The secondary columns, as the first part of a posting's key.
+const IMAGE: u8 = 0;
+const MODEL: u8 = 1;
+const TYPE: u8 = 2;
+const PREDICTED: u8 = 3;
+
+/// The secondary keys `(column, value)` a record is listed under.
+fn secondary_keys(record: &MaskRecord) -> impl Iterator<Item = (u8, u64)> {
+    [
+        Some((IMAGE, record.image_id.raw())),
+        Some((MODEL, record.model_id.raw())),
+        Some((TYPE, u64::from(record.mask_type.to_code()))),
+        record.predicted_label.map(|label| (PREDICTED, label.raw())),
+    ]
+    .into_iter()
+    .flatten()
+}
+
 /// In-memory metadata catalog with secondary indexes.
+///
+/// Every part is a [`CowMap`], so a clone costs three `Arc` clones and a
+/// write to a clone copies only the leaves it touches: a session publishes
+/// each write batch as a new catalog while statements keep reading the one
+/// they started with.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    records: BTreeMap<MaskId, MaskRecord>,
-    by_image: HashMap<ImageId, Vec<MaskId>>,
-    by_model: HashMap<ModelId, Vec<MaskId>>,
-    by_type: HashMap<u16, Vec<MaskId>>,
-    by_predicted: HashMap<Label, Vec<MaskId>>,
+    records: CowMap<MaskId, MaskRecord>,
+    /// One entry per (secondary key, mask): a value's masks are one range,
+    /// ascending by id.
+    postings: CowMap<(u8, u64, MaskId), ()>,
+    /// Masks per secondary key.
+    counts: CowMap<(u8, u64), u32>,
 }
 
 impl Catalog {
@@ -44,58 +68,67 @@ impl Catalog {
         self.records.is_empty()
     }
 
+    /// A catalog of `records`, built in bulk; a later record for a mask id
+    /// replaces an earlier one, as [`Catalog::insert`] does.
+    pub fn from_records(records: impl IntoIterator<Item = MaskRecord>) -> Self {
+        let mut sorted: Vec<(MaskId, MaskRecord)> =
+            records.into_iter().map(|r| (r.mask_id, r)).collect();
+        // Stable: of two records for one id, the later stays later.
+        sorted.sort_by_key(|(mask_id, _)| *mask_id);
+        let mut unique: Vec<(MaskId, MaskRecord)> = Vec::with_capacity(sorted.len());
+        for entry in sorted {
+            match unique.last_mut() {
+                Some(last) if last.0 == entry.0 => *last = entry,
+                _ => unique.push(entry),
+            }
+        }
+        let mut postings: Vec<((u8, u64, MaskId), ())> = unique
+            .iter()
+            .flat_map(|(mask_id, record)| {
+                secondary_keys(record).map(move |(column, value)| ((column, value, *mask_id), ()))
+            })
+            .collect();
+        postings.sort_unstable_by_key(|(key, _)| *key);
+        let counts: Vec<((u8, u64), u32)> = postings
+            .chunk_by(|a, b| (a.0 .0, a.0 .1) == (b.0 .0, b.0 .1))
+            .map(|run| ((run[0].0 .0, run[0].0 .1), run.len() as u32))
+            .collect();
+        Self {
+            records: CowMap::from_sorted(unique),
+            postings: CowMap::from_sorted(postings),
+            counts: CowMap::from_sorted(counts),
+        }
+    }
+
     /// Inserts (or replaces) a record, keeping secondary indexes consistent.
     pub fn insert(&mut self, record: MaskRecord) {
         let mask_id = record.mask_id;
-        if let Some(old) = self.records.remove(&mask_id) {
-            Self::remove_from(&mut self.by_image, &old.image_id, mask_id);
-            Self::remove_from(&mut self.by_model, &old.model_id, mask_id);
-            Self::remove_from(&mut self.by_type, &old.mask_type.to_code(), mask_id);
-            if let Some(pred) = old.predicted_label {
-                Self::remove_from(&mut self.by_predicted, &pred, mask_id);
-            }
+        if let Some(old) = self.records.insert(mask_id, record.clone()) {
+            self.unlist(&old);
         }
-        self.by_image
-            .entry(record.image_id)
-            .or_default()
-            .push(mask_id);
-        self.by_model
-            .entry(record.model_id)
-            .or_default()
-            .push(mask_id);
-        self.by_type
-            .entry(record.mask_type.to_code())
-            .or_default()
-            .push(mask_id);
-        if let Some(pred) = record.predicted_label {
-            self.by_predicted.entry(pred).or_default().push(mask_id);
+        for (column, value) in secondary_keys(&record) {
+            self.postings.insert((column, value, mask_id), ());
+            let count = self.counts.get(&(column, value)).copied().unwrap_or(0);
+            self.counts.insert((column, value), count + 1);
         }
-        self.records.insert(mask_id, record);
     }
 
     /// Removes a record, keeping secondary indexes consistent. Returns the
     /// removed record, if any.
     pub fn remove(&mut self, mask_id: MaskId) -> Option<MaskRecord> {
         let old = self.records.remove(&mask_id)?;
-        Self::remove_from(&mut self.by_image, &old.image_id, mask_id);
-        Self::remove_from(&mut self.by_model, &old.model_id, mask_id);
-        Self::remove_from(&mut self.by_type, &old.mask_type.to_code(), mask_id);
-        if let Some(pred) = old.predicted_label {
-            Self::remove_from(&mut self.by_predicted, &pred, mask_id);
-        }
+        self.unlist(&old);
         Some(old)
     }
 
-    fn remove_from<K: std::hash::Hash + Eq>(
-        index: &mut HashMap<K, Vec<MaskId>>,
-        key: &K,
-        mask_id: MaskId,
-    ) {
-        if let Some(ids) = index.get_mut(key) {
-            ids.retain(|id| *id != mask_id);
-            if ids.is_empty() {
-                index.remove(key);
-            }
+    /// Takes `record` out of the secondary indexes.
+    fn unlist(&mut self, record: &MaskRecord) {
+        for (column, value) in secondary_keys(record) {
+            self.postings.remove(&(column, value, record.mask_id));
+            match self.counts.get(&(column, value)).copied() {
+                Some(1) | None => self.counts.remove(&(column, value)),
+                Some(n) => self.counts.insert((column, value), n - 1),
+            };
         }
     }
 
@@ -120,64 +153,67 @@ impl Catalog {
         self.records.values()
     }
 
-    /// All distinct image ids present in the catalog.
+    /// All distinct image ids present in the catalog, ascending.
     pub fn image_ids(&self) -> Vec<ImageId> {
-        let mut ids: Vec<ImageId> = self.by_image.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.counts
+            .range_from((IMAGE, 0))
+            .take_while(|((column, _), _)| *column == IMAGE)
+            .map(|((_, image), _)| ImageId::new(*image))
+            .collect()
+    }
+
+    /// Mask ids listed under one secondary key, ascending.
+    fn listed(&self, column: u8, value: u64) -> Vec<MaskId> {
+        self.postings
+            .range_from((column, value, MaskId::new(0)))
+            .take_while(|((c, v, _), _)| (*c, *v) == (column, value))
+            .map(|((_, _, mask_id), _)| *mask_id)
+            .collect()
+    }
+
+    fn count(&self, column: u8, value: u64) -> usize {
+        self.counts.get(&(column, value)).map_or(0, |&n| n as usize)
     }
 
     /// Mask ids of all masks annotating `image_id`.
     pub fn masks_of_image(&self, image_id: ImageId) -> Vec<MaskId> {
-        let mut ids = self.by_image.get(&image_id).cloned().unwrap_or_default();
-        ids.sort_unstable();
-        ids
+        self.listed(IMAGE, image_id.raw())
     }
 
     /// Mask ids of all masks produced by `model_id`.
     pub fn masks_of_model(&self, model_id: ModelId) -> Vec<MaskId> {
-        let mut ids = self.by_model.get(&model_id).cloned().unwrap_or_default();
-        ids.sort_unstable();
-        ids
+        self.listed(MODEL, model_id.raw())
     }
 
     /// Mask ids of all masks of the given type.
     pub fn masks_of_type(&self, mask_type: MaskType) -> Vec<MaskId> {
-        let mut ids = self
-            .by_type
-            .get(&mask_type.to_code())
-            .cloned()
-            .unwrap_or_default();
-        ids.sort_unstable();
-        ids
+        self.listed(TYPE, u64::from(mask_type.to_code()))
     }
 
     /// Mask ids of all masks whose image was predicted as `label`.
     pub fn masks_with_predicted_label(&self, label: Label) -> Vec<MaskId> {
-        let mut ids = self.by_predicted.get(&label).cloned().unwrap_or_default();
-        ids.sort_unstable();
-        ids
+        self.listed(PREDICTED, label.raw())
     }
 
-    /// Number of masks annotating `image_id`, without cloning the list.
+    /// Number of masks annotating `image_id`, without listing them.
     pub fn count_of_image(&self, image_id: ImageId) -> usize {
-        self.by_image.get(&image_id).map_or(0, Vec::len)
+        self.count(IMAGE, image_id.raw())
     }
 
-    /// Number of masks produced by `model_id`, without cloning the list.
+    /// Number of masks produced by `model_id`, without listing them.
     pub fn count_of_model(&self, model_id: ModelId) -> usize {
-        self.by_model.get(&model_id).map_or(0, Vec::len)
+        self.count(MODEL, model_id.raw())
     }
 
-    /// Number of masks of the given type, without cloning the list.
+    /// Number of masks of the given type, without listing them.
     pub fn count_of_type(&self, mask_type: MaskType) -> usize {
-        self.by_type.get(&mask_type.to_code()).map_or(0, Vec::len)
+        self.count(TYPE, u64::from(mask_type.to_code()))
     }
 
-    /// Number of masks whose image was predicted as `label`, without cloning
-    /// the list.
+    /// Number of masks whose image was predicted as `label`, without
+    /// listing them.
     pub fn count_with_predicted_label(&self, label: Label) -> usize {
-        self.by_predicted.get(&label).map_or(0, Vec::len)
+        self.count(PREDICTED, label.raw())
     }
 
     /// Mask ids whose records satisfy an arbitrary predicate.
@@ -189,21 +225,26 @@ impl Catalog {
             .collect()
     }
 
+    /// The given mask ids keyed by their image id, dropping ids not present
+    /// in the catalog: one flat list sorted by image, then mask id, so a
+    /// group is a run of it. `mask_ids` should come ascending (the records
+    /// are read through a cursor).
+    pub fn by_image(&self, mask_ids: &[MaskId]) -> Vec<(ImageId, MaskId)> {
+        let mut records = self.cursor();
+        let mut keyed: Vec<(ImageId, MaskId)> = mask_ids
+            .iter()
+            .filter_map(|&id| records.seek(id).map(|record| (record.image_id, id)))
+            .collect();
+        keyed.sort_unstable();
+        keyed
+    }
+
     /// Groups the given mask ids by their image id, dropping ids not present
     /// in the catalog. Groups and their members are sorted.
     pub fn group_by_image(&self, mask_ids: &[MaskId]) -> Vec<(ImageId, Vec<MaskId>)> {
-        let mut groups: BTreeMap<ImageId, Vec<MaskId>> = BTreeMap::new();
-        for &id in mask_ids {
-            if let Some(rec) = self.records.get(&id) {
-                groups.entry(rec.image_id).or_default().push(id);
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(image, mut ids)| {
-                ids.sort_unstable();
-                (image, ids)
-            })
+        self.by_image(mask_ids)
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| (group[0].0, group.iter().map(|&(_, id)| id).collect()))
             .collect()
     }
 
@@ -214,7 +255,7 @@ impl Catalog {
         w.write_u16(CATALOG_FORMAT_VERSION);
         w.write_u16(0);
         w.write_u64(self.records.len() as u64);
-        for record in self.records.values() {
+        for record in self.records() {
             write_record(&mut w, record);
         }
         w.into_bytes()
@@ -239,11 +280,10 @@ impl Catalog {
         }
         let _reserved = r.read_u16()?;
         let count = r.read_u64()?;
-        let mut catalog = Catalog::new();
-        for _ in 0..count {
-            catalog.insert(read_record(&mut r)?);
-        }
-        Ok(catalog)
+        let records = (0..count)
+            .map(|_| read_record(&mut r))
+            .collect::<StorageResult<Vec<MaskRecord>>>()?;
+        Ok(Catalog::from_records(records))
     }
 
     /// Writes the catalog to a file.
@@ -402,6 +442,41 @@ mod tests {
         // Unknown mask ids are dropped.
         let groups = c.group_by_image(&[MaskId::new(1), MaskId::new(999)]);
         assert_eq!(groups.len(), 1);
+    }
+
+    #[test]
+    fn a_bulk_built_catalog_equals_one_built_by_inserts() {
+        let mut records: Vec<MaskRecord> = (0..300u64)
+            .map(|i| record(i * 7 % 300, i % 13, i % 3, (i % 4 != 0).then_some(i % 5)))
+            .collect();
+        // A later record for an id replaces an earlier one.
+        records.push(record(5, 99, 9, None));
+        let bulk = Catalog::from_records(records.clone());
+        let mut inserted = Catalog::new();
+        for record in records {
+            inserted.insert(record);
+        }
+        assert_eq!(bulk.len(), inserted.len());
+        assert!(bulk.records().eq(inserted.records()));
+        assert_eq!(bulk.image_ids(), inserted.image_ids());
+        for value in 0..100 {
+            assert_eq!(
+                bulk.masks_of_image(ImageId::new(value)),
+                inserted.masks_of_image(ImageId::new(value))
+            );
+            assert_eq!(
+                bulk.count_of_model(ModelId::new(value)),
+                inserted.count_of_model(ModelId::new(value))
+            );
+            assert_eq!(
+                bulk.masks_with_predicted_label(Label::new(value)),
+                inserted.masks_with_predicted_label(Label::new(value))
+            );
+        }
+        assert_eq!(
+            bulk.count_of_type(MaskType::SaliencyMap),
+            inserted.count_of_type(MaskType::SaliencyMap)
+        );
     }
 
     #[test]

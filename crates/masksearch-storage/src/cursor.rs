@@ -1,4 +1,4 @@
-//! A lookup cursor over a map ordered by mask id.
+//! A lookup cursor over a [`CowMap`] keyed by mask id.
 //!
 //! The filter stage looks up every candidate of a statement in two ordered
 //! maps — the catalog's records and the CHI store's slots — and candidate
@@ -9,31 +9,30 @@
 //! ranged descent, what a point lookup costs, so the answers are those of
 //! `get` in every order and a sparse or descending list is never scanned.
 
+use crate::cow_map::{CowMap, Iter};
 use masksearch_core::MaskId;
-use std::collections::btree_map::{BTreeMap, Range};
 
 /// How far past the current entry an id may lie and still be walked to.
 /// Ids are distinct integers, so the walk takes at most this many steps —
 /// about what one descent costs.
 const NEAR: u64 = 8;
 
-/// A cursor answering `get` over a `BTreeMap` keyed by [`MaskId`].
-#[derive(Debug)]
+/// A cursor answering `get` over a [`CowMap`] keyed by [`MaskId`].
 pub struct IdCursor<'a, V> {
-    map: &'a BTreeMap<MaskId, V>,
-    ahead: Range<'a, MaskId, V>,
+    map: &'a CowMap<MaskId, V>,
+    ahead: Iter<'a, MaskId, V>,
     /// The first entry with an id at or after `floor`.
     at: Option<(&'a MaskId, &'a V)>,
     /// The id sought last; `None` before the first `seek`.
     floor: Option<MaskId>,
 }
 
-impl<'a, V> IdCursor<'a, V> {
+impl<'a, V: Clone> IdCursor<'a, V> {
     /// A cursor over `map`, not yet positioned.
-    pub fn new(map: &'a BTreeMap<MaskId, V>) -> Self {
+    pub fn new(map: &'a CowMap<MaskId, V>) -> Self {
         Self {
             map,
-            ahead: map.range(..),
+            ahead: Iter::default(),
             at: None,
             floor: None,
         }
@@ -52,7 +51,7 @@ impl<'a, V> IdCursor<'a, V> {
                 self.at = self.ahead.next();
             }
         } else {
-            self.ahead = self.map.range(id..);
+            self.map.reposition(&mut self.ahead, id);
             self.at = self.ahead.next();
         }
         self.floor = Some(id);
@@ -66,7 +65,7 @@ mod tests {
 
     #[test]
     fn seek_equals_get_in_any_order() {
-        let map: BTreeMap<MaskId, u64> = (0..400u64)
+        let map: CowMap<MaskId, u64> = (0..400u64)
             .filter(|i| i % 7 != 3 && !(100..140).contains(i))
             .map(|i| (MaskId::new(i * 3), i))
             .collect();
@@ -81,7 +80,7 @@ mod tests {
                 assert_eq!(cursor.seek(id), map.get(&id), "id {id}");
             }
         }
-        let empty = BTreeMap::<MaskId, u64>::new();
+        let empty = CowMap::<MaskId, u64>::new();
         assert_eq!(IdCursor::new(&empty).seek(MaskId::new(1)), None);
     }
 }

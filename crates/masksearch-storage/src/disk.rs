@@ -112,11 +112,12 @@ impl Default for DiskProfile {
 
 /// Shared, thread-safe I/O accounting.
 ///
-/// Every store in this crate increments these counters; query executors
-/// snapshot them before and after a query to compute per-query statistics
-/// such as the number of masks loaded and the fraction of masks loaded (FML),
-/// which the paper shows is the dominant driver of query time (§4.4,
-/// Figure 9).
+/// Every store in this crate increments these counters. The reads are also
+/// counted per thread ([`thread_reads`]): a statement charges itself what
+/// its own threads read, so statements running side by side do not charge
+/// each other — the number of masks loaded and the fraction of masks loaded
+/// (FML), which the paper shows is the dominant driver of query time (§4.4,
+/// Figure 9), are per statement.
 #[derive(Debug, Default)]
 pub struct IoStats {
     read_ops: AtomicU64,
@@ -136,6 +137,12 @@ impl IoStats {
 
     /// Records a read of `bytes` bytes costing `cost` of virtual time.
     pub fn record_read(&self, bytes: u64, cost: Duration) {
+        THREAD_READS.with(|reads| {
+            let mut r = reads.get();
+            r.bytes_read += bytes;
+            r.virtual_read += cost;
+            reads.set(r);
+        });
         self.read_ops.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
         self.virtual_read_nanos.fetch_add(
@@ -156,6 +163,11 @@ impl IoStats {
 
     /// Records that one full mask was materialised from storage.
     pub fn record_mask_loaded(&self) {
+        THREAD_READS.with(|reads| {
+            let mut r = reads.get();
+            r.masks_loaded += 1;
+            reads.set(r);
+        });
         self.masks_loaded.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -222,6 +234,62 @@ impl IoStats {
         self.virtual_read_nanos.store(0, Ordering::Relaxed);
         self.virtual_write_nanos.store(0, Ordering::Relaxed);
     }
+}
+
+/// What the calling thread has read through every [`IoStats`], since it
+/// started (see [`thread_reads`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Reads {
+    /// Masks materialised from storage.
+    pub masks_loaded: u64,
+    /// Bytes read.
+    pub bytes_read: u64,
+    /// Virtual read time.
+    pub virtual_read: Duration,
+}
+
+impl Reads {
+    /// What was read between `earlier` and `self`, two readings of one
+    /// thread.
+    pub fn since(&self, earlier: &Reads) -> Reads {
+        Reads {
+            masks_loaded: self.masks_loaded - earlier.masks_loaded,
+            bytes_read: self.bytes_read - earlier.bytes_read,
+            virtual_read: self.virtual_read.saturating_sub(earlier.virtual_read),
+        }
+    }
+
+    /// Adds another share.
+    pub fn add(&mut self, other: &Reads) {
+        self.masks_loaded += other.masks_loaded;
+        self.bytes_read += other.bytes_read;
+        self.virtual_read += other.virtual_read;
+    }
+
+    /// Runs `read` and adds what the calling thread read meanwhile.
+    pub fn count<T>(&mut self, read: impl FnOnce() -> T) -> T {
+        let before = thread_reads();
+        let out = read();
+        self.add(&thread_reads().since(&before));
+        out
+    }
+}
+
+thread_local! {
+    static THREAD_READS: std::cell::Cell<Reads> = const {
+        std::cell::Cell::new(Reads {
+            masks_loaded: 0,
+            bytes_read: 0,
+            virtual_read: Duration::ZERO,
+        })
+    };
+}
+
+/// Everything the calling thread has read through any [`IoStats`] so far:
+/// the difference of two readings is what the thread read between them,
+/// whatever other threads read meanwhile.
+pub fn thread_reads() -> Reads {
+    THREAD_READS.with(std::cell::Cell::get)
 }
 
 /// An immutable snapshot of [`IoStats`] counters.

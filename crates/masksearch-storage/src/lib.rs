@@ -27,7 +27,9 @@
 //! * [`cache`] — a byte-budgeted LRU buffer cache of decoded masks.
 //! * [`catalog`] — the metadata catalog (the non-pixel columns of
 //!   `MasksDatabaseView`) with secondary indexes and binary persistence.
-//! * [`cursor`] — a lookup cursor over a map ordered by mask id, for the
+//! * [`cow_map`] — an ordered map whose clones share every node they have
+//!   not changed: what the catalog and the CHI store publish versions of.
+//! * [`cursor`] — a lookup cursor over such a map keyed by mask id, for the
 //!   ascending candidate lists of the filter stage.
 
 #![warn(missing_docs)]
@@ -38,6 +40,7 @@ pub mod cache;
 pub mod catalog;
 pub mod codec;
 pub mod compression;
+pub mod cow_map;
 pub mod cursor;
 pub mod disk;
 pub mod error;
@@ -49,6 +52,7 @@ pub mod store;
 pub use array_store::ArrayStore;
 pub use cache::{MaskCache, VerifyLookup};
 pub use catalog::Catalog;
+pub use cow_map::CowMap;
 pub use cursor::IdCursor;
 pub use disk::{DiskProfile, IoStats};
 pub use error::{StorageError, StorageResult};
