@@ -86,7 +86,7 @@ fn session_over(store: &Arc<MemoryMaskStore>, catalog: Catalog, indexed: bool) -
 }
 
 /// Best-of-N on the modeled metric, after warm-ups that build the CHIs and
-/// mature the shape statistics.
+/// warm the caches.
 fn time_query(session: &Session, sql: &str, iters: usize) -> (f64, QueryOutput) {
     let query = compile(sql).expect("compile bench query");
     let mut last = session.execute(&query).expect("warm-up execution");

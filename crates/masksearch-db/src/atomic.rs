@@ -1,4 +1,4 @@
-//! Whole-file replacement via temp file + rename.
+//! Whole-file replacement via temp file + rename, and durable removal.
 
 use masksearch_storage::{StorageError, StorageResult};
 use std::fs::{self, File};
@@ -37,10 +37,20 @@ pub(crate) fn replace_file(
         StorageError::io(format!("renaming {what} file"), e)
     })?;
     if durable {
-        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
-        File::open(parent.unwrap_or(Path::new(".")))
-            .and_then(|dir| dir.sync_all())
-            .map_err(|e| StorageError::io(format!("syncing directory of {what} file"), e))?;
+        sync_parent(path, what)?;
     }
     Ok(())
+}
+
+/// Removes `path` and fsyncs its directory, so the removal survives a crash.
+pub(crate) fn remove_file(path: &Path, what: &str) -> StorageResult<()> {
+    fs::remove_file(path).map_err(|e| StorageError::io(format!("removing {what} file"), e))?;
+    sync_parent(path, what)
+}
+
+fn sync_parent(path: &Path, what: &str) -> StorageResult<()> {
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    File::open(parent.unwrap_or(Path::new(".")))
+        .and_then(|dir| dir.sync_all())
+        .map_err(|e| StorageError::io(format!("syncing directory of {what} file"), e))
 }

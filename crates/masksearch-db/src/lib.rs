@@ -93,6 +93,4 @@ pub use dir::{BlobEntry, DirDelta, Directory};
 pub use page::{Meta, PageNo};
 pub use pager::Pager;
 pub use stats::IngestStats;
-pub use store::{
-    DbConfig, DurableMaskStore, CHI_FILE, DB_FILE, SHAPE_STATS_FILE, TILES_FILE, WAL_FILE,
-};
+pub use store::{DbConfig, DurableMaskStore, CHI_FILE, DB_FILE, TILES_FILE, WAL_FILE};

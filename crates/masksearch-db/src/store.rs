@@ -66,14 +66,12 @@
 //!    `snapshot.rs`): an automatic checkpoint appends one segment of
 //!    the entries indexed since the previous one, an explicit
 //!    [`DurableMaskStore::checkpoint`] rewrites each file as a single
-//!    segment with no dead entry. This precedes step 5 because recovery
+//!    segment with no dead entry. This precedes step 4 because recovery
 //!    treats masks touched by replayed WAL transactions as possibly stale in
 //!    these files: as long as the WAL still names every commit since the
 //!    files were written, old files are safe; dropping the log first would
 //!    open a window where they are stale and nothing says for which masks;
-//! 4. rewrites the advisory files (shape statistics, secondary-index
-//!    snapshots), whose staleness after a crash is harmless;
-//! 5. drops the WAL's transactions. An automatic checkpoint *recycles* the
+//! 4. drops the WAL's transactions. An automatic checkpoint *recycles* the
 //!    log (see the `wal` module): it zeroes the first frame's header and
 //!    syncs, and the next commits overwrite the blocks the file already
 //!    owns, so their fsyncs allocate nothing; the previous generation's
@@ -81,6 +79,10 @@
 //!    transaction ids of a log only increase. An explicit checkpoint
 //!    truncates the log to its header, leaving the directory at its
 //!    smallest.
+//!
+//! Secondary-index definitions (`masks.idx.<col>`) are not part of a
+//! checkpoint: `CREATE INDEX` and `DROP INDEX` write or remove their file
+//! durably when they run.
 //!
 //! ## Recovery
 //!
@@ -96,7 +98,7 @@
 //! commits), and rebuilt from pixels.
 
 use crate::alloc::FreeRuns;
-use crate::atomic::replace_file;
+use crate::atomic::{remove_file, replace_file};
 use crate::dir::{BlobEntry, DirDelta, Directory};
 use crate::page::{Meta, PageNo, META_PAGE, MIN_PAGE_SIZE};
 use crate::pager::Pager;
@@ -107,7 +109,6 @@ use masksearch_core::{Mask, MaskId, MaskRecord, TileGrid, TiledMask};
 use masksearch_index::store::outdated_format;
 use masksearch_index::{Chi, ChiConfig, ChiStore, TileStore};
 use masksearch_obs::counters as obs_counters;
-use masksearch_obs::ShapeStatsRegistry;
 use masksearch_storage::format;
 use masksearch_storage::meta_index::{self, MetaColumn, MetaIndexRegistry};
 use masksearch_storage::store::IngestSnapshot;
@@ -129,15 +130,37 @@ pub const WAL_FILE: &str = "masks.wal";
 pub const CHI_FILE: &str = "masks.chi";
 /// File name of the persisted tile-summary store (verification kernel).
 pub const TILES_FILE: &str = "masks.tiles";
-/// File name of the persisted per-query-shape statistics.
-pub const SHAPE_STATS_FILE: &str = "masks.stats";
-/// File-name prefix of persisted secondary metadata indexes; the full name
-/// is `masks.idx.<column>` (e.g. `masks.idx.model_id`).
+/// File-name prefix of persisted secondary metadata index definitions; the
+/// full name is `masks.idx.<column>` (e.g. `masks.idx.model_id`).
 pub const META_INDEX_FILE_PREFIX: &str = "masks.idx.";
+/// Per-query-shape statistics written by older builds. Nothing reads them;
+/// open removes the file.
+const RETIRED_SHAPE_STATS_FILE: &str = "masks.stats";
 
-/// The snapshot file name of a secondary index over `column`.
+/// The definition file name of a secondary index over `column`.
 pub fn meta_index_file(column: MetaColumn) -> String {
     format!("{}{}", META_INDEX_FILE_PREFIX, column.name())
+}
+
+/// Makes the `masks.idx.<col>` files of `dir` hold exactly the definitions
+/// of `registry`: a file that does not already hold its column's definition
+/// is rewritten, and the file of a column without one is removed, each
+/// durably.
+fn sync_meta_index_files(dir: &Path, registry: &MetaIndexRegistry) -> StorageResult<()> {
+    for column in MetaColumn::ALL {
+        let path = dir.join(meta_index_file(column));
+        match registry.on(column) {
+            Some(def) => {
+                let bytes = meta_index::definition_bytes(&def);
+                if fs::read(&path).ok().as_deref() != Some(&bytes[..]) {
+                    replace_file(&path, &bytes, "metadata index", true)?;
+                }
+            }
+            None if path.exists() => remove_file(&path, "metadata index")?,
+            None => {}
+        }
+    }
+    Ok(())
 }
 
 /// Configuration of a durable mask database.
@@ -271,18 +294,10 @@ pub struct DurableMaskStore {
     /// finds a grid here knows it was built from exactly the pixels the
     /// directory currently points at (see [`MaskStore::get_tiled`]).
     tiles: Arc<TileStore>,
-    /// Per-query-shape statistics recorded by sessions over this store
-    /// (shared via [`MaskStore::shape_stats`]) and persisted at checkpoint
-    /// next to the CHI and tile files, so the observed
-    /// selectivity/decisiveness profile of a workload survives restarts.
-    shape_stats: Arc<ShapeStatsRegistry>,
-    shape_stats_path: PathBuf,
     /// Secondary metadata index definitions, shared with query sessions via
-    /// [`MaskStore::meta_indexes`] and snapshotted to one `masks.idx.<col>`
-    /// file per definition (on DDL and at checkpoint). Posting lists live in
-    /// the catalog's secondary maps — maintained inside every commit — so a
-    /// snapshot is rebuilt from the recovered catalog whenever it is stale,
-    /// torn, or foreign.
+    /// [`MaskStore::meta_indexes`] and persisted as one `masks.idx.<col>`
+    /// file per definition, written when DDL runs. Posting lists live in the
+    /// catalog's secondary maps, maintained inside every commit.
     meta_indexes: Arc<MetaIndexRegistry>,
     db_dir: PathBuf,
     ingest: IngestStats,
@@ -308,7 +323,6 @@ impl DurableMaskStore {
         let wal_path = dir.join(WAL_FILE);
         let chi_path = dir.join(CHI_FILE);
         let tiles_path = dir.join(TILES_FILE);
-        let shape_stats_path = dir.join(SHAPE_STATS_FILE);
 
         let mut pager = Pager::open(&db_path, config.page_size)?;
         let (mut wal, committed) = Wal::open(&wal_path, config.page_size)?;
@@ -386,54 +400,27 @@ impl DurableMaskStore {
             }
         })?;
 
-        // A missing or foreign-format statistics file simply starts fresh;
-        // shape statistics are advisory, never load-bearing.
-        let shape_stats = fs::read(&shape_stats_path)
-            .ok()
-            .and_then(|bytes| ShapeStatsRegistry::from_bytes(&bytes))
-            .unwrap_or_default();
-
-        // Recover secondary index definitions from their snapshot files.
-        // Posting lists are served from the catalog's live secondary maps,
-        // so only the *definition* is load-bearing here; postings that went
-        // stale since the last snapshot are rewritten from the recovered
-        // catalog, and torn or foreign files are discarded (snapshots are
-        // written via temp + rename, so a torn file means external damage
-        // — the directory remains the source of truth, like the CHI).
+        let _ = fs::remove_file(dir.join(RETIRED_SHAPE_STATS_FILE));
+        // Recover secondary index definitions from their files, then rewrite
+        // version 1 files in the current format and delete torn or foreign
+        // ones (writes go through temp + rename, so that means external
+        // damage), dropping their definition.
         let meta_indexes = Arc::new(MetaIndexRegistry::new());
-        {
-            let catalog = masksearch_storage::Catalog::from_records(
-                directory.entries.values().map(|entry| entry.record.clone()),
-            );
-            for column in MetaColumn::ALL {
-                let path = dir.join(meta_index_file(column));
-                let Ok(bytes) = fs::read(&path) else { continue };
-                match meta_index::decode_snapshot(&bytes) {
-                    Ok((def, map))
-                        if def.column == column
-                            && meta_indexes.create(&def.name, def.column, true).is_ok() =>
-                    {
-                        if map != meta_index::postings(&catalog, column) {
-                            replace_file(
-                                &path,
-                                &meta_index::snapshot_bytes(&def, &catalog),
-                                "metadata index rebuild",
-                                false,
-                            )?;
-                        }
-                    }
-                    _ => {
-                        let _ = fs::remove_file(&path);
-                    }
+        for column in MetaColumn::ALL {
+            let Ok(bytes) = fs::read(dir.join(meta_index_file(column))) else {
+                continue;
+            };
+            if let Ok(def) = meta_index::decode_definition(&bytes) {
+                if def.column == column {
+                    let _ = meta_indexes.create(&def.name, column, true);
                 }
             }
         }
+        sync_meta_index_files(dir, &meta_indexes)?;
 
         Ok(Self {
             chi: Arc::new(indexes.chi),
             tiles: Arc::new(indexes.tiles),
-            shape_stats: Arc::new(shape_stats),
-            shape_stats_path,
             meta_indexes,
             db_dir: dir.to_path_buf(),
             config,
@@ -604,18 +591,6 @@ impl DurableMaskStore {
             || self.tiles.to_bytes(),
         )?;
         writer.unsnapshotted.clear();
-        // Shape statistics ride along: they describe the workload, not the
-        // data, so staleness after a crash is harmless.
-        replace_file(
-            &self.shape_stats_path,
-            &self.shape_stats.to_bytes(),
-            "shape statistics checkpoint",
-            false,
-        )?;
-        // Secondary index snapshots too: definitions were already durable
-        // (persisted at DDL time), and postings are recomputed from the
-        // recovered catalog at open, so a stale snapshot is harmless.
-        self.persist_meta_indexes_locked()?;
         // The database and index files are durable; the log can be dropped.
         // An explicit checkpoint leaves the directory at its smallest; an
         // automatic one keeps the log's blocks for the commits to come.
@@ -825,40 +800,6 @@ impl DurableMaskStore {
         Ok(())
     }
 
-    /// Snapshots every defined secondary index to its `masks.idx.<col>` file
-    /// and removes the files of dropped definitions. Caller holds the writer
-    /// mutex (directly or via a checkpoint). The catalog the snapshots are
-    /// taken from — a copy of every directory record — is built only when
-    /// some column has a definition.
-    fn persist_meta_indexes_locked(&self) -> StorageResult<()> {
-        let mut catalog = None;
-        for column in MetaColumn::ALL {
-            let path = self.db_dir.join(meta_index_file(column));
-            match self.meta_indexes.on(column) {
-                Some(def) => replace_file(
-                    &path,
-                    &meta_index::snapshot_bytes(
-                        &def,
-                        catalog.get_or_insert_with(|| self.catalog()),
-                    ),
-                    "metadata index snapshot",
-                    false,
-                )?,
-                None => {
-                    if path.exists() {
-                        fs::remove_file(&path).map_err(|e| {
-                            StorageError::io(
-                                format!("removing dropped metadata index {}", path.display()),
-                                e,
-                            )
-                        })?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Loads mask `mask_id` and, when `with_grid` is set, its tile grid.
     /// The blob read and the grid lookup happen under one state read guard:
     /// commits publish pages and grids under the state write lock, and
@@ -935,17 +876,15 @@ impl MaskStore for DurableMaskStore {
         Some(Arc::clone(&self.meta_indexes))
     }
 
+    /// The writer mutex serialises DDL from every session sharing this
+    /// store.
     fn persist_meta_indexes(&self) -> StorageResult<()> {
         let _writer = self.writer.lock();
-        self.persist_meta_indexes_locked()
+        sync_meta_index_files(&self.db_dir, &self.meta_indexes)
     }
 
     fn ingest_stats(&self) -> Option<IngestSnapshot> {
         Some(self.ingest.snapshot())
-    }
-
-    fn shape_stats(&self) -> Option<Arc<ShapeStatsRegistry>> {
-        Some(Arc::clone(&self.shape_stats))
     }
 
     fn get(&self, mask_id: MaskId) -> StorageResult<Mask> {
@@ -1509,34 +1448,21 @@ mod tests {
             registry.drop_index("by_model", false).unwrap();
             store.persist_meta_indexes().unwrap();
         }
-        assert!(dir.join(meta_index_file(MetaColumn::ImageId)).exists());
+        let idx_path = dir.join(meta_index_file(MetaColumn::ImageId));
+        assert!(idx_path.exists());
         assert!(!dir.join(meta_index_file(MetaColumn::ModelId)).exists());
         {
             let store = DurableMaskStore::open(&dir, small_config()).unwrap();
             let registry = store.meta_indexes().unwrap();
+            assert_eq!(registry.len(), 1);
             assert_eq!(
                 registry.by_name("by_image").unwrap().column,
                 MetaColumn::ImageId
             );
             assert!(registry.by_name("by_model").is_none());
-            // Mutate without re-persisting: the snapshot goes stale, and the
-            // next open must rebuild it from the recovered catalog.
-            store.delete_masks(&[MaskId::new(0)]).unwrap();
         }
-        {
-            let store = DurableMaskStore::open(&dir, small_config()).unwrap();
-            let registry = store.meta_indexes().unwrap();
-            assert_eq!(registry.len(), 1);
-            let bytes = fs::read(dir.join(meta_index_file(MetaColumn::ImageId))).unwrap();
-            let (_, map) = meta_index::decode_snapshot(&bytes).unwrap();
-            assert_eq!(
-                map,
-                meta_index::postings(&store.catalog(), MetaColumn::ImageId)
-            );
-        }
-        // A torn snapshot (external damage — writes go through temp+rename)
-        // is discarded on open; the definition it held is gone, loudly absent.
-        let idx_path = dir.join(meta_index_file(MetaColumn::ImageId));
+        // A torn file (external damage — writes go through temp+rename) is
+        // discarded on open; the definition it held is gone, loudly absent.
         let full = fs::read(&idx_path).unwrap();
         fs::write(&idx_path, &full[..full.len() / 2]).unwrap();
         {
@@ -1547,10 +1473,10 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A checkpoint with no definition left still deletes the snapshot of
-    /// the one just dropped, and a reopen finds no definition.
+    /// `DROP INDEX` removes the definition file itself, with no checkpoint,
+    /// and a reopen finds no definition.
     #[test]
-    fn checkpoint_removes_the_snapshot_of_a_dropped_index() {
+    fn drop_index_removes_the_file() {
         let dir = temp_dir("meta-idx-drop");
         let idx_path = dir.join(meta_index_file(MetaColumn::ModelId));
         {
@@ -1560,12 +1486,12 @@ mod tests {
             registry
                 .create("by_model", MetaColumn::ModelId, false)
                 .unwrap();
-            store.checkpoint().unwrap();
+            store.persist_meta_indexes().unwrap();
             assert!(idx_path.exists());
             registry.drop_index("by_model", false).unwrap();
-            store.insert_masks(&batch(4..6)).unwrap();
-            store.checkpoint().unwrap();
+            store.persist_meta_indexes().unwrap();
             assert!(!idx_path.exists());
+            store.insert_masks(&batch(4..6)).unwrap();
         }
         let store = DurableMaskStore::open(&dir, small_config()).unwrap();
         assert!(store.meta_indexes().unwrap().is_empty());

@@ -369,84 +369,6 @@ fn commits_after_recovery_continue_the_history() {
     fs::remove_dir_all(&crash_dir).unwrap();
 }
 
-#[test]
-fn shape_stats_survive_checkpoint_and_torn_files_fall_back_to_defaults() {
-    use masksearch_db::SHAPE_STATS_FILE;
-    use masksearch_obs::ShapeObservation;
-
-    let src = temp_dir("stats-src");
-    let shape = "filter/cp=1/roi=const/kernel=auto/idx=incremental";
-    {
-        let db = MaskDb::open(&src, config()).unwrap();
-        db.insert_masks(&[(record(0), mask(0)), (record(1), mask(1))])
-            .unwrap();
-        let stats = db.mask_store().shape_stats().unwrap();
-        for _ in 0..5 {
-            stats.record(
-                shape,
-                &ShapeObservation {
-                    candidates: 10,
-                    rows: 3,
-                    pruned: 6,
-                    verified: 4,
-                    ..Default::default()
-                },
-            );
-        }
-        db.checkpoint().unwrap();
-    }
-    assert!(src.join(SHAPE_STATS_FILE).exists());
-
-    // Clean reopen: the persisted aggregates survive.
-    {
-        let store = DurableMaskStore::open(&src, config()).unwrap();
-        let stats = store.shape_stats().unwrap();
-        let agg = stats.get(shape).expect("persisted shape aggregate");
-        assert_eq!(agg.queries, 5);
-        assert_eq!(agg.sums.candidates, 50);
-    }
-
-    // A torn stats file (crash mid-write) must never block opening: every
-    // truncation prefix reopens with default statistics and an intact
-    // database.
-    let copy_dir = |src: &Path, dst: &Path| {
-        let _ = fs::remove_dir_all(dst);
-        fs::create_dir_all(dst).unwrap();
-        for entry in fs::read_dir(src).unwrap() {
-            let entry = entry.unwrap();
-            fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-        }
-    };
-    let full = fs::read(src.join(SHAPE_STATS_FILE)).unwrap();
-    let crash_dir = temp_dir("stats-crash");
-    for len in 0..full.len() {
-        copy_dir(&src, &crash_dir);
-        fs::write(crash_dir.join(SHAPE_STATS_FILE), &full[..len]).unwrap();
-        let store = DurableMaskStore::open(&crash_dir, config()).unwrap();
-        let stats = store.shape_stats().unwrap();
-        // A truncated file may still end on a complete line boundary; the
-        // shape totals monotonically bound the persisted ones either way,
-        // and a mid-line tear yields the default registry.
-        assert!(
-            stats.get(shape).map_or(0, |a| a.queries) <= 5,
-            "prefix {len}"
-        );
-        assert!(store.contains(MaskId::new(0)));
-        assert_eq!(store.get(MaskId::new(0)).unwrap(), mask(0));
-    }
-    // A missing file is the same story.
-    copy_dir(&src, &crash_dir);
-    fs::remove_file(crash_dir.join(SHAPE_STATS_FILE)).unwrap();
-    {
-        let store = DurableMaskStore::open(&crash_dir, config()).unwrap();
-        let stats = store.shape_stats().unwrap();
-        assert!(stats.is_empty());
-    }
-
-    fs::remove_dir_all(&src).unwrap();
-    fs::remove_dir_all(&crash_dir).unwrap();
-}
-
 // ---------------------------------------------------------------------------
 // Directory deltas in the WAL, the directory written at checkpoints, index
 // files appended to: crashes between and inside a checkpoint's steps.

@@ -24,9 +24,6 @@
 //!   threshold.
 //! - [`ProfileRing`]: a bounded ring of recent query profiles, queryable
 //!   over the wire via `STATS PROFILES`.
-//! - [`ShapeStatsRegistry`]: per-query-shape aggregate counters (candidates,
-//!   pruned / accepted / verified, masks loaded, kernel tile behaviour,
-//!   stage times) that persist at checkpoint alongside the CHI/tiles files.
 //! - [`TimeSeries`]: bounded rings of fixed-width time buckets over query
 //!   completions and the global counters, so windows of recent behaviour
 //!   (`METRICS WINDOW <secs>`) can be queried without external scraping.
@@ -44,7 +41,6 @@ pub mod prom;
 mod histogram;
 mod profiles;
 mod recorder;
-mod shape;
 mod slowlog;
 mod span;
 mod timeseries;
@@ -55,7 +51,6 @@ pub use recorder::{
     fnv1a, read_recording, FlightRecorder, Fnv64, RecordKind, RecordedQuery, RecorderStatus,
     RECORDER_MAGIC,
 };
-pub use shape::{ShapeAggregate, ShapeObservation, ShapeStatsRegistry};
 pub use slowlog::{escape_json, SlowQueryLog};
 pub use span::{
     add_counter, set_counter, span, trace, trace_active, SpanGuard, SpanNode, TraceGuard,

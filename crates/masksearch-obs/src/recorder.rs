@@ -251,8 +251,8 @@ impl FlightRecorder {
 
     /// Attaches a sink at `path` with a total byte budget. An existing
     /// recording is appended to (after its magic is verified), so a
-    /// recording survives service restarts the way the shape-stats file
-    /// does; a missing or empty file is initialized with the magic line.
+    /// recording survives service restarts; a missing or empty file is
+    /// initialized with the magic line.
     pub fn start(&self, path: &Path, budget: u64) -> io::Result<()> {
         let mut existing = 0u64;
         if let Ok(mut f) = File::open(path) {

@@ -47,12 +47,6 @@ impl SlowQueryLog {
         }
     }
 
-    /// Reconfigures the threshold (`None` disables).
-    pub fn set_threshold(&self, threshold: Option<Duration>) {
-        self.threshold_us
-            .store(threshold_to_us(threshold), Ordering::Relaxed);
-    }
-
     /// Number of entries written so far.
     pub fn logged(&self) -> u64 {
         self.logged.load(Ordering::Relaxed)

@@ -251,11 +251,6 @@ impl TimeSeries {
         }
     }
 
-    /// Seconds elapsed since this series was created.
-    pub fn elapsed_s(&self) -> u64 {
-        self.epoch.elapsed().as_secs()
-    }
-
     /// Records one completed statement at the current time.
     pub fn observe(&self, wall_us: u64, ok: bool, stages: StageCounts) {
         self.observe_at(self.epoch.elapsed().as_micros() as u64, wall_us, ok, stages);

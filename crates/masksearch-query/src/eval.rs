@@ -124,38 +124,6 @@ pub(crate) fn count_tiled(
     }
 }
 
-/// Resolves and evaluates a batch of `CP` terms on a loaded tiled mask.
-fn terms_exact_tiled(
-    terms: &[&CpTerm],
-    record: &MaskRecord,
-    tiled: &TiledMask,
-    opts: &VerifyOptions,
-    tiles: &mut TileStats,
-) -> QueryResult<Vec<f64>> {
-    let mut resolved = Vec::with_capacity(terms.len());
-    resolve_terms(terms, record, opts.object_box_fallback, &mut resolved)?;
-    let counts = count_tiled(&resolved, tiled, opts.use_tiled_kernel, tiles);
-    Ok(counts.into_iter().map(|c| c as f64).collect())
-}
-
-/// Exact value of one term on a loaded tiled mask.
-pub fn term_exact_tiled(
-    term: &CpTerm,
-    record: &MaskRecord,
-    tiled: &TiledMask,
-    opts: &VerifyOptions,
-    tiles: &mut TileStats,
-) -> QueryResult<f64> {
-    reject_pair_in_single(term)?;
-    let roi = resolve_roi(term, record, opts.object_box_fallback)?;
-    let count = if opts.use_tiled_kernel {
-        tiled.cp_with_stats(&roi, &term.range, tiles)
-    } else {
-        cp(tiled.mask(), &roi, &term.range)
-    };
-    Ok(count as f64)
-}
-
 /// The `CP` terms of every comparison of `predicate`, flattened in written
 /// order — one kernel batch per mask.
 pub(crate) fn predicate_terms(predicate: &Predicate) -> Vec<&CpTerm> {
@@ -181,19 +149,6 @@ pub(crate) fn predicate_from_term_values(predicate: &Predicate, term_values: &[f
         })
         .collect();
     predicate.eval_exact(&values)
-}
-
-/// Exact truth of a predicate on a loaded tiled mask; the `CP` terms of
-/// *every* comparison are evaluated in a single kernel batch.
-pub fn predicate_exact_tiled(
-    predicate: &Predicate,
-    record: &MaskRecord,
-    tiled: &TiledMask,
-    opts: &VerifyOptions,
-    tiles: &mut TileStats,
-) -> QueryResult<bool> {
-    let values = terms_exact_tiled(&predicate_terms(predicate), record, tiled, opts, tiles)?;
-    Ok(predicate_from_term_values(predicate, &values))
 }
 
 /// Exact value of an expression on a loaded mask.

@@ -346,7 +346,7 @@ pub fn annotate(mut plan: PlanNode, stats: &QueryStats, rows: u64) -> PlanNode {
 }
 
 /// The *shape key* of a query: its structure without literal constants,
-/// used to bucket per-shape statistics ([`masksearch_obs::ShapeStatsRegistry`]).
+/// used to label programmatic statements and flight-recorder entries.
 ///
 /// Two queries share a shape when they have the same kind, the same CP-term
 /// count and ROI mix, and run under the same kernel and indexing

@@ -162,12 +162,6 @@ impl Expr {
         ))
     }
 
-    /// Returns `true` if any `CP` term binds a pair (left/right/composed)
-    /// rather than the candidate's own mask.
-    pub fn uses_pair_terms(&self) -> bool {
-        self.terms().iter().any(|t| t.source.is_pair())
-    }
-
     /// `self + other`.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, other: Expr) -> Self {

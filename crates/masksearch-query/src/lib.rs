@@ -19,7 +19,7 @@
 //!   exactly for masks that already carry their tile grid, under `Auto`)
 //!   and the access path of its candidate resolution.
 //! * [`explain`] — `EXPLAIN` / `EXPLAIN ANALYZE` plan trees and normalized
-//!   query-shape keys for persisted per-shape statistics.
+//!   query-shape keys that label statements in the flight recorder.
 //! * [`result`] — result rows and per-query statistics (masks loaded,
 //!   fraction of masks loaded, stage timings).
 //!

@@ -51,7 +51,6 @@ use masksearch_index::{
     build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore, ChiVersion,
 };
 use masksearch_obs::counters as obs_counters;
-use masksearch_obs::{ShapeObservation, ShapeStatsRegistry};
 use masksearch_plan::KernelMode;
 use masksearch_storage::{Catalog, MaskCache, MaskStore, MetaColumn, MetaIndexRegistry};
 use parking_lot::{Mutex, RwLock};
@@ -217,10 +216,6 @@ pub struct Session {
     /// publish their catalog records in the other, leaving a record that
     /// describes a different write's pixels. Readers never take it.
     writes: Mutex<()>,
-    /// Per-query-shape aggregate statistics. Shared with the store when the
-    /// store persists one across restarts (the durable mask database);
-    /// otherwise private to this session's lifetime.
-    shape_stats: Arc<ShapeStatsRegistry>,
     /// Secondary metadata index definitions. Shared with the store when the
     /// store persists them across restarts (the durable mask database);
     /// otherwise private to this session's lifetime.
@@ -336,7 +331,6 @@ impl Session {
         };
         Self {
             cache: MaskCache::new(config.cache_bytes),
-            shape_stats: store.shape_stats().unwrap_or_default(),
             meta_indexes: store.meta_indexes().unwrap_or_default(),
             store,
             version: RwLock::new(Arc::new(version)),
@@ -720,7 +714,8 @@ impl Session {
 
     /// Defines a secondary metadata index. Returns `true` when a new
     /// definition was created (`false` when `IF NOT EXISTS` swallowed a
-    /// duplicate); persisted immediately when the store keeps index files.
+    /// duplicate); persisted immediately when the store keeps index files,
+    /// and undone if that fails.
     pub fn create_index(
         &self,
         name: &str,
@@ -733,21 +728,29 @@ impl Session {
             .create(name, column, if_not_exists)
             .map_err(QueryError::invalid)?;
         if created {
-            self.store.persist_meta_indexes()?;
+            if let Err(e) = self.store.persist_meta_indexes() {
+                let _ = self.meta_indexes.drop_index(name, true);
+                return Err(e.into());
+            }
         }
         Ok(created)
     }
 
     /// Drops a secondary metadata index by name. Returns `true` when a
-    /// definition was removed (`false` when `IF EXISTS` swallowed a miss).
+    /// definition was removed (`false` when `IF EXISTS` swallowed a miss);
+    /// the drop is undone if persisting it fails.
     pub fn drop_index(&self, name: &str, if_exists: bool) -> QueryResult<bool> {
         let _writes = self.writes.lock();
+        let def = self.meta_indexes.by_name(name);
         let dropped = self
             .meta_indexes
             .drop_index(name, if_exists)
             .map_err(QueryError::invalid)?;
-        if dropped {
-            self.store.persist_meta_indexes()?;
+        if let (true, Some(def)) = (dropped, def) {
+            if let Err(e) = self.store.persist_meta_indexes() {
+                let _ = self.meta_indexes.create(&def.name, def.column, true);
+                return Err(e.into());
+            }
         }
         Ok(dropped)
     }
@@ -1202,33 +1205,6 @@ impl Session {
         Ok((plan, output))
     }
 
-    /// The per-query-shape statistics registry this session records into.
-    /// Shared with the store when the store persists shapes across restarts.
-    pub fn shape_stats(&self) -> &Arc<ShapeStatsRegistry> {
-        &self.shape_stats
-    }
-
-    /// Folds one finished query into the aggregate statistics of its shape.
-    fn record_query(&self, query: &Query, output: &QueryOutput) {
-        let s = &output.stats;
-        self.shape_stats.record(
-            &explain::shape_key(query, &self.config),
-            &ShapeObservation {
-                candidates: s.candidates,
-                rows: output.rows.len() as u64,
-                pruned: s.pruned,
-                accepted: s.accepted_without_load,
-                verified: s.verified,
-                masks_loaded: s.masks_loaded,
-                tiles_pruned: s.tiles_pruned,
-                tiles_hist: s.tiles_hist,
-                tiles_scanned: s.tiles_scanned,
-                filter_wall_us: s.filter_wall.as_micros() as u64,
-                verify_wall_us: s.verify_wall.as_micros() as u64,
-            },
-        );
-    }
-
     /// Executes a ranked query in *partial* (cluster-shard) mode: the query's
     /// `k` is optionally overridden, and alongside the local top-k the method
     /// reports the k-th value as a bound on everything it did **not** return
@@ -1291,7 +1267,6 @@ impl Session {
             let plan = planner::plan_query(self, &query);
             let mut output =
                 exec::pair::execute_topk(self, &version, &pairs, expr, *k, *order, &plan)?;
-            self.record_query(&query, &output);
             left_trace.apply(&mut output.stats);
             right_trace.apply(&mut output.stats);
             let bound = bound_of(&output, total);
@@ -1332,7 +1307,7 @@ impl Session {
     }
 
     /// Executes a query against an already resolved candidate set:
-    /// plan, dispatch, record.
+    /// plan, then dispatch.
     fn execute_resolved(
         &self,
         version: &ReadVersion,
@@ -1343,9 +1318,7 @@ impl Session {
             let _plan = masksearch_obs::span("plan");
             planner::plan_query(self, query)
         };
-        let output = self.dispatch(version, query, candidates, &plan)?;
-        self.record_query(query, &output);
-        Ok(output)
+        self.dispatch(version, query, candidates, &plan)
     }
 
     /// Dispatches on the query kind.
@@ -1821,6 +1794,93 @@ mod tests {
             let rows = |session: &Session| format!("{:?}", session.execute(&query).map(|o| o.rows));
             assert_eq!(rows(&session), rows(&reference), "{query:?}");
         }
+    }
+
+    /// A memory store whose index persistence fails while `fail` is set.
+    struct FailingPersistStore {
+        inner: MemoryMaskStore,
+        fail: std::sync::atomic::AtomicBool,
+    }
+
+    impl MaskStore for FailingPersistStore {
+        fn put(&self, mask_id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
+            self.inner.put(mask_id, mask)
+        }
+        fn persist_meta_indexes(&self) -> masksearch_storage::StorageResult<()> {
+            if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(masksearch_storage::StorageError::corrupt("disk full"));
+            }
+            Ok(())
+        }
+        fn get(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<Mask> {
+            self.inner.get(mask_id)
+        }
+        fn contains(&self, mask_id: MaskId) -> bool {
+            self.inner.contains(mask_id)
+        }
+        fn ids(&self) -> Vec<MaskId> {
+            self.inner.ids()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn stored_bytes(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<u64> {
+            self.inner.stored_bytes(mask_id)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+        fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
+            self.inner.io_stats()
+        }
+        fn disk_profile(&self) -> masksearch_storage::DiskProfile {
+            self.inner.disk_profile()
+        }
+    }
+
+    /// `CREATE INDEX` and `DROP INDEX` whose persistence fails leave the
+    /// registry as it was: no probe through the failed index, a retry under
+    /// the same name succeeds, and a failed drop keeps the index.
+    #[test]
+    fn index_ddl_whose_persist_fails_changes_nothing() {
+        let (_, catalog) = small_db(4);
+        let store = Arc::new(FailingPersistStore {
+            inner: MemoryMaskStore::for_tests(),
+            fail: Default::default(),
+        });
+        let fail = |on: bool| store.fail.store(on, std::sync::atomic::Ordering::Relaxed);
+        let session = Session::new(
+            Arc::clone(&store) as Arc<dyn MaskStore>,
+            catalog,
+            config().indexing_mode(IndexingMode::Disabled),
+        )
+        .unwrap();
+        let indexes = || {
+            session
+                .meta_indexes()
+                .list()
+                .into_iter()
+                .map(|def| def.name)
+                .collect::<Vec<_>>()
+        };
+        assert!(session
+            .create_index("by_model", MetaColumn::ModelId, false)
+            .unwrap());
+
+        fail(true);
+        assert!(session
+            .create_index("by_image", MetaColumn::ImageId, false)
+            .is_err());
+        assert!(session.meta_indexes().on(MetaColumn::ImageId).is_none());
+        assert!(session.drop_index("by_model", false).is_err());
+        assert_eq!(indexes(), ["by_model"]);
+
+        fail(false);
+        assert!(session
+            .create_index("by_image", MetaColumn::ImageId, false)
+            .unwrap());
+        assert!(session.drop_index("by_model", false).unwrap());
+        assert_eq!(indexes(), ["by_image"]);
     }
 
     #[test]

@@ -36,9 +36,9 @@ pub struct ServiceConfig {
     /// `None` keeps the historical default of stderr.
     pub slow_query_path: Option<PathBuf>,
     /// When set, the flight recorder starts capturing to this file as soon
-    /// as the engine comes up (an existing recording is appended to, the
-    /// way the shape-stats file survives reopen). Recording can also be
-    /// started and stopped over the wire with `RECORD START/STOP`.
+    /// as the engine comes up (an existing recording is appended to, so a
+    /// recording survives a restart). Recording can also be started and
+    /// stopped over the wire with `RECORD START/STOP`.
     pub record_to: Option<PathBuf>,
     /// Byte budget for the flight recorder; statements past the budget are
     /// counted as dropped instead of growing the recording.

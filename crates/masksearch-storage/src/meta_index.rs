@@ -3,22 +3,24 @@
 //! A metadata index maps one metadata column value (`model_id = 1`) to the
 //! set of mask ids carrying that value, so a metadata-equality predicate can
 //! probe a posting list instead of scanning every catalog record. The
-//! in-memory posting lists are the catalog's own secondary maps — they are
-//! maintained inside every commit already — so an index here is a *named
-//! definition* plus a persisted snapshot (`masks.idx.<col>`) that survives
-//! restarts and is rebuilt from the recovered catalog when torn or alien.
+//! posting lists are the catalog's own secondary maps — they are maintained
+//! inside every commit already — so an index here is only a *named
+//! definition*. A store that keeps definitions across restarts writes each
+//! as a small checksummed file ([`definition_bytes`]).
 
 use crate::catalog::Catalog;
-use crate::codec::{Reader, Writer};
+use crate::codec::{checksum64, Reader, Writer};
 use crate::error::{StorageError, StorageResult};
-use masksearch_core::{ImageId, Label, MaskId, MaskRecord, MaskType, ModelId};
+use masksearch_core::{ImageId, Label, MaskId, MaskType, ModelId};
 use std::collections::BTreeMap;
 use std::sync::RwLock;
 
-/// Magic bytes identifying a metadata index snapshot file.
+/// Magic bytes identifying a metadata index definition file.
 pub const META_INDEX_MAGIC: [u8; 4] = *b"MSKI";
-/// Metadata index file format version.
-pub const META_INDEX_FORMAT_VERSION: u16 = 1;
+/// Metadata index file format version. Version 1 files followed the name
+/// with the column's posting lists and carried no checksum; they are still
+/// read (the postings are skipped unread).
+pub const META_INDEX_FORMAT_VERSION: u16 = 2;
 
 /// A metadata column that can carry a secondary index.
 ///
@@ -77,16 +79,6 @@ impl MetaColumn {
         MetaColumn::ALL.into_iter().find(|c| c.to_code() == code)
     }
 
-    /// The indexed key of a record, if the record carries one.
-    pub fn key_of(self, record: &MaskRecord) -> Option<u64> {
-        match self {
-            MetaColumn::ImageId => Some(record.image_id.raw()),
-            MetaColumn::ModelId => Some(record.model_id.raw()),
-            MetaColumn::MaskType => Some(record.mask_type.to_code() as u64),
-            MetaColumn::PredictedLabel => record.predicted_label.map(|l| l.raw()),
-        }
-    }
-
     /// Posting list for `value`, sorted ascending, straight from the
     /// catalog's secondary maps.
     pub fn probe(self, catalog: &Catalog, value: u64) -> Vec<MaskId> {
@@ -125,7 +117,7 @@ pub struct MetaIndexDef {
 }
 
 /// The set of index definitions live on a store, shared between the query
-/// session (which probes) and the durable store (which persists snapshots).
+/// session (which probes) and the durable store (which persists them).
 #[derive(Debug, Default)]
 pub struct MetaIndexRegistry {
     /// name → column; at most one definition per column.
@@ -224,39 +216,23 @@ impl MetaIndexRegistry {
     }
 }
 
-/// Builds the full posting map of `column` over `catalog`.
-pub fn postings(catalog: &Catalog, column: MetaColumn) -> BTreeMap<u64, Vec<MaskId>> {
-    let mut map: BTreeMap<u64, Vec<MaskId>> = BTreeMap::new();
-    for record in catalog.records() {
-        if let Some(key) = column.key_of(record) {
-            map.entry(key).or_default().push(record.mask_id);
-        }
-    }
-    map
-}
-
-/// Serialises a `masks.idx.<col>` snapshot: the definition plus the posting
-/// map of its column at snapshot time.
-pub fn snapshot_bytes(def: &MetaIndexDef, catalog: &Catalog) -> Vec<u8> {
-    let map = postings(catalog, def.column);
+/// Serialises a definition file: magic, version, column code, name, and a
+/// [`checksum64`] over all of them.
+pub fn definition_bytes(def: &MetaIndexDef) -> Vec<u8> {
     let mut w = Writer::new();
     w.write_bytes(&META_INDEX_MAGIC);
     w.write_u16(META_INDEX_FORMAT_VERSION);
     w.write_u16(def.column.to_code());
     w.write_string(&def.name);
-    w.write_u64(map.len() as u64);
-    for (key, ids) in &map {
-        w.write_u64(*key);
-        w.write_u64(ids.len() as u64);
-        for id in ids {
-            w.write_u64(id.raw());
-        }
-    }
-    w.into_bytes()
+    let mut bytes = w.into_bytes();
+    let checksum = checksum64(&[&bytes]);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
 }
 
-/// Decodes a snapshot produced by [`snapshot_bytes`].
-pub fn decode_snapshot(bytes: &[u8]) -> StorageResult<(MetaIndexDef, BTreeMap<u64, Vec<MaskId>>)> {
+/// Decodes a definition file written by [`definition_bytes`], or by a
+/// version 1 build (whose posting lists, after the name, are not read).
+pub fn decode_definition(bytes: &[u8]) -> StorageResult<MetaIndexDef> {
     let mut r = Reader::new(bytes, "metadata index");
     let magic = r.read_magic()?;
     if magic != META_INDEX_MAGIC {
@@ -266,47 +242,32 @@ pub fn decode_snapshot(bytes: &[u8]) -> StorageResult<(MetaIndexDef, BTreeMap<u6
         });
     }
     let version = r.read_u16()?;
-    if version > META_INDEX_FORMAT_VERSION {
+    if !(1..=META_INDEX_FORMAT_VERSION).contains(&version) {
         return Err(StorageError::UnsupportedVersion {
             found: version,
             supported: META_INDEX_FORMAT_VERSION,
         });
     }
     let code = r.read_u16()?;
+    let name = r.read_string()?;
+    if version == META_INDEX_FORMAT_VERSION {
+        let header = &bytes[..r.position()];
+        if r.read_u64()? != checksum64(&[header]) || r.remaining() != 0 {
+            return Err(StorageError::corrupt("metadata index checksum mismatch"));
+        }
+    }
     let column = MetaColumn::from_code(code)
         .ok_or_else(|| StorageError::corrupt(format!("unknown metadata column code {code}")))?;
-    let name = r.read_string()?;
     if name.is_empty() {
         return Err(StorageError::corrupt("metadata index name is empty"));
     }
-    let entries = r.read_u64()?;
-    let mut map = BTreeMap::new();
-    for _ in 0..entries {
-        let key = r.read_u64()?;
-        let count = r.read_u64()?;
-        if count as usize > r.remaining() / 8 {
-            return Err(StorageError::corrupt(
-                "metadata index posting list longer than the file",
-            ));
-        }
-        let mut ids = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            ids.push(MaskId::new(r.read_u64()?));
-        }
-        map.insert(key, ids);
-    }
-    if r.remaining() != 0 {
-        return Err(StorageError::corrupt(
-            "trailing bytes after metadata index postings",
-        ));
-    }
-    Ok((MetaIndexDef { name, column }, map))
+    Ok(MetaIndexDef { name, column })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masksearch_core::Roi;
+    use masksearch_core::{MaskRecord, Roi};
 
     fn record(mask_id: u64, image_id: u64, model_id: u64, pred: Option<u64>) -> MaskRecord {
         let mut b = MaskRecord::builder(MaskId::new(mask_id))
@@ -375,39 +336,93 @@ mod tests {
         assert!(reg.is_empty());
     }
 
+    fn by_model() -> MetaIndexDef {
+        MetaIndexDef {
+            name: "by_model".to_string(),
+            column: MetaColumn::ModelId,
+        }
+    }
+
+    /// A version 1 file: the header, then `(key, ids)` posting lists.
+    fn v1_bytes(def: &MetaIndexDef, postings: &[(u64, &[u64])]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.write_bytes(&META_INDEX_MAGIC);
+        w.write_u16(1);
+        w.write_u16(def.column.to_code());
+        w.write_string(&def.name);
+        w.write_u64(postings.len() as u64);
+        for (key, ids) in postings {
+            w.write_u64(*key);
+            w.write_u64(ids.len() as u64);
+            for id in *ids {
+                w.write_u64(*id);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// The definition file round-trips, and a version 1 file yields its
+    /// definition without its postings being read.
     #[test]
     fn snapshot_round_trips() {
-        let c = sample_catalog();
         let def = MetaIndexDef {
             name: "by_pred".to_string(),
             column: MetaColumn::PredictedLabel,
         };
-        let bytes = snapshot_bytes(&def, &c);
-        let (decoded, map) = decode_snapshot(&bytes).unwrap();
-        assert_eq!(decoded, def);
-        // Mask 3 has no predicted label and must not appear.
-        assert_eq!(map.len(), 1);
-        assert_eq!(map[&7], vec![MaskId::new(1), MaskId::new(2)]);
-        assert_eq!(map, postings(&c, MetaColumn::PredictedLabel));
+        let bytes = definition_bytes(&def);
+        assert_eq!(bytes.len(), 4 + 2 + 2 + 4 + def.name.len() + 8);
+        assert_eq!(decode_definition(&bytes).unwrap(), def);
+        let v1 = v1_bytes(&def, &[(7, &[1, 2]), (9, &[3])]);
+        assert_eq!(decode_definition(&v1).unwrap(), def);
+        // Postings that would not even parse are not looked at.
+        let mut torn = v1_bytes(&def, &[(7, &[1, 2])]);
+        torn.truncate(torn.len() - 3);
+        assert_eq!(decode_definition(&torn).unwrap(), def);
     }
 
     #[test]
     fn corrupt_snapshots_are_rejected() {
-        let c = sample_catalog();
-        let def = MetaIndexDef {
-            name: "by_model".to_string(),
-            column: MetaColumn::ModelId,
-        };
-        let mut bytes = snapshot_bytes(&def, &c);
+        let def = by_model();
+        let mut bytes = definition_bytes(&def);
         bytes[0] = b'X';
         assert!(matches!(
-            decode_snapshot(&bytes),
+            decode_definition(&bytes),
             Err(StorageError::BadMagic { .. })
         ));
-        let bytes = snapshot_bytes(&def, &c);
-        assert!(decode_snapshot(&bytes[..bytes.len() - 3]).is_err());
-        let mut trailing = snapshot_bytes(&def, &c);
+        let mut newer = definition_bytes(&def);
+        newer[4] = 3;
+        assert!(matches!(
+            decode_definition(&newer),
+            Err(StorageError::UnsupportedVersion { found: 3, .. })
+        ));
+        let mut trailing = definition_bytes(&def);
         trailing.push(0);
-        assert!(decode_snapshot(&trailing).is_err());
+        assert!(decode_definition(&trailing).is_err());
+        let unnamed = MetaIndexDef {
+            name: String::new(),
+            column: MetaColumn::ModelId,
+        };
+        assert!(decode_definition(&definition_bytes(&unnamed)).is_err());
+    }
+
+    /// Every truncation and every single-byte change of a definition file
+    /// either decodes to the original definition or is rejected: none
+    /// panics, and none yields another name or column.
+    #[test]
+    fn every_truncation_and_byte_flip_keeps_the_definition_or_fails() {
+        let def = by_model();
+        let bytes = definition_bytes(&def);
+        for len in 0..bytes.len() {
+            assert!(decode_definition(&bytes[..len]).is_err(), "prefix {len}");
+        }
+        for at in 0..bytes.len() {
+            for flip in 1..=255u8 {
+                let mut damaged = bytes.clone();
+                damaged[at] ^= flip;
+                if let Ok(decoded) = decode_definition(&damaged) {
+                    assert_eq!(decoded, def, "byte {at} ^ {flip:#04x}");
+                }
+            }
+        }
     }
 }

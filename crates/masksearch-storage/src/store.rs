@@ -86,18 +86,19 @@ pub trait MaskStore: Send + Sync {
     }
 
     /// The secondary metadata index registry this store persists across
-    /// restarts, when it does (the durable mask database snapshots one
-    /// `masks.idx.<col>` file per definition alongside its CHI and tile
-    /// files). Sessions built over such a store share the registry so
+    /// restarts, when it does (the durable mask database keeps one
+    /// `masks.idx.<col>` file per definition, holding only its name and
+    /// column). Sessions built over such a store share the registry so
     /// `CREATE INDEX` survives a restart; the default (`None`) makes
     /// sessions keep a private, process-lifetime registry.
     fn meta_indexes(&self) -> Option<Arc<crate::meta_index::MetaIndexRegistry>> {
         None
     }
 
-    /// Re-persists the secondary index definitions after DDL (`CREATE INDEX`
-    /// / `DROP INDEX`), for stores that keep them on disk. The default — any
-    /// store whose registry lives only in memory — does nothing.
+    /// Brings the persisted secondary index definitions in line with the
+    /// registry after DDL (`CREATE INDEX` / `DROP INDEX`), durably, for
+    /// stores that keep them on disk. The default — any store whose registry
+    /// lives only in memory — does nothing.
     fn persist_meta_indexes(&self) -> StorageResult<()> {
         Ok(())
     }
@@ -105,16 +106,6 @@ pub trait MaskStore: Send + Sync {
     /// Ingestion counters for stores with a durable write path; `None` for
     /// stores that do not track them.
     fn ingest_stats(&self) -> Option<IngestSnapshot> {
-        None
-    }
-
-    /// The per-query-shape statistics registry this store persists across
-    /// restarts, when it does (the durable mask database checkpoints one
-    /// alongside its CHI and tile files). Sessions built over such a store
-    /// record into the shared registry so observed selectivities survive a
-    /// restart; the default (`None`) makes sessions keep a private,
-    /// process-lifetime registry.
-    fn shape_stats(&self) -> Option<Arc<masksearch_obs::ShapeStatsRegistry>> {
         None
     }
 

@@ -1,5 +1,5 @@
 //! An end-to-end audit of the observability layer: `EXPLAIN`, `EXPLAIN
-//! ANALYZE`, Prometheus metrics, query profiles, and per-shape statistics,
+//! ANALYZE`, Prometheus metrics, query profiles, and the temporal layer,
 //! exercised first against a [`Session`] directly and then over the wire
 //! through the TCP service.
 //!
@@ -8,7 +8,7 @@
 use masksearch::datagen::DatasetSpec;
 use masksearch::index::ChiConfig;
 use masksearch::obs::prom;
-use masksearch::query::{shape_key, IndexingMode, Session, SessionConfig};
+use masksearch::query::{IndexingMode, Session, SessionConfig};
 use masksearch::service::{Client, Engine, Server, ServiceConfig};
 use masksearch::sql::compile;
 use masksearch::storage::{DiskProfile, MaskEncoding, MaskStore, MemoryMaskStore};
@@ -68,19 +68,7 @@ fn main() {
         output.stats.masks_loaded,
     );
 
-    // 3. The same shape, aggregated: every execution folds its counters into
-    //    the per-shape registry (persisted at checkpoint on durable stores).
-    let shape = shape_key(&query, session.config());
-    let aggregate = session
-        .shape_stats()
-        .get(&shape)
-        .expect("shape observed after execution");
-    println!(
-        "\nshape {shape}: {} query(ies), {} candidates, {} masks loaded",
-        aggregate.queries, aggregate.sums.candidates, aggregate.sums.masks_loaded,
-    );
-
-    // 4. Now the wire: the same requests through a TCP server. A zero
+    // 3. Now the wire: the same requests through a TCP server. A zero
     //    slow-query threshold makes every statement emit a JSON line on
     //    stderr, so the audit shows the slow-query log format too.
     let engine = Engine::new(session, ServiceConfig::new(2).slow_query(Duration::ZERO));
@@ -107,7 +95,7 @@ fn main() {
         println!("{line}");
     }
 
-    // 5. The temporal layer: windowed gauges over the last minute and the
+    // 4. The temporal layer: windowed gauges over the last minute and the
     //    flight recorder's status line (off here — no capture configured).
     let windowed = client.metrics_window(60).expect("METRICS WINDOW");
     prom::validate(&windowed).expect("valid windowed exposition");

@@ -33,8 +33,8 @@
 //!   and the distributed top-k threshold algorithm.
 //! * [`obs`](mod@masksearch_obs) — the zero-dependency observability layer:
 //!   hierarchical query traces, the shared metric-name registry, Prometheus
-//!   text exposition, query profiles, slow-query logging, and per-shape
-//!   aggregate statistics.
+//!   text exposition, query profiles, slow-query logging, windowed time
+//!   series and the flight recorder.
 //! * [`baselines`](mod@masksearch_baselines) — NumPy-, PostgreSQL-, and
 //!   TileDB-like comparison engines.
 //! * [`datagen`](mod@masksearch_datagen) — synthetic dataset and workload

@@ -9,12 +9,9 @@
 //! 3. `STATS PROFILES` returns span trees for traced queries; a server with
 //!    tracing disabled records nothing and answers queries with frames
 //!    byte-identical (modulo wall time) to a tracing-enabled server's.
-//! 4. Per-shape aggregate statistics persist at checkpoint and survive a
-//!    database reopen.
 
 use masksearch::cluster::{ClusterConfig, Coordinator, CoordinatorServer, ShardMap};
 use masksearch::core::{ImageId, Mask, MaskId, MaskRecord, PixelRange, Roi};
-use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
 use masksearch::obs::prom;
 use masksearch::query::{
@@ -25,7 +22,6 @@ use masksearch::service::{Client, Engine, Server, ServerHandle, ServiceConfig};
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -460,59 +456,4 @@ fn slow_query_log_counts_over_threshold_statements() {
         engine.slow_log().logged() >= 1,
         "zero threshold logs every query"
     );
-}
-
-#[test]
-fn shape_stats_survive_checkpoint_and_reopen() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("masksearch-obs-shape-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db_config = DbConfig::default()
-        .page_size(1024)
-        .chi_config(ChiConfig::new(4, 4, 8).unwrap());
-    let query = Query::filter_cp_gt(
-        Roi::new(0, 0, W, H).unwrap(),
-        PixelRange::new(0.5, 1.0).unwrap(),
-        (W * H / 2) as f64,
-    );
-    let shape;
-    let before;
-    {
-        let db = MaskDb::open(&dir, db_config).unwrap();
-        let session = Session::with_store_maintained_index(
-            db.mask_store(),
-            db.catalog(),
-            session_config(true).indexing_mode(IndexingMode::Incremental),
-            db.chi_store(),
-        );
-        let batch: Vec<(MaskRecord, Mask)> =
-            (0..12).map(|i| (record_for(i), mask_for(i))).collect();
-        session.insert_masks(&batch).unwrap();
-        session.execute(&query).unwrap();
-        session.execute(&query).unwrap();
-        shape = masksearch::query::shape_key(&query, session.config());
-        before = session
-            .shape_stats()
-            .get(&shape)
-            .expect("shape recorded after execution");
-        assert_eq!(before.queries, 2);
-        assert!(before.sums.candidates > 0);
-        db.checkpoint().unwrap();
-    }
-    let db = MaskDb::open(&dir, db_config).unwrap();
-    let session = Session::with_store_maintained_index(
-        db.mask_store(),
-        db.catalog(),
-        session_config(true).indexing_mode(IndexingMode::Incremental),
-        db.chi_store(),
-    );
-    let after = session
-        .shape_stats()
-        .get(&shape)
-        .expect("shape statistics recovered from checkpoint");
-    assert_eq!(after, before);
-    // Recovered aggregates keep accumulating.
-    session.execute(&query).unwrap();
-    assert_eq!(session.shape_stats().get(&shape).unwrap().queries, 3);
-    let _ = std::fs::remove_dir_all(&dir);
 }
