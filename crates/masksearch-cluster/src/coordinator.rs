@@ -73,7 +73,7 @@ use masksearch_obs::{ProfileRing, QueryProfile, RecorderStatus};
 use masksearch_query::merge::{self, RankedPartial};
 use masksearch_query::{Mutation, MutationOutcome, Order, QueryOutput, QueryStats};
 use masksearch_service::mux::MuxClient;
-use masksearch_service::protocol::{Frame, RecordControl, WireResponse};
+use masksearch_service::protocol::{ClientRequest, Frame, RecordControl, WireResponse};
 use masksearch_service::{
     Admission, Backend, MutationResponse, PartialResponse, QueryResponse, Response, Server,
     ServerHandle, ServiceError,
@@ -227,7 +227,7 @@ impl Coordinator {
     /// One `LOOKUP *` scatter over the shards: the full
     /// `mask id → owning shard` map as the shards currently hold it.
     fn fetch_all_owners(&self) -> ClusterResult<HashMap<MaskId, usize>> {
-        let wires = self.scatter_rows(self.all("LOOKUP *"))?;
+        let wires = self.scatter_rows(self.all(&ClientRequest::LookupAll.line()))?;
         let mut owners = HashMap::new();
         for (shard, wire) in wires.into_iter().enumerate() {
             for id in wire.mask_ids() {
@@ -280,12 +280,13 @@ impl Coordinator {
     /// **phase 2** gathers responses in request order. The whole scatter
     /// therefore costs one round trip to the slowest shard instead of one
     /// per shard. Mutations go out `TOKEN`-wrapped so the link's bounded
-    /// reconnect can resend them exactly-once; any failure fails the
-    /// scatter with that shard's identity.
+    /// reconnect can resend them exactly-once. `expect` checks each answer
+    /// is the frame kind the request asks for ([`Frame::into_rows`] and its
+    /// siblings); any failure fails the scatter with that shard's identity.
     fn scatter<T>(
         &self,
         requests: Vec<(usize, String)>,
-        parse: impl Fn(Frame) -> Result<T, ServiceError>,
+        expect: impl Fn(Frame) -> Result<T, ServiceError>,
     ) -> ClusterResult<Vec<T>> {
         self.count(|m| m.shard_requests = requests.len() as u64);
         obs_counters::add(&obs_counters::SCATTER_REQUESTS, requests.len() as u64);
@@ -296,14 +297,14 @@ impl Coordinator {
         let started = Instant::now();
         let inflight: Vec<_> = requests
             .into_iter()
-            .map(|(shard, line)| (shard, self.inner.links[shard].client.begin_query(&line)))
+            .map(|(shard, line)| (shard, self.inner.links[shard].client.begin_query(line)))
             .collect();
         let result = inflight
             .into_iter()
             .map(|(shard, pending)| {
                 pending
                     .wait()
-                    .and_then(&parse)
+                    .and_then(&expect)
                     .map_err(|e| self.shard_err(shard, e))
             })
             .collect();
@@ -314,34 +315,9 @@ impl Coordinator {
         result
     }
 
-    /// Scatter expecting a rows frame from every shard.
+    /// Scatter expecting an `OK` frame from every shard.
     fn scatter_rows(&self, requests: Vec<(usize, String)>) -> ClusterResult<Vec<WireResponse>> {
-        self.scatter(requests, |frame| match frame {
-            Frame::Rows(rows) => Ok(rows),
-            other => Err(ServiceError::Protocol(format!(
-                "expected rows, got {other:?}"
-            ))),
-        })
-    }
-
-    /// Scatter expecting a one-line control reply from every shard.
-    fn scatter_control(&self, requests: Vec<(usize, String)>) -> ClusterResult<Vec<String>> {
-        self.scatter(requests, |frame| match frame {
-            Frame::Control(line) => Ok(line),
-            other => Err(ServiceError::Protocol(format!(
-                "expected a control reply, got {other:?}"
-            ))),
-        })
-    }
-
-    /// Scatter expecting a plan frame from every shard.
-    fn scatter_plans(&self, requests: Vec<(usize, String)>) -> ClusterResult<Vec<Vec<String>>> {
-        self.scatter(requests, |frame| match frame {
-            Frame::Plan(lines) => Ok(lines),
-            other => Err(ServiceError::Protocol(format!(
-                "expected a plan, got {other:?}"
-            ))),
-        })
+        self.scatter(requests, Frame::into_rows)
     }
 
     /// Compiles and executes one SQL statement against the cluster.
@@ -501,13 +477,9 @@ impl Coordinator {
                 ))
             }
         };
-        let keyword = if analyze {
-            "EXPLAIN ANALYZE"
-        } else {
-            "EXPLAIN"
-        };
         let started = Instant::now();
-        let plans = self.scatter_plans(self.all(&format!("{keyword} {sql}")))?;
+        let explain = masksearch_sql::explain_statement(analyze, sql);
+        let plans = self.scatter(self.all(&explain), |frame| frame.into_lines("PLAN"))?;
         let mut lines = Vec::with_capacity(plans.iter().map(Vec::len).sum::<usize>() + 1);
         let mut root = format!("cluster shards={} routing={routing}", self.shards());
         if analyze {
@@ -565,7 +537,10 @@ impl Coordinator {
         let run = topk::distributed_topk(k, order, self.shards(), single_round, |requests| {
             let lines: Vec<(usize, String)> = requests
                 .iter()
-                .map(|&(shard, k_shard)| (shard, format!("PARTIAL K={k_shard} {sql}")))
+                .map(|&(shard, k)| {
+                    let sql = sql.to_string();
+                    (shard, ClientRequest::Partial { k, sql }.line())
+                })
                 .collect();
             let wires = self.scatter_rows(lines)?;
             Ok::<Vec<RankedPartial>, ClusterError>(
@@ -599,12 +574,7 @@ impl Coordinator {
         if ids.is_empty() {
             return Ok(vec![Vec::new(); self.shards()]);
         }
-        let mut line = String::from("LOOKUP");
-        for id in ids {
-            line.push(' ');
-            line.push_str(&id.raw().to_string());
-        }
-        let wires = self.scatter_rows(self.all(&line))?;
+        let wires = self.scatter_rows(self.all(&ClientRequest::Lookup(ids.to_vec()).line()))?;
         Ok(wires.into_iter().map(|w| w.mask_ids()).collect())
     }
 
@@ -975,12 +945,6 @@ impl Coordinator {
             updated: summary.updated as usize,
         })
     }
-
-    /// Summary of the last `secs` seconds of coordinated statements from
-    /// the coordinator's own windowed time series.
-    pub fn window(&self, secs: u64) -> masksearch_obs::WindowSummary {
-        self.inner.timeseries.window(secs)
-    }
 }
 
 /// Converts a parsed shard wire response into a [`QueryOutput`] for the
@@ -1062,7 +1026,7 @@ impl Backend for Coordinator {
     /// One aggregated `STATS` line ([`merged_stats_line`] over every
     /// shard's).
     fn stats_line(&self, _active_connections: u64) -> ClusterResult<String> {
-        let lines = self.scatter_control(self.all("STATS"))?;
+        let lines = self.scatter(self.all(&ClientRequest::Stats.line()), Frame::into_control)?;
         Ok(merged_stats_line(&lines, &self.metrics()))
     }
 
@@ -1091,13 +1055,14 @@ impl Backend for Coordinator {
     /// the given base path, so a cluster capture replays shard-by-shard;
     /// counters are summed and `active` means *every* shard is recording.
     fn record(&self, control: &RecordControl) -> ClusterResult<RecorderStatus> {
-        let lines = match control {
-            RecordControl::Start(Some(base)) => {
-                let requests = (0..self.shards())
-                    .map(|shard| (shard, format!("RECORD START {base}.shard{shard}")))
-                    .collect();
-                self.scatter_control(requests)?
-            }
+        let requests = match control {
+            RecordControl::Start(Some(base)) => (0..self.shards())
+                .map(|shard| {
+                    let path = Some(format!("{base}.shard{shard}"));
+                    let request = ClientRequest::Record(RecordControl::Start(path));
+                    (shard, request.line())
+                })
+                .collect(),
             RecordControl::Start(None) => {
                 return Err(ClusterError::Sql(
                     "RECORD START needs a path on a coordinator (per-shard \
@@ -1105,9 +1070,11 @@ impl Backend for Coordinator {
                         .to_string(),
                 ))
             }
-            RecordControl::Stop => self.scatter_control(self.all("RECORD STOP"))?,
-            RecordControl::Status => self.scatter_control(self.all("RECORD STATUS"))?,
+            RecordControl::Stop | RecordControl::Status => {
+                self.all(&ClientRequest::Record(control.clone()).line())
+            }
         };
+        let lines = self.scatter(requests, Frame::into_control)?;
         let mut merged = RecorderStatus {
             active: !lines.is_empty(),
             path: if let RecordControl::Start(Some(base)) = control {

@@ -15,14 +15,13 @@ use crate::dedup::{Admission, MutationDedup};
 use crate::error::{ServiceError, ServiceResult};
 use crate::job::{Job, MutationResponse, PartialResponse, QueryResponse, Request, Response};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::protocol::{ClientRequest, RecordControl};
+use crate::protocol::{self, ClientRequest, RecordControl, WireSummary};
 use masksearch_core::MaskId;
 use masksearch_obs::{
     counters, keys as obs_keys, prom::PromText, FlightRecorder, ProfileRing, QueryProfile,
     RecordKind, RecordedQuery, RecorderStatus, SlowQueryLog, StageCounts, TimeSeries,
-    WindowSummary,
 };
-use masksearch_query::{Mutation, MutationOutcome, Query, QueryStats, Session};
+use masksearch_query::{Mutation, MutationOutcome, Query, QueryStats, ResultRow, Session};
 use masksearch_sql::{ExplainMode, Statement, TxnControl};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -378,13 +377,6 @@ impl Engine {
         &self.shared.slow_log
     }
 
-    /// Summary of the last `secs` seconds of activity from the windowed
-    /// time series (rates, latency percentiles, stage sums, and global
-    /// counter deltas over the window).
-    pub fn window(&self, secs: u64) -> WindowSummary {
-        self.shared.timeseries.window(secs)
-    }
-
     /// Opens a flight-recorder capture for one statement, if recording.
     /// Taken at entry (before compilation) so the arrival timestamp
     /// reflects when the statement reached the service.
@@ -411,45 +403,43 @@ impl Engine {
             Entry::Statement(Some(token)) => (RecordKind::Tokened, token),
             Entry::Partial(k) => (RecordKind::Partial, k as u64),
         };
-        let query = |r: &QueryResponse, bound: Option<f64>| {
-            let s = &r.output.stats;
+        // An `OK` answer is recorded from the summary its frame carries.
+        let answered = |s: WireSummary, rows: &[ResultRow]| {
+            let counts = [
+                s.candidates,
+                s.pruned,
+                s.verified,
+                s.loaded,
+                s.inserted,
+                s.deleted,
+            ];
             (
                 true,
-                r.output.rows.len() as u64,
-                [s.candidates, s.pruned, s.verified, s.masks_loaded, 0, 0],
-                crate::protocol::digest_query_response(r, bound),
-                r.exec_time.as_micros() as u64,
+                s.rows,
+                counts,
+                protocol::digest_ok(&s, rows),
+                s.wall_us,
             )
         };
         let (ok, rows, counters, digest, wall_us) = match result {
-            Ok(Response::Single(r)) => query(r, None),
-            Ok(Response::Partial(p)) => query(&p.response, p.bound),
-            Ok(Response::Mutation(m)) => (
-                true,
-                0,
-                [
-                    0,
-                    0,
-                    0,
-                    0,
-                    m.outcome.inserted as u64,
-                    m.outcome.deleted as u64,
-                ],
-                crate::protocol::digest_mutation_response(m),
-                m.exec_time.as_micros() as u64,
-            ),
+            Ok(Response::Single(r)) => answered(WireSummary::of_query(r, None), &r.output.rows),
+            Ok(Response::Partial(p)) => {
+                let r = &p.response;
+                answered(WireSummary::of_query(r, p.bound), &r.output.rows)
+            }
+            Ok(Response::Mutation(m)) => answered(WireSummary::of_mutation(m), &[]),
             Ok(Response::Plan(lines)) => (
                 true,
                 lines.len() as u64,
                 [0; 6],
-                crate::protocol::digest_plan_lines(lines),
+                protocol::digest_plan_lines(lines),
                 start.started.elapsed().as_micros() as u64,
             ),
             Err(e) => (
                 false,
                 0,
                 [0; 6],
-                crate::protocol::digest_error_message(&e.wire_message()),
+                protocol::digest_error_message(&e.wire_message()),
                 start.started.elapsed().as_micros() as u64,
             ),
         };
@@ -457,18 +447,18 @@ impl Engine {
             Err(_) => "error".to_string(),
             Ok(Response::Plan(_)) => "explain".to_string(),
             Ok(Response::Mutation(_)) => {
-                let upper = sql.trim_start().to_ascii_uppercase();
-                if upper.starts_with("INSERT") {
-                    "insert".to_string()
-                } else if upper.starts_with("DELETE") {
-                    "delete".to_string()
-                } else if upper.starts_with("UPDATE") {
-                    "update".to_string()
-                } else if upper.starts_with("BEGIN") {
-                    "transaction".to_string()
-                } else {
-                    "mutation".to_string()
-                }
+                let sql = sql.trim_start();
+                let shapes = [
+                    ("INSERT", "insert"),
+                    ("DELETE", "delete"),
+                    ("UPDATE", "update"),
+                    ("BEGIN", "transaction"),
+                ];
+                shapes
+                    .into_iter()
+                    .find(|(kw, _)| protocol::keyword(sql, kw).is_some())
+                    .map_or("mutation", |(_, shape)| shape)
+                    .to_string()
             }
             Ok(_) => match masksearch_sql::compile_statement(sql) {
                 Ok(Statement::Query(query)) => {
@@ -510,17 +500,6 @@ impl Engine {
         run_job(&self.shared, &job, wait)
     }
 
-    /// Compiles a ranked SQL statement and executes it in partial mode: the
-    /// statement's own `LIMIT` is replaced by `k` and the response reports
-    /// the k-th value as a bound on every unreturned candidate. Non-ranked
-    /// statements execute normally (with no bound); writes are rejected.
-    pub fn execute_partial_sql(&self, sql: &str, k: usize) -> ServiceResult<PartialResponse> {
-        match self.run(sql, Entry::Partial(k))? {
-            Response::Partial(partial) => Ok(partial),
-            _ => unreachable!("a partial statement answers with a partial response"),
-        }
-    }
-
     /// Applies a write (an atomic INSERT/DELETE batch).
     pub fn execute_mutation(&self, mutation: Mutation) -> ServiceResult<MutationResponse> {
         self.apply(Request::Mutation(mutation))
@@ -546,17 +525,6 @@ impl Engine {
     /// other clients query.
     pub fn execute_statement(&self, sql: &str) -> ServiceResult<Response> {
         self.run(sql, Entry::Statement(None))
-    }
-
-    /// Executes a SQL statement carrying a client deduplication token
-    /// (`TOKEN <id> <sql>`). Queries execute normally (tokens are
-    /// meaningless for side-effect-free reads). A mutation whose token
-    /// already applied is answered from the recorded outcome without
-    /// touching the store — this is what makes a client's
-    /// resend-after-transport-error exactly-once. A duplicate racing the
-    /// original blocks until the original finishes.
-    pub fn execute_statement_tokened(&self, token: u64, sql: &str) -> ServiceResult<Response> {
-        self.run(sql, Entry::Statement(Some(token)))
     }
 
     /// Compiles a SQL query in the MaskSearch dialect and executes it.
@@ -777,14 +745,21 @@ impl Backend for Engine {
         self.run(sql, Entry::Statement(token))
     }
 
+    /// Compiles a ranked SQL statement and executes it in partial mode: the
+    /// statement's own `LIMIT` is replaced by `k` and the response reports
+    /// the k-th value as a bound on every unreturned candidate. Non-ranked
+    /// statements execute normally (with no bound); writes are rejected.
     fn partial(&self, k: usize, sql: &str) -> ServiceResult<PartialResponse> {
-        self.execute_partial_sql(sql, k)
+        match self.run(sql, Entry::Partial(k))? {
+            Response::Partial(partial) => Ok(partial),
+            _ => unreachable!("a partial statement answers with a partial response"),
+        }
     }
 
     fn stats_line(&self, active_connections: u64) -> ServiceResult<String> {
         let mut metrics = self.metrics();
         metrics.active_connections = active_connections;
-        Ok(crate::protocol::stats_line(&metrics))
+        Ok(protocol::stats_line(&metrics))
     }
 
     /// Everything the server knows, as a Prometheus text exposition
@@ -870,11 +845,7 @@ impl Backend for Engine {
 /// must compile the line. Everything else skips straight to the statement
 /// path.
 fn leading_txn_keyword(sql: &str) -> bool {
-    let first = sql
-        .trim_start()
-        .split([' ', '\t', ';'])
-        .next()
-        .unwrap_or("");
+    let first = protocol::first_keyword(sql);
     ["BEGIN", "COMMIT", "ROLLBACK"]
         .iter()
         .any(|kw| first.eq_ignore_ascii_case(kw))

@@ -91,7 +91,6 @@ pub mod error;
 pub mod job;
 pub mod metrics;
 pub mod mux;
-pub mod pool;
 pub mod protocol;
 pub mod server;
 
@@ -104,6 +103,5 @@ pub use error::{ServiceError, ServiceResult};
 pub use job::{MutationResponse, PartialResponse, QueryResponse, Response};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use mux::{MuxClient, MuxPending};
-pub use pool::{ClientPool, PooledClient};
 pub use protocol::{ClientRequest, WireResponse, WireSummary, PROTOCOL_VERSION};
 pub use server::{Server, ServerHandle};

@@ -5,7 +5,9 @@
 //! tags every request line with a `@<id>` prefix and keeps many requests in
 //! flight on one connection. A dedicated reader thread routes response
 //! frames back to their callers by tag, so N callers (or one caller with a
-//! scatter batch) pay one round trip instead of N.
+//! scatter) pay one round trip instead of N. Dialing, the handshake, the
+//! redial backoff and the `TOKEN` envelope are the client core's
+//! ([`crate::client`]).
 //!
 //! ## Id discipline (what makes reconnect safe)
 //!
@@ -23,17 +25,13 @@
 //!   transport error *before* a new generation is dialed, so a stale id
 //!   from the dead connection can never be confused with a live one.
 //!
-//! ## Resend rules
-//!
 //! With reconnect enabled, a request that failed with a transport error is
-//! resent (once, with a fresh id) on a fresh connection — but only when the
-//! resend is safe: reads, control commands, and `TOKEN`-wrapped mutations
-//! (deduplicated server-side). A bare `INSERT`/`DELETE` stays ambiguous and
-//! surfaces the transport error, exactly like [`Client`](crate::Client).
+//! resent once, with a fresh id, on a fresh connection — under the
+//! [`Client`](crate::Client)'s rule: never a bare `INSERT`/`DELETE`.
 
-use crate::client::{next_mutation_token, resend_is_safe, RECONNECT_BACKOFF};
+use crate::client::{dial, is_mutation_sql, redial, single_line, tokened};
 use crate::error::{ServiceError, ServiceResult};
-use crate::protocol::{self, Frame, WireResponse, PROTOCOL_VERSION};
+use crate::protocol::{self, Frame};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -46,9 +44,8 @@ type Resolution = ServiceResult<Frame>;
 /// One connection generation: the write half plus the table of requests
 /// awaiting their tagged response frame.
 struct Conn {
-    /// Write half. Whole request lines (or whole coalesced batches) are
-    /// written and flushed under this lock, so concurrent callers can never
-    /// interleave bytes mid-line.
+    /// Write half. Whole request lines are written and flushed under this
+    /// lock, so concurrent callers can never interleave bytes mid-line.
     writer: Mutex<BufWriter<TcpStream>>,
     /// In-flight requests by id, plus the poison marker once the connection
     /// has died. Guarded together so a send can never register on a
@@ -67,40 +64,15 @@ struct Pending {
 impl Conn {
     /// Dials the peer, performs the (untagged) version handshake, and
     /// spawns the reader thread for this generation.
-    fn dial(peer: SocketAddr) -> ServiceResult<Arc<Self>> {
-        let stream = TcpStream::connect(peer)?;
-        stream.set_nodelay(true).ok();
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        writeln!(writer, "PING")?;
-        writer.flush()?;
-        match protocol::read_frame(&mut reader)? {
-            Frame::Control(line) => match protocol::pong_version(&line) {
-                Some(PROTOCOL_VERSION) => {}
-                Some(other) => {
-                    return Err(ServiceError::Protocol(format!(
-                        "protocol version mismatch: peer speaks v{other}, this client v{PROTOCOL_VERSION}"
-                    )))
-                }
-                None => {
-                    return Err(ServiceError::Protocol(format!(
-                        "unexpected handshake reply {line:?}"
-                    )))
-                }
-            },
-            other => {
-                return Err(ServiceError::Protocol(format!(
-                    "unexpected frame in handshake: {other:?}"
-                )))
-            }
-        }
+    fn dial(addr: impl ToSocketAddrs) -> ServiceResult<Arc<Self>> {
+        let (_, reader, writer) = dial(addr)?;
         let conn = Arc::new(Self {
+            stream: writer.get_ref().try_clone()?,
             writer: Mutex::new(writer),
             pending: Mutex::new(Pending {
                 waiters: HashMap::new(),
                 dead: None,
             }),
-            stream,
         });
         let for_reader = Arc::clone(&conn);
         std::thread::Builder::new()
@@ -179,44 +151,6 @@ impl Conn {
         }
         Ok(rx)
     }
-
-    /// Registers every id and writes the whole batch under one writer lock
-    /// with a single flush — the scatter path's per-shard coalescing.
-    fn send_batch(
-        &self,
-        requests: &[(u64, &str)],
-    ) -> ServiceResult<Vec<mpsc::Receiver<Resolution>>> {
-        let mut rxs = Vec::with_capacity(requests.len());
-        {
-            let mut pending = self.lock_pending();
-            if let Some(why) = &pending.dead {
-                return Err(ServiceError::Io(format!("connection failed: {why}")));
-            }
-            for (id, _) in requests {
-                let (tx, rx) = mpsc::channel();
-                pending.waiters.insert(*id, tx);
-                rxs.push(rx);
-            }
-        }
-        let result = (|| {
-            let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-            for (id, line) in requests {
-                writeln!(w, "@{id} {line}")?;
-            }
-            w.flush()
-        })();
-        if let Err(err) = result {
-            {
-                let mut pending = self.lock_pending();
-                for (id, _) in requests {
-                    pending.waiters.remove(id);
-                }
-            }
-            self.poison(err.to_string());
-            return Err(ServiceError::Io(err.to_string()));
-        }
-        Ok(rxs)
-    }
 }
 
 struct MuxInner {
@@ -229,44 +163,24 @@ struct MuxInner {
 }
 
 impl MuxInner {
-    /// Returns the live connection, dialing one if none exists yet (or the
-    /// previous one died).
-    fn live_conn(&self) -> ServiceResult<Arc<Conn>> {
+    /// Returns the live connection, dialing one if the previous one died.
+    /// A request that just failed on generation `failed` replaces it by
+    /// dialing with the bounded backoff schedule — unless another caller
+    /// already did, whose connection it then reuses.
+    fn conn(&self, failed: Option<&Arc<Conn>>) -> ServiceResult<Arc<Conn>> {
         let mut guard = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(conn) = guard.as_ref() {
-            if conn.lock_pending().dead.is_none() {
+            let replaced = failed.is_none_or(|failed| !Arc::ptr_eq(conn, failed));
+            if replaced && conn.lock_pending().dead.is_none() {
                 return Ok(Arc::clone(conn));
             }
         }
-        let fresh = Conn::dial(self.peer)?;
+        let fresh = match failed {
+            Some(_) => redial(|| Conn::dial(self.peer))?,
+            None => Conn::dial(self.peer)?,
+        };
         *guard = Some(Arc::clone(&fresh));
         Ok(fresh)
-    }
-
-    /// Replaces a failed generation, dialing with the bounded backoff
-    /// schedule. If another caller already reconnected, reuses its
-    /// connection without dialing again.
-    fn reconnect_conn(&self, failed: &Arc<Conn>) -> ServiceResult<Arc<Conn>> {
-        let mut guard = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(conn) = guard.as_ref() {
-            if !Arc::ptr_eq(conn, failed) && conn.lock_pending().dead.is_none() {
-                return Ok(Arc::clone(conn));
-            }
-        }
-        let mut last = None;
-        for backoff in RECONNECT_BACKOFF {
-            std::thread::sleep(backoff);
-            match Conn::dial(self.peer) {
-                Ok(fresh) => {
-                    *guard = Some(Arc::clone(&fresh));
-                    return Ok(fresh);
-                }
-                // A version mismatch will not heal; fail fast.
-                Err(e @ ServiceError::Protocol(_)) => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| ServiceError::Io("reconnect failed".to_string())))
     }
 }
 
@@ -303,19 +217,15 @@ pub struct MuxPending {
 impl MuxClient {
     /// Connects to a server and performs the version handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> ServiceResult<Self> {
-        let peer = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ServiceError::Io("no address to connect to".to_string()))?;
-        let inner = Arc::new(MuxInner {
-            peer,
-            reconnect: AtomicBool::new(false),
-            next_id: AtomicU64::new(1),
-            conn: Mutex::new(None),
-        });
         // Dial eagerly so a bad address or version mismatch fails here, not
         // on the first request.
-        inner.live_conn()?;
+        let conn = Conn::dial(addr)?;
+        let inner = Arc::new(MuxInner {
+            peer: conn.stream.peer_addr()?,
+            reconnect: AtomicBool::new(false),
+            next_id: AtomicU64::new(1),
+            conn: Mutex::new(Some(conn)),
+        });
         Ok(Self { inner })
     }
 
@@ -327,86 +237,23 @@ impl MuxClient {
         self
     }
 
-    /// The address this client (re)connects to.
-    pub fn peer(&self) -> SocketAddr {
-        self.inner.peer
-    }
-
     /// Allocates the next request id (unique for the client's lifetime).
     fn next_id(&self) -> u64 {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Starts one request without blocking for the response.
-    pub fn begin(&self, line: &str) -> MuxPending {
-        let sent = match single_line(line) {
-            Err(e) => Err(e),
-            Ok(()) => self
-                .inner
-                .live_conn()
-                .and_then(|conn| conn.send(self.next_id(), line).map(|rx| (conn, rx))),
-        };
+    /// Starts one request line without blocking for the response.
+    pub fn begin(&self, line: impl Into<String>) -> MuxPending {
+        let line = line.into();
+        let sent = single_line(&line).and_then(|()| {
+            let conn = self.inner.conn(None)?;
+            let rx = conn.send(self.next_id(), &line)?;
+            Ok((conn, rx))
+        });
         MuxPending {
             client: self.clone(),
-            line: line.to_string(),
+            line,
             sent,
-        }
-    }
-
-    /// Starts a batch of requests, written to the connection as one
-    /// coalesced block with a single flush. The pendings resolve
-    /// independently as their response frames arrive.
-    pub fn begin_batch(&self, lines: &[String]) -> Vec<MuxPending> {
-        if lines.is_empty() {
-            return Vec::new();
-        }
-        if let Some(bad) = lines.iter().find(|l| single_line(l).is_err()) {
-            return lines
-                .iter()
-                .map(|line| MuxPending {
-                    client: self.clone(),
-                    line: line.clone(),
-                    sent: Err(ServiceError::Protocol(format!(
-                        "request must be a single line: {bad:?}"
-                    ))),
-                })
-                .collect();
-        }
-        let conn = match self.inner.live_conn() {
-            Ok(conn) => conn,
-            Err(e) => {
-                return lines
-                    .iter()
-                    .map(|line| MuxPending {
-                        client: self.clone(),
-                        line: line.clone(),
-                        sent: Err(clone_error(&e)),
-                    })
-                    .collect()
-            }
-        };
-        let tagged: Vec<(u64, &str)> = lines
-            .iter()
-            .map(|line| (self.next_id(), line.as_str()))
-            .collect();
-        match conn.send_batch(&tagged) {
-            Ok(rxs) => lines
-                .iter()
-                .zip(rxs)
-                .map(|(line, rx)| MuxPending {
-                    client: self.clone(),
-                    line: line.clone(),
-                    sent: Ok((Arc::clone(&conn), rx)),
-                })
-                .collect(),
-            Err(e) => lines
-                .iter()
-                .map(|line| MuxPending {
-                    client: self.clone(),
-                    line: line.clone(),
-                    sent: Err(clone_error(&e)),
-                })
-                .collect(),
         }
     }
 
@@ -414,18 +261,13 @@ impl MuxClient {
     /// `TOKEN` envelope (see [`Client::query`](crate::Client::query)) so the
     /// bounded reconnect can resend them exactly-once. The scatter path's
     /// per-statement entry point.
-    pub fn begin_query(&self, sql: &str) -> MuxPending {
-        if crate::client::is_mutation_sql(sql) {
-            self.begin(&format!("TOKEN {} {sql}", next_mutation_token()))
+    pub fn begin_query(&self, sql: impl Into<String>) -> MuxPending {
+        let sql = sql.into();
+        self.begin(if is_mutation_sql(&sql) {
+            tokened(sql)
         } else {
-            self.begin(sql)
-        }
-    }
-
-    /// Executes a SQL statement, wrapping mutations in a `TOKEN` envelope
-    /// (see [`Client::query`](crate::Client::query)) and expecting rows.
-    pub fn query(&self, sql: &str) -> ServiceResult<WireResponse> {
-        self.begin_query(sql).wait_rows()
+            sql
+        })
     }
 
     /// After a transport failure on `failed`, heals the connection and —
@@ -439,87 +281,44 @@ impl MuxClient {
         if !self.inner.reconnect.load(Ordering::Relaxed) {
             return Err(original);
         }
-        let healed = match failed {
-            Some(conn) => self.inner.reconnect_conn(conn),
-            None => self.inner.live_conn(),
-        };
-        if !resend_is_safe(line) {
+        let healed = self.inner.conn(failed);
+        if is_mutation_sql(line) {
             // The connection is healed for subsequent requests, but this
             // one stays ambiguous: report the transport error.
             return Err(original);
         }
-        let conn = healed?;
-        let rx = conn.send(self.next_id(), line)?;
-        match rx.recv() {
-            Ok(resolution) => resolution,
-            Err(_) => Err(ServiceError::Io(
-                "connection closed before response".to_string(),
-            )),
-        }
+        let rx = healed?.send(self.next_id(), line)?;
+        rx.recv().unwrap_or_else(|_| closed())
     }
+}
+
+/// What a waiter whose connection dropped its sender resolves to.
+fn closed() -> Resolution {
+    Err(ServiceError::Io(
+        "connection closed before response".to_string(),
+    ))
 }
 
 impl MuxPending {
     /// Blocks for the response frame, retrying once on a fresh connection
     /// when the transport failed and the request is safe to resend.
     pub fn wait(self) -> ServiceResult<Frame> {
-        match self.sent {
-            Ok((conn, rx)) => {
-                let resolution = rx.recv().unwrap_or_else(|_| {
-                    Err(ServiceError::Io(
-                        "connection closed before response".to_string(),
-                    ))
-                });
-                match resolution {
-                    Err(err @ ServiceError::Io(_)) => {
-                        self.client.retry(Some(&conn), &self.line, err)
-                    }
-                    other => other,
-                }
-            }
-            Err(err @ ServiceError::Io(_)) => self.client.retry(None, &self.line, err),
-            Err(err) => Err(err),
-        }
-    }
-
-    /// `wait`, expecting a rows frame.
-    pub fn wait_rows(self) -> ServiceResult<WireResponse> {
-        expect_rows(self.wait()?)
-    }
-}
-
-fn expect_rows(frame: Frame) -> ServiceResult<WireResponse> {
-    match frame {
-        Frame::Rows(response) => Ok(response),
-        other => Err(ServiceError::Protocol(format!(
-            "expected rows, got {other:?}"
-        ))),
-    }
-}
-
-fn single_line(line: &str) -> ServiceResult<()> {
-    if line.contains('\n') || line.contains('\r') {
-        return Err(ServiceError::Protocol(
-            "request must be a single line".to_string(),
-        ));
-    }
-    Ok(())
-}
-
-/// `ServiceError` does not implement `Clone`; batch failures fan one error
-/// out to every pending, so re-render it per waiter.
-fn clone_error(e: &ServiceError) -> ServiceError {
-    match e {
-        ServiceError::Io(msg) => ServiceError::Io(msg.clone()),
-        ServiceError::Protocol(msg) => ServiceError::Protocol(msg.clone()),
-        ServiceError::Remote(msg) => ServiceError::Remote(msg.clone()),
-        other => ServiceError::Io(other.to_string()),
+        let (failed, err) = match self.sent {
+            Ok((conn, rx)) => match rx.recv().unwrap_or_else(|_| closed()) {
+                Err(err @ ServiceError::Io(_)) => (Some(conn), err),
+                other => return other,
+            },
+            Err(err @ ServiceError::Io(_)) => (None, err),
+            Err(err) => return Err(err),
+        };
+        self.client.retry(failed.as_ref(), &self.line, err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{WireResponse, PROTOCOL_VERSION};
     use std::io::BufRead;
     use std::net::TcpListener;
 
@@ -566,10 +365,10 @@ mod tests {
         });
         let client = MuxClient::connect(addr).unwrap();
         let pendings: Vec<MuxPending> = (0..3)
-            .map(|i| client.begin(&format!("LOOKUP {}", 100 + i)))
+            .map(|i| client.begin(format!("LOOKUP {}", 100 + i)))
             .collect();
         for (i, pending) in pendings.into_iter().enumerate() {
-            let rows = pending.wait_rows().unwrap();
+            let rows = pending.wait().and_then(Frame::into_rows).unwrap();
             assert_eq!(
                 rows.mask_ids(),
                 vec![masksearch_core::MaskId::new(100 + i as u64)],
@@ -579,6 +378,8 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// Every request is begun before any is waited on, so all four are in
+    /// flight at once and each resolves on its own.
     #[test]
     fn batch_is_coalesced_and_resolves_independently() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -600,17 +401,10 @@ mod tests {
             }
         });
         let client = MuxClient::connect(addr).unwrap();
-        let lines = vec![
-            "LOOKUP 1".to_string(),
-            "LOOKUP boom".to_string(),
-            "LOOKUP 3".to_string(),
-            "LOOKUP 4".to_string(),
-        ];
-        let results: Vec<ServiceResult<Frame>> = client
-            .begin_batch(&lines)
-            .into_iter()
-            .map(MuxPending::wait)
-            .collect();
+        let lines = ["LOOKUP 1", "LOOKUP boom", "LOOKUP 3", "LOOKUP 4"];
+        let pendings: Vec<MuxPending> = lines.iter().map(|&line| client.begin(line)).collect();
+        let results: Vec<ServiceResult<Frame>> =
+            pendings.into_iter().map(MuxPending::wait).collect();
         assert!(matches!(results[0], Ok(Frame::Rows(_))));
         // A server-reported ERR fails only its own request.
         assert!(matches!(results[1], Err(ServiceError::Remote(_))));
@@ -668,7 +462,7 @@ mod tests {
         let answered = client.begin("LOOKUP 1");
         // Give the server a beat to answer the first request before the two
         // doomed requests join the pipeline.
-        let first = answered.wait_rows().unwrap();
+        let first = answered.wait().and_then(Frame::into_rows).unwrap();
         assert_eq!(first.mask_ids(), vec![masksearch_core::MaskId::new(1)]);
         let doomed_read = client.begin("LOOKUP 2");
         let doomed_write = client.begin("DELETE FROM masks WHERE mask_id = 9");
@@ -678,7 +472,7 @@ mod tests {
             Err(ServiceError::Io(_)) => {}
             other => panic!("expected a transport error for the mutation, got {other:?}"),
         }
-        let rows = doomed_read.wait_rows().unwrap();
+        let rows = doomed_read.wait().and_then(Frame::into_rows).unwrap();
         assert_eq!(rows.mask_ids(), vec![masksearch_core::MaskId::new(2)]);
         drop(client);
         server.join().unwrap();
@@ -711,10 +505,11 @@ mod tests {
 
         let mux = MuxClient::connect(server.local_addr()).unwrap();
         let lines: Vec<String> = (0..8).map(|i| format!("LOOKUP {i} {}", i + 100)).collect();
-        let results: Vec<WireResponse> = mux
-            .begin_batch(&lines)
+        // Every lookup is in flight before the first is waited on.
+        let pendings: Vec<MuxPending> = lines.iter().map(|line| mux.begin(line)).collect();
+        let results: Vec<WireResponse> = pendings
             .into_iter()
-            .map(|p| p.wait_rows().unwrap())
+            .map(|p| p.wait().and_then(Frame::into_rows).unwrap())
             .collect();
         for (i, rows) in results.iter().enumerate() {
             assert_eq!(
@@ -724,7 +519,9 @@ mod tests {
             );
         }
         let high = mux
-            .query("SELECT mask_id FROM masks WHERE CP(mask, (0, 0, 8, 8), (0.5, 1.0)) > 0")
+            .begin_query("SELECT mask_id FROM masks WHERE CP(mask, (0, 0, 8, 8), (0.5, 1.0)) > 0")
+            .wait()
+            .and_then(Frame::into_rows)
             .unwrap();
         assert_eq!(high.rows.len(), 4);
 

@@ -1,8 +1,9 @@
-//! The line-oriented wire protocol of the TCP front end.
+//! The line-oriented wire protocol of the TCP front end: the one place the
+//! request grammar ([`ClientRequest`]) and the response frames are written
+//! and read.
 //!
-//! Requests are single lines of UTF-8. A line equal to `PING`, `STATS`, or
-//! `QUIT` (case-insensitive) is a control command; any other non-empty line
-//! is a SQL statement in the `masksearch-sql` dialect.
+//! Requests are single lines of UTF-8: a control command of the grammar on
+//! [`ClientRequest`], or a SQL statement in the `masksearch-sql` dialect.
 //!
 //! Every request produces one response *frame*: a sequence of lines
 //! terminated by `END`.
@@ -14,7 +15,7 @@
 //! << mask 7
 //! << END
 //! >> PING
-//! << PONG v2
+//! << PONG v7
 //! << END
 //! >> garbage
 //! << ERR SQL error: ...
@@ -29,7 +30,7 @@ use crate::error::{ServiceError, ServiceResult};
 use crate::job::{MutationResponse, QueryResponse};
 use crate::metrics::MetricsSnapshot;
 use masksearch_core::{ImageId, MaskId};
-use masksearch_query::{QueryOutput, ResultRow, RowKey};
+use masksearch_query::{ResultRow, RowKey};
 
 use std::io::{BufRead, Write};
 
@@ -40,32 +41,22 @@ pub const END_MARKER: &str = "END";
 /// handshake reply (`PONG v<N>`); peers with a different version reject the
 /// connection with a clear error instead of mis-parsing frames.
 ///
-/// History: v1 — the original PR-1 protocol (bare `PONG`); v2 — versioned
-/// handshake, `PARTIAL K=<n>` bounded top-k with `bound=` summaries,
-/// `LOOKUP`, and saturation fields in `STATS`; v3 — `TOKEN <id> <sql>`
-/// deduplicated mutations (exactly-once resend after transport errors),
-/// self-join pair queries in the SQL dialect, and `deduped=` /
-/// `pairs_bound=` in `STATS`; v4 — observability: `EXPLAIN [ANALYZE]`
-/// statements answered with `PLAN <n>` frames, `METRICS` returning a
-/// Prometheus text exposition, and `STATS PROFILES [n]` returning recent
-/// traced query profiles; v5 — temporal observability: `METRICS WINDOW
-/// <secs>` windowed gauges, `RECORD START/STOP/STATUS` flight-recorder
-/// control answered with `RECORD` control frames, and `MONITOR <frames>
-/// [<interval_ms>]` streaming counted `DELTA <n>` metric-delta frames.
-/// Within v5 the query planner added `planner_*` counters to `STATS` —
-/// additive key/value tokens, so no version bump was needed; v6 —
-/// multiplexing: a request line may be prefixed with a `@<id>` tag, and the
-/// server answers it with a frame whose header line carries the same
-/// `@<id>` prefix. Tagged requests may be pipelined — many in flight on one
-/// connection, answered in completion order — while untagged requests keep
-/// the v5 one-at-a-time FIFO contract. `MONITOR` subscriptions stream
-/// multiple frames and therefore stay untagged-only; v7 — indexes and
-/// transactions: mutation `OK` headers carry `updated=` (in-place
-/// re-masking), `STATS` grows `updated` / `index_probes` / `index_rows` /
-/// `planner_index_on` / `planner_index_off`, `LOOKUP *` answers with every
-/// mask id the server holds (cluster owner-map seeding), and connections
-/// accept interactive `BEGIN` / `COMMIT` / `ROLLBACK` plus one-line
-/// `BEGIN; …; COMMIT` scripts applied as a single storage commit.
+/// History: v1 — bare `PONG`; v2 — versioned handshake, `PARTIAL K=<n>`
+/// with `bound=` summaries, `LOOKUP`, saturation fields in `STATS`; v3 —
+/// `TOKEN <id> <sql>` deduplicated mutations (exactly-once resends),
+/// self-join pair queries, `deduped=` / `pairs_bound=` in `STATS`; v4 —
+/// `EXPLAIN [ANALYZE]` answered with `PLAN <n>` frames, `METRICS`
+/// (Prometheus text) and `STATS PROFILES [n]`; v5 — `METRICS WINDOW
+/// <secs>`, `RECORD START/STOP/STATUS` and `MONITOR <frames>
+/// [<interval_ms>]` streaming `DELTA <n>` frames (the planner's additive
+/// `planner_*` `STATS` keys needed no bump); v6 — `@<id>`-tagged requests
+/// and frames, pipelined and answered in completion order, while untagged
+/// requests keep the one-at-a-time FIFO contract and `MONITOR` stays
+/// untagged-only; v7 — `updated=` in mutation `OK` headers, `updated` /
+/// `index_probes` / `index_rows` / `planner_index_on` / `planner_index_off`
+/// in `STATS`, `LOOKUP *` (every held mask id), and interactive `BEGIN` /
+/// `COMMIT` / `ROLLBACK` plus one-line `BEGIN; …; COMMIT` scripts applied
+/// as a single storage commit.
 pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Default number of profiles returned by a bare `STATS PROFILES`.
@@ -103,7 +94,30 @@ pub enum RecordControl {
     Status,
 }
 
-/// A parsed client request line.
+/// One client request line: the request grammar of the protocol.
+///
+/// Keywords are case-insensitive; a line that is none of these is SQL, and
+/// so is a malformed one (the SQL front end answers it with an `ERR` frame).
+/// Any line may carry a `@<id> ` multiplexing tag in front ([`parse_tag`]).
+///
+/// ```text
+/// PING                               version handshake -> PONG v<N>
+/// STATS                              metrics summary   -> STATS k=v ...
+/// STATS PROFILES [<n>]               recent profiles   -> PROFILES <n>
+/// METRICS                            Prometheus text   -> METRICS <n>
+/// METRICS WINDOW <secs>              secs > 0          -> METRICS <n>
+/// RECORD START [<path>] | STOP | STATUS                -> RECORD k=v ...
+/// MONITOR [<frames> [<interval_ms>]] frames > 0, at most MAX_MONITOR_FRAMES
+///                                                      -> <frames> x DELTA <n>
+/// LOOKUP [<id> ...] | LOOKUP *       held mask ids     -> OK <n>
+/// PARTIAL K=<k> <sql>                shard-mode top-k  -> OK <n> ... bound=<v>
+/// TOKEN <token> <sql>                deduplicated statement
+/// QUIT                               close the connection (no frame)
+/// <sql>                              any other line    -> OK | PLAN | ERR
+/// ```
+///
+/// [`ClientRequest::parse`] reads a line and [`ClientRequest::line`] writes
+/// one; every client in this crate builds its request lines with `line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientRequest {
     /// Liveness check and version handshake.
@@ -160,12 +174,11 @@ pub enum ClientRequest {
 impl ClientRequest {
     /// Classifies one request line.
     pub fn parse(line: &str) -> Option<Self> {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        let line = line.trim();
+        if line.is_empty() {
             return None;
         }
-        let upper = trimmed.to_ascii_uppercase();
-        if let Some(rest) = upper.strip_prefix("LOOKUP ") {
+        if let Some(rest) = keyword(line, "LOOKUP ") {
             if rest.trim() == "*" {
                 return Some(Self::LookupAll);
             }
@@ -179,77 +192,55 @@ impl ClientRequest {
                 return Some(Self::Lookup(ids));
             }
         }
-        if upper.starts_with("TOKEN ") {
-            let rest = trimmed[5..].trim_start();
-            if let Some(tok) = rest.split_ascii_whitespace().next() {
-                if let Ok(token) = tok.parse::<u64>() {
-                    let sql = rest[tok.len()..].trim_start().to_string();
-                    if !sql.is_empty() {
-                        return Some(Self::Tokened { token, sql });
-                    }
-                }
-            }
+        if let Some((token, sql)) =
+            keyword(line, "TOKEN ").and_then(|rest| number_then_sql(rest, ""))
+        {
+            return Some(Self::Tokened { token, sql });
         }
-        if let Some(rest) = upper.strip_prefix("METRICS WINDOW") {
-            if let Ok(secs) = rest.trim().parse::<u64>() {
-                if secs > 0 {
-                    return Some(Self::MetricsWindow(secs));
-                }
+        if let Some(rest) = keyword(line, "METRICS WINDOW") {
+            if let Ok(secs @ 1..) = rest.trim().parse::<u64>() {
+                return Some(Self::MetricsWindow(secs));
             }
             // Malformed window: fall through to the SQL path (-> ERR frame).
         }
-        if let Some(rest) = upper.strip_prefix("RECORD ") {
-            let cmd = rest.trim();
-            if cmd == "STOP" {
-                return Some(Self::Record(RecordControl::Stop));
+        if let Some(cmd) = keyword(line, "RECORD ").map(str::trim) {
+            let control = if cmd.eq_ignore_ascii_case("STOP") {
+                Some(RecordControl::Stop)
+            } else if cmd.eq_ignore_ascii_case("STATUS") {
+                Some(RecordControl::Status)
+            } else if cmd.eq_ignore_ascii_case("START") {
+                Some(RecordControl::Start(None))
+            } else {
+                // Paths are case-sensitive: taken from the line as it came.
+                keyword(cmd, "START ")
+                    .map(str::trim)
+                    .filter(|path| !path.is_empty())
+                    .map(|path| RecordControl::Start(Some(path.to_string())))
+            };
+            // An unknown subcommand falls through to the SQL path (-> ERR).
+            if let Some(control) = control {
+                return Some(Self::Record(control));
             }
-            if cmd == "STATUS" {
-                return Some(Self::Record(RecordControl::Status));
-            }
-            if cmd == "START" {
-                return Some(Self::Record(RecordControl::Start(None)));
-            }
-            if cmd.starts_with("START ") {
-                // Take the path from the original line: paths are
-                // case-sensitive.
-                let path = trimmed[trimmed.len() - rest.len()..].trim()["START ".len()..]
-                    .trim()
-                    .to_string();
-                if !path.is_empty() {
-                    return Some(Self::Record(RecordControl::Start(Some(path))));
-                }
-            }
-            // Unknown subcommand: fall through to the SQL path (-> ERR).
         }
-        if let Some(rest) = upper.strip_prefix("MONITOR") {
+        if let Some(rest) = keyword(line, "MONITOR") {
             let mut parts = rest.split_ascii_whitespace();
             let frames = parts.next().map(|t| t.parse::<u32>());
             let interval = parts.next().map(|t| t.parse::<u64>());
-            match (frames, interval, parts.next()) {
-                (None, None, None) => {
-                    return Some(Self::Monitor {
-                        frames: 1,
-                        interval_ms: DEFAULT_MONITOR_INTERVAL_MS,
-                    });
-                }
-                (Some(Ok(frames)), None, None) if frames > 0 => {
-                    return Some(Self::Monitor {
-                        frames: frames.min(MAX_MONITOR_FRAMES),
-                        interval_ms: DEFAULT_MONITOR_INTERVAL_MS,
-                    });
-                }
-                (Some(Ok(frames)), Some(Ok(interval_ms)), None) if frames > 0 => {
-                    return Some(Self::Monitor {
-                        frames: frames.min(MAX_MONITOR_FRAMES),
-                        interval_ms,
-                    });
-                }
+            let (frames, interval_ms) = match (frames, interval, parts.next()) {
+                (None, None, None) => (1, DEFAULT_MONITOR_INTERVAL_MS),
+                (Some(Ok(frames)), None, None) => (frames, DEFAULT_MONITOR_INTERVAL_MS),
+                (Some(Ok(frames)), Some(Ok(interval_ms)), None) => (frames, interval_ms),
                 // Malformed: fall through to the SQL path (-> ERR frame).
-                _ => {}
+                _ => (0, 0),
+            };
+            if frames > 0 {
+                return Some(Self::Monitor {
+                    frames: frames.min(MAX_MONITOR_FRAMES),
+                    interval_ms,
+                });
             }
         }
-        if let Some(rest) = upper.strip_prefix("STATS PROFILES") {
-            let rest = rest.trim();
+        if let Some(rest) = keyword(line, "STATS PROFILES").map(str::trim) {
             if rest.is_empty() {
                 return Some(Self::Profiles(DEFAULT_PROFILES));
             }
@@ -258,31 +249,80 @@ impl ClientRequest {
             }
             // Malformed count: fall through to the SQL path (-> ERR frame).
         }
-        if upper.starts_with("PARTIAL ") {
-            let rest = trimmed[7..].trim_start();
-            if let Some(kv) = rest.split_ascii_whitespace().next() {
-                if let Some(k) = kv
-                    .strip_prefix("K=")
-                    .or_else(|| kv.strip_prefix("k="))
-                    .and_then(|v| v.parse::<usize>().ok())
-                {
-                    let sql = rest[kv.len()..].trim_start().to_string();
-                    if !sql.is_empty() {
-                        return Some(Self::Partial { k, sql });
-                    }
-                }
-            }
+        if let Some((k, sql)) =
+            keyword(line, "PARTIAL ").and_then(|rest| number_then_sql(rest, "K="))
+        {
+            return Some(Self::Partial { k, sql });
         }
-        Some(match upper.as_str() {
-            "PING" => Self::Ping,
-            "STATS" => Self::Stats,
-            "METRICS" => Self::Metrics,
-            "QUIT" => Self::Quit,
+        let bare = [
+            ("PING", Self::Ping),
+            ("STATS", Self::Stats),
+            ("METRICS", Self::Metrics),
+            ("QUIT", Self::Quit),
             // A LOOKUP of zero ids is a valid (empty) question.
-            "LOOKUP" => Self::Lookup(Vec::new()),
-            _ => Self::Sql(trimmed.to_string()),
-        })
+            ("LOOKUP", Self::Lookup(Vec::new())),
+        ];
+        let bare = bare
+            .into_iter()
+            .find(|(word, _)| line.eq_ignore_ascii_case(word));
+        Some(bare.map_or_else(|| Self::Sql(line.to_string()), |(_, request)| request))
     }
+
+    /// The request line [`ClientRequest::parse`] reads back as `self`, for
+    /// every request `parse` can produce.
+    pub fn line(&self) -> String {
+        match self {
+            Self::Ping => "PING".to_string(),
+            Self::Stats => "STATS".to_string(),
+            Self::Metrics => "METRICS".to_string(),
+            Self::MetricsWindow(secs) => format!("METRICS WINDOW {secs}"),
+            Self::Record(RecordControl::Start(None)) => "RECORD START".to_string(),
+            Self::Record(RecordControl::Start(Some(path))) => format!("RECORD START {path}"),
+            Self::Record(RecordControl::Stop) => "RECORD STOP".to_string(),
+            Self::Record(RecordControl::Status) => "RECORD STATUS".to_string(),
+            Self::Monitor {
+                frames,
+                interval_ms,
+            } => format!("MONITOR {frames} {interval_ms}"),
+            Self::Profiles(n) => format!("STATS PROFILES {n}"),
+            Self::Quit => "QUIT".to_string(),
+            Self::Lookup(ids) => {
+                use std::fmt::Write as _;
+                let mut line = "LOOKUP".to_string();
+                for id in ids {
+                    write!(line, " {}", id.raw()).expect("write to a String");
+                }
+                line
+            }
+            Self::LookupAll => "LOOKUP *".to_string(),
+            Self::Partial { k, sql } => format!("PARTIAL K={k} {sql}"),
+            Self::Tokened { token, sql } => format!("TOKEN {token} {sql}"),
+            Self::Sql(sql) => sql.clone(),
+        }
+    }
+}
+
+/// `line` after a leading `word`, matched case-insensitively.
+pub(crate) fn keyword<'a>(line: &'a str, word: &str) -> Option<&'a str> {
+    let head = line.get(..word.len())?;
+    head.eq_ignore_ascii_case(word).then(|| &line[word.len()..])
+}
+
+/// Splits `<prefix><n> <sql>` into `n` and a non-empty `sql`.
+fn number_then_sql<T: std::str::FromStr>(rest: &str, prefix: &str) -> Option<(T, String)> {
+    let rest = rest.trim_start();
+    let first = rest.split_ascii_whitespace().next()?;
+    let n = keyword(first, prefix)?.parse().ok()?;
+    let sql = rest[first.len()..].trim_start();
+    (!sql.is_empty()).then(|| (n, sql.to_string()))
+}
+
+/// The first keyword of a SQL line (up to whitespace or `;`).
+pub(crate) fn first_keyword(line: &str) -> &str {
+    line.trim_start()
+        .split([' ', '\t', ';'])
+        .next()
+        .unwrap_or("")
 }
 
 /// Encodes one result row as a protocol line.
@@ -292,8 +332,8 @@ pub fn encode_row(row: &ResultRow) -> String {
     line
 }
 
-/// Appends [`encode_row`]'s line for `row` to `out` (no trailing newline).
-/// The allocation-free form the response digests use per row.
+/// Appends [`encode_row`]'s line for `row` to `out` (no trailing newline):
+/// how frames and response digests render each row without allocating.
 fn encode_row_into(out: &mut String, row: &ResultRow) {
     use std::fmt::Write as _;
     let (kind, id) = match row.key {
@@ -301,9 +341,10 @@ fn encode_row_into(out: &mut String, row: &ResultRow) {
         RowKey::Image(id) => ("image", id.raw()),
     };
     match row.value {
-        Some(v) => write!(out, "{kind} {id} {v}").expect("write to string"),
-        None => write!(out, "{kind} {id}").expect("write to string"),
+        Some(v) => write!(out, "{kind} {id} {v}"),
+        None => write!(out, "{kind} {id}"),
     }
+    .expect("write to a String");
 }
 
 /// Decodes a protocol line produced by [`encode_row`].
@@ -339,6 +380,96 @@ pub fn parse_row(line: &str) -> ServiceResult<ResultRow> {
     }
 }
 
+/// The `OK` lines a summary key is written on (bits of [`SUMMARY_KEYS`]).
+const QUERY: u8 = 1;
+const MUTATION: u8 = 2;
+const DIGEST: u8 = 4;
+
+/// A summary key's [`WireSummary`] field.
+type Field = fn(&mut WireSummary) -> &mut u64;
+
+/// The `key=<n>` tokens of an `OK` frame's summary line, in wire order,
+/// each with the lines that carry it and its field: a query's frame carries
+/// its stage counts, a write's its outcome, and both end with the wall
+/// time; a response digest carries every count and no wall time.
+/// `bound=<v>` ([`BOUND`]) follows them all when present.
+const SUMMARY_KEYS: [(&str, u8, Field); 8] = [
+    ("candidates", QUERY | DIGEST, |s| &mut s.candidates),
+    ("pruned", QUERY | DIGEST, |s| &mut s.pruned),
+    ("verified", QUERY | DIGEST, |s| &mut s.verified),
+    ("loaded", QUERY | DIGEST, |s| &mut s.loaded),
+    ("inserted", MUTATION | DIGEST, |s| &mut s.inserted),
+    ("deleted", MUTATION | DIGEST, |s| &mut s.deleted),
+    ("updated", MUTATION | DIGEST, |s| &mut s.updated),
+    ("wall_us", QUERY | MUTATION, |s| &mut s.wall_us),
+];
+
+/// The last summary key: a partial answer's bound ([`WireSummary::bound`]).
+const BOUND: &str = "bound";
+
+/// Appends an `OK` summary line with the [`SUMMARY_KEYS`] `kind` selects.
+fn summary_line(out: &mut String, kind: u8, summary: &WireSummary) {
+    use std::fmt::Write as _;
+    write!(out, "OK {}", summary.rows).expect("write to a String");
+    // The fields are reached through `&mut` accessors: read them off a copy.
+    let mut s = *summary;
+    for (key, _, field) in SUMMARY_KEYS.iter().filter(|(_, on, _)| on & kind != 0) {
+        write!(out, " {key}={}", field(&mut s)).expect("write to a String");
+    }
+    if let Some(bound) = summary.bound {
+        write!(out, " {BOUND}={bound}").expect("write to a String");
+    }
+    out.push('\n');
+}
+
+/// Writes an `OK` frame — summary line, one line per row, `END` — in one
+/// write.
+fn write_ok<W: Write>(
+    w: &mut W,
+    kind: u8,
+    summary: &WireSummary,
+    rows: &[ResultRow],
+) -> std::io::Result<()> {
+    let mut frame = String::with_capacity(96 + 32 * rows.len());
+    summary_line(&mut frame, kind, summary);
+    for row in rows {
+        encode_row_into(&mut frame, row);
+        frame.push('\n');
+    }
+    frame.push_str(END_MARKER);
+    frame.push('\n');
+    w.write_all(frame.as_bytes())
+}
+
+impl WireSummary {
+    /// The summary of a query's `OK` frame.
+    pub(crate) fn of_query(response: &QueryResponse, bound: Option<f64>) -> Self {
+        let s = &response.output.stats;
+        Self {
+            rows: response.output.rows.len() as u64,
+            candidates: s.candidates,
+            pruned: s.pruned,
+            verified: s.verified,
+            loaded: s.masks_loaded,
+            wall_us: response.exec_time.as_micros() as u64,
+            bound,
+            ..Self::default()
+        }
+    }
+
+    /// The summary of a write's `OK` frame.
+    pub(crate) fn of_mutation(response: &MutationResponse) -> Self {
+        let o = &response.outcome;
+        Self {
+            inserted: o.inserted as u64,
+            deleted: o.deleted as u64,
+            updated: o.updated as u64,
+            wall_us: response.exec_time.as_micros() as u64,
+            ..Self::default()
+        }
+    }
+}
+
 /// Writes a successful query response frame.
 pub fn write_response<W: Write>(w: &mut W, response: &QueryResponse) -> std::io::Result<()> {
     write_response_with_bound(w, response, None)
@@ -351,25 +482,8 @@ pub fn write_response_with_bound<W: Write>(
     response: &QueryResponse,
     bound: Option<f64>,
 ) -> std::io::Result<()> {
-    let s = &response.output.stats;
-    write!(
-        w,
-        "OK {} candidates={} pruned={} verified={} loaded={} wall_us={}",
-        response.output.rows.len(),
-        s.candidates,
-        s.pruned,
-        s.verified,
-        s.masks_loaded,
-        response.exec_time.as_micros(),
-    )?;
-    if let Some(bound) = bound {
-        write!(w, " bound={bound}")?;
-    }
-    writeln!(w)?;
-    for row in &response.output.rows {
-        writeln!(w, "{}", encode_row(row))?;
-    }
-    writeln!(w, "{END_MARKER}")
+    let summary = WireSummary::of_query(response, bound);
+    write_ok(w, QUERY, &summary, &response.output.rows)
 }
 
 /// Writes a `LOOKUP` response frame: one mask row per id this server holds.
@@ -389,15 +503,7 @@ pub fn write_mutation_response<W: Write>(
     w: &mut W,
     response: &MutationResponse,
 ) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "OK 0 inserted={} deleted={} updated={} wall_us={}",
-        response.outcome.inserted,
-        response.outcome.deleted,
-        response.outcome.updated,
-        response.exec_time.as_micros(),
-    )?;
-    writeln!(w, "{END_MARKER}")
+    write_ok(w, MUTATION, &WireSummary::of_mutation(response), &[])
 }
 
 /// Writes a plan frame (the answer to an `EXPLAIN [ANALYZE]` statement):
@@ -559,7 +665,7 @@ pub struct WireResponse {
 
 impl WireResponse {
     /// Mask ids of mask-keyed rows, in order (mirror of
-    /// [`QueryOutput::mask_ids`]).
+    /// [`QueryOutput::mask_ids`](masksearch_query::QueryOutput::mask_ids)).
     pub fn mask_ids(&self) -> Vec<MaskId> {
         self.rows
             .iter()
@@ -569,14 +675,6 @@ impl WireResponse {
             })
             .collect()
     }
-}
-
-fn parse_kv(token: &str, key: &str) -> ServiceResult<u64> {
-    token
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| ServiceError::Protocol(format!("expected {key}=<n>, got {token:?}")))
 }
 
 /// Splits a `@<id>`-tagged line into its request id and the rest of the
@@ -605,16 +703,10 @@ pub fn parse_tag(line: &str) -> Option<(u64, &str)> {
 pub fn read_tagged_frame<R: BufRead>(
     reader: &mut R,
 ) -> ServiceResult<(Option<u64>, ServiceResult<Frame>)> {
-    let mut header = String::new();
-    if reader.read_line(&mut header)? == 0 {
-        return Err(ServiceError::Io("connection closed mid-frame".to_string()));
-    }
-    let header = header.trim_end();
-    let (tag, header) = match parse_tag(header) {
-        Some((id, rest)) => (Some(id), rest.to_string()),
-        None => (None, header.to_string()),
-    };
-    match read_frame_body(&header, reader) {
+    let line = next_line(reader)?;
+    let header = line.trim_end();
+    let (tag, header) = parse_tag(header).map_or((None, header), |(id, rest)| (Some(id), rest));
+    match read_frame_body(header, reader) {
         Ok(frame) => Ok((tag, Ok(frame))),
         Err(err @ ServiceError::Remote(_)) => Ok((tag, Err(err))),
         Err(fatal) => Err(fatal),
@@ -683,43 +775,25 @@ fn read_frame_body<R: BufRead>(header: &str, reader: &mut R) -> ServiceResult<Fr
         rows,
         ..Default::default()
     };
-    for token in tokens {
-        if let Ok(v) = parse_kv(token, "candidates") {
-            summary.candidates = v;
-        } else if let Ok(v) = parse_kv(token, "pruned") {
-            summary.pruned = v;
-        } else if let Ok(v) = parse_kv(token, "verified") {
-            summary.verified = v;
-        } else if let Ok(v) = parse_kv(token, "loaded") {
-            summary.loaded = v;
-        } else if let Ok(v) = parse_kv(token, "inserted") {
-            summary.inserted = v;
-        } else if let Ok(v) = parse_kv(token, "deleted") {
-            summary.deleted = v;
-        } else if let Ok(v) = parse_kv(token, "updated") {
-            summary.updated = v;
-        } else if let Ok(v) = parse_kv(token, "wall_us") {
-            summary.wall_us = v;
-        } else if let Some(v) = token
-            .strip_prefix("bound=")
-            .and_then(|v| v.parse::<f64>().ok())
-        {
-            summary.bound = Some(v);
+    // Unknown keys and malformed values are skipped.
+    for (key, value) in tokens.filter_map(|token| token.split_once('=')) {
+        if key == BOUND {
+            summary.bound = value.parse().ok().or(summary.bound);
+        } else if let Some((.., field)) = SUMMARY_KEYS.iter().find(|(k, ..)| *k == key) {
+            if let Ok(value) = value.parse() {
+                *field(&mut summary) = value;
+            }
         }
     }
     // Cap the pre-allocation: the count is wire data and must not let a
     // corrupt or hostile header drive an unbounded allocation.
     let mut parsed_rows = Vec::with_capacity(rows.min(1024) as usize);
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(ServiceError::Io("connection closed mid-frame".to_string()));
-        }
-        let line = line.trim_end();
-        if line == END_MARKER {
+        let line = next_line(reader)?;
+        if line.trim_end() == END_MARKER {
             break;
         }
-        parsed_rows.push(parse_row(line)?);
+        parsed_rows.push(parse_row(line.trim_end())?);
     }
     if parsed_rows.len() as u64 != rows {
         return Err(ServiceError::Protocol(format!(
@@ -739,21 +813,26 @@ fn read_raw_lines<R: BufRead>(reader: &mut R, count: usize) -> ServiceResult<Vec
     // Cap the pre-allocation: the count is wire data.
     let mut lines = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(ServiceError::Io("connection closed mid-frame".to_string()));
-        }
-        lines.push(line.trim_end_matches(['\r', '\n']).to_string());
+        let mut line = next_line(reader)?;
+        line.truncate(line.trim_end_matches(['\r', '\n']).len());
+        lines.push(line);
     }
     expect_end(reader)?;
     Ok(lines)
 }
 
-fn expect_end<R: BufRead>(reader: &mut R) -> ServiceResult<()> {
+/// Reads one line of a frame, its line break included; the stream ending
+/// first is a transport failure.
+fn next_line<R: BufRead>(reader: &mut R) -> ServiceResult<String> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Err(ServiceError::Io("connection closed mid-frame".to_string()));
     }
+    Ok(line)
+}
+
+fn expect_end<R: BufRead>(reader: &mut R) -> ServiceResult<()> {
+    let line = next_line(reader)?;
     if line.trim_end() == END_MARKER {
         Ok(())
     } else {
@@ -782,9 +861,40 @@ pub enum Frame {
     Delta(Vec<String>),
 }
 
-/// Round-trip helper: renders a [`QueryOutput`]'s rows as wire lines.
-pub fn encode_rows(output: &QueryOutput) -> Vec<String> {
-    output.rows.iter().map(encode_row).collect()
+impl Frame {
+    /// The response of an `OK` frame; any other frame is a protocol error.
+    pub fn into_rows(self) -> ServiceResult<WireResponse> {
+        match self {
+            Self::Rows(response) => Ok(response),
+            other => Err(other.unexpected("an OK")),
+        }
+    }
+
+    /// The line of a `PONG`, `STATS` or `RECORD` control frame; any other
+    /// frame is a protocol error.
+    pub fn into_control(self) -> ServiceResult<String> {
+        match self {
+            Self::Control(line) => Ok(line),
+            other => Err(other.unexpected("a control")),
+        }
+    }
+
+    /// The payload of a counted frame whose header keyword is `kind`
+    /// (`PLAN`, `METRICS`, `PROFILES` or `DELTA`); any other frame is a
+    /// protocol error.
+    pub fn into_lines(self, kind: &str) -> ServiceResult<Vec<String>> {
+        match (kind, self) {
+            ("PLAN", Self::Plan(lines))
+            | ("METRICS", Self::Metrics(lines))
+            | ("PROFILES", Self::Profiles(lines))
+            | ("DELTA", Self::Delta(lines)) => Ok(lines),
+            (_, other) => Err(other.unexpected(&format!("a {kind}"))),
+        }
+    }
+
+    fn unexpected(self, want: &str) -> ServiceError {
+        ServiceError::Protocol(format!("expected {want} frame, got {self:?}"))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -792,35 +902,21 @@ pub fn encode_rows(output: &QueryOutput) -> Vec<String> {
 //
 // The recorder stores an FNV-1a digest of each response with wall time
 // excluded, and the replay harness recomputes the same digest from the
-// frames it reads back. The canonical form below is shared by both sides;
-// because row values use shortest round-trip float formatting, a value
-// parsed by the client re-encodes to the identical bytes the server wrote.
+// frames it reads back. Both hash the `OK` lines a frame carries, with the
+// `DIGEST` keys; because row values use shortest round-trip float
+// formatting, a value parsed by the client re-encodes to the identical
+// bytes the server wrote.
 // ---------------------------------------------------------------------------
 
-fn digest_ok_frame<'a>(
-    rows: u64,
-    stats: [u64; 7],
-    bound: Option<f64>,
-    row_iter: impl Iterator<Item = &'a ResultRow>,
-) -> u64 {
-    use std::fmt::Write as _;
+/// Digest of an `OK` answer with `summary` and `rows` (wall time excluded).
+pub(crate) fn digest_ok(summary: &WireSummary, rows: &[ResultRow]) -> u64 {
+    // One reused buffer, hashed a line at a time: the digest sits on the
+    // query path whenever the recorder is active.
     let mut h = masksearch_obs::Fnv64::new();
-    let [candidates, pruned, verified, loaded, inserted, deleted, updated] = stats;
-    // One reused buffer: the digest sits on the hot query path whenever the
-    // recorder is active, so it must not allocate per row.
-    let mut buf = String::with_capacity(64);
-    write!(
-        buf,
-        "OK {rows} candidates={candidates} pruned={pruned} verified={verified} \
-         loaded={loaded} inserted={inserted} deleted={deleted} updated={updated}"
-    )
-    .expect("write to string");
-    if let Some(bound) = bound {
-        write!(buf, " bound={bound}").expect("write to string");
-    }
-    buf.push('\n');
+    let mut buf = String::with_capacity(96);
+    summary_line(&mut buf, DIGEST, summary);
     h.update(buf.as_bytes());
-    for row in row_iter {
+    for row in rows {
         buf.clear();
         encode_row_into(&mut buf, row);
         buf.push('\n');
@@ -832,52 +928,24 @@ fn digest_ok_frame<'a>(
 /// Digest of a successful query response (wall time excluded), as stored in
 /// flight recordings. `bound` must match what the wire frame carried.
 pub fn digest_query_response(response: &QueryResponse, bound: Option<f64>) -> u64 {
-    let s = &response.output.stats;
-    digest_ok_frame(
-        response.output.rows.len() as u64,
-        [s.candidates, s.pruned, s.verified, s.masks_loaded, 0, 0, 0],
-        bound,
-        response.output.rows.iter(),
-    )
+    let summary = WireSummary::of_query(response, bound);
+    digest_ok(&summary, &response.output.rows)
 }
 
 /// Digest of a successful mutation response (wall time excluded).
 pub fn digest_mutation_response(response: &MutationResponse) -> u64 {
-    digest_ok_frame(
-        0,
-        [
-            0,
-            0,
-            0,
-            0,
-            response.outcome.inserted as u64,
-            response.outcome.deleted as u64,
-            response.outcome.updated as u64,
-        ],
-        None,
-        std::iter::empty(),
-    )
+    digest_ok(&WireSummary::of_mutation(response), &[])
 }
 
 /// Digest of a parsed `OK` frame, computed client-side by the replay
 /// harness; matches [`digest_query_response`] / [`digest_mutation_response`]
 /// for the same response.
 pub fn digest_wire_response(response: &WireResponse) -> u64 {
-    let s = &response.summary;
-    digest_ok_frame(
-        response.rows.len() as u64,
-        [
-            s.candidates,
-            s.pruned,
-            s.verified,
-            s.loaded,
-            s.inserted,
-            s.deleted,
-            s.updated,
-        ],
-        s.bound,
-        response.rows.iter(),
-    )
+    let summary = WireSummary {
+        rows: response.rows.len() as u64,
+        ..response.summary
+    };
+    digest_ok(&summary, &response.rows)
 }
 
 /// Digest of an error response: errors are part of a workload's observable
@@ -914,9 +982,89 @@ fn mask_wall_tokens(line: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masksearch_query::QueryStats;
+    use masksearch_query::{QueryOutput, QueryStats};
+    use proptest::prelude::*;
     use std::io::BufReader;
     use std::time::Duration;
+
+    /// A request of every variant `parse` can produce, drawn from a few
+    /// numbers: `variant` picks the variant, the rest fill it in.
+    fn request_of(variant: u8, n: u64, ids: Vec<u64>, text: usize) -> ClientRequest {
+        const SQL: [&str; 4] = [
+            "SELECT mask_id FROM masks WHERE CP(mask, (0, 0, 8, 8), (0.5, 1.0)) > 3",
+            "insert into masks values (1, 2, 1, 1, (0.5))",
+            "EXPLAIN ANALYZE SELECT mask_id FROM masks ORDER BY CP(mask, object, (0.1, 0.9)) DESC LIMIT 5",
+            "BEGIN; DELETE FROM masks WHERE mask_id IN (3); COMMIT",
+        ];
+        const PATHS: [&str; 3] = ["/tmp/Flight.bin", "Recordings/with space.bin", "x"];
+        let sql = SQL[text % SQL.len()].to_string();
+        match variant % 16 {
+            0 => ClientRequest::Ping,
+            1 => ClientRequest::Stats,
+            2 => ClientRequest::Metrics,
+            3 => ClientRequest::MetricsWindow(n.max(1)),
+            4 => ClientRequest::Record(RecordControl::Start(None)),
+            5 => ClientRequest::Record(RecordControl::Start(Some(
+                PATHS[text % PATHS.len()].to_string(),
+            ))),
+            6 => ClientRequest::Record(RecordControl::Stop),
+            7 => ClientRequest::Record(RecordControl::Status),
+            8 => ClientRequest::Monitor {
+                frames: (n % u64::from(MAX_MONITOR_FRAMES)) as u32 + 1,
+                interval_ms: n,
+            },
+            9 => ClientRequest::Profiles(n as usize),
+            10 => ClientRequest::Quit,
+            11 => ClientRequest::Lookup(ids.into_iter().map(MaskId::new).collect()),
+            12 => ClientRequest::LookupAll,
+            13 => ClientRequest::Partial { k: n as usize, sql },
+            14 => ClientRequest::Tokened { token: n, sql },
+            _ => ClientRequest::Sql(sql),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_request_line_parses_back(
+            variant in 0u8..16,
+            n in any::<u64>(),
+            ids in prop::collection::vec(any::<u64>(), 0..6),
+            text in 0usize..12,
+        ) {
+            let request = request_of(variant, n, ids, text);
+            let line = request.line();
+            prop_assert_eq!(ClientRequest::parse(&line), Some(request.clone()));
+            // Keywords are case-insensitive; arguments keep their case.
+            prop_assert_eq!(
+                ClientRequest::parse(&line.to_ascii_lowercase()).map(|r| r.line().to_ascii_lowercase()),
+                Some(line.to_ascii_lowercase())
+            );
+        }
+    }
+
+    #[test]
+    fn frame_kind_checks_name_what_they_got() {
+        let frame = || Frame::Control("PONG v7".to_string());
+        assert_eq!(frame().into_control().unwrap(), "PONG v7");
+        for err in [
+            frame().into_rows().unwrap_err(),
+            frame().into_lines("PLAN").unwrap_err(),
+            Frame::Metrics(vec![]).into_lines("PLAN").unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, ServiceError::Protocol(ref m) if m.contains("expected")),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            Frame::Delta(vec!["seq=1".to_string()])
+                .into_lines("DELTA")
+                .unwrap(),
+            vec!["seq=1".to_string()]
+        );
+    }
 
     #[test]
     fn request_classification() {

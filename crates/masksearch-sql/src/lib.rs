@@ -210,6 +210,13 @@ pub fn strip_explain(sql: &str) -> Option<(ExplainMode, &str)> {
     }
 }
 
+/// The `EXPLAIN [ANALYZE] <sql>` statement [`strip_explain`] reads back as
+/// `sql` (`ANALYZE` when `analyze` is set).
+pub fn explain_statement(analyze: bool, sql: &str) -> String {
+    let analyze = if analyze { " ANALYZE" } else { "" };
+    format!("EXPLAIN{analyze} {sql}")
+}
+
 /// Parse error with a human-readable message and byte offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SqlError {

@@ -11,12 +11,6 @@ use crate::cow_map::CowMap;
 use crate::cursor::IdCursor;
 use crate::error::{StorageError, StorageResult};
 use masksearch_core::{ImageId, Label, MaskId, MaskRecord, MaskType, ModelId, Roi};
-use std::path::Path;
-
-/// Magic bytes identifying a catalog file.
-pub const CATALOG_MAGIC: [u8; 4] = *b"MSKC";
-/// Catalog file format version.
-pub const CATALOG_FORMAT_VERSION: u16 = 1;
 
 /// The secondary columns, as the first part of a posting's key.
 const IMAGE: u8 = 0;
@@ -247,64 +241,11 @@ impl Catalog {
             .map(|group| (group[0].0, group.iter().map(|&(_, id)| id).collect()))
             .collect()
     }
-
-    /// Serialises the catalog to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.write_bytes(&CATALOG_MAGIC);
-        w.write_u16(CATALOG_FORMAT_VERSION);
-        w.write_u16(0);
-        w.write_u64(self.records.len() as u64);
-        for record in self.records() {
-            write_record(&mut w, record);
-        }
-        w.into_bytes()
-    }
-
-    /// Deserialises a catalog produced by [`Catalog::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> StorageResult<Self> {
-        let mut r = Reader::new(bytes, "catalog");
-        let magic = r.read_magic()?;
-        if magic != CATALOG_MAGIC {
-            return Err(StorageError::BadMagic {
-                path: "<catalog>".to_string(),
-                found: magic,
-            });
-        }
-        let version = r.read_u16()?;
-        if version > CATALOG_FORMAT_VERSION {
-            return Err(StorageError::UnsupportedVersion {
-                found: version,
-                supported: CATALOG_FORMAT_VERSION,
-            });
-        }
-        let _reserved = r.read_u16()?;
-        let count = r.read_u64()?;
-        let records = (0..count)
-            .map(|_| read_record(&mut r))
-            .collect::<StorageResult<Vec<MaskRecord>>>()?;
-        Ok(Catalog::from_records(records))
-    }
-
-    /// Writes the catalog to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> StorageResult<()> {
-        std::fs::write(path.as_ref(), self.to_bytes())
-            .map_err(|e| StorageError::io("writing catalog file", e))
-    }
-
-    /// Reads a catalog from a file.
-    pub fn load(path: impl AsRef<Path>) -> StorageResult<Self> {
-        let bytes = std::fs::read(path.as_ref())
-            .map_err(|e| StorageError::io("reading catalog file", e))?;
-        Self::from_bytes(&bytes)
-    }
 }
 
-/// Appends one [`MaskRecord`] in the catalog's fixed binary layout.
-///
-/// Shared with stores that persist records outside a catalog file (the
-/// durable mask database embeds records in its WAL-protected directory so a
-/// crash cannot separate a mask's pixels from its metadata).
+/// Appends one [`MaskRecord`] in a fixed binary layout: how the durable
+/// mask database embeds records in its WAL-protected directory, so a crash
+/// cannot separate a mask's pixels from its metadata.
 pub fn write_record(w: &mut Writer, record: &MaskRecord) {
     w.write_u64(record.mask_id.raw());
     w.write_u64(record.image_id.raw());
@@ -515,42 +456,5 @@ mod tests {
         let mut r = Reader::new(&bytes, "record");
         assert_eq!(read_record(&mut r).unwrap(), rec);
         assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn binary_round_trip_preserves_all_fields() {
-        let c = sample_catalog();
-        let bytes = c.to_bytes();
-        let decoded = Catalog::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded.len(), c.len());
-        for id in c.mask_ids() {
-            assert_eq!(decoded.get(id), c.get(id));
-        }
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let c = sample_catalog();
-        let path = std::env::temp_dir().join(format!(
-            "masksearch-catalog-test-{}.cat",
-            std::process::id()
-        ));
-        c.save(&path).unwrap();
-        let loaded = Catalog::load(&path).unwrap();
-        assert_eq!(loaded.len(), 6);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_catalog_bytes_are_rejected() {
-        let c = sample_catalog();
-        let mut bytes = c.to_bytes();
-        bytes[0] = b'X';
-        assert!(matches!(
-            Catalog::from_bytes(&bytes),
-            Err(StorageError::BadMagic { .. })
-        ));
-        let bytes = c.to_bytes();
-        assert!(Catalog::from_bytes(&bytes[..bytes.len() - 4]).is_err());
     }
 }

@@ -145,8 +145,7 @@ fn metadata_shapes_byte_identical_with_indexes_on_and_off() {
     let plain = session_over(&ids, false);
 
     let (mut probes_on, mut planned_on, mut probes_off, mut scans_off) = (0u64, 0u64, 0u64, 0u64);
-    // Two repetitions: warmed caches and matured shape statistics must
-    // never change rows either.
+    // Two repetitions: warmed caches must never change rows either.
     for rep in 0..2 {
         for sql in query_suite() {
             let query = compile(&sql).unwrap();
