@@ -1,7 +1,7 @@
 //! The [`QueryEngine`] trait shared by every evaluated system, plus the
 //! streaming brute-force evaluator the baselines are built on.
 
-use masksearch_core::{cp, ImageId, Mask, MaskId, MaskRecord, TileStats, TiledMask};
+use masksearch_core::{cp, ImageId, Mask, MaskId, MaskRecord};
 use masksearch_query::{eval, Query, QueryError, QueryKind, QueryOutput, QueryStats, ResultRow};
 use masksearch_storage::Catalog;
 use std::collections::BTreeMap;
@@ -233,21 +233,18 @@ impl<'a> BruteForce<'a> {
                 Ok(finish_grouped(&mut rows, *having, *top_k))
             }
             QueryKind::PairFilter { join, predicate } => {
-                let opts = eval::VerifyOptions {
-                    object_box_fallback: self.object_box_fallback,
-                    use_tiled_kernel: false,
-                };
                 let mut hits: Vec<ImageId> = Vec::new();
                 self.each_pair(join, |image, left_rec, right_rec, left, right| {
                     let records = eval::PairRecords {
                         left: left_rec,
                         right: right_rec,
                     };
-                    let left = TiledMask::from_mask(left.clone());
-                    let right = TiledMask::from_mask(right.clone());
-                    let mut tiles = TileStats::default();
-                    if eval::pair_predicate_exact_tiled(
-                        predicate, &records, &left, &right, &opts, &mut tiles,
+                    if eval::pair_predicate_exact(
+                        predicate,
+                        &records,
+                        left,
+                        right,
+                        self.object_box_fallback,
                     )? {
                         hits.push(image);
                     }
@@ -265,21 +262,18 @@ impl<'a> BruteForce<'a> {
                 k,
                 order,
             } => {
-                let opts = eval::VerifyOptions {
-                    object_box_fallback: self.object_box_fallback,
-                    use_tiled_kernel: false,
-                };
                 let mut rows: Vec<(f64, ImageId)> = Vec::new();
                 self.each_pair(join, |image, left_rec, right_rec, left, right| {
                     let records = eval::PairRecords {
                         left: left_rec,
                         right: right_rec,
                     };
-                    let left = TiledMask::from_mask(left.clone());
-                    let right = TiledMask::from_mask(right.clone());
-                    let mut tiles = TileStats::default();
-                    let value = eval::pair_expr_exact_tiled(
-                        expr, &records, &left, &right, &opts, &mut tiles,
+                    let value = eval::pair_expr_exact(
+                        expr,
+                        &records,
+                        left,
+                        right,
+                        self.object_box_fallback,
                     )?;
                     rows.push((ranked_value(value, *order), image));
                     Ok(())

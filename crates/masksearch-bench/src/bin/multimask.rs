@@ -8,7 +8,7 @@
 //! several selectivities and the `IOU` top-k — executed two ways on the same
 //! store:
 //!
-//! * **pruned** — eager CHI indexing + the composed tile kernel: the filter
+//! * **pruned** — eager CHI indexing: the filter
 //!   stage composes the two per-mask CHIs algebraically and loads pixels
 //!   only for undecidable images;
 //! * **load-both** — indexing disabled: every candidate image loads *both*
@@ -34,8 +34,8 @@ use masksearch_bench::usize_from_args;
 use masksearch_core::{ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange};
 use masksearch_index::ChiConfig;
 use masksearch_query::{
-    Expr, IndexingMode, KernelMode, MaskJoin, Order, Predicate, Query, QueryOutput, RoiSpec,
-    Selection, Session, SessionConfig,
+    Expr, IndexingMode, MaskJoin, Order, Predicate, Query, QueryOutput, RoiSpec, Selection,
+    Session, SessionConfig,
 };
 use masksearch_storage::{Catalog, DiskProfile, MaskEncoding, MaskStore, MemoryMaskStore};
 use std::sync::Arc;
@@ -148,8 +148,7 @@ fn main() {
         catalog,
         SessionConfig::new(chi)
             .threads(4)
-            .indexing_mode(IndexingMode::Disabled)
-            .kernel_mode(KernelMode::ForceOff),
+            .indexing_mode(IndexingMode::Disabled),
     )
     .unwrap();
 

@@ -15,9 +15,8 @@
 //!
 //! [`cp_composed`] is the reference implementation: a single fused pass over
 //! both pixel buffers that never materialises the composed mask. Everything
-//! upstream (the composed tile kernel in [`crate::tiled`], the composed CHI
-//! bound algebra in `masksearch-index`, and the pair executors in
-//! `masksearch-query`) is defined relative to it.
+//! upstream (the composed CHI bound algebra in `masksearch-index` and the
+//! pair executors in `masksearch-query`) is defined relative to it.
 //!
 //! ## NaN semantics
 //!
@@ -90,7 +89,7 @@ pub fn check_composable(a: &Mask, b: &Mask) -> Result<()> {
 
 /// Materialises the composed mask `op(a, b)`.
 ///
-/// Prefer [`cp_composed`] (or the composed tile kernel) when only counts are
+/// Prefer [`cp_composed`] when only counts are
 /// needed — this allocates a full pixel buffer. Because `Diff` of two
 /// in-domain masks stays in `[0, 1)` and `Intersect`/`Union` preserve the
 /// domain, the result of composing valid masks is always a valid mask; NaN

@@ -53,5 +53,5 @@ pub use pixel_pass::CellGeometry;
 pub use range::PixelRange;
 pub use record::{MaskRecord, MaskRecordBuilder};
 pub use roi::Roi;
-pub use tiled::{TileGrid, TileStats, TileSummary, TiledMask, DEFAULT_TILE_SIZE, TILE_BINS};
+pub use tiled::{TileGrid, TiledMask};
 pub use types::{ImageId, Label, MaskId, MaskType, ModelId};

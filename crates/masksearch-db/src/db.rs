@@ -7,14 +7,14 @@
 
 use crate::store::{DbConfig, DurableMaskStore};
 use masksearch_core::{Mask, MaskId, MaskRecord};
-use masksearch_index::{ChiStore, TileStore};
+use masksearch_index::ChiStore;
 use masksearch_storage::store::IngestSnapshot;
 use masksearch_storage::{Catalog, MaskStore, StorageResult};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A durable mask database living in one directory
-/// (`masks.db` + `masks.wal` + `masks.chi` + `masks.tiles`).
+/// (`masks.db` + `masks.wal` + `masks.chi`).
 ///
 /// Note on sessions: a query `Session` keeps its own catalog, initialised
 /// from [`MaskDb::catalog`]. Writes that should become visible to an
@@ -56,17 +56,11 @@ impl MaskDb {
         Arc::clone(self.store.chi_store())
     }
 
-    /// The tile-summary store maintained on every commit (the verification
-    /// kernel's within-mask index).
-    pub fn tile_store(&self) -> Arc<TileStore> {
-        Arc::clone(self.store.tile_store())
-    }
-
-    /// Checks that every mask's tile summaries match its pixels; returns the
-    /// number of masks checked. See
-    /// [`DurableMaskStore::verify_tile_summaries`].
-    pub fn verify_tile_summaries(&self) -> StorageResult<usize> {
-        self.store.verify_tile_summaries()
+    /// Checks that every mask's CHI matches its pixels and their stamp;
+    /// returns the number of masks checked. See
+    /// [`DurableMaskStore::verify_indexes`].
+    pub fn verify_indexes(&self) -> StorageResult<usize> {
+        self.store.verify_indexes()
     }
 
     /// Rebuilds the metadata catalog from the persisted directory records.

@@ -1,10 +1,10 @@
-//! The persisted index files (`masks.chi`, `masks.tiles`) as the checkpoint
-//! writes them: appended to while most of the file is live, rewritten as one
-//! segment when it is not.
+//! The persisted index file (`masks.chi`) as the checkpoint writes it:
+//! appended to while most of the file is live, rewritten as one segment when
+//! it is not.
 //!
-//! Both files are sequences of checksummed segments in which a later entry
+//! The file is a sequence of checksummed segments in which a later entry
 //! for a mask replaces an earlier one (see `masksearch_index`'s store
-//! modules). An entry is *dead* once a later segment replaced it or its mask
+//! module). An entry is *dead* once a later segment replaced it or its mask
 //! was deleted; dead entries cost disk and load time but are harmless —
 //! recovery reconciles whatever it loads against the directory.
 

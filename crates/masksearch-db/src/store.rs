@@ -19,14 +19,11 @@
 //! 3. the CHI store publishes its next version: the batch's deleted and
 //!    overwritten ids evicted and its inserted masks indexed, in one swap
 //!    (see `masksearch_index::store`), so no index entry ever refers to a
-//!    mask that was not durably present when it was published. Tile-summary
-//!    grids for the verification kernel are evicted before step 1 and
-//!    installed *inside* step 2's write lock, so pixels and summaries
-//!    publish together.
+//!    mask that was not durably present when it was published.
 //!
-//! Both indexes of every inserted mask are built before any of this, outside
-//! every lock, by one pass over its pixels (`Chi::build_with_tiles`); a batch
-//! that fails validation or its append just drops them. The CHI store's new
+//! The CHI of every inserted mask is built before any of this, outside
+//! every lock, by one pass over its pixels; a batch that fails validation
+//! or its append just drops them. The CHI store's new
 //! version copies only the map leaves and chunks the batch touches, and a
 //! reader holds a version rather than a lock: no reader ever waits for a
 //! commit's CHI maintenance, and no commit waits for a reader.
@@ -38,17 +35,27 @@
 //! which is sound because the free-space map hands out only pages no live
 //! extent holds (asserted in debug builds).
 //!
+//! ## Stamps
+//!
+//! Every mask's pixels carry the [`Stamp`] of the commit that installed
+//! them: its transaction id, or, for a mask recovered at open, 0 (the
+//! bootstrap's id: no commit of masks has it). The
+//! stamp is kept in memory beside the directory — in step 2, under the
+//! state write lock — and the CHI the same commit installs carries the same
+//! stamp (step 3), so a reader holding an index can tell whether it
+//! summarises exactly the pixels it read.
+//!
 //! ## Reads
 //!
-//! A load resolves the mask's directory entry and reads its extent under
-//! one state read guard, so it sees exactly one committed version. Two
-//! reads share that rule: the whole blob (`get` / `get_tiled`: one
-//! positioned read, decoded, with the tile grid that summarises exactly
-//! those pixels), and a band of rows ([`MaskStore::read_rows`]: the 32-byte
-//! header is read and validated, then rows `y0..y1` of a raw blob — one
-//! contiguous byte range of the extent — go into the caller's reused
-//! buffer, undecoded). The second is what in-place verification reads;
-//! compressed blobs decline it and are loaded whole.
+//! A load resolves the mask's directory entry and stamp and reads its
+//! extent under one state read guard, so it sees exactly one committed
+//! version. Two reads share that rule: the whole blob (`get` /
+//! `get_stamped`: one positioned read, decoded), and bands of rows
+//! ([`MaskStore::read_rows`]: the 32-byte header is read and validated,
+//! then each band `y0..y1` of a raw blob — one contiguous byte range of the
+//! extent — goes into the caller's reused buffer, undecoded). The second is
+//! what in-place verification reads; compressed blobs decline it and are
+//! loaded whole.
 //!
 //! ## Checkpoint protocol
 //!
@@ -62,15 +69,16 @@
 //!    touch the database file, or a crash mid-flush could leave a page mix
 //!    that no committed prefix explains;
 //! 2. writes all dirty pages to the database file and fsyncs it;
-//! 3. brings `masks.chi` and `masks.tiles` up to date durably (see
-//!    `snapshot.rs`): an automatic checkpoint appends one segment of
-//!    the entries indexed since the previous one, an explicit
-//!    [`DurableMaskStore::checkpoint`] rewrites each file as a single
-//!    segment with no dead entry. This precedes step 4 because recovery
-//!    treats masks touched by replayed WAL transactions as possibly stale in
-//!    these files: as long as the WAL still names every commit since the
-//!    files were written, old files are safe; dropping the log first would
-//!    open a window where they are stale and nothing says for which masks;
+//! 3. brings `masks.chi` up to date durably (see `snapshot.rs`): an
+//!    automatic checkpoint appends one segment of the entries indexed
+//!    since the previous one, an explicit [`DurableMaskStore::checkpoint`]
+//!    rewrites the file as a single segment with no dead entry, and the
+//!    `masks.tiles` file older builds kept is removed. This precedes step 4
+//!    because recovery treats masks touched by replayed WAL transactions as
+//!    possibly stale in the file: as long as the WAL still names every
+//!    commit since it was written, an old file is safe; dropping the log
+//!    first would open a window where it is stale and nothing says for
+//!    which masks;
 //! 4. drops the WAL's transactions. An automatic checkpoint *recycles* the
 //!    log (see the `wal` module): it zeroes the first frame's header and
 //!    syncs, and the next commits overwrite the blocks the file already
@@ -95,7 +103,7 @@
 //! is derived from the final directory. Persisted index entries are dropped
 //! for masks the directory no longer holds and for masks whose pages the
 //! replay rewrote (their checkpointed summaries may predate the replayed
-//! commits), and rebuilt from pixels.
+//! commits), and rebuilt from pixels. A `masks.tiles` file is ignored.
 
 use crate::alloc::FreeRuns;
 use crate::atomic::{remove_file, replace_file};
@@ -105,18 +113,18 @@ use crate::pager::Pager;
 use crate::snapshot::SnapshotFile;
 use crate::stats::IngestStats;
 use crate::wal::Wal;
-use masksearch_core::{Mask, MaskId, MaskRecord, TileGrid, TiledMask};
+use masksearch_core::{Mask, MaskId, MaskRecord};
 use masksearch_index::store::outdated_format;
-use masksearch_index::{Chi, ChiConfig, ChiStore, TileStore};
+use masksearch_index::{Chi, ChiConfig, ChiStore};
 use masksearch_obs::counters as obs_counters;
 use masksearch_storage::format;
 use masksearch_storage::meta_index::{self, MetaColumn, MetaIndexRegistry};
 use masksearch_storage::store::IngestSnapshot;
 use masksearch_storage::{
-    DiskProfile, IoStats, MaskEncoding, MaskStore, StorageError, StorageResult,
+    DiskProfile, IoStats, MaskEncoding, MaskStore, RowsRead, Stamp, StorageError, StorageResult,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -128,7 +136,12 @@ pub const DB_FILE: &str = "masks.db";
 pub const WAL_FILE: &str = "masks.wal";
 /// File name of the persisted CHI store.
 pub const CHI_FILE: &str = "masks.chi";
-/// File name of the persisted tile-summary store (verification kernel).
+/// The stamp of the pixels of every mask recovered at open. No commit has
+/// it: transaction 0 is the bootstrap, which writes no mask.
+const RECOVERED: Stamp = 0;
+
+/// File name of the tile-summary store older builds persisted. Nothing
+/// reads it; the next checkpoint removes it.
 pub const TILES_FILE: &str = "masks.tiles";
 /// File-name prefix of persisted secondary metadata index definitions; the
 /// full name is `masks.idx.<column>` (e.g. `masks.idx.model_id`).
@@ -234,16 +247,30 @@ impl DbConfig {
     }
 }
 
-/// The indexes of a batch's inserts, in batch order: CHIs and tile grids.
-type BuiltIndexes = (Vec<(MaskId, Chi)>, Vec<(MaskId, Arc<TileGrid>)>);
-
 /// What readers see, guarded by one `RwLock`: they resolve a mask's location
-/// and read its pages under a single read guard, so a concurrent commit
-/// (which applies under the write guard) can never tear a read. Readers
-/// share the pager; only a commit's `write_extent` needs it exclusively.
+/// and stamp and read its pages under a single read guard, so a concurrent
+/// commit (which applies under the write guard) can never tear a read.
+/// Readers share the pager; only a commit's `write_extent` needs it
+/// exclusively.
 struct State {
     pager: Pager,
     dir: Directory,
+    /// The stamps of the masks committed since open (see the module docs);
+    /// every other mask's is [`RECOVERED`].
+    stamps: HashMap<MaskId, Stamp>,
+}
+
+impl State {
+    /// The directory entry of `mask_id` and the stamp of its pixels.
+    fn entry(&self, mask_id: MaskId) -> StorageResult<(&BlobEntry, Stamp)> {
+        let entry = self
+            .dir
+            .entries
+            .get(&mask_id)
+            .ok_or(StorageError::MaskNotFound(mask_id))?;
+        let stamp = self.stamps.get(&mask_id).copied();
+        Ok((entry, stamp.unwrap_or(RECOVERED)))
+    }
 }
 
 /// What only writers use, guarded by the writer mutex that serialises
@@ -260,7 +287,6 @@ struct Writer {
     /// date: what the next checkpoint's segments must hold.
     unsnapshotted: BTreeSet<MaskId>,
     chi_file: SnapshotFile,
-    tiles_file: SnapshotFile,
 }
 
 impl Writer {
@@ -287,13 +313,6 @@ pub struct DurableMaskStore {
     wal: Mutex<Wal>,
     writer: Mutex<Writer>,
     chi: Arc<ChiStore>,
-    /// Tile-summary grids for the verification kernel, maintained like the
-    /// CHI: evicted before the commit point for deletes/overwrites and
-    /// (re)inserted when the batch publishes. Insertions happen **under the
-    /// state write lock**, so a reader holding the state read guard that
-    /// finds a grid here knows it was built from exactly the pixels the
-    /// directory currently points at (see [`MaskStore::get_tiled`]).
-    tiles: Arc<TileStore>,
     /// Secondary metadata index definitions, shared with query sessions via
     /// [`MaskStore::meta_indexes`] and persisted as one `masks.idx.<col>`
     /// file per definition, written when DDL runs. Posting lists live in the
@@ -322,15 +341,14 @@ impl DurableMaskStore {
         let db_path = dir.join(DB_FILE);
         let wal_path = dir.join(WAL_FILE);
         let chi_path = dir.join(CHI_FILE);
-        let tiles_path = dir.join(TILES_FILE);
 
         let mut pager = Pager::open(&db_path, config.page_size)?;
         let (mut wal, committed) = Wal::open(&wal_path, config.page_size)?;
         let fresh = pager.file_pages() == 0 && committed.is_empty();
         // Pages rewritten by WAL replay: any mask whose extent intersects
         // this set got its current content from a post-checkpoint commit, so
-        // index entries for it in the persisted CHI/tile files (written at
-        // the last checkpoint) may be stale and must be rebuilt from pixels.
+        // index entries for it in the persisted CHI file (written at the
+        // last checkpoint) may be stale and must be rebuilt from pixels.
         let mut replayed_pages: BTreeSet<PageNo> = BTreeSet::new();
         // The deltas that follow the last transaction carrying the whole
         // directory (page 0 and the extent it points at); see below.
@@ -394,11 +412,12 @@ impl DurableMaskStore {
             std::iter::once((meta.dir_start, meta.dir_pages))
                 .chain(directory.entries.values().map(|e| (e.start, e.pages))),
         )?;
-        let indexes = reconcile_indexes(&chi_path, &tiles_path, &config, &directory, &pager, {
+        let indexes = reconcile_indexes(&chi_path, &config, &directory, &pager, {
             |entry: &BlobEntry| {
                 (entry.start..entry.start + entry.pages as u64).any(|p| replayed_pages.contains(&p))
             }
         })?;
+        indexes.chi.stamp_all(RECOVERED);
 
         let _ = fs::remove_file(dir.join(RETIRED_SHAPE_STATS_FILE));
         // Recover secondary index definitions from their files, then rewrite
@@ -420,13 +439,13 @@ impl DurableMaskStore {
 
         Ok(Self {
             chi: Arc::new(indexes.chi),
-            tiles: Arc::new(indexes.tiles),
             meta_indexes,
             db_dir: dir.to_path_buf(),
             config,
             state: RwLock::new(State {
                 pager,
                 dir: directory,
+                stamps: HashMap::new(),
             }),
             wal: Mutex::new(wal),
             writer: Mutex::new(Writer {
@@ -437,7 +456,6 @@ impl DurableMaskStore {
                 dir_pages: meta.dir_pages,
                 unsnapshotted: indexes.unsnapshotted,
                 chi_file: SnapshotFile::new(chi_path, "chi index", indexes.chi_len),
-                tiles_file: SnapshotFile::new(tiles_path, "tile summary", indexes.tiles_len),
             }),
             ingest: IngestStats::new(),
             io: IoStats::new_shared(),
@@ -457,28 +475,30 @@ impl DurableMaskStore {
         &self.chi
     }
 
-    /// The tile-summary store maintained on every commit (the verification
-    /// kernel's within-mask index).
-    pub fn tile_store(&self) -> &Arc<TileStore> {
-        &self.tiles
-    }
-
     /// Invariant check used by the ingest-path and crash-recovery tests:
-    /// every durably-present mask must have a tile grid, and every grid must
-    /// equal one freshly rebuilt from the mask's pixels. Returns the number
-    /// of masks checked.
-    pub fn verify_tile_summaries(&self) -> StorageResult<usize> {
+    /// every durably-present mask has a CHI equal to one freshly built from
+    /// its stored pixels, stamped with its pixels' stamp, and no other mask
+    /// has one. Returns the number of masks checked.
+    pub fn verify_indexes(&self) -> StorageResult<usize> {
         let ids = self.ids();
+        let chi = self.chi.reader();
         for &mask_id in &ids {
-            let mask = self.get(mask_id)?;
-            let grid = self.tiles.get(mask_id).ok_or_else(|| {
-                StorageError::corrupt(format!("mask {mask_id} has no tile summaries"))
-            })?;
-            if !grid.verify(&mask) {
-                return Err(StorageError::corrupt(format!(
-                    "tile summaries of mask {mask_id} do not match its pixels"
-                )));
+            let (mask, stamp) = self.get_stamped(mask_id)?;
+            let corrupt = |what: &str| StorageError::corrupt(format!("mask {mask_id}: {what}"));
+            let (index, installed) = chi.get_stamped(mask_id).ok_or_else(|| corrupt("no CHI"))?;
+            if index.to_chi() != Chi::build(&mask, &self.config.chi_config) {
+                return Err(corrupt("its CHI does not match its pixels"));
             }
+            if installed != stamp {
+                return Err(corrupt("its CHI's stamp is not its pixels'"));
+            }
+        }
+        if chi.len() != ids.len() {
+            return Err(StorageError::corrupt(format!(
+                "{} CHIs for {} masks",
+                chi.len(),
+                ids.len()
+            )));
         }
         Ok(ids.len())
     }
@@ -509,18 +529,18 @@ impl DurableMaskStore {
     /// records: after this returns, either every mask in the batch is
     /// durable or (on error / crash) none of them are visible.
     pub fn insert_masks(&self, batch: &[(MaskRecord, Mask)]) -> StorageResult<()> {
-        self.commit(batch, &[])
+        self.commit(batch, &[]).map(drop)
     }
 
     /// Atomically deletes a batch of masks. Fails without side effects if
     /// any of the ids is unknown.
     pub fn delete_masks(&self, mask_ids: &[MaskId]) -> StorageResult<()> {
-        self.commit(&[], mask_ids)
+        self.commit(&[], mask_ids).map(drop)
     }
 
     /// Writes all committed pages (and the directory) to the database file,
-    /// fsyncs it, rewrites the CHI and tile-summary files without dead
-    /// entries, and truncates the WAL to its header.
+    /// fsyncs it, rewrites the CHI file without dead entries, and truncates
+    /// the WAL to its header.
     pub fn checkpoint(&self) -> StorageResult<()> {
         self.checkpoint_locked(&mut self.writer.lock(), true)
     }
@@ -584,13 +604,11 @@ impl DurableMaskStore {
             compact,
             || self.chi.to_bytes(),
         )?;
-        writer.tiles_file.persist(
-            self.tiles.segment_bytes(changed()),
-            self.tiles.encoded_len(),
-            compact,
-            || self.tiles.to_bytes(),
-        )?;
         writer.unsnapshotted.clear();
+        let tiles = self.db_dir.join(TILES_FILE);
+        if tiles.exists() {
+            remove_file(&tiles, "tile summary")?;
+        }
         // The database and index files are durable; the log can be dropped.
         // An explicit checkpoint leaves the directory at its smallest; an
         // automatic one keeps the log's blocks for the commits to come.
@@ -623,29 +641,23 @@ impl DurableMaskStore {
         }
     }
 
-    /// The CHI and the tile grid of every mask in `inserts`, both from one
-    /// pass over its pixels. Built before the writer mutex is taken: the
-    /// O(pixels) work holds no lock, and a commit that fails just drops it.
-    fn build_indexes(&self, inserts: &[(MaskRecord, Mask)]) -> BuiltIndexes {
-        inserts
+    /// Commits `inserts` and `deletes` as one transaction and returns its
+    /// stamp; see the module docs. The CHIs of `inserts` are built before
+    /// the writer mutex is taken: the O(pixels) work holds no lock, and a
+    /// commit that fails just drops it.
+    fn commit(
+        &self,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> StorageResult<Option<Stamp>> {
+        let chis: Vec<(MaskId, Chi)> = inserts
             .iter()
-            .map(|(record, mask)| {
-                let (chi, grid) =
-                    Chi::build_with_tiles(mask, &self.config.chi_config, self.tiles.tile());
-                ((record.mask_id, chi), (record.mask_id, Arc::new(grid)))
-            })
-            .unzip()
-    }
-
-    /// Commits `inserts` and `deletes` as one transaction; see the module
-    /// docs. Their indexes are built (by [`Self::build_indexes`]) before the
-    /// writer mutex is taken.
-    fn commit(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<()> {
-        let (chis, grids) = self.build_indexes(inserts);
+            .map(|(record, mask)| (record.mask_id, Chi::build(mask, &self.config.chi_config)))
+            .collect();
         let mut writer = self.writer.lock();
         let writer = &mut *writer;
         if inserts.is_empty() && deletes.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
 
         // Validate the whole batch, and find the extents it frees, before
@@ -720,12 +732,9 @@ impl DurableMaskStore {
         delta.upserts = upserts.into_values().collect();
         delta.page_count = writer.page_count;
 
-        // Deleted and overwritten masks leave the tile store before the
-        // commit point: a grid must never summarise pixels other than the
-        // ones a load returns. Their CHIs go in the same version that
+        // Deleted and overwritten masks' CHIs go in the same version that
         // installs the batch's new ones, after the commit point.
         let evicted: Vec<MaskId> = delta.removed.iter().chain(&overwritten).copied().collect();
-        self.tiles.remove_many(&evicted);
 
         // Commit point: the WAL append (+ optional fsync).
         let commit_start = std::time::Instant::now();
@@ -755,6 +764,7 @@ impl DurableMaskStore {
             &obs_counters::WAL_COMMIT_US,
             commit_start.elapsed().as_micros() as u64,
         );
+        let stamp = writer.next_txn;
         writer.next_txn += 1;
         for (start, extent_pages) in released {
             writer.free.release(start, extent_pages);
@@ -777,16 +787,20 @@ impl DurableMaskStore {
             for (start, blob) in extents {
                 state.pager.write_extent(start, blob);
             }
+            // Stamps publish with the pixels: a reader's state read guard
+            // pins a consistent (pixels, stamp) pair.
+            for id in &delta.removed {
+                state.stamps.remove(id);
+            }
+            for entry in &delta.upserts {
+                state.stamps.insert(entry.record.mask_id, stamp);
+            }
             state.dir.apply(delta);
-            // Tile grids publish atomically with the pixels they summarise:
-            // still under the state write lock, so a reader's state read
-            // guard pins a consistent (pixels, grid) pair.
-            self.tiles.insert_many(grids);
         }
 
         // The batch's CHIs change only now that it is durable, as one
-        // version: evictions and installs together.
-        self.chi.apply(&evicted, chis);
+        // version: evictions and installs together, stamped like the pixels.
+        self.chi.apply(&evicted, chis, Some(stamp));
 
         self.io.record_write(
             blob_bytes,
@@ -797,37 +811,26 @@ impl DurableMaskStore {
         self.ingest
             .record_commit(inserts.len() as u64, deleted, wal_bytes);
         self.checkpoint_if_due(writer);
-        Ok(())
+        Ok(Some(stamp))
     }
 
-    /// Loads mask `mask_id` and, when `with_grid` is set, its tile grid.
-    /// The blob read and the grid lookup happen under one state read guard:
-    /// commits publish pages and grids under the state write lock, and
-    /// evictions (which precede any republish) only ever *remove* grids, so
-    /// a grid observed here summarises exactly the pixels read here.
-    fn load(
-        &self,
-        mask_id: MaskId,
-        with_grid: bool,
-    ) -> StorageResult<(Mask, Option<Arc<TileGrid>>)> {
-        let (blob, grid) = {
+    /// Loads mask `mask_id` with the stamp of its pixels, both under one
+    /// state read guard.
+    fn load(&self, mask_id: MaskId) -> StorageResult<(Mask, Stamp)> {
+        let (blob, stamp) = {
             let state = self.state.read();
-            let entry = state
-                .dir
-                .entries
-                .get(&mask_id)
-                .ok_or(StorageError::MaskNotFound(mask_id))?;
+            let (entry, stamp) = state.entry(mask_id)?;
             let blob = state
                 .pager
                 .read_extent(entry.start, entry.pages, entry.bytes)?;
-            (blob, with_grid.then(|| self.tiles.get(mask_id)).flatten())
+            (blob, stamp)
         };
         let bytes = blob.len() as u64;
         self.io
             .record_read(bytes, self.config.profile.read_cost(bytes, 1));
         self.io.record_mask_loaded();
         let (_, mask) = format::decode_mask(&blob)?;
-        Ok((mask, grid))
+        Ok((mask, stamp))
     }
 }
 
@@ -850,7 +853,7 @@ impl MaskStore for DurableMaskStore {
                     .build(),
             }
         };
-        self.commit(&[(record, mask.clone())], &[])
+        self.commit(&[(record, mask.clone())], &[]).map(drop)
     }
 
     fn delete(&self, mask_id: MaskId) -> StorageResult<()> {
@@ -865,7 +868,11 @@ impl MaskStore for DurableMaskStore {
         self.delete_masks(mask_ids)
     }
 
-    fn apply_batch(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<()> {
+    fn apply_batch(
+        &self,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> StorageResult<Option<Stamp>> {
         // One WAL commit frame for the whole batch: a transaction spanning
         // inserts, updates (overwrites), and deletes is all-or-nothing at
         // every crash point, unlike the default delete-then-insert split.
@@ -888,35 +895,27 @@ impl MaskStore for DurableMaskStore {
     }
 
     fn get(&self, mask_id: MaskId) -> StorageResult<Mask> {
-        Ok(self.load(mask_id, false)?.0)
+        Ok(self.load(mask_id)?.0)
     }
 
-    fn get_tiled(&self, mask_id: MaskId) -> StorageResult<TiledMask> {
-        let (mask, grid) = self.load(mask_id, true)?;
-        let mask = Arc::new(mask);
-        Ok(match grid {
-            Some(grid) => TiledMask::with_grid(mask, grid),
-            None => TiledMask::new(mask),
-        })
+    fn get_stamped(&self, mask_id: MaskId) -> StorageResult<(Mask, Option<Stamp>)> {
+        let (mask, stamp) = self.load(mask_id)?;
+        Ok((mask, Some(stamp)))
     }
 
-    /// Two positioned reads under the state read guard a whole load
-    /// takes — the 32-byte blob header, then the rows — so the band is of
-    /// exactly one committed version, dirty pages included.
+    /// Positioned reads under the state read guard a whole load takes —
+    /// the 32-byte blob header, then each band — so the bands and their
+    /// stamp are of exactly one committed version, dirty pages included.
     fn read_rows(
         &self,
         mask_id: MaskId,
-        rows: Range<u32>,
+        bands: &[Range<u32>],
         out: &mut Vec<u8>,
-    ) -> StorageResult<Option<(u32, u32)>> {
+    ) -> StorageResult<Option<RowsRead>> {
         let mut header = [0u8; format::MASK_HEADER_LEN];
-        let header = {
+        let (header, stamp) = {
             let state = self.state.read();
-            let entry = state
-                .dir
-                .entries
-                .get(&mask_id)
-                .ok_or(StorageError::MaskNotFound(mask_id))?;
+            let (entry, stamp) = state.entry(mask_id)?;
             state
                 .pager
                 .read_extent_at(entry.start, entry.pages, 0, &mut header)?;
@@ -933,23 +932,42 @@ impl MaskStore for DurableMaskStore {
                     header.width, header.height, header.payload_len, entry.bytes
                 )));
             }
-            if rows.is_empty() || rows.end > header.height {
+            if bands.is_empty()
+                || bands
+                    .iter()
+                    .any(|rows| rows.is_empty() || rows.end > header.height)
+            {
                 return Ok(None);
             }
             // Inside the extent `entry.bytes` was just checked against, so
             // the length is bounded by a blob this store wrote.
-            out.resize((rows.len() as u64 * row_bytes) as usize, 0);
-            let offset = format::MASK_HEADER_LEN as u64 + rows.start as u64 * row_bytes;
-            state
-                .pager
-                .read_extent_at(entry.start, entry.pages, offset, out)?;
-            header
+            let rows: u64 = bands.iter().map(|rows| rows.len() as u64).sum();
+            out.resize((rows * row_bytes) as usize, 0);
+            let mut at = 0;
+            for rows in bands {
+                let len = (rows.len() as u64 * row_bytes) as usize;
+                let offset = format::MASK_HEADER_LEN as u64 + rows.start as u64 * row_bytes;
+                state.pager.read_extent_at(
+                    entry.start,
+                    entry.pages,
+                    offset,
+                    &mut out[at..at + len],
+                )?;
+                at += len;
+            }
+            (header, stamp)
         };
         let bytes = (format::MASK_HEADER_LEN + out.len()) as u64;
-        self.io
-            .record_read(bytes, self.config.profile.read_cost(bytes, 1));
+        self.io.record_read(
+            bytes,
+            self.config.profile.read_cost(bytes, bands.len() as u64),
+        );
         self.io.record_mask_loaded();
-        Ok(Some((header.width, header.height)))
+        Ok(Some(RowsRead {
+            width: header.width,
+            height: header.height,
+            stamp: Some(stamp),
+        }))
     }
 
     fn contains(&self, mask_id: MaskId) -> bool {
@@ -1014,20 +1032,17 @@ fn page_images(
         })
 }
 
-/// The in-memory indexes recovered at open, and how they relate to their
-/// files.
+/// The in-memory index recovered at open, and how it relates to its file.
 struct RecoveredIndexes {
     chi: ChiStore,
-    tiles: TileStore,
-    /// Valid length of each file: where its next segment goes.
+    /// Valid length of the file: where its next segment goes.
     chi_len: u64,
-    tiles_len: u64,
-    /// Masks whose entries the files do not hold (or may hold stale).
+    /// Masks whose entries the file does not hold (or may hold stale).
     unsnapshotted: BTreeSet<MaskId>,
 }
 
-/// Loads the persisted CHI and tile-summary files (if any) and reconciles
-/// them with the recovered directory:
+/// Loads the persisted CHI file (if any) and reconciles it with the
+/// recovered directory:
 ///
 /// * entries for masks missing from the directory are dropped;
 /// * entries for masks whose extent was rewritten by WAL replay
@@ -1035,11 +1050,9 @@ struct RecoveredIndexes {
 ///   the last checkpoint, so they may describe *pre-overwrite* pixels, and a
 ///   stale index over new pixels could mis-prune or mis-accept;
 /// * masks left without an entry are re-indexed from their recovered pixels
-///   (decoded once, both indexes from one pass) and noted as not in the
-///   files.
+///   and noted as not in the file.
 fn reconcile_indexes(
     chi_path: &Path,
-    tiles_path: &Path,
     config: &DbConfig,
     dir: &Directory,
     pager: &Pager,
@@ -1059,11 +1072,6 @@ fn reconcile_indexes(
         })
         .filter(|(store, _)| *store.config() == config.chi_config)
         .unwrap_or_else(|| (ChiStore::new(config.chi_config), 0));
-    let (tiles, tiles_len) = fs::read(tiles_path)
-        .ok()
-        .and_then(|bytes| TileStore::from_segments(&bytes).ok())
-        .filter(|(store, _)| store.tile() == masksearch_core::DEFAULT_TILE_SIZE)
-        .unwrap_or_else(|| (TileStore::default(), 0));
     let current = |mask_id: &MaskId| {
         dir.entries
             .get(mask_id)
@@ -1071,9 +1079,6 @@ fn reconcile_indexes(
     };
     let stale: Vec<MaskId> = chi.ids().into_iter().filter(|id| !current(id)).collect();
     chi.remove_many(&stale);
-    for mask_id in tiles.ids().into_iter().filter(|id| !current(id)) {
-        tiles.remove(mask_id);
-    }
     // Nothing can be appended after a pre-segment image or an older format
     // (length 0): its entries must be written again, as the file's first
     // segment.
@@ -1081,35 +1086,22 @@ fn reconcile_indexes(
     if chi_len == 0 {
         unsnapshotted.extend(chi.ids());
     }
-    if tiles_len == 0 {
-        unsnapshotted.extend(tiles.ids());
-    }
     let indexed = chi.reader();
     let mut rebuilt = Vec::new();
     for (mask_id, entry) in &dir.entries {
-        let need_chi = !indexed.contains(*mask_id);
-        let need_tiles = !tiles.contains(*mask_id);
-        if !need_chi && !need_tiles {
+        if indexed.contains(*mask_id) {
             continue;
         }
         let blob = pager.read_extent(entry.start, entry.pages, entry.bytes)?;
         let (_, mask) = format::decode_mask(&blob)?;
-        let (built, grid) = Chi::build_with_tiles(&mask, &config.chi_config, tiles.tile());
-        if need_chi {
-            rebuilt.push((*mask_id, built));
-        }
-        if need_tiles {
-            tiles.insert(*mask_id, Arc::new(grid));
-        }
+        rebuilt.push((*mask_id, Chi::build(&mask, &config.chi_config)));
         unsnapshotted.insert(*mask_id);
     }
     drop(indexed);
     chi.insert_many(rebuilt);
     Ok(RecoveredIndexes {
         chi,
-        tiles,
         chi_len: chi_len as u64,
-        tiles_len: tiles_len as u64,
         unsnapshotted,
     })
 }
@@ -1185,11 +1177,16 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A ranged read returns exactly the stored bytes of the rows asked for
-    /// — from the dirty table before a checkpoint and from the file after —
-    /// into a reused buffer, counts as one mask loaded, and declines
-    /// (`None`) what it cannot serve: rows past the mask, an empty range,
-    /// a compressed blob.
+    /// One band, as `read_rows` takes bands.
+    fn band(rows: Range<u32>) -> [Range<u32>; 1] {
+        [rows]
+    }
+
+    /// A ranged read returns exactly the stored bytes of the bands asked
+    /// for — from the dirty table before a checkpoint and from the file
+    /// after — into a reused buffer, with the stamp of the commit that wrote
+    /// them, counts as one mask loaded, and declines (`None`) what it cannot
+    /// serve: rows past the mask, an empty band, a compressed blob.
     #[test]
     fn ranged_row_reads_return_the_stored_bytes_or_decline() {
         let dir = temp_dir("read-rows");
@@ -1201,6 +1198,14 @@ mod tests {
             &blob[format::MASK_HEADER_LEN + rows.start as usize * 32..][..rows.len() * 32]
         };
         let mut out = vec![0xAA; 7];
+        let read = |stamp| {
+            Some(RowsRead {
+                width: 8,
+                height: 8,
+                stamp: Some(stamp),
+            })
+        };
+        let stamp = store.get_stamped(id).unwrap().1.unwrap();
         for checkpointed in [false, true] {
             if checkpointed {
                 store.checkpoint().unwrap();
@@ -1208,17 +1213,36 @@ mod tests {
             for rows in [0..8, 0..1, 7..8, 2..5] {
                 let before = store.io_stats().snapshot();
                 assert_eq!(
-                    store.read_rows(id, rows.clone(), &mut out).unwrap(),
-                    Some((8, 8))
+                    store
+                        .read_rows(id, std::slice::from_ref(&rows), &mut out)
+                        .unwrap(),
+                    read(stamp)
                 );
                 assert_eq!(out, stored_rows(rows.clone()), "rows {rows:?}");
                 let io = store.io_stats().snapshot().delta_since(&before);
                 assert_eq!(io.masks_loaded, 1);
                 assert_eq!(io.bytes_read, (format::MASK_HEADER_LEN + out.len()) as u64);
             }
+            // Several bands: one after another, one mask loaded.
             let before = store.io_stats().snapshot();
-            assert_eq!(store.read_rows(id, 3..9, &mut out).unwrap(), None);
-            assert_eq!(store.read_rows(id, 4..4, &mut out).unwrap(), None);
+            assert_eq!(
+                store.read_rows(id, &[0..2, 5..6], &mut out).unwrap(),
+                read(stamp)
+            );
+            assert_eq!(out, [stored_rows(0..2), stored_rows(5..6)].concat());
+            assert_eq!(
+                store
+                    .io_stats()
+                    .snapshot()
+                    .delta_since(&before)
+                    .masks_loaded,
+                1
+            );
+            let before = store.io_stats().snapshot();
+            assert_eq!(store.read_rows(id, &band(3..9), &mut out).unwrap(), None);
+            assert_eq!(store.read_rows(id, &band(4..4), &mut out).unwrap(), None);
+            assert_eq!(store.read_rows(id, &[0..1, 4..4], &mut out).unwrap(), None);
+            assert_eq!(store.read_rows(id, &[], &mut out).unwrap(), None);
             assert_eq!(
                 store
                     .io_stats()
@@ -1228,7 +1252,7 @@ mod tests {
                 0
             );
             assert!(matches!(
-                store.read_rows(MaskId::new(99), 0..1, &mut out),
+                store.read_rows(MaskId::new(99), &band(0..1), &mut out),
                 Err(StorageError::MaskNotFound(_))
             ));
         }
@@ -1239,13 +1263,56 @@ mod tests {
         let store = DurableMaskStore::open(&dir, small_config().encoding(MaskEncoding::Compressed))
             .unwrap();
         store.insert_masks(&batch(10..11)).unwrap();
-        assert_eq!(store.read_rows(id, 2..5, &mut out).unwrap(), Some((8, 8)));
+        // Reopened: the mask carries the stamp of the pixels recovered.
+        let recovered = store.get_stamped(id).unwrap().1.unwrap();
+        assert_eq!(recovered, RECOVERED);
+        assert_eq!(
+            store.read_rows(id, &band(2..5), &mut out).unwrap(),
+            read(recovered)
+        );
         assert_eq!(out, stored_rows(2..5));
         assert_eq!(
-            store.read_rows(MaskId::new(10), 2..5, &mut out).unwrap(),
+            store
+                .read_rows(MaskId::new(10), &band(2..5), &mut out)
+                .unwrap(),
             None
         );
         assert_eq!(store.get(MaskId::new(10)).unwrap(), mask(10));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A mask's pixels and the CHI its commit installs carry that commit's
+    /// stamp; an overwrite restamps both, other masks keep theirs, and
+    /// masks recovered at open carry [`RECOVERED`], which no commit has.
+    #[test]
+    fn stamps_follow_the_commit_that_installed_the_pixels() {
+        let dir = temp_dir("stamps");
+        let stamp_of = |store: &DurableMaskStore, id| {
+            let id = MaskId::new(id);
+            let pixels = store.get_stamped(id).unwrap().1.unwrap();
+            let index = store.chi_store().reader().get_stamped(id).unwrap().1;
+            assert_eq!(Some(pixels), index, "mask {id}");
+            pixels
+        };
+        let store = DurableMaskStore::open(&dir, small_config()).unwrap();
+        let first = store.apply_batch(&batch(0..3), &[]).unwrap().unwrap();
+        assert_ne!(first, RECOVERED);
+        assert_eq!(stamp_of(&store, 1), first);
+        let second = store
+            .apply_batch(&batch(1..2), &[MaskId::new(2)])
+            .unwrap()
+            .unwrap();
+        assert!(second > first);
+        assert_eq!((stamp_of(&store, 0), stamp_of(&store, 1)), (first, second));
+        drop(store);
+        let store = DurableMaskStore::open(&dir, small_config()).unwrap();
+        assert_eq!(stamp_of(&store, 0), RECOVERED);
+        let third = store.apply_batch(&batch(0..1), &[]).unwrap().unwrap();
+        assert_ne!(third, RECOVERED);
+        assert_eq!(
+            (stamp_of(&store, 0), stamp_of(&store, 1)),
+            (third, RECOVERED)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

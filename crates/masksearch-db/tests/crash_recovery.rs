@@ -93,9 +93,9 @@ fn run_history(dir: &Path) -> Vec<HistoryStep> {
 }
 
 /// Asserts the reopened store is bit-equivalent to `expected`: same ids,
-/// same pixels, same catalog records, a CHI for exactly the surviving masks
-/// whose *contents* match their pixels, and tile summaries consistent with
-/// the pixels (the verification-kernel ingest invariant).
+/// same pixels, same catalog records, and a CHI for exactly the surviving
+/// masks whose *contents* match their pixels, stamped like them (the
+/// invariant verification by CHI cell rests on).
 fn assert_state_matches(store: &DurableMaskStore, expected: &BTreeMap<MaskId, Mask>) {
     let ids: Vec<MaskId> = expected.keys().copied().collect();
     assert_eq!(store.ids(), ids);
@@ -118,17 +118,17 @@ fn assert_state_matches(store: &DurableMaskStore, expected: &BTreeMap<MaskId, Ma
             "CHI of mask {id} does not match its recovered pixels"
         );
     }
-    assert_eq!(store.verify_tile_summaries().unwrap(), ids.len());
+    assert_eq!(store.verify_indexes().unwrap(), ids.len());
 }
 
 /// Copies the database directory with the WAL truncated to `cut` bytes. The
-/// page file and the checkpointed CHI / tile-summary files survive a crash
-/// unchanged, so they are copied whole — recovery must cope with index files
-/// that predate replayed WAL commits.
+/// page file and the checkpointed CHI file survive a crash unchanged, so
+/// they are copied whole — recovery must cope with an index file that
+/// predates replayed WAL commits.
 fn crashed_copy(src: &Path, dst: &Path, cut: usize) {
     let _ = fs::remove_dir_all(dst);
     fs::create_dir_all(dst).unwrap();
-    for file in [DB_FILE, CHI_FILE, TILES_FILE] {
+    for file in [DB_FILE, CHI_FILE] {
         if src.join(file).exists() {
             fs::copy(src.join(file), dst.join(file)).unwrap();
         }
@@ -304,19 +304,18 @@ fn fsync_off_under_memory_pressure_still_recovers_a_committed_prefix() {
 
 #[test]
 fn stale_index_files_after_post_checkpoint_writes_are_rebuilt() {
-    // A checkpoint persists the CHI and tile-summary files; commits after it
-    // live only in the WAL. A crash then leaves index files describing
-    // *pre-overwrite* pixels. Recovery must detect every mask whose extent
-    // the WAL replay rewrote and rebuild its summaries from the recovered
-    // pixels — a stale CHI would silently mis-prune, stale tiles would
-    // silently mis-count.
+    // A checkpoint persists the CHI file; commits after it live only in the
+    // WAL. A crash then leaves an index file describing *pre-overwrite*
+    // pixels. Recovery must detect every mask whose extent the WAL replay
+    // rewrote and rebuild its index from the recovered pixels — a stale CHI
+    // would silently mis-prune and mis-count.
     let src = temp_dir("stale-src");
     {
         let db = MaskDb::open(&src, config()).unwrap();
         let batch: Vec<(MaskRecord, Mask)> =
             (0..5u64).map(|i| (record(i), mask(i as u32))).collect();
         db.insert_masks(&batch).unwrap();
-        db.checkpoint().unwrap(); // CHI + tiles files now describe masks 0..5
+        db.checkpoint().unwrap(); // the CHI file now describes masks 0..5
                                   // Post-checkpoint: overwrite two masks, delete one, insert one.
         db.insert_masks(&[(record(1), mask(50)), (record(3), mask(51))])
             .unwrap();
@@ -329,7 +328,6 @@ fn stale_index_files_after_post_checkpoint_writes_are_rebuilt() {
     let wal_len = fs::read(src.join(WAL_FILE)).unwrap().len();
     crashed_copy(&src, &crash_dir, wal_len);
     assert!(crash_dir.join(CHI_FILE).exists());
-    assert!(crash_dir.join(TILES_FILE).exists());
 
     let store = DurableMaskStore::open(&crash_dir, config()).unwrap();
     let expected: BTreeMap<MaskId, Mask> = [
@@ -374,14 +372,13 @@ fn commits_after_recovery_continue_the_history() {
 // files appended to: crashes between and inside a checkpoint's steps.
 // ---------------------------------------------------------------------------
 
-/// The four files recovery reads, as they were at one instant. A missing
+/// The three files recovery reads, as they were at one instant. A missing
 /// file is an empty one.
 #[derive(Clone, PartialEq)]
 struct Files {
     db: Vec<u8>,
     wal: Vec<u8>,
     chi: Vec<u8>,
-    tiles: Vec<u8>,
 }
 
 impl Files {
@@ -391,7 +388,6 @@ impl Files {
             db: file(DB_FILE),
             wal: file(WAL_FILE),
             chi: file(CHI_FILE),
-            tiles: file(TILES_FILE),
         }
     }
 
@@ -402,7 +398,6 @@ impl Files {
             (DB_FILE, &self.db),
             (WAL_FILE, &self.wal),
             (CHI_FILE, &self.chi),
-            (TILES_FILE, &self.tiles),
         ] {
             if !bytes.is_empty() {
                 fs::write(dir.join(name), bytes).unwrap();
@@ -499,8 +494,8 @@ fn checkpointing_config() -> DbConfig {
 }
 
 /// Reopens `files` as a crashed database and returns the committed prefix
-/// it equals (with every CHI equal to `Chi::build` of its pixels and the
-/// tile summaries verified, see [`matching_prefix`]).
+/// it equals (with every CHI equal to `Chi::build` of its pixels, see
+/// [`matching_prefix`]).
 fn recovered_prefix(files: &Files, crash_dir: &Path, steps: &[HistoryStep]) -> usize {
     files.write(crash_dir);
     let store = DurableMaskStore::open(crash_dir, checkpointing_config()).unwrap();
@@ -669,28 +664,18 @@ fn crashes_between_and_inside_checkpoint_steps_recover_a_committed_prefix() {
             expect_k(files, what);
         }
 
-        // 3. and 4. The page file is durable; the chi file, then the tile
-        //    file, is being brought up to date. The log still names every
-        //    mask the old files are stale for.
+        // 3. The page file is durable; the chi file is being brought up to
+        //    date. The log still names every mask the old file is stale for.
         for chi in append_states(&before.chi, &after.chi) {
             let files = Files {
                 db: after.db.clone(),
                 wal: log.clone(),
                 chi,
-                tiles: before.tiles.clone(),
             };
             expect_k(files, "chi file being written");
         }
-        for tiles in append_states(&before.tiles, &after.tiles) {
-            let files = Files {
-                wal: log.clone(),
-                tiles,
-                ..after.clone()
-            };
-            expect_k(files, "tile file being written");
-        }
 
-        // 5. Everything else is durable; the log is being recycled: still
+        // 4. Everything else is durable; the log is being recycled: still
         //    whole, then its first frame's header zeroed.
         for wal in [written(log.len()), after.wal.clone()] {
             let files = Files {
@@ -759,19 +744,10 @@ fn a_commit_logs_what_it_writes_however_large_the_database() {
     assert!(overwrite < 3 * 128, "an overwrite logged {overwrite} bytes");
 }
 
-/// The index files of `dir` parsed back, with the length of their valid
-/// prefixes.
-fn load_index_files(
-    dir: &Path,
-) -> (
-    (masksearch_index::ChiStore, usize),
-    (masksearch_index::TileStore, usize),
-) {
-    (
-        masksearch_index::ChiStore::from_segments(&fs::read(dir.join(CHI_FILE)).unwrap()).unwrap(),
-        masksearch_index::TileStore::from_segments(&fs::read(dir.join(TILES_FILE)).unwrap())
-            .unwrap(),
-    )
+/// The index file of `dir` parsed back, with the length of its valid
+/// prefix.
+fn load_index_file(dir: &Path) -> (masksearch_index::ChiStore, usize) {
+    masksearch_index::ChiStore::from_segments(&fs::read(dir.join(CHI_FILE)).unwrap()).unwrap()
 }
 
 #[test]
@@ -809,33 +785,23 @@ fn index_files_grow_by_appends_survive_a_torn_segment_and_compact_on_checkpoint(
     // for byte, and hold every mask.
     for pair in snapshots.windows(2) {
         assert!(pair[1].chi.len() > pair[0].chi.len() && pair[1].chi.starts_with(&pair[0].chi));
-        assert!(pair[1].tiles.len() > pair[0].tiles.len());
-        assert!(pair[1].tiles.starts_with(&pair[0].tiles));
     }
-    let ((chi, chi_len), (tiles, tiles_len)) = load_index_files(&dir);
+    let (chi, chi_len) = load_index_file(&dir);
     let last = snapshots.last().unwrap();
-    assert_eq!((chi_len, tiles_len), (last.chi.len(), last.tiles.len()));
-    assert_eq!((chi.len(), tiles.len()), (model.len(), model.len()));
+    assert_eq!(chi_len, last.chi.len());
+    assert_eq!(chi.len(), model.len());
     assert_eq!(
         last.wal[12], 0,
         "the last commit checkpointed: its log is recycled"
     );
 
-    // Tear the last segment of both files. The log is empty, so nothing but
-    // the files' own checksums says those entries are gone: they are
-    // dropped, and their masks re-indexed from pixels.
+    // Tear the file's last segment. The log is empty, so nothing but the
+    // file's own checksums says those entries are gone: they are dropped,
+    // and their masks re-indexed from pixels.
     let before_last = &snapshots[snapshots.len() - 2];
     fs::write(dir.join(CHI_FILE), &last.chi[..last.chi.len() - 3]).unwrap();
-    fs::write(
-        dir.join(TILES_FILE),
-        &last.tiles[..before_last.tiles.len() + 9],
-    )
-    .unwrap();
-    let ((chi, chi_len), (_, tiles_len)) = load_index_files(&dir);
-    assert_eq!(
-        (chi_len, tiles_len),
-        (before_last.chi.len(), before_last.tiles.len())
-    );
+    let (chi, chi_len) = load_index_file(&dir);
+    assert_eq!(chi_len, before_last.chi.len());
     assert!(chi.len() < model.len());
     let store = DurableMaskStore::open(&dir, config).unwrap();
     assert_state_matches(&store, &model);
@@ -843,14 +809,14 @@ fn index_files_grow_by_appends_survive_a_torn_segment_and_compact_on_checkpoint(
     // The next automatic checkpoint appends where the valid prefix ended,
     // not behind the torn bytes, and its segment holds the rebuilt entries.
     insert_until(&store, &mut model, 1);
-    let ((chi, chi_len), (tiles, tiles_len)) = load_index_files(&dir);
+    let (chi, chi_len) = load_index_file(&dir);
     let files = Files::read(&dir);
-    assert_eq!((chi_len, tiles_len), (files.chi.len(), files.tiles.len()));
-    assert!(files.chi.starts_with(&before_last.chi) && files.tiles.starts_with(&before_last.tiles));
-    assert_eq!((chi.len(), tiles.len()), (model.len(), model.len()));
+    assert_eq!(chi_len, files.chi.len());
+    assert!(files.chi.starts_with(&before_last.chi));
+    assert_eq!(chi.len(), model.len());
 
     // Deletes and overwrites leave dead entries behind; an explicit
-    // checkpoint leaves none: each file is the store's one-segment image.
+    // checkpoint leaves none: the file is the store's one-segment image.
     store
         .delete_masks(&[MaskId::new(0), MaskId::new(3)])
         .unwrap();
@@ -861,10 +827,9 @@ fn index_files_grow_by_appends_survive_a_torn_segment_and_compact_on_checkpoint(
     store.checkpoint().unwrap();
     let files = Files::read(&dir);
     assert!(files.chi == store.chi_store().to_bytes());
-    assert!(files.tiles == store.tile_store().to_bytes());
-    let ((chi, chi_len), (tiles, tiles_len)) = load_index_files(&dir);
-    assert_eq!((chi_len, tiles_len), (files.chi.len(), files.tiles.len()));
-    assert_eq!((chi.len(), tiles.len()), (store.len(), store.len()));
+    let (chi, chi_len) = load_index_file(&dir);
+    assert_eq!(chi_len, files.chi.len());
+    assert_eq!(chi.len(), store.len());
     assert_eq!(chi.ids(), store.ids());
     drop(store);
     let store = DurableMaskStore::open(&dir, config).unwrap();
@@ -877,38 +842,23 @@ fn overwrite_churn_rewrites_index_files_before_dead_entries_outweigh_live_ones()
     let dir = temp_dir("churn");
     let store = DurableMaskStore::open(&dir, config().checkpoint_wal_bytes(1500)).unwrap();
     let mut model: BTreeMap<MaskId, Mask> = BTreeMap::new();
-    let mut largest = (0u64, 0u64);
+    let mut largest = 0u64;
     for round in 0..60u32 {
         let batch: Vec<(MaskRecord, Mask)> = (0..6u64)
             .map(|i| (record(i), mask(i as u32 + round)))
             .collect();
         store.insert_masks(&batch).unwrap();
         model.extend(batch.into_iter().map(|(r, m)| (r.mask_id, m)));
-        let files = Files::read(&dir);
-        largest = (
-            largest.0.max(files.chi.len() as u64),
-            largest.1.max(files.tiles.len() as u64),
-        );
+        largest = largest.max(Files::read(&dir).chi.len() as u64);
     }
     assert!(store.ingest_stats().unwrap().checkpoints >= 10);
     // Without rewrites ten-odd checkpoints of six entries each would have
-    // piled up; with them a file never reaches twice its live content plus
+    // piled up; with them the file never reaches twice its live content plus
     // the segment that tipped it over.
-    let live = (
-        store.chi_store().encoded_len(),
-        store.tile_store().encoded_len(),
-    );
+    let live = store.chi_store().encoded_len();
     assert!(
-        largest.0 < 2 * live.0,
-        "chi file reached {} of {} live bytes",
-        largest.0,
-        live.0
-    );
-    assert!(
-        largest.1 < 2 * live.1,
-        "tile file reached {} of {} live bytes",
-        largest.1,
-        live.1
+        largest < 2 * live,
+        "chi file reached {largest} of {live} live bytes"
     );
     drop(store);
     let store = DurableMaskStore::open(&dir, config()).unwrap();
@@ -916,9 +866,10 @@ fn overwrite_churn_rewrites_index_files_before_dead_entries_outweigh_live_ones()
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Copies a database written by the previous format's build (PR 18:
-/// `WAL_VERSION` 1, `DB_FORMAT_VERSION` 1, bare `MSKI` v1 / `MSKT` v2 index
-/// images) out of `tests/fixtures/` into a scratch directory.
+/// Copies a database written by the previous format's build (`WAL_VERSION`
+/// 1, `DB_FORMAT_VERSION` 1, a bare `MSKI` v1 index image, and the `MSKT` v2
+/// tile-summary file builds of that time kept) out of `tests/fixtures/`
+/// into a scratch directory.
 fn v1_fixture(name: &str) -> PathBuf {
     let src = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -987,20 +938,77 @@ fn version_1_databases_open_replay_their_log_and_are_upgraded_in_place() {
             let store = DurableMaskStore::open(&dir, config()).unwrap();
             assert_state_matches(&store, &expected);
             // The first checkpoint writes every file in the current format,
-            // which a v1 build refuses to open.
+            // which a v1 build refuses to open, and removes the tile file.
+            assert!(dir.join(TILES_FILE).exists());
             store.checkpoint().unwrap();
         }
         assert_eq!(format_version(&dir, DB_FILE), 2);
         assert_eq!(format_version(&dir, WAL_FILE), 3);
         assert_eq!(format_version(&dir, CHI_FILE), 3);
-        assert_eq!(format_version(&dir, TILES_FILE), 3);
+        assert!(!dir.join(TILES_FILE).exists());
         let store = DurableMaskStore::open(&dir, config()).unwrap();
         assert_state_matches(&store, &expected);
-        let ((chi, chi_len), (tiles, _)) = load_index_files(&dir);
+        let (chi, chi_len) = load_index_file(&dir);
         assert_eq!(chi_len, fs::read(dir.join(CHI_FILE)).unwrap().len());
-        assert_eq!((chi.len(), tiles.len()), (expected.len(), expected.len()));
+        assert_eq!(chi.len(), expected.len());
         drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }
     expected.clear();
+}
+
+/// The version 1 fixtures hold a `masks.tiles` file. It is ignored on open:
+/// every statement answers as a session over the same masks in memory does
+/// (which counts by the reference scan), and verification takes the cell
+/// kernel; the next checkpoint removes the file.
+#[test]
+fn databases_holding_a_tile_file_answer_identically_and_drop_it_at_the_next_checkpoint() {
+    use masksearch_core::{PixelRange, Roi};
+    use masksearch_query::{IndexingMode, Query, Session, SessionConfig};
+    use masksearch_storage::{Catalog, MemoryMaskStore};
+    use std::sync::Arc;
+
+    let queries = || {
+        let roi = Roi::new(1, 0, 4, 3).unwrap();
+        [0.1f32, 0.3, 0.5, 0.62].into_iter().flat_map(move |lo| {
+            let range = PixelRange::new(lo, 0.95).unwrap();
+            [
+                Query::filter_cp_gt(roi, range, 2.0),
+                Query::top_k_cp(roi, range, 3, masksearch_query::Order::Desc),
+            ]
+        })
+    };
+    for name in ["v1_with_wal", "v1_checkpointed"] {
+        let dir = v1_fixture(name);
+        assert!(dir.join(TILES_FILE).exists(), "{name} holds no tile file");
+        let db = MaskDb::open(&dir, config()).unwrap();
+        let config = SessionConfig::new(ChiConfig::new(2, 2, 4).unwrap())
+            .threads(1)
+            .indexing_mode(IndexingMode::Eager);
+        let session = Session::with_store_maintained_index(
+            db.mask_store(),
+            db.catalog(),
+            config,
+            db.chi_store(),
+        );
+        let memory = Arc::new(MemoryMaskStore::for_tests());
+        let mut catalog = Catalog::new();
+        for id in db.store().ids() {
+            memory.put(id, &db.store().get(id).unwrap()).unwrap();
+            catalog.insert(record(id.raw()));
+        }
+        let reference = Session::new(memory as Arc<dyn MaskStore>, catalog, config).unwrap();
+        let mut counted = 0;
+        for query in queries() {
+            let out = session.execute(&query).unwrap();
+            assert_eq!(out.rows, reference.execute(&query).unwrap().rows, "{name}");
+            assert_eq!(out.stats.planner_kernel_off, 0, "{name}");
+            counted += out.stats.planner_kernel_on;
+        }
+        assert!(counted > 0, "{name}: no statement verified a mask");
+        db.checkpoint().unwrap();
+        assert!(!dir.join(TILES_FILE).exists(), "{name}");
+        drop((session, db));
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

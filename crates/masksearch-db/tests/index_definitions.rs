@@ -6,7 +6,7 @@
 
 use masksearch_core::{ImageId, Mask, MaskId, MaskRecord, ModelId};
 use masksearch_db::store::meta_index_file;
-use masksearch_db::{DbConfig, DurableMaskStore, MaskDb, CHI_FILE, DB_FILE, TILES_FILE, WAL_FILE};
+use masksearch_db::{DbConfig, DurableMaskStore, MaskDb, CHI_FILE, DB_FILE, WAL_FILE};
 use masksearch_index::ChiConfig;
 use masksearch_query::{Session, SessionConfig};
 use masksearch_storage::codec::Writer;
@@ -104,7 +104,7 @@ fn a_checkpoint_writes_no_definition_file() {
     session.delete_masks(&[MaskId::new(2)]).unwrap();
     db.checkpoint().unwrap();
 
-    let expected: BTreeSet<String> = [DB_FILE, WAL_FILE, CHI_FILE, TILES_FILE]
+    let expected: BTreeSet<String> = [DB_FILE, WAL_FILE, CHI_FILE]
         .into_iter()
         .map(String::from)
         .chain([meta_index_file(MetaColumn::ModelId)])

@@ -6,7 +6,9 @@
 //! page file holds the pages, and a reader resolves the directory entry and
 //! reads the extent under one state guard. Break either and a reader gets
 //! pages of another mask, another version, or a mix; this test reads
-//! version-stamped masks fast enough to land inside those windows.
+//! version-stamped masks fast enough to land inside those windows. Every
+//! read also reports the commit stamp of its pixels, and a CHI carrying that
+//! stamp must be the index of exactly those pixels.
 
 use masksearch_core::{Mask, MaskId, MaskRecord, PixelRange, Roi};
 use masksearch_db::{DbConfig, DurableMaskStore};
@@ -96,14 +98,14 @@ fn every_read_is_exactly_one_committed_version() {
     let done = AtomicBool::new(false);
     let barrier = Barrier::new(READERS + 1);
 
-    let (reads, grids) = std::thread::scope(|scope| {
+    let (reads, indexed) = std::thread::scope(|scope| {
         let readers: Vec<_> = (0..READERS)
             .map(|reader| {
                 let (store, started, committed, done, barrier) =
                     (&store, &started, &committed, &done, &barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    let (mut reads, mut grids) = (0u64, 0u64);
+                    let (mut reads, mut indexed) = (0u64, 0u64);
                     let mut next = reader as u64 * 7;
                     while !done.load(Ordering::SeqCst) {
                         next = (next + 5) % IDS;
@@ -112,15 +114,18 @@ fn every_read_is_exactly_one_committed_version() {
                         let mask = if reads % 2 == 0 {
                             store.get(MaskId::new(id)).unwrap()
                         } else {
-                            let tiled = store.get_tiled(MaskId::new(id)).unwrap();
-                            if tiled.has_grid() {
-                                grids += 1;
-                                assert!(
-                                    tiled.grid().verify(tiled.mask()),
-                                    "mask {id}: grid does not summarise the pixels it came with"
-                                );
+                            let (mask, stamp) = store.get_stamped(MaskId::new(id)).unwrap();
+                            let chi = store.chi_store().reader();
+                            if let Some((index, installed)) = chi.get_stamped(MaskId::new(id)) {
+                                if installed == stamp {
+                                    indexed += 1;
+                                    assert!(
+                                        index.to_chi() == Chi::build(&mask, &config.chi_config),
+                                        "mask {id}: a CHI of the pixels' stamp summarises others"
+                                    );
+                                }
                             }
-                            tiled.mask().clone()
+                            mask
                         };
                         let at_most = started[id as usize].load(Ordering::SeqCst);
                         let version = version_of(&mask);
@@ -134,7 +139,7 @@ fn every_read_is_exactly_one_committed_version() {
                         );
                         reads += 1;
                     }
-                    (reads, grids)
+                    (reads, indexed)
                 })
             })
             .collect();
@@ -156,7 +161,7 @@ fn every_read_is_exactly_one_committed_version() {
         readers
             .into_iter()
             .map(|reader| reader.join().expect("reader panicked"))
-            .fold((0, 0), |(r, g), (reads, grids)| (r + reads, g + grids))
+            .fold((0, 0), |(r, i), (reads, indexed)| (r + reads, i + indexed))
     });
 
     let checkpoints = store.ingest_stats().unwrap().checkpoints;
@@ -166,8 +171,8 @@ fn every_read_is_exactly_one_committed_version() {
         "only {checkpoints} checkpoints in {COMMITS} commits"
     );
     assert!(
-        reads >= checkpoints && grids > 0,
-        "{reads} reads ({grids} with a grid) beside {checkpoints} checkpoints"
+        reads >= checkpoints && indexed > 0,
+        "{reads} reads ({indexed} with their CHI) beside {checkpoints} checkpoints"
     );
 
     // The final state, from memory and again from the files alone.
@@ -176,7 +181,7 @@ fn every_read_is_exactly_one_committed_version() {
             let version = committed[id as usize].load(Ordering::SeqCst);
             assert_eq!(store.get(MaskId::new(id)).unwrap(), stamped(id, version));
         }
-        assert_eq!(store.verify_tile_summaries().unwrap(), IDS as usize);
+        assert_eq!(store.verify_indexes().unwrap(), IDS as usize);
     };
     check_final(&store);
     drop(store);
@@ -190,6 +195,7 @@ fn every_read_is_exactly_one_committed_version() {
 /// a whole load takes, so its bytes must be those rows of exactly one
 /// version, committed no earlier than the read began and started no later
 /// than it ended — never a mix of two versions' pages, never another mask.
+/// Half the reads ask for two bands at once: both of the one version.
 #[test]
 fn every_band_is_exactly_one_committed_version() {
     let dir = temp_dir("bands");
@@ -230,18 +236,29 @@ fn every_band_is_exactly_one_committed_version() {
                         // is 64 bytes, so they start and end mid-page.
                         let y0 = (reads * 3 + id) as u32 % SIDE;
                         let rows = y0..(y0 + 1 + reads as u32 % 5).min(SIDE);
+                        let bands = match (reads % 2, rows.end + 2 < SIDE) {
+                            (1, true) => vec![rows.clone(), rows.end + 1..SIDE],
+                            _ => vec![rows.clone()],
+                        };
                         let at_least = committed[id as usize].load(Ordering::SeqCst);
-                        let shape = store
-                            .read_rows(MaskId::new(id), rows.clone(), &mut band)
-                            .unwrap();
+                        let read = store
+                            .read_rows(MaskId::new(id), &bands, &mut band)
+                            .unwrap()
+                            .expect("raw blobs serve rows");
                         let at_most = started[id as usize].load(Ordering::SeqCst);
-                        assert_eq!(shape, Some((SIDE, SIDE)));
+                        assert_eq!((read.width, read.height), (SIDE, SIDE));
+                        assert!(read.stamp.is_some());
+                        let of = |version| {
+                            let mask = stamped(id, version);
+                            bands
+                                .iter()
+                                .flat_map(|rows| rows_of(&mask, rows.clone()))
+                                .collect::<Vec<_>>()
+                        };
                         assert!(
-                                (at_least..=at_most)
-                                    .any(|version| band
-                                        == rows_of(&stamped(id, version), rows.clone())),
-                                "mask {id} rows {rows:?}: not a version in {at_least}..={at_most}"
-                            );
+                            (at_least..=at_most).any(|version| band == of(version)),
+                            "mask {id} bands {bands:?}: not a version in {at_least}..={at_most}"
+                        );
                         reads += 1;
                     }
                     reads

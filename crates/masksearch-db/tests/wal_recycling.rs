@@ -6,7 +6,7 @@
 //! a transaction of the old one.
 
 use masksearch_core::{ImageId, Mask, MaskId, MaskRecord};
-use masksearch_db::{DbConfig, DurableMaskStore, CHI_FILE, DB_FILE, TILES_FILE, WAL_FILE};
+use masksearch_db::{DbConfig, DurableMaskStore, CHI_FILE, DB_FILE, WAL_FILE};
 use masksearch_index::ChiConfig;
 use masksearch_storage::MaskStore;
 use std::collections::BTreeMap;
@@ -53,7 +53,6 @@ struct Files {
     db: Vec<u8>,
     wal: Vec<u8>,
     chi: Vec<u8>,
-    tiles: Vec<u8>,
 }
 
 impl Files {
@@ -63,7 +62,6 @@ impl Files {
             db: file(DB_FILE),
             wal: file(WAL_FILE),
             chi: file(CHI_FILE),
-            tiles: file(TILES_FILE),
         }
     }
 
@@ -75,7 +73,6 @@ impl Files {
             (DB_FILE, &self.db),
             (WAL_FILE, &self.wal),
             (CHI_FILE, &self.chi),
-            (TILES_FILE, &self.tiles),
         ] {
             fs::write(dir.join(name), bytes).unwrap();
         }

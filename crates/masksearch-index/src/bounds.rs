@@ -42,6 +42,25 @@
 //! loads in all, so the query layer asks for it only for candidates Eqs.
 //! 3–4 leave undecided.
 //!
+//! ## The cell kernel
+//!
+//! Verification counts exactly, and the same per-cell counts decide most of
+//! it ([`TermBounds::cell_count`]). Every cell `c` the ROI touches has an
+//! outer and an inner count; it is
+//!
+//! * **all-out** when `outer(c) = 0`: none of its pixels is in range;
+//! * **all-in** when `inner(c) = |c|`: all of them are, so it counts
+//!   `|c ∩ R|`;
+//! * **exact** when the ROI covers it and `outer(c) = inner(c)`: it counts
+//!   that;
+//! * **undecided** otherwise, and only its ROI pixels are scanned.
+//!
+//! The inner bins hold only pixels in range and the outer bins every pixel
+//! in range (the comparisons of [`ChiConfig::bin_of`] against the bin
+//! edges of [`bin_ranges`]), so the rules are exact for any bin count. A
+//! pixel outside `[0, 1)` (NaN, ±∞) is in no histogram and in no range: a
+//! cell holding one is never all-in, and the other rules never count it.
+//!
 //! ## What depends on the mask
 //!
 //! Only the counts do. Which cells `roi⁺` and `roi⁻` end on, their areas
@@ -51,7 +70,8 @@
 //! Eqs. 3–4 — at most sixteen loads from a mask's cumulative cells and a
 //! few additions — and it is the only place they are written;
 //! `RoiGeometry::cell_bounds` is the rest of the per-cell bound — a walk
-//! over the ring — and the only place that is written. Both are generic
+//! over the ring — and `RoiGeometry::cell_count` the cell kernel's walk
+//! over every cell; both walk strips through `RoiGeometry::walk_strip`. Both are generic
 //! over the count type (16- or 32-bit, as the mask's shape sets; see
 //! [`crate::chi::Cells`]), and each bound call dispatches on the width once
 //! before running them. [`cp_bounds`]
@@ -266,16 +286,73 @@ impl RoiGeometry {
         }
     }
 
+    /// Walks row `at` across columns `from..to` (`horizontal`), or column
+    /// `at` down rows `from..to`, handing `visit` each cell's counts.
+    ///
+    /// Along a strip the prefix up to a cell boundary (an *edge*) is two
+    /// loads per bin, a cell the difference of its two edges: neighbouring
+    /// cells share the edge between them.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_strip<T: Count>(
+        &self,
+        chi: ChiView<'_>,
+        cells: &[T],
+        bin_ranges: (u32, u32, u32, u32),
+        horizontal: bool,
+        at: u32,
+        (from, to): (u32, u32),
+        mut visit: impl FnMut(CellCounts),
+    ) {
+        let (outer_lo, outer_hi, inner_lo, inner_hi) = bin_ranges;
+        // An edge's pixels with bin index at least each of the four; none
+        // past the last bin.
+        let tails = [outer_lo, outer_hi, inner_lo, inner_hi];
+        let tails = tails.map(|bin| (bin < self.bins).then_some(bin as usize));
+        let edge = |(plus, minus): (usize, usize)| {
+            tails.map(|bin| bin.map_or(0, |bin| load(cells, plus, bin) - load(cells, minus, bin)))
+        };
+        // A cell's extent on one axis and how much of it the ROI takes.
+        let roi = self.clipped;
+        let span = |lo: u32, hi: u32, from: u32, to: u32| {
+            (
+                u64::from(hi - lo),
+                u64::from(hi.min(to).saturating_sub(lo.max(from))),
+            )
+        };
+        let column = |i| span(chi.x_boundary(i), chi.x_boundary(i + 1), roi.x0(), roi.x1());
+        let row = |j| span(chi.y_boundary(j), chi.y_boundary(j + 1), roi.y0(), roi.y1());
+        let offsets = |k| match horizontal {
+            true => (prefix(chi, k, at + 1), prefix(chi, k, at)),
+            false => (prefix(chi, at + 1, k), prefix(chi, at, k)),
+        };
+        let mut before = edge(offsets(from));
+        for k in from..to {
+            let after = edge(offsets(k + 1));
+            let tail = |t: usize| after[t] - before[t];
+            let (cell_x, cell_y) = match horizontal {
+                true => (k, at),
+                false => (at, k),
+            };
+            let ((width, in_x), (height, in_y)) = (column(cell_x), row(cell_y));
+            // A tail never grows with the bin, so an empty bin range counts
+            // zero.
+            visit(CellCounts {
+                column: cell_x,
+                outer: tail(0).saturating_sub(tail(1)),
+                inner: tail(2).saturating_sub(tail(3)),
+                area: width * height,
+                inside: in_x * in_y,
+            });
+            before = after;
+        }
+    }
+
     /// The per-cell bound (see the module docs) of the ROI on `chi`, whose
     /// cumulative `cells` these are, for the value range whose
-    /// [`bin_ranges`] are given.
-    ///
-    /// The ring is walked as strips of neighbouring cells — the partial
-    /// rows above and below the covered region across the whole covering
-    /// width, the partial columns beside it — and along a strip the prefix
-    /// up to a cell boundary (an *edge*) is two loads per bin, a cell the
-    /// difference of its two edges: neighbouring cells share the edge
-    /// between them.
+    /// [`bin_ranges`] are given: the ring is walked as strips of
+    /// neighbouring cells — the partial rows above and below the covered
+    /// region across the whole covering width, the partial columns beside
+    /// it.
     ///
     /// # Panics
     /// May panic if `chi` is of another shape or configuration than the
@@ -294,47 +371,11 @@ impl RoiGeometry {
             ),
             None => (0, 0),
         };
-        // An edge's pixels with bin index at least each of the four; none
-        // past the last bin.
-        let tails = [outer_lo, outer_hi, inner_lo, inner_hi];
-        let tails = tails.map(|bin| (bin < self.bins).then_some(bin as usize));
-        let edge = |(plus, minus): (usize, usize)| {
-            tails.map(|bin| bin.map_or(0, |bin| load(cells, plus, bin) - load(cells, minus, bin)))
-        };
-        // A cell's extent on one axis and how much of it the ROI takes.
-        let roi = self.clipped;
-        let span = |lo: u32, hi: u32, from: u32, to: u32| {
-            (
-                u64::from(hi - lo),
-                u64::from(hi.min(to).saturating_sub(lo.max(from))),
-            )
-        };
-        let column = |i| span(chi.x_boundary(i), chi.x_boundary(i + 1), roi.x0(), roi.x1());
-        let row = |j| span(chi.y_boundary(j), chi.y_boundary(j + 1), roi.y0(), roi.y1());
-        // Row `at` across columns `from..to`, or column `at` down rows
-        // `from..to`.
         let mut strip = |horizontal: bool, at: u32, from: u32, to: u32| {
-            let offsets = |k| match horizontal {
-                true => (prefix(chi, k, at + 1), prefix(chi, k, at)),
-                false => (prefix(chi, at + 1, k), prefix(chi, at, k)),
-            };
-            let mut before = edge(offsets(from));
-            for k in from..to {
-                let after = edge(offsets(k + 1));
-                let tail = |t: usize| after[t] - before[t];
-                let ((width, in_x), (height, in_y)) = match horizontal {
-                    true => (column(k), row(at)),
-                    false => (column(at), row(k)),
-                };
-                let inside = in_x * in_y;
-                // A tail never grows with the bin, so an empty bin range
-                // counts zero.
-                upper += tail(0).saturating_sub(tail(1)).min(inside);
-                lower += tail(2)
-                    .saturating_sub(tail(3))
-                    .saturating_sub(width * height - inside);
-                before = after;
-            }
+            self.walk_strip(chi, cells, bin_ranges, horizontal, at, (from, to), |c| {
+                upper += c.outer.min(c.inside);
+                lower += c.inner.saturating_sub(c.area - c.inside);
+            });
         };
         let (bx0, by0, bx1, by1) = self.covering_cells;
         match self.covered_cells {
@@ -356,11 +397,95 @@ impl RoiGeometry {
             roi_area: self.roi_area,
         }
     }
+
+    /// The cell kernel (see [`TermBounds::cell_count`]): every cell of the
+    /// covering region, walked row by row, is classified from its counts;
+    /// the ROI pixels of undecided cells are appended to `scan`, adjacent
+    /// cells of a row as one rectangle.
+    ///
+    /// # Panics
+    /// May panic if `chi` is of another shape or configuration than the
+    /// geometry was made for.
+    fn cell_count<T: Count>(
+        &self,
+        chi: ChiView<'_>,
+        cells: &[T],
+        bin_ranges: (u32, u32, u32, u32),
+        scan: &mut Vec<Roi>,
+    ) -> CellCount {
+        let roi = self.clipped;
+        let mut count = CellCount::default();
+        let (bx0, by0, bx1, by1) = self.covering_cells;
+        for j in by0..by1 {
+            let rows = (
+                chi.y_boundary(j).max(roi.y0()),
+                chi.y_boundary(j + 1).min(roi.y1()),
+            );
+            // The undecided run of this row so far, as columns.
+            let mut run: Option<(u32, u32)> = None;
+            let mut flush = |run: &mut Option<(u32, u32)>| {
+                if let Some((i0, i1)) = run.take() {
+                    let x0 = chi.x_boundary(i0).max(roi.x0());
+                    let x1 = chi.x_boundary(i1).min(roi.x1());
+                    scan.push(Roi::new(x0, rows.0, x1, rows.1).expect("a cell inside the roi"));
+                }
+            };
+            self.walk_strip(chi, cells, bin_ranges, true, j, (bx0, bx1), |c| {
+                if c.outer == 0 {
+                    count.decided_cells += 1;
+                } else if c.inner == c.area {
+                    count.decided_cells += 1;
+                    count.decided += c.inside;
+                } else if c.inside == c.area && c.outer == c.inner {
+                    count.exact_cells += 1;
+                    count.decided += c.inner;
+                } else {
+                    count.scanned_cells += 1;
+                    run = match run {
+                        Some((i0, _)) => Some((i0, c.column + 1)),
+                        None => Some((c.column, c.column + 1)),
+                    };
+                    return;
+                }
+                flush(&mut run);
+            });
+            flush(&mut run);
+        }
+        count
+    }
 }
 
-/// Bounds on one `CP(·, roi, range)` term over many masks: what
-/// [`cp_bounds`] computes, and the per-cell bound, keeping between calls
-/// what does not depend on the mask's cells.
+/// One cell of a strip (see `RoiGeometry::walk_strip`).
+#[derive(Debug, Clone, Copy)]
+struct CellCounts {
+    /// Grid column of the cell.
+    column: u32,
+    /// Its pixels in the outer and in the inner bin range.
+    outer: u64,
+    inner: u64,
+    /// Its pixels, and how many of them the ROI takes.
+    area: u64,
+    inside: u64,
+}
+
+/// What the cell kernel decided of one `CP` term from a mask's CHI, and
+/// what it left to scan (see [`TermBounds::cell_count`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CellCount {
+    /// In-range ROI pixels of the decided and exact cells.
+    pub decided: u64,
+    /// Cells decided whole: none of their pixels in range (all-out) or all
+    /// of them (all-in).
+    pub decided_cells: u64,
+    /// Cells the ROI covers whose count the histogram gives exactly.
+    pub exact_cells: u64,
+    /// Cells whose ROI pixels must be scanned.
+    pub scanned_cells: u64,
+}
+
+/// Bounds on one `CP(·, roi, range)` term over many masks — what
+/// [`cp_bounds`] computes, and the per-cell bound — and its cell kernel,
+/// keeping between calls what does not depend on the mask's cells.
 #[derive(Debug, Clone)]
 pub struct TermBounds {
     range: PixelRange,
@@ -421,6 +546,23 @@ impl TermBounds {
                 with_counts!(chi.cells(), cells => geometry.cell_bounds(chi, cells, self.bin_ranges))
             }
             None => CpBounds::empty(),
+        }
+    }
+
+    /// The cell kernel of verification (see the module docs): classifies
+    /// every CHI cell the ROI touches and returns the in-range ROI pixels of
+    /// the cells it decides, appending the ROI pixels of the others to
+    /// `scan` (adjacent cells of a row as one rectangle). The exact
+    /// `CP(mask, roi, range)` is [`CellCount::decided`] plus the in-range
+    /// pixels of those rectangles — provided `chi` is the index of exactly
+    /// the pixels they are counted on.
+    pub fn cell_count(&mut self, chi: ChiView<'_>, roi: &Roi, scan: &mut Vec<Roi>) -> CellCount {
+        self.refresh(chi, roi);
+        match &self.geometry {
+            Some(geometry) => with_counts!(chi.cells(), cells => {
+                geometry.cell_count(chi, cells, self.bin_ranges, scan)
+            }),
+            None => CellCount::default(),
         }
     }
 }

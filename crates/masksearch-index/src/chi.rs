@@ -31,12 +31,10 @@
 //!
 //! Building one is the plain per-cell histograms followed by the cumulative
 //! sweeps. The histograms come from the one pass over a mask's pixels in
-//! `masksearch-core` ([`pixel_pass`]) — this module has no pixel loop — and
-//! [`Chi::build_with_tiles`] takes the mask's tile grid from the same pass,
-//! which is how the durable store indexes every mask it commits.
+//! `masksearch-core` ([`pixel_pass`]) — this module has no pixel loop.
 
 use crate::bounds::{self, CpBounds};
-use masksearch_core::{pixel_pass, CellGeometry, Mask, PixelRange, Roi, TileGrid};
+use masksearch_core::{pixel_pass, CellGeometry, Mask, PixelRange, Roi};
 use std::ops::Deref;
 
 /// Whether the index of a `width × height` mask keeps 16-bit counts: no
@@ -295,14 +293,6 @@ impl Chi {
     /// ([`pixel_pass::cells`]) plus the cumulative sweeps.
     pub fn build(mask: &Mask, config: &ChiConfig) -> Self {
         Self::sweep(mask, config, pixel_pass::cells(mask, config.geometry()))
-    }
-
-    /// Builds the CHI of `mask` under `config` and its tile grid with
-    /// `tile × tile` tiles in the same pass over the pixels: each equals
-    /// what [`Chi::build`] and [`TileGrid::build_with`] return.
-    pub fn build_with_tiles(mask: &Mask, config: &ChiConfig, tile: u32) -> (Self, TileGrid) {
-        let (grid, cells) = pixel_pass::tiles_and_cells(mask, tile, config.geometry());
-        (Self::sweep(mask, config, cells), grid)
     }
 
     /// The index over `data`, the plain per-cell histograms of `mask`.

@@ -19,7 +19,8 @@
 //! * [`chi`] — index configuration, construction, available regions, and the
 //!   additive region-combination rule (paper Eq. 2).
 //! * [`bounds`] — upper/lower bounds on `CP` (paper Eqs. 3–4 plus the
-//!   symmetric lower-bound construction).
+//!   symmetric lower-bound construction), and the cell kernel that
+//!   verification counts exactly with.
 //! * [`compose`] — bound algebra for multi-mask queries: sound `CP` bounds
 //!   over a pixelwise composition (`min`/`max`/`|a−b|`) of two masks,
 //!   derived from the two per-mask CHIs without loading either mask.
@@ -27,8 +28,6 @@
 //!   slab, read through borrowed views) with binary persistence (appendable
 //!   checksummed segments) and incremental insertion (paper §3.6).
 //! * [`builder`] — parallel bulk index construction.
-//! * [`tiles`] — a persistent collection of per-mask tile-summary grids for
-//!   the verification kernel (the within-mask counterpart of the CHI).
 //!
 //! ```
 //! use masksearch_core::{cp, Mask, PixelRange, Roi};
@@ -52,11 +51,9 @@ pub mod chi;
 pub mod compose;
 mod segment;
 pub mod store;
-pub mod tiles;
 
-pub use bounds::{CpBounds, TermBounds};
+pub use bounds::{CellCount, CpBounds, TermBounds};
 pub use builder::{build_chi_store, BuildOptions};
 pub use chi::{count_bytes, CellStorage, Cells, CellsRef, Chi, ChiConfig, ChiOver, ChiView};
 pub use compose::composed_cp_bounds;
 pub use store::{ChiCursor, ChiReader, ChiStore, ChiVersion};
-pub use tiles::TileStore;

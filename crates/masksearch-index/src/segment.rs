@@ -1,4 +1,4 @@
-//! The container of the persisted index files (`masks.chi`, `masks.tiles`):
+//! The container of the persisted index file (`masks.chi`):
 //! a sequence of self-checksummed segments, so a checkpoint can append the
 //! entries that changed instead of rewriting every entry.
 //!

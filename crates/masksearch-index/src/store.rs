@@ -38,6 +38,15 @@
 //! chunks and leaves that no later version shares are freed when its last
 //! reader lets go. Writers are serialised among themselves.
 //!
+//! ## Stamps
+//!
+//! A slot records the commit that installed it, as the store that wrote
+//! the pixels numbers its commits ([`Stamp`]); indexes installed by no
+//! store commit (built by a session, loaded from a file) carry none. A
+//! reader that counts pixels under an index — the cell kernel of
+//! verification — checks that the stamp the store reported with the pixels
+//! it read is the slot's: the index then summarises exactly those pixels.
+//!
 //! ## On disk
 //!
 //! The file is a sequence of segments (see `segment.rs`). Each segment's
@@ -60,7 +69,7 @@ use crate::chi::{count_bytes, narrow, Cells, Chi, ChiConfig, ChiOver, ChiView, C
 use crate::segment::{self, Format, SEGMENT_HEADER_LEN};
 use masksearch_core::{Mask, MaskId};
 use masksearch_storage::codec::Reader;
-use masksearch_storage::{CowMap, IdCursor, StorageError, StorageResult};
+use masksearch_storage::{CowMap, IdCursor, Stamp, StorageError, StorageResult};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::Path;
@@ -215,8 +224,8 @@ struct Spaces {
     wide: Space,
 }
 
-/// One mask's entry: its shape, its grid's, and where its cells are (in the
-/// slab of the width its shape sets).
+/// One mask's entry: its shape, its grid's, where its cells are (in the
+/// slab of the width its shape sets), and the commit that installed it.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     mask_width: u32,
@@ -224,6 +233,7 @@ struct Slot {
     cells_x: u32,
     cells_y: u32,
     run: Run,
+    stamp: Option<Stamp>,
 }
 
 impl Slot {
@@ -281,6 +291,13 @@ impl ChiVersion {
         Some(self.view(slot))
     }
 
+    /// The index of `mask_id`, if present, with the stamp of the commit that
+    /// installed it (see the module docs).
+    pub fn get_stamped(&self, mask_id: MaskId) -> Option<(ChiView<'_>, Option<Stamp>)> {
+        let slot = self.slots.get(&mask_id)?;
+        Some((self.view(slot), slot.stamp))
+    }
+
     /// A cursor answering [`ChiVersion::get`] for a run of ids, cheapest
     /// when they come ascending (see [`IdCursor`]).
     pub fn cursor(&self) -> ChiCursor<'_> {
@@ -327,13 +344,15 @@ impl ChiVersion {
     }
 
     /// Installs the index of a `mask_width × mask_height` mask for
-    /// `mask_id`; `fill` writes every one of its cells. An index whose grid
-    /// is as long and as wide as the one it replaces takes over its run.
+    /// `mask_id`, stamped `stamp`; `fill` writes every one of its cells. An
+    /// index whose grid is as long and as wide as the one it replaces takes
+    /// over its run.
     fn put(
         &mut self,
         space: &mut Spaces,
         mask_id: MaskId,
         (mask_width, mask_height): (u32, u32),
+        stamp: Option<Stamp>,
         fill: impl FnOnce(CellsMut<'_>),
     ) {
         let mut slot = Slot {
@@ -342,6 +361,7 @@ impl ChiVersion {
             cells_x: self.config.cells_x(mask_width),
             cells_y: self.config.cells_y(mask_height),
             run: (0, 0),
+            stamp,
         };
         let words = self.words(&slot);
         slot.run = match self.slots.get(&mask_id).copied() {
@@ -363,12 +383,13 @@ impl ChiVersion {
         self.slots.insert(mask_id, slot);
     }
 
-    fn put_chi(&mut self, space: &mut Spaces, mask_id: MaskId, chi: &Chi) {
+    fn put_chi(&mut self, space: &mut Spaces, mask_id: MaskId, chi: &Chi, stamp: Option<Stamp>) {
         assert_eq!(*chi.config(), self.config, "index of another configuration");
         self.put(
             space,
             mask_id,
             (chi.mask_width(), chi.mask_height()),
+            stamp,
             |cells| match (cells, chi.cells()) {
                 (Cells::Narrow(to), Cells::Narrow(from)) => to.copy_from_slice(from),
                 (Cells::Wide(to), Cells::Wide(from)) => to.copy_from_slice(from),
@@ -489,19 +510,24 @@ impl ChiStore {
     /// Panics if an index was built under another configuration than the
     /// store's.
     pub fn insert_many(&self, indexes: impl IntoIterator<Item = (MaskId, Chi)>) {
-        self.apply(&[], indexes);
+        self.apply(&[], indexes, None);
     }
 
     /// Removes the indexes of `removed`, then installs `installed` (in
-    /// order; a later entry for an id replaces an earlier one), and
-    /// publishes the result as one version: a reader sees all of the batch
-    /// or none of it. A non-empty `removed` counts as one removal for
-    /// [`ChiStore::index_mask_if_current`].
+    /// order; a later entry for an id replaces an earlier one) stamped
+    /// `stamp`, and publishes the result as one version: a reader sees all
+    /// of the batch or none of it. A non-empty `removed` counts as one
+    /// removal for [`ChiStore::index_mask_if_current`].
     ///
     /// # Panics
     /// Panics if an index was built under another configuration than the
     /// store's.
-    pub fn apply(&self, removed: &[MaskId], installed: impl IntoIterator<Item = (MaskId, Chi)>) {
+    pub fn apply(
+        &self,
+        removed: &[MaskId],
+        installed: impl IntoIterator<Item = (MaskId, Chi)>,
+        stamp: Option<Stamp>,
+    ) {
         let mut installed = installed.into_iter().peekable();
         if removed.is_empty() && installed.peek().is_none() {
             return;
@@ -514,8 +540,25 @@ impl ChiStore {
                 next.remove(space, mask_id);
             }
             for (mask_id, chi) in installed {
-                next.put_chi(space, mask_id, &chi);
+                next.put_chi(space, mask_id, &chi, stamp);
             }
+            true
+        });
+    }
+
+    /// Stamps every index `stamp`: what a store does with the indexes it
+    /// recovers for the pixels it opened with.
+    pub fn stamp_all(&self, stamp: Stamp) {
+        self.write(|next, _| {
+            let slots = next
+                .slots
+                .iter()
+                .map(|(id, slot)| {
+                    let stamp = Some(stamp);
+                    (*id, Slot { stamp, ..*slot })
+                })
+                .collect::<Vec<_>>();
+            next.slots = CowMap::from_sorted(slots);
             true
         });
     }
@@ -525,7 +568,7 @@ impl ChiStore {
     pub fn index_mask(&self, mask_id: MaskId, mask: &Mask) -> Chi {
         let chi = Chi::build(mask, &self.config);
         self.write(|next, space| {
-            next.put_chi(space, mask_id, &chi);
+            next.put_chi(space, mask_id, &chi, None);
             true
         });
         chi
@@ -576,7 +619,7 @@ impl ChiStore {
             if self.removals.load(Ordering::Relaxed) != generation || next.contains(mask_id) {
                 return false;
             }
-            next.put_chi(space, mask_id, &chi);
+            next.put_chi(space, mask_id, &chi, None);
             true
         })
     }
@@ -716,7 +759,7 @@ impl ChiStore {
             let (version, space) =
                 store.get_or_insert_with(|| (ChiVersion::new(config), Spaces::default()));
             for (id, shape, width, bytes) in decoded {
-                version.put(space, id, shape, |cells| match cells {
+                version.put(space, id, shape, None, |cells| match cells {
                     Cells::Narrow(cells) => decode(cells, bytes, width),
                     Cells::Wide(cells) => decode(cells, bytes, width),
                 });

@@ -58,11 +58,12 @@ global_counters! {
     (CACHE_LOCK_WAIT_US, "cache_lock_wait_us"),
     /// Mask-cache mutex acquisitions.
     (CACHE_LOCK_ACQUIRES, "cache_lock_acquires"),
-    /// Verification-kernel invocations (one per mask × predicate batch).
+    /// Cell-kernel invocations (one per `CP` term of a mask verification
+    /// counts by CHI cell).
     (KERNEL_CALLS, "kernel_calls"),
-    /// Masks verified in place: the rows of the statement's ROIs read from
-    /// the store and counted off the bytes, with no decode and no cache
-    /// admission (each also counts as a mask loaded).
+    /// Masks verified in place: the rows left to scan read from the store
+    /// and counted off the bytes, with no decode and no cache admission
+    /// (each also counts as a mask loaded).
     (VERIFY_IN_PLACE, "verify_in_place"),
     /// WAL commits.
     (WAL_COMMITS, "wal_commits"),
@@ -72,8 +73,8 @@ global_counters! {
     (DB_CHECKPOINTS, "db_checkpoints"),
     /// Microseconds spent inside checkpoints.
     (DB_CHECKPOINT_US, "db_checkpoint_us"),
-    /// Bytes checkpoints wrote to the index files (`masks.chi`,
-    /// `masks.tiles`): appended segments plus compacting rewrites.
+    /// Bytes checkpoints wrote to the index file (`masks.chi`): appended
+    /// segments plus compacting rewrites.
     (DB_INDEX_SEGMENT_BYTES, "db_index_segment_bytes"),
     /// Index files rewritten as one segment, because an explicit checkpoint
     /// asked or dead entries had reached the size of the live ones.

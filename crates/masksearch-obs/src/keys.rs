@@ -212,19 +212,20 @@ metric_table! {
     checkpoints: Counter, Sum, Count, CHECKPOINTS = "checkpoints" => "masksearch_checkpoints_total";
     /// Committed write transactions.
     commits: Counter, Sum, Count, COMMITS = "commits" => "masksearch_commits_total";
-    /// Verification-kernel tiles decided from min/max summaries.
+    /// CHI cells the verification cell kernel decided whole (none or all of
+    /// their pixels in range).
     tiles_pruned: Counter, Sum, Count, TILES_PRUNED = "tiles_pruned" => "masksearch_tiles_pruned_total";
-    /// Verification-kernel tiles answered from tile histograms.
+    /// CHI cells the verification cell kernel took exactly from the histogram.
     tiles_hist: Counter, Sum, Count, TILES_HIST = "tiles_hist" => "masksearch_tiles_hist_total";
-    /// Verification-kernel tiles scanned pixel by pixel.
+    /// CHI cells whose ROI pixels the verification cell kernel scanned.
     tiles_scanned: Counter, Sum, Count,
         TILES_SCANNED = "tiles_scanned" => "masksearch_tiles_scanned_total";
     /// Mask pairs resolved by composed bounds without loading both masks.
     pairs_bound: Counter, Sum, Count, PAIRS_BOUND = "pairs_bound" => "masksearch_pairs_bound_total";
-    /// Loaded masks the plan routed through the tiled kernel.
+    /// Masks verification counted by CHI cell.
     planner_kernel_on: Counter, Sum, Count,
         PLANNER_KERNEL_ON = "planner_kernel_on" => "masksearch_planner_kernel_on_total";
-    /// Loaded masks the plan routed to the reference scan.
+    /// Masks verification counted by the reference scan.
     planner_kernel_off: Counter, Sum, Count,
         PLANNER_KERNEL_OFF = "planner_kernel_off" => "masksearch_planner_kernel_off_total";
     /// Secondary-index point probes issued during candidate resolution.

@@ -8,7 +8,7 @@
 //!
 //! Counters attach to the innermost open span via [`add_counter`] /
 //! [`set_counter`], so a stage can report how much work it did (masks
-//! loaded, tiles pruned) next to how long it took.
+//! loaded, cells decided) next to how long it took.
 
 use std::cell::RefCell;
 use std::time::Instant;

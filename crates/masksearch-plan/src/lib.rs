@@ -1,58 +1,7 @@
-//! The two strategy choices MaskSearch still makes at run time, as pure
-//! functions.
-//!
-//! The paper's execution is filter-verify over the CHI with no cost model
-//! (§3). Two places choose between *byte-identical* strategies: the
-//! verification of a loaded mask (the tiled kernel or the reference scan
-//! return the same counts) and the cluster's top-k merge (single-round and
-//! threshold merges both produce the exact global top-k). Both choices
-//! read only what the code can observe directly — whether a mask already
-//! carries its tile grid, and the request fan-out — so a wrong choice can
-//! cost time but never rows.
-//!
-//! Grids come from the write path's pixel pass; a durable store seeds each
-//! loaded mask with its persisted grid. Under [`KernelMode::Auto`] a mask
-//! that has one is counted by the kernel and a mask that has none by the
-//! scan, so no statement ever pays to build a grid.
-
-/// Session-level policy for the verification kernel.
-///
-/// Counts are byte-identical under every mode; forcing exists for
-/// benchmarking and conformance tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum KernelMode {
-    /// A mask that already carries its tile grid takes the kernel; any
-    /// other mask takes the scan.
-    #[default]
-    Auto,
-    /// Always route verification through the tiled kernel (building a grid
-    /// on a mask that has none).
-    ForceOn,
-    /// Always use the reference batched scan.
-    ForceOff,
-}
-
-impl KernelMode {
-    /// Stable lowercase label (`auto` / `on` / `off`) used in shape keys and
-    /// plan signatures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KernelMode::Auto => "auto",
-            KernelMode::ForceOn => "on",
-            KernelMode::ForceOff => "off",
-        }
-    }
-
-    /// Whether a mask is counted by the tiled kernel under this mode, given
-    /// whether it already carries its tile grid.
-    pub fn kernel_on(&self, has_grid: bool) -> bool {
-        match self {
-            KernelMode::Auto => has_grid,
-            KernelMode::ForceOn => true,
-            KernelMode::ForceOff => false,
-        }
-    }
-}
+//! The one strategy choice MaskSearch still makes at run time, as a pure
+//! function: the cluster's top-k merge. Single-round and threshold merges
+//! both produce the exact global top-k, so the choice reads only the
+//! request fan-out and can cost time but never rows.
 
 /// Chooses single-round top-k (ask every shard for the full `k` once) over
 /// the threshold algorithm (small first round, refine while a shard's bound
@@ -81,28 +30,6 @@ pub fn choose_single_round(k: usize, shards: usize, observed_avg_rounds: Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_mode_labels_are_stable() {
-        assert_eq!(KernelMode::Auto.label(), "auto");
-        assert_eq!(KernelMode::ForceOn.label(), "on");
-        assert_eq!(KernelMode::ForceOff.label(), "off");
-        assert_eq!(KernelMode::default(), KernelMode::Auto);
-    }
-
-    #[test]
-    fn forced_kernel_modes_ignore_every_feature() {
-        for has_grid in [false, true] {
-            assert!(KernelMode::ForceOn.kernel_on(has_grid));
-            assert!(!KernelMode::ForceOff.kernel_on(has_grid));
-        }
-    }
-
-    #[test]
-    fn auto_kernel_follows_the_tile_grid() {
-        assert!(KernelMode::Auto.kernel_on(true));
-        assert!(!KernelMode::Auto.kernel_on(false));
-    }
 
     #[test]
     fn single_round_covers_trivial_and_slow_converging_cases() {

@@ -17,22 +17,9 @@ use crate::error::{QueryError, QueryResult};
 use crate::expr::{Expr, Interval};
 use crate::predicate::{Predicate, Truth};
 use crate::spec::{CpTerm, TermSource};
-use masksearch_core::{
-    cp, cp_composed, cp_many, Mask, MaskRecord, PixelRange, Roi, TileStats, TiledMask,
-};
+use masksearch_core::{cp, cp_composed, Mask, MaskRecord, PixelRange, Roi};
 use masksearch_index::{composed_cp_bounds, ChiView, TermBounds};
 use std::ops::Range;
-
-/// Options controlling exact (verification-stage) evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct VerifyOptions {
-    /// Missing-object-box policy (see [`resolve_roi`]).
-    pub object_box_fallback: bool,
-    /// Route `CP` terms through the tiled verification kernel (`true`) or
-    /// the reference batched scan (`false`). Counts are byte-identical
-    /// either way; the flag exists for benchmarking and conformance tests.
-    pub use_tiled_kernel: bool,
-}
 
 /// Resolves a term's ROI for a record.
 ///
@@ -106,22 +93,6 @@ pub(crate) fn resolve_terms(
         out.push((resolve_roi(term, record, object_box_fallback)?, term.range));
     }
     Ok(())
-}
-
-/// Counts a batch of resolved terms on a loaded tiled mask, through the
-/// tiled kernel (recording tile classifications into `tiles`) or the
-/// reference batched scan.
-pub(crate) fn count_tiled(
-    resolved: &[(Roi, PixelRange)],
-    tiled: &TiledMask,
-    use_tiled_kernel: bool,
-    tiles: &mut TileStats,
-) -> Vec<u64> {
-    if use_tiled_kernel {
-        tiled.cp_many_with_stats(resolved, tiles)
-    } else {
-        cp_many(tiled.mask(), resolved)
-    }
 }
 
 /// The `CP` terms of every comparison of `predicate`, flattened in written
@@ -488,15 +459,13 @@ pub fn pair_predicate_bounds(
     Ok(predicate.eval_bounds(&intervals))
 }
 
-/// Exact values of a batch of pair terms on the two loaded tiled masks,
-/// routing through the (composed) tile kernel or the reference scans.
-fn pair_terms_exact_tiled(
+/// Exact values of a batch of pair terms on the two loaded masks.
+fn pair_terms_exact(
     terms: &[&CpTerm],
     records: &PairRecords<'_>,
-    left: &TiledMask,
-    right: &TiledMask,
-    opts: &VerifyOptions,
-    tiles: &mut TileStats,
+    left: &Mask,
+    right: &Mask,
+    object_box_fallback: bool,
 ) -> QueryResult<Vec<f64>> {
     // Equal shapes are required only to *compose*; side-only terms
     // (CP(a.mask, …) / CP(b.mask, …)) are fine on differently-shaped pairs.
@@ -504,32 +473,16 @@ fn pair_terms_exact_tiled(
         .iter()
         .any(|t| matches!(t.source, TermSource::Compose(_)))
     {
-        check_pair_shapes(records, left.mask(), right.mask())?;
+        check_pair_shapes(records, left, right)?;
     }
     let mut values = Vec::with_capacity(terms.len());
     for term in terms {
-        let roi = records.resolve(term, opts.object_box_fallback)?;
+        let roi = records.resolve(term, object_box_fallback)?;
         let count = match term.source {
             TermSource::Own => return Err(reject_own_term()),
-            TermSource::Left | TermSource::Right => {
-                let side = if term.source == TermSource::Left {
-                    left
-                } else {
-                    right
-                };
-                if opts.use_tiled_kernel {
-                    side.cp_with_stats(&roi, &term.range, tiles)
-                } else {
-                    cp(side.mask(), &roi, &term.range)
-                }
-            }
-            TermSource::Compose(op) => {
-                if opts.use_tiled_kernel {
-                    left.cp_composed_with_stats(right, op, &roi, &term.range, tiles)?
-                } else {
-                    cp_composed(left.mask(), right.mask(), op, &roi, &term.range)?
-                }
-            }
+            TermSource::Left => cp(left, &roi, &term.range),
+            TermSource::Right => cp(right, &roi, &term.range),
+            TermSource::Compose(op) => cp_composed(left, right, op, &roi, &term.range)?,
         };
         values.push(count as f64);
     }
@@ -537,32 +490,34 @@ fn pair_terms_exact_tiled(
 }
 
 /// Exact value of an expression over pair terms on the two loaded masks.
-pub fn pair_expr_exact_tiled(
+pub fn pair_expr_exact(
     expr: &Expr,
     records: &PairRecords<'_>,
-    left: &TiledMask,
-    right: &TiledMask,
-    opts: &VerifyOptions,
-    tiles: &mut TileStats,
+    left: &Mask,
+    right: &Mask,
+    object_box_fallback: bool,
 ) -> QueryResult<f64> {
-    let values = pair_terms_exact_tiled(&expr.terms(), records, left, right, opts, tiles)?;
+    let values = pair_terms_exact(&expr.terms(), records, left, right, object_box_fallback)?;
     Ok(expr.evaluate_exact(&values))
 }
 
 /// Exact truth of a pair predicate on the two loaded masks.
-pub fn pair_predicate_exact_tiled(
+pub fn pair_predicate_exact(
     predicate: &Predicate,
     records: &PairRecords<'_>,
-    left: &TiledMask,
-    right: &TiledMask,
-    opts: &VerifyOptions,
-    tiles: &mut TileStats,
+    left: &Mask,
+    right: &Mask,
+    object_box_fallback: bool,
 ) -> QueryResult<bool> {
     let comparisons = predicate.comparisons();
     let mut values = Vec::with_capacity(comparisons.len());
     for cmp in &comparisons {
-        values.push(pair_expr_exact_tiled(
-            &cmp.expr, records, left, right, opts, tiles,
+        values.push(pair_expr_exact(
+            &cmp.expr,
+            records,
+            left,
+            right,
+            object_box_fallback,
         )?);
     }
     Ok(predicate.eval_exact(&values))

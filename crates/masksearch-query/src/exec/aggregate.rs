@@ -17,7 +17,6 @@ use crate::error::{QueryError, QueryResult};
 use crate::eval;
 use crate::exec::{self, elapsed};
 use crate::expr::{Expr, Interval};
-use crate::planner::ExecPlan;
 use crate::predicate::CmpOp;
 use crate::result::QueryOutput;
 use crate::session::{ReadVersion, Session};
@@ -60,7 +59,6 @@ fn aggregate_interval(agg: ScalarAgg, members: &[Interval]) -> Interval {
 }
 
 /// Executes an aggregation query over `candidates`.
-#[allow(clippy::too_many_arguments)]
 pub fn execute(
     session: &Session,
     version: &ReadVersion,
@@ -69,7 +67,6 @@ pub fn execute(
     agg: ScalarAgg,
     having: Option<(CmpOp, f64)>,
     top_k: Option<(usize, Order)>,
-    plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
     let fallback = session.config().object_box_fallback;
@@ -117,7 +114,7 @@ pub fn execute(
 
     // Verification: every member's exact value, aggregated.
     let verify_start = Instant::now();
-    let mut verifier = session.verifier(version, plan, expr.terms());
+    let mut verifier = session.verifier(version, expr.terms());
     let mut verify = |g: usize| -> QueryResult<f64> {
         let mut values = Vec::with_capacity(groups[g].len());
         for &i in groups[g] {

@@ -4,7 +4,6 @@
 use crate::error::{QueryError, QueryResult};
 use crate::eval;
 use crate::exec::{chunks_for_threads, elapsed};
-use crate::planner::ExecPlan;
 use crate::predicate::{Predicate, Truth};
 use crate::result::{QueryOutput, QueryStats, ResultRow};
 use crate::session::{ReadVersion, Session};
@@ -62,13 +61,12 @@ struct Filtered<'v> {
 }
 
 /// Executes a filter query over `candidates`, bounding its comparisons in
-/// written order and routing each verified mask as `plan` decides for it.
+/// written order and verifying what the bounds leave undecided.
 pub fn execute(
     session: &Session,
     version: &ReadVersion,
     candidates: &[MaskId],
     predicate: &Predicate,
-    plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
     let fallback = session.config().object_box_fallback;
@@ -130,7 +128,7 @@ pub fn execute(
     let verify_span = masksearch_obs::span("verify");
     let verify_start = Instant::now();
     let verify_chunk = |chunk: &[&MaskRecord]| -> QueryResult<(Vec<MaskId>, VerifyStats)> {
-        let mut verifier = session.verifier(version, plan, eval::predicate_terms(predicate));
+        let mut verifier = session.verifier(version, eval::predicate_terms(predicate));
         let mut hits = Vec::new();
         for record in chunk {
             if eval::predicate_from_term_values(predicate, verifier.counts(record)?) {

@@ -14,10 +14,8 @@
 //! incremental mode, the aggregated mask's CHI is built and retained as a
 //! side effect).
 //!
-//! The planner deliberately leaves this executor on its reference scan: the
-//! aggregated mask is materialised fresh for each group, so a tile-summary
-//! grid built over it could never amortise across queries the way per-mask
-//! grids do.
+//! The aggregated mask is counted by the reference scan: it is materialised
+//! fresh for each group, and no index of the statement summarises it.
 
 use crate::error::QueryResult;
 use crate::exec::{self, apply_reads, elapsed};
@@ -87,13 +85,8 @@ pub fn execute(
             indexes_built += u64::from(built);
             loaded.push(mask);
         }
-        let refs: Vec<&Mask> = loaded.iter().map(|m| m.mask()).collect();
+        let refs: Vec<&Mask> = loaded.iter().map(|m| &*m.mask).collect();
         let aggregated = agg.apply(&refs)?;
-        // The aggregated mask is freshly materialised and evaluated exactly
-        // once, so the tiled kernel's summary build (a full extra pixel
-        // pass) can never amortise here — the reference ROI scan is
-        // strictly cheaper. The kernel covers the per-mask CP terms of the
-        // other executors, where cached masks reuse their summaries.
         let value = cp(&aggregated, &rois[i], &term.range) as f64;
         // Incremental indexing of the aggregated mask (§3.4): retain its CHI
         // so later queries with the same aggregation shape can prune.

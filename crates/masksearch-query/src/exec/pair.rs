@@ -7,8 +7,9 @@
 //! the two per-mask CHIs via the bound algebra of
 //! `masksearch_index::compose`, so undecidable candidates are the only ones
 //! that load pixels. Records and CHIs come from the statement's version,
-//! through one cursor per side over each of its maps. Verification loads *both* masks through the buffer
-//! cache and evaluates through the composed tile kernel. Pair top-k bounds
+//! through one cursor per side over each of its maps. Verification loads
+//! *both* masks through the buffer cache and counts with the reference
+//! scans (`cp` / `cp_composed`). Pair top-k bounds
 //! every pair up front and runs the shared ranked pass
 //! (`exec::top_k`): best composed bound first, stopping at the
 //! first that cannot enter.
@@ -21,12 +22,11 @@ use crate::error::{QueryError, QueryResult};
 use crate::eval::{self, PairRecords};
 use crate::exec::{apply_reads, chunks_for_threads, elapsed, top_k, TopK};
 use crate::expr::{Expr, Interval};
-use crate::planner::ExecPlan;
 use crate::predicate::{Predicate, Truth};
 use crate::result::{QueryOutput, QueryStats, ResultRow};
 use crate::session::{ReadVersion, Session};
 use crate::spec::Order;
-use masksearch_core::{ImageId, MaskId, MaskRecord, TileStats};
+use masksearch_core::{ImageId, MaskId, MaskRecord};
 use masksearch_index::{ChiCursor, ChiView};
 use masksearch_obs::keys as obs_keys;
 use masksearch_storage::disk::Reads;
@@ -112,7 +112,6 @@ pub fn execute_filter(
     version: &ReadVersion,
     pairs: &[PairCandidate],
     predicate: &Predicate,
-    plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
     let fallback = session.config().object_box_fallback;
@@ -175,8 +174,6 @@ pub fn execute_filter(
     let verify_chunks = chunks_for_threads(&to_verify, threads);
     let verified_hits: Mutex<Vec<ImageId>> = Mutex::new(Vec::new());
     let indexes_built: Mutex<u64> = Mutex::new(0);
-    let tile_stats: Mutex<TileStats> = Mutex::new(TileStats::default());
-    let kernel_routing: Mutex<(u64, u64)> = Mutex::new((0, 0));
     let reads: Mutex<Reads> = Mutex::new(Reads::default());
     let first_error: Mutex<Option<crate::error::QueryError>> = Mutex::new(None);
     std::thread::scope(|scope| {
@@ -184,8 +181,6 @@ pub fn execute_filter(
             scope.spawn(|| {
                 let mut local_hits = Vec::new();
                 let mut local_built = 0u64;
-                let mut local_tiles = TileStats::default();
-                let mut local_kernel = (0u64, 0u64);
                 let mut local_reads = Reads::default();
                 for &(image_id, left_id, right_id) in *chunk {
                     let mut step = || -> QueryResult<(bool, u64)> {
@@ -197,21 +192,12 @@ pub fn execute_filter(
                             local_reads.count(|| session.load_and_index(left_id))?;
                         let (right, built_r) =
                             local_reads.count(|| session.load_and_index(right_id))?;
-                        // The composed kernel runs only if both sides
-                        // take the kernel.
-                        let kernel_on = plan.kernel_on_for(&left) && plan.kernel_on_for(&right);
-                        if kernel_on {
-                            local_kernel.0 += 1;
-                        } else {
-                            local_kernel.1 += 1;
-                        }
-                        let satisfied = eval::pair_predicate_exact_tiled(
+                        let satisfied = eval::pair_predicate_exact(
                             predicate,
                             &records,
-                            &left,
-                            &right,
-                            &session.verify_options_with(kernel_on),
-                            &mut local_tiles,
+                            &left.mask,
+                            &right.mask,
+                            session.config().object_box_fallback,
                         )?;
                         Ok((satisfied, u64::from(built_l) + u64::from(built_r)))
                     };
@@ -234,10 +220,6 @@ pub fn execute_filter(
                 verified_hits.lock().extend(local_hits);
                 *indexes_built.lock() += local_built;
                 reads.lock().add(&local_reads);
-                tile_stats.lock().merge(&local_tiles);
-                let mut routing = kernel_routing.lock();
-                routing.0 += local_kernel.0;
-                routing.1 += local_kernel.1;
             });
         }
     });
@@ -245,16 +227,15 @@ pub fn execute_filter(
         return Err(err);
     }
     let verify_wall = elapsed(verify_start);
-    let (kernel_on_count, kernel_off_count) = *kernel_routing.lock();
+    // Both masks of every verified pair take the reference scan.
+    let scanned = 2 * to_verify.len() as u64;
     masksearch_obs::add_counter(obs_keys::INDEXES_BUILT, *indexes_built.lock());
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
+    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, scanned);
     drop(verify_span);
 
     accepted.extend(verified_hits.into_inner());
     accepted.sort_unstable();
 
-    let tiles = *tile_stats.lock();
     let mut stats = QueryStats {
         candidates: pairs.len() as u64,
         pairs_bound: pairs.len() as u64,
@@ -264,11 +245,7 @@ pub fn execute_filter(
             .saturating_sub(to_verify.len() as u64),
         verified: to_verify.len() as u64,
         indexes_built: *indexes_built.lock(),
-        tiles_pruned: tiles.tiles_pruned,
-        tiles_hist: tiles.tiles_hist,
-        tiles_scanned: tiles.tiles_scanned,
-        planner_kernel_on: kernel_on_count,
-        planner_kernel_off: kernel_off_count,
+        planner_kernel_off: scanned,
         filter_wall,
         verify_wall,
         total_wall: elapsed(total_start),
@@ -295,14 +272,10 @@ pub fn execute_topk(
     expr: &Expr,
     k: usize,
     order: Order,
-    plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
     let fallback = session.config().object_box_fallback;
     let composes = eval::expr_composes(expr);
-    let mut tiles = TileStats::default();
-    let mut kernel_on_count = 0u64;
-    let mut kernel_off_count = 0u64;
 
     if k == 0 {
         return Ok(QueryOutput::default());
@@ -344,20 +317,7 @@ pub fn execute_topk(
         let (left, built_l) = reads.count(|| session.load_and_index(left_id))?;
         let (right, built_r) = reads.count(|| session.load_and_index(right_id))?;
         indexes_built += u64::from(built_l) + u64::from(built_r);
-        let kernel_on = plan.kernel_on_for(&left) && plan.kernel_on_for(&right);
-        if kernel_on {
-            kernel_on_count += 1;
-        } else {
-            kernel_off_count += 1;
-        }
-        eval::pair_expr_exact_tiled(
-            expr,
-            &records[i],
-            &left,
-            &right,
-            &session.verify_options_with(kernel_on),
-            &mut tiles,
-        )
+        eval::pair_expr_exact(expr, &records[i], &left.mask, &right.mask, fallback)
     };
     // Composed bounds have no per-cell refinement.
     let TopK {
@@ -366,8 +326,9 @@ pub fn execute_topk(
         pruned,
     } = top_k(&items, k, order, None, |_| Ok(None), verify)?;
     let verify_wall = elapsed(verify_start);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_ON, kernel_on_count);
-    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, kernel_off_count);
+    // Both masks of every verified pair take the reference scan.
+    let scanned = 2 * verified;
+    masksearch_obs::add_counter(obs_keys::PLANNER_KERNEL_OFF, scanned);
 
     let mut stats = QueryStats {
         candidates: pairs.len() as u64,
@@ -376,11 +337,7 @@ pub fn execute_topk(
         accepted_without_load: 0,
         verified,
         indexes_built,
-        tiles_pruned: tiles.tiles_pruned,
-        tiles_hist: tiles.tiles_hist,
-        tiles_scanned: tiles.tiles_scanned,
-        planner_kernel_on: kernel_on_count,
-        planner_kernel_off: kernel_off_count,
+        planner_kernel_off: scanned,
         filter_wall,
         verify_wall,
         total_wall: elapsed(total_start),

@@ -15,7 +15,6 @@ use crate::error::{QueryError, QueryResult};
 use crate::eval;
 use crate::exec::{elapsed, top_k, TopK};
 use crate::expr::{Expr, Interval};
-use crate::planner::ExecPlan;
 use crate::result::{QueryOutput, QueryStats, ResultRow};
 use crate::session::{ReadVersion, Session};
 use crate::spec::Order;
@@ -23,8 +22,8 @@ use masksearch_core::{MaskId, MaskRecord};
 use masksearch_obs::keys as obs_keys;
 use std::time::Instant;
 
-/// Executes a top-k query over `candidates`, routing each loaded mask's
-/// verification through the kernel as `plan` decides.
+/// Executes a top-k query over `candidates`, verifying in the ranked
+/// pass's order.
 pub fn execute(
     session: &Session,
     version: &ReadVersion,
@@ -32,7 +31,6 @@ pub fn execute(
     expr: &Expr,
     k: usize,
     order: Order,
-    plan: &ExecPlan,
 ) -> QueryResult<QueryOutput> {
     let total_start = Instant::now();
     let fallback = session.config().object_box_fallback;
@@ -68,7 +66,7 @@ pub fn execute(
 
     // Ranked pass: best bound first, verifying until a bound cannot enter.
     let verify_start = Instant::now();
-    let mut verifier = session.verifier(version, plan, expr.terms());
+    let mut verifier = session.verifier(version, expr.terms());
     let refine = |i: usize| {
         chis.and_then(|chis| chis.get(candidates[i]))
             .map(|chi| compiled.cell_interval(records[i], chi))

@@ -1,9 +1,9 @@
 //! Query plans: `EXPLAIN` and `EXPLAIN ANALYZE`.
 //!
 //! A [`PlanNode`] tree describes *how* a query will run — the selection and
-//! its access path, the CP terms, whether the CHI bounds pass can classify
-//! candidates or every mask must be loaded, and the verification kernel's
-//! policy — before any work happens. `EXPLAIN ANALYZE` executes the query
+//! its access path, the CP terms, and whether the CHI bounds pass can
+//! classify candidates or every mask must be loaded — before any work
+//! happens. `EXPLAIN ANALYZE` executes the query
 //! and annotates the same tree with the measured [`QueryStats`], copying
 //! each counter verbatim so the annotated plan and the stats can never
 //! disagree (a property the integration tests assert).
@@ -16,7 +16,6 @@ use crate::query::{Query, QueryKind, Selection};
 use crate::result::QueryStats;
 use crate::session::{IndexingMode, SessionConfig};
 use crate::spec::{CpTerm, RoiSpec, TermSource};
-use masksearch_plan::KernelMode;
 
 /// One node of a query plan: a named stage with ordered properties and
 /// child stages.
@@ -267,15 +266,7 @@ pub fn plan(query: &Query, config: &SessionConfig) -> PlanNode {
         _ => {}
     }
 
-    let verify = PlanNode::new("verify").with(
-        "kernel",
-        match config.kernel_mode {
-            KernelMode::ForceOn => "tiled",
-            KernelMode::ForceOff => "scan",
-            KernelMode::Auto => "auto",
-        },
-    );
-    root.children.push(verify);
+    root.children.push(PlanNode::new("verify"));
     root
 }
 
@@ -349,8 +340,7 @@ pub fn annotate(mut plan: PlanNode, stats: &QueryStats, rows: u64) -> PlanNode {
 /// used to label programmatic statements and flight-recorder entries.
 ///
 /// Two queries share a shape when they have the same kind, the same CP-term
-/// count and ROI mix, and run under the same kernel and indexing
-/// configuration.
+/// count and ROI mix, and run under the same indexing configuration.
 pub fn shape_key(query: &Query, config: &SessionConfig) -> String {
     let terms = cp_terms(query);
     let mut rois: Vec<&str> = terms
@@ -369,11 +359,10 @@ pub fn shape_key(query: &Query, config: &SessionConfig) -> String {
         rois.join("+")
     };
     format!(
-        "{}/cp={}/roi={}/kernel={}/idx={}",
+        "{}/cp={}/roi={}/idx={}",
         kind_name(&query.kind),
         terms.len(),
         roi,
-        config.kernel_mode.label(),
         indexing_name(config.indexing_mode),
     )
 }
@@ -413,21 +402,14 @@ mod tests {
             .prop("cp")
             .unwrap()
             .starts_with("cp(own,box("));
-        // The default kernel policy follows each mask's grid; forcing
-        // resolves it statically.
-        assert_eq!(p.find("verify").unwrap().prop("kernel"), Some("auto"));
-        let forced = plan(&filter_query(), &config().kernel_mode(KernelMode::ForceOn));
-        assert_eq!(forced.find("verify").unwrap().prop("kernel"), Some("tiled"));
+        assert!(p.find("verify").is_some());
     }
 
     #[test]
     fn disabled_indexing_plans_load_all() {
-        let cfg = config()
-            .indexing_mode(IndexingMode::Disabled)
-            .kernel_mode(KernelMode::ForceOff);
+        let cfg = config().indexing_mode(IndexingMode::Disabled);
         let p = plan(&filter_query(), &cfg);
         assert_eq!(p.find("filter").unwrap().prop("strategy"), Some("load-all"));
-        assert_eq!(p.find("verify").unwrap().prop("kernel"), Some("scan"));
     }
 
     #[test]
@@ -493,10 +475,7 @@ mod tests {
             900.0,
         );
         assert_eq!(shape_key(&a, &cfg), shape_key(&b, &cfg));
-        assert_eq!(
-            shape_key(&a, &cfg),
-            "filter/cp=1/roi=const/kernel=auto/idx=incremental"
-        );
+        assert_eq!(shape_key(&a, &cfg), "filter/cp=1/roi=const/idx=incremental");
         let ranked = Query::top_k_cp(
             Roi::new(0, 0, 8, 8).unwrap(),
             PixelRange::new(0.1, 0.9).unwrap(),
@@ -506,7 +485,7 @@ mod tests {
         assert_ne!(shape_key(&a, &cfg), shape_key(&ranked, &cfg));
         assert_ne!(
             shape_key(&a, &cfg),
-            shape_key(&a, &cfg.kernel_mode(KernelMode::ForceOff))
+            shape_key(&a, &cfg.indexing_mode(IndexingMode::Eager))
         );
     }
 

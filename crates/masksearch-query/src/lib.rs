@@ -15,9 +15,8 @@
 //!   and CHI store, supports eager or incremental indexing (§3.6), and
 //!   executes queries with the filter–verification framework.
 //! * [`exec`] — the executors themselves.
-//! * [`planner`] — a statement's plan: the kernel policy (the tiled kernel
-//!   exactly for masks that already carry their tile grid, under `Auto`)
-//!   and the access path of its candidate resolution.
+//! * [`planner`] — a statement's plan: the access path of its candidate
+//!   resolution.
 //! * [`explain`] — `EXPLAIN` / `EXPLAIN ANALYZE` plan trees and normalized
 //!   query-shape keys that label statements in the flight recorder.
 //! * [`result`] — result rows and per-query statistics (masks loaded,
@@ -75,7 +74,6 @@ mod verify;
 pub use error::{QueryError, QueryResult as QueryResultExt};
 pub use explain::{shape_key, PlanNode};
 pub use expr::{Expr, Interval};
-pub use masksearch_plan::KernelMode;
 pub use masksearch_storage::{MetaColumn, MetaIndexDef, MetaIndexRegistry};
 pub use merge::RankedPartial;
 pub use mutation::{MaskUpdate, Mutation, MutationOutcome};

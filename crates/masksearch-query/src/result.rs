@@ -73,19 +73,20 @@ pub struct QueryStats {
     pub bytes_read: u64,
     /// CHIs built during the query (incremental indexing, §3.6).
     pub indexes_built: u64,
-    /// Verification-kernel tiles decided from min/max summaries alone
-    /// (all-in or all-out) without touching pixels.
+    /// CHI cells the cell kernel of verification decided whole (all of
+    /// their pixels out of range, or all in) without touching pixels.
     pub tiles_pruned: u64,
-    /// Verification-kernel tiles answered exactly from tile histograms.
+    /// CHI cells the ROI covers whose count the cell kernel took exactly
+    /// from the histogram.
     pub tiles_hist: u64,
-    /// Verification-kernel tiles that fell back to a pixel scan.
+    /// CHI cells whose ROI pixels the cell kernel scanned.
     pub tiles_scanned: u64,
     /// Pair (multi-mask) queries: images where both mask bindings resolved
     /// and the pair entered the candidate set.
     pub pairs_bound: u64,
-    /// Loaded masks the plan routed through the tiled kernel.
+    /// Masks verification counted by CHI cell.
     pub planner_kernel_on: u64,
-    /// Loaded masks the plan routed to the reference scan.
+    /// Masks verification counted by the reference scan.
     pub planner_kernel_off: u64,
     /// Secondary-index point probes issued during candidate resolution.
     pub index_probes: u64,

@@ -36,7 +36,6 @@
 //! among themselves.
 
 use crate::error::{QueryError, QueryResult};
-use crate::eval;
 use crate::exec;
 use crate::explain::{self, PlanNode};
 use crate::merge;
@@ -46,13 +45,14 @@ use crate::query::{MaskJoin, Query, QueryKind, Selection};
 use crate::result::{QueryOutput, QueryStats};
 use crate::spec::CpTerm;
 use crate::verify::Verifier;
-use masksearch_core::{ImageId, Mask, MaskAgg, MaskId, MaskRecord, TiledMask};
+use masksearch_core::{ImageId, Mask, MaskAgg, MaskId, MaskRecord};
 use masksearch_index::{
     build_chi_store, BuildOptions, Chi, ChiConfig, ChiReader, ChiStore, ChiVersion,
 };
 use masksearch_obs::counters as obs_counters;
-use masksearch_plan::KernelMode;
-use masksearch_storage::{Catalog, MaskCache, MaskStore, MetaColumn, MetaIndexRegistry};
+use masksearch_storage::{
+    CachedMask, Catalog, MaskCache, MaskStore, MetaColumn, MetaIndexRegistry,
+};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
@@ -89,15 +89,6 @@ pub struct SessionConfig {
     /// When a query uses `roi = object` but a mask has no recorded object
     /// box: fall back to the full mask (`true`) or fail the query (`false`).
     pub object_box_fallback: bool,
-    /// How verification-stage `CP` terms are routed: through the tiled
-    /// kernel (per-tile min/max + histogram summaries; see
-    /// `masksearch-core`), the reference batched scan, or — the default —
-    /// the kernel exactly for masks that already carry their tile grid.
-    /// Counts are byte-identical under every mode; forcing exists for
-    /// benchmarking and conformance tests, and pins the whole
-    /// load-then-count pipeline: only the default mode verifies cache
-    /// misses in place (see `crate::verify`).
-    pub kernel_mode: KernelMode,
 }
 
 impl SessionConfig {
@@ -112,7 +103,6 @@ impl SessionConfig {
                 .unwrap_or(1),
             cache_bytes: 0,
             object_box_fallback: true,
-            kernel_mode: KernelMode::Auto,
         }
     }
 
@@ -137,15 +127,6 @@ impl SessionConfig {
     /// Sets the missing-object-box policy.
     pub fn object_box_fallback(mut self, fallback: bool) -> Self {
         self.object_box_fallback = fallback;
-        self
-    }
-
-    /// Sets the verification-kernel policy: [`KernelMode::ForceOn`] or
-    /// [`KernelMode::ForceOff`] pin a fixed pipeline; the default
-    /// [`KernelMode::Auto`] takes the kernel exactly for masks that already
-    /// carry their tile grid.
-    pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
         self
     }
 }
@@ -486,25 +467,15 @@ impl Session {
 
     /// Loads a mask through the buffer cache.
     pub fn load_mask(&self, mask_id: MaskId) -> QueryResult<Arc<Mask>> {
-        Ok(self.load_tiled(mask_id)?.mask_arc())
+        Ok(self.load_stamped(mask_id)?.mask)
     }
 
-    /// Loads a mask in tiled form through the buffer cache. Stores that
-    /// maintain tile summaries (the durable mask database) seed the grid;
-    /// otherwise it is built lazily on first kernel use.
-    pub fn load_tiled(&self, mask_id: MaskId) -> QueryResult<Arc<TiledMask>> {
+    /// Loads a mask through the buffer cache with the stamp of its pixels,
+    /// when its store stamps them.
+    fn load_stamped(&self, mask_id: MaskId) -> QueryResult<CachedMask> {
         self.cache
-            .get_or_load_tiled(mask_id, || self.store.get_tiled(mask_id))
+            .get_or_load_stamped(mask_id, || self.store.get_stamped(mask_id))
             .map_err(QueryError::from)
-    }
-
-    /// Evaluation options for the verification stage with an explicit
-    /// kernel decision (see [`ExecPlan::kernel_on_for`]).
-    pub fn verify_options_with(&self, use_tiled_kernel: bool) -> eval::VerifyOptions {
-        eval::VerifyOptions {
-            object_box_fallback: self.config.object_box_fallback,
-            use_tiled_kernel,
-        }
     }
 
     /// The verification step of a single-mask statement: exact values of
@@ -513,25 +484,25 @@ impl Session {
     pub(crate) fn verifier<'a>(
         &'a self,
         version: &'a ReadVersion,
-        plan: &'a ExecPlan,
         terms: Vec<&'a CpTerm>,
     ) -> Verifier<'a> {
-        Verifier::new(self, version, plan, terms)
+        Verifier::new(self, version, terms)
     }
 
     /// Loads a mask and, in incremental mode, builds and retains its CHI
-    /// (§3.6). Returns the tiled mask and whether an index was built.
-    pub fn load_and_index(&self, mask_id: MaskId) -> QueryResult<(Arc<TiledMask>, bool)> {
+    /// (§3.6). Returns the mask with its stamp and whether an index was
+    /// built.
+    pub fn load_and_index(&self, mask_id: MaskId) -> QueryResult<(CachedMask, bool)> {
         // Snapshot the CHI removal generation before loading: if a write
         // evicts this mask's index while we hold pre-write pixels, the
         // guarded install below refuses to put stale bounds in the index.
         let chi_generation = self.chi.removal_generation();
-        let mask = self.load_tiled(mask_id)?;
+        let mask = self.load_stamped(mask_id)?;
         let built = self.config.indexing_mode == IndexingMode::Incremental
             && !self.chi.contains(mask_id)
             && self
                 .chi
-                .index_mask_if_current(mask_id, mask.mask(), chi_generation);
+                .index_mask_if_current(mask_id, &mask.mask, chi_generation);
         if built {
             self.republish_indexes();
         }
@@ -572,12 +543,12 @@ impl Session {
         } else {
             Vec::new()
         };
-        self.store.apply_batch(upserts, deletes)?;
+        let stamp = self.store.apply_batch(upserts, deletes)?;
         for &id in deletes {
             self.cache.invalidate(id);
         }
         for (record, mask) in upserts {
-            self.cache.refresh(record.mask_id, mask);
+            self.cache.refresh(record.mask_id, mask, stamp);
         }
         if !self.chi_maintained_by_store {
             // Overwritten ids are evicted with the deleted ones: the
@@ -588,7 +559,7 @@ impl Session {
                 .map(|(record, _)| record.mask_id)
                 .chain(deletes.iter().copied())
                 .collect();
-            self.chi.apply(&evicted, built);
+            self.chi.apply(&evicted, built, None);
         }
         let mut catalog = current.catalog.clone();
         for &id in deletes {
@@ -690,7 +661,7 @@ impl Session {
 
     /// Updates masks in place: re-masked pixels and/or new metadata ride the
     /// insert path (store commit → cache refresh → CHI and catalog published
-    /// as one version), so tiles, CHI, stats, and secondary indexes stay
+    /// as one version), so the CHI and the catalog's secondary maps stay
     /// atomic with the pixels. Unknown targets fail before any side effect;
     /// repeated updates of one mask within the slice compose in order.
     pub fn update_masks(&self, updates: &[MaskUpdate]) -> QueryResult<usize> {
@@ -1169,15 +1140,15 @@ impl Session {
         Ok(output)
     }
 
-    /// Plans a query without executing it: the session's kernel policy and
-    /// the access path the candidate resolution would take. Nothing is
-    /// resolved or sampled; execution builds the same plan.
+    /// Plans a query without executing it: the access path the candidate
+    /// resolution takes. Nothing is resolved or sampled; resolution makes
+    /// the same decision.
     pub fn plan_query(&self, query: &Query) -> ExecPlan {
         planner::plan_query(self, query)
     }
 
-    /// The compact strategy signature of a query's plan
-    /// (`kernel=... index=...`) — what the slow-query log records.
+    /// The compact strategy signature of a query's plan (`index=...`) —
+    /// what the slow-query log records.
     pub fn plan_signature(&self, query: &Query) -> String {
         self.plan_query(query).signature()
     }
@@ -1194,7 +1165,7 @@ impl Session {
     /// annotated counters are copied verbatim from the output's
     /// [`QueryStats`], so the two never disagree.
     pub fn explain_analyze(&self, query: &Query) -> QueryResult<(PlanNode, QueryOutput)> {
-        // Plan once up front for display; execution builds the same plan.
+        // Planned up front for display; resolution makes the same decision.
         let exec_plan = self.plan_query(query);
         let output = self.execute(query)?;
         let plan = explain::annotate(
@@ -1264,9 +1235,7 @@ impl Session {
             let (pairs, left_trace, right_trace) =
                 self.resolve_pairs_at(&version, &query.selection, join);
             let total = pairs.len();
-            let plan = planner::plan_query(self, &query);
-            let mut output =
-                exec::pair::execute_topk(self, &version, &pairs, expr, *k, *order, &plan)?;
+            let mut output = exec::pair::execute_topk(self, &version, &pairs, expr, *k, *order)?;
             left_trace.apply(&mut output.stats);
             right_trace.apply(&mut output.stats);
             let bound = bound_of(&output, total);
@@ -1306,44 +1275,27 @@ impl Session {
         Ok(merge::RankedPartial { output, bound })
     }
 
-    /// Executes a query against an already resolved candidate set:
-    /// plan, then dispatch.
+    /// Executes a query against an already resolved candidate set,
+    /// dispatching on its kind.
     fn execute_resolved(
         &self,
         version: &ReadVersion,
         query: &Query,
         candidates: &[MaskId],
     ) -> QueryResult<QueryOutput> {
-        let plan = {
-            let _plan = masksearch_obs::span("plan");
-            planner::plan_query(self, query)
-        };
-        self.dispatch(version, query, candidates, &plan)
-    }
-
-    /// Dispatches on the query kind.
-    fn dispatch(
-        &self,
-        version: &ReadVersion,
-        query: &Query,
-        candidates: &[MaskId],
-        plan: &ExecPlan,
-    ) -> QueryResult<QueryOutput> {
         match &query.kind {
             QueryKind::Filter { predicate } => {
-                exec::filter::execute(self, version, candidates, predicate, plan)
+                exec::filter::execute(self, version, candidates, predicate)
             }
             QueryKind::TopK { expr, k, order } => {
-                exec::topk::execute(self, version, candidates, expr, *k, *order, plan)
+                exec::topk::execute(self, version, candidates, expr, *k, *order)
             }
             QueryKind::Aggregate {
                 expr,
                 agg,
                 having,
                 top_k,
-            } => exec::aggregate::execute(
-                self, version, candidates, expr, *agg, *having, *top_k, plan,
-            ),
+            } => exec::aggregate::execute(self, version, candidates, expr, *agg, *having, *top_k),
             QueryKind::MaskAggregate {
                 agg,
                 term,
@@ -1365,8 +1317,7 @@ impl Session {
             QueryKind::PairFilter { join, predicate } => {
                 let (pairs, left_trace, right_trace) =
                     self.resolve_pairs_at(version, &query.selection, join);
-                let mut output =
-                    exec::pair::execute_filter(self, version, &pairs, predicate, plan)?;
+                let mut output = exec::pair::execute_filter(self, version, &pairs, predicate)?;
                 left_trace.apply(&mut output.stats);
                 right_trace.apply(&mut output.stats);
                 Ok(output)
@@ -1379,8 +1330,7 @@ impl Session {
             } => {
                 let (pairs, left_trace, right_trace) =
                     self.resolve_pairs_at(version, &query.selection, join);
-                let mut output =
-                    exec::pair::execute_topk(self, version, &pairs, expr, *k, *order, plan)?;
+                let mut output = exec::pair::execute_topk(self, version, &pairs, expr, *k, *order)?;
                 left_trace.apply(&mut output.stats);
                 right_trace.apply(&mut output.stats);
                 Ok(output)

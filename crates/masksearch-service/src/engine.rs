@@ -1251,11 +1251,11 @@ mod tests {
         fn read_rows(
             &self,
             id: MaskId,
-            rows: std::ops::Range<u32>,
+            bands: &[std::ops::Range<u32>],
             out: &mut Vec<u8>,
-        ) -> masksearch_storage::StorageResult<Option<(u32, u32)>> {
+        ) -> masksearch_storage::StorageResult<Option<masksearch_storage::RowsRead>> {
             self.pass();
-            self.inner.read_rows(id, rows, out)
+            self.inner.read_rows(id, bands, out)
         }
         fn contains(&self, id: MaskId) -> bool {
             self.inner.contains(id)

@@ -6,14 +6,13 @@
 //! multi-query workloads (§4.5) benefit from recently verified masks without
 //! ever exceeding a configured memory budget.
 //!
-//! Entries are stored in *tiled* form ([`TiledMask`]): the decoded pixels
-//! plus the per-tile summaries of the verification kernel, so a cache hit
-//! also skips rebuilding the summaries the kernel prunes with. The byte
-//! budget accounts for both.
+//! An entry is a decoded mask with the [`Stamp`] it was loaded with
+//! ([`CachedMask`]), so verification can tell whether a CHI it pinned
+//! summarises exactly the cached pixels. The byte budget counts pixels.
 //!
 //! ## Admission
 //!
-//! An explicit load ([`MaskCache::get_or_load_tiled`]) is always admitted.
+//! An explicit load ([`MaskCache::get_or_load_stamped`]) is always admitted.
 //! Verification asks first ([`MaskCache::lookup_for_verify`]): a miss is
 //! admitted only when the same mask already missed once and the masks that
 //! missed since would still fit in the budget beside it — the "ghost" list
@@ -25,7 +24,8 @@
 //! store holds them instead (see `MaskStore::read_rows`).
 
 use crate::error::StorageResult;
-use masksearch_core::{Mask, MaskId, TiledMask};
+use crate::store::Stamp;
+use masksearch_core::{Mask, MaskId};
 use masksearch_obs::counters as obs_counters;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -55,14 +55,24 @@ impl CacheStats {
     }
 }
 
+/// A cached mask and the stamp of the pixels it was loaded (or refreshed)
+/// with: `None` when its store does not stamp.
+#[derive(Debug, Clone)]
+pub struct CachedMask {
+    /// The decoded pixels.
+    pub mask: Arc<Mask>,
+    /// The commit that installed them.
+    pub stamp: Option<Stamp>,
+}
+
 /// What the cache answers when the verification stage is about to count
 /// pixels of a mask (see [`MaskCache::lookup_for_verify`]).
 #[derive(Debug)]
 pub enum VerifyLookup {
-    /// Resident: verify on the cached tiled mask.
-    Hit(Arc<TiledMask>),
+    /// Resident: verify on the cached mask.
+    Hit(CachedMask),
     /// Its second recent miss: load it whole through
-    /// [`MaskCache::get_or_load_tiled`], which admits it.
+    /// [`MaskCache::get_or_load_stamped`], which admits it.
     Admit,
     /// Its first recent miss (or it cannot fit): verify without the cache.
     Bypass,
@@ -106,10 +116,7 @@ impl Ghosts {
 }
 
 struct Entry {
-    /// The decoded mask together with its tile-summary grid, so repeated
-    /// verification of a cached mask also reuses the summaries the
-    /// verification kernel prunes with.
-    mask: Arc<TiledMask>,
+    mask: CachedMask,
     bytes: u64,
     last_used: u64,
 }
@@ -123,7 +130,7 @@ enum FlightOutcome {
     /// The leader finished. `Some` carries a result safe to share;
     /// `None` means the waiter must restart its lookup (the load failed,
     /// raced an invalidation of this id, or the cache is not sharing).
-    Done(Option<Arc<TiledMask>>),
+    Done(Option<CachedMask>),
 }
 
 struct Flight {
@@ -140,7 +147,7 @@ impl Flight {
     }
 
     /// Blocks until the leader completes, returning its shared result.
-    fn wait(&self) -> Option<Arc<TiledMask>> {
+    fn wait(&self) -> Option<CachedMask> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             match &*state {
@@ -152,7 +159,7 @@ impl Flight {
         }
     }
 
-    fn complete(&self, result: Option<Arc<TiledMask>>) {
+    fn complete(&self, result: Option<CachedMask>) {
         *self.state.lock().unwrap_or_else(PoisonError::into_inner) = FlightOutcome::Done(result);
         self.cv.notify_all();
     }
@@ -167,7 +174,7 @@ struct FlightGuard<'a> {
     slot: Arc<Flight>,
     /// Set by the leader on success when the loaded value is safe to share
     /// with the waiters; `None` sends them back around the lookup loop.
-    shared: Option<Arc<TiledMask>>,
+    shared: Option<CachedMask>,
 }
 
 impl Drop for FlightGuard<'_> {
@@ -302,14 +309,13 @@ impl MaskCache {
         mask_id: MaskId,
         load: impl FnOnce() -> StorageResult<Mask>,
     ) -> StorageResult<Arc<Mask>> {
-        self.get_or_load_tiled(mask_id, || Ok(TiledMask::from_mask(load()?)))
-            .map(|tiled| tiled.mask_arc())
+        self.get_or_load_stamped(mask_id, || Ok((load()?, None)))
+            .map(|cached| cached.mask)
     }
 
-    /// Looks up a mask in its tiled form, or loads it with `load` on a miss
+    /// Looks up a mask with its stamp, or loads both with `load` on a miss
     /// and caches the result (evicting least-recently-used entries if
-    /// needed). This is the lookup the verification executor uses: cache
-    /// hits reuse both the decoded pixels and the tile summaries.
+    /// needed). This is the lookup the verification executor uses.
     ///
     /// Loads are **single-flight per mask id**: when several threads miss on
     /// the same id concurrently, exactly one runs `load` (decode and
@@ -317,16 +323,23 @@ impl MaskCache {
     /// result. A failed or invalidation-raced load sends the waiters back
     /// through the lookup, so an error never poisons the id and a waiter
     /// never observes pixels older than a write it arrived after.
-    pub fn get_or_load_tiled(
+    pub fn get_or_load_stamped(
         &self,
         mask_id: MaskId,
-        load: impl FnOnce() -> StorageResult<TiledMask>,
-    ) -> StorageResult<Arc<TiledMask>> {
+        load: impl FnOnce() -> StorageResult<(Mask, Option<Stamp>)>,
+    ) -> StorageResult<CachedMask> {
+        let load = || {
+            let (mask, stamp) = load()?;
+            Ok(CachedMask {
+                mask: Arc::new(mask),
+                stamp,
+            })
+        };
         if self.capacity_bytes == 0 {
             // Caching disabled (the cold-cache experimental setting): every
             // lookup loads for itself; sharing would warm what must be cold.
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(load()?));
+            return load();
         }
         let mut load = Some(load);
         loop {
@@ -336,7 +349,7 @@ impl MaskCache {
                 let clock = inner.clock;
                 if let Some(entry) = inner.entries.get_mut(&mask_id) {
                     entry.last_used = clock;
-                    let mask = Arc::clone(&entry.mask);
+                    let mask = entry.mask.clone();
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(mask);
                 }
@@ -380,8 +393,8 @@ impl MaskCache {
         mask_id: MaskId,
         slot: Arc<Flight>,
         generation_before: u64,
-        load: impl FnOnce() -> StorageResult<TiledMask>,
-    ) -> StorageResult<Arc<TiledMask>> {
+        load: impl FnOnce() -> StorageResult<CachedMask>,
+    ) -> StorageResult<CachedMask> {
         let mut guard = FlightGuard {
             cache: self,
             mask_id,
@@ -390,8 +403,8 @@ impl MaskCache {
         };
         // Load outside the lock so concurrent misses for different masks do
         // not serialise on the cache mutex.
-        let mask = Arc::new(load()?);
-        let bytes = mask.byte_size();
+        let mask = load()?;
+        let bytes = mask.mask.byte_size();
         let mut inner = self.lock();
         let invalidated_since = generation_before < inner.invalidated_floor
             || inner
@@ -405,7 +418,7 @@ impl MaskCache {
             // who may have arrived after the write.
             return Ok(mask);
         }
-        guard.shared = Some(Arc::clone(&mask));
+        guard.shared = Some(mask.clone());
         if bytes > self.capacity_bytes {
             // Too large to cache: return (and share) without caching.
             return Ok(mask);
@@ -429,7 +442,7 @@ impl MaskCache {
         inner.entries.insert(
             mask_id,
             Entry {
-                mask: Arc::clone(&mask),
+                mask: mask.clone(),
                 bytes,
                 last_used: clock,
             },
@@ -453,7 +466,7 @@ impl MaskCache {
         if let Some(entry) = inner.entries.get_mut(&mask_id) {
             entry.last_used = clock;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return VerifyLookup::Hit(Arc::clone(&entry.mask));
+            return VerifyLookup::Hit(entry.mask.clone());
         }
         if inner
             .ghosts
@@ -468,13 +481,13 @@ impl MaskCache {
 
     /// Returns the cached mask without loading, if present.
     pub fn peek(&self, mask_id: MaskId) -> Option<Arc<Mask>> {
-        self.peek_tiled(mask_id).map(|tiled| tiled.mask_arc())
+        self.peek_stamped(mask_id).map(|cached| cached.mask)
     }
 
-    /// Returns the cached tiled mask without loading, if present.
-    pub fn peek_tiled(&self, mask_id: MaskId) -> Option<Arc<TiledMask>> {
+    /// Returns the cached mask and its stamp without loading, if present.
+    pub fn peek_stamped(&self, mask_id: MaskId) -> Option<CachedMask> {
         let inner = self.lock();
-        inner.entries.get(&mask_id).map(|e| Arc::clone(&e.mask))
+        inner.entries.get(&mask_id).map(|e| e.mask.clone())
     }
 
     /// Drops the cached copy of a mask (used when it is overwritten or
@@ -490,7 +503,8 @@ impl MaskCache {
     }
 
     /// Brings the cached copy of a mask in line with `mask`, which the
-    /// backing store now holds in its place: a resident copy that nobody is
+    /// backing store now holds in its place, installed by commit `stamp`
+    /// (when it stamps): a resident copy that nobody is
     /// reading is overwritten **in place** (same allocation, so a stream of
     /// overwrites of hot masks causes no allocator traffic and no reloads);
     /// one that is shared, or of another shape, is dropped as by
@@ -498,14 +512,18 @@ impl MaskCache {
     /// it is recorded, so a load of this mask that was in flight — and may
     /// have read the old pixels — will not be cached. Returns `true` if the
     /// cache now holds the new pixels.
-    pub fn refresh(&self, mask_id: MaskId, mask: &Mask) -> bool {
+    pub fn refresh(&self, mask_id: MaskId, mask: &Mask, stamp: Option<Stamp>) -> bool {
         let mut inner = self.lock();
         inner.log_invalidation(mask_id);
-        let refreshed = inner
-            .entries
-            .get_mut(&mask_id)
-            .and_then(|entry| Arc::get_mut(&mut entry.mask))
-            .is_some_and(|tiled| tiled.overwrite(mask));
+        let refreshed = inner.entries.get_mut(&mask_id).is_some_and(|entry| {
+            let cached = &mut entry.mask;
+            let replaced =
+                Arc::get_mut(&mut cached.mask).is_some_and(|own| own.overwrite_with(mask));
+            if replaced {
+                cached.stamp = stamp;
+            }
+            replaced
+        });
         if !refreshed {
             inner.drop_entry(mask_id);
         }
@@ -581,36 +599,36 @@ mod tests {
         let cache = MaskCache::new(1024 * 1024);
         let id = MaskId::new(7);
         // Nothing resident: nothing is added.
-        assert!(!cache.refresh(id, &mask(1)));
+        assert!(!cache.refresh(id, &mask(1), Some(1)));
         assert!(cache.is_empty());
 
-        // Resident and unshared: same allocation, new pixels, a grid of the
-        // new pixels, the same budget share.
+        // Resident and unshared: same allocation, new pixels and the stamp
+        // of the commit that installed them, the same budget share.
         let pixels = cache
-            .get_or_load(id, || Ok(mask(1)))
+            .get_or_load_stamped(id, || Ok((mask(1), Some(1))))
             .unwrap()
+            .mask
             .data()
             .as_ptr();
         let used = cache.used_bytes();
-        assert!(cache.refresh(id, &mask(2)));
-        let tiled = cache.peek_tiled(id).unwrap();
-        assert_eq!(*tiled.mask(), mask(2));
-        assert_eq!(tiled.mask().data().as_ptr(), pixels);
-        assert!(tiled.grid().verify(&mask(2)));
+        assert!(cache.refresh(id, &mask(2), Some(2)));
+        let cached = cache.peek_stamped(id).unwrap();
+        assert_eq!(*cached.mask, mask(2));
+        assert_eq!(cached.mask.data().as_ptr(), pixels);
+        assert_eq!(cached.stamp, Some(2));
         assert_eq!(cache.used_bytes(), used);
 
-        // A reader still holds the entry (or just its mask): its pixels must
-        // not change under it, so the entry is dropped instead.
-        let held = tiled.mask_arc();
-        drop(tiled);
-        assert!(!cache.refresh(id, &mask(3)));
+        // A reader still holds the mask: its pixels must not change under
+        // it, so the entry is dropped instead.
+        let held = cached.mask;
+        assert!(!cache.refresh(id, &mask(3), Some(3)));
         assert_eq!(*held, mask(2));
         assert!(cache.peek(id).is_none());
         assert_eq!(cache.used_bytes(), 0);
 
         // Another shape cannot reuse the allocation.
         cache.get_or_load(id, || Ok(mask(3))).unwrap();
-        assert!(!cache.refresh(id, &Mask::zeros(4, 4)));
+        assert!(!cache.refresh(id, &Mask::zeros(4, 4), None));
         assert!(cache.peek(id).is_none());
     }
 
@@ -624,8 +642,8 @@ mod tests {
         cache.get_or_load(other, || Ok(mask(9))).unwrap();
         let stale = cache
             .get_or_load(id, || {
-                assert!(!cache.refresh(id, &mask(5)));
-                assert!(cache.refresh(other, &mask(6)));
+                assert!(!cache.refresh(id, &mask(5), None));
+                assert!(cache.refresh(other, &mask(6), None));
                 Ok(mask(3))
             })
             .unwrap();
@@ -678,16 +696,16 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_byte_budget() {
-        // Each 8x8 mask is 256 pixel bytes + 100 tile-summary bytes = 356;
-        // a budget of 800 holds two entries.
-        let cache = MaskCache::new(800);
+        // Each 8x8 mask is 256 pixel bytes; a budget of 600 holds two
+        // entries.
+        let cache = MaskCache::new(600);
         for i in 0..3u64 {
             cache
                 .get_or_load(MaskId::new(i), || Ok(mask(i as u32)))
                 .unwrap();
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.used_bytes() <= 800);
+        assert!(cache.used_bytes() <= 600);
         assert_eq!(cache.stats().evictions, 1);
         // Mask 0 was least recently used, so it is gone; 1 and 2 remain.
         assert!(cache.peek(MaskId::new(0)).is_none());
@@ -712,7 +730,7 @@ mod tests {
 
     #[test]
     fn a_scan_larger_than_the_cache_admits_nothing() {
-        // Room for two 8x8 masks; four are scanned lap after lap. Each
+        // Room for three 8x8 masks; four are scanned lap after lap. Each
         // mask's second miss comes a whole lap (1024 missed bytes) after its
         // first, which the 800-byte budget could not have held on to.
         let cache = MaskCache::new(800);
@@ -785,7 +803,8 @@ mod tests {
 
     #[test]
     fn recency_is_updated_on_hit() {
-        let cache = MaskCache::new(800);
+        // Room for two 8x8 masks of 256 pixel bytes.
+        let cache = MaskCache::new(600);
         cache.get_or_load(MaskId::new(0), || Ok(mask(0))).unwrap();
         cache.get_or_load(MaskId::new(1), || Ok(mask(1))).unwrap();
         // Touch 0 so it becomes most recent, then insert 2 -> 1 is evicted.

@@ -50,7 +50,7 @@ pub mod row_store;
 pub mod store;
 
 pub use array_store::ArrayStore;
-pub use cache::{MaskCache, VerifyLookup};
+pub use cache::{CachedMask, MaskCache, VerifyLookup};
 pub use catalog::Catalog;
 pub use cow_map::CowMap;
 pub use cursor::IdCursor;
@@ -59,4 +59,4 @@ pub use error::{StorageError, StorageResult};
 pub use format::MaskEncoding;
 pub use meta_index::{MetaColumn, MetaIndexDef, MetaIndexRegistry};
 pub use row_store::RowStore;
-pub use store::{IngestSnapshot, MaskStore, MemoryMaskStore};
+pub use store::{IngestSnapshot, MaskStore, MemoryMaskStore, RowsRead, Stamp};

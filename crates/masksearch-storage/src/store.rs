@@ -9,11 +9,32 @@
 use crate::disk::{DiskProfile, IoStats};
 use crate::error::{StorageError, StorageResult};
 use crate::format::{self, MaskEncoding};
-use masksearch_core::{Mask, MaskId, MaskRecord, TiledMask};
+use masksearch_core::{Mask, MaskId, MaskRecord};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// The commit that installed a mask's pixels, as the store that holds them
+/// numbers its commits. A store that stamps reports a mask's stamp with
+/// every read of its pixels ([`MaskStore::get_stamped`],
+/// [`MaskStore::read_rows`]); an index installed by the same commit carries
+/// the same stamp, so a reader can tell that the index summarises exactly
+/// the pixels it read.
+pub type Stamp = u64;
+
+/// What [`MaskStore::read_rows`] read: the mask's shape, and the stamp of
+/// the pixels read when the store stamps them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowsRead {
+    /// Mask width in pixels.
+    pub width: u32,
+    /// Mask height in pixels.
+    pub height: u32,
+    /// The commit that installed the pixels read; `None` when the store
+    /// does not stamp.
+    pub stamp: Option<Stamp>,
+}
 
 /// Point-in-time ingestion counters of a mutable mask store.
 ///
@@ -76,13 +97,20 @@ pub trait MaskStore: Send + Sync {
         Ok(())
     }
 
-    /// Applies deletions and insertions as one write. Durable stores
-    /// override this to publish both in a single commit frame so a crash can
-    /// never expose half of a multi-statement transaction; the default runs
-    /// the deletes then the inserts with no atomicity guarantee.
-    fn apply_batch(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<()> {
+    /// Applies deletions and insertions as one write, and returns the
+    /// [`Stamp`] it gave the inserted pixels, when the store stamps. Durable
+    /// stores override this to publish both in a single commit frame so a
+    /// crash can never expose half of a multi-statement transaction; the
+    /// default runs the deletes then the inserts with no atomicity guarantee
+    /// and no stamp.
+    fn apply_batch(
+        &self,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> StorageResult<Option<Stamp>> {
         self.delete_batch(deletes)?;
-        self.insert_batch(inserts)
+        self.insert_batch(inserts)?;
+        Ok(None)
     }
 
     /// The secondary metadata index registry this store persists across
@@ -112,37 +140,33 @@ pub trait MaskStore: Send + Sync {
     /// Loads a mask in full, charging the cost model.
     fn get(&self, mask_id: MaskId) -> StorageResult<Mask>;
 
-    /// Loads a mask together with its tile-summary grid, when the store
-    /// maintains one (see `masksearch-core`'s tiled verification kernel).
-    ///
-    /// The default wraps [`MaskStore::get`] without a pre-built grid — the
-    /// returned [`TiledMask`] builds its summaries lazily on first kernel
-    /// use. Stores that persist tile grids (the durable mask database)
-    /// override this to seed the grid, and must guarantee the grid they
-    /// attach was built from exactly the pixels they return.
-    fn get_tiled(&self, mask_id: MaskId) -> StorageResult<TiledMask> {
-        Ok(TiledMask::from_mask(self.get(mask_id)?))
+    /// Loads a mask in full, as [`MaskStore::get`] does, with the
+    /// [`Stamp`] of the pixels read when the store stamps them. The default
+    /// stamps nothing.
+    fn get_stamped(&self, mask_id: MaskId) -> StorageResult<(Mask, Option<Stamp>)> {
+        Ok((self.get(mask_id)?, None))
     }
 
-    /// Reads rows `rows` of a mask as it is stored — whole rows of
-    /// row-major little-endian `f32` — into `out`, resized to fit (a caller
-    /// verifying many masks reuses one buffer), and returns the mask's
-    /// `(width, height)`. The read counts as one mask loaded. This is what
-    /// lets verification count an ROI's pixels in place
-    /// (`masksearch_core::cp_many_le_rows`) instead of loading and decoding
-    /// the mask.
+    /// Reads the row bands `bands` (ascending and disjoint) of a mask as it
+    /// is stored — whole rows of row-major little-endian `f32` — into `out`,
+    /// one band after another, resized to fit (a caller verifying many
+    /// masks reuses one buffer), and returns the mask's shape and the stamp
+    /// of the rows read, all of one committed state. The read counts as one
+    /// mask loaded. This is what lets verification count an ROI's pixels in
+    /// place (`masksearch_core::cp_many_le_rows`) instead of loading and
+    /// decoding the mask.
     ///
     /// `Ok(None)` means "not supported here": the caller loads the mask
     /// whole. That is the default, and what a store that can serve rows
-    /// answers for a mask it holds in another encoding or whose height does
-    /// not cover `rows`.
+    /// answers for a mask it holds in another encoding, for no band, or for
+    /// a band that is empty or that its height does not cover.
     fn read_rows(
         &self,
         mask_id: MaskId,
-        rows: Range<u32>,
+        bands: &[Range<u32>],
         out: &mut Vec<u8>,
-    ) -> StorageResult<Option<(u32, u32)>> {
-        let _ = (mask_id, rows, out);
+    ) -> StorageResult<Option<RowsRead>> {
+        let _ = (mask_id, bands, out);
         Ok(None)
     }
 

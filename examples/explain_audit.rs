@@ -46,7 +46,7 @@ fn main() {
                WHERE CP(mask, (8, 8, 56, 56), (0.85, 1.0)) > 200 AND model_id = 1";
     let query = compile(sql).expect("compile SQL");
 
-    // 1. The static plan: operators, strategy, and kernel choice — no
+    // 1. The static plan: operators, strategy, and access path — no
     //    execution, so no counters.
     println!("== EXPLAIN (session) ==");
     for line in session.explain(&query).render() {

@@ -128,10 +128,9 @@ fn durable_session_matches_memory_oracle_and_survives_reopen() {
     // Filtering really used the recovered CHI: some candidates were pruned
     // or accepted without loading.
     assert!(got.stats.pruned + got.stats.accepted_without_load > 0);
-    // Verification-kernel ingest invariant: after inserts, deletes, and a
-    // checkpoint + reopen, every surviving mask's tile summaries match its
-    // pixels exactly.
-    assert_eq!(db.verify_tile_summaries().unwrap(), 10);
+    // Ingest invariant: after inserts, deletes, and a checkpoint + reopen,
+    // every surviving mask's CHI matches its pixels and their stamp.
+    assert_eq!(db.verify_indexes().unwrap(), 10);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -229,11 +228,11 @@ fn concurrent_tcp_readers_match_the_serial_oracle_during_ingestion() {
     client.quit().unwrap();
     server.shutdown();
 
-    // The whole ingested dataset survives a reopen, with tile summaries
-    // consistent with the pixels for every live-ingested mask.
+    // The whole ingested dataset survives a reopen, with a CHI consistent
+    // with the pixels for every live-ingested mask.
     let db = MaskDb::open(&dir, db_config()).unwrap();
     assert_eq!(db.catalog().len() as u64, BATCHES * BATCH);
-    assert_eq!(db.verify_tile_summaries().unwrap() as u64, BATCHES * BATCH);
+    assert_eq!(db.verify_indexes().unwrap() as u64, BATCHES * BATCH);
     let session = db_session(&db);
     assert_eq!(
         session.execute(&bright_query()).unwrap().mask_ids(),
@@ -276,7 +275,6 @@ fn sql_deletes_over_tcp_hit_the_durable_store() {
     assert!(!db.store().contains(MaskId::new(0)));
     assert!(!db.store().contains(MaskId::new(4)));
     assert_eq!(db.chi_store().len(), 4);
-    assert_eq!(db.tile_store().len(), 4);
-    assert_eq!(db.verify_tile_summaries().unwrap(), 4);
+    assert_eq!(db.verify_indexes().unwrap(), 4);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,6 +1,6 @@
 //! End-to-end temporal-observability acceptance tests:
 //!
-//! 1. A mixed workload (filter, top-k, aggregation, pair — with the tiled
+//! 1. A mixed workload (filter, top-k, aggregation, pair — with the cell
 //!    kernel on and off) captured over TCP by the flight recorder replays
 //!    against a checkpointed-and-reopened store with every response digest
 //!    and per-shape counter sum reproduced exactly.
@@ -20,7 +20,7 @@ use masksearch::core::{ImageId, Mask, MaskId, MaskRecord};
 use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
 use masksearch::obs::{keys, prom, read_recording, RecordedQuery};
-use masksearch::query::{IndexingMode, KernelMode, Session, SessionConfig};
+use masksearch::query::{IndexingMode, Session, SessionConfig};
 use masksearch::service::protocol::{self, Frame};
 use masksearch::service::{Client, Engine, Server, ServerHandle, ServiceConfig, ServiceError};
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
@@ -51,25 +51,20 @@ fn record_for(id: u64) -> MaskRecord {
         .build()
 }
 
-fn session_config(kernel: bool) -> SessionConfig {
+fn session_config() -> SessionConfig {
     SessionConfig::new(ChiConfig::new(4, 4, 8).unwrap())
         .threads(2)
         .indexing_mode(IndexingMode::Eager)
-        .kernel_mode(if kernel {
-            KernelMode::ForceOn
-        } else {
-            KernelMode::ForceOff
-        })
 }
 
-fn session_over(ids: &[u64], kernel: bool) -> Session {
+fn session_over(ids: &[u64]) -> Session {
     let store = Arc::new(MemoryMaskStore::for_tests());
     let mut catalog = Catalog::new();
     for &id in ids {
         store.put(MaskId::new(id), &mask_for(id)).unwrap();
         catalog.insert(record_for(id));
     }
-    Session::new(store as Arc<dyn MaskStore>, catalog, session_config(kernel)).unwrap()
+    Session::new(store as Arc<dyn MaskStore>, catalog, session_config()).unwrap()
 }
 
 fn filter_sql() -> String {
@@ -199,14 +194,20 @@ fn replay_and_check(
     }
 }
 
-/// A session over the durable database's own store, catalog, and CHI store.
+/// A session over the durable database's own store and catalog: sharing
+/// its stamped CHI store when `kernel` (masks counted by CHI cell), with an
+/// index of its own otherwise (masks counted by the reference scan).
 fn durable_session(db: &MaskDb, kernel: bool) -> Session {
-    Session::with_store_maintained_index(
-        db.mask_store(),
-        db.catalog(),
-        session_config(kernel),
-        db.chi_store(),
-    )
+    if kernel {
+        Session::with_store_maintained_index(
+            db.mask_store(),
+            db.catalog(),
+            session_config(),
+            db.chi_store(),
+        )
+    } else {
+        Session::new(db.mask_store(), db.catalog(), session_config()).unwrap()
+    }
 }
 
 fn db_config() -> DbConfig {
@@ -345,7 +346,7 @@ fn replayed_frames_are_byte_identical_modulo_wall_time() {
         format!("EXPLAIN ANALYZE {}", topk_sql()),
     ];
 
-    let engine = Engine::new(session_over(&ids, true), ServiceConfig::new(2));
+    let engine = Engine::new(session_over(&ids), ServiceConfig::new(2));
     let capture = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
     let mut client = Client::connect(capture.local_addr()).unwrap();
     client.record_start(Some(flight.to_str().unwrap())).unwrap();
@@ -358,7 +359,7 @@ fn replayed_frames_are_byte_identical_modulo_wall_time() {
 
     let records = read_recording(&flight).unwrap();
     assert_eq!(records.len(), workload.len());
-    let engine = Engine::new(session_over(&ids, true), ServiceConfig::new(2));
+    let engine = Engine::new(session_over(&ids), ServiceConfig::new(2));
     let replay = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
     for (record, captured_frame) in records.iter().zip(&captured) {
         let replayed_frame = raw_frame(replay.local_addr(), &record.sql);
@@ -390,7 +391,7 @@ fn recorder_leaves_wire_output_byte_identical() {
         if recording {
             config = config.record_to(&record_path);
         }
-        let engine = Engine::new(session_over(&ids, true), config);
+        let engine = Engine::new(session_over(&ids), config);
         let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
         // Warm-up so both servers answer from identical cache state.
         raw_frame(handle.local_addr(), &sql);
@@ -432,7 +433,7 @@ fn assert_deltas_equal_stats(sums: &BTreeMap<String, u64>, stats: &str) {
 
 #[test]
 fn monitor_deltas_sum_to_final_stats_single_node() {
-    let engine = Engine::new(session_over(&(0..24).collect::<Vec<_>>(), true), {
+    let engine = Engine::new(session_over(&(0..24).collect::<Vec<_>>()), {
         ServiceConfig::new(2)
     });
     let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
@@ -476,7 +477,7 @@ fn cluster(num_shards: usize, ids: &[u64]) -> TestCluster {
     let servers: Vec<ServerHandle> = per_shard
         .iter()
         .map(|shard_ids| {
-            let engine = Engine::new(session_over(shard_ids, true), ServiceConfig::new(2));
+            let engine = Engine::new(session_over(shard_ids), ServiceConfig::new(2));
             Server::bind("127.0.0.1:0", engine).unwrap().spawn()
         })
         .collect();
@@ -512,7 +513,7 @@ fn monitor_deltas_sum_to_final_stats_across_a_cluster() {
 #[test]
 fn metrics_window_exposes_windowed_gauges_on_both_front_ends() {
     let ids: Vec<u64> = (0..24).collect();
-    let engine = Engine::new(session_over(&ids, true), ServiceConfig::new(2));
+    let engine = Engine::new(session_over(&ids), ServiceConfig::new(2));
     let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     for _ in 0..3 {
@@ -556,7 +557,7 @@ fn slow_query_log_writes_to_configured_file() {
     let config = ServiceConfig::new(1)
         .slow_query(Duration::ZERO)
         .slow_query_path(&path);
-    let engine = Engine::new(session_over(&(0..12).collect::<Vec<_>>(), true), config);
+    let engine = Engine::new(session_over(&(0..12).collect::<Vec<_>>()), config);
     engine.execute_sql(&filter_sql()).unwrap();
     assert!(engine.slow_log().logged() >= 1);
     let written = std::fs::read_to_string(&path).unwrap();

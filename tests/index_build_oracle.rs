@@ -1,32 +1,27 @@
 //! Differential oracle for the one pass over a mask's pixels
-//! (`masksearch_core::pixel_pass`) that builds both per-mask indexes.
+//! (`masksearch_core::pixel_pass`) that builds its CHI.
 //!
-//! The reference is the pair of loops the two indexes used to be built by —
+//! The reference is the loop the index used to be built by —
 //! `Chi::build`'s loop over `iter_pixels` (four divisions and an `f64` bin per
-//! pixel) and `TileGrid::build_with`'s per-tile-row loop — copied here as they
-//! were. `Chi::build`, `TileGrid::build_with` and the pair build
-//! `Chi::build_with_tiles` must equal them exactly: every CHI cell, and every
-//! field of every `TileSummary`, `min` / `max` by bit pattern (so a tile of
-//! `−0.0` and `0.0` keeps the sign the reference kept).
+//! pixel) — copied here as it was. `Chi::build` must equal it exactly, in
+//! every CHI cell.
 //!
 //! Inputs: arbitrary shapes (1×N and N×1 included, sizes that are no multiple
-//! of the cell or the tile), cell sides from 1 to past the mask, 1, 3, 10, 16
-//! and 32 bins, tiles of 1–160 pixels, and pixels drawn with NaN, ±∞, −0.0,
-//! 1.0, negatives, subnormals and the `f32` neighbours of every bin edge
-//! `k / bins`. The store-level case drives a database through the commit
-//! path — inserts, overwrites (shape changes included), deletes, automatic
-//! and explicit checkpoints, reopens that rebuild a removed `masks.tiles` or
-//! both index files — and holds `masks.chi` / `masks.tiles` to the bytes of
-//! stores filled by the reference builds.
+//! of the cell), cell sides from 1 to past the mask, 1, 3, 10, 16 and 32
+//! bins, and pixels drawn with NaN, ±∞, −0.0, 1.0, negatives, subnormals and
+//! the `f32` neighbours of every bin edge `k / bins`. The store-level case
+//! drives a database through the commit path — inserts, overwrites (shape
+//! changes included), deletes, automatic and explicit checkpoints, a reopen
+//! that rebuilds a removed `masks.chi` — and holds `masks.chi` to the bytes
+//! of a store filled by the reference builds.
 
-use masksearch::core::{Mask, MaskId, MaskRecord, TileGrid, TileSummary, TILE_BINS};
-use masksearch::db::{DbConfig, DurableMaskStore, CHI_FILE, TILES_FILE};
-use masksearch::index::{Chi, ChiConfig, ChiStore, TileStore};
+use masksearch::core::{Mask, MaskId, MaskRecord};
+use masksearch::db::{DbConfig, DurableMaskStore, CHI_FILE};
+use masksearch::index::{Chi, ChiConfig, ChiStore};
 use masksearch::storage::MaskStore;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// `Chi::build` before the one pass.
 fn reference_chi(mask: &Mask, config: &ChiConfig) -> Chi {
@@ -75,98 +70,6 @@ fn reference_chi(mask: &Mask, config: &ChiConfig) -> Chi {
         }
     }
     Chi::from_parts(*config, w, h, data).expect("grid of the mask's shape")
-}
-
-/// `TileGrid::build_with` before the one pass.
-fn reference_tiles(mask: &Mask, tile: u32) -> TileGrid {
-    let bin_of = |value: f32| ((value * TILE_BINS as f32) as usize).min(TILE_BINS - 1);
-    let (w, h) = mask.shape();
-    let tiles_x = w.div_ceil(tile);
-    let tiles_y = h.div_ceil(tile);
-    let mut summaries = Vec::with_capacity((tiles_x as usize) * (tiles_y as usize));
-    let mut mins = vec![f32::INFINITY; tiles_x as usize];
-    let mut maxs = vec![f32::NEG_INFINITY; tiles_x as usize];
-    let mut uncountables = vec![0u32; tiles_x as usize];
-    let mut hists = vec![[0u32; TILE_BINS]; tiles_x as usize];
-    for ty in 0..tiles_y {
-        for acc in mins.iter_mut() {
-            *acc = f32::INFINITY;
-        }
-        for acc in maxs.iter_mut() {
-            *acc = f32::NEG_INFINITY;
-        }
-        for acc in uncountables.iter_mut() {
-            *acc = 0;
-        }
-        for acc in hists.iter_mut() {
-            *acc = [0u32; TILE_BINS];
-        }
-        let y0 = ty * tile;
-        let y1 = (y0 + tile).min(h);
-        for y in y0..y1 {
-            let row = mask.row(y);
-            for tx in 0..tiles_x {
-                let x0 = (tx * tile) as usize;
-                let x1 = ((tx + 1) * tile).min(w) as usize;
-                let (min, max, uncountable, hist) = (
-                    &mut mins[tx as usize],
-                    &mut maxs[tx as usize],
-                    &mut uncountables[tx as usize],
-                    &mut hists[tx as usize],
-                );
-                for &v in &row[x0..x1] {
-                    if v < *min {
-                        *min = v;
-                    }
-                    if v > *max {
-                        *max = v;
-                    }
-                    if (0.0..1.0).contains(&v) {
-                        hist[bin_of(v)] += 1;
-                    } else {
-                        *uncountable += 1;
-                    }
-                }
-            }
-        }
-        for tx in 0..tiles_x as usize {
-            let mut cum = [0u32; TILE_BINS + 1];
-            for (i, &count) in hists[tx].iter().enumerate() {
-                cum[i + 1] = cum[i] + count;
-            }
-            summaries.push(TileSummary::from_parts(
-                mins[tx],
-                maxs[tx],
-                uncountables[tx],
-                cum,
-            ));
-        }
-    }
-    TileGrid::from_parts(w, h, tile, summaries).expect("one summary per tile")
-}
-
-/// Every field of every summary, `min` / `max` as bit patterns.
-fn tile_fields(grid: &TileGrid) -> Vec<(u32, u32, u32, [u32; TILE_BINS + 1])> {
-    grid.summaries()
-        .iter()
-        .map(|s| {
-            (
-                s.min().to_bits(),
-                s.max().to_bits(),
-                s.uncountable(),
-                *s.cum(),
-            )
-        })
-        .collect()
-}
-
-fn assert_same_tiles(got: &TileGrid, want: &TileGrid, what: &str) {
-    assert_eq!(
-        (got.mask_width(), got.mask_height(), got.tile()),
-        (want.mask_width(), want.mask_height(), want.tile()),
-        "{what}: layout"
-    );
-    assert_eq!(tile_fields(got), tile_fields(want), "{what}: summaries");
 }
 
 const BIN_COUNTS: [u32; 5] = [1, 3, 10, 16, 32];
@@ -225,7 +128,7 @@ fn pixel(rng: &mut Lcg, hostile: bool) -> f32 {
 
 fn mask_of(w: u32, h: u32, seed: u64, hostile: bool) -> Mask {
     let mut rng = Lcg(seed | 1);
-    // Runs of one value now and then, so a tile can hold ±0 ties and whole
+    // Runs of one value now and then, so a cell can hold ±0 ties and whole
     // rows of one bin.
     let mut held = 0.0f32;
     let data = (0..w as usize * h as usize)
@@ -239,24 +142,21 @@ fn mask_of(w: u32, h: u32, seed: u64, hostile: bool) -> Mask {
     Mask::from_data_unchecked(w, h, data).expect("shape matches")
 }
 
-/// Checks the three builds of one `(mask, config, tile)` against the
-/// reference loops.
-fn check_builds(mask: &Mask, config: &ChiConfig, tile: u32) {
+/// Checks the build of one `(mask, config)` against the reference loop.
+fn check_builds(mask: &Mask, config: &ChiConfig) {
     let what = format!(
-        "{}x{} cell {}x{} bins {} tile {tile}",
+        "{}x{} cell {}x{} bins {}",
         mask.width(),
         mask.height(),
         config.cell_width(),
         config.cell_height(),
         config.bins()
     );
-    let want_chi = reference_chi(mask, config);
-    let want_grid = reference_tiles(mask, tile);
-    assert_eq!(Chi::build(mask, config), want_chi, "{what}: Chi::build");
-    assert_same_tiles(&TileGrid::build_with(mask, tile), &want_grid, &what);
-    let (chi, grid) = Chi::build_with_tiles(mask, config, tile);
-    assert_eq!(chi, want_chi, "{what}: pair build, CHI");
-    assert_same_tiles(&grid, &want_grid, &format!("{what}: pair build"));
+    assert_eq!(
+        Chi::build(mask, config),
+        reference_chi(mask, config),
+        "{what}: Chi::build"
+    );
 }
 
 /// Sides that are often 1, often no multiple of anything, sometimes large.
@@ -276,36 +176,31 @@ proptest! {
         cell_w in 1u32..=150,
         cell_h in 1u32..=150,
         bins_at in 0usize..BIN_COUNTS.len(),
-        tile in 1u32..=160,
     ) {
         let mask = mask_of(w, h, seed, hostile != 0);
         let config = ChiConfig::new(cell_w, cell_h, BIN_COUNTS[bins_at]).unwrap();
-        check_builds(&mask, &config, tile);
+        check_builds(&mask, &config);
     }
 }
 
 /// The corners the random draw reaches only sometimes: single pixels, one
-/// row or column, cells and tiles of one pixel and past the mask, the
-/// benchmark's geometry, the product tile size.
+/// row or column, cells of one pixel and past the mask, the benchmark's
+/// geometry.
 #[test]
 fn one_pass_equals_the_reference_loops_at_the_edges() {
     let shapes = [(1, 1), (1, 97), (97, 1), (2, 3), (112, 112), (129, 65)];
     let cells = [(1, 1), (1, 7), (14, 14), (13, 5), (64, 64), (200, 300)];
-    let tiles = [1, 3, 14, 64, 113, 160];
     for (i, &(w, h)) in shapes.iter().enumerate() {
         for hostile in [false, true] {
             let mask = mask_of(w, h, 77 + i as u64, hostile);
             for &(cw, ch) in &cells {
                 for bins in BIN_COUNTS {
-                    let config = ChiConfig::new(cw, ch, bins).unwrap();
-                    for tile in tiles {
-                        check_builds(&mask, &config, tile);
-                    }
+                    check_builds(&mask, &ChiConfig::new(cw, ch, bins).unwrap());
                 }
             }
         }
     }
-    // Signed zeros: each tile keeps the sign of the first zero it meets.
+    // Signed zeros count like zeros.
     let mut data = vec![0.0f32; 6 * 4];
     for (i, v) in data.iter_mut().enumerate() {
         if (i / 3) % 2 == 0 {
@@ -313,12 +208,10 @@ fn one_pass_equals_the_reference_loops_at_the_edges() {
         }
     }
     let mask = Mask::new(6, 4, data).unwrap();
-    for tile in 1..=6 {
-        check_builds(&mask, &ChiConfig::new(2, 2, 16).unwrap(), tile);
-    }
-    // Whole tiles of uncountable pixels.
+    check_builds(&mask, &ChiConfig::new(2, 2, 16).unwrap());
+    // Whole cells of uncountable pixels.
     let mask = Mask::from_data_unchecked(5, 5, vec![f32::NAN; 25]).unwrap();
-    check_builds(&mask, &ChiConfig::new(2, 3, 10).unwrap(), 2);
+    check_builds(&mask, &ChiConfig::new(2, 3, 10).unwrap());
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -338,18 +231,16 @@ fn record(id: MaskId, mask: &Mask) -> MaskRecord {
 }
 
 /// The bytes a store of the reference builds of `masks` serialises to.
-fn reference_files(config: &ChiConfig, masks: &BTreeMap<MaskId, Mask>) -> (Vec<u8>, Vec<u8>) {
+fn reference_file(config: &ChiConfig, masks: &BTreeMap<MaskId, Mask>) -> Vec<u8> {
     let chi = ChiStore::new(*config);
-    let tiles = TileStore::default();
     for (&id, mask) in masks {
         chi.insert(id, reference_chi(mask, config));
-        tiles.insert(id, Arc::new(reference_tiles(mask, tiles.tile())));
     }
-    (chi.to_bytes(), tiles.to_bytes())
+    chi.to_bytes()
 }
 
-/// Checkpoints (one segment per file) and compares both index files with
-/// the reference stores' bytes.
+/// Checkpoints (one segment) and compares the index file with the
+/// reference store's bytes.
 fn assert_files_match(
     store: &DurableMaskStore,
     dir: &std::path::Path,
@@ -358,14 +249,9 @@ fn assert_files_match(
     when: &str,
 ) {
     store.checkpoint().unwrap();
-    let (chi, tiles) = reference_files(config, masks);
     assert!(
-        std::fs::read(dir.join(CHI_FILE)).unwrap() == chi,
+        std::fs::read(dir.join(CHI_FILE)).unwrap() == reference_file(config, masks),
         "{when}: masks.chi differs from the reference build"
-    );
-    assert!(
-        std::fs::read(dir.join(TILES_FILE)).unwrap() == tiles,
-        "{when}: masks.tiles differs from the reference build"
     );
     assert_eq!(store.ids(), masks.keys().copied().collect::<Vec<_>>());
 }
@@ -429,20 +315,18 @@ fn committed_index_files_equal_the_reference_builds() {
             model.insert(id, extra);
         }
 
-        // Reopen without the tile file: every grid is rebuilt from pixels
-        // (CHIs too for the masks the log replays).
-        std::fs::remove_file(dir.join(TILES_FILE)).unwrap();
+        // Reopen: the CHIs of the masks the log replays are rebuilt.
         {
             let store = DurableMaskStore::open(&dir, config).unwrap();
-            assert_eq!(store.verify_tile_summaries().unwrap(), model.len());
-            assert_files_match(&store, &dir, &chi_config, &model, "tiles rebuilt");
+            assert_eq!(store.verify_indexes().unwrap(), model.len());
+            assert_files_match(&store, &dir, &chi_config, &model, "replayed");
         }
-        // Reopen without either index file: both from one pass per mask.
-        std::fs::remove_file(dir.join(TILES_FILE)).unwrap();
+        // Reopen without the index file: every CHI from its pixels.
         std::fs::remove_file(dir.join(CHI_FILE)).unwrap();
         {
             let store = DurableMaskStore::open(&dir, config).unwrap();
-            assert_files_match(&store, &dir, &chi_config, &model, "both rebuilt");
+            assert_eq!(store.verify_indexes().unwrap(), model.len());
+            assert_files_match(&store, &dir, &chi_config, &model, "rebuilt");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,15 +1,17 @@
-//! End-to-end conformance of the tiled verification kernel: the same query
-//! workload — filter, top-k (with exact ties), and HAVING aggregates —
+//! End-to-end conformance of the cell kernel of verification: the same
+//! query workload — filter, top-k (with exact ties), and HAVING aggregates —
 //! executed over TCP against the same `masksearch-db` store must produce
-//! **byte-identical** result frames with the kernel enabled and disabled,
-//! including row order, tie-breaks, float formatting, and every
+//! **byte-identical** result frames with the kernel enabled (a session
+//! sharing the store's stamped index) and disabled (a session with an index
+//! of its own, which no stamp matches, so every mask takes the reference
+//! scan), including row order, tie-breaks, float formatting, and every
 //! deterministic summary counter. Only the `wall_us=` timing token is
 //! masked before comparison.
 
 use masksearch::core::{ImageId, Mask, MaskId, MaskRecord};
 use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
-use masksearch::query::{KernelMode, Session, SessionConfig};
+use masksearch::query::{IndexingMode, Session, SessionConfig};
 use masksearch::service::{Engine, Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -121,24 +123,27 @@ fn normalize(line: &str) -> String {
         .join(" ")
 }
 
+/// A session over the store in `db`: sharing its stamped index when
+/// `kernel` (every mask counted by CHI cell), with an index of its own
+/// otherwise (every mask counted by the reference scan).
+fn session(db: &MaskDb, config: SessionConfig, kernel: bool) -> Session {
+    if kernel {
+        Session::with_store_maintained_index(db.mask_store(), db.catalog(), config, db.chi_store())
+    } else {
+        let config = config.indexing_mode(IndexingMode::Eager);
+        Session::new(db.mask_store(), db.catalog(), config).unwrap()
+    }
+}
+
 /// Opens the store in `dir`, serves it over TCP with the kernel enabled or
 /// disabled, runs the workload on a raw socket, and returns the normalized
 /// frames.
 fn run_workload(dir: &Path, kernel: bool) -> Vec<Vec<String>> {
     let db = MaskDb::open(dir, db_config()).unwrap();
-    let session = Session::with_store_maintained_index(
-        db.mask_store(),
-        db.catalog(),
-        SessionConfig::new(ChiConfig::new(8, 8, 8).unwrap())
-            .threads(2)
-            .cache_bytes(1 << 20)
-            .kernel_mode(if kernel {
-                KernelMode::ForceOn
-            } else {
-                KernelMode::ForceOff
-            }),
-        db.chi_store(),
-    );
+    let config = SessionConfig::new(ChiConfig::new(8, 8, 8).unwrap())
+        .threads(2)
+        .cache_bytes(1 << 20);
+    let session = session(&db, config, kernel);
     let engine = Engine::new(session, ServiceConfig::new(2));
     let server = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
     let addr = server.local_addr();
@@ -187,18 +192,11 @@ fn kernel_enabled_and_disabled_produce_byte_identical_frames() {
         assert!(a.len() > 1, "statement {i} returned no rows");
     }
 
-    // The kernel actually engaged: re-run one verification-heavy query with
-    // the kernel forced on (the auto planner may legitimately choose the
-    // scan for this shape) and confirm the serving metrics counted tiles.
+    // The kernel actually engaged: re-run one verification-heavy query and
+    // confirm the serving metrics counted its cells.
     let db = MaskDb::open(&dir, db_config()).unwrap();
-    let session = Session::with_store_maintained_index(
-        db.mask_store(),
-        db.catalog(),
-        SessionConfig::new(ChiConfig::new(8, 8, 8).unwrap())
-            .threads(2)
-            .kernel_mode(KernelMode::ForceOn),
-        db.chi_store(),
-    );
+    let config = SessionConfig::new(ChiConfig::new(8, 8, 8).unwrap()).threads(2);
+    let session = session(&db, config, true);
     let engine = Engine::new(session, ServiceConfig::new(1));
     let response = engine
         .execute_sql(&format!(
@@ -208,7 +206,7 @@ fn kernel_enabled_and_disabled_produce_byte_identical_frames() {
     let stats = response.output.stats;
     assert!(
         stats.tiles_pruned + stats.tiles_hist + stats.tiles_scanned > 0,
-        "kernel never classified a tile: {stats:?}"
+        "kernel never classified a cell: {stats:?}"
     );
     let metrics = engine.metrics();
     assert_eq!(

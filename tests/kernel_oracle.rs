@@ -1,15 +1,19 @@
-//! Differential-oracle property suite for the tiled verification kernel:
-//! `TileGrid::cp` / `TiledMask::cp_many` must return counts **byte-identical**
-//! to the reference scan `Mask::count_pixels` — exact equality, no tolerance —
-//! over arbitrary mask shapes (including non-tile-multiple widths/heights and
-//! degenerate 1×N / N×1 masks), arbitrary clipped and fully-disjoint ROIs,
-//! arbitrary tile sizes, and boundary ranges (bin-edge aligned, one-ULP wide,
-//! the full `[0, 1)` domain).
+//! Differential-oracle property suite for the cell kernel of verification:
+//! `TermBounds::cell_count` — every CHI cell an ROI touches decided from the
+//! mask's index where it can be, the ROI pixels of the rest scanned — must
+//! give counts **byte-identical** to the reference scan `Mask::count_pixels`
+//! (exact equality, no tolerance) over arbitrary mask shapes (including
+//! masks that are not cell multiples and degenerate 1×N / N×1 masks),
+//! arbitrary clipped and fully-disjoint ROIs, arbitrary cell sizes, bin
+//! counts of 16, 32 and 10, and boundary ranges (bin-edge aligned, one-ULP
+//! wide, the full `[0, 1)` domain) — counted both on the mask in memory and
+//! straight off the stored bytes of the rows it leaves to scan.
 
 use masksearch::core::{
-    cp, cp_composed, cp_many, cp_many_le_rows, cp_row_band, Mask, MaskOp, PixelRange, Roi,
-    TileGrid, TileStats, TiledMask,
+    compose_masks, cp, cp_composed, cp_many, cp_many_le_rows, cp_row_band, Mask, MaskId, MaskOp,
+    PixelRange, Roi,
 };
+use masksearch::index::{Chi, ChiConfig, ChiStore, ChiView, TermBounds};
 use proptest::prelude::*;
 
 /// Builds one mask of a content family. Families 0–3 are in-domain (smooth
@@ -125,110 +129,144 @@ fn arb_range() -> impl Strategy<Value = PixelRange> {
     )
 }
 
-/// Tile sizes exercising heavy partial-tile coverage (1..=9) and the
-/// production default's neighbourhood.
-fn arb_tile() -> impl Strategy<Value = u32> {
-    (1u32..=10, 0u32..2u32).prop_map(|(small, big)| if big == 0 { small } else { small * 16 })
+/// Index configurations: cells with heavy partial coverage (1..=10 px) and
+/// larger ones, non-square, at 16, 32 and a non-power-of-two 10 bins.
+fn arb_config() -> impl Strategy<Value = ChiConfig> {
+    let side = |(small, big): (u32, u32)| small * if big == 0 { 1 } else { 16 };
+    (1u32..=10, 0u32..2, 1u32..=10, 0u32..2, 0usize..3).prop_map(move |(w, bw, h, bh, bins)| {
+        ChiConfig::new(side((w, bw)), side((h, bh)), [16, 32, 10][bins])
+            .expect("non-zero configuration")
+    })
+}
+
+/// What the cell kernel counts of `CP(mask, roi, range)` from `chi`, and
+/// the rectangles it left to scan.
+fn cell_kernel(chi: ChiView<'_>, roi: &Roi, range: PixelRange) -> (u64, Vec<Roi>, u64) {
+    let mut scan = Vec::new();
+    let count = TermBounds::new(range).cell_count(chi, roi, &mut scan);
+    let cells = count.decided_cells + count.exact_cells + count.scanned_cells;
+    (count.decided, scan, cells)
+}
+
+/// The cell kernel's count off the stored bytes of the rows it leaves to
+/// scan: `Err` when those rows hold a pixel outside `[0, 1)`.
+fn cell_kernel_le(mask: &Mask, chi: ChiView<'_>, roi: &Roi, range: PixelRange) -> Result<u64, ()> {
+    let (decided, scan, _) = cell_kernel(chi, roi, range);
+    let (w, h) = mask.shape();
+    let mut total = decided;
+    for rect in scan {
+        let rows = rect.y0()..rect.y1();
+        let bytes = le_rows(mask, rows.clone());
+        total += cp_many_le_rows(&bytes, w, h, rows.start, &[(rect, range)]).map_err(drop)?[0];
+    }
+    Ok(total)
+}
+
+/// Whether rows `rows` of `mask` hold a pixel outside `[0, 1)`.
+fn rows_hold_uncountable(mask: &Mask, rows: std::ops::Range<u32>) -> bool {
+    let w = mask.width() as usize;
+    mask.data()[rows.start as usize * w..rows.end as usize * w]
+        .iter()
+        .any(|v| !(0.0..1.0).contains(v))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The core differential oracle: kernel CP == reference CP, exactly.
+    /// The core differential oracle: cell-kernel CP == reference CP,
+    /// exactly, in memory and off the stored rows; every cell the clipped
+    /// ROI touches is classified exactly once, and what is left to scan lies
+    /// inside the ROI.
     #[test]
-    fn tiled_cp_equals_reference_cp(
+    fn cell_kernel_equals_reference_cp(
         mask in arb_mask(),
-        tile in arb_tile(),
+        config in arb_config(),
         roi in arb_roi(),
         range in arb_range(),
     ) {
-        let grid = TileGrid::build_with(&mask, tile);
-        let mut stats = TileStats::default();
-        let kernel = grid.cp(&mask, &roi, &range, &mut stats);
+        let chi = Chi::build(&mask, &config);
         let reference = mask.count_pixels(&roi, &range);
-        prop_assert_eq!(kernel, reference, "tile={} roi={} range={}", tile, roi, range);
-        // Every overlapping tile is classified exactly once.
-        if let Some(clip) = mask.clip_roi(&roi) {
-            let tx = clip.x1().div_ceil(tile) - clip.x0() / tile;
-            let ty = clip.y1().div_ceil(tile) - clip.y0() / tile;
-            prop_assert_eq!(stats.tiles_touched(), u64::from(tx) * u64::from(ty));
+        let (decided, scan, cells) = cell_kernel(chi.view(), &roi, range);
+        let scanned: u64 = scan.iter().map(|rect| mask.count_pixels(rect, &range)).sum();
+        prop_assert_eq!(decided + scanned, reference, "config={:?} roi={} range={}", config, roi, range);
+        match mask.clip_roi(&roi) {
+            Some(clip) => {
+                let cx = clip.x1().div_ceil(config.cell_width()) - clip.x0() / config.cell_width();
+                let cy = clip.y1().div_ceil(config.cell_height()) - clip.y0() / config.cell_height();
+                prop_assert_eq!(cells, u64::from(cx) * u64::from(cy));
+                prop_assert!(scan.iter().all(|rect| rect.intersect(&clip) == Some(*rect)));
+            }
+            None => prop_assert_eq!((cells, scan.len()), (0, 0)),
+        }
+        let off_rows = cell_kernel_le(&mask, chi.view(), &roi, range);
+        if scan.iter().any(|rect| rows_hold_uncountable(&mask, rect.y0()..rect.y1())) {
+            prop_assert!(off_rows.is_err());
         } else {
-            prop_assert_eq!(stats.tiles_touched(), 0);
+            prop_assert_eq!(off_rows, Ok(reference));
         }
     }
 
-    /// Multi-term evaluation through the kernel and through the reference
-    /// batched scan both equal per-term reference counts.
+    /// Multi-term evaluation through the cell kernel and through the
+    /// reference batched scan both equal per-term reference counts.
     #[test]
     fn cp_many_paths_equal_reference(
         mask in arb_mask(),
+        config in arb_config(),
         roi_a in arb_roi(),
         roi_b in arb_roi(),
         range_a in arb_range(),
         range_b in arb_range(),
     ) {
         let terms = vec![(roi_a, range_a), (roi_b, range_b), (roi_a, range_b)];
-        let tiled = TiledMask::from_mask(mask.clone());
-        let kernel = tiled.cp_many(&terms);
+        let chi = Chi::build(&mask, &config);
         let batched = cp_many(&mask, &terms);
         for (i, (roi, range)) in terms.iter().enumerate() {
             let reference = cp(&mask, roi, range);
-            prop_assert_eq!(kernel[i], reference, "kernel term {}", i);
+            let (decided, scan, _) = cell_kernel(chi.view(), roi, *range);
+            let pending: Vec<(Roi, PixelRange)> = scan.iter().map(|rect| (*rect, *range)).collect();
+            let kernel = decided + cp_many(&mask, &pending).iter().sum::<u64>();
+            prop_assert_eq!(kernel, reference, "kernel term {}", i);
             prop_assert_eq!(batched[i], reference, "batched term {}", i);
         }
     }
 
-    /// A grid seeded through the persistence parts API produces the same
-    /// counts as a freshly built one.
+    /// An index that went through a store — its slab, at the count width
+    /// the mask's shape sets, and its file encoding — counts like a fresh
+    /// one.
     #[test]
-    fn reassembled_grid_equals_fresh_grid(
+    fn reassembled_index_counts_like_a_fresh_one(
         mask in arb_mask(),
-        tile in arb_tile(),
+        config in arb_config(),
         roi in arb_roi(),
         range in arb_range(),
     ) {
-        let grid = TileGrid::build_with(&mask, tile);
-        let reassembled = TileGrid::from_parts(
-            grid.mask_width(),
-            grid.mask_height(),
-            grid.tile(),
-            grid.summaries().to_vec(),
-        ).expect("layout matches");
-        prop_assert!(reassembled.verify(&mask));
-        let mut stats = TileStats::default();
-        prop_assert_eq!(
-            reassembled.cp(&mask, &roi, &range, &mut stats),
-            mask.count_pixels(&roi, &range)
-        );
+        let store = ChiStore::new(config);
+        store.insert(MaskId::new(7), Chi::build(&mask, &config));
+        let reloaded = ChiStore::from_bytes(&store.to_bytes()).expect("round trip");
+        let version = reloaded.reader();
+        let chi = version.get(MaskId::new(7)).expect("indexed");
+        let (decided, scan, _) = cell_kernel(chi, &roi, range);
+        let scanned: u64 = scan.iter().map(|rect| mask.count_pixels(rect, &range)).sum();
+        prop_assert_eq!(decided + scanned, mask.count_pixels(&roi, &range));
     }
 
-    /// Composed-kernel differential oracle: `CP` over `min` / `max` /
-    /// `|a−b|` through both masks' tile summaries equals the fused
-    /// reference scan, exactly — including masks with NaN/±∞/−0.0 pixels
-    /// (a NaN operand poisons the composed pixel, which is never counted).
+    /// The composed kernel of pair verification (`cp_composed`, one fused
+    /// pass over both masks): `CP` over `min` / `max` / `|a−b|` equals the
+    /// reference count over the materialised composition, exactly —
+    /// including masks with NaN/±∞/−0.0 pixels (a NaN operand poisons the
+    /// composed pixel, which is never counted).
     #[test]
     fn composed_kernel_equals_reference(
         pair in arb_mask_pair(),
-        tile in arb_tile(),
         roi in arb_roi(),
         range in arb_range(),
         op_pick in 0u32..3,
     ) {
         let (a, b) = pair;
         let op = [MaskOp::Intersect, MaskOp::Union, MaskOp::Diff][op_pick as usize];
-        let ga = TileGrid::build_with(&a, tile);
-        let gb = TileGrid::build_with(&b, tile);
-        let mut stats = TileStats::default();
-        let kernel = ga.cp_composed(&gb, &a, &b, op, &roi, &range, &mut stats);
-        let reference = cp_composed(&a, &b, op, &roi, &range).expect("same shape");
-        prop_assert_eq!(kernel, reference, "{} tile={} roi={} range={}", op, tile, roi, range);
-        // The TiledMask wrapper (default tile size, lazy grids) agrees too.
-        let ta = TiledMask::from_mask(a);
-        let tb = TiledMask::from_mask(b);
-        let wrapped = ta
-            .cp_composed_with_stats(&tb, op, &roi, &range, &mut stats)
-            .expect("same shape");
-        prop_assert_eq!(wrapped, reference);
+        let kernel = cp_composed(&a, &b, op, &roi, &range).expect("same shape");
+        let composed = compose_masks(&a, &b, op).expect("same shape");
+        prop_assert_eq!(kernel, composed.count_pixels(&roi, &range), "{} roi={} range={}", op, roi, range);
     }
 }
 
@@ -266,19 +304,23 @@ fn extreme_boundary_ranges_stay_exact() {
         PixelRange::full(),
     ];
     for mask in &masks {
-        for tile in [1u32, 2, 5, 64] {
-            let grid = TileGrid::build_with(mask, tile);
+        for (cell, bins) in [(1u32, 16u32), (2, 32), (5, 10), (64, 16)] {
+            let chi = Chi::build(mask, &ChiConfig::new(cell, cell, bins).unwrap());
             for range in &ranges {
                 for roi in [
                     mask.full_roi(),
                     Roi::new(0, 0, 3, 3).unwrap(),
                     Roi::new(2, 0, 1000, 1000).unwrap(),
                 ] {
+                    let expected = mask.count_pixels(&roi, range);
+                    let (decided, scan, _) = cell_kernel(chi.view(), &roi, *range);
+                    let scanned: u64 = scan.iter().map(|r| mask.count_pixels(r, range)).sum();
                     assert_eq!(
-                        grid.cp(mask, &roi, range, &mut TileStats::default()),
-                        mask.count_pixels(&roi, range),
-                        "range {range} roi {roi} tile {tile}"
+                        decided + scanned,
+                        expected,
+                        "range {range} roi {roi} cell {cell} bins {bins}"
                     );
+                    assert_eq!(cell_kernel_le(mask, chi.view(), &roi, *range), Ok(expected));
                 }
             }
         }

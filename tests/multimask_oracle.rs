@@ -1,9 +1,8 @@
 //! Differential oracle for multi-mask (pair) queries: every composed query —
 //! `CP` over ∩ / ∪ / △ in WHERE, mixed single-side terms, and `IOU` top-k —
-//! executed with CHI pruning and the composed tile kernel **on** must be
-//! byte-identical (rows, values, ordering, tie-breaks) to the
-//! load-everything [`BruteForce`] reference scan, in every indexing mode and
-//! with the kernel on or off. The SQL surface is exercised through
+//! executed with CHI pruning must be byte-identical (rows, values,
+//! ordering, tie-breaks) to the load-everything [`BruteForce`] reference
+//! scan, in every indexing mode. The SQL surface is exercised through
 //! `compile_statement` so the parser → lowering → executor path is covered
 //! end to end.
 
@@ -11,8 +10,8 @@ use masksearch::baselines::BruteForce;
 use masksearch::core::{ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange, Roi};
 use masksearch::index::ChiConfig;
 use masksearch::query::{
-    Expr, IndexingMode, KernelMode, MaskJoin, Order, Predicate, Query, ResultRow, RoiSpec,
-    Selection, Session, SessionConfig, TermSource,
+    Expr, IndexingMode, MaskJoin, Order, Predicate, Query, ResultRow, RoiSpec, Selection, Session,
+    SessionConfig, TermSource,
 };
 use masksearch::sql::{compile_statement, Statement};
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
@@ -167,35 +166,25 @@ fn pair_queries_match_the_load_everything_oracle() {
         IndexingMode::Incremental,
         IndexingMode::Disabled,
     ] {
-        for kernel in [true, false] {
-            let session = Session::new(
-                Arc::clone(&store) as Arc<dyn MaskStore>,
-                catalog.clone(),
-                SessionConfig::new(ChiConfig::new(8, 8, 16).unwrap())
-                    .threads(3)
-                    .indexing_mode(mode)
-                    .kernel_mode(if kernel {
-                        KernelMode::ForceOn
-                    } else {
-                        KernelMode::ForceOff
-                    }),
-            )
-            .unwrap();
-            for (name, query) in queries() {
-                let expected = oracle_rows(&store, &catalog, &query);
-                let got = session.execute(&query).unwrap();
-                assert_eq!(
-                    got.rows, expected,
-                    "{name} diverged (mode {mode:?}, kernel {kernel})"
-                );
-            }
+        let session = Session::new(
+            Arc::clone(&store) as Arc<dyn MaskStore>,
+            catalog.clone(),
+            SessionConfig::new(ChiConfig::new(8, 8, 16).unwrap())
+                .threads(3)
+                .indexing_mode(mode),
+        )
+        .unwrap();
+        for (name, query) in queries() {
+            let expected = oracle_rows(&store, &catalog, &query);
+            let got = session.execute(&query).unwrap();
+            assert_eq!(got.rows, expected, "{name} diverged (mode {mode:?})");
         }
     }
 }
 
 #[test]
 fn pair_queries_prune_without_losing_exactness() {
-    // Eager + kernel on: the composed bound algebra must actually avoid
+    // Eager: the composed bound algebra must actually avoid
     // loading masks on a selective predicate while staying byte-identical.
     let (store, catalog) = build_db(40);
     let session = Session::new(

@@ -1,7 +1,7 @@
 //! End-to-end observability acceptance tests:
 //!
 //! 1. `EXPLAIN ANALYZE` counters equal the measured [`QueryStats`] exactly —
-//!    at the session level (kernel on and off, pair queries included) and
+//!    at the session level (pair queries included) and
 //!    over the wire against both a single-node server and a 4-shard
 //!    coordinator (whose plan carries one measured sub-tree per shard).
 //! 2. `METRICS` emits Prometheus text exposition that passes
@@ -15,8 +15,8 @@ use masksearch::core::{ImageId, Mask, MaskId, MaskRecord, PixelRange, Roi};
 use masksearch::index::ChiConfig;
 use masksearch::obs::prom;
 use masksearch::query::{
-    CpTerm, Expr, IndexingMode, KernelMode, MaskJoin, Order, Query, Selection, Session,
-    SessionConfig, TermSource,
+    CpTerm, Expr, IndexingMode, MaskJoin, Order, Query, Selection, Session, SessionConfig,
+    TermSource,
 };
 use masksearch::service::{Client, Engine, Server, ServerHandle, ServiceConfig};
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
@@ -45,25 +45,20 @@ fn record_for(id: u64) -> MaskRecord {
         .build()
 }
 
-fn session_config(kernel: bool) -> SessionConfig {
+fn session_config() -> SessionConfig {
     SessionConfig::new(ChiConfig::new(4, 4, 8).unwrap())
         .threads(2)
         .indexing_mode(IndexingMode::Eager)
-        .kernel_mode(if kernel {
-            KernelMode::ForceOn
-        } else {
-            KernelMode::ForceOff
-        })
 }
 
-fn session_over(ids: &[u64], kernel: bool) -> Session {
+fn session_over(ids: &[u64]) -> Session {
     let store = Arc::new(MemoryMaskStore::for_tests());
     let mut catalog = Catalog::new();
     for &id in ids {
         store.put(MaskId::new(id), &mask_for(id)).unwrap();
         catalog.insert(record_for(id));
     }
-    Session::new(store as Arc<dyn MaskStore>, catalog, session_config(kernel)).unwrap()
+    Session::new(store as Arc<dyn MaskStore>, catalog, session_config()).unwrap()
 }
 
 fn filter_sql() -> String {
@@ -137,62 +132,58 @@ fn explain_analyze_counters_equal_query_stats_at_session_level() {
         5,
         Order::Desc,
     );
-    for kernel in [true, false] {
-        let session = session_over(&ids, kernel);
-        for query in [&filter, &pair] {
-            let (plan, output) = session.explain_analyze(query).expect("explain analyze");
-            assert_plan_matches_stats(&plan, &output.stats, output.rows.len() as u64);
-            if let Some(bind) = plan.find("pair.bind") {
-                assert_eq!(bind.counter("pairs_bound"), Some(output.stats.pairs_bound));
-            }
+    let session = session_over(&ids);
+    for query in [&filter, &pair] {
+        let (plan, output) = session.explain_analyze(query).expect("explain analyze");
+        assert_plan_matches_stats(&plan, &output.stats, output.rows.len() as u64);
+        if let Some(bind) = plan.find("pair.bind") {
+            assert_eq!(bind.counter("pairs_bound"), Some(output.stats.pairs_bound));
         }
     }
 }
 
 #[test]
 fn explain_analyze_counters_equal_wire_summary_single_node() {
-    for kernel in [true, false] {
-        let engine = Engine::new(session_over(&(0..24).collect::<Vec<_>>(), kernel), {
-            ServiceConfig::new(2)
-        });
-        let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
-        let mut client = Client::connect(handle.local_addr()).unwrap();
-        let sql = filter_sql();
-        // Warm the mask cache so both executions below observe identical
-        // load counts.
-        client.query(&sql).unwrap();
-        let summary = client.query(&sql).unwrap().summary;
-        let plan = client.explain(true, &sql).unwrap();
-        assert!(
-            plan[0].starts_with("query kind=filter"),
-            "got {:?}",
-            plan[0]
-        );
-        assert_eq!(
-            node_counter(&plan, "query", "candidates"),
-            Some(summary.candidates)
-        );
-        assert_eq!(node_counter(&plan, "query", "rows"), Some(summary.rows));
-        assert_eq!(
-            node_counter(&plan, "filter", "pruned"),
-            Some(summary.pruned)
-        );
-        assert_eq!(
-            node_counter(&plan, "filter", "verified"),
-            Some(summary.verified)
-        );
-        assert_eq!(
-            node_counter(&plan, "verify", "loaded"),
-            Some(summary.loaded)
-        );
+    let engine = Engine::new(session_over(&(0..24).collect::<Vec<_>>()), {
+        ServiceConfig::new(2)
+    });
+    let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let sql = filter_sql();
+    // Warm the mask cache so both executions below observe identical
+    // load counts.
+    client.query(&sql).unwrap();
+    let summary = client.query(&sql).unwrap().summary;
+    let plan = client.explain(true, &sql).unwrap();
+    assert!(
+        plan[0].starts_with("query kind=filter"),
+        "got {:?}",
+        plan[0]
+    );
+    assert_eq!(
+        node_counter(&plan, "query", "candidates"),
+        Some(summary.candidates)
+    );
+    assert_eq!(node_counter(&plan, "query", "rows"), Some(summary.rows));
+    assert_eq!(
+        node_counter(&plan, "filter", "pruned"),
+        Some(summary.pruned)
+    );
+    assert_eq!(
+        node_counter(&plan, "filter", "verified"),
+        Some(summary.verified)
+    );
+    assert_eq!(
+        node_counter(&plan, "verify", "loaded"),
+        Some(summary.loaded)
+    );
 
-        // Plan-only EXPLAIN neither executes nor carries measured counters.
-        let plan_only = client.explain(false, &sql).unwrap();
-        assert!(plan_only[0].starts_with("query kind=filter"));
-        assert_eq!(node_counter(&plan_only, "query", "candidates"), None);
-        assert_eq!(node_counter(&plan_only, "query", "wall_us"), None);
-        handle.shutdown();
-    }
+    // Plan-only EXPLAIN neither executes nor carries measured counters.
+    let plan_only = client.explain(false, &sql).unwrap();
+    assert!(plan_only[0].starts_with("query kind=filter"));
+    assert_eq!(node_counter(&plan_only, "query", "candidates"), None);
+    assert_eq!(node_counter(&plan_only, "query", "wall_us"), None);
+    handle.shutdown();
 }
 
 struct TestCluster {
@@ -209,7 +200,7 @@ fn cluster(num_shards: usize, ids: &[u64]) -> TestCluster {
     let servers: Vec<ServerHandle> = per_shard
         .iter()
         .map(|shard_ids| {
-            let engine = Engine::new(session_over(shard_ids, true), ServiceConfig::new(2));
+            let engine = Engine::new(session_over(shard_ids), ServiceConfig::new(2));
             Server::bind("127.0.0.1:0", engine).unwrap().spawn()
         })
         .collect();
@@ -296,7 +287,7 @@ fn cluster_explain_analyze_carries_one_measured_subtree_per_shard() {
 #[test]
 fn metrics_expositions_validate_on_both_front_ends() {
     let ids: Vec<u64> = (0..24).collect();
-    let engine = Engine::new(session_over(&ids, true), ServiceConfig::new(2));
+    let engine = Engine::new(session_over(&ids), ServiceConfig::new(2));
     let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     client.query(&filter_sql()).unwrap();
@@ -331,7 +322,7 @@ fn metrics_expositions_validate_on_both_front_ends() {
 #[test]
 fn profiles_record_span_trees_on_both_front_ends() {
     let ids: Vec<u64> = (0..24).collect();
-    let engine = Engine::new(session_over(&ids, true), ServiceConfig::new(2));
+    let engine = Engine::new(session_over(&ids), ServiceConfig::new(2));
     let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let sql = filter_sql();
@@ -422,7 +413,7 @@ fn tracing_disabled_server_is_byte_identical_and_records_nothing() {
     let mut handles = Vec::new();
     for tracing in [true, false] {
         let config = ServiceConfig::new(2).tracing(tracing);
-        let engine = Engine::new(session_over(&ids, true), config);
+        let engine = Engine::new(session_over(&ids), config);
         let handle = Server::bind("127.0.0.1:0", engine).unwrap().spawn();
         // Warm-up so both servers answer from identical cache state.
         raw_frame(handle.local_addr(), &sql);
@@ -449,7 +440,7 @@ fn tracing_disabled_server_is_byte_identical_and_records_nothing() {
 fn slow_query_log_counts_over_threshold_statements() {
     let ids: Vec<u64> = (0..12).collect();
     let config = ServiceConfig::new(1).slow_query(Duration::ZERO);
-    let engine = Engine::new(session_over(&ids, true), config);
+    let engine = Engine::new(session_over(&ids), config);
     assert_eq!(engine.slow_log().logged(), 0);
     engine.execute_sql(&filter_sql()).unwrap();
     assert!(

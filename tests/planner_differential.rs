@@ -1,35 +1,38 @@
-//! Differential tests of the kernel rule: for arbitrary data and query
-//! shapes, a session in `Auto` mode (the tiled kernel exactly for masks
-//! that already carry their tile grid) must return rows **byte-identical**
-//! to both fixed-strategy sessions (kernel forced on / off), however often
-//! a statement repeats and whatever the cache then holds.
+//! Differential tests of verification's one rule: a mask is counted by
+//! CHI cell when the statement's index summarises exactly its pixels (the
+//! durable store stamps both), by the reference scan otherwise. For
+//! arbitrary data and query shapes, a session over each kind of store —
+//! the durable store, whose masks take the cell kernel, and a memory store,
+//! whose masks take the scan — must return rows **byte-identical** to the
+//! load-everything [`BruteForce`] reference, however often a statement
+//! repeats and whatever the cache then holds.
 //!
-//! The deterministic cases pin the rule itself: `Auto` never builds a grid,
-//! takes the scan over a store without persisted grids, and takes the
-//! kernel over the durable store, whose loads carry their grids.
+//! The deterministic cases pin the rule itself: a memory store's masks are
+//! scanned, and every verify over the durable store takes the cell kernel.
 
-use masksearch::core::{
-    ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange, Roi, TILE_BINS,
-};
+use masksearch::baselines::BruteForce;
+use masksearch::core::{ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange, Roi};
 use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
 use masksearch::query::{
-    CmpOp, Expr, IndexingMode, KernelMode, MaskJoin, Order, Predicate, Query, RoiSpec, ScalarAgg,
+    CmpOp, Expr, IndexingMode, MaskJoin, Order, Predicate, Query, ResultRow, RoiSpec, ScalarAgg,
     Selection, Session, SessionConfig,
 };
 use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const W: u32 = 24;
 const H: u32 = 24;
-/// Executions per query on the `Auto` session: the cache admits a mask on
-/// its second miss, so later runs verify on resident copies.
+/// Executions per query on each session: the cache admits a mask on its
+/// second miss, so later runs verify on resident copies.
 const REPS: usize = 5;
 
 /// Deterministic per-id mask. Even ids are smooth blobs (tight CHI bounds),
-/// odd ids are per-pixel noise (loose bounds), so the kernel's tile
-/// classification meets both profiles within one query.
+/// odd ids are per-pixel noise (loose bounds), so the cell kernel meets
+/// both profiles within one query.
 fn mask_for(id: u64, seed: u64) -> Mask {
     if id.is_multiple_of(2) {
         let r = 3.0 + ((id / 2 + seed) % 9) as f32;
@@ -62,34 +65,94 @@ fn record_for(id: u64) -> MaskRecord {
         .build()
 }
 
-fn config(kernel: KernelMode) -> SessionConfig {
-    SessionConfig::new(ChiConfig::new(6, 6, 8).unwrap())
+/// The index configuration of every session: 8 bins.
+const BINS: u32 = 8;
+
+fn config() -> SessionConfig {
+    SessionConfig::new(ChiConfig::new(6, 6, BINS).unwrap())
         .threads(1)
         .indexing_mode(IndexingMode::Eager)
-        .kernel_mode(kernel)
 }
 
-/// A session over a memory store, which persists no tile grids.
+/// The masks of `images` images and their records.
+fn dataset(images: u64, seed: u64) -> Vec<(MaskRecord, Mask)> {
+    (0..images * 2)
+        .map(|id| (record_for(id), mask_for(id, seed)))
+        .collect()
+}
+
+/// A session over a memory store, which stamps nothing.
 fn session_over(images: u64, seed: u64, config: SessionConfig) -> Session {
     let store = Arc::new(MemoryMaskStore::for_tests());
     let mut catalog = Catalog::new();
-    for id in 0..images * 2 {
-        store.put(MaskId::new(id), &mask_for(id, seed)).unwrap();
-        catalog.insert(record_for(id));
+    for (record, mask) in dataset(images, seed) {
+        store.put(record.mask_id, &mask).unwrap();
+        catalog.insert(record);
     }
     Session::new(store as Arc<dyn MaskStore>, catalog, config).unwrap()
 }
 
-/// A pixel range that is tile-bin aligned (`i / TILE_BINS`) when `aligned`,
-/// arbitrary hundredths otherwise, so the kernel's histogram and boundary
-/// paths both run.
+/// A durable database of the same masks in a fresh directory, removed on
+/// drop.
+struct Durable {
+    db: MaskDb,
+    dir: PathBuf,
+}
+
+impl Durable {
+    fn new(images: u64, seed: u64) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "masksearch-planner-differential-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DbConfig::default()
+            .fsync(false)
+            .chi_config(ChiConfig::new(6, 6, BINS).unwrap());
+        let db = MaskDb::open(&dir, config).unwrap();
+        db.insert_masks(&dataset(images, seed)).unwrap();
+        Self { db, dir }
+    }
+
+    /// A session sharing the store's stamped index.
+    fn session(&self, config: SessionConfig) -> Session {
+        let db = &self.db;
+        Session::with_store_maintained_index(db.mask_store(), db.catalog(), config, db.chi_store())
+    }
+}
+
+impl Drop for Durable {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// The load-everything reference rows of `query`.
+fn oracle_rows(images: u64, seed: u64, query: &Query) -> Vec<ResultRow> {
+    let data = dataset(images, seed);
+    let mut catalog = Catalog::new();
+    for (record, _) in &data {
+        catalog.insert(record.clone());
+    }
+    let mut bf = BruteForce::new(&catalog, query);
+    for (record, mask) in &data {
+        bf.consume(record.mask_id, mask).unwrap();
+    }
+    bf.finish().unwrap()
+}
+
+/// A pixel range that is bin aligned (`i / BINS`) when `aligned`, arbitrary
+/// hundredths otherwise, so the cell kernel's exact and scanned cells both
+/// occur.
 fn arb_range() -> impl Strategy<Value = PixelRange> {
     (any::<bool>(), 0u32..12, 1u32..=8).prop_filter_map(
         "non-empty range",
         |(aligned, lo_step, width)| {
             if aligned {
-                let lo = lo_step.min(TILE_BINS as u32 - 1) as f32 / TILE_BINS as f32;
-                let hi = ((lo_step + width).min(TILE_BINS as u32)) as f32 / TILE_BINS as f32;
+                let lo = lo_step.min(BINS - 1) as f32 / BINS as f32;
+                let hi = ((lo_step + width).min(BINS)) as f32 / BINS as f32;
                 PixelRange::new(lo, hi).ok()
             } else {
                 let lo = lo_step as f32 * 0.07;
@@ -152,35 +215,41 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
         })
 }
 
-/// Runs `query` `REPS` times on the auto session and once per fixed
-/// session; every result's rows must equal the first fixed baseline. The
-/// auto session caches what it loads, so later reps verify resident masks.
-fn assert_planner_matches_fixed(images: u64, seed: u64, queries: &[Query]) {
-    let auto = session_over(images, seed, config(KernelMode::Auto).cache_bytes(1 << 20));
-    let fixed: Vec<Session> = [KernelMode::ForceOn, KernelMode::ForceOff]
-        .into_iter()
-        .map(|kernel| session_over(images, seed, config(kernel)))
-        .collect();
+/// Runs `query` `REPS` times on a session over the durable store (cell
+/// kernel) and over a memory store (reference scan), both caching what
+/// they load, so later reps verify resident masks; every result's rows must
+/// equal the [`BruteForce`] reference.
+fn assert_rows_match_brute_force(images: u64, seed: u64, queries: &[Query]) {
+    let durable = Durable::new(images, seed);
+    let sessions = [
+        (
+            "cell kernel",
+            durable.session(config().cache_bytes(1 << 20)),
+        ),
+        (
+            "scan",
+            session_over(images, seed, config().cache_bytes(1 << 20)),
+        ),
+    ];
     for query in queries {
-        let baseline = fixed[0].execute(query).unwrap();
-        for session in &fixed[1..] {
-            let out = session.execute(query).unwrap();
-            assert_eq!(
-                out.rows, baseline.rows,
-                "fixed strategies diverged on {query:?}"
-            );
-        }
-        // Repeated auto executions: masks enter the cache between runs, and
-        // rows must never move.
-        for rep in 0..REPS {
-            let out = auto.execute(query).unwrap();
-            assert_eq!(
-                out.rows,
-                baseline.rows,
-                "auto plan diverged from fixed strategies on rep {rep} of {query:?} \
-                 (plan: {})",
-                auto.plan_signature(query)
-            );
+        let expected = oracle_rows(images, seed, query);
+        for (name, session) in &sessions {
+            for rep in 0..REPS {
+                let out = session.execute(query).unwrap();
+                // An unranked row the bounds accepted carries no value.
+                let keys = |rows: &[ResultRow]| rows.iter().map(|r| r.key).collect::<Vec<_>>();
+                assert_eq!(
+                    keys(&out.rows),
+                    keys(&expected),
+                    "{name} session diverged from brute force on rep {rep} of {query:?}"
+                );
+                for (got, want) in out.rows.iter().zip(&expected) {
+                    assert!(
+                        got.value.is_none() || got.value == want.value,
+                        "{name} session's value diverged on rep {rep} of {query:?}"
+                    );
+                }
+            }
         }
     }
 }
@@ -199,7 +268,7 @@ proptest! {
         predicate in arb_predicate(),
     ) {
         let queries = [Query::filter(predicate)];
-        assert_planner_matches_fixed(images, seed, &queries);
+        assert_rows_match_brute_force(images, seed, &queries);
     }
 
     #[test]
@@ -225,7 +294,7 @@ proptest! {
             Query::aggregate(Expr::cp(roi, r), ScalarAgg::Sum)
                 .with_having(CmpOp::Gt, threshold),
         ];
-        assert_planner_matches_fixed(images, seed, &queries);
+        assert_rows_match_brute_force(images, seed, &queries);
     }
 
     #[test]
@@ -267,7 +336,7 @@ proptest! {
                 order,
             ),
         ];
-        assert_planner_matches_fixed(images, seed, &queries);
+        assert_rows_match_brute_force(images, seed, &queries);
     }
 }
 
@@ -281,103 +350,85 @@ fn smooth_filter() -> Query {
     .with_selection(Selection::all().with_model(ModelId::new(1)))
 }
 
-/// A caching session configuration without CHIs, so every candidate is
-/// verified against its pixels.
-fn verify_all(kernel: KernelMode) -> SessionConfig {
-    config(kernel)
-        .indexing_mode(IndexingMode::Disabled)
-        .cache_bytes(1 << 20)
+/// A caching session configuration whose filter decides nothing, so every
+/// candidate is verified against its pixels.
+fn verify_all() -> SessionConfig {
+    config().cache_bytes(1 << 20)
 }
 
-/// Every mask the session's cache holds, with whether it carries a grid.
-fn cached_grids(session: &Session, masks: u64) -> Vec<bool> {
-    (0..masks)
-        .filter_map(|id| session.cache().peek_tiled(MaskId::new(id)))
-        .map(|tiled| tiled.has_grid())
-        .collect()
+/// A filter the CHI bounds of the noise masks cannot decide: a range off
+/// the bin edges, and a threshold near the count a uniform mask has in it.
+fn undecidable_filter() -> Query {
+    let roi = Roi::new(1, 1, W - 1, H - 1).unwrap();
+    Query::filter_cp_gt(roi, range(0.33, 0.77), roi.area() as f64 * 0.44)
 }
 
 #[test]
 fn auto_over_a_memory_store_scans_and_builds_no_grid() {
     let (images, seed) = (8, 11);
     let query = smooth_filter();
-    let expected = session_over(images, seed, config(KernelMode::ForceOff))
-        .execute(&query)
-        .unwrap()
-        .rows;
-    let auto = session_over(images, seed, verify_all(KernelMode::Auto));
-    let mut loaded_verifies = 0;
-    for rep in 0..4 {
-        let out = auto.execute(&query).unwrap();
-        assert_eq!(out.rows, expected, "rows moved on rep {rep}");
-        assert_eq!(out.stats.planner_kernel_on, 0, "rep {rep} took the kernel");
-        loaded_verifies += out.stats.planner_kernel_off;
-    }
-    assert!(loaded_verifies > 0, "no verify ran on a loaded mask");
-    let grids = cached_grids(&auto, images * 2);
-    assert!(!grids.is_empty(), "nothing was cached");
-    assert!(
-        grids.iter().all(|has_grid| !has_grid),
-        "an auto statement built a grid"
+    let expected = oracle_rows(images, seed, &query);
+    let session = session_over(
+        images,
+        seed,
+        verify_all().indexing_mode(IndexingMode::Disabled),
     );
-}
-
-#[test]
-fn force_on_still_builds_grids_and_returns_the_same_rows() {
-    let (images, seed) = (8, 11);
-    let query = smooth_filter();
-    let expected = session_over(images, seed, config(KernelMode::Auto))
-        .execute(&query)
-        .unwrap()
-        .rows;
-    let forced = session_over(images, seed, verify_all(KernelMode::ForceOn));
-    let out = forced.execute(&query).unwrap();
-    assert_eq!(out.rows, expected);
-    assert!(out.stats.verified > 0);
-    assert_eq!(out.stats.planner_kernel_on, out.stats.verified);
-    let grids = cached_grids(&forced, images * 2);
-    assert_eq!(grids.len() as u64, out.stats.verified);
-    assert!(grids.iter().all(|has_grid| *has_grid));
+    let mut scanned = 0;
+    for rep in 0..4 {
+        let out = session.execute(&query).unwrap();
+        assert_eq!(out.rows, expected, "rows moved on rep {rep}");
+        assert_eq!(
+            out.stats.planner_kernel_on, 0,
+            "rep {rep} took the cell kernel"
+        );
+        assert_eq!(out.stats.planner_kernel_off, out.stats.verified);
+        scanned += out.stats.planner_kernel_off;
+    }
+    assert!(scanned > 0, "no verify ran");
+    // An indexed memory-store session scans too: its store stamps nothing.
+    let indexed = session_over(images, seed, verify_all());
+    let out = indexed.execute(&undecidable_filter()).unwrap();
+    assert_eq!(out.stats.planner_kernel_on, 0);
 }
 
 #[test]
 fn auto_over_a_durable_store_takes_the_kernel_on_every_whole_mask_verify() {
     let (images, seed) = (8u64, 11);
-    let dir = std::env::temp_dir().join(format!(
-        "masksearch-planner-differential-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = MaskDb::open(
-        &dir,
-        DbConfig::default().chi_config(ChiConfig::new(6, 6, 8).unwrap()),
-    )
-    .unwrap();
-    let batch: Vec<(MaskRecord, Mask)> = (0..images * 2)
-        .map(|id| (record_for(id), mask_for(id, seed)))
-        .collect();
-    db.insert_masks(&batch).unwrap();
-    let session = |config: SessionConfig| {
-        Session::with_store_maintained_index(db.mask_store(), db.catalog(), config, db.chi_store())
-    };
-    let query = smooth_filter();
-    let expected = session(config(KernelMode::ForceOff))
-        .execute(&query)
-        .unwrap()
-        .rows;
-    let auto = session(verify_all(KernelMode::Auto));
-    // A miss is first counted in place, then admitted and loaded whole,
-    // then verified resident.
-    let mut loaded_verifies = 0;
-    for rep in 0..4 {
-        let out = auto.execute(&query).unwrap();
-        let s = &out.stats;
-        assert_eq!(out.rows, expected, "rows moved on rep {rep}");
-        assert_eq!(s.planner_kernel_off, 0, "rep {rep} scanned a loaded mask");
-        assert_eq!(s.planner_kernel_on, s.verified - s.verified_in_place);
-        loaded_verifies += s.planner_kernel_on;
+    let durable = Durable::new(images, seed);
+    let mut counted = 0;
+    for query in [smooth_filter(), undecidable_filter()] {
+        let expected = oracle_rows(images, seed, &query);
+        let session = durable.session(verify_all());
+        // A miss is first counted in place, then admitted and loaded whole,
+        // then verified resident: by CHI cell every time.
+        for rep in 0..4 {
+            let out = session.execute(&query).unwrap();
+            let s = &out.stats;
+            assert_eq!(out.rows, expected, "rows moved on rep {rep}");
+            assert_eq!(s.planner_kernel_off, 0, "rep {rep} scanned a mask");
+            assert_eq!(s.planner_kernel_on, s.verified);
+            counted += s.planner_kernel_on;
+        }
     }
-    assert!(loaded_verifies > 0, "no verify ran on a loaded mask");
-    drop((auto, db));
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(counted > 0, "no verify ran");
+
+    // A write stamps the pixels and the CHI it installs alike, and the
+    // cache keeps the stamp of the pixels it refreshes: statements after
+    // it still count by CHI cell. One pinned before it meets pixels newer
+    // than its index and scans them.
+    let query = undecidable_filter();
+    let session = durable.session(verify_all());
+    session.execute(&query).unwrap();
+    session.execute(&query).unwrap();
+    let pinned = session.read_version();
+    let rewrite: Vec<(MaskRecord, Mask)> = dataset(images, seed + 1);
+    session.insert_masks(&rewrite).unwrap();
+    let stale = session.execute_at(&pinned, &query).unwrap();
+    assert!(stale.stats.verified > 0);
+    assert_eq!(stale.stats.planner_kernel_on, 0);
+    for rep in 0..3 {
+        let out = session.execute(&query).unwrap();
+        assert_eq!(out.rows, oracle_rows(images, seed + 1, &query), "rep {rep}");
+        assert_eq!(out.stats.planner_kernel_off, 0, "rep {rep} scanned a mask");
+    }
 }

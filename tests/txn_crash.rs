@@ -4,7 +4,7 @@
 //! transaction — never an intra-transaction state.
 
 use masksearch::core::{Mask, MaskId};
-use masksearch::db::{DbConfig, DurableMaskStore, MaskDb, CHI_FILE, DB_FILE, TILES_FILE, WAL_FILE};
+use masksearch::db::{DbConfig, DurableMaskStore, MaskDb, CHI_FILE, DB_FILE, WAL_FILE};
 use masksearch::index::ChiConfig;
 use masksearch::query::{Mutation, Session, SessionConfig};
 use masksearch::sql::Statement;
@@ -144,7 +144,7 @@ fn run_history(dir: &Path) -> Vec<BTreeMap<MaskId, Mask>> {
 fn crashed_copy(src: &Path, dst: &Path, cut: usize) {
     let _ = fs::remove_dir_all(dst);
     fs::create_dir_all(dst).unwrap();
-    for file in [DB_FILE, CHI_FILE, TILES_FILE] {
+    for file in [DB_FILE, CHI_FILE] {
         if src.join(file).exists() {
             fs::copy(src.join(file), dst.join(file)).unwrap();
         }
@@ -165,7 +165,7 @@ fn matching_step(store: &DurableMaskStore, steps: &[BTreeMap<MaskId, Mask>]) -> 
             let mut chi_ids = store.chi_store().ids();
             chi_ids.sort_unstable();
             assert_eq!(chi_ids, ids, "CHI holds a different mask set");
-            assert_eq!(store.verify_tile_summaries().unwrap(), ids.len());
+            assert_eq!(store.verify_indexes().unwrap(), ids.len());
             return i;
         }
     }

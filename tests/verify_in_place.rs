@@ -1,7 +1,8 @@
 //! Session-level oracle for in-place verification on the durable store.
 //!
-//! A verify that misses the mask cache reads only the rows its ROIs span
-//! and counts them where the store holds them. Every query shape of the
+//! A verify that misses the mask cache reads only the rows of the CHI cells
+//! its index leaves undecided (at most the rows its ROIs span) and counts
+//! them where the store holds them. Every query shape of the
 //! benchmark mix — ROI filter, object-box filter, compound predicate,
 //! top-k, grouped `AVG` top-k, plus pair and `MASK_AGG` statements on the
 //! untouched whole-mask path — must stay byte-identical to [`BruteForce`]
@@ -15,8 +16,8 @@ use masksearch::core::{ImageId, Mask, MaskId, MaskRecord, ModelId, PixelRange, R
 use masksearch::db::{DbConfig, MaskDb};
 use masksearch::index::ChiConfig;
 use masksearch::query::{
-    Expr, IndexingMode, KernelMode, MaskJoin, Order, Query, QueryError, ResultRow, RoiSpec,
-    Selection, Session, SessionConfig,
+    Expr, IndexingMode, MaskJoin, Order, Query, QueryError, ResultRow, RoiSpec, Selection, Session,
+    SessionConfig,
 };
 use masksearch::sql::compile;
 use masksearch::storage::{Catalog, MaskEncoding, MaskStore};
@@ -221,24 +222,22 @@ fn every_shape_matches_brute_force_at_every_cache_size() {
         assert!(in_place > 0, "{what}: nothing was verified in place");
     }
 
-    // With no cache every verify of a single-mask shape is in place: each
-    // loaded mask cost its header and ROI rows, never the whole blob.
+    // With no cache every verify of a single-mask shape that reads is in
+    // place, by CHI cell: each loaded mask cost its header and at most its
+    // ROI rows, never the whole blob.
     let session = session(&db, 0);
     let blob_bytes = 32 + (W * H * 4) as u64;
     for (name, query) in single_mask_queries() {
         let stats = session.execute(&query).unwrap().stats;
         assert!(stats.masks_loaded > 0, "{name}: bounds decided everything");
         assert_eq!(stats.verified_in_place, stats.masks_loaded, "{name}");
-        assert_eq!(
-            stats.tiles_pruned + stats.tiles_hist + stats.tiles_scanned,
-            0,
-            "{name}"
-        );
-        // Rows 15..25 of 48 pixels for the first shape; never more than
-        // the blob (the compound's `full` term spans every row).
+        assert_eq!(stats.planner_kernel_off, 0, "{name}");
+        assert!(stats.tiles_scanned > 0, "{name}");
+        // At most rows 15..25 of 48 pixels for the first shape; never more
+        // than the blob (the compound's `full` term spans every row).
         let rows_15_to_25 = 32 + 10 * (W * 4) as u64;
         if name == "roi filter" {
-            assert_eq!(stats.bytes_read, stats.masks_loaded * rows_15_to_25);
+            assert!(stats.bytes_read <= stats.masks_loaded * rows_15_to_25);
         }
         assert!(
             stats.bytes_read <= stats.masks_loaded * blob_bytes,
@@ -329,17 +328,6 @@ fn whole_mask_fallbacks_still_match() {
     std::fs::remove_dir_all(&dir).unwrap();
 
     let (dir, db) = build_db("fallbacks", db_config());
-    // A forced kernel pins the load-then-count pipeline.
-    for mode in [KernelMode::ForceOn, KernelMode::ForceOff] {
-        let forced = Session::with_store_maintained_index(
-            db.mask_store(),
-            db.catalog(),
-            SessionConfig::new(chi()).threads(2).kernel_mode(mode),
-            db.chi_store(),
-        );
-        assert_eq!(laps_match_the_oracle(&forced, &db, mode.label()), 0);
-    }
-
     // Incremental indexing builds a mask's CHI from its whole pixels the
     // first time it is verified; once it has one, later verifies run in
     // place.
@@ -411,4 +399,142 @@ fn a_corrupt_pixel_in_the_band_is_the_whole_mask_loads_error() {
     assert_eq!(out.rows.len(), 1);
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A cold verify reads only the row bands of the CHI cells its index leaves
+/// undecided: on a mask whose top half the range misses entirely and whose
+/// bottom half straddles the range's lower edge inside one bin, the filter
+/// bounds decide nothing, and the verify reads the bottom half's rows — not
+/// the rows the ROI spans.
+#[test]
+fn a_cold_verify_reads_only_the_rows_of_undecided_cells() {
+    let dir = temp_dir("undecided-rows");
+    let (w, h) = (48u32, 48u32);
+    let mask = Mask::from_fn(w, h, |x, y| {
+        if y < h / 2 {
+            0.1
+        } else {
+            // Bin 8 of 16, [0.5, 0.5625), around the range's edge 0.52.
+            0.5 + ((x * 7 + y * 13) % 9) as f32 * 0.007
+        }
+    });
+    let record = MaskRecord::builder(MaskId::new(1))
+        .image_id(ImageId::new(1))
+        .shape(w, h)
+        .build();
+    let roi = Roi::new(0, 0, w, h).unwrap();
+    let range = PixelRange::new(0.52, 1.0).unwrap();
+    let exact = mask.count_pixels(&roi, &range);
+    {
+        let db = MaskDb::open(&dir, db_config()).unwrap();
+        db.insert_masks(&[(record, mask)]).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let db = MaskDb::open(&dir, db_config()).unwrap();
+    let session = session(&db, 0);
+    for (threshold, hit) in [(exact as f64 - 1.0, true), (exact as f64, false)] {
+        let out = session
+            .execute(&Query::filter_cp_gt(roi, range, threshold))
+            .unwrap();
+        assert_eq!(out.rows.len(), usize::from(hit));
+        let s = &out.stats;
+        assert_eq!((s.verified, s.verified_in_place, s.masks_loaded), (1, 1, 1));
+        let row_bytes = u64::from(w) * 4;
+        let roi_band = 32 + u64::from(h) * row_bytes;
+        assert_eq!(s.bytes_read, 32 + u64::from(h / 2) * row_bytes);
+        assert!(s.bytes_read < roi_band);
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A writer re-masks the masks a reader's filter and top-k statements
+/// target after the statements pinned their version (catalog and CHI) and
+/// before they verify, on the cold path (no cache: verified in place) and
+/// the hot one (every mask resident, refreshed by the writes). The index a
+/// statement holds then summarises pixels that are gone; every value it
+/// returns must still be the exact count over one committed version of
+/// that mask's pixels, and every row it returns must pass its predicate on
+/// one of them.
+#[test]
+fn update_racing_verify_counts_one_version_of_the_pixels() {
+    use masksearch::query::{MaskUpdate, RowKey};
+
+    const MASKS: u64 = 12;
+    // Two versions per mask, a blob on the left and one on the right: an
+    // index of one and the pixels of the other disagree in most cells.
+    let version = |id: u64, right: bool| {
+        let cx = if right { 36.0 } else { 12.0 } + (id % 3) as f32;
+        Mask::from_fn(W, H, move |x, y| {
+            let (dx, dy) = (x as f32 - cx, y as f32 - 20.0);
+            let noise = ((x * 31 + y * 17 + id as u32 * 7) % 23) as f32 / 100.0;
+            (0.8 * (-(dx * dx + dy * dy) / 60.0).exp() + noise).min(0.999)
+        })
+    };
+    let roi = Roi::new(4, 6, 44, 34).unwrap();
+    let range = PixelRange::new(0.33, 0.9).unwrap();
+    let counts: Vec<[u64; 2]> = (0..MASKS)
+        .map(|id| [false, true].map(|right| version(id, right).count_pixels(&roi, &range)))
+        .collect();
+    let threshold = 100.0;
+    let queries = [
+        Query::filter_cp_gt(roi, range, threshold),
+        Query::top_k_cp(roi, range, MASKS as usize, Order::Desc),
+    ];
+
+    for (what, cache_bytes) in [("cold", 0), ("hot", PIXEL_BYTES * 4)] {
+        let dir = temp_dir(&format!("update-race-{what}"));
+        let db = MaskDb::open(&dir, db_config().fsync(false)).unwrap();
+        let batch: Vec<(MaskRecord, Mask)> = (0..MASKS)
+            .map(|id| {
+                let record = MaskRecord::builder(MaskId::new(id))
+                    .image_id(ImageId::new(id))
+                    .shape(W, H)
+                    .build();
+                (record, version(id, false))
+            })
+            .collect();
+        db.insert_masks(&batch).unwrap();
+        let session = session(&db, cache_bytes);
+        let mut verified = 0;
+        for round in 0..4u64 {
+            for id in 0..MASKS {
+                session.load_mask(MaskId::new(id)).unwrap();
+            }
+            let pinned = session.read_version();
+            // Round r moves the blobs of every mask to side (r + 1) % 2,
+            // and the statements verify against the index of side r % 2.
+            let updates: Vec<MaskUpdate> = (0..MASKS)
+                .map(|id| {
+                    let mut update = MaskUpdate::of(MaskId::new(id));
+                    update.pixels = Some(version(id, round % 2 == 0).into_data());
+                    update
+                })
+                .collect();
+            session.update_masks(&updates).unwrap();
+            for query in &queries {
+                let out = session.execute_at(&pinned, query).unwrap();
+                verified += out.stats.verified;
+                for row in &out.rows {
+                    let RowKey::Mask(id) = row.key else {
+                        panic!("a mask statement returned {row:?}");
+                    };
+                    let [left, right] = counts[id.raw() as usize];
+                    match row.value {
+                        Some(value) => assert!(
+                            value == left as f64 || value == right as f64,
+                            "{what}, round {round}: mask {id} counted {value}, not {left} or {right}"
+                        ),
+                        None => assert!(
+                            left as f64 > threshold || right as f64 > threshold,
+                            "{what}, round {round}: mask {id} passes on neither version"
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(verified > 0, "{what}: nothing was verified");
+        drop((session, db));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
