@@ -94,8 +94,11 @@ pub struct ClusterConfig {
     /// Hash seed of the shard map (must match what loaded the shards).
     pub shard_seed: u64,
     /// Whether coordinated statements are traced into the coordinator's
-    /// profile ring (`STATS PROFILES`). Scatter spans cost two `Instant`
-    /// reads per round; disabling restores the exact pre-tracing path.
+    /// profile ring (`STATS PROFILES`); on by default. Scatter spans cost
+    /// two `Instant` reads per round, and recording a successful statement
+    /// copies its flat trace records into a preallocated ring slot without
+    /// allocating in steady state. Disabling restores the exact pre-tracing
+    /// path.
     pub tracing: bool,
 }
 
@@ -431,8 +434,8 @@ impl Coordinator {
             .observe(wall.as_micros() as u64, result.is_ok(), stages);
     }
 
-    /// Closes `trace` and, when the statement succeeded, records its span
-    /// tree in the profile ring. A failed statement's trace is discarded —
+    /// Closes `trace` and, when the statement succeeded, records it in the
+    /// profile ring. A failed statement's trace is discarded —
     /// its timings describe an aborted scatter, not a query.
     fn observe(
         &self,
@@ -441,12 +444,14 @@ impl Coordinator {
         started: Instant,
         ok: bool,
     ) {
-        let Some(trace) = trace else { return };
-        if let (Some(root), true) = (trace.finish(), ok) {
+        let (Some(trace), true) = (trace, ok) else {
+            return;
+        };
+        trace.finish(|records| {
             self.inner
                 .profiles
-                .record(sql.trim(), started.elapsed().as_micros() as u64, root);
-        }
+                .record(sql.trim(), started.elapsed().as_micros() as u64, records)
+        });
     }
 
     /// Renders the distributed plan of a query: a `cluster` root naming the

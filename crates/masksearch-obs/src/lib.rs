@@ -7,10 +7,12 @@
 //! scan of thousands of masks into a handful of loads — so the repo needs a
 //! way to show that division of labour per query. This crate provides:
 //!
-//! - [`span`] / [`trace`]: lightweight hierarchical spans on a thread-local
-//!   stack with monotonic timing and typed counters. When no trace is active
-//!   every instrumentation point is a cheap no-op (one thread-local read),
-//!   which is what keeps the tracing-on/off overhead within the CI gate.
+//! - [`span`] / [`trace`]: lightweight hierarchical spans with monotonic
+//!   timing and typed counters, named by `&'static str` and kept as flat
+//!   `Copy` records in thread-local vectors that every trace reuses, so a
+//!   traced statement allocates nothing in steady state. When no trace is
+//!   active every instrumentation point is a cheap no-op (one thread-local
+//!   read).
 //! - [`counters`]: process-global atomic counters for events that happen on
 //!   worker threads a span stack cannot follow (cache lock waits, catalog
 //!   lock waits, WAL commits, kernel invocations). Exposed via `METRICS`.
@@ -23,7 +25,9 @@
 //! - [`SlowQueryLog`]: a JSON-lines slow-query log with a configurable
 //!   threshold.
 //! - [`ProfileRing`]: a bounded ring of recent query profiles, queryable
-//!   over the wire via `STATS PROFILES`.
+//!   over the wire via `STATS PROFILES`: preallocated slots, one lock each,
+//!   into whose own buffers a statement's trace records are copied — so
+//!   recording never frees memory another thread allocated.
 //! - [`TimeSeries`]: bounded rings of fixed-width time buckets over query
 //!   completions and the global counters, so windows of recent behaviour
 //!   (`METRICS WINDOW <secs>`) can be queried without external scraping.
@@ -54,5 +58,6 @@ pub use recorder::{
 pub use slowlog::{escape_json, SlowQueryLog};
 pub use span::{
     add_counter, set_counter, span, trace, trace_active, SpanGuard, SpanNode, TraceGuard,
+    TraceRecords,
 };
 pub use timeseries::{StageCounts, TimeSeries, WindowGauge, WindowSummary, WINDOW_GAUGES};

@@ -121,7 +121,12 @@ pub(crate) struct Verifier<'a> {
     scan: Vec<Roi>,
     pending: Vec<(Roi, PixelRange)>,
     owners: Vec<usize>,
+    /// The row bands a cold verify reads, the pending rectangles in row
+    /// order, and those of one band with their terms.
     bands: Vec<Range<u32>>,
+    order: Vec<usize>,
+    inside: Vec<(Roi, PixelRange)>,
+    inside_owners: Vec<usize>,
     band: Vec<u8>,
     values: Vec<f64>,
     /// What the verifications so far did.
@@ -148,6 +153,9 @@ impl<'a> Verifier<'a> {
             pending: Vec::new(),
             owners: Vec::new(),
             bands: Vec::new(),
+            order: Vec::new(),
+            inside: Vec::new(),
+            inside_owners: Vec::new(),
             band: Vec::new(),
             values: Vec::new(),
             stats: VerifyStats::default(),
@@ -234,9 +242,9 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// The row bands of the rectangles left to scan, ascending, bands
-    /// closer than [`MERGE_GAP_BYTES`] read as one.
-    fn pending_bands(&mut self, width: u32) -> &[Range<u32>] {
+    /// Fills `bands` with the row bands of the rectangles left to scan,
+    /// ascending, bands closer than [`MERGE_GAP_BYTES`] read as one.
+    fn pending_bands(&mut self, width: u32) {
         let gap_rows = (MERGE_GAP_BYTES / (u64::from(width) * 4).max(1)) as u32;
         self.bands.clear();
         self.bands
@@ -255,7 +263,6 @@ impl<'a> Verifier<'a> {
         }
         self.bands
             .truncate(merged + usize::from(!self.bands.is_empty()));
-        &self.bands
     }
 
     /// Counts without loading the mask whole, when that is possible: on the
@@ -289,18 +296,20 @@ impl<'a> Verifier<'a> {
         let shape = (record.width, record.height);
         if let Some((chi, installed)) = self.index(record, None) {
             self.plan_cells(chi);
-            let bands = self.pending_bands(record.width).to_vec();
-            if bands.is_empty() {
+            self.pending_bands(record.width);
+            if self.bands.is_empty() {
                 // Every cell decided: the index of committed pixels is the
                 // count, and nothing is read.
                 self.stats.kernel_on += 1;
                 return Ok(true);
             }
-            let read = session.store().read_rows(mask_id, &bands, &mut self.band)?;
+            let read = session
+                .store()
+                .read_rows(mask_id, &self.bands, &mut self.band)?;
             match read {
                 Some(read) if (read.width, read.height) != shape => return Ok(false),
                 Some(read) if read.stamp == Some(installed) => {
-                    self.count_bands(record, &bands)?;
+                    self.count_bands(record)?;
                     self.stats.kernel_on += 1;
                     self.stats.in_place += 1;
                     return Ok(true);
@@ -328,24 +337,25 @@ impl<'a> Verifier<'a> {
 
     /// Adds the pending rectangles' counts off `band`, which holds `bands`
     /// one after another.
-    fn count_bands(&mut self, record: &MaskRecord, bands: &[Range<u32>]) -> QueryResult<()> {
+    fn count_bands(&mut self, record: &MaskRecord) -> QueryResult<()> {
         let row_bytes = record.width as usize * 4;
         let mut at = 0;
-        let mut order: Vec<usize> = (0..self.pending.len()).collect();
-        order.sort_unstable_by_key(|&i| self.pending[i].0.y0());
+        self.order.clear();
+        self.order.extend(0..self.pending.len());
+        self.order.sort_unstable_by_key(|&i| self.pending[i].0.y0());
         let mut next = 0;
-        for band in bands {
+        for band in &self.bands {
             let bytes = at..at + band.len() * row_bytes;
             at = bytes.end;
-            let mut inside = Vec::new();
-            let mut owners = Vec::new();
-            while next < order.len() && self.pending[order[next]].0.y1() <= band.end {
-                inside.push(self.pending[order[next]]);
-                owners.push(self.owners[order[next]]);
+            self.inside.clear();
+            self.inside_owners.clear();
+            while next < self.order.len() && self.pending[self.order[next]].0.y1() <= band.end {
+                self.inside.push(self.pending[self.order[next]]);
+                self.inside_owners.push(self.owners[self.order[next]]);
                 next += 1;
             }
-            let scanned = self.count_band(record, bytes, band.start, &inside)?;
-            for (owner, scanned) in owners.into_iter().zip(scanned) {
+            let scanned = self.count_band(record, bytes, band.start, &self.inside)?;
+            for (&owner, scanned) in self.inside_owners.iter().zip(scanned) {
                 self.counts[owner] += scanned;
             }
         }

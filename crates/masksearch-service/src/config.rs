@@ -24,10 +24,13 @@ pub struct ServiceConfig {
     /// [`crate::ServiceError::DeadlineExceeded`] without executing. `None`
     /// means no deadline.
     pub default_deadline: Option<Duration>,
-    /// Whether the engine opens a tracing span tree around each query. Traces
-    /// feed the profile ring (`STATS PROFILES`) and the slow-query log; with
-    /// tracing off the hot path takes the pre-observability code path and
-    /// produces byte-identical responses.
+    /// Whether the engine traces each query (on by default; every traced
+    /// statement is profiled). Traces feed the profile ring (`STATS
+    /// PROFILES`) and the slow-query log; a trace is flat records in buffers
+    /// its thread reuses, copied into a preallocated ring slot, so in steady
+    /// state it allocates nothing and frees nothing another thread
+    /// allocated. With tracing off the hot path takes the pre-observability
+    /// code path and produces byte-identical responses.
     pub tracing: bool,
     /// Threshold above which a completed query is written to the structured
     /// slow-query log. `None` disables the log.

@@ -206,9 +206,10 @@ impl Shared {
                 std::borrow::Cow::Owned(masksearch_query::shape_key(query, self.session.config()))
             }
         };
-        if let Some(root) = trace.finish() {
-            self.profiles.record(&label, wall.as_micros() as u64, root);
-        }
+        trace.finish(|records| {
+            self.profiles
+                .record(&label, wall.as_micros() as u64, records)
+        });
         // The plan signature re-runs planning, so it is only computed once
         // the entry is known to cross the threshold.
         let plan = self
