@@ -429,12 +429,19 @@ struct GatedStore {
 }
 
 impl MaskStore for GatedStore {
-    fn put(&self, id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
-        self.inner.put(id, mask)
+    fn apply_batch(
+        &self,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> masksearch_storage::StorageResult<masksearch_storage::Stamp> {
+        self.inner.apply_batch(inserts, deletes)
     }
-    fn get(&self, id: MaskId) -> masksearch_storage::StorageResult<Mask> {
+    fn get_stamped(
+        &self,
+        id: MaskId,
+    ) -> masksearch_storage::StorageResult<(Mask, masksearch_storage::Stamp)> {
         self.gate.pass();
-        self.inner.get(id)
+        self.inner.get_stamped(id)
     }
     fn contains(&self, id: MaskId) -> bool {
         self.inner.contains(id)
@@ -445,17 +452,8 @@ impl MaskStore for GatedStore {
     fn len(&self) -> usize {
         self.inner.len()
     }
-    fn stored_bytes(&self, id: MaskId) -> masksearch_storage::StorageResult<u64> {
-        self.inner.stored_bytes(id)
-    }
-    fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
-    }
     fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
         self.inner.io_stats()
-    }
-    fn disk_profile(&self) -> masksearch_storage::DiskProfile {
-        self.inner.disk_profile()
     }
 }
 
@@ -468,7 +466,7 @@ fn gated_server(ids: &[u64], gate: &Arc<Gate>) -> ServerHandle {
     };
     let mut catalog = Catalog::new();
     for &id in ids {
-        store.put(MaskId::new(id), &mask_for(id)).unwrap();
+        store.inner.put(MaskId::new(id), &mask_for(id)).unwrap();
         catalog.insert(record_for(id));
     }
     let session = Session::new(

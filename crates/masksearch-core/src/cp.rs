@@ -48,15 +48,23 @@ pub fn cp_full(mask: &Mask, range: &PixelRange) -> u64 {
 /// is noticeably cheaper than one scan per term when masks are loaded from
 /// disk during the verification stage.
 pub fn cp_many(mask: &Mask, terms: &[(Roi, PixelRange)]) -> Vec<u64> {
-    sweep_rows(mask.width(), mask.height(), terms, |y, x0, x1, range| {
-        let mut c = 0u64;
-        for &v in &mask.row(y)[x0..x1] {
-            if range.contains(v) {
-                c += 1;
+    let mut counts = vec![0; terms.len()];
+    RowSweep::default().sweep(
+        mask.width(),
+        mask.height(),
+        terms,
+        &mut counts,
+        |y, x0, x1, range| {
+            let mut c = 0u64;
+            for &v in &mask.row(y)[x0..x1] {
+                if range.contains(v) {
+                    c += 1;
+                }
             }
-        }
-        c
-    })
+            c
+        },
+    );
+    counts
 }
 
 /// The rows [`cp_many`] reads on a `width × height` mask: from the first row
@@ -70,20 +78,11 @@ pub fn cp_row_band(width: u32, height: u32, terms: &[(Roi, PixelRange)]) -> Opti
         .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
 }
 
-/// [`cp_many`] over a band of rows as a store holds them — row-major
-/// little-endian `f32`, `bytes` starting at row `first_row` of a
-/// `width × height` mask — without decoding the mask: same ROI clipping,
-/// same `[lo, hi)` comparison, same counts.
-///
-/// A [`Mask`] checks the `[0, 1)` value domain when it is built; nothing has
-/// checked these bytes, so every pixel of the band is checked here and the
-/// first offender (row-major) is reported exactly as [`Mask::new`] would
-/// report it, with its index in whole-mask coordinates. Pixels outside the
-/// band are not read.
+/// [`cp_many`] over a band of rows as a store holds them: see
+/// [`RowSweep::count_le_rows`], which this runs on fresh scratch.
 ///
 /// # Panics
-/// If `bytes` is not a whole number of rows inside the mask, or does not
-/// cover [`cp_row_band`] of the terms — both are caller bugs.
+/// As [`RowSweep::count_le_rows`].
 pub fn cp_many_le_rows(
     bytes: &[u8],
     width: u32,
@@ -91,123 +90,169 @@ pub fn cp_many_le_rows(
     first_row: u32,
     terms: &[(Roi, PixelRange)],
 ) -> Result<Vec<u64>> {
-    let row_bytes = width as usize * 4;
-    assert!(
-        row_bytes > 0 && bytes.len().is_multiple_of(row_bytes),
-        "a band of {} bytes is not whole rows of {width} pixels",
-        bytes.len()
-    );
-    let rows = first_row..first_row + (bytes.len() / row_bytes) as u32;
-    assert!(rows.end <= height, "rows {rows:?} exceed height {height}");
-    if let Some(needed) = cp_row_band(width, height, terms) {
-        assert!(
-            rows.start <= needed.start && needed.end <= rows.end,
-            "terms count rows {needed:?}, the band holds {rows:?}"
-        );
-    }
-    let pixel = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-    // The same two steps as `Mask::new`: a pass without an early exit
-    // (it vectorises), then a search only to name the offender.
-    let in_domain = |value: f32| (0.0..1.0).contains(&value);
-    let pixels = || bytes.chunks_exact(4).map(pixel);
-    if !pixels().fold(true, |ok, value| ok & in_domain(value)) {
-        let (at, value) = pixels()
-            .enumerate()
-            .find(|(_, value)| !in_domain(*value))
-            .expect("the pass above saw a pixel outside the domain");
-        return Err(Error::PixelOutOfRange {
-            value,
-            index: first_row as usize * width as usize + at,
-        });
-    }
-    Ok(sweep_rows(width, height, terms, |y, x0, x1, range| {
-        let row = &bytes[(y - first_row) as usize * row_bytes..][..row_bytes];
-        let mut c = 0u64;
-        for v in row[x0 * 4..x1 * 4].chunks_exact(4).map(pixel) {
-            if range.contains(v) {
-                c += 1;
-            }
-        }
-        c
-    }))
+    let mut counts = vec![0; terms.len()];
+    RowSweep::default().count_le_rows(bytes, width, height, first_row, terms, &mut counts)?;
+    Ok(counts)
 }
 
-/// The sweep behind [`cp_many`] and [`cp_many_le_rows`]: clips every ROI to
-/// the `width × height` mask and walks the rows top to bottom, asking
-/// `count_row(y, x0, x1, range)` for the pixels of row `y`, columns
-/// `x0..x1`, that lie in `range` — once per term whose span holds the row.
-fn sweep_rows(
-    width: u32,
-    height: u32,
-    terms: &[(Roi, PixelRange)],
-    mut count_row: impl FnMut(u32, usize, usize, &PixelRange) -> u64,
-) -> Vec<u64> {
-    let mut counts = vec![0u64; terms.len()];
-    if terms.is_empty() {
-        return counts;
-    }
-    /// One clipped term with its precomputed row span and column slice, so
-    /// the row loop never re-tests `y` against terms whose span is over or
-    /// has not started.
-    #[derive(Clone)]
-    struct PlannedTerm {
-        index: usize,
-        x0: usize,
-        x1: usize,
-        y1: u32,
-        range: PixelRange,
-    }
-    // Clip every ROI once and sort the surviving terms by their first row;
-    // the scan then sweeps rows keeping only the terms whose span contains
-    // the current row active.
-    let mut pending: Vec<(u32, PlannedTerm)> = terms
-        .iter()
-        .enumerate()
-        .filter_map(|(index, (roi, range))| {
-            let clip = roi.clamp_to(width, height)?;
-            Some((
-                clip.y0(),
-                PlannedTerm {
-                    index,
-                    x0: clip.x0() as usize,
-                    x1: clip.x1() as usize,
-                    y1: clip.y1(),
-                    range: *range,
-                },
-            ))
-        })
-        .collect();
-    pending.sort_by_key(|(y0, term)| (*y0, term.index));
-    let Some(&(first_row, _)) = pending.first() else {
-        return counts;
-    };
-    let last_row = pending.iter().map(|(_, t)| t.y1).max().expect("non-empty");
+/// One clipped term of a [`RowSweep`], with its row span and column slice
+/// precomputed, so the row loop never re-tests a row against terms whose
+/// span is over or has not started.
+#[derive(Debug, Clone, Copy)]
+struct PlannedTerm {
+    index: usize,
+    x0: usize,
+    x1: usize,
+    y1: u32,
+    range: PixelRange,
+}
 
-    let mut next = 0;
-    let mut active: Vec<PlannedTerm> = Vec::new();
-    let mut y = first_row;
-    while y < last_row {
-        active.retain(|t| t.y1 > y);
-        while next < pending.len() && pending[next].0 <= y {
-            active.push(pending[next].1.clone());
-            next += 1;
+/// The row sweep behind [`cp_many`] and [`cp_many_le_rows`], with its
+/// scratch: a caller that counts band after band (verification) keeps one
+/// and allocates nothing per band.
+#[derive(Debug, Default)]
+pub struct RowSweep {
+    pending: Vec<(u32, PlannedTerm)>,
+    active: Vec<PlannedTerm>,
+}
+
+impl RowSweep {
+    /// Adds to `counts[i]` the `CP` of `terms[i]` over a band of rows as a
+    /// store holds them — row-major little-endian `f32`, `bytes` starting at
+    /// row `first_row` of a `width × height` mask — without decoding the
+    /// mask: the ROI clipping, `[lo, hi)` comparison and counts of
+    /// [`cp_many`].
+    ///
+    /// A [`Mask`] checks the `[0, 1)` value domain when it is built; nothing
+    /// has checked these bytes, so every pixel of the band is checked here
+    /// and the first offender (row-major) is reported exactly as
+    /// [`Mask::new`] would report it, with its index in whole-mask
+    /// coordinates; `counts` is then left as it was. Pixels outside the band
+    /// are not read.
+    ///
+    /// # Panics
+    /// If `bytes` is not a whole number of rows inside the mask, does not
+    /// cover [`cp_row_band`] of the terms, or `counts` is not as long as
+    /// `terms` — all caller bugs.
+    pub fn count_le_rows(
+        &mut self,
+        bytes: &[u8],
+        width: u32,
+        height: u32,
+        first_row: u32,
+        terms: &[(Roi, PixelRange)],
+        counts: &mut [u64],
+    ) -> Result<()> {
+        let row_bytes = width as usize * 4;
+        assert!(
+            row_bytes > 0 && bytes.len().is_multiple_of(row_bytes),
+            "a band of {} bytes is not whole rows of {width} pixels",
+            bytes.len()
+        );
+        let rows = first_row..first_row + (bytes.len() / row_bytes) as u32;
+        assert!(rows.end <= height, "rows {rows:?} exceed height {height}");
+        if let Some(needed) = cp_row_band(width, height, terms) {
+            assert!(
+                rows.start <= needed.start && needed.end <= rows.end,
+                "terms count rows {needed:?}, the band holds {rows:?}"
+            );
         }
-        if active.is_empty() {
-            // Disjoint ROIs can leave the bounding box mostly dead rows;
-            // jump straight to the next term's first row instead of walking
-            // them one by one (`pending` is sorted by first row).
-            if next < pending.len() {
-                y = pending[next].0;
-                continue;
+        let pixel = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        // The same two steps as `Mask::new`: a pass without an early exit
+        // (it vectorises), then a search only to name the offender.
+        let in_domain = |value: f32| (0.0..1.0).contains(&value);
+        let pixels = || bytes.chunks_exact(4).map(pixel);
+        if !pixels().fold(true, |ok, value| ok & in_domain(value)) {
+            let (at, value) = pixels()
+                .enumerate()
+                .find(|(_, value)| !in_domain(*value))
+                .expect("the pass above saw a pixel outside the domain");
+            return Err(Error::PixelOutOfRange {
+                value,
+                index: first_row as usize * width as usize + at,
+            });
+        }
+        self.sweep(width, height, terms, counts, |y, x0, x1, range| {
+            let row = &bytes[(y - first_row) as usize * row_bytes..][..row_bytes];
+            let mut c = 0u64;
+            for v in row[x0 * 4..x1 * 4].chunks_exact(4).map(pixel) {
+                if range.contains(v) {
+                    c += 1;
+                }
             }
-            break;
-        }
-        for term in &active {
-            counts[term.index] += count_row(y, term.x0, term.x1, &term.range);
-        }
-        y += 1;
+            c
+        });
+        Ok(())
     }
-    counts
+
+    /// Clips every ROI to the `width × height` mask and walks the rows top
+    /// to bottom, adding to `counts[i]` what `count_row(y, x0, x1, range)`
+    /// reports for the pixels of row `y`, columns `x0..x1`, that lie in
+    /// `range` — once per row of term `i`'s clipped span.
+    fn sweep(
+        &mut self,
+        width: u32,
+        height: u32,
+        terms: &[(Roi, PixelRange)],
+        counts: &mut [u64],
+        mut count_row: impl FnMut(u32, usize, usize, &PixelRange) -> u64,
+    ) {
+        assert_eq!(counts.len(), terms.len(), "one count per term");
+        // Clip every ROI once and sort the surviving terms by their first
+        // row; the scan then sweeps rows keeping only the terms whose span
+        // contains the current row active.
+        let pending = &mut self.pending;
+        pending.clear();
+        pending.extend(
+            terms
+                .iter()
+                .enumerate()
+                .filter_map(|(index, (roi, range))| {
+                    let clip = roi.clamp_to(width, height)?;
+                    Some((
+                        clip.y0(),
+                        PlannedTerm {
+                            index,
+                            x0: clip.x0() as usize,
+                            x1: clip.x1() as usize,
+                            y1: clip.y1(),
+                            range: *range,
+                        },
+                    ))
+                }),
+        );
+        pending.sort_by_key(|(y0, term)| (*y0, term.index));
+        let Some(&(first_row, _)) = pending.first() else {
+            return;
+        };
+        let last_row = pending.iter().map(|(_, t)| t.y1).max().expect("non-empty");
+
+        let active = &mut self.active;
+        active.clear();
+        let mut next = 0;
+        let mut y = first_row;
+        while y < last_row {
+            active.retain(|t| t.y1 > y);
+            while next < pending.len() && pending[next].0 <= y {
+                active.push(pending[next].1);
+                next += 1;
+            }
+            if active.is_empty() {
+                // Disjoint ROIs can leave the bounding box mostly dead rows;
+                // jump straight to the next term's first row instead of
+                // walking them one by one (`pending` is sorted by first row).
+                if next < pending.len() {
+                    y = pending[next].0;
+                    continue;
+                }
+                break;
+            }
+            for term in active.iter() {
+                counts[term.index] += count_row(y, term.x0, term.x1, &term.range);
+            }
+            y += 1;
+        }
+    }
 }
 
 #[cfg(test)]

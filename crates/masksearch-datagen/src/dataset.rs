@@ -109,7 +109,8 @@ impl DatasetSpec {
         self.num_masks() * self.mask_width as u64 * self.mask_height as u64 * 4
     }
 
-    /// Generates the dataset into `store`, returning the generated metadata.
+    /// Generates the dataset into `store`, one commit per mask with its
+    /// record, returning the generated metadata.
     pub fn generate_into(&self, store: &dyn MaskStore) -> StorageResult<GeneratedDataset> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let generator = SaliencyGenerator::new(self.mask_width, self.mask_height)
@@ -130,18 +131,17 @@ impl DatasetSpec {
                     Label::new(rng.gen_range(0..self.num_classes))
                 };
                 let id = MaskId::new(mask_id);
-                store.put(id, &mask)?;
-                catalog.insert(
-                    MaskRecord::builder(id)
-                        .image_id(ImageId::new(image))
-                        .model_id(ModelId::new(model + 1))
-                        .mask_type(MaskType::SaliencyMap)
-                        .shape(self.mask_width, self.mask_height)
-                        .true_label(true_label)
-                        .predicted_label(predicted)
-                        .object_box(object_box)
-                        .build(),
-                );
+                let record = MaskRecord::builder(id)
+                    .image_id(ImageId::new(image))
+                    .model_id(ModelId::new(model + 1))
+                    .mask_type(MaskType::SaliencyMap)
+                    .shape(self.mask_width, self.mask_height)
+                    .true_label(true_label)
+                    .predicted_label(predicted)
+                    .object_box(object_box)
+                    .build();
+                store.apply_batch(&[(record.clone(), mask)], &[])?;
+                catalog.insert(record);
                 focused_flags.push((id, focused));
                 mask_id += 1;
             }

@@ -168,11 +168,6 @@ impl Directory {
         }
         Ok(Self { entries })
     }
-
-    /// Total bytes of all stored blobs.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +195,6 @@ mod tests {
         dir.entries.insert(MaskId::new(7), entry(7, 3, 1, 96));
         let decoded = Directory::decode(&dir.encode()).unwrap();
         assert_eq!(decoded, dir);
-        assert_eq!(decoded.total_bytes(), 596);
     }
 
     #[test]

@@ -38,24 +38,26 @@
 //! ## Stamps
 //!
 //! Every mask's pixels carry the [`Stamp`] of the commit that installed
-//! them: its transaction id, or, for a mask recovered at open, 0 (the
-//! bootstrap's id: no commit of masks has it). The
+//! them: its transaction id, or, for a mask recovered at open,
+//! [`RECOVERED`] (0, the bootstrap's id: no commit of masks has it). The
 //! stamp is kept in memory beside the directory — in step 2, under the
 //! state write lock — and the CHI the same commit installs carries the same
-//! stamp (step 3), so a reader holding an index can tell whether it
-//! summarises exactly the pixels it read.
+//! stamp (step 3); the CHIs recovered at open carry [`RECOVERED`]. So a
+//! reader holding an index can tell whether it summarises exactly the
+//! pixels it read.
 //!
 //! ## Reads
 //!
 //! A load resolves the mask's directory entry and stamp and reads its
 //! extent under one state read guard, so it sees exactly one committed
-//! version. Two reads share that rule: the whole blob (`get` /
-//! `get_stamped`: one positioned read, decoded), and bands of rows
-//! ([`MaskStore::read_rows`]: the 32-byte header is read and validated,
-//! then each band `y0..y1` of a raw blob — one contiguous byte range of the
-//! extent — goes into the caller's reused buffer, undecoded). The second is
-//! what in-place verification reads; compressed blobs decline it and are
-//! loaded whole.
+//! version. Two reads share that rule: the whole blob
+//! ([`MaskStore::get_stamped`]: one positioned read, decoded), and bands of
+//! rows ([`MaskStore::read_rows`]: the 32-byte header is read and
+//! validated, then each band `y0..y1` of a raw blob — one contiguous byte
+//! range of the extent — goes into the caller's reused buffer, undecoded).
+//! The second is what in-place verification reads; compressed blobs
+//! decline it and are loaded whole. With no band it reads nothing and
+//! answers the shape and stamp from the directory.
 //!
 //! ## Checkpoint protocol
 //!
@@ -122,6 +124,7 @@ use masksearch_storage::meta_index::{self, MetaColumn, MetaIndexRegistry};
 use masksearch_storage::store::IngestSnapshot;
 use masksearch_storage::{
     DiskProfile, IoStats, MaskEncoding, MaskStore, RowsRead, Stamp, StorageError, StorageResult,
+    RECOVERED,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -136,9 +139,6 @@ pub const DB_FILE: &str = "masks.db";
 pub const WAL_FILE: &str = "masks.wal";
 /// File name of the persisted CHI store.
 pub const CHI_FILE: &str = "masks.chi";
-/// The stamp of the pixels of every mask recovered at open. No commit has
-/// it: transaction 0 is the bootstrap, which writes no mask.
-const RECOVERED: Stamp = 0;
 
 /// File name of the tile-summary store older builds persisted. Nothing
 /// reads it; the next checkpoint removes it.
@@ -417,7 +417,6 @@ impl DurableMaskStore {
                 (entry.start..entry.start + entry.pages as u64).any(|p| replayed_pages.contains(&p))
             }
         })?;
-        indexes.chi.stamp_all(RECOVERED);
 
         let _ = fs::remove_file(dir.join(RETIRED_SHAPE_STATS_FILE));
         // Recover secondary index definitions from their files, then rewrite
@@ -645,11 +644,7 @@ impl DurableMaskStore {
     /// stamp; see the module docs. The CHIs of `inserts` are built before
     /// the writer mutex is taken: the O(pixels) work holds no lock, and a
     /// commit that fails just drops it.
-    fn commit(
-        &self,
-        inserts: &[(MaskRecord, Mask)],
-        deletes: &[MaskId],
-    ) -> StorageResult<Option<Stamp>> {
+    fn commit(&self, inserts: &[(MaskRecord, Mask)], deletes: &[MaskId]) -> StorageResult<Stamp> {
         let chis: Vec<(MaskId, Chi)> = inserts
             .iter()
             .map(|(record, mask)| (record.mask_id, Chi::build(mask, &self.config.chi_config)))
@@ -657,7 +652,7 @@ impl DurableMaskStore {
         let mut writer = self.writer.lock();
         let writer = &mut *writer;
         if inserts.is_empty() && deletes.is_empty() {
-            return Ok(None);
+            return Ok(RECOVERED);
         }
 
         // Validate the whole batch, and find the extents it frees, before
@@ -800,7 +795,7 @@ impl DurableMaskStore {
 
         // The batch's CHIs change only now that it is durable, as one
         // version: evictions and installs together, stamped like the pixels.
-        self.chi.apply(&evicted, chis, Some(stamp));
+        self.chi.apply(&evicted, chis, stamp);
 
         self.io.record_write(
             blob_bytes,
@@ -811,71 +806,19 @@ impl DurableMaskStore {
         self.ingest
             .record_commit(inserts.len() as u64, deleted, wal_bytes);
         self.checkpoint_if_due(writer);
-        Ok(Some(stamp))
-    }
-
-    /// Loads mask `mask_id` with the stamp of its pixels, both under one
-    /// state read guard.
-    fn load(&self, mask_id: MaskId) -> StorageResult<(Mask, Stamp)> {
-        let (blob, stamp) = {
-            let state = self.state.read();
-            let (entry, stamp) = state.entry(mask_id)?;
-            let blob = state
-                .pager
-                .read_extent(entry.start, entry.pages, entry.bytes)?;
-            (blob, stamp)
-        };
-        let bytes = blob.len() as u64;
-        self.io
-            .record_read(bytes, self.config.profile.read_cost(bytes, 1));
-        self.io.record_mask_loaded();
-        let (_, mask) = format::decode_mask(&blob)?;
-        Ok((mask, stamp))
+        Ok(stamp)
     }
 }
 
 impl MaskStore for DurableMaskStore {
-    fn put(&self, mask_id: MaskId, mask: &Mask) -> StorageResult<()> {
-        // Preserve an existing record's metadata on overwrite; synthesise a
-        // minimal record otherwise. Metadata-rich inserts go through
-        // `insert_batch` / `insert_masks`.
-        let record = {
-            let state = self.state.read();
-            match state.dir.entries.get(&mask_id) {
-                Some(entry)
-                    if entry.record.width == mask.width()
-                        && entry.record.height == mask.height() =>
-                {
-                    entry.record.clone()
-                }
-                _ => MaskRecord::builder(mask_id)
-                    .shape(mask.width(), mask.height())
-                    .build(),
-            }
-        };
-        self.commit(&[(record, mask.clone())], &[]).map(drop)
-    }
-
-    fn delete(&self, mask_id: MaskId) -> StorageResult<()> {
-        self.delete_masks(&[mask_id])
-    }
-
-    fn insert_batch(&self, batch: &[(MaskRecord, Mask)]) -> StorageResult<()> {
-        self.insert_masks(batch)
-    }
-
-    fn delete_batch(&self, mask_ids: &[MaskId]) -> StorageResult<()> {
-        self.delete_masks(mask_ids)
-    }
-
     fn apply_batch(
         &self,
         inserts: &[(MaskRecord, Mask)],
         deletes: &[MaskId],
-    ) -> StorageResult<Option<Stamp>> {
+    ) -> StorageResult<Stamp> {
         // One WAL commit frame for the whole batch: a transaction spanning
         // inserts, updates (overwrites), and deletes is all-or-nothing at
-        // every crash point, unlike the default delete-then-insert split.
+        // every crash point.
         self.commit(inserts, deletes)
     }
 
@@ -894,13 +837,23 @@ impl MaskStore for DurableMaskStore {
         Some(self.ingest.snapshot())
     }
 
-    fn get(&self, mask_id: MaskId) -> StorageResult<Mask> {
-        Ok(self.load(mask_id)?.0)
-    }
-
-    fn get_stamped(&self, mask_id: MaskId) -> StorageResult<(Mask, Option<Stamp>)> {
-        let (mask, stamp) = self.load(mask_id)?;
-        Ok((mask, Some(stamp)))
+    /// The mask and the stamp of its pixels, both read under one state read
+    /// guard.
+    fn get_stamped(&self, mask_id: MaskId) -> StorageResult<(Mask, Stamp)> {
+        let (blob, stamp) = {
+            let state = self.state.read();
+            let (entry, stamp) = state.entry(mask_id)?;
+            let blob = state
+                .pager
+                .read_extent(entry.start, entry.pages, entry.bytes)?;
+            (blob, stamp)
+        };
+        let bytes = blob.len() as u64;
+        self.io
+            .record_read(bytes, self.config.profile.read_cost(bytes, 1));
+        self.io.record_mask_loaded();
+        let (_, mask) = format::decode_mask(&blob)?;
+        Ok((mask, stamp))
     }
 
     /// Positioned reads under the state read guard a whole load takes —
@@ -916,6 +869,13 @@ impl MaskStore for DurableMaskStore {
         let (header, stamp) = {
             let state = self.state.read();
             let (entry, stamp) = state.entry(mask_id)?;
+            if bands.is_empty() {
+                return Ok(Some(RowsRead {
+                    width: entry.record.width,
+                    height: entry.record.height,
+                    stamp,
+                }));
+            }
             state
                 .pager
                 .read_extent_at(entry.start, entry.pages, 0, &mut header)?;
@@ -932,10 +892,9 @@ impl MaskStore for DurableMaskStore {
                     header.width, header.height, header.payload_len, entry.bytes
                 )));
             }
-            if bands.is_empty()
-                || bands
-                    .iter()
-                    .any(|rows| rows.is_empty() || rows.end > header.height)
+            if bands
+                .iter()
+                .any(|rows| rows.is_empty() || rows.end > header.height)
             {
                 return Ok(None);
             }
@@ -966,7 +925,7 @@ impl MaskStore for DurableMaskStore {
         Ok(Some(RowsRead {
             width: header.width,
             height: header.height,
-            stamp: Some(stamp),
+            stamp,
         }))
     }
 
@@ -982,26 +941,8 @@ impl MaskStore for DurableMaskStore {
         self.state.read().dir.entries.len()
     }
 
-    fn stored_bytes(&self, mask_id: MaskId) -> StorageResult<u64> {
-        self.state
-            .read()
-            .dir
-            .entries
-            .get(&mask_id)
-            .map(|e| e.bytes)
-            .ok_or(StorageError::MaskNotFound(mask_id))
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.state.read().dir.total_bytes()
-    }
-
     fn io_stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.io)
-    }
-
-    fn disk_profile(&self) -> DiskProfile {
-        self.config.profile
     }
 }
 
@@ -1098,7 +1039,7 @@ fn reconcile_indexes(
         unsnapshotted.insert(*mask_id);
     }
     drop(indexed);
-    chi.insert_many(rebuilt);
+    chi.apply(&[], rebuilt, RECOVERED);
     Ok(RecoveredIndexes {
         chi,
         chi_len: chi_len as u64,
@@ -1151,7 +1092,6 @@ mod tests {
         assert_eq!(store.len(), 5);
         assert_eq!(store.get(MaskId::new(3)).unwrap(), mask(3));
         assert_eq!(store.chi_store().len(), 5);
-        assert!(store.stored_bytes(MaskId::new(0)).unwrap() > 0);
 
         store
             .delete_masks(&[MaskId::new(1), MaskId::new(3)])
@@ -1186,7 +1126,8 @@ mod tests {
     /// for — from the dirty table before a checkpoint and from the file
     /// after — into a reused buffer, with the stamp of the commit that wrote
     /// them, counts as one mask loaded, and declines (`None`) what it cannot
-    /// serve: rows past the mask, an empty band, a compressed blob.
+    /// serve: rows past the mask, an empty band, a compressed blob. With no
+    /// band it reads nothing and answers the shape and stamp alone.
     #[test]
     fn ranged_row_reads_return_the_stored_bytes_or_decline() {
         let dir = temp_dir("read-rows");
@@ -1202,10 +1143,10 @@ mod tests {
             Some(RowsRead {
                 width: 8,
                 height: 8,
-                stamp: Some(stamp),
+                stamp,
             })
         };
-        let stamp = store.get_stamped(id).unwrap().1.unwrap();
+        let stamp = store.get_stamped(id).unwrap().1;
         for checkpointed in [false, true] {
             if checkpointed {
                 store.checkpoint().unwrap();
@@ -1242,15 +1183,9 @@ mod tests {
             assert_eq!(store.read_rows(id, &band(3..9), &mut out).unwrap(), None);
             assert_eq!(store.read_rows(id, &band(4..4), &mut out).unwrap(), None);
             assert_eq!(store.read_rows(id, &[0..1, 4..4], &mut out).unwrap(), None);
-            assert_eq!(store.read_rows(id, &[], &mut out).unwrap(), None);
-            assert_eq!(
-                store
-                    .io_stats()
-                    .snapshot()
-                    .delta_since(&before)
-                    .masks_loaded,
-                0
-            );
+            assert_eq!(store.read_rows(id, &[], &mut out).unwrap(), read(stamp));
+            let io = store.io_stats().snapshot().delta_since(&before);
+            assert_eq!((io.masks_loaded, io.bytes_read), (0, 0));
             assert!(matches!(
                 store.read_rows(MaskId::new(99), &band(0..1), &mut out),
                 Err(StorageError::MaskNotFound(_))
@@ -1264,7 +1199,7 @@ mod tests {
             .unwrap();
         store.insert_masks(&batch(10..11)).unwrap();
         // Reopened: the mask carries the stamp of the pixels recovered.
-        let recovered = store.get_stamped(id).unwrap().1.unwrap();
+        let recovered = store.get_stamped(id).unwrap().1;
         assert_eq!(recovered, RECOVERED);
         assert_eq!(
             store.read_rows(id, &band(2..5), &mut out).unwrap(),
@@ -1289,25 +1224,22 @@ mod tests {
         let dir = temp_dir("stamps");
         let stamp_of = |store: &DurableMaskStore, id| {
             let id = MaskId::new(id);
-            let pixels = store.get_stamped(id).unwrap().1.unwrap();
+            let pixels = store.get_stamped(id).unwrap().1;
             let index = store.chi_store().reader().get_stamped(id).unwrap().1;
-            assert_eq!(Some(pixels), index, "mask {id}");
+            assert_eq!(pixels, index, "mask {id}");
             pixels
         };
         let store = DurableMaskStore::open(&dir, small_config()).unwrap();
-        let first = store.apply_batch(&batch(0..3), &[]).unwrap().unwrap();
+        let first = store.apply_batch(&batch(0..3), &[]).unwrap();
         assert_ne!(first, RECOVERED);
         assert_eq!(stamp_of(&store, 1), first);
-        let second = store
-            .apply_batch(&batch(1..2), &[MaskId::new(2)])
-            .unwrap()
-            .unwrap();
+        let second = store.apply_batch(&batch(1..2), &[MaskId::new(2)]).unwrap();
         assert!(second > first);
         assert_eq!((stamp_of(&store, 0), stamp_of(&store, 1)), (first, second));
         drop(store);
         let store = DurableMaskStore::open(&dir, small_config()).unwrap();
         assert_eq!(stamp_of(&store, 0), RECOVERED);
-        let third = store.apply_batch(&batch(0..1), &[]).unwrap().unwrap();
+        let third = store.apply_batch(&batch(0..1), &[]).unwrap();
         assert_ne!(third, RECOVERED);
         assert_eq!(
             (stamp_of(&store, 0), stamp_of(&store, 1)),
@@ -1395,25 +1327,6 @@ mod tests {
         }
         assert!(store.ingest_stats().unwrap().checkpoints > 0);
         assert!(store.wal_bytes() < 4096 + 4096);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn put_preserves_existing_record_metadata() {
-        let dir = temp_dir("put-record");
-        let store = DurableMaskStore::open(&dir, small_config()).unwrap();
-        let rich = MaskRecord::builder(MaskId::new(1))
-            .image_id(masksearch_core::ImageId::new(42))
-            .shape(8, 8)
-            .build();
-        store.insert_masks(&[(rich, mask(1))]).unwrap();
-        store.put(MaskId::new(1), &mask(9)).unwrap();
-        let catalog = store.catalog();
-        assert_eq!(
-            catalog.get(MaskId::new(1)).unwrap().image_id,
-            masksearch_core::ImageId::new(42)
-        );
-        assert_eq!(store.get(MaskId::new(1)).unwrap(), mask(9));
         fs::remove_dir_all(&dir).unwrap();
     }
 

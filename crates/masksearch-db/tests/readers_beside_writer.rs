@@ -247,7 +247,6 @@ fn every_band_is_exactly_one_committed_version() {
                             .expect("raw blobs serve rows");
                         let at_most = started[id as usize].load(Ordering::SeqCst);
                         assert_eq!((read.width, read.height), (SIDE, SIDE));
-                        assert!(read.stamp.is_some());
                         let of = |version| {
                             let mask = stamped(id, version);
                             bands

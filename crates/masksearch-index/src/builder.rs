@@ -6,7 +6,7 @@
 //! over worker threads pulling mask ids from a shared queue, reading masks
 //! through a [`MaskStore`].
 
-use crate::chi::ChiConfig;
+use crate::chi::{Chi, ChiConfig};
 use crate::store::ChiStore;
 use masksearch_core::MaskId;
 use masksearch_storage::{MaskStore, StorageResult};
@@ -32,10 +32,11 @@ impl Default for BuildOptions {
 
 /// Builds the CHI of every mask in `ids`, loading masks from `store`.
 ///
-/// Returns the populated [`ChiStore`]. Masks are loaded through the store
-/// (and therefore charged to its I/O cost model), mirroring the paper's
-/// accounting where up-front index construction time is attributed to the
-/// 0-th query of a workload (Figure 11).
+/// Returns the populated [`ChiStore`], each index stamped like the pixels
+/// it was built from. Masks are loaded through the store (and therefore
+/// charged to its I/O cost model), mirroring the paper's accounting where
+/// up-front index construction time is attributed to the 0-th query of a
+/// workload (Figure 11).
 pub fn build_chi_store(
     store: &dyn MaskStore,
     ids: &[MaskId],
@@ -43,11 +44,16 @@ pub fn build_chi_store(
     options: BuildOptions,
 ) -> StorageResult<ChiStore> {
     let chi_store = ChiStore::new(config);
+    // Each index is stamped like the pixels it was built from.
+    let index = |id: MaskId| -> StorageResult<()> {
+        let (mask, stamp) = store.get_stamped(id)?;
+        chi_store.apply(&[], [(id, Chi::build(&mask, &config))], stamp);
+        Ok(())
+    };
     let threads = options.threads.max(1).min(ids.len().max(1));
     if threads <= 1 {
         for &id in ids {
-            let mask = store.get(id)?;
-            chi_store.index_mask(id, &mask);
+            index(id)?;
         }
         return Ok(chi_store);
     }
@@ -64,18 +70,12 @@ pub fn build_chi_store(
                 if first_error.lock().is_some() {
                     break;
                 }
-                let id = ids[i];
-                match store.get(id) {
-                    Ok(mask) => {
-                        chi_store.index_mask(id, &mask);
+                if let Err(e) = index(ids[i]) {
+                    let mut slot = first_error.lock();
+                    if slot.is_none() {
+                        *slot = Some(e);
                     }
-                    Err(e) => {
-                        let mut slot = first_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        break;
-                    }
+                    break;
                 }
             });
         }
@@ -117,6 +117,11 @@ mod tests {
         .unwrap();
         assert_eq!(chi_store.len(), 8);
         assert_eq!(store.io_stats().masks_loaded(), 8);
+        // Every index carries the stamp of the pixels it was built from.
+        for &id in &ids {
+            let installed = chi_store.reader().get_stamped(id).unwrap().1;
+            assert_eq!(installed, store.get_stamped(id).unwrap().1);
+        }
     }
 
     #[test]

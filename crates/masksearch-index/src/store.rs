@@ -40,9 +40,13 @@
 //!
 //! ## Stamps
 //!
-//! A slot records the commit that installed it, as the store that wrote
-//! the pixels numbers its commits ([`Stamp`]); indexes installed by no
-//! store commit (built by a session, loaded from a file) carry none. A
+//! A slot records the [`Stamp`] of the pixels its index was built from: the
+//! commit that installed them, as the store that holds them numbers its
+//! commits. Every install names it — [`ChiStore::apply`] the stamp of the
+//! commit it follows, [`ChiStore::index_mask_if_current`] that of the
+//! pixels it was built from — except that an index read from a file, or
+//! installed by [`ChiStore::insert`] or [`ChiStore::index_mask`], carries
+//! [`RECOVERED`], the stamp of the pixels a store holds when it opens. A
 //! reader that counts pixels under an index — the cell kernel of
 //! verification — checks that the stamp the store reported with the pixels
 //! it read is the slot's: the index then summarises exactly those pixels.
@@ -69,7 +73,7 @@ use crate::chi::{count_bytes, narrow, Cells, Chi, ChiConfig, ChiOver, ChiView, C
 use crate::segment::{self, Format, SEGMENT_HEADER_LEN};
 use masksearch_core::{Mask, MaskId};
 use masksearch_storage::codec::Reader;
-use masksearch_storage::{CowMap, IdCursor, Stamp, StorageError, StorageResult};
+use masksearch_storage::{CowMap, IdCursor, Stamp, StorageError, StorageResult, RECOVERED};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::Path;
@@ -233,7 +237,7 @@ struct Slot {
     cells_x: u32,
     cells_y: u32,
     run: Run,
-    stamp: Option<Stamp>,
+    stamp: Stamp,
 }
 
 impl Slot {
@@ -293,7 +297,7 @@ impl ChiVersion {
 
     /// The index of `mask_id`, if present, with the stamp of the commit that
     /// installed it (see the module docs).
-    pub fn get_stamped(&self, mask_id: MaskId) -> Option<(ChiView<'_>, Option<Stamp>)> {
+    pub fn get_stamped(&self, mask_id: MaskId) -> Option<(ChiView<'_>, Stamp)> {
         let slot = self.slots.get(&mask_id)?;
         Some((self.view(slot), slot.stamp))
     }
@@ -352,7 +356,7 @@ impl ChiVersion {
         space: &mut Spaces,
         mask_id: MaskId,
         (mask_width, mask_height): (u32, u32),
-        stamp: Option<Stamp>,
+        stamp: Stamp,
         fill: impl FnOnce(CellsMut<'_>),
     ) {
         let mut slot = Slot {
@@ -383,7 +387,7 @@ impl ChiVersion {
         self.slots.insert(mask_id, slot);
     }
 
-    fn put_chi(&mut self, space: &mut Spaces, mask_id: MaskId, chi: &Chi, stamp: Option<Stamp>) {
+    fn put_chi(&mut self, space: &mut Spaces, mask_id: MaskId, chi: &Chi, stamp: Stamp) {
         assert_eq!(*chi.config(), self.config, "index of another configuration");
         self.put(
             space,
@@ -494,23 +498,14 @@ impl ChiStore {
         self.current.read().clone()
     }
 
-    /// Inserts a pre-built index for `mask_id`, replacing any existing one.
+    /// Inserts a pre-built index for `mask_id`, replacing any existing one,
+    /// stamped [`RECOVERED`] (see the module docs).
     ///
     /// # Panics
     /// Panics if `chi` was built under another configuration than the
     /// store's.
     pub fn insert(&self, mask_id: MaskId, chi: Chi) {
-        self.insert_many([(mask_id, chi)]);
-    }
-
-    /// Inserts pre-built indexes as one version, in order (a later entry
-    /// for an id replaces an earlier one).
-    ///
-    /// # Panics
-    /// Panics if an index was built under another configuration than the
-    /// store's.
-    pub fn insert_many(&self, indexes: impl IntoIterator<Item = (MaskId, Chi)>) {
-        self.apply(&[], indexes, None);
+        self.apply(&[], [(mask_id, chi)], RECOVERED);
     }
 
     /// Removes the indexes of `removed`, then installs `installed` (in
@@ -526,7 +521,7 @@ impl ChiStore {
         &self,
         removed: &[MaskId],
         installed: impl IntoIterator<Item = (MaskId, Chi)>,
-        stamp: Option<Stamp>,
+        stamp: Stamp,
     ) {
         let mut installed = installed.into_iter().peekable();
         if removed.is_empty() && installed.peek().is_none() {
@@ -546,29 +541,13 @@ impl ChiStore {
         });
     }
 
-    /// Stamps every index `stamp`: what a store does with the indexes it
-    /// recovers for the pixels it opened with.
-    pub fn stamp_all(&self, stamp: Stamp) {
-        self.write(|next, _| {
-            let slots = next
-                .slots
-                .iter()
-                .map(|(id, slot)| {
-                    let stamp = Some(stamp);
-                    (*id, Slot { stamp, ..*slot })
-                })
-                .collect::<Vec<_>>();
-            next.slots = CowMap::from_sorted(slots);
-            true
-        });
-    }
-
     /// Builds and inserts the index of `mask` under the store's
-    /// configuration (the §3.6 incremental-indexing step), returning it.
+    /// configuration, stamped [`RECOVERED`] (see the module docs), and
+    /// returns it.
     pub fn index_mask(&self, mask_id: MaskId, mask: &Mask) -> Chi {
         let chi = Chi::build(mask, &self.config);
         self.write(|next, space| {
-            next.put_chi(space, mask_id, &chi, None);
+            next.put_chi(space, mask_id, &chi, RECOVERED);
             true
         });
         chi
@@ -603,8 +582,9 @@ impl ChiStore {
         self.removals.load(Ordering::Relaxed)
     }
 
-    /// Builds and inserts the index of `mask` only if no removal has
-    /// happened since `generation` (taken via
+    /// Builds the index of `mask`, whose pixels carry `stamp`, and installs
+    /// it stamped so (the §3.6 incremental-indexing step) only if no removal
+    /// has happened since `generation` (taken via
     /// [`ChiStore::removal_generation`] *before* the mask was loaded) and no
     /// index exists yet. Returns whether the index was installed.
     ///
@@ -613,13 +593,19 @@ impl ChiStore {
     /// an overwrite or delete, so installing bounds built from them could
     /// corrupt the filter stage. The generation check runs under the same
     /// writer lock that removals bump under, so there is no window.
-    pub fn index_mask_if_current(&self, mask_id: MaskId, mask: &Mask, generation: u64) -> bool {
+    pub fn index_mask_if_current(
+        &self,
+        mask_id: MaskId,
+        mask: &Mask,
+        stamp: Stamp,
+        generation: u64,
+    ) -> bool {
         let chi = Chi::build(mask, &self.config);
         self.write(|next, space| {
             if self.removals.load(Ordering::Relaxed) != generation || next.contains(mask_id) {
                 return false;
             }
-            next.put_chi(space, mask_id, &chi, None);
+            next.put_chi(space, mask_id, &chi, stamp);
             true
         })
     }
@@ -759,7 +745,7 @@ impl ChiStore {
             let (version, space) =
                 store.get_or_insert_with(|| (ChiVersion::new(config), Spaces::default()));
             for (id, shape, width, bytes) in decoded {
-                version.put(space, id, shape, None, |cells| match cells {
+                version.put(space, id, shape, RECOVERED, |cells| match cells {
                     Cells::Narrow(cells) => decode(cells, bytes, width),
                     Cells::Wide(cells) => decode(cells, bytes, width),
                 });
@@ -835,15 +821,16 @@ mod tests {
         // before the install.
         let generation = store.removal_generation();
         store.remove(MaskId::new(1));
-        assert!(!store.index_mask_if_current(MaskId::new(1), &mask(1), generation));
+        assert!(!store.index_mask_if_current(MaskId::new(1), &mask(1), 1, generation));
         assert!(!store.contains(MaskId::new(1)));
 
         // With a fresh snapshot and no interleaved removal, it installs.
         let generation = store.removal_generation();
-        assert!(store.index_mask_if_current(MaskId::new(1), &mask(2), generation));
+        assert!(store.index_mask_if_current(MaskId::new(1), &mask(2), 2, generation));
         assert!(store.contains(MaskId::new(1)));
         // ...but never overwrites an existing entry.
-        assert!(!store.index_mask_if_current(MaskId::new(1), &mask(3), generation));
+        assert!(!store.index_mask_if_current(MaskId::new(1), &mask(3), 3, generation));
+        assert_eq!(store.reader().get_stamped(MaskId::new(1)).unwrap().1, 2);
     }
 
     #[test]
@@ -999,8 +986,10 @@ mod tests {
     fn a_write_copies_only_the_chunks_it_touches_and_a_pin_keeps_the_old_ones() {
         let store = ChiStore::new(config());
         // 72 counts an index: 300 of them fill two chunks.
-        store.insert_many(
+        store.apply(
+            &[],
             (0..300u64).map(|i| (MaskId::new(i), Chi::build(&mask(i as u32), &config()))),
+            1,
         );
         let pinned = store.reader();
         assert_eq!(pinned.narrow.chunk_count(), 2);

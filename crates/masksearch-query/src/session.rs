@@ -51,7 +51,7 @@ use masksearch_index::{
 };
 use masksearch_obs::counters as obs_counters;
 use masksearch_storage::{
-    CachedMask, Catalog, MaskCache, MaskStore, MetaColumn, MetaIndexRegistry,
+    CachedMask, Catalog, MaskCache, MaskStore, MetaColumn, MetaIndexRegistry, RECOVERED,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -324,7 +324,10 @@ impl Session {
     }
 
     /// Creates a session around an existing CHI store (e.g. loaded from a
-    /// previous session's persisted index file).
+    /// previous session's persisted index file). Its indexes bound the
+    /// filter stage; verification counts by CHI cell only where an index's
+    /// stamp is that of the pixels counted, so one read from a file
+    /// (stamped `RECOVERED`) never counts pixels a commit installed.
     pub fn with_index(
         store: Arc<dyn MaskStore>,
         catalog: Catalog,
@@ -470,11 +473,10 @@ impl Session {
         Ok(self.load_stamped(mask_id)?.mask)
     }
 
-    /// Loads a mask through the buffer cache with the stamp of its pixels,
-    /// when its store stamps them.
+    /// Loads a mask through the buffer cache with the stamp of its pixels.
     fn load_stamped(&self, mask_id: MaskId) -> QueryResult<CachedMask> {
         self.cache
-            .get_or_load_stamped(mask_id, || self.store.get_stamped(mask_id))
+            .get_or_load(mask_id, || self.store.get_stamped(mask_id))
             .map_err(QueryError::from)
     }
 
@@ -490,8 +492,8 @@ impl Session {
     }
 
     /// Loads a mask and, in incremental mode, builds and retains its CHI
-    /// (§3.6). Returns the mask with its stamp and whether an index was
-    /// built.
+    /// (§3.6), stamped like the pixels it was built from. Returns the mask
+    /// with its stamp and whether an index was built.
     pub fn load_and_index(&self, mask_id: MaskId) -> QueryResult<(CachedMask, bool)> {
         // Snapshot the CHI removal generation before loading: if a write
         // evicts this mask's index while we hold pre-write pixels, the
@@ -502,7 +504,7 @@ impl Session {
             && !self.chi.contains(mask_id)
             && self
                 .chi
-                .index_mask_if_current(mask_id, &mask.mask, chi_generation);
+                .index_mask_if_current(mask_id, &mask.mask, mask.stamp, chi_generation);
         if built {
             self.republish_indexes();
         }
@@ -521,8 +523,8 @@ impl Session {
     }
 
     /// Commits a write batch — upserts and deletes, disjoint — to the
-    /// store (in one commit when the store supports it), then refreshes the
-    /// mask cache, installs the batch's indexes when the session maintains
+    /// store in one commit, then refreshes the mask cache, installs the
+    /// batch's indexes stamped like the commit when the session maintains
     /// them (one CHI version: evictions and installs together), and
     /// publishes the next read version. The caller holds the write lock;
     /// `current` is the version the batch was planned on.
@@ -559,7 +561,7 @@ impl Session {
                 .map(|(record, _)| record.mask_id)
                 .chain(deletes.iter().copied())
                 .collect();
-            self.chi.apply(&evicted, built, None);
+            self.chi.apply(&evicted, built, stamp);
         }
         let mut catalog = current.catalog.clone();
         for &id in deletes {
@@ -577,8 +579,8 @@ impl Session {
 
     /// Inserts (or overwrites) a batch of masks with their catalog records.
     ///
-    /// The store commit happens first (atomically and durably when the store
-    /// supports it), then the CHI store and mask cache are brought up to
+    /// The store commit happens first (atomically, and durably when the
+    /// store is durable), then the CHI store and mask cache are brought up to
     /// date, and finally the next read version is published — so a
     /// statement sees either none or all of the batch (see the module
     /// docs).
@@ -1100,9 +1102,12 @@ impl Session {
         let store = indexes
             .entry(signature.to_string())
             .or_insert_with(|| Arc::new(ChiStore::new(self.config.chi_config)));
-        store.insert_many(
+        // Aggregated masks are no commit's pixels: their indexes only bound.
+        store.apply(
+            &[],
             chis.into_iter()
                 .map(|(image_id, chi)| (MaskId::new(image_id.raw()), chi)),
+            RECOVERED,
         );
     }
 
@@ -1613,22 +1618,26 @@ mod tests {
         assert!(session.aggregate_index(&signature).is_none());
     }
 
-    /// A memory store that counts the masks read through `get`.
+    /// A memory store that counts the masks it loads.
     struct CountingStore {
         inner: MemoryMaskStore,
         gets: std::sync::atomic::AtomicUsize,
     }
 
     impl MaskStore for CountingStore {
-        fn put(&self, mask_id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
-            self.inner.put(mask_id, mask)
+        fn apply_batch(
+            &self,
+            inserts: &[(MaskRecord, Mask)],
+            deletes: &[MaskId],
+        ) -> masksearch_storage::StorageResult<masksearch_storage::Stamp> {
+            self.inner.apply_batch(inserts, deletes)
         }
-        fn delete(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<()> {
-            self.inner.delete(mask_id)
-        }
-        fn get(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<Mask> {
+        fn get_stamped(
+            &self,
+            mask_id: MaskId,
+        ) -> masksearch_storage::StorageResult<(Mask, masksearch_storage::Stamp)> {
             self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.get(mask_id)
+            self.inner.get_stamped(mask_id)
         }
         fn contains(&self, mask_id: MaskId) -> bool {
             self.inner.contains(mask_id)
@@ -1639,17 +1648,8 @@ mod tests {
         fn len(&self) -> usize {
             self.inner.len()
         }
-        fn stored_bytes(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<u64> {
-            self.inner.stored_bytes(mask_id)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
         fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
             self.inner.io_stats()
-        }
-        fn disk_profile(&self) -> masksearch_storage::DiskProfile {
-            self.inner.disk_profile()
         }
     }
 
@@ -1753,8 +1753,12 @@ mod tests {
     }
 
     impl MaskStore for FailingPersistStore {
-        fn put(&self, mask_id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
-            self.inner.put(mask_id, mask)
+        fn apply_batch(
+            &self,
+            inserts: &[(MaskRecord, Mask)],
+            deletes: &[MaskId],
+        ) -> masksearch_storage::StorageResult<masksearch_storage::Stamp> {
+            self.inner.apply_batch(inserts, deletes)
         }
         fn persist_meta_indexes(&self) -> masksearch_storage::StorageResult<()> {
             if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
@@ -1762,8 +1766,11 @@ mod tests {
             }
             Ok(())
         }
-        fn get(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<Mask> {
-            self.inner.get(mask_id)
+        fn get_stamped(
+            &self,
+            mask_id: MaskId,
+        ) -> masksearch_storage::StorageResult<(Mask, masksearch_storage::Stamp)> {
+            self.inner.get_stamped(mask_id)
         }
         fn contains(&self, mask_id: MaskId) -> bool {
             self.inner.contains(mask_id)
@@ -1774,17 +1781,8 @@ mod tests {
         fn len(&self) -> usize {
             self.inner.len()
         }
-        fn stored_bytes(&self, mask_id: MaskId) -> masksearch_storage::StorageResult<u64> {
-            self.inner.stored_bytes(mask_id)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
         fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
             self.inner.io_stats()
-        }
-        fn disk_profile(&self) -> masksearch_storage::DiskProfile {
-            self.inner.disk_profile()
         }
     }
 

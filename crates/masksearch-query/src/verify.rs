@@ -9,11 +9,14 @@
 //!   the stamp of the pixels counted: the cell kernel
 //!   ([`TermBounds::cell_count`]) decides every cell it can from the index,
 //!   and only the ROI pixels of the cells it leaves undecided are scanned;
-//! * **by the reference scan** ([`cp_many`] / [`cp_many_le_rows`]) over
-//!   every ROI pixel otherwise: a mask with no pinned CHI (indexing off, or
-//!   not indexed yet), one whose store does not stamp its pixels, or one
-//!   rewritten since the statement pinned its version (the stamps differ:
-//!   the index summarises pixels that are gone).
+//! * **by the reference scan** ([`cp_many`] / [`RowSweep::count_le_rows`])
+//!   over every ROI pixel otherwise: a mask with no pinned CHI (indexing
+//!   off, or not indexed yet), or one whose CHI summarises other pixels (the
+//!   stamps differ: the mask was rewritten since the statement pinned its
+//!   version, or the index was read from a file and the pixels were
+//!   installed by a commit since the store opened).
+//!
+//! Every store stamps its pixels, so this one rule holds on every store.
 //!
 //! The pixels are read
 //!
@@ -21,12 +24,13 @@
 //!   loaded with;
 //! * **in place** — on a cache miss that is not due for admission, the store
 //!   is asked for just the rows to scan ([`MaskStore::read_rows`]: the row
-//!   bands of the undecided cells, or the rows the ROIs span for the
-//!   reference scan), and the terms are counted straight off those bytes:
-//!   no decode, no allocation, no cache churn. A read whose stamp is not the
-//!   index's reads the ROIs' rows again for the reference scan. Counts, and
-//!   the error for a stored pixel outside `[0, 1)`, are those of the
-//!   whole-mask path over the rows it reads;
+//!   bands of the undecided cells — none when the index decides every
+//!   count, and the store then answers the stamp alone — or the rows the
+//!   ROIs span for the reference scan), and the terms are counted straight
+//!   off those bytes: no decode, no allocation, no cache churn. A read whose
+//!   stamp is not the index's reads the ROIs' rows again for the reference
+//!   scan. Counts, and the error for a stored pixel outside `[0, 1)`, are
+//!   those of the whole-mask path over the rows it reads;
 //! * **loaded whole** through the cache ([`Session::load_and_index`]) — the
 //!   one fallback: a miss the cache wants to admit, a store or encoding
 //!   that cannot serve rows, or a CHI still to be built from the pixels
@@ -43,7 +47,7 @@ use crate::eval;
 use crate::result::QueryStats;
 use crate::session::{IndexingMode, ReadVersion, Session};
 use crate::spec::CpTerm;
-use masksearch_core::{cp_many, cp_many_le_rows, cp_row_band, Mask, MaskRecord, PixelRange, Roi};
+use masksearch_core::{cp_many, cp_row_band, Mask, MaskRecord, PixelRange, Roi, RowSweep};
 use masksearch_index::{ChiView, TermBounds};
 use masksearch_obs::counters as obs_counters;
 use masksearch_obs::keys as obs_keys;
@@ -122,11 +126,14 @@ pub(crate) struct Verifier<'a> {
     pending: Vec<(Roi, PixelRange)>,
     owners: Vec<usize>,
     /// The row bands a cold verify reads, the pending rectangles in row
-    /// order, and those of one band with their terms.
+    /// order, those of one band with their terms and counts, and the sweep
+    /// that counts them.
     bands: Vec<Range<u32>>,
     order: Vec<usize>,
     inside: Vec<(Roi, PixelRange)>,
     inside_owners: Vec<usize>,
+    inside_counts: Vec<u64>,
+    sweep: RowSweep,
     band: Vec<u8>,
     values: Vec<f64>,
     /// What the verifications so far did.
@@ -156,6 +163,8 @@ impl<'a> Verifier<'a> {
             order: Vec::new(),
             inside: Vec::new(),
             inside_owners: Vec::new(),
+            inside_counts: Vec::new(),
+            sweep: RowSweep::default(),
             band: Vec::new(),
             values: Vec::new(),
             stats: VerifyStats::default(),
@@ -193,13 +202,12 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
-    /// The statement's CHI of the mask, when it summarises the pixels whose
-    /// stamp is `stamp` — or any stamped pixels, for `None`.
-    fn index(&self, record: &MaskRecord, stamp: Option<Stamp>) -> Option<(ChiView<'a>, Stamp)> {
+    /// The statement's CHI of the mask, of the record's shape, with the
+    /// stamp of the pixels it summarises.
+    fn index(&self, record: &MaskRecord) -> Option<(ChiView<'a>, Stamp)> {
         let (chi, installed) = self.version.chi()?.get_stamped(record.mask_id)?;
-        let installed = installed?;
         let shape = (chi.mask_width(), chi.mask_height()) == (record.width, record.height);
-        (shape && stamp.is_none_or(|stamp| stamp == installed)).then_some((chi, installed))
+        shape.then_some((chi, installed))
     }
 
     /// Runs the cell kernel of every resolved term on `chi`: `counts` gets
@@ -226,8 +234,11 @@ impl<'a> Verifier<'a> {
     /// Counts on a loaded mask whose pixels carry `stamp`: by CHI cell when
     /// the statement's index summarises them, by the reference scan
     /// otherwise.
-    fn count_loaded(&mut self, record: &MaskRecord, mask: &Mask, stamp: Option<Stamp>) {
-        match stamp.and_then(|stamp| self.index(record, Some(stamp))) {
+    fn count_loaded(&mut self, record: &MaskRecord, mask: &Mask, stamp: Stamp) {
+        match self
+            .index(record)
+            .filter(|&(_, installed)| installed == stamp)
+        {
             Some((chi, _)) => {
                 self.stats.kernel_on += 1;
                 self.plan_cells(chi);
@@ -294,24 +305,22 @@ impl<'a> Verifier<'a> {
             VerifyLookup::Bypass => {}
         }
         let shape = (record.width, record.height);
-        if let Some((chi, installed)) = self.index(record, None) {
+        if let Some((chi, installed)) = self.index(record) {
             self.plan_cells(chi);
             self.pending_bands(record.width);
-            if self.bands.is_empty() {
-                // Every cell decided: the index of committed pixels is the
-                // count, and nothing is read.
-                self.stats.kernel_on += 1;
-                return Ok(true);
-            }
+            // With every cell decided there is no band to read, and the
+            // store answers the stamp alone.
             let read = session
                 .store()
                 .read_rows(mask_id, &self.bands, &mut self.band)?;
             match read {
                 Some(read) if (read.width, read.height) != shape => return Ok(false),
-                Some(read) if read.stamp == Some(installed) => {
-                    self.count_bands(record)?;
+                Some(read) if read.stamp == installed => {
+                    if !self.bands.is_empty() {
+                        self.count_bands(record)?;
+                        self.stats.in_place += 1;
+                    }
                     self.stats.kernel_on += 1;
-                    self.stats.in_place += 1;
                     return Ok(true);
                 }
                 // Rewritten since the statement pinned its index: the
@@ -329,7 +338,16 @@ impl<'a> Verifier<'a> {
         if read.map(|read| (read.width, read.height)) != Some(shape) {
             return Ok(false);
         }
-        self.counts = self.count_band(record, 0..self.band.len(), rows.start, &self.resolved)?;
+        self.counts.clear();
+        self.counts.resize(self.resolved.len(), 0);
+        count_rows(
+            &mut self.sweep,
+            record,
+            &self.band,
+            rows.start,
+            &self.resolved,
+            &mut self.counts,
+        )?;
         self.stats.kernel_off += 1;
         self.stats.in_place += 1;
         Ok(true)
@@ -354,34 +372,40 @@ impl<'a> Verifier<'a> {
                 self.inside_owners.push(self.owners[self.order[next]]);
                 next += 1;
             }
-            let scanned = self.count_band(record, bytes, band.start, &self.inside)?;
-            for (&owner, scanned) in self.inside_owners.iter().zip(scanned) {
+            self.inside_counts.clear();
+            self.inside_counts.resize(self.inside.len(), 0);
+            count_rows(
+                &mut self.sweep,
+                record,
+                &self.band[bytes],
+                band.start,
+                &self.inside,
+                &mut self.inside_counts,
+            )?;
+            for (&owner, &scanned) in self.inside_owners.iter().zip(&self.inside_counts) {
                 self.counts[owner] += scanned;
             }
         }
         Ok(())
     }
+}
 
-    /// `terms` counted off `band[bytes]`, rows from `first_row` on.
-    fn count_band(
-        &self,
-        record: &MaskRecord,
-        bytes: Range<usize>,
-        first_row: u32,
-        terms: &[(Roi, PixelRange)],
-    ) -> QueryResult<Vec<u64>> {
-        cp_many_le_rows(
-            &self.band[bytes],
-            record.width,
-            record.height,
-            first_row,
-            terms,
-        )
+/// Adds to `counts` those of `terms` off `bytes`: whole rows of the mask
+/// `record` describes, as its store holds them, from `first_row` on.
+fn count_rows(
+    sweep: &mut RowSweep,
+    record: &MaskRecord,
+    bytes: &[u8],
+    first_row: u32,
+    terms: &[(Roi, PixelRange)],
+    counts: &mut [u64],
+) -> QueryResult<()> {
+    sweep
+        .count_le_rows(bytes, record.width, record.height, first_row, terms, counts)
         .map_err(|source| {
             QueryError::from(StorageError::InvalidMask {
                 mask_id: Some(record.mask_id),
                 source,
             })
         })
-    }
 }

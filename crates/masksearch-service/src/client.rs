@@ -396,7 +396,7 @@ mod tests {
     fn real_server() -> crate::ServerHandle {
         use masksearch_core::{Mask, MaskRecord};
         use masksearch_query::{Session, SessionConfig};
-        use masksearch_storage::{Catalog, MaskStore, MemoryMaskStore};
+        use masksearch_storage::{Catalog, MemoryMaskStore};
         let store = MemoryMaskStore::for_tests();
         let mut catalog = Catalog::new();
         store

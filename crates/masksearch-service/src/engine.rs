@@ -1063,10 +1063,17 @@ mod tests {
     struct PanickingStore(Arc<MemoryMaskStore>);
 
     impl masksearch_storage::MaskStore for PanickingStore {
-        fn put(&self, id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
-            self.0.put(id, mask)
+        fn apply_batch(
+            &self,
+            inserts: &[(MaskRecord, Mask)],
+            deletes: &[MaskId],
+        ) -> masksearch_storage::StorageResult<masksearch_storage::Stamp> {
+            self.0.apply_batch(inserts, deletes)
         }
-        fn get(&self, _id: MaskId) -> masksearch_storage::StorageResult<Mask> {
+        fn get_stamped(
+            &self,
+            _id: MaskId,
+        ) -> masksearch_storage::StorageResult<(Mask, masksearch_storage::Stamp)> {
             panic!("simulated executor bug");
         }
         fn contains(&self, id: MaskId) -> bool {
@@ -1078,17 +1085,8 @@ mod tests {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn stored_bytes(&self, id: MaskId) -> masksearch_storage::StorageResult<u64> {
-            self.0.stored_bytes(id)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.0.total_bytes()
-        }
         fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
             self.0.io_stats()
-        }
-        fn disk_profile(&self) -> masksearch_storage::DiskProfile {
-            self.0.disk_profile()
         }
     }
 
@@ -1242,12 +1240,19 @@ mod tests {
     }
 
     impl masksearch_storage::MaskStore for GatedStore {
-        fn put(&self, id: MaskId, mask: &Mask) -> masksearch_storage::StorageResult<()> {
-            self.inner.put(id, mask)
+        fn apply_batch(
+            &self,
+            inserts: &[(MaskRecord, Mask)],
+            deletes: &[MaskId],
+        ) -> masksearch_storage::StorageResult<masksearch_storage::Stamp> {
+            self.inner.apply_batch(inserts, deletes)
         }
-        fn get(&self, id: MaskId) -> masksearch_storage::StorageResult<Mask> {
+        fn get_stamped(
+            &self,
+            id: MaskId,
+        ) -> masksearch_storage::StorageResult<(Mask, masksearch_storage::Stamp)> {
             self.pass();
-            self.inner.get(id)
+            self.inner.get_stamped(id)
         }
         fn read_rows(
             &self,
@@ -1267,17 +1272,8 @@ mod tests {
         fn len(&self) -> usize {
             self.inner.len()
         }
-        fn stored_bytes(&self, id: MaskId) -> masksearch_storage::StorageResult<u64> {
-            self.inner.stored_bytes(id)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
         fn io_stats(&self) -> Arc<masksearch_storage::IoStats> {
             self.inner.io_stats()
-        }
-        fn disk_profile(&self) -> masksearch_storage::DiskProfile {
-            self.inner.disk_profile()
         }
     }
 

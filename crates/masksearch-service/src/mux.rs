@@ -485,7 +485,7 @@ mod tests {
     fn tagged_and_untagged_requests_share_a_real_server() {
         use masksearch_core::{Mask, MaskId, MaskRecord};
         use masksearch_query::{Session, SessionConfig};
-        use masksearch_storage::{Catalog, MaskStore, MemoryMaskStore};
+        use masksearch_storage::{Catalog, MemoryMaskStore};
 
         let store = MemoryMaskStore::for_tests();
         let mut catalog = Catalog::new();

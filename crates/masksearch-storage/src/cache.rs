@@ -6,13 +6,15 @@
 //! multi-query workloads (§4.5) benefit from recently verified masks without
 //! ever exceeding a configured memory budget.
 //!
-//! An entry is a decoded mask with the [`Stamp`] it was loaded with
-//! ([`CachedMask`]), so verification can tell whether a CHI it pinned
-//! summarises exactly the cached pixels. The byte budget counts pixels.
+//! An entry is a decoded mask with the [`Stamp`] its store reported with it
+//! ([`CachedMask`]) — every store stamps its pixels, and a refresh after a
+//! commit takes that commit's stamp — so verification can tell whether a CHI
+//! it pinned summarises exactly the cached pixels. The byte budget counts
+//! pixels.
 //!
 //! ## Admission
 //!
-//! An explicit load ([`MaskCache::get_or_load_stamped`]) is always admitted.
+//! An explicit load ([`MaskCache::get_or_load`]) is always admitted.
 //! Verification asks first ([`MaskCache::lookup_for_verify`]): a miss is
 //! admitted only when the same mask already missed once and the masks that
 //! missed since would still fit in the budget beside it — the "ghost" list
@@ -56,13 +58,13 @@ impl CacheStats {
 }
 
 /// A cached mask and the stamp of the pixels it was loaded (or refreshed)
-/// with: `None` when its store does not stamp.
+/// with.
 #[derive(Debug, Clone)]
 pub struct CachedMask {
     /// The decoded pixels.
     pub mask: Arc<Mask>,
     /// The commit that installed them.
-    pub stamp: Option<Stamp>,
+    pub stamp: Stamp,
 }
 
 /// What the cache answers when the verification stage is about to count
@@ -72,7 +74,7 @@ pub enum VerifyLookup {
     /// Resident: verify on the cached mask.
     Hit(CachedMask),
     /// Its second recent miss: load it whole through
-    /// [`MaskCache::get_or_load_stamped`], which admits it.
+    /// [`MaskCache::get_or_load`], which admits it.
     Admit,
     /// Its first recent miss (or it cannot fit): verify without the cache.
     Bypass,
@@ -302,17 +304,6 @@ impl MaskCache {
         inner.used_bytes = 0;
     }
 
-    /// Looks up a mask, or loads it with `load` on a miss and caches the
-    /// result (evicting least-recently-used entries if needed).
-    pub fn get_or_load(
-        &self,
-        mask_id: MaskId,
-        load: impl FnOnce() -> StorageResult<Mask>,
-    ) -> StorageResult<Arc<Mask>> {
-        self.get_or_load_stamped(mask_id, || Ok((load()?, None)))
-            .map(|cached| cached.mask)
-    }
-
     /// Looks up a mask with its stamp, or loads both with `load` on a miss
     /// and caches the result (evicting least-recently-used entries if
     /// needed). This is the lookup the verification executor uses.
@@ -323,10 +314,10 @@ impl MaskCache {
     /// result. A failed or invalidation-raced load sends the waiters back
     /// through the lookup, so an error never poisons the id and a waiter
     /// never observes pixels older than a write it arrived after.
-    pub fn get_or_load_stamped(
+    pub fn get_or_load(
         &self,
         mask_id: MaskId,
-        load: impl FnOnce() -> StorageResult<(Mask, Option<Stamp>)>,
+        load: impl FnOnce() -> StorageResult<(Mask, Stamp)>,
     ) -> StorageResult<CachedMask> {
         let load = || {
             let (mask, stamp) = load()?;
@@ -479,13 +470,8 @@ impl MaskCache {
         VerifyLookup::Bypass
     }
 
-    /// Returns the cached mask without loading, if present.
-    pub fn peek(&self, mask_id: MaskId) -> Option<Arc<Mask>> {
-        self.peek_stamped(mask_id).map(|cached| cached.mask)
-    }
-
     /// Returns the cached mask and its stamp without loading, if present.
-    pub fn peek_stamped(&self, mask_id: MaskId) -> Option<CachedMask> {
+    pub fn peek(&self, mask_id: MaskId) -> Option<CachedMask> {
         let inner = self.lock();
         inner.entries.get(&mask_id).map(|e| e.mask.clone())
     }
@@ -503,16 +489,15 @@ impl MaskCache {
     }
 
     /// Brings the cached copy of a mask in line with `mask`, which the
-    /// backing store now holds in its place, installed by commit `stamp`
-    /// (when it stamps): a resident copy that nobody is
-    /// reading is overwritten **in place** (same allocation, so a stream of
+    /// backing store now holds in its place, installed by commit `stamp`: a
+    /// resident copy that nobody is reading is overwritten **in place** (same allocation, so a stream of
     /// overwrites of hot masks causes no allocator traffic and no reloads);
     /// one that is shared, or of another shape, is dropped as by
     /// [`MaskCache::invalidate`]. Never adds an entry. Like an invalidation
     /// it is recorded, so a load of this mask that was in flight — and may
     /// have read the old pixels — will not be cached. Returns `true` if the
     /// cache now holds the new pixels.
-    pub fn refresh(&self, mask_id: MaskId, mask: &Mask, stamp: Option<Stamp>) -> bool {
+    pub fn refresh(&self, mask_id: MaskId, mask: &Mask, stamp: Stamp) -> bool {
         let mut inner = self.lock();
         inner.log_invalidation(mask_id);
         let refreshed = inner.entries.get_mut(&mask_id).is_some_and(|entry| {
@@ -569,12 +554,12 @@ mod tests {
     fn hit_after_load() {
         let cache = MaskCache::new(1024 * 1024);
         let id = MaskId::new(1);
-        let loaded = cache.get_or_load(id, || Ok(mask(1))).unwrap();
-        assert_eq!(*loaded, mask(1));
+        let loaded = cache.get_or_load(id, || Ok((mask(1), 1))).unwrap();
+        assert_eq!(*loaded.mask, mask(1));
         let again = cache
             .get_or_load(id, || panic!("should be a cache hit"))
             .unwrap();
-        assert_eq!(*again, mask(1));
+        assert_eq!(*again.mask, mask(1));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -585,7 +570,7 @@ mod tests {
     fn invalidate_drops_entries_and_frees_budget() {
         let cache = MaskCache::new(1024 * 1024);
         let id = MaskId::new(7);
-        cache.get_or_load(id, || Ok(mask(7))).unwrap();
+        cache.get_or_load(id, || Ok((mask(7), 1))).unwrap();
         assert!(cache.peek(id).is_some());
         assert!(cache.used_bytes() > 0);
         assert!(cache.invalidate(id));
@@ -599,36 +584,36 @@ mod tests {
         let cache = MaskCache::new(1024 * 1024);
         let id = MaskId::new(7);
         // Nothing resident: nothing is added.
-        assert!(!cache.refresh(id, &mask(1), Some(1)));
+        assert!(!cache.refresh(id, &mask(1), 1));
         assert!(cache.is_empty());
 
         // Resident and unshared: same allocation, new pixels and the stamp
         // of the commit that installed them, the same budget share.
         let pixels = cache
-            .get_or_load_stamped(id, || Ok((mask(1), Some(1))))
+            .get_or_load(id, || Ok((mask(1), 1)))
             .unwrap()
             .mask
             .data()
             .as_ptr();
         let used = cache.used_bytes();
-        assert!(cache.refresh(id, &mask(2), Some(2)));
-        let cached = cache.peek_stamped(id).unwrap();
+        assert!(cache.refresh(id, &mask(2), 2));
+        let cached = cache.peek(id).unwrap();
         assert_eq!(*cached.mask, mask(2));
         assert_eq!(cached.mask.data().as_ptr(), pixels);
-        assert_eq!(cached.stamp, Some(2));
+        assert_eq!(cached.stamp, 2);
         assert_eq!(cache.used_bytes(), used);
 
         // A reader still holds the mask: its pixels must not change under
         // it, so the entry is dropped instead.
         let held = cached.mask;
-        assert!(!cache.refresh(id, &mask(3), Some(3)));
+        assert!(!cache.refresh(id, &mask(3), 3));
         assert_eq!(*held, mask(2));
         assert!(cache.peek(id).is_none());
         assert_eq!(cache.used_bytes(), 0);
 
         // Another shape cannot reuse the allocation.
-        cache.get_or_load(id, || Ok(mask(3))).unwrap();
-        assert!(!cache.refresh(id, &Mask::zeros(4, 4), None));
+        cache.get_or_load(id, || Ok((mask(3), 1))).unwrap();
+        assert!(!cache.refresh(id, &Mask::zeros(4, 4), 4));
         assert!(cache.peek(id).is_none());
     }
 
@@ -639,17 +624,17 @@ mod tests {
         // itself where the refresh dropped one).
         let cache = MaskCache::new(1024 * 1024);
         let (id, other) = (MaskId::new(3), MaskId::new(4));
-        cache.get_or_load(other, || Ok(mask(9))).unwrap();
+        cache.get_or_load(other, || Ok((mask(9), 1))).unwrap();
         let stale = cache
             .get_or_load(id, || {
-                assert!(!cache.refresh(id, &mask(5), None));
-                assert!(cache.refresh(other, &mask(6), None));
-                Ok(mask(3))
+                assert!(!cache.refresh(id, &mask(5), 2));
+                assert!(cache.refresh(other, &mask(6), 2));
+                Ok((mask(3), 1))
             })
             .unwrap();
-        assert_eq!(*stale, mask(3));
+        assert_eq!(*stale.mask, mask(3));
         assert!(cache.peek(id).is_none(), "stale mask must not be cached");
-        assert_eq!(*cache.peek(other).unwrap(), mask(6));
+        assert_eq!(*cache.peek(other).unwrap().mask, mask(6));
     }
 
     #[test]
@@ -662,15 +647,15 @@ mod tests {
         let stale = cache
             .get_or_load(id, || {
                 cache.invalidate(id);
-                Ok(mask(3))
+                Ok((mask(3), 1))
             })
             .unwrap();
-        assert_eq!(*stale, mask(3));
+        assert_eq!(*stale.mask, mask(3));
         assert!(cache.peek(id).is_none(), "stale mask must not be cached");
         // The next lookup reloads and caches the fresh value.
-        let fresh = cache.get_or_load(id, || Ok(mask(4))).unwrap();
-        assert_eq!(*fresh, mask(4));
-        assert_eq!(*cache.peek(id).unwrap(), mask(4));
+        let fresh = cache.get_or_load(id, || Ok((mask(4), 1))).unwrap();
+        assert_eq!(*fresh.mask, mask(4));
+        assert_eq!(*cache.peek(id).unwrap().mask, mask(4));
     }
 
     #[test]
@@ -684,10 +669,10 @@ mod tests {
                 for other in 0..5u64 {
                     cache.invalidate(MaskId::new(other));
                 }
-                Ok(mask(10))
+                Ok((mask(10), 1))
             })
             .unwrap();
-        assert_eq!(*loaded, mask(10));
+        assert_eq!(*loaded.mask, mask(10));
         assert!(
             cache.peek(id).is_some(),
             "unrelated invalidations must not prevent caching"
@@ -701,7 +686,7 @@ mod tests {
         let cache = MaskCache::new(600);
         for i in 0..3u64 {
             cache
-                .get_or_load(MaskId::new(i), || Ok(mask(i as u32)))
+                .get_or_load(MaskId::new(i), || Ok((mask(i as u32), 1)))
                 .unwrap();
         }
         assert_eq!(cache.len(), 2);
@@ -721,7 +706,7 @@ mod tests {
             VerifyLookup::Bypass => "bypass",
             VerifyLookup::Admit => {
                 cache
-                    .get_or_load(MaskId::new(id), || Ok(mask(id as u32)))
+                    .get_or_load(MaskId::new(id), || Ok((mask(id as u32), 1)))
                     .unwrap();
                 "admit"
             }
@@ -805,11 +790,17 @@ mod tests {
     fn recency_is_updated_on_hit() {
         // Room for two 8x8 masks of 256 pixel bytes.
         let cache = MaskCache::new(600);
-        cache.get_or_load(MaskId::new(0), || Ok(mask(0))).unwrap();
-        cache.get_or_load(MaskId::new(1), || Ok(mask(1))).unwrap();
+        cache
+            .get_or_load(MaskId::new(0), || Ok((mask(0), 1)))
+            .unwrap();
+        cache
+            .get_or_load(MaskId::new(1), || Ok((mask(1), 1)))
+            .unwrap();
         // Touch 0 so it becomes most recent, then insert 2 -> 1 is evicted.
         cache.get_or_load(MaskId::new(0), || panic!("hit")).unwrap();
-        cache.get_or_load(MaskId::new(2), || Ok(mask(2))).unwrap();
+        cache
+            .get_or_load(MaskId::new(2), || Ok((mask(2), 1)))
+            .unwrap();
         assert!(cache.peek(MaskId::new(0)).is_some());
         assert!(cache.peek(MaskId::new(1)).is_none());
     }
@@ -817,10 +808,14 @@ mod tests {
     #[test]
     fn disabled_cache_never_stores() {
         let cache = MaskCache::disabled();
-        cache.get_or_load(MaskId::new(1), || Ok(mask(1))).unwrap();
+        cache
+            .get_or_load(MaskId::new(1), || Ok((mask(1), 1)))
+            .unwrap();
         assert!(cache.is_empty());
         // Second lookup is a miss again.
-        cache.get_or_load(MaskId::new(1), || Ok(mask(1))).unwrap();
+        cache
+            .get_or_load(MaskId::new(1), || Ok((mask(1), 1)))
+            .unwrap();
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -859,10 +854,10 @@ mod tests {
                             // Slow load: the other readers must pile up
                             // behind the flight, not race past it.
                             std::thread::sleep(std::time::Duration::from_millis(20));
-                            Ok(mask(42))
+                            Ok((mask(42), 1))
                         })
                         .unwrap();
-                    assert_eq!(*got, mask(42));
+                    assert_eq!(*got.mask, mask(42));
                 })
             })
             .collect();
@@ -902,7 +897,7 @@ mod tests {
                             std::thread::sleep(std::time::Duration::from_millis(10));
                             Err(crate::error::StorageError::MaskNotFound(id))
                         } else {
-                            Ok(mask(9))
+                            Ok((mask(9), 1))
                         }
                     })
                 })
@@ -915,13 +910,15 @@ mod tests {
             attempts.load(Ordering::SeqCst) <= 2,
             "after the failure, at most one retry load runs"
         );
-        assert_eq!(*cache.peek(id).unwrap(), mask(9));
+        assert_eq!(*cache.peek(id).unwrap().mask, mask(9));
     }
 
     #[test]
     fn clear_keeps_statistics() {
         let cache = MaskCache::new(1024 * 1024);
-        cache.get_or_load(MaskId::new(1), || Ok(mask(1))).unwrap();
+        cache
+            .get_or_load(MaskId::new(1), || Ok((mask(1), 1)))
+            .unwrap();
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);

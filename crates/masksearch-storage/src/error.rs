@@ -60,12 +60,6 @@ pub enum StorageError {
     AlreadyExists(MaskId),
     /// The store directory does not exist or is not a directory.
     InvalidStorePath(PathBuf),
-    /// The store does not support the requested operation (e.g. `delete` on
-    /// an append-only store).
-    Unsupported {
-        /// Name of the unsupported operation.
-        operation: &'static str,
-    },
 }
 
 impl StorageError {
@@ -82,11 +76,6 @@ impl StorageError {
         StorageError::Corrupt {
             detail: detail.into(),
         }
-    }
-
-    /// Builds an [`StorageError::Unsupported`] for the named operation.
-    pub fn unsupported(operation: &'static str) -> Self {
-        StorageError::Unsupported { operation }
     }
 }
 
@@ -121,9 +110,6 @@ impl fmt::Display for StorageError {
             StorageError::AlreadyExists(id) => write!(f, "mask {id} already exists in the store"),
             StorageError::InvalidStorePath(path) => {
                 write!(f, "store path {} is not usable", path.display())
-            }
-            StorageError::Unsupported { operation } => {
-                write!(f, "this mask store does not support `{operation}`")
             }
         }
     }

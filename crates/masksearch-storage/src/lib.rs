@@ -59,4 +59,4 @@ pub use error::{StorageError, StorageResult};
 pub use format::MaskEncoding;
 pub use meta_index::{MetaColumn, MetaIndexDef, MetaIndexRegistry};
 pub use row_store::RowStore;
-pub use store::{IngestSnapshot, MaskStore, MemoryMaskStore, RowsRead, Stamp};
+pub use store::{IngestSnapshot, MaskStore, MemoryMaskStore, RowsRead, Stamp, RECOVERED};

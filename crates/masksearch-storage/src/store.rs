@@ -5,6 +5,9 @@
 //! [`MaskStore`] is the interface; [`MemoryMaskStore`] keeps the encoded
 //! blobs in memory and charges the disk cost model, for tests and small
 //! experiments. The durable store is `masksearch-db`'s.
+//!
+//! Every store numbers its commits, and every read of a mask's pixels
+//! reports the [`Stamp`] of the commit that installed them.
 
 use crate::disk::{DiskProfile, IoStats};
 use crate::error::{StorageError, StorageResult};
@@ -16,24 +19,26 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// The commit that installed a mask's pixels, as the store that holds them
-/// numbers its commits. A store that stamps reports a mask's stamp with
-/// every read of its pixels ([`MaskStore::get_stamped`],
-/// [`MaskStore::read_rows`]); an index installed by the same commit carries
-/// the same stamp, so a reader can tell that the index summarises exactly
-/// the pixels it read.
+/// numbers its commits. A store reports a mask's stamp with every read of
+/// its pixels ([`MaskStore::get_stamped`], [`MaskStore::read_rows`]); an
+/// index built from those pixels carries the same stamp, so a reader can
+/// tell that the index summarises exactly the pixels it read.
 pub type Stamp = u64;
 
-/// What [`MaskStore::read_rows`] read: the mask's shape, and the stamp of
-/// the pixels read when the store stamps them.
+/// The stamp of the pixels a store holds when it opens, and of every index
+/// read from a file. No commit has it: stores number their commits from 1.
+pub const RECOVERED: Stamp = 0;
+
+/// What [`MaskStore::read_rows`] read: the mask's shape and the stamp of
+/// the pixels read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowsRead {
     /// Mask width in pixels.
     pub width: u32,
     /// Mask height in pixels.
     pub height: u32,
-    /// The commit that installed the pixels read; `None` when the store
-    /// does not stamp.
-    pub stamp: Option<Stamp>,
+    /// The commit that installed the pixels read.
+    pub stamp: Stamp,
 }
 
 /// Point-in-time ingestion counters of a mutable mask store.
@@ -56,62 +61,25 @@ pub struct IngestSnapshot {
     pub checkpoints: u64,
 }
 
-/// Interface shared by every mask store.
+/// Interface shared by every mask store: what a query session calls.
 ///
-/// A store maps [`MaskId`]s to mask blobs and charges every read/write to a
-/// shared [`IoStats`] according to its [`DiskProfile`]. Query executors only
+/// A store maps [`MaskId`]s to mask blobs. It has one write,
+/// [`MaskStore::apply_batch`], which commits a batch and stamps the pixels
+/// it installs, and one load to implement, [`MaskStore::get_stamped`]. Every
+/// read is counted in the store's shared [`IoStats`]. Query executors only
 /// depend on this trait, so the same executor runs unmodified against the
 /// durable `masksearch-db` store and the in-memory store used in tests.
 pub trait MaskStore: Send + Sync {
-    /// Inserts (or overwrites) a mask.
-    fn put(&self, mask_id: MaskId, mask: &Mask) -> StorageResult<()>;
-
-    /// Removes a mask from the store.
-    ///
-    /// The default implementation reports the operation as unsupported, so
-    /// read-mostly stores need not opt in to mutability.
-    fn delete(&self, mask_id: MaskId) -> StorageResult<()> {
-        let _ = mask_id;
-        Err(StorageError::unsupported("delete"))
-    }
-
-    /// Inserts a batch of masks together with their catalog records.
-    ///
-    /// Durable stores override this to commit the whole batch atomically
-    /// (and to persist the records for crash recovery); the default simply
-    /// loops over [`MaskStore::put`] and ignores the metadata, which is what
-    /// catalog-less stores want.
-    fn insert_batch(&self, batch: &[(MaskRecord, Mask)]) -> StorageResult<()> {
-        for (record, mask) in batch {
-            self.put(record.mask_id, mask)?;
-        }
-        Ok(())
-    }
-
-    /// Removes a batch of masks. Durable stores override this to commit the
-    /// batch atomically; the default loops over [`MaskStore::delete`].
-    fn delete_batch(&self, mask_ids: &[MaskId]) -> StorageResult<()> {
-        for &id in mask_ids {
-            self.delete(id)?;
-        }
-        Ok(())
-    }
-
-    /// Applies deletions and insertions as one write, and returns the
-    /// [`Stamp`] it gave the inserted pixels, when the store stamps. Durable
-    /// stores override this to publish both in a single commit frame so a
-    /// crash can never expose half of a multi-statement transaction; the
-    /// default runs the deletes then the inserts with no atomicity guarantee
-    /// and no stamp.
+    /// Applies deletions and insertions (or overwrites) as one commit, and
+    /// returns its [`Stamp`]: the stamp every inserted mask's pixels now
+    /// carry, greater than that of any earlier commit. Fails without a
+    /// change if a deleted id is not in the store. An empty batch installs
+    /// nothing, and its stamp names no pixels.
     fn apply_batch(
         &self,
         inserts: &[(MaskRecord, Mask)],
         deletes: &[MaskId],
-    ) -> StorageResult<Option<Stamp>> {
-        self.delete_batch(deletes)?;
-        self.insert_batch(inserts)?;
-        Ok(None)
-    }
+    ) -> StorageResult<Stamp>;
 
     /// The secondary metadata index registry this store persists across
     /// restarts, when it does (the durable mask database keeps one
@@ -137,14 +105,12 @@ pub trait MaskStore: Send + Sync {
         None
     }
 
-    /// Loads a mask in full, charging the cost model.
-    fn get(&self, mask_id: MaskId) -> StorageResult<Mask>;
+    /// Loads a mask in full, with the [`Stamp`] of the pixels read.
+    fn get_stamped(&self, mask_id: MaskId) -> StorageResult<(Mask, Stamp)>;
 
-    /// Loads a mask in full, as [`MaskStore::get`] does, with the
-    /// [`Stamp`] of the pixels read when the store stamps them. The default
-    /// stamps nothing.
-    fn get_stamped(&self, mask_id: MaskId) -> StorageResult<(Mask, Option<Stamp>)> {
-        Ok((self.get(mask_id)?, None))
+    /// Loads a mask in full ([`MaskStore::get_stamped`] without the stamp).
+    fn get(&self, mask_id: MaskId) -> StorageResult<Mask> {
+        Ok(self.get_stamped(mask_id)?.0)
     }
 
     /// Reads the row bands `bands` (ascending and disjoint) of a mask as it
@@ -153,13 +119,14 @@ pub trait MaskStore: Send + Sync {
     /// masks reuses one buffer), and returns the mask's shape and the stamp
     /// of the rows read, all of one committed state. The read counts as one
     /// mask loaded. This is what lets verification count an ROI's pixels in
-    /// place (`masksearch_core::cp_many_le_rows`) instead of loading and
-    /// decoding the mask.
+    /// place (`masksearch_core::RowSweep`) instead of loading and decoding
+    /// the mask. With no band, no pixel is read and no load is counted: the
+    /// answer is the mask's shape and stamp alone.
     ///
     /// `Ok(None)` means "not supported here": the caller loads the mask
     /// whole. That is the default, and what a store that can serve rows
-    /// answers for a mask it holds in another encoding, for no band, or for
-    /// a band that is empty or that its height does not cover.
+    /// answers for a mask it holds in another encoding, or for a band that
+    /// is empty or that its height does not cover.
     fn read_rows(
         &self,
         mask_id: MaskId,
@@ -184,17 +151,8 @@ pub trait MaskStore: Send + Sync {
         self.len() == 0
     }
 
-    /// On-disk (encoded) size of one mask in bytes.
-    fn stored_bytes(&self, mask_id: MaskId) -> StorageResult<u64>;
-
-    /// Total on-disk size of all masks in bytes.
-    fn total_bytes(&self) -> u64;
-
     /// Shared I/O statistics for this store.
     fn io_stats(&self) -> Arc<IoStats>;
-
-    /// The disk cost model this store charges against.
-    fn disk_profile(&self) -> DiskProfile;
 }
 
 /// An in-memory mask store charged against the disk cost model.
@@ -207,7 +165,16 @@ pub struct MemoryMaskStore {
     profile: DiskProfile,
     emulate_latency: bool,
     stats: Arc<IoStats>,
-    blobs: RwLock<BTreeMap<MaskId, Arc<Vec<u8>>>>,
+    blobs: RwLock<Blobs>,
+}
+
+/// The masks of a [`MemoryMaskStore`]: each one's blob with the stamp of
+/// the commit that installed it, under one lock, and the last commit's
+/// stamp.
+#[derive(Default)]
+struct Blobs {
+    masks: BTreeMap<MaskId, (Arc<Vec<u8>>, Stamp)>,
+    last: Stamp,
 }
 
 impl MemoryMaskStore {
@@ -218,7 +185,7 @@ impl MemoryMaskStore {
             profile,
             emulate_latency: false,
             stats: IoStats::new_shared(),
-            blobs: RwLock::new(BTreeMap::new()),
+            blobs: RwLock::new(Blobs::default()),
         }
     }
 
@@ -238,34 +205,64 @@ impl MemoryMaskStore {
     pub fn for_tests() -> Self {
         Self::new(MaskEncoding::Raw, DiskProfile::unthrottled())
     }
+
+    /// Stores `mask` under `mask_id` in a commit of its own, and returns
+    /// its stamp: the set-up helper of tests and experiments, which keep
+    /// their catalogs apart from the store.
+    pub fn put(&self, mask_id: MaskId, mask: &Mask) -> StorageResult<Stamp> {
+        self.commit([(mask_id, mask)], &[])
+    }
+
+    /// Encodes `masks` outside the lock, then deletes `deletes` and installs
+    /// `masks` as the next commit.
+    fn commit<'m>(
+        &self,
+        masks: impl IntoIterator<Item = (MaskId, &'m Mask)>,
+        deletes: &[MaskId],
+    ) -> StorageResult<Stamp> {
+        let encoded: Vec<(MaskId, Vec<u8>)> = masks
+            .into_iter()
+            .map(|(mask_id, mask)| (mask_id, format::encode_mask(mask_id, mask, self.encoding)))
+            .collect();
+        let mut blobs = self.blobs.write();
+        if let Some(&missing) = deletes.iter().find(|id| !blobs.masks.contains_key(id)) {
+            return Err(StorageError::MaskNotFound(missing));
+        }
+        blobs.last += 1;
+        let stamp = blobs.last;
+        for id in deletes {
+            blobs.masks.remove(id);
+        }
+        for (mask_id, bytes) in encoded {
+            let len = bytes.len() as u64;
+            self.stats
+                .record_write(len, self.profile.write_cost(len, 1));
+            blobs.masks.insert(mask_id, (Arc::new(bytes), stamp));
+        }
+        Ok(stamp)
+    }
 }
 
 impl MaskStore for MemoryMaskStore {
-    fn put(&self, mask_id: MaskId, mask: &Mask) -> StorageResult<()> {
-        let bytes = format::encode_mask(mask_id, mask, self.encoding);
-        self.stats.record_write(
-            bytes.len() as u64,
-            self.profile.write_cost(bytes.len() as u64, 1),
-        );
-        self.blobs.write().insert(mask_id, Arc::new(bytes));
-        Ok(())
+    fn apply_batch(
+        &self,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> StorageResult<Stamp> {
+        self.commit(
+            inserts.iter().map(|(record, mask)| (record.mask_id, mask)),
+            deletes,
+        )
     }
 
-    fn delete(&self, mask_id: MaskId) -> StorageResult<()> {
-        match self.blobs.write().remove(&mask_id) {
-            Some(_) => Ok(()),
-            None => Err(StorageError::MaskNotFound(mask_id)),
-        }
-    }
-
-    fn get(&self, mask_id: MaskId) -> StorageResult<Mask> {
-        let blob = {
-            let blobs = self.blobs.read();
-            blobs
-                .get(&mask_id)
-                .cloned()
-                .ok_or(StorageError::MaskNotFound(mask_id))?
-        };
+    fn get_stamped(&self, mask_id: MaskId) -> StorageResult<(Mask, Stamp)> {
+        let (blob, stamp) = self
+            .blobs
+            .read()
+            .masks
+            .get(&mask_id)
+            .cloned()
+            .ok_or(StorageError::MaskNotFound(mask_id))?;
         let cost = self.profile.read_cost(blob.len() as u64, 1);
         if self.emulate_latency {
             std::thread::sleep(cost);
@@ -273,39 +270,23 @@ impl MaskStore for MemoryMaskStore {
         self.stats.record_read(blob.len() as u64, cost);
         self.stats.record_mask_loaded();
         let (_, mask) = format::decode_mask(&blob)?;
-        Ok(mask)
+        Ok((mask, stamp))
     }
 
     fn contains(&self, mask_id: MaskId) -> bool {
-        self.blobs.read().contains_key(&mask_id)
+        self.blobs.read().masks.contains_key(&mask_id)
     }
 
     fn ids(&self) -> Vec<MaskId> {
-        self.blobs.read().keys().copied().collect()
+        self.blobs.read().masks.keys().copied().collect()
     }
 
     fn len(&self) -> usize {
-        self.blobs.read().len()
-    }
-
-    fn stored_bytes(&self, mask_id: MaskId) -> StorageResult<u64> {
-        self.blobs
-            .read()
-            .get(&mask_id)
-            .map(|b| b.len() as u64)
-            .ok_or(StorageError::MaskNotFound(mask_id))
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.blobs.read().values().map(|b| b.len() as u64).sum()
+        self.blobs.read().masks.len()
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
-    }
-
-    fn disk_profile(&self) -> DiskProfile {
-        self.profile
     }
 }
 
@@ -318,7 +299,13 @@ mod tests {
         Mask::from_fn(16, 16, |x, y| ((x + y + seed) % 13) as f32 / 13.0)
     }
 
-    fn exercise_store(store: &dyn MaskStore) {
+    fn record(id: u64) -> MaskRecord {
+        MaskRecord::builder(MaskId::new(id)).shape(16, 16).build()
+    }
+
+    #[test]
+    fn memory_store_basic_operations() {
+        let store = MemoryMaskStore::for_tests();
         assert!(store.is_empty());
         for i in 0..5u64 {
             store.put(MaskId::new(i), &sample_mask(i as u32)).unwrap();
@@ -335,20 +322,12 @@ mod tests {
             Err(StorageError::MaskNotFound(_))
         ));
 
-        let per_mask = store.stored_bytes(MaskId::new(0)).unwrap();
-        assert!(per_mask > 0);
-        assert_eq!(store.total_bytes(), per_mask * 5);
-
         let stats = store.io_stats();
+        let per_mask = stats.bytes_written() / 5;
+        assert!(per_mask > 0);
         assert_eq!(stats.masks_loaded(), 1);
         assert_eq!(stats.write_ops(), 5);
-        assert!(stats.bytes_read() >= per_mask);
-    }
-
-    #[test]
-    fn memory_store_basic_operations() {
-        let store = MemoryMaskStore::for_tests();
-        exercise_store(&store);
+        assert_eq!(stats.bytes_read(), per_mask);
     }
 
     #[test]
@@ -370,27 +349,62 @@ mod tests {
     #[test]
     fn delete_removes_masks_from_the_memory_store() {
         let store = MemoryMaskStore::for_tests();
-        store.put(MaskId::new(1), &sample_mask(1)).unwrap();
+        let first = store.put(MaskId::new(1), &sample_mask(1)).unwrap();
         store.put(MaskId::new(2), &sample_mask(2)).unwrap();
-        store.delete(MaskId::new(1)).unwrap();
+        let deleted = store.apply_batch(&[], &[MaskId::new(1)]).unwrap();
         assert!(!store.contains(MaskId::new(1)));
         assert_eq!(store.ids(), vec![MaskId::new(2)]);
         assert!(matches!(
-            store.delete(MaskId::new(1)),
+            store.apply_batch(&[(record(3), sample_mask(3))], &[MaskId::new(1)]),
             Err(StorageError::MaskNotFound(_))
         ));
+        assert!(!store.contains(MaskId::new(3)));
+        // The failed batch took no stamp.
+        let next = store
+            .apply_batch(&[(record(3), sample_mask(3))], &[])
+            .unwrap();
+        assert_eq!((first, deleted, next), (1, 3, 4));
     }
 
     #[test]
-    fn trait_defaults_loop_and_report_unsupported() {
-        /// A minimal store that only implements the required methods.
-        struct PutOnly(MemoryMaskStore);
-        impl MaskStore for PutOnly {
-            fn put(&self, id: MaskId, mask: &Mask) -> StorageResult<()> {
-                self.0.put(id, mask)
+    fn every_commit_stamps_its_pixels_above_every_earlier_one() {
+        let store = MemoryMaskStore::for_tests();
+        let mut last = RECOVERED;
+        for round in 0..4u32 {
+            let batch: Vec<_> = (0..3u64)
+                .map(|id| (record(id), sample_mask(round * 3 + id as u32)))
+                .collect();
+            let stamp = store
+                .apply_batch(&batch[..=round as usize % 3], &[])
+                .unwrap();
+            assert!(stamp > last, "commit {round}: {stamp} after {last}");
+            for (record, mask) in &batch[..=round as usize % 3] {
+                assert_eq!(
+                    store.get_stamped(record.mask_id).unwrap(),
+                    (mask.clone(), stamp)
+                );
             }
-            fn get(&self, id: MaskId) -> StorageResult<Mask> {
-                self.0.get(id)
+            last = stamp;
+        }
+        // A mask the last commit did not touch keeps its own stamp.
+        let (_, kept) = store.get_stamped(MaskId::new(2)).unwrap();
+        assert!(RECOVERED < kept && kept < last);
+    }
+
+    #[test]
+    fn provided_methods_load_through_get_stamped_and_serve_no_rows() {
+        /// A store that implements only the required methods.
+        struct RequiredOnly(MemoryMaskStore);
+        impl MaskStore for RequiredOnly {
+            fn apply_batch(
+                &self,
+                inserts: &[(MaskRecord, Mask)],
+                deletes: &[MaskId],
+            ) -> StorageResult<Stamp> {
+                self.0.apply_batch(inserts, deletes)
+            }
+            fn get_stamped(&self, id: MaskId) -> StorageResult<(Mask, Stamp)> {
+                self.0.get_stamped(id)
             }
             fn contains(&self, id: MaskId) -> bool {
                 self.0.contains(id)
@@ -401,57 +415,22 @@ mod tests {
             fn len(&self) -> usize {
                 self.0.len()
             }
-            fn stored_bytes(&self, id: MaskId) -> StorageResult<u64> {
-                self.0.stored_bytes(id)
-            }
-            fn total_bytes(&self) -> u64 {
-                self.0.total_bytes()
-            }
             fn io_stats(&self) -> Arc<IoStats> {
                 self.0.io_stats()
             }
-            fn disk_profile(&self) -> DiskProfile {
-                self.0.disk_profile()
-            }
         }
-        let store = PutOnly(MemoryMaskStore::for_tests());
-        assert!(matches!(
-            store.delete(MaskId::new(1)),
-            Err(StorageError::Unsupported {
-                operation: "delete"
-            })
-        ));
+        let store = RequiredOnly(MemoryMaskStore::for_tests());
+        assert!(store.is_empty());
+        store
+            .apply_batch(&[(record(1), sample_mask(1))], &[])
+            .unwrap();
+        assert_eq!(store.get(MaskId::new(1)).unwrap(), sample_mask(1));
+        assert_eq!(store.io_stats().masks_loaded(), 1);
         assert!(store.ingest_stats().is_none());
-        // The default insert_batch loops over `put`.
-        let batch = vec![
-            (
-                masksearch_core::MaskRecord::builder(MaskId::new(1))
-                    .shape(16, 16)
-                    .build(),
-                sample_mask(1),
-            ),
-            (
-                masksearch_core::MaskRecord::builder(MaskId::new(2))
-                    .shape(16, 16)
-                    .build(),
-                sample_mask(2),
-            ),
-        ];
-        store.insert_batch(&batch).unwrap();
-        assert_eq!(store.len(), 2);
-        // The default delete_batch surfaces the unsupported delete.
-        assert!(store.delete_batch(&[MaskId::new(1)]).is_err());
-        // apply_batch with no deletes degrades to insert_batch; with deletes
-        // it surfaces the unsupported delete before inserting anything.
         assert!(store.meta_indexes().is_none());
-        assert!(store.apply_batch(&[], &[MaskId::new(1)]).is_err());
-        let more = vec![(
-            masksearch_core::MaskRecord::builder(MaskId::new(3))
-                .shape(16, 16)
-                .build(),
-            sample_mask(3),
-        )];
-        store.apply_batch(&more, &[]).unwrap();
-        assert_eq!(store.len(), 3);
+        assert!(store.persist_meta_indexes().is_ok());
+        let (mut out, rows) = (Vec::new(), 0..2);
+        let read = store.read_rows(MaskId::new(1), std::slice::from_ref(&rows), &mut out);
+        assert_eq!(read.unwrap(), None);
     }
 }

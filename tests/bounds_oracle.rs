@@ -22,7 +22,7 @@ use masksearch::query::{
     SessionConfig, TermSource, Truth,
 };
 use masksearch::storage::codec::checksum64;
-use masksearch::storage::Catalog;
+use masksearch::storage::{Catalog, RECOVERED};
 use std::collections::BTreeMap;
 
 /// Seeded pixel noise with structure: a bright block over a hash floor.
@@ -576,9 +576,9 @@ fn a_store_history_matches_a_map_of_owned_indexes() {
                 if next() % 2 == 0 {
                     let victim = MaskId::new(next() % 24);
                     assert_eq!(store.remove(victim), model.remove(&victim).is_some());
-                    assert!(!store.index_mask_if_current(id, &mask, generation));
+                    assert!(!store.index_mask_if_current(id, &mask, RECOVERED, generation));
                 } else {
-                    let installed = store.index_mask_if_current(id, &mask, generation);
+                    let installed = store.index_mask_if_current(id, &mask, RECOVERED, generation);
                     assert_eq!(installed, !model.contains_key(&id));
                     if installed {
                         model.insert(id, Chi::build(&mask, &config));

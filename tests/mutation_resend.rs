@@ -17,7 +17,7 @@ use masksearch::core::{ImageId, Mask, MaskId, MaskRecord};
 use masksearch::index::ChiConfig;
 use masksearch::query::{IndexingMode, Session, SessionConfig};
 use masksearch::service::{Client, Engine, Server, ServiceConfig, ServiceError};
-use masksearch::storage::{Catalog, MaskStore, MemoryMaskStore};
+use masksearch::storage::{Catalog, MemoryMaskStore};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,19 +1,22 @@
 //! Differential tests of verification's one rule: a mask is counted by
-//! CHI cell when the statement's index summarises exactly its pixels (the
-//! durable store stamps both), by the reference scan otherwise. For
-//! arbitrary data and query shapes, a session over each kind of store —
-//! the durable store, whose masks take the cell kernel, and a memory store,
-//! whose masks take the scan — must return rows **byte-identical** to the
-//! load-everything [`BruteForce`] reference, however often a statement
-//! repeats and whatever the cache then holds.
+//! CHI cell when the statement's index summarises exactly its pixels (every
+//! store stamps its pixels, and every index the stamp of the pixels it was
+//! built from), by the reference scan otherwise. For arbitrary data and
+//! query shapes, a session over each kind of store — the durable store and
+//! a memory store, whose indexed masks both take the cell kernel — must
+//! return rows **byte-identical** to the load-everything [`BruteForce`]
+//! reference, however often a statement repeats and whatever the cache
+//! then holds.
 //!
-//! The deterministic cases pin the rule itself: a memory store's masks are
-//! scanned, and every verify over the durable store takes the cell kernel.
+//! The deterministic cases pin the rule itself: every verify of an indexed
+//! mask takes the cell kernel on either store, an index built incrementally
+//! counts the next statement's masks by cell, and an index read from a file
+//! (stamped as of no commit) never does over a memory store's pixels.
 
 use masksearch::baselines::BruteForce;
 use masksearch::core::{ImageId, Mask, MaskId, MaskOp, MaskRecord, ModelId, PixelRange, Roi};
 use masksearch::db::{DbConfig, MaskDb};
-use masksearch::index::ChiConfig;
+use masksearch::index::{ChiConfig, ChiStore};
 use masksearch::query::{
     CmpOp, Expr, IndexingMode, MaskJoin, Order, Predicate, Query, ResultRow, RoiSpec, ScalarAgg,
     Selection, Session, SessionConfig,
@@ -81,15 +84,21 @@ fn dataset(images: u64, seed: u64) -> Vec<(MaskRecord, Mask)> {
         .collect()
 }
 
-/// A session over a memory store, which stamps nothing.
-fn session_over(images: u64, seed: u64, config: SessionConfig) -> Session {
+/// A memory store of the masks of `images` images, and their catalog.
+fn memory_store(images: u64, seed: u64) -> (Arc<dyn MaskStore>, Catalog) {
     let store = Arc::new(MemoryMaskStore::for_tests());
     let mut catalog = Catalog::new();
     for (record, mask) in dataset(images, seed) {
         store.put(record.mask_id, &mask).unwrap();
         catalog.insert(record);
     }
-    Session::new(store as Arc<dyn MaskStore>, catalog, config).unwrap()
+    (store, catalog)
+}
+
+/// A session over a memory store.
+fn session_over(images: u64, seed: u64, config: SessionConfig) -> Session {
+    let (store, catalog) = memory_store(images, seed);
+    Session::new(store, catalog, config).unwrap()
 }
 
 /// A durable database of the same masks in a fresh directory, removed on
@@ -215,19 +224,16 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
         })
 }
 
-/// Runs `query` `REPS` times on a session over the durable store (cell
-/// kernel) and over a memory store (reference scan), both caching what
-/// they load, so later reps verify resident masks; every result's rows must
-/// equal the [`BruteForce`] reference.
+/// Runs `query` `REPS` times on a session over the durable store and over
+/// a memory store, both caching what they load, so later reps verify
+/// resident masks; every result's rows must equal the [`BruteForce`]
+/// reference.
 fn assert_rows_match_brute_force(images: u64, seed: u64, queries: &[Query]) {
     let durable = Durable::new(images, seed);
     let sessions = [
+        ("durable", durable.session(config().cache_bytes(1 << 20))),
         (
-            "cell kernel",
-            durable.session(config().cache_bytes(1 << 20)),
-        ),
-        (
-            "scan",
+            "memory",
             session_over(images, seed, config().cache_bytes(1 << 20)),
         ),
     ];
@@ -363,32 +369,118 @@ fn undecidable_filter() -> Query {
     Query::filter_cp_gt(roi, range(0.33, 0.77), roi.area() as f64 * 0.44)
 }
 
+/// Runs `queries` four times each on `session` and checks every answer
+/// against the [`BruteForce`] reference; returns the statements' stats.
+fn run_checked(
+    session: &Session,
+    images: u64,
+    seed: u64,
+    queries: &[Query],
+) -> Vec<masksearch::query::QueryStats> {
+    let mut stats = Vec::new();
+    for query in queries {
+        let expected = oracle_rows(images, seed, query);
+        for rep in 0..4 {
+            let out = session.execute(query).unwrap();
+            assert_eq!(out.rows, expected, "rows moved on rep {rep} of {query:?}");
+            stats.push(out.stats);
+        }
+    }
+    stats
+}
+
 #[test]
-fn auto_over_a_memory_store_scans_and_builds_no_grid() {
+fn auto_over_a_memory_store_takes_the_kernel_on_every_whole_mask_verify() {
     let (images, seed) = (8, 11);
-    let query = smooth_filter();
-    let expected = oracle_rows(images, seed, &query);
-    let session = session_over(
+    let queries = [smooth_filter(), undecidable_filter()];
+    // Eager: every index is built from pixels loaded with their stamp, so
+    // every verify — in turn a miss, an admitted load, a resident copy —
+    // counts by CHI cell.
+    let session = session_over(images, seed, verify_all());
+    let mut counted = 0;
+    for s in run_checked(&session, images, seed, &queries) {
+        assert_eq!(s.planner_kernel_off, 0, "a memory store's mask was scanned");
+        assert_eq!(s.planner_kernel_on, s.verified);
+        counted += s.planner_kernel_on;
+    }
+    assert!(counted > 0, "no verify ran");
+    // Without an index there is nothing to count by: every verify scans.
+    let unindexed = session_over(
         images,
         seed,
         verify_all().indexing_mode(IndexingMode::Disabled),
     );
     let mut scanned = 0;
-    for rep in 0..4 {
-        let out = session.execute(&query).unwrap();
-        assert_eq!(out.rows, expected, "rows moved on rep {rep}");
+    for s in run_checked(&unindexed, images, seed, &queries) {
         assert_eq!(
-            out.stats.planner_kernel_on, 0,
-            "rep {rep} took the cell kernel"
+            s.planner_kernel_on, 0,
+            "an unindexed session took the kernel"
         );
-        assert_eq!(out.stats.planner_kernel_off, out.stats.verified);
-        scanned += out.stats.planner_kernel_off;
+        assert_eq!(s.planner_kernel_off, s.verified);
+        scanned += s.planner_kernel_off;
     }
     assert!(scanned > 0, "no verify ran");
-    // An indexed memory-store session scans too: its store stamps nothing.
-    let indexed = session_over(images, seed, verify_all());
-    let out = indexed.execute(&undecidable_filter()).unwrap();
-    assert_eq!(out.stats.planner_kernel_on, 0);
+}
+
+#[test]
+fn an_incremental_index_counts_the_next_statement_by_cell() {
+    let (images, seed) = (8, 11);
+    let query = undecidable_filter();
+    let expected = oracle_rows(images, seed, &query);
+    for cache_bytes in [0, 1 << 20] {
+        let session = session_over(
+            images,
+            seed,
+            verify_all()
+                .indexing_mode(IndexingMode::Incremental)
+                .cache_bytes(cache_bytes),
+        );
+        // The first statement has no index to count by: it scans, and
+        // builds the CHI of every mask it loads.
+        let first = session.execute(&query).unwrap();
+        assert_eq!(first.rows, expected);
+        let s = &first.stats;
+        assert!(s.verified > 0, "no verify ran");
+        assert_eq!((s.planner_kernel_on, s.indexes_built), (0, s.verified));
+        // The next one counts those masks by CHI cell.
+        for rep in 0..3 {
+            let out = session.execute(&query).unwrap();
+            assert_eq!(out.rows, expected, "rows moved on rep {rep}");
+            let s = &out.stats;
+            assert!(s.verified > 0, "rep {rep} verified nothing");
+            assert_eq!(s.planner_kernel_off, 0, "rep {rep} scanned a mask");
+            assert_eq!(s.planner_kernel_on, s.verified);
+        }
+    }
+}
+
+#[test]
+fn an_index_read_from_a_file_never_takes_the_kernel_on_a_memory_store() {
+    let (images, seed) = (8, 11);
+    let file = session_over(images, seed, verify_all())
+        .chi_store()
+        .to_bytes();
+    // An average over the whole mask with a bin-aligned range: the cells
+    // decide every count, so even a verify that would read no pixel must
+    // ask for their stamp.
+    let full = Roi::new(0, 0, W, H).unwrap();
+    let queries = [
+        smooth_filter(),
+        undecidable_filter(),
+        Query::aggregate(Expr::cp(full, range(0.5, 1.0)), ScalarAgg::Avg),
+    ];
+    for cache_bytes in [0, 1 << 20] {
+        let (store, catalog) = memory_store(images, seed);
+        let config = verify_all().cache_bytes(cache_bytes);
+        let loaded =
+            Session::with_index(store, catalog, config, ChiStore::from_bytes(&file).unwrap());
+        let mut scanned = 0;
+        for s in run_checked(&loaded, images, seed, &queries) {
+            assert_eq!(s.planner_kernel_on, 0, "a loaded index took the kernel");
+            scanned += s.planner_kernel_off;
+        }
+        assert!(scanned > 0, "no verify ran");
+    }
 }
 
 #[test]

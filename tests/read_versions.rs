@@ -87,9 +87,7 @@ fn session_over(
     data: &[(MaskRecord, Mask)],
     mode: IndexingMode,
 ) -> Session {
-    for (record, mask) in data {
-        store.put(record.mask_id, mask).unwrap();
-    }
+    store.apply_batch(data, &[]).unwrap();
     let config = SessionConfig::new(chi()).threads(1).indexing_mode(mode);
     Session::new(store, catalog_of(data), config).unwrap()
 }
@@ -365,14 +363,21 @@ struct GatedStore {
 }
 
 impl MaskStore for GatedStore {
-    fn put(&self, id: MaskId, mask: &Mask) -> masksearch::storage::StorageResult<()> {
-        self.inner.put(id, mask)
+    fn apply_batch(
+        &self,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> masksearch::storage::StorageResult<masksearch::storage::Stamp> {
+        self.inner.apply_batch(inserts, deletes)
     }
-    fn get(&self, id: MaskId) -> masksearch::storage::StorageResult<Mask> {
+    fn get_stamped(
+        &self,
+        id: MaskId,
+    ) -> masksearch::storage::StorageResult<(Mask, masksearch::storage::Stamp)> {
         if self.gated.load(Ordering::SeqCst) {
             self.barrier.wait();
         }
-        self.inner.get(id)
+        self.inner.get_stamped(id)
     }
     fn contains(&self, id: MaskId) -> bool {
         self.inner.contains(id)
@@ -383,17 +388,8 @@ impl MaskStore for GatedStore {
     fn len(&self) -> usize {
         self.inner.len()
     }
-    fn stored_bytes(&self, id: MaskId) -> masksearch::storage::StorageResult<u64> {
-        self.inner.stored_bytes(id)
-    }
-    fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
-    }
     fn io_stats(&self) -> Arc<masksearch::storage::IoStats> {
         self.inner.io_stats()
-    }
-    fn disk_profile(&self) -> masksearch::storage::DiskProfile {
-        self.inner.disk_profile()
     }
 }
 

@@ -10,12 +10,12 @@
 //! 3. A statement that panics — it runs on its connection's own thread —
 //!    answers `ERR`, and the same connection serves the next statement.
 
-use masksearch::core::{Mask, MaskId};
+use masksearch::core::{Mask, MaskId, MaskRecord};
 use masksearch::datagen::{DatasetSpec, RandomQueryGenerator};
 use masksearch::index::ChiConfig;
 use masksearch::query::{IndexingMode, Query, QueryOutput, Session, SessionConfig};
 use masksearch::service::{Client, Engine, Server, ServiceConfig};
-use masksearch::storage::{DiskProfile, IoStats, MaskStore, MemoryMaskStore, StorageResult};
+use masksearch::storage::{IoStats, MaskStore, MemoryMaskStore, Stamp, StorageResult};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -229,14 +229,18 @@ struct PanicOnceStore {
 }
 
 impl MaskStore for PanicOnceStore {
-    fn put(&self, id: MaskId, mask: &Mask) -> StorageResult<()> {
-        self.inner.put(id, mask)
+    fn apply_batch(
+        &self,
+        inserts: &[(MaskRecord, Mask)],
+        deletes: &[MaskId],
+    ) -> StorageResult<Stamp> {
+        self.inner.apply_batch(inserts, deletes)
     }
-    fn get(&self, id: MaskId) -> StorageResult<Mask> {
+    fn get_stamped(&self, id: MaskId) -> StorageResult<(Mask, Stamp)> {
         if self.armed.swap(false, Ordering::SeqCst) {
             panic!("simulated executor bug");
         }
-        self.inner.get(id)
+        self.inner.get_stamped(id)
     }
     fn contains(&self, id: MaskId) -> bool {
         self.inner.contains(id)
@@ -247,17 +251,8 @@ impl MaskStore for PanicOnceStore {
     fn len(&self) -> usize {
         self.inner.len()
     }
-    fn stored_bytes(&self, id: MaskId) -> StorageResult<u64> {
-        self.inner.stored_bytes(id)
-    }
-    fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
-    }
     fn io_stats(&self) -> Arc<IoStats> {
         self.inner.io_stats()
-    }
-    fn disk_profile(&self) -> DiskProfile {
-        self.inner.disk_profile()
     }
 }
 
